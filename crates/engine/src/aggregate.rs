@@ -12,10 +12,10 @@
 //! directly — group keys and aggregate inputs are read column-at-a-time
 //! from each batch, without materializing row-major tuples first.
 
-use crate::batch::TableLayout;
+use crate::batch::{KeyHash, TableLayout};
 use crate::error::ExecError;
-use crate::executor::{Executor, QueryResult};
-use crate::plan::{Plan, PlanNode};
+use crate::executor::{col_set, Executor, QueryResult};
+use crate::plan::Plan;
 use crate::query::Query;
 use colt_catalog::ColRef;
 use colt_storage::{IoStats, Value};
@@ -175,40 +175,24 @@ impl<'a> Executor<'a> {
     ) -> Result<(QueryResult, Vec<Vec<Value>>), ExecError> {
         let mut io = IoStats::new();
         let db = self.database();
-        // A single-scan plan's output layout is known before execution,
-        // so the fold's column needs push down as a scan projection:
-        // only group-by and aggregate input columns are materialized
-        // (scan predicates are evaluated on the heap rows before the
-        // gather, so they need no projection entry). Join plans settle
-        // their layout during execution — build/probe order is
-        // cost-based — so they run unprojected. Charges are identical
-        // either way; the projection only skips value clones.
-        let (input, group_pos, agg_pos) = match &plan.root {
-            PlanNode::Scan { table, path, .. } => {
-                let layout = TableLayout::single(db, *table);
-                let (group_pos, agg_pos) = resolve_spec(db, &layout, spec)?;
-                let mut proj: Vec<usize> =
-                    group_pos.iter().copied().chain(agg_pos.iter().flatten().copied()).collect();
-                proj.sort_unstable();
-                proj.dedup();
-                let input = self.run_scan(query, *table, path, &mut io, true, Some(&proj))?;
-                (input, group_pos, agg_pos)
-            }
-            root => {
-                let input = self.run(query, root, &mut io, true)?;
-                let (group_pos, agg_pos) = resolve_spec(db, &input.layout, spec)?;
-                (input, group_pos, agg_pos)
-            }
-        };
+        // The fold's column needs push down through the whole plan:
+        // only group-by and aggregate input columns (plus, inside the
+        // plan, each join's own keys) are ever materialized. Charges
+        // are identical either way; pushdown only skips value clones.
+        let layout = TableLayout::of_plan(db, &plan.root);
+        let (group_pos, agg_pos) = resolve_spec(db, &layout, spec)?;
+        let needed = col_set(group_pos.iter().copied().chain(agg_pos.iter().flatten().copied()));
+        let input = self.run(query, &plan.root, &mut io, &needed)?;
 
         // Group lookup is hash-based, key column at a time, mirroring the
         // hash-join build phase. Deliberately HashMaps: point-lookup only
         // — never iterated — each maps a key to its index in the `keys` /
         // `groups` side tables, and emission sorts `keys`, so no hash
         // order can reach the result. (colt-analyze's hash-iteration lint
-        // verifies the "never iterated" part.) Single-column keys borrow
-        // the batch value and skip the per-row key Vec entirely; a group's
-        // key is cloned once, on first sight.
+        // verifies the "never iterated" part, which is also what makes
+        // the fixed-seed `KeyHash` safe.) Single-column keys borrow the
+        // batch value and skip the per-row key Vec entirely; a group's key
+        // is cloned once, on first sight.
         let _batch_span = colt_obs::span("engine.exec.batch");
         let mut keys: Vec<Vec<Value>> = Vec::new();
         let mut groups: Vec<Vec<Acc>> = Vec::new();
@@ -216,8 +200,16 @@ impl<'a> Executor<'a> {
             keys.push(Vec::new());
             groups.push(spec.exprs.iter().map(|e| Acc::new(e.func)).collect());
         }
-        let mut single: HashMap<&Value, usize> = HashMap::new();
-        let mut multi: HashMap<Vec<Value>, usize> = HashMap::new();
+        let mut single: HashMap<&Value, usize, KeyHash> = HashMap::default();
+        let mut multi: HashMap<Vec<Value>, usize, KeyHash> = HashMap::default();
+        if needed.is_empty() {
+            // Only a global COUNT(*) reads no column at all: its input
+            // arrives as a bare count, with no batches to walk.
+            for _ in 0..input.count {
+                groups[0].iter_mut().for_each(|acc| acc.feed(None));
+            }
+            io.cpu_ops += input.count * (spec.exprs.len() as u64 + 1);
+        }
         for b in &input.batches {
             for r in b.live() {
                 let g = if spec.group_by.is_empty() {

@@ -2,12 +2,14 @@
 //!
 //! The executor processes rows a batch at a time (MonetDB/X100 style):
 //! every operator produces [`ColumnBatch`]es of up to [`BATCH_ROWS`]
-//! rows, stored as one `Vec<Value>` per output column, together with a
-//! [`TableLayout`] header mapping each participating table to its
-//! column range. A batch optionally carries a *selection vector* — the
+//! rows, stored as one `Vec<Value>` per output column; a
+//! [`TableLayout`], derived from the plan, maps each participating
+//! table to its column range. A batch optionally carries a *selection vector* — the
 //! sorted physical row indices that are still live after filtering —
 //! so a filter can drop rows without moving any column data; every
 //! consumer iterates [`ColumnBatch::live`] and therefore honors it.
+//! Inside the executor a batch's columns may be *pruned* (left empty):
+//! needed-column pushdown materializes only what a consumer reads.
 //!
 //! None of this affects the cost model: [`colt_storage::IoStats`] is
 //! charged per page and per tuple *processed*, which is invariant to
@@ -15,12 +17,65 @@
 //! "Vectorized execution").
 
 use crate::error::ExecError;
+use crate::plan::PlanNode;
 use colt_catalog::{ColRef, Database, TableId};
 use colt_storage::Value;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Target rows per batch. Large enough to amortize per-batch dispatch,
 /// small enough that a batch's columns stay cache-resident.
 pub const BATCH_ROWS: usize = 1024;
+
+/// The hasher behind the join and group-by hash tables: one fixed-seed
+/// multiply-rotate round per 8-byte word (FxHash style) in place of
+/// `RandomState`'s per-process-seeded SipHash. A fixed seed is safe
+/// here because those tables are point-lookup only — never iterated, so
+/// no hash order can reach a result — and their keys are column values
+/// of the program's own generated data, not outside input an adversary
+/// could craft to collide.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct KeyHasher(u64);
+
+/// 2^64 / golden ratio: an odd multiplier that spreads consecutive keys
+/// across the whole word.
+const KEY_HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// `BuildHasher` for [`KeyHasher`]-keyed `HashMap`s.
+pub(crate) type KeyHash = BuildHasherDefault<KeyHasher>;
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(KEY_HASH_MUL);
+    }
+
+    fn finish(&self) -> u64 {
+        // A multiply only carries entropy upward, but the table picks
+        // its bucket from the low bits: keys that are multiples of 2^k
+        // would share one. Fold the high half down and mix once more.
+        let h = (self.0 ^ (self.0 >> 32)).wrapping_mul(KEY_HASH_MUL);
+        h ^ (h >> 29)
+    }
+}
 
 /// A batch of rows in columnar form, with an optional selection vector.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -143,22 +198,13 @@ impl ColumnBatch {
         &self.columns[col][row]
     }
 
-    /// Internal: a dense batch whose columns are known equal-length by
-    /// construction (operators build all columns in lockstep).
-    pub(crate) fn dense(columns: Vec<Vec<Value>>) -> Self {
-        let rows = columns.first().map_or(0, Vec::len);
-        debug_assert!(columns.iter().all(|c| c.len() == rows));
-        ColumnBatch { columns, rows, sel: None }
-    }
-
-    /// Internal: a dense batch with an explicit row count whose
-    /// non-materialized columns are left *empty* (a scan-level
-    /// projection). Only valid when every consumer reads materialized
-    /// columns exclusively — the aggregate fold over a single-scan plan
-    /// guarantees this by projecting exactly the columns it touches.
-    /// Reading a pruned column via [`ColumnBatch::val`] panics, loudly,
-    /// instead of returning wrong data.
-    pub(crate) fn dense_projected(columns: Vec<Vec<Value>>, rows: usize) -> Self {
+    /// Internal: a dense batch of `rows` rows. Operators build columns
+    /// in lockstep, so every column holds `rows` values — except the
+    /// columns no consumer reads, which needed-column pushdown leaves
+    /// *empty* (pruned). Reading a pruned column via
+    /// [`ColumnBatch::val`] panics, loudly, instead of returning wrong
+    /// data.
+    pub(crate) fn dense(columns: Vec<Vec<Value>>, rows: usize) -> Self {
         debug_assert!(columns.iter().all(|c| c.is_empty() || c.len() == rows));
         ColumnBatch { columns, rows, sel: None }
     }
@@ -198,15 +244,6 @@ pub struct TableLayout {
 }
 
 impl TableLayout {
-    /// The layout of a single table's scan output.
-    pub fn single(db: &Database, table: TableId) -> Self {
-        TableLayout {
-            tables: vec![table],
-            starts: vec![0],
-            width: db.table(table).schema.arity(),
-        }
-    }
-
     /// The layout of several tables' concatenated columns, in order.
     pub fn of_tables(db: &Database, tables: &[TableId]) -> Self {
         let mut names = Vec::with_capacity(tables.len());
@@ -220,13 +257,26 @@ impl TableLayout {
         TableLayout { tables: names, starts, width }
     }
 
-    /// The layout of a join output: `left`'s columns then `right`'s.
-    pub fn join(left: &TableLayout, right: &TableLayout) -> Self {
-        let mut tables = left.tables.clone();
-        tables.extend_from_slice(&right.tables);
-        let mut starts = left.starts.clone();
-        starts.extend(right.starts.iter().map(|s| s + left.width));
-        TableLayout { tables, starts, width: left.width + right.width }
+    /// The output layout of a plan subtree, known before it runs: scans
+    /// emit their table's columns, joins their left input's (build,
+    /// outer) then their right input's (probe, inner).
+    pub fn of_plan(db: &Database, node: &PlanNode) -> Self {
+        fn walk(node: &PlanNode, out: &mut Vec<TableId>) {
+            match node {
+                PlanNode::Scan { table, .. } => out.push(*table),
+                PlanNode::HashJoin { build, probe, .. } => {
+                    walk(build, out);
+                    walk(probe, out);
+                }
+                PlanNode::IndexNlJoin { outer, inner, .. } => {
+                    walk(outer, out);
+                    out.push(*inner);
+                }
+            }
+        }
+        let mut tables = Vec::new();
+        walk(node, &mut tables);
+        Self::of_tables(db, &tables)
     }
 
     /// Participating tables in column-slice order.
@@ -260,6 +310,25 @@ mod tests {
             (0..n as i64).map(|i| Value::Int(i * 10)).collect(),
         ])
         .unwrap()
+    }
+
+    #[test]
+    fn key_hasher_spreads_strided_keys_over_low_bits() {
+        // The hash table picks buckets from the low bits, and a bare
+        // multiplicative hash maps keys that are multiples of 2^k to
+        // hashes that are too. The finish must not: 1024 keys at any
+        // stride should fill about as many of 1024 buckets as random
+        // hashes would (1 - 1/e, ~647).
+        use std::hash::BuildHasher;
+        for stride in [1i64, 1 << 10, 1 << 20, 1 << 40, 1 << 50] {
+            let mut buckets = [false; 1024];
+            for i in 0..1024 {
+                let hash = KeyHash::default().hash_one(Value::Int(i * stride));
+                buckets[(hash & 1023) as usize] = true;
+            }
+            let filled = buckets.iter().filter(|&&b| b).count();
+            assert!(filled >= 512, "stride {stride}: {filled} of 1024 buckets");
+        }
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! [`ColumnBatch`]es (per-column value vectors plus a selection vector;
 //! see [`crate::batch`]) instead of row-major `Vec<Value>` rows, and
 //! predicates are evaluated over whole column chunks into a selection
-//! vector before any value is copied.
+//! vector before any value is copied. Which values *are* copied is
+//! decided by one mechanism, needed-column pushdown: every operator is
+//! told the column offsets its consumer will read (none at a count-only
+//! root), asks its inputs for those plus its own join keys, and
+//! materializes nothing else (see `Executor::run`).
 //!
 //! None of this changes what is *charged*: every operator charges
 //! [`IoStats`] per page and per tuple processed, which is invariant to
@@ -16,7 +20,7 @@
 //! wall-clock time every experiment reports — is byte-identical to the
 //! row-at-a-time reference implementation in [`crate::rowwise`].
 
-use crate::batch::{ColumnBatch, TableLayout, BATCH_ROWS};
+use crate::batch::{ColumnBatch, KeyHash, TableLayout, BATCH_ROWS};
 use crate::error::ExecError;
 use crate::plan::{AccessPath, Plan, PlanNode};
 use crate::query::{PredicateKind, Query, SelPred};
@@ -40,8 +44,9 @@ pub struct QueryResult {
 /// What [`Executor::execute`] should retain of the result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Collect {
-    /// Count rows and charge I/O, but do not keep result values. Scans
-    /// and joins at the plan root skip materialization entirely — the
+    /// Count rows and charge I/O, but do not keep result values: the
+    /// plan root needs no column, so a root scan materializes nothing
+    /// and a join materializes only its inputs' key columns — the
     /// charges are identical either way.
     #[default]
     CountOnly,
@@ -81,23 +86,39 @@ impl ExecOutput {
     }
 }
 
-/// One operator's output: the layout header, the live row count, and —
-/// only when the consumer needs values — the column batches.
+/// One operator's output: the live row count and — only when the
+/// consumer needs values — the column batches. The column *layout* is
+/// not part of it: it is a static property of the plan
+/// ([`TableLayout::of_plan`]).
 pub(crate) struct OpOutput {
-    pub(crate) layout: TableLayout,
     pub(crate) batches: Vec<ColumnBatch>,
     pub(crate) count: u64,
 }
 
 impl OpOutput {
-    /// Concatenate the batches into one dense batch (live rows only).
-    fn flatten(self) -> (TableLayout, ColumnBatch) {
-        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); self.layout.width()];
+    /// Concatenate the batches into one dense `width`-column batch.
+    fn flatten(self, width: usize) -> ColumnBatch {
+        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); width];
         for b in self.batches {
             b.drain_into(&mut cols);
         }
-        (self.layout, ColumnBatch::dense(cols))
+        ColumnBatch::dense(cols, self.count as usize)
     }
+}
+
+/// How a join obtains an input: given the child node and the columns
+/// needed of it, execute it. Plain execution recurses into
+/// [`Executor::run`]; EXPLAIN ANALYZE wraps the recursion to render and
+/// account each child.
+type RunChild<'f> =
+    &'f mut dyn FnMut(&PlanNode, &[usize], &mut IoStats) -> Result<OpOutput, ExecError>;
+
+/// A needed-column set: ascending, duplicate-free column offsets.
+pub(crate) fn col_set(cols: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut set: Vec<usize> = cols.collect();
+    set.sort_unstable();
+    set.dedup();
+    set
 }
 
 /// The executor.
@@ -124,20 +145,22 @@ impl<'a> Executor<'a> {
     ) -> Result<ExecOutput, ExecError> {
         let span = colt_obs::span("engine.execute");
         let mut io = IoStats::new();
-        let need = collect == Collect::Rows;
-        let out = self.run(query, &plan.root, &mut io, need)?;
+        let layout = TableLayout::of_plan(self.db, &plan.root);
+        let needed: Vec<usize> = match collect {
+            Collect::Rows => (0..layout.width()).collect(),
+            Collect::CountOnly => Vec::new(),
+        };
+        let out = self.run(query, &plan.root, &mut io, &needed)?;
         let millis = self.db.cost.millis_of(&io);
         span.sim_ms(millis);
         let mut rows = Vec::new();
-        if need {
-            for b in out.batches {
-                b.into_rows(&mut rows);
-            }
+        for b in out.batches {
+            b.into_rows(&mut rows);
         }
         Ok(ExecOutput {
             result: QueryResult { row_count: out.count, millis, io },
             rows,
-            layout: out.layout.tables().to_vec(),
+            layout: layout.tables().to_vec(),
         })
     }
 
@@ -157,7 +180,7 @@ impl<'a> Executor<'a> {
     ) -> Result<(QueryResult, String), ExecError> {
         let mut io = IoStats::new();
         let mut out = String::new();
-        let root = self.analyze_node(query, &plan.root, &mut io, 0, &mut out)?;
+        let root = self.analyze_node(query, &plan.root, &mut io, &[], 0, &mut out)?;
         let result =
             QueryResult { row_count: root.count, millis: self.db.cost.millis_of(&io), io };
         out.push_str(&format!(
@@ -171,39 +194,28 @@ impl<'a> Executor<'a> {
         Ok((result, out))
     }
 
-    /// Execute one node, appending its annotated line (after its
+    /// Execute one node, appending its annotated line (before its
     /// children's, pre-order rendering) to `out`.
     fn analyze_node(
         &self,
         query: &Query,
         node: &PlanNode,
         io: &mut IoStats,
+        needed: &[usize],
         depth: usize,
         out: &mut String,
     ) -> Result<OpOutput, ExecError> {
         let pad = "  ".repeat(depth);
         let mut child_text = String::new();
-        let (result, own_io) = match node {
-            PlanNode::Scan { table, path, .. } => {
-                let before = *io;
-                let b = self.run_scan(query, *table, path, io, true, None)?;
-                (b, *io - before)
-            }
-            PlanNode::HashJoin { build, probe, on, .. } => {
-                let b = self.analyze_node(query, build, io, depth + 1, &mut child_text)?;
-                let p = self.analyze_node(query, probe, io, depth + 1, &mut child_text)?;
-                let before = *io;
-                let joined = self.hash_join(b, p, on, io, true)?;
-                (joined, *io - before)
-            }
-            PlanNode::IndexNlJoin { outer, inner, index, probe_on, residual_on, .. } => {
-                let o = self.analyze_node(query, outer, io, depth + 1, &mut child_text)?;
-                let before = *io;
-                let joined =
-                    self.index_nl_join(query, o, *inner, *index, *probe_on, residual_on, io, true)?;
-                (joined, *io - before)
-            }
-        };
+        let mut child_io = IoStats::new();
+        let before = *io;
+        let result = self.run_node(query, node, io, needed, &mut |child, needed, io| {
+            let before = *io;
+            let output = self.analyze_node(query, child, io, needed, depth + 1, &mut child_text);
+            child_io += *io - before;
+            output
+        })?;
+        let own_io = *io - before - child_io;
         let label = match node {
             PlanNode::Scan { table, path, .. } => match path {
                 AccessPath::SeqScan => format!("SeqScan t{}", table.0),
@@ -230,50 +242,61 @@ impl<'a> Executor<'a> {
         Ok(result)
     }
 
-    /// Execute a subtree. `need` says whether the consumer requires the
-    /// output *values*; when false (a [`Collect::CountOnly`] plan root)
-    /// operators skip materialization while charging identically.
+    /// Execute a subtree. `needed` lists the column offsets (within the
+    /// subtree's [`TableLayout::of_plan`] layout, ascending) whose
+    /// *values* the consumer will read; the output batches materialize
+    /// exactly those and leave every other column pruned. With an empty
+    /// set — a [`Collect::CountOnly`] plan root — operators only count,
+    /// emitting no batches at all. Charges never depend on `needed`:
+    /// the cost model counts pages and tuples processed, not values
+    /// copied.
     pub(crate) fn run(
         &self,
         query: &Query,
         node: &PlanNode,
         io: &mut IoStats,
-        need: bool,
+        needed: &[usize],
+    ) -> Result<OpOutput, ExecError> {
+        self.run_node(query, node, io, needed, &mut |child, needed, io| {
+            self.run(query, child, io, needed)
+        })
+    }
+
+    /// Execute one node, obtaining join inputs through `child`.
+    fn run_node(
+        &self,
+        query: &Query,
+        node: &PlanNode,
+        io: &mut IoStats,
+        needed: &[usize],
+        child: RunChild<'_>,
     ) -> Result<OpOutput, ExecError> {
         match node {
-            PlanNode::Scan { table, path, .. } => {
-                self.run_scan(query, *table, path, io, need, None)
-            }
+            PlanNode::Scan { table, path, .. } => self.run_scan(query, *table, path, io, needed),
             PlanNode::HashJoin { build, probe, on, .. } => {
                 colt_obs::counter("engine.op.hash_join", 1);
-                let b = self.run(query, build, io, true)?;
-                let p = self.run(query, probe, io, true)?;
-                self.hash_join(b, p, on, io, need)
+                self.hash_join(build, probe, on, io, needed, child)
             }
             PlanNode::IndexNlJoin { outer, inner, index, probe_on, residual_on, .. } => {
                 colt_obs::counter("engine.op.index_nl_join", 1);
-                let o = self.run(query, outer, io, true)?;
-                self.index_nl_join(query, o, *inner, *index, *probe_on, residual_on, io, need)
+                self.index_nl_join(
+                    query, outer, *inner, *index, *probe_on, residual_on, io, needed, child,
+                )
             }
         }
     }
 
-    /// Run one scan node. `proj`, when present, lists the only column
-    /// offsets whose values the consumer will read: the gather then
-    /// materializes just those columns and leaves the rest empty (see
-    /// [`ColumnBatch::dense_projected`]). Selection predicates are
-    /// evaluated against the heap rows *before* the gather, so predicate
-    /// columns never need to appear in `proj`. Charges are identical
-    /// with and without a projection — the cost model counts pages and
-    /// tuples processed, not values copied.
-    pub(crate) fn run_scan(
+    /// Run one scan node, materializing the `needed` columns of the
+    /// rows that pass. Selection predicates are evaluated against the
+    /// heap rows *before* the gather, so predicate columns need not be
+    /// in `needed`.
+    fn run_scan(
         &self,
         query: &Query,
         table: TableId,
         path: &AccessPath,
         io: &mut IoStats,
-        need: bool,
-        proj: Option<&[usize]>,
+        needed: &[usize],
     ) -> Result<OpOutput, ExecError> {
         colt_obs::counter(
             match path {
@@ -284,9 +307,9 @@ impl<'a> Executor<'a> {
             1,
         );
         let t = self.db.table(table);
-        let layout = TableLayout::single(self.db, table);
+        let width = t.schema.arity();
         let preds: Vec<&SelPred> = query.selections_on(table).collect();
-        check_pred_cols("scan", &preds, layout.width())?;
+        check_pred_cols("scan", &preds, width)?;
 
         let _batch_span = colt_obs::span("engine.exec.batch");
         let mut batches = Vec::new();
@@ -300,8 +323,8 @@ impl<'a> Executor<'a> {
                     io.cpu_ops += (preds.len() * chunk.len()) as u64;
                     select_rows(chunk, &preds, None, &mut sel);
                     count += sel.len() as u64;
-                    if need && !sel.is_empty() {
-                        batches.push(gather_rows(chunk, &sel, layout.width(), proj));
+                    if !needed.is_empty() && !sel.is_empty() {
+                        batches.push(gather_rows(chunk, &sel, width, needed));
                     }
                 }
             }
@@ -313,8 +336,8 @@ impl<'a> Executor<'a> {
                     io.cpu_ops += (preds.len() * chunk.len()) as u64;
                     select_rows(chunk, &preds, None, &mut sel);
                     count += sel.len() as u64;
-                    if need && !sel.is_empty() {
-                        batches.push(gather_rows(chunk, &sel, layout.width(), proj));
+                    if !needed.is_empty() && !sel.is_empty() {
+                        batches.push(gather_rows(chunk, &sel, width, needed));
                     }
                 }
             }
@@ -328,24 +351,29 @@ impl<'a> Executor<'a> {
                     io.cpu_ops += ((preds.len() - 1) * chunk.len()) as u64;
                     select_rows(chunk, &preds, Some(driver_idx), &mut sel);
                     count += sel.len() as u64;
-                    if need && !sel.is_empty() {
-                        batches.push(gather_rows(chunk, &sel, layout.width(), proj));
+                    if !needed.is_empty() && !sel.is_empty() {
+                        batches.push(gather_rows(chunk, &sel, width, needed));
                     }
                 }
             }
         }
-        Ok(OpOutput { layout, batches, count })
+        Ok(OpOutput { batches, count })
     }
 
+    /// Hash join: build on `build`'s output, probe with `probe`'s. Each
+    /// input is asked for the columns this join emits from it plus its
+    /// own key columns; the output carries `needed` only.
     fn hash_join(
         &self,
-        build: OpOutput,
-        probe: OpOutput,
+        build: &PlanNode,
+        probe: &PlanNode,
         on: &[crate::query::JoinPred],
         io: &mut IoStats,
-        need: bool,
+        needed: &[usize],
+        child: RunChild<'_>,
     ) -> Result<OpOutput, ExecError> {
-        // Locate each join key within the concatenated layouts.
+        // Locate each join key within its input's layout — and validate
+        // it there, before it is used as a projection offset.
         let key_positions = |layout: &TableLayout| -> Result<Vec<usize>, ExecError> {
             on.iter()
                 .map(|j| {
@@ -362,38 +390,46 @@ impl<'a> Executor<'a> {
                 })
                 .collect()
         };
-        let build_keys = key_positions(&build.layout)?;
-        let probe_keys = key_positions(&probe.layout)?;
+        let build_layout = TableLayout::of_plan(self.db, build);
+        let probe_layout = TableLayout::of_plan(self.db, probe);
+        let build_keys = key_positions(&build_layout)?;
+        let probe_keys = key_positions(&probe_layout)?;
+        let (build_width, probe_width) = (build_layout.width(), probe_layout.width());
+
+        let mut acc = OutAcc::new(build_width + probe_width, build_width, needed);
+        let build_needed = col_set(acc.left.iter().chain(&build_keys).copied());
+        let probe_needed = col_set(
+            acc.right.iter().map(|c| c - build_width).chain(probe_keys.iter().copied()),
+        );
+        let build = child(build, &build_needed, io)?;
+        let probe = child(probe, &probe_needed, io)?;
 
         let _batch_span = colt_obs::span("engine.exec.batch");
         // The build side is consumed as a whole (that is what "build"
         // means), so flatten it into one dense batch up front; the
         // probe side streams through batch by batch.
-        let (build_layout, build_flat) = build.flatten();
-        let build_rows = build_flat.physical_rows();
-        let build_width = build_layout.width();
-        let layout = TableLayout::join(&build_layout, &probe.layout);
-        let mut acc = OutAcc::new(layout.width(), need);
+        let build_rows = build.count as usize;
+        let build_flat = build.flatten(build_width);
 
         if on.is_empty() {
             // Cartesian product, build-major like the reference — which
-            // still pays the (degenerate, empty-key) build phase.
-            let (_, probe_flat) = probe.flatten();
-            let probe_rows = probe_flat.physical_rows();
+            // still pays the (degenerate, empty-key) build phase. An
+            // input with no needed column arrives as a bare count.
+            let probe_rows = probe.count as usize;
+            let probe_flat = probe.flatten(probe_width);
             io.cpu_ops += 2 * build_rows as u64;
             io.cpu_ops += build_rows as u64 * probe_rows as u64;
-            if need {
+            if needed.is_empty() {
+                acc.count = build_rows as u64 * probe_rows as u64;
+            } else {
                 for b in 0..build_rows {
                     for p in 0..probe_rows {
-                        acc.push_pair(&build_flat, b, build_width, &probe_flat, p);
+                        acc.push_pair(&build_flat, b, &probe_flat, p);
                     }
                 }
-            } else {
-                acc.count = build_rows as u64 * probe_rows as u64;
             }
             io.tuples += acc.count;
-            let (batches, count) = acc.finish();
-            return Ok(OpOutput { layout, batches, count });
+            return Ok(acc.finish());
         }
 
         // Build phase, one key column at a time. Deliberately HashMaps:
@@ -401,9 +437,10 @@ impl<'a> Executor<'a> {
         // by the probe-side row order plus the insertion-ordered
         // Vec<u32> match lists, so no hash order can reach the result.
         // (colt-analyze's hash-iteration lint verifies the "never
-        // iterated" part.) Single-column keys skip the per-row Vec.
-        let mut single: HashMap<&Value, Vec<u32>> = HashMap::new();
-        let mut multi: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
+        // iterated" part, which is also what makes the fixed-seed
+        // `KeyHash` safe.) Single-column keys skip the per-row Vec.
+        let mut single: HashMap<&Value, Vec<u32>, KeyHash> = HashMap::default();
+        let mut multi: HashMap<Vec<Value>, Vec<u32>, KeyHash> = HashMap::default();
         if let [key_pos] = build_keys[..] {
             single.reserve(build_rows);
             for i in 0..build_rows {
@@ -434,30 +471,33 @@ impl<'a> Executor<'a> {
                 };
                 if let Some(matches) = matches {
                     for &bi in matches {
-                        acc.push_pair(&build_flat, bi as usize, build_width, pb, p);
+                        acc.push_pair(&build_flat, bi as usize, pb, p);
                     }
                 }
             }
         }
         io.tuples += acc.count;
-        let (batches, count) = acc.finish();
-        Ok(OpOutput { layout, batches, count })
+        Ok(acc.finish())
     }
 
     /// Index nested-loop join: probe the inner table's B+ tree once per
     /// outer row, fetch matches, and apply the inner table's selection
-    /// predicates plus any residual join predicates.
+    /// predicates plus any residual join predicates. The outer input is
+    /// asked for the columns this join emits from it plus those its
+    /// predicates read; inner rows come whole from the heap, and only
+    /// their `needed` columns are kept.
     #[allow(clippy::too_many_arguments)]
     fn index_nl_join(
         &self,
         query: &Query,
-        outer: OpOutput,
+        outer: &PlanNode,
         inner: TableId,
         index_col: ColRef,
         probe_on: crate::query::JoinPred,
         residual_on: &[crate::query::JoinPred],
         io: &mut IoStats,
-        need: bool,
+        needed: &[usize],
+        child: RunChild<'_>,
     ) -> Result<OpOutput, ExecError> {
         let inner_table = self.db.table(inner);
         let index = materialized_index("index_nl_join", self.config, index_col)?;
@@ -465,9 +505,11 @@ impl<'a> Executor<'a> {
         let inner_arity = inner_table.schema.arity();
         check_pred_cols("index_nl_join", &inner_preds, inner_arity)?;
 
-        // Locate the outer side of the probe predicate in the layout.
+        // Locate (and validate) the outer side of each join predicate in
+        // the outer layout before it is used as a projection offset.
+        let outer_layout = TableLayout::of_plan(self.db, outer);
         let locate = |side: ColRef| -> Result<usize, ExecError> {
-            let pos = outer.layout.col_of(side).ok_or(ExecError::JoinKeyTableMissing {
+            let pos = outer_layout.col_of(side).ok_or(ExecError::JoinKeyTableMissing {
                 operator: "index_nl_join",
                 table: side.table,
             })?;
@@ -492,11 +534,15 @@ impl<'a> Executor<'a> {
             })
             .collect::<Result<_, ExecError>>()?;
 
-        let _batch_span = colt_obs::span("engine.exec.batch");
-        let (outer_layout, outer_flat) = outer.flatten();
         let outer_width = outer_layout.width();
-        let layout = TableLayout::join(&outer_layout, &TableLayout::single(self.db, inner));
-        let mut acc = OutAcc::new(layout.width(), need);
+        let mut acc = OutAcc::new(outer_width + inner_arity, outer_width, needed);
+        let outer_needed = col_set(
+            acc.left.iter().copied().chain([probe_pos]).chain(residuals.iter().map(|&(op, _)| op)),
+        );
+        let outer = child(outer, &outer_needed, io)?;
+
+        let _batch_span = colt_obs::span("engine.exec.batch");
+        let outer_flat = outer.flatten(outer_width);
         // One probe per outer row, reusing the rowid buffer. Page
         // charges deduplicate within one fetch only (per probe), never
         // across probes — merging rowids across outer rows would change
@@ -512,89 +558,95 @@ impl<'a> Executor<'a> {
                 let res_ok =
                     residuals.iter().all(|&(op, ic)| outer_flat.val(op, o) == &irow[ic]);
                 if sel_ok && res_ok {
-                    acc.push_row_suffix(&outer_flat, o, outer_width, irow);
+                    acc.push_row_suffix(&outer_flat, o, irow);
                 }
             }
         }
         io.tuples += acc.count;
-        let (batches, count) = acc.finish();
-        Ok(OpOutput { layout, batches, count })
+        Ok(acc.finish())
     }
 }
 
-/// Output accumulator for join operators: collects result values column
-/// by column, emitting a dense [`ColumnBatch`] every [`BATCH_ROWS`]
-/// rows. With `need == false` it only counts.
-struct OutAcc {
+/// Output accumulator for join operators: collects the needed result
+/// columns value by value, emitting a dense [`ColumnBatch`] (every
+/// other column pruned) each [`BATCH_ROWS`] rows. With nothing needed
+/// it only counts.
+struct OutAcc<'n> {
+    /// Needed output columns that come from the left input…
+    left: &'n [usize],
+    /// …and from the right one (still as *output* offsets).
+    right: &'n [usize],
+    left_width: usize,
     cols: Vec<Vec<Value>>,
     batches: Vec<ColumnBatch>,
     count: u64,
     pending: usize,
-    need: bool,
 }
 
-impl OutAcc {
-    fn new(width: usize, need: bool) -> Self {
-        OutAcc { cols: vec![Vec::new(); width], batches: Vec::new(), count: 0, pending: 0, need }
+impl<'n> OutAcc<'n> {
+    fn new(width: usize, left_width: usize, needed: &'n [usize]) -> Self {
+        let (left, right) = needed.split_at(needed.partition_point(|&c| c < left_width));
+        OutAcc {
+            left,
+            right,
+            left_width,
+            cols: vec![Vec::new(); width],
+            batches: Vec::new(),
+            count: 0,
+            pending: 0,
+        }
     }
 
     /// Append `left`'s physical row `li` followed by `right`'s physical
     /// row `ri`.
-    fn push_pair(
-        &mut self,
-        left: &ColumnBatch,
-        li: usize,
-        left_width: usize,
-        right: &ColumnBatch,
-        ri: usize,
-    ) {
-        self.count += 1;
-        if !self.need {
-            return;
+    fn push_pair(&mut self, left: &ColumnBatch, li: usize, right: &ColumnBatch, ri: usize) {
+        self.push_left(left, li);
+        for &c in self.right {
+            self.cols[c].push(right.val(c - self.left_width, ri).clone());
         }
-        for c in 0..left_width {
-            self.cols[c].push(left.val(c, li).clone());
-        }
-        for c in left_width..self.cols.len() {
-            self.cols[c].push(right.val(c - left_width, ri).clone());
-        }
-        self.bump();
     }
 
     /// Append `left`'s physical row `li` followed by a borrowed row.
-    fn push_row_suffix(&mut self, left: &ColumnBatch, li: usize, left_width: usize, row: &Row) {
-        self.count += 1;
-        if !self.need {
-            return;
+    fn push_row_suffix(&mut self, left: &ColumnBatch, li: usize, row: &Row) {
+        self.push_left(left, li);
+        for &c in self.right {
+            self.cols[c].push(row[c - self.left_width].clone());
         }
-        for c in 0..left_width {
-            self.cols[c].push(left.val(c, li).clone());
-        }
-        for (c, v) in row.iter().enumerate() {
-            self.cols[left_width + c].push(v.clone());
-        }
-        self.bump();
     }
 
-    fn bump(&mut self) {
-        self.pending += 1;
+    /// Count one output row and append its left half; the caller
+    /// appends the right half. Flushing a full batch *before* the row
+    /// keeps the two halves in one batch.
+    fn push_left(&mut self, left: &ColumnBatch, li: usize) {
+        self.count += 1;
+        if self.left.is_empty() && self.right.is_empty() {
+            return;
+        }
         if self.pending == BATCH_ROWS {
             self.flush();
+        }
+        self.pending += 1;
+        for &c in self.left {
+            self.cols[c].push(left.val(c, li).clone());
         }
     }
 
     fn flush(&mut self) {
         if self.pending > 0 {
+            colt_obs::counter(
+                "engine.exec.values_materialized",
+                (self.pending * (self.left.len() + self.right.len())) as u64,
+            );
             let width = self.cols.len();
             let full = std::mem::replace(&mut self.cols, vec![Vec::new(); width]);
-            self.batches.push(ColumnBatch::dense(full));
+            self.batches.push(ColumnBatch::dense(full, self.pending));
             self.pending = 0;
         }
     }
 
-    fn finish(mut self) -> (Vec<ColumnBatch>, u64) {
+    fn finish(mut self) -> OpOutput {
         self.flush();
-        (self.batches, self.count)
+        OpOutput { batches: self.batches, count: self.count }
     }
 }
 
@@ -647,35 +699,22 @@ pub(crate) fn select_rows<R: std::borrow::Borrow<Row>>(
     }
 }
 
-/// Gather the selected rows of a chunk into a dense column batch,
-/// column by column. With a projection, only the listed column offsets
-/// are materialized — the rest stay empty (pruned), which is what makes
-/// the aggregate's scan-level projection pay: unread columns (string
-/// columns especially) are never cloned at all.
+/// Gather the `needed` columns of a chunk's selected rows into a dense
+/// column batch, column by column. Every other column stays pruned:
+/// unread columns (string columns especially) are never cloned at all.
 fn gather_rows<R: std::borrow::Borrow<Row>>(
     rows: &[R],
     sel: &[u32],
     width: usize,
-    proj: Option<&[usize]>,
+    needed: &[usize],
 ) -> ColumnBatch {
     let mut cols: Vec<Vec<Value>> = vec![Vec::new(); width];
-    let gather = |col: &mut Vec<Value>, c: usize| {
-        col.reserve(sel.len());
-        col.extend(sel.iter().map(|&i| rows[i as usize].borrow()[c].clone()));
-    };
-    match proj {
-        None => {
-            for (c, col) in cols.iter_mut().enumerate() {
-                gather(col, c);
-            }
-        }
-        Some(ps) => {
-            for &c in ps {
-                gather(&mut cols[c], c);
-            }
-        }
+    for &c in needed {
+        cols[c].reserve(sel.len());
+        cols[c].extend(sel.iter().map(|&i| rows[i as usize].borrow()[c].clone()));
     }
-    ColumnBatch::dense_projected(cols, sel.len())
+    colt_obs::counter("engine.exec.values_materialized", (sel.len() * needed.len()) as u64);
+    ColumnBatch::dense(cols, sel.len())
 }
 
 /// The materialized single-column index a plan node refers to, or a
@@ -837,8 +876,8 @@ mod tests {
 
     #[test]
     fn count_only_charges_like_rows() {
-        // Collect::CountOnly skips materialization at the root; the
-        // charges (and therefore the simulated clock) must not move.
+        // Collect::CountOnly needs no column at the root; the charges
+        // (and therefore the simulated clock) must not move.
         let (db, fact, dim) = db();
         let cfg = PhysicalConfig::new();
         let queries = [
@@ -860,6 +899,45 @@ mod tests {
             assert_eq!(counted.result.io, collected.result.io);
             assert_eq!(counted.layout, collected.layout);
         }
+    }
+
+    #[test]
+    fn values_materialized_is_exact() {
+        // Needed-column pushdown, as countable work: the counter must
+        // equal the values each mode has to copy — to the value.
+        let (db, fact, dim) = db();
+        let cfg = PhysicalConfig::new();
+        let opt = Optimizer::new(&db);
+        let materialized = |q: &Query, collect: Collect| {
+            let plan = opt.optimize(q, IndexSetView::real(&cfg));
+            let prev = colt_obs::install(colt_obs::Recorder::new(colt_obs::Level::Summary));
+            let out = Executor::new(&db, &cfg).execute(q, &plan, collect).unwrap();
+            let snap = colt_obs::take().unwrap().into_snapshot();
+            if let Some(p) = prev {
+                colt_obs::install(p);
+            }
+            (snap.counter("engine.exec.values_materialized"), out.row_count())
+        };
+
+        let scan = Query::single(fact, vec![SelPred::eq(ColRef::new(fact, 2), 3i64)]);
+        assert_eq!(materialized(&scan, Collect::CountOnly), (0, 2857));
+        // Rows: every column (3) of every result row.
+        assert_eq!(materialized(&scan, Collect::Rows), (2857 * 3, 2857));
+
+        // Single-key join, 50 live `dim` rows against all 20000 `fact`
+        // rows: count-only copies one key value per live input row and
+        // nothing at the output.
+        let join = Query::join(
+            vec![fact, dim],
+            vec![JoinPred::new(ColRef::new(fact, 1), ColRef::new(dim, 0))],
+            vec![SelPred::eq(ColRef::new(dim, 1), 2i64)],
+        );
+        assert_eq!(materialized(&join, Collect::CountOnly), (50 + 20_000, 5000));
+        // Rows: both inputs whole, plus the 5-column output.
+        assert_eq!(
+            materialized(&join, Collect::Rows),
+            (50 * 2 + 20_000 * 3 + 5000 * 5, 5000)
+        );
     }
 
     #[test]

@@ -315,42 +315,158 @@ fn three_table_chain_matches_reference() {
     }
 }
 
+/// One differential-test input: a database, an index set, a 1–4-table
+/// chain query over it, and the plan the optimizer chose.
+struct Case {
+    db: Database,
+    cfg: PhysicalConfig,
+    tables: Vec<TableId>,
+    q: Query,
+    plan: colt_engine::Plan,
+}
+
+/// A seeded random case over the chain `a.fk = b.id`, `b.w = c.id`,
+/// `c.x = d.id` (`c` and `d` hold every id twice, so each step fans
+/// out), cut after 1–4 tables: random predicates on `a`, sometimes a
+/// second `a`–`b` key (multi-column hash keys, INLJ residuals), a
+/// random subset of seven candidate indices, INLJ on or off. The
+/// optimizer rarely picks an INLJ on data this small, so "on" also
+/// rewrites the plan's eligible hash joins by hand ([`to_inlj`]).
+fn random_case(rng: &mut Prng) -> Case {
+    use colt_engine::{JoinPred, OptimizerOptions};
+    let n_tables = 1 + rng.below(4);
+    let n_a = 1 + rng.below(2999);
+    let n_b = 1 + rng.below(39);
+    let ps = preds(rng, TableId(0), 2);
+    let second_key = rng.chance(0.3);
+    let index_mask = rng.below(128);
+    let inlj = rng.chance(0.5);
+
+    let (mut db, a, b) = build_db(n_a, n_b);
+    let c = db.add_table(TableSchema::new(
+        "c",
+        vec![Column::new("id", ValueType::Int), Column::new("x", ValueType::Int)],
+    ));
+    let d = db.add_table(TableSchema::new("d", vec![Column::new("id", ValueType::Int)]));
+    db.insert_rows(c, (0..10i64).map(|i| row_from(vec![Value::Int(i % 5), Value::Int(i % 3)])));
+    db.insert_rows(d, (0..6i64).map(|i| row_from(vec![Value::Int(i % 3)])));
+    db.analyze_all();
+
+    let tables = [a, b, c, d][..n_tables].to_vec();
+    let mut joins = vec![
+        JoinPred::new(ColRef::new(a, 1), ColRef::new(b, 0)),
+        JoinPred::new(ColRef::new(b, 1), ColRef::new(c, 0)),
+        JoinPred::new(ColRef::new(c, 1), ColRef::new(d, 0)),
+    ];
+    joins.truncate(n_tables - 1);
+    if second_key && n_tables >= 2 {
+        joins.push(JoinPred::new(ColRef::new(a, 2), ColRef::new(b, 1)));
+    }
+    let q =
+        if n_tables == 1 { Query::single(a, ps) } else { Query::join(tables.clone(), joins, ps) };
+
+    let candidates = [
+        ColRef::new(a, 0),
+        ColRef::new(a, 1),
+        ColRef::new(a, 2),
+        ColRef::new(b, 0),
+        ColRef::new(b, 1),
+        ColRef::new(c, 0),
+        ColRef::new(d, 0),
+    ];
+    let mut cfg = PhysicalConfig::new();
+    for (bit, &col) in candidates.iter().enumerate() {
+        if index_mask & (1 << bit) != 0 {
+            cfg.create_index(&db, col, IndexOrigin::Online);
+        }
+    }
+    let opt = Optimizer::with_options(&db, OptimizerOptions { enable_index_nl_join: inlj });
+    let mut plan = opt.optimize(&q, IndexSetView::real(&cfg));
+    if inlj {
+        plan.root = to_inlj(plan.root, &cfg);
+    }
+    Case { db, cfg, tables, q, plan }
+}
+
+/// Turn every hash join that has a base-table input with a materialized
+/// index on one of its join columns into an index nested-loop join
+/// probing that index; the join's other predicates become residuals.
+fn to_inlj(node: colt_engine::PlanNode, cfg: &PhysicalConfig) -> colt_engine::PlanNode {
+    use colt_engine::PlanNode;
+    match node {
+        PlanNode::HashJoin { build, probe, on, est_rows, est_cost } => {
+            let (build, probe) = (to_inlj(*build, cfg), to_inlj(*probe, cfg));
+            for (inner, outer) in [(&probe, &build), (&build, &probe)] {
+                let PlanNode::Scan { table, .. } = inner else { continue };
+                let indexed = |c: &ColRef| c.table == *table && cfg.get(*c).is_some();
+                let Some((i, index)) = on.iter().enumerate().find_map(|(i, j)| {
+                    [j.left, j.right].into_iter().find(indexed).map(|c| (i, c))
+                }) else {
+                    continue;
+                };
+                let mut residual_on = on.clone();
+                let probe_on = residual_on.remove(i);
+                return PlanNode::IndexNlJoin {
+                    outer: Box::new(outer.clone()),
+                    inner: *table,
+                    index,
+                    probe_on,
+                    residual_on,
+                    est_rows,
+                    est_cost,
+                };
+            }
+            PlanNode::HashJoin {
+                build: Box::new(build),
+                probe: Box::new(probe),
+                on,
+                est_rows,
+                est_cost,
+            }
+        }
+        PlanNode::IndexNlJoin { outer, inner, index, probe_on, residual_on, est_rows, est_cost } => {
+            let outer = Box::new(to_inlj(*outer, cfg));
+            PlanNode::IndexNlJoin { outer, inner, index, probe_on, residual_on, est_rows, est_cost }
+        }
+        scan => scan,
+    }
+}
+
+/// (hash joins, index nested-loop joins) in a plan subtree.
+fn join_ops(node: &colt_engine::PlanNode) -> (usize, usize) {
+    use colt_engine::PlanNode;
+    match node {
+        PlanNode::Scan { .. } => (0, 0),
+        PlanNode::HashJoin { build, probe, .. } => {
+            let ((bh, bi), (ph, pi)) = (join_ops(build), join_ops(probe));
+            (bh + ph + 1, bi + pi)
+        }
+        PlanNode::IndexNlJoin { outer, .. } => {
+            let (h, i) = join_ops(outer);
+            (h, i + 1)
+        }
+    }
+}
+
 /// The vectorized executor is observationally identical to the
 /// row-at-a-time reference implementation: same row count, same
 /// `IoStats` (and therefore the same simulated clock), same collected
-/// rows in the same order, for random queries over random physical
+/// rows in the same order — and count-only execution, which prunes
+/// every column but the join keys, counts and charges exactly like
+/// both — for random 1–4-table queries over random physical
 /// configurations and plan shapes.
 #[test]
 fn vectorized_matches_rowwise_reference() {
-    use colt_engine::{JoinPred, OptimizerOptions};
     let mut rng = Prng::new(0xE21E_000A);
-    for case in 0..40u64 {
-        let n_a = 1 + rng.below(2999);
-        let n_b = 1 + rng.below(39);
-        let ps = preds(&mut rng, TableId(0), 2);
-        let join = rng.chance(0.5);
-        let index_mask = rng.below(8) as u8;
-        let inlj = rng.chance(0.5);
-
-        let (db, a, b) = build_db(n_a, n_b);
-        let q = if join {
-            Query::join(
-                vec![a, b],
-                vec![JoinPred::new(ColRef::new(a, 1), ColRef::new(b, 0))],
-                ps,
-            )
-        } else {
-            Query::single(a, ps)
-        };
-        let mut cfg = PhysicalConfig::new();
-        for col in 0..3u32 {
-            if index_mask & (1 << col) != 0 {
-                cfg.create_index(&db, ColRef::new(a, col), IndexOrigin::Online);
-            }
-        }
-        let opt = Optimizer::with_options(&db, OptimizerOptions { enable_index_nl_join: inlj });
-        let plan = opt.optimize(&q, IndexSetView::real(&cfg));
-        let vec_out = Executor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
+    let (mut deep_hash, mut deep_inlj) = (0, 0);
+    for case in 0..80u64 {
+        let Case { db, cfg, q, plan, .. } = random_case(&mut rng);
+        let (hash, inlj) = join_ops(&plan.root);
+        deep_hash += usize::from(hash >= 2);
+        deep_inlj += usize::from(inlj >= 1 && hash + inlj >= 2);
+        let exec = Executor::new(&db, &cfg);
+        let vec_out = exec.execute(&q, &plan, Collect::Rows).unwrap();
+        let counted = exec.execute(&q, &plan, Collect::CountOnly).unwrap();
         let row_out = RowwiseExecutor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
         let ctx = format!("case {case}: {}", plan.explain());
         assert_eq!(vec_out.row_count(), row_out.row_count(), "{ctx}");
@@ -358,38 +474,60 @@ fn vectorized_matches_rowwise_reference() {
         assert_eq!(vec_out.layout, row_out.layout, "{ctx}");
         assert_eq!(vec_out.rows, row_out.rows, "row order must match exactly; {ctx}");
         assert!((vec_out.millis() - row_out.millis()).abs() < 1e-12, "{ctx}");
+        assert!(counted.rows.is_empty(), "{ctx}");
+        assert_eq!(counted.row_count(), row_out.row_count(), "{ctx}");
+        assert_eq!(counted.result.io, row_out.result.io, "{ctx}");
+        assert_eq!(counted.layout, row_out.layout, "{ctx}");
     }
+    // The generator must keep reaching the shapes pushdown matters for.
+    assert!(deep_hash >= 5, "only {deep_hash} plans with two or more hash joins");
+    assert!(deep_inlj >= 5, "only {deep_inlj} multi-join plans with an INLJ");
 }
 
 /// Aggregation over both executors folds identically — group order,
-/// float accumulation order, and charges included.
+/// float accumulation order, and charges included — over scan *and*
+/// join plans, where only the fold's columns and the join keys survive
+/// pushdown.
 #[test]
 fn vectorized_aggregate_matches_rowwise_reference() {
     use colt_engine::{AggExpr, AggFunc, AggSpec};
     let mut rng = Prng::new(0xE21E_000B);
-    for case in 0..25u64 {
-        let n = 1 + rng.below(2999);
-        let ps = preds(&mut rng, TableId(0), 1);
-        let (db, a, _) = build_db(n, 7);
-        let q = Query::single(a, ps);
-        let cfg = PhysicalConfig::new();
-        let plan = Optimizer::new(&db).optimize(&q, IndexSetView::real(&cfg));
-        let spec = AggSpec {
-            group_by: vec![ColRef::new(a, 1)],
-            exprs: vec![
-                AggExpr::count_star(),
-                AggExpr::over(AggFunc::Sum, ColRef::new(a, 2)),
-                AggExpr::over(AggFunc::Avg, ColRef::new(a, 0)),
-            ],
+    let mut over_joins = 0;
+    for case in 0..60u64 {
+        let Case { db, cfg, tables, q, plan } = random_case(&mut rng);
+        over_joins += usize::from(tables.len() >= 2);
+        // Columns of the first and last table: on a join plan the fold
+        // reads both ends of the chain.
+        let (first, last) = (tables[0], tables[tables.len() - 1]);
+        let spec = match rng.below(3) {
+            // Reads no column at all.
+            0 => AggSpec { group_by: vec![], exprs: vec![AggExpr::count_star()] },
+            1 => AggSpec {
+                group_by: vec![ColRef::new(first, 1)],
+                exprs: vec![
+                    AggExpr::count_star(),
+                    AggExpr::over(AggFunc::Sum, ColRef::new(first, 2)),
+                    AggExpr::over(AggFunc::Avg, ColRef::new(last, 0)),
+                ],
+            },
+            _ => AggSpec {
+                group_by: vec![ColRef::new(last, 0), ColRef::new(first, 2)],
+                exprs: vec![
+                    AggExpr::over(AggFunc::Min, ColRef::new(first, 0)),
+                    AggExpr::over(AggFunc::Max, ColRef::new(last, 0)),
+                ],
+            },
         };
         let (vres, vrows) =
             Executor::new(&db, &cfg).execute_aggregate(&q, &plan, &spec).unwrap();
         let (rres, rrows) =
             RowwiseExecutor::new(&db, &cfg).execute_aggregate(&q, &plan, &spec).unwrap();
-        assert_eq!(vrows, rrows, "case {case}");
-        assert_eq!(vres.io, rres.io, "case {case}");
-        assert_eq!(vres.row_count, rres.row_count, "case {case}");
+        let ctx = format!("case {case}: {spec:?} over {}", plan.explain());
+        assert_eq!(vrows, rrows, "{ctx}");
+        assert_eq!(vres.io, rres.io, "{ctx}");
+        assert_eq!(vres.row_count, rres.row_count, "{ctx}");
     }
+    assert!(over_joins >= 30, "only {over_joins} aggregates over join plans");
 }
 
 /// Selection-vector edge cases: empty input, everything filtered out,
