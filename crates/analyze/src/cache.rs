@@ -17,7 +17,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Bump when rule behavior changes so stale caches self-invalidate.
-const RULES_REV: u64 = 1;
+const RULES_REV: u64 = 2;
 
 /// Cached scan results for one file.
 #[derive(Debug, Clone)]

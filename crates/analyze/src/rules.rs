@@ -203,7 +203,7 @@ binding.",
             Lint::ChargeCoverage => "The paper's cost model is enforced by IoStats page \
 charging: every heap or B+ tree page touched must be charged, or simulated cost \
 drifts from the physical design the tuner reasons about. Any public colt-storage \
-fn whose body reaches page state (the heap's `rows`, the tree's `arena`, or the \
+fn whose body reaches page state (the heap's `columns`, the tree's `arena`, or the \
 page walkers descend/leftmost_leaf) must either take/construct an IoStats or be \
 listed in colt-analyze.toml's [charge-coverage] uncharged allowlist — a reviewed, \
 documented inventory of zero-I/O accessors — so vectorized fast paths like \
@@ -851,8 +851,9 @@ fn check_span_pairing(file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// Heap/btree state fields whose element access means pages are read.
-const PAGE_STATE_FIELDS: &[&str] = &["rows", "arena"];
+/// Heap/btree state fields whose element access means pages are read:
+/// the heap's column store and the tree's node arena.
+const PAGE_STATE_FIELDS: &[&str] = &["columns", "arena"];
 
 /// Accessors on those fields that read elements (metadata like `len` /
 /// `is_empty` and build-side `push` are not page reads).

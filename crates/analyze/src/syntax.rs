@@ -242,7 +242,7 @@ impl SyntaxIndex {
                             });
                         }
                     }
-                    "impl" => {
+                    "impl" if !impl_in_type_position(toks, i) => {
                         if let Some(self_type) = impl_self_type(toks, i) {
                             pending_impls.push(ix.impls.len());
                             ix.impls.push(ImplItem { self_type, token: i, body: None });
@@ -351,7 +351,11 @@ fn block_intro(toks: &[Token], open: usize) -> (Intro, Option<usize>) {
                     if id == "for" {
                         pending_for = Some(j);
                     } else if intro == Intro::Impl {
-                        return (Intro::Impl, Some(j));
+                        // `-> impl Iterator<…> {` is a fn body: keep
+                        // walking back to the `fn`.
+                        if !impl_in_type_position(toks, j) {
+                            return (Intro::Impl, Some(j));
+                        }
                     } else if let Some(f) = pending_for {
                         return (Intro::Loop, Some(f));
                     } else {
@@ -370,6 +374,18 @@ fn block_intro(toks: &[Token], open: usize) -> (Intro, Option<usize>) {
         Some(f) => (Intro::Loop, Some(f)),
         None => (Intro::Other, None),
     }
+}
+
+/// Is this `impl` keyword an `impl Trait` type (a return or argument
+/// type) rather than the start of an impl item? An item's `impl` follows
+/// a `}` / `;` / `]` / `unsafe` or opens the file; a type's follows the
+/// punctuation of a signature.
+fn impl_in_type_position(toks: &[Token], at: usize) -> bool {
+    at > 0
+        && matches!(
+            toks[at - 1].tok,
+            Tok::Punct('>' | ':' | '(' | ',' | '<' | '&' | '=' | '+')
+        )
 }
 
 /// Is the token before `fn`/qualifiers a `pub` (with optional
@@ -631,6 +647,25 @@ impl fmt::Debug for HeapTable { fn fmt(&self) {} }
         assert!(!by_name("plain").is_pub);
         assert_eq!(by_name("fmt").owner.as_deref(), Some("HeapTable"));
         assert!(by_name("fetch").body.is_some());
+    }
+
+    #[test]
+    fn impl_trait_types_do_not_hide_fn_bodies() {
+        // `impl` in a return or argument type is not an impl item: the
+        // body still belongs to the fn, and the next fn keeps its owner.
+        let ix = index(
+            "impl HeapTable {
+    pub fn scan<'a>(&'a self, io: &mut IoStats) -> impl Iterator<Item = (RowId, Row)> + 'a { self.iter() }
+    pub fn each(&self, f: impl Fn(u32)) { f(1) }
+    pub fn after(&self) {}
+}",
+        );
+        assert_eq!(ix.impls.len(), 1);
+        for name in ["scan", "each", "after"] {
+            let f = ix.fns.iter().find(|f| f.name == name).unwrap();
+            assert!(f.body.is_some(), "{name} has a body");
+            assert_eq!(f.owner.as_deref(), Some("HeapTable"), "{name}");
+        }
     }
 
     #[test]

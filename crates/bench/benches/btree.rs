@@ -1,5 +1,11 @@
 //! Micro-benchmarks of the B+ tree substrate: bulk loads, incremental
 //! inserts, point lookups, and range scans across tree sizes.
+//!
+//! Also CI's "Bench smoke" step, and a gate there: a bulk load is one
+//! pass over sorted input, so the run fails when an entry of a
+//! 100 000-entry load costs more than [`BULK_LOAD_SCALING_LIMIT`] times
+//! an entry of a 1 000-entry load (the leaf-peeling loader this guards
+//! against re-copied the tail once per leaf and read 600×).
 
 use colt_bench::bench;
 use colt_storage::{BPlusTree, IoStats, RowId, Value};
@@ -10,13 +16,26 @@ fn entries(n: usize) -> Vec<(Value, RowId)> {
     (0..n).map(|i| (Value::Int(i as i64), RowId(i as u32))).collect()
 }
 
-fn bench_bulk_load() {
-    for n in [1_000usize, 10_000, 100_000] {
-        let data = entries(n);
-        bench(&format!("btree/bulk_load/{n}"), || {
-            black_box(BPlusTree::bulk_load(8, black_box(data.clone())));
-        });
-    }
+/// Allowed growth of bulk load's per-entry cost from 1 k to 100 k
+/// entries; cache misses account for 1–2×, a quadratic loader for 100×.
+const BULK_LOAD_SCALING_LIMIT: f64 = 10.0;
+
+/// Benchmarks bulk load at three sizes; false when it scales worse than
+/// [`BULK_LOAD_SCALING_LIMIT`].
+fn bench_bulk_load() -> bool {
+    let per_entry: Vec<f64> = [1_000usize, 10_000, 100_000]
+        .into_iter()
+        .map(|n| {
+            let data = entries(n);
+            let ns = bench(&format!("btree/bulk_load/{n}"), || {
+                black_box(BPlusTree::bulk_load(8, black_box(data.clone())));
+            });
+            ns / n as f64
+        })
+        .collect();
+    let growth = per_entry[2] / per_entry[0];
+    println!("  bulk_load ns/entry at 100k vs 1k: {growth:.2}x (limit {BULK_LOAD_SCALING_LIMIT}x)");
+    growth <= BULK_LOAD_SCALING_LIMIT
 }
 
 fn bench_insert() {
@@ -93,11 +112,17 @@ fn bench_composite() {
     });
 }
 
-fn main() {
+fn main() -> std::process::ExitCode {
     println!("# btree micro-benchmarks");
-    bench_bulk_load();
+    let bulk_load_linear = bench_bulk_load();
     bench_insert();
     bench_lookup();
     bench_range();
     bench_composite();
+    if bulk_load_linear {
+        std::process::ExitCode::SUCCESS
+    } else {
+        println!("FAIL: bulk load's per-entry cost grows with the input size");
+        std::process::ExitCode::FAILURE
+    }
 }

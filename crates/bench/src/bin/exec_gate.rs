@@ -10,16 +10,26 @@
 //!
 //! ```text
 //! exec_gate                    # gate: exit 1 if any microbench < 1.5x baseline
-//! exec_gate --write-baseline   # refresh the baseline file
+//! exec_gate --write-baseline   # measure the reference into a baseline file
 //! exec_gate --baseline <path>  # non-default baseline location
 //! ```
 //!
 //! Like `whatif_gate` this is a *floor*: `--write-baseline` measures the
 //! in-tree [`RowwiseExecutor`] reference (the pre-vectorization
-//! execution model, kept for differential testing), so the baseline can
-//! be refreshed on any machine and the gate always compares the
-//! vectorized executor against the same row-at-a-time semantics it
-//! replaced. It fails when *any* of the four microbenches' speedup
+//! execution model, kept for differential testing), so the gate always
+//! compares the vectorized executor against the row-at-a-time semantics
+//! it replaced.
+//!
+//! **Do not refresh the checked-in `baselines/exec_baseline.json`.** It
+//! is the *row-store* `RowwiseExecutor` as of PR 12, when the reference
+//! read heap rows in place. Since PR 13 the heap is a column store and
+//! the reference materializes every row it looks at, which makes it
+//! slower: `--write-baseline` over the checked-in file would record that
+//! slower reference and lower the floor the vectorized executor is held
+//! to. Point `--baseline` at a scratch path to measure today's
+//! reference on another machine.
+//!
+//! It fails when *any* of the four microbenches' speedup
 //! drops below `THRESHOLD` — a floor per operator, because a geometric
 //! mean lets a 24x scan hide a join at parity; the mean is still
 //! printed. The baseline records the

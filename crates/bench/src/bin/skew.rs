@@ -27,7 +27,8 @@ fn main() {
     db.insert_rows(
         t,
         (0..60_000u64).map(|i| row_from(vec![Value::Int(i as i64), zipf.generate(i, 60_000, &mut rng)])),
-    );
+    )
+    .expect("generated rows fit the schema");
     db.analyze_all();
     let kind = ColRef::new(t, 1);
     let stats = db.table(t).column_stats(1);

@@ -150,9 +150,9 @@ pub fn fmt_ms(ms: f64) -> String {
 
 /// Minimal micro-benchmark runner (`cargo bench` harness): warm the
 /// closure up for ~20 ms to size the measured iteration count, then
-/// time it and print ns/op. Wrap results the optimizer could discard
-/// in [`std::hint::black_box`] inside the closure.
-pub fn bench(name: &str, mut f: impl FnMut()) {
+/// time it, print ns/op and return it. Wrap results the optimizer could
+/// discard in [`std::hint::black_box`] inside the closure.
+pub fn bench(name: &str, mut f: impl FnMut()) -> f64 {
     use std::time::{Duration, Instant};
     let warm = Instant::now();
     let mut warm_iters = 0u64;
@@ -175,6 +175,7 @@ pub fn bench(name: &str, mut f: impl FnMut()) {
     };
     // colt: allow(output-hygiene) — cargo-bench harness output, never part of a diffed experiment artifact
     println!("  {name:<44} {shown:>14}  ({iters} iters)");
+    per_ns
 }
 
 #[cfg(test)]

@@ -161,7 +161,7 @@ mod tests {
             (0..2_000i64).map(|i| {
                 row_from(vec![Value::Int(i % 20), Value::Int(i % 50), Value::Int(i)])
             }),
-        );
+        ).unwrap();
         db.analyze_all();
         (db, t, CompositeKey::new(t, vec![0, 1]))
     }

@@ -5,7 +5,9 @@ use crate::composite::{CompositeKey, MaterializedComposite};
 use crate::index::{build_index, IndexEstimate, IndexOrigin, MaterializedIndex};
 use crate::schema::{ColRef, TableId, TableSchema};
 use crate::stats::ColumnStats;
-use colt_storage::{CompositeBPlusTree, CostParams, HeapTable, IoStats, Row, RowId, Value};
+use colt_storage::{
+    ColumnSlice, CompositeBPlusTree, CostParams, HeapTable, IoStats, Row, RowError, RowId, Value,
+};
 use std::collections::BTreeMap;
 
 /// One table: schema, heap storage, and per-column statistics.
@@ -78,14 +80,15 @@ impl CompositeKey {
 pub fn build_composite(db: &Database, key: &CompositeKey) -> MaterializedComposite {
     let t = db.table(key.table);
     let mut io = IoStats::new();
-    let mut entries: Vec<(Vec<Value>, RowId)> = t
-        .heap
-        .scan(&mut io)
-        .map(|(rid, row)| {
-            let k: Vec<Value> =
-                key.columns.iter().map(|&c| row[c as usize].clone()).collect();
-            (k, rid)
-        })
+    // One scan is charged (with the leading column); the other key
+    // columns are read out of that same pass.
+    let leading = t.heap.scan_column(key.columns[0] as usize, &mut io);
+    let columns: Vec<ColumnSlice<'_>> = leading
+        .into_iter()
+        .chain(key.columns[1..].iter().filter_map(|&c| t.heap.column(c as usize)))
+        .collect();
+    let mut entries: Vec<(Vec<Value>, RowId)> = (0..t.heap.row_count())
+        .map(|row| (columns.iter().filter_map(|c| c.get(row)).collect(), RowId(row as u32)))
         .collect();
     entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
     let n = entries.len() as u64;
@@ -114,7 +117,8 @@ impl Database {
     /// Add a table, returning its id.
     pub fn add_table(&mut self, schema: TableSchema) -> TableId {
         let id = TableId(self.tables.len() as u32);
-        let heap = HeapTable::new(schema.row_width());
+        let types: Vec<_> = schema.columns.iter().map(|c| c.vtype).collect();
+        let heap = HeapTable::new(&types);
         self.tables.push(Table {
             id,
             schema,
@@ -126,13 +130,19 @@ impl Database {
         id
     }
 
-    /// Append rows to a table. Statistics are not refreshed automatically.
-    pub fn insert_rows(&mut self, table: TableId, rows: impl IntoIterator<Item = Row>) {
+    /// Append rows to a table, stopping at the first whose arity or
+    /// value types disagree with the schema (the rows before it stay).
+    /// Statistics are not refreshed automatically.
+    pub fn insert_rows(
+        &mut self,
+        table: TableId,
+        rows: impl IntoIterator<Item = Row>,
+    ) -> Result<(), RowError> {
         let t = &mut self.tables[table.0 as usize];
         for r in rows {
-            debug_assert_eq!(r.len(), t.schema.arity(), "row arity matches schema");
-            t.heap.insert(r);
+            t.heap.insert(r)?;
         }
+        Ok(())
     }
 
     /// Gather statistics for every column of every table.
@@ -360,7 +370,7 @@ mod tests {
             "t",
             vec![Column::new("a", ValueType::Int), Column::new("b", ValueType::Int)],
         ));
-        db.insert_rows(tid, (0..rows).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 10)])));
+        db.insert_rows(tid, (0..rows).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 10)]))).unwrap();
         db.analyze_all();
         (db, tid)
     }
@@ -382,7 +392,7 @@ mod tests {
         let (mut db, tid) = db_with_table(1000);
         assert!(!db.table(tid).needs_analyze(0.1));
         // Grow by 5%: below a 10% threshold, above a 1% threshold.
-        db.insert_rows(tid, (0..50i64).map(|i| row_from(vec![Value::Int(i), Value::Int(0)])));
+        db.insert_rows(tid, (0..50i64).map(|i| row_from(vec![Value::Int(i), Value::Int(0)]))).unwrap();
         assert!(!db.table(tid).needs_analyze(0.10));
         assert!(db.table(tid).needs_analyze(0.01));
         let refreshed = db.auto_analyze(0.01);
@@ -433,11 +443,30 @@ mod tests {
         let mut db = Database::new();
         let t = db.add_table(TableSchema::new("v", vec![Column::new("a", ValueType::Int)]));
         assert_eq!(db.table(t).stats_version(), 0);
-        db.insert_rows(t, (0..10i64).map(|i| row_from(vec![Value::Int(i)])));
+        db.insert_rows(t, (0..10i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
         db.analyze_all();
         assert_eq!(db.table(t).stats_version(), 1);
         db.table_mut(t).analyze();
         assert_eq!(db.table(t).stats_version(), 2);
+    }
+
+    #[test]
+    fn insert_rows_refuses_rows_that_do_not_fit_the_schema() {
+        let (mut db, tid) = db_with_table(10);
+        let err = db.insert_rows(tid, [row_from(vec![Value::Int(1)])]).unwrap_err();
+        assert_eq!(err, RowError::Arity { expected: 2, got: 1 });
+        // The rows before the offending one stay, the ones after do not.
+        let rows = [
+            vec![Value::Int(10), Value::Int(0)],
+            vec![Value::Int(11), Value::Str("x".into())],
+            vec![Value::Int(12), Value::Int(2)],
+        ];
+        let err = db.insert_rows(tid, rows.map(row_from)).unwrap_err();
+        assert_eq!(
+            err,
+            RowError::Type { column: 1, expected: ValueType::Int, got: ValueType::Str }
+        );
+        assert_eq!(db.table(tid).heap.row_count(), 11);
     }
 
     #[test]

@@ -14,21 +14,21 @@
 
 use crate::database::{Database, PhysicalConfig};
 use crate::schema::TableId;
-use colt_storage::{tuples_per_page, IoStats, Row, RowId};
+use colt_storage::{tuples_per_page, IoStats, Row, RowError, RowId};
 
 /// Append one row to `table`, maintaining all materialized indices on
-/// it. Returns the new row id and the physical work charged.
+/// it. Returns the new row id and the physical work charged, or — with
+/// table and indices untouched — why the row does not fit the schema.
 pub fn insert_row(
     db: &mut Database,
     config: &mut PhysicalConfig,
     table: TableId,
     row: Row,
-) -> (RowId, IoStats) {
+) -> Result<(RowId, IoStats), RowError> {
     let mut io = IoStats::new();
     let t = db.table_mut(table);
-    assert_eq!(row.len(), t.schema.arity(), "row arity must match the schema");
     let values = row.clone();
-    let rid = t.heap.insert(row);
+    let rid = t.heap.insert(row)?;
     io.tuples += 1;
     // Heap write: one page write each time a page fills up (amortized),
     // plus always the first row of a table.
@@ -45,22 +45,23 @@ pub fn insert_row(
         io.pages_written += 1;
         m.tree.insert(key, rid);
     }
-    (rid, io)
+    Ok((rid, io))
 }
 
 /// Append many rows; convenience wrapper returning the total charge.
+/// Stops at the first row that does not fit the schema.
 pub fn insert_rows(
     db: &mut Database,
     config: &mut PhysicalConfig,
     table: TableId,
     rows: impl IntoIterator<Item = Row>,
-) -> IoStats {
+) -> Result<IoStats, RowError> {
     let mut io = IoStats::new();
     for row in rows {
-        let (_, cost) = insert_row(db, config, table, row);
+        let (_, cost) = insert_row(db, config, table, row)?;
         io.accumulate(&cost);
     }
-    io
+    Ok(io)
 }
 
 #[cfg(test)]
@@ -76,7 +77,7 @@ mod tests {
             "t",
             vec![Column::new("a", ValueType::Int), Column::new("b", ValueType::Int)],
         ));
-        db.insert_rows(t, (0..1_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 10)])));
+        db.insert_rows(t, (0..1_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 10)]))).unwrap();
         db.analyze_all();
         let mut cfg = PhysicalConfig::new();
         cfg.create_index(&db, ColRef::new(t, 0), IndexOrigin::Online);
@@ -88,7 +89,7 @@ mod tests {
         let (mut db, mut cfg, t) = setup();
         let col = ColRef::new(t, 0);
         let before = cfg.get(col).unwrap().tree.len();
-        let (rid, io) = insert_row(&mut db, &mut cfg, t, row_from(vec![Value::Int(5_000), Value::Int(1)]));
+        let (rid, io) = insert_row(&mut db, &mut cfg, t, row_from(vec![Value::Int(5_000), Value::Int(1)])).unwrap();
         assert_eq!(rid, RowId(1_000));
         assert_eq!(cfg.get(col).unwrap().tree.len(), before + 1);
         assert!(io.random_pages > 0, "index descent charged");
@@ -111,7 +112,7 @@ mod tests {
             &mut cfg,
             t,
             (0..500i64).map(|i| row_from(vec![Value::Int(10_000 + i), Value::Int(0)])),
-        );
+        ).unwrap();
         assert!(io.pages_written >= 500, "one leaf write per row");
 
         // Rebuilding from scratch must agree with incremental maintenance.
@@ -123,17 +124,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "arity")]
-    fn wrong_arity_rejected() {
+    fn mismatched_rows_are_typed_errors_and_change_nothing() {
         let (mut db, mut cfg, t) = setup();
-        insert_row(&mut db, &mut cfg, t, row_from(vec![Value::Int(1)]));
+        let col = ColRef::new(t, 0);
+        let err = insert_row(&mut db, &mut cfg, t, row_from(vec![Value::Int(1)])).unwrap_err();
+        assert_eq!(err, RowError::Arity { expected: 2, got: 1 });
+        let wrong_type = row_from(vec![Value::Int(1), Value::Float(1.0)]);
+        let err = insert_row(&mut db, &mut cfg, t, wrong_type).unwrap_err();
+        assert_eq!(
+            err,
+            RowError::Type { column: 1, expected: ValueType::Int, got: ValueType::Float }
+        );
+        assert_eq!(db.table(t).heap.row_count(), 1_000);
+        assert_eq!(cfg.get(col).unwrap().tree.len(), 1_000);
+        // The bulk wrapper stops at the offending row and keeps the rest.
+        let rows = [vec![Value::Int(7), Value::Int(7)], vec![Value::Date(7), Value::Int(7)]];
+        let err = insert_rows(&mut db, &mut cfg, t, rows.map(row_from)).unwrap_err();
+        assert!(matches!(err, RowError::Type { column: 0, .. }), "{err}");
+        assert_eq!(db.table(t).heap.row_count(), 1_001);
+        assert_eq!(cfg.get(col).unwrap().tree.len(), 1_001);
     }
 
     #[test]
     fn tables_without_indices_charge_heap_only() {
         let (mut db, _, t) = setup();
         let mut empty_cfg = PhysicalConfig::new();
-        let (_, io) = insert_row(&mut db, &mut empty_cfg, t, row_from(vec![Value::Int(1), Value::Int(1)]));
+        let (_, io) = insert_row(&mut db, &mut empty_cfg, t, row_from(vec![Value::Int(1), Value::Int(1)])).unwrap();
         assert_eq!(io.random_pages, 0);
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::schema::ColRef;
 use colt_storage::btree::default_order;
-use colt_storage::{BPlusTree, HeapTable, IoStats, Value};
+use colt_storage::{BPlusTree, ColumnSlice, HeapTable, IoStats, KeyCode, RowId, Value};
 
 /// Estimated physical shape of a (possibly hypothetical) index.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,12 +78,18 @@ pub enum IndexOrigin {
 /// sort (`n log2 n` comparisons), and the writes of every index page.
 pub fn build_index(heap: &HeapTable, col: ColRef, key_width: usize) -> (BPlusTree, IoStats) {
     let mut io = IoStats::new();
-    let column = col.column as usize;
-    let mut entries: Vec<(Value, colt_storage::RowId)> = heap
-        .scan(&mut io)
-        .filter_map(|(rid, row)| row.get(column).cloned().map(|v| (v, rid)))
-        .collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+    let entries = match heap.scan_column(col.column as usize, &mut io) {
+        Some(ColumnSlice::Int(cells)) => sorted_entries(cells, Value::Int),
+        Some(ColumnSlice::Float(cells)) => sorted_entries(cells, Value::Float),
+        Some(ColumnSlice::Date(cells)) => sorted_entries(cells, Value::Date),
+        // No fixed-width order-preserving code: compare the strings.
+        Some(ColumnSlice::Str(cells)) => {
+            let mut keyed: Vec<(&str, u32)> = cells.iter().map(String::as_str).zip(0..).collect();
+            keyed.sort_unstable();
+            keyed.into_iter().map(|(s, rid)| (Value::Str(s.to_owned()), RowId(rid))).collect()
+        }
+        None => Vec::new(),
+    };
     let n = entries.len() as u64;
     if n > 1 {
         io.cpu_ops += n * (64 - n.leading_zeros() as u64);
@@ -93,16 +99,26 @@ pub fn build_index(heap: &HeapTable, col: ColRef, key_width: usize) -> (BPlusTre
     (tree, io)
 }
 
+/// The `(key, row id)` entries of a fixed-width column in `Value::cmp`
+/// then row-id order. What is sorted is `(code, row id)` pairs of
+/// unsigned integers ([`KeyCode`]), not `(Value, RowId)` pairs through
+/// the enum's comparison; the codes convert back losslessly afterwards.
+fn sorted_entries<T: KeyCode>(cells: &[T], wrap: fn(T) -> Value) -> Vec<(Value, RowId)> {
+    let mut keyed: Vec<(T::Code, u32)> = cells.iter().map(|x| x.code()).zip(0..).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(code, rid)| (wrap(T::from_code(code)), RowId(rid))).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::TableId;
-    use colt_storage::row_from;
+    use colt_storage::{row_from, ValueType};
 
     fn heap(n: i64) -> HeapTable {
-        let mut h = HeapTable::new(8);
+        let mut h = HeapTable::new(&[ValueType::Int]);
         for i in 0..n {
-            h.insert(row_from(vec![Value::Int(i % 97)]));
+            h.insert(row_from(vec![Value::Int(i % 97)])).unwrap();
         }
         h
     }
@@ -148,7 +164,7 @@ mod tests {
 
     #[test]
     fn build_empty_heap() {
-        let h = HeapTable::new(8);
+        let h = HeapTable::new(&[ValueType::Int]);
         let (tree, io) = build_index(&h, ColRef::new(TableId(0), 0), 8);
         assert!(tree.is_empty());
         assert_eq!(io.tuples, 0);

@@ -25,3 +25,5 @@ pub use dml::{insert_row, insert_rows as ingest_rows};
 pub use index::{build_index, IndexEstimate, IndexOrigin, MaterializedIndex};
 pub use schema::{ColRef, Column, TableId, TableSchema};
 pub use stats::{ColumnStats, HISTOGRAM_BUCKETS};
+
+pub use colt_storage::RowError;

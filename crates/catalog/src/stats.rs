@@ -6,7 +6,7 @@
 //! The gap between the two is the estimation noise the paper's profiling
 //! machinery has to tolerate.
 
-use colt_storage::{HeapTable, Value};
+use colt_storage::{ColumnSlice, HeapTable, KeyCode, Value};
 
 /// Number of buckets in an equi-depth histogram.
 pub const HISTOGRAM_BUCKETS: usize = 32;
@@ -20,11 +20,11 @@ pub const MAX_MCVS: usize = 8;
 ///
 /// ```
 /// use colt_catalog::ColumnStats;
-/// use colt_storage::{row_from, HeapTable, Value};
+/// use colt_storage::{row_from, HeapTable, Value, ValueType};
 ///
-/// let mut heap = HeapTable::new(8);
+/// let mut heap = HeapTable::new(&[ValueType::Int]);
 /// for i in 0..1_000i64 {
-///     heap.insert(row_from(vec![Value::Int(i)]));
+///     heap.insert(row_from(vec![Value::Int(i)])).unwrap();
 /// }
 /// let stats = ColumnStats::analyze(&heap, 0);
 /// assert_eq!(stats.n_distinct, 1_000);
@@ -57,25 +57,58 @@ pub struct ColumnStats {
 
 impl ColumnStats {
     /// Gather statistics for column `column` of `heap` by a full pass
-    /// over the data (the reproduction's ANALYZE).
+    /// over the data (the reproduction's ANALYZE). What is sorted is the
+    /// column's native cells — key codes for the fixed-width types,
+    /// borrowed `str`s for strings — and only the few values the
+    /// statistics keep become [`Value`]s.
     pub fn analyze(heap: &HeapTable, column: usize) -> Self {
-        let mut values: Vec<Value> = heap.iter().filter_map(|(_, r)| r.get(column).cloned()).collect();
-        let row_count = values.len() as u64;
-        values.sort_unstable();
-        let n_distinct = count_distinct(&values);
-        let (min, max) = match (values.first(), values.last()) {
-            (Some(a), Some(b)) => (Some(a.clone()), Some(b.clone())),
-            _ => (None, None),
+        fn sorted_codes<T: KeyCode>(cells: &[T]) -> Vec<T::Code> {
+            let mut codes: Vec<T::Code> = cells.iter().map(|x| x.code()).collect();
+            codes.sort_unstable();
+            codes
+        }
+        match heap.column(column) {
+            Some(ColumnSlice::Int(cells)) => {
+                Self::of_sorted(&sorted_codes(cells), |&c| Value::Int(i64::from_code(c)))
+            }
+            Some(ColumnSlice::Float(cells)) => {
+                Self::of_sorted(&sorted_codes(cells), |&c| Value::Float(f64::from_code(c)))
+            }
+            Some(ColumnSlice::Date(cells)) => {
+                Self::of_sorted(&sorted_codes(cells), |&c| Value::Date(i32::from_code(c)))
+            }
+            Some(ColumnSlice::Str(cells)) => {
+                let mut strs: Vec<&str> = cells.iter().map(String::as_str).collect();
+                strs.sort_unstable();
+                Self::of_sorted(&strs, |s| Value::Str((*s).to_owned()))
+            }
+            None => Self::of_sorted::<u64>(&[], |_| Value::Int(0)),
+        }
+    }
+
+    /// The statistics of a column given its cells in `Value::cmp` order;
+    /// `value` turns a cell into the [`Value`] it stands for.
+    fn of_sorted<T: PartialEq>(sorted: &[T], value: impl Fn(&T) -> Value) -> Self {
+        let row_count = sorted.len() as u64;
+        let n_distinct = match sorted {
+            [] => 0,
+            _ => 1 + sorted.windows(2).filter(|w| w[0] != w[1]).count() as u64,
         };
         let mut bounds = Vec::with_capacity(HISTOGRAM_BUCKETS + 1);
-        if !values.is_empty() {
+        if !sorted.is_empty() {
             for b in 0..=HISTOGRAM_BUCKETS {
-                let idx = (b * (values.len() - 1)) / HISTOGRAM_BUCKETS;
-                bounds.push(values[idx].clone());
+                bounds.push(value(&sorted[(b * (sorted.len() - 1)) / HISTOGRAM_BUCKETS]));
             }
         }
-        let mcvs = most_common(&values, n_distinct);
-        ColumnStats { row_count, n_distinct, min, max, bounds, mcvs }
+        let mcvs = most_common(sorted, n_distinct, &value);
+        ColumnStats {
+            row_count,
+            n_distinct,
+            min: sorted.first().map(&value),
+            max: sorted.last().map(&value),
+            bounds,
+            mcvs,
+        }
     }
 
     /// Estimated fraction of rows with value equal to `v`.
@@ -141,7 +174,11 @@ impl ColumnStats {
 /// Exact frequencies of the most common values in sorted data; keeps up
 /// to [`MAX_MCVS`] values that are at least 1.5× more frequent than the
 /// uniform expectation.
-fn most_common(sorted: &[Value], n_distinct: u64) -> Vec<(Value, f64)> {
+fn most_common<T: PartialEq>(
+    sorted: &[T],
+    n_distinct: u64,
+    value: impl Fn(&T) -> Value,
+) -> Vec<(Value, f64)> {
     if sorted.is_empty() || n_distinct <= 1 {
         return Vec::new();
     }
@@ -153,7 +190,7 @@ fn most_common(sorted: &[Value], n_distinct: u64) -> Vec<(Value, f64)> {
         if i == sorted.len() || sorted[i] != sorted[start] {
             let freq = (i - start) as f64 / n;
             if freq >= threshold {
-                runs.push((sorted[start].clone(), freq));
+                runs.push((value(&sorted[start]), freq));
             }
             start = i;
         }
@@ -163,22 +200,15 @@ fn most_common(sorted: &[Value], n_distinct: u64) -> Vec<(Value, f64)> {
     runs
 }
 
-fn count_distinct(sorted: &[Value]) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    1 + sorted.windows(2).filter(|w| w[0] != w[1]).count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colt_storage::row_from;
+    use colt_storage::{row_from, ValueType};
 
     fn heap_of_ints(values: &[i64]) -> HeapTable {
-        let mut h = HeapTable::new(8);
+        let mut h = HeapTable::new(&[ValueType::Int]);
         for &v in values {
-            h.insert(row_from(vec![Value::Int(v)]));
+            h.insert(row_from(vec![Value::Int(v)])).unwrap();
         }
         h
     }

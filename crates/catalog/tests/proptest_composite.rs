@@ -22,7 +22,7 @@ fn build_db(rows: &[(i64, i64, i64)]) -> (Database, colt_catalog::TableId) {
     db.insert_rows(
         t,
         rows.iter().map(|&(a, b, c)| row_from(vec![Value::Int(a), Value::Int(b), Value::Int(c)])),
-    );
+    ).unwrap();
     db.analyze_all();
     (db, t)
 }

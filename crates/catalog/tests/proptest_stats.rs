@@ -4,14 +4,14 @@
 //! monotonicity). Cases come from the in-repo seeded PRNG.
 
 use colt_catalog::ColumnStats;
-use colt_storage::{row_from, HeapTable, Prng, Value};
+use colt_storage::{row_from, HeapTable, Prng, Value, ValueType};
 
 const CASES: u64 = 48;
 
 fn heap_of(values: &[i64]) -> HeapTable {
-    let mut h = HeapTable::new(8);
+    let mut h = HeapTable::new(&[ValueType::Int]);
     for &v in values {
-        h.insert(row_from(vec![Value::Int(v)]));
+        h.insert(row_from(vec![Value::Int(v)])).unwrap();
     }
     h
 }

@@ -195,8 +195,8 @@ mod tests {
             vec![Column::new("id", ValueType::Int), Column::new("g", ValueType::Int)],
         ));
         let b = db.add_table(TableSchema::new("b", vec![Column::new("id", ValueType::Int)]));
-        db.insert_rows(a, (0..10_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 4)])));
-        db.insert_rows(b, (0..100i64).map(|i| row_from(vec![Value::Int(i)])));
+        db.insert_rows(a, (0..10_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 4)]))).unwrap();
+        db.insert_rows(b, (0..100i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
         db.analyze_all();
         (db, a, b)
     }

@@ -254,7 +254,7 @@ mod tests {
             (0..30_000i64).map(|i| {
                 row_from(vec![Value::Int(i % 40), Value::Int(i % 50), Value::Int(i)])
             }),
-        );
+        ).unwrap();
         db.analyze_all();
         (db, t)
     }

@@ -407,7 +407,7 @@ mod tests {
         db.insert_rows(
             t,
             (0..30_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 30), Value::Int(i % 3)])),
-        );
+        ).unwrap();
         db.analyze_all();
         (db, t)
     }
@@ -576,7 +576,7 @@ mod tests {
         // An index on a table twice the size must cost more.
         let mut db2 = Database::new();
         let t2 = db2.add_table(TableSchema::new("u", vec![Column::new("a", ValueType::Int)]));
-        db2.insert_rows(t2, (0..60_000i64).map(|i| row_from(vec![Value::Int(i)])));
+        db2.insert_rows(t2, (0..60_000i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
         db2.analyze_all();
         assert!(SelfOrganizer::estimated_mat_cost(&db2, ColRef::new(t2, 0)) > c);
     }

@@ -420,7 +420,7 @@ mod tests {
         db.insert_rows(
             t,
             (0..30_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 30), Value::Int(i % 3)])),
-        );
+        ).unwrap();
         db.analyze_all();
         (db, t)
     }

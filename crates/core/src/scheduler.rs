@@ -172,7 +172,7 @@ mod tests {
             "t",
             vec![Column::new("a", ValueType::Int), Column::new("b", ValueType::Int)],
         ));
-        db.insert_rows(t, (0..5_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 7)])));
+        db.insert_rows(t, (0..5_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 7)]))).unwrap();
         db.analyze_all();
         (db, t)
     }

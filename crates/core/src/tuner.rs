@@ -46,7 +46,7 @@ pub struct TunerStep {
 ///
 /// let mut db = Database::new();
 /// let t = db.add_table(TableSchema::new("t", vec![Column::new("k", ValueType::Int)]));
-/// db.insert_rows(t, (0..5_000i64).map(|i| row_from(vec![Value::Int(i)])));
+/// db.insert_rows(t, (0..5_000i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
 /// db.analyze_all();
 ///
 /// let mut physical = PhysicalConfig::new();
@@ -314,7 +314,7 @@ mod tests {
                 Column::new("grp", ValueType::Int),
             ],
         ));
-        db.insert_rows(t, (0..20_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 20)])));
+        db.insert_rows(t, (0..20_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 20)]))).unwrap();
         db.analyze_all();
         (db, t)
     }

@@ -30,7 +30,7 @@ fn build_db(rows: &[(i64, i64, f64)]) -> (Database, TableId) {
         rows.iter().map(|&(id, region, amount)| {
             row_from(vec![Value::Int(id), Value::Int(region), Value::Float(amount)])
         }),
-    );
+    ).unwrap();
     db.analyze_all();
     (db, t)
 }

@@ -180,8 +180,8 @@ mod tuner_safety {
         db.insert_rows(
             a,
             (0..8_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 40), Value::Int(i % 3)])),
-        );
-        db.insert_rows(b, (0..500i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 7)])));
+        ).unwrap();
+        db.insert_rows(b, (0..500i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 7)]))).unwrap();
         db.analyze_all();
         (db, a, b)
     }

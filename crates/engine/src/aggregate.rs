@@ -284,7 +284,7 @@ mod tests {
             (0..1_000i64).map(|i| {
                 row_from(vec![Value::Int(i), Value::Int(i % 4), Value::Float((i % 10) as f64)])
             }),
-        );
+        ).unwrap();
         db.analyze_all();
         (db, t)
     }

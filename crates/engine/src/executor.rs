@@ -1,18 +1,20 @@
 //! Vectorized physical plan execution with deterministic I/O accounting.
 //!
 //! The executor runs plans against the *real* data a batch at a time:
-//! sequential scans iterate heap pages in [`BATCH_ROWS`]-row chunks,
-//! index scans probe the actual B+ trees and fetch rows in sorted rowid
-//! order (bitmap-style, deduplicating page reads), and hash joins build
-//! once and probe a key column at a time. Operators exchange
-//! [`ColumnBatch`]es (per-column value vectors plus a selection vector;
-//! see [`crate::batch`]) instead of row-major `Vec<Value>` rows, and
-//! predicates are evaluated over whole column chunks into a selection
-//! vector before any value is copied. Which values *are* copied is
-//! decided by one mechanism, needed-column pushdown: every operator is
-//! told the column offsets its consumer will read (none at a count-only
-//! root), asks its inputs for those plus its own join keys, and
-//! materializes nothing else (see `Executor::run`).
+//! sequential scans walk the heap's typed columns in
+//! [`BATCH_ROWS`]-row windows, index scans probe the actual B+ trees
+//! and fetch rows in sorted rowid order (bitmap-style, deduplicating
+//! page reads), and hash joins build once and probe a key column at a
+//! time. Operators exchange [`ColumnBatch`]es (per-column value vectors
+//! plus a selection vector; see [`crate::batch`]) instead of row-major
+//! `Vec<Value>` rows, and each selection predicate is compiled once per
+//! scan into a [`Kernel`] over its column's native slice and evaluated
+//! over a whole window into a selection vector before any value is
+//! copied. Which values *are* copied is decided by one mechanism,
+//! needed-column pushdown: every operator is told the column offsets
+//! its consumer will read (none at a count-only root), asks its inputs
+//! for those plus its own join keys, and materializes nothing else (see
+//! `Executor::run`).
 //!
 //! None of this changes what is *charged*: every operator charges
 //! [`IoStats`] per page and per tuple processed, which is invariant to
@@ -22,10 +24,11 @@
 
 use crate::batch::{ColumnBatch, KeyHash, TableLayout, BATCH_ROWS};
 use crate::error::ExecError;
+use crate::kernel::Kernel;
 use crate::plan::{AccessPath, Plan, PlanNode};
 use crate::query::{PredicateKind, Query, SelPred};
-use colt_catalog::{ColRef, Database, PhysicalConfig, TableId};
-use colt_storage::{IoStats, Row, RowId, Value};
+use colt_catalog::{ColRef, Database, PhysicalConfig, Table, TableId};
+use colt_storage::{ColumnSlice, IoStats, RowId, Value};
 use std::collections::HashMap;
 use std::ops::Bound;
 
@@ -287,8 +290,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Run one scan node, materializing the `needed` columns of the
-    /// rows that pass. Selection predicates are evaluated against the
-    /// heap rows *before* the gather, so predicate columns need not be
+    /// rows that pass. Selection predicates are evaluated on the heap's
+    /// columns *before* the gather, so predicate columns need not be
     /// in `needed`.
     fn run_scan(
         &self,
@@ -307,57 +310,53 @@ impl<'a> Executor<'a> {
             1,
         );
         let t = self.db.table(table);
-        let width = t.schema.arity();
         let preds: Vec<&SelPred> = query.selections_on(table).collect();
-        check_pred_cols("scan", &preds, width)?;
+        let kernels = compile_preds("scan", t, &preds)?;
 
         let _batch_span = colt_obs::span("engine.exec.batch");
-        let mut batches = Vec::new();
-        let mut count = 0u64;
+        let mut out = ScanOut::new(heap_columns("scan", t, needed, 0)?, t.schema.arity());
         let mut sel: Vec<u32> = Vec::with_capacity(BATCH_ROWS);
-        // One closure per chunk shape: evaluate the predicates over the
-        // chunk into the selection vector, then gather only survivors.
         match path {
             AccessPath::SeqScan => {
-                for (_first, chunk) in t.heap.scan_batches(BATCH_ROWS, io) {
-                    io.cpu_ops += (preds.len() * chunk.len()) as u64;
-                    select_rows(chunk, &preds, None, &mut sel);
-                    count += sel.len() as u64;
-                    if !needed.is_empty() && !sel.is_empty() {
-                        batches.push(gather_rows(chunk, &sel, width, needed));
+                for window in t.heap.scan_batches(BATCH_ROWS, io) {
+                    io.cpu_ops += (kernels.len() * window.len()) as u64;
+                    match kernels.split_first() {
+                        Some((first, rest)) => {
+                            first.select(window, &mut sel);
+                            rest.iter().for_each(|k| k.retain(&mut sel));
+                        }
+                        None => {
+                            sel.clear();
+                            sel.extend(window.start as u32..window.end as u32);
+                        }
                     }
+                    out.push(&sel);
                 }
             }
             AccessPath::CompositeScan { key, eq_prefix, range_next } => {
                 let mut rowids =
                     composite_scan_rowids(self.config, &preds, key, *eq_prefix, *range_next, io)?;
-                let fetched = t.heap.fetch_sorted(&mut rowids, io);
-                for chunk in fetched.chunks(BATCH_ROWS) {
-                    io.cpu_ops += (preds.len() * chunk.len()) as u64;
-                    select_rows(chunk, &preds, None, &mut sel);
-                    count += sel.len() as u64;
-                    if !needed.is_empty() && !sel.is_empty() {
-                        batches.push(gather_rows(chunk, &sel, width, needed));
-                    }
+                t.heap.fetch_sorted(&mut rowids, io);
+                for chunk in rowids.chunks(BATCH_ROWS) {
+                    io.cpu_ops += (kernels.len() * chunk.len()) as u64;
+                    retain_rows(chunk, &kernels, None, &mut sel);
+                    out.push(&sel);
                 }
             }
             AccessPath::IndexScan { col } => {
                 let (mut rowids, driver_idx) = index_scan_rowids(self.config, &preds, *col, io)?;
-                let fetched = t.heap.fetch_sorted(&mut rowids, io);
-                for chunk in fetched.chunks(BATCH_ROWS) {
+                t.heap.fetch_sorted(&mut rowids, io);
+                for chunk in rowids.chunks(BATCH_ROWS) {
                     // Residual = everything except the one predicate
                     // that drove the scan — a second predicate on the
                     // same column must still be checked.
-                    io.cpu_ops += ((preds.len() - 1) * chunk.len()) as u64;
-                    select_rows(chunk, &preds, Some(driver_idx), &mut sel);
-                    count += sel.len() as u64;
-                    if !needed.is_empty() && !sel.is_empty() {
-                        batches.push(gather_rows(chunk, &sel, width, needed));
-                    }
+                    io.cpu_ops += ((kernels.len() - 1) * chunk.len()) as u64;
+                    retain_rows(chunk, &kernels, Some(driver_idx), &mut sel);
+                    out.push(&sel);
                 }
             }
         }
-        Ok(OpOutput { batches, count })
+        Ok(OpOutput { batches: out.batches, count: out.count })
     }
 
     /// Hash join: build on `build`'s output, probe with `probe`'s. Each
@@ -503,7 +502,7 @@ impl<'a> Executor<'a> {
         let index = materialized_index("index_nl_join", self.config, index_col)?;
         let inner_preds: Vec<&SelPred> = query.selections_on(inner).collect();
         let inner_arity = inner_table.schema.arity();
-        check_pred_cols("index_nl_join", &inner_preds, inner_arity)?;
+        let inner_kernels = compile_preds("index_nl_join", inner_table, &inner_preds)?;
 
         // Locate (and validate) the outer side of each join predicate in
         // the outer layout before it is used as a projection offset.
@@ -522,20 +521,23 @@ impl<'a> Executor<'a> {
         let probe_pos = locate(outer_side)?;
 
         // Residual join predicates: (outer position, inner column).
-        let residuals: Vec<(usize, usize)> = residual_on
+        let residuals: Vec<(usize, ColumnSlice<'_>)> = residual_on
             .iter()
             .map(|j| {
                 let (o, i) =
                     if j.left.table == inner { (j.right, j.left) } else { (j.left, j.right) };
-                if i.column as usize >= inner_arity {
-                    return Err(ExecError::UnknownColRef { operator: "index_nl_join", col: i });
-                }
-                Ok((locate(o)?, i.column as usize))
+                let cells = inner_table
+                    .heap
+                    .column(i.column as usize)
+                    .ok_or(ExecError::UnknownColRef { operator: "index_nl_join", col: i })?;
+                Ok((locate(o)?, cells))
             })
             .collect::<Result<_, ExecError>>()?;
 
         let outer_width = outer_layout.width();
         let mut acc = OutAcc::new(outer_width + inner_arity, outer_width, needed);
+        // The inner table's cells behind each needed right-hand column.
+        let inner_cols = heap_columns("index_nl_join", inner_table, acc.right, outer_width)?;
         let outer_needed = col_set(
             acc.left.iter().copied().chain([probe_pos]).chain(residuals.iter().map(|&(op, _)| op)),
         );
@@ -548,18 +550,19 @@ impl<'a> Executor<'a> {
         // across probes — merging rowids across outer rows would change
         // `random_pages` relative to the row-at-a-time reference.
         let mut rowids: Vec<RowId> = Vec::new();
+        let mut sel: Vec<u32> = Vec::new();
         for o in 0..outer_flat.physical_rows() {
             rowids.clear();
             index.tree.lookup_into(outer_flat.val(probe_pos, o), &mut rowids, io);
-            let fetched = inner_table.heap.fetch_sorted(&mut rowids, io);
-            for irow in fetched {
-                io.cpu_ops += (inner_preds.len() + residuals.len()) as u64;
-                let sel_ok = inner_preds.iter().all(|p| p.matches(&irow[p.col.column as usize]));
-                let res_ok =
-                    residuals.iter().all(|&(op, ic)| outer_flat.val(op, o) == &irow[ic]);
-                if sel_ok && res_ok {
-                    acc.push_row_suffix(&outer_flat, o, irow);
-                }
+            inner_table.heap.fetch_sorted(&mut rowids, io);
+            io.cpu_ops += ((inner_kernels.len() + residuals.len()) * rowids.len()) as u64;
+            retain_rows(&rowids, &inner_kernels, None, &mut sel);
+            for &(op, cells) in &residuals {
+                let outer_value = outer_flat.val(op, o);
+                sel.retain(|&row| cells.cell_eq(row as usize, outer_value));
+            }
+            for &row in &sel {
+                acc.push_heap_suffix(&outer_flat, o, &inner_cols, row);
             }
         }
         io.tuples += acc.count;
@@ -606,11 +609,19 @@ impl<'n> OutAcc<'n> {
         }
     }
 
-    /// Append `left`'s physical row `li` followed by a borrowed row.
-    fn push_row_suffix(&mut self, left: &ColumnBatch, li: usize, row: &Row) {
+    /// Append `left`'s physical row `li` followed by heap row `row`;
+    /// `right_cols` holds the heap cells of the needed right-hand
+    /// columns (see [`heap_columns`]).
+    fn push_heap_suffix(
+        &mut self,
+        left: &ColumnBatch,
+        li: usize,
+        right_cols: &[(usize, ColumnSlice<'_>)],
+        row: u32,
+    ) {
         self.push_left(left, li);
-        for &c in self.right {
-            self.cols[c].push(row[c - self.left_width].clone());
+        for (c, cells) in right_cols {
+            cells.gather(&[row], &mut self.cols[*c]);
         }
     }
 
@@ -650,9 +661,28 @@ impl<'n> OutAcc<'n> {
     }
 }
 
-/// Check every predicate's column against the table arity, surfacing
-/// out-of-range references as [`ExecError::UnknownColRef`] instead of
-/// an indexing panic inside an operator loop.
+/// Compile every predicate against the heap column it restricts,
+/// surfacing an out-of-range column as [`ExecError::UnknownColRef`]
+/// instead of an indexing panic inside an operator loop.
+fn compile_preds<'a>(
+    operator: &'static str,
+    table: &'a Table,
+    preds: &[&'a SelPred],
+) -> Result<Vec<Kernel<'a>>, ExecError> {
+    preds
+        .iter()
+        .map(|&p| {
+            let cells = table
+                .heap
+                .column(p.col.column as usize)
+                .ok_or(ExecError::UnknownColRef { operator, col: p.col })?;
+            Ok(Kernel::compile(p, cells))
+        })
+        .collect()
+}
+
+/// Check every predicate's column against the table arity, like
+/// [`compile_preds`] does, for the reference executor.
 pub(crate) fn check_pred_cols(
     operator: &'static str,
     preds: &[&SelPred],
@@ -666,55 +696,71 @@ pub(crate) fn check_pred_cols(
     Ok(())
 }
 
-/// Evaluate `preds` (skipping the predicate at `skip`, if any) over a
-/// chunk of rows, one predicate at a time over the whole chunk, leaving
-/// the matching row indices in `sel` (ascending).
-pub(crate) fn select_rows<R: std::borrow::Borrow<Row>>(
-    rows: &[R],
-    preds: &[&SelPred],
-    skip: Option<usize>,
-    sel: &mut Vec<u32>,
-) {
+/// The heap cells behind each of an operator's needed output columns
+/// that come from `table`, whose columns start at output offset
+/// `start`: `(output offset, cells)` pairs in `needed`'s order.
+fn heap_columns<'a>(
+    operator: &'static str,
+    table: &'a Table,
+    needed: &[usize],
+    start: usize,
+) -> Result<Vec<(usize, ColumnSlice<'a>)>, ExecError> {
+    needed
+        .iter()
+        .map(|&c| {
+            let cells = table.heap.column(c - start).ok_or(ExecError::UnknownColRef {
+                operator,
+                col: ColRef::new(table.id, (c - start) as u32),
+            })?;
+            Ok((c, cells))
+        })
+        .collect()
+}
+
+/// Leave in `sel` the fetched rows that pass every kernel (skipping the
+/// one at `skip`, if any), in fetch order.
+fn retain_rows(fetched: &[RowId], kernels: &[Kernel<'_>], skip: Option<usize>, sel: &mut Vec<u32>) {
     sel.clear();
-    let mut first = true;
-    for (pi, p) in preds.iter().enumerate() {
-        if Some(pi) == skip {
-            continue;
+    sel.extend(fetched.iter().map(|id| id.0));
+    for (ki, kernel) in kernels.iter().enumerate() {
+        if Some(ki) != skip {
+            kernel.retain(sel);
         }
-        let c = p.col.column as usize;
-        if first {
-            sel.extend(
-                rows.iter()
-                    .enumerate()
-                    .filter(|(_, r)| p.matches(&r.borrow()[c]))
-                    .map(|(i, _)| i as u32),
-            );
-            first = false;
-        } else {
-            sel.retain(|&i| p.matches(&rows[i as usize].borrow()[c]));
-        }
-    }
-    if first {
-        sel.extend(0..rows.len() as u32);
     }
 }
 
-/// Gather the `needed` columns of a chunk's selected rows into a dense
-/// column batch, column by column. Every other column stays pruned:
-/// unread columns (string columns especially) are never cloned at all.
-fn gather_rows<R: std::borrow::Borrow<Row>>(
-    rows: &[R],
-    sel: &[u32],
+/// A scan's output: counts the selected rows and, when the consumer
+/// needs values, gathers the `needed` columns of each selection vector
+/// into a dense column batch. Every other column stays pruned: unread
+/// columns (string columns especially) are never cloned at all.
+struct ScanOut<'a> {
+    /// The needed columns' heap cells, by column offset.
+    needed: Vec<(usize, ColumnSlice<'a>)>,
     width: usize,
-    needed: &[usize],
-) -> ColumnBatch {
-    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); width];
-    for &c in needed {
-        cols[c].reserve(sel.len());
-        cols[c].extend(sel.iter().map(|&i| rows[i as usize].borrow()[c].clone()));
+    batches: Vec<ColumnBatch>,
+    count: u64,
+}
+
+impl<'a> ScanOut<'a> {
+    fn new(needed: Vec<(usize, ColumnSlice<'a>)>, width: usize) -> Self {
+        ScanOut { needed, width, batches: Vec::new(), count: 0 }
     }
-    colt_obs::counter("engine.exec.values_materialized", (sel.len() * needed.len()) as u64);
-    ColumnBatch::dense(cols, sel.len())
+
+    fn push(&mut self, sel: &[u32]) {
+        self.count += sel.len() as u64;
+        if self.needed.is_empty() || sel.is_empty() {
+            return;
+        }
+        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); self.width];
+        for (c, cells) in &self.needed {
+            cells.gather(sel, &mut cols[*c]);
+        }
+        colt_obs::counter(
+            "engine.exec.values_materialized",
+            (sel.len() * self.needed.len()) as u64,
+        );
+        self.batches.push(ColumnBatch::dense(cols, sel.len()));
+    }
 }
 
 /// The materialized single-column index a plan node refers to, or a
@@ -843,8 +889,8 @@ mod tests {
             fact,
             (0..20_000i64)
                 .map(|i| row_from(vec![Value::Int(i), Value::Int(i % 200), Value::Int(i % 7)])),
-        );
-        db.insert_rows(dim, (0..200i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 4)])));
+        ).unwrap();
+        db.insert_rows(dim, (0..200i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 4)]))).unwrap();
         db.analyze_all();
         (db, fact, dim)
     }

@@ -1,0 +1,338 @@
+//! Compiled selection predicates over typed heap columns.
+//!
+//! A [`SelPred`] compares [`Value`] enums: every row pays a
+//! discriminant match, and a range pays it four times. A [`Kernel`] is
+//! the same predicate *compiled once per scan* against the column it
+//! restricts: the literals are resolved to the column's native type up
+//! front, and the per-row work is an integer compare over a slice of
+//! `i64` / `f64` / `i32` cells (or a `str` compare for string columns).
+//!
+//! The kernel accepts exactly the rows [`SelPred::matches`] accepts.
+//! Fixed-width columns are compared through their order-preserving
+//! [`KeyCode`]s, so floats follow `total_cmp` like `Value::cmp` does
+//! (`-0.0` below `+0.0`, NaNs at the extremes, equality bit for bit). A
+//! literal of another type never equals a cell, and bounds a range as
+//! `Value`'s cross-type order says: below every cell of the column or
+//! above every one, decided from the two types alone. An exclusive
+//! bound at the type's extreme leaves nothing to match.
+
+use crate::query::{PredicateKind, RangeBound, SelPred};
+use colt_storage::{ColumnSlice, KeyCode, Value, ValueType};
+use std::ops::{Bound, Range};
+
+/// One [`SelPred`] compiled against the column it restricts.
+#[derive(Debug, Clone)]
+pub struct Kernel<'a> {
+    kind: Kind<'a>,
+}
+
+#[derive(Debug, Clone)]
+enum Kind<'a> {
+    Int(&'a [i64], CodeTest),
+    Float(&'a [f64], CodeTest),
+    Date(&'a [i32], CodeTest),
+    Str(&'a [String], StrTest<'a>),
+}
+
+/// A test on a cell's key code, widened to 64 bits.
+#[derive(Debug, Clone)]
+enum CodeTest {
+    /// `lo <= code <= hi`; `lo > hi` matches nothing.
+    Range { lo: u64, hi: u64 },
+    /// Membership in a sorted, duplicate-free list.
+    In(Vec<u64>),
+}
+
+#[derive(Debug, Clone)]
+enum StrTest<'a> {
+    Range {
+        lo: Bound<&'a str>,
+        hi: Bound<&'a str>,
+    },
+    /// Membership in a sorted, duplicate-free list.
+    In(Vec<&'a str>),
+}
+
+/// The 64-bit key code of a date cell: dates share the integer kernels
+/// by widening first.
+fn date_code(d: i32) -> u64 {
+    i64::from(d).code()
+}
+
+impl<'a> Kernel<'a> {
+    /// Compile `pred` for evaluation over `column`, the heap column it
+    /// restricts.
+    pub fn compile(pred: &'a SelPred, column: ColumnSlice<'a>) -> Self {
+        let kind = match column {
+            ColumnSlice::Int(cells) => Kind::Int(
+                cells,
+                code_test(&pred.kind, ValueType::Int, |v| match v {
+                    Value::Int(x) => Some(x.code()),
+                    _ => None,
+                }),
+            ),
+            ColumnSlice::Float(cells) => Kind::Float(
+                cells,
+                code_test(&pred.kind, ValueType::Float, |v| match v {
+                    Value::Float(x) => Some(x.code()),
+                    _ => None,
+                }),
+            ),
+            ColumnSlice::Date(cells) => Kind::Date(
+                cells,
+                code_test(&pred.kind, ValueType::Date, |v| match v {
+                    Value::Date(d) => Some(date_code(*d)),
+                    _ => None,
+                }),
+            ),
+            ColumnSlice::Str(cells) => Kind::Str(cells, str_test(&pred.kind)),
+        };
+        Kernel { kind }
+    }
+
+    /// Replace `sel` with the rows of the window `rows` the predicate
+    /// accepts, ascending. Panics when the window reaches past the
+    /// column's end.
+    pub fn select(&self, rows: Range<usize>, sel: &mut Vec<u32>) {
+        self.run(Op::Select(rows, sel));
+    }
+
+    /// Keep in `sel` (row ids of the column) only the rows the
+    /// predicate accepts. Panics on a row id past the column's end.
+    pub fn retain(&self, sel: &mut Vec<u32>) {
+        self.run(Op::Retain(sel));
+    }
+
+    /// Pick the loop for this (column type, test) pair once, outside it.
+    fn run(&self, op: Op<'_>) {
+        match &self.kind {
+            Kind::Int(cells, test) => test.run(cells, |x| x.code(), op),
+            Kind::Float(cells, test) => test.run(cells, |x| x.code(), op),
+            Kind::Date(cells, test) => test.run(cells, |&d| date_code(d), op),
+            Kind::Str(cells, StrTest::Range { lo, hi }) => apply(
+                cells,
+                |s| {
+                    let s = s.as_str();
+                    let lo_ok = match lo {
+                        Bound::Included(b) => s >= *b,
+                        Bound::Excluded(b) => s > *b,
+                        Bound::Unbounded => true,
+                    };
+                    let hi_ok = match hi {
+                        Bound::Included(b) => s <= *b,
+                        Bound::Excluded(b) => s < *b,
+                        Bound::Unbounded => true,
+                    };
+                    lo_ok && hi_ok
+                },
+                op,
+            ),
+            Kind::Str(cells, StrTest::In(list)) => {
+                apply(cells, |s| list.binary_search(&s.as_str()).is_ok(), op)
+            }
+        }
+    }
+}
+
+impl CodeTest {
+    fn run<T>(&self, cells: &[T], code: impl Fn(&T) -> u64, op: Op<'_>) {
+        match self {
+            CodeTest::Range { lo, hi } => apply(
+                cells,
+                |x| {
+                    let c = code(x);
+                    *lo <= c && c <= *hi
+                },
+                op,
+            ),
+            CodeTest::In(list) => apply(cells, |x| list.binary_search(&code(x)).is_ok(), op),
+        }
+    }
+}
+
+/// What to do with a per-cell test.
+enum Op<'s> {
+    Select(Range<usize>, &'s mut Vec<u32>),
+    Retain(&'s mut Vec<u32>),
+}
+
+fn apply<T>(cells: &[T], keep: impl Fn(&T) -> bool, op: Op<'_>) {
+    match op {
+        Op::Select(rows, sel) => {
+            // Branch-free: write every row id, advance past the kept
+            // ones only — the cost does not depend on how predictable
+            // the predicate's outcome is.
+            let first = rows.start;
+            let window = &cells[rows];
+            sel.clear();
+            sel.resize(window.len(), 0);
+            let mut kept = 0;
+            for (i, x) in window.iter().enumerate() {
+                sel[kept] = (first + i) as u32;
+                kept += usize::from(keep(x));
+            }
+            sel.truncate(kept);
+        }
+        Op::Retain(sel) => sel.retain(|&row| keep(&cells[row as usize])),
+    }
+}
+
+/// Resolve a predicate against a fixed-width column of type `column`;
+/// `code_of` yields a literal's key code when the literal has the
+/// column's type.
+fn code_test(
+    kind: &PredicateKind,
+    column: ValueType,
+    code_of: impl Fn(&Value) -> Option<u64>,
+) -> CodeTest {
+    const NOTHING: CodeTest = CodeTest::Range { lo: 1, hi: 0 };
+    match kind {
+        PredicateKind::Eq(v) => code_of(v).map_or(NOTHING, |c| CodeTest::Range { lo: c, hi: c }),
+        PredicateKind::In(values) => {
+            let mut codes: Vec<u64> = values.iter().filter_map(code_of).collect();
+            codes.sort_unstable();
+            codes.dedup();
+            CodeTest::In(codes)
+        }
+        PredicateKind::Range { lo, hi } => {
+            // Each side: the tightest inclusive code, or `None` when
+            // nothing can satisfy it.
+            let side = |bound: &Option<RangeBound>, open: u64, lower: bool| -> Option<u64> {
+                let Some(b) = bound else { return Some(open) };
+                match code_of(&b.value) {
+                    Some(c) if b.inclusive => Some(c),
+                    Some(c) if lower => c.checked_add(1),
+                    Some(c) => c.checked_sub(1),
+                    // Another type's literal sits wholly below or
+                    // wholly above the column's cells.
+                    None => ((column > b.value.value_type()) == lower).then_some(open),
+                }
+            };
+            match (side(lo, u64::MIN, true), side(hi, u64::MAX, false)) {
+                (Some(lo), Some(hi)) => CodeTest::Range { lo, hi },
+                _ => NOTHING,
+            }
+        }
+    }
+}
+
+/// Resolve a predicate against a string column.
+fn str_test(kind: &PredicateKind) -> StrTest<'_> {
+    fn as_str(v: &Value) -> Option<&str> {
+        match v {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+    match kind {
+        PredicateKind::Eq(v) => StrTest::In(as_str(v).into_iter().collect()),
+        PredicateKind::In(values) => {
+            let mut list: Vec<&str> = values.iter().filter_map(as_str).collect();
+            list.sort_unstable();
+            list.dedup();
+            StrTest::In(list)
+        }
+        PredicateKind::Range { lo, hi } => {
+            fn side(bound: &Option<RangeBound>, lower: bool) -> Option<Bound<&str>> {
+                let Some(b) = bound else { return Some(Bound::Unbounded) };
+                match as_str(&b.value) {
+                    Some(s) if b.inclusive => Some(Bound::Included(s)),
+                    Some(s) => Some(Bound::Excluded(s)),
+                    None => ((ValueType::Str > b.value.value_type()) == lower)
+                        .then_some(Bound::Unbounded),
+                }
+            }
+            match (side(lo, true), side(hi, false)) {
+                (Some(lo), Some(hi)) => StrTest::Range { lo, hi },
+                _ => StrTest::In(Vec::new()),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use colt_catalog::{ColRef, TableId};
+
+    fn col() -> ColRef {
+        ColRef::new(TableId(0), 0)
+    }
+
+    fn selected(pred: &SelPred, column: ColumnSlice<'_>) -> Vec<u32> {
+        let mut sel = vec![99];
+        Kernel::compile(pred, column).select(0..column.len(), &mut sel);
+        sel
+    }
+
+    #[test]
+    fn int_ranges_resolve_exclusive_bounds_at_the_extremes() {
+        let cells = [i64::MIN, -1, 0, 5, i64::MAX];
+        let column = ColumnSlice::Int(&cells);
+        assert_eq!(selected(&SelPred::between(col(), -1i64, 5i64), column), vec![1, 2, 3]);
+        assert_eq!(selected(&SelPred::eq(col(), i64::MAX), column), vec![4]);
+        let open = |lo: Option<(i64, bool)>, hi: Option<(i64, bool)>| SelPred {
+            col: col(),
+            kind: PredicateKind::Range {
+                lo: lo.map(|(v, inclusive)| RangeBound { value: Value::Int(v), inclusive }),
+                hi: hi.map(|(v, inclusive)| RangeBound { value: Value::Int(v), inclusive }),
+            },
+        };
+        assert_eq!(selected(&open(Some((i64::MAX, false)), None), column), Vec::<u32>::new());
+        assert_eq!(selected(&open(None, Some((i64::MIN, false))), column), Vec::<u32>::new());
+        assert_eq!(selected(&open(Some((i64::MIN, false)), None), column), vec![1, 2, 3, 4]);
+        assert_eq!(selected(&open(Some((5, true)), Some((0, true))), column), Vec::<u32>::new());
+        assert_eq!(selected(&open(None, None), column), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn other_types_literals_follow_the_cross_type_order() {
+        let cells = [1.5, -0.0, 0.0, f64::NAN];
+        let column = ColumnSlice::Float(&cells);
+        // Int sorts below every float, Str above.
+        assert_eq!(selected(&SelPred::ge(col(), 7i64), column), vec![0, 1, 2, 3]);
+        assert_eq!(selected(&SelPred::le(col(), 7i64), column), Vec::<u32>::new());
+        assert_eq!(selected(&SelPred::le(col(), "a"), column), vec![0, 1, 2, 3]);
+        assert_eq!(selected(&SelPred::eq(col(), 0i64), column), Vec::<u32>::new());
+        // Same type: total_cmp, zeros apart, NaN on top.
+        assert_eq!(selected(&SelPred::eq(col(), 0.0), column), vec![2]);
+        assert_eq!(selected(&SelPred::ge(col(), 0.0), column), vec![0, 2, 3]);
+        let mixed =
+            SelPred::is_in(col(), vec![Value::Float(-0.0), Value::Int(1), Value::Float(f64::NAN)]);
+        assert_eq!(selected(&mixed, column), vec![1, 3]);
+    }
+
+    #[test]
+    fn strings_and_dates() {
+        let cells: Vec<String> = ["pear", "apple", "fig", ""].map(String::from).to_vec();
+        let column = ColumnSlice::Str(&cells);
+        assert_eq!(selected(&SelPred::eq(col(), "fig"), column), vec![2]);
+        assert_eq!(selected(&SelPred::between(col(), "b", "g"), column), vec![2]);
+        assert_eq!(selected(&SelPred::ge(col(), Value::Date(0)), column), Vec::<u32>::new());
+        assert_eq!(selected(&SelPred::ge(col(), 0i64), column), vec![0, 1, 2, 3]);
+        let list = SelPred::is_in(col(), vec!["".into(), "pear".into(), Value::Int(3)]);
+        assert_eq!(selected(&list, column), vec![0, 3]);
+
+        let days = [i32::MIN, 10, 20, i32::MAX];
+        let column = ColumnSlice::Date(&days);
+        let pred = SelPred::between(col(), Value::Date(10), Value::Date(i32::MAX));
+        assert_eq!(selected(&pred, column), vec![1, 2, 3]);
+        // Every other type sorts below dates.
+        assert_eq!(selected(&SelPred::ge(col(), "zzz"), column), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn select_windows_and_retain() {
+        let cells: Vec<i64> = (0..10).collect();
+        let pred = SelPred::ge(col(), 4i64);
+        let kernel = Kernel::compile(&pred, ColumnSlice::Int(&cells));
+        let mut sel = Vec::new();
+        kernel.select(2..7, &mut sel);
+        assert_eq!(sel, vec![4, 5, 6]);
+        kernel.select(3..3, &mut sel);
+        assert!(sel.is_empty());
+        let mut ids = vec![9, 1, 4, 3];
+        kernel.retain(&mut ids);
+        assert_eq!(ids, vec![9, 4]);
+    }
+}

@@ -21,6 +21,7 @@ pub mod batch;
 pub mod cost;
 pub mod error;
 pub mod executor;
+pub mod kernel;
 pub mod memo;
 pub mod optimizer;
 pub mod plan;
@@ -34,6 +35,7 @@ pub use aggregate::{AggExpr, AggFunc, AggSpec};
 pub use batch::{ColumnBatch, TableLayout, BATCH_ROWS};
 pub use error::ExecError;
 pub use executor::{Collect, ExecOutput, Executor, QueryResult};
+pub use kernel::Kernel;
 pub use rowwise::RowwiseExecutor;
 pub use memo::{MemoHandle, WhatIfMemo};
 pub use optimizer::{IndexSetView, Optimizer, OptimizerOptions};

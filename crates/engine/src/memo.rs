@@ -338,8 +338,8 @@ mod tests {
             vec![Column::new("x", ValueType::Int), Column::new("y", ValueType::Int)],
         ));
         let b = db.add_table(TableSchema::new("b", vec![Column::new("z", ValueType::Int)]));
-        db.insert_rows(a, (0..1_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 7)])));
-        db.insert_rows(b, (0..1_000i64).map(|i| row_from(vec![Value::Int(i)])));
+        db.insert_rows(a, (0..1_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 7)]))).unwrap();
+        db.insert_rows(b, (0..1_000i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
         db.analyze_all();
         (db, a, b)
     }
@@ -392,7 +392,7 @@ mod tests {
         memo.resolve(&db, &cfg, &q);
         db.table_mut(a).analyze();
         assert!(memo.resolve(&db, &cfg, &q).1, "analyze bumps stats_version");
-        db.insert_rows(a, std::iter::once(row_from(vec![Value::Int(-1), Value::Int(0)])));
+        db.insert_rows(a, std::iter::once(row_from(vec![Value::Int(-1), Value::Int(0)]))).unwrap();
         assert!(memo.resolve(&db, &cfg, &q).1, "bare insert (no analyze) still invalidates");
     }
 

@@ -451,8 +451,8 @@ mod tests {
         db.insert_rows(
             big,
             (0..50_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 500), Value::Int(i % 1000)])),
-        );
-        db.insert_rows(dim, (0..500i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 10)])));
+        ).unwrap();
+        db.insert_rows(dim, (0..500i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 10)]))).unwrap();
         db.analyze_all();
         (db, big, dim)
     }
@@ -540,7 +540,7 @@ mod tests {
             "extra",
             vec![Column::new("id", ValueType::Int)],
         ));
-        db.insert_rows(extra, (0..100i64).map(|i| row_from(vec![Value::Int(i)])));
+        db.insert_rows(extra, (0..100i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
         db.analyze_all();
         let cfg = PhysicalConfig::new();
         let opt = Optimizer::new(&db);

@@ -4,8 +4,10 @@
 //! executor replaced, kept as an executable specification: it shares
 //! the rowid-collection helpers (and therefore the exact `IoStats`
 //! charges) with [`crate::executor::Executor`], but processes one
-//! row-major `Vec<Value>` at a time with no batching, no selection
-//! vectors, and no late materialization. The engine property tests
+//! row-major `Vec<Value>` at a time — every heap row materialized from
+//! the column store, every predicate through [`SelPred::matches`] —
+//! with no batching, no selection vectors, no compiled kernels, and no
+//! late materialization. The engine property tests
 //! assert both executors produce identical results, charges, and row
 //! order on random queries; `exec_gate` measures the speedup of the
 //! batch path against this one.
@@ -158,26 +160,28 @@ impl<'a> RowwiseExecutor<'a> {
                     io.cpu_ops += preds.len() as u64;
                     preds.iter().all(|p| p.matches(&row[p.col.column as usize]))
                 })
-                .map(|(_, row)| row.to_vec())
+                .map(|(_, row)| row.into_vec())
                 .collect(),
             AccessPath::CompositeScan { key, eq_prefix, range_next } => {
                 let mut rowids =
                     composite_scan_rowids(self.config, &preds, key, *eq_prefix, *range_next, io)?;
-                let fetched = t.heap.fetch_sorted(&mut rowids, io);
-                fetched
-                    .into_iter()
+                t.heap.fetch_sorted(&mut rowids, io);
+                rowids
+                    .iter()
+                    .filter_map(|&id| t.heap.peek(id))
                     .filter(|row| {
                         io.cpu_ops += preds.len() as u64;
                         preds.iter().all(|p| p.matches(&row[p.col.column as usize]))
                     })
-                    .map(|row| row.to_vec())
+                    .map(|row| row.into_vec())
                     .collect()
             }
             AccessPath::IndexScan { col } => {
                 let (mut rowids, driver_idx) = index_scan_rowids(self.config, &preds, *col, io)?;
-                let fetched = t.heap.fetch_sorted(&mut rowids, io);
-                fetched
-                    .into_iter()
+                t.heap.fetch_sorted(&mut rowids, io);
+                rowids
+                    .iter()
+                    .filter_map(|&id| t.heap.peek(id))
                     .filter(|row| {
                         io.cpu_ops += preds.len() as u64 - 1;
                         preds
@@ -186,7 +190,7 @@ impl<'a> RowwiseExecutor<'a> {
                             .filter(|(i, _)| *i != driver_idx)
                             .all(|(_, p)| p.matches(&row[p.col.column as usize]))
                     })
-                    .map(|row| row.to_vec())
+                    .map(|row| row.into_vec())
                     .collect()
             }
         };
@@ -308,8 +312,8 @@ impl<'a> RowwiseExecutor<'a> {
         for orow in &outer.rows {
             let key = &orow[probe_pos];
             let mut rowids = index.tree.lookup(key, io);
-            let fetched = inner_table.heap.fetch_sorted(&mut rowids, io);
-            for irow in fetched {
+            inner_table.heap.fetch_sorted(&mut rowids, io);
+            for irow in rowids.iter().filter_map(|&id| inner_table.heap.peek(id)) {
                 io.cpu_ops += (inner_preds.len() + residuals.len()) as u64;
                 let sel_ok = inner_preds.iter().all(|p| p.matches(&irow[p.col.column as usize]));
                 let res_ok = residuals.iter().all(|&(op, ic)| orow[op] == irow[ic]);

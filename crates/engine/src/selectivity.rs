@@ -79,7 +79,7 @@ mod tests {
             "t",
             vec![Column::new("k", ValueType::Int), Column::new("g", ValueType::Int)],
         ));
-        db.insert_rows(t, (0..10_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 100)])));
+        db.insert_rows(t, (0..10_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 100)]))).unwrap();
         db.analyze_all();
         (db, t)
     }

@@ -369,7 +369,7 @@ impl<'a> Parser<'a> {
 ///     "orders",
 ///     vec![Column::new("o_id", ValueType::Int), Column::new("o_total", ValueType::Float)],
 /// ));
-/// db.insert_rows(t, (0..100i64).map(|i| row_from(vec![Value::Int(i), Value::Float(i as f64)])));
+/// db.insert_rows(t, (0..100i64).map(|i| row_from(vec![Value::Int(i), Value::Float(i as f64)]))).unwrap();
 /// db.analyze_all();
 ///
 /// let parsed = colt_engine::parse_sql(
@@ -524,11 +524,11 @@ mod tests {
                     Value::Date(i as i32),
                 ])
             }),
-        );
+        ).unwrap();
         db.insert_rows(
             b,
             (0..10i64).map(|i| row_from(vec![Value::Int(i), Value::Str(format!("c{i}"))])),
-        );
+        ).unwrap();
         db.analyze_all();
         db
     }
@@ -641,7 +641,7 @@ mod tests {
             "orders2",
             vec![Column::new("o_id", ValueType::Int)],
         ));
-        db.insert_rows(t, (0..5i64).map(|i| row_from(vec![Value::Int(i)])));
+        db.insert_rows(t, (0..5i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
         db.analyze_all();
         let e = parse(&db, "SELECT * FROM orders, orders2 WHERE o_id = 1").unwrap_err();
         assert!(e.0.contains("ambiguous"), "{e}");

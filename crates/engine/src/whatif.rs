@@ -74,7 +74,7 @@ pub struct EqoCounters {
 ///
 /// let mut db = Database::new();
 /// let t = db.add_table(TableSchema::new("t", vec![Column::new("k", ValueType::Int)]));
-/// db.insert_rows(t, (0..10_000i64).map(|i| row_from(vec![Value::Int(i)])));
+/// db.insert_rows(t, (0..10_000i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
 /// db.analyze_all();
 ///
 /// let config = PhysicalConfig::new();
@@ -338,7 +338,7 @@ mod tests {
         db.insert_rows(
             t,
             (0..40_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 50), Value::Int(i % 4)])),
-        );
+        ).unwrap();
         db.analyze_all();
         (db, t)
     }
@@ -519,8 +519,8 @@ mod tests {
             "b",
             vec![Column::new("z", ValueType::Int)],
         ));
-        db.insert_rows(a, (0..10_000i64).map(|i| row_from(vec![Value::Int(i)])));
-        db.insert_rows(b, (0..10_000i64).map(|i| row_from(vec![Value::Int(i)])));
+        db.insert_rows(a, (0..10_000i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
+        db.insert_rows(b, (0..10_000i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
         db.analyze_all();
         let mut cfg = PhysicalConfig::new();
         let mut eqo = Eqo::new(&db);

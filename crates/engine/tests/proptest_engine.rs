@@ -6,10 +6,10 @@
 
 use colt_catalog::{ColRef, Column, Database, IndexOrigin, PhysicalConfig, TableId, TableSchema};
 use colt_engine::{
-    Collect, Eqo, Executor, IndexSetView, Optimizer, PredicateKind, Query, RowwiseExecutor,
-    SelPred,
+    Collect, Eqo, Executor, IndexSetView, Kernel, Optimizer, PredicateKind, Query, RangeBound,
+    RowwiseExecutor, SelPred,
 };
-use colt_storage::{row_from, Prng, Value, ValueType};
+use colt_storage::{row_from, ColumnSlice, Prng, Value, ValueType};
 
 /// A two-table database whose contents are fully determined by `n`.
 fn build_db(n_a: usize, n_b: usize) -> (Database, TableId, TableId) {
@@ -35,8 +35,8 @@ fn build_db(n_a: usize, n_b: usize) -> (Database, TableId, TableId) {
                 Value::Int(i * 7 % 23),
             ])
         }),
-    );
-    db.insert_rows(b, (0..n_b as i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 5)])));
+    ).unwrap();
+    db.insert_rows(b, (0..n_b as i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 5)]))).unwrap();
     db.analyze_all();
     (db, a, b)
 }
@@ -285,7 +285,7 @@ fn three_table_chain_matches_reference() {
         // Chain: a.fk = b.id, b.w = c.id (c = a small extra table).
         let (mut db, a, b) = build_db(n_a, n_b);
         let c = db.add_table(TableSchema::new("c", vec![Column::new("id", ValueType::Int)]));
-        db.insert_rows(c, (0..5i64).map(|i| row_from(vec![Value::Int(i)])));
+        db.insert_rows(c, (0..5i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
         db.analyze_all();
 
         let q = Query::join(
@@ -348,8 +348,8 @@ fn random_case(rng: &mut Prng) -> Case {
         vec![Column::new("id", ValueType::Int), Column::new("x", ValueType::Int)],
     ));
     let d = db.add_table(TableSchema::new("d", vec![Column::new("id", ValueType::Int)]));
-    db.insert_rows(c, (0..10i64).map(|i| row_from(vec![Value::Int(i % 5), Value::Int(i % 3)])));
-    db.insert_rows(d, (0..6i64).map(|i| row_from(vec![Value::Int(i % 3)])));
+    db.insert_rows(c, (0..10i64).map(|i| row_from(vec![Value::Int(i % 5), Value::Int(i % 3)]))).unwrap();
+    db.insert_rows(d, (0..6i64).map(|i| row_from(vec![Value::Int(i % 3)]))).unwrap();
     db.analyze_all();
 
     let tables = [a, b, c, d][..n_tables].to_vec();
@@ -562,6 +562,118 @@ fn vectorized_edge_cases_match_rowwise() {
     assert_eq!(v.row_count(), 0);
     assert_eq!(v.rows, r.rows);
     assert_eq!(v.result.io, r.result.io);
+}
+
+/// Edge values of one column type: the extremes, their neighbours, and
+/// for floats both zeros, both infinities and both NaN signs.
+fn edge_values(vtype: ValueType) -> Vec<Value> {
+    match vtype {
+        ValueType::Int => [i64::MIN, i64::MIN + 1, -1, 0, 1, 7, i64::MAX - 1, i64::MAX]
+            .map(Value::Int)
+            .to_vec(),
+        ValueType::Float => [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ]
+        .map(Value::Float)
+        .to_vec(),
+        ValueType::Date => [i32::MIN, i32::MIN + 1, -1, 0, 1, 9_000, i32::MAX - 1, i32::MAX]
+            .map(Value::Date)
+            .to_vec(),
+        ValueType::Str => {
+            ["", "a", "a\0", "ab", "b", "zz", "\u{10ffff}"].map(Value::from).to_vec()
+        }
+    }
+}
+
+/// The compiled kernel selects exactly the rows `SelPred::matches`
+/// accepts — for every column type, literals of the column's type *and*
+/// of every other type, `Eq` / `In` / one- and two-sided ranges with
+/// inclusive and exclusive bounds (so also empty and inverted ranges
+/// and exclusive bounds at the extremes), NaN and both zeros.
+#[test]
+fn compiled_kernels_match_selpred_matches() {
+    const TYPES: [ValueType; 4] =
+        [ValueType::Int, ValueType::Float, ValueType::Str, ValueType::Date];
+    let literals: Vec<Value> = TYPES.iter().flat_map(|&t| edge_values(t)).collect();
+    let col = ColRef::new(TableId(0), 0);
+    let mut rng = Prng::new(0x6b65_726e);
+    let mut accepted = 0usize;
+    for vtype in TYPES {
+        // A column of edge values (with duplicates) and a few ordinary ones.
+        let edges = edge_values(vtype);
+        let mut cells: Vec<Value> = (0..40).map(|_| edges[rng.below(edges.len())].clone()).collect();
+        cells.extend((0..24).map(|_| match vtype {
+            ValueType::Int => Value::Int(rng.int_range(-5, 5)),
+            ValueType::Float => Value::Float(rng.f64_range(-2.0, 2.0)),
+            ValueType::Date => Value::Date(rng.int_range(-5, 9_005) as i32),
+            ValueType::Str => Value::Str(["a", "b", "c"][..1 + rng.below(3)].concat()),
+        }));
+        rng.shuffle(&mut cells);
+        // The same cells as the heap holds them: a native vector.
+        let (mut ints, mut floats, mut strs, mut dates) = (vec![], vec![], vec![], vec![]);
+        for v in &cells {
+            match v {
+                Value::Int(x) => ints.push(*x),
+                Value::Float(x) => floats.push(*x),
+                Value::Str(x) => strs.push(x.clone()),
+                Value::Date(x) => dates.push(*x),
+            }
+        }
+        let column = match vtype {
+            ValueType::Int => ColumnSlice::Int(&ints),
+            ValueType::Float => ColumnSlice::Float(&floats),
+            ValueType::Str => ColumnSlice::Str(&strs),
+            ValueType::Date => ColumnSlice::Date(&dates),
+        };
+        assert_eq!(column.len(), cells.len());
+
+        for case in 0..600 {
+            let lit = |rng: &mut Prng| literals[rng.below(literals.len())].clone();
+            let bound = |rng: &mut Prng| {
+                rng.chance(0.75).then(|| RangeBound { value: lit(rng), inclusive: rng.chance(0.5) })
+            };
+            let pred = match case % 3 {
+                0 => SelPred::eq(col, lit(&mut rng)),
+                1 => {
+                    let n = rng.below(6);
+                    SelPred::is_in(col, (0..n).map(|_| lit(&mut rng)).collect())
+                }
+                _ => SelPred {
+                    col,
+                    kind: PredicateKind::Range { lo: bound(&mut rng), hi: bound(&mut rng) },
+                },
+            };
+            let kernel = Kernel::compile(&pred, column);
+            let expect = |rows: &mut dyn Iterator<Item = usize>| -> Vec<u32> {
+                rows.filter(|&r| pred.matches(&cells[r])).map(|r| r as u32).collect()
+            };
+            // A dense window…
+            let start = rng.below(cells.len());
+            let end = start + rng.below(cells.len() - start + 1);
+            for window in [0..cells.len(), start..end] {
+                let mut sel = vec![7, 7, 7];
+                kernel.select(window.clone(), &mut sel);
+                assert_eq!(sel, expect(&mut window.clone()), "{vtype:?} {pred:?} {window:?}");
+                accepted += sel.len();
+            }
+            // …and a fetched row-id list, in its own order.
+            let mut ids: Vec<u32> = (0..20).map(|_| rng.below(cells.len()) as u32).collect();
+            let want = expect(&mut ids.clone().into_iter().map(|r| r as usize));
+            kernel.retain(&mut ids);
+            assert_eq!(ids, want, "{vtype:?} {pred:?} retain");
+        }
+    }
+    assert!(accepted > 10_000, "the cases must not be vacuous: {accepted} rows accepted");
 }
 
 /// The SQL parser never panics, whatever bytes it is fed.

@@ -243,7 +243,7 @@ mod tests {
             "t",
             vec![Column::new("id", ValueType::Int), Column::new("g", ValueType::Int)],
         ));
-        db.insert_rows(t, (0..8_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 16)])));
+        db.insert_rows(t, (0..8_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 16)]))).unwrap();
         db.analyze_all();
         (db, t)
     }

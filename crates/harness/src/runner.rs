@@ -405,7 +405,7 @@ mod tests {
             "t",
             vec![Column::new("id", ValueType::Int), Column::new("g", ValueType::Int)],
         ));
-        db.insert_rows(t, (0..20_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 20)])));
+        db.insert_rows(t, (0..20_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 20)]))).unwrap();
         db.analyze_all();
         (db, t)
     }

@@ -135,7 +135,7 @@ mod tests {
             (0..40_000i64).map(|i| {
                 row_from(vec![Value::Int(i % 40), Value::Int(i % 50), Value::Int(i % 4)])
             }),
-        );
+        ).unwrap();
         db.analyze_all();
         (db, t)
     }

@@ -274,8 +274,8 @@ mod tests {
         db.insert_rows(
             a,
             (0..30_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 300), Value::Int(i % 3)])),
-        );
-        db.insert_rows(b, (0..10_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 100)])));
+        ).unwrap();
+        db.insert_rows(b, (0..10_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 100)]))).unwrap();
         db.analyze_all();
         (db, a, b)
     }

@@ -119,8 +119,9 @@ impl<K: TreeKey> BPlusTreeOf<K> {
     /// Bulk-load a tree from entries that are already sorted by key.
     ///
     /// Leaves are filled to ~90% occupancy, matching the fill factor of a
-    /// freshly built database index.
-    pub fn bulk_load(key_width: usize, mut entries: Vec<(K, RowId)>) -> Self {
+    /// freshly built database index, in one left-to-right pass over the
+    /// input.
+    pub fn bulk_load(key_width: usize, entries: Vec<(K, RowId)>) -> Self {
         let _span = colt_obs::span("storage.btree.bulk_load");
         let order = default_order(key_width);
         debug_assert!(
@@ -131,32 +132,30 @@ impl<K: TreeKey> BPlusTreeOf<K> {
         if entries.is_empty() {
             return Self::with_order(order);
         }
-        let mut arena: Vec<Node<K>> = Vec::new();
         let len = entries.len();
 
+        // Leaf sizes: `fill` each, the remainder in the last one —
+        // unless that leaves it under half full, in which case the last
+        // two leaves share so the last gets `fill / 2`.
+        let leaves = len.div_ceil(fill);
+        let mut last = len - (leaves - 1) * fill;
+        let mut second_last = fill;
+        if leaves >= 2 && last < fill / 2 {
+            second_last -= fill / 2 - last;
+            last = fill / 2;
+        }
+
         // Build the leaf level.
-        let mut level: Vec<((K, RowId), NodeId)> = Vec::new(); // (first composite key, node)
-        let mut chunks: Vec<Vec<(K, RowId)>> = Vec::new();
-        while !entries.is_empty() {
-            let take = fill.min(entries.len());
-            let rest = entries.split_off(take);
-            chunks.push(std::mem::replace(&mut entries, rest));
-        }
-        // Avoid a final underfull leaf when possible by rebalancing the
-        // last two chunks.
-        if chunks.len() >= 2 {
-            let last = chunks.len() - 1;
-            if chunks[last].len() < fill / 2 {
-                let need = fill / 2 - chunks[last].len();
-                let prev = &mut chunks[last - 1];
-                let moved = prev.split_off(prev.len() - need);
-                let mut tail = std::mem::take(&mut chunks[last]);
-                let mut merged = moved;
-                merged.append(&mut tail);
-                chunks[last] = merged;
-            }
-        }
-        for chunk in chunks {
+        let mut arena: Vec<Node<K>> = Vec::with_capacity(leaves + leaves / fill + 2);
+        let mut level: Vec<((K, RowId), NodeId)> = Vec::with_capacity(leaves); // (first composite key, node)
+        let mut entries = entries.into_iter();
+        for leaf in 0..leaves {
+            let size = match leaves - leaf {
+                1 => last,
+                2 => second_last,
+                _ => fill,
+            };
+            let chunk: Vec<(K, RowId)> = entries.by_ref().take(size).collect();
             let first = chunk[0].clone();
             let id = NodeId(arena.len() as u32);
             arena.push(Node::Leaf { entries: chunk, next: None });
@@ -697,6 +696,47 @@ mod tests {
         let t = BPlusTree::bulk_load(8, vec![(v(1), RowId(0))]);
         assert_eq!(t.len(), 1);
         t.check_invariants();
+    }
+
+    #[test]
+    fn bulk_load_shape_matches_the_chunked_reference() {
+        // The shape the original leaf-peeling loader produced, computed
+        // on sizes alone: `fill`-entry leaves, the last two rebalanced
+        // when the remainder is under half a leaf, then `fill` children
+        // per internal node up to a single root. `page_count` is what
+        // an index build charges as pages written, so it must not move.
+        let fill = default_order(8) * 9 / 10;
+        for n in [0, 1, fill - 1, fill, fill + 1, 2 * fill + fill / 2 - 1, 10_000] {
+            let mut leaves = vec![fill; n / fill];
+            if n % fill > 0 || n == 0 {
+                leaves.push(n % fill);
+            }
+            if let [.., prev, last] = &mut leaves[..] {
+                if *last < fill / 2 {
+                    *prev -= fill / 2 - *last;
+                    *last = fill / 2;
+                }
+            }
+            let (mut pages, mut height, mut level) = (leaves.len(), 1, leaves.len());
+            while level > 1 {
+                level = level.div_ceil(fill);
+                pages += level;
+                height += 1;
+            }
+
+            let tree = BPlusTree::bulk_load(8, (0..n).map(|i| (v(i as i64), RowId(i as u32))).collect());
+            let mut got = Vec::new();
+            let mut cur = Some(tree.leftmost_leaf());
+            while let Some(id) = cur {
+                let Node::Leaf { entries, next } = tree.node(id) else { panic!("leaf chain") };
+                got.push(entries.len());
+                cur = *next;
+            }
+            assert_eq!(got, leaves, "leaf sizes at n = {n}");
+            assert_eq!((tree.page_count(), tree.height()), (pages, height), "n = {n}");
+            assert_eq!(tree.len(), n);
+            tree.check_invariants();
+        }
     }
 
     #[test]

@@ -1,0 +1,239 @@
+//! Typed column vectors — the heap's physical layout — and the
+//! order-preserving key codes index builds and predicate kernels
+//! compare instead of [`Value`] enums.
+
+use crate::value::{Value, ValueType};
+
+/// A fixed-width cell type with an order-preserving unsigned code:
+/// `a.code() < b.code()` exactly when `Value::cmp` orders `a` before
+/// `b` (so `f64` follows `total_cmp`: NaNs at the extremes, `-0.0`
+/// below `+0.0`), and `from_code(code(x))` is `x` bit for bit. Sorting
+/// codes therefore sorts keys, at the price of an integer compare.
+/// Strings have no such fixed-width code and keep comparing as `str`.
+pub trait KeyCode: Copy {
+    /// The unsigned code type, as wide as the cell.
+    type Code: Copy + Ord;
+    /// The cell's code.
+    fn code(self) -> Self::Code;
+    /// The cell a code was made from.
+    fn from_code(code: Self::Code) -> Self;
+}
+
+impl KeyCode for i64 {
+    type Code = u64;
+    fn code(self) -> u64 {
+        (self as u64) ^ (1 << 63)
+    }
+    fn from_code(code: u64) -> i64 {
+        (code ^ (1 << 63)) as i64
+    }
+}
+
+impl KeyCode for i32 {
+    type Code = u32;
+    fn code(self) -> u32 {
+        (self as u32) ^ (1 << 31)
+    }
+    fn from_code(code: u32) -> i32 {
+        (code ^ (1 << 31)) as i32
+    }
+}
+
+impl KeyCode for f64 {
+    type Code = u64;
+    fn code(self) -> u64 {
+        // Negative floats order by descending magnitude: flip every
+        // bit. Non-negative ones only move above them.
+        let bits = self.to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits ^ (1 << 63)
+        }
+    }
+    fn from_code(code: u64) -> f64 {
+        f64::from_bits(if code >> 63 == 1 { code ^ (1 << 63) } else { !code })
+    }
+}
+
+/// One column of a heap, owned: a vector of the column's native type.
+#[derive(Debug, Clone)]
+pub(crate) enum Column {
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Str(Vec<String>),
+    Date(Vec<i32>),
+}
+
+impl Column {
+    pub(crate) fn new(vtype: ValueType) -> Self {
+        match vtype {
+            ValueType::Int => Column::Int(Vec::new()),
+            ValueType::Float => Column::Float(Vec::new()),
+            ValueType::Str => Column::Str(Vec::new()),
+            ValueType::Date => Column::Date(Vec::new()),
+        }
+    }
+
+    /// Append a value of the column's own type; any other variant is
+    /// handed back untouched.
+    pub(crate) fn push(&mut self, value: Value) -> Result<(), Value> {
+        match (self, value) {
+            (Column::Int(c), Value::Int(x)) => c.push(x),
+            (Column::Float(c), Value::Float(x)) => c.push(x),
+            (Column::Str(c), Value::Str(x)) => c.push(x),
+            (Column::Date(c), Value::Date(x)) => c.push(x),
+            (_, other) => return Err(other),
+        }
+        Ok(())
+    }
+
+    pub(crate) fn as_slice(&self) -> ColumnSlice<'_> {
+        match self {
+            Column::Int(c) => ColumnSlice::Int(c),
+            Column::Float(c) => ColumnSlice::Float(c),
+            Column::Str(c) => ColumnSlice::Str(c),
+            Column::Date(c) => ColumnSlice::Date(c),
+        }
+    }
+}
+
+/// One column of a heap, borrowed as a slice of its native type; row
+/// `i` of the table is element `i`.
+#[derive(Debug, Clone, Copy)]
+pub enum ColumnSlice<'a> {
+    /// A [`ValueType::Int`] column.
+    Int(&'a [i64]),
+    /// A [`ValueType::Float`] column.
+    Float(&'a [f64]),
+    /// A [`ValueType::Str`] column.
+    Str(&'a [String]),
+    /// A [`ValueType::Date`] column.
+    Date(&'a [i32]),
+}
+
+impl ColumnSlice<'_> {
+    /// The column's type.
+    pub fn value_type(&self) -> ValueType {
+        match self {
+            ColumnSlice::Int(_) => ValueType::Int,
+            ColumnSlice::Float(_) => ValueType::Float,
+            ColumnSlice::Str(_) => ValueType::Str,
+            ColumnSlice::Date(_) => ValueType::Date,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            ColumnSlice::Int(c) => c.len(),
+            ColumnSlice::Float(c) => c.len(),
+            ColumnSlice::Str(c) => c.len(),
+            ColumnSlice::Date(c) => c.len(),
+        }
+    }
+
+    /// True when the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The cell of one row as a [`Value`]; `None` past the end.
+    pub fn get(&self, row: usize) -> Option<Value> {
+        Some(match self {
+            ColumnSlice::Int(c) => Value::Int(*c.get(row)?),
+            ColumnSlice::Float(c) => Value::Float(*c.get(row)?),
+            ColumnSlice::Str(c) => Value::Str(c.get(row)?.clone()),
+            ColumnSlice::Date(c) => Value::Date(*c.get(row)?),
+        })
+    }
+
+    /// Append the cells of `rows` (in that order) to `out` as
+    /// [`Value`]s. Panics on a row past the end: callers pass row ids a
+    /// scan window or [`crate::HeapTable::fetch_sorted`] produced.
+    pub fn gather(&self, rows: &[u32], out: &mut Vec<Value>) {
+        out.reserve(rows.len());
+        match self {
+            ColumnSlice::Int(c) => out.extend(rows.iter().map(|&r| Value::Int(c[r as usize]))),
+            ColumnSlice::Float(c) => out.extend(rows.iter().map(|&r| Value::Float(c[r as usize]))),
+            ColumnSlice::Str(c) => {
+                out.extend(rows.iter().map(|&r| Value::Str(c[r as usize].clone())))
+            }
+            ColumnSlice::Date(c) => out.extend(rows.iter().map(|&r| Value::Date(c[r as usize]))),
+        }
+    }
+
+    /// Does the cell of `row` equal `v` under `Value`'s equality (same
+    /// type, floats bit for bit)? False past the end.
+    pub fn cell_eq(&self, row: usize, v: &Value) -> bool {
+        match (self, v) {
+            (ColumnSlice::Int(c), Value::Int(x)) => c.get(row) == Some(x),
+            (ColumnSlice::Float(c), Value::Float(x)) => {
+                c.get(row).is_some_and(|y| y.to_bits() == x.to_bits())
+            }
+            (ColumnSlice::Str(c), Value::Str(x)) => c.get(row) == Some(x),
+            (ColumnSlice::Date(c), Value::Date(x)) => c.get(row) == Some(x),
+            _ => false,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn codes_preserve_value_order_and_round_trip() {
+        let ints = [i64::MIN, -7, -1, 0, 1, 42, i64::MAX];
+        for w in ints.windows(2) {
+            assert!(w[0].code() < w[1].code());
+        }
+        assert!(ints.iter().all(|&x| i64::from_code(x.code()) == x));
+
+        let dates = [i32::MIN, -1, 0, 9_000, i32::MAX];
+        for w in dates.windows(2) {
+            assert!(w[0].code() < w[1].code());
+        }
+        assert!(dates.iter().all(|&x| i32::from_code(x.code()) == x));
+
+        // total_cmp order, including both NaN signs and both zeros.
+        let floats =
+            [-f64::NAN, f64::NEG_INFINITY, -1e300, -1.5, -0.0, 0.0, 2.5, f64::INFINITY, f64::NAN];
+        for w in floats.windows(2) {
+            assert!(w[0].code() < w[1].code(), "{} !< {}", w[0], w[1]);
+            assert!(Value::Float(w[0]) < Value::Float(w[1]));
+        }
+        assert!(floats.iter().all(|&x| f64::from_code(x.code()).to_bits() == x.to_bits()));
+    }
+
+    #[test]
+    fn push_rejects_other_variants() {
+        let mut c = Column::new(ValueType::Date);
+        assert!(c.push(Value::Date(3)).is_ok());
+        assert_eq!(c.push(Value::Int(3)), Err(Value::Int(3)));
+        assert_eq!(c.as_slice().len(), 1);
+    }
+
+    #[test]
+    fn slice_reads_cells() {
+        let mut c = Column::new(ValueType::Str);
+        for s in ["b", "a", "c"] {
+            c.push(Value::Str(s.into())).unwrap();
+        }
+        let s = c.as_slice();
+        assert_eq!(s.value_type(), ValueType::Str);
+        assert_eq!(s.get(1), Some(Value::Str("a".into())));
+        assert_eq!(s.get(3), None);
+        let mut out = Vec::new();
+        s.gather(&[2, 0], &mut out);
+        assert_eq!(out, vec![Value::Str("c".into()), Value::Str("b".into())]);
+        assert!(s.cell_eq(0, &Value::Str("b".into())));
+        assert!(!s.cell_eq(0, &Value::Int(0)));
+        assert!(!s.cell_eq(9, &Value::Str("b".into())));
+
+        let mut f = Column::new(ValueType::Float);
+        f.push(Value::Float(0.0)).unwrap();
+        assert!(f.as_slice().cell_eq(0, &Value::Float(0.0)));
+        assert!(!f.as_slice().cell_eq(0, &Value::Float(-0.0)));
+    }
+}

@@ -1,46 +1,111 @@
 //! Append-only in-memory heap tables with page-level I/O accounting.
+//!
+//! The *accounting* is a row store's — fixed-width tuples on 8 KiB
+//! pages, charged per page and per tuple — but the data is held column
+//! by column, one vector of the column's native type each (see
+//! [`crate::column`]): a scan that evaluates one predicate reads 8 or 4
+//! contiguous bytes per row instead of pulling a separately boxed row
+//! into the cache. Readers that want rows ([`HeapTable::scan`],
+//! [`HeapTable::peek`]) get them materialized from the columns.
 
+use crate::column::{Column, ColumnSlice};
 use crate::page::{pages_for, tuples_per_page, IoStats};
 use crate::row::{Row, RowId};
-use crate::value::Value;
+use crate::value::ValueType;
+use std::fmt;
+use std::ops::Range;
+
+/// Why a row cannot be stored in a heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowError {
+    /// The row has more or fewer values than the table has columns.
+    Arity {
+        /// Columns in the table.
+        expected: usize,
+        /// Values in the row.
+        got: usize,
+    },
+    /// A value's type is not its column's.
+    Type {
+        /// Zero-based column position.
+        column: usize,
+        /// The column's type.
+        expected: ValueType,
+        /// The value's type.
+        got: ValueType,
+    },
+    /// Row ids are 32-bit; the heap already holds `u32::MAX` rows.
+    Full,
+}
+
+impl fmt::Display for RowError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RowError::Arity { expected, got } => {
+                write!(f, "row has {got} values, the table has {expected} columns")
+            }
+            RowError::Type { column, expected, got } => {
+                write!(f, "column {column} stores {expected}, the row holds {got}")
+            }
+            RowError::Full => write!(f, "heap table exceeds u32 rows"),
+        }
+    }
+}
+
+impl std::error::Error for RowError {}
 
 /// An in-memory heap of rows. The heap knows its (fixed) row width so it
 /// can report how many 8 KiB pages it occupies and charge scans
 /// accordingly.
 #[derive(Debug, Clone)]
 pub struct HeapTable {
-    rows: Vec<Row>,
+    /// One typed vector per column, each `len` long.
+    columns: Vec<Column>,
+    len: usize,
     row_width: usize,
 }
 
 impl HeapTable {
-    /// Create an empty heap whose rows have the given payload width in
-    /// bytes (the sum of the column widths).
-    pub fn new(row_width: usize) -> Self {
-        HeapTable { rows: Vec::new(), row_width: row_width.max(1) }
+    /// Create an empty heap with one column per entry of `types`; the
+    /// row's payload width is the sum of the types' byte widths.
+    pub fn new(types: &[ValueType]) -> Self {
+        HeapTable {
+            columns: types.iter().map(|&t| Column::new(t)).collect(),
+            len: 0,
+            row_width: types.iter().map(|t| t.byte_width()).sum::<usize>().max(1),
+        }
     }
 
-    /// Create a heap pre-sized for `capacity` rows.
-    pub fn with_capacity(row_width: usize, capacity: usize) -> Self {
-        HeapTable { rows: Vec::with_capacity(capacity), row_width: row_width.max(1) }
-    }
-
-    /// Append a row, returning its id.
-    pub fn insert(&mut self, row: Row) -> RowId {
-        // colt: allow(panic-policy) — RowId is u32 by design; >4B rows is beyond every supported scale
-        let id = RowId(u32::try_from(self.rows.len()).expect("heap table exceeds u32 rows"));
-        self.rows.push(row);
-        id
+    /// Append a row, returning its id. A row whose arity or value types
+    /// disagree with the columns is refused and leaves the heap as it
+    /// was.
+    pub fn insert(&mut self, row: Row) -> Result<RowId, RowError> {
+        if row.len() != self.columns.len() {
+            return Err(RowError::Arity { expected: self.columns.len(), got: row.len() });
+        }
+        for (column, (c, v)) in self.columns.iter().zip(row.iter()).enumerate() {
+            let (expected, got) = (c.as_slice().value_type(), v.value_type());
+            if expected != got {
+                return Err(RowError::Type { column, expected, got });
+            }
+        }
+        let id = RowId(u32::try_from(self.len).map_err(|_| RowError::Full)?);
+        for (c, v) in self.columns.iter_mut().zip(row.into_vec()) {
+            // Cannot fail: every type was checked above.
+            let _ = c.push(v);
+        }
+        self.len += 1;
+        Ok(id)
     }
 
     /// Number of rows.
     pub fn row_count(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// True when the heap has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Payload width of a row in bytes.
@@ -50,7 +115,7 @@ impl HeapTable {
 
     /// Number of 8 KiB pages the heap occupies.
     pub fn page_count(&self) -> usize {
-        pages_for(self.rows.len(), self.row_width)
+        pages_for(self.len, self.row_width)
     }
 
     /// Approximate size in bytes (pages × page size).
@@ -58,86 +123,89 @@ impl HeapTable {
         self.page_count() * crate::page::PAGE_SIZE
     }
 
-    /// Borrow a row without charging I/O (used by index builds that are
-    /// accounted at a coarser granularity).
-    pub fn peek(&self, id: RowId) -> Option<&Row> {
-        self.rows.get(id.index())
+    /// One column as a slice of its native type, without charging I/O:
+    /// for readers that already paid for the rows they touch — a scan
+    /// window of [`HeapTable::scan_batches`], row ids
+    /// [`HeapTable::fetch_sorted`] charged — and for statistics builds.
+    pub fn column(&self, column: usize) -> Option<ColumnSlice<'_>> {
+        self.columns.get(column).map(Column::as_slice)
     }
 
-    /// Fetch a single row by id, charging one random page access.
-    ///
-    /// Consecutive fetches of rowids that land on the same page are still
-    /// charged individually: the executor is expected to sort and batch
-    /// rowids itself when that matters (see `fetch_sorted`).
-    pub fn fetch(&self, id: RowId, io: &mut IoStats) -> Option<&Row> {
-        colt_obs::counter("storage.heap.fetches", 1);
-        let row = self.rows.get(id.index())?;
-        io.random_pages += 1;
-        io.tuples += 1;
-        Some(row)
+    /// Materialize a row without charging I/O (tests, and the
+    /// row-at-a-time reference after it charged the fetch).
+    pub fn peek(&self, id: RowId) -> Option<Row> {
+        if id.index() >= self.len {
+            return None;
+        }
+        self.columns.iter().map(|c| c.as_slice().get(id.index())).collect()
     }
 
-    /// Fetch many rows by id. The ids are visited in sorted order and
-    /// page accesses are deduplicated, modelling a bitmap-style heap
-    /// fetch: `k` rowids touching `p` distinct pages cost `p` random page
-    /// reads, not `k`.
-    pub fn fetch_sorted<'a>(&'a self, ids: &mut Vec<RowId>, io: &mut IoStats) -> Vec<&'a Row> {
+    /// Charge a fetch of many rows by id and leave in `ids` the rows
+    /// fetched: the ids that exist, ascending and without duplicates.
+    /// Page accesses are deduplicated, modelling a bitmap-style heap
+    /// fetch: `k` rowids touching `p` distinct pages cost `p` random
+    /// page reads, not `k`. The caller reads the rows' cells through
+    /// [`HeapTable::column`].
+    pub fn fetch_sorted(&self, ids: &mut Vec<RowId>, io: &mut IoStats) {
         colt_obs::counter("storage.heap.fetches", ids.len() as u64);
         ids.sort_unstable();
         ids.dedup();
+        ids.truncate(ids.partition_point(|id| id.index() < self.len));
         let per_page = tuples_per_page(self.row_width);
-        let mut out = Vec::with_capacity(ids.len());
         let mut last_page = usize::MAX;
         for id in ids.iter() {
-            if let Some(row) = self.rows.get(id.index()) {
-                let page = id.index() / per_page;
-                if page != last_page {
-                    io.random_pages += 1;
-                    last_page = page;
-                }
-                io.tuples += 1;
-                out.push(row);
+            let page = id.index() / per_page;
+            if page != last_page {
+                io.random_pages += 1;
+                last_page = page;
             }
         }
-        out
+        io.tuples += ids.len() as u64;
     }
 
-    /// Full sequential scan. Charges every heap page as a sequential read
-    /// and every row as a processed tuple, then yields all rows.
-    pub fn scan<'a>(&'a self, io: &mut IoStats) -> impl Iterator<Item = (RowId, &'a Row)> + 'a {
+    /// Charge one full sequential scan: every heap page as a sequential
+    /// read and every row as a processed tuple, all upfront.
+    fn charge_scan(&self, io: &mut IoStats) {
         colt_obs::counter("storage.heap.scans", 1);
         io.seq_pages += self.page_count() as u64;
-        io.tuples += self.rows.len() as u64;
-        self.rows.iter().enumerate().map(|(i, r)| (RowId(i as u32), r))
+        io.tuples += self.len as u64;
     }
 
-    /// Full sequential scan in fixed-size row chunks, for
+    /// Full sequential scan, row at a time: charges the scan, then
+    /// yields every row materialized from the columns. This is the
+    /// reference path; batch consumers use [`HeapTable::scan_batches`].
+    pub fn scan<'a>(&'a self, io: &mut IoStats) -> impl Iterator<Item = (RowId, Row)> + 'a {
+        self.charge_scan(io);
+        self.iter()
+    }
+
+    /// Full sequential scan in fixed-size row windows, for
     /// batch-at-a-time executors. Charges *identically* to
-    /// [`HeapTable::scan`] — every heap page as one sequential read and
-    /// every row as one processed tuple, all upfront — so a chunked
-    /// consumer is indistinguishable from a row-at-a-time one in the
-    /// I/O model. Yields `(id_of_first_row, rows)` chunks with
-    /// `rows.len() <= batch_rows` (the final chunk may be short).
-    pub fn scan_batches<'a>(
-        &'a self,
+    /// [`HeapTable::scan`], so a windowed consumer is indistinguishable
+    /// from a row-at-a-time one in the I/O model. Yields consecutive
+    /// `start..end` row ranges of at most `batch_rows` rows (the final
+    /// one may be short) to be read through [`HeapTable::column`].
+    pub fn scan_batches(
+        &self,
         batch_rows: usize,
         io: &mut IoStats,
-    ) -> impl Iterator<Item = (RowId, &'a [Row])> + 'a {
-        colt_obs::counter("storage.heap.scans", 1);
-        io.seq_pages += self.page_count() as u64;
-        io.tuples += self.rows.len() as u64;
-        let step = batch_rows.max(1);
-        self.rows.chunks(step).enumerate().map(move |(i, c)| (RowId((i * step) as u32), c))
+    ) -> impl Iterator<Item = Range<usize>> {
+        self.charge_scan(io);
+        let (len, step) = (self.len, batch_rows.max(1));
+        (0..len).step_by(step).map(move |start| start..(start + step).min(len))
     }
 
-    /// Iterate rows without charging I/O (statistics builds, tests).
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> + '_ {
-        self.rows.iter().enumerate().map(|(i, r)| (RowId(i as u32), r))
+    /// Full sequential scan for a consumer of one column (index and
+    /// statistics builds): charges like [`HeapTable::scan`] and returns
+    /// the column — `None`, still charged, when there is no such column.
+    pub fn scan_column(&self, column: usize, io: &mut IoStats) -> Option<ColumnSlice<'_>> {
+        self.charge_scan(io);
+        self.column(column)
     }
 
-    /// Extract the value of one column for a given row id, without I/O.
-    pub fn column_value(&self, id: RowId, column: usize) -> Option<&Value> {
-        self.rows.get(id.index()).and_then(|r| r.get(column))
+    /// Iterate materialized rows without charging I/O (tests).
+    pub fn iter(&self) -> impl Iterator<Item = (RowId, Row)> + '_ {
+        (0..self.len as u32).filter_map(|i| Some((RowId(i), self.peek(RowId(i))?)))
     }
 }
 
@@ -145,22 +213,57 @@ impl HeapTable {
 mod tests {
     use super::*;
     use crate::row::row_from;
+    use crate::value::Value;
+
+    /// 11 Int columns + 3 Dates: width 100 → 64 tuples per page.
+    fn wide() -> Vec<ValueType> {
+        let mut t = vec![ValueType::Int; 11];
+        t.extend([ValueType::Date; 3]);
+        t
+    }
+
+    fn wide_row(i: usize) -> Row {
+        let mut r = vec![Value::Int(i as i64); 11];
+        r.extend(vec![Value::Date(i as i32); 3]);
+        row_from(r)
+    }
 
     fn heap_with(n: usize) -> HeapTable {
-        let mut h = HeapTable::new(100);
+        let mut h = HeapTable::new(&wide());
+        assert_eq!(h.row_width(), 100);
         for i in 0..n {
-            h.insert(row_from(vec![Value::Int(i as i64)]));
+            h.insert(wide_row(i)).unwrap();
         }
         h
     }
 
     #[test]
     fn insert_assigns_sequential_ids() {
-        let mut h = HeapTable::new(8);
-        assert_eq!(h.insert(row_from(vec![Value::Int(1)])), RowId(0));
-        assert_eq!(h.insert(row_from(vec![Value::Int(2)])), RowId(1));
+        let mut h = HeapTable::new(&[ValueType::Int]);
+        assert_eq!(h.insert(row_from(vec![Value::Int(1)])), Ok(RowId(0)));
+        assert_eq!(h.insert(row_from(vec![Value::Int(2)])), Ok(RowId(1)));
         assert_eq!(h.row_count(), 2);
         assert!(!h.is_empty());
+    }
+
+    #[test]
+    fn mismatched_rows_are_refused_whole() {
+        let mut h = HeapTable::new(&[ValueType::Int, ValueType::Str]);
+        assert_eq!(
+            h.insert(row_from(vec![Value::Int(1)])),
+            Err(RowError::Arity { expected: 2, got: 1 })
+        );
+        let err = h.insert(row_from(vec![Value::Int(1), Value::Date(3)])).unwrap_err();
+        assert_eq!(
+            err,
+            RowError::Type { column: 1, expected: ValueType::Str, got: ValueType::Date }
+        );
+        assert!(err.to_string().contains("column 1"), "{err}");
+        // Nothing of a refused row stays behind — not even the leading
+        // value that did fit its column.
+        assert_eq!(h.row_count(), 0);
+        assert!(h.column(0).unwrap().is_empty());
+        assert_eq!(h.insert(row_from(vec![Value::Int(1), Value::Str("x".into())])), Ok(RowId(0)));
     }
 
     #[test]
@@ -169,48 +272,43 @@ mod tests {
         let mut io = IoStats::new();
         let rows: Vec<_> = h.scan(&mut io).collect();
         assert_eq!(rows.len(), 130);
+        assert_eq!(rows[7], (RowId(7), wide_row(7)));
         assert_eq!(io.seq_pages, 3);
         assert_eq!(io.tuples, 130);
         assert_eq!(io.random_pages, 0);
     }
 
     #[test]
-    fn fetch_charges_random_page() {
-        let h = heap_with(10);
-        let mut io = IoStats::new();
-        let r = h.fetch(RowId(3), &mut io).unwrap();
-        assert_eq!(r[0], Value::Int(3));
-        assert_eq!(io.random_pages, 1);
-        assert!(h.fetch(RowId(100), &mut io).is_none());
-        // A failed fetch charges nothing.
-        assert_eq!(io.random_pages, 1);
-    }
-
-    #[test]
-    fn fetch_sorted_dedups_pages() {
+    fn fetch_sorted_dedups_pages_and_drops_missing_ids() {
         let h = heap_with(200); // 64/page → rows 0..63 on page 0
         let mut io = IoStats::new();
-        let mut ids = vec![RowId(5), RowId(1), RowId(63), RowId(64), RowId(64)];
-        let rows = h.fetch_sorted(&mut ids, &mut io);
-        assert_eq!(rows.len(), 4); // duplicate removed
+        let mut ids = vec![RowId(5), RowId(1), RowId(900), RowId(63), RowId(64), RowId(64)];
+        h.fetch_sorted(&mut ids, &mut io);
+        // Duplicate and out-of-range ids removed, neither charged.
+        assert_eq!(ids, vec![RowId(1), RowId(5), RowId(63), RowId(64)]);
         assert_eq!(io.random_pages, 2); // page 0 and page 1
         assert_eq!(io.tuples, 4);
     }
 
     #[test]
-    fn scan_batches_charges_like_scan_and_chunks_rows() {
+    fn scan_batches_and_scan_column_charge_like_scan() {
         let h = heap_with(200); // 64 tuples/page at width 100 → 4 pages
         let mut io_scan = IoStats::new();
-        let rows: Vec<_> = h.scan(&mut io_scan).map(|(_, r)| r.to_vec()).collect();
+        assert_eq!(h.scan(&mut io_scan).count(), 200);
         let mut io_batch = IoStats::new();
-        let mut chunked = Vec::new();
-        for (first, chunk) in h.scan_batches(64, &mut io_batch) {
-            assert_eq!(first.index() % 64, 0, "chunks start on batch boundaries");
-            assert!(chunk.len() <= 64);
-            chunked.extend(chunk.iter().map(|r| r.to_vec()));
-        }
-        assert_eq!(io_scan, io_batch, "chunked scan must charge identically");
-        assert_eq!(rows, chunked, "chunked scan must yield the same rows in order");
+        let windows: Vec<_> = h.scan_batches(64, &mut io_batch).collect();
+        assert_eq!(windows, vec![0..64, 64..128, 128..192, 192..200]);
+        assert_eq!(io_scan, io_batch, "windowed scan must charge identically");
+        let mut io_col = IoStats::new();
+        let Some(ColumnSlice::Date(d)) = h.scan_column(13, &mut io_col) else {
+            panic!("column 13 is a date column")
+        };
+        assert_eq!((d.len(), d[199]), (200, 199));
+        assert_eq!(io_scan, io_col);
+        // A missing column is still a charged scan.
+        let mut io_none = IoStats::new();
+        assert!(h.scan_column(14, &mut io_none).is_none());
+        assert_eq!(io_scan, io_none);
         // Degenerate batch size is clamped, not a panic or infinite loop.
         let mut io = IoStats::new();
         assert_eq!(h.scan_batches(0, &mut io).count(), 200);
@@ -218,20 +316,23 @@ mod tests {
 
     #[test]
     fn empty_heap_scan() {
-        let h = HeapTable::new(100);
+        let h = HeapTable::new(&wide());
         let mut io = IoStats::new();
         assert_eq!(h.scan(&mut io).count(), 0);
+        assert_eq!(h.scan_batches(64, &mut io).count(), 0);
         assert_eq!(io.seq_pages, 0);
         assert_eq!(h.page_count(), 0);
         assert_eq!(h.byte_size(), 0);
     }
 
     #[test]
-    fn column_value_access() {
-        let mut h = HeapTable::new(16);
-        h.insert(row_from(vec![Value::Int(1), Value::Str("x".into())]));
-        assert_eq!(h.column_value(RowId(0), 1), Some(&Value::Str("x".into())));
-        assert_eq!(h.column_value(RowId(0), 9), None);
-        assert_eq!(h.column_value(RowId(5), 0), None);
+    fn peek_and_column_read_without_charging() {
+        let mut h = HeapTable::new(&[ValueType::Int, ValueType::Str]);
+        h.insert(row_from(vec![Value::Int(1), Value::Str("x".into())])).unwrap();
+        assert_eq!(h.peek(RowId(0)), Some(row_from(vec![Value::Int(1), Value::Str("x".into())])));
+        assert_eq!(h.peek(RowId(5)), None);
+        assert_eq!(h.column(1).unwrap().get(0), Some(Value::Str("x".into())));
+        assert!(h.column(9).is_none());
+        assert_eq!(h.iter().count(), 1);
     }
 }

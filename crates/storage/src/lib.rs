@@ -1,9 +1,9 @@
 //! # colt-storage
 //!
 //! Storage substrate for the COLT reproduction: typed values, an 8 KiB
-//! page model with deterministic I/O accounting, append-only heap tables,
-//! and an arena-based B+ tree used for every materialized single-column
-//! index.
+//! page model with deterministic I/O accounting, append-only heap tables
+//! stored as typed column vectors, and an arena-based B+ tree used for
+//! every materialized single-column index.
 //!
 //! Nothing here touches the filesystem. All tables live in memory and
 //! every operator charges [`page::IoStats`] for the pages a disk-resident
@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 
 pub mod btree;
+pub mod column;
 pub mod heap;
 pub mod page;
 pub mod prng;
@@ -23,7 +24,8 @@ pub mod row;
 pub mod value;
 
 pub use btree::{BPlusTree, BPlusTreeOf, CompositeBPlusTree, ScanControl, TreeKey};
-pub use heap::HeapTable;
+pub use column::{ColumnSlice, KeyCode};
+pub use heap::{HeapTable, RowError};
 pub use page::{pages_for, tuples_per_page, CostParams, IoStats, PAGE_SIZE};
 pub use prng::Prng;
 pub use row::{row_from, Row, RowId};

@@ -11,8 +11,10 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-/// The type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The type of a column. Ordered as [`Value`] orders values of different
+/// types (every `Int` below every `Float` below every `Str` below every
+/// `Date`), so a cross-type comparison can be decided from the types.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ValueType {
     /// 64-bit signed integer.
     Int,
@@ -197,6 +199,13 @@ mod tests {
         assert!(Value::Int(i64::MAX) < Value::Float(f64::NEG_INFINITY));
         assert!(Value::Float(1e300) < Value::Str(String::new()));
         assert!(Value::Str("zzz".into()) < Value::Date(i32::MIN));
+        // ValueType's derived order is that same rank.
+        let samples = [Value::Int(0), Value::Float(0.0), Value::Str(String::new()), Value::Date(0)];
+        for a in &samples {
+            for b in &samples {
+                assert_eq!(a.value_type().cmp(&b.value_type()), a.cmp(b));
+            }
+        }
     }
 
     #[test]

@@ -203,7 +203,7 @@ mod tests {
         db.insert_rows(
             t,
             (0..50_000i64).map(|i| row_from(vec![Value::Int(i), Value::Date((i % 2000) as i32)])),
-        );
+        ).unwrap();
         db.analyze_all();
         (db, t)
     }

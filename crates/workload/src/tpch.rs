@@ -230,7 +230,9 @@ pub fn generate(scale: f64, seed: u64) -> TpchData {
                         def.columns.iter().map(|(_, _, g)| g.generate(r, rows, &mut rng)).collect(),
                     )
                 }),
-            );
+            )
+            // colt: allow(panic-policy) — table_defs() pairs every generator with the column type it emits
+            .expect("generated rows fit their schema");
             tables.push((def.name.to_string(), tid));
         }
         instances.push(Instance { index: inst, tables });
@@ -260,10 +262,8 @@ pub struct DataSetSummary {
 pub fn summary(scale: f64) -> DataSetSummary {
     let defs = table_defs(scale);
     let per_instance_tuples: u64 = defs.iter().map(|d| d.base_rows).sum();
-    // colt: allow(panic-policy) — table_defs() returns the fixed eight TPC-H tables, never empty
-    let largest = defs.iter().map(|d| d.base_rows).max().unwrap();
-    // colt: allow(panic-policy) — table_defs() returns the fixed eight TPC-H tables, never empty
-    let smallest = defs.iter().map(|d| d.base_rows).min().unwrap();
+    let largest = defs.iter().map(|d| d.base_rows).max().unwrap_or(0);
+    let smallest = defs.iter().map(|d| d.base_rows).min().unwrap_or(0);
     let attributes: usize = defs.iter().map(|d| d.columns.len()).sum();
     let bytes: u64 = defs
         .iter()
@@ -348,8 +348,8 @@ mod tests {
         let b = generate(0.001, 42);
         let ta = a.instances[0].table("orders");
         let tb = b.instances[0].table("orders");
-        let rows_a: Vec<_> = a.db.table(ta).heap.iter().take(20).map(|(_, r)| r.clone()).collect();
-        let rows_b: Vec<_> = b.db.table(tb).heap.iter().take(20).map(|(_, r)| r.clone()).collect();
+        let rows_a: Vec<_> = a.db.table(ta).heap.iter().take(20).map(|(_, r)| r).collect();
+        let rows_b: Vec<_> = b.db.table(tb).heap.iter().take(20).map(|(_, r)| r).collect();
         assert_eq!(rows_a, rows_b);
     }
 }

@@ -127,7 +127,7 @@ mod tests {
             "t",
             vec![Column::new("a", ValueType::Int), Column::new("b", ValueType::Int)],
         ));
-        db.insert_rows(t, (0..10_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i)])));
+        db.insert_rows(t, (0..10_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i)]))).unwrap();
         db.analyze_all();
         let d = |c: u32| {
             QueryDistribution::new().with(

@@ -15,7 +15,7 @@ use colt_workload::{
 fn db_with(values: &[i64]) -> (Database, TableId) {
     let mut db = Database::new();
     let t = db.add_table(TableSchema::new("t", vec![Column::new("k", ValueType::Int)]));
-    db.insert_rows(t, values.iter().map(|&v| row_from(vec![Value::Int(v)])));
+    db.insert_rows(t, values.iter().map(|&v| row_from(vec![Value::Int(v)]))).unwrap();
     db.analyze_all();
     (db, t)
 }

@@ -19,7 +19,8 @@ fn main() {
     db.insert_rows(
         orders,
         (0..50_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 2_000), Value::Int(i % 4)])),
-    );
+    )
+    .expect("rows match the schema");
     db.analyze_all(); // gather statistics, as a DBA would run ANALYZE
 
     // 2. An initially empty physical design and a COLT tuner with a

@@ -28,7 +28,8 @@
 //!     "events",
 //!     vec![Column::new("id", ValueType::Int), Column::new("kind", ValueType::Int)],
 //! ));
-//! db.insert_rows(t, (0..5_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 5)])));
+//! db.insert_rows(t, (0..5_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 5)])))
+//!     .expect("rows match the schema");
 //! db.analyze_all();
 //!
 //! // Drive COLT with a stream of selective point queries.

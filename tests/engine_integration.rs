@@ -126,7 +126,7 @@ fn prelude_surface() {
     use colt_repro::prelude::*;
     let mut db = Database::new();
     let t = db.add_table(TableSchema::new("t", vec![Column::new("a", ValueType::Int)]));
-    db.insert_rows(t, (0..100i64).map(|i| row_from(vec![Value::Int(i)])));
+    db.insert_rows(t, (0..100i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
     db.analyze_all();
     let cfg = PhysicalConfig::new();
     let mut eqo = Eqo::new(&db);
@@ -151,7 +151,7 @@ fn ingestion_while_tuning() {
         "events",
         vec![Column::new("id", ValueType::Int), Column::new("kind", ValueType::Int)],
     ));
-    db.insert_rows(t, (0..10_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 8)])));
+    db.insert_rows(t, (0..10_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 8)]))).unwrap();
     db.analyze_all();
 
     let mut physical = PhysicalConfig::new();
@@ -181,7 +181,7 @@ fn ingestion_while_tuning() {
                     Value::Int(next_id),
                     Value::Int(next_id % 8),
                 ]),
-            );
+            ).unwrap();
             next_id += 1;
         }
         db.auto_analyze(0.1);
