@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod lexer;
 pub mod manifest;
 pub mod rules;
@@ -39,7 +38,6 @@ pub use syntax::SyntaxIndex;
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// One classified, lexed source file.
 #[derive(Debug)]
@@ -183,6 +181,23 @@ fn apply_waivers(file: &SourceFile, raw: Vec<Violation>) -> Vec<Violation> {
     out
 }
 
+/// Escape a string for a JSON string literal (shared by the JSON summary
+/// and the SARIF document).
+fn esc(s: &str) -> String {
+    let mut o = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => o.push_str("\\\""),
+            '\\' => o.push_str("\\\\"),
+            '\n' => o.push_str("\\n"),
+            '\t' => o.push_str("\\t"),
+            c if (c as u32) < 0x20 => o.push_str(&format!("\\u{:04x}", c as u32)),
+            c => o.push(c),
+        }
+    }
+    o
+}
+
 /// The outcome of a workspace scan.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -192,13 +207,6 @@ pub struct Report {
     pub violations: Vec<Violation>,
     /// Non-test waiver annotations (the waiver budget's input).
     pub waivers: Vec<WaiverSite>,
-    /// Files served from the content-hash cache.
-    pub cache_hits: usize,
-    /// Files analyzed fresh.
-    pub cache_misses: usize,
-    /// Wall-clock scan time (colt-analyze is on the wall-clock
-    /// allowlist; this never reaches a diffed artifact).
-    pub elapsed_ms: u128,
 }
 
 impl Report {
@@ -224,20 +232,6 @@ impl Report {
 
     /// Machine-readable JSON summary.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut o = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => o.push_str("\\\""),
-                    '\\' => o.push_str("\\\\"),
-                    '\n' => o.push_str("\\n"),
-                    '\t' => o.push_str("\\t"),
-                    c if (c as u32) < 0x20 => o.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => o.push(c),
-                }
-            }
-            o
-        }
         let mut counts: Vec<(&str, usize)> = Vec::new();
         for v in &self.violations {
             match counts.iter_mut().find(|(n, _)| *n == v.lint.name()) {
@@ -267,15 +261,6 @@ impl Report {
             self.violations.len(),
             counts_json.join(", "),
             if viols.is_empty() { String::new() } else { format!("\n    {}\n  ", viols.join(",\n    ")) }
-        )
-    }
-
-    /// One line of scan telemetry for the CI log: timing plus cache
-    /// hit rate (only meaningful after a cached scan).
-    pub fn render_timing(&self) -> String {
-        format!(
-            "colt-analyze: scan took {} ms (cache: {} hit / {} analyzed)\n",
-            self.elapsed_ms, self.cache_hits, self.cache_misses
         )
     }
 
@@ -327,20 +312,6 @@ impl Report {
     /// Minimal SARIF 2.1.0 document (one run, one result per
     /// violation) for CI code-scanning upload.
     pub fn to_sarif(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut o = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => o.push_str("\\\""),
-                    '\\' => o.push_str("\\\\"),
-                    '\n' => o.push_str("\\n"),
-                    '\t' => o.push_str("\\t"),
-                    c if (c as u32) < 0x20 => o.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => o.push(c),
-                }
-            }
-            o
-        }
         let rules: Vec<String> = Lint::all()
             .iter()
             .map(|l| {
@@ -407,65 +378,26 @@ fn rel_of(root: &Path, path: &Path) -> String {
 }
 
 /// Scan the workspace rooted at `root` and run every rule over every
-/// `.rs` file. Uncached (the form other crates' test suites call);
-/// the CLI uses [`check_workspace_cached`].
+/// `.rs` file, under the manifest found there (the CLI and other
+/// crates' test suites both call this).
 pub fn check_workspace(root: &Path) -> io::Result<Report> {
     let manifest =
         Manifest::load(root).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    scan_workspace(root, &manifest, false)
-}
-
-/// Scan with the content-hash incremental cache under `target/`:
-/// unchanged files (same content hash, same manifest + rules revision)
-/// are served from the previous scan's results. Returns the governing
-/// manifest so callers can render the waiver budget.
-pub fn check_workspace_cached(root: &Path, use_cache: bool) -> io::Result<(Report, Manifest)> {
-    let manifest =
-        Manifest::load(root).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let report = scan_workspace(root, &manifest, use_cache)?;
-    Ok((report, manifest))
-}
-
-fn scan_workspace(root: &Path, manifest: &Manifest, use_cache: bool) -> io::Result<Report> {
-    let start = Instant::now();
     let mut files = Vec::new();
     walk(root, root, &mut files)?;
-    let cache_path = cache::cache_path(root);
-    let key = cache::cache_key(manifest);
-    let old = if use_cache { cache::load(&cache_path, key) } else { None };
-    let old = old.unwrap_or_default();
-    let mut fresh: Vec<(String, cache::Entry)> = Vec::new();
     let mut report = Report::default();
     for path in files {
         let rel = rel_of(root, &path);
         let src = std::fs::read_to_string(&path)?;
-        let hash = cache::fnv1a(src.as_bytes());
         report.files_scanned += 1;
-        let entry = match old.get(&rel).filter(|e| e.hash == hash) {
-            Some(hit) => {
-                report.cache_hits += 1;
-                hit.clone()
-            }
-            None => {
-                report.cache_misses += 1;
-                let file = load_source(&rel, &src);
-                let raw = rules::check_file(&file, manifest);
-                let violations = apply_waivers(&file, raw);
-                cache::Entry { hash, violations, waivers: waiver_sites(&file) }
-            }
-        };
-        report.violations.extend(entry.violations.iter().cloned());
-        report.waivers.extend(entry.waivers.iter().cloned());
-        fresh.push((rel, entry));
-    }
-    if use_cache {
-        // Best-effort: a read-only target dir must not fail the scan.
-        let _ = cache::store(&cache_path, key, &fresh);
+        let file = load_source(&rel, &src);
+        let raw = rules::check_file(&file, &manifest);
+        report.violations.extend(apply_waivers(&file, raw));
+        report.waivers.extend(waiver_sites(&file));
     }
     report
         .violations
         .sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
-    report.elapsed_ms = start.elapsed().as_millis();
     Ok(report)
 }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! colt-analyze --check [--json] [--root <path>] [--waivers]
-//!              [--sarif <path>] [--github] [--no-cache]
+//!              [--sarif <path>] [--github]
 //! colt-analyze --list                             # lint catalogue
 //! colt-analyze --explain <lint>                   # long-form description
 //! ```
@@ -17,7 +17,7 @@ colt-analyze: workspace invariant checker
 
 USAGE:
     colt-analyze --check [--json] [--root <path>] [--waivers]
-                 [--sarif <path>] [--github] [--no-cache]
+                 [--sarif <path>] [--github]
     colt-analyze --list
     colt-analyze --explain <lint-name>
 
@@ -33,8 +33,6 @@ MODES:
                 given path (for CI code-scanning upload).
     --github    With --check: also emit GitHub `::error` workflow
                 annotations for each violation.
-    --no-cache  With --check: skip the content-hash incremental cache
-                under target/ (a cold scan).
     --root      Override the workspace root (default: inferred from the
                 crate's own location).
     --list      Print the lint catalogue (name + one-line summary).
@@ -52,7 +50,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut waivers = false;
     let mut github = false;
-    let mut no_cache = false;
     let mut sarif: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut explain_target: Option<String> = None;
@@ -76,7 +73,6 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--waivers" => waivers = true,
             "--github" => github = true,
-            "--no-cache" => no_cache = true,
             "--sarif" => {
                 i += 1;
                 match args.get(i) {
@@ -131,13 +127,12 @@ fn main() -> ExitCode {
         }
         Some("check") => {
             let root = root.unwrap_or_else(colt_analyze::workspace_root);
-            match colt_analyze::check_workspace_cached(&root, !no_cache) {
-                Ok((report, manifest)) => {
+            match colt_analyze::check_workspace(&root) {
+                Ok(report) => {
                     if json {
                         println!("{}", report.to_json());
                     } else {
                         print!("{}", report.render());
-                        println!("{}", report.render_timing());
                     }
                     if let Some(sarif_path) = &sarif {
                         if let Err(e) = std::fs::write(sarif_path, report.to_sarif()) {
@@ -159,6 +154,13 @@ fn main() -> ExitCode {
                     }
                     let mut over_budget = false;
                     if waivers {
+                        let manifest = match colt_analyze::Manifest::load(&root) {
+                            Ok(m) => m,
+                            Err(e) => {
+                                eprintln!("error: {e}");
+                                return ExitCode::from(2);
+                            }
+                        };
                         let (table, over) = report.render_waivers(&manifest);
                         print!("{table}");
                         over_budget = over;

@@ -31,14 +31,12 @@ pub struct Manifest {
     /// `[waiver-budget] <lint> = <cap>`: per-lint waiver caps; lints
     /// not listed have a cap of zero.
     pub waiver_budget: BTreeMap<String, u64>,
-    /// The raw manifest text (hashed into the scan cache key).
-    pub source: String,
 }
 
 impl Manifest {
     /// Parse manifest text. Errors name the offending line.
     pub fn parse(text: &str) -> Result<Manifest, String> {
-        let mut m = Manifest { source: text.to_string(), ..Manifest::default() };
+        let mut m = Manifest::default();
         let mut section = String::new();
         let mut lines = text.lines().enumerate().peekable();
         while let Some((ln, raw)) = lines.next() {

@@ -2,13 +2,16 @@
 //!
 //! Benchmark harness for the COLT reproduction: one binary per paper
 //! exhibit (`table1`, `fig3`, `fig4`, `fig5`, `fig6`, `ablation`) plus
-//! Criterion micro-benchmarks of the substrates (`cargo bench`).
+//! plain-`main` micro-benchmarks of the substrates (`cargo bench`; see
+//! [`bench`]). Wall-clock regressions are judged by `benches/perf`
+//! alone; nothing here compares a timing to a checked-in number.
 //!
 //! Every binary reads three environment variables:
 //!
 //! * `COLT_SCALE` — data scale relative to the paper's Table 1
 //!   (default: 0.025 = 1/40),
-//! * `COLT_SEED` — master seed (default: 42),
+//! * `COLT_SEED` — master seed (default: 42); a set but unusable
+//!   `COLT_SCALE` or `COLT_SEED` stops the binary (exit 2),
 //! * `COLT_THREADS` — worker threads for the parallel harness
 //!   (default: available parallelism). Results are bit-identical at
 //!   every thread count; only wall-clock time changes.
@@ -20,14 +23,45 @@
 
 use colt_workload::{generate, TpchData, DEFAULT_SCALE};
 
-/// Data scale from `COLT_SCALE` (default [`DEFAULT_SCALE`]).
+/// Data scale from `COLT_SCALE` (default [`DEFAULT_SCALE`]). A value
+/// that is set but is not a finite number > 0 stops the binary.
 pub fn scale() -> f64 {
-    std::env::var("COLT_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_SCALE)
+    env_or_exit("COLT_SCALE", parse_scale)
 }
 
-/// Master seed from `COLT_SEED` (default 42).
+/// Master seed from `COLT_SEED` (default 42). A value that is set but
+/// is not an unsigned integer stops the binary.
 pub fn seed() -> u64 {
-    std::env::var("COLT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42)
+    env_or_exit("COLT_SEED", parse_seed)
+}
+
+/// `COLT_SCALE` as set (`None` = unset, keeps the default). Unusable
+/// values are errors, never a silent fall-back to the default data set.
+fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
+    let Some(raw) = raw else { return Ok(DEFAULT_SCALE) };
+    raw.parse()
+        .ok()
+        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+        .ok_or_else(|| format!("COLT_SCALE={raw:?}: expected a finite number > 0"))
+}
+
+/// `COLT_SEED` as set (`None` = unset, keeps the default).
+fn parse_seed(raw: Option<&str>) -> Result<u64, String> {
+    let Some(raw) = raw else { return Ok(42) };
+    raw.parse().map_err(|_| format!("COLT_SEED={raw:?}: expected an unsigned integer"))
+}
+
+/// Parse the variable `name`, or stop the binary (exit 2) with one line
+/// naming the variable and the value. The line is written straight to
+/// stderr, not through the `colt_obs` sink: a usage error has to show
+/// under `COLT_OBS=off` too, and no artifact follows it.
+fn env_or_exit<T>(name: &str, parse: fn(Option<&str>) -> Result<T, String>) -> T {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse(raw.as_deref()).unwrap_or_else(|msg| {
+        use std::io::Write;
+        let _ = writeln!(std::io::stderr(), "error: {msg}");
+        std::process::exit(2)
+    })
 }
 
 /// Worker-thread count for the parallel harness: `COLT_THREADS` if set,
@@ -180,11 +214,26 @@ pub fn bench(name: &str, mut f: impl FnMut()) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use super::{parse_scale, parse_seed};
+
     #[test]
-    fn env_defaults() {
-        // Do not set the env vars: defaults must apply.
-        assert!(super::scale() > 0.0);
-        assert!(super::seed() > 0);
+    fn unset_overrides_keep_the_defaults() {
+        assert_eq!(parse_scale(None), Ok(super::DEFAULT_SCALE));
+        assert_eq!(parse_seed(None), Ok(42));
+        assert_eq!(parse_scale(Some("0.01")), Ok(0.01));
+        assert_eq!(parse_seed(Some("7")), Ok(7));
+    }
+
+    #[test]
+    fn unusable_overrides_are_errors_naming_variable_and_value() {
+        for bad in ["0,01", "", "abc", "0", "-1", "inf", "NaN"] {
+            let err = parse_scale(Some(bad)).expect_err(bad);
+            assert_eq!(err, format!("COLT_SCALE={bad:?}: expected a finite number > 0"));
+        }
+        for bad in ["4 2", "-1", "1.5", ""] {
+            let err = parse_seed(Some(bad)).expect_err(bad);
+            assert_eq!(err, format!("COLT_SEED={bad:?}: expected an unsigned integer"));
+        }
     }
 
     #[test]

@@ -70,8 +70,9 @@ pub struct ColtConfig {
     /// provably cannot alter the current knapsack solution is skipped,
     /// charging nothing against `#WI_lim`, and the freed budget flows to
     /// the widest-interval candidates. The outer `r`-ratio control loop
-    /// is untouched either way. The `rebudget_gate` bench writes its
-    /// baseline with this off to measure the probe reduction.
+    /// is untouched either way. `skip_proofs_cut_issued_probes`
+    /// (`tests/end_to_end.rs`) runs with this off to measure the probe
+    /// reduction.
     pub dynamic_rebudget: bool,
     /// Seed of COLT's internal (deterministic) sampling PRNG.
     pub seed: u64,

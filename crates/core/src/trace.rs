@@ -95,60 +95,6 @@ impl Trace {
         let series = obs.series.max_epoch().map_or(0, |e| e + 1);
         (self.epochs.len() as u64).max(ledger).max(series)
     }
-
-    /// Fold a run's span timings into the per-epoch records: each epoch's
-    /// JSON gains an `"overhead_wall_ms"` field (the run's total
-    /// tuner-side wall time — profiling plus epoch closing — amortized
-    /// evenly over the epochs; spans are run-scoped, not epoch-tagged),
-    /// and the summary carries the raw per-span totals alongside.
-    ///
-    /// The rows span [`Trace::epoch_axis`]: epochs the flight recorder
-    /// saw but that closed no trace record (the trailing partial epoch,
-    /// or runs shorter than one epoch) appear as explicit zero rows, so
-    /// this table always aligns row-for-row with the ledger's and time
-    /// series' epoch axis.
-    pub fn overhead_summary(&self, obs: &colt_obs::Snapshot) -> Json {
-        // Top-level tuner spans only: `profiler.profile` covers the
-        // per-query work (clustering, crude and what-if profiling are
-        // nested inside it) and `tuner.epoch` covers boundary work
-        // (reorganization, knapsack, re-budgeting). Summing nested spans
-        // too would double-count.
-        let tuner_wall_ms = obs.span_wall_ms("profiler.profile") + obs.span_wall_ms("tuner.epoch");
-        let axis = self.epoch_axis(obs);
-        let per_epoch = tuner_wall_ms / axis.max(1) as f64;
-        let epochs: Vec<Json> = (0..axis)
-            .map(|i| {
-                let mut v = match self.epochs.get(i as usize) {
-                    Some(e) => e.to_json_value(),
-                    None => EpochRecord::zero(i).to_json_value(),
-                };
-                if let Json::Obj(pairs) = &mut v {
-                    pairs.push(("overhead_wall_ms".to_string(), Json::Float(per_epoch)));
-                }
-                v
-            })
-            .collect();
-        let spans = Json::Obj(
-            obs.spans
-                .iter()
-                .map(|(k, s)| {
-                    (
-                        k.clone(),
-                        Json::obj(vec![
-                            ("count", Json::UInt(s.count)),
-                            ("wall_ms", Json::Float(s.wall_ms())),
-                            ("sim_ms", Json::Float(s.sim_ms)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        Json::obj(vec![
-            ("tuner_wall_ms", Json::Float(tuner_wall_ms)),
-            ("epochs", Json::Arr(epochs)),
-            ("spans", spans),
-        ])
-    }
 }
 
 /// Render a column reference as `{"table": t, "column": c}`.
@@ -246,7 +192,7 @@ mod tests {
     }
 
     #[test]
-    fn overhead_summary_pads_to_the_flight_recorder_axis() {
+    fn epoch_axis_covers_the_flight_recorder() {
         let mut t = Trace::new();
         t.push(record(0, 20, 1));
         // The flight recorder saw a trailing partial epoch (epoch 1)
@@ -258,11 +204,6 @@ mod tests {
         rec.mark_epoch(1);
         let obs = rec.into_snapshot();
         assert_eq!(t.epoch_axis(&obs), 2);
-        let summary = t.overhead_summary(&obs);
-        let epochs = summary.get("epochs").and_then(Json::as_array).unwrap();
-        assert_eq!(epochs.len(), 2, "zero row for the partial epoch");
-        assert_eq!(epochs[1].get("epoch").and_then(Json::as_u64), Some(1));
-        assert_eq!(epochs[1].get("whatif_used").and_then(Json::as_u64), Some(0));
         // Without flight-recorder data the axis is just the trace.
         assert_eq!(t.epoch_axis(&colt_obs::Snapshot::default()), 1);
     }

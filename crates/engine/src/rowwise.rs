@@ -9,8 +9,8 @@
 //! with no batching, no selection vectors, no compiled kernels, and no
 //! late materialization. The engine property tests
 //! assert both executors produce identical results, charges, and row
-//! order on random queries; `exec_gate` measures the speedup of the
-//! batch path against this one.
+//! order on random queries; `benches/perf`'s oracle rounds re-check the
+//! row counts on every workload.
 //!
 //! Deliberately *not* instrumented: no `colt_obs` counters or spans, so
 //! running the reference never perturbs observability snapshots the

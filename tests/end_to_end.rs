@@ -99,8 +99,8 @@ fn whatif_overhead_self_regulates() {
     let preset = presets::shifting(&data, SEED);
     // Skip-proofs (PR 10) are pinned off: this test charts the paper's
     // Figure 5 shape, which is the *un-skipped* profiler's budget usage.
-    // The skip-proof overhead profile is covered by the `rebudget_gate`
-    // bench and by `skip_proofs_cut_issued_probes` below.
+    // The skip-proof overhead profile is covered by
+    // `skip_proofs_cut_issued_probes` below.
     let cfg = ColtConfig {
         storage_budget_pages: preset.budget_pages,
         dynamic_rebudget: false,
@@ -154,43 +154,52 @@ fn whatif_overhead_self_regulates() {
 /// what-if probes whose gain interval provably cannot change the
 /// knapsack outcome, cutting issued probes on the shifting workload
 /// without changing the final index configuration or hurting
-/// performance.
+/// performance. Two arms: the product default, where the r-ratio
+/// already hibernates the profiler and skip-proofs compose with it
+/// (issued < 0.7x), and fixed-intensity profiling (`self_regulation`
+/// off in both runs), which isolates what the skip-proofs themselves
+/// save on the probes the r-ratio would otherwise issue (>= 1.3x fewer).
 #[test]
 fn skip_proofs_cut_issued_probes() {
     let data = generate(SCALE, SEED);
     let preset = presets::shifting(&data, SEED);
-    let base = ColtConfig { storage_budget_pages: preset.budget_pages, ..Default::default() };
-    let on = Experiment::new(&data.db, &preset.queries)
-        .policy(Policy::colt(base.clone()))
-        .run().expect("run failed");
-    let off = Experiment::new(&data.db, &preset.queries)
-        .policy(Policy::colt(ColtConfig { dynamic_rebudget: false, ..base }))
-        .run().expect("run failed");
-
     let issued = |r: &colt_repro::harness::RunResult| -> u64 {
         r.trace.epochs.iter().map(|e| e.whatif_used).sum()
     };
     let skipped = |r: &colt_repro::harness::RunResult| -> u64 {
         r.trace.epochs.iter().map(|e| e.whatif_skipped).sum()
     };
-    assert_eq!(skipped(&off), 0, "the off arm must not skip");
-    assert!(skipped(&on) > 0, "skip-proofs must fire on the shifting workload");
-    assert!(
-        (issued(&on) as f64) < 0.7 * issued(&off) as f64,
-        "issued probes {} (skip-proofs on) vs {} (off)",
-        issued(&on),
-        issued(&off)
-    );
-    // Decision-quality safety: skipping is only legal when it cannot
-    // change the knapsack outcome, so the tuner must land on the same
-    // final configuration and essentially the same charged time.
-    assert_eq!(on.final_indices, off.final_indices);
-    assert!(
-        on.total_millis() < off.total_millis() * 1.02,
-        "skip-proofs on {:.0} ms vs off {:.0} ms",
-        on.total_millis(),
-        off.total_millis()
-    );
+    for (self_regulation, max_frac) in [(true, 0.7), (false, 1.0 / 1.3)] {
+        let base = ColtConfig {
+            storage_budget_pages: preset.budget_pages,
+            self_regulation,
+            ..Default::default()
+        };
+        let on = Experiment::new(&data.db, &preset.queries)
+            .policy(Policy::colt(base.clone()))
+            .run().expect("run failed");
+        let off = Experiment::new(&data.db, &preset.queries)
+            .policy(Policy::colt(ColtConfig { dynamic_rebudget: false, ..base }))
+            .run().expect("run failed");
+        assert_eq!(skipped(&off), 0, "the off arm must not skip");
+        assert!(skipped(&on) > 0, "skip-proofs must fire on the shifting workload");
+        assert!(
+            (issued(&on) as f64) < max_frac * issued(&off) as f64,
+            "self_regulation {self_regulation}: issued probes {} (skip-proofs on) vs {} (off)",
+            issued(&on),
+            issued(&off)
+        );
+        // Decision-quality safety: skipping is only legal when it cannot
+        // change the knapsack outcome, so the tuner must land on the same
+        // final configuration and essentially the same charged time.
+        assert_eq!(on.final_indices, off.final_indices);
+        assert!(
+            on.total_millis() < off.total_millis() * 1.02,
+            "self_regulation {self_regulation}: skip-proofs on {:.0} ms vs off {:.0} ms",
+            on.total_millis(),
+            off.total_millis()
+        );
+    }
 }
 
 /// Noise (paper Figure 6): short bursts are ignored — COLT stays within

@@ -6,23 +6,27 @@
 //! * the structured event stream round-trips through the strict in-repo
 //!   JSON parser;
 //! * an `Off` recorder records nothing and costs the default path
-//!   nothing — the samples are identical with and without recording.
+//!   nothing — the samples are identical with and without recording;
+//! * the work a run does, in counted units, is pinned exactly.
 
 use colt_repro::colt::ColtConfig;
 use colt_repro::harness::{component_breakdown, Experiment, Policy};
 use colt_repro::obs::{install, take, Level, Recorder};
-use colt_repro::workload::{generate, presets};
+use colt_repro::workload::{generate, presets, TpchData};
 
 const SCALE: f64 = 0.004;
 const SEED: u64 = 42;
 
-/// Run COLT over the stable preset with recording forced to `level`:
+/// Run COLT over `preset` with recording forced to `level`:
 /// [`Experiment::run`] inherits the level of the recorder installed on
 /// the calling thread, so installing one here controls recording
 /// regardless of the `COLT_OBS` environment.
-fn run_colt_at(level: Level) -> colt_repro::harness::RunResult {
+fn run_colt_at(
+    level: Level,
+    preset: fn(&TpchData, u64) -> presets::Preset,
+) -> colt_repro::harness::RunResult {
     let data = generate(SCALE, SEED);
-    let preset = presets::stable(&data, SEED);
+    let preset = preset(&data, SEED);
     let prev = install(Recorder::new(level));
     assert!(prev.is_none(), "test thread must start without a recorder");
     let result = Experiment::new(&data.db, &preset.queries)
@@ -37,7 +41,7 @@ fn run_colt_at(level: Level) -> colt_repro::harness::RunResult {
 
 #[test]
 fn breakdown_accounts_for_run_time_within_5_percent() {
-    let run = run_colt_at(Level::Full);
+    let run = run_colt_at(Level::Full, presets::stable);
     assert!(!run.obs.is_empty(), "Full-level run must record metrics");
 
     let b = component_breakdown(&run);
@@ -58,7 +62,7 @@ fn breakdown_accounts_for_run_time_within_5_percent() {
 
 #[test]
 fn snapshot_covers_every_layer() {
-    let run = run_colt_at(Level::Full);
+    let run = run_colt_at(Level::Full, presets::stable);
     let s = &run.obs;
     // Harness layer.
     assert!(s.counter("harness.queries") > 0);
@@ -89,7 +93,7 @@ fn snapshot_covers_every_layer() {
 
 #[test]
 fn event_stream_round_trips_through_core_json() {
-    let run = run_colt_at(Level::Full);
+    let run = run_colt_at(Level::Full, presets::stable);
     let jsonl = run.obs.events_jsonl();
     assert!(!jsonl.is_empty());
     for (i, line) in jsonl.lines().enumerate() {
@@ -110,34 +114,69 @@ fn event_stream_round_trips_through_core_json() {
 
 #[test]
 fn off_recorder_records_nothing_and_changes_nothing() {
-    let full = run_colt_at(Level::Full);
-    let off = run_colt_at(Level::Off);
+    let full = run_colt_at(Level::Full, presets::stable);
+    let off = run_colt_at(Level::Off, presets::stable);
     assert!(off.obs.is_empty(), "Off-level runs must not record");
     // The runs themselves are identical: recording is observation only.
     assert_eq!(full.samples, off.samples);
     assert_eq!(full.summary_json(), off.summary_json());
 }
 
+/// The work one COLT run over the shifting preset does, in counted
+/// units: every counter, then every span's call count as `<span>.calls`
+/// (never wall ns), each group sorted by name.
+/// Runs are deterministic, so any difference is a behaviour change —
+/// if it is intended, replace the listing with the one the failure
+/// prints and say in the PR which lines moved and why.
 #[test]
-fn overhead_summary_folds_spans_into_epochs() {
-    let run = run_colt_at(Level::Full);
-    let summary = run.trace.overhead_summary(&run.obs);
-    let text = summary.pretty();
-    let v = colt_repro::colt::json::parse(&text).expect("overhead summary must parse");
-    use colt_repro::colt::json::Json;
-    let tuner_ms = v.get("tuner_wall_ms").and_then(Json::as_f64).expect("tuner_wall_ms");
-    assert!(tuner_ms > 0.0);
-    let epochs = v.get("epochs").and_then(Json::as_array).expect("epochs");
-    // The table spans the flight recorder's epoch axis: every closed
-    // trace epoch, plus explicit zero rows for any trailing partial
-    // epoch the ledger/time series saw.
-    assert_eq!(epochs.len() as u64, run.trace.epoch_axis(&run.obs));
-    assert!(epochs.len() >= run.trace.epochs.len());
-    assert!(!epochs.is_empty(), "the stable preset closes at least one epoch");
-    for e in epochs {
-        let oh = e.get("overhead_wall_ms").and_then(Json::as_f64).expect("overhead field");
-        assert!(oh >= 0.0);
-        assert!(e.get("whatif_used").is_some(), "EpochRecord fields must survive the fold");
+fn work_counters_are_exact() {
+    const EXPECTED: &str = "\
+engine.exec.values_materialized 13728
+engine.op.hash_join 45
+engine.op.index_scan 714
+engine.op.seq_scan 681
+engine.whatif.memo_hit 68
+engine.whatif.memo_invalidate 752
+engine.whatif.memo_miss 1330
+engine.whatif_calls 48
+harness.queries 1350
+storage.btree.lookups 249
+storage.btree.ranges 714
+storage.heap.fetches 8594
+storage.heap.scans 692
+tuner.budget.spent 4021
+tuner.whatif.considered 179
+tuner.whatif.issued 48
+tuner.whatif.skipped 131
+engine.exec.batch.calls 1440
+engine.execute.calls 1350
+engine.optimize.calls 1350
+engine.whatif.calls 48
+harness.execute.calls 1350
+harness.optimize.calls 1350
+harness.run.calls 1
+harness.tune.calls 1350
+organizer.knapsack.calls 405
+organizer.rebudget.calls 135
+organizer.reorganize.calls 135
+profiler.cluster.calls 1350
+profiler.crude.calls 1350
+profiler.profile.calls 1350
+profiler.whatif.calls 48
+storage.btree.bulk_load.calls 11
+tuner.epoch.calls 135
+";
+    let s = run_colt_at(Level::Summary, presets::shifting).obs;
+    let actual: String = (s.counters.iter().map(|(k, v)| format!("{k} {v}\n")))
+        .chain(s.spans.iter().map(|(k, v)| format!("{k}.calls {}\n", v.count)))
+        .collect();
+    assert!(actual == EXPECTED, "work counters moved; actual listing:\n{actual}");
+    // The listing must never be pinned on a run that exercised nothing.
+    assert_eq!(
+        s.counter("tuner.whatif.issued") + s.counter("tuner.whatif.skipped"),
+        s.counter("tuner.whatif.considered")
+    );
+    for live in ["tuner.whatif.skipped", "engine.whatif.memo_hit", "storage.btree.lookups"] {
+        assert!(s.counter(live) > 0, "{live} must be exercised");
     }
-    assert!(v.get("spans").and_then(|s| s.get("profiler.profile")).is_some());
 }
