@@ -5,10 +5,15 @@
 //! pass over sorted input, so the run fails when an entry of a
 //! 100 000-entry load costs more than [`BULK_LOAD_SCALING_LIMIT`] times
 //! an entry of a 1 000-entry load (the leaf-peeling loader this guards
-//! against re-copied the tail once per leaf and read 600×).
+//! against re-copied the tail once per leaf and read 600×). Index
+//! builds are held to the same growth limit and must beat, in this
+//! process, the comparison sort their radix sort replaced.
 
 use colt_bench::bench;
-use colt_storage::{BPlusTree, IoStats, RowId, Value};
+use colt_catalog::{build_index, ColRef, TableId};
+use colt_storage::{
+    row_from, BPlusTree, ColumnSlice, HeapTable, IoStats, KeyCode, RowId, Value, ValueType,
+};
 use std::hint::black_box;
 use std::ops::Bound;
 
@@ -36,6 +41,58 @@ fn bench_bulk_load() -> bool {
     let growth = per_entry[2] / per_entry[0];
     println!("  bulk_load ns/entry at 100k vs 1k: {growth:.2}x (limit {BULK_LOAD_SCALING_LIMIT}x)");
     growth <= BULK_LOAD_SCALING_LIMIT
+}
+
+/// What `build_index` did before its radix sort, as the same-process
+/// reference: `sort_unstable` on the `(code, row id)` pairs.
+fn build_by_comparison_sort<T: KeyCode>(cells: &[T], wrap: fn(T) -> Value) -> BPlusTree {
+    let mut keyed: Vec<(T::Code, u32)> = cells.iter().map(|x| x.code()).zip(0..).collect();
+    keyed.sort_unstable();
+    let entries =
+        keyed.into_iter().map(|(code, rid)| (wrap(T::from_code(code)), RowId(rid))).collect();
+    BPlusTree::bulk_load(8, entries)
+}
+
+/// Benchmarks `build_index` on one column (scrambled row order) at 1 k
+/// and 100 k rows; false when the per-entry cost grows more than
+/// [`BULK_LOAD_SCALING_LIMIT`] or the 100 k build is not faster than
+/// the comparison-sort reference.
+fn bench_build_index(name: &str, vtype: ValueType, value: fn(u64) -> Value) -> bool {
+    let col = ColRef::new(TableId(0), 0);
+    let heap_of = |n: u64| {
+        let mut heap = HeapTable::new(&[vtype]);
+        for i in 0..n {
+            let row = row_from(vec![value(i.wrapping_mul(2_654_435_761) % (n * 97))]);
+            heap.insert(row).expect("the row has the column's type");
+        }
+        heap
+    };
+    // The fastest of three: the verdict must not hang on a neighbour's
+    // burst during one of two 100 ms measurements.
+    let per_entry = |n: u64, name: &str, build: &dyn Fn(&HeapTable) -> BPlusTree| {
+        let heap = heap_of(n);
+        let runs = [(); 3].map(|()| bench(name, || drop(black_box(build(black_box(&heap))))));
+        runs.into_iter().fold(f64::INFINITY, f64::min) / n as f64
+    };
+    let radix = |heap: &HeapTable| build_index(heap, col, 8).0;
+    let small = per_entry(1_000, &format!("btree/build_index/{name}/1000"), &radix);
+    let large = per_entry(100_000, &format!("btree/build_index/{name}/100000"), &radix);
+    let reference = per_entry(
+        100_000,
+        &format!("btree/build_index/{name}/100000/sort_unstable"),
+        &|heap| match heap.column(0) {
+            Some(ColumnSlice::Int(cells)) => build_by_comparison_sort(cells, Value::Int),
+            Some(ColumnSlice::Date(cells)) => build_by_comparison_sort(cells, Value::Date),
+            Some(ColumnSlice::Float(cells)) => build_by_comparison_sort(cells, Value::Float),
+            _ => unreachable!("the heap has one fixed-width column"),
+        },
+    );
+    let (growth, ratio) = (large / small, large / reference);
+    println!(
+        "  build_index/{name} ns/entry at 100k vs 1k: {growth:.2}x (limit \
+         {BULK_LOAD_SCALING_LIMIT}x); radix / sort_unstable at 100k: {ratio:.2} (limit 1)"
+    );
+    growth <= BULK_LOAD_SCALING_LIMIT && ratio < 1.0
 }
 
 fn bench_insert() {
@@ -115,14 +172,29 @@ fn bench_composite() {
 fn main() -> std::process::ExitCode {
     println!("# btree micro-benchmarks");
     let bulk_load_linear = bench_bulk_load();
+    // ~n distinct ids, 2 500 days, prices in cents from 900.00.
+    let builds_fast = [
+        bench_build_index("int", ValueType::Int, |k| Value::Int(k as i64)),
+        bench_build_index("date", ValueType::Date, |k| Value::Date((k % 2_500) as i32 + 8_000)),
+        bench_build_index("float", ValueType::Float, |k| {
+            Value::Float(900.0 + (k % 10_000_000) as f64 / 100.0)
+        }),
+    ]
+    .iter()
+    .all(|&ok| ok);
     bench_insert();
     bench_lookup();
     bench_range();
     bench_composite();
-    if bulk_load_linear {
+    if !bulk_load_linear {
+        println!("FAIL: bulk load's per-entry cost grows with the input size");
+    }
+    if !builds_fast {
+        println!("FAIL: an index build scales worse than linearly or lost to sort_unstable");
+    }
+    if bulk_load_linear && builds_fast {
         std::process::ExitCode::SUCCESS
     } else {
-        println!("FAIL: bulk load's per-entry cost grows with the input size");
         std::process::ExitCode::FAILURE
     }
 }

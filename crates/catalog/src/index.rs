@@ -7,7 +7,9 @@
 
 use crate::schema::ColRef;
 use colt_storage::btree::default_order;
-use colt_storage::{BPlusTree, ColumnSlice, HeapTable, IoStats, KeyCode, RowId, Value};
+use colt_storage::{
+    sort_by_code, BPlusTree, ColumnSlice, HeapTable, IoStats, KeyCode, RowId, Value,
+};
 
 /// Estimated physical shape of a (possibly hypothetical) index.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,12 +102,14 @@ pub fn build_index(heap: &HeapTable, col: ColRef, key_width: usize) -> (BPlusTre
 }
 
 /// The `(key, row id)` entries of a fixed-width column in `Value::cmp`
-/// then row-id order. What is sorted is `(code, row id)` pairs of
-/// unsigned integers ([`KeyCode`]), not `(Value, RowId)` pairs through
-/// the enum's comparison; the codes convert back losslessly afterwards.
+/// then row-id order. What is sorted is `(code, row id)` pairs by their
+/// unsigned code ([`KeyCode`]), not `(Value, RowId)` pairs through the
+/// enum's comparison; the pairs start in row order and the sort is
+/// stable, which is the row-id tiebreak. The codes convert back
+/// losslessly afterwards.
 fn sorted_entries<T: KeyCode>(cells: &[T], wrap: fn(T) -> Value) -> Vec<(Value, RowId)> {
     let mut keyed: Vec<(T::Code, u32)> = cells.iter().map(|x| x.code()).zip(0..).collect();
-    keyed.sort_unstable();
+    sort_by_code(&mut keyed);
     keyed.into_iter().map(|(code, rid)| (wrap(T::from_code(code)), RowId(rid))).collect()
 }
 

@@ -11,8 +11,7 @@
 //! last `h` epochs, so `Count(Q_i)` (its popularity within the memory
 //! window) and the current-epoch count are both cheap to read.
 
-use colt_catalog::{ColRef, Database, TableId};
-use colt_engine::selectivity::predicate_selectivity;
+use colt_catalog::{ColRef, TableId};
 use colt_engine::{JoinPred, Query};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -30,7 +29,7 @@ pub enum SelBucket {
 }
 
 /// The identity of a cluster.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterKey {
     /// Accessed tables, sorted.
     pub tables: Vec<TableId>,
@@ -41,26 +40,23 @@ pub struct ClusterKey {
 }
 
 impl ClusterKey {
-    /// Derive the key of a query, bucketing each selection predicate's
-    /// estimated selectivity at `boundary`.
-    pub fn of(db: &Database, query: &Query, boundary: f64) -> Self {
-        let mut tables = query.tables.clone();
-        tables.sort_unstable();
-        let mut joins = query.joins.clone();
-        joins.sort_unstable();
-        let mut attrs: Vec<(ColRef, SelBucket)> = query
-            .selections
-            .iter()
-            .map(|p| {
-                let sel = predicate_selectivity(db, p);
-                let bucket =
-                    if sel < boundary { SelBucket::Selective } else { SelBucket::NonSelective };
-                (p.col, bucket)
-            })
-            .collect();
-        attrs.sort_unstable_by_key(|(c, b)| (*c, matches!(b, SelBucket::NonSelective)));
-        attrs.dedup();
-        ClusterKey { tables, joins, attrs }
+    /// Make this the key of `query`, reusing the key's own vectors.
+    /// `sels[i]` is the estimated selectivity of `query.selections[i]`,
+    /// bucketed here at `boundary`.
+    fn fill(&mut self, query: &Query, sels: &[f64], boundary: f64) {
+        self.tables.clear();
+        self.tables.extend_from_slice(&query.tables);
+        self.tables.sort_unstable();
+        self.joins.clear();
+        self.joins.extend_from_slice(&query.joins);
+        self.joins.sort_unstable();
+        self.attrs.clear();
+        self.attrs.extend(query.selections.iter().zip(sels).map(|(p, &sel)| {
+            let bucket = if sel < boundary { SelBucket::Selective } else { SelBucket::NonSelective };
+            (p.col, bucket)
+        }));
+        self.attrs.sort_unstable_by_key(|(c, b)| (*c, matches!(b, SelBucket::NonSelective)));
+        self.attrs.dedup();
     }
 
     /// Columns this cluster restricts — the indices "relevant to" the
@@ -107,6 +103,9 @@ pub struct ClusterSet {
     clusters: Vec<Cluster>,
     history_epochs: usize,
     selective_boundary: f64,
+    /// The key of the query being assigned: looking a cluster up
+    /// allocates nothing, only a first sight clones the key.
+    lookup: ClusterKey,
 }
 
 impl ClusterSet {
@@ -117,21 +116,23 @@ impl ClusterSet {
             clusters: Vec::new(),
             history_epochs: history_epochs.max(1),
             selective_boundary,
+            lookup: ClusterKey::default(),
         }
     }
 
     /// Assign a query to its (unique) cluster, creating the cluster on
-    /// first sight, and bump the current epoch count.
-    pub fn assign(&mut self, db: &Database, query: &Query) -> ClusterId {
-        let key = ClusterKey::of(db, query, self.selective_boundary);
-        let id = match self.by_key.get(&key) {
+    /// first sight, and bump the current epoch count. `sels[i]` is the
+    /// estimated selectivity of `query.selections[i]`.
+    pub fn assign(&mut self, query: &Query, sels: &[f64]) -> ClusterId {
+        self.lookup.fill(query, sels, self.selective_boundary);
+        let id = match self.by_key.get(&self.lookup) {
             Some(&id) => id,
             None => {
                 let id = ClusterId(self.clusters.len() as u32);
                 let mut counts = VecDeque::with_capacity(self.history_epochs);
                 counts.push_front(0);
-                self.clusters.push(Cluster { key: key.clone(), counts });
-                self.by_key.insert(key, id);
+                self.clusters.push(Cluster { key: self.lookup.clone(), counts });
+                self.by_key.insert(self.lookup.clone(), id);
                 id
             }
         };
@@ -152,6 +153,13 @@ impl ClusterSet {
             .enumerate()
             .filter(|(_, c)| c.window_count() > 0)
             .map(|(i, c)| (ClusterId(i as u32), c))
+    }
+
+    /// `Count(Q_i)` of every cluster that has one, in id order — what
+    /// an epoch boundary weighs benefits by, summed once for it.
+    pub fn window_counts(&self) -> Vec<(ClusterId, u64)> {
+        let counts = self.clusters.iter().map(Cluster::window_count);
+        (0..).map(ClusterId).zip(counts).filter(|&(_, count)| count > 0).collect()
     }
 
     /// Number of clusters ever created (the paper bounds this by `w·h`).
@@ -184,7 +192,8 @@ impl ClusterSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colt_catalog::{Column, TableSchema};
+    use colt_catalog::{Column, Database, TableSchema};
+    use colt_engine::selectivity::predicate_selectivity;
     use colt_engine::SelPred;
     use colt_storage::{row_from, Value, ValueType};
 
@@ -201,14 +210,20 @@ mod tests {
         (db, a, b)
     }
 
+    /// `ClusterSet::assign` under the selectivities the profiler derives.
+    fn assign(cs: &mut ClusterSet, db: &Database, q: &Query) -> ClusterId {
+        let sels: Vec<f64> = q.selections.iter().map(|p| predicate_selectivity(db, p)).collect();
+        cs.assign(q, &sels)
+    }
+
     #[test]
     fn same_shape_same_cluster() {
         let (db, a, _) = db();
         let mut cs = ClusterSet::new(12, 0.02);
         let q1 = Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 5i64)]);
         let q2 = Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 999i64)]);
-        let c1 = cs.assign(&db, &q1);
-        let c2 = cs.assign(&db, &q2);
+        let c1 = assign(&mut cs, &db, &q1);
+        let c2 = assign(&mut cs, &db, &q2);
         assert_eq!(c1, c2, "same table/attr/selectivity bucket");
         assert_eq!(cs.get(c1).current_epoch_count(), 2);
         assert_eq!(cs.len(), 1);
@@ -222,8 +237,8 @@ mod tests {
         let sel = Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 5i64)]);
         // g has 4 distinct values → eq is 25% (non-selective).
         let unsel = Query::single(a, vec![SelPred::eq(ColRef::new(a, 1), 2i64)]);
-        let c1 = cs.assign(&db, &sel);
-        let c2 = cs.assign(&db, &unsel);
+        let c1 = assign(&mut cs, &db, &sel);
+        let c2 = assign(&mut cs, &db, &unsel);
         assert_ne!(c1, c2);
     }
 
@@ -233,7 +248,7 @@ mod tests {
         let mut cs = ClusterSet::new(12, 0.02);
         let narrow = Query::single(a, vec![SelPred::between(ColRef::new(a, 0), 0i64, 9i64)]);
         let wide = Query::single(a, vec![SelPred::between(ColRef::new(a, 0), 0i64, 9000i64)]);
-        assert_ne!(cs.assign(&db, &narrow), cs.assign(&db, &wide));
+        assert_ne!(assign(&mut cs, &db, &narrow), assign(&mut cs, &db, &wide));
     }
 
     #[test]
@@ -246,7 +261,7 @@ mod tests {
             vec![JoinPred::new(ColRef::new(a, 0), ColRef::new(b, 0))],
             vec![],
         );
-        assert_ne!(cs.assign(&db, &solo), cs.assign(&db, &joined));
+        assert_ne!(assign(&mut cs, &db, &solo), assign(&mut cs, &db, &joined));
     }
 
     #[test]
@@ -254,11 +269,11 @@ mod tests {
         let (db, a, _) = db();
         let mut cs = ClusterSet::new(3, 0.02);
         let q = Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 1i64)]);
-        let id = cs.assign(&db, &q);
-        cs.assign(&db, &q);
+        let id = assign(&mut cs, &db, &q);
+        assign(&mut cs, &db, &q);
         assert_eq!(cs.get(id).window_count(), 2);
         cs.roll_epoch();
-        cs.assign(&db, &q);
+        assign(&mut cs, &db, &q);
         assert_eq!(cs.get(id).current_epoch_count(), 1);
         assert_eq!(cs.get(id).window_count(), 3);
         // After h more epochs the old counts age out.
@@ -276,8 +291,9 @@ mod tests {
             a,
             vec![SelPred::eq(ColRef::new(a, 0), 1i64), SelPred::eq(ColRef::new(a, 1), 1i64)],
         );
-        let key = ClusterKey::of(&db, &q, 0.02);
-        let cols: Vec<_> = key.restricted_columns().collect();
+        let mut cs = ClusterSet::new(12, 0.02);
+        let id = assign(&mut cs, &db, &q);
+        let cols: Vec<_> = cs.get(id).key.restricted_columns().collect();
         assert_eq!(cols, vec![ColRef::new(a, 0), ColRef::new(a, 1)]);
     }
 }

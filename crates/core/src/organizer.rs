@@ -18,6 +18,7 @@
 //! This is the mechanism that lets COLT hibernate on stable workloads
 //! and wake up at phase shifts.
 
+use crate::cluster::ClusterId;
 use crate::config::ColtConfig;
 use crate::forecast;
 use crate::hotset::select_hot;
@@ -25,14 +26,14 @@ use crate::knapsack::{self, Item};
 use crate::profiler::{GainMode, Profiler};
 use crate::rebudget::{CandidateInterval, DecisionContext};
 use colt_catalog::{ColRef, Database, PhysicalConfig};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-epoch benefit series for one index: conservative and optimistic
 /// totals, most recent epoch first.
 #[derive(Debug, Clone, Default)]
 struct BenefitSeries {
-    conservative: VecDeque<f64>,
-    optimistic: VecDeque<f64>,
+    conservative: Vec<f64>,
+    optimistic: Vec<f64>,
 }
 
 /// The decision produced at an epoch boundary.
@@ -109,12 +110,14 @@ impl SelfOrganizer {
 
     /// Fold the finished epoch's measured benefits into the per-index
     /// series for every index in `H ∪ M`, and age out series of indices
-    /// that left both sets.
+    /// that left both sets. `counts` is the boundary's
+    /// [`ClusterSet::window_counts`](crate::cluster::ClusterSet::window_counts).
     pub fn record_epoch(
         &mut self,
         profiler: &Profiler,
         config: &PhysicalConfig,
         hot: &BTreeSet<ColRef>,
+        counts: &[(ClusterId, u64)],
     ) {
         let mut active: BTreeSet<ColRef> = hot.clone();
         active.extend(config.online_columns());
@@ -122,61 +125,59 @@ impl SelfOrganizer {
         self.series.retain(|col, _| active.contains(col));
         for &col in &active {
             let (cons, opt) = if config.contains(col) {
-                let b = profiler.epoch_benefit(col, GainMode::Materialized);
+                let b = profiler.epoch_benefit(col, GainMode::Materialized, counts);
                 (b, b)
             } else {
                 (
-                    profiler.epoch_benefit(col, GainMode::HotConservative),
-                    profiler.epoch_benefit(col, GainMode::HotOptimistic),
+                    profiler.epoch_benefit(col, GainMode::HotConservative, counts),
+                    profiler.epoch_benefit(col, GainMode::HotOptimistic, counts),
                 )
             };
             let s = self.series.entry(col).or_default();
-            s.conservative.push_front(cons);
-            s.optimistic.push_front(opt);
-            while s.conservative.len() > self.history_epochs {
-                s.conservative.pop_back();
-                s.optimistic.pop_back();
-            }
+            s.conservative.insert(0, cons);
+            s.conservative.truncate(self.history_epochs);
+            s.optimistic.insert(0, opt);
+            s.optimistic.truncate(self.history_epochs);
         }
     }
 
-    /// Net benefit of an index from its recorded series.
-    fn net_benefit_of(
+    /// Price an index of `H ∪ M`, or a fresh hot one, for the boundary:
+    /// its size, its materialization cost (0 once materialized) and its
+    /// net benefit from the recorded series, under normal estimates
+    /// (`lo`) and in the best case (`hi`). An `online` index has no best
+    /// case beyond its estimate.
+    fn price(
         &self,
         db: &Database,
         config: &PhysicalConfig,
         profiler: &Profiler,
         col: ColRef,
-        optimistic: bool,
-    ) -> f64 {
-        let mat_cost = if config.contains(col) { 0.0 } else { Self::estimated_mat_cost(db, col) };
-        let series: Vec<f64> = match self.series.get(&col) {
-            Some(s) if optimistic => s.optimistic.iter().copied().collect(),
-            Some(s) => s.conservative.iter().copied().collect(),
-            None => Vec::new(),
+        online: bool,
+    ) -> CandidateInterval {
+        let (size, mat_cost) = match config.get(col) {
+            Some(m) => (m.tree.page_count() as u64, 0.0),
+            None => (db.index_estimate(col).pages, Self::estimated_mat_cost(db, col)),
         };
         // Series entries are window-averaged (see
         // `Profiler::epoch_benefit`), so the latest entry is the level.
-        let forecast_nb = forecast::net_benefit_from_smoothed(&series, self.history_epochs, mat_cost);
-        if optimistic && !config.contains(col) {
+        let forecast = |series: fn(&BenefitSeries) -> &[f64]| {
+            let series = self.series.get(&col).map_or(&[][..], series);
+            forecast::net_benefit_from_smoothed(series, self.history_epochs, mat_cost)
+        };
+        let lo = forecast(|s| &s.conservative);
+        let hi = if online {
+            lo
+        } else if config.contains(col) {
+            forecast(|s| &s.optimistic)
+        } else {
             // A hot index that has not been what-if-profiled yet carries
             // no accurate signal; its best case is its crude estimate
             // projected over the horizon. This is what drives the budget
             // up when a workload shift surfaces new candidates.
             let crude = profiler.candidates().projected_benefit(col);
-            let crude_nb = crude * self.history_epochs as f64 - mat_cost;
-            forecast_nb.max(crude_nb)
-        } else {
-            forecast_nb
-        }
-    }
-
-    /// Size in pages an index (would) occupy.
-    fn index_pages(db: &Database, config: &PhysicalConfig, col: ColRef) -> u64 {
-        match config.get(col) {
-            Some(m) => m.tree.page_count() as u64,
-            None => db.index_estimate(col).pages,
-        }
+            forecast(|s| &s.optimistic).max(crude * self.history_epochs as f64 - mat_cost)
+        };
+        CandidateInterval { size, lo, hi, mat_cost }
     }
 
     /// Run reorganization + re-budgeting at an epoch boundary.
@@ -188,20 +189,19 @@ impl SelfOrganizer {
         hot: &BTreeSet<ColRef>,
     ) -> ReorgDecision {
         let _span = colt_obs::span("organizer.reorganize");
-        self.record_epoch(profiler, config, hot);
+        let counts = profiler.clusters().window_counts();
+        self.record_epoch(profiler, config, hot, &counts);
 
         let online: BTreeSet<ColRef> = config.online_columns().collect();
         let mut pool: Vec<ColRef> = online.union(hot).copied().collect();
         pool.sort_unstable();
+        let priced: Vec<CandidateInterval> = pool
+            .iter()
+            .map(|&col| self.price(db, config, profiler, col, online.contains(&col)))
+            .collect();
 
         // --- Reorganization: knapsack under normal estimates. ---
-        let items: Vec<Item> = pool
-            .iter()
-            .map(|&col| Item {
-                size: Self::index_pages(db, config, col),
-                value: self.net_benefit_of(db, config, profiler, col, false),
-            })
-            .collect();
+        let items: Vec<Item> = priced.iter().map(|p| Item { size: p.size, value: p.lo }).collect();
         // Free solution: the unconstrained knapsack optimum.
         let free_chosen = {
             let _s = colt_obs::span("organizer.knapsack");
@@ -290,13 +290,8 @@ impl SelfOrganizer {
 
         // --- Re-budgeting: best-case knapsack. ---
         let _rebudget = colt_obs::span("organizer.rebudget");
-        let opt_items: Vec<Item> = pool
-            .iter()
-            .map(|&col| Item {
-                size: Self::index_pages(db, config, col),
-                value: self.net_benefit_of(db, config, profiler, col, !online.contains(&col)),
-            })
-            .collect();
+        let opt_items: Vec<Item> =
+            priced.iter().map(|p| Item { size: p.size, value: p.hi }).collect();
         let opt_chosen = {
             let _s = colt_obs::span("organizer.knapsack");
             knapsack::solve(&opt_items, self.budget_pages)
@@ -304,10 +299,14 @@ impl SelfOrganizer {
         let mut net_benefit_m_prime = knapsack::total_value(&opt_items, &opt_chosen);
         // Fresh hot indices (selected just now, never profiled) also
         // belong to the best-case scenario of the *next* epoch.
-        for &col in new_hot.iter().filter(|c| !pool.contains(c)) {
-            let v = self.net_benefit_of(db, config, profiler, col, true);
-            if v > 0.0 {
-                net_benefit_m_prime += v;
+        let fresh: Vec<(ColRef, CandidateInterval)> = new_hot
+            .iter()
+            .filter(|c| !pool.contains(c))
+            .map(|&col| (col, self.price(db, config, profiler, col, false)))
+            .collect();
+        for (_, p) in &fresh {
+            if p.hi > 0.0 {
+                net_benefit_m_prime += p.hi;
             }
         }
 
@@ -318,32 +317,10 @@ impl SelfOrganizer {
         // individual probes redundant. The per-query→net-benefit scale
         // is the memory window's query count (epoch benefit is at most
         // `total/h · g`, projected over the `h`-epoch horizon).
-        let total_window: u64 =
-            profiler.clusters().live().map(|(_, c)| c.window_count()).sum();
+        let total_window: u64 = counts.iter().map(|&(_, count)| count).sum();
         let mut context = DecisionContext::new(self.budget_pages, total_window as f64);
-        for (i, &col) in pool.iter().enumerate() {
-            let mat_cost =
-                if config.contains(col) { 0.0 } else { Self::estimated_mat_cost(db, col) };
-            context.insert(
-                col,
-                CandidateInterval {
-                    size: items[i].size,
-                    lo: items[i].value,
-                    hi: opt_items[i].value,
-                    mat_cost,
-                },
-            );
-        }
-        for &col in new_hot.iter().filter(|c| !pool.contains(c)) {
-            context.insert(
-                col,
-                CandidateInterval {
-                    size: Self::index_pages(db, config, col),
-                    lo: self.net_benefit_of(db, config, profiler, col, false),
-                    hi: self.net_benefit_of(db, config, profiler, col, true),
-                    mat_cost: Self::estimated_mat_cost(db, col),
-                },
-            );
+        for (col, p) in pool.iter().copied().zip(priced).chain(fresh) {
+            context.insert(col, p);
         }
 
         let eps = 1e-9;

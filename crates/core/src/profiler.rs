@@ -73,6 +73,22 @@ pub struct Profiler {
     /// The epoch's knapsack decision frame, installed by the tuner from
     /// the previous boundary's [`ReorgDecision`](crate::organizer::ReorgDecision).
     context: Option<DecisionContext>,
+    /// [`Profiler::profile_query`]'s working vectors, kept between
+    /// calls: a query that issues no probe allocates nothing.
+    work: Work,
+}
+
+#[derive(Debug, Default)]
+struct Work {
+    /// Estimated selectivity of each selection predicate, in order —
+    /// derived once, read by the cluster key and the crude gains.
+    sels: Vec<f64>,
+    /// The columns the query restricts and the indices its plan uses.
+    restricted: Vec<ColRef>,
+    used: Vec<ColRef>,
+    /// Probe candidates: materialized indices in the plan, hot indices.
+    im: Vec<ColRef>,
+    ih: Vec<ColRef>,
 }
 
 impl Profiler {
@@ -96,6 +112,7 @@ impl Profiler {
             wi_skipped: 0,
             dynamic_rebudget: config.dynamic_rebudget,
             context: None,
+            work: Work::default(),
         }
     }
 
@@ -143,12 +160,20 @@ impl Profiler {
         hot: &BTreeSet<ColRef>,
     ) -> ProfileOutcome {
         let _span = colt_obs::span("profiler.profile");
+        // Moved out for the call, so that they borrow apart from `self`.
+        let Work { mut sels, mut restricted, mut used, mut im, mut ih } =
+            std::mem::take(&mut self.work);
         let cluster = {
             let _s = colt_obs::span("profiler.cluster");
-            self.clusters.assign(db, query)
+            sels.clear();
+            sels.extend(query.selections.iter().map(|p| predicate_selectivity(db, p)));
+            self.clusters.assign(query, &sels)
         };
-        let restricted = query.candidate_columns();
-        let used = plan.used_indices();
+        restricted.clear();
+        restricted.extend(query.selections.iter().map(|p| p.col));
+        restricted.sort_unstable();
+        restricted.dedup();
+        plan.root.used_indices_into(&mut used);
         if colt_obs::is_enabled() {
             colt_obs::decision(
                 colt_obs::DecisionRecord::new("cluster_assign")
@@ -178,9 +203,10 @@ impl Profiler {
         // plan first, then hot indices relevant to the cluster, each
         // admitted with its adaptive sampling probability while the
         // epoch's budget lasts.
-        let mut im: Vec<ColRef> = used.iter().copied().filter(|c| config.contains(*c)).collect();
-        let mut ih: Vec<ColRef> =
-            restricted.iter().copied().filter(|c| hot.contains(c) && !config.contains(*c)).collect();
+        im.clear();
+        im.extend(used.iter().copied().filter(|c| config.contains(*c)));
+        ih.clear();
+        ih.extend(restricted.iter().copied().filter(|c| hot.contains(c) && !config.contains(*c)));
         self.prng.shuffle(&mut im);
         self.prng.shuffle(&mut ih);
         if self.dynamic_rebudget {
@@ -198,7 +224,7 @@ impl Profiler {
         }
 
         let mut probation: Vec<ColRef> = Vec::new();
-        for col in im.into_iter().chain(ih) {
+        for col in im.iter().chain(&ih).copied() {
             if self.wi_cur + probation.len() as u64 >= self.wi_lim {
                 break;
             }
@@ -274,43 +300,34 @@ impl Profiler {
         let _crude = colt_obs::span("profiler.crude");
         for &col in &restricted {
             self.candidates.touch(col);
-            let u = self.usage_indicator(col, config, hot, &used, &probation);
-            if u {
-                let crude = self.crude_gain(db, query, col);
+            if Self::usage_indicator(col, config, &used) {
+                let crude = Self::crude_gain(db, query, &sels, col);
                 self.candidates.add_gain(col, crude);
             }
         }
 
+        self.work = Work { sels, restricted, used, im, ih };
         ProfileOutcome { cluster: Some(cluster), probed: probation }
     }
 
     /// The indicator `u_{q,I}`: 1 when the optimizer (would) use `I` for
     /// this query. Known exactly for materialized indices (from the
     /// plan); optimistic (1) for everything else, as in the paper.
-    fn usage_indicator(
-        &self,
-        col: ColRef,
-        config: &PhysicalConfig,
-        _hot: &BTreeSet<ColRef>,
-        used: &[ColRef],
-        _probed: &[ColRef],
-    ) -> bool {
-        if config.contains(col) {
-            used.contains(&col)
-        } else {
-            true
-        }
+    fn usage_indicator(col: ColRef, config: &PhysicalConfig, used: &[ColRef]) -> bool {
+        !config.contains(col) || used.contains(&col)
     }
 
     /// Crude `QueryGain_C(q, I) = Δcost(R, σ, I)` from standard cost
     /// formulas. When several predicates restrict the same column, the
-    /// most selective one drives the estimate.
-    fn crude_gain(&self, db: &Database, query: &Query, col: ColRef) -> f64 {
+    /// most selective one drives the estimate. `sels[i]` is the
+    /// estimated selectivity of `query.selections[i]`.
+    fn crude_gain(db: &Database, query: &Query, sels: &[f64], col: ColRef) -> f64 {
         let sel = query
             .selections
             .iter()
-            .filter(|p| p.col == col)
-            .map(|p| predicate_selectivity(db, p))
+            .zip(sels)
+            .filter(|(p, _)| p.col == col)
+            .map(|(_, &sel)| sel)
             .fold(f64::INFINITY, f64::min);
         if !sel.is_finite() {
             return 0.0;
@@ -343,7 +360,10 @@ impl Profiler {
     /// Per-query gain estimate of `I` for queries of `cluster`, under the
     /// requested estimation mode.
     pub fn cluster_gain(&self, col: ColRef, cluster: ClusterId, mode: GainMode) -> f64 {
-        let Some(s) = self.stats.get(&(col, cluster)) else { return 0.0 };
+        self.stats.get(&(col, cluster)).map_or(0.0, |s| self.gain_under(s, mode))
+    }
+
+    fn gain_under(&self, s: &IndexClusterStats, mode: GainMode) -> f64 {
         match mode {
             GainMode::HotConservative => s.gains.low(self.z),
             GainMode::HotOptimistic => s.gains.high(self.z),
@@ -359,17 +379,23 @@ impl Profiler {
     /// represents). Window-averaged counts make the benefit series far
     /// less sensitive to the per-epoch query mix than raw per-epoch
     /// counts, which stabilizes the knapsack when indices are near-tied.
-    pub fn epoch_benefit(&self, col: ColRef, mode: GainMode) -> f64 {
+    ///
+    /// `counts` is [`ClusterSet::window_counts`], which a boundary takes
+    /// once for all its indices; the index's statistics are walked in
+    /// step with it (both are in cluster order), not looked up per
+    /// cluster.
+    pub fn epoch_benefit(&self, col: ColRef, mode: GainMode, counts: &[(ClusterId, u64)]) -> f64 {
         let h = self.clusters.history_epochs() as f64;
-        self.clusters
-            .live()
-            .map(|(id, c)| {
-                let count = c.window_count();
-                if count == 0 {
-                    0.0
-                } else {
-                    count as f64 / h * self.cluster_gain(col, id, mode)
-                }
+        let mut stats =
+            self.stats.range((col, ClusterId(0))..=(col, ClusterId(u32::MAX))).peekable();
+        counts
+            .iter()
+            .map(|&(id, count)| {
+                while stats.next_if(|((_, cluster), _)| *cluster < id).is_some() {}
+                let gain = stats
+                    .next_if(|((_, cluster), _)| *cluster == id)
+                    .map_or(0.0, |(_, s)| self.gain_under(s, mode));
+                count as f64 / h * gain
             })
             .sum()
     }
@@ -533,7 +559,8 @@ mod tests {
         for _ in 0..5 {
             run_query(&mut p, &db, &cfg, &q, &hot);
         }
-        let b = p.epoch_benefit(col, GainMode::HotConservative);
+        let counts = p.clusters().window_counts();
+        let b = p.epoch_benefit(col, GainMode::HotConservative, &counts);
         assert!(b > 0.0);
         // Five queries of one cluster in a 12-epoch window: the benefit
         // is the window-averaged popularity times the per-query gain.

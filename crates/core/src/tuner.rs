@@ -11,9 +11,9 @@
 
 use crate::composite_ext::CompositeTuner;
 use crate::config::ColtConfig;
-use crate::organizer::SelfOrganizer;
+use crate::organizer::{ReorgDecision, SelfOrganizer};
 use crate::profiler::Profiler;
-use crate::scheduler::{MaterializationStrategy, Scheduler};
+use crate::scheduler::{AppliedChanges, MaterializationStrategy, Scheduler};
 use crate::trace::{EpochRecord, Trace};
 use colt_catalog::{ColRef, Database, PhysicalConfig};
 use colt_engine::{Eqo, Plan, Query};
@@ -140,8 +140,12 @@ impl ColtTuner {
         self.profiler.profile_query(db, physical, eqo, query, plan, &self.hot);
         self.composites.observe(query);
 
-        // Piggybacking: a pending build can ride on this query's scans.
-        let piggy = self.scheduler.on_seq_scan(db, physical, &plan.seq_scanned_tables());
+        // Piggybacking: a pending build, if any, rides on this query's scans.
+        let piggy = if self.scheduler.pending().next().is_some() {
+            self.scheduler.on_seq_scan(db, physical, &plan.seq_scanned_tables())
+        } else {
+            AppliedChanges::default()
+        };
 
         self.queries_in_epoch += 1;
         let mut step = if self.queries_in_epoch < self.config.epoch_length {
@@ -151,19 +155,21 @@ impl ColtTuner {
             self.close_epoch(db, physical, eqo)
         };
         if !piggy.built.is_empty() {
-            for (col, io) in &piggy.built {
-                colt_obs::emit(
-                    colt_obs::Event::new("index_create")
-                        .field("epoch", self.epoch)
-                        .field("index", col.to_string())
-                        .field("via", "piggyback"),
-                );
-                colt_obs::decision(
-                    colt_obs::DecisionRecord::new("index_create")
-                        .field("index", col.to_string())
-                        .field("via", "piggyback")
-                        .field("build_millis", db.cost.millis_of(io)),
-                );
+            if colt_obs::wants_events() {
+                for (col, io) in &piggy.built {
+                    colt_obs::emit(
+                        colt_obs::Event::new("index_create")
+                            .field("epoch", self.epoch)
+                            .field("index", col.to_string())
+                            .field("via", "piggyback"),
+                    );
+                    colt_obs::decision(
+                        colt_obs::DecisionRecord::new("index_create")
+                            .field("index", col.to_string())
+                            .field("via", "piggyback")
+                            .field("build_millis", db.cost.millis_of(io)),
+                    );
+                }
             }
             step.build_io.accumulate(&piggy.total_build_io());
             step.created.extend(piggy.built.iter().map(|(c, _)| *c));
@@ -202,58 +208,9 @@ impl ColtTuner {
         }
 
         let build_millis = db.cost.millis_of(&build_io);
-        for (col, io) in &changes.built {
-            colt_obs::emit(
-                colt_obs::Event::new("index_create")
-                    .field("epoch", self.epoch)
-                    .field("index", col.to_string()),
-            );
-            colt_obs::decision(
-                colt_obs::DecisionRecord::new("index_create")
-                    .field("index", col.to_string())
-                    .field("via", "reorganize")
-                    .field("build_millis", db.cost.millis_of(io)),
-            );
+        if colt_obs::wants_events() {
+            self.report_epoch(db, physical, &changes, &decision, build_millis);
         }
-        for col in &changes.dropped {
-            colt_obs::emit(
-                colt_obs::Event::new("index_drop")
-                    .field("epoch", self.epoch)
-                    .field("index", col.to_string()),
-            );
-            colt_obs::decision(
-                colt_obs::DecisionRecord::new("index_drop")
-                    .field("index", col.to_string())
-                    .field("via", "reorganize"),
-            );
-        }
-        colt_obs::emit(
-            colt_obs::Event::new("budget")
-                .field("epoch", self.epoch)
-                .field("next_budget", decision.next_budget)
-                .field("ratio", decision.ratio),
-        );
-        colt_obs::decision(
-            colt_obs::DecisionRecord::new("budget_change")
-                .field("whatif_used", whatif_used)
-                .field("whatif_limit", whatif_limit)
-                .field("next_budget", decision.next_budget)
-                .field("ratio", decision.ratio)
-                .field("net_benefit_m", decision.net_benefit_m)
-                .field("net_benefit_m_prime", decision.net_benefit_m_prime),
-        );
-        colt_obs::emit(
-            colt_obs::Event::new("epoch")
-                .field("epoch", self.epoch)
-                .field("whatif_used", whatif_used)
-                .field("whatif_limit", whatif_limit)
-                .field("next_budget", decision.next_budget)
-                .field("ratio", decision.ratio)
-                .field("created", changes.built.len())
-                .field("dropped", changes.dropped.len())
-                .field("materialized", physical.online_columns().count())
-                .field("build_millis", build_millis),
-        );
 
         self.trace.push(EpochRecord {
             epoch: self.epoch,
@@ -295,6 +252,70 @@ impl ColtTuner {
             created: changes.built.iter().map(|(c, _)| *c).collect(),
             dropped: changes.dropped,
         }
+    }
+
+    /// The closed epoch as events and ledger records: a formatted column
+    /// name per field, built only when [`colt_obs::wants_events`].
+    fn report_epoch(
+        &self,
+        db: &Database,
+        physical: &PhysicalConfig,
+        changes: &AppliedChanges,
+        decision: &ReorgDecision,
+        build_millis: f64,
+    ) {
+        for (col, io) in &changes.built {
+            colt_obs::emit(
+                colt_obs::Event::new("index_create")
+                    .field("epoch", self.epoch)
+                    .field("index", col.to_string()),
+            );
+            colt_obs::decision(
+                colt_obs::DecisionRecord::new("index_create")
+                    .field("index", col.to_string())
+                    .field("via", "reorganize")
+                    .field("build_millis", db.cost.millis_of(io)),
+            );
+        }
+        for col in &changes.dropped {
+            colt_obs::emit(
+                colt_obs::Event::new("index_drop")
+                    .field("epoch", self.epoch)
+                    .field("index", col.to_string()),
+            );
+            colt_obs::decision(
+                colt_obs::DecisionRecord::new("index_drop")
+                    .field("index", col.to_string())
+                    .field("via", "reorganize"),
+            );
+        }
+        colt_obs::emit(
+            colt_obs::Event::new("budget")
+                .field("epoch", self.epoch)
+                .field("next_budget", decision.next_budget)
+                .field("ratio", decision.ratio),
+        );
+        colt_obs::decision(
+            colt_obs::DecisionRecord::new("budget_change")
+                .field("whatif_used", self.profiler.whatif_used())
+                .field("whatif_limit", self.profiler.whatif_limit())
+                .field("next_budget", decision.next_budget)
+                .field("ratio", decision.ratio)
+                .field("net_benefit_m", decision.net_benefit_m)
+                .field("net_benefit_m_prime", decision.net_benefit_m_prime),
+        );
+        colt_obs::emit(
+            colt_obs::Event::new("epoch")
+                .field("epoch", self.epoch)
+                .field("whatif_used", self.profiler.whatif_used())
+                .field("whatif_limit", self.profiler.whatif_limit())
+                .field("next_budget", decision.next_budget)
+                .field("ratio", decision.ratio)
+                .field("created", changes.built.len())
+                .field("dropped", changes.dropped.len())
+                .field("materialized", physical.online_columns().count())
+                .field("build_millis", build_millis),
+        );
     }
 }
 

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use colt_catalog::{ColRef, Column, Database, PhysicalConfig, TableId, TableSchema};
 use colt_core::cluster::{ClusterKey, ClusterSet};
 use colt_core::knapsack::{self, Item};
+use colt_engine::selectivity::predicate_selectivity;
 use colt_engine::{AggExpr, AggSpec, Executor, IndexSetView, Optimizer, Query, SelPred};
 use colt_storage::{row_from, Value, ValueType};
 
@@ -63,13 +64,16 @@ fn cluster_counts_independent_of_insertion_order() {
     let (db, t) = build_db(&rows);
     let queries = query_mix(t);
 
+    let sels = |q: &Query| -> Vec<f64> {
+        q.selections.iter().map(|p| predicate_selectivity(&db, p)).collect()
+    };
     let mut forward = ClusterSet::new(12, 0.02);
     for q in &queries {
-        forward.assign(&db, q);
+        forward.assign(q, &sels(q));
     }
     let mut reversed = ClusterSet::new(12, 0.02);
     for q in queries.iter().rev() {
-        reversed.assign(&db, q);
+        reversed.assign(q, &sels(q));
     }
 
     assert_eq!(forward.len(), reversed.len());

@@ -20,13 +20,18 @@
 //! state — so the memo's shape is reproducible run to run.
 //!
 //! **Invalidation is incremental, never a blanket clear.** Each entry
-//! carries a [`TableSnap`] per referenced table recording exactly the
-//! inputs the optimizer reads: the materialized single-column set, the
-//! materialized composite set, the table's statistics version, and its
-//! row count. A lookup re-validates its own snapshots and rebuilds only
-//! itself when stale; the epoch-boundary sweep walks all entries and
-//! drops only those whose snapshots no longer hold. An entry about
-//! table `A` survives a create/drop/analyze on table `B` untouched.
+//! carries a [`TableSnap`] per referenced table pinning exactly the
+//! inputs the optimizer reads, as three integers: the table's
+//! materialization generation ([`PhysicalConfig::generation`], moved by
+//! every single-column or composite create and drop), its statistics
+//! version, and its row count. None of them ever returns to an earlier
+//! value (heaps are append-only), so equal integers mean unchanged
+//! inputs — given that one memo serves one `PhysicalConfig` and one
+//! `Database`, as [`crate::Eqo`]'s does. A lookup re-validates its own
+//! snapshots and rebuilds only itself when stale; the epoch-boundary
+//! sweep drops only the entries whose snapshots no longer hold, and
+//! walks none when no table's integers moved since the last sweep. An
+//! entry about table `A` survives a create/drop/analyze on table `B`.
 //!
 //! **Determinism.** A cached value is the value the derivation would
 //! produce: gains and plans are pure functions of (query, materialized
@@ -41,7 +46,7 @@
 use crate::optimizer::ScanChoice;
 use crate::plan::Plan;
 use crate::query::Query;
-use colt_catalog::{ColRef, CompositeKey, Database, PhysicalConfig, TableId};
+use colt_catalog::{ColRef, Database, PhysicalConfig, TableId};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
@@ -76,14 +81,13 @@ fn fingerprint(query: &Query) -> u64 {
 
 /// Everything the optimizer reads about one table, pinned at caching
 /// time. An entry is served only while every snapshot still holds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TableSnap {
     /// The table this snapshot pins.
     table: TableId,
-    /// Materialized single-column indices on the table, in order.
-    mat_cols: Vec<ColRef>,
-    /// Materialized composite indices on the table, in order.
-    composites: Vec<CompositeKey>,
+    /// [`PhysicalConfig::generation`] at caching time: the materialized
+    /// single-column and composite sets on the table.
+    generation: u64,
     /// [`colt_catalog::Table::stats_version`] at caching time.
     stats_version: u64,
     /// Heap row count at caching time (catches inserts between
@@ -96,20 +100,24 @@ impl TableSnap {
         let t = db.table(table);
         TableSnap {
             table,
-            mat_cols: config.columns().filter(|c| c.table == table).collect(),
-            composites: config.composites_on(table).map(|m| m.key.clone()).collect(),
+            generation: config.generation(table),
             stats_version: t.stats_version(),
             row_count: t.heap.row_count() as u64,
         }
     }
 
     fn holds(&self, db: &Database, config: &PhysicalConfig) -> bool {
-        let t = db.table(self.table);
-        t.stats_version() == self.stats_version
-            && t.heap.row_count() as u64 == self.row_count
-            && config.columns().filter(|c| c.table == self.table).eq(self.mat_cols.iter().copied())
-            && config.composites_on(self.table).map(|m| &m.key).eq(self.composites.iter())
+        *self == Self::capture(db, config, self.table)
     }
+}
+
+/// The sum of every table's snapshot integers. Each only ever grows, so
+/// the sum stands still exactly while all of them do.
+fn world_stamp(db: &Database, config: &PhysicalConfig) -> u64 {
+    db.tables()
+        .iter()
+        .map(|t| config.generation(t.id) + t.stats_version() + t.heap.row_count() as u64)
+        .sum()
 }
 
 /// Cached derivations for one query template.
@@ -158,6 +166,9 @@ pub struct WhatIfMemo {
     /// eviction silently forgets a live template, so it must be
     /// observable: `Eqo` exports this as `engine.whatif.memo_eviction`.
     evicted: u64,
+    /// [`world_stamp`] at the last sweep (0, the stamp of an empty
+    /// database, before the first).
+    swept_at: u64,
 }
 
 impl Default for WhatIfMemo {
@@ -181,6 +192,7 @@ impl WhatIfMemo {
             index: BTreeMap::new(),
             next_id: 0,
             evicted: 0,
+            swept_at: 0,
         }
     }
 
@@ -273,8 +285,14 @@ impl WhatIfMemo {
 
     /// Drop every entry whose snapshots no longer hold; keep the rest.
     /// Called at epoch boundaries. Returns how many entries were
-    /// dropped.
+    /// dropped. When nothing a snapshot pins has moved since the last
+    /// sweep, every entry that survived it or was made after it still
+    /// holds, and the walk is skipped.
     pub fn sweep(&mut self, db: &Database, config: &PhysicalConfig) -> u64 {
+        let stamp = world_stamp(db, config);
+        if std::mem::replace(&mut self.swept_at, stamp) == stamp {
+            return 0;
+        }
         let stale: Vec<(u64, u64)> = self
             .entries
             .iter()
@@ -327,9 +345,9 @@ impl WhatIfMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::SelPred;
-    use colt_catalog::{Column, IndexOrigin, TableSchema};
-    use colt_storage::{row_from, Value, ValueType};
+    use crate::query::{JoinPred, SelPred};
+    use colt_catalog::{Column, CompositeKey, IndexOrigin, TableSchema};
+    use colt_storage::{row_from, Prng, Value, ValueType};
 
     fn db2() -> (Database, TableId, TableId) {
         let mut db = Database::new();
@@ -448,5 +466,110 @@ mod tests {
         assert_eq!(fingerprint(&q1), fingerprint(&q2), "equal queries, equal fingerprints");
         assert_ne!(fingerprint(&q1), fingerprint(&q3), "literals are part of the key");
         assert_ne!(fingerprint(&q1), fingerprint(&q4));
+    }
+
+    /// What [`TableSnap`] was before generations — the materialized
+    /// sets themselves, compared from scratch — kept as the oracle.
+    struct SetSnap {
+        table: TableId,
+        mat_cols: Vec<ColRef>,
+        composites: Vec<CompositeKey>,
+        stats_version: u64,
+        row_count: u64,
+    }
+
+    impl SetSnap {
+        fn capture(db: &Database, config: &PhysicalConfig, table: TableId) -> Self {
+            let t = db.table(table);
+            SetSnap {
+                table,
+                mat_cols: config.columns().filter(|c| c.table == table).collect(),
+                composites: config.composites_on(table).map(|m| m.key.clone()).collect(),
+                stats_version: t.stats_version(),
+                row_count: t.heap.row_count() as u64,
+            }
+        }
+
+        fn holds(&self, db: &Database, config: &PhysicalConfig) -> bool {
+            let t = db.table(self.table);
+            t.stats_version() == self.stats_version
+                && t.heap.row_count() as u64 == self.row_count
+                && config.columns().filter(|c| c.table == self.table).eq(self.mat_cols.iter().copied())
+                && config.composites_on(self.table).map(|m| &m.key).eq(self.composites.iter())
+        }
+    }
+
+    #[test]
+    fn generation_snapshots_agree_with_set_comparison_on_random_histories() {
+        let mut rng = Prng::new(0x6E5E_0001);
+        for case in 0..25 {
+            let mut db = Database::new();
+            let two_ints = || vec![Column::new("p", ValueType::Int), Column::new("q", ValueType::Int)];
+            let tables = [
+                db.add_table(TableSchema::new("a", two_ints())),
+                db.add_table(TableSchema::new("b", two_ints())),
+            ];
+            let row = |i: i64| row_from(vec![Value::Int(i), Value::Int(i % 5)]);
+            for t in tables {
+                db.insert_rows(t, (0..40).map(row)).unwrap();
+            }
+            db.analyze_all();
+            let [a, b] = tables;
+            let queries = [
+                Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 5i64)]),
+                Query::single(b, vec![SelPred::eq(ColRef::new(b, 1), 3i64)]),
+                Query::join(
+                    vec![a, b],
+                    vec![JoinPred::new(ColRef::new(a, 0), ColRef::new(b, 0))],
+                    vec![],
+                ),
+            ];
+            let mut cfg = PhysicalConfig::new();
+            let mut memo = WhatIfMemo::new();
+            let mut oracle: BTreeMap<u64, Vec<SetSnap>> = BTreeMap::new();
+            for step in 0..80 {
+                // One change to one table — or none at all.
+                let t = tables[rng.below(2)];
+                match rng.below(5) {
+                    0 => {
+                        let col = ColRef::new(t, rng.below(2) as u32);
+                        if !cfg.drop_index(col) {
+                            cfg.create_index(&db, col, IndexOrigin::Online);
+                        }
+                    }
+                    1 => {
+                        let key = CompositeKey::new(t, vec![0, 1]);
+                        if !cfg.drop_composite(&key) {
+                            cfg.create_composite(&db, key);
+                        }
+                    }
+                    2 => db.table_mut(t).analyze(),
+                    3 => db.insert_rows(t, [row(step)]).unwrap(),
+                    _ => {}
+                }
+                let mut stale = Vec::new();
+                for (&id, entry) in &memo.entries {
+                    let expected = oracle[&id].iter().all(|s| s.holds(&db, &cfg));
+                    assert_eq!(entry.holds(&db, &cfg), expected, "case {case} step {step} id {id}");
+                    if !expected {
+                        stale.push(id);
+                    }
+                }
+                assert_eq!(memo.sweep(&db, &cfg), stale.len() as u64, "case {case} step {step}");
+                for id in stale {
+                    assert!(!memo.entries.contains_key(&id), "case {case} step {step} id {id}");
+                    oracle.remove(&id);
+                }
+                assert_eq!(memo.len(), oracle.len(), "case {case} step {step}");
+                // Entries are made at different points of the history.
+                for q in queries.iter().filter(|_| rng.chance(0.4)) {
+                    let (handle, invalidated) = memo.resolve(&db, &cfg, q);
+                    assert!(!invalidated, "the sweep left nothing stale");
+                    oracle.entry(handle.0).or_insert_with(|| {
+                        q.tables.iter().map(|&t| SetSnap::capture(&db, &cfg, t)).collect()
+                    });
+                }
+            }
+        }
     }
 }

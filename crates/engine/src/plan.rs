@@ -120,10 +120,16 @@ impl PlanNode {
     /// indicator: whether the optimizer chose index `I` for query `q`).
     pub fn used_indices(&self) -> Vec<ColRef> {
         let mut out = Vec::new();
-        self.collect_indices(&mut out);
+        self.used_indices_into(&mut out);
+        out
+    }
+
+    /// [`PlanNode::used_indices`] written over `out`, which the caller keeps.
+    pub fn used_indices_into(&self, out: &mut Vec<ColRef>) {
+        out.clear();
+        self.collect_indices(out);
         out.sort_unstable();
         out.dedup();
-        out
     }
 
     fn collect_seq_scans(&self, out: &mut Vec<TableId>) {

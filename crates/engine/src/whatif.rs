@@ -63,7 +63,9 @@ pub struct EqoCounters {
     pub memo_evictions: u64,
 }
 
-/// The extended query optimizer.
+/// The extended query optimizer. Drive one `Eqo` with one
+/// [`PhysicalConfig`]: its memo tells configurations apart by their
+/// generation counters, not by their contents.
 ///
 /// # Examples
 ///

@@ -129,6 +129,14 @@ pub fn sink_level() -> Level {
     CURRENT.with(|c| c.borrow().as_ref().map(Recorder::level)).unwrap_or_else(Level::from_env)
 }
 
+/// True when an [`Event`] or [`DecisionRecord`] built now would go
+/// anywhere: a recorder is installed to keep it, or the stderr sink
+/// prints every event ([`Level::Full`]). Sites that build records at a
+/// cost (a formatted column name per field) ask this first.
+pub fn wants_events() -> bool {
+    is_enabled() || sink_level() == Level::Full
+}
+
 fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
     if !is_enabled() {
         return None;

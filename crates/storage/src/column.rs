@@ -12,7 +12,7 @@ use crate::value::{Value, ValueType};
 /// Strings have no such fixed-width code and keep comparing as `str`.
 pub trait KeyCode: Copy {
     /// The unsigned code type, as wide as the cell.
-    type Code: Copy + Ord;
+    type Code: Copy + Ord + Into<u64>;
     /// The cell's code.
     fn code(self) -> Self::Code;
     /// The cell a code was made from.
@@ -53,6 +53,45 @@ impl KeyCode for f64 {
     }
     fn from_code(code: u64) -> f64 {
         f64::from_bits(if code >> 63 == 1 { code ^ (1 << 63) } else { !code })
+    }
+}
+
+/// Sort `(code, row id)` pairs made in row order into `(code, row id)`
+/// order, looking at the codes only: the sort is stable, so pairs with
+/// equal codes keep their ascending row ids. This is a
+/// least-significant-byte-first radix sort: one read of the pairs counts
+/// the values at every byte position of the code type, then each
+/// position moves the pairs once between the vector and a scratch copy
+/// of it — except a position on which every code agrees (the high bytes
+/// of small integers, a float column's sign and exponent), which orders
+/// nothing and costs no pass.
+pub fn sort_by_code<C: Copy + Into<u64>>(pairs: &mut Vec<(C, u32)>) {
+    let byte = |pair: &(C, u32), position: usize| (pair.0.into() >> (8 * position)) as usize & 0xff;
+    let mut slots = [[0usize; 256]; 8];
+    let slots = &mut slots[..std::mem::size_of::<C>().min(8)];
+    for pair in pairs.iter() {
+        for (position, slot) in slots.iter_mut().enumerate() {
+            slot[byte(pair, position)] += 1;
+        }
+    }
+    let mut scratch = pairs.clone();
+    for (position, slot) in slots.iter_mut().enumerate() {
+        if slot.contains(&pairs.len()) {
+            continue;
+        }
+        // Occurrences of each value become its first output slot.
+        let mut next = 0;
+        for s in slot.iter_mut() {
+            let count = *s;
+            *s = next;
+            next += count;
+        }
+        for pair in pairs.iter() {
+            let s = &mut slot[byte(pair, position)];
+            scratch[*s] = *pair;
+            *s += 1;
+        }
+        std::mem::swap(pairs, &mut scratch);
     }
 }
 
@@ -204,6 +243,55 @@ mod tests {
             assert!(Value::Float(w[0]) < Value::Float(w[1]));
         }
         assert!(floats.iter().all(|&x| f64::from_code(x.code()).to_bits() == x.to_bits()));
+    }
+
+    /// `sort_by_code` on `(code, row id)` pairs in row order must give
+    /// what `sort_unstable` gives on the pairs, and every code must turn
+    /// back into its cell bit for bit.
+    fn assert_sorts_like_pairs<T: KeyCode>(cells: &[T], bits: fn(T) -> u64)
+    where
+        T::Code: std::fmt::Debug,
+    {
+        let mut keyed: Vec<(T::Code, u32)> = cells.iter().map(|x| x.code()).zip(0..).collect();
+        let mut expected = keyed.clone();
+        expected.sort_unstable();
+        sort_by_code(&mut keyed);
+        assert_eq!(keyed, expected, "{} cells", cells.len());
+        for (code, rid) in keyed {
+            assert_eq!(bits(T::from_code(code)), bits(cells[rid as usize]));
+        }
+    }
+
+    #[test]
+    fn radix_sort_equals_sort_unstable_on_code_row_pairs() {
+        use crate::prng::Prng;
+        const FLOATS: [f64; 8] =
+            [-0.0, 0.0, f64::NEG_INFINITY, f64::INFINITY, f64::NAN, -1.5, 1.5, f64::MIN_POSITIVE];
+        let mut rng = Prng::new(0x5EED_C0DE);
+        for len in [0, 1, 2, 255, 256, 257, 100_000] {
+            // Each shape draws from the whole domain, from a handful of
+            // values (heavy duplicates) and from a single one (all equal).
+            for distinct in [u64::MAX, 5, 1] {
+                let mut draw = || match distinct {
+                    u64::MAX => rng.next_u64(),
+                    n => rng.below_u64(n),
+                };
+                let ints: Vec<i64> = (0..len).map(|_| (draw() as i64).wrapping_sub(2)).collect();
+                assert_sorts_like_pairs(&ints, |x| x as u64);
+                let dates: Vec<i32> = (0..len).map(|_| (draw() as i32).wrapping_sub(2)).collect();
+                assert_sorts_like_pairs(&dates, |x| x as u32 as u64);
+                // Random bit patterns (every exponent, both NaN signs)
+                // with the special values mixed in; the narrow shapes
+                // draw from the specials alone.
+                let floats: Vec<f64> = (0..len)
+                    .map(|_| match draw() {
+                        d if distinct == u64::MAX && d % 4 != 0 => f64::from_bits(d),
+                        d => FLOATS[(d % 8) as usize],
+                    })
+                    .collect();
+                assert_sorts_like_pairs(&floats, f64::to_bits);
+            }
+        }
     }
 
     #[test]

@@ -119,6 +119,39 @@ fn forward_and_reverse_whatif_agree() {
     assert!(forward > 0.0);
 }
 
+/// The what-if memo's accounting over the shifting preset, to the
+/// entry: a change to how snapshots are compared or swept may make the
+/// memo faster, never serve, rebuild or drop a different entry.
+#[test]
+fn memo_counters_over_the_shifting_preset_are_exact() {
+    use colt_repro::colt::{ColtConfig, ColtTuner};
+    use colt_repro::engine::EqoCounters;
+
+    let data = generate(0.004, 42);
+    let preset = presets::shifting(&data, 42);
+    let mut physical = PhysicalConfig::new();
+    let mut tuner = ColtTuner::new(ColtConfig {
+        storage_budget_pages: preset.budget_pages,
+        ..Default::default()
+    });
+    let mut eqo = Eqo::new(&data.db);
+    for q in &preset.queries {
+        let plan = eqo.optimize(q, &physical);
+        tuner.on_query(&data.db, &mut physical, &mut eqo, q, &plan);
+    }
+    assert_eq!(
+        eqo.counters(),
+        EqoCounters {
+            optimizations: 1350,
+            whatif_calls: 48,
+            memo_hits: 68,
+            memo_misses: 1330,
+            memo_invalidations: 752,
+            memo_evictions: 0,
+        }
+    );
+}
+
 /// Executing through the facade's prelude compiles and works (API
 /// surface check).
 #[test]
