@@ -181,8 +181,8 @@ fn apply_waivers(file: &SourceFile, raw: Vec<Violation>) -> Vec<Violation> {
     out
 }
 
-/// Escape a string for a JSON string literal (shared by the JSON summary
-/// and the SARIF document).
+/// Escape a string for a JSON string literal of the SARIF document
+/// (colt-analyze depends on nothing, `colt_obs::json` included).
 fn esc(s: &str) -> String {
     let mut o = String::with_capacity(s.len());
     for c in s.chars() {
@@ -228,40 +228,6 @@ impl Report {
             self.violations.len()
         ));
         out
-    }
-
-    /// Machine-readable JSON summary.
-    pub fn to_json(&self) -> String {
-        let mut counts: Vec<(&str, usize)> = Vec::new();
-        for v in &self.violations {
-            match counts.iter_mut().find(|(n, _)| *n == v.lint.name()) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((v.lint.name(), 1)),
-            }
-        }
-        counts.sort();
-        let counts_json: Vec<String> =
-            counts.iter().map(|(n, c)| format!("\"{n}\": {c}")).collect();
-        let viols: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| {
-                format!(
-                    "{{\"file\": \"{}\", \"line\": {}, \"lint\": \"{}\", \"message\": \"{}\"}}",
-                    esc(&v.file),
-                    v.line,
-                    v.lint.name(),
-                    esc(&v.message)
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"files_scanned\": {},\n  \"violation_count\": {},\n  \"counts\": {{{}}},\n  \"violations\": [{}]\n}}",
-            self.files_scanned,
-            self.violations.len(),
-            counts_json.join(", "),
-            if viols.is_empty() { String::new() } else { format!("\n    {}\n  ", viols.join(",\n    ")) }
-        )
     }
 
     /// The per-lint waiver budget table and whether any cap is
@@ -496,24 +462,5 @@ mod tests {
         assert!(v.is_empty(), "{v:?}");
         let v = analyze_source("crates/core/tests/integration.rs", "fn f(x: Option<u8>) { x.unwrap(); }");
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn json_summary_shape() {
-        let r = Report {
-            files_scanned: 2,
-            violations: vec![Violation {
-                file: "a.rs".into(),
-                line: 3,
-                lint: Lint::WallClock,
-                message: "msg with \"quotes\"".into(),
-            }],
-            ..Report::default()
-        };
-        let j = r.to_json();
-        assert!(j.contains("\"files_scanned\": 2"));
-        assert!(j.contains("\"wall-clock\": 1"));
-        assert!(j.contains("\\\"quotes\\\""));
-        assert!(r.render().contains("a.rs:3: wall-clock:"));
     }
 }

@@ -1,8 +1,8 @@
 //! CLI for the workspace invariant checker.
 //!
 //! ```text
-//! colt-analyze --check [--json] [--root <path>] [--waivers]
-//!              [--sarif <path>] [--github]
+//! colt-analyze --check [--root <path>] [--waivers] [--sarif <path>]
+//!              [--github]
 //! colt-analyze --list                             # lint catalogue
 //! colt-analyze --explain <lint>                   # long-form description
 //! ```
@@ -16,8 +16,8 @@ const USAGE: &str = "\
 colt-analyze: workspace invariant checker
 
 USAGE:
-    colt-analyze --check [--json] [--root <path>] [--waivers]
-                 [--sarif <path>] [--github]
+    colt-analyze --check [--root <path>] [--waivers] [--sarif <path>]
+                 [--github]
     colt-analyze --list
     colt-analyze --explain <lint-name>
 
@@ -25,7 +25,6 @@ MODES:
     --check     Scan every .rs file under the workspace root and report
                 violations as `file:line: lint-name: message`.
                 Exit code 0 if clean, 1 if violations were found.
-    --json      With --check: emit the JSON summary instead of text.
     --waivers   With --check: also print the per-lint waiver budget
                 table and fail (exit 1) when any [waiver-budget] cap
                 from colt-analyze.toml is exceeded.
@@ -47,7 +46,6 @@ fn gh_escape(s: &str) -> String {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut mode: Option<&str> = None;
-    let mut json = false;
     let mut waivers = false;
     let mut github = false;
     let mut sarif: Option<PathBuf> = None;
@@ -70,7 +68,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--json" => json = true,
             "--waivers" => waivers = true,
             "--github" => github = true,
             "--sarif" => {
@@ -129,11 +126,7 @@ fn main() -> ExitCode {
             let root = root.unwrap_or_else(colt_analyze::workspace_root);
             match colt_analyze::check_workspace(&root) {
                 Ok(report) => {
-                    if json {
-                        println!("{}", report.to_json());
-                    } else {
-                        print!("{}", report.render());
-                    }
+                    print!("{}", report.render());
                     if let Some(sarif_path) = &sarif {
                         if let Err(e) = std::fs::write(sarif_path, report.to_sarif()) {
                             eprintln!("error: writing SARIF to {}: {e}", sarif_path.display());

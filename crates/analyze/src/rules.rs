@@ -111,7 +111,7 @@ impl Lint {
             Lint::OutputHygiene => "stdout only in bench bins / harness report; stderr only through the colt-obs sink",
             Lint::PanicPolicy => "no unwrap/expect/panic!/unreachable!/todo! in non-test library code",
             Lint::NondetSeed => "no ambient randomness anywhere; no env reads in the deterministic kernel crates",
-            Lint::MetricName => "span/counter/gauge names must be dot-separated `area.noun[.verb]` with an area prefix owned by the emitting crate",
+            Lint::MetricName => "span/counter names must be dot-separated `area.noun[.verb]` with an area prefix owned by the emitting crate",
             Lint::LedgerOwner => "decision-ledger record kinds may only be emitted from their owning crate",
             Lint::SpanPairing => "a colt_obs::span guard must be bound (not `_`) and reach its .sim_ms() on every path",
             Lint::ChargeCoverage => "public colt-storage fns touching heap/btree page state must charge IoStats or be allowlisted",
@@ -163,10 +163,10 @@ replayable. Ambient sources (RandomState, DefaultHasher, thread_rng, from_entrop
 are banned everywhere; reading the environment (std::env::var) is banned inside \
 the deterministic kernel crates (storage, catalog, engine, core, workload, \
 offline) — configuration enters through ColtConfig, not ambient state.",
-            Lint::MetricName => "Counters, spans, and gauges are merged across run cells and \
+            Lint::MetricName => "Counters and spans are merged across run cells and \
 rendered into exhibit tables by name, so a malformed or mis-prefixed name silently \
 fragments a series (`tuner.budget.spent` vs `tunr.budget_spent` never aggregate). \
-Every name literal passed to colt_obs::span / counter / gauge / observe must be \
+Every name literal passed to colt_obs::span / counter / span_sim must be \
 lowercase dot-separated segments (`area.noun` or `area.noun.verb`), and the area \
 prefix must belong to the emitting crate: storage/catalog/engine name their own \
 crate, `profiler.*`/`organizer.*`/`tuner.*` belong to colt-core, `harness.*` to \
@@ -215,9 +215,8 @@ flags any `use crate::<m>` or inline `crate::<m>::…` path that points at a mod
 later in (or missing from) the order. lib.rs, main.rs, bins, and test code are \
 exempt: the DAG governs the library's internal structure, not its public facade.",
             Lint::DecisionKind => "The flight recorder is only as trustworthy as its \
-renderers: a DecisionRecord kind that obs_export's serializer or the report \
-renderer does not know is silently dropped from exhibits, which is how audit \
-trails rot. Files listed under [decision-kinds] renderers must mention every kind \
+renderers: a DecisionRecord kind that the report renderer does not know is \
+silently dropped from exhibits, which is how audit trails rot. Files listed under [decision-kinds] renderers must mention every kind \
 in colt_obs::LEDGER_KINDS as a string literal (a match arm, schema row, or table \
 entry); adding a kind to the ledger forces the renderers to handle it in the same \
 change.",
@@ -295,7 +294,7 @@ const AMBIENT_RANDOM: &[&str] =
 
 /// colt-obs entry points whose first argument (and any string literal in
 /// the call, e.g. a `match` over access paths) is a merged metric name.
-const METRIC_FNS: &[&str] = &["span", "counter", "gauge", "observe", "span_sim"];
+const METRIC_FNS: &[&str] = &["span", "counter", "span_sim"];
 
 /// Decision-ledger record kinds and the crate that owns each (mirrors
 /// `colt_obs::LEDGER_KINDS`; colt-analyze depends on nothing, and the
@@ -497,7 +496,7 @@ pub fn check_file(file: &SourceFile, manifest: &Manifest) -> Vec<Violation> {
         }
 
         // metric-name: every string literal inside a
-        // colt_obs::{span,counter,gauge,observe,span_sim}(…) call is a
+        // colt_obs::{span,counter,span_sim}(…) call is a
         // merged metric name (the literal may sit inside a `match` over
         // access paths, so the whole argument list is scanned). The obs
         // crate itself is exempt: it defines the API and exercises it

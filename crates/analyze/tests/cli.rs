@@ -52,25 +52,6 @@ fn check_exits_one_on_violation_and_names_it() {
 }
 
 #[test]
-fn check_json_reports_counts() {
-    let root = scratch("json");
-    write(
-        &root,
-        "crates/core/src/lib.rs",
-        "pub fn boom(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    );
-    let out = bin()
-        .args(["--check", "--json", "--root"])
-        .arg(&root)
-        .output()
-        .expect("run");
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"violation_count\": 1"), "{stdout}");
-    assert!(stdout.contains("panic-policy"), "{stdout}");
-}
-
-#[test]
 fn every_violation_fixture_fails_the_binary() {
     // The ISSUE's acceptance bar: --check exits non-zero on every fixture
     // violation, run end-to-end through the binary.

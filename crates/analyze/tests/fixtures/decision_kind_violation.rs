@@ -1,4 +1,4 @@
-//! analyze-fixture: path=crates/core/src/obs_export.rs expect=decision-kind
+//! analyze-fixture: path=crates/harness/src/flight.rs expect=decision-kind
 
 pub fn kind_label(kind: &str) -> &'static str {
     match kind {

@@ -5,7 +5,7 @@ pub fn run() {
     // Mis-owned: tuner.* belongs to colt-core, not colt-engine.
     colt_obs::span_sim("tuner.budget.spent", 1.0);
     // Unknown area prefix.
-    colt_obs::gauge("enginex.cache.fill", 0.5);
+    colt_obs::counter("enginex.cache.fill", 1);
     // Literal inside a match arm is still a metric name.
     colt_obs::counter(
         match 1 {

@@ -3,5 +3,5 @@ pub fn run() {
     colt_obs::counter("engine.op.seq_scan", 1);
     colt_obs::span_sim("engine.exec.batch", 2.0);
     // colt: allow(metric-name) — legacy dashboard still scrapes the old flat name
-    colt_obs::gauge("fillfactor", 0.5);
+    colt_obs::span_sim("fillfactor", 0.5);
 }

@@ -6,33 +6,70 @@
 //! [`bench`]). Wall-clock regressions are judged by `benches/perf`
 //! alone; nothing here compares a timing to a checked-in number.
 //!
-//! Every binary reads three environment variables:
+//! Every binary reads five environment variables, all parsed together
+//! at first use; one that is set but unusable stops the binary (exit 2)
+//! with one `error:` line naming the variable and the value:
 //!
 //! * `COLT_SCALE` — data scale relative to the paper's Table 1
 //!   (default: 0.025 = 1/40),
-//! * `COLT_SEED` — master seed (default: 42); a set but unusable
-//!   `COLT_SCALE` or `COLT_SEED` stops the binary (exit 2),
+//! * `COLT_SEED` — master seed (default: 42),
 //! * `COLT_THREADS` — worker threads for the parallel harness
 //!   (default: available parallelism). Results are bit-identical at
-//!   every thread count; only wall-clock time changes.
+//!   every thread count; only wall-clock time changes,
+//! * `COLT_OBS` — `off`, `summary` (default) or `full`: what the
+//!   `colt_obs` sink prints to stderr,
+//! * `COLT_OBS_PATH` — a file to write the merged snapshot to
+//!   ([`dump_obs`]); needs a recording level, so it is an error
+//!   together with `COLT_OBS=off`.
 //!
 //! Results are printed to stdout in a form that pastes directly into
 //! `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
 
+use colt_obs::Level;
 use colt_workload::{generate, TpchData, DEFAULT_SCALE};
+use std::sync::OnceLock;
 
-/// Data scale from `COLT_SCALE` (default [`DEFAULT_SCALE`]). A value
-/// that is set but is not a finite number > 0 stops the binary.
-pub fn scale() -> f64 {
-    env_or_exit("COLT_SCALE", parse_scale)
+/// The environment, as checked.
+struct Env {
+    scale: f64,
+    seed: u64,
+    threads: usize,
+    obs_path: Option<String>,
 }
 
-/// Master seed from `COLT_SEED` (default 42). A value that is set but
-/// is not an unsigned integer stops the binary.
+/// Parse every variable once; the first unusable one stops the binary
+/// before any work starts, whichever accessor was called first.
+fn env() -> &'static Env {
+    static ENV: OnceLock<Env> = OnceLock::new();
+    ENV.get_or_init(|| {
+        let level = env_or_exit("COLT_OBS", parse_obs);
+        Env {
+            scale: env_or_exit("COLT_SCALE", parse_scale),
+            seed: env_or_exit("COLT_SEED", parse_seed),
+            threads: env_or_exit("COLT_THREADS", parse_threads),
+            obs_path: env_or_exit("COLT_OBS_PATH", |raw| parse_obs_path(raw, level)),
+        }
+    })
+}
+
+/// Data scale from `COLT_SCALE` (default [`DEFAULT_SCALE`]).
+pub fn scale() -> f64 {
+    env().scale
+}
+
+/// Master seed from `COLT_SEED` (default 42).
 pub fn seed() -> u64 {
-    env_or_exit("COLT_SEED", parse_seed)
+    env().seed
+}
+
+/// Worker-thread count for the parallel harness: `COLT_THREADS` if set,
+/// else the machine's available parallelism. Cell results are
+/// bit-identical at every thread count, so this only changes wall-clock
+/// time.
+pub fn threads() -> usize {
+    env().threads
 }
 
 /// `COLT_SCALE` as set (`None` = unset, keeps the default). Unusable
@@ -51,25 +88,52 @@ fn parse_seed(raw: Option<&str>) -> Result<u64, String> {
     raw.parse().map_err(|_| format!("COLT_SEED={raw:?}: expected an unsigned integer"))
 }
 
-/// Parse the variable `name`, or stop the binary (exit 2) with one line
-/// naming the variable and the value. The line is written straight to
-/// stderr, not through the `colt_obs` sink: a usage error has to show
-/// under `COLT_OBS=off` too, and no artifact follows it.
-fn env_or_exit<T>(name: &str, parse: fn(Option<&str>) -> Result<T, String>) -> T {
-    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse(raw.as_deref()).unwrap_or_else(|msg| {
-        use std::io::Write;
-        let _ = writeln!(std::io::stderr(), "error: {msg}");
-        std::process::exit(2)
-    })
+/// `COLT_THREADS` as set (`None` = unset: every available core).
+fn parse_threads(raw: Option<&str>) -> Result<usize, String> {
+    let Some(raw) = raw else {
+        return Ok(std::thread::available_parallelism().map_or(1, |n| n.get()));
+    };
+    raw.parse()
+        .ok()
+        .filter(|&n: &usize| n > 0)
+        .ok_or_else(|| format!("COLT_THREADS={raw:?}: expected an integer > 0"))
 }
 
-/// Worker-thread count for the parallel harness: `COLT_THREADS` if set,
-/// else the machine's available parallelism. Cell results are
-/// bit-identical at every thread count, so this only changes wall-clock
-/// time.
-pub fn threads() -> usize {
-    colt_harness::default_threads()
+/// `COLT_OBS` as set (`None` = unset, keeps the default level). The
+/// sink reads the variable itself ([`Level::from_env`]) with the same
+/// parser; this check is what turns its silent default into an error.
+fn parse_obs(raw: Option<&str>) -> Result<Level, String> {
+    let Some(raw) = raw else { return Ok(Level::default()) };
+    Level::parse(raw).ok_or_else(|| format!("COLT_OBS={raw:?}: expected off, summary or full"))
+}
+
+/// `COLT_OBS_PATH` as set (`None` or empty = no dump). At
+/// [`Level::Off`] nothing is recorded and the dump would be an empty
+/// file, so asking for one is an error.
+fn parse_obs_path(raw: Option<&str>, level: Level) -> Result<Option<String>, String> {
+    match raw {
+        None | Some("") => Ok(None),
+        Some(path) if level == Level::Off => {
+            Err(format!("COLT_OBS_PATH={path:?}: nothing is recorded under COLT_OBS=off"))
+        }
+        Some(path) => Ok(Some(path.to_string())),
+    }
+}
+
+/// One `error:` line straight to stderr, then exit. Not through the
+/// `colt_obs` sink: the line has to show under `COLT_OBS=off` too, and
+/// no artifact follows it.
+fn exit_with(code: i32, msg: &str) -> ! {
+    use std::io::Write;
+    let _ = writeln!(std::io::stderr(), "error: {msg}");
+    std::process::exit(code)
+}
+
+/// Parse the variable `name`, or stop the binary (exit 2) with one line
+/// naming the variable and the value.
+fn env_or_exit<T>(name: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse(raw.as_deref()).unwrap_or_else(|msg| exit_with(2, &msg))
 }
 
 /// Generate the experiment data set, reporting shape and timing through
@@ -91,85 +155,20 @@ pub fn build_data() -> TpchData {
     data
 }
 
-/// When `COLT_OBS_PATH` is set, dump a parallel batch's merged metrics
-/// next to it: `<path>.jsonl` (the structured event stream, one JSON
-/// object per line) and `<path>.prom` (the Prometheus-style text dump).
-/// When `COLT_OBS_FLAME` is set, additionally write the merged span
-/// stacks as folded-stack lines (`outer;inner;leaf <ns>`) to that path,
-/// ready for `flamegraph.pl` / `inferno-flamegraph`. When
-/// `COLT_OBS_LEDGER` is set, write the merged flight recorder (decision
-/// ledger then per-epoch time series, JSONL) to that path — the dump
-/// holds only deterministic simulated values, so it is byte-identical
-/// at every `COLT_THREADS`. Does nothing otherwise. Dump destinations
-/// and contents never touch stdout.
+/// When `COLT_OBS_PATH=<file>` is set, write a parallel batch's merged
+/// snapshot to exactly that file as JSONL ([`colt_obs::Snapshot::jsonl`]:
+/// the deterministic `decision` / `series_epoch` lines first, then the
+/// `event`, `counter`, `span` and `flame` lines). Does nothing
+/// otherwise; never touches stdout. A dump that cannot be written stops
+/// the binary (exit 1) with one `error:` line.
 pub fn dump_obs(report: &colt_harness::ParallelReport) {
-    dump_flame(report);
-    dump_ledger(report);
-    let Ok(path) = std::env::var("COLT_OBS_PATH") else { return };
-    if path.is_empty() {
-        return;
-    }
-    let snap = report.obs();
-    let jsonl = format!("{path}.jsonl");
-    let prom = format!("{path}.prom");
-    if let Err(e) = std::fs::write(&jsonl, snap.events_jsonl()) {
-        colt_obs::progress(
-            colt_obs::Event::new("obs_dump_error").field("path", jsonl).field("error", e.to_string()),
-        );
-        return;
-    }
-    if let Err(e) = std::fs::write(&prom, snap.prometheus()) {
-        colt_obs::progress(
-            colt_obs::Event::new("obs_dump_error").field("path", prom).field("error", e.to_string()),
-        );
-        return;
+    let Some(path) = &env().obs_path else { return };
+    let dump = report.obs().jsonl();
+    if let Err(e) = std::fs::write(path, &dump) {
+        exit_with(1, &format!("COLT_OBS_PATH={path:?}: {e}"));
     }
     colt_obs::progress(
-        colt_obs::Event::new("obs_dump")
-            .field("events", snap.events.len())
-            .field("jsonl", jsonl)
-            .field("prom", prom),
-    );
-}
-
-/// Write the merged flame accumulator as folded-stack lines when
-/// `COLT_OBS_FLAME=<path>` is set.
-fn dump_flame(report: &colt_harness::ParallelReport) {
-    let Ok(path) = std::env::var("COLT_OBS_FLAME") else { return };
-    if path.is_empty() {
-        return;
-    }
-    let snap = report.obs();
-    if let Err(e) = std::fs::write(&path, snap.folded_flame()) {
-        colt_obs::progress(
-            colt_obs::Event::new("obs_dump_error").field("path", path).field("error", e.to_string()),
-        );
-        return;
-    }
-    colt_obs::progress(
-        colt_obs::Event::new("obs_flame_dump").field("frames", snap.flame.len()).field("path", path),
-    );
-}
-
-/// Write the merged flight recorder (ledger + time series JSONL) when
-/// `COLT_OBS_LEDGER=<path>` is set.
-fn dump_ledger(report: &colt_harness::ParallelReport) {
-    let Ok(path) = std::env::var("COLT_OBS_LEDGER") else { return };
-    if path.is_empty() {
-        return;
-    }
-    let snap = report.obs();
-    if let Err(e) = std::fs::write(&path, snap.flight_jsonl()) {
-        colt_obs::progress(
-            colt_obs::Event::new("obs_dump_error").field("path", path).field("error", e.to_string()),
-        );
-        return;
-    }
-    colt_obs::progress(
-        colt_obs::Event::new("obs_ledger_dump")
-            .field("decisions", snap.ledger.len() as u64)
-            .field("series_points", snap.series.len() as u64)
-            .field("path", path),
+        colt_obs::Event::new("obs_dump").field("lines", dump.lines().count()).field("path", path.as_str()),
     );
 }
 
@@ -214,14 +213,22 @@ pub fn bench(name: &str, mut f: impl FnMut()) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_scale, parse_seed};
+    use super::{parse_obs, parse_obs_path, parse_scale, parse_seed, parse_threads, Level};
 
     #[test]
     fn unset_overrides_keep_the_defaults() {
         assert_eq!(parse_scale(None), Ok(super::DEFAULT_SCALE));
         assert_eq!(parse_seed(None), Ok(42));
+        assert!(parse_threads(None).is_ok_and(|n| n > 0));
+        assert_eq!(parse_obs(None), Ok(Level::Summary));
+        assert_eq!(parse_obs_path(None, Level::Off), Ok(None));
+        assert_eq!(parse_obs_path(Some(""), Level::Off), Ok(None));
         assert_eq!(parse_scale(Some("0.01")), Ok(0.01));
         assert_eq!(parse_seed(Some("7")), Ok(7));
+        assert_eq!(parse_threads(Some("4")), Ok(4));
+        assert_eq!(parse_obs(Some("off")), Ok(Level::Off));
+        assert_eq!(parse_obs(Some("FULL")), Ok(Level::Full));
+        assert_eq!(parse_obs_path(Some("d.jsonl"), Level::Summary), Ok(Some("d.jsonl".into())));
     }
 
     #[test]
@@ -234,6 +241,18 @@ mod tests {
             let err = parse_seed(Some(bad)).expect_err(bad);
             assert_eq!(err, format!("COLT_SEED={bad:?}: expected an unsigned integer"));
         }
+        for bad in ["abc", "0", "-1", "2.0", ""] {
+            let err = parse_threads(Some(bad)).expect_err(bad);
+            assert_eq!(err, format!("COLT_THREADS={bad:?}: expected an integer > 0"));
+        }
+        for bad in ["banana", "", "verbose"] {
+            let err = parse_obs(Some(bad)).expect_err(bad);
+            assert_eq!(err, format!("COLT_OBS={bad:?}: expected off, summary or full"));
+        }
+        assert_eq!(
+            parse_obs_path(Some("d.jsonl"), Level::Off),
+            Err("COLT_OBS_PATH=\"d.jsonl\": nothing is recorded under COLT_OBS=off".into())
+        );
     }
 
     #[test]

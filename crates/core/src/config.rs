@@ -7,9 +7,8 @@ use std::fmt;
 /// depth `h = 12`, at most 20 what-if calls per epoch, and 90% confidence
 /// intervals.
 ///
-/// Prefer [`ColtConfig::builder`], which validates at construction time;
-/// struct-literal construction remains possible and is validated when the
-/// tuner is created.
+/// Build one with a struct literal over [`Default`]; it is validated
+/// ([`ColtConfig::validate`]) when the tuner is created.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColtConfig {
     /// Epoch length `w`: number of queries per profiling epoch.
@@ -36,12 +35,6 @@ pub struct ColtConfig {
     /// Exponential smoothing factor for the crude `BenefitC` series used
     /// by hot-set selection (weight of the most recent epoch).
     pub smoothing_alpha: f64,
-    /// Decay factor of the recency-weighted forecast (weight ratio
-    /// between consecutive past epochs). The default 1.0 gives a flat
-    /// window over the last `h` epochs, matching the paper's remark
-    /// that the forecasting model "uses a window of past measurements"
-    /// whose length coincides with the worst-case noise-burst length.
-    pub forecast_decay: f64,
     /// Upper bound on the size of the hot set; keeps the accurate
     /// profiling level affordable even if the crude clustering puts many
     /// candidates in the top group.
@@ -90,7 +83,6 @@ impl Default for ColtConfig {
             selective_boundary: 0.02,
             full_budget_ratio: 1.3,
             smoothing_alpha: 0.4,
-            forecast_decay: 1.0,
             max_hot_set: 10,
             candidate_ttl_epochs: 12,
             swap_margin: 0.5,
@@ -157,19 +149,16 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl ColtConfig {
-    /// Start a validating builder pre-loaded with the paper defaults.
-    pub fn builder() -> ColtConfigBuilder {
-        ColtConfigBuilder { config: ColtConfig::default() }
-    }
-
-    /// Validate parameter sanity. The builder runs this (plus the
-    /// stricter zero-storage-budget check) before handing out a config.
+    /// Validate parameter sanity.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.epoch_length == 0 {
             return Err(ConfigError::ZeroEpochLength);
         }
         if self.history_epochs == 0 {
             return Err(ConfigError::ZeroHistory);
+        }
+        if self.storage_budget_pages == 0 {
+            return Err(ConfigError::ZeroStorageBudget);
         }
         if let Some(limit) = self.initial_whatif_limit {
             if limit > self.max_whatif_per_epoch {
@@ -198,14 +187,6 @@ impl ColtConfig {
                 hi: 1.0,
             });
         }
-        if !(0.0..=1.0).contains(&self.forecast_decay) {
-            return Err(ConfigError::OutOfRange {
-                param: "forecast_decay",
-                value: self.forecast_decay,
-                lo: 0.0,
-                hi: 1.0,
-            });
-        }
         if !(0.0..=10.0).contains(&self.swap_margin) {
             return Err(ConfigError::OutOfRange {
                 param: "swap_margin",
@@ -220,141 +201,6 @@ impl ColtConfig {
     /// The first epoch's `#WI_lim` (defaults to `#WI_max`).
     pub fn initial_whatif_limit(&self) -> u64 {
         self.initial_whatif_limit.unwrap_or(self.max_whatif_per_epoch)
-    }
-}
-
-/// Validating builder for [`ColtConfig`].
-///
-/// ```
-/// use colt_core::{ColtConfig, ConfigError};
-///
-/// let cfg = ColtConfig::builder()
-///     .epoch_len(10)
-///     .storage_budget_pages(4096)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.epoch_length, 10);
-///
-/// assert_eq!(
-///     ColtConfig::builder().epoch_len(0).build(),
-///     Err(ConfigError::ZeroEpochLength)
-/// );
-/// ```
-#[derive(Debug, Clone)]
-pub struct ColtConfigBuilder {
-    config: ColtConfig,
-}
-
-impl ColtConfigBuilder {
-    /// Epoch length `w` (queries per epoch).
-    pub fn epoch_len(mut self, w: usize) -> Self {
-        self.config.epoch_length = w;
-        self
-    }
-
-    /// History depth `h` (epochs of memory / forecast horizon).
-    pub fn history_epochs(mut self, h: usize) -> Self {
-        self.config.history_epochs = h;
-        self
-    }
-
-    /// `#WI_max`: hard cap on what-if calls per epoch.
-    pub fn max_whatif_per_epoch(mut self, n: u64) -> Self {
-        self.config.max_whatif_per_epoch = n;
-        self
-    }
-
-    /// The first epoch's `#WI_lim`; must not exceed `#WI_max`.
-    pub fn initial_whatif_limit(mut self, n: u64) -> Self {
-        self.config.initial_whatif_limit = Some(n);
-        self
-    }
-
-    /// Confidence-interval z-score.
-    pub fn confidence_z(mut self, z: f64) -> Self {
-        self.config.confidence_z = z;
-        self
-    }
-
-    /// On-line storage budget `B` in pages.
-    pub fn storage_budget_pages(mut self, b: u64) -> Self {
-        self.config.storage_budget_pages = b;
-        self
-    }
-
-    /// Selective/non-selective clustering boundary.
-    pub fn selective_boundary(mut self, s: f64) -> Self {
-        self.config.selective_boundary = s;
-        self
-    }
-
-    /// `r` at which profiling runs at full budget.
-    pub fn full_budget_ratio(mut self, r: f64) -> Self {
-        self.config.full_budget_ratio = r;
-        self
-    }
-
-    /// Smoothing factor of the crude-benefit series.
-    pub fn smoothing_alpha(mut self, a: f64) -> Self {
-        self.config.smoothing_alpha = a;
-        self
-    }
-
-    /// Forecast decay factor.
-    pub fn forecast_decay(mut self, d: f64) -> Self {
-        self.config.forecast_decay = d;
-        self
-    }
-
-    /// Hot-set size cap.
-    pub fn max_hot_set(mut self, n: usize) -> Self {
-        self.config.max_hot_set = n;
-        self
-    }
-
-    /// Candidate eviction TTL in epochs.
-    pub fn candidate_ttl_epochs(mut self, n: usize) -> Self {
-        self.config.candidate_ttl_epochs = n;
-        self
-    }
-
-    /// Reorganization swap hysteresis margin.
-    pub fn swap_margin(mut self, m: f64) -> Self {
-        self.config.swap_margin = m;
-        self
-    }
-
-    /// Page budget of the multi-column extension (0 disables).
-    pub fn composite_budget_pages(mut self, b: u64) -> Self {
-        self.config.composite_budget_pages = b;
-        self
-    }
-
-    /// Enable or disable self-regulated re-budgeting.
-    pub fn self_regulation(mut self, on: bool) -> Self {
-        self.config.self_regulation = on;
-        self
-    }
-
-    /// Enable or disable skip-proofs before what-if probes.
-    pub fn dynamic_rebudget(mut self, on: bool) -> Self {
-        self.config.dynamic_rebudget = on;
-        self
-    }
-
-    /// Seed of COLT's internal sampling PRNG.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<ColtConfig, ConfigError> {
-        if self.config.storage_budget_pages == 0 {
-            return Err(ConfigError::ZeroStorageBudget);
-        }
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -377,55 +223,27 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_parameters() {
+        use ConfigError::*;
+        let d = ColtConfig::default;
+        let range = |param, value, hi| OutOfRange { param, value, lo: 0.0, hi };
         let cases = [
-            ColtConfig { epoch_length: 0, ..Default::default() },
-            ColtConfig { history_epochs: 0, ..Default::default() },
-            ColtConfig { full_budget_ratio: 1.0, ..Default::default() },
-            ColtConfig { selective_boundary: 1.5, ..Default::default() },
-            ColtConfig { smoothing_alpha: -0.1, ..Default::default() },
-            ColtConfig { swap_margin: -1.0, ..Default::default() },
-            ColtConfig { initial_whatif_limit: Some(21), ..Default::default() },
+            (ColtConfig { epoch_length: 0, ..d() }, ZeroEpochLength),
+            (ColtConfig { history_epochs: 0, ..d() }, ZeroHistory),
+            (ColtConfig { storage_budget_pages: 0, ..d() }, ZeroStorageBudget),
+            (ColtConfig { full_budget_ratio: 0.9, ..d() }, RatioNotAboveOne(0.9)),
+            (ColtConfig { full_budget_ratio: 1.0, ..d() }, RatioNotAboveOne(1.0)),
+            (ColtConfig { selective_boundary: 1.5, ..d() }, range("selective_boundary", 1.5, 1.0)),
+            (ColtConfig { smoothing_alpha: -0.1, ..d() }, range("smoothing_alpha", -0.1, 1.0)),
+            (ColtConfig { swap_margin: -2.0, ..d() }, range("swap_margin", -2.0, 10.0)),
+            (
+                ColtConfig { max_whatif_per_epoch: 10, initial_whatif_limit: Some(11), ..d() },
+                WhatifLimitExceedsMax { limit: 11, max: 10 },
+            ),
         ];
-        for c in cases {
-            assert!(c.validate().is_err(), "{c:?}");
+        for (c, err) in cases {
+            assert_eq!(c.validate(), Err(err), "{c:?}");
         }
-    }
-
-    #[test]
-    fn builder_accepts_paper_configuration() {
-        let c = ColtConfig::builder()
-            .epoch_len(10)
-            .history_epochs(12)
-            .max_whatif_per_epoch(20)
-            .storage_budget_pages(4096)
-            .initial_whatif_limit(20)
-            .build()
-            .expect("paper parameters are valid");
-        assert_eq!(c.epoch_length, 10);
-        assert_eq!(c.initial_whatif_limit(), 20);
-    }
-
-    #[test]
-    fn builder_rejects_invalid_parameters() {
-        assert_eq!(
-            ColtConfig::builder().epoch_len(0).build(),
-            Err(ConfigError::ZeroEpochLength)
-        );
-        assert_eq!(
-            ColtConfig::builder().storage_budget_pages(0).build(),
-            Err(ConfigError::ZeroStorageBudget)
-        );
-        assert_eq!(
-            ColtConfig::builder().max_whatif_per_epoch(10).initial_whatif_limit(11).build(),
-            Err(ConfigError::WhatifLimitExceedsMax { limit: 11, max: 10 })
-        );
-        assert_eq!(
-            ColtConfig::builder().full_budget_ratio(0.9).build(),
-            Err(ConfigError::RatioNotAboveOne(0.9))
-        );
-        let err = ColtConfig::builder().swap_margin(-2.0).build().unwrap_err();
-        assert!(matches!(err, ConfigError::OutOfRange { param: "swap_margin", .. }));
-        assert!(err.to_string().contains("swap_margin"));
+        assert!(range("swap_margin", -2.0, 10.0).to_string().contains("swap_margin"));
     }
 
     #[test]

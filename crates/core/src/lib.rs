@@ -29,9 +29,7 @@ pub mod crude;
 pub mod forecast;
 pub mod gain;
 pub mod hotset;
-pub mod json;
 pub mod knapsack;
-pub mod obs_export;
 pub mod organizer;
 pub mod profiler;
 pub mod prng;
@@ -40,11 +38,16 @@ pub mod scheduler;
 pub mod trace;
 pub mod tuner;
 
+// The JSON module lives in `colt_obs`, at the bottom of the crate DAG.
+// This path stays because `benches/perf` imports
+// `colt_core::json::{self, Json, parse}` and is frozen by
+// BENCHMARK.json; `core → obs` is already an edge in its lockfile.
+pub use colt_obs::json;
+
 pub use cluster::{ClusterId, ClusterKey, ClusterSet, SelBucket};
 pub use composite_ext::{CompositeStep, CompositeTuner};
-pub use config::{ColtConfig, ColtConfigBuilder, ConfigError};
+pub use config::{ColtConfig, ConfigError};
 pub use gain::{GainStats, IndexClusterStats};
-pub use obs_export::{event_json, snapshot_json};
 pub use organizer::{ReorgDecision, SelfOrganizer};
 pub use profiler::{GainMode, ProfileOutcome, Profiler};
 pub use rebudget::{CandidateInterval, DecisionContext};

@@ -4,7 +4,6 @@
 //! paper's Figure 5 (what-if calls per epoch) and to audit
 //! materialization churn, budget regulation, and profiling coverage.
 
-use crate::json::Json;
 use colt_catalog::ColRef;
 
 /// One epoch's worth of tuner activity.
@@ -76,15 +75,6 @@ impl Trace {
         self.epochs.iter().map(|e| e.created.len()).sum()
     }
 
-    /// Serialize to JSON (for EXPERIMENTS.md artifacts).
-    pub fn to_json(&self) -> String {
-        Json::Obj(vec![(
-            "epochs".to_string(),
-            Json::Arr(self.epochs.iter().map(EpochRecord::to_json_value).collect()),
-        )])
-        .pretty()
-    }
-
     /// The epoch axis a per-epoch table must span: the trace's closed
     /// epochs, extended to cover every epoch the flight recorder saw
     /// (the ledger and time series also record the trailing partial
@@ -94,64 +84,6 @@ impl Trace {
         let ledger = obs.ledger.max_epoch().map_or(0, |e| e + 1);
         let series = obs.series.max_epoch().map_or(0, |e| e + 1);
         (self.epochs.len() as u64).max(ledger).max(series)
-    }
-}
-
-/// Render a column reference as `{"table": t, "column": c}`.
-fn colref_json(c: &ColRef) -> Json {
-    Json::obj(vec![
-        ("table", Json::UInt(c.table.0 as u64)),
-        ("column", Json::UInt(c.column as u64)),
-    ])
-}
-
-fn colrefs_json(cols: &[ColRef]) -> Json {
-    Json::Arr(cols.iter().map(colref_json).collect())
-}
-
-impl EpochRecord {
-    /// An explicit zero row for an epoch with no closed trace record
-    /// (used to pad per-epoch tables out to the flight recorder's
-    /// epoch axis).
-    pub fn zero(epoch: u64) -> Self {
-        EpochRecord {
-            epoch,
-            whatif_used: 0,
-            whatif_limit: 0,
-            whatif_skipped: 0,
-            next_budget: 0,
-            ratio: 0.0,
-            net_benefit_m: 0.0,
-            net_benefit_m_prime: 0.0,
-            materialized: vec![],
-            created: vec![],
-            dropped: vec![],
-            hot: vec![],
-            build_millis: 0.0,
-            candidate_count: 0,
-            cluster_count: 0,
-        }
-    }
-
-    /// The record as a JSON value (one element of the trace artifact).
-    pub fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("epoch", Json::UInt(self.epoch)),
-            ("whatif_used", Json::UInt(self.whatif_used)),
-            ("whatif_limit", Json::UInt(self.whatif_limit)),
-            ("whatif_skipped", Json::UInt(self.whatif_skipped)),
-            ("next_budget", Json::UInt(self.next_budget)),
-            ("ratio", Json::Float(self.ratio)),
-            ("net_benefit_m", Json::Float(self.net_benefit_m)),
-            ("net_benefit_m_prime", Json::Float(self.net_benefit_m_prime)),
-            ("materialized", colrefs_json(&self.materialized)),
-            ("created", colrefs_json(&self.created)),
-            ("dropped", colrefs_json(&self.dropped)),
-            ("hot", colrefs_json(&self.hot)),
-            ("build_millis", Json::Float(self.build_millis)),
-            ("candidate_count", Json::UInt(self.candidate_count as u64)),
-            ("cluster_count", Json::UInt(self.cluster_count as u64)),
-        ])
     }
 }
 
@@ -206,21 +138,5 @@ mod tests {
         assert_eq!(t.epoch_axis(&obs), 2);
         // Without flight-recorder data the axis is just the trace.
         assert_eq!(t.epoch_axis(&colt_obs::Snapshot::default()), 1);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut t = Trace::new();
-        t.push(record(0, 7, 1));
-        let json = t.to_json();
-        let back = crate::json::parse(&json).unwrap();
-        let epochs = back.get("epochs").expect("epochs key");
-        assert_eq!(epochs.as_array().unwrap().len(), 1);
-        let first = epochs.idx(0).unwrap();
-        assert_eq!(first.get("whatif_used").and_then(Json::as_u64), Some(7));
-        assert_eq!(
-            first.get("created").and_then(|c| c.idx(0)).and_then(|c| c.get("column")).and_then(Json::as_u64),
-            Some(0)
-        );
     }
 }

@@ -365,8 +365,8 @@ mod tests {
         let (tuner, physical) = drive(&db, &q, 60);
         assert!(
             physical.contains(col),
-            "after 6 epochs of identical selective queries the index must exist; trace: {}",
-            tuner.trace().to_json()
+            "after 6 epochs of identical selective queries the index must exist; trace: {:?}",
+            tuner.trace()
         );
         assert_eq!(tuner.trace().epochs.len(), 6);
         assert!(tuner.trace().total_builds() >= 1);
@@ -381,7 +381,7 @@ mod tests {
         let epochs = &tuner.trace().epochs;
         // The final epochs should run with (almost) no what-if budget.
         let tail_budget: u64 = epochs.iter().rev().take(3).map(|e| e.next_budget).sum();
-        assert_eq!(tail_budget, 0, "stable+tuned → hibernation; trace: {}", tuner.trace().to_json());
+        assert_eq!(tail_budget, 0, "stable+tuned → hibernation; trace: {:?}", tuner.trace());
         // And profiling must have happened at some point (the first
         // epoch has no hot set yet, so it starts in epoch 1).
         assert!(epochs.iter().any(|e| e.whatif_used > 0));

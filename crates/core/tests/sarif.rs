@@ -1,9 +1,9 @@
 //! The analyzer's SARIF export must round-trip through the same strict
-//! JSON parser CI uses for every other artifact (`colt_core::json`) —
+//! JSON parser CI uses for every other artifact (`colt_obs::json`) —
 //! a hand-rolled serializer that emits un-parseable output would fail
 //! silently only at upload time.
 
-use colt_core::json::{parse, Json};
+use colt_obs::json::{parse, Json};
 
 #[test]
 fn sarif_export_parses_with_the_strict_parser() {
@@ -18,7 +18,7 @@ fn sarif_export_parses_with_the_strict_parser() {
         violations,
         ..colt_analyze::Report::default()
     };
-    let doc = parse(&report.to_sarif()).expect("SARIF must parse with colt_core::json");
+    let doc = parse(&report.to_sarif()).expect("SARIF must parse with colt_obs::json");
 
     assert_eq!(doc.get("version").and_then(Json::as_str), Some("2.1.0"));
     let run = doc.get("runs").and_then(|r| r.idx(0)).expect("one run");

@@ -319,7 +319,23 @@ mod tests {
     #[test]
     fn timeline_pads_to_the_recorder_axis() {
         let mut trace = Trace::new();
-        trace.push(EpochRecord::zero(0));
+        trace.push(EpochRecord {
+            epoch: 0,
+            whatif_used: 0,
+            whatif_limit: 0,
+            whatif_skipped: 0,
+            next_budget: 0,
+            ratio: 0.0,
+            net_benefit_m: 0.0,
+            net_benefit_m_prime: 0.0,
+            materialized: vec![],
+            created: vec![],
+            dropped: vec![],
+            hot: vec![],
+            build_millis: 0.0,
+            candidate_count: 0,
+            cluster_count: 0,
+        });
         let s = render_decision_timeline(&run_with(trace, recorder_with_decisions()));
         // The series saw epochs 0 and 1; the trace closed only epoch 0,
         // so the table has a zero row for epoch 1.

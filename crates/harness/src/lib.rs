@@ -33,7 +33,7 @@ pub use flight::{
 };
 pub use metrics::{adaptation_latency, budget_utilization, convergence_point};
 pub use multiclient::{interleave, split_round_robin};
-pub use parallel::{default_threads, run_cells, run_cells_default, Cell, CellResult, ParallelReport};
+pub use parallel::{run_cells, Cell, CellResult, ParallelReport};
 pub use report::{
     bucket_rows, component_breakdown, emit_breakdown, emit_parallel_summary, render_breakdown,
     render_buckets, render_parallel_summary, render_whatif_series, time_ratio, Breakdown,

@@ -133,16 +133,6 @@ impl ParallelReport {
     }
 }
 
-/// Worker-thread count: `COLT_THREADS` if set and positive, else the
-/// machine's available parallelism.
-pub fn default_threads() -> usize {
-    std::env::var("COLT_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 /// Run every cell and collect results in submission order.
 ///
 /// `threads <= 1` runs inline in the calling thread (no pool); more
@@ -188,11 +178,6 @@ pub fn run_cells(cells: &[Cell<'_>], threads: usize) -> Result<ParallelReport, E
         wall_millis: start.elapsed().as_secs_f64() * 1e3,
         threads: workers,
     })
-}
-
-/// Run every cell on [`default_threads`] workers.
-pub fn run_cells_default(cells: &[Cell<'_>]) -> Result<ParallelReport, ExecError> {
-    run_cells(cells, default_threads())
 }
 
 fn time_cell(cell: &Cell<'_>, index: usize, total: usize) -> Result<CellResult, ExecError> {

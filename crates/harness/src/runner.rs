@@ -17,7 +17,7 @@
 //! * **NONE** — no tuning at all; the pre-tuned baseline.
 
 use colt_catalog::{ColRef, Database, PhysicalConfig};
-use colt_core::json::Json;
+use colt_obs::json::Json;
 use colt_core::{ColtConfig, ColtTuner, MaterializationStrategy, Trace};
 use colt_engine::{Collect, Eqo, ExecError, Executor, Query};
 use colt_offline::OfflineSelection;
@@ -484,7 +484,7 @@ mod tests {
         let w = selective_stream(t, 60);
         let colt = run_colt_budget(&db, &w, 100_000);
         let json = colt.summary_json();
-        let v = colt_core::json::parse(&json).unwrap();
+        let v = colt_obs::json::parse(&json).unwrap();
         assert_eq!(v.get("policy").and_then(Json::as_str), Some("COLT"));
         assert_eq!(v.get("queries").and_then(Json::as_u64), Some(60));
         assert!(v.get("total_millis").and_then(Json::as_f64).unwrap() > 0.0);

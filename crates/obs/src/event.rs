@@ -2,9 +2,10 @@
 //! sink consumed by tooling and CI) and a compact human line (the
 //! `summary`-level stderr format shared by every binary).
 //!
-//! The JSON rendering is deliberately compatible with the hand-rolled
-//! parser in `colt_core::json` — the repo's round-trip tests parse the
-//! sink's output with it.
+//! The JSON rendering goes through [`crate::json`]'s escaper and float
+//! formatter, so the strict parser beside them reads every line back.
+
+use crate::json::{format_float, write_str};
 
 /// A typed event field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -13,7 +14,7 @@ pub enum FieldValue {
     U64(u64),
     /// Signed integer.
     I64(i64),
-    /// Float (rendered with a decimal point, like `colt_core::json`).
+    /// Float (rendered with a decimal point, so it parses back as one).
     F64(f64),
     /// String.
     Str(String),
@@ -91,14 +92,8 @@ impl Event {
     /// One-line JSON: `{"event":"kind","k":v,...}`.
     pub fn jsonl(&self) -> String {
         let mut out = String::from("{\"event\":");
-        write_json_str(&mut out, self.kind);
-        for (k, v) in &self.fields {
-            out.push(',');
-            write_json_str(&mut out, k);
-            out.push(':');
-            write_json_value(&mut out, v);
-        }
-        out.push('}');
+        write_str(&mut out, self.kind);
+        write_fields(&mut out, &self.fields);
         out
     }
 
@@ -122,43 +117,22 @@ impl Event {
     }
 }
 
-pub(crate) fn write_json_value(out: &mut String, v: &FieldValue) {
-    match v {
-        FieldValue::U64(n) => out.push_str(&n.to_string()),
-        FieldValue::I64(n) => out.push_str(&n.to_string()),
-        FieldValue::F64(f) => out.push_str(&format_float(*f)),
-        FieldValue::Str(s) => write_json_str(out, s),
-        FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-    }
-}
-
-/// Render a float so it parses back as a float: always a decimal point
-/// (matching `colt_core::json`'s convention), `null` for non-finite.
-fn format_float(f: f64) -> String {
-    if !f.is_finite() {
-        return "null".to_string();
-    }
-    if f == f.trunc() && f.abs() < 1e15 {
-        format!("{f:.1}")
-    } else {
-        format!("{f}")
-    }
-}
-
-pub(crate) fn write_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Append `,"key":value` for every field, then the closing brace —
+/// the tail [`Event::jsonl`] and `DecisionRecord::jsonl` share.
+pub(crate) fn write_fields(out: &mut String, fields: &[(&'static str, FieldValue)]) {
+    for (k, v) in fields {
+        out.push(',');
+        write_str(out, k);
+        out.push(':');
+        match v {
+            FieldValue::U64(n) => out.push_str(&n.to_string()),
+            FieldValue::I64(n) => out.push_str(&n.to_string()),
+            FieldValue::F64(f) => out.push_str(&format_float(*f)),
+            FieldValue::Str(s) => write_str(out, s),
+            FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         }
     }
-    out.push('"');
+    out.push('}');
 }
 
 #[cfg(test)]

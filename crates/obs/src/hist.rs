@@ -2,18 +2,13 @@
 //!
 //! Buckets are defined by a static slice of ascending upper bounds; a
 //! final `+Inf` bucket is implicit. An observation `v` lands in the
-//! first bucket whose bound satisfies `v <= bound` (Prometheus `le`
-//! semantics), so a value exactly on a boundary belongs to the bucket
-//! the boundary names.
+//! first bucket whose bound satisfies `v <= bound`, so a value exactly
+//! on a boundary belongs to the bucket the boundary names.
 
 /// Default bucket upper bounds for span durations, in microseconds:
 /// 10 µs, 100 µs, 1 ms, 10 ms, 100 ms, 1 s (+Inf implicit).
 pub const DURATION_US_BUCKETS: &[f64] =
     &[10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0];
-
-/// Default bucket upper bounds for generic value observations
-/// (powers of ten from 1 to 1e6, +Inf implicit).
-pub const GENERIC_BUCKETS: &[f64] = &[1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0];
 
 /// A fixed-bucket histogram with running sum and count.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,18 +54,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Cumulative counts in Prometheus `le` form (last entry == total).
-    pub fn cumulative(&self) -> Vec<u64> {
-        let mut acc = 0;
-        self.counts
-            .iter()
-            .map(|&c| {
-                acc += c;
-                acc
-            })
-            .collect()
-    }
-
     /// Fold another histogram (with the same bounds) into this one.
     pub fn merge(&mut self, other: &Histogram) {
         debug_assert_eq!(self.bounds, other.bounds, "merging histograms with different buckets");
@@ -107,16 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_is_monotone_and_totals() {
-        let mut h = Histogram::new(&[1.0, 2.0, 3.0]);
-        for v in [0.5, 1.5, 2.5, 3.5, 3.5] {
-            h.observe(v);
-        }
-        assert_eq!(h.cumulative(), vec![1, 2, 3, 5]);
-        assert_eq!(*h.cumulative().last().unwrap(), h.count());
-    }
-
-    #[test]
     fn merge_accumulates() {
         let mut a = Histogram::new(DURATION_US_BUCKETS);
         let mut b = Histogram::new(DURATION_US_BUCKETS);
@@ -132,7 +105,7 @@ mod tests {
 
     #[test]
     fn empty_histogram() {
-        let h = Histogram::new(GENERIC_BUCKETS);
+        let h = Histogram::new(DURATION_US_BUCKETS);
         assert_eq!(h.count(), 0);
         assert_eq!(h.sum(), 0.0);
         assert!(h.bucket_counts().iter().all(|&c| c == 0));

@@ -1,11 +1,14 @@
-//! A minimal, dependency-free JSON value: writer and parser.
+//! A minimal, dependency-free JSON value: writer and strict parser.
 //!
-//! The reproduction's only serialization needs are the EXPERIMENTS.md
-//! artifacts — run summaries and epoch traces. A ~200-line hand-rolled
-//! JSON module keeps those artifacts while letting the whole workspace
-//! build with no registry access (no `serde`). The writer is
-//! deterministic: identical values render to identical bytes, which is
-//! what the parallel harness's byte-identity guarantee rests on.
+//! The one JSON implementation of the workspace. It sits here, at the
+//! bottom of the crate DAG, so the event sink, the flight recorder and
+//! the run summaries of the crates above all write through one string
+//! escaper ([`write_str`]) and one float formatter ([`format_float`]),
+//! and every test and tool reads them back through one parser
+//! ([`parse`]). A hand-rolled module keeps the whole workspace building
+//! with no registry access (no `serde`). The writer is deterministic:
+//! identical values render to identical bytes, which is what the
+//! parallel harness's byte-identity guarantee rests on.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +51,7 @@ impl Json {
             Json::Int(i) => out.push_str(&i.to_string()),
             Json::UInt(u) => out.push_str(&u.to_string()),
             Json::Float(f) => out.push_str(&format_float(*f)),
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -79,7 +82,7 @@ impl Json {
                     }
                     out.push('\n');
                     indent(out, depth + 1);
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push_str(": ");
                     v.write(out, depth + 1);
                 }
@@ -154,10 +157,11 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-fn format_float(f: f64) -> String {
+/// Render a float so it parses back as a float: always a decimal point
+/// or exponent, `null` for non-finite values (JSON has no infinities;
+/// artifacts never produce them, but the output stays parseable).
+pub fn format_float(f: f64) -> String {
     if !f.is_finite() {
-        // JSON has no infinities; artifacts never produce them, but
-        // render something parseable rather than panicking.
         return "null".to_string();
     }
     if f == f.trunc() && f.abs() < 1e15 {
@@ -167,7 +171,8 @@ fn format_float(f: f64) -> String {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted, escaped JSON string.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -9,7 +9,8 @@
 //! evicted and counted, so a long run degrades to a recent-history
 //! window instead of growing without bound.
 
-use crate::event::{write_json_str, write_json_value, FieldValue};
+use crate::event::{write_fields, FieldValue};
+use crate::json::{format_float, write_str};
 use std::collections::VecDeque;
 
 /// Default [`DecisionLedger`] capacity (records).
@@ -96,15 +97,9 @@ impl DecisionRecord {
     /// One-line JSON: `{"decision":"kind","epoch":3,"k":v,...}`.
     pub fn jsonl(&self) -> String {
         let mut out = String::from("{\"decision\":");
-        write_json_str(&mut out, self.kind);
+        write_str(&mut out, self.kind);
         out.push_str(&format!(",\"epoch\":{}", self.epoch));
-        for (k, v) in &self.fields {
-            out.push(',');
-            write_json_str(&mut out, k);
-            out.push(':');
-            write_json_value(&mut out, v);
-        }
-        out.push('}');
+        write_fields(&mut out, &self.fields);
         out
     }
 }
@@ -196,15 +191,14 @@ impl DecisionLedger {
     }
 }
 
-/// One time-series point: the deltas every counter, histogram
-/// observation count, and span's simulated milliseconds accumulated
-/// over one epoch. Zero deltas are omitted; names are sorted.
+/// One time-series point: the deltas every counter and every span's
+/// simulated milliseconds accumulated over one epoch. Zero deltas are
+/// omitted; names are sorted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochPoint {
     /// The epoch the deltas cover.
     pub epoch: u64,
-    /// Counter deltas over the epoch (histogram observation counts
-    /// appear as `<name>.count`), sorted by name, zeros omitted.
+    /// Counter deltas over the epoch, sorted by name, zeros omitted.
     pub counters: Vec<(String, u64)>,
     /// Span simulated-millisecond deltas over the epoch, sorted by
     /// name, zeros omitted.
@@ -236,7 +230,7 @@ impl EpochPoint {
             if i > 0 {
                 out.push(',');
             }
-            write_json_str(&mut out, k);
+            write_str(&mut out, k);
             out.push_str(&format!(":{v}"));
         }
         out.push_str("},\"sim_ms\":{");
@@ -244,9 +238,9 @@ impl EpochPoint {
             if i > 0 {
                 out.push(',');
             }
-            write_json_str(&mut out, k);
+            write_str(&mut out, k);
             out.push(':');
-            write_json_value(&mut out, &FieldValue::F64(*v));
+            out.push_str(&format_float(*v));
         }
         out.push_str("}}");
         out

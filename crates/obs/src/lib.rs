@@ -1,11 +1,12 @@
 //! # colt-obs
 //!
 //! Zero-dependency observability for the COLT reproduction: a
-//! global-free metrics [`Recorder`] (counters, gauges, fixed-bucket
-//! histograms, span timings), RAII [`Span`] guards over the wall clock
-//! with explicit simulated-clock attribution, and a structured
-//! [`Event`] sink that replaces ad-hoc `eprintln!` diagnostics with one
-//! format across the whole tuner stack.
+//! global-free metrics [`Recorder`] (counters and span timings), RAII
+//! [`Span`] guards over the wall clock with explicit simulated-clock
+//! attribution, a structured [`Event`] sink that replaces ad-hoc
+//! `eprintln!` diagnostics with one format across the whole tuner
+//! stack, and the workspace's one [`json`] writer and parser. A
+//! [`Snapshot`] has one serialisation, [`Snapshot::jsonl`].
 //!
 //! ## Deployment model
 //!
@@ -37,13 +38,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod json;
 pub mod event;
 pub mod hist;
 pub mod ledger;
 pub mod recorder;
 
 pub use event::{Event, FieldValue};
-pub use hist::{Histogram, DURATION_US_BUCKETS, GENERIC_BUCKETS};
+pub use hist::{Histogram, DURATION_US_BUCKETS};
 pub use ledger::{DecisionLedger, DecisionRecord, EpochPoint, TimeSeries, LEDGER_KINDS};
 pub use recorder::{Recorder, Snapshot, SpanStats};
 
@@ -75,8 +77,9 @@ impl Level {
     }
 
     /// The level selected by `COLT_OBS` (default [`Level::Summary`];
-    /// unrecognized values also fall back to the default). The value is
-    /// read once per process.
+    /// unrecognized values also fall back to the default — a library
+    /// cannot stop the process; the colt-bench binaries reject them
+    /// before any work starts). The value is read once per process.
     pub fn from_env() -> Level {
         static ENV: OnceLock<Level> = OnceLock::new();
         *ENV.get_or_init(|| {
@@ -147,16 +150,6 @@ fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
 /// Add `n` to a named counter.
 pub fn counter(name: &'static str, n: u64) {
     with_recorder(|r| r.add_counter(name, n));
-}
-
-/// Set a named gauge.
-pub fn gauge(name: &'static str, v: f64) {
-    with_recorder(|r| r.set_gauge(name, v));
-}
-
-/// Record a value into a named histogram.
-pub fn observe(name: &'static str, v: f64) {
-    with_recorder(|r| r.observe(name, v));
 }
 
 /// Attribute simulated milliseconds to a named span without opening a
@@ -256,8 +249,6 @@ mod tests {
         assert!(install(Recorder::new(Level::Full)).is_none());
         assert!(is_enabled());
         counter("c", 2);
-        gauge("g", 1.0);
-        observe("h", 3.0);
         {
             let s = span("s");
             s.sim_ms(4.5);
@@ -281,7 +272,6 @@ mod tests {
         }
         let snap = take().unwrap().into_snapshot();
         assert!(snap.flame.contains_key("outer;inner"), "flame: {:?}", snap.flame);
-        assert!(!snap.folded_flame().is_empty());
     }
 
     #[test]
@@ -301,7 +291,6 @@ mod tests {
     fn no_recorder_is_inert() {
         // Must not panic or leak state.
         counter("c", 1);
-        observe("h", 1.0);
         span_sim("s", 1.0);
         drop(span("s"));
         emit(Event::new("e"));

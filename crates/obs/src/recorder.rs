@@ -9,7 +9,8 @@
 //! region entirely.
 
 use crate::event::Event;
-use crate::hist::{Histogram, DURATION_US_BUCKETS, GENERIC_BUCKETS};
+use crate::hist::{Histogram, DURATION_US_BUCKETS};
+use crate::json::{format_float, write_str};
 use crate::ledger::{DecisionLedger, DecisionRecord, EpochPoint, TimeSeries};
 use crate::Level;
 use std::collections::BTreeMap;
@@ -48,14 +49,12 @@ impl SpanStats {
     }
 }
 
-/// A mutable metrics recorder: counters, gauges, histograms, span
-/// timings, and the retained structured-event stream.
+/// A mutable metrics recorder: counters, span timings, and the
+/// retained structured-event stream.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     level: Level,
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    hists: BTreeMap<&'static str, Histogram>,
     spans: BTreeMap<&'static str, SpanStats>,
     events: Vec<Event>,
     /// Self-time flame accumulator: the live span stack, the instant of
@@ -71,7 +70,6 @@ pub struct Recorder {
     series: TimeSeries,
     epoch: u64,
     series_counter_base: BTreeMap<&'static str, u64>,
-    series_hist_base: BTreeMap<&'static str, u64>,
     series_sim_base: BTreeMap<&'static str, f64>,
 }
 
@@ -82,8 +80,6 @@ impl Recorder {
         Recorder {
             level,
             counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            hists: BTreeMap::new(),
             spans: BTreeMap::new(),
             events: Vec::new(),
             flame_stack: Vec::new(),
@@ -93,7 +89,6 @@ impl Recorder {
             series: TimeSeries::default(),
             epoch: 0,
             series_counter_base: BTreeMap::new(),
-            series_hist_base: BTreeMap::new(),
             series_sim_base: BTreeMap::new(),
         }
     }
@@ -127,16 +122,6 @@ impl Recorder {
     /// Add `n` to a named counter.
     pub fn add_counter(&mut self, name: &'static str, n: u64) {
         *self.counters.entry(name).or_insert(0) += n;
-    }
-
-    /// Set a named gauge to its latest value.
-    pub fn set_gauge(&mut self, name: &'static str, v: f64) {
-        self.gauges.insert(name, v);
-    }
-
-    /// Record a value into a named fixed-bucket histogram.
-    pub fn observe(&mut self, name: &'static str, v: f64) {
-        self.hists.entry(name).or_insert_with(|| Histogram::new(GENERIC_BUCKETS)).observe(v);
     }
 
     /// Record one completed span of `wall_ns` nanoseconds.
@@ -203,7 +188,7 @@ impl Recorder {
     }
 
     /// Close epoch `epoch` in the flight recorder: snapshot every
-    /// counter/histogram/span-sim delta since the previous mark into a
+    /// counter/span-sim delta since the previous mark into a
     /// time-series point (skipped when all deltas are zero), advance
     /// the baselines, and stamp subsequent decisions with `epoch + 1`.
     pub fn mark_epoch(&mut self, epoch: u64) {
@@ -214,14 +199,6 @@ impl Recorder {
                 counters.push((name.to_string(), v - base));
             }
         }
-        for (&name, hist) in &self.hists {
-            let v = hist.count();
-            let base = self.series_hist_base.get(name).copied().unwrap_or(0);
-            if v > base {
-                counters.push((format!("{name}.count"), v - base));
-            }
-        }
-        counters.sort();
         let mut sim_ms: Vec<(String, f64)> = Vec::new();
         for (&name, stats) in &self.spans {
             let base = self.series_sim_base.get(name).copied().unwrap_or(0.0);
@@ -235,7 +212,6 @@ impl Recorder {
             self.series.push(point);
         }
         self.series_counter_base = self.counters.clone();
-        self.series_hist_base = self.hists.iter().map(|(&k, h)| (k, h.count())).collect();
         self.series_sim_base = self.spans.iter().map(|(&k, s)| (k, s.sim_ms)).collect();
         self.epoch = epoch + 1;
     }
@@ -244,8 +220,6 @@ impl Recorder {
     pub fn into_snapshot(self) -> Snapshot {
         Snapshot {
             counters: self.counters.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-            gauges: self.gauges.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-            hists: self.hists.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
             spans: self.spans.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
             events: self.events,
             flame: self.flame,
@@ -260,10 +234,6 @@ impl Recorder {
 pub struct Snapshot {
     /// Monotonic counters by name.
     pub counters: BTreeMap<String, u64>,
-    /// Last-value gauges by name.
-    pub gauges: BTreeMap<String, f64>,
-    /// Value histograms by name.
-    pub hists: BTreeMap<String, Histogram>,
     /// Span timings by name.
     pub spans: BTreeMap<String, SpanStats>,
     /// Retained structured events, in record order.
@@ -282,8 +252,6 @@ impl Snapshot {
     /// [`Level::Off`]).
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.hists.is_empty()
             && self.spans.is_empty()
             && self.events.is_empty()
             && self.flame.is_empty()
@@ -306,22 +274,11 @@ impl Snapshot {
         self.spans.get(name).map_or(0.0, SpanStats::wall_ms)
     }
 
-    /// Fold another snapshot into this one: counters/histograms/spans
-    /// accumulate, gauges take the other's value, events append.
+    /// Fold another snapshot into this one: counters, spans and flame
+    /// frames accumulate; events, decisions and series points append.
     pub fn merge(&mut self, other: &Snapshot) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, v) in &other.hists {
-            match self.hists.get_mut(k) {
-                Some(h) if h.bounds() == v.bounds() => h.merge(v),
-                Some(_) | None => {
-                    self.hists.insert(k.clone(), v.clone());
-                }
-            }
         }
         for (k, v) in &other.spans {
             match self.spans.get_mut(k) {
@@ -341,89 +298,61 @@ impl Snapshot {
 
     /// The flight recorder as JSONL: every ledger record, then every
     /// time-series point (the two line shapes are distinguished by
-    /// their leading `"decision"` / `"series_epoch"` key). This is the
-    /// `COLT_OBS_LEDGER` dump format; it contains only deterministic
-    /// simulated values, so it is byte-identical across `COLT_OBS`
-    /// levels and `COLT_THREADS` counts.
+    /// their leading `"decision"` / `"series_epoch"` key). It contains
+    /// only deterministic simulated values, so it is byte-identical
+    /// across `COLT_OBS` levels and `COLT_THREADS` counts — the prefix
+    /// of [`Snapshot::jsonl`] that determinism checks compare.
     pub fn flight_jsonl(&self) -> String {
         let mut out = self.ledger.jsonl();
         out.push_str(&self.series.jsonl());
         out
     }
 
-    /// The flame accumulator as folded-stack lines (`outer;inner;leaf
-    /// <ns>`, one per line, trailing newline when non-empty) — the input
-    /// format of `flamegraph.pl` and `inferno-flamegraph`.
-    pub fn folded_flame(&self) -> String {
-        let mut out = String::new();
-        for (stack, ns) in &self.flame {
-            out.push_str(&format!("{stack} {ns}\n"));
-        }
-        out
-    }
-
-    /// The retained event stream as JSONL (one event per line, trailing
-    /// newline when non-empty).
-    pub fn events_jsonl(&self) -> String {
-        let mut out = String::new();
+    /// The whole snapshot as JSONL — its only serialisation, and what
+    /// `COLT_OBS_PATH=<file>` writes. Every line is one JSON object
+    /// tagged by its first key, in this order:
+    ///
+    /// * `{"decision":kind,"epoch":N,…}` and
+    ///   `{"series_epoch":N,"counters":{…},"sim_ms":{…}}` —
+    ///   [`Snapshot::flight_jsonl`], the deterministic prefix;
+    /// * `{"event":kind,…}` — the retained event stream, in record order;
+    /// * `{"counter":name,"value":N}` — by name;
+    /// * `{"span":name,"count":N,"wall_ns":N,"sim_ms":F,"wall_us_buckets":[…]}`
+    ///   — by name; the buckets are per-bucket (not cumulative) counts
+    ///   over [`DURATION_US_BUCKETS`] plus a final `+Inf` bucket;
+    /// * `{"flame":"outer;inner;leaf","ns":N}` — folded-stack self time.
+    ///
+    /// Everything after the prefix may carry wall-clock values.
+    pub fn jsonl(&self) -> String {
+        let mut out = self.flight_jsonl();
         for e in &self.events {
             out.push_str(&e.jsonl());
             out.push('\n');
         }
-        out
-    }
-
-    /// Render every metric as a Prometheus-style text dump.
-    pub fn prometheus(&self) -> String {
-        let mut out = String::new();
         for (name, v) in &self.counters {
-            let m = metric_name(name, "");
-            out.push_str(&format!("# TYPE {m} counter\n{m} {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            let m = metric_name(name, "");
-            out.push_str(&format!("# TYPE {m} gauge\n{m} {v}\n"));
-        }
-        for (name, h) in &self.hists {
-            write_histogram(&mut out, &metric_name(name, ""), h);
+            out.push_str("{\"counter\":");
+            write_str(&mut out, name);
+            out.push_str(&format!(",\"value\":{v}}}\n"));
         }
         for (name, s) in &self.spans {
-            let base = metric_name(name, "_span");
+            out.push_str("{\"span\":");
+            write_str(&mut out, name);
+            let buckets: Vec<String> = s.wall_us.bucket_counts().iter().map(u64::to_string).collect();
             out.push_str(&format!(
-                "# TYPE {base}_wall_seconds_total counter\n{base}_wall_seconds_total {}\n",
-                s.wall_ns as f64 / 1e9
+                ",\"count\":{},\"wall_ns\":{},\"sim_ms\":{},\"wall_us_buckets\":[{}]}}\n",
+                s.count,
+                s.wall_ns,
+                format_float(s.sim_ms),
+                buckets.join(",")
             ));
-            out.push_str(&format!(
-                "# TYPE {base}_sim_ms_total counter\n{base}_sim_ms_total {}\n",
-                s.sim_ms
-            ));
-            write_histogram(&mut out, &format!("{base}_wall_us"), &s.wall_us);
+        }
+        for (stack, ns) in &self.flame {
+            out.push_str("{\"flame\":");
+            write_str(&mut out, stack);
+            out.push_str(&format!(",\"ns\":{ns}}}\n"));
         }
         out
     }
-}
-
-fn write_histogram(out: &mut String, base: &str, h: &Histogram) {
-    out.push_str(&format!("# TYPE {base} histogram\n"));
-    let cumulative = h.cumulative();
-    for (i, c) in cumulative.iter().enumerate() {
-        let le = match h.bounds().get(i) {
-            Some(b) => b.to_string(),
-            None => "+Inf".to_string(),
-        };
-        out.push_str(&format!("{base}_bucket{{le=\"{le}\"}} {c}\n"));
-    }
-    out.push_str(&format!("{base}_sum {}\n{base}_count {}\n", h.sum(), h.count()));
-}
-
-/// `organizer.knapsack` → `colt_organizer_knapsack<suffix>`.
-fn metric_name(name: &str, suffix: &str) -> String {
-    let mut m = String::from("colt_");
-    for c in name.chars() {
-        m.push(if c.is_ascii_alphanumeric() { c } else { '_' });
-    }
-    m.push_str(suffix);
-    m
 }
 
 #[cfg(test)]
@@ -435,16 +364,11 @@ mod tests {
         let mut r = Recorder::new(Level::Full);
         r.add_counter("a.b", 2);
         r.add_counter("a.b", 3);
-        r.set_gauge("g", 1.5);
-        r.set_gauge("g", 2.5);
-        r.observe("h", 50.0);
         r.record_span("s", 1_500_000); // 1.5 ms
         r.record_span_sim("s", 9.0);
         r.record_event(Event::new("e").field("x", 1u64));
         let s = r.into_snapshot();
         assert_eq!(s.counter("a.b"), 5);
-        assert_eq!(s.gauges["g"], 2.5);
-        assert_eq!(s.hists["h"].count(), 1);
         let span = s.span("s").unwrap();
         assert_eq!(span.count, 1);
         assert!((span.wall_ms() - 1.5).abs() < 1e-9);
@@ -494,13 +418,7 @@ mod tests {
         // actual nanosecond values depend on the wall clock.
         assert!(s.flame.contains_key("outer;inner"), "flame: {:?}", s.flame);
         assert!(s.flame.contains_key("outer"), "flame: {:?}", s.flame);
-        let folded = s.folded_flame();
-        for line in folded.lines() {
-            let (stack, ns) = line.rsplit_once(' ').expect("folded line shape");
-            assert!(!stack.is_empty());
-            ns.parse::<u64>().expect("ns field parses");
-        }
-        assert!(folded.ends_with('\n'));
+        assert!(s.flame.keys().all(|stack| !stack.is_empty()));
     }
 
     #[test]
@@ -527,7 +445,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.flame["x;y"], 15);
         assert_eq!(a.flame["z"], 7);
-        assert_eq!(a.folded_flame(), "x;y 15\nz 7\n");
+        assert_eq!(a.jsonl(), "{\"flame\":\"x;y\",\"ns\":15}\n{\"flame\":\"z\",\"ns\":7}\n");
     }
 
     #[test]
@@ -548,7 +466,6 @@ mod tests {
     fn mark_epoch_snapshots_deltas_and_advances_baselines() {
         let mut r = Recorder::new(Level::Summary);
         r.add_counter("a.b", 3);
-        r.observe("h.v", 1.0);
         r.record_span_sim("s.t", 2.5);
         r.mark_epoch(0);
         r.add_counter("a.b", 2);
@@ -559,11 +476,9 @@ mod tests {
         let points: Vec<&crate::EpochPoint> = s.series.points().collect();
         assert_eq!(points[0].epoch, 0);
         assert_eq!(points[0].counter("a.b"), 3);
-        assert_eq!(points[0].counter("h.v.count"), 1);
         assert_eq!(points[0].sim("s.t"), 2.5);
         assert_eq!(points[1].epoch, 1);
         assert_eq!(points[1].counter("a.b"), 2);
-        assert_eq!(points[1].counter("h.v.count"), 0);
         assert_eq!(points[1].sim("s.t"), 0.0);
         assert_eq!(s.series.max_epoch(), Some(1));
     }
@@ -606,18 +521,33 @@ mod tests {
         assert_eq!(s.series.points().next().unwrap().epoch, 3);
     }
 
+    /// Every line shape of the one dump, on a hand-built recorder, and
+    /// the deterministic flight recorder as its byte prefix.
     #[test]
-    fn prometheus_dump_shape() {
+    fn jsonl_pins_each_line_shape_after_the_flight_prefix() {
         let mut r = Recorder::new(Level::Full);
+        r.record_decision(crate::DecisionRecord::new("knapsack").field("spent_pages", 4u64));
         r.add_counter("engine.whatif_calls", 12);
-        r.set_gauge("threads", 4.0);
-        r.record_span("organizer.knapsack", 2_000_000);
-        let text = r.into_snapshot().prometheus();
-        assert!(text.contains("# TYPE colt_engine_whatif_calls counter"));
-        assert!(text.contains("colt_engine_whatif_calls 12"));
-        assert!(text.contains("colt_threads 4"));
-        assert!(text.contains("colt_organizer_knapsack_span_wall_seconds_total 0.002"));
-        assert!(text.contains("colt_organizer_knapsack_span_wall_us_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("colt_organizer_knapsack_span_wall_us_count 1"));
+        r.record_span("organizer.knapsack", 2_000_000); // 2 ms → the le=10 ms bucket
+        r.record_span_sim("organizer.knapsack", 7.0);
+        r.mark_epoch(0);
+        r.record_event(Event::new("epoch").field("ratio", 1.5).field("label", "a\"b"));
+        let mut s = r.into_snapshot();
+        s.flame.insert("tuner.epoch;organizer.knapsack".into(), 1_900);
+        let text = s.jsonl();
+        assert_eq!(
+            text,
+            "{\"decision\":\"knapsack\",\"epoch\":0,\"spent_pages\":4}\n\
+             {\"series_epoch\":0,\"counters\":{\"engine.whatif_calls\":12},\"sim_ms\":{\"organizer.knapsack\":7.0}}\n\
+             {\"event\":\"epoch\",\"ratio\":1.5,\"label\":\"a\\\"b\"}\n\
+             {\"counter\":\"engine.whatif_calls\",\"value\":12}\n\
+             {\"span\":\"organizer.knapsack\",\"count\":1,\"wall_ns\":2000000,\"sim_ms\":7.0,\"wall_us_buckets\":[0,0,0,1,0,0,0]}\n\
+             {\"flame\":\"tuner.epoch;organizer.knapsack\",\"ns\":1900}\n"
+        );
+        assert!(text.starts_with(&s.flight_jsonl()) && s.flight_jsonl().lines().count() == 2);
+        for line in text.lines() {
+            crate::json::parse(line).expect("every dump line parses");
+        }
+        assert_eq!(Snapshot::default().jsonl(), "");
     }
 }

@@ -93,23 +93,31 @@ fn snapshot_covers_every_layer() {
 
 #[test]
 fn event_stream_round_trips_through_core_json() {
+    use colt_repro::obs::json::{parse, Json};
     let run = run_colt_at(Level::Full, presets::stable);
-    let jsonl = run.obs.events_jsonl();
-    assert!(!jsonl.is_empty());
-    for (i, line) in jsonl.lines().enumerate() {
-        let v = colt_repro::colt::json::parse(line)
-            .unwrap_or_else(|e| panic!("line {}: {e}: {line}", i + 1));
+    let dump = run.obs.jsonl();
+    assert!(dump.starts_with(&run.obs.flight_jsonl()), "the flight recorder is the dump's prefix");
+    let mut events = run.obs.events.iter();
+    for (i, line) in dump.lines().enumerate() {
+        let v = parse(line).unwrap_or_else(|e| panic!("line {}: {e}: {line}", i + 1));
+        let Json::Obj(pairs) = &v else { panic!("line {} is not an object: {line}", i + 1) };
+        let tag = pairs.first().map_or("", |(k, _)| k.as_str());
         assert!(
-            v.get("event").and_then(colt_repro::colt::json::Json::as_str).is_some(),
-            "line {} lacks an event kind",
+            ["decision", "series_epoch", "event", "counter", "span", "flame"].contains(&tag),
+            "line {}: unknown tag {tag:?}: {line}",
             i + 1
         );
-        // The structural export agrees with the textual sink.
-        assert_eq!(v, colt_repro::colt::event_json(&run.obs.events[i]));
+        if tag == "event" {
+            // Each event line is the retained event, in record order,
+            // with every field under its own key.
+            let e = events.next().expect("no more event lines than retained events");
+            assert_eq!(v.get("event").and_then(Json::as_str), Some(e.kind), "line {}", i + 1);
+            assert_eq!(pairs.len(), 1 + e.fields.len(), "line {}: {line}", i + 1);
+            assert!(e.fields.iter().all(|(k, _)| v.get(k).is_some()), "line {}: {line}", i + 1);
+        }
     }
-    // And the whole snapshot parses as one artifact.
-    let snap_text = colt_repro::colt::snapshot_json(&run.obs).pretty();
-    colt_repro::colt::json::parse(&snap_text).expect("snapshot JSON must parse");
+    assert!(events.next().is_none(), "every retained event has its line");
+    assert!(!run.obs.events.is_empty());
 }
 
 #[test]
