@@ -41,7 +41,7 @@ fn bench_knapsack() {
             .collect();
         let capacity: u64 = items.iter().map(|it| it.size).sum::<u64>() / 4;
         bench(&format!("knapsack/solve/{n}"), || {
-            black_box(knapsack::solve(&items, capacity));
+            black_box(knapsack::solve(items.iter().copied(), capacity));
         });
     }
 }

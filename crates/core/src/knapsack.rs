@@ -33,14 +33,14 @@ const MAX_CAPACITY_STEPS: u64 = 8192;
 ///     Item { size: 20, value: 100.0 },
 ///     Item { size: 30, value: 120.0 },
 /// ];
-/// assert_eq!(solve(&items, 50), vec![1, 2]);
+/// assert_eq!(solve(items, 50), vec![1, 2]);
 /// ```
-pub fn solve(items: &[Item], capacity: u64) -> Vec<usize> {
+pub fn solve(items: impl IntoIterator<Item = Item>, capacity: u64) -> Vec<usize> {
     // Zero-size items with positive value are always worth taking; filter
     // them in directly and solve for the rest.
     let mut always = Vec::new();
     let mut rest: Vec<(usize, Item)> = Vec::new();
-    for (i, &it) in items.iter().enumerate() {
+    for (i, it) in items.into_iter().enumerate() {
         if it.value <= 0.0 {
             continue;
         }
@@ -177,7 +177,7 @@ mod tests {
             Item { size: 20, value: 100.0 },
             Item { size: 30, value: 120.0 },
         ];
-        let chosen = solve(&items, 50);
+        let chosen = solve(items.iter().copied(), 50);
         assert_eq!(chosen, vec![1, 2]);
         assert_eq!(total_value(&items, &chosen), 220.0);
         assert_eq!(total_size(&items, &chosen), 50);
@@ -185,31 +185,31 @@ mod tests {
 
     #[test]
     fn negative_and_zero_value_items_skipped() {
-        let items = vec![
+        let items = [
             Item { size: 1, value: -5.0 },
             Item { size: 1, value: 0.0 },
             Item { size: 1, value: 3.0 },
         ];
-        assert_eq!(solve(&items, 10), vec![2]);
+        assert_eq!(solve(items.iter().copied(), 10), vec![2]);
     }
 
     #[test]
     fn oversized_items_skipped() {
-        let items = vec![Item { size: 100, value: 1000.0 }, Item { size: 5, value: 1.0 }];
-        assert_eq!(solve(&items, 10), vec![1]);
+        let items = [Item { size: 100, value: 1000.0 }, Item { size: 5, value: 1.0 }];
+        assert_eq!(solve(items.iter().copied(), 10), vec![1]);
     }
 
     #[test]
     fn zero_size_positive_items_always_taken() {
-        let items = vec![Item { size: 0, value: 1.0 }, Item { size: 5, value: 2.0 }];
-        assert_eq!(solve(&items, 5), vec![0, 1]);
-        assert_eq!(solve(&items, 0), vec![0]);
+        let items = [Item { size: 0, value: 1.0 }, Item { size: 5, value: 2.0 }];
+        assert_eq!(solve(items.iter().copied(), 5), vec![0, 1]);
+        assert_eq!(solve(items.iter().copied(), 0), vec![0]);
     }
 
     #[test]
     fn empty_inputs() {
-        assert!(solve(&[], 100).is_empty());
-        assert!(solve(&[Item { size: 1, value: 1.0 }], 0).is_empty());
+        assert!(solve([], 100).is_empty());
+        assert!(solve([Item { size: 1, value: 1.0 }], 0).is_empty());
     }
 
     #[test]
@@ -226,7 +226,7 @@ mod tests {
                 .map(|_| Item { size: next() % 50 + 1, value: (next() % 1000) as f64 / 10.0 })
                 .collect();
             let cap = next() % 120 + 1;
-            let chosen = solve(&items, cap);
+            let chosen = solve(items.iter().copied(), cap);
             assert!(total_size(&items, &chosen) <= cap, "capacity respected");
             let got = total_value(&items, &chosen);
             let want = brute_force(&items, cap);
@@ -240,7 +240,7 @@ mod tests {
             .map(|i| Item { size: 100_000 + i * 13_337, value: (i + 1) as f64 })
             .collect();
         let cap = 1_000_000;
-        let chosen = solve(&items, cap);
+        let chosen = solve(items.iter().copied(), cap);
         assert!(total_size(&items, &chosen) <= cap);
         assert!(!chosen.is_empty());
     }

@@ -26,7 +26,6 @@ pub mod cluster;
 pub mod composite_ext;
 pub mod config;
 pub mod crude;
-pub mod forecast;
 pub mod gain;
 pub mod hotset;
 pub mod knapsack;

@@ -20,21 +20,11 @@
 
 use crate::cluster::ClusterId;
 use crate::config::ColtConfig;
-use crate::forecast;
 use crate::hotset::select_hot;
-use crate::knapsack::{self, Item};
 use crate::profiler::{GainMode, Profiler};
 use crate::rebudget::{CandidateInterval, DecisionContext};
 use colt_catalog::{ColRef, Database, PhysicalConfig};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Per-epoch benefit series for one index: conservative and optimistic
-/// totals, most recent epoch first.
-#[derive(Debug, Clone, Default)]
-struct BenefitSeries {
-    conservative: Vec<f64>,
-    optimistic: Vec<f64>,
-}
+use std::collections::BTreeSet;
 
 /// The decision produced at an epoch boundary.
 #[derive(Debug, Clone)]
@@ -55,41 +45,24 @@ pub struct ReorgDecision {
     pub net_benefit_m: f64,
     /// Aggregate `NetBenefit(M′)` under the best-case scenario.
     pub net_benefit_m_prime: f64,
-    /// Per-candidate value intervals for next epoch's what-if
-    /// skip-proofs (see [`crate::rebudget`]): every priced index in
-    /// `H ∪ M` plus the freshly selected hot columns, bracketed by the
-    /// conservative and best-case knapsack values computed above.
+    /// The frame the boundary's solves ran against, plus the freshly
+    /// selected hot columns: next epoch's what-if skip-proofs read it
+    /// (see [`crate::rebudget`]).
     pub context: DecisionContext,
 }
 
-/// The Self-Organizer.
+/// The Self-Organizer: the boundary's decision is a function of the
+/// Profiler's statistics and the configuration; nothing is carried from
+/// one boundary to the next.
 #[derive(Debug)]
 pub struct SelfOrganizer {
-    history_epochs: usize,
-    budget_pages: u64,
-    max_whatif: u64,
-    full_budget_ratio: f64,
-    max_hot: usize,
-    swap_margin: f64,
-    self_regulation: bool,
-    // BTreeMap: `.retain` iterates the map, and kernel state must never
-    // depend on hash order.
-    series: BTreeMap<ColRef, BenefitSeries>,
+    config: ColtConfig,
 }
 
 impl SelfOrganizer {
     /// Build from the COLT configuration.
     pub fn new(config: &ColtConfig) -> Self {
-        SelfOrganizer {
-            history_epochs: config.history_epochs,
-            budget_pages: config.storage_budget_pages,
-            max_whatif: config.max_whatif_per_epoch,
-            full_budget_ratio: config.full_budget_ratio,
-            max_hot: config.max_hot_set,
-            swap_margin: config.swap_margin,
-            self_regulation: config.self_regulation,
-            series: BTreeMap::new(),
-        }
+        SelfOrganizer { config: config.clone() }
     }
 
     /// Estimated cost (in cost units) of materializing an index on
@@ -108,130 +81,87 @@ impl SelfOrganizer {
             + c.page_write_cost * est.pages as f64
     }
 
-    /// Fold the finished epoch's measured benefits into the per-index
-    /// series for every index in `H ∪ M`, and age out series of indices
-    /// that left both sets. `counts` is the boundary's
-    /// [`ClusterSet::window_counts`](crate::cluster::ClusterSet::window_counts).
-    pub fn record_epoch(
-        &mut self,
-        profiler: &Profiler,
-        config: &PhysicalConfig,
-        hot: &BTreeSet<ColRef>,
-        counts: &[(ClusterId, u64)],
-    ) {
-        let mut active: BTreeSet<ColRef> = hot.clone();
-        active.extend(config.online_columns());
-
-        self.series.retain(|col, _| active.contains(col));
-        for &col in &active {
-            let (cons, opt) = if config.contains(col) {
-                let b = profiler.epoch_benefit(col, GainMode::Materialized, counts);
-                (b, b)
-            } else {
-                (
-                    profiler.epoch_benefit(col, GainMode::HotConservative, counts),
-                    profiler.epoch_benefit(col, GainMode::HotOptimistic, counts),
-                )
-            };
-            let s = self.series.entry(col).or_default();
-            s.conservative.insert(0, cons);
-            s.conservative.truncate(self.history_epochs);
-            s.optimistic.insert(0, opt);
-            s.optimistic.truncate(self.history_epochs);
-        }
-    }
-
-    /// Price an index of `H ∪ M`, or a fresh hot one, for the boundary:
-    /// its size, its materialization cost (0 once materialized) and its
-    /// net benefit from the recorded series, under normal estimates
-    /// (`lo`) and in the best case (`hi`). An `online` index has no best
-    /// case beyond its estimate.
+    /// Price an index for the boundary: its size, its materialization
+    /// cost (0 once materialized) and its `NetBenefit`, under normal
+    /// estimates (`lo`) and in the best case (`hi`). `counts` is the
+    /// boundary's [`ClusterSet::window_counts`](crate::cluster::ClusterSet::window_counts);
+    /// a fresh hot index, which nobody profiled this epoch, passes `None`.
+    ///
+    /// The forecast (the paper's is in an unavailable tech report) is
+    /// flat: [`Profiler::epoch_benefit`] is already averaged over the
+    /// `h`-epoch window, so it is the level — smoothing it again would
+    /// double-damp the reaction to a shift — and
+    /// `NetBenefit = level · h − MatCost` projects it over `h` epochs.
     fn price(
         &self,
         db: &Database,
         config: &PhysicalConfig,
         profiler: &Profiler,
         col: ColRef,
-        online: bool,
+        counts: Option<&[(ClusterId, u64)]>,
     ) -> CandidateInterval {
-        let (size, mat_cost) = match config.get(col) {
-            Some(m) => (m.tree.page_count() as u64, 0.0),
-            None => (db.index_estimate(col).pages, Self::estimated_mat_cost(db, col)),
-        };
-        // Series entries are window-averaged (see
-        // `Profiler::epoch_benefit`), so the latest entry is the level.
-        let forecast = |series: fn(&BenefitSeries) -> &[f64]| {
-            let series = self.series.get(&col).map_or(&[][..], series);
-            forecast::net_benefit_from_smoothed(series, self.history_epochs, mat_cost)
-        };
-        let lo = forecast(|s| &s.conservative);
-        let hi = if online {
-            lo
-        } else if config.contains(col) {
-            forecast(|s| &s.optimistic)
-        } else {
-            // A hot index that has not been what-if-profiled yet carries
-            // no accurate signal; its best case is its crude estimate
-            // projected over the horizon. This is what drives the budget
-            // up when a workload shift surfaces new candidates.
-            let crude = profiler.candidates().projected_benefit(col);
-            forecast(|s| &s.optimistic).max(crude * self.history_epochs as f64 - mat_cost)
-        };
-        CandidateInterval { size, lo, hi, mat_cost }
+        let h = self.config.history_epochs as f64;
+        let level = |mode| counts.map_or(0.0, |counts| profiler.epoch_benefit(col, mode, counts));
+        if let Some(m) = config.get(col) {
+            // A materialized index has no best case beyond its estimate.
+            let lo = level(GainMode::Materialized) * h;
+            return CandidateInterval { size: m.tree.page_count() as u64, lo, hi: lo, mat_cost: 0.0 };
+        }
+        let mat_cost = Self::estimated_mat_cost(db, col);
+        // The best case of a hot index is at least its crude estimate
+        // projected over the horizon: before its first what-if profile
+        // that is all the signal there is, and it is what drives the
+        // budget up when a workload shift surfaces new candidates.
+        let crude = profiler.candidates().projected_benefit(col);
+        CandidateInterval {
+            size: db.index_estimate(col).pages,
+            lo: level(GainMode::HotConservative) * h - mat_cost,
+            hi: (level(GainMode::HotOptimistic) * h - mat_cost).max(crude * h - mat_cost),
+            mat_cost,
+        }
     }
 
     /// Run reorganization + re-budgeting at an epoch boundary.
     pub fn reorganize(
-        &mut self,
+        &self,
         db: &Database,
         config: &PhysicalConfig,
         profiler: &Profiler,
         hot: &BTreeSet<ColRef>,
     ) -> ReorgDecision {
         let _span = colt_obs::span("organizer.reorganize");
+        let budget = self.config.storage_budget_pages;
         let counts = profiler.clusters().window_counts();
-        self.record_epoch(profiler, config, hot, &counts);
-
         let online: BTreeSet<ColRef> = config.online_columns().collect();
-        let mut pool: Vec<ColRef> = online.union(hot).copied().collect();
-        pool.sort_unstable();
-        let priced: Vec<CandidateInterval> = pool
-            .iter()
-            .map(|&col| self.price(db, config, profiler, col, online.contains(&col)))
+        // The per-query→net-benefit scale of next epoch's skip-proofs is
+        // the memory window's query count (epoch benefit is at most
+        // `total/h · g`, projected over the `h`-epoch horizon).
+        let total_window: u64 = counts.iter().map(|&(_, count)| count).sum();
+        let pool: Vec<(ColRef, CandidateInterval)> = online
+            .union(hot)
+            .map(|&col| (col, self.price(db, config, profiler, col, Some(&counts))))
             .collect();
 
         // --- Reorganization: knapsack under normal estimates. ---
-        let items: Vec<Item> = priced.iter().map(|p| Item { size: p.size, value: p.lo }).collect();
-        // Free solution: the unconstrained knapsack optimum.
-        let free_chosen = {
+        // Free solution: the unconstrained knapsack optimum, which the
+        // frame solves for as it is built.
+        let mut frame = {
             let _s = colt_obs::span("organizer.knapsack");
-            knapsack::solve(&items, self.budget_pages)
+            DecisionContext::new(budget, total_window as f64, pool)
         };
-        let free_value = knapsack::total_value(&items, &free_chosen);
+        let (free_chosen, free_value) = frame.conservative();
 
         // Keep solution: incumbents with positive net benefit stay (the
         // paper's converge-to-zero drop path remains open), and the
-        // remaining capacity is filled with the best additions.
-        let kept: Vec<usize> = (0..pool.len())
-            .filter(|&i| online.contains(&pool[i]) && items[i].value > 0.0)
-            .collect();
-        let kept_pages: u64 = kept.iter().map(|&i| items[i].size).sum();
-        let spare = self.budget_pages.saturating_sub(kept_pages);
-        let addition_items: Vec<Item> = (0..pool.len())
-            .map(|i| {
-                if online.contains(&pool[i]) {
-                    Item { size: items[i].size, value: 0.0 } // never re-added
-                } else {
-                    items[i]
-                }
-            })
-            .collect();
-        let additions = {
+        // remaining capacity is filled with the best additions — an
+        // incumbent is never re-added.
+        let kept = || frame.iter().filter(|(col, it)| online.contains(col) && it.lo > 0.0);
+        let spare = budget.saturating_sub(kept().map(|(_, it)| it.size).sum());
+        let (additions, added_value) = {
             let _s = colt_obs::span("organizer.knapsack");
-            knapsack::solve(&addition_items, spare)
+            frame.solve(spare, |col, it| if online.contains(&col) { 0.0 } else { it.lo })
         };
-        let keep_value = kept.iter().map(|&i| items[i].value).sum::<f64>()
-            + knapsack::total_value(&addition_items, &additions);
+        let keep_value = kept().map(|(_, it)| it.lo).sum::<f64>() + added_value;
 
         // Hysteresis: adopt the free solution (which may swap incumbents
         // out for new builds) only when it clearly beats keeping the
@@ -239,13 +169,11 @@ impl SelfOrganizer {
         // fluctuate with the query mix, and re-solving the knapsack on
         // every epoch would otherwise thrash between near-tied indices,
         // paying a build each time.
-        let adopted_free = free_value > keep_value * (1.0 + self.swap_margin) + 1e-9;
+        let adopted_free = free_value > keep_value * (1.0 + self.config.swap_margin) + 1e-9;
         let (new_materialized, net_benefit_m): (BTreeSet<ColRef>, f64) = if adopted_free {
-            (free_chosen.iter().map(|&i| pool[i]).collect(), free_value)
+            (free_chosen.iter().copied().collect(), free_value)
         } else {
-            let set: BTreeSet<ColRef> =
-                kept.iter().chain(additions.iter()).map(|&i| pool[i]).collect();
-            (set, keep_value)
+            (kept().map(|(col, _)| col).chain(additions).collect(), keep_value)
         };
 
         let to_create: Vec<ColRef> =
@@ -253,16 +181,16 @@ impl SelfOrganizer {
         let to_drop: Vec<ColRef> =
             online.iter().copied().filter(|c| !new_materialized.contains(c)).collect();
 
-        let spent_pages: u64 = (0..pool.len())
-            .filter(|i| new_materialized.contains(&pool[*i]))
-            .map(|i| items[i].size)
+        let spent_pages: u64 = frame
+            .iter()
+            .filter(|(col, _)| new_materialized.contains(col))
+            .map(|(_, it)| it.size)
             .sum();
         colt_obs::counter("tuner.budget.spent", spent_pages);
         if colt_obs::is_enabled() {
-            let candidates = pool
+            let candidates = frame
                 .iter()
-                .zip(&items)
-                .map(|(col, it)| format!("{col}:{}:{:.3}", it.size, it.value))
+                .map(|(col, it)| format!("{col}:{}:{:.3}", it.size, it.lo))
                 .collect::<Vec<_>>()
                 .join("|");
             let chosen =
@@ -271,7 +199,7 @@ impl SelfOrganizer {
                 colt_obs::DecisionRecord::new("knapsack")
                     .field("candidates", candidates)
                     .field("chosen", chosen)
-                    .field("budget_pages", self.budget_pages)
+                    .field("budget_pages", budget)
                     .field("spent_pages", spent_pages)
                     .field("free_value", free_value)
                     .field("keep_value", keep_value)
@@ -286,52 +214,35 @@ impl SelfOrganizer {
             .into_iter()
             .filter(|(c, _)| !new_materialized.contains(c) && !config.contains(*c))
             .collect();
-        let new_hot: BTreeSet<ColRef> = select_hot(&benefits, self.max_hot).into_iter().collect();
+        let new_hot: BTreeSet<ColRef> =
+            select_hot(&benefits, self.config.max_hot_set).into_iter().collect();
 
         // --- Re-budgeting: best-case knapsack. ---
         let _rebudget = colt_obs::span("organizer.rebudget");
-        let opt_items: Vec<Item> =
-            priced.iter().map(|p| Item { size: p.size, value: p.hi }).collect();
-        let opt_chosen = {
+        let (_, mut net_benefit_m_prime) = {
             let _s = colt_obs::span("organizer.knapsack");
-            knapsack::solve(&opt_items, self.budget_pages)
+            frame.solve(budget, |_, it| it.hi)
         };
-        let mut net_benefit_m_prime = knapsack::total_value(&opt_items, &opt_chosen);
         // Fresh hot indices (selected just now, never profiled) also
-        // belong to the best-case scenario of the *next* epoch.
-        let fresh: Vec<(ColRef, CandidateInterval)> = new_hot
-            .iter()
-            .filter(|c| !pool.contains(c))
-            .map(|&col| (col, self.price(db, config, profiler, col, false)))
-            .collect();
-        for (_, p) in &fresh {
+        // belong to the best-case scenario of the *next* epoch, and to
+        // the frame its skip-proofs will read.
+        for &col in new_hot.iter().filter(|c| !online.contains(c) && !hot.contains(c)) {
+            let p = self.price(db, config, profiler, col, None);
             if p.hi > 0.0 {
                 net_benefit_m_prime += p.hi;
             }
-        }
-
-        // --- Decision context for next epoch's skip-proofs. ---
-        // The reorganization values (conservative) and the best-case
-        // values (optimistic) already bracket what a probe can change;
-        // package them with the budget so the Profiler can prove
-        // individual probes redundant. The per-query→net-benefit scale
-        // is the memory window's query count (epoch benefit is at most
-        // `total/h · g`, projected over the `h`-epoch horizon).
-        let total_window: u64 = counts.iter().map(|&(_, count)| count).sum();
-        let mut context = DecisionContext::new(self.budget_pages, total_window as f64);
-        for (col, p) in pool.iter().copied().zip(priced).chain(fresh) {
-            context.insert(col, p);
+            frame.admit(col, p);
         }
 
         let eps = 1e-9;
         let ratio = if net_benefit_m > eps {
             (net_benefit_m_prime / net_benefit_m).max(1.0)
         } else if net_benefit_m_prime > eps {
-            self.full_budget_ratio
+            self.config.full_budget_ratio
         } else {
             1.0
         };
-        let span = self.full_budget_ratio - 1.0;
+        let span = self.config.full_budget_ratio - 1.0;
         // A degenerate configuration (`full_budget_ratio <= 1.0`) leaves
         // no ramp to interpolate over: `(ratio - 1)/0` is NaN, NaN
         // survives `clamp`, and `NaN as u64` is 0 — which would silently
@@ -339,15 +250,15 @@ impl SelfOrganizer {
         // run at full intensity".
         let frac =
             if span <= 0.0 { 1.0 } else { ((ratio - 1.0) / span).clamp(0.0, 1.0) };
-        let next_budget = if self.self_regulation {
-            (self.max_whatif as f64 * frac).round() as u64
+        let next_budget = if self.config.self_regulation {
+            (self.config.max_whatif_per_epoch as f64 * frac).round() as u64
         } else {
             // Ablation: a fixed-intensity tuner that always spends the
             // full what-if budget, like the prior work the paper
             // contrasts against (§1, "the on-line process operates with
             // the same intensity even if the system cannot be tuned to
             // work better").
-            self.max_whatif
+            self.config.max_whatif_per_epoch
         };
 
         ReorgDecision {
@@ -359,7 +270,7 @@ impl SelfOrganizer {
             ratio,
             net_benefit_m,
             net_benefit_m_prime,
-            context,
+            context: frame,
         }
     }
 }
@@ -411,7 +322,7 @@ mod tests {
         let col = ColRef::new(t, 0);
         let colt_cfg = ColtConfig { storage_budget_pages: 10_000, ..Default::default() };
         let mut profiler = Profiler::new(&colt_cfg);
-        let mut org = SelfOrganizer::new(&colt_cfg);
+        let org = SelfOrganizer::new(&colt_cfg);
         let hot = BTreeSet::from([col]);
         let q = Query::single(t, vec![SelPred::eq(col, 7i64)]);
         // Several epochs of consistent, strong evidence.
@@ -434,7 +345,7 @@ mod tests {
         cfg.create_index(&db, col, IndexOrigin::Online);
         let colt_cfg = ColtConfig::default();
         let mut profiler = Profiler::new(&colt_cfg);
-        let mut org = SelfOrganizer::new(&colt_cfg);
+        let org = SelfOrganizer::new(&colt_cfg);
         let hot = BTreeSet::new();
         // Queries that never touch the indexed column.
         let q = Query::single(t, vec![SelPred::eq(ColRef::new(t, 1), 3i64)]);
@@ -457,7 +368,7 @@ mod tests {
         cfg.create_index(&db, col, IndexOrigin::Online);
         let colt_cfg = ColtConfig::default();
         let mut profiler = Profiler::new(&colt_cfg);
-        let mut org = SelfOrganizer::new(&colt_cfg);
+        let org = SelfOrganizer::new(&colt_cfg);
         let hot = BTreeSet::new();
         let q = Query::single(t, vec![SelPred::eq(col, 7i64)]);
         let mut d = None;
@@ -484,7 +395,7 @@ mod tests {
         let cfg = PhysicalConfig::new();
         let colt_cfg = ColtConfig { full_budget_ratio: 1.0, ..Default::default() };
         let profiler = Profiler::new(&colt_cfg);
-        let mut org = SelfOrganizer::new(&colt_cfg);
+        let org = SelfOrganizer::new(&colt_cfg);
         // A promising candidate (ratio path: net_benefit_m' > 0 = m)
         // exercises the interpolation with the zero-width span.
         let col = ColRef::new(t, 0);
@@ -504,7 +415,7 @@ mod tests {
         let cfg = PhysicalConfig::new();
         let colt_cfg = ColtConfig::default();
         let mut profiler = Profiler::new(&colt_cfg);
-        let mut org = SelfOrganizer::new(&colt_cfg);
+        let org = SelfOrganizer::new(&colt_cfg);
         // Epoch of selective queries on an unindexed column → candidate
         // with large crude benefit appears.
         let col = ColRef::new(t, 0);
@@ -521,7 +432,7 @@ mod tests {
         let cfg = PhysicalConfig::new();
         let colt_cfg = ColtConfig::default();
         let mut profiler = Profiler::new(&colt_cfg);
-        let mut org = SelfOrganizer::new(&colt_cfg);
+        let org = SelfOrganizer::new(&colt_cfg);
         let col = ColRef::new(t, 0);
         let q = Query::single(t, vec![SelPred::eq(col, 7i64)]);
         profile_n(&mut profiler, &db, &cfg, &q, &BTreeSet::new(), 10);
@@ -534,7 +445,7 @@ mod tests {
         assert!(it.hi >= it.lo);
         assert!(it.hi > 0.0, "crude projection must drive the upper bound");
         assert!(it.mat_cost > 0.0);
-        assert_eq!(d.context.len(), d.new_hot.len(), "pool is empty in this run");
+        assert_eq!(d.context.iter().count(), d.new_hot.len(), "pool is empty in this run");
 
         // Once the candidate is hot and profiled, the next boundary
         // prices it from the pool with the measured interval.
@@ -543,6 +454,32 @@ mod tests {
         let d2 = org.reorganize(&db, &cfg, &profiler, &d.new_hot);
         let it2 = *d2.context.interval(col).expect("pool candidate priced");
         assert!(it2.hi >= it2.lo);
+        // NetBenefit = the finished epoch's level over the h-epoch
+        // horizon, minus the build.
+        let counts = profiler.clusters().window_counts();
+        let level = profiler.epoch_benefit(col, GainMode::HotConservative, &counts);
+        assert!(level > 0.0);
+        assert_eq!(it2.lo, level * colt_cfg.history_epochs as f64 - it2.mat_cost);
+    }
+
+    #[test]
+    fn unmeasured_index_is_worth_minus_its_mat_cost() {
+        // No measured benefit ⇒ NetBenefit = −MatCost: the level is 0,
+        // not 0/0, even over a zero-epoch window, and NaN would wreck
+        // the knapsack ordering.
+        let (db, t) = setup();
+        let cfg = PhysicalConfig::new();
+        let col = ColRef::new(t, 0);
+        for history_epochs in [0, 12] {
+            let colt_cfg = ColtConfig { history_epochs, ..Default::default() };
+            let profiler = Profiler::new(&colt_cfg);
+            let hot = BTreeSet::from([col]);
+            let d = SelfOrganizer::new(&colt_cfg).reorganize(&db, &cfg, &profiler, &hot);
+            let it = d.context.interval(col).expect("hot index priced");
+            assert!(it.mat_cost > 0.0);
+            assert_eq!((it.lo, it.hi), (-it.mat_cost, -it.mat_cost), "h = {history_epochs}");
+            assert!(d.new_materialized.is_empty());
+        }
     }
 
     #[test]
@@ -565,7 +502,7 @@ mod tests {
         // Budget too small for any index on this table.
         let colt_cfg = ColtConfig { storage_budget_pages: 1, ..Default::default() };
         let mut profiler = Profiler::new(&colt_cfg);
-        let mut org = SelfOrganizer::new(&colt_cfg);
+        let org = SelfOrganizer::new(&colt_cfg);
         let col = ColRef::new(t, 0);
         let hot = BTreeSet::from([col]);
         let q = Query::single(t, vec![SelPred::eq(col, 7i64)]);

@@ -68,10 +68,9 @@ pub struct Profiler {
     wi_max: u64,
     /// Probes skipped by skip-proofs in the epoch in progress.
     wi_skipped: u64,
-    /// Whether skip-proofs run at all (`ColtConfig::dynamic_rebudget`).
-    dynamic_rebudget: bool,
     /// The epoch's knapsack decision frame, installed by the tuner from
-    /// the previous boundary's [`ReorgDecision`](crate::organizer::ReorgDecision).
+    /// the previous boundary's [`ReorgDecision`](crate::organizer::ReorgDecision);
+    /// skip-proofs run while there is one.
     context: Option<DecisionContext>,
     /// [`Profiler::profile_query`]'s working vectors, kept between
     /// calls: a query that issues no probe allocates nothing.
@@ -110,7 +109,6 @@ impl Profiler {
             wi_lim: config.initial_whatif_limit(),
             wi_max: config.max_whatif_per_epoch,
             wi_skipped: 0,
-            dynamic_rebudget: config.dynamic_rebudget,
             context: None,
             work: Work::default(),
         }
@@ -127,11 +125,9 @@ impl Profiler {
     }
 
     /// Install the knapsack decision frame for the epoch that is
-    /// starting (ignored when skip-proofs are disabled).
+    /// starting.
     pub fn install_context(&mut self, context: DecisionContext) {
-        if self.dynamic_rebudget {
-            self.context = Some(context);
-        }
+        self.context = Some(context);
     }
 
     /// Budget of the epoch in progress.
@@ -209,18 +205,16 @@ impl Profiler {
         ih.extend(restricted.iter().copied().filter(|c| hot.contains(c) && !config.contains(*c)));
         self.prng.shuffle(&mut im);
         self.prng.shuffle(&mut ih);
-        if self.dynamic_rebudget {
-            if let Some(ctx) = &self.context {
-                // Budget freed by skip-proofs flows to the least certain
-                // candidates: widest decision interval first, ColRef
-                // order as the deterministic tie-break.
-                ih.sort_by(|a, b| {
-                    ctx.width(*b)
-                        .partial_cmp(&ctx.width(*a))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(b))
-                });
-            }
+        if let Some(ctx) = &self.context {
+            // Budget freed by skip-proofs flows to the least certain
+            // candidates: widest decision interval first, ColRef order
+            // as the deterministic tie-break.
+            ih.sort_by(|a, b| {
+                ctx.width(*b)
+                    .partial_cmp(&ctx.width(*a))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(b))
+            });
         }
 
         let mut probation: Vec<ColRef> = Vec::new();
@@ -241,28 +235,26 @@ impl Profiler {
             // the proof fails (a drop boundary genuinely in play). The
             // paper's materialized-before-hot precedence is preserved
             // for the probes that do issue.
-            if self.dynamic_rebudget {
-                let proof = self
-                    .context
-                    .as_mut()
-                    .and_then(|ctx| ctx.skip_proof(col, eqo.gain_upper_bound(query, col, config)));
-                if let Some((lo, hi)) = proof {
-                    self.wi_skipped += 1;
-                    colt_obs::counter("tuner.whatif.considered", 1);
-                    colt_obs::counter("tuner.whatif.skipped", 1);
-                    if colt_obs::is_enabled() {
-                        colt_obs::decision(
-                            colt_obs::DecisionRecord::new("whatif_skip")
-                                .field("index", col.to_string())
-                                .field("cluster", cluster.0)
-                                .field("lo", lo)
-                                .field("hi", hi)
-                                .field("budget_used", self.wi_cur + probation.len() as u64)
-                                .field("budget_limit", self.wi_lim),
-                        );
-                    }
-                    continue;
+            let proof = self
+                .context
+                .as_mut()
+                .and_then(|ctx| ctx.skip_proof(col, eqo.gain_upper_bound(query, col, config)));
+            if let Some((lo, hi)) = proof {
+                self.wi_skipped += 1;
+                colt_obs::counter("tuner.whatif.considered", 1);
+                colt_obs::counter("tuner.whatif.skipped", 1);
+                if colt_obs::is_enabled() {
+                    colt_obs::decision(
+                        colt_obs::DecisionRecord::new("whatif_skip")
+                            .field("index", col.to_string())
+                            .field("cluster", cluster.0)
+                            .field("lo", lo)
+                            .field("hi", hi)
+                            .field("budget_used", self.wi_cur + probation.len() as u64)
+                            .field("budget_limit", self.wi_lim),
+                    );
                 }
+                continue;
             }
             colt_obs::counter("tuner.whatif.considered", 1);
             colt_obs::counter("tuner.whatif.issued", 1);
@@ -597,12 +589,8 @@ mod tests {
         // knapsack is identical at both interval ends, the probe is
         // provably redundant. `fresh` stays unpriced (uninformative
         // bounds) and must be probed.
-        let mut ctx = DecisionContext::new(1, 0.0);
-        ctx.insert(
-            skippable,
-            CandidateInterval { size: 100, lo: 0.0, hi: 1e12, mat_cost: 0.0 },
-        );
-        p.install_context(ctx);
+        let unfit = CandidateInterval { size: 100, lo: 0.0, hi: 1e12, mat_cost: 0.0 };
+        p.install_context(DecisionContext::new(1, 0.0, [(skippable, unfit)]));
         let q = Query::single(
             t,
             vec![SelPred::eq(skippable, 7i64), SelPred::eq(fresh, 3i64)],
@@ -631,24 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_rebudget_off_ignores_installed_contexts() {
-        use crate::rebudget::{CandidateInterval, DecisionContext};
-        let (db, t) = setup();
-        let cfg = PhysicalConfig::new();
-        let config = ColtConfig { dynamic_rebudget: false, ..Default::default() };
-        let mut p = Profiler::new(&config);
-        let col = ColRef::new(t, 0);
-        let mut ctx = DecisionContext::new(1, 0.0);
-        ctx.insert(col, CandidateInterval { size: 100, lo: 0.0, hi: 1e12, mat_cost: 0.0 });
-        p.install_context(ctx);
-        let hot = BTreeSet::from([col]);
-        let q = Query::single(t, vec![SelPred::eq(col, 7i64)]);
-        let out = run_query(&mut p, &db, &cfg, &q, &hot);
-        assert_eq!(out.probed, vec![col], "with skip-proofs off every probe is issued");
-        assert_eq!(p.whatif_skipped(), 0);
-    }
-
-    #[test]
     fn freed_budget_flows_to_widest_interval_candidates() {
         use crate::rebudget::{CandidateInterval, DecisionContext};
         let (db, t) = setup();
@@ -663,14 +633,16 @@ mod tests {
         // One slot in the frame's knapsack, held by an incumbent both
         // candidates straddle: neither proof fires, so admission order
         // is purely the uncertainty sort.
-        let mut ctx = DecisionContext::new(10, 0.0);
-        ctx.insert(
-            ColRef::new(t, 2),
-            CandidateInterval { size: 10, lo: 100.0, hi: 100.0, mat_cost: 0.0 },
-        );
-        ctx.insert(narrow, CandidateInterval { size: 10, lo: 50.0, hi: 150.0, mat_cost: 0.0 });
-        ctx.insert(wide, CandidateInterval { size: 10, lo: 10.0, hi: 400.0, mat_cost: 0.0 });
-        p.install_context(ctx);
+        let iv = |lo, hi| CandidateInterval { size: 10, lo, hi, mat_cost: 0.0 };
+        p.install_context(DecisionContext::new(
+            10,
+            0.0,
+            [
+                (ColRef::new(t, 2), iv(100.0, 100.0)),
+                (narrow, iv(50.0, 150.0)),
+                (wide, iv(10.0, 400.0)),
+            ],
+        ));
         let q = Query::single(t, vec![SelPred::eq(narrow, 7i64), SelPred::eq(wide, 3i64)]);
         let out = run_query(&mut p, &db, &cfg, &q, &hot);
         assert_eq!(out.probed, vec![wide], "widest interval is probed first");

@@ -232,9 +232,12 @@ impl ColtTuner {
 
         self.hot = decision.new_hot;
         self.profiler.end_epoch(decision.next_budget);
-        // The boundary's value intervals become next epoch's skip-proof
-        // frame (after end_epoch, which drops the stale one).
-        self.profiler.install_context(decision.context);
+        // The boundary's frame becomes next epoch's skip-proof context
+        // (after end_epoch, which drops the stale one); without one,
+        // every considered probe is issued.
+        if self.config.dynamic_rebudget {
+            self.profiler.install_context(decision.context);
+        }
         // Sweep the what-if memo against the post-reorganization
         // configuration: entries on tables this epoch touched drop,
         // everything else carries into the next epoch.

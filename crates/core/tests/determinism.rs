@@ -124,7 +124,7 @@ fn knapsack_selection_stable_under_input_permutation() {
     let capacity = 120u64;
 
     let baseline: Vec<(u64, u64)> = {
-        let chosen = knapsack::solve(&items, capacity);
+        let chosen = knapsack::solve(items.iter().copied(), capacity);
         let mut picked: Vec<(u64, u64)> =
             chosen.iter().map(|&i| (items[i].size, items[i].value as u64)).collect();
         picked.sort_unstable();
@@ -142,7 +142,7 @@ fn knapsack_selection_stable_under_input_permutation() {
     variants.push(items.iter().rev().copied().collect());
 
     for v in variants {
-        let chosen = knapsack::solve(&v, capacity);
+        let chosen = knapsack::solve(v.iter().copied(), capacity);
         let mut picked: Vec<(u64, u64)> =
             chosen.iter().map(|&i| (v[i].size, v[i].value as u64)).collect();
         picked.sort_unstable();

@@ -95,7 +95,7 @@ pub fn render_decision_timeline(run: &RunResult) -> String {
 /// Render the "why each index exists" audit: every `index_create` /
 /// `index_drop` ledger record joined to the knapsack solve that
 /// produced it, with the index's size and net-benefit value as the
-/// knapsack saw them.
+/// knapsack saw them (`evicted` where the ledger no longer holds it).
 pub fn render_index_explanations(run: &RunResult) -> String {
     let mut out = String::from("## Why each index exists\n\n");
     out.push_str(
@@ -113,21 +113,19 @@ pub fn render_index_explanations(run: &RunResult) -> String {
         let index = rec.get_str("index").unwrap_or("?");
         let via = rec.get_str("via").unwrap_or("?");
         let build = rec.get_f64("build_millis").unwrap_or(0.0);
-        let (value, size, spent) = match explaining_knapsack(&run.obs, rec.epoch) {
-            Some(k) => {
-                let cand = parse_candidates(k).into_iter().find(|c| c.index == index);
-                (
-                    cand.as_ref().map_or("—".to_string(), |c| format!("{:.3}", c.value)),
-                    cand.as_ref().map_or("—".to_string(), |c| c.size_pages.to_string()),
-                    format!(
-                        "{}/{}",
-                        k.get_u64("spent_pages").unwrap_or(0),
-                        k.get_u64("budget_pages").unwrap_or(0)
-                    ),
-                )
-            }
-            None => ("—".to_string(), "—".to_string(), "—".to_string()),
-        };
+        let knapsack = explaining_knapsack(&run.obs, rec.epoch);
+        let cand = knapsack.and_then(|k| parse_candidates(k).into_iter().find(|c| c.index == index));
+        // A solve the bounded ledger evicted is not a solve that never ran.
+        let gap = if knapsack.is_none() && run.obs.ledger.evicted() > 0 { "evicted" } else { "—" };
+        let value = cand.as_ref().map_or(gap.to_string(), |c| format!("{:.3}", c.value));
+        let size = cand.as_ref().map_or(gap.to_string(), |c| c.size_pages.to_string());
+        let spent = knapsack.map_or(gap.to_string(), |k| {
+            format!(
+                "{}/{}",
+                k.get_u64("spent_pages").unwrap_or(0),
+                k.get_u64("budget_pages").unwrap_or(0)
+            )
+        });
         out.push_str(&format!(
             "| {} | {action} | {index} | {via} | {build:.1} | {value} | {size} | {spent} |\n",
             rec.epoch
@@ -263,7 +261,10 @@ mod tests {
     }
 
     fn recorder_with_decisions() -> Snapshot {
-        let mut r = Recorder::new(Level::Summary);
+        decisions_into(Recorder::new(Level::Summary))
+    }
+
+    fn decisions_into(mut r: Recorder) -> Snapshot {
         r.record_decision(
             DecisionRecord::new("knapsack")
                 .field("candidates", "t0.c0:40:123.456|t0.c1:60:-2.000")
@@ -348,6 +349,18 @@ mod tests {
         let s = render_index_explanations(&run_with(Trace::new(), recorder_with_decisions()));
         assert!(
             s.contains("| 0 | create | t0.c0 | reorganize | 12.5 | 123.456 | 40 | 40/100 |"),
+            "explanations:\n{s}"
+        );
+    }
+
+    #[test]
+    fn explanations_say_when_the_explaining_knapsack_was_evicted() {
+        // A one-record ring: the create pushes its own knapsack out.
+        let obs = decisions_into(Recorder::new(Level::Summary).with_ledger_capacity(1));
+        assert_eq!(obs.ledger.evicted(), 1);
+        let s = render_index_explanations(&run_with(Trace::new(), obs));
+        assert!(
+            s.contains("| 0 | create | t0.c0 | reorganize | 12.5 | evicted | evicted | evicted |"),
             "explanations:\n{s}"
         );
     }
