@@ -23,7 +23,6 @@
 //! Waivers without a reason, and waivers that no longer suppress
 //! anything, are themselves errors — the exception set cannot rot.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lexer;
@@ -181,23 +180,6 @@ fn apply_waivers(file: &SourceFile, raw: Vec<Violation>) -> Vec<Violation> {
     out
 }
 
-/// Escape a string for a JSON string literal of the SARIF document
-/// (colt-analyze depends on nothing, `colt_obs::json` included).
-fn esc(s: &str) -> String {
-    let mut o = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => o.push_str("\\\""),
-            '\\' => o.push_str("\\\\"),
-            '\n' => o.push_str("\\n"),
-            '\t' => o.push_str("\\t"),
-            c if (c as u32) < 0x20 => o.push_str(&format!("\\u{:04x}", c as u32)),
-            c => o.push(c),
-        }
-    }
-    o
-}
-
 /// The outcome of a workspace scan.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -273,39 +255,6 @@ impl Report {
         }
         out.push_str(&format!("{:<18} {:>7}\n", "total", self.waivers.len()));
         (out, over)
-    }
-
-    /// Minimal SARIF 2.1.0 document (one run, one result per
-    /// violation) for CI code-scanning upload.
-    pub fn to_sarif(&self) -> String {
-        let rules: Vec<String> = Lint::all()
-            .iter()
-            .map(|l| {
-                format!(
-                    "{{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
-                    l.name(),
-                    esc(l.summary())
-                )
-            })
-            .collect();
-        let results: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| {
-                format!(
-                    "{{\"ruleId\": \"{}\", \"level\": \"error\", \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}}}}}}}]}}",
-                    v.lint.name(),
-                    esc(&v.message),
-                    esc(&v.file),
-                    v.line
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n  \"version\": \"2.1.0\",\n  \"runs\": [{{\n    \"tool\": {{\"driver\": {{\"name\": \"colt-analyze\", \"informationUri\": \"https://example.invalid/colt\", \"rules\": [{}]}}}},\n    \"results\": [{}]\n  }}]\n}}\n",
-            rules.join(", "),
-            results.join(", ")
-        )
     }
 }
 

@@ -1,8 +1,7 @@
 //! CLI for the workspace invariant checker.
 //!
 //! ```text
-//! colt-analyze --check [--root <path>] [--waivers] [--sarif <path>]
-//!              [--github]
+//! colt-analyze --check [--root <path>] [--waivers] [--github]
 //! colt-analyze --list                             # lint catalogue
 //! colt-analyze --explain <lint>                   # long-form description
 //! ```
@@ -16,8 +15,7 @@ const USAGE: &str = "\
 colt-analyze: workspace invariant checker
 
 USAGE:
-    colt-analyze --check [--root <path>] [--waivers] [--sarif <path>]
-                 [--github]
+    colt-analyze --check [--root <path>] [--waivers] [--github]
     colt-analyze --list
     colt-analyze --explain <lint-name>
 
@@ -28,8 +26,6 @@ MODES:
     --waivers   With --check: also print the per-lint waiver budget
                 table and fail (exit 1) when any [waiver-budget] cap
                 from colt-analyze.toml is exceeded.
-    --sarif     With --check: also write a SARIF 2.1.0 document to the
-                given path (for CI code-scanning upload).
     --github    With --check: also emit GitHub `::error` workflow
                 annotations for each violation.
     --root      Override the workspace root (default: inferred from the
@@ -48,7 +44,6 @@ fn main() -> ExitCode {
     let mut mode: Option<&str> = None;
     let mut waivers = false;
     let mut github = false;
-    let mut sarif: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut explain_target: Option<String> = None;
 
@@ -70,16 +65,6 @@ fn main() -> ExitCode {
             }
             "--waivers" => waivers = true,
             "--github" => github = true,
-            "--sarif" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => sarif = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("error: --sarif requires a path\n\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             "--root" => {
                 i += 1;
                 match args.get(i) {
@@ -127,13 +112,6 @@ fn main() -> ExitCode {
             match colt_analyze::check_workspace(&root) {
                 Ok(report) => {
                     print!("{}", report.render());
-                    if let Some(sarif_path) = &sarif {
-                        if let Err(e) = std::fs::write(sarif_path, report.to_sarif()) {
-                            eprintln!("error: writing SARIF to {}: {e}", sarif_path.display());
-                            return ExitCode::from(2);
-                        }
-                        eprintln!("sarif: wrote {}", sarif_path.display());
-                    }
                     if github {
                         for v in &report.violations {
                             println!(

@@ -1,6 +1,5 @@
 //! The `colt-analyze.toml` manifest: per-crate module DAGs, the
-//! charge-coverage allowlist, decision-kind renderer files, and
-//! per-lint waiver budgets.
+//! charge-coverage allowlist, and per-lint waiver budgets.
 //!
 //! Parsed with a deliberately minimal TOML-subset reader (sections,
 //! bare keys, strings, integers, string arrays — nothing else), so the
@@ -25,9 +24,6 @@ pub struct Manifest {
     /// `[charge-coverage] uncharged = […]`: `Type::fn` (or bare fn)
     /// names allowed to touch page state without an `IoStats` charge.
     pub uncharged: BTreeSet<String>,
-    /// `[decision-kinds] renderers = […]`: files that must name every
-    /// ledger kind.
-    pub renderers: Vec<String>,
     /// `[waiver-budget] <lint> = <cap>`: per-lint waiver caps; lints
     /// not listed have a cap of zero.
     pub waiver_budget: BTreeMap<String, u64>,
@@ -79,9 +75,6 @@ impl Manifest {
         match (section, key) {
             ("charge-coverage", "uncharged") => {
                 self.uncharged = parse_array(value, ln)?.into_iter().collect();
-            }
-            ("decision-kinds", "renderers") => {
-                self.renderers = parse_array(value, ln)?;
             }
             ("waiver-budget", lint) => {
                 let cap = value
@@ -163,7 +156,6 @@ mod tests {
         let m = Manifest::parse(DEFAULT_MANIFEST).expect("embedded manifest must parse");
         assert!(m.module_order.contains_key("storage"), "{:?}", m.module_order.keys());
         assert!(m.module_order.contains_key("engine"));
-        assert!(!m.renderers.is_empty());
         assert!(m.waiver_budget.contains_key("panic-policy"));
         // Orders must not contain duplicates.
         for (krate, order) in &m.module_order {
@@ -175,12 +167,11 @@ mod tests {
     #[test]
     fn parse_sections_and_values() {
         let m = Manifest::parse(
-            "# comment\n[modules.demo]\norder = [\"a\", \"b\"]\n\n[charge-coverage]\nuncharged = [\n  \"T::f\", # why\n  \"g\",\n]\n[decision-kinds]\nrenderers = [\"x.rs\"]\n[waiver-budget]\npanic-policy = 3\n",
+            "# comment\n[modules.demo]\norder = [\"a\", \"b\"]\n\n[charge-coverage]\nuncharged = [\n  \"T::f\", # why\n  \"g\",\n]\n[waiver-budget]\npanic-policy = 3\n",
         )
         .unwrap();
         assert_eq!(m.module_order["demo"], ["a", "b"]);
         assert!(m.uncharged.contains("T::f") && m.uncharged.contains("g"));
-        assert_eq!(m.renderers, ["x.rs"]);
         assert_eq!(m.waiver_cap("panic-policy"), 3);
         assert_eq!(m.waiver_cap("wall-clock"), 0);
     }

@@ -3,11 +3,11 @@
 //! Each lint enforces one workspace contract (see DESIGN.md, "Static
 //! analysis & invariants"). Token-level rules match identifiers and
 //! punctuation straight off [`crate::lexer::lex`]'s stream; the
-//! flow-sensitive rules (span-pairing, charge-coverage, module-dag,
-//! decision-kind) additionally consult the per-file
-//! [`crate::syntax::SyntaxIndex`] and the workspace
-//! [`crate::manifest::Manifest`]. Either way the pass stays fast,
-//! dependency-free, and immune to comment/string false positives.
+//! flow-sensitive rules (span-pairing, charge-coverage, module-dag)
+//! additionally consult the per-file [`crate::syntax::SyntaxIndex`] and
+//! the workspace [`crate::manifest::Manifest`]. Either way the pass
+//! stays fast, dependency-free, and immune to comment/string false
+//! positives.
 
 use crate::lexer::{ident, str_lit, Tok, Token};
 use crate::manifest::Manifest;
@@ -33,8 +33,6 @@ pub enum Lint {
     /// A metric name literal that breaks the `area.noun[.verb]`
     /// convention or whose area prefix doesn't match the emitting crate.
     MetricName,
-    /// A decision-ledger record kind emitted outside its owning crate.
-    LedgerOwner,
     /// A `colt_obs::span` guard that is discarded or whose `.sim_ms()`
     /// can be skipped by an early exit.
     SpanPairing,
@@ -44,10 +42,6 @@ pub enum Lint {
     /// An intra-crate `use crate::…` edge that violates the module
     /// order declared in `colt-analyze.toml`.
     ModuleDag,
-    /// A renderer file that fails to name every decision-ledger kind.
-    DecisionKind,
-    /// Any `unsafe` code (the workspace forbids it).
-    UnsafeCode,
     /// A waiver annotation without a justification.
     BadWaiver,
     /// A waiver annotation that suppressed nothing.
@@ -65,12 +59,9 @@ impl Lint {
             Lint::PanicPolicy,
             Lint::NondetSeed,
             Lint::MetricName,
-            Lint::LedgerOwner,
             Lint::SpanPairing,
             Lint::ChargeCoverage,
             Lint::ModuleDag,
-            Lint::DecisionKind,
-            Lint::UnsafeCode,
             Lint::BadWaiver,
             Lint::UnusedWaiver,
         ]
@@ -86,12 +77,9 @@ impl Lint {
             Lint::PanicPolicy => "panic-policy",
             Lint::NondetSeed => "nondet-seed",
             Lint::MetricName => "metric-name",
-            Lint::LedgerOwner => "ledger-owner",
             Lint::SpanPairing => "span-pairing",
             Lint::ChargeCoverage => "charge-coverage",
             Lint::ModuleDag => "module-dag",
-            Lint::DecisionKind => "decision-kind",
-            Lint::UnsafeCode => "unsafe-code",
             Lint::BadWaiver => "bad-waiver",
             Lint::UnusedWaiver => "unused-waiver",
         }
@@ -112,12 +100,9 @@ impl Lint {
             Lint::PanicPolicy => "no unwrap/expect/panic!/unreachable!/todo! in non-test library code",
             Lint::NondetSeed => "no ambient randomness anywhere; no env reads in the deterministic kernel crates",
             Lint::MetricName => "span/counter names must be dot-separated `area.noun[.verb]` with an area prefix owned by the emitting crate",
-            Lint::LedgerOwner => "decision-ledger record kinds may only be emitted from their owning crate",
             Lint::SpanPairing => "a colt_obs::span guard must be bound (not `_`) and reach its .sim_ms() on every path",
             Lint::ChargeCoverage => "public colt-storage fns touching heap/btree page state must charge IoStats or be allowlisted",
             Lint::ModuleDag => "intra-crate `use crate::…` edges must follow the module order in colt-analyze.toml",
-            Lint::DecisionKind => "renderer files must name every decision-ledger kind (no silently dropped records)",
-            Lint::UnsafeCode => "no unsafe code anywhere in the workspace",
             Lint::BadWaiver => "every waiver must carry a justification after the dash",
             Lint::UnusedWaiver => "a waiver that suppresses nothing is an error (it has rotted)",
         }
@@ -151,7 +136,7 @@ byte-for-byte across thread counts and COLT_OBS levels. A stray println! in a \
 library crate breaks every exhibit at once. stdout writes are allowed only in \
 colt-bench's binaries, colt-analyze's own CLI, and colt_harness::report; stderr \
 writes only inside colt-obs's sink (everything else routes diagnostics through \
-colt_obs::progress / emit).",
+colt_obs::progress).",
             Lint::PanicPolicy => "Library code must surface failures to the caller, not abort \
 the process: a panic inside the tuner kills a whole parallel batch. unwrap(), \
 expect(), panic!, unreachable!, todo! and unimplemented! are banned in non-test \
@@ -172,17 +157,6 @@ prefix must belong to the emitting crate: storage/catalog/engine name their own 
 crate, `profiler.*`/`organizer.*`/`tuner.*` belong to colt-core, `harness.*` to \
 colt-harness, `bench.*` to colt-bench. Progress events (colt_obs::progress) are \
 human-facing and exempt.",
-            Lint::LedgerOwner => "The decision ledger is the audit trail that explains every \
-index the tuner builds or drops. Each record kind has exactly one owning component \
-(whatif_probe/cluster_assign/knapsack/index_create/index_drop/budget_change all \
-belong to colt-core's tuner stack); a record emitted from anywhere else would \
-forge tuner history, so DecisionRecord::new(<kind>) with a known kind is flagged \
-outside the owning crate, and unknown kinds are flagged everywhere (they would \
-render as unexplained rows in the flight report).",
-            Lint::UnsafeCode => "The workspace forbids unsafe code: every library crate carries \
-#![forbid(unsafe_code)] (colt-harness #![deny(unsafe_code)], see its lib.rs). The \
-static check catches the token early and in files the compiler attributes might \
-miss (new crates, build scripts).",
             Lint::BadWaiver => "The single escape hatch for every lint is \
 `// colt: allow(<lint>) — <reason>` on the flagged line or the line above. A \
 waiver with no reason defeats auditing — the reviewer cannot tell why the \
@@ -214,12 +188,6 @@ colt-analyze.toml declares each crate's [modules.<crate>] order and this lint \
 flags any `use crate::<m>` or inline `crate::<m>::…` path that points at a module \
 later in (or missing from) the order. lib.rs, main.rs, bins, and test code are \
 exempt: the DAG governs the library's internal structure, not its public facade.",
-            Lint::DecisionKind => "The flight recorder is only as trustworthy as its \
-renderers: a DecisionRecord kind that the report renderer does not know is \
-silently dropped from exhibits, which is how audit trails rot. Files listed under [decision-kinds] renderers must mention every kind \
-in colt_obs::LEDGER_KINDS as a string literal (a match arm, schema row, or table \
-entry); adding a kind to the ledger forces the renderers to handle it in the same \
-change.",
         }
     }
 }
@@ -295,20 +263,6 @@ const AMBIENT_RANDOM: &[&str] =
 /// colt-obs entry points whose first argument (and any string literal in
 /// the call, e.g. a `match` over access paths) is a merged metric name.
 const METRIC_FNS: &[&str] = &["span", "counter", "span_sim"];
-
-/// Decision-ledger record kinds and the crate that owns each (mirrors
-/// `colt_obs::LEDGER_KINDS`; colt-analyze depends on nothing, and the
-/// obs crate's `every_ledger_kind_names_a_real_crate` test plus the
-/// workspace-clean test keep the two tables honest).
-const LEDGER_KIND_OWNERS: &[(&str, &str)] = &[
-    ("whatif_probe", "core"),
-    ("whatif_skip", "core"),
-    ("cluster_assign", "core"),
-    ("knapsack", "core"),
-    ("index_create", "core"),
-    ("index_drop", "core"),
-    ("budget_change", "core"),
-];
 
 /// Metric area prefixes and the crate that owns each.
 fn metric_area_owner(prefix: &str) -> Option<&'static str> {
@@ -490,11 +444,6 @@ pub fn check_file(file: &SourceFile, manifest: &Manifest) -> Vec<Violation> {
             );
         }
 
-        // unsafe-code
-        if id == "unsafe" {
-            push(&mut out, line, Lint::UnsafeCode, "unsafe code is forbidden workspace-wide".to_string());
-        }
-
         // metric-name: every string literal inside a
         // colt_obs::{span,counter,span_sim}(…) call is a
         // merged metric name (the literal may sit inside a `match` over
@@ -552,35 +501,6 @@ pub fn check_file(file: &SourceFile, manifest: &Manifest) -> Vec<Violation> {
             }
         }
 
-        // ledger-owner: DecisionRecord::new(<kind>) with a known kind is
-        // only legal in the kind's owning crate; unknown kinds are
-        // flagged everywhere.
-        if obs_scope
-            && id == "DecisionRecord"
-            && next == Some(&Tok::Punct(':'))
-            && next2 == Some(&Tok::Punct(':'))
-            && toks.get(i + 3).and_then(|t| ident(t)) == Some("new")
-            && toks.get(i + 4).map(|t| &t.tok) == Some(&Tok::Punct('('))
-        {
-            if let Some(kind) = toks.get(i + 5).and_then(str_lit) {
-                match LEDGER_KIND_OWNERS.iter().find(|(k, _)| *k == kind) {
-                    None => push(
-                        &mut out,
-                        line,
-                        Lint::LedgerOwner,
-                        format!("unknown decision-ledger record kind `{kind}`; add it to colt_obs::LEDGER_KINDS (and the analyze owner table) first"),
-                    ),
-                    Some((_, owner)) if Some(*owner) != krate => push(
-                        &mut out,
-                        line,
-                        Lint::LedgerOwner,
-                        format!("record kind `{kind}` is owned by colt-{owner}; emitting it from colt-{} would forge tuner history", krate.unwrap_or("?")),
-                    ),
-                    Some(_) => {}
-                }
-            }
-        }
-
         // layering — only identifiers that name an actual workspace
         // crate count; locals like `colt_total` are not crate edges.
         if let Some(target) = id.strip_prefix("colt_").filter(|t| WORKSPACE_CRATES.contains(t)) {
@@ -627,7 +547,7 @@ pub fn check_file(file: &SourceFile, manifest: &Manifest) -> Vec<Violation> {
                 &mut out,
                 line,
                 Lint::OutputHygiene,
-                format!("`{id}!` outside the colt-obs sink; route diagnostics through colt_obs::progress / emit"),
+                format!("`{id}!` outside the colt-obs sink; route diagnostics through colt_obs::progress"),
             );
         }
 
@@ -733,7 +653,6 @@ pub fn check_file(file: &SourceFile, manifest: &Manifest) -> Vec<Violation> {
     check_span_pairing(file, &mut out);
     check_charge_coverage(file, manifest, &mut out);
     check_module_dag(file, manifest, &mut out);
-    check_decision_kinds(file, manifest, &mut out);
     out
 }
 
@@ -995,45 +914,6 @@ fn check_module_dag(file: &SourceFile, manifest: &Manifest, out: &mut Vec<Violat
             }
             Some(_) => {}
         }
-    }
-}
-
-/// decision-kind: renderer files must mention every ledger kind as a
-/// string literal in non-test code.
-fn check_decision_kinds(file: &SourceFile, manifest: &Manifest, out: &mut Vec<Violation>) {
-    if !manifest.renderers.iter().any(|r| r == &file.rel) {
-        return;
-    }
-    let test = |line: u32| file.kind == Kind::Test || in_regions(&file.test_regions, line);
-    let mut named: BTreeSet<&str> = BTreeSet::new();
-    let mut anchor: Option<u32> = None;
-    for t in &file.lexed.tokens {
-        if test(t.line) {
-            continue;
-        }
-        if let Tok::Str(s) = &t.tok {
-            anchor = anchor.or(Some(t.line));
-            named.insert(s.as_str());
-        }
-    }
-    let missing: Vec<&str> = LEDGER_KIND_OWNERS
-        .iter()
-        .map(|(k, _)| *k)
-        .filter(|k| !named.contains(k))
-        .collect();
-    if !missing.is_empty() {
-        let line = anchor
-            .or_else(|| file.lexed.tokens.first().map(|t| t.line))
-            .unwrap_or(1);
-        out.push(Violation {
-            file: file.rel.clone(),
-            line,
-            lint: Lint::DecisionKind,
-            message: format!(
-                "renderer does not name decision kind(s) {}: every kind in colt_obs::LEDGER_KINDS must be handled here or its records drop silently",
-                missing.iter().map(|k| format!("`{k}`")).collect::<Vec<_>>().join(", ")
-            ),
-        });
     }
 }
 

@@ -63,10 +63,11 @@ fn main() {
     print!("{}", render_access_path_mix("OFFLINE", &offline.obs));
     println!();
     println!(
-        "Ledger: {} decisions ({} evicted), {} time-series points.",
+        "Ledger: {} decisions ({} evicted), {} time-series points ({} evicted).",
         colt.obs.ledger.len(),
         colt.obs.ledger.evicted(),
         colt.obs.series.len(),
+        colt.obs.series.evicted(),
     );
     dump_obs(&report);
 }

@@ -25,8 +25,6 @@
 //! Results are printed to stdout in a form that pastes directly into
 //! `EXPERIMENTS.md`.
 
-#![forbid(unsafe_code)]
-
 use colt_obs::Level;
 use colt_workload::{generate, TpchData, DEFAULT_SCALE};
 use std::sync::OnceLock;
@@ -158,7 +156,7 @@ pub fn build_data() -> TpchData {
 /// When `COLT_OBS_PATH=<file>` is set, write a parallel batch's merged
 /// snapshot to exactly that file as JSONL ([`colt_obs::Snapshot::jsonl`]:
 /// the deterministic `decision` / `series_epoch` lines first, then the
-/// `event`, `counter`, `span` and `flame` lines). Does nothing
+/// `counter`, `span` and `flame` lines). Does nothing
 /// otherwise; never touches stdout. A dump that cannot be written stops
 /// the binary (exit 1) with one `error:` line.
 pub fn dump_obs(report: &colt_harness::ParallelReport) {

@@ -10,7 +10,6 @@
 //! without being built.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod composite;
 pub mod database;

@@ -20,7 +20,6 @@
 //! call per executed query.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod cluster;
 pub mod composite_ext;

@@ -196,7 +196,7 @@ impl SelfOrganizer {
             let chosen =
                 new_materialized.iter().map(ColRef::to_string).collect::<Vec<_>>().join("|");
             colt_obs::decision(
-                colt_obs::DecisionRecord::new("knapsack")
+                colt_obs::DecisionRecord::new(colt_obs::DecisionKind::Knapsack)
                     .field("candidates", candidates)
                     .field("chosen", chosen)
                     .field("budget_pages", budget)

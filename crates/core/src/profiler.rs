@@ -172,7 +172,7 @@ impl Profiler {
         plan.root.used_indices_into(&mut used);
         if colt_obs::is_enabled() {
             colt_obs::decision(
-                colt_obs::DecisionRecord::new("cluster_assign")
+                colt_obs::DecisionRecord::new(colt_obs::DecisionKind::ClusterAssign)
                     .field("cluster", cluster.0)
                     .field("window_count", self.clusters.get(cluster).window_count())
                     .field("candidate_columns", restricted.len()),
@@ -245,7 +245,7 @@ impl Profiler {
                 colt_obs::counter("tuner.whatif.skipped", 1);
                 if colt_obs::is_enabled() {
                     colt_obs::decision(
-                        colt_obs::DecisionRecord::new("whatif_skip")
+                        colt_obs::DecisionRecord::new(colt_obs::DecisionKind::WhatifSkip)
                             .field("index", col.to_string())
                             .field("cluster", cluster.0)
                             .field("lo", lo)
@@ -275,7 +275,7 @@ impl Profiler {
                 s.gains.add(g.gain, version);
                 if colt_obs::is_enabled() {
                     colt_obs::decision(
-                        colt_obs::DecisionRecord::new("whatif_probe")
+                        colt_obs::DecisionRecord::new(colt_obs::DecisionKind::WhatifProbe)
                             .field("index", g.col.to_string())
                             .field("cluster", cluster.0)
                             .field("gain", g.gain)
@@ -611,7 +611,7 @@ mod tests {
         assert_eq!(skipped, 1);
         assert_eq!(issued + skipped, considered);
         // The skip leaves an auditable ledger record.
-        assert_eq!(snap.ledger.of_kind("whatif_skip").count(), 1);
+        assert_eq!(snap.ledger.of_kind(colt_obs::DecisionKind::WhatifSkip).count(), 1);
         // Epoch close resets the per-epoch skip counter and drops the
         // stale frame.
         p.end_epoch(10);

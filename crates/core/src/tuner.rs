@@ -155,16 +155,10 @@ impl ColtTuner {
             self.close_epoch(db, physical, eqo)
         };
         if !piggy.built.is_empty() {
-            if colt_obs::wants_events() {
+            if colt_obs::is_enabled() {
                 for (col, io) in &piggy.built {
-                    colt_obs::emit(
-                        colt_obs::Event::new("index_create")
-                            .field("epoch", self.epoch)
-                            .field("index", col.to_string())
-                            .field("via", "piggyback"),
-                    );
                     colt_obs::decision(
-                        colt_obs::DecisionRecord::new("index_create")
+                        colt_obs::DecisionRecord::new(colt_obs::DecisionKind::IndexCreate)
                             .field("index", col.to_string())
                             .field("via", "piggyback")
                             .field("build_millis", db.cost.millis_of(io)),
@@ -208,8 +202,8 @@ impl ColtTuner {
         }
 
         let build_millis = db.cost.millis_of(&build_io);
-        if colt_obs::wants_events() {
-            self.report_epoch(db, physical, &changes, &decision, build_millis);
+        if colt_obs::is_enabled() {
+            self.report_epoch(db, &changes, &decision);
         }
 
         self.trace.push(EpochRecord {
@@ -257,67 +251,32 @@ impl ColtTuner {
         }
     }
 
-    /// The closed epoch as events and ledger records: a formatted column
-    /// name per field, built only when [`colt_obs::wants_events`].
-    fn report_epoch(
-        &self,
-        db: &Database,
-        physical: &PhysicalConfig,
-        changes: &AppliedChanges,
-        decision: &ReorgDecision,
-        build_millis: f64,
-    ) {
+    /// The closed epoch as ledger records: a formatted column name per
+    /// field, built only when a recorder is installed to keep them.
+    fn report_epoch(&self, db: &Database, changes: &AppliedChanges, decision: &ReorgDecision) {
         for (col, io) in &changes.built {
-            colt_obs::emit(
-                colt_obs::Event::new("index_create")
-                    .field("epoch", self.epoch)
-                    .field("index", col.to_string()),
-            );
             colt_obs::decision(
-                colt_obs::DecisionRecord::new("index_create")
+                colt_obs::DecisionRecord::new(colt_obs::DecisionKind::IndexCreate)
                     .field("index", col.to_string())
                     .field("via", "reorganize")
                     .field("build_millis", db.cost.millis_of(io)),
             );
         }
         for col in &changes.dropped {
-            colt_obs::emit(
-                colt_obs::Event::new("index_drop")
-                    .field("epoch", self.epoch)
-                    .field("index", col.to_string()),
-            );
             colt_obs::decision(
-                colt_obs::DecisionRecord::new("index_drop")
+                colt_obs::DecisionRecord::new(colt_obs::DecisionKind::IndexDrop)
                     .field("index", col.to_string())
                     .field("via", "reorganize"),
             );
         }
-        colt_obs::emit(
-            colt_obs::Event::new("budget")
-                .field("epoch", self.epoch)
-                .field("next_budget", decision.next_budget)
-                .field("ratio", decision.ratio),
-        );
         colt_obs::decision(
-            colt_obs::DecisionRecord::new("budget_change")
+            colt_obs::DecisionRecord::new(colt_obs::DecisionKind::BudgetChange)
                 .field("whatif_used", self.profiler.whatif_used())
                 .field("whatif_limit", self.profiler.whatif_limit())
                 .field("next_budget", decision.next_budget)
                 .field("ratio", decision.ratio)
                 .field("net_benefit_m", decision.net_benefit_m)
                 .field("net_benefit_m_prime", decision.net_benefit_m_prime),
-        );
-        colt_obs::emit(
-            colt_obs::Event::new("epoch")
-                .field("epoch", self.epoch)
-                .field("whatif_used", self.profiler.whatif_used())
-                .field("whatif_limit", self.profiler.whatif_limit())
-                .field("next_budget", decision.next_budget)
-                .field("ratio", decision.ratio)
-                .field("created", changes.built.len())
-                .field("dropped", changes.dropped.len())
-                .field("materialized", physical.online_columns().count())
-                .field("build_millis", build_millis),
         );
     }
 }

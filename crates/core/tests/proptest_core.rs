@@ -140,6 +140,7 @@ mod tuner_safety {
     use colt_core::prng::Prng;
     use colt_core::{ColtConfig, ColtTuner};
     use colt_engine::{Eqo, Query, SelPred};
+    use colt_obs::DecisionKind;
     use colt_storage::{row_from, Value, ValueType};
 
     fn build_db() -> (Database, TableId, TableId) {
@@ -167,9 +168,10 @@ mod tuner_safety {
 
     /// Safety under arbitrary query streams: the tuner never panics,
     /// the what-if budget is respected every epoch, every knapsack packs
-    /// within the storage budget exactly, and the built on-line
-    /// footprint exceeds it by no more than the estimate/actual gap of
-    /// the indices just created.
+    /// within the storage budget exactly, the ledger's account of each
+    /// boundary agrees with the trace's, and the built on-line
+    /// footprint exceeds the budget by no more than the
+    /// estimate/actual gap of the indices just created.
     #[test]
     fn tuner_invariants_hold_on_random_streams() {
         let mut rng = Prng::new(0xC02E_0006);
@@ -212,11 +214,33 @@ mod tuner_safety {
             // pages it packs (real tree sizes for materialized indices,
             // `index_estimate` for the ones to build) fit the budget.
             let obs = colt_obs::take().expect("recorder installed above").into_snapshot();
-            assert_eq!(obs.ledger.of_kind("knapsack").count(), tuner.trace().epochs.len());
-            for k in obs.ledger.of_kind("knapsack") {
+            assert_eq!(obs.ledger.of_kind(DecisionKind::Knapsack).count(), tuner.trace().epochs.len());
+            for k in obs.ledger.of_kind(DecisionKind::Knapsack) {
                 assert_eq!(k.get_u64("budget_pages"), Some(budget), "case {case}");
                 let spent = k.get_u64("spent_pages");
                 assert!(spent.is_some_and(|spent| spent <= budget), "case {case}: {k:?}");
+            }
+            // A boundary is recorded twice — the trace's `EpochRecord`
+            // and the ledger's `budget_change` / `index_create` /
+            // `index_drop` — and the two accounts must agree.
+            let budget_changes: Vec<_> = obs.ledger.of_kind(DecisionKind::BudgetChange).collect();
+            assert_eq!(budget_changes.len(), tuner.trace().epochs.len(), "case {case}");
+            for (e, b) in tuner.trace().epochs.iter().zip(budget_changes) {
+                assert_eq!(b.epoch, e.epoch, "case {case}");
+                assert_eq!(b.get_u64("whatif_used"), Some(e.whatif_used), "case {case}: {b:?}");
+                assert_eq!(b.get_u64("whatif_limit"), Some(e.whatif_limit), "case {case}: {b:?}");
+                assert_eq!(b.get_u64("next_budget"), Some(e.next_budget), "case {case}: {b:?}");
+                assert_eq!(b.get_f64("ratio"), Some(e.ratio), "case {case}: {b:?}");
+                let reorganized = |kind| -> Vec<String> {
+                    obs.ledger
+                        .of_kind(kind)
+                        .filter(|r| r.epoch == e.epoch && r.get_str("via") == Some("reorganize"))
+                        .map(|r| r.get_str("index").unwrap_or("?").to_string())
+                        .collect()
+                };
+                let names = |cols: &[ColRef]| cols.iter().map(ToString::to_string).collect::<Vec<_>>();
+                assert_eq!(reorganized(DecisionKind::IndexCreate), names(&e.created), "case {case}");
+                assert_eq!(reorganized(DecisionKind::IndexDrop), names(&e.dropped), "case {case}");
             }
             // The built footprint has: an index created this epoch was
             // packed at its estimated size and its built tree can be

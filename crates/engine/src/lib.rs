@@ -14,7 +14,6 @@
 //!   its simulated milliseconds are what every figure reports.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod aggregate;
 pub mod batch;

@@ -8,7 +8,7 @@
 //! in CI at any thread count and `COLT_OBS` level.
 
 use crate::runner::RunResult;
-use colt_obs::{DecisionRecord, Snapshot};
+use colt_obs::{DecisionKind, DecisionRecord, Snapshot};
 
 /// One parsed entry of a knapsack record's `candidates` field
 /// (`index:size_pages:net_benefit|...`).
@@ -42,7 +42,7 @@ pub fn parse_candidates(record: &DecisionRecord) -> Vec<KnapsackCandidate> {
 /// knapsack solved at or before that epoch (piggybacked builds execute
 /// epochs after the solve that chose them).
 pub fn explaining_knapsack(obs: &Snapshot, epoch: u64) -> Option<&DecisionRecord> {
-    obs.ledger.of_kind("knapsack").filter(|r| r.epoch <= epoch).last()
+    obs.ledger.of_kind(DecisionKind::Knapsack).filter(|r| r.epoch <= epoch).last()
 }
 
 /// Render the per-epoch decision timeline: one row per epoch on the
@@ -72,7 +72,7 @@ pub fn render_decision_timeline(run: &RunResult) -> String {
         let knapsack = run
             .obs
             .ledger
-            .of_kind("knapsack")
+            .of_kind(DecisionKind::Knapsack)
             .filter(|r| r.epoch == e)
             .last()
             .map(|r| {
@@ -105,8 +105,8 @@ pub fn render_index_explanations(run: &RunResult) -> String {
     let mut rows = 0usize;
     for rec in run.obs.ledger.records() {
         let action = match rec.kind {
-            "index_create" => "create",
-            "index_drop" => "drop",
+            DecisionKind::IndexCreate => "create",
+            DecisionKind::IndexDrop => "drop",
             _ => continue,
         };
         rows += 1;
@@ -137,25 +137,18 @@ pub fn render_index_explanations(run: &RunResult) -> String {
     out
 }
 
-/// Every decision-ledger kind with its human label, in render order.
-/// The kinds are written out literally — not borrowed from
-/// `colt_obs::LEDGER_KINDS` — so the `decision-kind` lint can hold this
-/// renderer to the full kind set; the
-/// `ledger_kind_labels_mirror_the_obs_table` test keeps the two tables
-/// in lockstep.
-pub const LEDGER_KIND_LABELS: &[(&str, &str)] = &[
-    ("whatif_probe", "what-if probe"),
-    ("whatif_skip", "what-if skip"),
-    ("cluster_assign", "cluster assignment"),
-    ("knapsack", "knapsack solve"),
-    ("index_create", "index created"),
-    ("index_drop", "index dropped"),
-    ("budget_change", "budget change"),
-];
-
-/// Human label for a ledger record kind (the kind itself when unknown).
-pub fn kind_label(kind: &str) -> &str {
-    LEDGER_KIND_LABELS.iter().find(|(k, _)| *k == kind).map_or(kind, |(_, label)| *label)
+/// Human label of a ledger record kind. The match is exhaustive, so a
+/// new [`DecisionKind`] does not compile until it has a label here.
+fn label(kind: DecisionKind) -> &'static str {
+    match kind {
+        DecisionKind::WhatifProbe => "what-if probe",
+        DecisionKind::WhatifSkip => "what-if skip",
+        DecisionKind::ClusterAssign => "cluster assignment",
+        DecisionKind::Knapsack => "knapsack solve",
+        DecisionKind::IndexCreate => "index created",
+        DecisionKind::IndexDrop => "index dropped",
+        DecisionKind::BudgetChange => "budget change",
+    }
 }
 
 /// Render the ledger digest: one row per decision kind — label, record
@@ -166,7 +159,7 @@ pub fn render_ledger_digest(obs: &Snapshot) -> String {
     let mut out = String::from("## Decision-ledger digest\n\n");
     out.push_str("| kind | decisions | first epoch | last epoch |\n");
     out.push_str("|---|---:|---:|---:|\n");
-    for (kind, label) in LEDGER_KIND_LABELS {
+    for kind in DecisionKind::ALL {
         let mut count = 0u64;
         let mut first: Option<u64> = None;
         let mut last: Option<u64> = None;
@@ -177,7 +170,8 @@ pub fn render_ledger_digest(obs: &Snapshot) -> String {
         }
         let dash = "—".to_string();
         out.push_str(&format!(
-            "| {label} | {count} | {} | {} |\n",
+            "| {} | {count} | {} | {} |\n",
+            label(kind),
             first.map_or_else(|| dash.clone(), |e| e.to_string()),
             last.map_or_else(|| dash.clone(), |e| e.to_string()),
         ));
@@ -266,14 +260,14 @@ mod tests {
 
     fn decisions_into(mut r: Recorder) -> Snapshot {
         r.record_decision(
-            DecisionRecord::new("knapsack")
+            DecisionRecord::new(DecisionKind::Knapsack)
                 .field("candidates", "t0.c0:40:123.456|t0.c1:60:-2.000")
                 .field("chosen", "t0.c0")
                 .field("budget_pages", 100u64)
                 .field("spent_pages", 40u64),
         );
         r.record_decision(
-            DecisionRecord::new("index_create")
+            DecisionRecord::new(DecisionKind::IndexCreate)
                 .field("index", "t0.c0")
                 .field("via", "reorganize")
                 .field("build_millis", 12.5),
@@ -286,19 +280,10 @@ mod tests {
     }
 
     #[test]
-    fn ledger_kind_labels_mirror_the_obs_table() {
-        let ours: Vec<&str> = LEDGER_KIND_LABELS.iter().map(|(k, _)| *k).collect();
-        let theirs: Vec<&str> = colt_obs::LEDGER_KINDS.iter().map(|(k, _)| *k).collect();
-        assert_eq!(ours, theirs, "flight.rs labels must cover exactly colt_obs::LEDGER_KINDS");
-        assert_eq!(kind_label("knapsack"), "knapsack solve");
-        assert_eq!(kind_label("unknown_kind"), "unknown_kind");
-    }
-
-    #[test]
     fn ledger_digest_lists_every_kind() {
         let s = render_ledger_digest(&recorder_with_decisions());
-        for (_, label) in LEDGER_KIND_LABELS {
-            assert!(s.contains(label), "digest misses `{label}`:\n{s}");
+        for kind in DecisionKind::ALL {
+            assert!(s.contains(label(kind)), "digest misses `{}`:\n{s}", label(kind));
         }
         assert!(s.contains("| knapsack solve | 1 | 0 | 0 |"), "digest:\n{s}");
         assert!(s.contains("| what-if probe | 0 | — | — |"), "digest:\n{s}");
@@ -306,7 +291,7 @@ mod tests {
 
     #[test]
     fn candidates_round_trip() {
-        let rec = DecisionRecord::new("knapsack")
+        let rec = DecisionRecord::new(DecisionKind::Knapsack)
             .field("candidates", "t0.c0:40:123.456|t0.c1:60:-2.000");
         let c = parse_candidates(&rec);
         assert_eq!(c.len(), 2);
@@ -314,7 +299,7 @@ mod tests {
         assert_eq!(c[0].size_pages, 40);
         assert!((c[0].value - 123.456).abs() < 1e-9);
         assert!((c[1].value + 2.0).abs() < 1e-9);
-        assert!(parse_candidates(&DecisionRecord::new("knapsack")).is_empty());
+        assert!(parse_candidates(&DecisionRecord::new(DecisionKind::Knapsack)).is_empty());
     }
 
     #[test]
@@ -383,10 +368,10 @@ mod tests {
     #[test]
     fn explaining_knapsack_takes_the_latest_at_or_before() {
         let mut r = Recorder::new(Level::Summary);
-        r.record_decision(DecisionRecord::new("knapsack").field("spent_pages", 1u64));
+        r.record_decision(DecisionRecord::new(DecisionKind::Knapsack).field("spent_pages", 1u64));
         r.add_counter("c.n", 1);
         r.mark_epoch(0);
-        r.record_decision(DecisionRecord::new("knapsack").field("spent_pages", 2u64));
+        r.record_decision(DecisionRecord::new(DecisionKind::Knapsack).field("spent_pages", 2u64));
         let obs = r.into_snapshot();
         assert_eq!(explaining_knapsack(&obs, 0).unwrap().get_u64("spent_pages"), Some(1));
         assert_eq!(explaining_knapsack(&obs, 5).unwrap().get_u64("spent_pages"), Some(2));

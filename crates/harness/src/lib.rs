@@ -11,13 +11,6 @@
 //! scoped thread pool with serial-identical output.
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`, alone among the library crates: a future
-// lock-free recorder merge in `parallel` may need a scoped
-// `#[allow(unsafe_code)]` with a safety comment, which `forbid` would
-// make impossible without relaxing the whole crate. There is no unsafe
-// code today; colt-analyze's unsafe-code lint independently verifies
-// that.
-#![deny(unsafe_code)]
 
 pub mod flight;
 pub mod metrics;
@@ -27,9 +20,8 @@ pub mod report;
 pub mod runner;
 
 pub use flight::{
-    explaining_knapsack, kind_label, parse_candidates, render_access_path_mix,
-    render_decision_timeline, render_index_explanations, render_ledger_digest, KnapsackCandidate,
-    ACCESS_PATH_COUNTERS, LEDGER_KIND_LABELS,
+    explaining_knapsack, parse_candidates, render_access_path_mix, render_decision_timeline,
+    render_index_explanations, render_ledger_digest, KnapsackCandidate, ACCESS_PATH_COUNTERS,
 };
 pub use metrics::{adaptation_latency, budget_utilization, convergence_point};
 pub use multiclient::{interleave, split_round_robin};
@@ -40,5 +32,3 @@ pub use report::{
     BucketRow,
 };
 pub use runner::{Experiment, Policy, QuerySample, RunResult, WHATIF_COST_UNITS};
-#[allow(deprecated)]
-pub use runner::{run_colt, run_colt_with_strategy, run_none, run_offline};

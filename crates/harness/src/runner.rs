@@ -350,48 +350,6 @@ impl<'a> Experiment<'a> {
     }
 }
 
-/// Run the stream with no tuning at all.
-#[deprecated(note = "use Experiment::new(db, workload).run() (Policy::None is the default)")]
-pub fn run_none(db: &Database, workload: &[Query]) -> Result<RunResult, ExecError> {
-    Experiment::new(db, workload).run()
-}
-
-/// Run the stream under the idealized OFFLINE policy.
-#[deprecated(
-    note = "use Experiment::new(db, workload).policy(Policy::Offline { budget_pages }).analyzed(analyzed).run()"
-)]
-pub fn run_offline(
-    db: &Database,
-    workload: &[Query],
-    analyzed: &[Query],
-    budget_pages: u64,
-) -> Result<RunResult, ExecError> {
-    Experiment::new(db, workload).policy(Policy::Offline { budget_pages }).analyzed(analyzed).run()
-}
-
-/// Run the stream under COLT, charging all tuning overhead to it.
-#[deprecated(note = "use Experiment::new(db, workload).policy(Policy::colt(config)).run()")]
-pub fn run_colt(
-    db: &Database,
-    workload: &[Query],
-    colt_config: ColtConfig,
-) -> Result<RunResult, ExecError> {
-    Experiment::new(db, workload).policy(Policy::colt(colt_config)).run()
-}
-
-/// Run the stream under COLT with an explicit materialization strategy.
-#[deprecated(
-    note = "use Experiment::new(db, workload).policy(Policy::Colt(config, strategy)).run()"
-)]
-pub fn run_colt_with_strategy(
-    db: &Database,
-    workload: &[Query],
-    colt_config: ColtConfig,
-    strategy: MaterializationStrategy,
-) -> Result<RunResult, ExecError> {
-    Experiment::new(db, workload).policy(Policy::Colt(colt_config, strategy)).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,30 +462,5 @@ mod tests {
             assert_eq!(none.samples[i].rows, offline.samples[i].rows, "query {i}");
             assert_eq!(none.samples[i].rows, colt.samples[i].rows, "query {i}");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_run() {
-        let (db, t) = setup();
-        let w = selective_stream(t, 30);
-        let a = run_none(&db, &w).unwrap();
-        let b = Experiment::new(&db, &w).run().unwrap();
-        assert_eq!(a.samples, b.samples);
-        let c =
-            run_colt(&db, &w, ColtConfig { storage_budget_pages: 100_000, ..Default::default() })
-                .unwrap();
-        let d = run_colt_budget(&db, &w, 100_000);
-        assert_eq!(c.samples, d.samples);
-        let e = run_offline(&db, &w, &w, 100_000).unwrap();
-        assert_eq!(e.policy.label(), "OFFLINE");
-        let f = run_colt_with_strategy(
-            &db,
-            &w,
-            ColtConfig { storage_budget_pages: 100_000, ..Default::default() },
-            MaterializationStrategy::Immediate,
-        )
-        .unwrap();
-        assert_eq!(f.samples, d.samples);
     }
 }

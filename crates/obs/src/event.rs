@@ -66,7 +66,7 @@ impl From<bool> for FieldValue {
 /// One structured event: a kind plus ordered key/value fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    /// The event kind, e.g. `"epoch"`, `"index_create"`, `"cell_finish"`.
+    /// The event kind, e.g. `"setup"`, `"cell_finish"`, `"parallel_batch"`.
     pub kind: &'static str,
     /// Ordered fields.
     pub fields: Vec<(&'static str, FieldValue)>,

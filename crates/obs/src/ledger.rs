@@ -19,18 +19,49 @@ pub const DEFAULT_LEDGER_CAPACITY: usize = 65_536;
 /// Default [`TimeSeries`] capacity (epoch points).
 pub const DEFAULT_SERIES_CAPACITY: usize = 4_096;
 
-/// Every ledger record kind, with its owning crate — the one crate
-/// allowed to emit it (enforced statically by `colt-analyze`'s
-/// `ledger-owner` lint).
-pub const LEDGER_KINDS: &[(&str, &str)] = &[
-    ("whatif_probe", "core"),
-    ("whatif_skip", "core"),
-    ("cluster_assign", "core"),
-    ("knapsack", "core"),
-    ("index_create", "core"),
-    ("index_drop", "core"),
-    ("budget_change", "core"),
-];
+/// The kind of a [`DecisionRecord`]: the seven decisions the tuner loop
+/// takes. A new kind is a new variant, and every `match` over the kinds
+/// (the `report` renderer's labels) then fails to compile until it
+/// handles it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecisionKind {
+    /// The profiler issued a what-if call for a candidate.
+    WhatifProbe,
+    /// A skip-proof showed a considered probe could not change the
+    /// epoch's knapsack solution, so it was not issued.
+    WhatifSkip,
+    /// A query was assigned to its cluster.
+    ClusterAssign,
+    /// The Self-Organizer solved the boundary's knapsack.
+    Knapsack,
+    /// The scheduler built an index.
+    IndexCreate,
+    /// The scheduler dropped an index.
+    IndexDrop,
+    /// The boundary set the next epoch's what-if budget.
+    BudgetChange,
+}
+
+impl DecisionKind {
+    /// Every kind, in render order.
+    pub const ALL: [DecisionKind; 7] = {
+        use DecisionKind::*;
+        [WhatifProbe, WhatifSkip, ClusterAssign, Knapsack, IndexCreate, IndexDrop, BudgetChange]
+    };
+
+    /// The wire name: the value of a dump line's `"decision"` key.
+    pub fn name(self) -> &'static str {
+        match self {
+            DecisionKind::WhatifProbe => "whatif_probe",
+            DecisionKind::WhatifSkip => "whatif_skip",
+            DecisionKind::ClusterAssign => "cluster_assign",
+            DecisionKind::Knapsack => "knapsack",
+            DecisionKind::IndexCreate => "index_create",
+            DecisionKind::IndexDrop => "index_drop",
+            DecisionKind::BudgetChange => "budget_change",
+        }
+    }
+}
 
 /// One tuner decision: a kind, the epoch it was taken in, and ordered
 /// key/value fields carrying the decision's inputs and outputs.
@@ -42,8 +73,8 @@ pub const LEDGER_KINDS: &[(&str, &str)] = &[
 pub struct DecisionRecord {
     /// The epoch the decision was taken in.
     pub epoch: u64,
-    /// The decision kind; must be listed in [`LEDGER_KINDS`].
-    pub kind: &'static str,
+    /// The decision kind.
+    pub kind: DecisionKind,
     /// Ordered fields (decision inputs and outputs).
     pub fields: Vec<(&'static str, FieldValue)>,
 }
@@ -51,7 +82,7 @@ pub struct DecisionRecord {
 impl DecisionRecord {
     /// A record with no fields yet; the epoch is stamped when the
     /// record reaches the recorder.
-    pub fn new(kind: &'static str) -> Self {
+    pub fn new(kind: DecisionKind) -> Self {
         DecisionRecord { epoch: 0, kind, fields: Vec::new() }
     }
 
@@ -97,7 +128,7 @@ impl DecisionRecord {
     /// One-line JSON: `{"decision":"kind","epoch":3,"k":v,...}`.
     pub fn jsonl(&self) -> String {
         let mut out = String::from("{\"decision\":");
-        write_str(&mut out, self.kind);
+        write_str(&mut out, self.kind.name());
         out.push_str(&format!(",\"epoch\":{}", self.epoch));
         write_fields(&mut out, &self.fields);
         out
@@ -139,7 +170,7 @@ impl DecisionLedger {
     }
 
     /// Retained records of one kind, oldest first.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a DecisionRecord> {
+    pub fn of_kind(&self, kind: DecisionKind) -> impl Iterator<Item = &DecisionRecord> {
         self.records.iter().filter(move |r| r.kind == kind)
     }
 
@@ -339,7 +370,7 @@ mod tests {
 
     #[test]
     fn record_jsonl_shape() {
-        let mut r = DecisionRecord::new("knapsack")
+        let mut r = DecisionRecord::new(DecisionKind::Knapsack)
             .field("budget_pages", 100u64)
             .field("free_value", 2.5)
             .field("adopted", "free");
@@ -358,7 +389,7 @@ mod tests {
     fn ledger_bounds_and_counts_evictions() {
         let mut l = DecisionLedger::new(3);
         for i in 0..5u64 {
-            let mut r = DecisionRecord::new("whatif_probe");
+            let mut r = DecisionRecord::new(DecisionKind::WhatifProbe);
             r.epoch = i;
             l.push(r);
         }
@@ -375,16 +406,16 @@ mod tests {
         let mut a = DecisionLedger::new(4);
         let mut b = DecisionLedger::new(4);
         for i in 0..3u64 {
-            let mut r = DecisionRecord::new("knapsack");
+            let mut r = DecisionRecord::new(DecisionKind::Knapsack);
             r.epoch = i;
             a.push(r.clone());
-            r.kind = "index_create";
+            r.kind = DecisionKind::IndexCreate;
             b.push(r);
         }
         a.merge(&b);
         assert_eq!(a.len(), 4);
         assert_eq!(a.evicted(), 2);
-        let kinds: Vec<&str> = a.records().map(|r| r.kind).collect();
+        let kinds: Vec<&str> = a.records().map(|r| r.kind.name()).collect();
         assert_eq!(kinds, ["knapsack", "index_create", "index_create", "index_create"]);
     }
 
@@ -422,11 +453,23 @@ mod tests {
         assert_eq!(empty.jsonl(), r#"{"series_epoch":0,"counters":{},"sim_ms":{}}"#);
     }
 
+    /// The dump's `"decision"` values, literally and in `ALL` order: a
+    /// renamed or reordered variant must not silently change what a
+    /// reader of the dump parses.
     #[test]
-    fn every_ledger_kind_names_a_real_crate() {
-        for (kind, owner) in LEDGER_KINDS {
-            assert!(!kind.is_empty());
-            assert!(["core", "engine", "harness"].contains(owner), "unexpected owner {owner}");
-        }
+    fn decision_kinds_keep_their_wire_names() {
+        let names: Vec<&str> = DecisionKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "whatif_probe",
+                "whatif_skip",
+                "cluster_assign",
+                "knapsack",
+                "index_create",
+                "index_drop",
+                "budget_change"
+            ]
+        );
     }
 }

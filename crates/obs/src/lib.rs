@@ -3,10 +3,11 @@
 //! Zero-dependency observability for the COLT reproduction: a
 //! global-free metrics [`Recorder`] (counters and span timings), RAII
 //! [`Span`] guards over the wall clock with explicit simulated-clock
-//! attribution, a structured [`Event`] sink that replaces ad-hoc
-//! `eprintln!` diagnostics with one format across the whole tuner
-//! stack, and the workspace's one [`json`] writer and parser. A
-//! [`Snapshot`] has one serialisation, [`Snapshot::jsonl`].
+//! attribution, the flight recorder's typed [`DecisionRecord`]s, a
+//! [`progress`] sink that replaces ad-hoc `eprintln!` diagnostics with
+//! one stderr format across every binary, and the workspace's one
+//! [`json`] writer and parser. A [`Snapshot`] has one serialisation,
+//! [`Snapshot::jsonl`].
 //!
 //! ## Deployment model
 //!
@@ -29,14 +30,13 @@
 //! * `off` — no recording, no stderr output from the sink.
 //! * `summary` (default) — metrics are recorded; progress events print
 //!   one compact human line each to stderr.
-//! * `full` — metrics are recorded; every event prints as one-line JSON
-//!   (JSONL) to stderr.
+//! * `full` — metrics are recorded; progress events print as one-line
+//!   JSON (JSONL) to stderr.
 //!
 //! **No level ever writes to stdout**, so experiment artifacts remain
 //! byte-identical across levels and thread counts.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod json;
 pub mod event;
@@ -46,7 +46,7 @@ pub mod recorder;
 
 pub use event::{Event, FieldValue};
 pub use hist::{Histogram, DURATION_US_BUCKETS};
-pub use ledger::{DecisionLedger, DecisionRecord, EpochPoint, TimeSeries, LEDGER_KINDS};
+pub use ledger::{DecisionKind, DecisionLedger, DecisionRecord, EpochPoint, TimeSeries};
 pub use recorder::{Recorder, Snapshot, SpanStats};
 
 use std::cell::{Cell, RefCell};
@@ -61,7 +61,7 @@ pub enum Level {
     /// Record metrics; print progress events as compact human lines.
     #[default]
     Summary,
-    /// Record metrics; print every event as one-line JSON (JSONL).
+    /// Record metrics; print progress events as one-line JSON (JSONL).
     Full,
 }
 
@@ -130,14 +130,6 @@ pub fn is_enabled() -> bool {
 /// main thread) still get uniformly formatted progress output.
 pub fn sink_level() -> Level {
     CURRENT.with(|c| c.borrow().as_ref().map(Recorder::level)).unwrap_or_else(Level::from_env)
-}
-
-/// True when an [`Event`] or [`DecisionRecord`] built now would go
-/// anywhere: a recorder is installed to keep it, or the stderr sink
-/// prints every event ([`Level::Full`]). Sites that build records at a
-/// cost (a formatted column name per field) ask this first.
-pub fn wants_events() -> bool {
-    is_enabled() || sink_level() == Level::Full
 }
 
 fn with_recorder<R>(f: impl FnOnce(&mut Recorder) -> R) -> Option<R> {
@@ -217,25 +209,16 @@ pub fn epoch_mark(epoch: u64) {
     with_recorder(|r| r.mark_epoch(epoch));
 }
 
-/// Emit a structured event: retained by the installed recorder, and
-/// printed to stderr as JSONL at [`Level::Full`].
-pub fn emit(event: Event) {
-    if sink_level() == Level::Full {
-        eprintln!("{}", event.jsonl());
-    }
-    with_recorder(|r| r.record_event(event));
-}
-
-/// Emit a *progress* event: like [`emit`], but at [`Level::Summary`] it
-/// also prints the compact human rendering — this is the one stderr
-/// format every binary shares.
+/// Print a progress event to stderr — the one stderr format every
+/// binary shares: the compact human rendering at [`Level::Summary`],
+/// JSONL at [`Level::Full`]. Nothing is retained; what the tuner
+/// decided is in the ledger ([`decision`]).
 pub fn progress(event: Event) {
     match sink_level() {
         Level::Off => {}
         Level::Summary => eprintln!("{}", event.human()),
         Level::Full => eprintln!("{}", event.jsonl()),
     }
-    with_recorder(|r| r.record_event(event));
 }
 
 #[cfg(test)]
@@ -253,14 +236,12 @@ mod tests {
             let s = span("s");
             s.sim_ms(4.5);
         }
-        emit(Event::new("e"));
         let snap = take().unwrap().into_snapshot();
         assert!(!is_enabled());
         assert_eq!(snap.counter("c"), 2);
         assert_eq!(snap.span("s").unwrap().count, 1);
         assert_eq!(snap.span("s").unwrap().sim_ms, 4.5);
         assert!(snap.span("s").unwrap().wall_ns > 0);
-        assert_eq!(snap.events.len(), 1);
     }
 
     #[test]
@@ -281,7 +262,7 @@ mod tests {
         assert!(!is_enabled());
         counter("c", 1);
         let _s = span("s");
-        emit(Event::new("e"));
+        decision(DecisionRecord::new(DecisionKind::Knapsack));
         drop(_s);
         let snap = take().unwrap().into_snapshot();
         assert!(snap.is_empty());
@@ -293,9 +274,8 @@ mod tests {
         counter("c", 1);
         span_sim("s", 1.0);
         drop(span("s"));
-        emit(Event::new("e"));
         progress(Event::new("p"));
-        decision(DecisionRecord::new("knapsack"));
+        decision(DecisionRecord::new(DecisionKind::Knapsack));
         epoch_mark(0);
         assert!(take().is_none());
     }
@@ -303,13 +283,14 @@ mod tests {
     #[test]
     fn flight_recorder_records_through_the_thread_local() {
         install(Recorder::new(Level::Summary));
-        decision(DecisionRecord::new("knapsack").field("spent_pages", 3u64));
+        decision(DecisionRecord::new(DecisionKind::Knapsack).field("spent_pages", 3u64));
         counter("c", 1);
         epoch_mark(0);
-        decision(DecisionRecord::new("index_create"));
+        decision(DecisionRecord::new(DecisionKind::IndexCreate));
         let snap = take().unwrap().into_snapshot();
-        let records: Vec<(u64, &str)> = snap.ledger.records().map(|d| (d.epoch, d.kind)).collect();
-        assert_eq!(records, [(0, "knapsack"), (1, "index_create")]);
+        let records: Vec<(u64, DecisionKind)> =
+            snap.ledger.records().map(|d| (d.epoch, d.kind)).collect();
+        assert_eq!(records, [(0, DecisionKind::Knapsack), (1, DecisionKind::IndexCreate)]);
         assert_eq!(snap.series.len(), 1);
         assert_eq!(snap.series.counter_at(0, "c"), 1);
     }

@@ -8,7 +8,6 @@
 //! bump, and aggregation across threads happens outside the measured
 //! region entirely.
 
-use crate::event::Event;
 use crate::hist::{Histogram, DURATION_US_BUCKETS};
 use crate::json::{format_float, write_str};
 use crate::ledger::{DecisionLedger, DecisionRecord, EpochPoint, TimeSeries};
@@ -49,14 +48,13 @@ impl SpanStats {
     }
 }
 
-/// A mutable metrics recorder: counters, span timings, and the
-/// retained structured-event stream.
+/// A mutable metrics recorder: counters, span timings, and the flight
+/// recorder.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     level: Level,
     counters: BTreeMap<&'static str, u64>,
     spans: BTreeMap<&'static str, SpanStats>,
-    events: Vec<Event>,
     /// Self-time flame accumulator: the live span stack, the instant of
     /// the last enter/exit transition, and folded-stack self time in
     /// nanoseconds keyed by `outer;inner;leaf`.
@@ -81,7 +79,6 @@ impl Recorder {
             level,
             counters: BTreeMap::new(),
             spans: BTreeMap::new(),
-            events: Vec::new(),
             flame_stack: Vec::new(),
             flame_last: None,
             flame: BTreeMap::new(),
@@ -170,11 +167,6 @@ impl Recorder {
         self.flame_last = Some(now);
     }
 
-    /// Retain a structured event.
-    pub fn record_event(&mut self, event: Event) {
-        self.events.push(event);
-    }
-
     /// Append a decision record to the ledger, stamping it with the
     /// recorder's current epoch.
     pub fn record_decision(&mut self, mut record: DecisionRecord) {
@@ -221,7 +213,6 @@ impl Recorder {
         Snapshot {
             counters: self.counters.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
             spans: self.spans.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-            events: self.events,
             flame: self.flame,
             ledger: self.ledger,
             series: self.series,
@@ -236,8 +227,6 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Span timings by name.
     pub spans: BTreeMap<String, SpanStats>,
-    /// Retained structured events, in record order.
-    pub events: Vec<Event>,
     /// Folded-stack self time in nanoseconds, keyed by
     /// `outer;inner;leaf` span paths.
     pub flame: BTreeMap<String, u64>,
@@ -253,7 +242,6 @@ impl Snapshot {
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty()
             && self.spans.is_empty()
-            && self.events.is_empty()
             && self.flame.is_empty()
             && self.ledger.is_empty()
             && self.series.is_empty()
@@ -275,7 +263,7 @@ impl Snapshot {
     }
 
     /// Fold another snapshot into this one: counters, spans and flame
-    /// frames accumulate; events, decisions and series points append.
+    /// frames accumulate; decisions and series points append.
     pub fn merge(&mut self, other: &Snapshot) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
@@ -288,7 +276,6 @@ impl Snapshot {
                 }
             }
         }
-        self.events.extend(other.events.iter().cloned());
         for (k, v) in &other.flame {
             *self.flame.entry(k.clone()).or_insert(0) += v;
         }
@@ -315,7 +302,6 @@ impl Snapshot {
     /// * `{"decision":kind,"epoch":N,…}` and
     ///   `{"series_epoch":N,"counters":{…},"sim_ms":{…}}` —
     ///   [`Snapshot::flight_jsonl`], the deterministic prefix;
-    /// * `{"event":kind,…}` — the retained event stream, in record order;
     /// * `{"counter":name,"value":N}` — by name;
     /// * `{"span":name,"count":N,"wall_ns":N,"sim_ms":F,"wall_us_buckets":[…]}`
     ///   — by name; the buckets are per-bucket (not cumulative) counts
@@ -325,10 +311,6 @@ impl Snapshot {
     /// Everything after the prefix may carry wall-clock values.
     pub fn jsonl(&self) -> String {
         let mut out = self.flight_jsonl();
-        for e in &self.events {
-            out.push_str(&e.jsonl());
-            out.push('\n');
-        }
         for (name, v) in &self.counters {
             out.push_str("{\"counter\":");
             write_str(&mut out, name);
@@ -358,6 +340,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DecisionKind;
 
     #[test]
     fn record_and_snapshot() {
@@ -366,14 +349,12 @@ mod tests {
         r.add_counter("a.b", 3);
         r.record_span("s", 1_500_000); // 1.5 ms
         r.record_span_sim("s", 9.0);
-        r.record_event(Event::new("e").field("x", 1u64));
         let s = r.into_snapshot();
         assert_eq!(s.counter("a.b"), 5);
         let span = s.span("s").unwrap();
         assert_eq!(span.count, 1);
         assert!((span.wall_ms() - 1.5).abs() < 1e-9);
         assert_eq!(span.sim_ms, 9.0);
-        assert_eq!(s.events.len(), 1);
         assert!(!s.is_empty());
     }
 
@@ -390,20 +371,20 @@ mod tests {
         let mut a = Recorder::new(Level::Full);
         a.add_counter("c", 1);
         a.record_span("s", 1_000);
-        a.record_event(Event::new("first"));
+        a.record_decision(DecisionRecord::new(DecisionKind::Knapsack));
         let mut b = Recorder::new(Level::Full);
         b.add_counter("c", 2);
         b.add_counter("d", 7);
         b.record_span("s", 2_000);
-        b.record_event(Event::new("second"));
+        b.record_decision(DecisionRecord::new(DecisionKind::IndexCreate));
         let mut sa = a.into_snapshot();
         sa.merge(&b.into_snapshot());
         assert_eq!(sa.counter("c"), 3);
         assert_eq!(sa.counter("d"), 7);
         assert_eq!(sa.span("s").unwrap().count, 2);
         assert_eq!(sa.span("s").unwrap().wall_ns, 3_000);
-        let kinds: Vec<&str> = sa.events.iter().map(|e| e.kind).collect();
-        assert_eq!(kinds, ["first", "second"]);
+        let kinds: Vec<&str> = sa.ledger.records().map(|d| d.kind.name()).collect();
+        assert_eq!(kinds, ["knapsack", "index_create"]);
     }
 
     #[test]
@@ -451,13 +432,13 @@ mod tests {
     #[test]
     fn decisions_are_stamped_with_the_current_epoch() {
         let mut r = Recorder::new(Level::Summary);
-        r.record_decision(crate::DecisionRecord::new("knapsack"));
+        r.record_decision(DecisionRecord::new(DecisionKind::Knapsack));
         r.add_counter("a.b", 1);
         r.mark_epoch(0);
-        r.record_decision(crate::DecisionRecord::new("index_create"));
+        r.record_decision(DecisionRecord::new(DecisionKind::IndexCreate));
         assert_eq!(r.current_epoch(), 1);
         let s = r.into_snapshot();
-        let epochs: Vec<(u64, &str)> = s.ledger.records().map(|d| (d.epoch, d.kind)).collect();
+        let epochs: Vec<(u64, &str)> = s.ledger.records().map(|d| (d.epoch, d.kind.name())).collect();
         assert_eq!(epochs, [(0, "knapsack"), (1, "index_create")]);
         assert!(!s.is_empty());
     }
@@ -486,11 +467,11 @@ mod tests {
     #[test]
     fn flight_jsonl_merges_deterministically() {
         let mut a = Recorder::new(Level::Summary);
-        a.record_decision(crate::DecisionRecord::new("knapsack").field("spent_pages", 4u64));
+        a.record_decision(DecisionRecord::new(DecisionKind::Knapsack).field("spent_pages", 4u64));
         a.add_counter("c.n", 1);
         a.mark_epoch(0);
         let mut b = Recorder::new(Level::Summary);
-        b.record_decision(crate::DecisionRecord::new("budget_change").field("next", 9u64));
+        b.record_decision(DecisionRecord::new(DecisionKind::BudgetChange).field("next", 9u64));
         b.add_counter("c.n", 2);
         b.mark_epoch(0);
         let mut merged = a.into_snapshot();
@@ -509,7 +490,7 @@ mod tests {
     fn capacity_hooks_bound_the_rings() {
         let mut r = Recorder::new(Level::Summary).with_ledger_capacity(2).with_series_capacity(1);
         for i in 0..4u64 {
-            r.record_decision(crate::DecisionRecord::new("whatif_probe").field("i", i));
+            r.record_decision(DecisionRecord::new(DecisionKind::WhatifProbe).field("i", i));
             r.add_counter("c.n", 1);
             r.mark_epoch(i);
         }
@@ -526,12 +507,11 @@ mod tests {
     #[test]
     fn jsonl_pins_each_line_shape_after_the_flight_prefix() {
         let mut r = Recorder::new(Level::Full);
-        r.record_decision(crate::DecisionRecord::new("knapsack").field("spent_pages", 4u64));
+        r.record_decision(DecisionRecord::new(DecisionKind::Knapsack).field("spent_pages", 4u64));
         r.add_counter("engine.whatif_calls", 12);
         r.record_span("organizer.knapsack", 2_000_000); // 2 ms → the le=10 ms bucket
         r.record_span_sim("organizer.knapsack", 7.0);
         r.mark_epoch(0);
-        r.record_event(Event::new("epoch").field("ratio", 1.5).field("label", "a\"b"));
         let mut s = r.into_snapshot();
         s.flame.insert("tuner.epoch;organizer.knapsack".into(), 1_900);
         let text = s.jsonl();
@@ -539,7 +519,6 @@ mod tests {
             text,
             "{\"decision\":\"knapsack\",\"epoch\":0,\"spent_pages\":4}\n\
              {\"series_epoch\":0,\"counters\":{\"engine.whatif_calls\":12},\"sim_ms\":{\"organizer.knapsack\":7.0}}\n\
-             {\"event\":\"epoch\",\"ratio\":1.5,\"label\":\"a\\\"b\"}\n\
              {\"counter\":\"engine.whatif_calls\",\"value\":12}\n\
              {\"span\":\"organizer.knapsack\",\"count\":1,\"wall_ns\":2000000,\"sim_ms\":7.0,\"wall_us_buckets\":[0,0,0,1,0,0,0]}\n\
              {\"flame\":\"tuner.epoch;organizer.knapsack\",\"ns\":1900}\n"

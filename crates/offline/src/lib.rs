@@ -22,7 +22,6 @@
 //! tests.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 use colt_catalog::{ColRef, Database, IndexOrigin, PhysicalConfig, TableId};
 use colt_engine::{Eqo, Query};

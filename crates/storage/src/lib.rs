@@ -13,7 +13,6 @@
 //! the paper measures.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod btree;
 pub mod column;

@@ -8,7 +8,6 @@
 //! transitions), and noisy (20% burst injections).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod distribution;
 pub mod gen;

@@ -48,7 +48,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub use colt_catalog as catalog;
 pub use colt_core as colt;

@@ -5,7 +5,7 @@
 
 use colt_repro::colt::ColtConfig;
 use colt_repro::harness::{explaining_knapsack, parse_candidates, Experiment, Policy};
-use colt_repro::obs::{install, take, Level, Recorder};
+use colt_repro::obs::{install, take, DecisionKind, Level, Recorder};
 use colt_repro::workload::{generate, presets};
 
 const SCALE: f64 = 0.004;
@@ -39,8 +39,8 @@ fn every_index_change_is_explained_by_the_ledger() {
         for (col, action) in e
             .created
             .iter()
-            .map(|c| (c, "index_create"))
-            .chain(e.dropped.iter().map(|c| (c, "index_drop")))
+            .map(|c| (c, DecisionKind::IndexCreate))
+            .chain(e.dropped.iter().map(|c| (c, DecisionKind::IndexDrop)))
         {
             let name = col.to_string();
             let rec = run
@@ -49,7 +49,7 @@ fn every_index_change_is_explained_by_the_ledger() {
                 .of_kind(action)
                 .find(|r| r.epoch == e.epoch && r.get_str("index") == Some(name.as_str()))
                 .unwrap_or_else(|| {
-                    panic!("epoch {}: no {action} ledger record for {name}", e.epoch)
+                    panic!("epoch {}: no {} ledger record for {name}", e.epoch, action.name())
                 });
             let solve = explaining_knapsack(&run.obs, rec.epoch)
                 .unwrap_or_else(|| panic!("no knapsack solve at or before epoch {}", rec.epoch));
@@ -61,7 +61,7 @@ fn every_index_change_is_explained_by_the_ledger() {
         }
     }
     // And the trace's build totals agree with the ledger's.
-    let ledger_creates = run.obs.ledger.of_kind("index_create").count();
+    let ledger_creates = run.obs.ledger.of_kind(DecisionKind::IndexCreate).count();
     assert_eq!(ledger_creates, run.trace.total_builds(), "one create record per build");
 }
 
@@ -74,7 +74,7 @@ fn ledger_knapsack_spend_cross_checks_the_counter() {
     let from_ledger: u64 = run
         .obs
         .ledger
-        .of_kind("knapsack")
+        .of_kind(DecisionKind::Knapsack)
         .map(|r| r.get_u64("spent_pages").unwrap_or(0))
         .sum();
     assert!(from_ledger > 0, "the stable preset materializes indices");

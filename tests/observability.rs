@@ -3,15 +3,15 @@
 //! * a run under a `Full` recorder yields a snapshot whose per-component
 //!   wall-clock breakdown accounts for the measured run time (the
 //!   unattributed remainder stays under 5%);
-//! * the structured event stream round-trips through the strict in-repo
-//!   JSON parser;
+//! * every line of the snapshot's one dump parses with the strict
+//!   in-repo JSON parser and carries one of its five tags;
 //! * an `Off` recorder records nothing and costs the default path
 //!   nothing — the samples are identical with and without recording;
 //! * the work a run does, in counted units, is pinned exactly.
 
 use colt_repro::colt::ColtConfig;
 use colt_repro::harness::{component_breakdown, Experiment, Policy};
-use colt_repro::obs::{install, take, Level, Recorder};
+use colt_repro::obs::{install, take, DecisionKind, Level, Recorder};
 use colt_repro::workload::{generate, presets, TpchData};
 
 const SCALE: f64 = 0.004;
@@ -87,37 +87,41 @@ fn snapshot_covers_every_layer() {
     let tune_sim: f64 = run.samples.iter().map(|q| q.tuning_millis).sum();
     let tune_span = s.span("harness.tune").expect("tune span").sim_ms;
     assert!((tune_sim - tune_span).abs() < 1e-6);
-    // Epoch events made it into the retained stream.
-    assert!(s.events.iter().any(|e| e.kind == "epoch"), "epoch events must be retained");
+    // Every closed epoch left its budget decision in the ledger.
+    let closed: Vec<u64> = s.ledger.of_kind(DecisionKind::BudgetChange).map(|r| r.epoch).collect();
+    assert!(!closed.is_empty(), "a tuned run closes epochs");
+    assert_eq!(closed, (0..run.trace.epochs.len() as u64).collect::<Vec<_>>());
 }
 
 #[test]
-fn event_stream_round_trips_through_core_json() {
+fn every_dump_line_parses_and_carries_one_of_five_tags() {
     use colt_repro::obs::json::{parse, Json};
     let run = run_colt_at(Level::Full, presets::stable);
     let dump = run.obs.jsonl();
     assert!(dump.starts_with(&run.obs.flight_jsonl()), "the flight recorder is the dump's prefix");
-    let mut events = run.obs.events.iter();
+    let mut decisions = run.obs.ledger.records();
     for (i, line) in dump.lines().enumerate() {
         let v = parse(line).unwrap_or_else(|e| panic!("line {}: {e}: {line}", i + 1));
         let Json::Obj(pairs) = &v else { panic!("line {} is not an object: {line}", i + 1) };
         let tag = pairs.first().map_or("", |(k, _)| k.as_str());
         assert!(
-            ["decision", "series_epoch", "event", "counter", "span", "flame"].contains(&tag),
+            ["decision", "series_epoch", "counter", "span", "flame"].contains(&tag),
             "line {}: unknown tag {tag:?}: {line}",
             i + 1
         );
-        if tag == "event" {
-            // Each event line is the retained event, in record order,
-            // with every field under its own key.
-            let e = events.next().expect("no more event lines than retained events");
-            assert_eq!(v.get("event").and_then(Json::as_str), Some(e.kind), "line {}", i + 1);
-            assert_eq!(pairs.len(), 1 + e.fields.len(), "line {}: {line}", i + 1);
-            assert!(e.fields.iter().all(|(k, _)| v.get(k).is_some()), "line {}: {line}", i + 1);
+        if tag == "decision" {
+            // Each decision line is the ledger's record, in record
+            // order: its kind's wire name, its epoch, and every field
+            // under its own key.
+            let d = decisions.next().expect("no more decision lines than ledger records");
+            assert_eq!(v.get("decision").and_then(Json::as_str), Some(d.kind.name()), "line {}", i + 1);
+            assert_eq!(v.get("epoch").and_then(Json::as_u64), Some(d.epoch), "line {}", i + 1);
+            assert_eq!(pairs.len(), 2 + d.fields.len(), "line {}: {line}", i + 1);
+            assert!(d.fields.iter().all(|(k, _)| v.get(k).is_some()), "line {}: {line}", i + 1);
         }
     }
-    assert!(events.next().is_none(), "every retained event has its line");
-    assert!(!run.obs.events.is_empty());
+    assert!(decisions.next().is_none(), "every ledger record has its line");
+    assert!(!run.obs.ledger.is_empty());
 }
 
 #[test]
