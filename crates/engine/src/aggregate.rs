@@ -8,19 +8,17 @@
 //! indices help a query (it consumes the join result), so it composes
 //! with the tuner without touching it.
 //!
-//! The operator consumes the plan's [`crate::batch::ColumnBatch`]es
-//! directly — group keys and aggregate inputs are read column-at-a-time
-//! from each batch, without materializing row-major tuples first.
+//! The operator consumes the plan's row ids directly — group keys and
+//! aggregate inputs are read from the heap columns through them, and
+//! only a group's key (once) and an aggregate's input become values.
 
-use crate::batch::{KeyHash, TableLayout};
+use crate::batch::{hash_keys, keys_eq, Chains, KeyCol, TableLayout};
 use crate::error::ExecError;
-use crate::executor::{col_set, Executor, QueryResult};
+use crate::executor::{Executor, QueryResult};
 use crate::plan::Plan;
 use crate::query::Query;
 use colt_catalog::ColRef;
 use colt_storage::{IoStats, Value};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// An aggregate function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,30 +87,28 @@ impl Acc {
         }
     }
 
+    /// Fold one input row in. `v` is `None` only for `COUNT(*)`:
+    /// [`AggSpec::check`] rejects every other column-less aggregate
+    /// before a fold starts, so the last arm is never the answer.
     pub(crate) fn feed(&mut self, v: Option<&Value>) {
-        match self {
-            Acc::Count(n) => *n += 1,
-            // colt: allow(panic-policy) — AggExpr::over pairs every non-COUNT function with a column
-            Acc::Sum(s) => *s += v.expect("SUM needs a column").as_f64(),
-            Acc::Avg { sum, n } => {
-                // colt: allow(panic-policy) — AggExpr::over pairs every non-COUNT function with a column
-                *sum += v.expect("AVG needs a column").as_f64();
+        match (self, v) {
+            (Acc::Count(n), _) => *n += 1,
+            (Acc::Sum(s), Some(v)) => *s += v.as_f64(),
+            (Acc::Avg { sum, n }, Some(v)) => {
+                *sum += v.as_f64();
                 *n += 1;
             }
-            Acc::Min(cur) => {
-                // colt: allow(panic-policy) — AggExpr::over pairs every non-COUNT function with a column
-                let v = v.expect("MIN needs a column");
+            (Acc::Min(cur), Some(v)) => {
                 if cur.as_ref().is_none_or(|c| v < c) {
                     *cur = Some(v.clone());
                 }
             }
-            Acc::Max(cur) => {
-                // colt: allow(panic-policy) — AggExpr::over pairs every non-COUNT function with a column
-                let v = v.expect("MAX needs a column");
+            (Acc::Max(cur), Some(v)) => {
                 if cur.as_ref().is_none_or(|c| v > c) {
                     *cur = Some(v.clone());
                 }
             }
+            (_, None) => {}
         }
     }
 
@@ -126,40 +122,17 @@ impl Acc {
     }
 }
 
-/// Resolve a column reference against the plan's output layout,
-/// rejecting references the layout cannot satisfy instead of letting
-/// them index out of bounds deep inside the fold loop.
-fn resolve(
-    db: &colt_catalog::Database,
-    layout: &TableLayout,
-    c: ColRef,
-) -> Result<usize, ExecError> {
-    let pos =
-        layout.col_of(c).ok_or(ExecError::UnknownColRef { operator: "aggregate", col: c })?;
-    if c.column as usize >= db.table(c.table).schema.arity() {
-        return Err(ExecError::UnknownColRef { operator: "aggregate", col: c });
+impl AggSpec {
+    /// Reject an aggregate that needs a column and names none. The
+    /// fields are public, so `AggExpr { func: Sum, col: None }` can be
+    /// written; only [`AggExpr::over`] and [`AggExpr::count_star`]
+    /// cannot produce it.
+    pub(crate) fn check(&self) -> Result<(), ExecError> {
+        match self.exprs.iter().position(|e| e.func != AggFunc::Count && e.col.is_none()) {
+            Some(expr) => Err(ExecError::AggregateWithoutColumn { expr }),
+            None => Ok(()),
+        }
     }
-    Ok(pos)
-}
-
-/// Resolve a spec's group-by and aggregate columns against a layout.
-#[allow(clippy::type_complexity)]
-fn resolve_spec(
-    db: &colt_catalog::Database,
-    layout: &TableLayout,
-    spec: &AggSpec,
-) -> Result<(Vec<usize>, Vec<Option<usize>>), ExecError> {
-    let group_pos = spec
-        .group_by
-        .iter()
-        .map(|&c| resolve(db, layout, c))
-        .collect::<Result<_, ExecError>>()?;
-    let agg_pos = spec
-        .exprs
-        .iter()
-        .map(|e| e.col.map(|c| resolve(db, layout, c)).transpose())
-        .collect::<Result<_, ExecError>>()?;
-    Ok((group_pos, agg_pos))
 }
 
 impl<'a> Executor<'a> {
@@ -175,72 +148,75 @@ impl<'a> Executor<'a> {
     ) -> Result<(QueryResult, Vec<Vec<Value>>), ExecError> {
         let mut io = IoStats::new();
         let db = self.database();
-        // The fold's column needs push down through the whole plan:
-        // only group-by and aggregate input columns (plus, inside the
-        // plan, each join's own keys) are ever materialized. Charges
-        // are identical either way; pushdown only skips value clones.
+        spec.check()?;
+        // Resolve every column against the plan's output layout first:
+        // a reference it cannot satisfy is an error here, not an index
+        // out of bounds deep inside the fold loop.
         let layout = TableLayout::of_plan(db, &plan.root);
-        let (group_pos, agg_pos) = resolve_spec(db, &layout, spec)?;
-        let needed = col_set(group_pos.iter().copied().chain(agg_pos.iter().flatten().copied()));
-        let input = self.run(query, &plan.root, &mut io, &needed)?;
+        let resolve = |col: ColRef| {
+            self.key_column("aggregate", &layout, col)
+                .map_err(|_| ExecError::UnknownColRef { operator: "aggregate", col })
+        };
+        let group_cols =
+            spec.group_by.iter().map(|&c| resolve(c)).collect::<Result<Vec<_>, ExecError>>()?;
+        let agg_cols = (spec.exprs.iter())
+            .map(|e| e.col.map(resolve).transpose())
+            .collect::<Result<Vec<_>, ExecError>>()?;
+        let input = self.run(query, &plan.root, &mut io, true)?;
 
-        // Group lookup is hash-based, key column at a time, mirroring the
-        // hash-join build phase. Deliberately HashMaps: point-lookup only
-        // — never iterated — each maps a key to its index in the `keys` /
-        // `groups` side tables, and emission sorts `keys`, so no hash
-        // order can reach the result. (colt-analyze's hash-iteration lint
-        // verifies the "never iterated" part, which is also what makes
-        // the fixed-seed `KeyHash` safe.) Single-column keys borrow the
-        // batch value and skip the per-row key Vec entirely; a group's key
-        // is cloned once, on first sight.
         let _batch_span = colt_obs::span("engine.exec.batch");
+        let rows = input.count() as usize;
+        let group_keys: Vec<KeyCol<'_>> =
+            group_cols.into_iter().map(|c| input.key_col(c)).collect();
+        let agg_inputs: Vec<Option<KeyCol<'_>>> =
+            agg_cols.into_iter().map(|c| c.map(|c| input.key_col(c))).collect();
+
+        // Grouping is the hash join's build phase over the input's own
+        // rows: chained by key hash in row order, so the first row of a
+        // chain that equals row `r` on every key column is the row that
+        // opened `r`'s group. Emission sorts the groups by key, so no
+        // hash can reach the result. A global aggregate chains nothing.
+        let grouped = !group_keys.is_empty();
+        let mut hashes = Vec::new();
+        if grouped {
+            hash_keys(&group_keys, 0..rows, &mut hashes);
+        }
+        // The group each opening row opened.
+        let mut opened: Vec<usize> = vec![0; hashes.len()];
+        let chains = Chains::build(hashes);
         let mut keys: Vec<Vec<Value>> = Vec::new();
         let mut groups: Vec<Vec<Acc>> = Vec::new();
-        if spec.group_by.is_empty() {
+        let new_group = || spec.exprs.iter().map(|e| Acc::new(e.func)).collect::<Vec<Acc>>();
+        if !grouped {
             keys.push(Vec::new());
-            groups.push(spec.exprs.iter().map(|e| Acc::new(e.func)).collect());
+            groups.push(new_group());
         }
-        let mut single: HashMap<&Value, usize, KeyHash> = HashMap::default();
-        let mut multi: HashMap<Vec<Value>, usize, KeyHash> = HashMap::default();
-        if needed.is_empty() {
-            // Only a global COUNT(*) reads no column at all: its input
-            // arrives as a bare count, with no batches to walk.
-            for _ in 0..input.count {
-                groups[0].iter_mut().for_each(|acc| acc.feed(None));
-            }
-            io.cpu_ops += input.count * (spec.exprs.len() as u64 + 1);
-        }
-        for b in &input.batches {
-            for r in b.live() {
-                let g = if spec.group_by.is_empty() {
-                    0
-                } else if let [key_pos] = group_pos[..] {
-                    *single.entry(b.val(key_pos, r)).or_insert_with_key(|&v| {
-                        keys.push(vec![v.clone()]);
-                        groups.push(spec.exprs.iter().map(|e| Acc::new(e.func)).collect());
-                        groups.len() - 1
-                    })
-                } else {
-                    let key: Vec<Value> =
-                        group_pos.iter().map(|&p| b.val(p, r).clone()).collect();
-                    match multi.entry(key) {
-                        Entry::Occupied(o) => *o.get(),
-                        Entry::Vacant(v) => {
-                            keys.push(v.key().clone());
-                            groups.push(spec.exprs.iter().map(|e| Acc::new(e.func)).collect());
-                            *v.insert(groups.len() - 1)
-                        }
-                    }
-                };
-                for (acc, pos) in groups[g].iter_mut().zip(&agg_pos) {
-                    acc.feed(pos.map(|p| b.val(p, r)));
+        for r in 0..rows {
+            let g = if !grouped {
+                0
+            } else {
+                let first = (chains.candidates(chains.hash_of(r)))
+                    .find(|&c| keys_eq(&group_keys, c, &group_keys, r))
+                    .unwrap_or(r);
+                if first == r {
+                    opened[r] = groups.len();
+                    keys.push(group_keys.iter().filter_map(|k| k.value(r)).collect());
+                    groups.push(new_group());
                 }
-                io.cpu_ops += spec.exprs.len() as u64 + 1;
+                opened[first]
+            };
+            for (acc, input) in groups[g].iter_mut().zip(&agg_inputs) {
+                acc.feed(input.and_then(|k| k.value(r)).as_ref());
             }
+            io.cpu_ops += spec.exprs.len() as u64 + 1;
         }
+        colt_obs::counter(
+            "engine.exec.values_materialized",
+            (keys.len() * group_keys.len() + rows * agg_inputs.iter().flatten().count()) as u64,
+        );
 
         // Group keys are unique, so sorting the side tables by key gives
-        // the same emission order the old BTreeMap fold produced.
+        // the same emission order the reference's BTreeMap fold produces.
         let mut pairs: Vec<(Vec<Value>, Vec<Acc>)> = keys.into_iter().zip(groups).collect();
         pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let out: Vec<Vec<Value>> = pairs
@@ -385,5 +361,39 @@ mod tests {
             AggSpec { group_by: vec![], exprs: vec![AggExpr::over(AggFunc::Sum, wide)] };
         let err = Executor::new(&db, &cfg).execute_aggregate(&q, &plan, &spec).unwrap_err();
         assert_eq!(err, ExecError::UnknownColRef { operator: "aggregate", col: wide });
+    }
+
+    #[test]
+    fn column_less_aggregate_is_typed_error_not_panic() {
+        // Regression: `AggExpr`'s fields are public, so SUM / AVG / MIN
+        // / MAX without a column can be written by hand; it used to get
+        // past resolution and die on an `expect` inside the fold.
+        use crate::rowwise::RowwiseExecutor;
+        let (db, t) = setup();
+        let q = Query::single(t, vec![]);
+        let cfg = PhysicalConfig::new();
+        let plan = Optimizer::new(&db).optimize(&q, IndexSetView::real(&cfg));
+        for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max] {
+            let spec = AggSpec {
+                group_by: vec![ColRef::new(t, 1)],
+                exprs: vec![AggExpr::count_star(), AggExpr { func, col: None }],
+            };
+            let want = ExecError::AggregateWithoutColumn { expr: 1 };
+            let err = Executor::new(&db, &cfg).execute_aggregate(&q, &plan, &spec).unwrap_err();
+            assert_eq!(err, want, "{func:?}");
+            let err =
+                RowwiseExecutor::new(&db, &cfg).execute_aggregate(&q, &plan, &spec).unwrap_err();
+            assert_eq!(err, want, "{func:?} rowwise");
+            assert!(err.to_string().contains("names no column"), "{err}");
+        }
+        // `COUNT` over nothing is `COUNT(*)`, and the fold itself is total.
+        let spec = AggSpec {
+            group_by: vec![],
+            exprs: vec![AggExpr { func: AggFunc::Count, col: None }],
+        };
+        assert_eq!(run(&db, &q, &spec), vec![vec![Value::Int(1_000)]]);
+        let mut acc = Acc::new(AggFunc::Max);
+        acc.feed(None);
+        assert_eq!(acc.finish(), Value::Int(0));
     }
 }

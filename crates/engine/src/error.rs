@@ -4,9 +4,9 @@
 //! cheaply elsewhere, but hand-built plans are part of the public API,
 //! so every structural contradiction a caller can construct by hand
 //! surfaces as a typed error instead of a panic: join keys referencing
-//! absent tables, column references beyond a table's arity, ragged
-//! column batches, and plan nodes that name indexes or composites the
-//! physical configuration has not materialized. A panic inside the
+//! absent tables, column references beyond a table's arity, aggregates
+//! that name no column, and plan nodes that name indexes or composites
+//! the physical configuration has not materialized. A panic inside the
 //! tuner would kill a whole parallel batch; an `ExecError` propagates
 //! to the harness cell that issued the query.
 
@@ -23,15 +23,10 @@ pub enum ExecError {
         /// The table the join key references.
         table: TableId,
     },
-    /// A column batch was assembled from columns of unequal length —
-    /// the batch boundary check for ragged operator output.
-    ColumnArityMismatch {
-        /// Operator that detected the mismatch.
-        operator: &'static str,
-        /// Rows in the batch's first column.
-        expected: usize,
-        /// Rows in the offending column.
-        got: usize,
+    /// An aggregate other than `COUNT` names no column to fold.
+    AggregateWithoutColumn {
+        /// The offending expression's position in the spec.
+        expr: usize,
     },
     /// A predicate, join key, or aggregate references a column beyond
     /// its table's arity (or a table absent from the output layout).
@@ -75,10 +70,9 @@ impl std::fmt::Display for ExecError {
                 "{operator}: join key references table t{} absent from the input batch",
                 table.0
             ),
-            ExecError::ColumnArityMismatch { operator, expected, got } => write!(
-                f,
-                "{operator}: ragged column batch ({got} rows in a column, expected {expected})"
-            ),
+            ExecError::AggregateWithoutColumn { expr } => {
+                write!(f, "aggregate: expression #{expr} is not COUNT and names no column")
+            }
             ExecError::UnknownColRef { operator, col } => {
                 write!(f, "{operator}: column {col} is not part of the operator's input")
             }

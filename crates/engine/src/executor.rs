@@ -4,17 +4,16 @@
 //! sequential scans walk the heap's typed columns in
 //! [`BATCH_ROWS`]-row windows, index scans probe the actual B+ trees
 //! and fetch rows in sorted rowid order (bitmap-style, deduplicating
-//! page reads), and hash joins build once and probe a key column at a
-//! time. Operators exchange [`ColumnBatch`]es (per-column value vectors
-//! plus a selection vector; see [`crate::batch`]) instead of row-major
-//! `Vec<Value>` rows, and each selection predicate is compiled once per
-//! scan into a [`Kernel`] over its column's native slice and evaluated
-//! over a whole window into a selection vector before any value is
-//! copied. Which values *are* copied is decided by one mechanism,
-//! needed-column pushdown: every operator is told the column offsets
-//! its consumer will read (none at a count-only root), asks its inputs
-//! for those plus its own join keys, and materializes nothing else (see
-//! `Executor::run`).
+//! page reads), and hash joins build once and probe a window at a
+//! time. Operators exchange heap row ids ([`RowIds`]; see
+//! [`crate::batch`]), never values: each selection predicate is
+//! compiled once per scan into a [`Kernel`] over its column's native
+//! slice and evaluated over a whole window into a selection vector, the
+//! scan's output *is* those selection vectors, and a join reads its
+//! keys from the heap columns through its inputs' ids. One switch,
+//! `emit`, says whether an operator's consumer reads the ids at all: it
+//! is off only at a [`Collect::CountOnly`] plan root, which then counts
+//! and writes nothing (see `Executor::run`).
 //!
 //! None of this changes what is *charged*: every operator charges
 //! [`IoStats`] per page and per tuple processed, which is invariant to
@@ -22,14 +21,13 @@
 //! wall-clock time every experiment reports — is byte-identical to the
 //! row-at-a-time reference implementation in [`crate::rowwise`].
 
-use crate::batch::{ColumnBatch, KeyHash, TableLayout, BATCH_ROWS};
+use crate::batch::{hash_keys, keys_eq, Chains, KeyCol, RowIds, TableLayout, BATCH_ROWS};
 use crate::error::ExecError;
 use crate::kernel::Kernel;
 use crate::plan::{AccessPath, Plan, PlanNode};
-use crate::query::{PredicateKind, Query, SelPred};
+use crate::query::{JoinPred, PredicateKind, Query, SelPred};
 use colt_catalog::{ColRef, Database, PhysicalConfig, Table, TableId};
 use colt_storage::{ColumnSlice, IoStats, RowId, Value};
-use std::collections::HashMap;
 use std::ops::Bound;
 
 /// Result of executing one query.
@@ -47,10 +45,9 @@ pub struct QueryResult {
 /// What [`Executor::execute`] should retain of the result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Collect {
-    /// Count rows and charge I/O, but do not keep result values: the
-    /// plan root needs no column, so a root scan materializes nothing
-    /// and a join materializes only its inputs' key columns — the
-    /// charges are identical either way.
+    /// Count rows and charge I/O, but do not keep the result: the plan
+    /// root writes no row ids and no value is built — the charges are
+    /// identical either way.
     #[default]
     CountOnly,
     /// Also retain the result rows (column-concatenated per
@@ -89,40 +86,11 @@ impl ExecOutput {
     }
 }
 
-/// One operator's output: the live row count and — only when the
-/// consumer needs values — the column batches. The column *layout* is
-/// not part of it: it is a static property of the plan
-/// ([`TableLayout::of_plan`]).
-pub(crate) struct OpOutput {
-    pub(crate) batches: Vec<ColumnBatch>,
-    pub(crate) count: u64,
-}
-
-impl OpOutput {
-    /// Concatenate the batches into one dense `width`-column batch.
-    fn flatten(self, width: usize) -> ColumnBatch {
-        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); width];
-        for b in self.batches {
-            b.drain_into(&mut cols);
-        }
-        ColumnBatch::dense(cols, self.count as usize)
-    }
-}
-
-/// How a join obtains an input: given the child node and the columns
-/// needed of it, execute it. Plain execution recurses into
+/// How a join obtains an input: given the child node, execute it (a
+/// join always reads its inputs' ids). Plain execution recurses into
 /// [`Executor::run`]; EXPLAIN ANALYZE wraps the recursion to render and
 /// account each child.
-type RunChild<'f> =
-    &'f mut dyn FnMut(&PlanNode, &[usize], &mut IoStats) -> Result<OpOutput, ExecError>;
-
-/// A needed-column set: ascending, duplicate-free column offsets.
-pub(crate) fn col_set(cols: impl Iterator<Item = usize>) -> Vec<usize> {
-    let mut set: Vec<usize> = cols.collect();
-    set.sort_unstable();
-    set.dedup();
-    set
-}
+type RunChild<'f> = &'f mut dyn FnMut(&PlanNode, &mut IoStats) -> Result<RowIds, ExecError>;
 
 /// The executor.
 #[derive(Debug, Clone, Copy)]
@@ -149,19 +117,22 @@ impl<'a> Executor<'a> {
         let span = colt_obs::span("engine.execute");
         let mut io = IoStats::new();
         let layout = TableLayout::of_plan(self.db, &plan.root);
-        let needed: Vec<usize> = match collect {
-            Collect::Rows => (0..layout.width()).collect(),
-            Collect::CountOnly => Vec::new(),
-        };
-        let out = self.run(query, &plan.root, &mut io, &needed)?;
+        let out = self.run(query, &plan.root, &mut io, collect == Collect::Rows)?;
         let millis = self.db.cost.millis_of(&io);
         span.sim_ms(millis);
         let mut rows = Vec::new();
-        for b in out.batches {
-            b.into_rows(&mut rows);
+        if out.emits() {
+            // Every column of every table of the layout, in order.
+            let cols: Vec<(usize, ColumnSlice<'_>)> = (layout.tables().iter().enumerate())
+                .flat_map(|(t, &table)| {
+                    let table = self.db.table(table);
+                    (0..table.schema.arity()).filter_map(move |c| Some((t, table.heap.column(c)?)))
+                })
+                .collect();
+            out.extend_rows(&cols, &mut rows);
         }
         Ok(ExecOutput {
-            result: QueryResult { row_count: out.count, millis, io },
+            result: QueryResult { row_count: out.count(), millis, io },
             rows,
             layout: layout.tables().to_vec(),
         })
@@ -183,9 +154,9 @@ impl<'a> Executor<'a> {
     ) -> Result<(QueryResult, String), ExecError> {
         let mut io = IoStats::new();
         let mut out = String::new();
-        let root = self.analyze_node(query, &plan.root, &mut io, &[], 0, &mut out)?;
+        let root = self.analyze_node(query, &plan.root, &mut io, false, 0, &mut out)?;
         let result =
-            QueryResult { row_count: root.count, millis: self.db.cost.millis_of(&io), io };
+            QueryResult { row_count: root.count(), millis: self.db.cost.millis_of(&io), io };
         out.push_str(&format!(
             "total: {} rows, {:.2} simulated ms ({} seq + {} random pages, {} tuples)\n",
             result.row_count,
@@ -204,17 +175,17 @@ impl<'a> Executor<'a> {
         query: &Query,
         node: &PlanNode,
         io: &mut IoStats,
-        needed: &[usize],
+        emit: bool,
         depth: usize,
         out: &mut String,
-    ) -> Result<OpOutput, ExecError> {
+    ) -> Result<RowIds, ExecError> {
         let pad = "  ".repeat(depth);
         let mut child_text = String::new();
         let mut child_io = IoStats::new();
         let before = *io;
-        let result = self.run_node(query, node, io, needed, &mut |child, needed, io| {
+        let result = self.run_node(query, node, io, emit, &mut |child, io| {
             let before = *io;
-            let output = self.analyze_node(query, child, io, needed, depth + 1, &mut child_text);
+            let output = self.analyze_node(query, child, io, true, depth + 1, &mut child_text);
             child_io += *io - before;
             output
         })?;
@@ -237,7 +208,7 @@ impl<'a> Executor<'a> {
         out.push_str(&format!(
             "{pad}{label} (est rows={:.1}, actual rows={}; pages seq={} rnd={})\n",
             node.est_rows(),
-            result.count,
+            result.count(),
             own_io.seq_pages,
             own_io.random_pages,
         ));
@@ -245,24 +216,20 @@ impl<'a> Executor<'a> {
         Ok(result)
     }
 
-    /// Execute a subtree. `needed` lists the column offsets (within the
-    /// subtree's [`TableLayout::of_plan`] layout, ascending) whose
-    /// *values* the consumer will read; the output batches materialize
-    /// exactly those and leave every other column pruned. With an empty
-    /// set — a [`Collect::CountOnly`] plan root — operators only count,
-    /// emitting no batches at all. Charges never depend on `needed`:
-    /// the cost model counts pages and tuples processed, not values
-    /// copied.
+    /// Execute a subtree into the heap row ids of its output rows, per
+    /// table of its [`TableLayout::of_plan`] layout. With `emit` off — a
+    /// [`Collect::CountOnly`] plan root — the operator only counts and
+    /// writes no ids; its inputs always emit, because a join reads its
+    /// keys through them. Charges never depend on `emit`: the cost model
+    /// counts pages and tuples processed, not ids written.
     pub(crate) fn run(
         &self,
         query: &Query,
         node: &PlanNode,
         io: &mut IoStats,
-        needed: &[usize],
-    ) -> Result<OpOutput, ExecError> {
-        self.run_node(query, node, io, needed, &mut |child, needed, io| {
-            self.run(query, child, io, needed)
-        })
+        emit: bool,
+    ) -> Result<RowIds, ExecError> {
+        self.run_node(query, node, io, emit, &mut |child, io| self.run(query, child, io, true))
     }
 
     /// Execute one node, obtaining join inputs through `child`.
@@ -271,36 +238,33 @@ impl<'a> Executor<'a> {
         query: &Query,
         node: &PlanNode,
         io: &mut IoStats,
-        needed: &[usize],
+        emit: bool,
         child: RunChild<'_>,
-    ) -> Result<OpOutput, ExecError> {
+    ) -> Result<RowIds, ExecError> {
         match node {
-            PlanNode::Scan { table, path, .. } => self.run_scan(query, *table, path, io, needed),
+            PlanNode::Scan { table, path, .. } => self.run_scan(query, *table, path, io, emit),
             PlanNode::HashJoin { build, probe, on, .. } => {
                 colt_obs::counter("engine.op.hash_join", 1);
-                self.hash_join(build, probe, on, io, needed, child)
+                self.hash_join(build, probe, on, io, emit, child)
             }
             PlanNode::IndexNlJoin { outer, inner, index, probe_on, residual_on, .. } => {
                 colt_obs::counter("engine.op.index_nl_join", 1);
                 self.index_nl_join(
-                    query, outer, *inner, *index, *probe_on, residual_on, io, needed, child,
+                    query, outer, *inner, *index, *probe_on, residual_on, io, emit, child,
                 )
             }
         }
     }
 
-    /// Run one scan node, materializing the `needed` columns of the
-    /// rows that pass. Selection predicates are evaluated on the heap's
-    /// columns *before* the gather, so predicate columns need not be
-    /// in `needed`.
+    /// Run one scan node: the ids of the rows that pass, in fetch order.
     fn run_scan(
         &self,
         query: &Query,
         table: TableId,
         path: &AccessPath,
         io: &mut IoStats,
-        needed: &[usize],
-    ) -> Result<OpOutput, ExecError> {
+        emit: bool,
+    ) -> Result<RowIds, ExecError> {
         colt_obs::counter(
             match path {
                 AccessPath::SeqScan => "engine.op.seq_scan",
@@ -314,7 +278,7 @@ impl<'a> Executor<'a> {
         let kernels = compile_preds("scan", t, &preds)?;
 
         let _batch_span = colt_obs::span("engine.exec.batch");
-        let mut out = ScanOut::new(heap_columns("scan", t, needed, 0)?, t.schema.arity());
+        let mut out = RowIds::new(1, emit);
         let mut sel: Vec<u32> = Vec::with_capacity(BATCH_ROWS);
         match path {
             AccessPath::SeqScan => {
@@ -330,7 +294,7 @@ impl<'a> Executor<'a> {
                             sel.extend(window.start as u32..window.end as u32);
                         }
                     }
-                    out.push(&sel);
+                    out.push_sel(&sel);
                 }
             }
             AccessPath::CompositeScan { key, eq_prefix, range_next } => {
@@ -340,7 +304,7 @@ impl<'a> Executor<'a> {
                 for chunk in rowids.chunks(BATCH_ROWS) {
                     io.cpu_ops += (kernels.len() * chunk.len()) as u64;
                     retain_rows(chunk, &kernels, None, &mut sel);
-                    out.push(&sel);
+                    out.push_sel(&sel);
                 }
             }
             AccessPath::IndexScan { col } => {
@@ -352,139 +316,116 @@ impl<'a> Executor<'a> {
                     // same column must still be checked.
                     io.cpu_ops += ((kernels.len() - 1) * chunk.len()) as u64;
                     retain_rows(chunk, &kernels, Some(driver_idx), &mut sel);
-                    out.push(&sel);
+                    out.push_sel(&sel);
                 }
             }
         }
-        Ok(OpOutput { batches: out.batches, count: out.count })
+        Ok(out)
     }
 
-    /// Hash join: build on `build`'s output, probe with `probe`'s. Each
-    /// input is asked for the columns this join emits from it plus its
-    /// own key columns; the output carries `needed` only.
+    /// Locate a key column within an operator input's layout — the
+    /// position of its table there and the heap cells of its column —
+    /// validating both before either is used as an offset.
+    pub(crate) fn key_column(
+        &self,
+        operator: &'static str,
+        layout: &TableLayout,
+        col: ColRef,
+    ) -> Result<(usize, ColumnSlice<'a>), ExecError> {
+        let table = layout
+            .position_of(col.table)
+            .ok_or(ExecError::JoinKeyTableMissing { operator, table: col.table })?;
+        let cells = (self.db.table(col.table).heap)
+            .column(col.column as usize)
+            .ok_or(ExecError::UnknownColRef { operator, col })?;
+        Ok((table, cells))
+    }
+
+    /// Hash join: build on `build`'s output, probe with `probe`'s. Keys
+    /// are read from the heap through the inputs' ids, hashed a column
+    /// at a time and verified cell by cell — one path for one or many
+    /// key columns of any type; a cross-type key pair matches nothing
+    /// and is charged the same.
     fn hash_join(
         &self,
         build: &PlanNode,
         probe: &PlanNode,
-        on: &[crate::query::JoinPred],
+        on: &[JoinPred],
         io: &mut IoStats,
-        needed: &[usize],
+        emit: bool,
         child: RunChild<'_>,
-    ) -> Result<OpOutput, ExecError> {
-        // Locate each join key within its input's layout — and validate
-        // it there, before it is used as a projection offset.
-        let key_positions = |layout: &TableLayout| -> Result<Vec<usize>, ExecError> {
+    ) -> Result<RowIds, ExecError> {
+        let build_layout = TableLayout::of_plan(self.db, build);
+        let probe_layout = TableLayout::of_plan(self.db, probe);
+        let keys_in = |layout: &TableLayout| -> Result<Vec<(usize, ColumnSlice<'a>)>, ExecError> {
             on.iter()
                 .map(|j| {
                     let side =
-                        if layout.start_of(j.left.table).is_some() { j.left } else { j.right };
-                    let pos = layout.col_of(side).ok_or(ExecError::JoinKeyTableMissing {
-                        operator: "hash_join",
-                        table: side.table,
-                    })?;
-                    if side.column as usize >= self.db.table(side.table).schema.arity() {
-                        return Err(ExecError::UnknownColRef { operator: "hash_join", col: side });
-                    }
-                    Ok(pos)
+                        if layout.position_of(j.left.table).is_some() { j.left } else { j.right };
+                    self.key_column("hash_join", layout, side)
                 })
                 .collect()
         };
-        let build_layout = TableLayout::of_plan(self.db, build);
-        let probe_layout = TableLayout::of_plan(self.db, probe);
-        let build_keys = key_positions(&build_layout)?;
-        let probe_keys = key_positions(&probe_layout)?;
-        let (build_width, probe_width) = (build_layout.width(), probe_layout.width());
-
-        let mut acc = OutAcc::new(build_width + probe_width, build_width, needed);
-        let build_needed = col_set(acc.left.iter().chain(&build_keys).copied());
-        let probe_needed = col_set(
-            acc.right.iter().map(|c| c - build_width).chain(probe_keys.iter().copied()),
-        );
-        let build = child(build, &build_needed, io)?;
-        let probe = child(probe, &probe_needed, io)?;
+        let build_keys = keys_in(&build_layout)?;
+        let probe_keys = keys_in(&probe_layout)?;
+        let build = child(build, io)?;
+        let probe = child(probe, io)?;
 
         let _batch_span = colt_obs::span("engine.exec.batch");
-        // The build side is consumed as a whole (that is what "build"
-        // means), so flatten it into one dense batch up front; the
-        // probe side streams through batch by batch.
-        let build_rows = build.count as usize;
-        let build_flat = build.flatten(build_width);
+        let (build_rows, probe_rows) = (build.count() as usize, probe.count() as usize);
+        let mut out =
+            RowIds::new(build_layout.tables().len() + probe_layout.tables().len(), emit);
+        // Both phases charge like the reference: hash + insert per build
+        // row, one probe per probe row (per pair when nothing connects).
+        io.cpu_ops += 2 * build_rows as u64;
 
         if on.is_empty() {
-            // Cartesian product, build-major like the reference — which
-            // still pays the (degenerate, empty-key) build phase. An
-            // input with no needed column arrives as a bare count.
-            let probe_rows = probe.count as usize;
-            let probe_flat = probe.flatten(probe_width);
-            io.cpu_ops += 2 * build_rows as u64;
+            // Cartesian product, build-major like the reference.
             io.cpu_ops += build_rows as u64 * probe_rows as u64;
-            if needed.is_empty() {
-                acc.count = build_rows as u64 * probe_rows as u64;
-            } else {
+            if out.emits() {
                 for b in 0..build_rows {
                     for p in 0..probe_rows {
-                        acc.push_pair(&build_flat, b, &probe_flat, p);
+                        out.push(build.row(b).chain(probe.row(p)));
                     }
                 }
+            } else {
+                out.count_only(build_rows as u64 * probe_rows as u64);
             }
-            io.tuples += acc.count;
-            return Ok(acc.finish());
+            io.tuples += out.count();
+            return Ok(out);
         }
 
-        // Build phase, one key column at a time. Deliberately HashMaps:
-        // point-lookup only — never iterated — and output order is fixed
-        // by the probe-side row order plus the insertion-ordered
-        // Vec<u32> match lists, so no hash order can reach the result.
-        // (colt-analyze's hash-iteration lint verifies the "never
-        // iterated" part, which is also what makes the fixed-seed
-        // `KeyHash` safe.) Single-column keys skip the per-row Vec.
-        let mut single: HashMap<&Value, Vec<u32>, KeyHash> = HashMap::default();
-        let mut multi: HashMap<Vec<Value>, Vec<u32>, KeyHash> = HashMap::default();
-        if let [key_pos] = build_keys[..] {
-            single.reserve(build_rows);
-            for i in 0..build_rows {
-                single.entry(build_flat.val(key_pos, i)).or_default().push(i as u32);
-                io.cpu_ops += 2; // hash + insert
-            }
-        } else {
-            multi.reserve(build_rows);
-            for i in 0..build_rows {
-                let key: Vec<Value> =
-                    build_keys.iter().map(|&k| build_flat.val(k, i).clone()).collect();
-                multi.entry(key).or_default().push(i as u32);
-                io.cpu_ops += 2; // hash + insert
-            }
-        }
+        let build_keys: Vec<KeyCol<'_>> = build_keys.into_iter().map(|k| build.key_col(k)).collect();
+        let probe_keys: Vec<KeyCol<'_>> = probe_keys.into_iter().map(|k| probe.key_col(k)).collect();
+        let mut build_hashes = Vec::new();
+        hash_keys(&build_keys, 0..build_rows, &mut build_hashes);
+        let chains = Chains::build(build_hashes);
 
-        // Probe phase: key column at a time, batch by batch.
-        let mut key_buf: Vec<Value> = Vec::with_capacity(probe_keys.len());
-        for pb in &probe.batches {
-            for p in pb.live() {
-                io.cpu_ops += 1;
-                let matches = if let [key_pos] = probe_keys[..] {
-                    single.get(pb.val(key_pos, p))
-                } else {
-                    key_buf.clear();
-                    key_buf.extend(probe_keys.iter().map(|&k| pb.val(k, p).clone()));
-                    multi.get(&key_buf)
-                };
-                if let Some(matches) = matches {
-                    for &bi in matches {
-                        acc.push_pair(&build_flat, bi as usize, pb, p);
+        // Probe a window at a time: hash the window's keys, then walk
+        // each row's chain. Matches come out in probe order, and within
+        // one probe row in build order, as the reference emits them.
+        io.cpu_ops += probe_rows as u64;
+        let mut hashes = Vec::with_capacity(BATCH_ROWS);
+        for start in (0..probe_rows).step_by(BATCH_ROWS) {
+            let window = start..(start + BATCH_ROWS).min(probe_rows);
+            hash_keys(&probe_keys, window.clone(), &mut hashes);
+            for (p, &hash) in window.zip(&hashes) {
+                for b in chains.candidates(hash) {
+                    if keys_eq(&build_keys, b, &probe_keys, p) {
+                        out.push(build.row(b).chain(probe.row(p)));
                     }
                 }
             }
         }
-        io.tuples += acc.count;
-        Ok(acc.finish())
+        io.tuples += out.count();
+        Ok(out)
     }
 
     /// Index nested-loop join: probe the inner table's B+ tree once per
     /// outer row, fetch matches, and apply the inner table's selection
-    /// predicates plus any residual join predicates. The outer input is
-    /// asked for the columns this join emits from it plus those its
-    /// predicates read; inner rows come whole from the heap, and only
-    /// their `needed` columns are kept.
+    /// predicates plus any residual join predicates, all on the inner
+    /// heap's columns. The tree is keyed by [`Value`], so the outer
+    /// probe keys are the one column this operator turns into values.
     #[allow(clippy::too_many_arguments)]
     fn index_nl_join(
         &self,
@@ -492,36 +433,24 @@ impl<'a> Executor<'a> {
         outer: &PlanNode,
         inner: TableId,
         index_col: ColRef,
-        probe_on: crate::query::JoinPred,
-        residual_on: &[crate::query::JoinPred],
+        probe_on: JoinPred,
+        residual_on: &[JoinPred],
         io: &mut IoStats,
-        needed: &[usize],
+        emit: bool,
         child: RunChild<'_>,
-    ) -> Result<OpOutput, ExecError> {
+    ) -> Result<RowIds, ExecError> {
         let inner_table = self.db.table(inner);
         let index = materialized_index("index_nl_join", self.config, index_col)?;
         let inner_preds: Vec<&SelPred> = query.selections_on(inner).collect();
-        let inner_arity = inner_table.schema.arity();
         let inner_kernels = compile_preds("index_nl_join", inner_table, &inner_preds)?;
 
-        // Locate (and validate) the outer side of each join predicate in
-        // the outer layout before it is used as a projection offset.
+        // Locate (and validate) the outer side of each join predicate
+        // in the outer layout.
         let outer_layout = TableLayout::of_plan(self.db, outer);
-        let locate = |side: ColRef| -> Result<usize, ExecError> {
-            let pos = outer_layout.col_of(side).ok_or(ExecError::JoinKeyTableMissing {
-                operator: "index_nl_join",
-                table: side.table,
-            })?;
-            if side.column as usize >= self.db.table(side.table).schema.arity() {
-                return Err(ExecError::UnknownColRef { operator: "index_nl_join", col: side });
-            }
-            Ok(pos)
-        };
         let outer_side = if probe_on.left.table == inner { probe_on.right } else { probe_on.left };
-        let probe_pos = locate(outer_side)?;
-
-        // Residual join predicates: (outer position, inner column).
-        let residuals: Vec<(usize, ColumnSlice<'_>)> = residual_on
+        let probe_key = self.key_column("index_nl_join", &outer_layout, outer_side)?;
+        // Residual join predicates: (outer key, inner column).
+        let residuals: Vec<((usize, ColumnSlice<'_>), ColumnSlice<'_>)> = residual_on
             .iter()
             .map(|j| {
                 let (o, i) =
@@ -530,134 +459,36 @@ impl<'a> Executor<'a> {
                     .heap
                     .column(i.column as usize)
                     .ok_or(ExecError::UnknownColRef { operator: "index_nl_join", col: i })?;
-                Ok((locate(o)?, cells))
+                Ok((self.key_column("index_nl_join", &outer_layout, o)?, cells))
             })
             .collect::<Result<_, ExecError>>()?;
-
-        let outer_width = outer_layout.width();
-        let mut acc = OutAcc::new(outer_width + inner_arity, outer_width, needed);
-        // The inner table's cells behind each needed right-hand column.
-        let inner_cols = heap_columns("index_nl_join", inner_table, acc.right, outer_width)?;
-        let outer_needed = col_set(
-            acc.left.iter().copied().chain([probe_pos]).chain(residuals.iter().map(|&(op, _)| op)),
-        );
-        let outer = child(outer, &outer_needed, io)?;
+        let outer = child(outer, io)?;
 
         let _batch_span = colt_obs::span("engine.exec.batch");
-        let outer_flat = outer.flatten(outer_width);
+        let residuals: Vec<(KeyCol<'_>, ColumnSlice<'_>)> =
+            residuals.into_iter().map(|(o, cells)| (outer.key_col(o), cells)).collect();
+        let mut out = RowIds::new(outer_layout.tables().len() + 1, emit);
         // One probe per outer row, reusing the rowid buffer. Page
         // charges deduplicate within one fetch only (per probe), never
         // across probes — merging rowids across outer rows would change
         // `random_pages` relative to the row-at-a-time reference.
         let mut rowids: Vec<RowId> = Vec::new();
         let mut sel: Vec<u32> = Vec::new();
-        for o in 0..outer_flat.physical_rows() {
+        for (o, key) in outer.key_col(probe_key).values().iter().enumerate() {
             rowids.clear();
-            index.tree.lookup_into(outer_flat.val(probe_pos, o), &mut rowids, io);
+            index.tree.lookup_into(key, &mut rowids, io);
             inner_table.heap.fetch_sorted(&mut rowids, io);
             io.cpu_ops += ((inner_kernels.len() + residuals.len()) * rowids.len()) as u64;
             retain_rows(&rowids, &inner_kernels, None, &mut sel);
-            for &(op, cells) in &residuals {
-                let outer_value = outer_flat.val(op, o);
-                sel.retain(|&row| cells.cell_eq(row as usize, outer_value));
+            for (outer_key, cells) in &residuals {
+                sel.retain(|&row| outer_key.eq_cell(o, cells, row as usize));
             }
             for &row in &sel {
-                acc.push_heap_suffix(&outer_flat, o, &inner_cols, row);
+                out.push(outer.row(o).chain([row]));
             }
         }
-        io.tuples += acc.count;
-        Ok(acc.finish())
-    }
-}
-
-/// Output accumulator for join operators: collects the needed result
-/// columns value by value, emitting a dense [`ColumnBatch`] (every
-/// other column pruned) each [`BATCH_ROWS`] rows. With nothing needed
-/// it only counts.
-struct OutAcc<'n> {
-    /// Needed output columns that come from the left input…
-    left: &'n [usize],
-    /// …and from the right one (still as *output* offsets).
-    right: &'n [usize],
-    left_width: usize,
-    cols: Vec<Vec<Value>>,
-    batches: Vec<ColumnBatch>,
-    count: u64,
-    pending: usize,
-}
-
-impl<'n> OutAcc<'n> {
-    fn new(width: usize, left_width: usize, needed: &'n [usize]) -> Self {
-        let (left, right) = needed.split_at(needed.partition_point(|&c| c < left_width));
-        OutAcc {
-            left,
-            right,
-            left_width,
-            cols: vec![Vec::new(); width],
-            batches: Vec::new(),
-            count: 0,
-            pending: 0,
-        }
-    }
-
-    /// Append `left`'s physical row `li` followed by `right`'s physical
-    /// row `ri`.
-    fn push_pair(&mut self, left: &ColumnBatch, li: usize, right: &ColumnBatch, ri: usize) {
-        self.push_left(left, li);
-        for &c in self.right {
-            self.cols[c].push(right.val(c - self.left_width, ri).clone());
-        }
-    }
-
-    /// Append `left`'s physical row `li` followed by heap row `row`;
-    /// `right_cols` holds the heap cells of the needed right-hand
-    /// columns (see [`heap_columns`]).
-    fn push_heap_suffix(
-        &mut self,
-        left: &ColumnBatch,
-        li: usize,
-        right_cols: &[(usize, ColumnSlice<'_>)],
-        row: u32,
-    ) {
-        self.push_left(left, li);
-        for (c, cells) in right_cols {
-            cells.gather(&[row], &mut self.cols[*c]);
-        }
-    }
-
-    /// Count one output row and append its left half; the caller
-    /// appends the right half. Flushing a full batch *before* the row
-    /// keeps the two halves in one batch.
-    fn push_left(&mut self, left: &ColumnBatch, li: usize) {
-        self.count += 1;
-        if self.left.is_empty() && self.right.is_empty() {
-            return;
-        }
-        if self.pending == BATCH_ROWS {
-            self.flush();
-        }
-        self.pending += 1;
-        for &c in self.left {
-            self.cols[c].push(left.val(c, li).clone());
-        }
-    }
-
-    fn flush(&mut self) {
-        if self.pending > 0 {
-            colt_obs::counter(
-                "engine.exec.values_materialized",
-                (self.pending * (self.left.len() + self.right.len())) as u64,
-            );
-            let width = self.cols.len();
-            let full = std::mem::replace(&mut self.cols, vec![Vec::new(); width]);
-            self.batches.push(ColumnBatch::dense(full, self.pending));
-            self.pending = 0;
-        }
-    }
-
-    fn finish(mut self) -> OpOutput {
-        self.flush();
-        OpOutput { batches: self.batches, count: self.count }
+        io.tuples += out.count();
+        Ok(out)
     }
 }
 
@@ -696,27 +527,6 @@ pub(crate) fn check_pred_cols(
     Ok(())
 }
 
-/// The heap cells behind each of an operator's needed output columns
-/// that come from `table`, whose columns start at output offset
-/// `start`: `(output offset, cells)` pairs in `needed`'s order.
-fn heap_columns<'a>(
-    operator: &'static str,
-    table: &'a Table,
-    needed: &[usize],
-    start: usize,
-) -> Result<Vec<(usize, ColumnSlice<'a>)>, ExecError> {
-    needed
-        .iter()
-        .map(|&c| {
-            let cells = table.heap.column(c - start).ok_or(ExecError::UnknownColRef {
-                operator,
-                col: ColRef::new(table.id, (c - start) as u32),
-            })?;
-            Ok((c, cells))
-        })
-        .collect()
-}
-
 /// Leave in `sel` the fetched rows that pass every kernel (skipping the
 /// one at `skip`, if any), in fetch order.
 fn retain_rows(fetched: &[RowId], kernels: &[Kernel<'_>], skip: Option<usize>, sel: &mut Vec<u32>) {
@@ -726,40 +536,6 @@ fn retain_rows(fetched: &[RowId], kernels: &[Kernel<'_>], skip: Option<usize>, s
         if Some(ki) != skip {
             kernel.retain(sel);
         }
-    }
-}
-
-/// A scan's output: counts the selected rows and, when the consumer
-/// needs values, gathers the `needed` columns of each selection vector
-/// into a dense column batch. Every other column stays pruned: unread
-/// columns (string columns especially) are never cloned at all.
-struct ScanOut<'a> {
-    /// The needed columns' heap cells, by column offset.
-    needed: Vec<(usize, ColumnSlice<'a>)>,
-    width: usize,
-    batches: Vec<ColumnBatch>,
-    count: u64,
-}
-
-impl<'a> ScanOut<'a> {
-    fn new(needed: Vec<(usize, ColumnSlice<'a>)>, width: usize) -> Self {
-        ScanOut { needed, width, batches: Vec::new(), count: 0 }
-    }
-
-    fn push(&mut self, sel: &[u32]) {
-        self.count += sel.len() as u64;
-        if self.needed.is_empty() || sel.is_empty() {
-            return;
-        }
-        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); self.width];
-        for (c, cells) in &self.needed {
-            cells.gather(sel, &mut cols[*c]);
-        }
-        colt_obs::counter(
-            "engine.exec.values_materialized",
-            (sel.len() * self.needed.len()) as u64,
-        );
-        self.batches.push(ColumnBatch::dense(cols, sel.len()));
     }
 }
 
@@ -922,7 +698,7 @@ mod tests {
 
     #[test]
     fn count_only_charges_like_rows() {
-        // Collect::CountOnly needs no column at the root; the charges
+        // Collect::CountOnly writes no ids at the root; the charges
         // (and therefore the simulated clock) must not move.
         let (db, fact, dim) = db();
         let cfg = PhysicalConfig::new();
@@ -949,8 +725,10 @@ mod tests {
 
     #[test]
     fn values_materialized_is_exact() {
-        // Needed-column pushdown, as countable work: the counter must
-        // equal the values each mode has to copy — to the value.
+        // Late materialization, as countable work: operators exchange
+        // row ids, so the counter is the values the *consumer* gets —
+        // none when it only counts, every column of every result row
+        // when it collects, whatever the plan below did.
         let (db, fact, dim) = db();
         let cfg = PhysicalConfig::new();
         let opt = Optimizer::new(&db);
@@ -967,23 +745,17 @@ mod tests {
 
         let scan = Query::single(fact, vec![SelPred::eq(ColRef::new(fact, 2), 3i64)]);
         assert_eq!(materialized(&scan, Collect::CountOnly), (0, 2857));
-        // Rows: every column (3) of every result row.
         assert_eq!(materialized(&scan, Collect::Rows), (2857 * 3, 2857));
 
-        // Single-key join, 50 live `dim` rows against all 20000 `fact`
-        // rows: count-only copies one key value per live input row and
-        // nothing at the output.
+        // 50 live `dim` rows against all 20000 `fact` rows: the join
+        // reads its keys in place, so counting copies nothing at all.
         let join = Query::join(
             vec![fact, dim],
             vec![JoinPred::new(ColRef::new(fact, 1), ColRef::new(dim, 0))],
             vec![SelPred::eq(ColRef::new(dim, 1), 2i64)],
         );
-        assert_eq!(materialized(&join, Collect::CountOnly), (50 + 20_000, 5000));
-        // Rows: both inputs whole, plus the 5-column output.
-        assert_eq!(
-            materialized(&join, Collect::Rows),
-            (50 * 2 + 20_000 * 3 + 5000 * 5, 5000)
-        );
+        assert_eq!(materialized(&join, Collect::CountOnly), (0, 5000));
+        assert_eq!(materialized(&join, Collect::Rows), (5000 * 5, 5000));
     }
 
     #[test]

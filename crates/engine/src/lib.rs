@@ -31,7 +31,7 @@ pub mod sql;
 pub mod whatif;
 
 pub use aggregate::{AggExpr, AggFunc, AggSpec};
-pub use batch::{ColumnBatch, TableLayout, BATCH_ROWS};
+pub use batch::{TableLayout, BATCH_ROWS};
 pub use error::ExecError;
 pub use executor::{Collect, ExecOutput, Executor, QueryResult};
 pub use kernel::Kernel;

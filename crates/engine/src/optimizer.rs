@@ -217,6 +217,22 @@ impl<'a> Optimizer<'a> {
             best[1 << i] = Some(s.node);
         }
 
+        // Each join predicate with the table bits of its two sides,
+        // resolved once per query (a predicate over a table the query
+        // does not list connects nothing).
+        let bit = |t: TableId| query.tables.iter().position(|&x| x == t).map(|i| 1usize << i);
+        let joins: Vec<(JoinPred, usize, usize)> = query
+            .joins
+            .iter()
+            .filter_map(|j| Some((*j, bit(j.left.table)?, bit(j.right.table)?)))
+            .collect();
+        // Join predicates with one side in each subset.
+        let connecting = |left: usize, right: usize| {
+            joins.iter().filter(move |&&(_, lm, rm)| {
+                (lm & left != 0 && rm & right != 0) || (lm & right != 0 && rm & left != 0)
+            })
+        };
+
         // Pre-compute estimated cardinality for every subset: the product
         // of per-table filtered rows times the selectivity of every join
         // predicate internal to the subset.
@@ -235,13 +251,9 @@ impl<'a> Optimizer<'a> {
                     rows *= r.max(1.0);
                 }
             }
-            for j in &query.joins {
-                let li = query.tables.iter().position(|&t| t == j.left.table);
-                let ri = query.tables.iter().position(|&t| t == j.right.table);
-                if let (Some(li), Some(ri)) = (li, ri) {
-                    if mask & (1 << li) != 0 && mask & (1 << ri) != 0 {
-                        rows /= self.join_ndv(j).max(1.0);
-                    }
+            for (j, lm, rm) in &joins {
+                if mask & lm != 0 && mask & rm != 0 {
+                    rows /= self.join_ndv(j).max(1.0);
                 }
             }
             rows.max(0.0)
@@ -252,28 +264,33 @@ impl<'a> Optimizer<'a> {
                 continue;
             }
             let out_rows = subset_rows(mask);
-            // Enumerate proper sub-splits; `sub` iterates submasks.
+            // Enumerate proper sub-splits; `sub` iterates submasks. Only
+            // the winner becomes a node: a hash join is remembered as
+            // its (build, probe) subsets and built once, below.
             let mut sub = (mask - 1) & mask;
             let mut best_cost = f64::INFINITY;
-            let mut best_node: Option<PlanNode> = None;
+            let mut best_split: Option<(usize, usize)> = None;
+            let mut best_inl: Option<PlanNode> = None;
             let mut connected_found = false;
             while sub != 0 {
                 let other = mask ^ sub;
                 if sub < other {
                     // Each unordered split visited once.
                     if let (Some(l), Some(r)) = (&best[sub], &best[other]) {
-                        let on = self.connecting_joins(query, sub, other);
-                        let connected = !on.is_empty();
+                        let connected = connecting(sub, other).next().is_some();
                         if connected && !connected_found {
                             // First connected split invalidates any
                             // Cartesian candidate collected so far.
                             best_cost = f64::INFINITY;
-                            best_node = None;
+                            best_split = None;
                             connected_found = true;
                         }
                         if connected == connected_found {
-                            let (build, probe) =
-                                if l.est_rows() <= r.est_rows() { (l, r) } else { (r, l) };
+                            let ((build, b), (probe, p)) = if l.est_rows() <= r.est_rows() {
+                                ((l, sub), (r, other))
+                            } else {
+                                ((r, other), (l, sub))
+                            };
                             let jc = if connected {
                                 hash_join_cost(
                                     &self.db.cost,
@@ -289,34 +306,28 @@ impl<'a> Optimizer<'a> {
                             let cost = build.est_cost() + probe.est_cost() + jc;
                             if cost < best_cost {
                                 best_cost = cost;
-                                best_node = Some(PlanNode::HashJoin {
-                                    build: Box::new(build.clone()),
-                                    probe: Box::new(probe.clone()),
-                                    on: on.clone(),
-                                    est_rows: out_rows,
-                                    est_cost: cost,
-                                });
+                                best_split = Some((b, p));
+                                best_inl = None;
                             }
 
                             // Alternative: index nested-loop join when
                             // one side is a single base table with an
                             // index on its join column.
                             if connected && self.options.enable_index_nl_join {
-                                for (inner_mask, outer_node) in
-                                    [(sub, &best[other]), (other, &best[sub])]
-                                {
+                                let on: Vec<JoinPred> =
+                                    connecting(sub, other).map(|&(j, ..)| j).collect();
+                                for (inner_mask, outer_node) in [(sub, r), (other, l)] {
                                     if inner_mask.count_ones() != 1 {
                                         continue;
                                     }
                                     let ti = inner_mask.trailing_zeros() as usize;
                                     let inner = query.tables[ti];
-                                    let Some(outer_node) = outer_node else { continue };
                                     if let Some((node_cost, node)) = self.consider_inl(
                                         query, &on, inner, outer_node, out_rows, view,
                                     ) {
                                         if node_cost < best_cost {
                                             best_cost = node_cost;
-                                            best_node = Some(node);
+                                            best_inl = Some(node);
                                         }
                                     }
                                 }
@@ -326,7 +337,16 @@ impl<'a> Optimizer<'a> {
                 }
                 sub = (sub - 1) & mask;
             }
-            best[mask] = best_node;
+            best[mask] = best_inl.or_else(|| {
+                let (b, p) = best_split?;
+                Some(PlanNode::HashJoin {
+                    build: Box::new(best[b].clone()?),
+                    probe: Box::new(best[p].clone()?),
+                    on: connecting(b, p).map(|&(j, ..)| j).collect(),
+                    est_rows: out_rows,
+                    est_cost: best_cost,
+                })
+            });
         }
 
         // colt: allow(panic-policy) — the DP seeds every singleton, so the full mask is always reachable
@@ -391,24 +411,6 @@ impl<'a> Optimizer<'a> {
             }
         }
         best
-    }
-
-    /// Join predicates with one side in each subset.
-    fn connecting_joins(&self, query: &Query, left_mask: usize, right_mask: usize) -> Vec<JoinPred> {
-        let side = |t: TableId| query.tables.iter().position(|&x| x == t);
-        query
-            .joins
-            .iter()
-            .filter(|j| {
-                let (Some(li), Some(ri)) = (side(j.left.table), side(j.right.table)) else {
-                    return false;
-                };
-                let (lm, rm) = (1usize << li, 1usize << ri);
-                (lm & left_mask != 0 && rm & right_mask != 0)
-                    || (lm & right_mask != 0 && rm & left_mask != 0)
-            })
-            .copied()
-            .collect()
     }
 
     /// Larger distinct count of the two join columns (join selectivity

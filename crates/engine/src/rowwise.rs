@@ -77,6 +77,7 @@ impl<'a> RowwiseExecutor<'a> {
         plan: &Plan,
         spec: &AggSpec,
     ) -> Result<(QueryResult, Vec<Vec<Value>>), ExecError> {
+        spec.check()?;
         let mut io = IoStats::new();
         let batch = self.run(query, &plan.root, &mut io)?;
         let layout = TableLayout::of_tables(self.db, &batch.tables);

@@ -11,34 +11,71 @@ use colt_engine::{
 };
 use colt_storage::{row_from, ColumnSlice, Prng, Value, ValueType};
 
-/// A two-table database whose contents are fully determined by `n`.
-fn build_db(n_a: usize, n_b: usize) -> (Database, TableId, TableId) {
+/// Join key `i` as a cell of `vtype`: distinct `i` give distinct cells
+/// under `Value`'s equality. The float keys start with both zeros and
+/// both NaN signs, some string keys outgrow one 8-byte hash word and
+/// one is empty.
+fn typed_key(i: i64, vtype: ValueType) -> Value {
+    match vtype {
+        ValueType::Int => Value::Int(i),
+        ValueType::Float => {
+            Value::Float([-0.0, 0.0, f64::NAN, -f64::NAN].get(i as usize).copied().unwrap_or(i as f64 * 0.5))
+        }
+        ValueType::Str => Value::Str(match i {
+            0 => String::new(),
+            i if i % 3 == 0 => format!("key-{i:012}"),
+            i => format!("k{i}"),
+        }),
+        ValueType::Date => Value::Date(i as i32 - 2),
+    }
+}
+
+/// `build_db` with `b.id` cycling through `b_ids` values: fewer than
+/// `n_b` makes `b`'s keys repeat and leaves some `a.fk` unmatched.
+fn build_db_with(n_a: usize, n_b: usize, b_ids: usize) -> (Database, TableId, TableId) {
+    const KEY_TYPES: [(&str, ValueType); 3] =
+        [("kf", ValueType::Float), ("ks", ValueType::Str), ("kd", ValueType::Date)];
+    let typed = |i: i64| KEY_TYPES.map(|(_, t)| typed_key(i, t));
+    let key_cols = || KEY_TYPES.map(|(name, t)| Column::new(name, t));
     let mut db = Database::new();
-    let a = db.add_table(TableSchema::new(
-        "a",
-        vec![
-            Column::new("id", ValueType::Int),
-            Column::new("fk", ValueType::Int),
-            Column::new("v", ValueType::Int),
-        ],
-    ));
-    let b = db.add_table(TableSchema::new(
-        "b",
-        vec![Column::new("id", ValueType::Int), Column::new("w", ValueType::Int)],
-    ));
+    let mut a_cols = vec![
+        Column::new("id", ValueType::Int),
+        Column::new("fk", ValueType::Int),
+        Column::new("v", ValueType::Int),
+    ];
+    a_cols.extend(key_cols());
+    let a = db.add_table(TableSchema::new("a", a_cols));
+    let mut b_cols = vec![Column::new("id", ValueType::Int), Column::new("w", ValueType::Int)];
+    b_cols.extend(key_cols());
+    let b = db.add_table(TableSchema::new("b", b_cols));
     db.insert_rows(
         a,
         (0..n_a as i64).map(|i| {
-            row_from(vec![
-                Value::Int(i),
-                Value::Int(i % n_b.max(1) as i64),
-                Value::Int(i * 7 % 23),
-            ])
+            let fk = i % n_b.max(1) as i64;
+            let mut row = vec![Value::Int(i), Value::Int(fk), Value::Int(i * 7 % 23)];
+            row.extend(typed(fk));
+            row_from(row)
         }),
     ).unwrap();
-    db.insert_rows(b, (0..n_b as i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 5)]))).unwrap();
+    db.insert_rows(
+        b,
+        (0..n_b as i64).map(|i| {
+            let id = i % b_ids.max(1) as i64;
+            let mut row = vec![Value::Int(id), Value::Int(i % 5)];
+            row.extend(typed(id));
+            row_from(row)
+        }),
+    ).unwrap();
     db.analyze_all();
     (db, a, b)
+}
+
+/// A two-table database whose contents are fully determined by `n`:
+/// `a(id, fk, v, kf, ks, kd)` and `b(id, w, kf, ks, kd)`, where the
+/// `k*` columns repeat `a.fk` / `b.id` as a float, a string and a date
+/// ([`typed_key`]), so `a.k* = b.k*` joins exactly like `a.fk = b.id`.
+fn build_db(n_a: usize, n_b: usize) -> (Database, TableId, TableId) {
+    build_db_with(n_a, n_b, n_b)
 }
 
 /// Reference evaluation: nested loops + direct predicate checks, for
@@ -315,34 +352,58 @@ fn three_table_chain_matches_reference() {
     }
 }
 
+/// How a [`random_case`] joins `a` to `b`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum AbKey {
+    /// `a.fk = b.id`, or the same relation through the float, string or
+    /// date copies of those columns.
+    Typed(ValueType),
+    /// Two key columns of different types: date and string.
+    Mixed,
+    /// `a.fk = b.kd`, an `Int` against a `Date`: equal to nothing.
+    CrossType,
+}
+
 /// One differential-test input: a database, an index set, a 1–4-table
 /// chain query over it, and the plan the optimizer chose.
 struct Case {
     db: Database,
     cfg: PhysicalConfig,
     tables: Vec<TableId>,
+    ab_key: AbKey,
     q: Query,
     plan: colt_engine::Plan,
 }
 
-/// A seeded random case over the chain `a.fk = b.id`, `b.w = c.id`,
-/// `c.x = d.id` (`c` and `d` hold every id twice, so each step fans
-/// out), cut after 1–4 tables: random predicates on `a`, sometimes a
-/// second `a`–`b` key (multi-column hash keys, INLJ residuals), a
-/// random subset of seven candidate indices, INLJ on or off. The
-/// optimizer rarely picks an INLJ on data this small, so "on" also
-/// rewrites the plan's eligible hash joins by hand ([`to_inlj`]).
+/// A seeded random case over the chain `a ⋈ b` (on a key of a random
+/// type, see [`AbKey`]), `b.w = c.id`, `c.x = d.id` (`c` and `d` hold
+/// every id twice, and sometimes `b` does, so each step fans out in
+/// build order), cut after 1–4 tables: random predicates on `a`,
+/// sometimes a second `a`–`b` key (multi-column hash keys, INLJ
+/// residuals), now and then an empty `a` or `b`, a random subset of
+/// thirteen candidate indices, INLJ on or off. The optimizer rarely
+/// picks an INLJ on data this small, so "on" also rewrites the plan's
+/// eligible hash joins by hand ([`to_inlj`]).
 fn random_case(rng: &mut Prng) -> Case {
     use colt_engine::{JoinPred, OptimizerOptions};
     let n_tables = 1 + rng.below(4);
-    let n_a = 1 + rng.below(2999);
-    let n_b = 1 + rng.below(39);
+    let n_a = if rng.chance(0.05) { 0 } else { 1 + rng.below(2999) };
+    let n_b = if rng.chance(0.05) { 0 } else { 1 + rng.below(39) };
+    let b_ids = if rng.chance(0.3) { n_b.div_ceil(2) } else { n_b };
     let ps = preds(rng, TableId(0), 2);
+    let ab_key = match rng.below(6) {
+        0 => AbKey::Typed(ValueType::Int),
+        1 => AbKey::Typed(ValueType::Float),
+        2 => AbKey::Typed(ValueType::Str),
+        3 => AbKey::Typed(ValueType::Date),
+        4 => AbKey::Mixed,
+        _ => AbKey::CrossType,
+    };
     let second_key = rng.chance(0.3);
-    let index_mask = rng.below(128);
+    let index_mask = rng.below(1 << 13);
     let inlj = rng.chance(0.5);
 
-    let (mut db, a, b) = build_db(n_a, n_b);
+    let (mut db, a, b) = build_db_with(n_a, n_b, b_ids);
     let c = db.add_table(TableSchema::new(
         "c",
         vec![Column::new("id", ValueType::Int), Column::new("x", ValueType::Int)],
@@ -353,29 +414,28 @@ fn random_case(rng: &mut Prng) -> Case {
     db.analyze_all();
 
     let tables = [a, b, c, d][..n_tables].to_vec();
-    let mut joins = vec![
-        JoinPred::new(ColRef::new(a, 1), ColRef::new(b, 0)),
-        JoinPred::new(ColRef::new(b, 1), ColRef::new(c, 0)),
-        JoinPred::new(ColRef::new(c, 1), ColRef::new(d, 0)),
-    ];
-    joins.truncate(n_tables - 1);
-    if second_key && n_tables >= 2 {
-        joins.push(JoinPred::new(ColRef::new(a, 2), ColRef::new(b, 1)));
+    let ab = |ac: u32, bc: u32| JoinPred::new(ColRef::new(a, ac), ColRef::new(b, bc));
+    let mut joins = match ab_key {
+        AbKey::Typed(ValueType::Int) => vec![ab(1, 0)],
+        AbKey::Typed(ValueType::Float) => vec![ab(3, 2)],
+        AbKey::Typed(ValueType::Str) => vec![ab(4, 3)],
+        AbKey::Typed(ValueType::Date) => vec![ab(5, 4)],
+        AbKey::Mixed => vec![ab(5, 4), ab(4, 3)],
+        AbKey::CrossType => vec![ab(1, 4)],
+    };
+    if second_key {
+        joins.push(ab(2, 1));
     }
+    joins.push(JoinPred::new(ColRef::new(b, 1), ColRef::new(c, 0)));
+    joins.push(JoinPred::new(ColRef::new(c, 1), ColRef::new(d, 0)));
+    joins.retain(|j| tables.contains(&j.left.table) && tables.contains(&j.right.table));
     let q =
         if n_tables == 1 { Query::single(a, ps) } else { Query::join(tables.clone(), joins, ps) };
 
-    let candidates = [
-        ColRef::new(a, 0),
-        ColRef::new(a, 1),
-        ColRef::new(a, 2),
-        ColRef::new(b, 0),
-        ColRef::new(b, 1),
-        ColRef::new(c, 0),
-        ColRef::new(d, 0),
-    ];
+    let candidates = (0..6).map(|col| ColRef::new(a, col)).chain((0..5).map(|col| ColRef::new(b, col)));
+    let candidates = candidates.chain([ColRef::new(c, 0), ColRef::new(d, 0)]);
     let mut cfg = PhysicalConfig::new();
-    for (bit, &col) in candidates.iter().enumerate() {
+    for (bit, col) in candidates.enumerate() {
         if index_mask & (1 << bit) != 0 {
             cfg.create_index(&db, col, IndexOrigin::Online);
         }
@@ -385,7 +445,7 @@ fn random_case(rng: &mut Prng) -> Case {
     if inlj {
         plan.root = to_inlj(plan.root, &cfg);
     }
-    Case { db, cfg, tables, q, plan }
+    Case { db, cfg, tables, ab_key, q, plan }
 }
 
 /// Turn every hash join that has a base-table input with a materialized
@@ -451,16 +511,21 @@ fn join_ops(node: &colt_engine::PlanNode) -> (usize, usize) {
 /// The vectorized executor is observationally identical to the
 /// row-at-a-time reference implementation: same row count, same
 /// `IoStats` (and therefore the same simulated clock), same collected
-/// rows in the same order — and count-only execution, which prunes
-/// every column but the join keys, counts and charges exactly like
-/// both — for random 1–4-table queries over random physical
-/// configurations and plan shapes.
+/// rows in the same order — and count-only execution, whose root
+/// writes no row ids, counts and charges exactly like both — for random
+/// 1–4-table queries over random physical configurations, plan shapes
+/// and join key types.
 #[test]
 fn vectorized_matches_rowwise_reference() {
     let mut rng = Prng::new(0xE21E_000A);
     let (mut deep_hash, mut deep_inlj) = (0, 0);
-    for case in 0..80u64 {
-        let Case { db, cfg, q, plan, .. } = random_case(&mut rng);
+    // What the generator must keep reaching: joins on each key shape
+    // that found matches (for a cross-type key: that ran), joins with an
+    // empty input, and join outputs longer than one batch.
+    let mut matched: Vec<(AbKey, usize)> = Vec::new();
+    let (mut empty_input, mut long_output) = (0, 0);
+    for case in 0..240u64 {
+        let Case { db, cfg, tables, ab_key, q, plan } = random_case(&mut rng);
         let (hash, inlj) = join_ops(&plan.root);
         deep_hash += usize::from(hash >= 2);
         deep_inlj += usize::from(inlj >= 1 && hash + inlj >= 2);
@@ -468,7 +533,7 @@ fn vectorized_matches_rowwise_reference() {
         let vec_out = exec.execute(&q, &plan, Collect::Rows).unwrap();
         let counted = exec.execute(&q, &plan, Collect::CountOnly).unwrap();
         let row_out = RowwiseExecutor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
-        let ctx = format!("case {case}: {}", plan.explain());
+        let ctx = format!("case {case} ({ab_key:?}): {}", plan.explain());
         assert_eq!(vec_out.row_count(), row_out.row_count(), "{ctx}");
         assert_eq!(vec_out.result.io, row_out.result.io, "{ctx}");
         assert_eq!(vec_out.layout, row_out.layout, "{ctx}");
@@ -478,28 +543,43 @@ fn vectorized_matches_rowwise_reference() {
         assert_eq!(counted.row_count(), row_out.row_count(), "{ctx}");
         assert_eq!(counted.result.io, row_out.result.io, "{ctx}");
         assert_eq!(counted.layout, row_out.layout, "{ctx}");
+        if tables.len() >= 2 {
+            let rows = vec_out.row_count() as usize;
+            assert!(ab_key != AbKey::CrossType || rows == 0, "an Int equals no Date; {ctx}");
+            if rows > 0 || ab_key == AbKey::CrossType {
+                match matched.iter_mut().find(|(k, _)| *k == ab_key) {
+                    Some((_, n)) => *n += 1,
+                    None => matched.push((ab_key, 1)),
+                }
+            }
+            let empty = |t: TableId| db.table(t).heap.is_empty();
+            empty_input += usize::from(empty(tables[0]) || empty(tables[1]));
+            long_output += usize::from(rows > colt_engine::BATCH_ROWS);
+        }
     }
-    // The generator must keep reaching the shapes pushdown matters for.
-    assert!(deep_hash >= 5, "only {deep_hash} plans with two or more hash joins");
-    assert!(deep_inlj >= 5, "only {deep_inlj} multi-join plans with an INLJ");
+    assert!(deep_hash >= 40, "only {deep_hash} plans with two or more hash joins");
+    assert!(deep_inlj >= 30, "only {deep_inlj} multi-join plans with an INLJ");
+    assert_eq!(matched.len(), 6, "a key shape never joined anything: {matched:?}");
+    assert!(matched.iter().all(|&(_, n)| n >= 10), "{matched:?}");
+    assert!(empty_input >= 8, "only {empty_input} joins with an empty input");
+    assert!(long_output >= 30, "only {long_output} join outputs longer than a batch");
 }
 
 /// Aggregation over both executors folds identically — group order,
 /// float accumulation order, and charges included — over scan *and*
-/// join plans, where only the fold's columns and the join keys survive
-/// pushdown.
+/// join plans, with group keys and fold inputs of every column type.
 #[test]
 fn vectorized_aggregate_matches_rowwise_reference() {
     use colt_engine::{AggExpr, AggFunc, AggSpec};
     let mut rng = Prng::new(0xE21E_000B);
-    let mut over_joins = 0;
-    for case in 0..60u64 {
-        let Case { db, cfg, tables, q, plan } = random_case(&mut rng);
+    let (mut over_joins, mut typed_groups) = (0, 0);
+    for case in 0..120u64 {
+        let Case { db, cfg, tables, q, plan, .. } = random_case(&mut rng);
         over_joins += usize::from(tables.len() >= 2);
         // Columns of the first and last table: on a join plan the fold
         // reads both ends of the chain.
         let (first, last) = (tables[0], tables[tables.len() - 1]);
-        let spec = match rng.below(3) {
+        let spec = match rng.below(4) {
             // Reads no column at all.
             0 => AggSpec { group_by: vec![], exprs: vec![AggExpr::count_star()] },
             1 => AggSpec {
@@ -510,11 +590,21 @@ fn vectorized_aggregate_matches_rowwise_reference() {
                     AggExpr::over(AggFunc::Avg, ColRef::new(last, 0)),
                 ],
             },
-            _ => AggSpec {
+            2 => AggSpec {
                 group_by: vec![ColRef::new(last, 0), ColRef::new(first, 2)],
                 exprs: vec![
                     AggExpr::over(AggFunc::Min, ColRef::new(first, 0)),
                     AggExpr::over(AggFunc::Max, ColRef::new(last, 0)),
+                ],
+            },
+            // A float-and-string group key (both zeros, both NaNs) and
+            // folds over a date, a string and a float.
+            _ => AggSpec {
+                group_by: vec![ColRef::new(first, 3), ColRef::new(first, 4)],
+                exprs: vec![
+                    AggExpr::over(AggFunc::Min, ColRef::new(first, 5)),
+                    AggExpr::over(AggFunc::Max, ColRef::new(first, 4)),
+                    AggExpr::over(AggFunc::Sum, ColRef::new(first, 3)),
                 ],
             },
         };
@@ -523,11 +613,14 @@ fn vectorized_aggregate_matches_rowwise_reference() {
         let (rres, rrows) =
             RowwiseExecutor::new(&db, &cfg).execute_aggregate(&q, &plan, &spec).unwrap();
         let ctx = format!("case {case}: {spec:?} over {}", plan.explain());
+        // `Value`'s equality (NaN sums equal themselves), like the rows.
         assert_eq!(vrows, rrows, "{ctx}");
         assert_eq!(vres.io, rres.io, "{ctx}");
         assert_eq!(vres.row_count, rres.row_count, "{ctx}");
+        typed_groups += usize::from(spec.group_by.len() == 2 && vrows.len() >= 4);
     }
-    assert!(over_joins >= 30, "only {over_joins} aggregates over join plans");
+    assert!(over_joins >= 60, "only {over_joins} aggregates over join plans");
+    assert!(typed_groups >= 20, "only {typed_groups} folds with four or more two-column groups");
 }
 
 /// Selection-vector edge cases: empty input, everything filtered out,

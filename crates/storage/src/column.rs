@@ -202,16 +202,21 @@ impl ColumnSlice<'_> {
         }
     }
 
-    /// Does the cell of `row` equal `v` under `Value`'s equality (same
-    /// type, floats bit for bit)? False past the end.
-    pub fn cell_eq(&self, row: usize, v: &Value) -> bool {
-        match (self, v) {
-            (ColumnSlice::Int(c), Value::Int(x)) => c.get(row) == Some(x),
-            (ColumnSlice::Float(c), Value::Float(x)) => {
-                c.get(row).is_some_and(|y| y.to_bits() == x.to_bits())
+    /// Does the cell of `row` equal `other`'s cell of `other_row` under
+    /// `Value`'s equality (same type, floats bit for bit)? False for
+    /// columns of different types and past either end.
+    #[inline]
+    pub fn cells_eq(&self, row: usize, other: &ColumnSlice<'_>, other_row: usize) -> bool {
+        fn same<T>(a: &[T], i: usize, b: &[T], j: usize, eq: impl Fn(&T, &T) -> bool) -> bool {
+            matches!((a.get(i), b.get(j)), (Some(x), Some(y)) if eq(x, y))
+        }
+        match (self, other) {
+            (ColumnSlice::Int(a), ColumnSlice::Int(b)) => same(a, row, b, other_row, i64::eq),
+            (ColumnSlice::Float(a), ColumnSlice::Float(b)) => {
+                same(a, row, b, other_row, |x, y| x.to_bits() == y.to_bits())
             }
-            (ColumnSlice::Str(c), Value::Str(x)) => c.get(row) == Some(x),
-            (ColumnSlice::Date(c), Value::Date(x)) => c.get(row) == Some(x),
+            (ColumnSlice::Str(a), ColumnSlice::Str(b)) => same(a, row, b, other_row, String::eq),
+            (ColumnSlice::Date(a), ColumnSlice::Date(b)) => same(a, row, b, other_row, i32::eq),
             _ => false,
         }
     }
@@ -315,13 +320,13 @@ mod tests {
         let mut out = Vec::new();
         s.gather(&[2, 0], &mut out);
         assert_eq!(out, vec![Value::Str("c".into()), Value::Str("b".into())]);
-        assert!(s.cell_eq(0, &Value::Str("b".into())));
-        assert!(!s.cell_eq(0, &Value::Int(0)));
-        assert!(!s.cell_eq(9, &Value::Str("b".into())));
+        assert!(s.cells_eq(0, &s, 0) && !s.cells_eq(0, &s, 1));
+        assert!(!s.cells_eq(0, &ColumnSlice::Int(&[0]), 0), "another type equals nothing");
+        assert!(!s.cells_eq(9, &s, 0) && !s.cells_eq(0, &s, 9), "nor does a row past the end");
 
-        let mut f = Column::new(ValueType::Float);
-        f.push(Value::Float(0.0)).unwrap();
-        assert!(f.as_slice().cell_eq(0, &Value::Float(0.0)));
-        assert!(!f.as_slice().cell_eq(0, &Value::Float(-0.0)));
+        let nan = f64::NAN;
+        let f = ColumnSlice::Float(&[0.0, -0.0, nan, -nan, nan]);
+        assert!(f.cells_eq(0, &f, 0) && !f.cells_eq(0, &f, 1), "floats compare bit for bit");
+        assert!(f.cells_eq(2, &f, 4) && !f.cells_eq(2, &f, 3));
     }
 }

@@ -143,7 +143,6 @@ fn off_recorder_records_nothing_and_changes_nothing() {
 #[test]
 fn work_counters_are_exact() {
     const EXPECTED: &str = "\
-engine.exec.values_materialized 13728
 engine.op.hash_join 45
 engine.op.index_scan 714
 engine.op.seq_scan 681
