@@ -27,7 +27,6 @@ pub fn insert_row(
 ) -> Result<(RowId, IoStats), RowError> {
     let mut io = IoStats::new();
     let t = db.table_mut(table);
-    let values = row.clone();
     let rid = t.heap.insert(row)?;
     io.tuples += 1;
     // Heap write: one page write each time a page fills up (amortized),
@@ -39,11 +38,14 @@ pub fn insert_row(
 
     // Maintain every index on this table.
     for m in config.indices_on_mut(table) {
-        let key = values[m.col.column as usize].clone();
+        // The key is the cell the heap just stored.
+        let cells = t.heap.column(m.col.column as usize);
+        let Some(key) = cells.and_then(|cells| cells.get(rid.index())) else { continue };
         // Descent to the leaf plus the leaf write.
         io.random_pages += m.tree.height() as u64;
         io.pages_written += 1;
-        m.tree.insert(key, rid);
+        let fits = m.tree.insert(key, rid);
+        debug_assert!(fits.is_ok(), "an index is keyed by its column's type");
     }
     Ok((rid, io))
 }
@@ -69,7 +71,7 @@ mod tests {
     use super::*;
     use crate::index::IndexOrigin;
     use crate::schema::{ColRef, Column, TableSchema};
-    use colt_storage::{row_from, Value, ValueType};
+    use colt_storage::{row_from, IndexTree, Value, ValueType};
 
     fn setup() -> (Database, PhysicalConfig, TableId) {
         let mut db = Database::new();
@@ -97,7 +99,8 @@ mod tests {
 
         // The new row is findable through the index.
         let mut probe_io = IoStats::new();
-        let hits = cfg.get(col).unwrap().tree.lookup(&Value::Int(5_000), &mut probe_io);
+        let mut hits = Vec::new();
+        cfg.get(col).unwrap().tree.lookup_into(&Value::Int(5_000), &mut hits, &mut probe_io);
         assert_eq!(hits, vec![rid]);
         // And through the heap.
         assert_eq!(db.table(t).heap.peek(rid).unwrap()[0], Value::Int(5_000));
@@ -118,9 +121,14 @@ mod tests {
         // Rebuilding from scratch must agree with incremental maintenance.
         let mut fresh = PhysicalConfig::new();
         fresh.create_index(&db, col, IndexOrigin::Online);
-        let a: Vec<_> = cfg.get(col).unwrap().tree.iter().map(|(k, r)| (k.clone(), r)).collect();
-        let b: Vec<_> = fresh.get(col).unwrap().tree.iter().map(|(k, r)| (k.clone(), r)).collect();
-        assert_eq!(a, b);
+        let entries = |cfg: &PhysicalConfig| -> Vec<(u64, RowId)> {
+            let IndexTree::Coded { tree, .. } = &cfg.get(col).unwrap().tree else {
+                panic!("an Int column is indexed by key code")
+            };
+            tree.iter().map(|(code, r)| (*code, r)).collect()
+        };
+        assert_eq!(entries(&cfg).len(), 1_500);
+        assert_eq!(entries(&cfg), entries(&fresh));
     }
 
     #[test]

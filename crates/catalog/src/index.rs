@@ -8,7 +8,8 @@
 use crate::schema::ColRef;
 use colt_storage::btree::default_order;
 use colt_storage::{
-    sort_by_code, BPlusTree, ColumnSlice, HeapTable, IoStats, KeyCode, RowId, Value,
+    sort_by_code, BPlusTree, BPlusTreeOf, ColumnSlice, HeapTable, IndexTree, IoStats, KeyCode,
+    RowId, Value, ValueType,
 };
 
 /// Estimated physical shape of a (possibly hypothetical) index.
@@ -57,7 +58,7 @@ pub struct MaterializedIndex {
     /// The indexed column.
     pub col: ColRef,
     /// The physical tree.
-    pub tree: BPlusTree,
+    pub tree: IndexTree,
     /// Physical work that was charged to build it.
     pub build_io: IoStats,
     /// Whether the index belongs to the pre-tuned base configuration
@@ -78,46 +79,49 @@ pub enum IndexOrigin {
 /// Build an index over `column` of `heap`, charging the physical work to
 /// the returned [`IoStats`]: a full sequential heap scan, an external
 /// sort (`n log2 n` comparisons), and the writes of every index page.
-pub fn build_index(heap: &HeapTable, col: ColRef, key_width: usize) -> (BPlusTree, IoStats) {
+pub fn build_index(heap: &HeapTable, col: ColRef, key_width: usize) -> (IndexTree, IoStats) {
     let mut io = IoStats::new();
-    let entries = match heap.scan_column(col.column as usize, &mut io) {
-        Some(ColumnSlice::Int(cells)) => sorted_entries(cells, Value::Int),
-        Some(ColumnSlice::Float(cells)) => sorted_entries(cells, Value::Float),
-        Some(ColumnSlice::Date(cells)) => sorted_entries(cells, Value::Date),
+    let coded = |column, entries| IndexTree::Coded {
+        column,
+        tree: BPlusTreeOf::bulk_load(key_width, entries),
+    };
+    let tree = match heap.scan_column(col.column as usize, &mut io) {
+        Some(ColumnSlice::Int(cells)) => coded(ValueType::Int, sorted_entries(cells)),
+        Some(ColumnSlice::Float(cells)) => coded(ValueType::Float, sorted_entries(cells)),
+        Some(ColumnSlice::Date(cells)) => coded(ValueType::Date, sorted_entries(cells)),
         // No fixed-width order-preserving code: compare the strings.
         Some(ColumnSlice::Str(cells)) => {
             let mut keyed: Vec<(&str, u32)> = cells.iter().map(String::as_str).zip(0..).collect();
             keyed.sort_unstable();
-            keyed.into_iter().map(|(s, rid)| (Value::Str(s.to_owned()), RowId(rid))).collect()
+            let entries =
+                keyed.into_iter().map(|(s, rid)| (Value::Str(s.to_owned()), RowId(rid))).collect();
+            IndexTree::Str(BPlusTree::bulk_load(key_width, entries))
         }
-        None => Vec::new(),
+        None => IndexTree::Str(BPlusTree::new(key_width)),
     };
-    let n = entries.len() as u64;
+    let n = tree.len() as u64;
     if n > 1 {
         io.cpu_ops += n * (64 - n.leading_zeros() as u64);
     }
-    let tree = BPlusTree::bulk_load(key_width, entries);
     io.pages_written += tree.page_count() as u64;
     (tree, io)
 }
 
-/// The `(key, row id)` entries of a fixed-width column in `Value::cmp`
-/// then row-id order. What is sorted is `(code, row id)` pairs by their
-/// unsigned code ([`KeyCode`]), not `(Value, RowId)` pairs through the
-/// enum's comparison; the pairs start in row order and the sort is
-/// stable, which is the row-id tiebreak. The codes convert back
-/// losslessly afterwards.
-fn sorted_entries<T: KeyCode>(cells: &[T], wrap: fn(T) -> Value) -> Vec<(Value, RowId)> {
+/// The `(code, row id)` entries of a fixed-width column in `Value::cmp`
+/// then row-id order: the cells' unsigned codes ([`KeyCode`]) sort as
+/// the cells do, the pairs start in row order, and the sort is stable,
+/// which is the row-id tiebreak. The tree keeps the codes as its keys.
+fn sorted_entries<T: KeyCode>(cells: &[T]) -> Vec<(u64, RowId)> {
     let mut keyed: Vec<(T::Code, u32)> = cells.iter().map(|x| x.code()).zip(0..).collect();
     sort_by_code(&mut keyed);
-    keyed.into_iter().map(|(code, rid)| (wrap(T::from_code(code)), RowId(rid))).collect()
+    keyed.into_iter().map(|(code, rid)| (code.into(), RowId(rid))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::TableId;
-    use colt_storage::{row_from, ValueType};
+    use colt_storage::row_from;
 
     fn heap(n: i64) -> HeapTable {
         let mut h = HeapTable::new(&[ValueType::Int]);
@@ -163,6 +167,9 @@ mod tests {
         assert_eq!(io.tuples, 10_000);
         assert_eq!(io.pages_written as usize, tree.page_count());
         assert!(io.cpu_ops > 10_000, "sort work charged");
+        let IndexTree::Coded { column: ValueType::Int, tree } = tree else {
+            panic!("an Int column is indexed by key code")
+        };
         tree.check_invariants();
     }
 

@@ -25,10 +25,9 @@ use crate::batch::{hash_keys, keys_eq, Chains, KeyCol, RowIds, TableLayout, BATC
 use crate::error::ExecError;
 use crate::kernel::Kernel;
 use crate::plan::{AccessPath, Plan, PlanNode};
-use crate::query::{JoinPred, PredicateKind, Query, SelPred};
+use crate::query::{JoinPred, PredicateKind, Query, RangeBound, SelPred};
 use colt_catalog::{ColRef, Database, PhysicalConfig, Table, TableId};
 use colt_storage::{ColumnSlice, IoStats, RowId, Value};
-use std::ops::Bound;
 
 /// Result of executing one query.
 #[derive(Debug, Clone)]
@@ -424,7 +423,7 @@ impl<'a> Executor<'a> {
     /// Index nested-loop join: probe the inner table's B+ tree once per
     /// outer row, fetch matches, and apply the inner table's selection
     /// predicates plus any residual join predicates, all on the inner
-    /// heap's columns. The tree is keyed by [`Value`], so the outer
+    /// heap's columns. The index takes [`Value`] literals, so the outer
     /// probe keys are the one column this operator turns into values.
     #[allow(clippy::too_many_arguments)]
     fn index_nl_join(
@@ -574,7 +573,8 @@ pub(crate) fn index_scan_rowids(
             }
         }
         PredicateKind::Range { lo, hi } => {
-            index.tree.range_into(range_bound(lo), range_bound(hi), &mut rowids, io);
+            let (lo, hi) = (RangeBound::as_bound(lo), RangeBound::as_bound(hi));
+            index.tree.range_into(lo, hi, &mut rowids, io);
         }
     }
     Ok((rowids, driver_idx))
@@ -624,19 +624,11 @@ pub(crate) fn composite_scan_rowids(
                 operator: "composite_scan",
                 col: ColRef { table: key.table, column: c },
             })?;
-        Some((range_bound(lo), range_bound(hi)))
+        Some((RangeBound::as_bound(lo).cloned(), RangeBound::as_bound(hi).cloned()))
     } else {
         None
     };
     Ok(colt_catalog::prefix_scan(index, &prefix, next, io))
-}
-
-fn range_bound(b: &Option<crate::query::RangeBound>) -> Bound<Value> {
-    match b {
-        Some(rb) if rb.inclusive => Bound::Included(rb.value.clone()),
-        Some(rb) => Bound::Excluded(rb.value.clone()),
-        None => Bound::Unbounded,
-    }
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 use colt_catalog::{ColRef, TableId};
 use colt_storage::Value;
 use std::fmt;
+use std::ops::Bound;
 
 /// One bound of a range predicate.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -17,6 +18,17 @@ pub struct RangeBound {
     pub value: Value,
     /// Whether the bound itself is included.
     pub inclusive: bool,
+}
+
+impl RangeBound {
+    /// One side of a range predicate as a [`Bound`] on the literal.
+    pub fn as_bound(side: &Option<RangeBound>) -> Bound<&Value> {
+        match side {
+            Some(b) if b.inclusive => Bound::Included(&b.value),
+            Some(b) => Bound::Excluded(&b.value),
+            None => Bound::Unbounded,
+        }
+    }
 }
 
 /// The comparison applied by a selection predicate.

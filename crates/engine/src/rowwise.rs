@@ -312,7 +312,8 @@ impl<'a> RowwiseExecutor<'a> {
         let mut out = Vec::new();
         for orow in &outer.rows {
             let key = &orow[probe_pos];
-            let mut rowids = index.tree.lookup(key, io);
+            let mut rowids = Vec::new();
+            index.tree.lookup_into(key, &mut rowids, io);
             inner_table.heap.fetch_sorted(&mut rowids, io);
             for irow in rowids.iter().filter_map(|&id| inner_table.heap.peek(id)) {
                 io.cpu_ops += (inner_preds.len() + residuals.len()) as u64;

@@ -6,10 +6,10 @@
 
 use colt_catalog::{ColRef, Column, Database, IndexOrigin, PhysicalConfig, TableId, TableSchema};
 use colt_engine::{
-    Collect, Eqo, Executor, IndexSetView, Kernel, Optimizer, PredicateKind, Query, RangeBound,
-    RowwiseExecutor, SelPred,
+    AccessPath, Collect, Eqo, Executor, IndexSetView, Kernel, Optimizer, Plan, PlanNode,
+    PredicateKind, Query, RangeBound, RowwiseExecutor, SelPred,
 };
-use colt_storage::{row_from, ColumnSlice, Prng, Value, ValueType};
+use colt_storage::{row_from, BPlusTree, IoStats, Prng, RowId, Value, ValueType};
 
 /// Join key `i` as a cell of `vtype`: distinct `i` give distinct cells
 /// under `Value`'s equality. The float keys start with both zeros and
@@ -692,7 +692,11 @@ fn edge_values(vtype: ValueType) -> Vec<Value> {
 /// accepts — for every column type, literals of the column's type *and*
 /// of every other type, `Eq` / `In` / one- and two-sided ranges with
 /// inclusive and exclusive bounds (so also empty and inverted ranges
-/// and exclusive bounds at the extremes), NaN and both zeros.
+/// and exclusive bounds at the extremes), NaN and both zeros. And an
+/// index on the column means the predicate as the kernel does: an index
+/// scan returns the sequential scan's rows under both executors, and
+/// the index (code-keyed but for strings) reads and charges what a
+/// `Value`-keyed tree over the same cells would, over three leaves.
 #[test]
 fn compiled_kernels_match_selpred_matches() {
     const TYPES: [ValueType; 4] =
@@ -702,10 +706,10 @@ fn compiled_kernels_match_selpred_matches() {
     let mut rng = Prng::new(0x6b65_726e);
     let mut accepted = 0usize;
     for vtype in TYPES {
-        // A column of edge values (with duplicates) and a few ordinary ones.
+        // A column of edge values (with duplicates) and some ordinary ones.
         let edges = edge_values(vtype);
-        let mut cells: Vec<Value> = (0..40).map(|_| edges[rng.below(edges.len())].clone()).collect();
-        cells.extend((0..24).map(|_| match vtype {
+        let mut cells: Vec<Value> = (0..500).map(|_| edges[rng.below(edges.len())].clone()).collect();
+        cells.extend((0..400).map(|_| match vtype {
             ValueType::Int => Value::Int(rng.int_range(-5, 5)),
             ValueType::Float => Value::Float(rng.f64_range(-2.0, 2.0)),
             ValueType::Date => Value::Date(rng.int_range(-5, 9_005) as i32),
@@ -713,22 +717,21 @@ fn compiled_kernels_match_selpred_matches() {
         }));
         rng.shuffle(&mut cells);
         // The same cells as the heap holds them: a native vector.
-        let (mut ints, mut floats, mut strs, mut dates) = (vec![], vec![], vec![], vec![]);
-        for v in &cells {
-            match v {
-                Value::Int(x) => ints.push(*x),
-                Value::Float(x) => floats.push(*x),
-                Value::Str(x) => strs.push(x.clone()),
-                Value::Date(x) => dates.push(*x),
-            }
-        }
-        let column = match vtype {
-            ValueType::Int => ColumnSlice::Int(&ints),
-            ValueType::Float => ColumnSlice::Float(&floats),
-            ValueType::Str => ColumnSlice::Str(&strs),
-            ValueType::Date => ColumnSlice::Date(&dates),
-        };
-        assert_eq!(column.len(), cells.len());
+        let mut db = Database::new();
+        let t = db.add_table(TableSchema::new("t", vec![Column::new("c", vtype)]));
+        db.insert_rows(t, cells.iter().map(|v| row_from(vec![v.clone()]))).unwrap();
+        db.analyze_all();
+        let column = db.table(t).heap.column(0).unwrap();
+        assert_eq!((column.value_type(), column.len()), (vtype, cells.len()));
+        // An index on them, and the tree it must be indistinguishable from.
+        let mut cfg = PhysicalConfig::new();
+        cfg.create_index(&db, col, IndexOrigin::Online);
+        let index = &cfg.get(col).unwrap().tree;
+        let mut entries: Vec<(Value, RowId)> = cells.iter().cloned().zip((0..).map(RowId)).collect();
+        entries.sort();
+        let oracle = BPlusTree::bulk_load(vtype.byte_width(), entries);
+        assert_eq!((index.page_count(), index.height()), (oracle.page_count(), oracle.height()));
+        assert!(oracle.page_count() >= 4, "three leaves and a root");
 
         for case in 0..600 {
             let lit = |rng: &mut Prng| literals[rng.below(literals.len())].clone();
@@ -764,9 +767,46 @@ fn compiled_kernels_match_selpred_matches() {
             let want = expect(&mut ids.clone().into_iter().map(|r| r as usize));
             kernel.retain(&mut ids);
             assert_eq!(ids, want, "{vtype:?} {pred:?} retain");
+
+            // The index driven by the predicate, as an index scan drives
+            // it: row ids and charges of the `Value`-keyed tree.
+            macro_rules! driven {
+                ($tree:expr) => {{
+                    let (mut ids, mut io) = (Vec::new(), IoStats::new());
+                    match &pred.kind {
+                        PredicateKind::Eq(v) => $tree.lookup_into(v, &mut ids, &mut io),
+                        PredicateKind::In(vs) => {
+                            vs.iter().for_each(|v| $tree.lookup_into(v, &mut ids, &mut io))
+                        }
+                        PredicateKind::Range { lo, hi } => {
+                            let (lo, hi) = (RangeBound::as_bound(lo), RangeBound::as_bound(hi));
+                            $tree.range_into(lo, hi, &mut ids, &mut io)
+                        }
+                    }
+                    (ids, io)
+                }};
+            }
+            assert_eq!(driven!(index), driven!(oracle), "{vtype:?} {pred:?}");
+
+            // Index scan ≡ sequential scan ≡ the row-at-a-time reference.
+            let q = Query::single(t, vec![pred.clone()]);
+            let run = |path: AccessPath| {
+                let root = PlanNode::Scan { table: t, path, est_rows: 0.0, est_cost: 0.0 };
+                let plan = Plan { root };
+                let v = Executor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
+                let r = RowwiseExecutor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
+                assert_eq!(v.rows, r.rows, "{vtype:?} {pred:?} {}", plan.explain());
+                assert_eq!(v.result.io, r.result.io, "{vtype:?} {pred:?} {}", plan.explain());
+                v.rows
+            };
+            let by_scan = run(AccessPath::SeqScan);
+            assert_eq!(run(AccessPath::IndexScan { col }), by_scan, "{vtype:?} {pred:?}");
+            let want: Vec<Vec<Value>> =
+                expect(&mut (0..cells.len())).iter().map(|&r| vec![cells[r as usize].clone()]).collect();
+            assert_eq!(by_scan, want, "{vtype:?} {pred:?}");
         }
     }
-    assert!(accepted > 10_000, "the cases must not be vacuous: {accepted} rows accepted");
+    assert!(accepted > 100_000, "the cases must not be vacuous: {accepted} rows accepted");
 }
 
 /// The SQL parser never panics, whatever bytes it is fed.

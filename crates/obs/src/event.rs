@@ -84,11 +84,6 @@ impl Event {
         self
     }
 
-    /// Field lookup by key.
-    pub fn get(&self, key: &str) -> Option<&FieldValue> {
-        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
     /// One-line JSON: `{"event":"kind","k":v,...}`.
     pub fn jsonl(&self) -> String {
         let mut out = String::from("{\"event\":");
@@ -169,12 +164,5 @@ mod tests {
     fn human_line() {
         let e = Event::new("cell_finish").field("cell", 2u64).field("wall_ms", 12.5);
         assert_eq!(e.human(), "[obs] cell_finish cell=2 wall_ms=12.5");
-    }
-
-    #[test]
-    fn get_finds_fields() {
-        let e = Event::new("t").field("a", 1u64);
-        assert_eq!(e.get("a"), Some(&FieldValue::U64(1)));
-        assert_eq!(e.get("b"), None);
     }
 }

@@ -1,16 +1,18 @@
-//! An arena-based B+ tree mapping column values to row ids.
+//! An arena-based B+ tree mapping column keys to row ids.
 //!
-//! This is the physical structure behind every single-column index the
-//! tuner can materialize. It supports duplicate keys (secondary index
+//! This is the physical structure behind every index the tuner can
+//! materialize; [`IndexTree`] picks the key domain of a single-column
+//! one. It supports duplicate keys (secondary index
 //! semantics), point lookups, inclusive/exclusive range scans, one-by-one
 //! inserts and sorted bulk loading, and charges [`IoStats`] for the pages
 //! a disk-resident tree of the same shape would touch: one random page
 //! per level on a descent, one sequential page per additional leaf
 //! visited while scanning the leaf chain.
 
+use crate::column::{code_bound, literal_code};
 use crate::page::{IoStats, PAGE_SIZE};
 use crate::row::RowId;
-use crate::value::Value;
+use crate::value::{Value, ValueType};
 use std::ops::Bound;
 
 /// Index of a node in the arena.
@@ -18,8 +20,9 @@ use std::ops::Bound;
 struct NodeId(u32);
 
 /// The bound every tree key type must satisfy. Blanket-implemented;
-/// [`Value`] covers single-column indices, `Vec<Value>` covers the
-/// multi-column extension (lexicographic composite keys).
+/// `u64` key codes and [`Value`] cover single-column indices (see
+/// [`IndexTree`]), `Vec<Value>` covers the multi-column extension
+/// (lexicographic composite keys).
 pub trait TreeKey: Ord + Clone + std::fmt::Debug {}
 impl<K: Ord + Clone + std::fmt::Debug> TreeKey for K {}
 
@@ -47,7 +50,7 @@ enum Node<K: TreeKey> {
     Leaf { entries: Vec<(K, RowId)>, next: Option<NodeId> },
 }
 
-/// A B+ tree index over one column of one table.
+/// A B+ tree over keys of one type, mapping each to row ids.
 ///
 /// # Examples
 ///
@@ -66,8 +69,8 @@ enum Node<K: TreeKey> {
 /// assert_eq!(io.random_pages, tree.height() as u64);
 ///
 /// let hits = tree.range(
-///     Bound::Included(Value::Int(10)),
-///     Bound::Excluded(Value::Int(20)),
+///     Bound::Included(&Value::Int(10)),
+///     Bound::Excluded(&Value::Int(20)),
 ///     &mut io,
 /// );
 /// assert_eq!(hits.len(), 10);
@@ -82,8 +85,9 @@ pub struct BPlusTreeOf<K: TreeKey> {
     order: usize,
 }
 
-/// A single-column B+ tree — the physical structure of the paper's
-/// indices.
+/// A single-column B+ tree keyed by [`Value`]s — what an index on a
+/// string column is, and the oracle the code-keyed trees are tested
+/// against.
 pub type BPlusTree = BPlusTreeOf<Value>;
 
 /// A multi-column B+ tree over lexicographic composite keys — the
@@ -227,16 +231,27 @@ impl<K: TreeKey> BPlusTreeOf<K> {
         id
     }
 
+    /// The entries and chain pointer of a leaf. Every id handed in comes
+    /// from [`Self::descend`], [`Self::leftmost_leaf`] or a leaf's
+    /// `next`, which only ever name leaves.
+    fn leaf(&self, id: NodeId) -> (&[(K, RowId)], Option<NodeId>) {
+        match self.node(id) {
+            Node::Leaf { entries, next } => (entries, *next),
+            // colt: allow(panic-policy) — descents and leaf chains only yield leaf nodes
+            Node::Internal { .. } => unreachable!("leaf chain reached an internal node"),
+        }
+    }
+
     /// Descend to the leaf that may contain `key`, charging one random
     /// page per level, and return the path of internal nodes taken.
-    fn descend(&self, key: &(K, RowId), io: &mut IoStats) -> (NodeId, Vec<(NodeId, usize)>) {
+    fn descend(&self, key: (&K, RowId), io: &mut IoStats) -> (NodeId, Vec<(NodeId, usize)>) {
         let mut path = Vec::with_capacity(self.height);
         let mut cur = self.root;
         io.random_pages += 1;
         loop {
             match self.node(cur) {
                 Node::Internal { keys, children } => {
-                    let slot = keys.partition_point(|k| k <= key);
+                    let slot = keys.partition_point(|(k, r)| (k, *r) <= key);
                     path.push((cur, slot));
                     cur = children[slot];
                     io.random_pages += 1;
@@ -251,7 +266,7 @@ impl<K: TreeKey> BPlusTreeOf<K> {
         colt_obs::counter("storage.btree.inserts", 1);
         let mut io = IoStats::new(); // insert path charging folded into build cost elsewhere
         let ckey = (key, row);
-        let (leaf, path) = self.descend(&ckey, &mut io);
+        let (leaf, path) = self.descend((&ckey.0, row), &mut io);
         let order = self.order;
         if let Node::Leaf { entries, .. } = self.node_mut(leaf) {
             let pos = entries.partition_point(|(k, r)| (k, r) < (&ckey.0, &ckey.1));
@@ -336,22 +351,22 @@ impl<K: TreeKey> BPlusTreeOf<K> {
     /// original footprint until a rebuild.
     pub fn remove(&mut self, key: &K, row: RowId) -> bool {
         let mut io = IoStats::new();
-        let ckey = (key.clone(), row);
-        let (leaf, _) = self.descend(&ckey, &mut io);
+        let (leaf, _) = self.descend((key, row), &mut io);
         // The entry may sit in a later leaf when duplicates straddle a
         // (degenerate) split; walk the chain while keys may still match.
         let mut cur = leaf;
         loop {
-            // colt: allow(panic-policy) — descend() and leaf `next` chains only yield leaf nodes
-            let Node::Leaf { entries, next } = self.node_mut(cur) else { unreachable!() };
+            let (entries, next) = self.leaf(cur);
             if let Some(pos) = entries.iter().position(|(k, r)| k == key && *r == row) {
-                entries.remove(pos);
+                if let Node::Leaf { entries, .. } = self.node_mut(cur) {
+                    entries.remove(pos);
+                }
                 self.len -= 1;
                 return true;
             }
             // Stop once the leaf starts beyond the key.
             let past = entries.first().is_some_and(|(k, _)| k > key);
-            match (past, *next) {
+            match (past, next) {
                 (false, Some(n)) => cur = n,
                 _ => return false,
             }
@@ -372,12 +387,12 @@ impl<K: TreeKey> BPlusTreeOf<K> {
     /// the I/O model.
     pub fn lookup_into(&self, key: &K, out: &mut Vec<RowId>, io: &mut IoStats) {
         colt_obs::counter("storage.btree.lookups", 1);
-        self.range_into(Bound::Included(key.clone()), Bound::Included(key.clone()), out, io);
+        self.range_into(Bound::Included(key), Bound::Included(key), out, io);
     }
 
     /// Range scan over `[lo, hi]` bounds. Charges `height` random pages
     /// for the initial descent and one sequential page per further leaf.
-    pub fn range(&self, lo: Bound<K>, hi: Bound<K>, io: &mut IoStats) -> Vec<RowId> {
+    pub fn range(&self, lo: Bound<&K>, hi: Bound<&K>, io: &mut IoStats) -> Vec<RowId> {
         let mut out = Vec::new();
         self.range_into(lo, hi, &mut out, io);
         out
@@ -387,51 +402,50 @@ impl<K: TreeKey> BPlusTreeOf<K> {
     /// `out`. The trailing `cpu_ops` comparison charge covers only the
     /// row ids appended by *this* call, keeping charges identical to
     /// `range` regardless of what the buffer already held.
-    pub fn range_into(&self, lo: Bound<K>, hi: Bound<K>, out: &mut Vec<RowId>, io: &mut IoStats) {
+    ///
+    /// The charges are those of a scan that reads every leaf from the
+    /// one the descent to `(lo, RowId(0))` reaches up to the first key
+    /// beyond `hi`: an exclusive `lo` still descends to the first equal
+    /// key and skips the run of equals, leaf by leaf. Within a leaf the
+    /// in-range entries are found by binary search, not by walking it.
+    pub fn range_into(&self, lo: Bound<&K>, hi: Bound<&K>, out: &mut Vec<RowId>, io: &mut IoStats) {
         colt_obs::counter("storage.btree.ranges", 1);
         let appended_from = out.len();
-        let start_key = match &lo {
-            Bound::Included(k) | Bound::Excluded(k) => Some((k.clone(), RowId(0))),
-            Bound::Unbounded => None,
-        };
-        let (mut leaf, _) = match &start_key {
-            Some(k) => self.descend(k, io),
-            None => {
+        let mut leaf = match lo {
+            Bound::Included(k) | Bound::Excluded(k) => self.descend((k, RowId(0)), io).0,
+            Bound::Unbounded => {
                 // Descend to the left-most leaf.
                 io.random_pages += self.height as u64;
-                (self.leftmost_leaf(), Vec::new())
+                self.leftmost_leaf()
             }
         };
-        let in_lo = |k: &K| match &lo {
-            Bound::Included(b) => k >= b,
-            Bound::Excluded(b) => k > b,
-            Bound::Unbounded => true,
+        let below_lo = |k: &K| match lo {
+            Bound::Included(b) => k < b,
+            Bound::Excluded(b) => k <= b,
+            Bound::Unbounded => false,
         };
-        let in_hi = |k: &K| match &hi {
+        let in_hi = |k: &K| match hi {
             Bound::Included(b) => k <= b,
             Bound::Excluded(b) => k < b,
             Bound::Unbounded => true,
         };
         let mut first = true;
         loop {
-            // colt: allow(panic-policy) — descend() and leaf `next` chains only yield leaf nodes
-            let Node::Leaf { entries, next } = self.node(leaf) else { unreachable!("descend ends at leaf") };
+            let (entries, next) = self.leaf(leaf);
             if !first {
                 io.seq_pages += 1;
             }
             first = false;
-            for (k, rid) in entries {
-                if !in_hi(k) {
-                    io.cpu_ops += (out.len() - appended_from) as u64;
-                    return;
-                }
-                if in_lo(k) {
-                    out.push(*rid);
-                }
-            }
+            let start = entries.partition_point(|(k, _)| below_lo(k));
+            // A key beyond `hi` ends the scan even among the entries
+            // below `lo` (an empty interval); the last of them is the
+            // largest.
+            let ended = start > 0 && !in_hi(&entries[start - 1].0);
+            let taken = if ended { 0 } else { entries[start..].partition_point(|(k, _)| in_hi(k)) };
+            out.extend(entries[start..start + taken].iter().map(|(_, rid)| *rid));
             match next {
-                Some(n) => leaf = *n,
-                None => break,
+                Some(n) if !ended && start + taken == entries.len() => leaf = n,
+                _ => break,
             }
         }
         io.cpu_ops += (out.len() - appended_from) as u64;
@@ -451,13 +465,9 @@ impl<K: TreeKey> BPlusTreeOf<K> {
         io: &mut IoStats,
     ) -> Vec<RowId> {
         let mut out = Vec::new();
-        let start_key = match &lo {
-            Bound::Included(k) | Bound::Excluded(k) => Some((k.clone(), RowId(0))),
-            Bound::Unbounded => None,
-        };
-        let mut leaf = match &start_key {
-            Some(k) => self.descend(k, io).0,
-            None => {
+        let mut leaf = match &lo {
+            Bound::Included(k) | Bound::Excluded(k) => self.descend((k, RowId(0)), io).0,
+            Bound::Unbounded => {
                 io.random_pages += self.height as u64;
                 self.leftmost_leaf()
             }
@@ -469,8 +479,7 @@ impl<K: TreeKey> BPlusTreeOf<K> {
         };
         let mut first = true;
         loop {
-            // colt: allow(panic-policy) — descend() and leaf `next` chains only yield leaf nodes
-            let Node::Leaf { entries, next } = self.node(leaf) else { unreachable!() };
+            let (entries, next) = self.leaf(leaf);
             if !first {
                 io.seq_pages += 1;
             }
@@ -489,7 +498,7 @@ impl<K: TreeKey> BPlusTreeOf<K> {
                 }
             }
             match next {
-                Some(n) => leaf = *n,
+                Some(n) => leaf = n,
                 None => break,
             }
         }
@@ -513,10 +522,9 @@ impl<K: TreeKey> BPlusTreeOf<K> {
         let mut leaves = Vec::new();
         let mut cur = Some(self.leftmost_leaf());
         while let Some(id) = cur {
-            // colt: allow(panic-policy) — leftmost_leaf() and leaf `next` chains only yield leaf nodes
-            let Node::Leaf { entries, next } = self.node(id) else { unreachable!() };
+            let (entries, next) = self.leaf(id);
             leaves.push(entries);
-            cur = *next;
+            cur = next;
         }
         leaves.into_iter().flatten().map(|(k, r)| (k, *r))
     }
@@ -576,6 +584,110 @@ impl<K: TreeKey> BPlusTreeOf<K> {
                     let child_lo = if i == 0 { lo } else { Some(&keys[i - 1]) };
                     let child_hi = if i == keys.len() { hi } else { Some(&keys[i]) };
                     self.check_node(children[i], depth + 1, child_lo, child_hi, leaf_depths);
+                }
+            }
+        }
+    }
+}
+
+/// The tree behind a single-column index, keyed in the cheapest domain
+/// its column has, behind one [`Value`]-literal interface.
+///
+/// A fixed-width column is indexed by its cells' order-preserving
+/// [`crate::KeyCode`]s: 16-byte `(u64, RowId)` entries compared as
+/// integers, never turned back into `Value`s. Literals reach the codes
+/// through [`crate::column::code_bound`] — the resolver the scan kernels
+/// use — and the tree is asked the same question a `Value`-keyed tree
+/// would be, so row ids *and* [`IoStats`] equal that tree's: an
+/// exclusive bound still descends to its first equal key, and a literal
+/// no cell can match still pays one descent.
+#[derive(Debug, Clone)]
+pub enum IndexTree {
+    /// An `Int`, `Float` or `Date` column, keyed by key code (a date's
+    /// 32-bit code widened).
+    Coded {
+        /// The column's type: which literals have a code here.
+        column: ValueType,
+        /// The tree over the codes.
+        tree: BPlusTreeOf<u64>,
+    },
+    /// A `Str` column: strings have no fixed-width order-preserving
+    /// code, so the keys stay `Value`s.
+    Str(BPlusTree),
+}
+
+/// Evaluate `$body` on whichever tree `$index` holds.
+macro_rules! on_tree {
+    ($index:expr, $tree:ident => $body:expr) => {
+        match $index {
+            IndexTree::Coded { tree: $tree, .. } => $body,
+            IndexTree::Str($tree) => $body,
+        }
+    };
+}
+
+impl IndexTree {
+    /// Number of entries in the tree.
+    pub fn len(&self) -> usize {
+        on_tree!(self, t => t.len())
+    }
+
+    /// True when the tree holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Height of the tree (number of levels including the leaf level).
+    pub fn height(&self) -> usize {
+        on_tree!(self, t => t.height())
+    }
+
+    /// Number of nodes, which is the page footprint of the index.
+    pub fn page_count(&self) -> usize {
+        on_tree!(self, t => t.page_count())
+    }
+
+    /// Approximate size in bytes.
+    pub fn byte_size(&self) -> usize {
+        self.page_count() * PAGE_SIZE
+    }
+
+    /// Insert an entry. A key that is not of the indexed column's type
+    /// has no place in a code-keyed tree and is handed back untouched.
+    pub fn insert(&mut self, key: Value, row: RowId) -> Result<(), Value> {
+        match self {
+            IndexTree::Coded { column, tree } => match literal_code(&key, *column) {
+                Ok(code) => tree.insert(code, row),
+                Err(_) => return Err(key),
+            },
+            IndexTree::Str(tree) => tree.insert(key, row),
+        }
+        Ok(())
+    }
+
+    /// Point lookup appending to `out`: all row ids whose key equals
+    /// `key`; see [`BPlusTreeOf::lookup_into`].
+    pub fn lookup_into(&self, key: &Value, out: &mut Vec<RowId>, io: &mut IoStats) {
+        colt_obs::counter("storage.btree.lookups", 1);
+        self.range_into(Bound::Included(key), Bound::Included(key), out, io);
+    }
+
+    /// Range scan appending to `out`; see [`BPlusTreeOf::range_into`].
+    pub fn range_into(
+        &self,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+        out: &mut Vec<RowId>,
+        io: &mut IoStats,
+    ) {
+        match self {
+            IndexTree::Str(tree) => tree.range_into(lo, hi, out, io),
+            IndexTree::Coded { column, tree } => {
+                match (code_bound(lo, *column, true), code_bound(hi, *column, false)) {
+                    (Some(lo), Some(hi)) => tree.range_into(lo.as_ref(), hi.as_ref(), out, io),
+                    // No cell can match, but the scan still pays its
+                    // descent: ask for the codes below the lowest one.
+                    _ => tree.range_into(Bound::Unbounded, Bound::Excluded(&u64::MIN), out, io),
                 }
             }
         }
@@ -646,12 +758,103 @@ mod tests {
         assert_eq!(buf[0], RowId(9999));
         // range vs range_into, including the early-return path.
         let mut io_a = IoStats::new();
-        let r = t.range(Bound::Included(v(5)), Bound::Excluded(v(9)), &mut io_a);
+        let r = t.range(Bound::Included(&v(5)), Bound::Excluded(&v(9)), &mut io_a);
         let mut io_b = IoStats::new();
         let mut buf = r.clone();
-        t.range_into(Bound::Included(v(5)), Bound::Excluded(v(9)), &mut buf, &mut io_b);
+        t.range_into(Bound::Included(&v(5)), Bound::Excluded(&v(9)), &mut buf, &mut io_b);
         assert_eq!(io_a, io_b);
         assert_eq!(buf.len(), 2 * r.len());
+    }
+
+    /// What a range scan charges, spelled out: descend to
+    /// `(lo, RowId(0))`, then read the leaf chain entry by entry — stop
+    /// at the first key beyond `hi`, keep the keys not below `lo`.
+    fn walked_range<K: TreeKey>(
+        t: &BPlusTreeOf<K>,
+        lo: Bound<&K>,
+        hi: Bound<&K>,
+    ) -> (Vec<RowId>, IoStats) {
+        use std::ops::RangeBounds;
+        let (mut out, mut io) = (Vec::new(), IoStats::new());
+        let mut cur = Some(match lo {
+            Bound::Included(k) | Bound::Excluded(k) => t.descend((k, RowId(0)), &mut io).0,
+            Bound::Unbounded => {
+                io.random_pages += t.height as u64;
+                t.leftmost_leaf()
+            }
+        });
+        let mut first = true;
+        'scan: while let Some(id) = cur {
+            let (entries, next) = t.leaf(id);
+            io.seq_pages += u64::from(!first);
+            first = false;
+            for (k, rid) in entries {
+                if !(Bound::Unbounded, hi).contains(k) {
+                    break 'scan;
+                }
+                if (lo, Bound::Unbounded).contains(k) {
+                    out.push(*rid);
+                }
+            }
+            cur = next;
+        }
+        io.cpu_ops += out.len() as u64;
+        (out, io)
+    }
+
+    #[test]
+    fn range_into_charges_like_the_entry_walk() {
+        let mut rng = crate::prng::Prng::new(0xB7EE_0005);
+        for case in 0..200 {
+            // Few distinct keys over small leaves: runs of duplicates
+            // span several leaves, and empty leaves' worth of keys lie
+            // between the bounds and the leaf the descent reaches.
+            let (order, distinct) = ([4, 5, 8][case % 3], [3, 12, 60][case / 3 % 3]);
+            let mut keys: Vec<u64> = (0..rng.below(120))
+                .map(|_| match rng.below(10) {
+                    0 => u64::MIN,
+                    1 => u64::MAX,
+                    _ => 10 * (1 + rng.below_u64(distinct)),
+                })
+                .collect();
+            let mut codes = BPlusTreeOf::<u64>::with_order(order);
+            let mut values = BPlusTree::with_order(order);
+            if case % 2 == 0 {
+                // Bulk-loaded at the smallest order a key width gives, 8.
+                keys.sort_unstable();
+                codes = BPlusTreeOf::bulk_load(PAGE_SIZE, keys.into_iter().zip((0..).map(RowId)).collect());
+            } else {
+                for (rid, k) in keys.into_iter().enumerate() {
+                    codes.insert(k, RowId(rid as u32));
+                }
+            }
+            for (&k, rid) in codes.iter().collect::<Vec<_>>() {
+                values.insert(Value::Int(k as i64), rid);
+            }
+            codes.check_invariants();
+            for _ in 0..20 {
+                let bound = |rng: &mut crate::prng::Prng| {
+                    let k = match rng.below(8) {
+                        0 => u64::MIN,
+                        1 => u64::MAX,
+                        _ => 5 * rng.below_u64(2 * distinct + 4),
+                    };
+                    [Bound::Included(k), Bound::Excluded(k), Bound::Unbounded][rng.below(3)]
+                };
+                let (lo, hi) = (bound(&mut rng), bound(&mut rng));
+                let mut io = IoStats::new();
+                let got = codes.range(lo.as_ref(), hi.as_ref(), &mut io);
+                assert_eq!((got, io), walked_range(&codes, lo.as_ref(), hi.as_ref()), "case {case}: {lo:?}..{hi:?}");
+
+                // The same question of a `Value`-keyed tree (keys in
+                // `u64` order are non-negative `Int`s up to `i64::MAX`).
+                let as_value = |b: Bound<u64>| b.map(|k| Value::Int(k.min(i64::MAX as u64) as i64));
+                let (lo, hi) = (as_value(lo), as_value(hi));
+                let mut io = IoStats::new();
+                let got = values.range(lo.as_ref(), hi.as_ref(), &mut io);
+                assert_eq!((got, io), walked_range(&values, lo.as_ref(), hi.as_ref()), "case {case}: {lo:?}..{hi:?}");
+            }
+        }
     }
 
     #[test]
@@ -661,13 +864,13 @@ mod tests {
             t.insert(v(i), RowId(i as u32));
         }
         let mut io = IoStats::new();
-        let r = t.range(Bound::Included(v(10)), Bound::Excluded(v(20)), &mut io);
+        let r = t.range(Bound::Included(&v(10)), Bound::Excluded(&v(20)), &mut io);
         assert_eq!(r.len(), 10);
-        let r = t.range(Bound::Excluded(v(10)), Bound::Included(v(20)), &mut io);
+        let r = t.range(Bound::Excluded(&v(10)), Bound::Included(&v(20)), &mut io);
         assert_eq!(r.len(), 10);
-        let r = t.range(Bound::Unbounded, Bound::Excluded(v(5)), &mut io);
+        let r = t.range(Bound::Unbounded, Bound::Excluded(&v(5)), &mut io);
         assert_eq!(r.len(), 5);
-        let r = t.range(Bound::Included(v(195)), Bound::Unbounded, &mut io);
+        let r = t.range(Bound::Included(&v(195)), Bound::Unbounded, &mut io);
         assert_eq!(r.len(), 5);
         let r = t.range(Bound::Unbounded, Bound::Unbounded, &mut io);
         assert_eq!(r.len(), 200);
@@ -728,9 +931,9 @@ mod tests {
             let mut got = Vec::new();
             let mut cur = Some(tree.leftmost_leaf());
             while let Some(id) = cur {
-                let Node::Leaf { entries, next } = tree.node(id) else { panic!("leaf chain") };
+                let (entries, next) = tree.leaf(id);
                 got.push(entries.len());
-                cur = *next;
+                cur = next;
             }
             assert_eq!(got, leaves, "leaf sizes at n = {n}");
             assert_eq!((tree.page_count(), tree.height()), (pages, height), "n = {n}");
@@ -836,16 +1039,16 @@ mod tests {
         assert_eq!(t.lookup(&vec![v(7), v(3)], &mut io), vec![RowId(73)]);
         // Prefix range: every (7, *) entry via lexicographic bounds.
         let hits = t.range(
-            Bound::Included(vec![v(7)]),
-            Bound::Excluded(vec![v(8)]),
+            Bound::Included(&vec![v(7)]),
+            Bound::Excluded(&vec![v(8)]),
             &mut io,
         );
         assert_eq!(hits.len(), 10);
         assert!(hits.iter().all(|r| (70..80).contains(&r.0)));
         // Prefix + second-column range.
         let hits = t.range(
-            Bound::Included(vec![v(7), v(2)]),
-            Bound::Included(vec![v(7), v(5)]),
+            Bound::Included(&vec![v(7), v(2)]),
+            Bound::Included(&vec![v(7), v(5)]),
             &mut io,
         );
         assert_eq!(hits.len(), 4);

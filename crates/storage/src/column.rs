@@ -3,6 +3,8 @@
 //! compare instead of [`Value`] enums.
 
 use crate::value::{Value, ValueType};
+use std::cmp::Ordering;
+use std::ops::Bound;
 
 /// A fixed-width cell type with an order-preserving unsigned code:
 /// `a.code() < b.code()` exactly when `Value::cmp` orders `a` before
@@ -53,6 +55,40 @@ impl KeyCode for f64 {
     }
     fn from_code(code: u64) -> f64 {
         f64::from_bits(if code >> 63 == 1 { code ^ (1 << 63) } else { !code })
+    }
+}
+
+/// The key code of `literal` in a fixed-width column of type `column` (a
+/// date's 32-bit code widened), or — for a literal of another type — the
+/// side of the column `Value`'s cross-type order puts it on: `Err(Less)`
+/// sorts below every cell, `Err(Greater)` above every one. This is the
+/// one place a predicate literal meets a column type: the scan kernels
+/// and the index both resolve through it, so a predicate is the same
+/// code interval to either. Strings have no code; a `Str` column answers
+/// a `Str` literal `Err(Equal)`.
+pub fn literal_code(literal: &Value, column: ValueType) -> Result<u64, Ordering> {
+    match (literal, column) {
+        (Value::Int(x), ValueType::Int) => Ok(x.code()),
+        (Value::Float(x), ValueType::Float) => Ok(x.code()),
+        (Value::Date(x), ValueType::Date) => Ok(x.code().into()),
+        _ => Err(literal.value_type().cmp(&column)),
+    }
+}
+
+/// One side of a range over a fixed-width column (`lower`: its lower
+/// side) as a bound on the column's codes, or `None` when no cell can
+/// satisfy it. A literal of another type bounds nothing from its own
+/// side of the column and everything from the other.
+pub fn code_bound(bound: Bound<&Value>, column: ValueType, lower: bool) -> Option<Bound<u64>> {
+    let (literal, inclusive) = match bound {
+        Bound::Included(v) => (v, true),
+        Bound::Excluded(v) => (v, false),
+        Bound::Unbounded => return Some(Bound::Unbounded),
+    };
+    match literal_code(literal, column) {
+        Ok(code) if inclusive => Some(Bound::Included(code)),
+        Ok(code) => Some(Bound::Excluded(code)),
+        Err(side) => ((side == Ordering::Less) == lower).then_some(Bound::Unbounded),
     }
 }
 

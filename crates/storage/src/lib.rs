@@ -3,7 +3,8 @@
 //! Storage substrate for the COLT reproduction: typed values, an 8 KiB
 //! page model with deterministic I/O accounting, append-only heap tables
 //! stored as typed column vectors, and an arena-based B+ tree used for
-//! every materialized single-column index.
+//! every materialized index (keyed by order-preserving key codes where
+//! the column has them).
 //!
 //! Nothing here touches the filesystem. All tables live in memory and
 //! every operator charges [`page::IoStats`] for the pages a disk-resident
@@ -22,8 +23,8 @@ pub mod prng;
 pub mod row;
 pub mod value;
 
-pub use btree::{BPlusTree, BPlusTreeOf, CompositeBPlusTree, ScanControl, TreeKey};
-pub use column::{sort_by_code, ColumnSlice, KeyCode};
+pub use btree::{BPlusTree, BPlusTreeOf, CompositeBPlusTree, IndexTree, ScanControl, TreeKey};
+pub use column::{code_bound, literal_code, sort_by_code, ColumnSlice, KeyCode};
 pub use heap::{HeapTable, RowError};
 pub use page::{pages_for, tuples_per_page, CostParams, IoStats, PAGE_SIZE};
 pub use prng::Prng;

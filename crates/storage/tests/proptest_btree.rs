@@ -1,13 +1,15 @@
 //! Randomized property tests: the B+ tree must agree with a
 //! sorted-vector reference model for every lookup and range scan, and
 //! must keep its structural invariants under arbitrary insert
-//! sequences. Cases are generated from the in-repo seeded PRNG, so
-//! every run checks the same inputs.
+//! sequences; a tree keyed by `u64` key codes must answer — row ids and
+//! charges — as the `Value`-keyed tree over the same cells does. Cases
+//! are generated from the in-repo seeded PRNG, so every run checks the
+//! same inputs.
 
 use colt_storage::page::IoStats;
 use colt_storage::row::RowId;
-use colt_storage::value::Value;
-use colt_storage::{BPlusTree, Prng};
+use colt_storage::value::{Value, ValueType};
+use colt_storage::{BPlusTree, BPlusTreeOf, KeyCode, Prng};
 use std::ops::Bound;
 
 const CASES: u64 = 64;
@@ -29,11 +31,34 @@ fn reference_range(model: &[(i64, u32)], lo: Bound<i64>, hi: Bound<i64>) -> Vec<
     out.into_iter().map(|(_, r)| RowId(r)).collect()
 }
 
-fn map_bound(b: Bound<i64>) -> Bound<Value> {
-    match b {
-        Bound::Included(k) => Bound::Included(Value::Int(k)),
-        Bound::Excluded(k) => Bound::Excluded(Value::Int(k)),
-        Bound::Unbounded => Bound::Unbounded,
+/// Model key `k` as a cell of `vtype` and the cell's key code. The map
+/// is monotone; `i64::MIN` / `i64::MAX` stand for the type's extremes
+/// (code `u64::MIN` / `u64::MAX` for the 64-bit types).
+fn cell(vtype: ValueType, k: i64) -> (Value, u64) {
+    match vtype {
+        ValueType::Float => {
+            let x = match k {
+                i64::MIN => f64::from_code(u64::MIN),
+                i64::MAX => f64::from_code(u64::MAX),
+                _ => (k - 250) as f64 / 4.0,
+            };
+            (Value::Float(x), x.code())
+        }
+        ValueType::Date => {
+            let x = match k {
+                i64::MIN => i32::MIN,
+                i64::MAX => i32::MAX,
+                _ => (k - 250) as i32,
+            };
+            (Value::Date(x), x.code().into())
+        }
+        _ => {
+            let x = match k {
+                i64::MIN | i64::MAX => k,
+                _ => k - 250,
+            };
+            (Value::Int(x), x.code())
+        }
     }
 }
 
@@ -84,36 +109,59 @@ fn lookups_match_reference() {
     }
 }
 
-/// Range scans with arbitrary bound shapes agree with the model.
+/// Range scans with arbitrary bound shapes agree with the model, and
+/// the code-keyed tree agrees with the `Value`-keyed one on shape, row
+/// ids and every charge.
 #[test]
 fn ranges_match_reference() {
     let mut rng = Prng::new(0xB7EE_0002);
     for case in 0..CASES {
-        let entries = entries(&mut rng, 800, 500, 100_000);
-        let lo = rng.int_range(0, 519);
-        let hi = rng.int_range(0, 519);
-        let lo_b = match rng.below(3) {
-            0 => Bound::Included(lo),
-            1 => Bound::Excluded(lo),
-            _ => Bound::Unbounded,
-        };
-        let hi_b = match rng.below(3) {
-            0 => Bound::Included(hi),
-            1 => Bound::Excluded(hi),
-            _ => Bound::Unbounded,
-        };
+        // Every other case draws from two keys only: runs of duplicates
+        // longer than two leaves (334 or 409 entries each).
+        let (max_len, key_hi) = if case % 2 == 0 { (800, 500) } else { (2_400, 2) };
+        let entries = entries(&mut rng, max_len, key_hi, 100_000);
+        let vtype = [ValueType::Int, ValueType::Float, ValueType::Date][case as usize / 2 % 3];
+        let width = vtype.byte_width();
         let tree = BPlusTree::bulk_load(
-            8,
-            entries.iter().map(|&(k, r)| (Value::Int(k), RowId(r))).collect(),
+            width,
+            entries.iter().map(|&(k, r)| (cell(vtype, k).0, RowId(r))).collect(),
+        );
+        let codes = BPlusTreeOf::<u64>::bulk_load(
+            width,
+            entries.iter().map(|&(k, r)| (cell(vtype, k).1, RowId(r))).collect(),
         );
         tree.check_invariants();
+        codes.check_invariants();
+        assert_eq!((codes.page_count(), codes.height()), (tree.page_count(), tree.height()));
 
-        let mut io = IoStats::new();
-        let mut got = tree.range(map_bound(lo_b), map_bound(hi_b), &mut io);
-        got.sort();
-        let mut want = reference_range(&entries, lo_b, hi_b);
-        want.sort();
-        assert_eq!(got, want, "case {case}");
+        for _ in 0..8 {
+            // Independent sides, so `lo > hi` is as likely as not.
+            let mut side = || {
+                let k = match rng.below(10) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    _ => rng.int_range(0, key_hi + 19),
+                };
+                [Bound::Included(k), Bound::Excluded(k), Bound::Unbounded][rng.below(3)]
+            };
+            let (lo_b, hi_b) = (side(), side());
+            let values = |b: Bound<i64>| b.map(|k| cell(vtype, k).0);
+            let (lo, hi) = (values(lo_b), values(hi_b));
+            let mut io = IoStats::new();
+            let got = tree.range(lo.as_ref(), hi.as_ref(), &mut io);
+
+            let code = |b: Bound<i64>| b.map(|k| cell(vtype, k).1);
+            let (lo, hi) = (code(lo_b), code(hi_b));
+            let mut code_io = IoStats::new();
+            let code_got = codes.range(lo.as_ref(), hi.as_ref(), &mut code_io);
+            assert_eq!((&code_got, code_io), (&got, io), "case {case}: {vtype:?} {lo_b:?}..{hi_b:?}");
+
+            let mut got = got;
+            got.sort();
+            let mut want = reference_range(&entries, lo_b, hi_b);
+            want.sort();
+            assert_eq!(got, want, "case {case}");
+        }
     }
 }
 
