@@ -6,21 +6,25 @@
 //! 100 000-entry load costs more than [`BULK_LOAD_SCALING_LIMIT`] times
 //! an entry of a 1 000-entry load (the leaf-peeling loader this guards
 //! against re-copied the tail once per leaf and read 600×). Index
-//! builds are held to the same growth limit and must beat, in this
-//! process, the comparison sort their radix sort replaced and the same
-//! build with `(Value, RowId)` entries, which the code-keyed tree
-//! replaced. The scan kernels' ns/row are printed,
-//! not gated: the row the next kernel change starts from.
+//! builds are held to the same growth limit from 6 000 to 1 000 000
+//! rows and must beat, in this process and at every size, the same
+//! build through the byte-wise radix sort `sorted_entries` replaced
+//! ([`lsd_sort`], kept here as that reference only) and through a
+//! comparison sort, and at 100 000 rows the same build with
+//! `(Value, RowId)` entries, which the code-keyed tree replaced. The
+//! scan kernels' ns/row and `Eqo::optimize` beside the bare optimizer
+//! are printed, not gated.
 
 use colt_bench::bench;
-use colt_catalog::{build_index, ColRef, TableId};
-use colt_engine::{Kernel, SelPred, BATCH_ROWS};
+use colt_catalog::{build_index, ColRef, PhysicalConfig, TableId};
+use colt_engine::{Eqo, IndexSetView, Kernel, Optimizer, SelPred, BATCH_ROWS};
 use colt_storage::{
-    row_from, sort_by_code, BPlusTree, BPlusTreeOf, ColumnSlice, HeapTable, IoStats, KeyCode,
+    row_from, sorted_entries, BPlusTree, BPlusTreeOf, ColumnSlice, HeapTable, IoStats, KeyCode,
     RowId, Value, ValueType,
 };
 use std::hint::black_box;
 use std::ops::Bound;
+use std::time::Instant;
 
 fn entries(n: usize) -> Vec<(Value, RowId)> {
     (0..n).map(|i| (Value::Int(i as i64), RowId(i as u32))).collect()
@@ -48,10 +52,45 @@ fn bench_bulk_load() -> bool {
     growth <= BULK_LOAD_SCALING_LIMIT
 }
 
+/// The stable least-significant-byte-first radix sort of `(code, row
+/// id)` pairs that `build_index` ran from PR 15 to PR 20 (then
+/// `colt_storage::sort_by_code`): one histogram per byte position, one
+/// pass between the vector and a scratch copy per position on which the
+/// codes differ. Only [`Reference::LsdSort`] calls it.
+fn lsd_sort<C: Copy + Into<u64>>(pairs: &mut Vec<(C, u32)>) {
+    let byte = |pair: &(C, u32), position: usize| (pair.0.into() >> (8 * position)) as usize & 0xff;
+    let mut slots = [[0usize; 256]; 8];
+    let slots = &mut slots[..std::mem::size_of::<C>().min(8)];
+    for pair in pairs.iter() {
+        for (position, slot) in slots.iter_mut().enumerate() {
+            slot[byte(pair, position)] += 1;
+        }
+    }
+    let mut scratch = pairs.clone();
+    for (position, slot) in slots.iter_mut().enumerate() {
+        if slot.contains(&pairs.len()) {
+            continue;
+        }
+        let mut next = 0;
+        for s in slot.iter_mut() {
+            next += std::mem::replace(s, next);
+        }
+        for pair in pairs.iter() {
+            let s = &mut slot[byte(pair, position)];
+            scratch[*s] = *pair;
+            *s += 1;
+        }
+        std::mem::swap(pairs, &mut scratch);
+    }
+}
+
 /// A step of `build_index` swapped for what it replaced.
 #[derive(Clone, Copy)]
 enum Reference {
-    /// `sort_unstable` on the `(code, row id)` pairs, not the radix sort.
+    /// [`lsd_sort`] on `(code, row id)` pairs collected from the column
+    /// and re-collected into entries, not `sorted_entries`.
+    LsdSort,
+    /// `sort_unstable` on the same pairs.
     ComparisonSort,
     /// Every sorted code turned back into a `(Value, RowId)` entry of a
     /// `Value`-keyed tree, not kept as the key.
@@ -61,21 +100,23 @@ enum Reference {
 /// `build_index` over the heap's one fixed-width column with one step
 /// swapped, as the same-process reference; the built tree's page count.
 fn reference_build(heap: &HeapTable, reference: Reference) -> usize {
-    fn build<T: KeyCode>(cells: &[T], wrap: fn(T) -> Value, reference: Reference) -> usize {
-        let mut keyed: Vec<(T::Code, u32)> = cells.iter().map(|x| x.code()).zip(0..).collect();
-        match reference {
-            Reference::ComparisonSort => {
-                keyed.sort_unstable();
-                let entries = keyed.into_iter().map(|(code, rid)| (code.into(), RowId(rid)));
-                BPlusTreeOf::<u64>::bulk_load(8, entries.collect()).page_count()
-            }
+    fn build<T: KeyCode>(cells: &[T], wrap: fn(T) -> Value, reference: Reference) -> usize
+    where
+        T::Code: TryFrom<u64>,
+    {
+        let sort: fn(&mut Vec<(T::Code, u32)>) = match reference {
             Reference::ValueEntries => {
-                sort_by_code(&mut keyed);
-                let entries =
-                    keyed.into_iter().map(|(code, rid)| (wrap(T::from_code(code)), RowId(rid)));
-                BPlusTree::bulk_load(8, entries.collect()).page_count()
+                let cell = |code| T::from_code(T::Code::try_from(code).ok().expect("a cell's code"));
+                let entries = sorted_entries(cells).into_iter().map(|(code, rid)| (wrap(cell(code)), rid));
+                return BPlusTree::bulk_load(8, entries.collect()).page_count();
             }
-        }
+            Reference::LsdSort => lsd_sort,
+            Reference::ComparisonSort => |pairs| pairs.sort_unstable(),
+        };
+        let mut keyed: Vec<(T::Code, u32)> = cells.iter().map(|x| x.code()).zip(0..).collect();
+        sort(&mut keyed);
+        let entries = keyed.into_iter().map(|(code, rid)| (code.into(), RowId(rid)));
+        BPlusTreeOf::<u64>::bulk_load(8, entries.collect()).page_count()
     }
     match heap.column(0) {
         Some(ColumnSlice::Int(cells)) => build(cells, Value::Int, reference),
@@ -85,60 +126,93 @@ fn reference_build(heap: &HeapTable, reference: Reference) -> usize {
     }
 }
 
-/// Benchmarks `build_index` on one column (scrambled row order) at 1 k
-/// and 100 k rows; false when the per-entry cost grows more than
-/// [`BULK_LOAD_SCALING_LIMIT`] or the 100 k build is not faster than
-/// both references.
-fn bench_build_index(name: &str, vtype: ValueType, value: fn(u64) -> Value) -> bool {
+/// Benchmarks `build_index` on one column at 6 000, 100 000 and
+/// 1 000 000 rows, row `i` of `n` holding `value(i, n)`; false when the
+/// per-entry cost grows more than [`BULK_LOAD_SCALING_LIMIT`] from the
+/// smallest to the largest, or a build is not faster than every
+/// reference it is timed against.
+fn bench_build_index(name: &str, vtype: ValueType, value: fn(u64, u64) -> Value) -> bool {
     let col = ColRef::new(TableId(0), 0);
     let heap_of = |n: u64| {
         let mut heap = HeapTable::new(&[vtype]);
         for i in 0..n {
-            let row = row_from(vec![value(i.wrapping_mul(2_654_435_761) % (n * 97))]);
-            heap.insert(row).expect("the row has the column's type");
+            heap.insert(row_from(vec![value(i, n)])).expect("the row has the column's type");
         }
         heap
     };
-    // The fastest of three rounds over the builds being compared, taken
-    // in turn: the verdict must not hang on a neighbour's burst during
-    // one 100 ms measurement, nor on which build it fell on.
-    type Build<'a> = (String, &'a dyn Fn(&HeapTable) -> usize);
+    // The fastest single build of three rounds over the builds being
+    // compared, taken in turn: the verdict must not hang on a
+    // neighbour's burst, nor on which build it fell on.
+    type Build<'a> = (&'a str, &'a dyn Fn(&HeapTable) -> usize);
     let per_entry = |n: u64, builds: &[Build<'_>]| {
         let heap = heap_of(n);
         let mut best = vec![f64::INFINITY; builds.len()];
         for _ in 0..3 {
-            for (best, (name, build)) in best.iter_mut().zip(builds) {
-                let ns = bench(name, || {
+            for (best, (_, build)) in best.iter_mut().zip(builds) {
+                for _ in 0..(2_000_000 / n).clamp(5, 100) {
+                    let start = Instant::now();
                     black_box(build(black_box(&heap)));
-                });
-                *best = best.min(ns / n as f64);
+                    *best = best.min(start.elapsed().as_secs_f64() * 1e9 / n as f64);
+                }
             }
+        }
+        for ((label, _), ns) in builds.iter().zip(&best) {
+            println!("  {:<52} {ns:>8.2} ns/entry", format!("btree/build_index/{name}/{n}{label}"));
         }
         best
     };
-    let coded = |heap: &HeapTable| build_index(heap, col, 8).0.page_count();
-    let small = per_entry(1_000, &[(format!("btree/build_index/{name}/1000"), &coded)])[0];
-    let at_100k = per_entry(
-        100_000,
-        &[
-            (format!("btree/build_index/{name}/100000"), &coded),
-            (format!("btree/build_index/{name}/100000/sort_unstable"), &|heap| {
-                reference_build(heap, Reference::ComparisonSort)
-            }),
-            (format!("btree/build_index/{name}/100000/value_entries"), &|heap| {
-                reference_build(heap, Reference::ValueEntries)
-            }),
-        ],
-    );
-    let (large, by_comparison, by_values) = (at_100k[0], at_100k[1], at_100k[2]);
-    let (growth, sort_ratio, entry_ratio) =
-        (large / small, large / by_comparison, large / by_values);
+    let coded: Build<'_> = ("", &|heap| build_index(heap, col, 8).0.page_count());
+    let lsd: Build<'_> = ("/lsd_sort", &|heap| reference_build(heap, Reference::LsdSort));
+    let comparison: Build<'_> =
+        ("/sort_unstable", &|heap| reference_build(heap, Reference::ComparisonSort));
+    let values: Build<'_> =
+        ("/value_entries", &|heap| reference_build(heap, Reference::ValueEntries));
+    let mut ok = true;
+    let mut coded_ns = Vec::new();
+    for n in [6_000, 100_000, 1_000_000] {
+        let builds: &[Build<'_>] =
+            if n == 100_000 { &[coded, lsd, comparison, values] } else { &[coded, lsd, comparison] };
+        let ns = per_entry(n, builds);
+        let ratios: Vec<String> = ns[1..].iter().map(|r| format!("{:.2}", ns[0] / r)).collect();
+        println!("  build_index/{name}/{n} over each reference: {} (limit 1)", ratios.join(" "));
+        ok &= ns[1..].iter().all(|&reference| ns[0] < reference);
+        coded_ns.push(ns[0]);
+    }
+    let growth = coded_ns[2] / coded_ns[0];
     println!(
-        "  build_index/{name} ns/entry at 100k vs 1k: {growth:.2}x (limit \
-         {BULK_LOAD_SCALING_LIMIT}x); radix / sort_unstable at 100k: {sort_ratio:.2} (limit 1); \
-         code-keyed / Value-keyed at 100k: {entry_ratio:.2} (limit 1)"
+        "  build_index/{name} ns/entry at 1M vs 6k: {growth:.2}x (limit {BULK_LOAD_SCALING_LIMIT}x)"
     );
-    growth <= BULK_LOAD_SCALING_LIMIT && sort_ratio < 1.0 && entry_ratio < 1.0
+    ok && growth <= BULK_LOAD_SCALING_LIMIT
+}
+
+/// Prints what `Eqo::optimize` costs per statement of the shifting
+/// preset beside the bare `Optimizer::optimize` it wraps (a counter and
+/// a span apart since PR 21) and what the memoised path it replaced
+/// measured — that code is gone, so its numbers are quoted from
+/// EXPERIMENTS.md, "PR 21".
+fn bench_eqo_optimize() {
+    let data = colt_workload::generate(0.005, 42);
+    let preset = colt_workload::shifting(&data, 42);
+    let config = PhysicalConfig::new();
+    let optimizer = Optimizer::new(&data.db);
+    let mut eqo = Eqo::new(&data.db);
+    let per_query = |ns: f64| ns / preset.queries.len() as f64;
+    let raw = bench("optimizer/optimize/shifting_stream", || {
+        for q in &preset.queries {
+            black_box(optimizer.optimize(q, IndexSetView::real(&config)));
+        }
+    });
+    let wrapped = bench("eqo/optimize/shifting_stream", || {
+        for q in &preset.queries {
+            black_box(eqo.optimize(q, &config));
+        }
+    });
+    println!(
+        "  eqo/optimize: {:.0} ns/query, raw optimizer {:.0} ns/query (memoised, at PR 21's \
+         parent on its box: 667 first pass, 250 every lookup a hit, raw 220)",
+        per_query(wrapped),
+        per_query(raw)
+    );
 }
 
 /// Prints what `Kernel::select` costs per row over a 6 000-row column,
@@ -252,16 +326,31 @@ fn bench_composite() {
 fn main() -> std::process::ExitCode {
     println!("# btree micro-benchmarks");
     let bulk_load_linear = bench_bulk_load();
-    // ~n distinct ids, 2 500 days, prices in cents from 900.00.
+    // Row `i` of `n` draws from its scrambled position `k`: ~n distinct
+    // ids out of 97·n, any 64-bit integer, 2 500 days, prices in cents
+    // from 900.00, eleven discounts; the key column holds `i` itself.
+    fn k(i: u64, n: u64) -> u64 {
+        i.wrapping_mul(2_654_435_761) % (n * 97)
+    }
     let builds_fast = [
-        bench_build_index("int", ValueType::Int, |k| Value::Int(k as i64)),
-        bench_build_index("date", ValueType::Date, |k| Value::Date((k % 2_500) as i32 + 8_000)),
-        bench_build_index("float", ValueType::Float, |k| {
-            Value::Float(900.0 + (k % 10_000_000) as f64 / 100.0)
+        bench_build_index("id_int", ValueType::Int, |i, n| Value::Int(k(i, n) as i64)),
+        bench_build_index("wide_int", ValueType::Int, |i, _| {
+            Value::Int(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) as i64)
+        }),
+        bench_build_index("sorted_int", ValueType::Int, |i, _| Value::Int(i as i64)),
+        bench_build_index("date", ValueType::Date, |i, n| {
+            Value::Date((k(i, n) % 2_500) as i32 + 8_000)
+        }),
+        bench_build_index("price_float", ValueType::Float, |i, n| {
+            Value::Float(900.0 + (k(i, n) % 10_000_000) as f64 / 100.0)
+        }),
+        bench_build_index("float_11_values", ValueType::Float, |i, n| {
+            Value::Float((k(i, n) % 11) as f64 / 100.0)
         }),
     ]
     .iter()
     .all(|&ok| ok);
+    bench_eqo_optimize();
     bench_kernel_select();
     bench_insert();
     bench_lookup();
@@ -272,8 +361,8 @@ fn main() -> std::process::ExitCode {
     }
     if !builds_fast {
         println!(
-            "FAIL: an index build scales worse than linearly, lost to sort_unstable, or lost to \
-             the same build with (Value, RowId) entries"
+            "FAIL: an index build scales worse than linearly or lost to the same build through \
+             the byte-wise radix sort, sort_unstable, or (Value, RowId) entries"
         );
     }
     if bulk_load_linear && builds_fast {

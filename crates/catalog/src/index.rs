@@ -8,8 +8,8 @@
 use crate::schema::ColRef;
 use colt_storage::btree::default_order;
 use colt_storage::{
-    sort_by_code, BPlusTree, BPlusTreeOf, ColumnSlice, HeapTable, IndexTree, IoStats, KeyCode,
-    RowId, Value, ValueType,
+    sorted_entries, BPlusTree, BPlusTreeOf, ColumnSlice, HeapTable, IndexTree, IoStats, RowId,
+    Value, ValueType,
 };
 
 /// Estimated physical shape of a (possibly hypothetical) index.
@@ -105,16 +105,6 @@ pub fn build_index(heap: &HeapTable, col: ColRef, key_width: usize) -> (IndexTre
     }
     io.pages_written += tree.page_count() as u64;
     (tree, io)
-}
-
-/// The `(code, row id)` entries of a fixed-width column in `Value::cmp`
-/// then row-id order: the cells' unsigned codes ([`KeyCode`]) sort as
-/// the cells do, the pairs start in row order, and the sort is stable,
-/// which is the row-id tiebreak. The tree keeps the codes as its keys.
-fn sorted_entries<T: KeyCode>(cells: &[T]) -> Vec<(u64, RowId)> {
-    let mut keyed: Vec<(T::Code, u32)> = cells.iter().map(|x| x.code()).zip(0..).collect();
-    sort_by_code(&mut keyed);
-    keyed.into_iter().map(|(code, rid)| (code.into(), RowId(rid))).collect()
 }
 
 #[cfg(test)]

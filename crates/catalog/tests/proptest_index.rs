@@ -4,7 +4,11 @@
 //! `Value`s by `Value::cmp`. Cases come from the in-repo seeded PRNG.
 
 use colt_catalog::{build_index, ColRef, ColumnStats, TableId, HISTOGRAM_BUCKETS};
-use colt_storage::{row_from, HeapTable, IndexTree, KeyCode, Prng, RowId, Value, ValueType};
+use colt_storage::{
+    row_from, BPlusTreeOf, ColumnSlice, HeapTable, IndexTree, IoStats, KeyCode, Prng, RowId, Value,
+    ValueType,
+};
+use std::ops::Bound;
 
 const TYPES: [ValueType; 4] = [ValueType::Int, ValueType::Float, ValueType::Str, ValueType::Date];
 
@@ -68,12 +72,32 @@ fn entries_of(tree: &IndexTree) -> Vec<(Value, RowId)> {
     }
 }
 
+/// The code-keyed tree over the heap's one column, bulk-loaded from the
+/// `(code, row id)` pairs a comparison sort orders: what `build_index`
+/// must build, whatever its sort does.
+fn reference_tree(heap: &HeapTable, vtype: ValueType) -> Option<IndexTree> {
+    fn pairs<T: KeyCode>(cells: &[T]) -> Vec<(u64, RowId)> {
+        let mut pairs: Vec<(u64, RowId)> =
+            cells.iter().zip(0..).map(|(x, rid)| (x.code().into(), RowId(rid))).collect();
+        pairs.sort_unstable();
+        pairs
+    }
+    let entries = match heap.column(0)? {
+        ColumnSlice::Int(cells) => pairs(cells),
+        ColumnSlice::Float(cells) => pairs(cells),
+        ColumnSlice::Date(cells) => pairs(cells),
+        ColumnSlice::Str(_) => return None,
+    };
+    let tree = BPlusTreeOf::bulk_load(vtype.byte_width(), entries);
+    Some(IndexTree::Coded { column: vtype, tree })
+}
+
 #[test]
 fn build_index_equals_the_value_sort() {
     let mut rng = Prng::new(0x1d7);
-    for case in 0..48 {
+    for case in 0..60 {
         let vtype = TYPES[case % TYPES.len()];
-        let rows = [0, 1, 2, 700][case / TYPES.len() % 4] + rng.below(40) * (case % 2);
+        let rows = [0, 1, 2, 700, 6_000][case / TYPES.len() % 5] + rng.below(40) * (case % 2);
         let (heap, cells) = heap_of(&mut rng, vtype, rows);
 
         let mut want: Vec<(Value, RowId)> = cells.into_iter().zip((0..).map(RowId)).collect();
@@ -87,6 +111,32 @@ fn build_index_equals_the_value_sort() {
         assert_eq!(got, want, "{vtype:?}, {rows} rows");
         assert_eq!(io.tuples, rows as u64);
         assert_eq!(io.seq_pages as usize, heap.page_count());
+
+        // The same tree as one loaded from comparison-sorted pairs: its
+        // shape, what the build was charged, and every probe's row ids
+        // and charges.
+        let Some(reference) = reference_tree(&heap, vtype) else { continue };
+        assert_eq!((tree.page_count(), tree.height()), (reference.page_count(), reference.height()));
+        let n = rows as u64;
+        let sort_ops = if n > 1 { n * (64 - n.leading_zeros() as u64) } else { 0 };
+        let charged = IoStats {
+            seq_pages: heap.page_count() as u64,
+            tuples: n,
+            cpu_ops: sort_ops,
+            pages_written: reference.page_count() as u64,
+            ..IoStats::new()
+        };
+        assert_eq!(io, charged, "{vtype:?}, {rows} rows");
+        for _ in 0..6 {
+            let (lo, hi) = (value(&mut rng, vtype), value(&mut rng, vtype));
+            let probe = |index: &IndexTree| {
+                let (mut ids, mut io) = (Vec::new(), IoStats::new());
+                index.lookup_into(&lo, &mut ids, &mut io);
+                index.range_into(Bound::Included(&lo), Bound::Excluded(&hi), &mut ids, &mut io);
+                (ids, io)
+            };
+            assert_eq!(probe(&tree), probe(&reference), "{vtype:?}, {rows} rows, {lo}..{hi}");
+        }
     }
     // A column the heap does not have: an empty index, the scan charged.
     let (heap, _) = heap_of(&mut rng, ValueType::Int, 10);

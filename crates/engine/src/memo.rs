@@ -3,10 +3,12 @@
 //! COLT's profiler answers many `WhatIfOptimize` probes per epoch, and
 //! shifting workloads repeat templates: the same (query, candidate)
 //! pair is probed again and again while the physical configuration and
-//! statistics stand still. This module caches the expensive parts of
-//! those derivations — the optimized plan, the base access-path vector
-//! the what-if interface perturbs, and each per-candidate gain — keyed
-//! by the full [`Query`] structure, literals included.
+//! statistics stand still. This module caches what the paper's what-if
+//! interface reuses (§3) — the base access-path vector a probe perturbs
+//! and each per-candidate gain — keyed by the full [`Query`] structure,
+//! literals included. An entry first appears at a statement's first
+//! probe; normal optimization ([`crate::Eqo::optimize`]) neither reads
+//! nor writes the memo.
 //!
 //! **Lookup cost.** A cached probe must be cheaper than re-deriving it,
 //! and at small scales a derivation is well under a microsecond, so the
@@ -34,8 +36,8 @@
 //! entry about table `A` survives a create/drop/analyze on table `B`.
 //!
 //! **Determinism.** A cached value is the value the derivation would
-//! produce: gains and plans are pure functions of (query, materialized
-//! sets, statistics), and the snapshots pin all of those inputs. The
+//! produce: gains are pure functions of (query, materialized sets,
+//! statistics), and the snapshots pin all of those inputs. The
 //! cache therefore changes wall-clock time only — simulated costs,
 //! gains, counters of what-if calls, and every figure's stdout are
 //! byte-identical with the memo hot, cold, or disabled. Entry ids are
@@ -44,15 +46,14 @@
 //! any thread count.
 
 use crate::optimizer::ScanChoice;
-use crate::plan::Plan;
 use crate::query::Query;
 use colt_catalog::{ColRef, Database, PhysicalConfig, TableId};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 /// Default entry bound before FIFO eviction kicks in. Sized to hold
-/// every distinct template of a busy epoch; one entry is a plan, a scan
-/// vector, and a handful of gains — a few kilobytes at most.
+/// every distinct template of a busy epoch; one entry is a scan vector
+/// and a handful of gains — a few kilobytes at most.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// FNV-1a, fixed offset basis and prime: a deterministic, dependency-
@@ -127,8 +128,6 @@ struct MemoEntry {
     fp: u64,
     /// One snapshot per table the query references.
     snaps: Vec<TableSnap>,
-    /// The plan `optimize` produced under the snapshotted inputs.
-    plan: Option<Plan>,
     /// The what-if base derivation: per-table best scans under the real
     /// configuration and the resulting join-order cost.
     base: Option<(Vec<ScanChoice>, f64)>,
@@ -164,7 +163,8 @@ pub struct WhatIfMemo {
     next_id: u64,
     /// Entries dropped by FIFO pressure (never by invalidation). An
     /// eviction silently forgets a live template, so it must be
-    /// observable: `Eqo` exports this as `engine.whatif.memo_eviction`.
+    /// observable: `Eqo` exports this as `engine.whatif.memo_evictions`
+    /// and `report`'s footer prints it.
     evicted: u64,
     /// [`world_stamp`] at the last sweep (0, the stamp of an empty
     /// database, before the first).
@@ -221,12 +221,7 @@ impl WhatIfMemo {
         config: &PhysicalConfig,
         query: &Query,
     ) -> (MemoHandle, bool) {
-        let fp = fingerprint(query);
-        let existing = self
-            .index
-            .get(&fp)
-            .and_then(|slot| slot.iter().find(|(q, _)| q == query))
-            .map(|&(_, id)| id);
+        let (fp, existing) = self.find(query);
         let mut invalidated = false;
         if let Some(id) = existing {
             match self.entries.get(&id) {
@@ -251,7 +246,7 @@ impl WhatIfMemo {
         let snaps = query.tables.iter().map(|&t| TableSnap::capture(db, config, t)).collect();
         self.entries.insert(
             id,
-            MemoEntry { fp, snaps, plan: None, base: None, gains: BTreeMap::new() },
+            MemoEntry { fp, snaps, base: None, gains: BTreeMap::new() },
         );
         self.index.entry(fp).or_default().push((query.clone(), id));
         (MemoHandle(id), invalidated)
@@ -262,15 +257,15 @@ impl WhatIfMemo {
     /// path behind [`crate::Eqo::gain_upper_bound`]. A stale entry is
     /// left in place for `resolve` to count and rebuild.
     pub fn peek(&self, db: &Database, config: &PhysicalConfig, query: &Query) -> Option<MemoHandle> {
+        let id = self.find(query).1?;
+        self.entries.get(&id)?.holds(db, config).then_some(MemoHandle(id))
+    }
+
+    /// `query`'s fingerprint and the id its entry has, if it has one.
+    fn find(&self, query: &Query) -> (u64, Option<u64>) {
         let fp = fingerprint(query);
-        let id =
-            self.index.get(&fp)?.iter().find(|(q, _)| q == query).map(|&(_, id)| id)?;
-        let entry = self.entries.get(&id)?;
-        if entry.holds(db, config) {
-            Some(MemoHandle(id))
-        } else {
-            None
-        }
+        let slot = self.index.get(&fp);
+        (fp, slot.and_then(|slot| slot.iter().find(|(q, _)| q == query)).map(|&(_, id)| id))
     }
 
     fn remove(&mut self, fp: u64, id: u64) {
@@ -303,18 +298,6 @@ impl WhatIfMemo {
             self.remove(fp, id);
         }
         stale.len() as u64
-    }
-
-    /// The cached plan behind a handle, if any.
-    pub fn plan(&self, h: MemoHandle) -> Option<Plan> {
-        self.entries.get(&h.0).and_then(|e| e.plan.clone())
-    }
-
-    /// Cache the plan behind a handle (no-op on a dead handle).
-    pub fn store_plan(&mut self, h: MemoHandle, plan: &Plan) {
-        if let Some(e) = self.entries.get_mut(&h.0) {
-            e.plan = Some(plan.clone());
-        }
     }
 
     /// The cached what-if base derivation behind a handle, if any.

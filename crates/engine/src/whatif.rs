@@ -19,7 +19,7 @@
 //! verbatim, and only the affected table is re-priced before re-running
 //! the (cheap) join-ordering DP.
 
-use crate::memo::WhatIfMemo;
+use crate::memo::{WhatIfMemo, DEFAULT_CAPACITY};
 use crate::optimizer::{IndexSetView, Optimizer, ScanChoice};
 use crate::plan::Plan;
 use crate::query::Query;
@@ -56,10 +56,10 @@ pub struct EqoCounters {
     /// changed, or an epoch sweep found them expired).
     pub memo_invalidations: u64,
     /// Memo entries dropped by FIFO capacity pressure — a silent loss
-    /// of a still-valid template. Hits + misses stays equal to
-    /// whatif_calls + optimizations regardless (an evicted template is
-    /// simply re-derived as a miss), but sustained evictions mean the
-    /// memo is undersized for the workload's template count.
+    /// of a still-valid template. `memo_hits + memo_misses ==
+    /// whatif_calls` regardless (an evicted template is re-derived as a
+    /// miss; `optimize` never touches the memo), but sustained evictions
+    /// mean the memo is undersized for the workload's template count.
     pub memo_evictions: u64,
 }
 
@@ -104,12 +104,7 @@ pub struct Eqo<'a> {
 impl<'a> Eqo<'a> {
     /// Create an EQO over a database.
     pub fn new(db: &'a Database) -> Self {
-        Eqo {
-            opt: Optimizer::new(db),
-            db,
-            memo: WhatIfMemo::new(),
-            counters: EqoCounters::default(),
-        }
+        Self::with_memo_capacity(db, DEFAULT_CAPACITY)
     }
 
     /// An EQO whose what-if memo is bounded at `capacity` entries.
@@ -148,26 +143,6 @@ impl<'a> Eqo<'a> {
         }
     }
 
-    /// Bookkeeping shared by the memoized lookups: resolve the entry
-    /// for `query`, counting a lazily detected stale entry.
-    fn resolve_memo(
-        &mut self,
-        query: &Query,
-        config: &PhysicalConfig,
-    ) -> crate::memo::MemoHandle {
-        let (handle, invalidated) = self.memo.resolve(self.db, config, query);
-        if invalidated {
-            self.counters.memo_invalidations += 1;
-            colt_obs::counter("engine.whatif.memo_invalidate", 1);
-        }
-        let evicted = self.memo.evictions();
-        if evicted > self.counters.memo_evictions {
-            colt_obs::counter("engine.whatif.memo_evictions", evicted - self.counters.memo_evictions);
-            self.counters.memo_evictions = evicted;
-        }
-        handle
-    }
-
     /// An upper bound on `QueryGain(query, col)` read from the memoized
     /// base access-path derivation, charging no what-if call.
     ///
@@ -196,21 +171,13 @@ impl<'a> Eqo<'a> {
         self.memo.base(handle).map(|(_, base_cost)| base_cost.max(0.0))
     }
 
-    /// Normal query optimization under the real configuration.
+    /// Normal query optimization under the real configuration; the memo
+    /// is not consulted (the paper's EQO reuses a query's own solutions
+    /// for its probes, §3, and a lookup costs what optimizing does).
     pub fn optimize(&mut self, query: &Query, config: &PhysicalConfig) -> Plan {
         let _span = colt_obs::span("engine.optimize");
         self.counters.optimizations += 1;
-        let handle = self.resolve_memo(query, config);
-        if let Some(plan) = self.memo.plan(handle) {
-            self.counters.memo_hits += 1;
-            colt_obs::counter("engine.whatif.memo_hit", 1);
-            return plan;
-        }
-        self.counters.memo_misses += 1;
-        colt_obs::counter("engine.whatif.memo_miss", 1);
-        let plan = self.opt.optimize(query, IndexSetView::real(config));
-        self.memo.store_plan(handle, &plan);
-        plan
+        self.opt.optimize(query, IndexSetView::real(config))
     }
 
     /// `WhatIfOptimize(q, P)`: per-index query gains, one what-if call
@@ -233,7 +200,17 @@ impl<'a> Eqo<'a> {
         let _span = colt_obs::span("engine.whatif");
         colt_obs::counter("engine.whatif_calls", probes.len() as u64);
         self.counters.whatif_calls += probes.len() as u64;
-        let handle = self.resolve_memo(query, config);
+        // Count a stale entry found now and an eviction the new one forced.
+        let (handle, invalidated) = self.memo.resolve(self.db, config, query);
+        if invalidated {
+            self.counters.memo_invalidations += 1;
+            colt_obs::counter("engine.whatif.memo_invalidate", 1);
+        }
+        let evicted = self.memo.evictions() - self.counters.memo_evictions;
+        if evicted > 0 {
+            colt_obs::counter("engine.whatif.memo_evictions", evicted);
+            self.counters.memo_evictions += evicted;
+        }
 
         let cached: Vec<Option<f64>> =
             probes.iter().map(|&col| self.memo.gain(handle, col)).collect();
@@ -279,11 +256,10 @@ impl<'a> Eqo<'a> {
                     return IndexGain { col, gain };
                 }
                 let materialized = config.contains(col);
-                let (plus, minus) = if materialized {
-                    (BTreeSet::new(), single(col))
-                } else {
-                    (single(col), BTreeSet::new())
-                };
+                let (mut plus, mut minus) = (BTreeSet::from([col]), BTreeSet::new());
+                if materialized {
+                    std::mem::swap(&mut plus, &mut minus);
+                }
                 let view = IndexSetView::hypothetical(config, &plus, &minus);
 
                 // Reuse every scan except those on the probed table.
@@ -314,10 +290,6 @@ impl<'a> Eqo<'a> {
             })
             .collect()
     }
-}
-
-fn single(col: ColRef) -> BTreeSet<ColRef> {
-    BTreeSet::from([col])
 }
 
 #[cfg(test)]
@@ -428,9 +400,10 @@ mod tests {
             eqo.what_if_optimize(&q, &probes, &cfg);
         }
         let c = eqo.counters();
-        // Every memo-mediated derivation — one per optimize call, one
-        // per probe — is either a hit or a miss, never both or neither.
-        assert_eq!(c.memo_hits + c.memo_misses, c.whatif_calls + c.optimizations);
+        // Every probe is either a hit or a miss, never both or neither;
+        // `optimize` is counted and leaves the memo alone.
+        assert_eq!(c.memo_hits + c.memo_misses, c.whatif_calls);
+        assert_eq!(c.optimizations, 5);
         // Two distinct templates cycled five times: rounds 2+ are pure
         // hits, so hits strictly dominate.
         assert!(c.memo_hits > c.memo_misses, "counters: {c:?}");
@@ -455,8 +428,8 @@ mod tests {
         assert!(c.memo_evictions > 0, "a 2-entry memo must evict: {c:?}");
         assert_eq!(
             c.memo_hits + c.memo_misses,
-            c.whatif_calls + c.optimizations,
-            "every derivation is a hit or a miss even when entries are evicted: {c:?}"
+            c.whatif_calls,
+            "every probe is a hit or a miss even when entries are evicted: {c:?}"
         );
         assert_eq!(eqo.memo_len(), 2, "the memo stays bounded");
     }
@@ -469,7 +442,11 @@ mod tests {
         let col = ColRef::new(t, 0);
         let other = ColRef::new(t, 1);
         let q = Query::single(t, vec![SelPred::eq(col, 7i64), SelPred::eq(other, 3i64)]);
-        // Unseen template: nothing memoized, no bound.
+        // Unseen template: nothing memoized, no bound — and optimizing
+        // it makes no entry; its first probe does.
+        assert_eq!(eqo.gain_upper_bound(&q, col, &cfg), None);
+        eqo.optimize(&q, &cfg);
+        assert_eq!(eqo.memo_len(), 0);
         assert_eq!(eqo.gain_upper_bound(&q, col, &cfg), None);
         let gains = eqo.what_if_optimize(&q, &[col], &cfg);
         let calls = eqo.counters().whatif_calls;
@@ -505,9 +482,12 @@ mod tests {
         // A warmed memo must also agree with a completely fresh EQO.
         let fresh = Eqo::new(&db).what_if_optimize(&q, &probes, &cfg);
         assert_eq!(fresh, warm);
-        let plan_warm = eqo.optimize(&q, &cfg);
-        let plan_fresh = Eqo::new(&db).optimize(&q, &cfg);
-        assert_eq!(plan_warm, plan_fresh, "cached plan must equal a fresh derivation");
+        // `optimize` beside a warm entry is the bare optimizer's plan
+        // and moves no memo counter.
+        let plan = eqo.optimize(&q, &cfg);
+        assert_eq!(plan, Optimizer::new(&db).optimize(&q, IndexSetView::real(&cfg)));
+        assert_eq!(eqo.counters(), EqoCounters { optimizations: 1, ..after });
+        assert_eq!(eqo.memo_len(), 1);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 
 use colt_catalog::{ColRef, Column, Database, IndexOrigin, PhysicalConfig, TableId, TableSchema};
 use colt_engine::{
-    AccessPath, Collect, Eqo, Executor, IndexSetView, Kernel, Optimizer, Plan, PlanNode,
-    PredicateKind, Query, RangeBound, RowwiseExecutor, SelPred,
+    AccessPath, Collect, Eqo, EqoCounters, Executor, IndexSetView, Kernel, Optimizer, Plan,
+    PlanNode, PredicateKind, Query, RangeBound, RowwiseExecutor, SelPred,
 };
 use colt_storage::{row_from, BPlusTree, IoStats, Prng, RowId, Value, ValueType};
 
@@ -226,6 +226,68 @@ fn whatif_equals_reoptimization_delta() {
             "case {case}: gain {gain} vs delta {}",
             c_without - c_with
         );
+    }
+}
+
+/// The memo's contract since `Eqo::optimize` left it: over random
+/// create / drop histories, `optimize` is the bare optimizer under the
+/// real configuration, and an `Eqo` that optimizes every statement
+/// before probing it answers every bound and every probe — and counts
+/// every hit, miss and invalidation — exactly as one that never
+/// optimizes.
+#[test]
+fn eqo_optimize_is_the_bare_optimizer_and_leaves_the_memo_to_the_probes() {
+    use colt_engine::JoinPred;
+    let mut rng = Prng::new(0xE21E_0010);
+    for case in 0..25u64 {
+        let (db, a, b) = build_db(50 + rng.below(400), 7);
+        let mut queries: Vec<Query> = (0..5)
+            .map(|_| Query::single(a, (0..1 + rng.below(2)).map(|_| pred(&mut rng, a)).collect()))
+            .collect();
+        queries.push(Query::join(
+            vec![a, b],
+            vec![JoinPred::new(ColRef::new(a, 1), ColRef::new(b, 0))],
+            preds(&mut rng, a, 1),
+        ));
+        let cols: Vec<ColRef> = (0..3).map(|c| ColRef::new(a, c)).chain([ColRef::new(b, 0)]).collect();
+
+        let optimizer = Optimizer::new(&db);
+        let mut cfg = PhysicalConfig::new();
+        let (mut optimizing, mut probing) = (Eqo::new(&db), Eqo::new(&db));
+        let mut optimizations = 0;
+        for step in 0..80 {
+            if rng.chance(0.3) {
+                let col = cols[rng.below(cols.len())];
+                if !cfg.drop_index(col) {
+                    cfg.create_index(&db, col, IndexOrigin::Online);
+                }
+            }
+            let q = &queries[rng.below(queries.len())];
+            let plan = optimizing.optimize(q, &cfg);
+            optimizations += 1;
+            assert_eq!(plan, optimizer.optimize(q, IndexSetView::real(&cfg)), "case {case} step {step}");
+
+            let probes: Vec<ColRef> = cols.iter().copied().filter(|_| rng.chance(0.5)).collect();
+            let bounds = |eqo: &Eqo| -> Vec<Option<f64>> {
+                cols.iter().map(|&col| eqo.gain_upper_bound(q, col, &cfg)).collect()
+            };
+            assert_eq!(bounds(&optimizing), bounds(&probing), "case {case} step {step}");
+            assert_eq!(
+                optimizing.what_if_optimize(q, &probes, &cfg),
+                probing.what_if_optimize(q, &probes, &cfg),
+                "case {case} step {step}"
+            );
+            assert_eq!(bounds(&optimizing), bounds(&probing), "case {case} step {step}");
+            if rng.chance(0.15) {
+                optimizing.end_epoch(&cfg);
+                probing.end_epoch(&cfg);
+            }
+        }
+        let counters = probing.counters();
+        assert_eq!(counters.memo_hits + counters.memo_misses, counters.whatif_calls, "case {case}");
+        assert!(counters.memo_hits > 0 && counters.memo_invalidations > 0, "case {case}: {counters:?}");
+        assert_eq!(optimizing.counters(), EqoCounters { optimizations, ..counters }, "case {case}");
+        assert_eq!(optimizing.memo_len(), probing.memo_len(), "case {case}");
     }
 }
 

@@ -2,6 +2,7 @@
 //! order-preserving key codes index builds and predicate kernels
 //! compare instead of [`Value`] enums.
 
+use crate::row::RowId;
 use crate::value::{Value, ValueType};
 use std::cmp::Ordering;
 use std::ops::Bound;
@@ -92,42 +93,92 @@ pub fn code_bound(bound: Bound<&Value>, column: ValueType, lower: bool) -> Optio
     }
 }
 
-/// Sort `(code, row id)` pairs made in row order into `(code, row id)`
-/// order, looking at the codes only: the sort is stable, so pairs with
-/// equal codes keep their ascending row ids. This is a
-/// least-significant-byte-first radix sort: one read of the pairs counts
-/// the values at every byte position of the code type, then each
-/// position moves the pairs once between the vector and a scratch copy
-/// of it — except a position on which every code agrees (the high bytes
-/// of small integers, a float column's sign and exponent), which orders
-/// nothing and costs no pass.
-pub fn sort_by_code<C: Copy + Into<u64>>(pairs: &mut Vec<(C, u32)>) {
-    let byte = |pair: &(C, u32), position: usize| (pair.0.into() >> (8 * position)) as usize & 0xff;
-    let mut slots = [[0usize; 256]; 8];
-    let slots = &mut slots[..std::mem::size_of::<C>().min(8)];
-    for pair in pairs.iter() {
-        for (position, slot) in slots.iter_mut().enumerate() {
-            slot[byte(pair, position)] += 1;
-        }
+/// Most radix bits one pass spends: 4 096 write heads are 32 KB of
+/// counters and 256 KB of half-filled cache lines.
+const MAX_DIGIT_BITS: u32 = 12;
+
+/// Buckets up to this long are finished by a comparison sort.
+const SMALL_BUCKET: usize = 32;
+
+/// The `(code, row id)` entries of a fixed-width column in code, then
+/// row-id order — what [`crate::BPlusTreeOf::bulk_load`] takes; the
+/// cells' codes ([`KeyCode`]) sort as `Value::cmp` sorts the cells.
+///
+/// Codes that already ascend (a key column in load order) are the
+/// entries as they stand. Otherwise: a most-significant-digit radix
+/// sort over `code − least code`, so bits above the column's span cost
+/// nothing. One read of the column finds the span, one counts the
+/// buckets, a third writes every entry to its bucket, in row order
+/// within it. The digit is the whole span where that asks no more
+/// buckets than entries (then nothing is left to do), else the top bits
+/// that leave a bucket four to eight entries — halved when that exceeds
+/// [`MAX_DIGIT_BITS`], the buckets' own pass taking the rest. A bucket
+/// of up to [`SMALL_BUCKET`] entries is comparison-sorted; a longer one
+/// still out of order is sorted the same way over its own narrower span
+/// (few values far apart, a sentinel far from the rest).
+pub fn sorted_entries<T: KeyCode>(cells: &[T]) -> Vec<(u64, RowId)> {
+    let rows = cells.iter().zip(0..).map(|(cell, rid)| (cell.code().into(), RowId(rid)));
+    let Some(span) = unsorted_span(rows.clone()) else { return rows.collect() };
+    let mut entries = vec![(0, RowId(0)); cells.len()];
+    distribute(rows, span, &mut entries);
+    entries
+}
+
+/// The least and greatest code among `entries`, or `None` when the
+/// codes already ascend (so do none, one, and all-equal).
+fn unsorted_span(entries: impl Iterator<Item = (u64, RowId)> + Clone) -> Option<(u64, u64)> {
+    let mut previous = 0;
+    if entries.clone().all(|(code, _)| std::mem::replace(&mut previous, code) <= code) {
+        return None;
     }
-    let mut scratch = pairs.clone();
-    for (position, slot) in slots.iter_mut().enumerate() {
-        if slot.contains(&pairs.len()) {
-            continue;
+    Some(entries.fold((u64::MAX, 0), |(min, max), (code, _)| (min.min(code), max.max(code))))
+}
+
+/// Write the entries of `src` — codes within `min..=max`, not all equal,
+/// equal codes in ascending row-id order — into `dst` (as long as `src`)
+/// in code, then row-id order.
+fn distribute(
+    src: impl Iterator<Item = (u64, RowId)> + Clone,
+    (min, max): (u64, u64),
+    dst: &mut [(u64, RowId)],
+) {
+    let bits = 64 - (max - min).leading_zeros();
+    let spread = dst.len().ilog2();
+    let width = match spread.saturating_sub(2).max(1) {
+        _ if bits <= spread.min(MAX_DIGIT_BITS) => bits,
+        top if top <= MAX_DIGIT_BITS => top,
+        top => top.div_ceil(2).min(bits),
+    };
+    let shift = bits - width;
+    let bucket = |code: u64| ((code - min) >> shift) as usize;
+    let mut heads = vec![0usize; 1 << width];
+    for (code, _) in src.clone() {
+        heads[bucket(code)] += 1;
+    }
+    // Occurrences of each digit become its bucket's first output slot.
+    let mut next = 0;
+    for head in &mut heads {
+        next += std::mem::replace(head, next);
+    }
+    for entry in src {
+        let head = &mut heads[bucket(entry.0)];
+        dst[*head] = entry;
+        *head += 1;
+    }
+    if shift == 0 {
+        return;
+    }
+    // Every head has moved to its bucket's end.
+    let mut start = 0;
+    for end in heads {
+        let bucket = &mut dst[start..end];
+        start = end;
+        if bucket.len() <= SMALL_BUCKET {
+            bucket.sort_unstable();
+        } else if let Some(span) = unsorted_span(bucket.iter().copied()) {
+            let unsorted = bucket.to_vec();
+            distribute(unsorted.iter().copied(), span, bucket);
         }
-        // Occurrences of each value become its first output slot.
-        let mut next = 0;
-        for s in slot.iter_mut() {
-            let count = *s;
-            *s = next;
-            next += count;
-        }
-        for pair in pairs.iter() {
-            let s = &mut slot[byte(pair, position)];
-            scratch[*s] = *pair;
-            *s += 1;
-        }
-        std::mem::swap(pairs, &mut scratch);
     }
 }
 
@@ -286,51 +337,77 @@ mod tests {
         assert!(floats.iter().all(|&x| f64::from_code(x.code()).to_bits() == x.to_bits()));
     }
 
-    /// `sort_by_code` on `(code, row id)` pairs in row order must give
-    /// what `sort_unstable` gives on the pairs, and every code must turn
-    /// back into its cell bit for bit.
-    fn assert_sorts_like_pairs<T: KeyCode>(cells: &[T], bits: fn(T) -> u64)
+    /// `sorted_entries` must give what `sort_unstable` gives on the
+    /// `(code, row id)` pairs, and every code must turn back into its
+    /// cell bit for bit.
+    fn assert_sorts_like_pairs<T: KeyCode>(cells: &[T], bits: fn(T) -> u64, shape: &str)
     where
-        T::Code: std::fmt::Debug,
+        T::Code: TryFrom<u64>,
     {
-        let mut keyed: Vec<(T::Code, u32)> = cells.iter().map(|x| x.code()).zip(0..).collect();
-        let mut expected = keyed.clone();
+        let mut expected: Vec<(u64, RowId)> =
+            cells.iter().zip(0..).map(|(x, rid)| (x.code().into(), RowId(rid))).collect();
         expected.sort_unstable();
-        sort_by_code(&mut keyed);
-        assert_eq!(keyed, expected, "{} cells", cells.len());
-        for (code, rid) in keyed {
-            assert_eq!(bits(T::from_code(code)), bits(cells[rid as usize]));
+        let entries = sorted_entries(cells);
+        assert!(entries == expected, "{shape}, {} cells", cells.len());
+        let narrow = |code: u64| T::Code::try_from(code).ok().expect("the code fits its cell's width");
+        for (code, rid) in entries {
+            assert_eq!(bits(T::from_code(narrow(code))), bits(cells[rid.0 as usize]));
         }
+    }
+
+    /// Every shape the distribution branches on, as indices into a
+    /// type's ascending `domain` (its extremes first and last): row `i`
+    /// of `len` holds `domain[shape(i) % domain.len()]`.
+    fn shapes(len: u64, rng: &mut crate::prng::Prng) -> Vec<(&'static str, Vec<u64>)> {
+        let random: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+        vec![
+            ("all equal", vec![7; len as usize]),
+            ("two values", random.iter().map(|r| 3 + r % 2 * 40).collect()),
+            // The type's least value once, the rest close together.
+            ("one outlier far below", (0..len).map(|i| if i == len / 2 { 0 } else { 60 + i % 9 }).collect()),
+            ("sorted", (0..len).collect()),
+            ("reversed", (0..len).rev().collect()),
+            // Both extremes, the specials and everything between.
+            ("random", random),
+        ]
     }
 
     #[test]
     fn radix_sort_equals_sort_unstable_on_code_row_pairs() {
         use crate::prng::Prng;
-        const FLOATS: [f64; 8] =
-            [-0.0, 0.0, f64::NEG_INFINITY, f64::INFINITY, f64::NAN, -1.5, 1.5, f64::MIN_POSITIVE];
+        // Ascending domains of 100 003 values (more distinct codes than
+        // a pass has buckets, at every length): the extremes, then a
+        // spread of ordinary values, specials in their places.
+        const DOMAIN: u64 = 100_003;
+        let int = |k: u64| match k {
+            0 => i64::MIN,
+            k if k == DOMAIN - 1 => i64::MAX,
+            k => (k as i64 - 50_000) * 7_919,
+        };
+        let date = |k: u64| match k {
+            0 => i32::MIN,
+            k if k == DOMAIN - 1 => i32::MAX,
+            k => k as i32 - 50_000,
+        };
+        let float = |k: u64| match k {
+            0 => -f64::NAN,
+            1 => f64::NEG_INFINITY,
+            50_000 => -0.0,
+            50_001 => 0.0,
+            k if k == DOMAIN - 2 => f64::INFINITY,
+            k if k == DOMAIN - 1 => f64::NAN,
+            k => (k as f64 - 50_000.5) * 0.37,
+        };
         let mut rng = Prng::new(0x5EED_C0DE);
-        for len in [0, 1, 2, 255, 256, 257, 100_000] {
-            // Each shape draws from the whole domain, from a handful of
-            // values (heavy duplicates) and from a single one (all equal).
-            for distinct in [u64::MAX, 5, 1] {
-                let mut draw = || match distinct {
-                    u64::MAX => rng.next_u64(),
-                    n => rng.below_u64(n),
-                };
-                let ints: Vec<i64> = (0..len).map(|_| (draw() as i64).wrapping_sub(2)).collect();
-                assert_sorts_like_pairs(&ints, |x| x as u64);
-                let dates: Vec<i32> = (0..len).map(|_| (draw() as i32).wrapping_sub(2)).collect();
-                assert_sorts_like_pairs(&dates, |x| x as u32 as u64);
-                // Random bit patterns (every exponent, both NaN signs)
-                // with the special values mixed in; the narrow shapes
-                // draw from the specials alone.
-                let floats: Vec<f64> = (0..len)
-                    .map(|_| match draw() {
-                        d if distinct == u64::MAX && d % 4 != 0 => f64::from_bits(d),
-                        d => FLOATS[(d % 8) as usize],
-                    })
-                    .collect();
-                assert_sorts_like_pairs(&floats, f64::to_bits);
+        for len in [0, 1, 2, 25, 6_000, 70_000] {
+            for (shape, picks) in shapes(len, &mut rng) {
+                let cells = |pick: &u64| pick % DOMAIN;
+                let ints: Vec<i64> = picks.iter().map(|p| int(cells(p))).collect();
+                assert_sorts_like_pairs(&ints, |x| x as u64, shape);
+                let dates: Vec<i32> = picks.iter().map(|p| date(cells(p))).collect();
+                assert_sorts_like_pairs(&dates, |x| x as u32 as u64, shape);
+                let floats: Vec<f64> = picks.iter().map(|p| float(cells(p))).collect();
+                assert_sorts_like_pairs(&floats, f64::to_bits, shape);
             }
         }
     }

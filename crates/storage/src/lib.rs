@@ -24,7 +24,7 @@ pub mod row;
 pub mod value;
 
 pub use btree::{BPlusTree, BPlusTreeOf, CompositeBPlusTree, IndexTree, ScanControl, TreeKey};
-pub use column::{code_bound, literal_code, sort_by_code, ColumnSlice, KeyCode};
+pub use column::{code_bound, literal_code, sorted_entries, ColumnSlice, KeyCode};
 pub use heap::{HeapTable, RowError};
 pub use page::{pages_for, tuples_per_page, CostParams, IoStats, PAGE_SIZE};
 pub use prng::Prng;
