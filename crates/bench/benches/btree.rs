@@ -11,12 +11,14 @@
 //! build through the byte-wise radix sort `sorted_entries` replaced
 //! ([`lsd_sort`], kept here as that reference only) and through a
 //! comparison sort, and at 100 000 rows the same build with
-//! `(Value, RowId)` entries, which the code-keyed tree replaced. The
-//! scan kernels' ns/row and `Eqo::optimize` beside the bare optimizer
-//! are printed, not gated.
+//! `(Value, RowId)` entries, which the code-keyed tree replaced. A
+//! selectivity estimate over a fixed-width column's key codes must beat
+//! the same estimate comparing `Value`s, and a scan kernel that counts a
+//! window must beat the one that selects it, again in this process.
+//! `Eqo::optimize` beside the bare optimizer is printed, not gated.
 
 use colt_bench::bench;
-use colt_catalog::{build_index, ColRef, PhysicalConfig, TableId};
+use colt_catalog::{build_index, ColRef, ColumnStats, PhysicalConfig, TableId};
 use colt_engine::{Eqo, IndexSetView, Kernel, Optimizer, SelPred, BATCH_ROWS};
 use colt_storage::{
     row_from, sorted_entries, BPlusTree, BPlusTreeOf, ColumnSlice, HeapTable, IoStats, KeyCode,
@@ -50,6 +52,23 @@ fn bench_bulk_load() -> bool {
     let growth = per_entry[2] / per_entry[0];
     println!("  bulk_load ns/entry at 100k vs 1k: {growth:.2}x (limit {BULK_LOAD_SCALING_LIMIT}x)");
     growth <= BULK_LOAD_SCALING_LIMIT
+}
+
+/// The fastest single call of each of `calls`, in ns, over three rounds
+/// taken in turn with `reps` calls a turn: a verdict between them must
+/// not hang on a neighbour's burst, nor on which call it fell on.
+fn fastest(reps: u64, calls: &[&dyn Fn()]) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; calls.len()];
+    for _ in 0..3 {
+        for (best, call) in best.iter_mut().zip(calls) {
+            for _ in 0..reps {
+                let start = Instant::now();
+                call();
+                *best = best.min(start.elapsed().as_secs_f64() * 1e9);
+            }
+        }
+    }
+    best
 }
 
 /// The stable least-significant-byte-first radix sort of `(code, row
@@ -140,22 +159,18 @@ fn bench_build_index(name: &str, vtype: ValueType, value: fn(u64, u64) -> Value)
         }
         heap
     };
-    // The fastest single build of three rounds over the builds being
-    // compared, taken in turn: the verdict must not hang on a
-    // neighbour's burst, nor on which build it fell on.
     type Build<'a> = (&'a str, &'a dyn Fn(&HeapTable) -> usize);
     let per_entry = |n: u64, builds: &[Build<'_>]| {
-        let heap = heap_of(n);
-        let mut best = vec![f64::INFINITY; builds.len()];
-        for _ in 0..3 {
-            for (best, (_, build)) in best.iter_mut().zip(builds) {
-                for _ in 0..(2_000_000 / n).clamp(5, 100) {
-                    let start = Instant::now();
-                    black_box(build(black_box(&heap)));
-                    *best = best.min(start.elapsed().as_secs_f64() * 1e9 / n as f64);
-                }
-            }
-        }
+        let heap = &heap_of(n);
+        let calls: Vec<_> = (builds.iter())
+            .map(|&(_, build)| move || {
+                black_box(build(black_box(heap)));
+            })
+            .collect();
+        let calls: Vec<&dyn Fn()> = calls.iter().map(|call| call as &dyn Fn()).collect();
+        let best: Vec<f64> = (fastest((2_000_000 / n).clamp(5, 100), &calls).iter())
+            .map(|ns| ns / n as f64)
+            .collect();
         for ((label, _), ns) in builds.iter().zip(&best) {
             println!("  {:<52} {ns:>8.2} ns/entry", format!("btree/build_index/{name}/{n}{label}"));
         }
@@ -215,10 +230,61 @@ fn bench_eqo_optimize() {
     );
 }
 
-/// Prints what `Kernel::select` costs per row over a 6 000-row column,
-/// a scan window at a time, for ranges keeping 0.3 %, 10 % and 50 % of
-/// the rows.
-fn bench_kernel_select() {
+/// Benchmarks a selectivity estimate per column type — the mix a
+/// stream prices: closed ranges, half-open ones, equalities, IN lists —
+/// over the column's key codes and, beside it, with the same statistics
+/// comparing `Value`s ([`ColumnStats::comparing_values`]); a string
+/// column has only the latter. False when comparing codes is not faster.
+fn bench_stats_selectivity() -> bool {
+    const ROWS: i64 = 6_000;
+    // Scrambled keys, a tenth of the rows on three hot ones: the MCV
+    // list is in play.
+    let key = |i: i64| if i % 10 == 0 { i % 3 * 700 } else { i * 3_539 % ROWS };
+    type Literal = fn(i64) -> Value;
+    let columns: [(&str, ValueType, Literal); 4] = [
+        ("int", ValueType::Int, Value::Int),
+        ("date", ValueType::Date, |k| Value::Date(k as i32 + 8_000)),
+        ("float", ValueType::Float, |k| Value::Float(900.0 + k as f64 / 100.0)),
+        ("str", ValueType::Str, |k| Value::Str(format!("Customer#{k:09}"))),
+    ];
+    let mut ok = true;
+    for (name, vtype, literal) in columns {
+        let mut heap = HeapTable::new(&[vtype]);
+        for i in 0..ROWS {
+            heap.insert(row_from(vec![literal(key(i))])).expect("the row has the column's type");
+        }
+        let coded = ColumnStats::analyze(&heap, 0);
+        let by_value = coded.comparing_values();
+        let literals: Vec<(Value, Value)> =
+            (0..64).map(|j| (literal(j * 89 % ROWS), literal(j * 89 % ROWS + 40 + j))).collect();
+        let estimate = |stats: &ColumnStats| {
+            let mut sum = 0.0;
+            for (lo, hi) in black_box(&literals) {
+                sum += stats.selectivity_between(Bound::Included(lo), Bound::Included(hi));
+                sum += stats.selectivity_between(Bound::Excluded(lo), Bound::Unbounded);
+                sum += stats.selectivity_eq(lo);
+                sum += [lo, hi, lo].iter().map(|v| stats.selectivity_eq(v)).sum::<f64>();
+            }
+            black_box(sum);
+        };
+        let ns = fastest(200, &[&|| estimate(&coded), &|| estimate(&by_value)]);
+        let per_predicate = |ns: f64| ns / (4 * literals.len()) as f64;
+        println!(
+            "  {:<44} {:>8.1} ns/predicate, comparing values {:.1}",
+            format!("stats/selectivity/{name}"),
+            per_predicate(ns[0]),
+            per_predicate(ns[1])
+        );
+        ok &= vtype == ValueType::Str || ns[0] < ns[1];
+    }
+    ok
+}
+
+/// Benchmarks `Kernel::select` and, beside it, `Kernel::count` per row
+/// over a 6 000-row column, a scan window at a time, for ranges keeping
+/// 0.3 %, 10 % and 50 % of the rows; false when counting a column is
+/// not faster than selecting from it.
+fn bench_kernel_scan() -> bool {
     const ROWS: usize = 6_000;
     // Row `i` holds key `i · 3 539 mod 6 000`, a permutation of the
     // keys; a range over the keys keeps rows all over the column.
@@ -227,26 +293,42 @@ fn bench_kernel_select() {
     let float = |k: i64| 900.0 + k as f64 / 100.0;
     let dates: Vec<i32> = keys.iter().map(|&k| date(k)).collect();
     let floats: Vec<f64> = keys.iter().map(|&k| float(k)).collect();
-    let select = |name: &str, column: ColumnSlice<'_>, literal: &dyn Fn(i64) -> Value| {
+    let windows = || (0..ROWS).step_by(BATCH_ROWS).map(|start| start..(start + BATCH_ROWS).min(ROWS));
+    let scan = |name: &str, column: ColumnSlice<'_>, literal: &dyn Fn(i64) -> Value| {
+        let (mut select_ns, mut count_ns) = (0.0, 0.0);
         for (label, kept) in [("0.3%", 18), ("10%", 600), ("50%", 3_000)] {
             let col = ColRef::new(TableId(0), 0);
             let pred = SelPred::between(col, literal(1_000), literal(1_000 + kept - 1));
             let kernel = Kernel::compile(&pred, column);
-            let mut sel = Vec::new();
-            let ns = bench(&format!("kernel/select/{name}/{label}"), || {
-                let mut selected = 0;
-                for start in (0..ROWS).step_by(BATCH_ROWS) {
-                    kernel.select(start..(start + BATCH_ROWS).min(ROWS), &mut sel);
-                    selected += black_box(&sel).len();
-                }
+            let sel = std::cell::RefCell::new(Vec::new());
+            let select = || {
+                let sel = &mut *sel.borrow_mut();
+                let selected: usize = (windows())
+                    .map(|window| {
+                        kernel.select(window, sel);
+                        black_box(&*sel).len()
+                    })
+                    .sum();
                 assert_eq!(selected, kept as usize);
-            });
-            println!("  kernel/select/{name}/{label}: {:.2} ns/row", ns / ROWS as f64);
+            };
+            let count = || {
+                let counted: usize = windows().map(|window| black_box(kernel.count(window))).sum();
+                assert_eq!(counted, kept as usize);
+            };
+            let ns = fastest(2_000, &[&select, &count]);
+            for (op, ns) in ["select", "count"].iter().zip(&ns) {
+                let line = format!("kernel/{op}/{name}/{label}");
+                println!("  {line:<44} {:>8.2} ns/row", ns / ROWS as f64);
+            }
+            select_ns += ns[0];
+            count_ns += ns[1];
         }
+        count_ns < select_ns
     };
-    select("int", ColumnSlice::Int(&keys), &Value::Int);
-    select("date", ColumnSlice::Date(&dates), &|k| Value::Date(date(k)));
-    select("float", ColumnSlice::Float(&floats), &|k| Value::Float(float(k)));
+    let int = scan("int", ColumnSlice::Int(&keys), &Value::Int);
+    let date = scan("date", ColumnSlice::Date(&dates), &|k| Value::Date(date(k)));
+    let float = scan("float", ColumnSlice::Float(&floats), &|k| Value::Float(float(k)));
+    int && date && float
 }
 
 fn bench_insert() {
@@ -351,7 +433,8 @@ fn main() -> std::process::ExitCode {
     .iter()
     .all(|&ok| ok);
     bench_eqo_optimize();
-    bench_kernel_select();
+    let codes_fast = bench_stats_selectivity();
+    let counts_fast = bench_kernel_scan();
     bench_insert();
     bench_lookup();
     bench_range();
@@ -365,7 +448,13 @@ fn main() -> std::process::ExitCode {
              the byte-wise radix sort, sort_unstable, or (Value, RowId) entries"
         );
     }
-    if bulk_load_linear && builds_fast {
+    if !codes_fast {
+        println!("FAIL: a selectivity estimate over key codes lost to the one comparing Values");
+    }
+    if !counts_fast {
+        println!("FAIL: counting a scan window lost to selecting from it");
+    }
+    if bulk_load_linear && builds_fast && codes_fast && counts_fast {
         std::process::ExitCode::SUCCESS
     } else {
         std::process::ExitCode::FAILURE

@@ -5,8 +5,21 @@
 //! system's optimizer would), while the executor observes true counts.
 //! The gap between the two is the estimation noise the paper's profiling
 //! machinery has to tolerate.
+//!
+//! The values the statistics keep are stored twice. The public
+//! [`Value`] fields are what a workload generator draws literals from
+//! and what a string column is estimated by. For a fixed-width column
+//! the estimator instead compares the same values' key codes
+//! ([`colt_storage::KeyCode`]): a literal becomes a code once, through
+//! [`literal_code`], and finding its bucket and its MCV is integer
+//! compares. Only the comparisons differ — the arithmetic is one body
+//! reading one set of numbers — and codes order as `Value::cmp` orders,
+//! so either way gives the same estimate **bit for bit**
+//! (`crates/catalog/tests/proptest_stats.rs` holds them to it).
 
-use colt_storage::{ColumnSlice, HeapTable, KeyCode, Value};
+use colt_storage::{literal_code, ColumnSlice, HeapTable, KeyCode, Value, ValueType};
+use std::cmp::Ordering;
+use std::ops::Bound;
 
 /// Number of buckets in an equi-depth histogram.
 pub const HISTOGRAM_BUCKETS: usize = 32;
@@ -53,6 +66,87 @@ pub struct ColumnStats {
     /// frequent than the uniform expectation are kept, so uniform
     /// columns have an empty list.
     pub mcvs: Vec<(Value, f64)>,
+    /// The estimate for a value inside `min..=max` that is no MCV: the
+    /// uniform share of what the MCVs leave,
+    /// `(1 − Σ mcv) / (n_distinct − |mcv|)`.
+    rest_eq: f64,
+    /// `bounds` and `mcvs` as key codes: `Some` for a fixed-width column
+    /// with rows, `None` for strings (no code) and for an empty column
+    /// (nothing to compare).
+    codes: Option<Codes>,
+}
+
+/// The key codes of the values a fixed-width column's statistics keep.
+#[derive(Debug, Clone)]
+struct Codes {
+    /// The column's type, which literals are resolved against.
+    vtype: ValueType,
+    /// Code of `bounds[i]`.
+    bounds: Vec<u64>,
+    /// Code of `mcvs[i].0`.
+    mcvs: Vec<u64>,
+}
+
+impl Codes {
+    /// `None` when a kept value has no code in a `vtype` column: a
+    /// string column's.
+    fn of(vtype: ValueType, bounds: &[Value], mcvs: &[(Value, f64)]) -> Option<Self> {
+        let code = |v: &Value| literal_code(v, vtype).ok();
+        Some(Codes {
+            vtype,
+            bounds: bounds.iter().map(code).collect::<Option<_>>()?,
+            mcvs: mcvs.iter().map(|(v, _)| code(v)).collect::<Option<_>>()?,
+        })
+    }
+}
+
+/// A literal as the estimator compares it with a column's kept values.
+enum Key<'a> {
+    /// By its key code, with the codes it meets.
+    Code(u64, &'a Codes),
+    /// As a [`Value`], with the public fields.
+    Value(&'a Value),
+    /// A literal of another type than a coded column's: not compared,
+    /// `Value`'s cross-type order puts it below every cell…
+    Below,
+    /// …or above every one.
+    Above,
+}
+
+/// What a literal equals among a column's values.
+enum Hit {
+    /// Nothing: it lies outside `min..=max`.
+    Outside,
+    /// The MCV at this index.
+    Mcv(usize),
+    /// Possibly one of the other values.
+    Rest,
+}
+
+/// [`Hit`] of `v` in one key space: `bounds` for the column's least and
+/// greatest key, `mcvs` its most common ones.
+fn hit_of<'k, K: Ord + 'k>(bounds: &[K], mut mcvs: impl Iterator<Item = &'k K>, v: &K) -> Hit {
+    let (Some(min), Some(max)) = (bounds.first(), bounds.last()) else { return Hit::Outside };
+    if v < min || v > max {
+        return Hit::Outside;
+    }
+    mcvs.position(|m| m == v).map_or(Hit::Rest, Hit::Mcv)
+}
+
+/// The histogram bucket `v` falls into in one key space — `Ok(b)` when
+/// `bounds[b] <= v < bounds[b + 1]` — or the fraction of rows `<= v`
+/// when it falls outside them all: `Err(0.0)` below the least bound,
+/// `Err(1.0)` from the greatest up.
+fn bucket_of<K: Ord>(bounds: &[K], v: &K) -> Result<usize, f64> {
+    let (Some(min), Some(max)) = (bounds.first(), bounds.last()) else { return Err(0.0) };
+    if v < min {
+        return Err(0.0);
+    }
+    if v >= max {
+        return Err(1.0);
+    }
+    let nb = bounds.len() - 1;
+    Ok(bounds[1..].partition_point(|hi| hi <= v).min(nb - 1))
 }
 
 impl ColumnStats {
@@ -72,7 +166,8 @@ impl ColumnStats {
             codes.sort_unstable();
             codes
         }
-        match heap.column(column) {
+        let cells = heap.column(column);
+        let mut stats = match cells {
             Some(ColumnSlice::Int(cells)) => {
                 Self::of_sorted(&sorted_codes(cells), |&c| Value::Int(i64::from_code(c)))
             }
@@ -88,7 +183,20 @@ impl ColumnStats {
                 Self::of_sorted(&strs, |s| Value::Str((*s).to_owned()))
             }
             None => Self::of_sorted::<u64>(&[], |_| Value::Int(0)),
-        }
+        };
+        // The kept values back into the codes they were made from.
+        stats.codes = cells
+            .filter(|cells| !cells.is_empty())
+            .and_then(|cells| Codes::of(cells.value_type(), &stats.bounds, &stats.mcvs));
+        stats
+    }
+
+    /// The same statistics without the key codes: every estimate then
+    /// compares [`Value`]s, as a string column's always do. This is the
+    /// reference the differential tests and `benches/btree.rs` hold the
+    /// code-comparing estimates to, bit for bit.
+    pub fn comparing_values(&self) -> Self {
+        ColumnStats { codes: None, ..self.clone() }
     }
 
     /// The statistics of a column given its cells in `Value::cmp` order;
@@ -106,6 +214,8 @@ impl ColumnStats {
             }
         }
         let mcvs = most_common(sorted, n_distinct, &value);
+        let mcv_mass: f64 = mcvs.iter().map(|(_, f)| f).sum();
+        let rest = (n_distinct as usize).saturating_sub(mcvs.len()).max(1);
         ColumnStats {
             row_count,
             n_distinct,
@@ -113,7 +223,52 @@ impl ColumnStats {
             max: sorted.last().map(&value),
             bounds,
             mcvs,
+            rest_eq: ((1.0 - mcv_mass) / rest as f64).max(0.0),
+            codes: None,
         }
+    }
+
+    /// Resolve a literal for comparison, once per estimate.
+    fn key<'a>(&'a self, v: &'a Value) -> Key<'a> {
+        let Some(codes) = &self.codes else { return Key::Value(v) };
+        match literal_code(v, codes.vtype) {
+            Ok(code) => Key::Code(code, codes),
+            Err(Ordering::Less) => Key::Below,
+            Err(_) => Key::Above,
+        }
+    }
+
+    /// [`ColumnStats::selectivity_eq`] of the literal `key` was made from.
+    fn eq_at(&self, key: &Key<'_>) -> f64 {
+        let hit = match key {
+            Key::Code(code, codes) => hit_of(&codes.bounds, codes.mcvs.iter(), code),
+            Key::Value(v) => hit_of(&self.bounds, self.mcvs.iter().map(|(m, _)| m), v),
+            Key::Below | Key::Above => Hit::Outside,
+        };
+        match hit {
+            Hit::Outside => 0.0,
+            Hit::Mcv(i) => self.mcvs[i].1,
+            Hit::Rest => self.rest_eq,
+        }
+    }
+
+    /// [`ColumnStats::selectivity_le`] of `v`, the literal `key` was made
+    /// from (its bucket is found by `key`, its place inside by `v`).
+    fn le_at(&self, key: &Key<'_>, v: &Value) -> f64 {
+        let bucket = match key {
+            Key::Code(code, codes) => bucket_of(&codes.bounds, code),
+            Key::Value(v) => bucket_of(&self.bounds, v),
+            Key::Below => Err(0.0),
+            Key::Above => Err(1.0),
+        };
+        let b = match bucket {
+            Ok(b) => b,
+            Err(edge) => return edge,
+        };
+        let nb = self.bounds.len() - 1;
+        let (lof, hif, vf) = (self.bounds[b].as_f64(), self.bounds[b + 1].as_f64(), v.as_f64());
+        let within = if hif > lof { ((vf - lof) / (hif - lof)).clamp(0.0, 1.0) } else { 1.0 };
+        ((b as f64) + within) / nb as f64
     }
 
     /// Estimated fraction of rows with value equal to `v`.
@@ -122,57 +277,48 @@ impl ColumnStats {
     /// head); everything else uses the uniform assumption over the
     /// remaining mass: `(1 − Σ mcv) / (n_distinct − |mcv|)`.
     pub fn selectivity_eq(&self, v: &Value) -> f64 {
-        let (Some(min), Some(max)) = (&self.min, &self.max) else { return 0.0 };
-        if v < min || v > max || self.n_distinct == 0 {
-            return 0.0;
-        }
-        if let Some((_, f)) = self.mcvs.iter().find(|(m, _)| m == v) {
-            return *f;
-        }
-        let mcv_mass: f64 = self.mcvs.iter().map(|(_, f)| f).sum();
-        let rest = (self.n_distinct as usize).saturating_sub(self.mcvs.len()).max(1);
-        ((1.0 - mcv_mass) / rest as f64).max(0.0)
+        self.eq_at(&self.key(v))
     }
 
     /// Estimated fraction of rows with value `<= v` (inclusive upper
     /// bound), interpolated within the histogram bucket containing `v`.
     pub fn selectivity_le(&self, v: &Value) -> f64 {
-        if self.bounds.is_empty() {
-            return 0.0;
-        }
-        let min = &self.bounds[0];
-        let max = &self.bounds[self.bounds.len() - 1];
-        if v < min {
-            return 0.0;
-        }
-        if v >= max {
-            return 1.0;
-        }
-        // Find the bucket whose [lo, hi) range contains v.
-        let nb = self.bounds.len() - 1;
-        let mut b = self.bounds[1..].partition_point(|hi| hi <= v);
-        if b >= nb {
-            b = nb - 1;
-        }
-        let lo = &self.bounds[b];
-        let hi = &self.bounds[b + 1];
-        let (lof, hif, vf) = (lo.as_f64(), hi.as_f64(), v.as_f64());
-        let within = if hif > lof { ((vf - lof) / (hif - lof)).clamp(0.0, 1.0) } else { 1.0 };
-        ((b as f64) + within) / nb as f64
+        self.le_at(&self.key(v), v)
     }
 
     /// Estimated fraction of rows in the closed-open interval
     /// `[lo, hi)`; either side may be unbounded.
     pub fn selectivity_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> f64 {
-        let hi_frac = match hi {
-            Some(h) => self.selectivity_le(h) - self.selectivity_eq(h),
-            None => 1.0,
+        fn open(side: Option<&Value>) -> Bound<&Value> {
+            side.map_or(Bound::Unbounded, Bound::Excluded)
+        }
+        self.selectivity_between(open(lo), open(hi))
+    }
+
+    /// Estimated fraction of rows a range predicate keeps, as the
+    /// optimizer prices it: the closed-open fraction of
+    /// [`ColumnStats::selectivity_range`], plus the equality estimate of
+    /// each [`Bound::Included`] literal. Each literal is resolved and
+    /// looked up once.
+    pub fn selectivity_between(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> f64 {
+        // Rows below the bound, and rows at it when it is inclusive.
+        let side = |bound: Bound<&Value>, unbounded: f64| {
+            let (v, inclusive) = match bound {
+                Bound::Included(v) => (v, true),
+                Bound::Excluded(v) => (v, false),
+                Bound::Unbounded => return (unbounded, None),
+            };
+            let key = self.key(v);
+            let eq = self.eq_at(&key);
+            (self.le_at(&key, v) - eq, inclusive.then_some(eq))
         };
-        let lo_frac = match lo {
-            Some(l) => self.selectivity_le(l) - self.selectivity_eq(l),
-            None => 0.0,
-        };
-        (hi_frac - lo_frac).clamp(0.0, 1.0)
+        let (below_lo, at_lo) = side(lo, 0.0);
+        let (below_hi, at_hi) = side(hi, 1.0);
+        let mut sel = (below_hi - below_lo).clamp(0.0, 1.0);
+        for at in [at_lo, at_hi].into_iter().flatten() {
+            sel += at;
+        }
+        sel
     }
 }
 
@@ -323,6 +469,31 @@ mod tests {
         }
         let s = ColumnStats::analyze(&heap_of_ints(&vals), 0);
         assert!(s.mcvs.len() <= MAX_MCVS);
+    }
+
+    #[test]
+    fn fixed_width_columns_with_rows_keep_codes() {
+        use colt_storage::{literal_code, ValueType};
+        let mut heap = HeapTable::new(&[ValueType::Date, ValueType::Float, ValueType::Str, ValueType::Int]);
+        let empty = ColumnStats::analyze(&heap, 0);
+        assert!(empty.codes.is_none(), "nothing to compare");
+        for i in 0..500 {
+            let skewed = if i % 3 == 0 { 7 } else { i };
+            let cells =
+                vec![Value::Date(skewed), Value::Float(f64::from(skewed) / 4.0), Value::Str(format!("s{skewed}")), Value::Int(i64::from(skewed))];
+            heap.insert(row_from(cells)).unwrap();
+        }
+        for (column, vtype) in [(0, ValueType::Date), (1, ValueType::Float), (3, ValueType::Int)] {
+            let stats = ColumnStats::analyze(&heap, column);
+            let codes = stats.codes.as_ref().expect("a fixed-width column with rows");
+            assert_eq!(codes.vtype, vtype);
+            let code = |v: &Value| literal_code(v, vtype).unwrap();
+            assert_eq!(codes.bounds, stats.bounds.iter().map(code).collect::<Vec<_>>());
+            assert!(!stats.mcvs.is_empty());
+            assert_eq!(codes.mcvs, stats.mcvs.iter().map(|(v, _)| code(v)).collect::<Vec<_>>());
+            assert!(stats.comparing_values().codes.is_none());
+        }
+        assert!(ColumnStats::analyze(&heap, 2).codes.is_none(), "strings have no code");
     }
 
     #[test]

@@ -74,6 +74,9 @@ pub struct Cluster {
     /// Per-epoch counts, most recent epoch first; index 0 is the epoch
     /// in progress. Bounded by the history depth `h`.
     counts: VecDeque<u64>,
+    /// Sum of `counts`, kept as they change: every boundary and every
+    /// sampling decision reads it.
+    window: u64,
 }
 
 impl Cluster {
@@ -84,7 +87,7 @@ impl Cluster {
 
     /// `Count(Q_i)`: queries represented within the whole memory window.
     pub fn window_count(&self) -> u64 {
-        self.counts.iter().sum()
+        self.window
     }
 
     /// Per-epoch counts, most recent first.
@@ -131,13 +134,15 @@ impl ClusterSet {
                 let id = ClusterId(self.clusters.len() as u32);
                 let mut counts = VecDeque::with_capacity(self.history_epochs);
                 counts.push_front(0);
-                self.clusters.push(Cluster { key: self.lookup.clone(), counts });
+                self.clusters.push(Cluster { key: self.lookup.clone(), counts, window: 0 });
                 self.by_key.insert(self.lookup.clone(), id);
                 id
             }
         };
+        let cluster = &mut self.clusters[id.0 as usize];
         // colt: allow(panic-policy) — counts is non-empty by construction (push_front on creation and in roll_epoch)
-        *self.clusters[id.0 as usize].counts.front_mut().expect("current epoch slot") += 1;
+        *cluster.counts.front_mut().expect("current epoch slot") += 1;
+        cluster.window += 1;
         id
     }
 
@@ -183,7 +188,7 @@ impl ClusterSet {
         for c in &mut self.clusters {
             c.counts.push_front(0);
             while c.counts.len() > self.history_epochs {
-                c.counts.pop_back();
+                c.window -= c.counts.pop_back().unwrap_or(0);
             }
         }
     }
@@ -192,9 +197,8 @@ impl ClusterSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colt_catalog::{Column, Database, TableSchema};
-    use colt_engine::selectivity::predicate_selectivity;
-    use colt_engine::SelPred;
+    use colt_catalog::{Column, Database, PhysicalConfig, TableSchema};
+    use colt_engine::{IndexSetView, Optimizer, SelPred};
     use colt_storage::{row_from, Value, ValueType};
 
     fn db() -> (Database, TableId, TableId) {
@@ -210,10 +214,11 @@ mod tests {
         (db, a, b)
     }
 
-    /// `ClusterSet::assign` under the selectivities the profiler derives.
+    /// `ClusterSet::assign` under the selectivities the profiler reads:
+    /// those of the query's plan.
     fn assign(cs: &mut ClusterSet, db: &Database, q: &Query) -> ClusterId {
-        let sels: Vec<f64> = q.selections.iter().map(|p| predicate_selectivity(db, p)).collect();
-        cs.assign(q, &sels)
+        let plan = Optimizer::new(db).optimize(q, IndexSetView::real(&PhysicalConfig::new()));
+        cs.assign(q, &plan.selectivities)
     }
 
     #[test]

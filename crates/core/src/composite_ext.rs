@@ -18,8 +18,8 @@
 use crate::config::ColtConfig;
 use colt_catalog::{ColRef, CompositeKey, Database, PhysicalConfig};
 use colt_engine::cost::{index_scan_cost, seq_scan_cost};
-use colt_engine::selectivity::predicate_selectivity;
-use colt_engine::{PredicateKind, Query};
+use colt_engine::selectivity::on_table;
+use colt_engine::{Plan, PredicateKind, Query};
 use colt_storage::IoStats;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -38,7 +38,9 @@ pub struct CompositeTuner {
     budget_pages: u64,
     horizon: usize,
     window_queries: usize,
-    window: VecDeque<Query>,
+    /// Each query with the predicate estimates its plan was priced
+    /// with ([`Plan::selectivities`]).
+    window: VecDeque<(Query, Vec<f64>)>,
     /// Pages used by composites we materialized.
     used_pages: BTreeMap<CompositeKey, u64>,
 }
@@ -61,12 +63,13 @@ impl CompositeTuner {
         self.budget_pages > 0
     }
 
-    /// Record one query into the memory window.
-    pub fn observe(&mut self, query: &Query) {
+    /// Record one query, with its plan's estimates, into the memory
+    /// window.
+    pub fn observe(&mut self, query: &Query, plan: &Plan) {
         if !self.enabled() {
             return;
         }
-        self.window.push_back(query.clone());
+        self.window.push_back((query.clone(), plan.selectivities.clone()));
         while self.window.len() > self.window_queries {
             self.window.pop_front();
         }
@@ -74,8 +77,8 @@ impl CompositeTuner {
 
     /// Estimated extra benefit of a two-column composite for one query,
     /// beyond the best single-column alternative (mirrors the off-line
-    /// advisor's scoring).
-    fn extra_benefit(db: &Database, q: &Query, key: &CompositeKey) -> f64 {
+    /// advisor's scoring). `sels` are the query's estimates.
+    fn extra_benefit(db: &Database, q: &Query, sels: &[f64], key: &CompositeKey) -> f64 {
         let table = key.table;
         if !q.tables.contains(&table) {
             return 0.0;
@@ -83,21 +86,19 @@ impl CompositeTuner {
         let t = db.table(table);
         let rows = t.heap.row_count() as f64;
         let pages = t.heap.page_count() as f64;
-        let preds: Vec<_> = q.selections_on(table).collect();
+        let preds: Vec<_> = on_table(q, sels, table).collect();
 
         // Usable prefix: eq on the leading column, then eq/range next.
         let lead = ColRef::new(table, key.columns[0]);
-        let Some(p1) = preds
+        let Some(&(_, sel1)) = preds
             .iter()
-            .find(|p| p.col == lead && matches!(p.kind, PredicateKind::Eq(_)))
+            .find(|(p, _)| p.col == lead && matches!(p.kind, PredicateKind::Eq(_)))
         else {
             return 0.0;
         };
         let second = ColRef::new(table, key.columns[1]);
-        let Some(p2) = preds.iter().find(|p| p.col == second) else { return 0.0 };
+        let Some(&(_, sel2)) = preds.iter().find(|(p, _)| p.col == second) else { return 0.0 };
 
-        let sel1 = predicate_selectivity(db, p1);
-        let sel2 = predicate_selectivity(db, p2);
         let comp_cost = index_scan_cost(
             &db.cost,
             &key.estimate(db),
@@ -144,7 +145,7 @@ impl CompositeTuner {
 
         // Score every two-column candidate over the window.
         let mut scores: BTreeMap<CompositeKey, f64> = BTreeMap::new();
-        for q in &self.window {
+        for (q, sels) in &self.window {
             for &table in &q.tables {
                 let preds: Vec<_> = q.selections_on(table).collect();
                 if preds.len() < 2 {
@@ -160,7 +161,7 @@ impl CompositeTuner {
                         }
                         let key =
                             CompositeKey::new(table, vec![p1.col.column, p2.col.column]);
-                        let extra = Self::extra_benefit(db, q, &key);
+                        let extra = Self::extra_benefit(db, q, sels, &key);
                         if extra > 0.0 {
                             *scores.entry(key).or_insert(0.0) += extra;
                         }
@@ -236,7 +237,7 @@ impl CompositeTuner {
 mod tests {
     use super::*;
     use colt_catalog::{Column, TableId, TableSchema};
-    use colt_engine::SelPred;
+    use colt_engine::{IndexSetView, Optimizer, SelPred};
     use colt_storage::{row_from, Value, ValueType};
 
     fn setup() -> (Database, TableId) {
@@ -259,6 +260,12 @@ mod tests {
         (db, t)
     }
 
+    /// `CompositeTuner::observe` as the tuner calls it: with the query's plan.
+    fn observe(tuner: &mut CompositeTuner, db: &Database, q: &Query) {
+        let plan = Optimizer::new(db).optimize(q, IndexSetView::real(&PhysicalConfig::new()));
+        tuner.observe(q, &plan);
+    }
+
     fn cfg(budget: u64) -> ColtConfig {
         ColtConfig { composite_budget_pages: budget, ..Default::default() }
     }
@@ -272,7 +279,7 @@ mod tests {
             t,
             vec![SelPred::eq(ColRef::new(t, 0), 1i64), SelPred::eq(ColRef::new(t, 1), 2i64)],
         );
-        tuner.observe(&q);
+        observe(&mut tuner, &db, &q);
         let mut physical = PhysicalConfig::new();
         let step = tuner.reorganize(&db, &mut physical);
         assert!(step.built.is_empty());
@@ -291,7 +298,7 @@ mod tests {
                     SelPred::eq(ColRef::new(t, 1), i % 50),
                 ],
             );
-            tuner.observe(&q);
+            observe(&mut tuner, &db, &q);
         }
         let step = tuner.reorganize(&db, &mut physical);
         assert_eq!(step.built.len(), 1, "one composite family expected");
@@ -301,7 +308,6 @@ mod tests {
         assert!(tuner.used_pages() > 0);
 
         // The optimizer now uses it.
-        use colt_engine::{IndexSetView, Optimizer};
         let q = Query::single(
             t,
             vec![SelPred::eq(ColRef::new(t, 0), 3i64), SelPred::eq(ColRef::new(t, 1), 13i64)],
@@ -323,14 +329,14 @@ mod tests {
                     SelPred::eq(ColRef::new(t, 1), i % 50),
                 ],
             );
-            tuner.observe(&q);
+            observe(&mut tuner, &db, &q);
         }
         let step = tuner.reorganize(&db, &mut physical);
         let key = step.built[0].0.clone();
 
         // The pattern vanishes: only single-predicate queries from now on.
         for i in 0..200i64 {
-            tuner.observe(&Query::single(t, vec![SelPred::eq(ColRef::new(t, 2), i)]));
+            observe(&mut tuner, &db, &Query::single(t, vec![SelPred::eq(ColRef::new(t, 2), i)]));
         }
         let step = tuner.reorganize(&db, &mut physical);
         assert!(step.dropped.contains(&key));
@@ -352,7 +358,7 @@ mod tests {
                     SelPred::eq(ColRef::new(t, 1), i % 50),
                 ],
             );
-            tuner.observe(&q);
+            observe(&mut tuner, &db, &q);
         }
         let step = tuner.reorganize(&db, &mut physical);
         assert!(step.built.is_empty());

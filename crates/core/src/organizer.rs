@@ -149,19 +149,23 @@ impl SelfOrganizer {
             let _s = colt_obs::span("organizer.knapsack");
             DecisionContext::new(budget, total_window as f64, pool)
         };
-        let (free_chosen, free_value) = frame.conservative();
+        let free_value = frame.conservative().1;
 
         // Keep solution: incumbents with positive net benefit stay (the
         // paper's converge-to-zero drop path remains open), and the
         // remaining capacity is filled with the best additions — an
         // incumbent is never re-added.
-        let kept = || frame.iter().filter(|(col, it)| online.contains(col) && it.lo > 0.0);
-        let spare = budget.saturating_sub(kept().map(|(_, it)| it.size).sum());
+        let kept: Vec<(ColRef, CandidateInterval)> = frame
+            .iter()
+            .filter(|(col, it)| online.contains(col) && it.lo > 0.0)
+            .map(|(col, it)| (col, *it))
+            .collect();
+        let spare = budget.saturating_sub(kept.iter().map(|(_, it)| it.size).sum());
         let (additions, added_value) = {
             let _s = colt_obs::span("organizer.knapsack");
             frame.solve(spare, |col, it| if online.contains(&col) { 0.0 } else { it.lo })
         };
-        let keep_value = kept().map(|(_, it)| it.lo).sum::<f64>() + added_value;
+        let keep_value = kept.iter().map(|(_, it)| it.lo).sum::<f64>() + added_value;
 
         // Hysteresis: adopt the free solution (which may swap incumbents
         // out for new builds) only when it clearly beats keeping the
@@ -171,9 +175,9 @@ impl SelfOrganizer {
         // paying a build each time.
         let adopted_free = free_value > keep_value * (1.0 + self.config.swap_margin) + 1e-9;
         let (new_materialized, net_benefit_m): (BTreeSet<ColRef>, f64) = if adopted_free {
-            (free_chosen.iter().copied().collect(), free_value)
+            (frame.conservative().0.iter().copied().collect(), free_value)
         } else {
-            (kept().map(|(col, _)| col).chain(additions).collect(), keep_value)
+            (kept.iter().map(|&(col, _)| col).chain(additions).collect(), keep_value)
         };
 
         let to_create: Vec<ColRef> =

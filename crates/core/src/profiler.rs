@@ -22,7 +22,6 @@ use crate::prng::Prng;
 use crate::rebudget::DecisionContext;
 use colt_catalog::{ColRef, Database, PhysicalConfig};
 use colt_engine::cost::delta_cost;
-use colt_engine::selectivity::predicate_selectivity;
 use colt_engine::{Eqo, Plan, Query};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -79,9 +78,6 @@ pub struct Profiler {
 
 #[derive(Debug, Default)]
 struct Work {
-    /// Estimated selectivity of each selection predicate, in order —
-    /// derived once, read by the cluster key and the crude gains.
-    sels: Vec<f64>,
     /// The columns the query restricts and the indices its plan uses.
     restricted: Vec<ColRef>,
     used: Vec<ColRef>,
@@ -146,6 +142,9 @@ impl Profiler {
     }
 
     /// Profile the current query given its optimized plan (Figure 2).
+    /// The plan is `query`'s own: the cluster key and the crude gains
+    /// read the predicate estimates it was priced with
+    /// ([`Plan::selectivities`]).
     pub fn profile_query(
         &mut self,
         db: &Database,
@@ -157,13 +156,12 @@ impl Profiler {
     ) -> ProfileOutcome {
         let _span = colt_obs::span("profiler.profile");
         // Moved out for the call, so that they borrow apart from `self`.
-        let Work { mut sels, mut restricted, mut used, mut im, mut ih } =
-            std::mem::take(&mut self.work);
+        let Work { mut restricted, mut used, mut im, mut ih } = std::mem::take(&mut self.work);
+        let sels = plan.selectivities.as_slice();
+        debug_assert_eq!(sels.len(), query.selections.len(), "the plan of another query");
         let cluster = {
             let _s = colt_obs::span("profiler.cluster");
-            sels.clear();
-            sels.extend(query.selections.iter().map(|p| predicate_selectivity(db, p)));
-            self.clusters.assign(query, &sels)
+            self.clusters.assign(query, sels)
         };
         restricted.clear();
         restricted.extend(query.selections.iter().map(|p| p.col));
@@ -238,7 +236,7 @@ impl Profiler {
             let proof = self
                 .context
                 .as_mut()
-                .and_then(|ctx| ctx.skip_proof(col, eqo.gain_upper_bound(query, col, config)));
+                .and_then(|ctx| ctx.skip_proof(col, || eqo.gain_upper_bound(query, col, config)));
             if let Some((lo, hi)) = proof {
                 self.wi_skipped += 1;
                 colt_obs::counter("tuner.whatif.considered", 1);
@@ -291,14 +289,15 @@ impl Profiler {
         // column the query restricts.
         let _crude = colt_obs::span("profiler.crude");
         for &col in &restricted {
-            self.candidates.touch(col);
             if Self::usage_indicator(col, config, &used) {
-                let crude = Self::crude_gain(db, query, &sels, col);
+                let crude = Self::crude_gain(db, query, sels, col);
                 self.candidates.add_gain(col, crude);
+            } else {
+                self.candidates.touch(col);
             }
         }
 
-        self.work = Work { sels, restricted, used, im, ih };
+        self.work = Work { restricted, used, im, ih };
         ProfileOutcome { cluster: Some(cluster), probed: probation }
     }
 

@@ -92,6 +92,8 @@ pub struct DecisionContext {
     /// reorganization's free solution, and the set every skip-proof
     /// compares against.
     conservative: (Vec<ColRef>, f64),
+    /// The working vectors of this frame's solves.
+    scratch: knapsack::Scratch,
 }
 
 impl DecisionContext {
@@ -108,6 +110,7 @@ impl DecisionContext {
             budget_pages,
             gain_scale: gain_scale.max(0.0),
             conservative: (Vec::new(), 0.0),
+            scratch: knapsack::Scratch::default(),
         };
         for (col, interval) in pool {
             frame.admit(col, interval);
@@ -160,18 +163,21 @@ impl DecisionContext {
     /// each worth `value(col, interval)`, into `capacity` pages. Returns
     /// the chosen columns (in `ColRef` order) and their total value.
     pub(crate) fn solve(
-        &self,
+        &mut self,
         capacity: u64,
         value: impl Fn(ColRef, &CandidateInterval) -> f64,
     ) -> (Vec<ColRef>, f64) {
         let item = |p: &Priced| Item { size: p.interval.size, value: value(p.col, &p.interval) };
-        let chosen = knapsack::solve(self.priced.iter().map(item), capacity);
+        let chosen = knapsack::solve_in(&mut self.scratch, self.priced.iter().map(item), capacity);
         let total = chosen.iter().map(|&i| item(&self.priced[i]).value).sum();
         (chosen.into_iter().map(|i| self.priced[i].col).collect(), total)
     }
 
     /// Run the skip-proof for `col`, optionally tightening the upper
     /// bound with a per-query gain bound from the engine's what-if memo.
+    /// `gain_bound` is asked for at most once, and not at all when the
+    /// answer cannot depend on it: an unpriced candidate, and one
+    /// already proven skippable this epoch.
     ///
     /// Returns `Some((lo, hi))` — the interval the proof fired over —
     /// when no value in the candidate's interval can change the knapsack
@@ -182,21 +188,23 @@ impl DecisionContext {
     /// Verdicts are kept for the epoch: a candidate already proven
     /// skippable stays skipped, and a failed proof is re-attempted only
     /// under a tighter upper bound — it fails at every looser one.
-    pub fn skip_proof(&mut self, col: ColRef, gain_bound: Option<f64>) -> Option<(f64, f64)> {
+    pub fn skip_proof(
+        &mut self,
+        col: ColRef,
+        gain_bound: impl FnOnce() -> Option<f64>,
+    ) -> Option<(f64, f64)> {
         let at = self.position(col).ok()?;
         let Priced { interval: it, verdict, .. } = self.priced[at];
+        if let Some(Verdict { skip: true, hi }) = verdict {
+            return Some((it.lo, hi));
+        }
         let mut hi = it.hi;
-        if let Some(g) = gain_bound {
+        if let Some(g) = gain_bound() {
             let projected = self.gain_scale * g.max(0.0) - it.mat_cost;
             hi = hi.min(projected.max(it.lo));
         }
-        if let Some(v) = verdict {
-            if v.skip {
-                return Some((it.lo, v.hi));
-            }
-            if hi >= v.hi {
-                return None;
-            }
+        if verdict.is_some_and(|failed| hi >= failed.hi) {
+            return None;
         }
         // A zero-width interval cannot straddle a decision boundary: both
         // endpoint solves are the same instance, so skip without solving.
@@ -229,7 +237,7 @@ mod tests {
         // candidate's whole interval, so probing cannot matter.
         let pool = [(col(0), iv(10, 100.0, 100.0)), (col(1), iv(10, 1.0, 5.0))];
         let mut ctx = DecisionContext::new(10, 0.0, pool);
-        assert_eq!(ctx.skip_proof(col(1), None), Some((1.0, 5.0)));
+        assert_eq!(ctx.skip_proof(col(1), || None), Some((1.0, 5.0)));
     }
 
     #[test]
@@ -238,7 +246,7 @@ mod tests {
         // decided, equally skippable.
         let pool = [(col(0), iv(10, 1.0, 1.0)), (col(1), iv(10, 50.0, 80.0))];
         let mut ctx = DecisionContext::new(10, 0.0, pool);
-        assert_eq!(ctx.skip_proof(col(1), None), Some((50.0, 80.0)));
+        assert_eq!(ctx.skip_proof(col(1), || None), Some((50.0, 80.0)));
     }
 
     /// Budget fits one index: at `lo` the incumbent wins, at `hi` the
@@ -251,13 +259,13 @@ mod tests {
     #[test]
     fn straddling_candidate_must_be_probed() {
         // The probe decides the epoch.
-        assert_eq!(straddling(0.0, 0.0).skip_proof(col(1), None), None);
+        assert_eq!(straddling(0.0, 0.0).skip_proof(col(1), || None), None);
     }
 
     #[test]
     fn unpriced_candidate_is_never_skipped() {
         let mut ctx = DecisionContext::new(10, 0.0, [(col(0), iv(10, 10.0, 10.0))]);
-        assert_eq!(ctx.skip_proof(col(9), None), None);
+        assert_eq!(ctx.skip_proof(col(9), || None), None);
         assert!(ctx.width(col(9)).is_infinite(), "unpriced = maximally uncertain");
     }
 
@@ -266,25 +274,50 @@ mod tests {
         // The engine's memoized base cost caps the reachable gain below
         // the decision boundary:
         // projected hi = 2.0 * 4.0 - 0 = 8.0 < 10.0: cannot displace.
-        assert_eq!(straddling(2.0, 0.0).skip_proof(col(1), Some(4.0)), Some((5.0, 8.0)));
+        assert_eq!(straddling(2.0, 0.0).skip_proof(col(1), || Some(4.0)), Some((5.0, 8.0)));
     }
 
     #[test]
     fn verdicts_are_memoized_and_upgrade_on_tighter_bounds() {
         let mut ctx = straddling(2.0, 0.0);
-        assert_eq!(ctx.skip_proof(col(1), None), None);
+        assert_eq!(ctx.skip_proof(col(1), || None), None);
         // A looser (or equal) bound reuses the failed verdict.
-        assert_eq!(ctx.skip_proof(col(1), Some(30.0)), None);
+        assert_eq!(ctx.skip_proof(col(1), || Some(30.0)), None);
         // A strictly tighter bound re-runs the proof and flips it.
-        assert_eq!(ctx.skip_proof(col(1), Some(4.0)), Some((5.0, 8.0)));
+        assert_eq!(ctx.skip_proof(col(1), || Some(4.0)), Some((5.0, 8.0)));
         // The skip verdict then sticks, even if later bounds are loose.
-        assert_eq!(ctx.skip_proof(col(1), None), Some((5.0, 8.0)));
+        assert_eq!(ctx.skip_proof(col(1), || None), Some((5.0, 8.0)));
+    }
+
+    #[test]
+    fn gain_bound_is_asked_for_once_and_only_when_it_can_matter() {
+        let asked = std::cell::Cell::new(0);
+        let bound = |g: Option<f64>| {
+            let asked = &asked;
+            move || {
+                asked.set(asked.get() + 1);
+                g
+            }
+        };
+        let mut ctx = straddling(2.0, 0.0);
+        // Unpriced: probed whatever the bound.
+        assert_eq!(ctx.skip_proof(col(9), bound(Some(4.0))), None);
+        assert_eq!(asked.get(), 0);
+        // No verdict yet, then a failed one a tighter bound may flip:
+        // asked once per attempt.
+        assert_eq!(ctx.skip_proof(col(1), bound(None)), None);
+        assert_eq!(asked.get(), 1);
+        assert_eq!(ctx.skip_proof(col(1), bound(Some(4.0))), Some((5.0, 8.0)));
+        assert_eq!(asked.get(), 2);
+        // Proven skippable: the verdict stands whatever the bound.
+        assert_eq!(ctx.skip_proof(col(1), bound(Some(1.0))), Some((5.0, 8.0)));
+        assert_eq!(asked.get(), 2);
     }
 
     #[test]
     fn mat_cost_is_subtracted_from_projected_bounds() {
         // projected hi = 2.0 * 4.0 - 3.0 = 5.0: pinned at lo, skip.
-        assert_eq!(straddling(2.0, 3.0).skip_proof(col(1), Some(4.0)), Some((5.0, 5.0)));
+        assert_eq!(straddling(2.0, 3.0).skip_proof(col(1), || Some(4.0)), Some((5.0, 5.0)));
     }
 
     /// Seeded property test (the soundness theorem, empirically): on
@@ -331,15 +364,15 @@ mod tests {
             .collect();
             assert_eq!(ctx.conservative().0, direct, "case {cases}: fresh candidates moved it");
 
-            let pinned = |ctx: &DecisionContext, c: ColRef, v: f64| {
+            let pinned = |ctx: &mut DecisionContext, c: ColRef, v: f64| {
                 ctx.solve(budget, |other, it| if other == c { v } else { it.lo }).0
             };
             for (c, it) in candidates {
-                let Some((lo, hi)) = ctx.skip_proof(c, None) else {
+                let Some((lo, hi)) = ctx.skip_proof(c, || None) else {
                     for k in 0..=4 {
                         let looser = it.hi + (prng.next_u64() % 500) as f64 * k as f64;
                         assert_ne!(
-                            pinned(&ctx, c, looser),
+                            pinned(&mut ctx, c, looser),
                             ctx.conservative().0,
                             "case {cases}: the proof failed at {} and holds at {looser}",
                             it.hi
@@ -352,7 +385,7 @@ mod tests {
                 for k in 0..=4 {
                     let v = lo + (hi - lo) * k as f64 / 4.0;
                     assert_eq!(
-                        pinned(&ctx, c, v),
+                        pinned(&mut ctx, c, v),
                         ctx.conservative().0,
                         "case {cases}: probe at {v} in [{lo}, {hi}] changed the decision"
                     );

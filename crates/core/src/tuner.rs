@@ -138,7 +138,7 @@ impl ColtTuner {
         plan: &Plan,
     ) -> TunerStep {
         self.profiler.profile_query(db, physical, eqo, query, plan, &self.hot);
-        self.composites.observe(query);
+        self.composites.observe(query, plan);
 
         // Piggybacking: a pending build, if any, rides on this query's scans.
         let piggy = if self.scheduler.pending().next().is_some() {

@@ -284,6 +284,12 @@ impl<'a> Executor<'a> {
                 for window in t.heap.scan_batches(BATCH_ROWS, io) {
                     io.cpu_ops += (kernels.len() * window.len()) as u64;
                     match kernels.split_first() {
+                        // Nobody reads the ids and nothing narrows
+                        // them further: sum the test, store nothing.
+                        Some((only, [])) if !emit => {
+                            out.count_only(only.count(window) as u64);
+                            continue;
+                        }
                         Some((first, rest)) => {
                             first.select(window, &mut sel);
                             rest.iter().for_each(|k| k.retain(&mut sel));
@@ -694,22 +700,35 @@ mod tests {
         // (and therefore the simulated clock) must not move.
         let (db, fact, dim) = db();
         let cfg = PhysicalConfig::new();
+        // Rows 1000..=3000 lie in three of the scan's windows.
+        let three_windows = SelPred::between(ColRef::new(fact, 0), 1000i64, 3000i64);
+        const { assert!(2 * BATCH_ROWS < 3000 && 3000 < 3 * BATCH_ROWS) };
         let queries = [
-            Query::single(fact, vec![SelPred::eq(ColRef::new(fact, 2), 3i64)]),
-            Query::join(
-                vec![fact, dim],
-                vec![JoinPred::new(ColRef::new(fact, 1), ColRef::new(dim, 0))],
-                vec![SelPred::eq(ColRef::new(dim, 1), 2i64)],
+            (Query::single(fact, vec![SelPred::eq(ColRef::new(fact, 2), 3i64)]), 2857),
+            // A root scan with one predicate counts without selecting…
+            (Query::single(fact, vec![three_windows.clone()]), 2001),
+            // …one with two must still narrow the first one's rows…
+            (Query::single(fact, vec![three_windows, SelPred::eq(ColRef::new(fact, 2), 3i64)]), 286),
+            // …and one with none counts its windows.
+            (Query::single(fact, vec![]), 20_000),
+            (
+                Query::join(
+                    vec![fact, dim],
+                    vec![JoinPred::new(ColRef::new(fact, 1), ColRef::new(dim, 0))],
+                    vec![SelPred::eq(ColRef::new(dim, 1), 2i64)],
+                ),
+                5000,
             ),
         ];
         let opt = Optimizer::new(&db);
-        for q in &queries {
+        for (q, rows) in &queries {
             let plan = opt.optimize(q, IndexSetView::real(&cfg));
             let ex = Executor::new(&db, &cfg);
             let counted = ex.execute(q, &plan, Collect::CountOnly).unwrap();
             let collected = ex.execute(q, &plan, Collect::Rows).unwrap();
             assert!(counted.rows.is_empty());
-            assert_eq!(counted.row_count(), collected.row_count());
+            assert_eq!(counted.row_count(), *rows, "{q:?}");
+            assert_eq!(collected.rows.len() as u64, *rows, "{q:?}");
             assert_eq!(counted.result.io, collected.result.io);
             assert_eq!(counted.layout, collected.layout);
         }
@@ -1071,6 +1090,7 @@ mod tests {
                 est_rows: 1.0,
                 est_cost: 2.0,
             },
+            selectivities: Vec::new(),
         };
         let q = Query::join(vec![fact, dim], vec![], vec![]);
         let err = Executor::new(&db, &cfg).execute(&q, &plan, Collect::CountOnly).unwrap_err();
@@ -1090,6 +1110,7 @@ mod tests {
                 est_rows: 1.0,
                 est_cost: 2.0,
             },
+            selectivities: Vec::new(),
         };
         let err = Executor::new(&db, &icfg).execute(&q, &plan, Collect::CountOnly).unwrap_err();
         assert_eq!(
@@ -1115,7 +1136,7 @@ mod tests {
             est_rows: 1.0,
             est_cost: 1.0,
         };
-        let plan = Plan { root: scan(fact) };
+        let plan = Plan { root: scan(fact), selectivities: vec![1.0] };
         let err = Executor::new(&db, &cfg).execute(&q, &plan, Collect::CountOnly).unwrap_err();
         assert_eq!(err, ExecError::UnknownColRef { operator: "scan", col: bad });
         assert!(err.to_string().contains("input"), "{err}");
@@ -1128,6 +1149,7 @@ mod tests {
                 est_rows: 1.0,
                 est_cost: 2.0,
             },
+            selectivities: Vec::new(),
         };
         let jq = Query::join(vec![fact, dim], vec![], vec![]);
         let err = Executor::new(&db, &cfg).execute(&jq, &plan, Collect::CountOnly).unwrap_err();

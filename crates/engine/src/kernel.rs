@@ -78,6 +78,16 @@ impl<'a> Kernel<'a> {
         self.run(Op::Select(rows, sel));
     }
 
+    /// How many rows of the window `rows` the predicate accepts — the
+    /// length [`Kernel::select`] would leave in its vector, without the
+    /// vector: the test is summed, nothing is stored. Panics when the
+    /// window reaches past the column's end.
+    pub fn count(&self, rows: Range<usize>) -> usize {
+        let mut kept = 0;
+        self.run(Op::Count(rows, &mut kept));
+        kept
+    }
+
     /// Keep in `sel` (row ids of the column) only the rows the
     /// predicate accepts. Panics on a row id past the column's end.
     pub fn retain(&self, sel: &mut Vec<u32>) {
@@ -131,6 +141,7 @@ impl CodeTest {
 /// What to do with a per-cell test.
 enum Op<'s> {
     Select(Range<usize>, &'s mut Vec<u32>),
+    Count(Range<usize>, &'s mut usize),
     Retain(&'s mut Vec<u32>),
 }
 
@@ -153,6 +164,15 @@ fn apply<T>(cells: &[T], keep: impl Fn(&T) -> bool, op: Op<'_>) {
                 kept += usize::from(keep(x));
             }
             sel.truncate(kept);
+        }
+        // A plain loop: `filter().count()` compiles to another one,
+        // which on `i64` cells measured no faster than selecting them.
+        Op::Count(rows, kept) => {
+            let mut n = 0;
+            for x in &cells[rows] {
+                n += usize::from(keep(x));
+            }
+            *kept = n;
         }
         Op::Retain(sel) => sel.retain(|&row| keep(&cells[row as usize])),
     }
@@ -306,8 +326,9 @@ mod tests {
             let window = start..start + rng.below(column.len() - start + 1);
             let mut sel = vec![3];
             kernel.select(window.clone(), &mut sel);
-            let want: Vec<u32> = window.filter(|&r| matches(r)).map(|r| r as u32).collect();
+            let want: Vec<u32> = window.clone().filter(|&r| matches(r)).map(|r| r as u32).collect();
             assert_eq!(sel, want, "{pred:?}");
+            assert_eq!(kernel.count(window.clone()), sel.len(), "{pred:?} count");
             let mut ids: Vec<u32> = (0..12).map(|_| rng.below(column.len()) as u32).collect();
             let want: Vec<u32> = ids.iter().copied().filter(|&r| matches(r as usize)).collect();
             kernel.retain(&mut ids);

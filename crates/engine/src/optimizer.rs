@@ -9,7 +9,7 @@
 use crate::cost::{hash_join_cost, index_nl_join_cost, index_scan_cost, seq_scan_cost};
 use crate::plan::{AccessPath, Plan, PlanNode};
 use crate::query::{JoinPred, Query};
-use crate::selectivity::{predicate_selectivity, table_selectivity};
+use crate::selectivity::{on_table, selectivities, table_selectivity};
 use colt_catalog::{ColRef, Database, PhysicalConfig, TableId};
 use std::collections::BTreeSet;
 
@@ -105,35 +105,45 @@ impl<'a> Optimizer<'a> {
         Optimizer { db, options }
     }
 
-    /// Optimize a query under the given index view.
+    /// Optimize a query under the given index view. This is where a
+    /// statement's predicates are estimated — once; everything priced
+    /// here, and every later reader of the plan, reads
+    /// [`Plan::selectivities`].
     pub fn optimize(&self, query: &Query, view: IndexSetView<'_>) -> Plan {
+        let selectivities = selectivities(self.db, query);
         let scans: Vec<ScanChoice> =
-            query.tables.iter().map(|&t| self.best_scan(query, t, view)).collect();
-        self.join_order(query, scans, view)
+            query.tables.iter().map(|&t| self.best_scan(query, &selectivities, t, view)).collect();
+        Plan { root: self.join_order(query, &selectivities, scans, view), selectivities }
     }
 
     /// Choose the cheapest access path for `table`: a sequential scan, or
     /// an index scan driven by any sargable predicate whose column has an
-    /// index in `view`.
-    pub fn best_scan(&self, query: &Query, table: TableId, view: IndexSetView<'_>) -> ScanChoice {
+    /// index in `view`. `sels` is the query's
+    /// [`selectivities`].
+    pub fn best_scan(
+        &self,
+        query: &Query,
+        sels: &[f64],
+        table: TableId,
+        view: IndexSetView<'_>,
+    ) -> ScanChoice {
         let t = self.db.table(table);
         let rows = t.heap.row_count() as f64;
         let pages = t.heap.page_count() as f64;
-        let preds: Vec<_> = query.selections_on(table).collect();
-        let combined_sel = table_selectivity(self.db, query, table);
-        let est_rows = (rows * combined_sel).max(0.0);
+        let preds = on_table(query, sels, table);
+        let pred_count = preds.clone().count();
+        let est_rows = (rows * table_selectivity(query, sels, table)).max(0.0);
 
-        let mut best_cost = seq_scan_cost(&self.db.cost, pages, rows, preds.len());
+        let mut best_cost = seq_scan_cost(&self.db.cost, pages, rows, pred_count);
         let mut best_path = AccessPath::SeqScan;
 
-        for p in &preds {
+        for (p, sel) in preds.clone() {
             if !view.has(p.col) {
                 continue;
             }
-            let sel = predicate_selectivity(self.db, p);
             let est = self.db.index_estimate(p.col);
             let cost =
-                index_scan_cost(&self.db.cost, &est, sel, rows, pages, preds.len().saturating_sub(1));
+                index_scan_cost(&self.db.cost, &est, sel, rows, pages, pred_count.saturating_sub(1));
             if cost < best_cost {
                 best_cost = cost;
                 best_path = AccessPath::IndexScan { col: p.col };
@@ -151,20 +161,20 @@ impl<'a> Optimizer<'a> {
             let mut range_next = false;
             for &c in &comp.key.columns {
                 let col = ColRef::new(table, c);
-                if let Some(p) = preds
-                    .iter()
-                    .find(|p| p.col == col && matches!(p.kind, PredicateKind::Eq(_)))
+                if let Some((_, eq_sel)) = preds
+                    .clone()
+                    .find(|(p, _)| p.col == col && matches!(p.kind, PredicateKind::Eq(_)))
                 {
-                    sel *= predicate_selectivity(self.db, p);
+                    sel *= eq_sel;
                     eq_prefix += 1;
                     used += 1;
                     continue;
                 }
-                if let Some(p) = preds
-                    .iter()
-                    .find(|p| p.col == col && matches!(p.kind, PredicateKind::Range { .. }))
+                if let Some((_, range_sel)) = preds
+                    .clone()
+                    .find(|(p, _)| p.col == col && matches!(p.kind, PredicateKind::Range { .. }))
                 {
-                    sel *= predicate_selectivity(self.db, p);
+                    sel *= range_sel;
                     used += 1;
                     range_next = true;
                 }
@@ -180,7 +190,7 @@ impl<'a> Optimizer<'a> {
                 sel,
                 rows,
                 pages,
-                preds.len().saturating_sub(used),
+                pred_count.saturating_sub(used),
             );
             if cost < best_cost {
                 best_cost = cost;
@@ -194,20 +204,27 @@ impl<'a> Optimizer<'a> {
 
         ScanChoice {
             node: PlanNode::Scan { table, path: best_path, est_rows, est_cost: best_cost },
-            pred_count: preds.len(),
+            pred_count,
         }
     }
 
     /// Join-order the per-table scans with a dynamic program over table
     /// subsets (bushy plans allowed, Cartesian products only as a last
-    /// resort).
-    pub fn join_order(&self, query: &Query, scans: Vec<ScanChoice>, view: IndexSetView<'_>) -> Plan {
+    /// resort): the root of the cheapest tree. `sels` is the query's
+    /// [`selectivities`].
+    pub fn join_order(
+        &self,
+        query: &Query,
+        sels: &[f64],
+        scans: Vec<ScanChoice>,
+        view: IndexSetView<'_>,
+    ) -> PlanNode {
         let n = query.tables.len();
         assert!(n >= 1, "query must reference at least one table");
         assert!(n <= MAX_JOIN_TABLES, "too many tables for the join DP");
         if n == 1 {
             // colt: allow(panic-policy) — n == 1 guarantees exactly one scan
-            return Plan { root: scans.into_iter().next().expect("one scan").node };
+            return scans.into_iter().next().expect("one scan").node;
         }
 
         // best[mask] = best plan covering the tables in `mask`.
@@ -241,7 +258,7 @@ impl<'a> Optimizer<'a> {
             .iter()
             .map(|&t| {
                 let rows = self.db.table(t).heap.row_count() as f64;
-                rows * table_selectivity(self.db, query, t)
+                rows * table_selectivity(query, sels, t)
             })
             .collect();
         let subset_rows = |mask: usize| -> f64 {
@@ -350,7 +367,7 @@ impl<'a> Optimizer<'a> {
         }
 
         // colt: allow(panic-policy) — the DP seeds every singleton, so the full mask is always reachable
-        Plan { root: best[full].take().expect("join DP must cover all tables") }
+        best[full].take().expect("join DP must cover all tables")
     }
 
     /// Price an index nested-loop join with `inner` as the probed base
@@ -599,6 +616,39 @@ mod tests {
         );
         let plan = opt.optimize(&q, IndexSetView::real(&cfg));
         assert!(!matches!(plan.root, PlanNode::IndexNlJoin { .. }));
+    }
+
+    #[test]
+    fn optimize_estimates_each_predicate_once() {
+        let (db, big, dim) = db();
+        let mut cfg = PhysicalConfig::new();
+        for col in [ColRef::new(big, 0), ColRef::new(big, 2), ColRef::new(dim, 1)] {
+            cfg.create_index(&db, col, IndexOrigin::Online);
+        }
+        cfg.create_composite(&db, colt_catalog::CompositeKey::new(big, vec![2, 0]));
+        let opt = Optimizer::new(&db);
+        let estimates = || crate::selectivity::ESTIMATES.with(|n| n.get());
+        // Every predicate has an index path and a composite prefix to
+        // price besides the table's combined selectivity…
+        let on_big = vec![
+            SelPred::between(ColRef::new(big, 0), 10i64, 500i64),
+            SelPred::eq(ColRef::new(big, 2), 7i64),
+        ];
+        let before = estimates();
+        let plan = opt.optimize(&Query::single(big, on_big.clone()), IndexSetView::real(&cfg));
+        assert_eq!(estimates() - before, 2);
+        assert_eq!(plan.selectivities.len(), 2);
+        // …and in a join the DP's cardinalities read them a third time.
+        let mut selections = on_big;
+        selections.push(SelPred::eq(ColRef::new(dim, 1), 3i64));
+        let q = Query::join(
+            vec![big, dim],
+            vec![JoinPred::new(ColRef::new(big, 1), ColRef::new(dim, 0))],
+            selections,
+        );
+        let before = estimates();
+        opt.optimize(&q, IndexSetView::real(&cfg));
+        assert_eq!(estimates() - before, 3);
     }
 
     #[test]

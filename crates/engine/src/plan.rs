@@ -206,6 +206,11 @@ impl PlanNode {
 pub struct Plan {
     /// Root of the operator tree.
     pub root: PlanNode,
+    /// Estimated selectivity of each of the query's selection
+    /// predicates, in `query.selections` order — the estimates the plan
+    /// was priced with. The optimizer derives them once per statement;
+    /// what-if probes and the tuner's profiler read them here.
+    pub selectivities: Vec<f64>,
 }
 
 impl Plan {
@@ -262,7 +267,7 @@ mod tests {
             est_rows: 30.0,
             est_cost: 10.0,
         };
-        let plan = Plan { root: join };
+        let plan = Plan { root: join, selectivities: Vec::new() };
         assert_eq!(plan.est_cost(), 10.0);
         assert_eq!(plan.est_rows(), 30.0);
         assert_eq!(plan.root.tables(), vec![TableId(0), TableId(1)]);

@@ -5,14 +5,23 @@
 //! equi-depth histogram buckets, conjunctions assume independence, and
 //! equi-joins use `1 / max(ndv_left, ndv_right)`.
 
-use crate::query::{PredicateKind, Query, SelPred};
+use crate::query::{PredicateKind, Query, RangeBound, SelPred};
 use colt_catalog::{Database, TableId};
 
 /// Floor applied to every estimate so plans never see a zero cardinality.
 pub const MIN_SELECTIVITY: f64 = 1e-9;
 
+#[cfg(test)]
+thread_local! {
+    /// [`predicate_selectivity`] calls on this thread: the tests that
+    /// hold a statement to one estimate per predicate count them here.
+    pub(crate) static ESTIMATES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Estimated fraction of a table's rows satisfying one predicate.
 pub fn predicate_selectivity(db: &Database, pred: &SelPred) -> f64 {
+    #[cfg(test)]
+    ESTIMATES.with(|n| n.set(n.get() + 1));
     let table = db.table(pred.col.table);
     if table.stats.is_empty() {
         // No statistics: fall back to textbook defaults.
@@ -26,37 +35,39 @@ pub fn predicate_selectivity(db: &Database, pred: &SelPred) -> f64 {
     let sel = match &pred.kind {
         PredicateKind::Eq(v) => stats.selectivity_eq(v),
         PredicateKind::In(vs) => vs.iter().map(|v| stats.selectivity_eq(v)).sum(),
+        // The histogram gives closed-open `[lo, hi)` fractions; the
+        // boundary point is added back for inclusive bounds.
         PredicateKind::Range { lo, hi } => {
-            // The histogram gives closed-open `[lo, hi)` fractions; add
-            // back the boundary point for inclusive bounds.
-            let mut sel = stats.selectivity_range(
-                lo.as_ref().map(|b| &b.value),
-                hi.as_ref().map(|b| &b.value),
-            );
-            if let Some(b) = lo {
-                if b.inclusive {
-                    sel += stats.selectivity_eq(&b.value);
-                }
-            }
-            if let Some(b) = hi {
-                if b.inclusive {
-                    sel += stats.selectivity_eq(&b.value);
-                }
-            }
-            sel
+            stats.selectivity_between(RangeBound::as_bound(lo), RangeBound::as_bound(hi))
         }
     };
     sel.clamp(MIN_SELECTIVITY, 1.0)
 }
 
+/// [`predicate_selectivity`] of each of a query's selection predicates,
+/// in `query.selections` order: what [`crate::Optimizer::optimize`]
+/// derives once per statement and the [`crate::Plan`] carries to every
+/// later reader.
+pub fn selectivities(db: &Database, query: &Query) -> Vec<f64> {
+    query.selections.iter().map(|p| predicate_selectivity(db, p)).collect()
+}
+
 /// Combined selectivity of all of a query's predicates on one table,
-/// under the independence assumption.
-pub fn table_selectivity(db: &Database, query: &Query, table: TableId) -> f64 {
-    query
-        .selections_on(table)
-        .map(|p| predicate_selectivity(db, p))
-        .product::<f64>()
-        .clamp(MIN_SELECTIVITY, 1.0)
+/// under the independence assumption; `sels` is the query's
+/// [`selectivities`].
+pub fn table_selectivity(query: &Query, sels: &[f64], table: TableId) -> f64 {
+    on_table(query, sels, table).map(|(_, sel)| sel).product::<f64>().clamp(MIN_SELECTIVITY, 1.0)
+}
+
+/// The predicates of `query` on `table`, each with its estimate in
+/// `sels` (the query's [`selectivities`]).
+pub fn on_table<'q>(
+    query: &'q Query,
+    sels: &'q [f64],
+    table: TableId,
+) -> impl Iterator<Item = (&'q SelPred, f64)> + Clone {
+    debug_assert_eq!(sels.len(), query.selections.len());
+    query.selections.iter().zip(sels.iter().copied()).filter(move |(p, _)| p.col.table == table)
 }
 
 /// Estimated output cardinality of an equi-join between two inputs of
@@ -115,7 +126,7 @@ mod tests {
             t,
             vec![SelPred::between(ColRef::new(t, 0), 0i64, 4999i64), SelPred::eq(ColRef::new(t, 1), 3i64)],
         );
-        let sel = table_selectivity(&db, &q, t);
+        let sel = table_selectivity(&q, &selectivities(&db, &q), t);
         assert!((sel - 0.5 * 0.01).abs() < 0.002, "got {sel}");
     }
 

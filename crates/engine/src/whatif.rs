@@ -23,6 +23,7 @@ use crate::memo::{WhatIfMemo, DEFAULT_CAPACITY};
 use crate::optimizer::{IndexSetView, Optimizer, ScanChoice};
 use crate::plan::Plan;
 use crate::query::Query;
+use crate::selectivity::selectivities;
 use colt_catalog::{ColRef, Database, PhysicalConfig};
 use std::collections::BTreeSet;
 
@@ -230,6 +231,9 @@ impl<'a> Eqo<'a> {
         self.counters.memo_misses += misses;
         colt_obs::counter("engine.whatif.memo_miss", misses);
 
+        // One estimate of the statement's predicates prices every
+        // derivation of this call.
+        let sels = selectivities(self.db, query);
         // Memoized per-table access paths under the unmodified view,
         // reused across probes of this call and — through the memo —
         // across calls within the epoch.
@@ -240,9 +244,9 @@ impl<'a> Eqo<'a> {
                 let scans: Vec<ScanChoice> = query
                     .tables
                     .iter()
-                    .map(|&t| self.opt.best_scan(query, t, base_view))
+                    .map(|&t| self.opt.best_scan(query, &sels, t, base_view))
                     .collect();
-                let cost = self.opt.join_order(query, scans.clone(), base_view).est_cost();
+                let cost = self.opt.join_order(query, &sels, scans.clone(), base_view).est_cost();
                 self.memo.store_base(handle, &scans, cost);
                 (scans, cost)
             }
@@ -269,13 +273,13 @@ impl<'a> Eqo<'a> {
                     .zip(&base_scans)
                     .map(|(&t, cached)| {
                         if t == col.table {
-                            self.opt.best_scan(query, t, view)
+                            self.opt.best_scan(query, &sels, t, view)
                         } else {
                             cached.clone()
                         }
                     })
                     .collect();
-                let probe_cost = self.opt.join_order(query, scans, view).est_cost();
+                let probe_cost = self.opt.join_order(query, &sels, scans, view).est_cost();
 
                 let gain = if materialized {
                     // probe_cost = cost without I; base has I.
@@ -376,6 +380,24 @@ mod tests {
         // The unique-column index must gain at least as much as the
         // 50-distinct one.
         assert!(gains[0].gain >= gains[1].gain);
+    }
+
+    #[test]
+    fn a_whatif_call_estimates_each_predicate_once_whatever_it_probes() {
+        let (db, t) = db();
+        let cols = [ColRef::new(t, 0), ColRef::new(t, 1), ColRef::new(t, 2)];
+        let mut cfg = PhysicalConfig::new();
+        cfg.create_index(&db, cols[1], IndexOrigin::Online);
+        let mut eqo = Eqo::new(&db);
+        let q = Query::single(t, vec![SelPred::eq(cols[0], 7i64), SelPred::le(cols[1], 3i64)]);
+        let estimates = || crate::selectivity::ESTIMATES.with(|n| n.get());
+        // The base derivation and three probes, one of them reverse.
+        let before = estimates();
+        eqo.what_if_optimize(&q, &cols, &cfg);
+        assert_eq!(estimates() - before, 2);
+        // Served from the memo: nothing is priced.
+        eqo.what_if_optimize(&q, &cols, &cfg);
+        assert_eq!(estimates() - before, 2);
     }
 
     #[test]

@@ -291,6 +291,43 @@ fn eqo_optimize_is_the_bare_optimizer_and_leaves_the_memo_to_the_probes() {
     }
 }
 
+/// A statement's predicates are estimated once, by `optimize`, and the
+/// plan carries the estimates to whoever prices with them next: over
+/// 1–4-table queries, `plan.selectivities[i]` is
+/// `predicate_selectivity` of `q.selections[i]` bit for bit, and a
+/// what-if call — which prices all its probes against one such vector —
+/// reports for every candidate exactly the cost difference of
+/// optimizing with and without it.
+#[test]
+fn plan_carries_the_estimates_every_reader_prices_with() {
+    use colt_engine::selectivity::predicate_selectivity;
+    use std::collections::BTreeSet;
+    let mut rng = Prng::new(0xE21E_0011);
+    let mut joins = 0;
+    for case in 0..120u64 {
+        let Case { db, cfg, tables, q, .. } = random_case(&mut rng);
+        let optimizer = Optimizer::new(&db);
+        let plan = optimizer.optimize(&q, IndexSetView::real(&cfg));
+        let estimates: Vec<u64> =
+            q.selections.iter().map(|p| predicate_selectivity(&db, p).to_bits()).collect();
+        let carried: Vec<u64> = plan.selectivities.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(carried, estimates, "case {case}: {q:?}");
+        joins += usize::from(tables.len() >= 2);
+
+        let probes: Vec<ColRef> = tables.iter().flat_map(|&t| (0..2).map(move |c| ColRef::new(t, c))).collect();
+        let gains = Eqo::new(&db).what_if_optimize(&q, &probes, &cfg);
+        for (col, gain) in probes.iter().zip(gains) {
+            let (only, none) = (BTreeSet::from([*col]), BTreeSet::new());
+            let cost = |plus, minus| {
+                optimizer.optimize(&q, IndexSetView::hypothetical(&cfg, plus, minus)).est_cost()
+            };
+            let delta = (cost(&none, &only) - cost(&only, &none)).max(0.0);
+            assert_eq!(gain.gain.to_bits(), delta.to_bits(), "case {case}, {col}: {q:?}");
+        }
+    }
+    assert!(joins >= 60, "only {joins} join queries");
+}
+
 /// Optimizer plan costs are never higher than the forced-seqscan plan
 /// under the same view (the optimizer must not pessimize).
 #[test]
@@ -854,7 +891,7 @@ fn compiled_kernels_match_selpred_matches() {
             let q = Query::single(t, vec![pred.clone()]);
             let run = |path: AccessPath| {
                 let root = PlanNode::Scan { table: t, path, est_rows: 0.0, est_cost: 0.0 };
-                let plan = Plan { root };
+                let plan = Plan { root, selectivities: vec![1.0] };
                 let v = Executor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
                 let r = RowwiseExecutor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
                 assert_eq!(v.rows, r.rows, "{vtype:?} {pred:?} {}", plan.explain());
