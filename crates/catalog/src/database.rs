@@ -21,35 +21,12 @@ pub struct Table {
     pub heap: HeapTable,
     /// Per-column statistics; empty until [`Table::analyze`] runs.
     pub stats: Vec<ColumnStats>,
-    /// Row count when statistics were last gathered (auto-analyze).
-    rows_at_analyze: usize,
-    /// Bumped on every [`Table::analyze`]; consumers caching derived
-    /// state (the what-if memo) compare it to detect stale statistics.
-    stats_version: u64,
 }
 
 impl Table {
     /// (Re-)gather statistics for every column.
     pub fn analyze(&mut self) {
         self.stats = (0..self.schema.arity()).map(|c| ColumnStats::analyze(&self.heap, c)).collect();
-        self.rows_at_analyze = self.heap.row_count();
-        self.stats_version += 1;
-    }
-
-    /// Statistics generation: 0 before the first [`Table::analyze`],
-    /// incremented on every re-analyze.
-    pub fn stats_version(&self) -> u64 {
-        self.stats_version
-    }
-
-    /// Has the table grown by more than `threshold` (relative) since the
-    /// last `analyze`? Tables never analyzed always need one.
-    pub fn needs_analyze(&self, threshold: f64) -> bool {
-        if self.stats.is_empty() {
-            return true;
-        }
-        let grown = self.heap.row_count().saturating_sub(self.rows_at_analyze);
-        grown as f64 > self.rows_at_analyze.max(1) as f64 * threshold
     }
 
     /// Statistics for a column (panics if `analyze` has not run).
@@ -119,14 +96,7 @@ impl Database {
         let id = TableId(self.tables.len() as u32);
         let types: Vec<_> = schema.columns.iter().map(|c| c.vtype).collect();
         let heap = HeapTable::new(&types);
-        self.tables.push(Table {
-            id,
-            schema,
-            heap,
-            stats: Vec::new(),
-            rows_at_analyze: 0,
-            stats_version: 0,
-        });
+        self.tables.push(Table { id, schema, heap, stats: Vec::new() });
         id
     }
 
@@ -152,34 +122,9 @@ impl Database {
         }
     }
 
-    /// Auto-analyze: refresh statistics for every table that has grown
-    /// by more than `threshold` (relative) since its last analyze —
-    /// PostgreSQL's `autovacuum_analyze_scale_factor` policy. Returns
-    /// the tables refreshed.
-    pub fn auto_analyze(&mut self, threshold: f64) -> Vec<TableId> {
-        let mut refreshed = Vec::new();
-        for t in &mut self.tables {
-            if t.needs_analyze(threshold) {
-                t.analyze();
-                refreshed.push(t.id);
-            }
-        }
-        refreshed
-    }
-
     /// Borrow a table.
     pub fn table(&self, id: TableId) -> &Table {
         &self.tables[id.0 as usize]
-    }
-
-    /// Borrow a table mutably.
-    pub fn table_mut(&mut self, id: TableId) -> &mut Table {
-        &mut self.tables[id.0 as usize]
-    }
-
-    /// Look up a table by name.
-    pub fn table_by_name(&self, name: &str) -> Option<&Table> {
-        self.tables.iter().find(|t| t.schema.name == name)
     }
 
     /// All tables.
@@ -303,6 +248,12 @@ impl PhysicalConfig {
         self.generations.get(&table).copied().unwrap_or(0)
     }
 
+    /// The sum of every table's [`PhysicalConfig::generation`]: stands
+    /// still exactly while all of them do.
+    pub fn generation_total(&self) -> u64 {
+        self.generations.values().sum()
+    }
+
     fn bump(&mut self, col: ColRef) {
         *self.versions.entry(col.table).or_insert(0) += 1;
         *self.col_changes.entry(col).or_insert(0) += 1;
@@ -318,15 +269,6 @@ impl PhysicalConfig {
         self.indices.insert(col, MaterializedIndex { col, tree, build_io: io, origin });
         self.bump(col);
         io
-    }
-
-    /// Mutable access to the materialized indices on one table (index
-    /// maintenance during DML).
-    pub fn indices_on_mut(
-        &mut self,
-        table: TableId,
-    ) -> impl Iterator<Item = &mut MaterializedIndex> + '_ {
-        self.indices.values_mut().filter(move |m| m.col.table == table)
     }
 
     /// Build and install a composite (multi-column) index — the paper's
@@ -400,26 +342,6 @@ mod tests {
         assert_eq!(db.indexable_attributes(), 2);
         assert!(db.total_bytes() > 0);
         assert_eq!(db.table(tid).column_stats(0).row_count, 1000);
-        assert!(db.table_by_name("t").is_some());
-        assert!(db.table_by_name("missing").is_none());
-    }
-
-    #[test]
-    fn auto_analyze_policy() {
-        let (mut db, tid) = db_with_table(1000);
-        assert!(!db.table(tid).needs_analyze(0.1));
-        // Grow by 5%: below a 10% threshold, above a 1% threshold.
-        db.insert_rows(tid, (0..50i64).map(|i| row_from(vec![Value::Int(i), Value::Int(0)]))).unwrap();
-        assert!(!db.table(tid).needs_analyze(0.10));
-        assert!(db.table(tid).needs_analyze(0.01));
-        let refreshed = db.auto_analyze(0.01);
-        assert_eq!(refreshed, vec![tid]);
-        assert!(!db.table(tid).needs_analyze(0.01));
-        assert_eq!(db.table(tid).column_stats(0).row_count, 1050);
-        // Never-analyzed tables always need it.
-        let mut raw = Database::new();
-        let t2 = raw.add_table(TableSchema::new("u", vec![Column::new("a", ValueType::Int)]));
-        assert!(raw.table(t2).needs_analyze(10.0));
     }
 
     #[test]
@@ -453,18 +375,6 @@ mod tests {
         cfg.create_index(&db, ColRef::new(tid, 1), IndexOrigin::Online);
         assert_eq!(cfg.online_columns().count(), 1);
         assert!(cfg.online_pages() > 0);
-    }
-
-    #[test]
-    fn stats_version_tracks_analyzes() {
-        let mut db = Database::new();
-        let t = db.add_table(TableSchema::new("v", vec![Column::new("a", ValueType::Int)]));
-        assert_eq!(db.table(t).stats_version(), 0);
-        db.insert_rows(t, (0..10i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
-        db.analyze_all();
-        assert_eq!(db.table(t).stats_version(), 1);
-        db.table_mut(t).analyze();
-        assert_eq!(db.table(t).stats_version(), 2);
     }
 
     #[test]

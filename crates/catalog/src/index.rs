@@ -6,7 +6,7 @@
 //! the actual B+ tree once an index is materialized.
 
 use crate::schema::ColRef;
-use colt_storage::btree::default_order;
+use colt_storage::btree::bulk_shape;
 use colt_storage::{
     sorted_entries, BPlusTree, BPlusTreeOf, ColumnSlice, HeapTable, IndexTree, IoStats, RowId,
     Value, ValueType,
@@ -26,24 +26,16 @@ pub struct IndexEstimate {
 }
 
 impl IndexEstimate {
-    /// Estimate the shape of an index over `rows` keys of width
-    /// `key_width` bytes, assuming the builder's ~90% fill factor.
+    /// The shape an index over `rows` keys of width `key_width` bytes
+    /// is built with ([`bulk_shape`], the loader's own rule).
     pub fn for_table(rows: u64, key_width: usize) -> Self {
-        let order = default_order(key_width) as u64;
-        let fill = (order * 9 / 10).max(4);
-        if rows == 0 {
-            return IndexEstimate { entries: 0, leaf_pages: 1, pages: 1, height: 1 };
+        let shape = bulk_shape(rows as usize, key_width);
+        IndexEstimate {
+            entries: rows,
+            leaf_pages: shape.leaves as u64,
+            pages: shape.pages as u64,
+            height: shape.height as u32,
         }
-        let leaf_pages = rows.div_ceil(fill);
-        let mut pages = leaf_pages;
-        let mut level = leaf_pages;
-        let mut height = 1;
-        while level > 1 {
-            level = level.div_ceil(fill);
-            pages += level;
-            height += 1;
-        }
-        IndexEstimate { entries: rows, leaf_pages, pages, height }
     }
 
     /// Estimated size in bytes.

@@ -13,14 +13,12 @@
 
 pub mod composite;
 pub mod database;
-pub mod dml;
 pub mod index;
 pub mod schema;
 pub mod stats;
 
 pub use composite::{prefix_scan, CompositeKey, MaterializedComposite};
 pub use database::{build_composite, Database, PhysicalConfig, Table};
-pub use dml::{insert_row, insert_rows as ingest_rows};
 pub use index::{build_index, IndexEstimate, IndexOrigin, MaterializedIndex};
 pub use schema::{ColRef, Column, TableId, TableSchema};
 pub use stats::{ColumnStats, HISTOGRAM_BUCKETS};

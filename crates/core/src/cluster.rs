@@ -89,11 +89,6 @@ impl Cluster {
     pub fn window_count(&self) -> u64 {
         self.window
     }
-
-    /// Per-epoch counts, most recent first.
-    pub fn epoch_counts(&self) -> impl Iterator<Item = u64> + '_ {
-        self.counts.iter().copied()
-    }
 }
 
 /// The set of clusters over the memory window.

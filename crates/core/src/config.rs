@@ -16,12 +16,9 @@ pub struct ColtConfig {
     /// History depth `h`: number of epochs in the system's memory; also
     /// the forecasting horizon of the Self-Organizer.
     pub history_epochs: usize,
-    /// `#WI_max`: hard cap on what-if calls per epoch.
+    /// `#WI_max`: hard cap on what-if calls per epoch, and the first
+    /// epoch's `#WI_lim` (later epochs' are set by re-budgeting).
     pub max_whatif_per_epoch: u64,
-    /// `#WI_lim` of the first epoch. `None` (the default) starts at
-    /// `#WI_max`, as the paper does; later epochs are set by
-    /// re-budgeting. Must not exceed `#WI_max`.
-    pub initial_whatif_limit: Option<u64>,
     /// z-score of the confidence intervals (1.645 ≈ 90%).
     pub confidence_z: f64,
     /// On-line storage budget `B`, in 8 KiB pages.
@@ -77,7 +74,6 @@ impl Default for ColtConfig {
             epoch_length: 10,
             history_epochs: 12,
             max_whatif_per_epoch: 20,
-            initial_whatif_limit: None,
             confidence_z: 1.645,
             storage_budget_pages: 4096,
             selective_boundary: 0.02,
@@ -103,13 +99,6 @@ pub enum ConfigError {
     ZeroHistory,
     /// The on-line storage budget `B` is zero pages.
     ZeroStorageBudget,
-    /// The initial what-if limit exceeds `#WI_max`.
-    WhatifLimitExceedsMax {
-        /// The requested initial `#WI_lim`.
-        limit: u64,
-        /// The configured `#WI_max`.
-        max: u64,
-    },
     /// A float parameter lies outside its allowed interval.
     OutOfRange {
         /// Parameter name.
@@ -132,9 +121,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroHistory => write!(f, "history_epochs (h) must be positive"),
             ConfigError::ZeroStorageBudget => {
                 write!(f, "storage_budget_pages (B) must be positive")
-            }
-            ConfigError::WhatifLimitExceedsMax { limit, max } => {
-                write!(f, "initial_whatif_limit {limit} exceeds max_whatif_per_epoch {max}")
             }
             ConfigError::OutOfRange { param, value, lo, hi } => {
                 write!(f, "{param} = {value} outside [{lo}, {hi}]")
@@ -159,14 +145,6 @@ impl ColtConfig {
         }
         if self.storage_budget_pages == 0 {
             return Err(ConfigError::ZeroStorageBudget);
-        }
-        if let Some(limit) = self.initial_whatif_limit {
-            if limit > self.max_whatif_per_epoch {
-                return Err(ConfigError::WhatifLimitExceedsMax {
-                    limit,
-                    max: self.max_whatif_per_epoch,
-                });
-            }
         }
         if !(0.0..=1.0).contains(&self.selective_boundary) {
             return Err(ConfigError::OutOfRange {
@@ -196,11 +174,6 @@ impl ColtConfig {
             });
         }
         Ok(())
-    }
-
-    /// The first epoch's `#WI_lim` (defaults to `#WI_max`).
-    pub fn initial_whatif_limit(&self) -> u64 {
-        self.initial_whatif_limit.unwrap_or(self.max_whatif_per_epoch)
     }
 }
 
@@ -235,20 +208,10 @@ mod tests {
             (ColtConfig { selective_boundary: 1.5, ..d() }, range("selective_boundary", 1.5, 1.0)),
             (ColtConfig { smoothing_alpha: -0.1, ..d() }, range("smoothing_alpha", -0.1, 1.0)),
             (ColtConfig { swap_margin: -2.0, ..d() }, range("swap_margin", -2.0, 10.0)),
-            (
-                ColtConfig { max_whatif_per_epoch: 10, initial_whatif_limit: Some(11), ..d() },
-                WhatifLimitExceedsMax { limit: 11, max: 10 },
-            ),
         ];
         for (c, err) in cases {
             assert_eq!(c.validate(), Err(err), "{c:?}");
         }
         assert!(range("swap_margin", -2.0, 10.0).to_string().contains("swap_margin"));
-    }
-
-    #[test]
-    fn initial_limit_defaults_to_max() {
-        let c = ColtConfig { max_whatif_per_epoch: 7, ..Default::default() };
-        assert_eq!(c.initial_whatif_limit(), 7);
     }
 }

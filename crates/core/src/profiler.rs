@@ -88,8 +88,8 @@ struct Work {
 
 impl Profiler {
     /// Build a profiler from the COLT configuration. The first epoch
-    /// starts with `initial_whatif_limit` (by default the full budget —
-    /// the system knows nothing yet).
+    /// starts with the full budget `#WI_max` — the system knows nothing
+    /// yet.
     pub fn new(config: &ColtConfig) -> Self {
         Profiler {
             clusters: ClusterSet::new(config.history_epochs, config.selective_boundary),
@@ -102,7 +102,7 @@ impl Profiler {
             prng: Prng::new(config.seed),
             z: config.confidence_z,
             wi_cur: 0,
-            wi_lim: config.initial_whatif_limit(),
+            wi_lim: config.max_whatif_per_epoch,
             wi_max: config.max_whatif_per_epoch,
             wi_skipped: 0,
             context: None,

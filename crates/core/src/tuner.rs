@@ -107,11 +107,6 @@ impl ColtTuner {
         &self.config
     }
 
-    /// The current hot set `H`.
-    pub fn hot_set(&self) -> &BTreeSet<ColRef> {
-        &self.hot
-    }
-
     /// The run trace accumulated so far.
     pub fn trace(&self) -> &Trace {
         &self.trace

@@ -1,19 +1,19 @@
 //! Insertion-order-independence regression tests.
 //!
 //! These pin the fixes for the determinism hazards colt-analyze's
-//! `hash-iteration` lint surfaced: cluster bookkeeping, group-by
-//! aggregation, and knapsack selection must produce the same answer no
-//! matter what order their inputs arrive in. Before the `BTreeMap`
-//! conversions, each of these could leak `HashMap` iteration order (a
-//! per-process random seed) into results.
+//! `hash-iteration` lint surfaced: cluster bookkeeping and knapsack
+//! selection must produce the same answer no matter what order their
+//! inputs arrive in. Before the `BTreeMap` conversions, each of these
+//! could leak `HashMap` iteration order (a per-process random seed)
+//! into results.
 
 use std::collections::BTreeMap;
 
-use colt_catalog::{ColRef, Column, Database, PhysicalConfig, TableId, TableSchema};
+use colt_catalog::{ColRef, Column, Database, TableId, TableSchema};
 use colt_core::cluster::{ClusterKey, ClusterSet};
 use colt_core::knapsack::{self, Item};
 use colt_engine::selectivity::predicate_selectivity;
-use colt_engine::{AggExpr, AggSpec, Executor, IndexSetView, Optimizer, Query, SelPred};
+use colt_engine::{Query, SelPred};
 use colt_storage::{row_from, Value, ValueType};
 
 fn build_db(rows: &[(i64, i64, f64)]) -> (Database, TableId) {
@@ -78,40 +78,6 @@ fn cluster_counts_independent_of_insertion_order() {
 
     assert_eq!(forward.len(), reversed.len());
     assert_eq!(counts_by_key(&forward), counts_by_key(&reversed));
-}
-
-#[test]
-fn aggregate_rows_independent_of_insertion_order() {
-    let forward: Vec<(i64, i64, f64)> =
-        (0..500).map(|i| (i, i % 7, (i % 13) as f64)).collect();
-    let mut shuffled = forward.clone();
-    // Deterministic shuffle: LCG-driven Fisher–Yates.
-    let mut x = 0x243F_6A88_85A3_08D3u64;
-    for i in (1..shuffled.len()).rev() {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        shuffled.swap(i, ((x >> 33) as usize) % (i + 1));
-    }
-    assert_ne!(forward, shuffled, "shuffle must actually permute");
-
-    let run = |rows: &[(i64, i64, f64)]| -> Vec<Vec<Value>> {
-        let (db, t) = build_db(rows);
-        let q = Query::single(t, vec![]);
-        let spec = AggSpec {
-            group_by: vec![ColRef::new(t, 1)],
-            exprs: vec![
-                AggExpr::count_star(),
-                AggExpr::over(colt_engine::AggFunc::Sum, ColRef::new(t, 2)),
-            ],
-        };
-        let cfg = PhysicalConfig::new();
-        let plan = Optimizer::new(&db).optimize(&q, IndexSetView::real(&cfg));
-        Executor::new(&db, &cfg).execute_aggregate(&q, &plan, &spec).unwrap().1
-    };
-
-    let a = run(&forward);
-    let b = run(&shuffled);
-    assert_eq!(a, b, "group-by output must not depend on heap insertion order");
-    assert_eq!(a.len(), 7);
 }
 
 #[test]

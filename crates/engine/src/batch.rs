@@ -117,11 +117,6 @@ pub(crate) struct KeyCol<'a> {
 }
 
 impl KeyCol<'_> {
-    /// The cell of input row `i` as a [`Value`].
-    pub(crate) fn value(&self, i: usize) -> Option<Value> {
-        self.cells.get(self.rows[i] as usize)
-    }
-
     /// Every input row's cell as a [`Value`], in input order.
     pub(crate) fn values(&self) -> Vec<Value> {
         let mut out = Vec::new();
@@ -234,11 +229,6 @@ impl Chains {
         Chains { hashes, heads, next }
     }
 
-    /// The hash row `row` was chained under.
-    pub(crate) fn hash_of(&self, row: usize) -> u64 {
-        self.hashes[row]
-    }
-
     /// The rows chained under exactly `hash`, ascending.
     pub(crate) fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
         let mut at = self.heads[hash as usize & (self.heads.len() - 1)];
@@ -257,7 +247,7 @@ impl Chains {
 
 /// The column layout of an operator's output: which tables participate,
 /// in column-slice order, with each table's starting column offset
-/// precomputed so join keys and aggregate columns resolve in O(tables).
+/// precomputed so join keys resolve in O(tables).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableLayout {
     tables: Vec<TableId>,
@@ -385,7 +375,6 @@ mod tests {
         assert_eq!(chains.candidates(67).collect::<Vec<_>>(), [1, 4]);
         assert_eq!(chains.candidates(9).collect::<Vec<_>>(), [3]);
         assert_eq!(chains.candidates(131).count(), 0);
-        assert_eq!(chains.hash_of(4), 67);
         assert_eq!(Chains::build(Vec::new()).candidates(0).count(), 0);
     }
 

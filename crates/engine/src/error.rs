@@ -4,9 +4,9 @@
 //! cheaply elsewhere, but hand-built plans are part of the public API,
 //! so every structural contradiction a caller can construct by hand
 //! surfaces as a typed error instead of a panic: join keys referencing
-//! absent tables, column references beyond a table's arity, aggregates
-//! that name no column, and plan nodes that name indexes or composites
-//! the physical configuration has not materialized. A panic inside the
+//! absent tables, column references beyond a table's arity, and plan
+//! nodes that name indexes or composites the physical configuration
+//! has not materialized. A panic inside the
 //! tuner would kill a whole parallel batch; an `ExecError` propagates
 //! to the harness cell that issued the query.
 
@@ -23,12 +23,7 @@ pub enum ExecError {
         /// The table the join key references.
         table: TableId,
     },
-    /// An aggregate other than `COUNT` names no column to fold.
-    AggregateWithoutColumn {
-        /// The offending expression's position in the spec.
-        expr: usize,
-    },
-    /// A predicate, join key, or aggregate references a column beyond
+    /// A predicate or join key references a column beyond
     /// its table's arity (or a table absent from the output layout).
     UnknownColRef {
         /// Operator that detected the mismatch.
@@ -70,9 +65,6 @@ impl std::fmt::Display for ExecError {
                 "{operator}: join key references table t{} absent from the input batch",
                 table.0
             ),
-            ExecError::AggregateWithoutColumn { expr } => {
-                write!(f, "aggregate: expression #{expr} is not COUNT and names no column")
-            }
             ExecError::UnknownColRef { operator, col } => {
                 write!(f, "{operator}: column {col} is not part of the operator's input")
             }

@@ -137,11 +137,6 @@ impl<'a> Executor<'a> {
         })
     }
 
-    /// The database this executor runs against.
-    pub fn database(&self) -> &Database {
-        self.db
-    }
-
     /// EXPLAIN ANALYZE: execute the plan and render the operator tree
     /// annotated with *estimated vs actual* rows and the per-node
     /// physical work. The estimation error visible here is exactly the
@@ -221,7 +216,7 @@ impl<'a> Executor<'a> {
     /// writes no ids; its inputs always emit, because a join reads its
     /// keys through them. Charges never depend on `emit`: the cost model
     /// counts pages and tuples processed, not ids written.
-    pub(crate) fn run(
+    fn run(
         &self,
         query: &Query,
         node: &PlanNode,
@@ -331,7 +326,7 @@ impl<'a> Executor<'a> {
     /// Locate a key column within an operator input's layout — the
     /// position of its table there and the heap cells of its column —
     /// validating both before either is used as an offset.
-    pub(crate) fn key_column(
+    fn key_column(
         &self,
         operator: &'static str,
         layout: &TableLayout,

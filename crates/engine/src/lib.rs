@@ -15,30 +15,25 @@
 
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod batch;
 pub mod cost;
 pub mod error;
 pub mod executor;
 pub mod kernel;
-pub mod memo;
+mod memo;
 pub mod optimizer;
 pub mod plan;
 pub mod query;
 pub mod rowwise;
 pub mod selectivity;
-pub mod sql;
 pub mod whatif;
 
-pub use aggregate::{AggExpr, AggFunc, AggSpec};
 pub use batch::{TableLayout, BATCH_ROWS};
 pub use error::ExecError;
 pub use executor::{Collect, ExecOutput, Executor, QueryResult};
 pub use kernel::Kernel;
 pub use rowwise::RowwiseExecutor;
-pub use memo::{MemoHandle, WhatIfMemo};
 pub use optimizer::{IndexSetView, Optimizer, OptimizerOptions};
 pub use plan::{AccessPath, Plan, PlanNode};
 pub use query::{JoinPred, PredicateKind, Query, RangeBound, SelPred};
-pub use sql::{parse as parse_sql, ParseError, ParsedQuery};
 pub use whatif::{Eqo, EqoCounters, IndexGain};

@@ -22,22 +22,24 @@
 //! state — so the memo's shape is reproducible run to run.
 //!
 //! **Invalidation is incremental, never a blanket clear.** Each entry
-//! carries a [`TableSnap`] per referenced table pinning exactly the
-//! inputs the optimizer reads, as three integers: the table's
-//! materialization generation ([`PhysicalConfig::generation`], moved by
-//! every single-column or composite create and drop), its statistics
-//! version, and its row count. None of them ever returns to an earlier
-//! value (heaps are append-only), so equal integers mean unchanged
-//! inputs — given that one memo serves one `PhysicalConfig` and one
-//! `Database`, as [`crate::Eqo`]'s does. A lookup re-validates its own
-//! snapshots and rebuilds only itself when stale; the epoch-boundary
-//! sweep drops only the entries whose snapshots no longer hold, and
-//! walks none when no table's integers moved since the last sweep. An
-//! entry about table `A` survives a create/drop/analyze on table `B`.
+//! carries a [`TableSnap`] per referenced table pinning the one input
+//! of the optimizer that can move while the memo lives, as one integer:
+//! the table's materialization generation
+//! ([`PhysicalConfig::generation`], moved by every single-column or
+//! composite create and drop). Rows and statistics cannot move: the
+//! memo exists only inside an [`crate::Eqo`], whose `&Database` borrow
+//! freezes both for as long as anything is cached against them. A
+//! generation never returns to an earlier value, so equal integers mean
+//! unchanged inputs — given that one memo serves one `PhysicalConfig`,
+//! as `Eqo`'s does. A lookup re-validates its own snapshots and
+//! rebuilds only itself when stale; the epoch-boundary sweep drops only
+//! the entries whose snapshots no longer hold, and walks none when no
+//! table's generation moved since the last sweep. An entry about table
+//! `A` survives a create or drop on table `B`.
 //!
 //! **Determinism.** A cached value is the value the derivation would
 //! produce: gains are pure functions of (query, materialized sets,
-//! statistics), and the snapshots pin all of those inputs. The
+//! statistics), the snapshots pin the first and the borrow the rest. The
 //! cache therefore changes wall-clock time only — simulated costs,
 //! gains, counters of what-if calls, and every figure's stdout are
 //! byte-identical with the memo hot, cold, or disabled. Entry ids are
@@ -47,7 +49,7 @@
 
 use crate::optimizer::ScanChoice;
 use crate::query::Query;
-use colt_catalog::{ColRef, Database, PhysicalConfig, TableId};
+use colt_catalog::{ColRef, PhysicalConfig, TableId};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
@@ -80,8 +82,9 @@ fn fingerprint(query: &Query) -> u64 {
     h.finish()
 }
 
-/// Everything the optimizer reads about one table, pinned at caching
-/// time. An entry is served only while every snapshot still holds.
+/// What the optimizer reads about one table that can move under a live
+/// memo, pinned at caching time. An entry is served only while every
+/// snapshot still holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TableSnap {
     /// The table this snapshot pins.
@@ -89,36 +92,16 @@ struct TableSnap {
     /// [`PhysicalConfig::generation`] at caching time: the materialized
     /// single-column and composite sets on the table.
     generation: u64,
-    /// [`colt_catalog::Table::stats_version`] at caching time.
-    stats_version: u64,
-    /// Heap row count at caching time (catches inserts between
-    /// analyzes, which shift scan costs immediately).
-    row_count: u64,
 }
 
 impl TableSnap {
-    fn capture(db: &Database, config: &PhysicalConfig, table: TableId) -> Self {
-        let t = db.table(table);
-        TableSnap {
-            table,
-            generation: config.generation(table),
-            stats_version: t.stats_version(),
-            row_count: t.heap.row_count() as u64,
-        }
+    fn capture(config: &PhysicalConfig, table: TableId) -> Self {
+        TableSnap { table, generation: config.generation(table) }
     }
 
-    fn holds(&self, db: &Database, config: &PhysicalConfig) -> bool {
-        *self == Self::capture(db, config, self.table)
+    fn holds(&self, config: &PhysicalConfig) -> bool {
+        self.generation == config.generation(self.table)
     }
-}
-
-/// The sum of every table's snapshot integers. Each only ever grows, so
-/// the sum stands still exactly while all of them do.
-fn world_stamp(db: &Database, config: &PhysicalConfig) -> u64 {
-    db.tables()
-        .iter()
-        .map(|t| config.generation(t.id) + t.stats_version() + t.heap.row_count() as u64)
-        .sum()
 }
 
 /// Cached derivations for one query template.
@@ -136,8 +119,8 @@ struct MemoEntry {
 }
 
 impl MemoEntry {
-    fn holds(&self, db: &Database, config: &PhysicalConfig) -> bool {
-        self.snaps.iter().all(|s| s.holds(db, config))
+    fn holds(&self, config: &PhysicalConfig) -> bool {
+        self.snaps.iter().all(|s| s.holds(config))
     }
 }
 
@@ -166,23 +149,12 @@ pub struct WhatIfMemo {
     /// observable: `Eqo` exports this as `engine.whatif.memo_evictions`
     /// and `report`'s footer prints it.
     evicted: u64,
-    /// [`world_stamp`] at the last sweep (0, the stamp of an empty
-    /// database, before the first).
+    /// [`PhysicalConfig::generation_total`] at the last sweep (0, an
+    /// empty configuration's, before the first).
     swept_at: u64,
 }
 
-impl Default for WhatIfMemo {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
-}
-
 impl WhatIfMemo {
-    /// An empty memo with the default capacity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty memo bounded at `capacity` entries (min 1). Tests lower
     /// the bound to exercise eviction pressure without 4096 templates.
     pub fn with_capacity(capacity: usize) -> Self {
@@ -201,31 +173,21 @@ impl WhatIfMemo {
         self.evicted
     }
 
-    /// Number of live entries (for tests and introspection).
+    /// Number of live entries.
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Resolve `query` to a validated entry, creating or rebuilding it
     /// as needed. The flag reports whether a previously cached entry
     /// had gone stale and was discarded (its replacement starts empty);
     /// creating a first-time entry is not an invalidation.
-    pub fn resolve(
-        &mut self,
-        db: &Database,
-        config: &PhysicalConfig,
-        query: &Query,
-    ) -> (MemoHandle, bool) {
+    pub fn resolve(&mut self, config: &PhysicalConfig, query: &Query) -> (MemoHandle, bool) {
         let (fp, existing) = self.find(query);
         let mut invalidated = false;
         if let Some(id) = existing {
             match self.entries.get(&id) {
-                Some(e) if e.holds(db, config) => return (MemoHandle(id), false),
+                Some(e) if e.holds(config) => return (MemoHandle(id), false),
                 _ => {
                     self.remove(fp, id);
                     invalidated = true;
@@ -243,7 +205,7 @@ impl WhatIfMemo {
         }
         let id = self.next_id;
         self.next_id += 1;
-        let snaps = query.tables.iter().map(|&t| TableSnap::capture(db, config, t)).collect();
+        let snaps = query.tables.iter().map(|&t| TableSnap::capture(config, t)).collect();
         self.entries.insert(
             id,
             MemoEntry { fp, snaps, base: None, gains: BTreeMap::new() },
@@ -256,9 +218,9 @@ impl WhatIfMemo {
     /// rebuilding, or evicting anything — the side-effect-free read
     /// path behind [`crate::Eqo::gain_upper_bound`]. A stale entry is
     /// left in place for `resolve` to count and rebuild.
-    pub fn peek(&self, db: &Database, config: &PhysicalConfig, query: &Query) -> Option<MemoHandle> {
+    pub fn peek(&self, config: &PhysicalConfig, query: &Query) -> Option<MemoHandle> {
         let id = self.find(query).1?;
-        self.entries.get(&id)?.holds(db, config).then_some(MemoHandle(id))
+        self.entries.get(&id)?.holds(config).then_some(MemoHandle(id))
     }
 
     /// `query`'s fingerprint and the id its entry has, if it has one.
@@ -283,15 +245,17 @@ impl WhatIfMemo {
     /// dropped. When nothing a snapshot pins has moved since the last
     /// sweep, every entry that survived it or was made after it still
     /// holds, and the walk is skipped.
-    pub fn sweep(&mut self, db: &Database, config: &PhysicalConfig) -> u64 {
-        let stamp = world_stamp(db, config);
+    pub fn sweep(&mut self, config: &PhysicalConfig) -> u64 {
+        // Generations only ever grow, so their sum stands still exactly
+        // while all of them do.
+        let stamp = config.generation_total();
         if std::mem::replace(&mut self.swept_at, stamp) == stamp {
             return 0;
         }
         let stale: Vec<(u64, u64)> = self
             .entries
             .iter()
-            .filter(|(_, e)| !e.holds(db, config))
+            .filter(|(_, e)| !e.holds(config))
             .map(|(&id, e)| (e.fp, id))
             .collect();
         for &(fp, id) in &stale {
@@ -329,7 +293,7 @@ impl WhatIfMemo {
 mod tests {
     use super::*;
     use crate::query::{JoinPred, SelPred};
-    use colt_catalog::{Column, CompositeKey, IndexOrigin, TableSchema};
+    use colt_catalog::{Column, CompositeKey, Database, IndexOrigin, TableSchema};
     use colt_storage::{row_from, Prng, Value, ValueType};
 
     fn db2() -> (Database, TableId, TableId) {
@@ -350,17 +314,17 @@ mod tests {
         let (db, a, _) = db2();
         let mut cfg = PhysicalConfig::new();
         let q = Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 5i64)]);
-        let mut memo = WhatIfMemo::new();
-        let (h1, inv) = memo.resolve(&db, &cfg, &q);
+        let mut memo = WhatIfMemo::with_capacity(DEFAULT_CAPACITY);
+        let (h1, inv) = memo.resolve(&cfg, &q);
         assert!(!inv, "first sight is a plain miss");
-        let (h2, inv) = memo.resolve(&db, &cfg, &q);
+        let (h2, inv) = memo.resolve(&cfg, &q);
         assert!(!inv, "unchanged world revalidates");
         assert_eq!(h1, h2, "revalidation keeps the same entry");
         cfg.create_index(&db, ColRef::new(a, 1), IndexOrigin::Online);
-        let (h3, inv) = memo.resolve(&db, &cfg, &q);
+        let (h3, inv) = memo.resolve(&cfg, &q);
         assert!(inv, "materialized-set change invalidates");
         assert_ne!(h1, h3, "the stale entry was replaced");
-        assert!(!memo.resolve(&db, &cfg, &q).1);
+        assert!(!memo.resolve(&cfg, &q).1);
     }
 
     #[test]
@@ -369,44 +333,31 @@ mod tests {
         let mut cfg = PhysicalConfig::new();
         let qa = Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 5i64)]);
         let qb = Query::single(b, vec![SelPred::eq(ColRef::new(b, 0), 5i64)]);
-        let mut memo = WhatIfMemo::new();
-        let (ha, _) = memo.resolve(&db, &cfg, &qa);
-        let (hb, _) = memo.resolve(&db, &cfg, &qb);
+        let mut memo = WhatIfMemo::with_capacity(DEFAULT_CAPACITY);
+        let (ha, _) = memo.resolve(&cfg, &qa);
+        let (hb, _) = memo.resolve(&cfg, &qb);
         memo.store_gain(ha, ColRef::new(a, 0), 1.5);
         memo.store_gain(hb, ColRef::new(b, 0), 2.5);
         // An index on table `a` must not disturb table `b`'s entry.
         cfg.create_index(&db, ColRef::new(a, 1), IndexOrigin::Online);
-        assert_eq!(memo.sweep(&db, &cfg), 1, "exactly the table-a entry drops");
+        assert_eq!(memo.sweep(&cfg), 1, "exactly the table-a entry drops");
         assert_eq!(memo.gain(hb, ColRef::new(b, 0)), Some(2.5), "table-b gain survives");
         assert_eq!(memo.gain(ha, ColRef::new(a, 0)), None, "table-a handle is dead");
-        let (hb2, inv) = memo.resolve(&db, &cfg, &qb);
+        let (hb2, inv) = memo.resolve(&cfg, &qb);
         assert!(!inv);
         assert_eq!(hb2, hb, "table-b entry still live after the sweep");
     }
 
     #[test]
-    fn stats_and_row_count_changes_invalidate() {
-        let (mut db, a, _) = db2();
-        let cfg = PhysicalConfig::new();
-        let q = Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 5i64)]);
-        let mut memo = WhatIfMemo::new();
-        memo.resolve(&db, &cfg, &q);
-        db.table_mut(a).analyze();
-        assert!(memo.resolve(&db, &cfg, &q).1, "analyze bumps stats_version");
-        db.insert_rows(a, std::iter::once(row_from(vec![Value::Int(-1), Value::Int(0)]))).unwrap();
-        assert!(memo.resolve(&db, &cfg, &q).1, "bare insert (no analyze) still invalidates");
-    }
-
-    #[test]
     fn eviction_is_fifo_and_bounded() {
-        let (db, a, _) = db2();
+        let (_, a, _) = db2();
         let cfg = PhysicalConfig::new();
-        let mut memo = WhatIfMemo::new();
+        let mut memo = WhatIfMemo::with_capacity(DEFAULT_CAPACITY);
         let col = ColRef::new(a, 0);
         let query_for = |i: i64| Query::single(a, vec![SelPred::eq(col, i)]);
         let mut handles = Vec::new();
         for i in 0..(DEFAULT_CAPACITY as i64 + 3) {
-            let (h, _) = memo.resolve(&db, &cfg, &query_for(i));
+            let (h, _) = memo.resolve(&cfg, &query_for(i));
             memo.store_gain(h, col, i as f64);
             handles.push(h);
         }
@@ -420,19 +371,19 @@ mod tests {
         assert_eq!(memo.gain(handles[last], col), Some(last as f64));
         // Re-resolving an evicted template is a plain miss, not an
         // invalidation, and the cache stays bounded.
-        assert!(!memo.resolve(&db, &cfg, &query_for(0)).1);
+        assert!(!memo.resolve(&cfg, &query_for(0)).1);
         assert_eq!(memo.len(), DEFAULT_CAPACITY);
         assert_eq!(memo.evictions(), 4);
     }
 
     #[test]
     fn lowered_capacity_evicts_under_pressure() {
-        let (db, a, _) = db2();
+        let (_, a, _) = db2();
         let cfg = PhysicalConfig::new();
         let mut memo = WhatIfMemo::with_capacity(2);
         let col = ColRef::new(a, 0);
         for i in 0..5i64 {
-            let (h, _) = memo.resolve(&db, &cfg, &Query::single(a, vec![SelPred::eq(col, i)]));
+            let (h, _) = memo.resolve(&cfg, &Query::single(a, vec![SelPred::eq(col, i)]));
             memo.store_gain(h, col, i as f64);
         }
         assert_eq!(memo.len(), 2);
@@ -457,27 +408,19 @@ mod tests {
         table: TableId,
         mat_cols: Vec<ColRef>,
         composites: Vec<CompositeKey>,
-        stats_version: u64,
-        row_count: u64,
     }
 
     impl SetSnap {
-        fn capture(db: &Database, config: &PhysicalConfig, table: TableId) -> Self {
-            let t = db.table(table);
+        fn capture(config: &PhysicalConfig, table: TableId) -> Self {
             SetSnap {
                 table,
                 mat_cols: config.columns().filter(|c| c.table == table).collect(),
                 composites: config.composites_on(table).map(|m| m.key.clone()).collect(),
-                stats_version: t.stats_version(),
-                row_count: t.heap.row_count() as u64,
             }
         }
 
-        fn holds(&self, db: &Database, config: &PhysicalConfig) -> bool {
-            let t = db.table(self.table);
-            t.stats_version() == self.stats_version
-                && t.heap.row_count() as u64 == self.row_count
-                && config.columns().filter(|c| c.table == self.table).eq(self.mat_cols.iter().copied())
+        fn holds(&self, config: &PhysicalConfig) -> bool {
+            config.columns().filter(|c| c.table == self.table).eq(self.mat_cols.iter().copied())
                 && config.composites_on(self.table).map(|m| &m.key).eq(self.composites.iter())
         }
     }
@@ -508,12 +451,12 @@ mod tests {
                 ),
             ];
             let mut cfg = PhysicalConfig::new();
-            let mut memo = WhatIfMemo::new();
+            let mut memo = WhatIfMemo::with_capacity(DEFAULT_CAPACITY);
             let mut oracle: BTreeMap<u64, Vec<SetSnap>> = BTreeMap::new();
             for step in 0..80 {
                 // One change to one table — or none at all.
                 let t = tables[rng.below(2)];
-                match rng.below(5) {
+                match rng.below(3) {
                     0 => {
                         let col = ColRef::new(t, rng.below(2) as u32);
                         if !cfg.drop_index(col) {
@@ -526,19 +469,17 @@ mod tests {
                             cfg.create_composite(&db, key);
                         }
                     }
-                    2 => db.table_mut(t).analyze(),
-                    3 => db.insert_rows(t, [row(step)]).unwrap(),
                     _ => {}
                 }
                 let mut stale = Vec::new();
                 for (&id, entry) in &memo.entries {
-                    let expected = oracle[&id].iter().all(|s| s.holds(&db, &cfg));
-                    assert_eq!(entry.holds(&db, &cfg), expected, "case {case} step {step} id {id}");
+                    let expected = oracle[&id].iter().all(|s| s.holds(&cfg));
+                    assert_eq!(entry.holds(&cfg), expected, "case {case} step {step} id {id}");
                     if !expected {
                         stale.push(id);
                     }
                 }
-                assert_eq!(memo.sweep(&db, &cfg), stale.len() as u64, "case {case} step {step}");
+                assert_eq!(memo.sweep(&cfg), stale.len() as u64, "case {case} step {step}");
                 for id in stale {
                     assert!(!memo.entries.contains_key(&id), "case {case} step {step} id {id}");
                     oracle.remove(&id);
@@ -546,10 +487,10 @@ mod tests {
                 assert_eq!(memo.len(), oracle.len(), "case {case} step {step}");
                 // Entries are made at different points of the history.
                 for q in queries.iter().filter(|_| rng.chance(0.4)) {
-                    let (handle, invalidated) = memo.resolve(&db, &cfg, q);
+                    let (handle, invalidated) = memo.resolve(&cfg, q);
                     assert!(!invalidated, "the sweep left nothing stale");
                     oracle.entry(handle.0).or_insert_with(|| {
-                        q.tables.iter().map(|&t| SetSnap::capture(&db, &cfg, t)).collect()
+                        q.tables.iter().map(|&t| SetSnap::capture(&cfg, t)).collect()
                     });
                 }
             }

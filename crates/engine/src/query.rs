@@ -217,13 +217,6 @@ impl Query {
         self.selections.iter().filter(move |p| p.col.table == table)
     }
 
-    /// Join predicates touching one table.
-    pub fn joins_on(&self, table: TableId) -> impl Iterator<Item = &JoinPred> + '_ {
-        self.joins
-            .iter()
-            .filter(move |j| j.side_on(table).is_some())
-    }
-
     /// All columns restricted by selection predicates — these are COLT's
     /// candidate indices for this query (paper §3: candidates are mined
     /// from selection predicates).

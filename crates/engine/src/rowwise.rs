@@ -16,7 +16,6 @@
 //! running the reference never perturbs observability snapshots the
 //! exhibits assert on.
 
-use crate::aggregate::{Acc, AggSpec};
 use crate::batch::TableLayout;
 use crate::error::ExecError;
 use crate::executor::{
@@ -27,7 +26,7 @@ use crate::plan::{AccessPath, Plan, PlanNode};
 use crate::query::{Query, SelPred};
 use colt_catalog::{ColRef, Database, PhysicalConfig, TableId};
 use colt_storage::{IoStats, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Rows flowing between operators: the source table of each column slice
 /// is tracked so join keys can be located.
@@ -67,65 +66,6 @@ impl<'a> RowwiseExecutor<'a> {
             rows: if collect == Collect::Rows { batch.rows } else { Vec::new() },
             layout: batch.tables,
         })
-    }
-
-    /// Aggregate a plan's result per `spec`, row-at-a-time. Mirrors
-    /// [`crate::executor::Executor::execute_aggregate`] exactly.
-    pub fn execute_aggregate(
-        &self,
-        query: &Query,
-        plan: &Plan,
-        spec: &AggSpec,
-    ) -> Result<(QueryResult, Vec<Vec<Value>>), ExecError> {
-        spec.check()?;
-        let mut io = IoStats::new();
-        let batch = self.run(query, &plan.root, &mut io)?;
-        let layout = TableLayout::of_tables(self.db, &batch.tables);
-        let resolve = |c: ColRef| -> Result<usize, ExecError> {
-            let pos =
-                layout.col_of(c).ok_or(ExecError::UnknownColRef { operator: "aggregate", col: c })?;
-            if c.column as usize >= self.db.table(c.table).schema.arity() {
-                return Err(ExecError::UnknownColRef { operator: "aggregate", col: c });
-            }
-            Ok(pos)
-        };
-        let group_pos: Vec<usize> =
-            spec.group_by.iter().map(|&c| resolve(c)).collect::<Result<_, ExecError>>()?;
-        let agg_pos: Vec<Option<usize>> = spec
-            .exprs
-            .iter()
-            .map(|e| e.col.map(resolve).transpose())
-            .collect::<Result<_, ExecError>>()?;
-
-        let mut groups: BTreeMap<Vec<Value>, Vec<Acc>> = BTreeMap::new();
-        if spec.group_by.is_empty() {
-            groups.insert(Vec::new(), spec.exprs.iter().map(|e| Acc::new(e.func)).collect());
-        }
-        for row in &batch.rows {
-            let key: Vec<Value> = group_pos.iter().map(|&p| row[p].clone()).collect();
-            let accs = groups
-                .entry(key)
-                .or_insert_with(|| spec.exprs.iter().map(|e| Acc::new(e.func)).collect());
-            for (acc, pos) in accs.iter_mut().zip(&agg_pos) {
-                acc.feed(pos.map(|p| &row[p]));
-            }
-            io.cpu_ops += spec.exprs.len() as u64 + 1;
-        }
-        let out: Vec<Vec<Value>> = groups
-            .into_iter()
-            .map(|(mut key, accs)| {
-                key.extend(accs.into_iter().map(Acc::finish));
-                key
-            })
-            .collect();
-        Ok((
-            QueryResult {
-                row_count: out.len() as u64,
-                millis: self.db.cost.millis_of(&io),
-                io,
-            },
-            out,
-        ))
     }
 
     fn run(&self, query: &Query, node: &PlanNode, io: &mut IoStats) -> Result<Batch, ExecError> {

@@ -53,8 +53,8 @@ pub struct EqoCounters {
     /// What-if derivations the memo had to compute (and then cached).
     pub memo_misses: u64,
     /// Memo entries discarded because their snapshot went stale (the
-    /// materialized set, statistics, or row count of a referenced table
-    /// changed, or an epoch sweep found them expired).
+    /// materialized set of a referenced table changed), found by a
+    /// probe or by an epoch sweep.
     pub memo_invalidations: u64,
     /// Memo entries dropped by FIFO capacity pressure — a silent loss
     /// of a still-valid template. `memo_hits + memo_misses ==
@@ -67,6 +67,21 @@ pub struct EqoCounters {
 /// The extended query optimizer. Drive one `Eqo` with one
 /// [`PhysicalConfig`]: its memo tells configurations apart by their
 /// generation counters, not by their contents.
+///
+/// The database cannot change under a live `Eqo` — the borrow forbids
+/// it — which is why the memo pins materialized sets and nothing else:
+///
+/// ```compile_fail,E0502
+/// # use colt_catalog::{Column, Database, TableSchema};
+/// # use colt_engine::Eqo;
+/// # use colt_storage::{row_from, Value, ValueType};
+/// let mut db = Database::new();
+/// let t = db.add_table(TableSchema::new("t", vec![Column::new("k", ValueType::Int)]));
+/// let eqo = Eqo::new(&db);
+/// db.insert_rows(t, [row_from(vec![Value::Int(1)])]).unwrap(); // rows cannot move…
+/// db.analyze_all(); // …and neither can statistics
+/// eqo.counters();
+/// ```
 ///
 /// # Examples
 ///
@@ -132,12 +147,11 @@ impl<'a> Eqo<'a> {
     }
 
     /// Epoch boundary: sweep the memo, dropping only entries whose
-    /// snapshots went stale (the scheduler's creates/drops and any
-    /// re-analyzes have been applied by now). Valid entries survive
-    /// into the next epoch — invalidation is incremental, never a
-    /// blanket clear.
+    /// snapshots went stale (the scheduler's creates and drops have
+    /// been applied by now). Valid entries survive into the next epoch —
+    /// invalidation is incremental, never a blanket clear.
     pub fn end_epoch(&mut self, config: &PhysicalConfig) {
-        let dropped = self.memo.sweep(self.db, config);
+        let dropped = self.memo.sweep(config);
         if dropped > 0 {
             self.counters.memo_invalidations += dropped;
             colt_obs::counter("engine.whatif.memo_invalidate", dropped);
@@ -165,7 +179,7 @@ impl<'a> Eqo<'a> {
         if config.contains(col) {
             return None;
         }
-        let handle = self.memo.peek(self.db, config, query)?;
+        let handle = self.memo.peek(config, query)?;
         if let Some(gain) = self.memo.gain(handle, col) {
             return Some(gain);
         }
@@ -185,10 +199,10 @@ impl<'a> Eqo<'a> {
     /// charged per probed index.
     ///
     /// Derivations are served through the what-if memo when the
-    /// physical configuration and statistics of the query's tables are
-    /// unchanged since they were cached; cached and freshly computed
-    /// gains are identical by construction (see [`crate::memo`]). Every
-    /// probe counts in [`EqoCounters::whatif_calls`] either way.
+    /// materialized sets of the query's tables are unchanged since they
+    /// were cached; cached and freshly computed gains are identical by
+    /// construction (see `memo.rs`). Every probe counts in
+    /// [`EqoCounters::whatif_calls`] either way.
     pub fn what_if_optimize(
         &mut self,
         query: &Query,
@@ -202,7 +216,7 @@ impl<'a> Eqo<'a> {
         colt_obs::counter("engine.whatif_calls", probes.len() as u64);
         self.counters.whatif_calls += probes.len() as u64;
         // Count a stale entry found now and an eviction the new one forced.
-        let (handle, invalidated) = self.memo.resolve(self.db, config, query);
+        let (handle, invalidated) = self.memo.resolve(config, query);
         if invalidated {
             self.counters.memo_invalidations += 1;
             colt_obs::counter("engine.whatif.memo_invalidate", 1);

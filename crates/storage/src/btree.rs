@@ -9,7 +9,7 @@
 //! per level on a descent, one sequential page per additional leaf
 //! visited while scanning the leaf chain.
 
-use crate::column::{code_bound, literal_code};
+use crate::column::code_bound;
 use crate::page::{IoStats, PAGE_SIZE};
 use crate::row::RowId;
 use crate::value::{Value, ValueType};
@@ -100,6 +100,36 @@ pub fn default_order(key_width: usize) -> usize {
     (PAGE_SIZE / (key_width + 14)).clamp(8, 512)
 }
 
+/// The shape [`BPlusTreeOf::bulk_load`] gives a tree: the one rule the
+/// loader builds by and the catalog's size estimate promises by, so a
+/// built index has exactly its estimated footprint.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BulkShape {
+    /// Entries per filled node: ~90% of the order, the fill factor of a
+    /// freshly built database index.
+    pub fill: usize,
+    /// Leaf nodes.
+    pub leaves: usize,
+    /// All nodes, which is the page footprint.
+    pub pages: usize,
+    /// Levels, the leaf level included.
+    pub height: usize,
+}
+
+/// The shape of a bulk-loaded tree over `entries` keys of `key_width`
+/// bytes (an empty tree is one empty leaf).
+pub fn bulk_shape(entries: usize, key_width: usize) -> BulkShape {
+    let fill = (default_order(key_width) * 9 / 10).max(4);
+    let leaves = entries.div_ceil(fill).max(1);
+    let (mut pages, mut level, mut height) = (leaves, leaves, 1);
+    while level > 1 {
+        level = level.div_ceil(fill);
+        pages += level;
+        height += 1;
+    }
+    BulkShape { fill, leaves, pages, height }
+}
+
 impl<K: TreeKey> BPlusTreeOf<K> {
     /// Create an empty tree whose node capacity is derived from the key
     /// byte width.
@@ -122,9 +152,8 @@ impl<K: TreeKey> BPlusTreeOf<K> {
 
     /// Bulk-load a tree from entries that are already sorted by key.
     ///
-    /// Leaves are filled to ~90% occupancy, matching the fill factor of a
-    /// freshly built database index, in one left-to-right pass over the
-    /// input.
+    /// Nodes are filled per [`bulk_shape`] in one left-to-right pass over
+    /// the input.
     pub fn bulk_load(key_width: usize, entries: Vec<(K, RowId)>) -> Self {
         let _span = colt_obs::span("storage.btree.bulk_load");
         let order = default_order(key_width);
@@ -132,16 +161,15 @@ impl<K: TreeKey> BPlusTreeOf<K> {
             entries.windows(2).all(|w| (&w[0].0, w[0].1) <= (&w[1].0, w[1].1)),
             "bulk_load requires input sorted by (key, rowid)"
         );
-        let fill = (order * 9 / 10).max(4);
         if entries.is_empty() {
             return Self::with_order(order);
         }
         let len = entries.len();
+        let BulkShape { fill, leaves, pages, height } = bulk_shape(len, key_width);
 
         // Leaf sizes: `fill` each, the remainder in the last one —
         // unless that leaves it under half full, in which case the last
         // two leaves share so the last gets `fill / 2`.
-        let leaves = len.div_ceil(fill);
         let mut last = len - (leaves - 1) * fill;
         let mut second_last = fill;
         if leaves >= 2 && last < fill / 2 {
@@ -150,7 +178,7 @@ impl<K: TreeKey> BPlusTreeOf<K> {
         }
 
         // Build the leaf level.
-        let mut arena: Vec<Node<K>> = Vec::with_capacity(leaves + leaves / fill + 2);
+        let mut arena: Vec<Node<K>> = Vec::with_capacity(pages);
         let mut level: Vec<((K, RowId), NodeId)> = Vec::with_capacity(leaves); // (first composite key, node)
         let mut entries = entries.into_iter();
         for leaf in 0..leaves {
@@ -174,11 +202,9 @@ impl<K: TreeKey> BPlusTreeOf<K> {
         }
 
         // Build internal levels bottom-up.
-        let mut height = 1;
         while level.len() > 1 {
-            height += 1;
             let mut next_level = Vec::new();
-            for group in level.chunks(fill.max(2)) {
+            for group in level.chunks(fill) {
                 let first = group[0].0.clone();
                 let keys = group[1..].iter().map(|(k, _)| k.clone()).collect();
                 let children = group.iter().map(|(_, id)| *id).collect();
@@ -189,6 +215,7 @@ impl<K: TreeKey> BPlusTreeOf<K> {
             level = next_level;
         }
         let root = level[0].1;
+        debug_assert_eq!(arena.len(), pages);
         BPlusTreeOf { arena, root, height, len, order }
     }
 
@@ -336,39 +363,6 @@ impl<K: TreeKey> BPlusTreeOf<K> {
                     self.height += 1;
                     return;
                 }
-            }
-        }
-    }
-
-    /// Remove the entry `(key, row)` if present; returns whether it
-    /// existed.
-    ///
-    /// Deletion is *lazy*, as in PostgreSQL's nbtree: the entry is
-    /// removed from its leaf but underfull nodes are not merged and
-    /// separators are not rewritten (they remain valid as routing
-    /// bounds). Space is reclaimed when the index is rebuilt. All
-    /// search invariants are preserved; `page_count` reports the
-    /// original footprint until a rebuild.
-    pub fn remove(&mut self, key: &K, row: RowId) -> bool {
-        let mut io = IoStats::new();
-        let (leaf, _) = self.descend((key, row), &mut io);
-        // The entry may sit in a later leaf when duplicates straddle a
-        // (degenerate) split; walk the chain while keys may still match.
-        let mut cur = leaf;
-        loop {
-            let (entries, next) = self.leaf(cur);
-            if let Some(pos) = entries.iter().position(|(k, r)| k == key && *r == row) {
-                if let Node::Leaf { entries, .. } = self.node_mut(cur) {
-                    entries.remove(pos);
-                }
-                self.len -= 1;
-                return true;
-            }
-            // Stop once the leaf starts beyond the key.
-            let past = entries.first().is_some_and(|(k, _)| k > key);
-            match (past, next) {
-                (false, Some(n)) => cur = n,
-                _ => return false,
             }
         }
     }
@@ -529,16 +523,6 @@ impl<K: TreeKey> BPlusTreeOf<K> {
         leaves.into_iter().flatten().map(|(k, r)| (k, *r))
     }
 
-    /// Like [`BPlusTree::check_invariants`] but tolerant of underfull
-    /// and empty leaves, which lazy deletion legitimately produces.
-    /// Test-support API.
-    pub fn check_invariants_after_deletes(&self) {
-        let iter_len = self.iter().count();
-        assert_eq!(iter_len, self.len, "len matches leaf chain");
-        let keys: Vec<_> = self.iter().map(|(k, _)| k.clone()).collect();
-        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "leaf chain sorted");
-    }
-
     /// Verify structural invariants; panics with a description on
     /// violation. Test-support API.
     pub fn check_invariants(&self) {
@@ -650,19 +634,6 @@ impl IndexTree {
     /// Approximate size in bytes.
     pub fn byte_size(&self) -> usize {
         self.page_count() * PAGE_SIZE
-    }
-
-    /// Insert an entry. A key that is not of the indexed column's type
-    /// has no place in a code-keyed tree and is handed back untouched.
-    pub fn insert(&mut self, key: Value, row: RowId) -> Result<(), Value> {
-        match self {
-            IndexTree::Coded { column, tree } => match literal_code(&key, *column) {
-                Ok(code) => tree.insert(code, row),
-                Err(_) => return Err(key),
-            },
-            IndexTree::Str(tree) => tree.insert(key, row),
-        }
-        Ok(())
     }
 
     /// Point lookup appending to `out`: all row ids whose key equals
@@ -974,57 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_existing_and_missing() {
-        let mut t = BPlusTree::with_order(4);
-        for i in 0..300 {
-            t.insert(v(i), RowId(i as u32));
-        }
-        let mut io = IoStats::new();
-        assert!(t.remove(&v(150), RowId(150)));
-        assert!(!t.remove(&v(150), RowId(150)), "second removal fails");
-        assert!(!t.remove(&v(150), RowId(151)), "wrong rowid fails");
-        assert_eq!(t.len(), 299);
-        assert!(t.lookup(&v(150), &mut io).is_empty());
-        assert_eq!(t.lookup(&v(151), &mut io), vec![RowId(151)]);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn remove_duplicates_individually() {
-        let mut t = BPlusTree::with_order(4);
-        for i in 0..30 {
-            t.insert(v(7), RowId(i));
-        }
-        for i in (0..30).step_by(2) {
-            assert!(t.remove(&v(7), RowId(i)));
-        }
-        let mut io = IoStats::new();
-        let mut hits = t.lookup(&v(7), &mut io);
-        hits.sort();
-        assert_eq!(hits, (1..30).step_by(2).map(RowId).collect::<Vec<_>>());
-        t.check_invariants_after_deletes();
-    }
-
-    #[test]
-    fn remove_everything_then_reinsert() {
-        let mut t = BPlusTree::with_order(5);
-        for i in 0..200 {
-            t.insert(v(i), RowId(i as u32));
-        }
-        for i in 0..200 {
-            assert!(t.remove(&v(i), RowId(i as u32)), "remove {i}");
-        }
-        assert!(t.is_empty());
-        let mut io = IoStats::new();
-        assert!(t.range(Bound::Unbounded, Bound::Unbounded, &mut io).is_empty());
-        for i in 0..50 {
-            t.insert(v(i), RowId(i as u32));
-        }
-        assert_eq!(t.len(), 50);
-        t.check_invariants_after_deletes();
-    }
-
-    #[test]
     fn composite_keys_order_lexicographically() {
         use crate::btree::CompositeBPlusTree;
         let mut t = CompositeBPlusTree::with_order(6);
@@ -1104,7 +1024,7 @@ mod tests {
     }
 
     #[test]
-    fn composite_bulk_load_and_remove() {
+    fn composite_bulk_load_is_valid() {
         use crate::btree::CompositeBPlusTree;
         let entries: Vec<_> = (0..500i64)
             .map(|i| (vec![v(i / 10), v(i % 10)], RowId(i as u32)))
@@ -1112,11 +1032,8 @@ mod tests {
         let t2 = CompositeBPlusTree::bulk_load(12, entries);
         t2.check_invariants();
         assert_eq!(t2.len(), 500);
-        let mut t2 = t2;
-        assert!(t2.remove(&vec![v(3), v(4)], RowId(34)));
-        assert_eq!(t2.len(), 499);
         let mut io = IoStats::new();
-        assert!(t2.lookup(&vec![v(3), v(4)], &mut io).is_empty());
+        assert_eq!(t2.lookup(&vec![v(3), v(4)], &mut io), vec![RowId(34)]);
     }
 
     #[test]

@@ -172,69 +172,3 @@ fn prelude_surface() {
         Executor::new(&db, &cfg).execute(&q, &plan, Collect::CountOnly).expect("plan matches query");
     assert_eq!(res.row_count(), 1);
 }
-
-/// Ingestion while tuning: append rows with index maintenance while
-/// COLT runs; queries stay correct, COLT keeps tuning, and auto-analyze
-/// refreshes the optimizer's statistics.
-#[test]
-fn ingestion_while_tuning() {
-    use colt_repro::catalog::{insert_row, Database, TableSchema, Column};
-    use colt_repro::colt::{ColtConfig, ColtTuner};
-    use colt_repro::storage::{row_from, ValueType};
-
-    let mut db = Database::new();
-    let t = db.add_table(TableSchema::new(
-        "events",
-        vec![Column::new("id", ValueType::Int), Column::new("kind", ValueType::Int)],
-    ));
-    db.insert_rows(t, (0..10_000i64).map(|i| row_from(vec![Value::Int(i), Value::Int(i % 8)]))).unwrap();
-    db.analyze_all();
-
-    let mut physical = PhysicalConfig::new();
-    let mut tuner =
-        ColtTuner::new(ColtConfig { storage_budget_pages: 10_000, ..Default::default() });
-    let col = colt_repro::catalog::ColRef::new(t, 0);
-    let mut next_id = 10_000i64;
-
-    for i in 0..150i64 {
-        // Every query is followed by a small ingest burst.
-        {
-            let mut eqo = Eqo::new(&db);
-            let q = Query::single(t, vec![SelPred::eq(col, (i * 97) % next_id)]);
-            let plan = eqo.optimize(&q, &physical);
-            let res = Executor::new(&db, &physical)
-                .execute(&q, &plan, Collect::CountOnly)
-                .expect("plan matches query");
-            assert_eq!(res.row_count(), 1, "exactly one match for a key lookup");
-            tuner.on_query(&db, &mut physical, &mut eqo, &q, &plan);
-        }
-        for _ in 0..20 {
-            insert_row(
-                &mut db,
-                &mut physical,
-                t,
-                colt_repro::storage::row_from(vec![
-                    Value::Int(next_id),
-                    Value::Int(next_id % 8),
-                ]),
-            ).unwrap();
-            next_id += 1;
-        }
-        db.auto_analyze(0.1);
-    }
-
-    // COLT materialized the key index despite concurrent growth…
-    assert!(physical.contains(col), "index materialized under ingestion");
-    // …and the maintained index covers all ingested rows.
-    let m = physical.get(col).unwrap();
-    assert_eq!(m.tree.len() as i64, next_id, "index covers every ingested row");
-    // A lookup for a freshly ingested row goes through the index.
-    let mut eqo = Eqo::new(&db);
-    let q = Query::single(t, vec![SelPred::eq(col, next_id - 1)]);
-    let plan = eqo.optimize(&q, &physical);
-    assert_eq!(plan.used_indices(), vec![col]);
-    let res = Executor::new(&db, &physical)
-        .execute(&q, &plan, Collect::CountOnly)
-        .expect("plan matches query");
-    assert_eq!(res.row_count(), 1);
-}
