@@ -15,11 +15,17 @@
 //! selectivity estimate over a fixed-width column's key codes must beat
 //! the same estimate comparing `Value`s, and a scan kernel that counts a
 //! window must beat the one that selects it, again in this process.
-//! `Eqo::optimize` beside the bare optimizer is printed, not gated.
+//! `Eqo::optimize` beside the bare optimizer, and a hash join's cost per
+//! probe row, are printed, not gated.
 
 use colt_bench::bench;
-use colt_catalog::{build_index, ColRef, ColumnStats, PhysicalConfig, TableId};
-use colt_engine::{Eqo, IndexSetView, Kernel, Optimizer, SelPred, BATCH_ROWS};
+use colt_catalog::{
+    build_index, ColRef, Column, ColumnStats, Database, PhysicalConfig, TableId, TableSchema,
+};
+use colt_engine::{
+    AccessPath, Collect, Eqo, Executor, IndexSetView, JoinPred, Kernel, Optimizer, Plan, PlanNode,
+    Query, SelPred, BATCH_ROWS,
+};
 use colt_storage::{
     row_from, sorted_entries, BPlusTree, BPlusTreeOf, ColumnSlice, HeapTable, IoStats, KeyCode,
     RowId, Value, ValueType,
@@ -331,6 +337,69 @@ fn bench_kernel_scan() -> bool {
     int && date && float
 }
 
+/// Prints what a hash join costs per probe row, run whole through
+/// `Executor::execute(CountOnly)` — two predicate-free scans, the build,
+/// the probe — for a 6 000-row probe against a 120- and a 1 500-row
+/// build, on an `Int` key, a `Str` key and a two-column `(Int, Date)`
+/// key. Probe row `i` holds key `i · 3 539 mod 6 000` (a permutation),
+/// build row `j` key `j`: a build of `n` rows matches `n` probe rows,
+/// spread over every window. Fastest of three interleaved rounds; not
+/// gated.
+fn bench_hash_join() {
+    const PROBE_ROWS: i64 = 6_000;
+    let columns = || {
+        let (int, str, date) = (ValueType::Int, ValueType::Str, ValueType::Date);
+        vec![Column::new("k", int), Column::new("s", str), Column::new("d", date)]
+    };
+    let row = |k: i64| {
+        let day = Value::Date(8_000 + (k % 2_500) as i32);
+        row_from(vec![Value::Int(k), Value::Str(format!("Customer#{k:09}")), day])
+    };
+    let mut db = Database::new();
+    let probe = db.add_table(TableSchema::new("probe", columns()));
+    let keys = (0..PROBE_ROWS).map(|i| row(i * 3_539 % PROBE_ROWS));
+    db.insert_rows(probe, keys).expect("the rows have the schema's types");
+    let builds = [120, 1_500].map(|n: i64| {
+        let build = db.add_table(TableSchema::new(format!("build_{n}"), columns()));
+        db.insert_rows(build, (0..n).map(row)).expect("the rows have the schema's types");
+        (n, build)
+    });
+    let config = PhysicalConfig::new();
+    let executor = Executor::new(&db, &config);
+    let scan =
+        |table| PlanNode::Scan { table, path: AccessPath::SeqScan, est_rows: 0.0, est_cost: 0.0 };
+    for (name, key) in [("int", &[0][..]), ("str", &[1]), ("two_keys", &[0, 2])] {
+        let joins = builds.map(|(n, build)| {
+            let pair = |c| JoinPred::new(ColRef::new(build, c), ColRef::new(probe, c));
+            let on: Vec<JoinPred> = key.iter().map(|&c| pair(c)).collect();
+            let query = Query::join(vec![build, probe], on.clone(), Vec::new());
+            let root = PlanNode::HashJoin {
+                build: Box::new(scan(build)),
+                probe: Box::new(scan(probe)),
+                on,
+                est_rows: 0.0,
+                est_cost: 0.0,
+            };
+            (query, Plan { root, selectivities: Vec::new() }, n as u64)
+        });
+        let calls: Vec<_> = (joins.iter())
+            .map(|(query, plan, matches)| {
+                move || {
+                    let out = executor.execute(black_box(query), plan, Collect::CountOnly);
+                    assert_eq!(out.expect("the plan is well-formed").row_count(), *matches);
+                }
+            })
+            .collect();
+        let ns = fastest(200, &[&calls[0], &calls[1]]);
+        println!(
+            "  {:<44} {:>8.2} ns/probe row against 120 build rows, {:.2} against 1 500",
+            format!("exec/hash_join/{name}"),
+            ns[0] / PROBE_ROWS as f64,
+            ns[1] / PROBE_ROWS as f64
+        );
+    }
+}
+
 fn bench_insert() {
     for n in [1_000usize, 10_000] {
         bench(&format!("btree/insert/{n}"), || {
@@ -435,6 +504,7 @@ fn main() -> std::process::ExitCode {
     bench_eqo_optimize();
     let codes_fast = bench_stats_selectivity();
     let counts_fast = bench_kernel_scan();
+    bench_hash_join();
     bench_insert();
     bench_lookup();
     bench_range();

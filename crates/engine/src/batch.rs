@@ -2,21 +2,19 @@
 //!
 //! The executor processes rows a batch at a time (MonetDB/X100 style)
 //! and materializes late: an operator's output is a [`RowIds`] — per
-//! table of its [`TableLayout`], the heap row each output row takes
-//! that table's columns from — and no operator copies a cell. Scans
-//! append the selection vectors their kernels produce; joins read their
-//! keys straight from the heap's typed columns through those ids
-//! ([`KeyCol`]), hash them a column at a time ([`hash_keys`]) and chain
-//! equal hashes ([`Chains`]). `Value`s are built where a consumer asks
-//! for them, at the plan root ([`RowIds::extend_rows`]).
+//! table of its slice of the plan's table order, the heap row each
+//! output row takes that table's columns from — and no operator copies
+//! a cell. Scans append the selection vectors their kernels produce;
+//! joins read their keys straight from the heap's typed columns through
+//! those ids ([`KeyCol`]), hash them a column at a time ([`hash_keys`])
+//! and chain equal hashes ([`Chains`]). `Value`s are built where a
+//! consumer asks for them, at the plan root ([`RowIds::extend_rows`]).
 //!
 //! None of this affects the cost model: [`colt_storage::IoStats`] is
 //! charged per page and per tuple *processed*, which is invariant to
 //! how processed rows are grouped into batches (see DESIGN.md,
 //! "Vectorized execution").
 
-use crate::plan::PlanNode;
-use colt_catalog::{ColRef, Database, TableId};
 use colt_storage::{ColumnSlice, Value};
 use std::ops::Range;
 
@@ -25,9 +23,10 @@ use std::ops::Range;
 pub const BATCH_ROWS: usize = 1024;
 
 /// One operator's output: the row count and, per table of the subtree's
-/// [`TableLayout`], the heap row id behind each output row. An operator
-/// asked only to count (a [`crate::Collect::CountOnly`] plan root)
-/// carries no id vectors at all, so [`RowIds::push`] writes nothing.
+/// layout (its tables in output order), the heap row id behind each
+/// output row. An operator asked only to count (a
+/// [`crate::Collect::CountOnly`] plan root) carries no id vectors at
+/// all, so [`RowIds::push`] writes nothing.
 #[derive(Debug)]
 pub(crate) struct RowIds {
     ids: Vec<Vec<u32>>,
@@ -141,15 +140,22 @@ pub(crate) fn keys_eq(left: &[KeyCol<'_>], i: usize, right: &[KeyCol<'_>], j: us
 /// across the whole word.
 const KEY_HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// One fixed-seed multiply-rotate round (FxHash style) per 8-byte word,
-/// in place of `RandomState`'s per-process-seeded SipHash. A fixed seed
-/// is safe here because [`Chains`] is point-lookup only — a bucket is
-/// walked in row order, never in hash order, so no hash can reach a
-/// result — and the keys are column cells of the program's own
-/// generated data, not outside input an adversary could craft to
+/// One folded multiply per 8-byte word: the 128-bit product of
+/// `hash ^ word` and [`KEY_HASH_MUL`], its two halves xored. A plain
+/// multiply carries entropy only upward, so keys at a stride of 2^k
+/// would hash to multiples of 2^k and share [`Chains`]' low-bit slots;
+/// the high half brings the rest down, so no finishing pass is needed
+/// (`key_hasher_spreads_*`: ≥ 512 of 1 024 slots at every stride tried;
+/// a finishing pass on top measured `joins` 1.16× against 1.30× without,
+/// EXPERIMENTS.md, "PR 25"). A fixed seed, in place of `RandomState`'s
+/// per-process SipHash, is safe because [`Chains`] is point-lookup only
+/// — a chain is walked in row order, never in hash order, so no hash
+/// can reach a result — and the keys are column cells of the program's
+/// own generated data, not outside input an adversary could craft to
 /// collide.
 fn mix(hash: u64, word: u64) -> u64 {
-    (hash.rotate_left(5) ^ word).wrapping_mul(KEY_HASH_MUL)
+    let product = u128::from(hash ^ word) * u128::from(KEY_HASH_MUL);
+    product as u64 ^ (product >> 64) as u64
 }
 
 /// Fold one key column into the running hashes: `hashes[i]` absorbs the
@@ -169,40 +175,64 @@ fn hash_cells(cells: ColumnSlice<'_>, rows: &[u32], hashes: &mut [u64]) {
         ColumnSlice::Str(c) => {
             for (hash, &row) in hashes.iter_mut().zip(rows) {
                 let bytes = c[row as usize].as_bytes();
-                for chunk in bytes.chunks(8) {
+                // Whole words as one load each (a variable-length copy per
+                // word is a `memcpy` call), then the zero-padded tail.
+                let mut words = bytes.chunks_exact(8);
+                for chunk in words.by_ref() {
                     let mut word = [0u8; 8];
-                    word[..chunk.len()].copy_from_slice(chunk);
+                    word.copy_from_slice(chunk);
                     *hash = mix(*hash, u64::from_le_bytes(word));
                 }
-                *hash = mix(*hash, bytes.len() as u64);
+                let tail = words.remainder().iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+                *hash = mix(mix(*hash, tail), bytes.len() as u64);
             }
         }
     }
 }
 
-/// The key hash of each input row in `window`, a key column at a time.
+/// The key hash of each input row in `window`, a key column at a time,
+/// ready for [`Chains`]' low-bit slots as each [`mix`] leaves it.
 pub(crate) fn hash_keys(keys: &[KeyCol<'_>], window: Range<usize>, hashes: &mut Vec<u64>) {
     hashes.clear();
     hashes.resize(window.len(), 0);
     for key in keys {
         hash_cells(key.cells, &key.rows[window.clone()], hashes);
     }
-    for hash in hashes.iter_mut() {
-        // A multiply only carries entropy upward, but `Chains` picks its
-        // slot from the low bits: keys that are multiples of 2^k would
-        // share one. Fold the high half down and mix once more.
-        let h = (*hash ^ (*hash >> 32)).wrapping_mul(KEY_HASH_MUL);
-        *hash = h ^ (h >> 29);
+}
+
+/// The equi-join of two inputs' key columns: `hit(b, p)` for every build
+/// row `b` and probe row `p` whose keys are equal ([`keys_eq`]), probe
+/// rows in order and each one's matches in build order, as the reference
+/// emits them. The probe goes a [`BATCH_ROWS`] window at a time.
+pub(crate) fn equi_join(
+    build: &[KeyCol<'_>],
+    probe: &[KeyCol<'_>],
+    mut hit: impl FnMut(usize, usize),
+) {
+    let rows = |keys: &[KeyCol<'_>]| keys.first().map_or(0, |k| k.rows.len());
+    let mut hashes = Vec::new();
+    hash_keys(build, 0..rows(build), &mut hashes);
+    let chains = Chains::build(hashes);
+    let probe_rows = rows(probe);
+    let (mut hashes, mut heads) = (Vec::new(), Vec::new());
+    for start in (0..probe_rows).step_by(BATCH_ROWS) {
+        hash_keys(probe, start..(start + BATCH_ROWS).min(probe_rows), &mut hashes);
+        chains.probe(&hashes, &mut heads, |i, b| {
+            if keys_eq(build, b, probe, start + i) {
+                hit(b, start + i);
+            }
+        });
     }
 }
 
 /// "No row" in a [`Chains`] link.
 const NO_ROW: u32 = u32::MAX;
 
-/// Slots per chained row. With few slots a probe's "is the slot empty?"
-/// branch is a coin flip; at 8 a probe that matches nothing almost
-/// always stops at the slot (measured on the `joins` workload: 28.4 µs
-/// execute per query at 2, 19.9 µs at 8; EXPERIMENTS.md).
+/// Slots per chained row: the more slots, the fewer probes find an
+/// occupied slot whose chain holds only other hashes. Measured under
+/// the branch-free probe on the `joins` workload: 8, 4 and 2 slots read
+/// 1.30×, 1.22× and 1.09× the queries/s of PR 24's one-pass probe
+/// (EXPERIMENTS.md, "PR 25").
 const SLOTS_PER_ROW: usize = 8;
 
 /// A hash table over rows `0..n` keyed by precomputed hashes: each slot
@@ -229,81 +259,38 @@ impl Chains {
         Chains { hashes, heads, next }
     }
 
-    /// The rows chained under exactly `hash`, ascending.
-    pub(crate) fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
-        let mut at = self.heads[hash as usize & (self.heads.len() - 1)];
-        std::iter::from_fn(move || {
+    /// `hit(i, row)` for every chained row whose hash is `hashes[i]`, in
+    /// order of `i`, then ascending `row`. Two passes, so that nothing
+    /// branches on the data before a chain is known to be there: the
+    /// first writes every probe's slot head into `heads` (a buffer the
+    /// caller keeps) and advances past the occupied ones only, like
+    /// `Kernel::select`; the second walks those chains.
+    pub(crate) fn probe(
+        &self,
+        hashes: &[u64],
+        heads: &mut Vec<(u32, u32)>,
+        mut hit: impl FnMut(usize, usize),
+    ) {
+        let mask = self.heads.len() - 1;
+        heads.clear();
+        heads.resize(hashes.len(), (0, NO_ROW));
+        let out = heads.as_mut_slice();
+        let mut found = 0;
+        for (i, &hash) in hashes.iter().enumerate() {
+            let head = self.heads[hash as usize & mask];
+            out[found] = (i as u32, head);
+            found += usize::from(head != NO_ROW);
+        }
+        for &(i, mut at) in &out[..found] {
+            let hash = hashes[i as usize];
             while at != NO_ROW {
                 let row = at as usize;
-                at = self.next[row];
                 if self.hashes[row] == hash {
-                    return Some(row);
+                    hit(i as usize, row);
                 }
-            }
-            None
-        })
-    }
-}
-
-/// The column layout of an operator's output: which tables participate,
-/// in column-slice order, with each table's starting column offset
-/// precomputed so join keys resolve in O(tables).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableLayout {
-    tables: Vec<TableId>,
-    starts: Vec<usize>,
-}
-
-impl TableLayout {
-    /// The layout of several tables' concatenated columns, in order.
-    pub fn of_tables(db: &Database, tables: &[TableId]) -> Self {
-        let mut names = Vec::with_capacity(tables.len());
-        let mut starts = Vec::with_capacity(tables.len());
-        let mut width = 0;
-        for &t in tables {
-            names.push(t);
-            starts.push(width);
-            width += db.table(t).schema.arity();
-        }
-        TableLayout { tables: names, starts }
-    }
-
-    /// The output layout of a plan subtree, known before it runs: scans
-    /// emit their table's columns, joins their left input's (build,
-    /// outer) then their right input's (probe, inner).
-    pub fn of_plan(db: &Database, node: &PlanNode) -> Self {
-        fn walk(node: &PlanNode, out: &mut Vec<TableId>) {
-            match node {
-                PlanNode::Scan { table, .. } => out.push(*table),
-                PlanNode::HashJoin { build, probe, .. } => {
-                    walk(build, out);
-                    walk(probe, out);
-                }
-                PlanNode::IndexNlJoin { outer, inner, .. } => {
-                    walk(outer, out);
-                    out.push(*inner);
-                }
+                at = self.next[row];
             }
         }
-        let mut tables = Vec::new();
-        walk(node, &mut tables);
-        Self::of_tables(db, &tables)
-    }
-
-    /// Participating tables in column-slice order.
-    pub fn tables(&self) -> &[TableId] {
-        &self.tables
-    }
-
-    /// The position of `table` among [`TableLayout::tables`], when
-    /// present: the index of its id vector in an operator's output.
-    pub fn position_of(&self, table: TableId) -> Option<usize> {
-        self.tables.iter().position(|&t| t == table)
-    }
-
-    /// Resolve a column reference to its offset in this layout.
-    pub fn col_of(&self, col: ColRef) -> Option<usize> {
-        self.position_of(col.table).map(|i| self.starts[i] + col.column as usize)
     }
 }
 
@@ -335,6 +322,43 @@ mod tests {
             let filled = slots.iter().filter(|&&b| b).count();
             assert!(filled >= 512, "stride {stride}: {filled} of 1024 slots");
         }
+    }
+
+    /// How many of 1 024 low-bit slots the hashes fill.
+    fn slots_filled(hashes: &[u64]) -> usize {
+        let mut slots = [false; 1024];
+        for hash in hashes {
+            slots[(hash & 1023) as usize] = true;
+        }
+        slots.iter().filter(|&&b| b).count()
+    }
+
+    #[test]
+    fn key_hasher_spreads_wide_strides_two_column_keys_and_shared_prefixes() {
+        // The same ≥ 512-of-1 024 bar on shapes the strides above leave
+        // out: strides past 2^32 (a key's only set bits in the high
+        // word), a two-column key whose first column is constant or
+        // strided, and strings that share their first 8-byte word.
+        for stride in [1i64 << 32, 1 << 54, 3 << 52] {
+            let keys: Vec<i64> = (0..1024).map(|i: i64| i.wrapping_mul(stride)).collect();
+            let filled = slots_filled(&hashes_of(ColumnSlice::Int(&keys)));
+            assert!(filled >= 512, "stride {stride}: {filled} of 1024 slots");
+        }
+        let rows: Vec<u32> = (0..1024).collect();
+        let days: Vec<i32> = (0..1024).map(|i| 8_000 + i * 1024).collect();
+        for ints in [vec![7i64; 1024], (0..1024).map(|i| i << 20).collect()] {
+            let keys = [
+                KeyCol { cells: ColumnSlice::Int(&ints), rows: &rows },
+                KeyCol { cells: ColumnSlice::Date(&days), rows: &rows },
+            ];
+            let mut hashes = Vec::new();
+            hash_keys(&keys, 0..1024, &mut hashes);
+            let filled = slots_filled(&hashes);
+            assert!(filled >= 512, "(Int, Date) from {}: {filled} of 1024 slots", ints[1]);
+        }
+        let names: Vec<String> = (0..1024).map(|i| format!("Customer#{i:09}")).collect();
+        let filled = slots_filled(&hashes_of(ColumnSlice::Str(&names)));
+        assert!(filled >= 512, "shared prefix: {filled} of 1024 slots");
     }
 
     #[test]
@@ -371,11 +395,114 @@ mod tests {
         // Hashes 3 and 3 + 64 share a slot of the 64 a 6-row build
         // gets; a probe for one must skip the other and keep row order.
         let chains = Chains::build(vec![3, 67, 3, 9, 67, 3]);
-        assert_eq!(chains.candidates(3).collect::<Vec<_>>(), [0, 2, 5]);
-        assert_eq!(chains.candidates(67).collect::<Vec<_>>(), [1, 4]);
-        assert_eq!(chains.candidates(9).collect::<Vec<_>>(), [3]);
-        assert_eq!(chains.candidates(131).count(), 0);
-        assert_eq!(Chains::build(Vec::new()).candidates(0).count(), 0);
+        let candidates = |chains: &Chains, hash: u64| {
+            let mut rows = Vec::new();
+            chains.probe(&[hash], &mut Vec::new(), |_, row| rows.push(row));
+            rows
+        };
+        assert_eq!(candidates(&chains, 3), [0, 2, 5]);
+        assert_eq!(candidates(&chains, 67), [1, 4]);
+        assert_eq!(candidates(&chains, 9), [3]);
+        assert_eq!(candidates(&chains, 131).len(), 0);
+        assert_eq!(candidates(&Chains::build(Vec::new()), 0).len(), 0);
+    }
+
+    /// The equi-join as a nested loop over [`keys_eq`] (`cells_eq` per
+    /// column): `(build row, probe row)` pairs, probe-major and
+    /// build-ascending.
+    fn nested_loop(build: &[KeyCol<'_>], probe: &[KeyCol<'_>]) -> Vec<(usize, usize)> {
+        let (builds, probes) = (build[0].rows.len(), probe[0].rows.len());
+        (0..probes)
+            .flat_map(|p| {
+                (0..builds).filter(move |&b| keys_eq(build, b, probe, p)).map(move |b| (b, p))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn equi_join_matches_a_nested_loop() {
+        let ints = [i64::MIN, i64::MAX, -1, 0, 1, 1 << 40, 3 << 52];
+        let nan = f64::NAN;
+        let floats = [0.0, -0.0, nan, -nan, 1.5, f64::INFINITY, f64::NEG_INFINITY];
+        // Across 8-byte word boundaries, and equal but for the length.
+        let strs = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefgh\0", "abcdefghabcdefgh"]
+            .map(String::from);
+        let dates = [i32::MIN, i32::MAX, -1, 0, 1, 8_000];
+        // A two-column key (a, hash(a) ^ c) hashes to hash(c) whatever `a`
+        // is: under each of three `c`s the seven `a`s share one full
+        // hash, and the three hashes agree in their low 14 bits, so all
+        // 21 keys share a slot in a table of up to 2 048 rows.
+        let hash = |x: i64| hashes_of(ColumnSlice::Int(&[x]))[0];
+        let mut by_slot = std::collections::BTreeMap::<u64, Vec<u64>>::new();
+        let cs = (0..)
+            .find_map(|c| {
+                let same = by_slot.entry(hash(c) & 0x3fff).or_default();
+                same.push(c as u64);
+                (same.len() == 3).then(|| same.clone())
+            })
+            .unwrap();
+        let firsts: Vec<i64> = (0..21).map(|k| ints[k % 7]).collect();
+        let seconds: Vec<i64> = (0..21).map(|k| (hash(firsts[k]) ^ cs[k / 7]) as i64).collect();
+        let mut pair_hashes = Vec::new();
+        let all: Vec<u32> = (0..21).collect();
+        let pairs = [(ColumnSlice::Int(&firsts), &all), (ColumnSlice::Int(&seconds), &all)];
+        hash_keys(&pairs.map(|(cells, rows)| KeyCol { cells, rows }), 0..21, &mut pair_hashes);
+        pair_hashes.dedup();
+        assert_eq!(pair_hashes.len(), 3, "seven keys per full hash");
+        assert!(pair_hashes.iter().all(|h| h & 0x3fff == pair_hashes[0] & 0x3fff));
+
+        use ColumnSlice::{Date, Float, Int, Str};
+        let shapes: [(&str, Vec<ColumnSlice<'_>>, Vec<ColumnSlice<'_>>); 7] = [
+            ("int", vec![Int(&ints)], vec![Int(&ints)]),
+            ("float", vec![Float(&floats)], vec![Float(&floats)]),
+            ("str", vec![Str(&strs)], vec![Str(&strs)]),
+            ("date", vec![Date(&dates)], vec![Date(&dates)]),
+            ("(int, str)", vec![Int(&ints), Str(&strs)], vec![Int(&ints), Str(&strs)]),
+            (
+                "(int, int) in one slot",
+                vec![Int(&firsts), Int(&seconds)],
+                vec![Int(&firsts), Int(&seconds)],
+            ),
+            ("int = date", vec![Int(&ints)], vec![Date(&dates)]),
+        ];
+        let mut rng = colt_storage::Prng::new(0xc0de_0025);
+        for (name, build_cols, probe_cols) in &shapes {
+            let mut matched = 0;
+            for builds in [0, 1, 1_500] {
+                // Probes of one window, one short of two, exactly one,
+                // one past it, and three windows through one buffer.
+                for probes in [1, 1_023, 1_024, 1_025, 3_000] {
+                    // One draw per input row picks the cell of every key
+                    // column; build rows 200..700 are one key.
+                    let mut draws = |n: usize| (0..n).map(|_| rng.next_u64()).collect::<Vec<_>>();
+                    let mut build_draws = draws(builds);
+                    if builds > 700 {
+                        let one = build_draws[200];
+                        build_draws[200..700].fill(one);
+                    }
+                    let probe_draws = draws(probes);
+                    let ids = |draws: &[u64], cols: &[ColumnSlice<'_>]| -> Vec<Vec<u32>> {
+                        (cols.iter())
+                            .map(|c| draws.iter().map(|&d| (d % c.len() as u64) as u32).collect())
+                            .collect()
+                    };
+                    let (build_ids, probe_ids) =
+                        (ids(&build_draws, build_cols), ids(&probe_draws, probe_cols));
+                    fn keys<'a>(cols: &[ColumnSlice<'a>], ids: &'a [Vec<u32>]) -> Vec<KeyCol<'a>> {
+                        (cols.iter().zip(ids))
+                            .map(|(&cells, rows)| KeyCol { cells, rows })
+                            .collect()
+                    }
+                    let (build, probe) =
+                        (keys(build_cols, &build_ids), keys(probe_cols, &probe_ids));
+                    let mut got = Vec::new();
+                    equi_join(&build, &probe, |b, p| got.push((b, p)));
+                    assert_eq!(got, nested_loop(&build, &probe), "{name}: {builds} x {probes}");
+                    matched += got.len();
+                }
+            }
+            assert_eq!(matched > 0, *name != "int = date", "{name}: {matched} pairs");
+        }
     }
 
     #[test]

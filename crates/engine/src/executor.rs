@@ -21,7 +21,7 @@
 //! wall-clock time every experiment reports — is byte-identical to the
 //! row-at-a-time reference implementation in [`crate::rowwise`].
 
-use crate::batch::{hash_keys, keys_eq, Chains, KeyCol, RowIds, TableLayout, BATCH_ROWS};
+use crate::batch::{equi_join, KeyCol, RowIds, BATCH_ROWS};
 use crate::error::ExecError;
 use crate::kernel::Kernel;
 use crate::plan::{AccessPath, Plan, PlanNode};
@@ -85,11 +85,12 @@ impl ExecOutput {
     }
 }
 
-/// How a join obtains an input: given the child node, execute it (a
-/// join always reads its inputs' ids). Plain execution recurses into
-/// [`Executor::run`]; EXPLAIN ANALYZE wraps the recursion to render and
-/// account each child.
-type RunChild<'f> = &'f mut dyn FnMut(&PlanNode, &mut IoStats) -> Result<RowIds, ExecError>;
+/// How a join obtains an input: given the child node and its slice of
+/// the plan's table order, execute it (a join always reads its inputs'
+/// ids). Plain execution recurses into [`Executor::run`]; EXPLAIN
+/// ANALYZE wraps the recursion to render and account each child.
+type RunChild<'f> =
+    &'f mut dyn FnMut(&PlanNode, &[TableId], &mut IoStats) -> Result<RowIds, ExecError>;
 
 /// The executor.
 #[derive(Debug, Clone, Copy)]
@@ -115,14 +116,15 @@ impl<'a> Executor<'a> {
     ) -> Result<ExecOutput, ExecError> {
         let span = colt_obs::span("engine.execute");
         let mut io = IoStats::new();
-        let layout = TableLayout::of_plan(self.db, &plan.root);
-        let out = self.run(query, &plan.root, &mut io, collect == Collect::Rows)?;
+        let mut layout = Vec::new();
+        layout_of(&plan.root, &mut layout);
+        let out = self.run(query, &plan.root, &layout, &mut io, collect == Collect::Rows)?;
         let millis = self.db.cost.millis_of(&io);
         span.sim_ms(millis);
         let mut rows = Vec::new();
         if out.emits() {
             // Every column of every table of the layout, in order.
-            let cols: Vec<(usize, ColumnSlice<'_>)> = (layout.tables().iter().enumerate())
+            let cols: Vec<(usize, ColumnSlice<'_>)> = (layout.iter().enumerate())
                 .flat_map(|(t, &table)| {
                     let table = self.db.table(table);
                     (0..table.schema.arity()).filter_map(move |c| Some((t, table.heap.column(c)?)))
@@ -133,7 +135,7 @@ impl<'a> Executor<'a> {
         Ok(ExecOutput {
             result: QueryResult { row_count: out.count(), millis, io },
             rows,
-            layout: layout.tables().to_vec(),
+            layout,
         })
     }
 
@@ -148,7 +150,9 @@ impl<'a> Executor<'a> {
     ) -> Result<(QueryResult, String), ExecError> {
         let mut io = IoStats::new();
         let mut out = String::new();
-        let root = self.analyze_node(query, &plan.root, &mut io, false, 0, &mut out)?;
+        let mut layout = Vec::new();
+        layout_of(&plan.root, &mut layout);
+        let root = self.analyze_node(query, &plan.root, &layout, &mut io, false, 0, &mut out)?;
         let result =
             QueryResult { row_count: root.count(), millis: self.db.cost.millis_of(&io), io };
         out.push_str(&format!(
@@ -164,10 +168,12 @@ impl<'a> Executor<'a> {
 
     /// Execute one node, appending its annotated line (before its
     /// children's, pre-order rendering) to `out`.
+    #[allow(clippy::too_many_arguments)]
     fn analyze_node(
         &self,
         query: &Query,
         node: &PlanNode,
+        layout: &[TableId],
         io: &mut IoStats,
         emit: bool,
         depth: usize,
@@ -177,9 +183,10 @@ impl<'a> Executor<'a> {
         let mut child_text = String::new();
         let mut child_io = IoStats::new();
         let before = *io;
-        let result = self.run_node(query, node, io, emit, &mut |child, io| {
+        let result = self.run_node(query, node, layout, io, emit, &mut |child, layout, io| {
             let before = *io;
-            let output = self.analyze_node(query, child, io, true, depth + 1, &mut child_text);
+            let output =
+                self.analyze_node(query, child, layout, io, true, depth + 1, &mut child_text);
             child_io += *io - before;
             output
         })?;
@@ -211,19 +218,23 @@ impl<'a> Executor<'a> {
     }
 
     /// Execute a subtree into the heap row ids of its output rows, per
-    /// table of its [`TableLayout::of_plan`] layout. With `emit` off — a
-    /// [`Collect::CountOnly`] plan root — the operator only counts and
-    /// writes no ids; its inputs always emit, because a join reads its
-    /// keys through them. Charges never depend on `emit`: the cost model
-    /// counts pages and tuples processed, not ids written.
+    /// table of `layout` — the subtree's slice of the plan's table order
+    /// ([`layout_of`]). With `emit` off — a [`Collect::CountOnly`] plan
+    /// root — the operator only counts and writes no ids; its inputs
+    /// always emit, because a join reads its keys through them. Charges
+    /// never depend on `emit`: the cost model counts pages and tuples
+    /// processed, not ids written.
     fn run(
         &self,
         query: &Query,
         node: &PlanNode,
+        layout: &[TableId],
         io: &mut IoStats,
         emit: bool,
     ) -> Result<RowIds, ExecError> {
-        self.run_node(query, node, io, emit, &mut |child, io| self.run(query, child, io, true))
+        self.run_node(query, node, layout, io, emit, &mut |child, layout, io| {
+            self.run(query, child, layout, io, true)
+        })
     }
 
     /// Execute one node, obtaining join inputs through `child`.
@@ -231,6 +242,7 @@ impl<'a> Executor<'a> {
         &self,
         query: &Query,
         node: &PlanNode,
+        layout: &[TableId],
         io: &mut IoStats,
         emit: bool,
         child: RunChild<'_>,
@@ -239,12 +251,12 @@ impl<'a> Executor<'a> {
             PlanNode::Scan { table, path, .. } => self.run_scan(query, *table, path, io, emit),
             PlanNode::HashJoin { build, probe, on, .. } => {
                 colt_obs::counter("engine.op.hash_join", 1);
-                self.hash_join(build, probe, on, io, emit, child)
+                self.hash_join(build, probe, on, layout, io, emit, child)
             }
             PlanNode::IndexNlJoin { outer, inner, index, probe_on, residual_on, .. } => {
                 colt_obs::counter("engine.op.index_nl_join", 1);
                 self.index_nl_join(
-                    query, outer, *inner, *index, *probe_on, residual_on, io, emit, child,
+                    query, outer, *inner, *index, *probe_on, residual_on, layout, io, emit, child,
                 )
             }
         }
@@ -329,11 +341,10 @@ impl<'a> Executor<'a> {
     fn key_column(
         &self,
         operator: &'static str,
-        layout: &TableLayout,
+        layout: &[TableId],
         col: ColRef,
     ) -> Result<(usize, ColumnSlice<'a>), ExecError> {
-        let table = layout
-            .position_of(col.table)
+        let table = (layout.iter().position(|&t| t == col.table))
             .ok_or(ExecError::JoinKeyTableMissing { operator, table: col.table })?;
         let cells = (self.db.table(col.table).heap)
             .column(col.column as usize)
@@ -343,38 +354,37 @@ impl<'a> Executor<'a> {
 
     /// Hash join: build on `build`'s output, probe with `probe`'s. Keys
     /// are read from the heap through the inputs' ids, hashed a column
-    /// at a time and verified cell by cell — one path for one or many
-    /// key columns of any type; a cross-type key pair matches nothing
-    /// and is charged the same.
+    /// at a time and verified cell by cell ([`equi_join`]) — one path
+    /// for one or many key columns of any type; a cross-type key pair
+    /// matches nothing and is charged the same.
+    #[allow(clippy::too_many_arguments)]
     fn hash_join(
         &self,
         build: &PlanNode,
         probe: &PlanNode,
         on: &[JoinPred],
+        layout: &[TableId],
         io: &mut IoStats,
         emit: bool,
         child: RunChild<'_>,
     ) -> Result<RowIds, ExecError> {
-        let build_layout = TableLayout::of_plan(self.db, build);
-        let probe_layout = TableLayout::of_plan(self.db, probe);
-        let keys_in = |layout: &TableLayout| -> Result<Vec<(usize, ColumnSlice<'a>)>, ExecError> {
+        let (build_layout, probe_layout) = layout.split_at(width(build));
+        let keys_in = |layout: &[TableId]| -> Result<Vec<(usize, ColumnSlice<'a>)>, ExecError> {
             on.iter()
                 .map(|j| {
-                    let side =
-                        if layout.position_of(j.left.table).is_some() { j.left } else { j.right };
+                    let side = if layout.contains(&j.left.table) { j.left } else { j.right };
                     self.key_column("hash_join", layout, side)
                 })
                 .collect()
         };
-        let build_keys = keys_in(&build_layout)?;
-        let probe_keys = keys_in(&probe_layout)?;
-        let build = child(build, io)?;
-        let probe = child(probe, io)?;
+        let build_keys = keys_in(build_layout)?;
+        let probe_keys = keys_in(probe_layout)?;
+        let build = child(build, build_layout, io)?;
+        let probe = child(probe, probe_layout, io)?;
 
         let _batch_span = colt_obs::span("engine.exec.batch");
         let (build_rows, probe_rows) = (build.count() as usize, probe.count() as usize);
-        let mut out =
-            RowIds::new(build_layout.tables().len() + probe_layout.tables().len(), emit);
+        let mut out = RowIds::new(layout.len(), emit);
         // Both phases charge like the reference: hash + insert per build
         // row, one probe per probe row (per pair when nothing connects).
         io.cpu_ops += 2 * build_rows as u64;
@@ -397,26 +407,8 @@ impl<'a> Executor<'a> {
 
         let build_keys: Vec<KeyCol<'_>> = build_keys.into_iter().map(|k| build.key_col(k)).collect();
         let probe_keys: Vec<KeyCol<'_>> = probe_keys.into_iter().map(|k| probe.key_col(k)).collect();
-        let mut build_hashes = Vec::new();
-        hash_keys(&build_keys, 0..build_rows, &mut build_hashes);
-        let chains = Chains::build(build_hashes);
-
-        // Probe a window at a time: hash the window's keys, then walk
-        // each row's chain. Matches come out in probe order, and within
-        // one probe row in build order, as the reference emits them.
         io.cpu_ops += probe_rows as u64;
-        let mut hashes = Vec::with_capacity(BATCH_ROWS);
-        for start in (0..probe_rows).step_by(BATCH_ROWS) {
-            let window = start..(start + BATCH_ROWS).min(probe_rows);
-            hash_keys(&probe_keys, window.clone(), &mut hashes);
-            for (p, &hash) in window.zip(&hashes) {
-                for b in chains.candidates(hash) {
-                    if keys_eq(&build_keys, b, &probe_keys, p) {
-                        out.push(build.row(b).chain(probe.row(p)));
-                    }
-                }
-            }
-        }
+        equi_join(&build_keys, &probe_keys, |b, p| out.push(build.row(b).chain(probe.row(p))));
         io.tuples += out.count();
         Ok(out)
     }
@@ -435,6 +427,7 @@ impl<'a> Executor<'a> {
         index_col: ColRef,
         probe_on: JoinPred,
         residual_on: &[JoinPred],
+        layout: &[TableId],
         io: &mut IoStats,
         emit: bool,
         child: RunChild<'_>,
@@ -445,10 +438,10 @@ impl<'a> Executor<'a> {
         let inner_kernels = compile_preds("index_nl_join", inner_table, &inner_preds)?;
 
         // Locate (and validate) the outer side of each join predicate
-        // in the outer layout.
-        let outer_layout = TableLayout::of_plan(self.db, outer);
+        // in the outer layout: all of this node's but the inner table.
+        let outer_layout = &layout[..layout.len() - 1];
         let outer_side = if probe_on.left.table == inner { probe_on.right } else { probe_on.left };
-        let probe_key = self.key_column("index_nl_join", &outer_layout, outer_side)?;
+        let probe_key = self.key_column("index_nl_join", outer_layout, outer_side)?;
         // Residual join predicates: (outer key, inner column).
         let residuals: Vec<((usize, ColumnSlice<'_>), ColumnSlice<'_>)> = residual_on
             .iter()
@@ -459,15 +452,15 @@ impl<'a> Executor<'a> {
                     .heap
                     .column(i.column as usize)
                     .ok_or(ExecError::UnknownColRef { operator: "index_nl_join", col: i })?;
-                Ok((self.key_column("index_nl_join", &outer_layout, o)?, cells))
+                Ok((self.key_column("index_nl_join", outer_layout, o)?, cells))
             })
             .collect::<Result<_, ExecError>>()?;
-        let outer = child(outer, io)?;
+        let outer = child(outer, outer_layout, io)?;
 
         let _batch_span = colt_obs::span("engine.exec.batch");
         let residuals: Vec<(KeyCol<'_>, ColumnSlice<'_>)> =
             residuals.into_iter().map(|(o, cells)| (outer.key_col(o), cells)).collect();
-        let mut out = RowIds::new(outer_layout.tables().len() + 1, emit);
+        let mut out = RowIds::new(layout.len(), emit);
         // One probe per outer row, reusing the rowid buffer. Page
         // charges deduplicate within one fetch only (per probe), never
         // across probes — merging rowids across outer rows would change
@@ -489,6 +482,32 @@ impl<'a> Executor<'a> {
         }
         io.tuples += out.count();
         Ok(out)
+    }
+}
+
+/// Append the tables of `node`'s output in operator order — build side
+/// then probe side, outer side then inner table — computed once, at the
+/// root: every subtree's tables are a contiguous slice of it.
+fn layout_of(node: &PlanNode, out: &mut Vec<TableId>) {
+    match node {
+        PlanNode::Scan { table, .. } => out.push(*table),
+        PlanNode::HashJoin { build, probe, .. } => {
+            layout_of(build, out);
+            layout_of(probe, out);
+        }
+        PlanNode::IndexNlJoin { outer, inner, .. } => {
+            layout_of(outer, out);
+            out.push(*inner);
+        }
+    }
+}
+
+/// How many tables a subtree's output spans: the length of its slice.
+fn width(node: &PlanNode) -> usize {
+    match node {
+        PlanNode::Scan { .. } => 1,
+        PlanNode::HashJoin { build, probe, .. } => width(build) + width(probe),
+        PlanNode::IndexNlJoin { outer, .. } => width(outer) + 1,
     }
 }
 

@@ -28,7 +28,7 @@ pub mod rowwise;
 pub mod selectivity;
 pub mod whatif;
 
-pub use batch::{TableLayout, BATCH_ROWS};
+pub use batch::BATCH_ROWS;
 pub use error::ExecError;
 pub use executor::{Collect, ExecOutput, Executor, QueryResult};
 pub use kernel::Kernel;

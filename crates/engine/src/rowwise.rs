@@ -16,7 +16,6 @@
 //! running the reference never perturbs observability snapshots the
 //! exhibits assert on.
 
-use crate::batch::TableLayout;
 use crate::error::ExecError;
 use crate::executor::{
     check_pred_cols, composite_scan_rowids, index_scan_rowids, materialized_index, Collect,
@@ -146,11 +145,11 @@ impl<'a> RowwiseExecutor<'a> {
         io: &mut IoStats,
     ) -> Result<Batch, ExecError> {
         let locate = |batch: &Batch, side: ColRef| -> Result<usize, ExecError> {
-            let layout = TableLayout::of_tables(self.db, &batch.tables);
-            let pos = layout.col_of(side).ok_or(ExecError::JoinKeyTableMissing {
-                operator: "hash_join",
-                table: side.table,
-            })?;
+            let pos =
+                col_of(self.db, &batch.tables, side).ok_or(ExecError::JoinKeyTableMissing {
+                    operator: "hash_join",
+                    table: side.table,
+                })?;
             if side.column as usize >= self.db.table(side.table).schema.arity() {
                 return Err(ExecError::UnknownColRef { operator: "hash_join", col: side });
             }
@@ -224,12 +223,12 @@ impl<'a> RowwiseExecutor<'a> {
         let inner_arity = inner_table.schema.arity();
         check_pred_cols("index_nl_join", &inner_preds, inner_arity)?;
 
-        let outer_layout = TableLayout::of_tables(self.db, &outer.tables);
         let locate = |side: ColRef| -> Result<usize, ExecError> {
-            let pos = outer_layout.col_of(side).ok_or(ExecError::JoinKeyTableMissing {
-                operator: "index_nl_join",
-                table: side.table,
-            })?;
+            let pos =
+                col_of(self.db, &outer.tables, side).ok_or(ExecError::JoinKeyTableMissing {
+                    operator: "index_nl_join",
+                    table: side.table,
+                })?;
             if side.column as usize >= self.db.table(side.table).schema.arity() {
                 return Err(ExecError::UnknownColRef { operator: "index_nl_join", col: side });
             }
@@ -274,3 +273,10 @@ impl<'a> RowwiseExecutor<'a> {
     }
 }
 
+/// The offset of `col` in a row of `tables`' concatenated columns, when
+/// its table is one of them.
+fn col_of(db: &Database, tables: &[TableId], col: ColRef) -> Option<usize> {
+    let at = tables.iter().position(|&t| t == col.table)?;
+    let before: usize = tables[..at].iter().map(|&t| db.table(t).schema.arity()).sum();
+    Some(before + col.column as usize)
+}
