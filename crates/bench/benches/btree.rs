@@ -15,8 +15,9 @@
 //! selectivity estimate over a fixed-width column's key codes must beat
 //! the same estimate comparing `Value`s, and a scan kernel that counts a
 //! window must beat the one that selects it, again in this process.
-//! `Eqo::optimize` beside the bare optimizer, and a hash join's cost per
-//! probe row, are printed, not gated.
+//! `Eqo::optimize` beside the bare optimizer, a string column's index
+//! build and range scan, and a hash join's cost per probe row, are
+//! printed, not gated.
 
 use colt_bench::bench;
 use colt_catalog::{
@@ -160,9 +161,8 @@ fn bench_build_index(name: &str, vtype: ValueType, value: fn(u64, u64) -> Value)
     let col = ColRef::new(TableId(0), 0);
     let heap_of = |n: u64| {
         let mut heap = HeapTable::new(&[vtype]);
-        for i in 0..n {
-            heap.insert(row_from(vec![value(i, n)])).expect("the row has the column's type");
-        }
+        heap.insert_rows((0..n).map(|i| row_from(vec![value(i, n)])))
+            .expect("the rows have the column's type");
         heap
     };
     type Build<'a> = (&'a str, &'a dyn Fn(&HeapTable) -> usize);
@@ -256,9 +256,8 @@ fn bench_stats_selectivity() -> bool {
     let mut ok = true;
     for (name, vtype, literal) in columns {
         let mut heap = HeapTable::new(&[vtype]);
-        for i in 0..ROWS {
-            heap.insert(row_from(vec![literal(key(i))])).expect("the row has the column's type");
-        }
+        heap.insert_rows((0..ROWS).map(|i| row_from(vec![literal(key(i))])))
+            .expect("the rows have the column's type");
         let coded = ColumnStats::analyze(&heap, 0);
         let by_value = coded.comparing_values();
         let literals: Vec<(Value, Value)> =
@@ -335,6 +334,45 @@ fn bench_kernel_scan() -> bool {
     let date = scan("date", ColumnSlice::Date(&dates), &|k| Value::Date(date(k)));
     let float = scan("float", ColumnSlice::Float(&floats), &|k| Value::Float(float(k)));
     int && date && float
+}
+
+/// Prints what a string column costs to index — `build_index` over
+/// 100 000 rows of ~100 000 distinct strings, ns/entry — and to scan —
+/// `Kernel::select` of a range keeping a tenth of a 6 000-row column
+/// drawn from a 1 000-string pool, ns/row. Both compare dictionary
+/// ranks, not strings; neither is gated.
+fn bench_strings() {
+    let customer = |k: u64| Value::Str(format!("Customer#{k:09}"));
+    let heap_of = |n: u64, pool: u64| {
+        let mut heap = HeapTable::new(&[ValueType::Str]);
+        let rows = (0..n).map(|i| row_from(vec![customer(i.wrapping_mul(2_654_435_761) % pool)]));
+        heap.insert_rows(rows).expect("the rows have the column's type");
+        heap
+    };
+    const BUILD_ROWS: u64 = 100_000;
+    let heap = heap_of(BUILD_ROWS, BUILD_ROWS * 97);
+    let build = || {
+        black_box(build_index(black_box(&heap), ColRef::new(TableId(0), 0), 8).0.page_count());
+    };
+    let ns = fastest(20, &[&build])[0];
+    let line = format!("btree/build_index/str/{BUILD_ROWS}");
+    println!("  {line:<52} {:>8.2} ns/entry", ns / BUILD_ROWS as f64);
+
+    const SCAN_ROWS: u64 = 6_000;
+    let heap = heap_of(SCAN_ROWS, 1_000);
+    let column = heap.column(0).expect("the heap has the column");
+    let pred = SelPred::between(ColRef::new(TableId(0), 0), customer(100), customer(199));
+    let kernel = Kernel::compile(&pred, column);
+    let sel = std::cell::RefCell::new(Vec::new());
+    let select = || {
+        let sel = &mut *sel.borrow_mut();
+        for start in (0..SCAN_ROWS as usize).step_by(BATCH_ROWS) {
+            kernel.select(start..(start + BATCH_ROWS).min(SCAN_ROWS as usize), sel);
+            black_box(&*sel);
+        }
+    };
+    let ns = fastest(2_000, &[&select])[0];
+    println!("  {:<44} {:>8.2} ns/row", "kernel/str_range", ns / SCAN_ROWS as f64);
 }
 
 /// Prints what a hash join costs per probe row, run whole through
@@ -504,6 +542,7 @@ fn main() -> std::process::ExitCode {
     bench_eqo_optimize();
     let codes_fast = bench_stats_selectivity();
     let counts_fast = bench_kernel_scan();
+    bench_strings();
     bench_hash_join();
     bench_insert();
     bench_lookup();

@@ -100,19 +100,17 @@ impl Database {
         id
     }
 
-    /// Append rows to a table, stopping at the first whose arity or
+    /// Append rows to a table as one batch
+    /// ([`HeapTable::insert_rows`]), stopping at the first whose arity or
     /// value types disagree with the schema (the rows before it stay).
-    /// Statistics are not refreshed automatically.
+    /// Statistics are not refreshed automatically, nor are indices
+    /// built before: executing a plan through one is an error.
     pub fn insert_rows(
         &mut self,
         table: TableId,
         rows: impl IntoIterator<Item = Row>,
     ) -> Result<(), RowError> {
-        let t = &mut self.tables[table.0 as usize];
-        for r in rows {
-            t.heap.insert(r)?;
-        }
-        Ok(())
+        self.tables[table.0 as usize].heap.insert_rows(rows)
     }
 
     /// Gather statistics for every column of every table.

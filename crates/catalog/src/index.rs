@@ -7,10 +7,7 @@
 
 use crate::schema::ColRef;
 use colt_storage::btree::bulk_shape;
-use colt_storage::{
-    sorted_entries, BPlusTree, BPlusTreeOf, ColumnSlice, HeapTable, IndexTree, IoStats, RowId,
-    Value, ValueType,
-};
+use colt_storage::{sorted_entries, BPlusTreeOf, ColumnSlice, HeapTable, IoStats};
 
 /// Estimated physical shape of a (possibly hypothetical) index.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,8 +46,8 @@ impl IndexEstimate {
 pub struct MaterializedIndex {
     /// The indexed column.
     pub col: ColRef,
-    /// The physical tree.
-    pub tree: IndexTree,
+    /// The physical tree, over the column's key codes.
+    pub tree: BPlusTreeOf<u64>,
     /// Physical work that was charged to build it.
     pub build_io: IoStats,
     /// Whether the index belongs to the pre-tuned base configuration
@@ -71,26 +68,18 @@ pub enum IndexOrigin {
 /// Build an index over `column` of `heap`, charging the physical work to
 /// the returned [`IoStats`]: a full sequential heap scan, an external
 /// sort (`n log2 n` comparisons), and the writes of every index page.
-pub fn build_index(heap: &HeapTable, col: ColRef, key_width: usize) -> (IndexTree, IoStats) {
+/// The keys are the cells' key codes — a string column's ranks — so the
+/// tree is probed through the column it was built from.
+pub fn build_index(heap: &HeapTable, col: ColRef, key_width: usize) -> (BPlusTreeOf<u64>, IoStats) {
     let mut io = IoStats::new();
-    let coded = |column, entries| IndexTree::Coded {
-        column,
-        tree: BPlusTreeOf::bulk_load(key_width, entries),
+    let entries = match heap.scan_column(col.column as usize, &mut io) {
+        Some(ColumnSlice::Int(cells)) => sorted_entries(cells),
+        Some(ColumnSlice::Float(cells)) => sorted_entries(cells),
+        Some(ColumnSlice::Str { ranks, .. }) => sorted_entries(ranks),
+        Some(ColumnSlice::Date(cells)) => sorted_entries(cells),
+        None => Vec::new(),
     };
-    let tree = match heap.scan_column(col.column as usize, &mut io) {
-        Some(ColumnSlice::Int(cells)) => coded(ValueType::Int, sorted_entries(cells)),
-        Some(ColumnSlice::Float(cells)) => coded(ValueType::Float, sorted_entries(cells)),
-        Some(ColumnSlice::Date(cells)) => coded(ValueType::Date, sorted_entries(cells)),
-        // No fixed-width order-preserving code: compare the strings.
-        Some(ColumnSlice::Str(cells)) => {
-            let mut keyed: Vec<(&str, u32)> = cells.iter().map(String::as_str).zip(0..).collect();
-            keyed.sort_unstable();
-            let entries =
-                keyed.into_iter().map(|(s, rid)| (Value::Str(s.to_owned()), RowId(rid))).collect();
-            IndexTree::Str(BPlusTree::bulk_load(key_width, entries))
-        }
-        None => IndexTree::Str(BPlusTree::new(key_width)),
-    };
+    let tree = BPlusTreeOf::bulk_load(key_width, entries);
     let n = tree.len() as u64;
     if n > 1 {
         io.cpu_ops += n * (64 - n.leading_zeros() as u64);
@@ -103,7 +92,7 @@ pub fn build_index(heap: &HeapTable, col: ColRef, key_width: usize) -> (IndexTre
 mod tests {
     use super::*;
     use crate::schema::TableId;
-    use colt_storage::row_from;
+    use colt_storage::{row_from, Value, ValueType};
 
     fn heap(n: i64) -> HeapTable {
         let mut h = HeapTable::new(&[ValueType::Int]);
@@ -149,9 +138,6 @@ mod tests {
         assert_eq!(io.tuples, 10_000);
         assert_eq!(io.pages_written as usize, tree.page_count());
         assert!(io.cpu_ops > 10_000, "sort work charged");
-        let IndexTree::Coded { column: ValueType::Int, tree } = tree else {
-            panic!("an Int column is indexed by key code")
-        };
         tree.check_invariants();
     }
 

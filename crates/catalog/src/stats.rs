@@ -8,16 +8,17 @@
 //!
 //! The values the statistics keep are stored twice. The public
 //! [`Value`] fields are what a workload generator draws literals from
-//! and what a string column is estimated by. For a fixed-width column
-//! the estimator instead compares the same values' key codes
-//! ([`colt_storage::KeyCode`]): a literal becomes a code once, through
-//! [`literal_code`], and finding its bucket and its MCV is integer
-//! compares. Only the comparisons differ — the arithmetic is one body
-//! reading one set of numbers — and codes order as `Value::cmp` orders,
-//! so either way gives the same estimate **bit for bit**
-//! (`crates/catalog/tests/proptest_stats.rs` holds them to it).
+//! and what a string column is estimated by (a string's key code is a
+//! rank in the heap column's dictionary, which the statistics do not
+//! hold). For a fixed-width column the estimator instead compares the
+//! same values' key codes ([`colt_storage::KeyCode`]): a literal becomes
+//! a code once, through [`literal_code`], and finding its bucket and its
+//! MCV is integer compares. Only the comparisons differ — the arithmetic
+//! is one body reading one set of numbers — and codes order as
+//! `Value::cmp` orders, so either way gives the same estimate **bit for
+//! bit** (`crates/catalog/tests/proptest_stats.rs` holds them to it).
 
-use colt_storage::{literal_code, ColumnSlice, HeapTable, KeyCode, Value, ValueType};
+use colt_storage::{literal_code, ColumnSlice, HeapTable, KeyCode, Value};
 use std::cmp::Ordering;
 use std::ops::Bound;
 
@@ -71,16 +72,16 @@ pub struct ColumnStats {
     /// `(1 − Σ mcv) / (n_distinct − |mcv|)`.
     rest_eq: f64,
     /// `bounds` and `mcvs` as key codes: `Some` for a fixed-width column
-    /// with rows, `None` for strings (no code) and for an empty column
-    /// (nothing to compare).
+    /// with rows, `None` for strings (their codes need the dictionary)
+    /// and for an empty column (nothing to compare).
     codes: Option<Codes>,
 }
 
 /// The key codes of the values a fixed-width column's statistics keep.
 #[derive(Debug, Clone)]
 struct Codes {
-    /// The column's type, which literals are resolved against.
-    vtype: ValueType,
+    /// An empty column of the column's type: literals resolve against it.
+    column: ColumnSlice<'static>,
     /// Code of `bounds[i]`.
     bounds: Vec<u64>,
     /// Code of `mcvs[i].0`.
@@ -88,12 +89,17 @@ struct Codes {
 }
 
 impl Codes {
-    /// `None` when a kept value has no code in a `vtype` column: a
-    /// string column's.
-    fn of(vtype: ValueType, bounds: &[Value], mcvs: &[(Value, f64)]) -> Option<Self> {
-        let code = |v: &Value| literal_code(v, vtype).ok();
+    /// `None` for a string column.
+    fn of(column: ColumnSlice<'_>, bounds: &[Value], mcvs: &[(Value, f64)]) -> Option<Self> {
+        let column = match column {
+            ColumnSlice::Int(_) => ColumnSlice::Int(&[]),
+            ColumnSlice::Float(_) => ColumnSlice::Float(&[]),
+            ColumnSlice::Date(_) => ColumnSlice::Date(&[]),
+            ColumnSlice::Str { .. } => return None,
+        };
+        let code = |v: &Value| literal_code(v, column).ok();
         Some(Codes {
-            vtype,
+            column,
             bounds: bounds.iter().map(code).collect::<Option<_>>()?,
             mcvs: mcvs.iter().map(|(v, _)| code(v)).collect::<Option<_>>()?,
         })
@@ -152,9 +158,8 @@ fn bucket_of<K: Ord>(bounds: &[K], v: &K) -> Result<usize, f64> {
 impl ColumnStats {
     /// Gather statistics for column `column` of `heap` by a full pass
     /// over the data (the reproduction's ANALYZE). What is sorted is the
-    /// column's native cells — key codes for the fixed-width types,
-    /// borrowed `str`s for strings — and only the few values the
-    /// statistics keep become [`Value`]s.
+    /// column's key codes — a string column's ranks — and only the few
+    /// values the statistics keep become [`Value`]s.
     pub fn analyze(heap: &HeapTable, column: usize) -> Self {
         fn sorted_codes<T: KeyCode>(cells: &[T]) -> Vec<T::Code> {
             let mut codes: Vec<T::Code> = cells.iter().map(|x| x.code()).collect();
@@ -177,17 +182,16 @@ impl ColumnStats {
             Some(ColumnSlice::Date(cells)) => {
                 Self::of_sorted(&sorted_codes(cells), |&c| Value::Date(i32::from_code(c)))
             }
-            Some(ColumnSlice::Str(cells)) => {
-                let mut strs: Vec<&str> = cells.iter().map(String::as_str).collect();
-                strs.sort_unstable();
-                Self::of_sorted(&strs, |s| Value::Str((*s).to_owned()))
+            Some(ColumnSlice::Str { dict, ranks }) => {
+                let string = |&c: &u64| Value::Str(dict[u32::from_code(c) as usize].clone());
+                Self::of_sorted(&sorted_codes(ranks), string)
             }
             None => Self::of_sorted::<u64>(&[], |_| Value::Int(0)),
         };
         // The kept values back into the codes they were made from.
         stats.codes = cells
             .filter(|cells| !cells.is_empty())
-            .and_then(|cells| Codes::of(cells.value_type(), &stats.bounds, &stats.mcvs));
+            .and_then(|cells| Codes::of(cells, &stats.bounds, &stats.mcvs));
         stats
     }
 
@@ -231,7 +235,7 @@ impl ColumnStats {
     /// Resolve a literal for comparison, once per estimate.
     fn key<'a>(&'a self, v: &'a Value) -> Key<'a> {
         let Some(codes) = &self.codes else { return Key::Value(v) };
-        match literal_code(v, codes.vtype) {
+        match literal_code(v, codes.column) {
             Ok(code) => Key::Code(code, codes),
             Err(Ordering::Less) => Key::Below,
             Err(_) => Key::Above,
@@ -486,8 +490,8 @@ mod tests {
         for (column, vtype) in [(0, ValueType::Date), (1, ValueType::Float), (3, ValueType::Int)] {
             let stats = ColumnStats::analyze(&heap, column);
             let codes = stats.codes.as_ref().expect("a fixed-width column with rows");
-            assert_eq!(codes.vtype, vtype);
-            let code = |v: &Value| literal_code(v, vtype).unwrap();
+            assert_eq!(codes.column.value_type(), vtype);
+            let code = |v: &Value| literal_code(v, codes.column).unwrap();
             assert_eq!(codes.bounds, stats.bounds.iter().map(code).collect::<Vec<_>>());
             assert!(!stats.mcvs.is_empty());
             assert_eq!(codes.mcvs, stats.mcvs.iter().map(|(v, _)| code(v)).collect::<Vec<_>>());

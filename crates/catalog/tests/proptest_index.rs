@@ -1,12 +1,12 @@
 //! Randomized property tests for the build paths that read typed heap
-//! columns: an index build and ANALYZE sort native cells (key codes,
-//! borrowed strings), and must come out exactly as if they had sorted
-//! `Value`s by `Value::cmp`. Cases come from the in-repo seeded PRNG.
+//! columns: an index build and ANALYZE sort key codes (a string
+//! column's dictionary ranks), and must come out exactly as if they had
+//! sorted `Value`s by `Value::cmp`. Cases come from the in-repo seeded PRNG.
 
 use colt_catalog::{build_index, ColRef, ColumnStats, TableId, HISTOGRAM_BUCKETS};
 use colt_storage::{
-    row_from, BPlusTreeOf, ColumnSlice, HeapTable, IndexTree, IoStats, KeyCode, Prng, RowId, Value,
-    ValueType,
+    code_bound, literal_code, row_from, BPlusTreeOf, ColumnSlice, HeapTable, IoStats, KeyCode, Prng,
+    RowId, Value, ValueType,
 };
 use std::ops::Bound;
 
@@ -52,30 +52,23 @@ fn heap_of(rng: &mut Prng, vtype: ValueType, rows: usize) -> (HeapTable, Vec<Val
     (heap, cells)
 }
 
-/// The entries of an index in tree order, the codes of a code-keyed one
+/// The entries of an index over `column` in tree order, its codes
 /// turned back into the cells they were made from.
-fn entries_of(tree: &IndexTree) -> Vec<(Value, RowId)> {
-    match tree {
-        IndexTree::Str(tree) => {
-            tree.check_invariants();
-            tree.iter().map(|(k, rid)| (k.clone(), rid)).collect()
-        }
-        IndexTree::Coded { column, tree } => {
-            tree.check_invariants();
-            let cell = |code: u64| match column {
-                ValueType::Int => Value::Int(i64::from_code(code)),
-                ValueType::Float => Value::Float(f64::from_code(code)),
-                _ => Value::Date(i32::from_code(code as u32)),
-            };
-            tree.iter().map(|(&code, rid)| (cell(code), rid)).collect()
-        }
-    }
+fn entries_of(tree: &BPlusTreeOf<u64>, column: ColumnSlice<'_>) -> Vec<(Value, RowId)> {
+    tree.check_invariants();
+    let cell = |code: u64| match column {
+        ColumnSlice::Int(_) => Value::Int(i64::from_code(code)),
+        ColumnSlice::Float(_) => Value::Float(f64::from_code(code)),
+        ColumnSlice::Str { dict, .. } => Value::Str(dict[u32::from_code(code) as usize].clone()),
+        ColumnSlice::Date(_) => Value::Date(i32::from_code(code as u32)),
+    };
+    tree.iter().map(|(&code, rid)| (cell(code), rid)).collect()
 }
 
 /// The code-keyed tree over the heap's one column, bulk-loaded from the
 /// `(code, row id)` pairs a comparison sort orders: what `build_index`
 /// must build, whatever its sort does.
-fn reference_tree(heap: &HeapTable, vtype: ValueType) -> Option<IndexTree> {
+fn reference_tree(heap: &HeapTable, vtype: ValueType) -> Option<BPlusTreeOf<u64>> {
     fn pairs<T: KeyCode>(cells: &[T]) -> Vec<(u64, RowId)> {
         let mut pairs: Vec<(u64, RowId)> =
             cells.iter().zip(0..).map(|(x, rid)| (x.code().into(), RowId(rid))).collect();
@@ -86,10 +79,9 @@ fn reference_tree(heap: &HeapTable, vtype: ValueType) -> Option<IndexTree> {
         ColumnSlice::Int(cells) => pairs(cells),
         ColumnSlice::Float(cells) => pairs(cells),
         ColumnSlice::Date(cells) => pairs(cells),
-        ColumnSlice::Str(_) => return None,
+        ColumnSlice::Str { ranks, .. } => pairs(ranks),
     };
-    let tree = BPlusTreeOf::bulk_load(vtype.byte_width(), entries);
-    Some(IndexTree::Coded { column: vtype, tree })
+    Some(BPlusTreeOf::bulk_load(vtype.byte_width(), entries))
 }
 
 #[test]
@@ -104,8 +96,8 @@ fn build_index_equals_the_value_sort() {
         want.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
 
         let (tree, io) = build_index(&heap, ColRef::new(TableId(0), 0), vtype.byte_width());
-        assert_eq!(matches!(tree, IndexTree::Str(_)), vtype == ValueType::Str);
-        let got = entries_of(&tree);
+        let column = heap.column(0).unwrap();
+        let got = entries_of(&tree, column);
         // Value's equality is bit-exact for floats, so this also pins
         // NaN signs and the sign of zero.
         assert_eq!(got, want, "{vtype:?}, {rows} rows");
@@ -129,10 +121,12 @@ fn build_index_equals_the_value_sort() {
         assert_eq!(io, charged, "{vtype:?}, {rows} rows");
         for _ in 0..6 {
             let (lo, hi) = (value(&mut rng, vtype), value(&mut rng, vtype));
-            let probe = |index: &IndexTree| {
+            let probe = |index: &BPlusTreeOf<u64>| {
                 let (mut ids, mut io) = (Vec::new(), IoStats::new());
-                index.lookup_into(&lo, &mut ids, &mut io);
-                index.range_into(Bound::Included(&lo), Bound::Excluded(&hi), &mut ids, &mut io);
+                index.lookup_code_into(literal_code(&lo, column), &mut ids, &mut io);
+                let (lo, hi) = (Bound::Included(&lo), Bound::Excluded(&hi));
+                let codes = code_bound(lo, column, true).zip(code_bound(hi, column, false));
+                index.range_codes_into(codes, &mut ids, &mut io);
                 (ids, io)
             };
             assert_eq!(probe(&tree), probe(&reference), "{vtype:?}, {rows} rows, {lo}..{hi}");

@@ -17,7 +17,7 @@ fn heap_of(values: &[i64]) -> HeapTable {
     h
 }
 
-fn values(rng: &mut Prng, lo_len: usize, hi_len: usize, lo: i64, hi: i64) -> Vec<i64> {
+fn random_ints(rng: &mut Prng, lo_len: usize, hi_len: usize, lo: i64, hi: i64) -> Vec<i64> {
     let len = lo_len + rng.below(hi_len - lo_len);
     (0..len).map(|_| rng.int_range(lo, hi - 1)).collect()
 }
@@ -28,7 +28,7 @@ fn values(rng: &mut Prng, lo_len: usize, hi_len: usize, lo: i64, hi: i64) -> Vec
 fn le_estimates_calibrated() {
     let mut rng = Prng::new(0x57A7_0001);
     for case in 0..CASES {
-        let mut values = values(&mut rng, 64, 2000, -1000, 1000);
+        let mut values = random_ints(&mut rng, 64, 2000, -1000, 1000);
         let probes: Vec<i64> =
             (0..1 + rng.below(19)).map(|_| rng.int_range(-1100, 1099)).collect();
 
@@ -59,7 +59,7 @@ fn le_estimates_calibrated() {
 fn eq_estimates_bounded() {
     let mut rng = Prng::new(0x57A7_0002);
     for case in 0..CASES {
-        let values = values(&mut rng, 1, 1500, 0, 500);
+        let values = random_ints(&mut rng, 1, 1500, 0, 500);
         let probe = rng.int_range(-100, 599);
 
         let stats = ColumnStats::analyze(&heap_of(&values), 0);
@@ -81,7 +81,7 @@ fn eq_estimates_bounded() {
 fn range_partition_sums_to_one() {
     let mut rng = Prng::new(0x57A7_0003);
     for case in 0..CASES {
-        let values = values(&mut rng, 64, 1500, 0, 1000);
+        let values = random_ints(&mut rng, 64, 1500, 0, 1000);
         let a = rng.int_range(0, 999);
         let b = rng.int_range(0, 999);
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };

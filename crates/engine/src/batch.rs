@@ -16,6 +16,7 @@
 //! "Vectorized execution").
 
 use colt_storage::{ColumnSlice, Value};
+use std::cmp::Ordering;
 use std::ops::Range;
 
 /// Target rows per batch. Large enough to amortize per-batch dispatch,
@@ -116,11 +117,9 @@ pub(crate) struct KeyCol<'a> {
 }
 
 impl KeyCol<'_> {
-    /// Every input row's cell as a [`Value`], in input order.
-    pub(crate) fn values(&self) -> Vec<Value> {
-        let mut out = Vec::new();
-        self.cells.gather(self.rows, &mut out);
-        out
+    /// Input row `i`'s cell as a key code of `column`: an index probe.
+    pub(crate) fn code_in(&self, i: usize, column: &ColumnSlice<'_>) -> Result<u64, Ordering> {
+        self.cells.code_in(self.rows[i] as usize, column)
     }
 
     /// Does input row `i` hold the cell `cells` has at heap row `row`?
@@ -161,7 +160,9 @@ fn mix(hash: u64, word: u64) -> u64 {
 /// Fold one key column into the running hashes: `hashes[i]` absorbs the
 /// cell of heap row `rows[i]`. Equal cells fold equally; the type is
 /// not hashed (a cross-type key pair may collide, and then fails
-/// [`ColumnSlice::cells_eq`]).
+/// [`ColumnSlice::cells_eq`]). A string is hashed by its bytes, read
+/// through its column's dictionary: two tables' ranks of one string
+/// differ.
 fn hash_cells(cells: ColumnSlice<'_>, rows: &[u32], hashes: &mut [u64]) {
     fn fold<T>(cells: &[T], rows: &[u32], hashes: &mut [u64], word: impl Fn(&T) -> u64) {
         for (hash, &row) in hashes.iter_mut().zip(rows) {
@@ -172,9 +173,9 @@ fn hash_cells(cells: ColumnSlice<'_>, rows: &[u32], hashes: &mut [u64]) {
         ColumnSlice::Int(c) => fold(c, rows, hashes, |&x| x as u64),
         ColumnSlice::Float(c) => fold(c, rows, hashes, |x| x.to_bits()),
         ColumnSlice::Date(c) => fold(c, rows, hashes, |&x| x as u32 as u64),
-        ColumnSlice::Str(c) => {
+        ColumnSlice::Str { dict, ranks } => {
             for (hash, &row) in hashes.iter_mut().zip(rows) {
-                let bytes = c[row as usize].as_bytes();
+                let bytes = dict[ranks[row as usize] as usize].as_bytes();
                 // Whole words as one load each (a variable-length copy per
                 // word is a `memcpy` call), then the zero-padded tail.
                 let mut words = bytes.chunks_exact(8);
@@ -297,6 +298,14 @@ impl Chains {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use colt_storage::{row_from, HeapTable, ValueType};
+
+    /// A one-column heap of strings, row `i` holding `strs[i]`.
+    fn str_heap<S: AsRef<str>>(strs: &[S]) -> HeapTable {
+        let mut heap = HeapTable::new(&[ValueType::Str]);
+        heap.insert_rows(strs.iter().map(|s| row_from(vec![s.as_ref().into()]))).unwrap();
+        heap
+    }
 
     /// The finished key hashes of one column's rows `0..len`.
     fn hashes_of(cells: ColumnSlice<'_>) -> Vec<u64> {
@@ -357,7 +366,7 @@ mod tests {
             assert!(filled >= 512, "(Int, Date) from {}: {filled} of 1024 slots", ints[1]);
         }
         let names: Vec<String> = (0..1024).map(|i| format!("Customer#{i:09}")).collect();
-        let filled = slots_filled(&hashes_of(ColumnSlice::Str(&names)));
+        let filled = slots_filled(&hashes_of(str_heap(&names).column(0).unwrap()));
         assert!(filled >= 512, "shared prefix: {filled} of 1024 slots");
     }
 
@@ -367,7 +376,7 @@ mod tests {
         assert_eq!((ints[0], ints[1]), (ints[2], ints[4]));
         assert_ne!(ints[0], ints[1]);
         let strs = ["ab", "", "ab", "ab\0", "abcdefghi", "abcdefgh"].map(String::from);
-        let hashed = hashes_of(ColumnSlice::Str(&strs));
+        let hashed = hashes_of(str_heap(&strs).column(0).unwrap());
         assert_eq!(hashed[0], hashed[2]);
         // Zero padding of the last word must not hide a length.
         assert_ne!(hashed[0], hashed[3]);
@@ -427,6 +436,8 @@ mod tests {
         // Across 8-byte word boundaries, and equal but for the length.
         let strs = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefgh\0", "abcdefghabcdefgh"]
             .map(String::from);
+        let strs = str_heap(&strs);
+        let strs = strs.column(0).unwrap();
         let dates = [i32::MIN, i32::MAX, -1, 0, 1, 8_000];
         // A two-column key (a, hash(a) ^ c) hashes to hash(c) whatever `a`
         // is: under each of three `c`s the seven `a`s share one full
@@ -451,13 +462,13 @@ mod tests {
         assert_eq!(pair_hashes.len(), 3, "seven keys per full hash");
         assert!(pair_hashes.iter().all(|h| h & 0x3fff == pair_hashes[0] & 0x3fff));
 
-        use ColumnSlice::{Date, Float, Int, Str};
+        use ColumnSlice::{Date, Float, Int};
         let shapes: [(&str, Vec<ColumnSlice<'_>>, Vec<ColumnSlice<'_>>); 7] = [
             ("int", vec![Int(&ints)], vec![Int(&ints)]),
             ("float", vec![Float(&floats)], vec![Float(&floats)]),
-            ("str", vec![Str(&strs)], vec![Str(&strs)]),
+            ("str", vec![strs], vec![strs]),
             ("date", vec![Date(&dates)], vec![Date(&dates)]),
-            ("(int, str)", vec![Int(&ints), Str(&strs)], vec![Int(&ints), Str(&strs)]),
+            ("(int, str)", vec![Int(&ints), strs], vec![Int(&ints), strs]),
             (
                 "(int, int) in one slot",
                 vec![Int(&firsts), Int(&seconds)],
@@ -525,12 +536,12 @@ mod tests {
     #[test]
     fn extend_rows_honors_selection() {
         // Two tables; the output takes rows (1, 0) then (3, 0) of them.
-        let (a, b) = ([10i64, 11, 12, 13], ["x".to_string()]);
+        let (a, b) = ([10i64, 11, 12, 13], str_heap(&["x"]));
         let mut ids = RowIds::new(2, true);
         ids.push([1, 0].into_iter());
         ids.push([3, 0].into_iter());
         assert_eq!(ids.row(1).collect::<Vec<_>>(), [3, 0]);
-        let cols = [(0, ColumnSlice::Int(&a)), (1, ColumnSlice::Str(&b)), (0, ColumnSlice::Int(&a))];
+        let cols = [(0, ColumnSlice::Int(&a)), (1, b.column(0).unwrap()), (0, ColumnSlice::Int(&a))];
         let mut rows = vec![vec![Value::Int(-1)]];
         ids.extend_rows(&cols, &mut rows);
         assert_eq!(

@@ -4,11 +4,11 @@
 //! cheaply elsewhere, but hand-built plans are part of the public API,
 //! so every structural contradiction a caller can construct by hand
 //! surfaces as a typed error instead of a panic: join keys referencing
-//! absent tables, column references beyond a table's arity, and plan
-//! nodes that name indexes or composites the physical configuration
-//! has not materialized. A panic inside the
-//! tuner would kill a whole parallel batch; an `ExecError` propagates
-//! to the harness cell that issued the query.
+//! absent tables, column references beyond a table's arity, plan nodes
+//! that name indexes or composites the physical configuration has not
+//! materialized, and indexes built before their table gained rows. A
+//! panic inside the tuner would kill a whole parallel batch; an
+//! `ExecError` propagates to the harness cell that issued the query.
 
 use colt_catalog::{ColRef, TableId};
 
@@ -55,6 +55,12 @@ pub enum ExecError {
         /// The column the scan was supposed to be driven by.
         col: ColRef,
     },
+    /// The plan reads a single-column index built before its table
+    /// gained rows: it misses them, and may key ranks since re-assigned.
+    StaleIndex {
+        /// The index column.
+        col: ColRef,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -77,6 +83,7 @@ impl std::fmt::Display for ExecError {
             ExecError::MissingDriverPredicate { operator, col } => {
                 write!(f, "{operator}: scan on {col} has no driving predicate of the planned kind")
             }
+            ExecError::StaleIndex { col } => write!(f, "index {col} predates rows of its table"),
         }
     }
 }

@@ -27,7 +27,7 @@ use crate::kernel::Kernel;
 use crate::plan::{AccessPath, Plan, PlanNode};
 use crate::query::{JoinPred, PredicateKind, Query, RangeBound, SelPred};
 use colt_catalog::{ColRef, Database, PhysicalConfig, Table, TableId};
-use colt_storage::{ColumnSlice, IoStats, RowId, Value};
+use colt_storage::{code_bound, literal_code, BPlusTreeOf, ColumnSlice, IoStats, RowId, Value};
 
 /// Result of executing one query.
 #[derive(Debug, Clone)]
@@ -320,7 +320,8 @@ impl<'a> Executor<'a> {
                 }
             }
             AccessPath::IndexScan { col } => {
-                let (mut rowids, driver_idx) = index_scan_rowids(self.config, &preds, *col, io)?;
+                let (mut rowids, driver_idx) =
+                    index_scan_rowids(self.db, self.config, &preds, *col, io)?;
                 t.heap.fetch_sorted(&mut rowids, io);
                 for chunk in rowids.chunks(BATCH_ROWS) {
                     // Residual = everything except the one predicate
@@ -416,8 +417,8 @@ impl<'a> Executor<'a> {
     /// Index nested-loop join: probe the inner table's B+ tree once per
     /// outer row, fetch matches, and apply the inner table's selection
     /// predicates plus any residual join predicates, all on the inner
-    /// heap's columns. The index takes [`Value`] literals, so the outer
-    /// probe keys are the one column this operator turns into values.
+    /// heap's columns. Each outer key probes as its code in the indexed
+    /// column: a string's is a search of that column's dictionary.
     #[allow(clippy::too_many_arguments)]
     fn index_nl_join(
         &self,
@@ -433,7 +434,7 @@ impl<'a> Executor<'a> {
         child: RunChild<'_>,
     ) -> Result<RowIds, ExecError> {
         let inner_table = self.db.table(inner);
-        let index = materialized_index("index_nl_join", self.config, index_col)?;
+        let (index, indexed) = materialized_index("index_nl_join", self.db, self.config, index_col)?;
         let inner_preds: Vec<&SelPred> = query.selections_on(inner).collect();
         let inner_kernels = compile_preds("index_nl_join", inner_table, &inner_preds)?;
 
@@ -467,9 +468,10 @@ impl<'a> Executor<'a> {
         // `random_pages` relative to the row-at-a-time reference.
         let mut rowids: Vec<RowId> = Vec::new();
         let mut sel: Vec<u32> = Vec::new();
-        for (o, key) in outer.key_col(probe_key).values().iter().enumerate() {
+        let probe_key = outer.key_col(probe_key);
+        for o in 0..outer.count() as usize {
             rowids.clear();
-            index.tree.lookup_into(key, &mut rowids, io);
+            index.lookup_code_into(probe_key.code_in(o, &indexed), &mut rowids, io);
             inner_table.heap.fetch_sorted(&mut rowids, io);
             io.cpu_ops += ((inner_kernels.len() + residuals.len()) * rowids.len()) as u64;
             retain_rows(&rowids, &inner_kernels, None, &mut sel);
@@ -558,43 +560,49 @@ fn retain_rows(fetched: &[RowId], kernels: &[Kernel<'_>], skip: Option<usize>, s
     }
 }
 
-/// The materialized single-column index a plan node refers to, or a
-/// typed error when a hand-built plan names one that was never built.
+/// The tree of the single-column index a plan node refers to and the
+/// heap column its probes resolve against, or a typed error: the index
+/// was never built, or its table gained rows after the build.
 pub(crate) fn materialized_index<'c>(
     operator: &'static str,
+    db: &'c Database,
     config: &'c PhysicalConfig,
     col: ColRef,
-) -> Result<&'c colt_catalog::MaterializedIndex, ExecError> {
-    config.get(col).ok_or(ExecError::UnmaterializedIndex { operator, col })
+) -> Result<(&'c BPlusTreeOf<u64>, ColumnSlice<'c>), ExecError> {
+    let index = config.get(col).ok_or(ExecError::UnmaterializedIndex { operator, col })?;
+    let column = db.table(col.table).heap.column(col.column as usize);
+    let column = column.ok_or(ExecError::UnknownColRef { operator, col })?;
+    let fresh = index.tree.len() == column.len();
+    fresh.then_some((&index.tree, column)).ok_or(ExecError::StaleIndex { col })
 }
 
 /// Collect the rowids an index scan's driving predicate selects, and
 /// the driver's position within `preds`. Charges descend/leaf I/O via
 /// the tree; the caller fetches the heap rows.
 pub(crate) fn index_scan_rowids(
+    db: &Database,
     config: &PhysicalConfig,
     preds: &[&SelPred],
     col: ColRef,
     io: &mut IoStats,
 ) -> Result<(Vec<RowId>, usize), ExecError> {
-    let index = materialized_index("index_scan", config, col)?;
+    let (index, column) = materialized_index("index_scan", db, config, col)?;
     let driver_idx = preds
         .iter()
         .position(|p| p.col == col)
         .ok_or(ExecError::MissingDriverPredicate { operator: "index_scan", col })?;
     let mut rowids: Vec<RowId> = Vec::new();
     match &preds[driver_idx].kind {
-        PredicateKind::Eq(v) => index.tree.lookup_into(v, &mut rowids, io),
+        PredicateKind::Eq(v) => index.lookup_code_into(literal_code(v, column), &mut rowids, io),
+        // One descent per list element; the sorted fetch afterwards
+        // deduplicates heap pages.
         PredicateKind::In(vs) => {
-            // One descent per list element; the sorted fetch afterwards
-            // deduplicates heap pages.
-            for v in vs {
-                index.tree.lookup_into(v, &mut rowids, io);
-            }
+            vs.iter().for_each(|v| index.lookup_code_into(literal_code(v, column), &mut rowids, io))
         }
         PredicateKind::Range { lo, hi } => {
-            let (lo, hi) = (RangeBound::as_bound(lo), RangeBound::as_bound(hi));
-            index.tree.range_into(lo, hi, &mut rowids, io);
+            let lo = code_bound(RangeBound::as_bound(lo), column, true);
+            let hi = code_bound(RangeBound::as_bound(hi), column, false);
+            index.range_codes_into(lo.zip(hi), &mut rowids, io);
         }
     }
     Ok((rowids, driver_idx))
@@ -1168,6 +1176,51 @@ mod tests {
         let jq = Query::join(vec![fact, dim], vec![], vec![]);
         let err = Executor::new(&db, &cfg).execute(&jq, &plan, Collect::CountOnly).unwrap_err();
         assert_eq!(err, ExecError::UnknownColRef { operator: "hash_join", col: bad });
+    }
+
+    #[test]
+    fn an_index_built_before_an_insert_is_a_typed_error() {
+        // `PhysicalConfig` does not borrow the database, so rows can be
+        // added under a built index; probing it then must not silently
+        // miss them (or, for strings, read re-assigned ranks).
+        use crate::plan::{AccessPath, PlanNode};
+        use crate::rowwise::RowwiseExecutor;
+        let (mut db, fact, dim) = db();
+        let (id, fk) = (ColRef::new(fact, 0), ColRef::new(fact, 1));
+        let mut cfg = PhysicalConfig::new();
+        cfg.create_index(&db, id, IndexOrigin::Online);
+        cfg.create_index(&db, fk, IndexOrigin::Online);
+        db.insert_rows(fact, [row_from(vec![Value::Int(-1), Value::Int(0), Value::Int(0)])]).unwrap();
+
+        let scan = |table, path| PlanNode::Scan { table, path, est_rows: 1.0, est_cost: 1.0 };
+        let by_index =
+            Plan { root: scan(fact, AccessPath::IndexScan { col: id }), selectivities: vec![1.0] };
+        let q = Query::single(fact, vec![SelPred::eq(id, 5i64)]);
+        let inlj = Plan {
+            root: PlanNode::IndexNlJoin {
+                outer: Box::new(scan(dim, AccessPath::SeqScan)),
+                inner: fact,
+                index: fk,
+                probe_on: JoinPred::new(fk, ColRef::new(dim, 0)),
+                residual_on: vec![],
+                est_rows: 1.0,
+                est_cost: 2.0,
+            },
+            selectivities: Vec::new(),
+        };
+        let jq = Query::join(vec![dim, fact], vec![JoinPred::new(fk, ColRef::new(dim, 0))], vec![]);
+        for (query, plan, col) in [(&q, &by_index, id), (&jq, &inlj, fk)] {
+            let vectorized = Executor::new(&db, &cfg).execute(query, plan, Collect::CountOnly);
+            let rowwise = RowwiseExecutor::new(&db, &cfg).execute(query, plan, Collect::CountOnly);
+            assert_eq!(vectorized.unwrap_err(), ExecError::StaleIndex { col });
+            assert_eq!(rowwise.unwrap_err(), ExecError::StaleIndex { col });
+        }
+        // Rebuilt, the index covers the new row.
+        cfg.create_index(&db, id, IndexOrigin::Online);
+        let q = Query::single(fact, vec![SelPred::eq(id, -1i64)]);
+        let out = Executor::new(&db, &cfg).execute(&q, &by_index, Collect::CountOnly).unwrap();
+        assert_eq!(out.row_count(), 1);
+        assert!(ExecError::StaleIndex { col: id }.to_string().contains("predates rows"));
     }
 
     #[test]

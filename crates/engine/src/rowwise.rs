@@ -24,7 +24,7 @@ use crate::executor::{
 use crate::plan::{AccessPath, Plan, PlanNode};
 use crate::query::{Query, SelPred};
 use colt_catalog::{ColRef, Database, PhysicalConfig, TableId};
-use colt_storage::{IoStats, Value};
+use colt_storage::{literal_code, IoStats, Value};
 use std::collections::HashMap;
 
 /// Rows flowing between operators: the source table of each column slice
@@ -117,7 +117,8 @@ impl<'a> RowwiseExecutor<'a> {
                     .collect()
             }
             AccessPath::IndexScan { col } => {
-                let (mut rowids, driver_idx) = index_scan_rowids(self.config, &preds, *col, io)?;
+                let (mut rowids, driver_idx) =
+                    index_scan_rowids(self.db, self.config, &preds, *col, io)?;
                 t.heap.fetch_sorted(&mut rowids, io);
                 rowids
                     .iter()
@@ -218,7 +219,7 @@ impl<'a> RowwiseExecutor<'a> {
         io: &mut IoStats,
     ) -> Result<Batch, ExecError> {
         let inner_table = self.db.table(inner);
-        let index = materialized_index("index_nl_join", self.config, index_col)?;
+        let (index, indexed) = materialized_index("index_nl_join", self.db, self.config, index_col)?;
         let inner_preds: Vec<&SelPred> = query.selections_on(inner).collect();
         let inner_arity = inner_table.schema.arity();
         check_pred_cols("index_nl_join", &inner_preds, inner_arity)?;
@@ -252,7 +253,7 @@ impl<'a> RowwiseExecutor<'a> {
         for orow in &outer.rows {
             let key = &orow[probe_pos];
             let mut rowids = Vec::new();
-            index.tree.lookup_into(key, &mut rowids, io);
+            index.lookup_code_into(literal_code(key, indexed), &mut rowids, io);
             inner_table.heap.fetch_sorted(&mut rowids, io);
             for irow in rowids.iter().filter_map(|&id| inner_table.heap.peek(id)) {
                 io.cpu_ops += (inner_preds.len() + residuals.len()) as u64;

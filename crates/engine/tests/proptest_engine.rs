@@ -9,7 +9,9 @@ use colt_engine::{
     AccessPath, Collect, Eqo, EqoCounters, Executor, IndexSetView, Kernel, Optimizer, Plan,
     PlanNode, PredicateKind, Query, RangeBound, RowwiseExecutor, SelPred,
 };
-use colt_storage::{row_from, BPlusTree, IoStats, Prng, RowId, Value, ValueType};
+use colt_storage::{
+    code_bound, literal_code, row_from, BPlusTree, IoStats, Prng, RowId, Value, ValueType,
+};
 
 /// Join key `i` as a cell of `vtype`: distinct `i` give distinct cells
 /// under `Value`'s equality. The float keys start with both zeros and
@@ -819,8 +821,8 @@ fn edge_values(vtype: ValueType) -> Vec<Value> {
 /// and exclusive bounds at the extremes), NaN and both zeros. And an
 /// index on the column means the predicate as the kernel does: an index
 /// scan returns the sequential scan's rows under both executors, and
-/// the index (code-keyed but for strings) reads and charges what a
-/// `Value`-keyed tree over the same cells would, over three leaves.
+/// the code-keyed index reads and charges what a `Value`-keyed tree
+/// over the same cells would, over three leaves.
 #[test]
 fn compiled_kernels_match_selpred_matches() {
     const TYPES: [ValueType; 4] =
@@ -895,22 +897,33 @@ fn compiled_kernels_match_selpred_matches() {
             // The index driven by the predicate, as an index scan drives
             // it: row ids and charges of the `Value`-keyed tree.
             macro_rules! driven {
-                ($tree:expr) => {{
+                ($lookup:expr, $range:expr) => {{
                     let (mut ids, mut io) = (Vec::new(), IoStats::new());
                     match &pred.kind {
-                        PredicateKind::Eq(v) => $tree.lookup_into(v, &mut ids, &mut io),
+                        PredicateKind::Eq(v) => $lookup(v, &mut ids, &mut io),
                         PredicateKind::In(vs) => {
-                            vs.iter().for_each(|v| $tree.lookup_into(v, &mut ids, &mut io))
+                            vs.iter().for_each(|v| $lookup(v, &mut ids, &mut io))
                         }
                         PredicateKind::Range { lo, hi } => {
                             let (lo, hi) = (RangeBound::as_bound(lo), RangeBound::as_bound(hi));
-                            $tree.range_into(lo, hi, &mut ids, &mut io)
+                            $range(lo, hi, &mut ids, &mut io)
                         }
                     }
                     (ids, io)
                 }};
             }
-            assert_eq!(driven!(index), driven!(oracle), "{vtype:?} {pred:?}");
+            let by_index = driven!(
+                |v, ids, io| index.lookup_code_into(literal_code(v, column), ids, io),
+                |lo, hi, ids, io| {
+                    let codes = code_bound(lo, column, true).zip(code_bound(hi, column, false));
+                    index.range_codes_into(codes, ids, io)
+                }
+            );
+            let by_oracle = driven!(
+                |v, ids, io| oracle.lookup_into(v, ids, io),
+                |lo, hi, ids, io| oracle.range_into(lo, hi, ids, io)
+            );
+            assert_eq!(by_index, by_oracle, "{vtype:?} {pred:?}");
 
             // Index scan ≡ sequential scan ≡ the row-at-a-time reference.
             let q = Query::single(t, vec![pred.clone()]);

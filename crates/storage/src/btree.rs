@@ -1,18 +1,19 @@
 //! An arena-based B+ tree mapping column keys to row ids.
 //!
 //! This is the physical structure behind every index the tuner can
-//! materialize; [`IndexTree`] picks the key domain of a single-column
-//! one. It supports duplicate keys (secondary index
-//! semantics), point lookups, inclusive/exclusive range scans, one-by-one
-//! inserts and sorted bulk loading, and charges [`IoStats`] for the pages
-//! a disk-resident tree of the same shape would touch: one random page
-//! per level on a descent, one sequential page per additional leaf
-//! visited while scanning the leaf chain.
+//! materialize: a single-column one is keyed by its cells' key codes
+//! (`BPlusTreeOf<u64>`, probed through [`BPlusTreeOf::range_codes_into`]).
+//! It supports duplicate keys (secondary index semantics), point
+//! lookups, inclusive/exclusive range scans, one-by-one inserts and
+//! sorted bulk loading, and charges [`IoStats`] for the pages a
+//! disk-resident tree of the same shape would touch: one random page per
+//! level on a descent, one sequential page per additional leaf visited
+//! while scanning the leaf chain.
 
-use crate::column::code_bound;
 use crate::page::{IoStats, PAGE_SIZE};
 use crate::row::RowId;
-use crate::value::{Value, ValueType};
+use crate::value::Value;
+use std::cmp::Ordering;
 use std::ops::Bound;
 
 /// Index of a node in the arena.
@@ -20,9 +21,9 @@ use std::ops::Bound;
 struct NodeId(u32);
 
 /// The bound every tree key type must satisfy. Blanket-implemented;
-/// `u64` key codes and [`Value`] cover single-column indices (see
-/// [`IndexTree`]), `Vec<Value>` covers the multi-column extension
-/// (lexicographic composite keys).
+/// `u64` key codes cover single-column indices, [`Value`] their test
+/// reference, `Vec<Value>` the multi-column extension (lexicographic
+/// composite keys).
 pub trait TreeKey: Ord + Clone + std::fmt::Debug {}
 impl<K: Ord + Clone + std::fmt::Debug> TreeKey for K {}
 
@@ -85,9 +86,8 @@ pub struct BPlusTreeOf<K: TreeKey> {
     order: usize,
 }
 
-/// A single-column B+ tree keyed by [`Value`]s — what an index on a
-/// string column is, and the oracle the code-keyed trees are tested
-/// against.
+/// A single-column B+ tree keyed by [`Value`]s: the oracle the
+/// code-keyed index trees are tested against.
 pub type BPlusTree = BPlusTreeOf<Value>;
 
 /// A multi-column B+ tree over lexicographic composite keys — the
@@ -574,94 +574,33 @@ impl<K: TreeKey> BPlusTreeOf<K> {
     }
 }
 
-/// The tree behind a single-column index, keyed in the cheapest domain
-/// its column has, behind one [`Value`]-literal interface.
-///
-/// A fixed-width column is indexed by its cells' order-preserving
-/// [`crate::KeyCode`]s: 16-byte `(u64, RowId)` entries compared as
-/// integers, never turned back into `Value`s. Literals reach the codes
-/// through [`crate::column::code_bound`] — the resolver the scan kernels
-/// use — and the tree is asked the same question a `Value`-keyed tree
-/// would be, so row ids *and* [`IoStats`] equal that tree's: an
-/// exclusive bound still descends to its first equal key, and a literal
-/// no cell can match still pays one descent.
-#[derive(Debug, Clone)]
-pub enum IndexTree {
-    /// An `Int`, `Float` or `Date` column, keyed by key code (a date's
-    /// 32-bit code widened).
-    Coded {
-        /// The column's type: which literals have a code here.
-        column: ValueType,
-        /// The tree over the codes.
-        tree: BPlusTreeOf<u64>,
-    },
-    /// A `Str` column: strings have no fixed-width order-preserving
-    /// code, so the keys stay `Value`s.
-    Str(BPlusTree),
-}
-
-/// Evaluate `$body` on whichever tree `$index` holds.
-macro_rules! on_tree {
-    ($index:expr, $tree:ident => $body:expr) => {
-        match $index {
-            IndexTree::Coded { tree: $tree, .. } => $body,
-            IndexTree::Str($tree) => $body,
-        }
-    };
-}
-
-impl IndexTree {
-    /// Number of entries in the tree.
-    pub fn len(&self) -> usize {
-        on_tree!(self, t => t.len())
-    }
-
-    /// True when the tree holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Height of the tree (number of levels including the leaf level).
-    pub fn height(&self) -> usize {
-        on_tree!(self, t => t.height())
-    }
-
-    /// Number of nodes, which is the page footprint of the index.
-    pub fn page_count(&self) -> usize {
-        on_tree!(self, t => t.page_count())
-    }
-
-    /// Approximate size in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.page_count() * PAGE_SIZE
-    }
-
-    /// Point lookup appending to `out`: all row ids whose key equals
-    /// `key`; see [`BPlusTreeOf::lookup_into`].
-    pub fn lookup_into(&self, key: &Value, out: &mut Vec<RowId>, io: &mut IoStats) {
-        colt_obs::counter("storage.btree.lookups", 1);
-        self.range_into(Bound::Included(key), Bound::Included(key), out, io);
-    }
-
-    /// Range scan appending to `out`; see [`BPlusTreeOf::range_into`].
-    pub fn range_into(
+/// The tree of a single-column index: its cells' key codes
+/// ([`crate::KeyCode`]; a string's from its column's dictionary), probed
+/// through the scan kernels' resolver ([`crate::literal_code`] /
+/// [`crate::code_bound`]), so row ids *and* [`IoStats`] are those of a
+/// `Value`-keyed tree over the same cells.
+impl BPlusTreeOf<u64> {
+    /// Range scan over resolved codes, appending to `out`. `None`, a
+    /// range no cell can match, still pays one descent: the scan for the
+    /// codes below the lowest.
+    pub fn range_codes_into(
         &self,
-        lo: Bound<&Value>,
-        hi: Bound<&Value>,
+        codes: Option<(Bound<u64>, Bound<u64>)>,
         out: &mut Vec<RowId>,
         io: &mut IoStats,
     ) {
-        match self {
-            IndexTree::Str(tree) => tree.range_into(lo, hi, out, io),
-            IndexTree::Coded { column, tree } => {
-                match (code_bound(lo, *column, true), code_bound(hi, *column, false)) {
-                    (Some(lo), Some(hi)) => tree.range_into(lo.as_ref(), hi.as_ref(), out, io),
-                    // No cell can match, but the scan still pays its
-                    // descent: ask for the codes below the lowest one.
-                    _ => tree.range_into(Bound::Unbounded, Bound::Excluded(&u64::MIN), out, io),
-                }
-            }
+        match codes {
+            Some((lo, hi)) => self.range_into(lo.as_ref(), hi.as_ref(), out, io),
+            None => self.range_into(Bound::Unbounded, Bound::Excluded(&u64::MIN), out, io),
         }
+    }
+
+    /// Point lookup of a resolved literal or cell, appending to `out`;
+    /// `Err`, one of another type than the column's, matches nothing.
+    pub fn lookup_code_into(&self, code: Result<u64, Ordering>, out: &mut Vec<RowId>, io: &mut IoStats) {
+        colt_obs::counter("storage.btree.lookups", 1);
+        let point = code.ok().map(|c| (Bound::Included(c), Bound::Included(c)));
+        self.range_codes_into(point, out, io);
     }
 }
 

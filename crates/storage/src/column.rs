@@ -12,7 +12,9 @@ use std::ops::Bound;
 /// `b` (so `f64` follows `total_cmp`: NaNs at the extremes, `-0.0`
 /// below `+0.0`), and `from_code(code(x))` is `x` bit for bit. Sorting
 /// codes therefore sorts keys, at the price of an integer compare.
-/// Strings have no such fixed-width code and keep comparing as `str`.
+/// A `u32` cell is a string's rank in its column's dictionary
+/// ([`ColumnSlice::Str`]): rank `r` has code `2r + 1`, which leaves the
+/// even codes to the strings the dictionary lacks ([`literal_code`]).
 pub trait KeyCode: Copy {
     /// The unsigned code type, as wide as the cell.
     type Code: Copy + Ord + Into<u64>;
@@ -59,28 +61,49 @@ impl KeyCode for f64 {
     }
 }
 
-/// The key code of `literal` in a fixed-width column of type `column` (a
-/// date's 32-bit code widened), or — for a literal of another type — the
-/// side of the column `Value`'s cross-type order puts it on: `Err(Less)`
-/// sorts below every cell, `Err(Greater)` above every one. This is the
-/// one place a predicate literal meets a column type: the scan kernels
-/// and the index both resolve through it, so a predicate is the same
-/// code interval to either. Strings have no code; a `Str` column answers
-/// a `Str` literal `Err(Equal)`.
-pub fn literal_code(literal: &Value, column: ValueType) -> Result<u64, Ordering> {
-    match (literal, column) {
-        (Value::Int(x), ValueType::Int) => Ok(x.code()),
-        (Value::Float(x), ValueType::Float) => Ok(x.code()),
-        (Value::Date(x), ValueType::Date) => Ok(x.code().into()),
-        _ => Err(literal.value_type().cmp(&column)),
+impl KeyCode for u32 {
+    type Code = u64;
+    fn code(self) -> u64 {
+        u64::from(self) << 1 | 1
+    }
+    fn from_code(code: u64) -> u32 {
+        (code >> 1) as u32
     }
 }
 
-/// One side of a range over a fixed-width column (`lower`: its lower
-/// side) as a bound on the column's codes, or `None` when no cell can
-/// satisfy it. A literal of another type bounds nothing from its own
-/// side of the column and everything from the other.
-pub fn code_bound(bound: Bound<&Value>, column: ValueType, lower: bool) -> Option<Bound<u64>> {
+/// The key code of the string `s` in a column of dictionary `dict`: its
+/// rank's code when present, else `2p` for the rank `p` it would take —
+/// between the codes of its neighbours, so it equals no cell and bounds
+/// a range exactly.
+fn str_code(s: &str, dict: &[String]) -> u64 {
+    match dict.binary_search_by(|d| d.as_str().cmp(s)) {
+        Ok(rank) => (rank as u32).code(),
+        Err(place) => 2 * place as u64,
+    }
+}
+
+/// The key code of `literal` in `column` (a date's 32-bit code widened,
+/// a string's from the column's dictionary), or — for a literal of
+/// another type — the side of the column `Value`'s cross-type order puts
+/// it on: `Err(Less)` sorts below every cell, `Err(Greater)` above every
+/// one. This is the one place a predicate literal meets a column: the
+/// scan kernels and the index both resolve through it, so a predicate is
+/// the same code interval to either.
+pub fn literal_code(literal: &Value, column: ColumnSlice<'_>) -> Result<u64, Ordering> {
+    match (literal, column) {
+        (Value::Int(x), ColumnSlice::Int(_)) => Ok(x.code()),
+        (Value::Float(x), ColumnSlice::Float(_)) => Ok(x.code()),
+        (Value::Date(x), ColumnSlice::Date(_)) => Ok(x.code().into()),
+        (Value::Str(s), ColumnSlice::Str { dict, .. }) => Ok(str_code(s, dict)),
+        _ => Err(literal.value_type().cmp(&column.value_type())),
+    }
+}
+
+/// One side of a range over `column` (`lower`: its lower side) as a
+/// bound on the column's codes, or `None` when no cell can satisfy it.
+/// A literal of another type bounds nothing from its own side of the
+/// column and everything from the other.
+pub fn code_bound(bound: Bound<&Value>, column: ColumnSlice<'_>, lower: bool) -> Option<Bound<u64>> {
     let (literal, inclusive) = match bound {
         Bound::Included(v) => (v, true),
         Bound::Excluded(v) => (v, false),
@@ -100,9 +123,10 @@ const MAX_DIGIT_BITS: u32 = 12;
 /// Buckets up to this long are finished by a comparison sort.
 const SMALL_BUCKET: usize = 32;
 
-/// The `(code, row id)` entries of a fixed-width column in code, then
-/// row-id order — what [`crate::BPlusTreeOf::bulk_load`] takes; the
-/// cells' codes ([`KeyCode`]) sort as `Value::cmp` sorts the cells.
+/// The `(code, row id)` entries of a column's cells — a string column's
+/// ranks — in code, then row-id order: what
+/// [`crate::BPlusTreeOf::bulk_load`] takes; the cells' codes
+/// ([`KeyCode`]) sort as `Value::cmp` sorts the cells.
 ///
 /// Codes that already ascend (a key column in load order) are the
 /// entries as they stand. Otherwise: a most-significant-digit radix
@@ -182,12 +206,12 @@ fn distribute(
     }
 }
 
-/// One column of a heap, owned: a vector of the column's native type.
+/// One column of a heap, owned, laid out as its [`ColumnSlice`].
 #[derive(Debug, Clone)]
 pub(crate) enum Column {
     Int(Vec<i64>),
     Float(Vec<f64>),
-    Str(Vec<String>),
+    Str { dict: Vec<String>, ranks: Vec<u32> },
     Date(Vec<i32>),
 }
 
@@ -196,29 +220,59 @@ impl Column {
         match vtype {
             ValueType::Int => Column::Int(Vec::new()),
             ValueType::Float => Column::Float(Vec::new()),
-            ValueType::Str => Column::Str(Vec::new()),
+            ValueType::Str => Column::Str { dict: Vec::new(), ranks: Vec::new() },
             ValueType::Date => Column::Date(Vec::new()),
         }
     }
 
     /// Append a value of the column's own type; any other variant is
-    /// handed back untouched.
-    pub(crate) fn push(&mut self, value: Value) -> Result<(), Value> {
+    /// handed back untouched. A string the dictionary lacks goes to the
+    /// batch's `fresh` strings, its row holding the placeholder
+    /// `dict.len() + i` for `fresh[i]` until [`Column::rerank`].
+    pub(crate) fn push(&mut self, value: Value, fresh: &mut Vec<String>) -> Result<(), Value> {
         match (self, value) {
             (Column::Int(c), Value::Int(x)) => c.push(x),
             (Column::Float(c), Value::Float(x)) => c.push(x),
-            (Column::Str(c), Value::Str(x)) => c.push(x),
+            (Column::Str { dict, ranks }, Value::Str(x)) => {
+                let rank = dict.binary_search(&x).unwrap_or(dict.len() + fresh.len());
+                if rank >= dict.len() {
+                    fresh.push(x);
+                }
+                ranks.push(rank as u32);
+            }
             (Column::Date(c), Value::Date(x)) => c.push(x),
             (_, other) => return Err(other),
         }
         Ok(())
     }
 
+    /// End a batch of [`Column::push`]es: sort its `fresh` strings into
+    /// the dictionary and rewrite every row's old rank or placeholder as
+    /// its new rank — one sort, one pass over the rows, per batch.
+    pub(crate) fn rerank(&mut self, fresh: Vec<String>) {
+        let (Column::Str { dict, ranks }, false) = (self, fresh.is_empty()) else { return };
+        // Every string with its code, its old rank or placeholder; sorted
+        // unstably, as the codes are distinct and stable scratch is big.
+        let mut coded: Vec<(String, u32)> =
+            std::mem::take(dict).into_iter().chain(fresh).zip(0..).collect();
+        coded.sort_unstable();
+        dict.reserve_exact(coded.len());
+        let mut rank = vec![0u32; coded.len()];
+        for (s, code) in coded {
+            // A fresh string twice in the batch is one dictionary entry.
+            if dict.last() != Some(&s) {
+                dict.push(s);
+            }
+            rank[code as usize] = dict.len() as u32 - 1;
+        }
+        ranks.iter_mut().for_each(|r| *r = rank[*r as usize]);
+    }
+
     pub(crate) fn as_slice(&self) -> ColumnSlice<'_> {
         match self {
             Column::Int(c) => ColumnSlice::Int(c),
             Column::Float(c) => ColumnSlice::Float(c),
-            Column::Str(c) => ColumnSlice::Str(c),
+            Column::Str { dict, ranks } => ColumnSlice::Str { dict, ranks },
             Column::Date(c) => ColumnSlice::Date(c),
         }
     }
@@ -232,8 +286,13 @@ pub enum ColumnSlice<'a> {
     Int(&'a [i64]),
     /// A [`ValueType::Float`] column.
     Float(&'a [f64]),
-    /// A [`ValueType::Str`] column.
-    Str(&'a [String]),
+    /// A [`ValueType::Str`] column: row `i` holds `dict[ranks[i]]`.
+    Str {
+        /// The column's strings, sorted by `str::cmp`, each once.
+        dict: &'a [String],
+        /// Each row's rank in `dict`, so ranks order as their strings.
+        ranks: &'a [u32],
+    },
     /// A [`ValueType::Date`] column.
     Date(&'a [i32]),
 }
@@ -244,7 +303,7 @@ impl ColumnSlice<'_> {
         match self {
             ColumnSlice::Int(_) => ValueType::Int,
             ColumnSlice::Float(_) => ValueType::Float,
-            ColumnSlice::Str(_) => ValueType::Str,
+            ColumnSlice::Str { .. } => ValueType::Str,
             ColumnSlice::Date(_) => ValueType::Date,
         }
     }
@@ -254,7 +313,7 @@ impl ColumnSlice<'_> {
         match self {
             ColumnSlice::Int(c) => c.len(),
             ColumnSlice::Float(c) => c.len(),
-            ColumnSlice::Str(c) => c.len(),
+            ColumnSlice::Str { ranks, .. } => ranks.len(),
             ColumnSlice::Date(c) => c.len(),
         }
     }
@@ -269,29 +328,37 @@ impl ColumnSlice<'_> {
         Some(match self {
             ColumnSlice::Int(c) => Value::Int(*c.get(row)?),
             ColumnSlice::Float(c) => Value::Float(*c.get(row)?),
-            ColumnSlice::Str(c) => Value::Str(c.get(row)?.clone()),
+            ColumnSlice::Str { dict, ranks } => Value::Str(dict[*ranks.get(row)? as usize].clone()),
             ColumnSlice::Date(c) => Value::Date(*c.get(row)?),
         })
     }
 
     /// Append the cells of `rows` (in that order) to `out` as
-    /// [`Value`]s. Panics on a row past the end: callers pass row ids a
+    /// [`Value`]s, skipping rows past the end: callers pass row ids a
     /// scan window or [`crate::HeapTable::fetch_sorted`] produced.
     pub fn gather(&self, rows: &[u32], out: &mut Vec<Value>) {
-        out.reserve(rows.len());
-        match self {
-            ColumnSlice::Int(c) => out.extend(rows.iter().map(|&r| Value::Int(c[r as usize]))),
-            ColumnSlice::Float(c) => out.extend(rows.iter().map(|&r| Value::Float(c[r as usize]))),
-            ColumnSlice::Str(c) => {
-                out.extend(rows.iter().map(|&r| Value::Str(c[r as usize].clone())))
+        out.extend(rows.iter().filter_map(|&r| self.get(r as usize)));
+    }
+
+    /// [`literal_code`] of the cell of `row` in `column`, without a
+    /// [`Value`] (a string's searches `column`'s dictionary). Panics on a
+    /// row past the end.
+    pub fn code_in(&self, row: usize, column: &ColumnSlice<'_>) -> Result<u64, Ordering> {
+        match (self, column) {
+            (ColumnSlice::Int(c), ColumnSlice::Int(_)) => Ok(c[row].code()),
+            (ColumnSlice::Float(c), ColumnSlice::Float(_)) => Ok(c[row].code()),
+            (ColumnSlice::Date(c), ColumnSlice::Date(_)) => Ok(c[row].code().into()),
+            (ColumnSlice::Str { dict, ranks }, ColumnSlice::Str { dict: other, .. }) => {
+                Ok(str_code(&dict[ranks[row] as usize], other))
             }
-            ColumnSlice::Date(c) => out.extend(rows.iter().map(|&r| Value::Date(c[r as usize]))),
+            _ => Err(self.value_type().cmp(&column.value_type())),
         }
     }
 
     /// Does the cell of `row` equal `other`'s cell of `other_row` under
     /// `Value`'s equality (same type, floats bit for bit)? False for
-    /// columns of different types and past either end.
+    /// columns of different types and past either end. Two string
+    /// columns' ranks are not comparable: their strings are compared.
     #[inline]
     pub fn cells_eq(&self, row: usize, other: &ColumnSlice<'_>, other_row: usize) -> bool {
         fn same<T>(a: &[T], i: usize, b: &[T], j: usize, eq: impl Fn(&T, &T) -> bool) -> bool {
@@ -302,7 +369,9 @@ impl ColumnSlice<'_> {
             (ColumnSlice::Float(a), ColumnSlice::Float(b)) => {
                 same(a, row, b, other_row, |x, y| x.to_bits() == y.to_bits())
             }
-            (ColumnSlice::Str(a), ColumnSlice::Str(b)) => same(a, row, b, other_row, String::eq),
+            (ColumnSlice::Str { dict: a, ranks: ra }, ColumnSlice::Str { dict: b, ranks: rb }) => {
+                same(ra, row, rb, other_row, |&x, &y| a[x as usize] == b[y as usize])
+            }
             (ColumnSlice::Date(a), ColumnSlice::Date(b)) => same(a, row, b, other_row, i32::eq),
             _ => false,
         }
@@ -415,17 +484,18 @@ mod tests {
     #[test]
     fn push_rejects_other_variants() {
         let mut c = Column::new(ValueType::Date);
-        assert!(c.push(Value::Date(3)).is_ok());
-        assert_eq!(c.push(Value::Int(3)), Err(Value::Int(3)));
+        assert!(c.push(Value::Date(3), &mut Vec::new()).is_ok());
+        assert_eq!(c.push(Value::Int(3), &mut Vec::new()), Err(Value::Int(3)));
         assert_eq!(c.as_slice().len(), 1);
     }
 
     #[test]
     fn slice_reads_cells() {
-        let mut c = Column::new(ValueType::Str);
+        let (mut c, mut fresh) = (Column::new(ValueType::Str), Vec::new());
         for s in ["b", "a", "c"] {
-            c.push(Value::Str(s.into())).unwrap();
+            c.push(Value::Str(s.into()), &mut fresh).unwrap();
         }
+        c.rerank(fresh);
         let s = c.as_slice();
         assert_eq!(s.value_type(), ValueType::Str);
         assert_eq!(s.get(1), Some(Value::Str("a".into())));

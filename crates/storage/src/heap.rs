@@ -2,7 +2,8 @@
 //!
 //! The *accounting* is a row store's — fixed-width tuples on 8 KiB
 //! pages, charged per page and per tuple — but the data is held column
-//! by column, one vector of the column's native type each (see
+//! by column, one vector of the column's native type each — for strings,
+//! a sorted dictionary and each row's `u32` rank in it (see
 //! [`crate::column`]): a scan that evaluates one predicate reads 8 or 4
 //! contiguous bytes per row instead of pulling a separately boxed row
 //! into the cache. Readers that want rows ([`HeapTable::scan`],
@@ -76,26 +77,42 @@ impl HeapTable {
         }
     }
 
-    /// Append a row, returning its id. A row whose arity or value types
-    /// disagree with the columns is refused and leaves the heap as it
-    /// was.
+    /// Append a row, returning its id: a batch of one
+    /// ([`HeapTable::insert_rows`]), so a refused row leaves the heap as
+    /// it was.
     pub fn insert(&mut self, row: Row) -> Result<RowId, RowError> {
-        if row.len() != self.columns.len() {
-            return Err(RowError::Arity { expected: self.columns.len(), got: row.len() });
-        }
-        for (column, (c, v)) in self.columns.iter().zip(row.iter()).enumerate() {
-            let (expected, got) = (c.as_slice().value_type(), v.value_type());
-            if expected != got {
-                return Err(RowError::Type { column, expected, got });
+        self.insert_rows([row]).map(|()| RowId(self.len as u32 - 1))
+    }
+
+    /// Append rows in order, stopping at the first whose arity or value
+    /// types disagree with the columns: the rows before it stay, nothing
+    /// of it does. A string column re-ranks once, when the batch ends
+    /// (see `Column::rerank`), so a batch costs one pass over the rows
+    /// however many new strings it brings.
+    pub fn insert_rows(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<(), RowError> {
+        let mut fresh = vec![Vec::new(); self.columns.len()];
+        let stored = rows.into_iter().try_for_each(|row| {
+            if row.len() != self.columns.len() {
+                return Err(RowError::Arity { expected: self.columns.len(), got: row.len() });
             }
+            for (column, (c, v)) in self.columns.iter().zip(row.iter()).enumerate() {
+                let (expected, got) = (c.as_slice().value_type(), v.value_type());
+                if expected != got {
+                    return Err(RowError::Type { column, expected, got });
+                }
+            }
+            u32::try_from(self.len).map_err(|_| RowError::Full)?;
+            for ((c, v), fresh) in self.columns.iter_mut().zip(row.into_vec()).zip(&mut fresh) {
+                // Cannot fail: every type was checked above.
+                let _ = c.push(v, fresh);
+            }
+            self.len += 1;
+            Ok(())
+        });
+        for (c, fresh) in self.columns.iter_mut().zip(fresh) {
+            c.rerank(fresh);
         }
-        let id = RowId(u32::try_from(self.len).map_err(|_| RowError::Full)?);
-        for (c, v) in self.columns.iter_mut().zip(row.into_vec()) {
-            // Cannot fail: every type was checked above.
-            let _ = c.push(v);
-        }
-        self.len += 1;
-        Ok(id)
+        stored
     }
 
     /// Number of rows.

@@ -2,9 +2,9 @@
 //!
 //! Storage substrate for the COLT reproduction: typed values, an 8 KiB
 //! page model with deterministic I/O accounting, append-only heap tables
-//! stored as typed column vectors, and an arena-based B+ tree used for
-//! every materialized index (keyed by order-preserving key codes where
-//! the column has them).
+//! stored as typed column vectors (strings as ranks in a sorted
+//! dictionary), and an arena-based B+ tree used for every materialized
+//! index, keyed by the cells' order-preserving key codes.
 //!
 //! Nothing here touches the filesystem. All tables live in memory and
 //! every operator charges [`page::IoStats`] for the pages a disk-resident
@@ -23,7 +23,7 @@ pub mod prng;
 pub mod row;
 pub mod value;
 
-pub use btree::{BPlusTree, BPlusTreeOf, CompositeBPlusTree, IndexTree, ScanControl, TreeKey};
+pub use btree::{BPlusTree, BPlusTreeOf, CompositeBPlusTree, ScanControl, TreeKey};
 pub use column::{code_bound, literal_code, sorted_entries, ColumnSlice, KeyCode};
 pub use heap::{HeapTable, RowError};
 pub use page::{pages_for, tuples_per_page, CostParams, IoStats, PAGE_SIZE};
