@@ -476,39 +476,31 @@ fn bench_range() {
     }
 }
 
+/// A two-`Int`-column composite index as the catalog builds one: keys
+/// are the cells' codes. A lookup pins both columns; a prefix scan pins
+/// the first, its upper key padded with the greatest code — both are
+/// `range_into`, as the executor's composite scan is. Ungated.
 fn bench_composite() {
-    use colt_storage::CompositeBPlusTree;
-    let entries: Vec<(Vec<Value>, RowId)> = (0..100_000)
-        .map(|i| (vec![Value::Int(i % 100), Value::Int(i / 100)], RowId(i as u32)))
+    let mut entries: Vec<(Vec<u64>, RowId)> = (0..100_000i64)
+        .map(|i| (vec![(i % 100).code(), (i / 100).code()], RowId(i as u32)))
         .collect();
-    let mut sorted = entries.clone();
-    sorted.sort();
-    let tree = CompositeBPlusTree::bulk_load(16, sorted);
+    entries.sort_unstable();
+    let tree = BPlusTreeOf::bulk_load(16, entries);
 
     let mut i = 0i64;
     bench("btree/composite_lookup/100k", || {
         i = (i * 75 + 74) % 65_537;
+        let key = vec![(i % 100).code(), (i % 1000).code()];
         let mut io = IoStats::new();
-        black_box(tree.lookup(&vec![Value::Int(i % 100), Value::Int(i % 1000)], &mut io));
+        black_box(tree.range(Bound::Included(&key), Bound::Included(&key), &mut io));
     });
 
     let mut j = 0i64;
     bench("btree/composite_prefix_scan/100k", || {
-        use colt_storage::ScanControl;
         j = (j * 75 + 74) % 97;
-        let prefix = vec![Value::Int(j)];
+        let (lower, upper) = (vec![j.code()], vec![j.code(), u64::MAX]);
         let mut io = IoStats::new();
-        black_box(tree.scan_from(
-            Bound::Included(prefix.clone()),
-            |k: &Vec<Value>| {
-                if k.starts_with(&prefix) {
-                    ScanControl::Take
-                } else {
-                    ScanControl::Stop
-                }
-            },
-            &mut io,
-        ));
+        black_box(tree.range(Bound::Included(&lower), Bound::Included(&upper), &mut io));
     });
 }
 

@@ -4,9 +4,11 @@
 //! work").
 //!
 //! A composite index covers an ordered list of columns of one table and
-//! stores lexicographic `Vec<Value>` keys. It can serve any query whose
-//! predicates match a *prefix* of the column list: a run of equalities,
-//! optionally followed by one range on the next column.
+//! stores lexicographic keys of its cells' key codes, one per column
+//! (`Vec<u64>`). It can serve any query whose predicates match a
+//! *prefix* of the column list: a run of equalities, optionally followed
+//! by one range on the next column — one range over the codes, which
+//! the executor resolves against the key columns.
 //!
 //! Composite indices live next to the single-column set inside
 //! [`crate::PhysicalConfig`] but are *not* managed by COLT's on-line
@@ -14,14 +16,14 @@
 //! by the off-line advisor (`colt_offline::suggest_composites`) or by
 //! hand, as part of the pre-tuned base configuration.
 //!
-//! This module holds only the key identity and the tree-level scan;
+//! This module holds only the key identity and the built index;
 //! everything that needs the [`crate::database::Database`] (key widths,
 //! shape estimates, the builder) lives in `database.rs` so the module
 //! graph stays a DAG (`database` may depend on `composite`, never the
 //! reverse).
 
 use crate::schema::{ColRef, TableId};
-use colt_storage::{CompositeBPlusTree, IoStats, RowId, Value};
+use colt_storage::{BPlusTreeOf, IoStats};
 use std::fmt;
 
 /// Identity of a composite index: the table and the ordered columns.
@@ -69,73 +71,10 @@ impl fmt::Display for CompositeKey {
 pub struct MaterializedComposite {
     /// The identity.
     pub key: CompositeKey,
-    /// The physical tree over lexicographic composite keys.
-    pub tree: CompositeBPlusTree,
+    /// The physical tree over the key columns' codes, in column order.
+    pub tree: BPlusTreeOf<Vec<u64>>,
     /// The physical work charged to build it.
     pub build_io: IoStats,
-}
-
-/// Lexicographic prefix scan of a composite index: `prefix` pins the
-/// leading columns by equality; `next` optionally bounds the following
-/// column. Returns the matching row ids, charging descent + leaf chain.
-pub fn prefix_scan(
-    index: &MaterializedComposite,
-    prefix: &[Value],
-    next: Option<(std::ops::Bound<Value>, std::ops::Bound<Value>)>,
-    io: &mut IoStats,
-) -> Vec<RowId> {
-    use colt_storage::ScanControl;
-    use std::ops::Bound;
-    assert!(prefix.len() <= index.key.columns.len());
-    let k = prefix.len();
-
-    // Start bound: the prefix itself, extended by the range's lower
-    // bound when it is inclusive/exclusive on the next column.
-    let mut start = prefix.to_vec();
-    let start_bound = match &next {
-        Some((Bound::Included(lo), _)) | Some((Bound::Excluded(lo), _)) => {
-            start.push(lo.clone());
-            // Exclusive lower bounds still descend to the boundary key
-            // and skip equal values via the keep closure.
-            Bound::Included(start)
-        }
-        _ => Bound::Included(start),
-    };
-
-    let next_ref = &next;
-    index.tree.scan_from(
-        start_bound,
-        move |key: &Vec<Value>| {
-            if key.len() < k || key[..k] != *prefix {
-                return ScanControl::Stop;
-            }
-            match next_ref {
-                None => ScanControl::Take,
-                Some((lo, hi)) => {
-                    let v = &key[k];
-                    let lo_ok = match lo {
-                        Bound::Included(b) => v >= b,
-                        Bound::Excluded(b) => v > b,
-                        Bound::Unbounded => true,
-                    };
-                    let hi_ok = match hi {
-                        Bound::Included(b) => v <= b,
-                        Bound::Excluded(b) => v < b,
-                        Bound::Unbounded => true,
-                    };
-                    if !hi_ok {
-                        // Sorted within the prefix: nothing later matches.
-                        ScanControl::Stop
-                    } else if lo_ok {
-                        ScanControl::Take
-                    } else {
-                        ScanControl::Skip
-                    }
-                }
-            }
-        },
-        io,
-    )
 }
 
 #[cfg(test)]
@@ -143,7 +82,7 @@ mod tests {
     use super::*;
     use crate::database::{build_composite, Database};
     use crate::schema::{Column, TableSchema};
-    use colt_storage::{row_from, ValueType};
+    use colt_storage::{row_from, KeyCode, RowId, Value, ValueType};
     use std::ops::Bound;
 
     fn setup() -> (Database, TableId, CompositeKey) {
@@ -175,14 +114,23 @@ mod tests {
         m.tree.check_invariants();
     }
 
+    /// The rows whose key codes lie in `[lo, hi]`, `Int` cells given
+    /// as themselves: the scan the executor makes of a prefix (`lo`) and
+    /// its range on the next column (`hi`, padded with the greatest code).
+    fn scan(m: &MaterializedComposite, lo: &[i64], hi: &[i64]) -> Vec<RowId> {
+        let codes = |cells: &[i64]| cells.iter().map(|x| x.code()).collect::<Vec<u64>>();
+        let mut hi = codes(hi);
+        hi.resize(2, u64::MAX);
+        m.tree.range(Bound::Included(&codes(lo)), Bound::Included(&hi), &mut IoStats::new())
+    }
+
     #[test]
     fn full_composite_point_lookup() {
         let (db, t, key) = setup();
         let m = build_composite(&db, &key);
-        let mut io = IoStats::new();
         // Rows with a=3, b=13: i ≡ 3 (mod 20) and i ≡ 13 (mod 50) →
         // i ≡ 63 (mod 100) → 20 of 2000 rows.
-        let hits = prefix_scan(&m, &[Value::Int(3), Value::Int(13)], None, &mut io);
+        let hits = scan(&m, &[3, 13], &[3, 13]);
         assert_eq!(hits.len(), 20);
         for rid in hits {
             let row = db.table(t).heap.peek(rid).unwrap();
@@ -195,8 +143,7 @@ mod tests {
     fn prefix_only_scan() {
         let (db, t, key) = setup();
         let m = build_composite(&db, &key);
-        let mut io = IoStats::new();
-        let hits = prefix_scan(&m, &[Value::Int(3)], None, &mut io);
+        let hits = scan(&m, &[3], &[3]);
         assert_eq!(hits.len(), 100, "a=3 matches 100 of 2000 rows");
         for rid in hits {
             assert_eq!(db.table(t).heap.peek(rid).unwrap()[0], Value::Int(3));
@@ -207,15 +154,10 @@ mod tests {
     fn prefix_plus_range_scan() {
         let (db, t, key) = setup();
         let m = build_composite(&db, &key);
-        let mut io = IoStats::new();
-        let hits = prefix_scan(
-            &m,
-            &[Value::Int(3)],
-            Some((Bound::Included(Value::Int(10)), Bound::Excluded(Value::Int(20)))),
-            &mut io,
-        );
         // a=3 → b = i%50 where i ≡ 3 (mod 20): b ∈ {3,23,43,13,33} each
-        // 20 times; within [10,20): only b=13 → 20 rows.
+        // 20 times; within [10,20), the codes of 10 to 19: only b=13 →
+        // 20 rows.
+        let hits = scan(&m, &[3, 10], &[3, 19]);
         assert_eq!(hits.len(), 20);
         for rid in hits {
             let row = db.table(t).heap.peek(rid).unwrap();

@@ -5,9 +5,7 @@ use crate::composite::{CompositeKey, MaterializedComposite};
 use crate::index::{build_index, IndexEstimate, IndexOrigin, MaterializedIndex};
 use crate::schema::{ColRef, TableId, TableSchema};
 use crate::stats::ColumnStats;
-use colt_storage::{
-    ColumnSlice, CompositeBPlusTree, CostParams, HeapTable, IoStats, Row, RowError, RowId, Value,
-};
+use colt_storage::{BPlusTreeOf, ColumnSlice, CostParams, HeapTable, IoStats, Row, RowError, RowId};
 use std::collections::BTreeMap;
 
 /// One table: schema, heap storage, and per-column statistics.
@@ -53,7 +51,8 @@ impl CompositeKey {
 
 /// Build a composite index over a table's heap: full scan, sort by the
 /// composite key, bulk load, page writes — the same charge structure as
-/// single-column builds.
+/// single-column builds. A key is its cells' key codes in column order
+/// (a string's rank code), so the tree is probed through its columns.
 pub fn build_composite(db: &Database, key: &CompositeKey) -> MaterializedComposite {
     let t = db.table(key.table);
     let mut io = IoStats::new();
@@ -64,15 +63,15 @@ pub fn build_composite(db: &Database, key: &CompositeKey) -> MaterializedComposi
         .into_iter()
         .chain(key.columns[1..].iter().filter_map(|&c| t.heap.column(c as usize)))
         .collect();
-    let mut entries: Vec<(Vec<Value>, RowId)> = (0..t.heap.row_count())
-        .map(|row| (columns.iter().filter_map(|c| c.get(row)).collect(), RowId(row as u32)))
+    let mut entries: Vec<(Vec<u64>, RowId)> = (0..t.heap.row_count())
+        .map(|row| (columns.iter().map(|c| c.code(row)).collect(), RowId(row as u32)))
         .collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+    entries.sort_unstable();
     let n = entries.len() as u64;
     if n > 1 {
         io.cpu_ops += n * (64 - n.leading_zeros() as u64);
     }
-    let tree = CompositeBPlusTree::bulk_load(key.key_width(db), entries);
+    let tree = BPlusTreeOf::bulk_load(key.key_width(db), entries);
     io.pages_written += tree.page_count() as u64;
     MaterializedComposite { key: key.clone(), tree, build_io: io }
 }

@@ -17,7 +17,7 @@ pub mod index;
 pub mod schema;
 pub mod stats;
 
-pub use composite::{prefix_scan, CompositeKey, MaterializedComposite};
+pub use composite::{CompositeKey, MaterializedComposite};
 pub use database::{build_composite, Database, PhysicalConfig, Table};
 pub use index::{build_index, IndexEstimate, IndexOrigin, MaterializedIndex};
 pub use schema::{ColRef, Column, TableId, TableSchema};

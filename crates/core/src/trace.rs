@@ -22,24 +22,12 @@ pub struct EpochRecord {
     pub next_budget: u64,
     /// Re-budgeting ratio `r`.
     pub ratio: f64,
-    /// Aggregate `NetBenefit(M)`.
-    pub net_benefit_m: f64,
-    /// Aggregate best-case `NetBenefit(M′)`.
-    pub net_benefit_m_prime: f64,
-    /// Materialized set after reorganization.
-    pub materialized: Vec<ColRef>,
     /// Indices built at this boundary.
     pub created: Vec<ColRef>,
     /// Indices dropped at this boundary.
     pub dropped: Vec<ColRef>,
-    /// Hot set for the next epoch.
-    pub hot: Vec<ColRef>,
     /// Simulated milliseconds spent building indices at this boundary.
     pub build_millis: f64,
-    /// Live candidates in `C`.
-    pub candidate_count: usize,
-    /// Query clusters tracked.
-    pub cluster_count: usize,
 }
 
 /// A complete run trace.
@@ -100,15 +88,9 @@ mod tests {
             whatif_skipped: 0,
             next_budget: 10,
             ratio: 1.1,
-            net_benefit_m: 100.0,
-            net_benefit_m_prime: 110.0,
-            materialized: vec![],
             created: (0..created).map(|i| ColRef::new(TableId(0), i as u32)).collect(),
             dropped: vec![],
-            hot: vec![],
             build_millis: 0.0,
-            candidate_count: 3,
-            cluster_count: 2,
         }
     }
 

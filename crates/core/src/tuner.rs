@@ -208,15 +208,9 @@ impl ColtTuner {
             whatif_skipped,
             next_budget: decision.next_budget,
             ratio: decision.ratio,
-            net_benefit_m: decision.net_benefit_m,
-            net_benefit_m_prime: decision.net_benefit_m_prime,
-            materialized: physical.online_columns().collect(),
             created: changes.built.iter().map(|(c, _)| *c).collect(),
             dropped: changes.dropped.clone(),
-            hot: decision.new_hot.iter().copied().collect(),
             build_millis,
-            candidate_count: self.profiler.candidates().len(),
-            cluster_count: self.profiler.clusters().len(),
         });
 
         self.hot = decision.new_hot;

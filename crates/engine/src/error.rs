@@ -55,10 +55,11 @@ pub enum ExecError {
         /// The column the scan was supposed to be driven by.
         col: ColRef,
     },
-    /// The plan reads a single-column index built before its table
-    /// gained rows: it misses them, and may key ranks since re-assigned.
+    /// The plan reads an index — single-column or composite — built
+    /// before its table gained rows: it misses them, and may key ranks
+    /// since re-assigned.
     StaleIndex {
-        /// The index column.
+        /// The index column (a composite's leading column).
         col: ColRef,
     },
 }

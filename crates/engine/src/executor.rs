@@ -27,7 +27,10 @@ use crate::kernel::Kernel;
 use crate::plan::{AccessPath, Plan, PlanNode};
 use crate::query::{JoinPred, PredicateKind, Query, RangeBound, SelPred};
 use colt_catalog::{ColRef, Database, PhysicalConfig, Table, TableId};
-use colt_storage::{code_bound, literal_code, BPlusTreeOf, ColumnSlice, IoStats, RowId, Value};
+use colt_storage::{
+    code_bound, code_interval, literal_code, BPlusTreeOf, ColumnSlice, IoStats, RowId, Value,
+};
+use std::ops::Bound;
 
 /// Result of executing one query.
 #[derive(Debug, Clone)]
@@ -286,7 +289,10 @@ impl<'a> Executor<'a> {
         let _batch_span = colt_obs::span("engine.exec.batch");
         let mut out = RowIds::new(1, emit);
         let mut sel: Vec<u32> = Vec::with_capacity(BATCH_ROWS);
-        match path {
+        // The rows an index selects, and the predicate that drove a
+        // single-column scan: it is not checked again (a second one on
+        // the same column still is). A composite scan checks them all.
+        let (mut rowids, driving) = match path {
             AccessPath::SeqScan => {
                 for window in t.heap.scan_batches(BATCH_ROWS, io) {
                     io.cpu_ops += (kernels.len() * window.len()) as u64;
@@ -308,30 +314,23 @@ impl<'a> Executor<'a> {
                     }
                     out.push_sel(&sel);
                 }
-            }
-            AccessPath::CompositeScan { key, eq_prefix, range_next } => {
-                let mut rowids =
-                    composite_scan_rowids(self.config, &preds, key, *eq_prefix, *range_next, io)?;
-                t.heap.fetch_sorted(&mut rowids, io);
-                for chunk in rowids.chunks(BATCH_ROWS) {
-                    io.cpu_ops += (kernels.len() * chunk.len()) as u64;
-                    retain_rows(chunk, &kernels, None, &mut sel);
-                    out.push_sel(&sel);
-                }
+                return Ok(out);
             }
             AccessPath::IndexScan { col } => {
-                let (mut rowids, driver_idx) =
-                    index_scan_rowids(self.db, self.config, &preds, *col, io)?;
-                t.heap.fetch_sorted(&mut rowids, io);
-                for chunk in rowids.chunks(BATCH_ROWS) {
-                    // Residual = everything except the one predicate
-                    // that drove the scan — a second predicate on the
-                    // same column must still be checked.
-                    io.cpu_ops += ((kernels.len() - 1) * chunk.len()) as u64;
-                    retain_rows(chunk, &kernels, Some(driver_idx), &mut sel);
-                    out.push_sel(&sel);
-                }
+                let (rowids, driving) = index_scan_rowids(self.db, self.config, &preds, *col, io)?;
+                (rowids, Some(driving))
             }
+            AccessPath::CompositeScan { key, eq_prefix, range_next } => {
+                let (db, config) = (self.db, self.config);
+                (composite_scan_rowids(db, config, &preds, key, *eq_prefix, *range_next, io)?, None)
+            }
+        };
+        t.heap.fetch_sorted(&mut rowids, io);
+        let residual = kernels.len() - usize::from(driving.is_some());
+        for chunk in rowids.chunks(BATCH_ROWS) {
+            io.cpu_ops += (residual * chunk.len()) as u64;
+            retain_rows(chunk, &kernels, driving, &mut sel);
+            out.push_sel(&sel);
         }
         Ok(out)
     }
@@ -572,8 +571,16 @@ pub(crate) fn materialized_index<'c>(
     let index = config.get(col).ok_or(ExecError::UnmaterializedIndex { operator, col })?;
     let column = db.table(col.table).heap.column(col.column as usize);
     let column = column.ok_or(ExecError::UnknownColRef { operator, col })?;
-    let fresh = index.tree.len() == column.len();
-    fresh.then_some((&index.tree, column)).ok_or(ExecError::StaleIndex { col })
+    fresh(index.tree.len(), column.len(), col)?;
+    Ok((&index.tree, column))
+}
+
+/// An index — single-column, or composite named by its leading column
+/// `col` — holds one entry per row of its table, or it was built before
+/// the table gained rows: it misses them, and may key string ranks the
+/// heap has since re-assigned.
+fn fresh(entries: usize, rows: usize, col: ColRef) -> Result<(), ExecError> {
+    (entries == rows).then_some(()).ok_or(ExecError::StaleIndex { col })
 }
 
 /// Collect the rowids an index scan's driving predicate selects, and
@@ -609,8 +616,15 @@ pub(crate) fn index_scan_rowids(
 }
 
 /// Collect the rowids a composite scan's prefix (plus optional range on
-/// the next key column) selects.
+/// the next key column) selects, with one range scan over the key codes.
+/// Each predicate resolves against its key column like a single-column
+/// one: the lower key is the prefix's codes, then the low end of the
+/// range's closed code interval ([`code_interval`]); the upper key ends
+/// in its high end instead and is padded with `u64::MAX` to the key's
+/// width, so it takes in every key sharing those codes. A literal no
+/// cell can match pays one descent, as in `lookup_code_into`.
 pub(crate) fn composite_scan_rowids(
+    db: &Database,
     config: &PhysicalConfig,
     preds: &[&SelPred],
     key: &colt_catalog::CompositeKey,
@@ -618,45 +632,55 @@ pub(crate) fn composite_scan_rowids(
     range_next: bool,
     io: &mut IoStats,
 ) -> Result<Vec<RowId>, ExecError> {
+    let operator = "composite_scan";
     let index = config
         .get_composite(key)
-        .ok_or(ExecError::UnmaterializedComposite { operator: "composite_scan", table: key.table })?;
-    // Equality values pinning the prefix. Matching on the predicate
-    // kind directly (rather than find-then-unwrap) keeps the "chosen
-    // from these very predicates" invariant as a typed error.
-    let prefix: Vec<Value> = key.columns[..eq_prefix as usize]
-        .iter()
-        .map(|&c| {
-            preds
-                .iter()
-                .find_map(|p| match &p.kind {
-                    PredicateKind::Eq(v) if p.col.column == c => Some(v.clone()),
-                    _ => None,
-                })
-                .ok_or(ExecError::MissingDriverPredicate {
-                    operator: "composite_scan",
-                    col: ColRef { table: key.table, column: c },
-                })
-        })
-        .collect::<Result<_, _>>()?;
-    // Optional range on the next column.
-    let next = if range_next {
+        .ok_or(ExecError::UnmaterializedComposite { operator, table: key.table })?;
+    let heap = &db.table(key.table).heap;
+    fresh(index.tree.len(), heap.row_count(), key.leading())?;
+    // Matching on the predicate kind directly (rather than
+    // find-then-unwrap) keeps the "chosen from these very predicates"
+    // invariant as a typed error.
+    let col = |column| ColRef { table: key.table, column };
+    let missing = |c| ExecError::MissingDriverPredicate { operator, col: col(c) };
+    let cells =
+        |c| heap.column(c as usize).ok_or(ExecError::UnknownColRef { operator, col: col(c) });
+    let mut lower = Vec::with_capacity(key.columns.len());
+    let mut matchable = true;
+    for &c in &key.columns[..eq_prefix as usize] {
+        let v = (preds.iter())
+            .find_map(|p| match &p.kind {
+                PredicateKind::Eq(v) if p.col.column == c => Some(v),
+                _ => None,
+            })
+            .ok_or(missing(c))?;
+        match literal_code(v, cells(c)?) {
+            Ok(code) => lower.push(code),
+            Err(_) => matchable = false,
+        }
+    }
+    let mut upper = lower.clone();
+    if range_next {
         let c = key.columns[eq_prefix as usize];
-        let (lo, hi) = preds
-            .iter()
+        let (lo, hi) = (preds.iter())
             .find_map(|p| match &p.kind {
                 PredicateKind::Range { lo, hi } if p.col.column == c => Some((lo, hi)),
                 _ => None,
             })
-            .ok_or(ExecError::MissingDriverPredicate {
-                operator: "composite_scan",
-                col: ColRef { table: key.table, column: c },
-            })?;
-        Some((RangeBound::as_bound(lo).cloned(), RangeBound::as_bound(hi).cloned()))
-    } else {
-        None
-    };
-    Ok(colt_catalog::prefix_scan(index, &prefix, next, io))
+            .ok_or(missing(c))?;
+        match code_interval(RangeBound::as_bound(lo), RangeBound::as_bound(hi), cells(c)?) {
+            Some((lo, hi)) => {
+                lower.push(lo);
+                upper.push(hi);
+            }
+            None => matchable = false,
+        }
+    }
+    upper.resize(key.columns.len(), u64::MAX);
+    let bounds = matchable.then_some((Bound::Included(lower), Bound::Included(upper)));
+    let mut rowids = Vec::new();
+    index.tree.range_codes_into(bounds, &mut rowids, io);
+    Ok(rowids)
 }
 
 #[cfg(test)]
@@ -1007,6 +1031,57 @@ mod tests {
     }
 
     #[test]
+    fn composite_scans_of_every_shape_match_seq_scan() {
+        // Hand-built scans of a (fk, v, id) composite: no prefix, a
+        // prefix of one or two columns, each with and without a range
+        // on the next column — exclusive bounds, a string of another
+        // type — in both executors, against the sequential scan.
+        use crate::plan::PlanNode;
+        use colt_catalog::CompositeKey;
+        let (db, fact, _) = db();
+        let key = CompositeKey::new(fact, vec![1, 2, 0]);
+        let mut cfg = PhysicalConfig::new();
+        cfg.create_composite(&db, key.clone());
+        let (fk, v, id) = (ColRef::new(fact, 1), ColRef::new(fact, 2), ColRef::new(fact, 0));
+        let range = |col, lo: Option<(Value, bool)>, hi: Option<(Value, bool)>| {
+            let side =
+                |s: Option<(Value, bool)>| s.map(|(value, inclusive)| RangeBound { value, inclusive });
+            SelPred { col, kind: PredicateKind::Range { lo: side(lo), hi: side(hi) } }
+        };
+        // fk = 7 holds for rows 7 + 200·m; v of those is 4m mod 7.
+        let (fk7, v3) = (SelPred::eq(fk, 7i64), SelPred::eq(v, 3i64));
+        let v_2_to_4 = range(v, Some((2i64.into(), true)), Some((4i64.into(), false)));
+        let cases = [
+            (vec![range(fk, Some((5i64.into(), false)), Some((9i64.into(), true)))], 0, true, 400),
+            (vec![range(fk, None, Some(("x".into(), true)))], 0, true, 20_000),
+            (vec![fk7.clone()], 1, false, 100),
+            (vec![fk7.clone(), v_2_to_4], 1, true, 28),
+            (vec![fk7.clone(), v3.clone()], 2, false, 14),
+            (vec![fk7, v3.clone(), SelPred::ge(id, 10_000i64)], 2, true, 7),
+            (vec![SelPred::eq(fk, "x"), v3], 2, false, 0),
+        ];
+        let opt = Optimizer::new(&db);
+        for (preds, eq_prefix, range_next, rows) in cases {
+            let q = Query::single(fact, preds);
+            let path = AccessPath::CompositeScan { key: key.clone(), eq_prefix, range_next };
+            let root = PlanNode::Scan { table: fact, path, est_rows: 1.0, est_cost: 1.0 };
+            let plan = Plan { root, selectivities: vec![1.0; q.selections.len()] };
+            let out = Executor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
+            let reference = crate::rowwise::RowwiseExecutor::new(&db, &cfg);
+            let rowwise = reference.execute(&q, &plan, Collect::Rows).unwrap();
+            let bare = PhysicalConfig::new();
+            let seq_plan = opt.optimize(&q, IndexSetView::real(&bare));
+            let seq = Executor::new(&db, &bare).execute(&q, &seq_plan, Collect::Rows).unwrap();
+            assert_eq!((out.rows.len(), &out.result.io), (rows, &rowwise.result.io), "{q:?}");
+            let sorted = |mut rows: Vec<Vec<Value>>| {
+                rows.sort();
+                rows
+            };
+            assert_eq!(sorted(out.rows), sorted(seq.rows), "{q:?}");
+        }
+    }
+
+    #[test]
     fn inl_join_matches_hash_join_results() {
         use crate::optimizer::OptimizerOptions;
         let (db, fact, dim) = db();
@@ -1221,6 +1296,40 @@ mod tests {
         let out = Executor::new(&db, &cfg).execute(&q, &by_index, Collect::CountOnly).unwrap();
         assert_eq!(out.row_count(), 1);
         assert!(ExecError::StaleIndex { col: id }.to_string().contains("predates rows"));
+    }
+
+    #[test]
+    fn a_composite_built_before_an_insert_is_a_typed_error() {
+        // The same rule for a composite index: one built before its
+        // table gained rows would miss them, so both executors refuse it
+        // under its leading column's name.
+        use crate::plan::{AccessPath, PlanNode};
+        use crate::rowwise::RowwiseExecutor;
+        use colt_catalog::CompositeKey;
+        let (mut db, fact, _) = db();
+        let key = CompositeKey::new(fact, vec![1, 2]);
+        let mut cfg = PhysicalConfig::new();
+        cfg.create_composite(&db, key.clone());
+        db.insert_rows(fact, [row_from(vec![Value::Int(-1), Value::Int(7), Value::Int(3)])]).unwrap();
+
+        let path = AccessPath::CompositeScan { key: key.clone(), eq_prefix: 2, range_next: false };
+        let root = PlanNode::Scan { table: fact, path, est_rows: 1.0, est_cost: 1.0 };
+        let plan = Plan { root, selectivities: vec![1.0, 1.0] };
+        let q = Query::single(
+            fact,
+            vec![SelPred::eq(ColRef::new(fact, 1), 7i64), SelPred::eq(ColRef::new(fact, 2), 3i64)],
+        );
+        let stale = ExecError::StaleIndex { col: key.leading() };
+        let vectorized = Executor::new(&db, &cfg).execute(&q, &plan, Collect::CountOnly);
+        let rowwise = RowwiseExecutor::new(&db, &cfg).execute(&q, &plan, Collect::CountOnly);
+        assert_eq!(vectorized.unwrap_err(), stale);
+        assert_eq!(rowwise.unwrap_err(), stale);
+        // Rebuilt, the composite covers the new row: fk = 7 and v = 3
+        // hold for rows 7 + 200·m with m ≡ 6 (mod 7) — 14 of the first
+        // 20 000 — and the new one.
+        cfg.create_composite(&db, key);
+        let out = Executor::new(&db, &cfg).execute(&q, &plan, Collect::CountOnly).unwrap();
+        assert_eq!(out.row_count(), 15);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! floats follow `total_cmp` like `Value::cmp` does (`-0.0` below
 //! `+0.0`, NaNs at the extremes, equality bit for bit) and strings
 //! follow `str::cmp` through their ranks. Literals become codes through
-//! `colt_storage`'s one resolver ([`literal_code`] / [`code_bound`]),
+//! `colt_storage`'s one resolver ([`literal_code`] / [`code_interval`]),
 //! the same one an index scan's bounds go through: a string the column
 //! lacks equals no cell and bounds a range between its neighbours, a
 //! literal of another type never equals a cell, and bounds a range as
@@ -21,8 +21,8 @@
 //! nothing to match.
 
 use crate::query::{PredicateKind, RangeBound, SelPred};
-use colt_storage::{code_bound, literal_code, ColumnSlice, KeyCode, Value};
-use std::ops::{Bound, Range};
+use colt_storage::{code_interval, literal_code, ColumnSlice, KeyCode, Value};
+use std::ops::Range;
 
 /// One [`SelPred`] compiled against the column it restricts.
 #[derive(Debug, Clone)]
@@ -154,18 +154,8 @@ fn code_test(kind: &PredicateKind, column: ColumnSlice<'_>) -> CodeTest {
             CodeTest::In(codes)
         }
         PredicateKind::Range { lo, hi } => {
-            // Each side as the tightest inclusive code, or `None` when
-            // nothing can satisfy it.
-            let tightest = |side: &Option<RangeBound>, lower: bool| {
-                match code_bound(RangeBound::as_bound(side), column, lower)? {
-                    Bound::Included(c) => Some(c),
-                    Bound::Excluded(c) if lower => c.checked_add(1),
-                    Bound::Excluded(c) => c.checked_sub(1),
-                    Bound::Unbounded => Some(if lower { u64::MIN } else { u64::MAX }),
-                }
-            };
-            match (tightest(lo, true), tightest(hi, false)) {
-                (Some(lo), Some(hi)) if lo <= hi => CodeTest::Range { lo, span: hi - lo },
+            match code_interval(RangeBound::as_bound(lo), RangeBound::as_bound(hi), column) {
+                Some((lo, hi)) if lo <= hi => CodeTest::Range { lo, span: hi - lo },
                 _ => CodeTest::In(Vec::new()),
             }
         }

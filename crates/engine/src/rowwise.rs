@@ -92,49 +92,41 @@ impl<'a> RowwiseExecutor<'a> {
         let t = self.db.table(table);
         let preds: Vec<&SelPred> = query.selections_on(table).collect();
         check_pred_cols("scan", &preds, t.schema.arity())?;
-        let rows: Vec<Vec<Value>> = match path {
-            AccessPath::SeqScan => t
-                .heap
-                .scan(io)
-                .filter(|(_, row)| {
-                    io.cpu_ops += preds.len() as u64;
-                    preds.iter().all(|p| p.matches(&row[p.col.column as usize]))
-                })
-                .map(|(_, row)| row.into_vec())
-                .collect(),
-            AccessPath::CompositeScan { key, eq_prefix, range_next } => {
-                let mut rowids =
-                    composite_scan_rowids(self.config, &preds, key, *eq_prefix, *range_next, io)?;
-                t.heap.fetch_sorted(&mut rowids, io);
-                rowids
-                    .iter()
-                    .filter_map(|&id| t.heap.peek(id))
-                    .filter(|row| {
+        // An index scan's driving predicate is not checked again; a
+        // composite scan checks every predicate on the fetched rows.
+        let (mut rowids, driving) = match path {
+            AccessPath::SeqScan => {
+                let rows = (t.heap.scan(io))
+                    .filter(|(_, row)| {
                         io.cpu_ops += preds.len() as u64;
                         preds.iter().all(|p| p.matches(&row[p.col.column as usize]))
                     })
-                    .map(|row| row.into_vec())
-                    .collect()
+                    .map(|(_, row)| row.into_vec())
+                    .collect();
+                return Ok(Batch { tables: vec![table], rows });
             }
             AccessPath::IndexScan { col } => {
-                let (mut rowids, driver_idx) =
-                    index_scan_rowids(self.db, self.config, &preds, *col, io)?;
-                t.heap.fetch_sorted(&mut rowids, io);
-                rowids
-                    .iter()
-                    .filter_map(|&id| t.heap.peek(id))
-                    .filter(|row| {
-                        io.cpu_ops += preds.len() as u64 - 1;
-                        preds
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| *i != driver_idx)
-                            .all(|(_, p)| p.matches(&row[p.col.column as usize]))
-                    })
-                    .map(|row| row.into_vec())
-                    .collect()
+                let (rowids, driving) = index_scan_rowids(self.db, self.config, &preds, *col, io)?;
+                (rowids, Some(driving))
+            }
+            AccessPath::CompositeScan { key, eq_prefix, range_next } => {
+                let (db, config) = (self.db, self.config);
+                (composite_scan_rowids(db, config, &preds, key, *eq_prefix, *range_next, io)?, None)
             }
         };
+        t.heap.fetch_sorted(&mut rowids, io);
+        let residual: Vec<&SelPred> = (preds.iter().enumerate())
+            .filter(|&(i, _)| Some(i) != driving)
+            .map(|(_, p)| *p)
+            .collect();
+        let rows = (rowids.iter())
+            .filter_map(|&id| t.heap.peek(id))
+            .filter(|row| {
+                io.cpu_ops += residual.len() as u64;
+                residual.iter().all(|p| p.matches(&row[p.col.column as usize]))
+            })
+            .map(|row| row.into_vec())
+            .collect();
         Ok(Batch { tables: vec![table], rows })
     }
 

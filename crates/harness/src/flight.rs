@@ -312,15 +312,9 @@ mod tests {
             whatif_skipped: 0,
             next_budget: 0,
             ratio: 0.0,
-            net_benefit_m: 0.0,
-            net_benefit_m_prime: 0.0,
-            materialized: vec![],
             created: vec![],
             dropped: vec![],
-            hot: vec![],
             build_millis: 0.0,
-            candidate_count: 0,
-            cluster_count: 0,
         });
         let s = render_decision_timeline(&run_with(trace, recorder_with_decisions()));
         // The series saw epochs 0 and 1; the trace closed only epoch 0,

@@ -205,15 +205,9 @@ mod tests {
                 whatif_skipped: 0,
                 next_budget: 0,
                 ratio: 1.0,
-                net_benefit_m: 0.0,
-                net_benefit_m_prime: 0.0,
-                materialized: vec![],
                 created: vec![],
                 dropped: vec![],
-                hot: vec![],
                 build_millis: 0.0,
-                candidate_count: 0,
-                cluster_count: 0,
             });
         }
         assert!((budget_utilization(&run, 20) - 0.25).abs() < 1e-12);

@@ -1,8 +1,10 @@
 //! An arena-based B+ tree mapping column keys to row ids.
 //!
 //! This is the physical structure behind every index the tuner can
-//! materialize: a single-column one is keyed by its cells' key codes
-//! (`BPlusTreeOf<u64>`, probed through [`BPlusTreeOf::range_codes_into`]).
+//! materialize, keyed by its cells' key codes: a single-column one by
+//! one code (`BPlusTreeOf<u64>`), a multi-column one by the codes of its
+//! columns in order (`BPlusTreeOf<Vec<u64>>`), both probed through
+//! [`BPlusTreeOf::range_codes_into`].
 //! It supports duplicate keys (secondary index semantics), point
 //! lookups, inclusive/exclusive range scans, one-by-one inserts and
 //! sorted bulk loading, and charges [`IoStats`] for the pages a
@@ -21,22 +23,11 @@ use std::ops::Bound;
 struct NodeId(u32);
 
 /// The bound every tree key type must satisfy. Blanket-implemented;
-/// `u64` key codes cover single-column indices, [`Value`] their test
-/// reference, `Vec<Value>` the multi-column extension (lexicographic
-/// composite keys).
+/// `u64` key codes cover single-column indices, `Vec<u64>` the
+/// multi-column extension (lexicographic composite keys), and
+/// [`Value`] / `Vec<Value>` are the tests' references for both.
 pub trait TreeKey: Ord + Clone + std::fmt::Debug {}
 impl<K: Ord + Clone + std::fmt::Debug> TreeKey for K {}
-
-/// Per-key decision of a [`BPlusTreeOf::scan_from`] traversal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanControl {
-    /// Emit this entry and continue.
-    Take,
-    /// Skip this entry and continue.
-    Skip,
-    /// End the scan (keys are sorted; nothing later can match).
-    Stop,
-}
 
 #[derive(Debug, Clone)]
 enum Node<K: TreeKey> {
@@ -89,10 +80,6 @@ pub struct BPlusTreeOf<K: TreeKey> {
 /// A single-column B+ tree keyed by [`Value`]s: the oracle the
 /// code-keyed index trees are tested against.
 pub type BPlusTree = BPlusTreeOf<Value>;
-
-/// A multi-column B+ tree over lexicographic composite keys — the
-/// paper's "future work" extension.
-pub type CompositeBPlusTree = BPlusTreeOf<Vec<Value>>;
 
 /// Entries per node for a key of the given byte width, assuming each leaf
 /// entry also stores a 6-byte tuple pointer plus item overhead.
@@ -445,61 +432,6 @@ impl<K: TreeKey> BPlusTreeOf<K> {
         io.cpu_ops += (out.len() - appended_from) as u64;
     }
 
-    /// Generalized ordered scan: descend to the first key `>= lo` (or
-    /// the leftmost leaf when unbounded) and walk the leaf chain,
-    /// letting `keep` decide per key whether to take, skip, or stop.
-    ///
-    /// This is the primitive behind composite-index prefix scans, where
-    /// the stopping condition ("key no longer starts with the prefix")
-    /// is not expressible as a closed upper bound on the key type.
-    pub fn scan_from(
-        &self,
-        lo: Bound<K>,
-        mut keep: impl FnMut(&K) -> ScanControl,
-        io: &mut IoStats,
-    ) -> Vec<RowId> {
-        let mut out = Vec::new();
-        let mut leaf = match &lo {
-            Bound::Included(k) | Bound::Excluded(k) => self.descend((k, RowId(0)), io).0,
-            Bound::Unbounded => {
-                io.random_pages += self.height as u64;
-                self.leftmost_leaf()
-            }
-        };
-        let in_lo = |k: &K| match &lo {
-            Bound::Included(b) => k >= b,
-            Bound::Excluded(b) => k > b,
-            Bound::Unbounded => true,
-        };
-        let mut first = true;
-        loop {
-            let (entries, next) = self.leaf(leaf);
-            if !first {
-                io.seq_pages += 1;
-            }
-            first = false;
-            for (k, rid) in entries {
-                if !in_lo(k) {
-                    continue;
-                }
-                match keep(k) {
-                    ScanControl::Take => out.push(*rid),
-                    ScanControl::Skip => {}
-                    ScanControl::Stop => {
-                        io.cpu_ops += out.len() as u64;
-                        return out;
-                    }
-                }
-            }
-            match next {
-                Some(n) => leaf = n,
-                None => break,
-            }
-        }
-        io.cpu_ops += out.len() as u64;
-        out
-    }
-
     fn leftmost_leaf(&self) -> NodeId {
         let mut cur = self.root;
         loop {
@@ -574,32 +506,34 @@ impl<K: TreeKey> BPlusTreeOf<K> {
     }
 }
 
-/// The tree of a single-column index: its cells' key codes
-/// ([`crate::KeyCode`]; a string's from its column's dictionary), probed
-/// through the scan kernels' resolver ([`crate::literal_code`] /
-/// [`crate::code_bound`]), so row ids *and* [`IoStats`] are those of a
-/// `Value`-keyed tree over the same cells.
-impl BPlusTreeOf<u64> {
+/// The tree of an index: its cells' key codes ([`crate::KeyCode`]; a
+/// string's from its column's dictionary) — one per entry, or one per
+/// key column of a composite — probed through the scan kernels' resolver
+/// ([`crate::literal_code`] / [`crate::code_bound`] /
+/// [`crate::code_interval`]), so row ids *and* [`IoStats`] are those of
+/// a `Value`-keyed tree over the same cells. `K::default()` is the least
+/// key (`0`, the empty vector).
+impl<K: TreeKey + Default> BPlusTreeOf<K> {
     /// Range scan over resolved codes, appending to `out`. `None`, a
     /// range no cell can match, still pays one descent: the scan for the
     /// codes below the lowest.
     pub fn range_codes_into(
         &self,
-        codes: Option<(Bound<u64>, Bound<u64>)>,
+        codes: Option<(Bound<K>, Bound<K>)>,
         out: &mut Vec<RowId>,
         io: &mut IoStats,
     ) {
         match codes {
             Some((lo, hi)) => self.range_into(lo.as_ref(), hi.as_ref(), out, io),
-            None => self.range_into(Bound::Unbounded, Bound::Excluded(&u64::MIN), out, io),
+            None => self.range_into(Bound::Unbounded, Bound::Excluded(&K::default()), out, io),
         }
     }
 
     /// Point lookup of a resolved literal or cell, appending to `out`;
     /// `Err`, one of another type than the column's, matches nothing.
-    pub fn lookup_code_into(&self, code: Result<u64, Ordering>, out: &mut Vec<RowId>, io: &mut IoStats) {
+    pub fn lookup_code_into(&self, code: Result<K, Ordering>, out: &mut Vec<RowId>, io: &mut IoStats) {
         colt_obs::counter("storage.btree.lookups", 1);
-        let point = code.ok().map(|c| (Bound::Included(c), Bound::Included(c)));
+        let point = code.ok().map(|c| (Bound::Included(c.clone()), Bound::Included(c)));
         self.range_codes_into(point, out, io);
     }
 }
@@ -885,94 +819,36 @@ mod tests {
 
     #[test]
     fn composite_keys_order_lexicographically() {
-        use crate::btree::CompositeBPlusTree;
-        let mut t = CompositeBPlusTree::with_order(6);
-        for a in 0..20i64 {
-            for b in 0..10i64 {
-                t.insert(vec![v(a), v(b)], RowId((a * 10 + b) as u32));
+        let mut t = BPlusTreeOf::<Vec<u64>>::with_order(6);
+        for a in 0..20 {
+            for b in 0..10 {
+                t.insert(vec![a, b], RowId((a * 10 + b) as u32));
             }
         }
         t.check_invariants();
         let mut io = IoStats::new();
         // Point lookup on the full composite.
-        assert_eq!(t.lookup(&vec![v(7), v(3)], &mut io), vec![RowId(73)]);
-        // Prefix range: every (7, *) entry via lexicographic bounds.
-        let hits = t.range(
-            Bound::Included(&vec![v(7)]),
-            Bound::Excluded(&vec![v(8)]),
-            &mut io,
-        );
-        assert_eq!(hits.len(), 10);
-        assert!(hits.iter().all(|r| (70..80).contains(&r.0)));
+        assert_eq!(t.lookup(&vec![7, 3], &mut io), vec![RowId(73)]);
+        // Prefix range: every (7, *) entry, the prefix alone below and
+        // padded with the greatest code above — and the scan stops at
+        // the first key past it, a leaf or two from the descent.
+        let mut io = IoStats::new();
+        let hits = t.range(Bound::Included(&vec![7]), Bound::Included(&vec![7, u64::MAX]), &mut io);
+        assert_eq!(hits, (70..80).map(RowId).collect::<Vec<_>>());
+        assert!(io.seq_pages < 5, "{io:?}");
         // Prefix + second-column range.
-        let hits = t.range(
-            Bound::Included(&vec![v(7), v(2)]),
-            Bound::Included(&vec![v(7), v(5)]),
-            &mut io,
-        );
+        let hits = t.range(Bound::Included(&vec![7, 2]), Bound::Included(&vec![7, 5]), &mut io);
         assert_eq!(hits.len(), 4);
     }
 
     #[test]
-    fn scan_from_take_skip_stop() {
-        let mut t = BPlusTree::with_order(5);
-        for i in 0..100 {
-            t.insert(v(i), RowId(i as u32));
-        }
-        let mut io = IoStats::new();
-        // Take evens in [10, 30), stop at 30.
-        let hits = t.scan_from(
-            Bound::Included(v(10)),
-            |k| match k {
-                Value::Int(x) if *x >= 30 => crate::btree::ScanControl::Stop,
-                Value::Int(x) if *x % 2 == 0 => crate::btree::ScanControl::Take,
-                _ => crate::btree::ScanControl::Skip,
-            },
-            &mut io,
-        );
-        assert_eq!(hits.len(), 10);
-        assert!(hits.iter().all(|r| r.0 % 2 == 0 && (10..30).contains(&r.0)));
-    }
-
-    #[test]
-    fn composite_prefix_scan_via_scan_from() {
-        use crate::btree::{CompositeBPlusTree, ScanControl};
-        let mut t = CompositeBPlusTree::with_order(6);
-        for a in 0..20i64 {
-            for b in 0..10i64 {
-                t.insert(vec![v(a), v(b)], RowId((a * 10 + b) as u32));
-            }
-        }
-        let mut io = IoStats::new();
-        let prefix = vec![v(7)];
-        let hits = t.scan_from(
-            Bound::Included(prefix.clone()),
-            |k| {
-                if k.starts_with(&prefix) {
-                    ScanControl::Take
-                } else {
-                    ScanControl::Stop
-                }
-            },
-            &mut io,
-        );
-        assert_eq!(hits.len(), 10);
-        // Early stop keeps the scan short: far fewer leaves than a full
-        // traversal.
-        assert!(io.seq_pages < 5);
-    }
-
-    #[test]
     fn composite_bulk_load_is_valid() {
-        use crate::btree::CompositeBPlusTree;
-        let entries: Vec<_> = (0..500i64)
-            .map(|i| (vec![v(i / 10), v(i % 10)], RowId(i as u32)))
-            .collect();
-        let t2 = CompositeBPlusTree::bulk_load(12, entries);
+        let entries: Vec<_> = (0..500).map(|i| (vec![i / 10, i % 10], RowId(i as u32))).collect();
+        let t2 = BPlusTreeOf::<Vec<u64>>::bulk_load(12, entries);
         t2.check_invariants();
         assert_eq!(t2.len(), 500);
         let mut io = IoStats::new();
-        assert_eq!(t2.lookup(&vec![v(3), v(4)], &mut io), vec![RowId(34)]);
+        assert_eq!(t2.lookup(&vec![3, 4], &mut io), vec![RowId(34)]);
     }
 
     #[test]

@@ -116,6 +116,25 @@ pub fn code_bound(bound: Bound<&Value>, column: ColumnSlice<'_>, lower: bool) ->
     }
 }
 
+/// A range over `column` as the closed interval of codes its cells must
+/// lie in: each side the tightest inclusive code ([`code_bound`]; an
+/// exclusive bound moves to the adjacent code, an open side to the end
+/// of the code space), or `None` when a side admits no cell. The
+/// interval may still be empty, `lo > hi`.
+pub fn code_interval(
+    lo: Bound<&Value>,
+    hi: Bound<&Value>,
+    column: ColumnSlice<'_>,
+) -> Option<(u64, u64)> {
+    let closed = |bound, lower: bool| match code_bound(bound, column, lower)? {
+        Bound::Included(c) => Some(c),
+        Bound::Excluded(c) if lower => c.checked_add(1),
+        Bound::Excluded(c) => c.checked_sub(1),
+        Bound::Unbounded => Some(if lower { u64::MIN } else { u64::MAX }),
+    };
+    Some((closed(lo, true)?, closed(hi, false)?))
+}
+
 /// Most radix bits one pass spends: 4 096 write heads are 32 KB of
 /// counters and 256 KB of half-filled cache lines.
 const MAX_DIGIT_BITS: u32 = 12;
@@ -338,6 +357,17 @@ impl ColumnSlice<'_> {
     /// scan window or [`crate::HeapTable::fetch_sorted`] produced.
     pub fn gather(&self, rows: &[u32], out: &mut Vec<Value>) {
         out.extend(rows.iter().filter_map(|&r| self.get(r as usize)));
+    }
+
+    /// The key code of the cell of `row` (a string's rank code). Panics
+    /// on a row past the end.
+    pub fn code(&self, row: usize) -> u64 {
+        match self {
+            ColumnSlice::Int(c) => c[row].code(),
+            ColumnSlice::Float(c) => c[row].code(),
+            ColumnSlice::Str { ranks, .. } => ranks[row].code(),
+            ColumnSlice::Date(c) => c[row].code().into(),
+        }
     }
 
     /// [`literal_code`] of the cell of `row` in `column`, without a

@@ -23,8 +23,8 @@ pub mod prng;
 pub mod row;
 pub mod value;
 
-pub use btree::{BPlusTree, BPlusTreeOf, CompositeBPlusTree, ScanControl, TreeKey};
-pub use column::{code_bound, literal_code, sorted_entries, ColumnSlice, KeyCode};
+pub use btree::{BPlusTree, BPlusTreeOf, TreeKey};
+pub use column::{code_bound, code_interval, literal_code, sorted_entries, ColumnSlice, KeyCode};
 pub use heap::{HeapTable, RowError};
 pub use page::{pages_for, tuples_per_page, CostParams, IoStats, PAGE_SIZE};
 pub use prng::Prng;
