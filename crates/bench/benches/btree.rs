@@ -378,20 +378,25 @@ fn bench_strings() {
 /// Prints what a hash join costs per probe row, run whole through
 /// `Executor::execute(CountOnly)` — two predicate-free scans, the build,
 /// the probe — for a 6 000-row probe against a 120- and a 1 500-row
-/// build, on an `Int` key, a `Str` key and a two-column `(Int, Date)`
-/// key. Probe row `i` holds key `i · 3 539 mod 6 000` (a permutation),
-/// build row `j` key `j`: a build of `n` rows matches `n` probe rows,
-/// spread over every window. Fastest of three interleaved rounds; not
+/// build, on an `Int` key, the same key times 2^40, a `Str` key and a
+/// two-column `(Int, Date)` key. Probe row `i` holds key
+/// `i · 3 539 mod 6 000` (a permutation), build row `j` key `j`: a build
+/// of `n` rows matches `n` probe rows, spread over every window. The
+/// `int` row takes the offset slot rule (its build's codes span fewer
+/// slots than it may fill), the others the hashed one: `int_spread`'s
+/// span is 2^40 times as wide. Fastest of three interleaved rounds; not
 /// gated.
 fn bench_hash_join() {
     const PROBE_ROWS: i64 = 6_000;
     let columns = || {
         let (int, str, date) = (ValueType::Int, ValueType::Str, ValueType::Date);
-        vec![Column::new("k", int), Column::new("s", str), Column::new("d", date)]
+        let (k, s, d) = (Column::new("k", int), Column::new("s", str), Column::new("d", date));
+        vec![k, s, d, Column::new("spread", int)]
     };
     let row = |k: i64| {
         let day = Value::Date(8_000 + (k % 2_500) as i32);
-        row_from(vec![Value::Int(k), Value::Str(format!("Customer#{k:09}")), day])
+        let (name, spread) = (Value::Str(format!("Customer#{k:09}")), Value::Int(k << 40));
+        row_from(vec![Value::Int(k), name, day, spread])
     };
     let mut db = Database::new();
     let probe = db.add_table(TableSchema::new("probe", columns()));
@@ -406,7 +411,8 @@ fn bench_hash_join() {
     let executor = Executor::new(&db, &config);
     let scan =
         |table| PlanNode::Scan { table, path: AccessPath::SeqScan, est_rows: 0.0, est_cost: 0.0 };
-    for (name, key) in [("int", &[0][..]), ("str", &[1]), ("two_keys", &[0, 2])] {
+    let keys = [("int", &[0][..]), ("int_spread", &[3]), ("str", &[1]), ("two_keys", &[0, 2])];
+    for (name, key) in keys {
         let joins = builds.map(|(n, build)| {
             let pair = |c| JoinPred::new(ColRef::new(build, c), ColRef::new(probe, c));
             let on: Vec<JoinPred> = key.iter().map(|&c| pair(c)).collect();

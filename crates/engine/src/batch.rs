@@ -6,8 +6,10 @@
 //! output row takes that table's columns from — and no operator copies
 //! a cell. Scans append the selection vectors their kernels produce;
 //! joins read their keys straight from the heap's typed columns through
-//! those ids ([`KeyCol`]), hash them a column at a time ([`hash_keys`])
-//! and chain equal hashes ([`Chains`]). `Value`s are built where a
+//! those ids ([`KeyCol`]) and chain them ([`Chains`]) under a slot key:
+//! a single `Int` or `Date` key's code less the build's least, when the
+//! build's codes span few enough slots, else the key's hash, a column at
+//! a time ([`hash_keys`]; [`SlotRule`]). `Value`s are built where a
 //! consumer asks for them, at the plan root ([`RowIds::extend_rows`]).
 //!
 //! None of this affects the cost model: [`colt_storage::IoStats`] is
@@ -15,7 +17,7 @@
 //! how processed rows are grouped into batches (see DESIGN.md,
 //! "Vectorized execution").
 
-use colt_storage::{ColumnSlice, Value};
+use colt_storage::{ColumnSlice, KeyCode, Value};
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -62,6 +64,14 @@ impl RowIds {
         self.count += sel.len() as u64;
         if let Some(ids) = self.ids.first_mut() {
             ids.extend_from_slice(sel);
+        }
+    }
+
+    /// A predicate-free scan's step: append a window of its table's rows.
+    pub(crate) fn push_window(&mut self, window: Range<usize>) {
+        self.count += window.len() as u64;
+        if let Some(ids) = self.ids.first_mut() {
+            ids.extend(window.start as u32..window.end as u32);
         }
     }
 
@@ -192,13 +202,26 @@ fn hash_cells(cells: ColumnSlice<'_>, rows: &[u32], hashes: &mut [u64]) {
 }
 
 /// The key hash of each input row in `window`, a key column at a time,
-/// ready for [`Chains`]' low-bit slots as each [`mix`] leaves it.
-pub(crate) fn hash_keys(keys: &[KeyCol<'_>], window: Range<usize>, hashes: &mut Vec<u64>) {
+/// ready for [`Chains`]' low-bit slots as each [`mix`] leaves it. Out of
+/// line for the reason [`slot_pass`] is.
+#[inline(never)]
+fn hash_keys(keys: &[KeyCol<'_>], window: Range<usize>, hashes: &mut Vec<u64>) {
     hashes.clear();
     hashes.resize(window.len(), 0);
     for key in keys {
         hash_cells(key.cells, &key.rows[window.clone()], hashes);
     }
+}
+
+/// How [`equi_join`] slotted its rows; its inputs fix which.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SlotRule {
+    /// One `Int` key column on each side, or one `Date` on each, whose
+    /// build codes span few enough slots: a row's slot key is its code
+    /// less the build's least ([`offset_join`]).
+    Offset,
+    /// Any other key: the folded-multiply hash of it ([`hash_keys`]).
+    Hashed,
 }
 
 /// The equi-join of two inputs' key columns: `hit(b, p)` for every build
@@ -209,88 +232,153 @@ pub(crate) fn equi_join(
     build: &[KeyCol<'_>],
     probe: &[KeyCol<'_>],
     mut hit: impl FnMut(usize, usize),
-) {
+) -> SlotRule {
+    use ColumnSlice::{Date, Int};
+    if let ([b], [p]) = (build, probe) {
+        let offset = match (b.cells, p.cells) {
+            (Int(bc), Int(pc)) => offset_join((bc, b.rows), (pc, p.rows), &mut hit),
+            (Date(bc), Date(pc)) => offset_join((bc, b.rows), (pc, p.rows), &mut hit),
+            _ => false,
+        };
+        if offset {
+            return SlotRule::Offset;
+        }
+    }
+    hashed_join(build, probe, hit);
+    SlotRule::Hashed
+}
+
+/// The offset rule, taken when the build's key codes span no more slots
+/// than [`SLOTS_PER_ROW`] per build row or one per probe row — so the
+/// table costs no more to fill than the hashed rule's or than the probe
+/// that reads it. A row chains under `code − min`, `min` the build's
+/// least code: each build code has a slot of its own, so a chain holds
+/// one code, and within one type equal codes are equal cells
+/// ([`KeyCode`] round-trips) — every chained row is a match, with no
+/// hash and no [`keys_eq`]. `false`, with nothing called, when the span
+/// is wider.
+fn offset_join<T: KeyCode>(
+    (build, build_rows): (&[T], &[u32]),
+    (probe, probe_rows): (&[T], &[u32]),
+    hit: &mut impl FnMut(usize, usize),
+) -> bool {
+    let code = |cells: &[T], row: u32| -> u64 { cells[row as usize].code().into() };
+    let codes = build_rows.iter().map(|&row| code(build, row));
+    let (min, max) = codes.fold((u64::MAX, 0), |(min, max), c| (min.min(c), max.max(c)));
+    let span = max.saturating_sub(min);
+    if span >= (SLOTS_PER_ROW * build_rows.len()).max(probe_rows.len()) as u64 {
+        return false;
+    }
+    let keys = build_rows.iter().map(|&row| code(build, row) - min);
+    let chains = Chains::build(keys, (span as usize + 1).next_power_of_two());
+    let mut heads = Vec::new();
+    for start in (0..probe_rows.len()).step_by(BATCH_ROWS) {
+        let window = &probe_rows[start..(start + BATCH_ROWS).min(probe_rows.len())];
+        // A key past the span, or a code below `min` wrapped past
+        // `u64::MAX`, may share a slot but never a code.
+        let found = slot_pass(&chains.heads, window, &mut heads, move |row| {
+            let key = code(probe, row).wrapping_sub(min);
+            (key, key <= span)
+        });
+        for &(i, at) in &heads[..found] {
+            chains.walk(at, |b| hit(b, start + i as usize));
+        }
+    }
+    true
+}
+
+/// The hashed rule: a row chains under the hash of its whole key
+/// ([`hash_keys`]), and a chained row matches a probe row only if the
+/// hashes and then the cells ([`keys_eq`]) are equal.
+fn hashed_join(build: &[KeyCol<'_>], probe: &[KeyCol<'_>], mut hit: impl FnMut(usize, usize)) {
     let rows = |keys: &[KeyCol<'_>]| keys.first().map_or(0, |k| k.rows.len());
-    let mut hashes = Vec::new();
-    hash_keys(build, 0..rows(build), &mut hashes);
-    let chains = Chains::build(hashes);
+    let mut build_hashes = Vec::new();
+    hash_keys(build, 0..rows(build), &mut build_hashes);
+    let slots = (build_hashes.len() * SLOTS_PER_ROW).next_power_of_two();
+    let chains = Chains::build(build_hashes.iter().copied(), slots);
     let probe_rows = rows(probe);
     let (mut hashes, mut heads) = (Vec::new(), Vec::new());
     for start in (0..probe_rows).step_by(BATCH_ROWS) {
         hash_keys(probe, start..(start + BATCH_ROWS).min(probe_rows), &mut hashes);
-        chains.probe(&hashes, &mut heads, |i, b| {
-            if keys_eq(build, b, probe, start + i) {
-                hit(b, start + i);
-            }
-        });
+        let found = slot_pass(&chains.heads, &hashes, &mut heads, |hash| (hash, true));
+        for &(i, at) in &heads[..found] {
+            let (p, hash) = (start + i as usize, hashes[i as usize]);
+            chains.walk(at, |b| {
+                if build_hashes[b] == hash && keys_eq(build, b, probe, p) {
+                    hit(b, p);
+                }
+            });
+        }
     }
+}
+
+/// One probe window's slot pass: `key(k)` is the slot key of probe row
+/// `i`'s `k = keys[i]` and whether it can match at all. Every row's slot
+/// head goes to `out`, and the cursor passes the candidates only — an
+/// occupied slot and a key that can match — like `Kernel::select`, so
+/// nothing branches on the data before a chain is known to be there;
+/// returns how many there are. Out of line on purpose: inlined into
+/// `Executor::run_node`, the cursor lived on the stack, a load and a
+/// store per row, and the pass ran at 3–4.5 ns/row instead of ≈ 1
+/// (DESIGN.md §5, "Hash tables").
+#[inline(never)]
+fn slot_pass<K: Copy>(
+    heads: &[u32],
+    keys: &[K],
+    out: &mut Vec<(u32, u32)>,
+    key: impl Fn(K) -> (u64, bool),
+) -> usize {
+    out.clear();
+    out.resize(keys.len(), (0, NO_ROW));
+    let mut found = 0;
+    for (i, &k) in keys.iter().enumerate() {
+        let (key, can_match) = key(k);
+        let head = heads[key as usize & (heads.len() - 1)];
+        out[found] = (i as u32, head);
+        found += usize::from((head != NO_ROW) & can_match);
+    }
+    found
 }
 
 /// "No row" in a [`Chains`] link.
 const NO_ROW: u32 = u32::MAX;
 
-/// Slots per chained row: the more slots, the fewer probes find an
-/// occupied slot whose chain holds only other hashes. Measured under
+/// Slots per chained row under the hashed rule, and the most per build
+/// row the offset rule may use: the more slots, the fewer probes find
+/// an occupied slot whose chain holds only other hashes. Measured under
 /// the branch-free probe on the `joins` workload: 8, 4 and 2 slots read
 /// 1.30×, 1.22× and 1.09× the queries/s of PR 24's one-pass probe
 /// (EXPERIMENTS.md, "PR 25").
 const SLOTS_PER_ROW: usize = 8;
 
-/// A hash table over rows `0..n` keyed by precomputed hashes: each slot
-/// heads a chain of the rows whose hash falls in it, linked in
-/// ascending row order — so a probe meets its matches in the order the
-/// rows were produced, whatever the hashes are.
+/// A table over rows `0..n` keyed by precomputed slot keys: the slot of
+/// a key is its low bits, and each slot heads a chain of its rows,
+/// linked in ascending row order — so a walk meets its matches in the
+/// order the rows were produced, whatever the keys are.
 #[derive(Debug)]
-pub(crate) struct Chains {
-    hashes: Vec<u64>,
+struct Chains {
     heads: Vec<u32>,
     next: Vec<u32>,
 }
 
 impl Chains {
-    /// Chain rows `0..hashes.len()`, row `i` under `hashes[i]`.
-    pub(crate) fn build(hashes: Vec<u64>) -> Self {
-        let mut heads = vec![NO_ROW; (hashes.len() * SLOTS_PER_ROW).next_power_of_two()];
-        let mut next = vec![NO_ROW; hashes.len()];
+    /// Chain rows `0..keys.len()`, row `i` under the `i`-th key, in
+    /// `slots` slots (a power of two).
+    fn build(keys: impl DoubleEndedIterator<Item = u64> + ExactSizeIterator, slots: usize) -> Self {
+        let mut heads = vec![NO_ROW; slots];
+        let mut next = vec![NO_ROW; keys.len()];
         // Last row first: every insertion is at the head.
-        for (row, &hash) in hashes.iter().enumerate().rev() {
-            let slot = hash as usize & (heads.len() - 1);
-            next[row] = std::mem::replace(&mut heads[slot], row as u32);
+        for (row, key) in keys.enumerate().rev() {
+            next[row] = std::mem::replace(&mut heads[key as usize & (slots - 1)], row as u32);
         }
-        Chains { hashes, heads, next }
+        Chains { heads, next }
     }
 
-    /// `hit(i, row)` for every chained row whose hash is `hashes[i]`, in
-    /// order of `i`, then ascending `row`. Two passes, so that nothing
-    /// branches on the data before a chain is known to be there: the
-    /// first writes every probe's slot head into `heads` (a buffer the
-    /// caller keeps) and advances past the occupied ones only, like
-    /// `Kernel::select`; the second walks those chains.
-    pub(crate) fn probe(
-        &self,
-        hashes: &[u64],
-        heads: &mut Vec<(u32, u32)>,
-        mut hit: impl FnMut(usize, usize),
-    ) {
-        let mask = self.heads.len() - 1;
-        heads.clear();
-        heads.resize(hashes.len(), (0, NO_ROW));
-        let out = heads.as_mut_slice();
-        let mut found = 0;
-        for (i, &hash) in hashes.iter().enumerate() {
-            let head = self.heads[hash as usize & mask];
-            out[found] = (i as u32, head);
-            found += usize::from(head != NO_ROW);
-        }
-        for &(i, mut at) in &out[..found] {
-            let hash = hashes[i as usize];
-            while at != NO_ROW {
-                let row = at as usize;
-                if self.hashes[row] == hash {
-                    hit(i as usize, row);
-                }
-                at = self.next[row];
-            }
+    /// `hit(row)` for every row of the chain headed by `at`, ascending.
+    fn walk(&self, mut at: u32, mut hit: impl FnMut(usize)) {
+        while at != NO_ROW {
+            hit(at as usize);
+            at = self.next[at as usize];
         }
     }
 }
@@ -402,18 +490,26 @@ mod tests {
     #[test]
     fn chains_yield_equal_hashes_in_row_order() {
         // Hashes 3 and 3 + 64 share a slot of the 64 a 6-row build
-        // gets; a probe for one must skip the other and keep row order.
-        let chains = Chains::build(vec![3, 67, 3, 9, 67, 3]);
+        // gets: its chain holds both in row order, the slot pass finds
+        // it for either, and the hash compare keeps one.
+        let hashes = [3, 67, 3, 9, 67, 3];
+        let chains = Chains::build(hashes.iter().copied(), 64);
         let candidates = |chains: &Chains, hash: u64| {
-            let mut rows = Vec::new();
-            chains.probe(&[hash], &mut Vec::new(), |_, row| rows.push(row));
+            let (mut heads, mut rows) = (Vec::new(), Vec::new());
+            let found = slot_pass(&chains.heads, &[hash], &mut heads, |hash| (hash, true));
+            for &(_, at) in &heads[..found] {
+                chains.walk(at, |row| rows.push(row));
+            }
             rows
         };
-        assert_eq!(candidates(&chains, 3), [0, 2, 5]);
-        assert_eq!(candidates(&chains, 67), [1, 4]);
-        assert_eq!(candidates(&chains, 9), [3]);
-        assert_eq!(candidates(&chains, 131).len(), 0);
-        assert_eq!(candidates(&Chains::build(Vec::new()), 0).len(), 0);
+        assert_eq!(candidates(&chains, 3), [0, 1, 2, 4, 5]);
+        let equal = |hash: u64| {
+            let rows = candidates(&chains, hash).into_iter();
+            rows.filter(|&r| hashes[r] == hash).collect::<Vec<_>>()
+        };
+        assert_eq!((equal(3), equal(67), equal(9)), (vec![0, 2, 5], vec![1, 4], vec![3]));
+        assert!(equal(131).is_empty() && candidates(&chains, 130).is_empty());
+        assert_eq!(candidates(&Chains::build(std::iter::empty(), 1), 0).len(), 0);
     }
 
     /// The equi-join as a nested loop over [`keys_eq`] (`cells_eq` per
@@ -507,12 +603,72 @@ mod tests {
                     let (build, probe) =
                         (keys(build_cols, &build_ids), keys(probe_cols, &probe_ids));
                     let mut got = Vec::new();
-                    equi_join(&build, &probe, |b, p| got.push((b, p)));
+                    let rule = equi_join(&build, &probe, |b, p| got.push((b, p)));
                     assert_eq!(got, nested_loop(&build, &probe), "{name}: {builds} x {probes}");
+                    // These cells span far too wide for offsets; only a
+                    // build of at most one row spans none.
+                    let offset = matches!(*name, "int" | "date") && builds <= 1;
+                    assert_eq!(rule == SlotRule::Offset, offset, "{name}: {builds} x {probes}");
                     matched += got.len();
                 }
             }
             assert_eq!(matched > 0, *name != "int = date", "{name}: {matched} pairs");
+        }
+
+        // The offset rule on its edges, for `Int` and `Date` keys from
+        // the least cell, around zero and up to the greatest: builds
+        // spanning one slot under the bound and exactly the bound, once
+        // where `SLOTS_PER_ROW` per build row sets it and once where
+        // one per probe row does; builds of no row, one row and a
+        // 500-row run of one key. Probes hit the least and greatest
+        // build key, one below and one above them, both ends of the
+        // type (wrapping past `u64::MAX` under `code − min`), and keys
+        // drawn across twice the table, which share occupied slots.
+        use SlotRule::{Hashed, Offset};
+        let cases = [
+            (200, 300, 1_599, Offset),
+            (200, 300, 1_600, Hashed),
+            (10, 1_000, 999, Offset),
+            (10, 1_000, 1_000, Hashed),
+            (0, 300, 0, Offset),
+            (1, 300, 0, Offset),
+            (500, 300, 0, Offset),
+        ];
+        for date in [false, true] {
+            let (least, most) =
+                if date { (i32::MIN.into(), i32::MAX.into()) } else { (i64::MIN, i64::MAX) };
+            for &(builds, probes, span, rule) in &cases {
+                for lo in [least, -700, most - span] {
+                    let mut build = vec![lo; builds];
+                    if builds > 1 && span > 0 {
+                        build[builds - 1] = lo + span;
+                        for key in &mut build[1..builds - 1] {
+                            *key = lo + (rng.next_u64() % (span as u64 + 1)) as i64;
+                        }
+                    }
+                    let slots = (span as u64 + 1).next_power_of_two();
+                    let mut probe = vec![lo.wrapping_sub(1), lo, lo + span];
+                    probe.extend([(lo + span).wrapping_add(1), least, most]);
+                    probe.extend((6..probes).map(|_| {
+                        let at = (rng.next_u64() % (span as u64 + 2 * slots)).wrapping_sub(slots);
+                        lo.wrapping_add(at as i64)
+                    }));
+                    // A `Date` key wraps in `i32`, where `least − 1` is `most`.
+                    let days = |keys: &[i64]| keys.iter().map(|&k| k as i32).collect::<Vec<_>>();
+                    let (build_days, probe_days) = (days(&build), days(&probe));
+                    let (build_rows, probe_rows): (Vec<u32>, Vec<u32>) =
+                        ((0..builds as u32).collect(), (0..probes as u32).collect());
+                    let key = |ints, days, rows| {
+                        [KeyCol { cells: if date { Date(days) } else { Int(ints) }, rows }]
+                    };
+                    let build = key(&build, &build_days, &build_rows);
+                    let probe = key(&probe, &probe_days, &probe_rows);
+                    let mut got = Vec::new();
+                    let ctx = format!("date {date}, {builds} x {probes} from {lo}, span {span}");
+                    assert_eq!(equi_join(&build, &probe, |b, p| got.push((b, p))), rule, "{ctx}");
+                    assert_eq!(got, nested_loop(&build, &probe), "{ctx}");
+                }
+            }
         }
     }
 

@@ -308,8 +308,8 @@ impl<'a> Executor<'a> {
                             rest.iter().for_each(|k| k.retain(&mut sel));
                         }
                         None => {
-                            sel.clear();
-                            sel.extend(window.start as u32..window.end as u32);
+                            out.push_window(window);
+                            continue;
                         }
                     }
                     out.push_sel(&sel);
@@ -353,10 +353,10 @@ impl<'a> Executor<'a> {
     }
 
     /// Hash join: build on `build`'s output, probe with `probe`'s. Keys
-    /// are read from the heap through the inputs' ids, hashed a column
-    /// at a time and verified cell by cell ([`equi_join`]) — one path
-    /// for one or many key columns of any type; a cross-type key pair
-    /// matches nothing and is charged the same.
+    /// are read from the heap through the inputs' ids and chained by
+    /// code offset or by hash, which the inputs decide ([`equi_join`]);
+    /// either way a cross-type key pair matches nothing and every rule
+    /// is charged the same.
     #[allow(clippy::too_many_arguments)]
     fn hash_join(
         &self,

@@ -10,7 +10,7 @@ use colt_engine::{
     PlanNode, PredicateKind, Query, RangeBound, RowwiseExecutor, SelPred,
 };
 use colt_storage::{
-    code_bound, literal_code, row_from, BPlusTree, IoStats, Prng, RowId, Value, ValueType,
+    code_bound, literal_code, row_from, BPlusTree, IoStats, KeyCode, Prng, RowId, Value, ValueType,
 };
 
 /// Join key `i` as a cell of `vtype`: distinct `i` give distinct cells
@@ -33,8 +33,15 @@ fn typed_key(i: i64, vtype: ValueType) -> Value {
 }
 
 /// `build_db` with `b.id` cycling through `b_ids` values: fewer than
-/// `n_b` makes `b`'s keys repeat and leaves some `a.fk` unmatched.
-fn build_db_with(n_a: usize, n_b: usize, b_ids: usize) -> (Database, TableId, TableId) {
+/// `n_b` makes `b`'s keys repeat and leaves some `a.fk` unmatched. The
+/// `a.fk`, `b.id` and `b.w` keys (and `a.fk`'s typed copies) are the
+/// cycle's values times `stride`.
+fn build_db_with(
+    n_a: usize,
+    n_b: usize,
+    b_ids: usize,
+    stride: i64,
+) -> (Database, TableId, TableId) {
     const KEY_TYPES: [(&str, ValueType); 3] =
         [("kf", ValueType::Float), ("ks", ValueType::Str), ("kd", ValueType::Date)];
     let typed = |i: i64| KEY_TYPES.map(|(_, t)| typed_key(i, t));
@@ -53,7 +60,7 @@ fn build_db_with(n_a: usize, n_b: usize, b_ids: usize) -> (Database, TableId, Ta
     db.insert_rows(
         a,
         (0..n_a as i64).map(|i| {
-            let fk = i % n_b.max(1) as i64;
+            let fk = i % n_b.max(1) as i64 * stride;
             let mut row = vec![Value::Int(i), Value::Int(fk), Value::Int(i * 7 % 23)];
             row.extend(typed(fk));
             row_from(row)
@@ -62,8 +69,8 @@ fn build_db_with(n_a: usize, n_b: usize, b_ids: usize) -> (Database, TableId, Ta
     db.insert_rows(
         b,
         (0..n_b as i64).map(|i| {
-            let id = i % b_ids.max(1) as i64;
-            let mut row = vec![Value::Int(id), Value::Int(i % 5)];
+            let id = i % b_ids.max(1) as i64 * stride;
+            let mut row = vec![Value::Int(id), Value::Int(i % 5 * stride)];
             row.extend(typed(id));
             row_from(row)
         }),
@@ -77,7 +84,7 @@ fn build_db_with(n_a: usize, n_b: usize, b_ids: usize) -> (Database, TableId, Ta
 /// `k*` columns repeat `a.fk` / `b.id` as a float, a string and a date
 /// ([`typed_key`]), so `a.k* = b.k*` joins exactly like `a.fk = b.id`.
 fn build_db(n_a: usize, n_b: usize) -> (Database, TableId, TableId) {
-    build_db_with(n_a, n_b, n_b)
+    build_db_with(n_a, n_b, n_b, 1)
 }
 
 /// Reference evaluation: nested loops + direct predicate checks, for
@@ -452,15 +459,19 @@ fn random_case(rng: &mut Prng) -> Case {
     let second_key = rng.chance(0.3);
     let index_mask = rng.below(1 << 13);
     let inlj = rng.chance(0.5);
+    // Every `Int` and `Date` join key at a stride of 2^25 (the widest a
+    // date of 40 keys holds) spans too wide for the offset slot rule.
+    let stride = if rng.chance(0.5) { 1 << 25 } else { 1 };
 
-    let (mut db, a, b) = build_db_with(n_a, n_b, b_ids);
+    let (mut db, a, b) = build_db_with(n_a, n_b, b_ids, stride);
     let c = db.add_table(TableSchema::new(
         "c",
         vec![Column::new("id", ValueType::Int), Column::new("x", ValueType::Int)],
     ));
     let d = db.add_table(TableSchema::new("d", vec![Column::new("id", ValueType::Int)]));
-    db.insert_rows(c, (0..10i64).map(|i| row_from(vec![Value::Int(i % 5), Value::Int(i % 3)]))).unwrap();
-    db.insert_rows(d, (0..6i64).map(|i| row_from(vec![Value::Int(i % 3)]))).unwrap();
+    let ints = |keys: &[i64]| row_from(keys.iter().map(|k| Value::Int(k * stride)).collect());
+    db.insert_rows(c, (0..10i64).map(|i| ints(&[i % 5, i % 3]))).unwrap();
+    db.insert_rows(d, (0..6i64).map(|i| ints(&[i % 3]))).unwrap();
     db.analyze_all();
 
     let tables = [a, b, c, d][..n_tables].to_vec();
@@ -574,8 +585,15 @@ fn vectorized_matches_rowwise_reference() {
     // empty input, and join outputs longer than one batch.
     let mut matched: Vec<(AbKey, usize)> = Vec::new();
     let (mut empty_input, mut long_output) = (0, 0);
+    let mut cases_per_rule = [0, 0];
     for case in 0..240u64 {
-        let Case { db, cfg, tables, ab_key, q, plan } = random_case(&mut rng);
+        let drawn = random_case(&mut rng);
+        let mut rules = Vec::new();
+        offset_rules(&drawn, &drawn.plan.root, &mut rules);
+        for (n, offset) in cases_per_rule.iter_mut().zip([false, true]) {
+            *n += usize::from(rules.contains(&offset));
+        }
+        let Case { db, cfg, tables, ab_key, q, plan } = drawn;
         let (hash, inlj) = join_ops(&plan.root);
         deep_hash += usize::from(hash >= 2);
         deep_inlj += usize::from(inlj >= 1 && hash + inlj >= 2);
@@ -613,6 +631,49 @@ fn vectorized_matches_rowwise_reference() {
     assert!(matched.iter().all(|&(_, n)| n >= 10), "{matched:?}");
     assert!(empty_input >= 8, "only {empty_input} joins with an empty input");
     assert!(long_output >= 30, "only {long_output} join outputs longer than a batch");
+    assert!(cases_per_rule.iter().all(|&n| n >= 20), "[hashed, offset]: {cases_per_rule:?}");
+}
+
+/// Per hash join of `node` on one `Int` key pair or one `Date` pair:
+/// did the vectorized executor slot its rows by code offset? Its rule,
+/// restated over the join's inputs (each run as a plan of its own):
+/// the build's key codes span fewer than max(8 × build rows, probe rows).
+fn offset_rules(case: &Case, node: &PlanNode, rules: &mut Vec<bool>) {
+    let (build, probe, join) = match node {
+        PlanNode::Scan { .. } => return,
+        PlanNode::IndexNlJoin { outer, .. } => return offset_rules(case, outer, rules),
+        PlanNode::HashJoin { build, probe, on, .. } => {
+            offset_rules(case, build, rules);
+            offset_rules(case, probe, rules);
+            let [join] = on.as_slice() else { return };
+            (build, probe, join)
+        }
+    };
+    let heap = |c: ColRef| &case.db.table(c.table).heap;
+    let vtype = |c: ColRef| heap(c).column(c.column as usize).map(|c| c.value_type());
+    let fixed = [Some(ValueType::Int), Some(ValueType::Date)];
+    if vtype(join.left) != vtype(join.right) || !fixed.contains(&vtype(join.left)) {
+        return;
+    }
+    let codes = |side: &PlanNode| -> Vec<u64> {
+        let plan = Plan { root: side.clone(), selectivities: case.plan.selectivities.clone() };
+        let exec = Executor::new(&case.db, &case.cfg);
+        let out = exec.execute(&case.q, &plan, Collect::Rows).unwrap();
+        let key = if out.layout.contains(&join.left.table) { join.left } else { join.right };
+        let before = out.layout.iter().take_while(|&&t| t != key.table);
+        let at = before.map(|&t| case.db.table(t).schema.arity()).sum::<usize>();
+        let at = at + key.column as usize;
+        (out.rows.iter())
+            .map(|row| match row[at] {
+                Value::Int(i) => i.code(),
+                Value::Date(d) => d.code().into(),
+                _ => unreachable!("an Int or Date key"),
+            })
+            .collect()
+    };
+    let (build, probe) = (codes(build), codes(probe));
+    let span = build.iter().max().zip(build.iter().min()).map_or(0, |(max, min)| max - min);
+    rules.push(span < (8 * build.len()).max(probe.len()) as u64);
 }
 
 /// Every join tree the optimizer may pick for one [`random_case`],
