@@ -287,8 +287,9 @@ fn bench_stats_selectivity() -> bool {
 
 /// Benchmarks `Kernel::select` and, beside it, `Kernel::count` per row
 /// over a 6 000-row column, a scan window at a time, for ranges keeping
-/// 0.3 %, 10 % and 50 % of the rows; false when counting a column is
-/// not faster than selecting from it.
+/// 0.3 %, 10 % and 50 % of the rows, and `Kernel::count` of an `Int`
+/// equality (ungated); false when counting a column is not faster than
+/// selecting from it.
 fn bench_kernel_scan() -> bool {
     const ROWS: usize = 6_000;
     // Row `i` holds key `i · 3 539 mod 6 000`, a permutation of the
@@ -331,6 +332,12 @@ fn bench_kernel_scan() -> bool {
         count_ns < select_ns
     };
     let int = scan("int", ColumnSlice::Int(&keys), &Value::Int);
+    // An equality compiles to the same one-compare range test, `span` 0.
+    let eq = SelPred::eq(ColRef::new(TableId(0), 0), 1_000i64);
+    let kernel = Kernel::compile(&eq, ColumnSlice::Int(&keys));
+    let count = || assert_eq!(windows().map(|window| black_box(kernel.count(window))).sum::<usize>(), 1);
+    let ns = fastest(2_000, &[&count])[0];
+    println!("  {:<44} {:>8.2} ns/row", "kernel/count/int_eq", ns / ROWS as f64);
     let date = scan("date", ColumnSlice::Date(&dates), &|k| Value::Date(date(k)));
     let float = scan("float", ColumnSlice::Float(&floats), &|k| Value::Float(float(k)));
     int && date && float

@@ -875,15 +875,15 @@ fn edge_values(vtype: ValueType) -> Vec<Value> {
     }
 }
 
-/// The compiled kernel selects exactly the rows `SelPred::matches`
-/// accepts — for every column type, literals of the column's type *and*
-/// of every other type, `Eq` / `In` / one- and two-sided ranges with
-/// inclusive and exclusive bounds (so also empty and inverted ranges
-/// and exclusive bounds at the extremes), NaN and both zeros. And an
-/// index on the column means the predicate as the kernel does: an index
-/// scan returns the sequential scan's rows under both executors, and
-/// the code-keyed index reads and charges what a `Value`-keyed tree
-/// over the same cells would, over three leaves.
+/// The compiled kernel selects, keeps and counts exactly the rows
+/// `SelPred::matches` accepts — for every column type, literals of the
+/// column's type *and* of every other type, `Eq` / `In` / one- and
+/// two-sided ranges with inclusive and exclusive bounds (so also empty
+/// and inverted ranges and exclusive bounds at the extremes), NaN and
+/// both zeros. And an index on the column means the predicate as the
+/// kernel does: an index scan returns the sequential scan's rows under
+/// both executors, and the code-keyed index reads and charges what a
+/// `Value`-keyed tree over the same cells would, over three leaves.
 #[test]
 fn compiled_kernels_match_selpred_matches() {
     const TYPES: [ValueType; 4] =
@@ -896,7 +896,7 @@ fn compiled_kernels_match_selpred_matches() {
         // A column of edge values (with duplicates) and some ordinary ones.
         let edges = edge_values(vtype);
         let mut cells: Vec<Value> = (0..500).map(|_| edges[rng.below(edges.len())].clone()).collect();
-        cells.extend((0..400).map(|_| match vtype {
+        cells.extend((0..600).map(|_| match vtype {
             ValueType::Int => Value::Int(rng.int_range(-5, 5)),
             ValueType::Float => Value::Float(rng.f64_range(-2.0, 2.0)),
             ValueType::Date => Value::Date(rng.int_range(-5, 9_005) as i32),
@@ -919,6 +919,25 @@ fn compiled_kernels_match_selpred_matches() {
         let oracle = BPlusTree::bulk_load(vtype.byte_width(), entries);
         assert_eq!((index.page_count(), index.height()), (oracle.page_count(), oracle.height()));
         assert!(oracle.page_count() >= 4, "three leaves and a root");
+
+        // Every range whose sides are open, or the column's edge values
+        // or a literal of another type, inclusive or exclusive: each end
+        // of the code space meets each kind of side, not by chance.
+        let others = TYPES.iter().filter(|&&t| t != vtype).map(|&t| edge_values(t)[0].clone());
+        let side = |value: &Value, inclusive| Some(RangeBound { value: value.clone(), inclusive });
+        let sides: Vec<Option<RangeBound>> = (edges.iter().cloned().chain(others))
+            .flat_map(|value| [side(&value, true), side(&value, false)])
+            .chain([None])
+            .collect();
+        let all = 0..cells.len();
+        for (lo, hi) in sides.iter().flat_map(|lo| sides.iter().map(move |hi| (lo, hi))) {
+            let pred = SelPred { col, kind: PredicateKind::Range { lo: lo.clone(), hi: hi.clone() } };
+            let kernel = Kernel::compile(&pred, column);
+            let want: Vec<u32> = all.clone().filter(|&r| pred.matches(&cells[r])).map(|r| r as u32).collect();
+            let mut sel = Vec::new();
+            kernel.select(all.clone(), &mut sel);
+            assert_eq!((kernel.count(all.clone()), sel), (want.len(), want), "{vtype:?} {pred:?}");
+        }
 
         for case in 0..600 {
             let lit = |rng: &mut Prng| literals[rng.below(literals.len())].clone();
@@ -948,6 +967,15 @@ fn compiled_kernels_match_selpred_matches() {
                 kernel.select(window.clone(), &mut sel);
                 assert_eq!(sel, expect(&mut window.clone()), "{vtype:?} {pred:?} {window:?}");
                 accepted += sel.len();
+            }
+            // Counted over those two windows and over 0, 1, 1 023 (the
+            // vector loop leaves a tail) and 1 024 rows (a full batch).
+            const BATCH: usize = colt_engine::BATCH_ROWS;
+            let at = rng.below(cells.len() - BATCH + 1);
+            let (one, tail, full) = (start..start + 1, at..at + BATCH - 1, at..at + BATCH);
+            for window in [0..cells.len(), start..end, start..start, one, tail, full] {
+                let want = expect(&mut window.clone()).len();
+                assert_eq!(kernel.count(window.clone()), want, "{vtype:?} {pred:?} {window:?} count");
             }
             // …and a fetched row-id list, in its own order.
             let mut ids: Vec<u32> = (0..20).map(|_| rng.below(cells.len()) as u32).collect();
