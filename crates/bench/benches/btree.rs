@@ -18,6 +18,13 @@
 //! `Eqo::optimize` beside the bare optimizer, a string column's index
 //! build and range scan, and a hash join's cost per probe row, are
 //! printed, not gated.
+#![allow(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::unreachable,
+    reason = "a micro-bench times, prints and aborts"
+)]
 
 use colt_bench::bench;
 use colt_catalog::{

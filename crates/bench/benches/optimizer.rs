@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the optimizer and the what-if interface —
 //! the cost that COLT's profiling budget is denominated in.
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "a micro-bench prints and aborts")]
 
 use colt_bench::bench;
 use colt_catalog::{ColRef, PhysicalConfig};

@@ -1,6 +1,7 @@
 //! Micro-benchmarks of COLT's own machinery: per-query profiling
 //! overhead, the knapsack solver, and hot-set selection — the costs a
 //! production deployment of the tuner would care about.
+#![allow(clippy::print_stdout, reason = "a micro-bench prints and aborts")]
 
 use colt_bench::bench;
 use colt_catalog::{ColRef, PhysicalConfig, TableId};

@@ -16,6 +16,7 @@
 //!
 //! Every variant is an independent run cell; the whole grid fans across
 //! the parallel harness.
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
 use colt_bench::{build_data, dump_obs, fmt_ms, seed, threads};
 use colt_core::{ColtConfig, MaterializationStrategy};

@@ -7,6 +7,7 @@
 //! COLT is stuck at sequential scans. With a composite budget, the
 //! extension mines the co-occurrence on-line and materializes the
 //! two-column index.
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
 use colt_bench::{build_data, dump_obs, fmt_ms, seed, threads};
 use colt_core::ColtConfig;

@@ -7,6 +7,7 @@
 //!   creation;
 //! * afterwards COLT's execution time is essentially equal to the ideal
 //!   OFFLINE technique (the paper reports a ~1% deviation).
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
 use colt_bench::{build_data, dump_obs, fmt_ms, seed, threads};
 use colt_core::ColtConfig;

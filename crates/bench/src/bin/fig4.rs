@@ -7,6 +7,7 @@
 //! * COLT outperforms OFFLINE for the majority of the stream;
 //! * in phase 2 (queries 350–650) COLT is ~49% faster;
 //! * over the whole workload COLT is ~33% faster.
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
 use colt_bench::{build_data, dump_obs, fmt_ms, seed, threads};
 use colt_core::ColtConfig;

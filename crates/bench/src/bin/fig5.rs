@@ -14,6 +14,7 @@
 //! run as parallel cells (`COLT_THREADS`). Everything printed to stdout
 //! derives from run *results*, which are bit-identical at any thread
 //! count; wall-clock and speedup go to stderr.
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
 use colt_bench::{build_data, dump_obs, seed, threads};
 use colt_core::ColtConfig;

@@ -15,6 +15,12 @@
 //!
 //! Each burst duration contributes two independent run cells (OFFLINE
 //! and COLT), all fanned across the parallel harness.
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::unwrap_used,
+    reason = "an exhibit bin prints and aborts"
+)]
 
 use colt_bench::{build_data, dump_obs, seed, threads};
 use colt_core::ColtConfig;

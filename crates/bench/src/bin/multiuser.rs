@@ -7,6 +7,7 @@
 //! (different seeds, same phase structure); the tuner sees the fair
 //! random interleaving. COLT must still beat OFFLINE despite related
 //! queries no longer arriving adjacently.
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
 use colt_bench::{build_data, dump_obs, fmt_ms, seed, threads};
 use colt_core::ColtConfig;

@@ -14,6 +14,7 @@
 //! Every value printed is deterministic (simulated cost units, page
 //! counts, epochs — never the wall clock), so the output pastes into
 //! EXPERIMENTS.md and diffs cleanly in CI at any thread count.
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
 use colt_bench::{build_data, dump_obs, seed, threads};
 use colt_core::ColtConfig;

@@ -7,6 +7,7 @@
 //! The grid is 3 scales × (stable, shifting) × (OFFLINE, COLT) = 12 run
 //! cells, all independent: each borrows its own scale's database and
 //! fans across the parallel harness.
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
 use colt_bench::{dump_obs, fmt_ms, seed, threads};
 use colt_core::ColtConfig;

@@ -6,6 +6,7 @@
 //! the table). With most-common-value statistics the optimizer picks
 //! the right path *per constant*, and COLT's measured gains stay
 //! calibrated — the tuner still converges to the off-line optimum.
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
 use colt_bench::{dump_obs, fmt_ms, seed, threads};
 use colt_catalog::{ColRef, Column, Database, IndexOrigin, PhysicalConfig, TableSchema};

@@ -4,6 +4,7 @@
 //! experiment scale actually used by the figure benches, and verifies
 //! the generated database matches the declared summary at the
 //! experiment scale.
+#![allow(clippy::print_stdout, clippy::unwrap_used, reason = "an exhibit bin prints and aborts")]
 
 use colt_bench::{build_data, scale};
 use colt_workload::summary;

@@ -130,6 +130,7 @@ fn exit_with(code: i32, msg: &str) -> ! {
 /// Parse the variable `name`, or stop the binary (exit 2) with one line
 /// naming the variable and the value.
 fn env_or_exit<T>(name: &str, parse: impl FnOnce(Option<&str>) -> Result<T, String>) -> T {
+    #[expect(clippy::disallowed_methods, reason = "the bins' COLT_* variables enter here only")]
     let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
     parse(raw.as_deref()).unwrap_or_else(|msg| exit_with(2, &msg))
 }
@@ -139,6 +140,7 @@ fn env_or_exit<T>(name: &str, parse: impl FnOnce(Option<&str>) -> Result<T, Stri
 pub fn build_data() -> TpchData {
     let scale = scale();
     let seed = seed();
+    #[expect(clippy::disallowed_methods, reason = "setup wall time goes to stderr only")]
     let t0 = std::time::Instant::now();
     let data = generate(scale, seed);
     colt_obs::progress(
@@ -183,6 +185,7 @@ pub fn fmt_ms(ms: f64) -> String {
 /// closure up for ~20 ms to size the measured iteration count, then
 /// time it, print ns/op and return it. Wrap results the optimizer could
 /// discard in [`std::hint::black_box`] inside the closure.
+#[expect(clippy::disallowed_methods, clippy::print_stdout, reason = "micro-bench clock and output")]
 pub fn bench(name: &str, mut f: impl FnMut()) -> f64 {
     use std::time::{Duration, Instant};
     let warm = Instant::now();
@@ -204,7 +207,6 @@ pub fn bench(name: &str, mut f: impl FnMut()) -> f64 {
     } else {
         format!("{per_ns:.1} ns/op")
     };
-    // colt: allow(output-hygiene) — cargo-bench harness output, never part of a diffed experiment artifact
     println!("  {name:<44} {shown:>14}  ({iters} iters)");
     per_ns
 }

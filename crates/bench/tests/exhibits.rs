@@ -12,6 +12,7 @@
 //!     > crates/bench/tests/golden/$bin.txt 2>/dev/null
 //! done
 //! ```
+#![allow(clippy::panic, reason = "test helpers may unwrap and panic")]
 
 use std::path::Path;
 use std::process::{Child, Command, Stdio};

@@ -13,6 +13,7 @@
 //! * the `flame` lines carry positive self time over non-empty frames,
 //!   with the executor's `engine.exec.batch` spans only ever nested;
 //! * the spans instrumented across the stack surface by name.
+#![allow(clippy::expect_used, clippy::panic, reason = "test helpers may unwrap and panic")]
 
 use colt_obs::json::{parse, Json};
 use std::path::PathBuf;

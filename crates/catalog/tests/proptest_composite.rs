@@ -7,6 +7,7 @@
 //! rows whose cells satisfy the predicates, and read and charge what the
 //! same scan of a `Value`-keyed tree over the same cells does. Cases come
 //! from the in-repo seeded PRNG, so every run checks the same inputs.
+#![allow(clippy::unwrap_used, reason = "test helpers may unwrap and panic")]
 
 use colt_catalog::{
     build_composite, Column, CompositeKey, Database, MaterializedComposite, TableSchema,

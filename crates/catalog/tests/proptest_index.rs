@@ -2,6 +2,7 @@
 //! columns: an index build and ANALYZE sort key codes (a string
 //! column's dictionary ranks), and must come out exactly as if they had
 //! sorted `Value`s by `Value::cmp`. Cases come from the in-repo seeded PRNG.
+#![allow(clippy::unwrap_used, reason = "test helpers may unwrap and panic")]
 
 use colt_catalog::{build_index, ColRef, ColumnStats, TableId, HISTOGRAM_BUCKETS};
 use colt_storage::{

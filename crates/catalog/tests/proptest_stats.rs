@@ -2,6 +2,7 @@
 //! selectivity estimates must be calibrated against exact fractions
 //! computed from the data, and must obey basic axioms (bounds,
 //! monotonicity). Cases come from the in-repo seeded PRNG.
+#![allow(clippy::unwrap_used, reason = "test helpers may unwrap and panic")]
 
 use colt_catalog::ColumnStats;
 use colt_storage::{row_from, HeapTable, Prng, Value, ValueType};

@@ -96,7 +96,7 @@ impl Cluster {
 pub struct ClusterSet {
     // BTreeMap rather than HashMap: the map is lookup-only today, but a
     // hash-keyed field in a kernel crate is one refactor away from
-    // reintroducing nondeterministic iteration (colt-analyze enforces this).
+    // reintroducing nondeterministic iteration (clippy.toml bans HashMap).
     by_key: BTreeMap<ClusterKey, ClusterId>,
     clusters: Vec<Cluster>,
     history_epochs: usize,
@@ -121,6 +121,7 @@ impl ClusterSet {
     /// Assign a query to its (unique) cluster, creating the cluster on
     /// first sight, and bump the current epoch count. `sels[i]` is the
     /// estimated selectivity of `query.selections[i]`.
+    #[expect(clippy::expect_used, reason = "counts gets a slot on creation and in roll_epoch")]
     pub fn assign(&mut self, query: &Query, sels: &[f64]) -> ClusterId {
         self.lookup.fill(query, sels, self.selective_boundary);
         let id = match self.by_key.get(&self.lookup) {
@@ -135,7 +136,6 @@ impl ClusterSet {
             }
         };
         let cluster = &mut self.clusters[id.0 as usize];
-        // colt: allow(panic-policy) — counts is non-empty by construction (push_front on creation and in roll_epoch)
         *cluster.counts.front_mut().expect("current epoch slot") += 1;
         cluster.window += 1;
         id

@@ -87,7 +87,7 @@ impl ColtTuner {
 
     /// Create a tuner with an explicit materialization strategy.
     pub fn with_strategy(config: ColtConfig, strategy: MaterializationStrategy) -> Self {
-        // colt: allow(panic-policy) — constructor contract: an invalid config is a startup programming error
+        #[expect(clippy::expect_used, reason = "an invalid config is a startup programming error")]
         config.validate().expect("invalid COLT configuration");
         ColtTuner {
             profiler: Profiler::new(&config),

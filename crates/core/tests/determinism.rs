@@ -6,6 +6,7 @@
 //! inputs arrive in. Before the `BTreeMap` conversions, each of these
 //! could leak `HashMap` iteration order (a per-process random seed)
 //! into results.
+#![allow(clippy::unwrap_used, reason = "test helpers may unwrap and panic")]
 
 use std::collections::BTreeMap;
 

@@ -3,6 +3,7 @@
 //! gain-statistics algebra, and full-tuner safety invariants. Cases
 //! come from the in-repo seeded PRNG (`colt_core::prng::Prng`), so
 //! every run checks the same inputs.
+#![allow(clippy::unwrap_used, reason = "test helpers may unwrap and panic")]
 
 use colt_core::knapsack::{self, Item};
 use colt_core::prng::Prng;

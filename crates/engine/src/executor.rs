@@ -171,7 +171,7 @@ impl<'a> Executor<'a> {
 
     /// Execute one node, appending its annotated line (before its
     /// children's, pre-order rendering) to `out`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "run_node's arguments plus depth and sink")]
     fn analyze_node(
         &self,
         query: &Query,
@@ -357,7 +357,7 @@ impl<'a> Executor<'a> {
     /// code offset or by hash, which the inputs decide ([`equi_join`]);
     /// either way a cross-type key pair matches nothing and every rule
     /// is charged the same.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "join inputs plus every operator's arguments")]
     fn hash_join(
         &self,
         build: &PlanNode,
@@ -418,7 +418,7 @@ impl<'a> Executor<'a> {
     /// predicates plus any residual join predicates, all on the inner
     /// heap's columns. Each outer key probes as its code in the indexed
     /// column: a string's is a search of that column's dictionary.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "join inputs plus every operator's arguments")]
     fn index_nl_join(
         &self,
         query: &Query,
@@ -829,7 +829,7 @@ mod tests {
         // Row order is heap order, across all chunk boundaries.
         let ids: Vec<i64> = rows
             .iter()
-            .map(|r| if let Value::Int(i) = r[0] { i } else { unreachable!() })
+            .map(|r| if let Value::Int(i) = r[0] { i } else { panic!("not an Int") })
             .collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
     }

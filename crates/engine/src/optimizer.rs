@@ -223,7 +223,7 @@ impl<'a> Optimizer<'a> {
         assert!(n >= 1, "query must reference at least one table");
         assert!(n <= MAX_JOIN_TABLES, "too many tables for the join DP");
         if n == 1 {
-            // colt: allow(panic-policy) — n == 1 guarantees exactly one scan
+            #[expect(clippy::expect_used, reason = "n == 1 guarantees exactly one scan")]
             return scans.into_iter().next().expect("one scan").node;
         }
 
@@ -366,7 +366,7 @@ impl<'a> Optimizer<'a> {
             });
         }
 
-        // colt: allow(panic-policy) — the DP seeds every singleton, so the full mask is always reachable
+        #[expect(clippy::expect_used, reason = "the DP reaches the full mask from its singletons")]
         best[full].take().expect("join DP must cover all tables")
     }
 

@@ -25,7 +25,6 @@ use crate::plan::{AccessPath, Plan, PlanNode};
 use crate::query::{Query, SelPred};
 use colt_catalog::{ColRef, Database, PhysicalConfig, TableId};
 use colt_storage::{literal_code, IoStats, Value};
-use std::collections::HashMap;
 
 /// Rows flowing between operators: the source table of each column slice
 /// is tracked so join keys can be located.
@@ -160,8 +159,9 @@ impl<'a> RowwiseExecutor<'a> {
         let build_keys = key_positions(&build)?;
         let probe_keys = key_positions(&probe)?;
 
-        // Build phase — HashMap is point-lookup only, never iterated.
-        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(build.rows.len());
+        #[expect(clippy::disallowed_types, reason = "point lookups only, never iterated")]
+        let mut table: std::collections::HashMap<Vec<Value>, Vec<usize>> =
+            std::collections::HashMap::with_capacity(build.rows.len());
         for (i, row) in build.rows.iter().enumerate() {
             let key: Vec<Value> = build_keys.iter().map(|&k| row[k].clone()).collect();
             table.entry(key).or_default().push(i);
@@ -199,7 +199,7 @@ impl<'a> RowwiseExecutor<'a> {
         Ok(Batch { tables, rows: out })
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "mirrors the vectorized index_nl_join")]
     fn index_nl_join(
         &self,
         query: &Query,

@@ -3,6 +3,7 @@
 //! trivial reference evaluator, and what-if answers must equal
 //! re-optimization cost deltas. Cases come from the in-repo seeded
 //! PRNG, so every run checks the same inputs.
+#![allow(clippy::unreachable, clippy::unwrap_used, reason = "test helpers may unwrap and panic")]
 
 use colt_catalog::{ColRef, Column, Database, IndexOrigin, PhysicalConfig, TableId, TableSchema};
 use colt_engine::{

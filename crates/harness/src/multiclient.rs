@@ -26,6 +26,7 @@ pub fn interleave(streams: &[Vec<Query>], seed: u64) -> Vec<Query> {
             streams.iter().zip(&cursors).map(|(s, &c)| s.len() - c).collect();
         let left: usize = remaining.iter().sum();
         let mut pick = rng.below(left);
+        #[expect(clippy::expect_used, reason = "the loop runs while some client has queries left")]
         let client = remaining
             .iter()
             .position(|&r| {
@@ -36,7 +37,6 @@ pub fn interleave(streams: &[Vec<Query>], seed: u64) -> Vec<Query> {
                     false
                 }
             })
-            // colt: allow(panic-policy) — the loop only runs while remaining ratios sum to 1
             .expect("some client has queries left");
         out.push(streams[client][cursors[client]].clone());
         cursors[client] += 1;
@@ -68,7 +68,7 @@ mod tests {
     fn tag(q: &Query) -> i64 {
         match &q.selections[0].kind {
             colt_engine::PredicateKind::Eq(colt_storage::Value::Int(v)) => *v,
-            _ => unreachable!(),
+            _ => panic!("not a tag query"),
         }
     }
 

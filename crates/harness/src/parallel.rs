@@ -140,6 +140,7 @@ impl ParallelReport {
 /// counter. Either way the results — including every per-query sample
 /// and the `summary_json` bytes — are identical.
 pub fn run_cells(cells: &[Cell<'_>], threads: usize) -> Result<ParallelReport, ExecError> {
+    #[expect(clippy::disallowed_methods, reason = "batch wall time is reported, never a result")]
     let start = Instant::now();
     let n = cells.len();
     let workers = threads.max(1).min(n.max(1));
@@ -164,11 +165,8 @@ pub fn run_cells(cells: &[Cell<'_>], threads: usize) -> Result<ParallelReport, E
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                // colt: allow(panic-policy) — deliberately propagates a worker's panic to the caller
-                .flat_map(|h| h.join().expect("worker thread panicked"))
-                .collect()
+            #[expect(clippy::expect_used, reason = "propagates a worker's panic to the caller")]
+            handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
         })
     };
     indexed.sort_by_key(|(i, _)| *i);
@@ -190,6 +188,7 @@ fn time_cell(cell: &Cell<'_>, index: usize, total: usize) -> Result<CellResult, 
             .field("label", cell.label.as_str())
             .field("policy", cell.policy.label()),
     );
+    #[expect(clippy::disallowed_methods, reason = "cell wall time goes to stderr only")]
     let t0 = Instant::now();
     let result = cell.run()?;
     let cell_millis = t0.elapsed().as_secs_f64() * 1e3;
@@ -206,13 +205,12 @@ fn time_cell(cell: &Cell<'_>, index: usize, total: usize) -> Result<CellResult, 
 
 // Compile-time audit of the thread-safety contract: the shared state
 // (Database behind &) and the cells themselves must cross threads.
-#[allow(dead_code)]
-fn assert_thread_safe() {
+const _: fn() = || {
     fn ok<T: Send + Sync>() {}
     ok::<Database>();
     ok::<Cell<'_>>();
     ok::<Policy>();
-}
+};
 
 #[cfg(test)]
 mod tests {

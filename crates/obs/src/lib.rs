@@ -82,6 +82,7 @@ impl Level {
     /// before any work starts). The value is read once per process.
     pub fn from_env() -> Level {
         static ENV: OnceLock<Level> = OnceLock::new();
+        #[expect(clippy::disallowed_methods, reason = "COLT_OBS sets stderr verbosity only")]
         *ENV.get_or_init(|| {
             std::env::var("COLT_OBS").ok().and_then(|s| Level::parse(&s)).unwrap_or_default()
         })
@@ -153,6 +154,7 @@ pub fn span(name: &'static str) -> Span {
         return Span { name, start: None };
     }
     with_recorder(|r| r.flame_enter(name));
+    #[expect(clippy::disallowed_methods, reason = "span timing is wall time by design")]
     Span { name, start: Some(Instant::now()) }
 }
 
@@ -208,6 +210,7 @@ pub fn epoch_mark(epoch: u64) {
 /// JSONL at [`Level::Full`]. Nothing is retained; what the tuner
 /// decided is in the ledger ([`decision`]).
 pub fn progress(event: Event) {
+    #[expect(clippy::print_stderr, reason = "the one sanctioned stderr sink")]
     match sink_level() {
         Level::Off => {}
         Level::Summary => eprintln!("{}", event.human()),

@@ -157,6 +157,7 @@ impl Recorder {
     /// Charge the time since the previous transition to whatever stack
     /// was live across that interval (self time, not inclusive time).
     fn flame_tick(&mut self) {
+        #[expect(clippy::disallowed_methods, reason = "flame self time is wall time by design")]
         let now = Instant::now();
         if let Some(last) = self.flame_last {
             if !self.flame_stack.is_empty() {

@@ -179,7 +179,7 @@ pub fn select(db: &Database, workload: &[Query], budget_pages: u64) -> OfflineSe
             best = Some(entry);
         }
     }
-    // colt: allow(panic-policy) — the DP always contains the empty selection, so a best entry exists
+    #[expect(clippy::expect_used, reason = "the DP always holds the empty selection")]
     let (best_benefit, best_choice) = best.expect("empty-set option always feasible");
 
     let mut indices = Vec::new();

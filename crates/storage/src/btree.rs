@@ -251,7 +251,7 @@ impl<K: TreeKey> BPlusTreeOf<K> {
     fn leaf(&self, id: NodeId) -> (&[(K, RowId)], Option<NodeId>) {
         match self.node(id) {
             Node::Leaf { entries, next } => (entries, *next),
-            // colt: allow(panic-policy) — descents and leaf chains only yield leaf nodes
+            #[expect(clippy::unreachable, reason = "descents and leaf chains only yield leaves")]
             Node::Internal { .. } => unreachable!("leaf chain reached an internal node"),
         }
     }

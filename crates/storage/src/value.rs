@@ -238,6 +238,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "the test is of std's Hash, so std's hasher")]
     fn hash_consistent_with_eq() {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};

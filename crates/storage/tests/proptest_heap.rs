@@ -8,6 +8,7 @@
 //! the strings inserted, resolve every literal to the key code
 //! `Value::cmp` puts it at, and keep the rows before a refused one.
 //! Cases come from the in-repo seeded PRNG.
+#![allow(clippy::panic, reason = "test helpers may unwrap and panic")]
 
 use colt_storage::{
     literal_code, row_from, ColumnSlice, HeapTable, KeyCode, Prng, Row, RowError, RowId, Value,

@@ -169,7 +169,7 @@ impl QueryDistribution {
             }
             pick -= w;
         }
-        // colt: allow(panic-policy) — sample() asserts a non-empty template list on entry
+        #[expect(clippy::unwrap_used, reason = "sample() asserts the templates are non-empty")]
         self.templates.last().unwrap().1.sample(db, rng)
     }
 

@@ -177,7 +177,7 @@ mod tests {
     fn strings_from_pool() {
         let g = ColumnGen::StrPool { pool: 3 };
         let mut r = rng();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for row in 0..100 {
             let Value::Str(s) = g.generate(row, 100, &mut r) else { panic!() };
             seen.insert(s);

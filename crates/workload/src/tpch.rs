@@ -173,10 +173,10 @@ pub struct Instance {
 impl Instance {
     /// The id of a table by its TPC-H name (e.g. `"lineitem"`).
     pub fn table(&self, name: &str) -> TableId {
+        #[expect(clippy::panic, reason = "a compile-time TPC-H name; a typo is a bug")]
         self.tables
             .iter()
             .find(|(n, _)| n == name)
-            // colt: allow(panic-policy) — lookup by compile-time TPC-H name; a typo is a programming error
             .unwrap_or_else(|| panic!("unknown table {name}"))
             .1
     }
@@ -184,11 +184,11 @@ impl Instance {
     /// A column reference by table and column name.
     pub fn col(&self, db: &Database, table: &str, column: &str) -> ColRef {
         let tid = self.table(table);
+        #[expect(clippy::panic, reason = "a compile-time TPC-H name; a typo is a bug")]
         let idx = db
             .table(tid)
             .schema
             .column_index(column)
-            // colt: allow(panic-policy) — lookup by compile-time TPC-H name; a typo is a programming error
             .unwrap_or_else(|| panic!("unknown column {table}.{column}"));
         ColRef::new(tid, idx)
     }
@@ -223,6 +223,7 @@ pub fn generate(scale: f64, seed: u64) -> TpchData {
             );
             let tid = db.add_table(schema);
             let rows = def.base_rows;
+            #[expect(clippy::expect_used, reason = "table_defs() pairs generators with types")]
             db.insert_rows(
                 tid,
                 (0..rows).map(|r| {
@@ -231,7 +232,6 @@ pub fn generate(scale: f64, seed: u64) -> TpchData {
                     )
                 }),
             )
-            // colt: allow(panic-policy) — table_defs() pairs every generator with the column type it emits
             .expect("generated rows fit their schema");
             tables.push((def.name.to_string(), tid));
         }

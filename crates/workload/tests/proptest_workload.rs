@@ -2,6 +2,7 @@
 //! geometry, histogram quantiles, selectivity-targeted sampling, and
 //! workload assembly invariants. Cases come from the in-repo seeded
 //! PRNG, so every run checks the same inputs.
+#![allow(clippy::unwrap_used, reason = "test helpers may unwrap and panic")]
 
 use colt_catalog::{ColRef, Column, Database, TableId, TableSchema};
 use colt_engine::selectivity::predicate_selectivity;

@@ -4,6 +4,7 @@
 //! over them.
 //!
 //! Run with: `cargo run --release --example composite_indexes`
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an example prints and aborts")]
 
 use colt_repro::engine::{Executor, IndexSetView, Optimizer, Query, SelPred};
 use colt_repro::offline::suggest_composites;

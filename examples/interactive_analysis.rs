@@ -7,6 +7,7 @@
 //! *average* of this session; COLT re-tunes per hypothesis.
 //!
 //! Run with: `cargo run --release --example interactive_analysis`
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an example prints and aborts")]
 
 use colt_repro::prelude::*;
 use colt_repro::workload::{QueryDistribution, QueryTemplate, SelSpec, TemplateSelection};

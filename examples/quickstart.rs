@@ -2,6 +2,7 @@
 //! engine, and let COLT discover and materialize the right index.
 //!
 //! Run with: `cargo run --release --example quickstart`
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an example prints and aborts")]
 
 use colt_repro::prelude::*;
 

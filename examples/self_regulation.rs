@@ -3,6 +3,7 @@
 //! the paper's distinguishing mechanism (§5, re-budgeting).
 //!
 //! Run with: `cargo run --release --example self_regulation`
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an example prints and aborts")]
 
 use colt_repro::prelude::*;
 use colt_repro::workload::{QueryDistribution, QueryTemplate, SelSpec, TemplateSelection};

@@ -3,6 +3,7 @@
 //! interface COLT profiles through (paper §3, EQO).
 //!
 //! Run with: `cargo run --release --example whatif_explorer`
+#![allow(clippy::expect_used, clippy::print_stdout, reason = "an example prints and aborts")]
 
 use colt_repro::prelude::*;
 

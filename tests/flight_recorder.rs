@@ -2,6 +2,7 @@
 //! recording level produces a decision ledger that explains every index
 //! the tuner built or dropped, a per-epoch time series aligned with the
 //! trace's epoch axis, and cross-checks against the plain counters.
+#![allow(clippy::expect_used, reason = "test helpers may unwrap and panic")]
 
 use colt_repro::colt::ColtConfig;
 use colt_repro::harness::{explaining_knapsack, parse_candidates, Experiment, Policy};

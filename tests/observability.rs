@@ -11,6 +11,7 @@
 //!   nothing — the samples are identical with and without recording;
 //! * the work a run does, in counted units and simulated totals, is
 //!   pinned exactly.
+#![allow(clippy::expect_used, reason = "test helpers may unwrap and panic")]
 
 use colt_repro::colt::ColtConfig;
 use colt_repro::harness::{component_breakdown, Experiment, Policy};
