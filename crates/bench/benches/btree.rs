@@ -16,8 +16,16 @@
 //! the same estimate comparing `Value`s, and a scan kernel that counts a
 //! window must beat the one that selects it, again in this process.
 //! `Eqo::optimize` beside the bare optimizer, a string column's index
-//! build and range scan, and a hash join's cost per probe row, are
-//! printed, not gated.
+//! build and range scan, a date range's select at `joins`' selectivities
+//! and a hash join's cost per probe row, are printed, not gated.
+//!
+//! Every scan row here replays one 6 000-row column thousands of times,
+//! so the branch predictor learns its pattern: that flatters a select
+//! that branches on the data, as the date range's 32-row mask select
+//! does (≈ 0.25 ns/row at 2–6 % here, ≈ 0.65 on the `joins` stream's own
+//! date predicates; EXPERIMENTS.md, "Hash joins write only what a
+//! consumer reads"). Size such a select on stream data, not on these
+//! rows.
 #![allow(
     clippy::disallowed_methods,
     clippy::expect_used,
@@ -294,9 +302,10 @@ fn bench_stats_selectivity() -> bool {
 
 /// Benchmarks `Kernel::select` and, beside it, `Kernel::count` per row
 /// over a 6 000-row column, a scan window at a time, for ranges keeping
-/// 0.3 %, 10 % and 50 % of the rows, and `Kernel::count` of an `Int`
-/// equality (ungated); false when counting a column is not faster than
-/// selecting from it.
+/// 0.3 %, 10 % and 50 % of the rows, and, ungated, `Kernel::count` of an
+/// `Int` equality and `Kernel::select` of date ranges keeping 2 % and
+/// 6 % (`joins`' range); false when counting a column is not faster
+/// than selecting from it.
 fn bench_kernel_scan() -> bool {
     const ROWS: usize = 6_000;
     // Row `i` holds key `i · 3 539 mod 6 000`, a permutation of the
@@ -307,23 +316,28 @@ fn bench_kernel_scan() -> bool {
     let dates: Vec<i32> = keys.iter().map(|&k| date(k)).collect();
     let floats: Vec<f64> = keys.iter().map(|&k| float(k)).collect();
     let windows = || (0..ROWS).step_by(BATCH_ROWS).map(|start| start..(start + BATCH_ROWS).min(ROWS));
+    // A range keeping `kept` rows, and a call selecting them a window at
+    // a time.
+    fn kernel_of<'a>(cells: ColumnSlice<'a>, value: &dyn Fn(i64) -> Value, n: i64) -> Kernel<'a> {
+        let col = ColRef::new(TableId(0), 0);
+        Kernel::compile(&SelPred::between(col, value(1_000), value(1_000 + n - 1)), cells)
+    }
+    let sel = std::cell::RefCell::new(Vec::new());
+    let select = |kernel: &Kernel<'_>, kept: i64| {
+        let sel = &mut *sel.borrow_mut();
+        let selected: usize = (windows())
+            .map(|window| {
+                kernel.select(window, sel);
+                black_box(&*sel).len()
+            })
+            .sum();
+        assert_eq!(selected, kept as usize);
+    };
     let scan = |name: &str, column: ColumnSlice<'_>, literal: &dyn Fn(i64) -> Value| {
         let (mut select_ns, mut count_ns) = (0.0, 0.0);
         for (label, kept) in [("0.3%", 18), ("10%", 600), ("50%", 3_000)] {
-            let col = ColRef::new(TableId(0), 0);
-            let pred = SelPred::between(col, literal(1_000), literal(1_000 + kept - 1));
-            let kernel = Kernel::compile(&pred, column);
-            let sel = std::cell::RefCell::new(Vec::new());
-            let select = || {
-                let sel = &mut *sel.borrow_mut();
-                let selected: usize = (windows())
-                    .map(|window| {
-                        kernel.select(window, sel);
-                        black_box(&*sel).len()
-                    })
-                    .sum();
-                assert_eq!(selected, kept as usize);
-            };
+            let kernel = kernel_of(column, literal, kept);
+            let select = || select(&kernel, kept);
             let count = || {
                 let counted: usize = windows().map(|window| black_box(kernel.count(window))).sum();
                 assert_eq!(counted, kept as usize);
@@ -345,7 +359,14 @@ fn bench_kernel_scan() -> bool {
     let count = || assert_eq!(windows().map(|window| black_box(kernel.count(window))).sum::<usize>(), 1);
     let ns = fastest(2_000, &[&count])[0];
     println!("  {:<44} {:>8.2} ns/row", "kernel/count/int_eq", ns / ROWS as f64);
-    let date = scan("date", ColumnSlice::Date(&dates), &|k| Value::Date(date(k)));
+    let date_literal = |k| Value::Date(date(k));
+    let date = scan("date", ColumnSlice::Date(&dates), &date_literal);
+    for (label, kept) in [("2%", 120), ("6%", 360)] {
+        let kernel = kernel_of(ColumnSlice::Date(&dates), &date_literal, kept);
+        let ns = fastest(2_000, &[&|| select(&kernel, kept)])[0];
+        let line = format!("kernel/select/date/{label}");
+        println!("  {line:<44} {:>8.2} ns/row", ns / ROWS as f64);
+    }
     let float = scan("float", ColumnSlice::Float(&floats), &|k| Value::Float(float(k)));
     int && date && float
 }
@@ -398,8 +419,12 @@ fn bench_strings() {
 /// of `n` rows matches `n` probe rows, spread over every window. The
 /// `int` row takes the offset slot rule (its build's codes span fewer
 /// slots than it may fill), the others the hashed one: `int_spread`'s
-/// span is 2^40 times as wide. Fastest of three interleaved rounds; not
-/// gated.
+/// span is 2^40 times as wide. Two variants beside each: `filtered`,
+/// whose probe scan keeps the half of the days from 8 000 (listed ids
+/// in place of a dense table), and `emitting`, whose join is the probe
+/// of a third table's 120 rows on the same key, so it gathers its
+/// matches into ids for that root to read. Fastest of three interleaved
+/// rounds; not gated.
 fn bench_hash_join() {
     const PROBE_ROWS: i64 = 6_000;
     let columns = || {
@@ -416,31 +441,44 @@ fn bench_hash_join() {
     let probe = db.add_table(TableSchema::new("probe", columns()));
     let keys = (0..PROBE_ROWS).map(|i| row(i * 3_539 % PROBE_ROWS));
     db.insert_rows(probe, keys).expect("the rows have the schema's types");
-    let builds = [120, 1_500].map(|n: i64| {
-        let build = db.add_table(TableSchema::new(format!("build_{n}"), columns()));
-        db.insert_rows(build, (0..n).map(row)).expect("the rows have the schema's types");
-        (n, build)
-    });
+    let [build_120, build_1_500, third] = [("build", 120), ("build", 1_500), ("third", 120)]
+        .map(|(name, n): (&str, i64)| {
+            let table = db.add_table(TableSchema::new(format!("{name}_{n}"), columns()));
+            db.insert_rows(table, (0..n).map(row)).expect("the rows have the schema's types");
+            table
+        });
     let config = PhysicalConfig::new();
     let executor = Executor::new(&db, &config);
-    let scan =
-        |table| PlanNode::Scan { table, path: AccessPath::SeqScan, est_rows: 0.0, est_cost: 0.0 };
+    let scan = |table| {
+        Box::new(PlanNode::Scan { table, path: AccessPath::SeqScan, est_rows: 0.0, est_cost: 0.0 })
+    };
+    let join =
+        |build, probe, on| PlanNode::HashJoin { build, probe, on, est_rows: 0.0, est_cost: 0.0 };
+    // The half of the days from 8 000: probe keys `k` with `k mod 2 500 < 1 250`.
+    let day = ColRef::new(probe, 2);
+    let half = SelPred::between(day, Value::Date(8_000), Value::Date(8_000 + 1_249));
     let keys = [("int", &[0][..]), ("int_spread", &[3]), ("str", &[1]), ("two_keys", &[0, 2])];
     for (name, key) in keys {
-        let joins = builds.map(|(n, build)| {
+        let on = |build: TableId| -> Vec<JoinPred> {
             let pair = |c| JoinPred::new(ColRef::new(build, c), ColRef::new(probe, c));
-            let on: Vec<JoinPred> = key.iter().map(|&c| pair(c)).collect();
-            let query = Query::join(vec![build, probe], on.clone(), Vec::new());
-            let root = PlanNode::HashJoin {
-                build: Box::new(scan(build)),
-                probe: Box::new(scan(probe)),
-                on,
-                est_rows: 0.0,
-                est_cost: 0.0,
-            };
-            (query, Plan { root, selectivities: Vec::new() }, n as u64)
+            key.iter().map(|&c| pair(c)).collect()
+        };
+        // Per variant, per build: the query, its plan, and its row count.
+        let variants = [(build_120, 120), (build_1_500, 1_500)].map(|(build, n)| {
+            let plan = |root, sels: usize| Plan { root, selectivities: vec![1.0; sels] };
+            let plain = join(scan(build), scan(probe), on(build));
+            let query = Query::join(vec![build, probe], on(build), Vec::new());
+            let filtered = Query { selections: vec![half.clone()], ..query.clone() };
+            let emitting = join(scan(third), Box::new(plain.clone()), on(third));
+            let three = [on(build), on(third)].concat();
+            [
+                (query, plan(plain.clone(), 0), n),
+                (filtered, plan(plain, 1), n.min(1_250)),
+                (Query::join(vec![build, probe, third], three, Vec::new()), plan(emitting, 0), 120),
+            ]
         });
-        let calls: Vec<_> = (joins.iter())
+        let calls: Vec<_> = (0..3)
+            .flat_map(|v| variants.iter().map(move |builds| &builds[v]))
             .map(|(query, plan, matches)| {
                 move || {
                     let out = executor.execute(black_box(query), plan, Collect::CountOnly);
@@ -448,13 +486,16 @@ fn bench_hash_join() {
                 }
             })
             .collect();
-        let ns = fastest(200, &[&calls[0], &calls[1]]);
-        println!(
-            "  {:<44} {:>8.2} ns/probe row against 120 build rows, {:.2} against 1 500",
-            format!("exec/hash_join/{name}"),
-            ns[0] / PROBE_ROWS as f64,
-            ns[1] / PROBE_ROWS as f64
-        );
+        let calls: Vec<&dyn Fn()> = calls.iter().map(|call| call as &dyn Fn()).collect();
+        let ns = fastest(200, &calls);
+        for (variant, ns) in ["", "/filtered", "/emitting"].iter().zip(ns.chunks(2)) {
+            println!(
+                "  {:<44} {:>8.2} ns/probe row against 120 build rows, {:.2} against 1 500",
+                format!("exec/hash_join/{name}{variant}"),
+                ns[0] / PROBE_ROWS as f64,
+                ns[1] / PROBE_ROWS as f64
+            );
+        }
     }
 }
 

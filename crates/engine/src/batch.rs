@@ -4,13 +4,17 @@
 //! and materializes late: an operator's output is a [`RowIds`] — per
 //! table of its slice of the plan's table order, the heap row each
 //! output row takes that table's columns from — and no operator copies
-//! a cell. Scans append the selection vectors their kernels produce;
-//! joins read their keys straight from the heap's typed columns through
-//! those ids ([`KeyCol`]) and chain them ([`Chains`]) under a slot key:
-//! a single `Int` or `Date` key's code less the build's least, when the
-//! build's codes span few enough slots, else the key's hash, a column at
-//! a time ([`hash_keys`]; [`SlotRule`]). `Value`s are built where a
-//! consumer asks for them, at the plan root ([`RowIds::extend_rows`]).
+//! a cell. Ids are written only where a consumer reads them: a
+//! predicate-free scan's output is its whole table, *dense*, with no ids;
+//! other scans append their kernels' selection vectors; a join gathers
+//! its inputs' ids through its matching row pairs ([`Matches`]), or only
+//! counts them at a [`crate::Collect::CountOnly`] root. Joins read their
+//! keys straight from the heap's typed columns ([`KeyCol`]) and chain
+//! them ([`Chains`]) under a slot key: a single `Int` or `Date` key's
+//! code less the build's least, when the build's codes span few enough
+//! slots, else the key's hash, a column at a time ([`hash_keys`];
+//! [`SlotRule`]). `Value`s are built where a consumer asks for them, at
+//! the plan root ([`RowIds::extend_rows`]).
 //!
 //! None of this affects the cost model: [`colt_storage::IoStats`] is
 //! charged per page and per tuple *processed*, which is invariant to
@@ -18,6 +22,7 @@
 //! "Vectorized execution").
 
 use colt_storage::{ColumnSlice, KeyCode, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -25,22 +30,34 @@ use std::ops::Range;
 /// small enough that a batch's working vectors stay cache-resident.
 pub const BATCH_ROWS: usize = 1024;
 
-/// One operator's output: the row count and, per table of the subtree's
-/// layout (its tables in output order), the heap row id behind each
-/// output row. An operator asked only to count (a
-/// [`crate::Collect::CountOnly`] plan root) carries no id vectors at
-/// all, so [`RowIds::push`] writes nothing.
+/// One operator's output: the row count and which heap rows they are.
+/// An operator asked only to count (a [`crate::Collect::CountOnly`] plan
+/// root) lists no table at all, so nothing is written.
 #[derive(Debug)]
 pub(crate) struct RowIds {
-    ids: Vec<Vec<u32>>,
+    ids: Ids,
     count: u64,
+}
+
+#[derive(Debug)]
+enum Ids {
+    /// Rows `0..count` of the one table: a predicate-free scan's.
+    Dense,
+    /// Per table of the subtree's layout (its tables in output order),
+    /// the heap row behind each output row; no table when counted only.
+    Listed(Vec<Vec<u32>>),
 }
 
 impl RowIds {
     /// An empty output over `tables` tables; `emit` says whether the
     /// consumer reads the ids or only the count.
     pub(crate) fn new(tables: usize, emit: bool) -> Self {
-        RowIds { ids: vec![Vec::new(); if emit { tables } else { 0 }], count: 0 }
+        RowIds { ids: Ids::Listed(vec![Vec::new(); if emit { tables } else { 0 }]), count: 0 }
+    }
+
+    /// Rows `0..n` of one table, written nowhere.
+    pub(crate) fn dense(n: u64, emit: bool) -> Self {
+        RowIds { ids: if emit { Ids::Dense } else { Ids::Listed(Vec::new()) }, count: n }
     }
 
     /// Number of output rows.
@@ -50,48 +67,55 @@ impl RowIds {
 
     /// Does this output carry ids, or only the count?
     pub(crate) fn emits(&self) -> bool {
-        !self.ids.is_empty()
+        !matches!(&self.ids, Ids::Listed(tables) if tables.is_empty())
     }
 
-    /// Count `n` more rows without ids (a count-only Cartesian product).
+    /// How many ids the operator wrote: one per row and listed table.
+    pub(crate) fn written(&self) -> u64 {
+        if let Ids::Listed(tables) = &self.ids { self.count * tables.len() as u64 } else { 0 }
+    }
+
+    /// Count `n` more rows without ids (a counting scan's window).
     pub(crate) fn count_only(&mut self, n: u64) {
-        debug_assert!(!self.emits());
         self.count += n;
     }
 
     /// A scan's step: append one selection vector of its table's rows.
     pub(crate) fn push_sel(&mut self, sel: &[u32]) {
         self.count += sel.len() as u64;
-        if let Some(ids) = self.ids.first_mut() {
-            ids.extend_from_slice(sel);
+        if let Ids::Listed(tables) = &mut self.ids {
+            tables.iter_mut().for_each(|ids| ids.extend_from_slice(sel));
         }
     }
 
-    /// A predicate-free scan's step: append a window of its table's rows.
-    pub(crate) fn push_window(&mut self, window: Range<usize>) {
-        self.count += window.len() as u64;
-        if let Some(ids) = self.ids.first_mut() {
-            ids.extend(window.start as u32..window.end as u32);
-        }
+    /// A join's output: counted, or per matching pair `(l, r)` row `l`
+    /// of `left` then row `r` of `right`, gathered a table at a time.
+    pub(crate) fn joined(left: &RowIds, right: &RowIds, matches: Matches) -> Self {
+        let pairs = match matches {
+            Matches::Counted(count) => return RowIds { ids: Ids::Listed(Vec::new()), count },
+            Matches::Pairs(pairs) => pairs,
+        };
+        let mut ids = Vec::new();
+        left.gather(pairs.iter().map(|&(l, _)| l), &mut ids);
+        right.gather(pairs.iter().map(|&(_, r)| r), &mut ids);
+        RowIds { ids: Ids::Listed(ids), count: pairs.len() as u64 }
     }
 
-    /// A join's step: append one output row, its ids in layout order.
-    pub(crate) fn push(&mut self, row: impl Iterator<Item = u32>) {
-        self.count += 1;
-        for (ids, id) in self.ids.iter_mut().zip(row) {
-            ids.push(id);
+    /// Append, per table of this output, the heap rows of its rows `at`.
+    fn gather(&self, at: impl Iterator<Item = u32> + Clone, out: &mut Vec<Vec<u32>>) {
+        match &self.ids {
+            Ids::Dense => out.push(at.collect()),
+            Ids::Listed(tables) => {
+                out.extend(tables.iter().map(|ids| at.clone().map(|i| ids[i as usize]).collect()))
+            }
         }
-    }
-
-    /// The ids of output row `i`, in layout order.
-    pub(crate) fn row(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
-        self.ids.iter().map(move |ids| ids[i])
     }
 
     /// Bind a column of table `table` (a position in the layout) to
     /// this output's rows.
     pub(crate) fn key_col<'a>(&'a self, (table, cells): (usize, ColumnSlice<'a>)) -> KeyCol<'a> {
-        KeyCol { cells, rows: &self.ids[table] }
+        let rows = if let Ids::Listed(ids) = &self.ids { Some(&ids[table][..]) } else { None };
+        KeyCol { cells, rows }
     }
 
     /// Append every output row to `out` as a row-major `Vec<Value>`.
@@ -101,6 +125,10 @@ impl RowIds {
     /// [`BATCH_ROWS`] window at a time.
     pub(crate) fn extend_rows(&self, cols: &[(usize, ColumnSlice<'_>)], out: &mut Vec<Vec<Value>>) {
         let rows = self.count as usize;
+        let ids = match &self.ids {
+            Ids::Dense => Cow::Owned(vec![(0..rows as u32).collect()]),
+            Ids::Listed(tables) => Cow::Borrowed(tables),
+        };
         out.reserve(rows);
         let mut cells: Vec<Value> = Vec::with_capacity(BATCH_ROWS.min(rows));
         for start in (0..rows).step_by(BATCH_ROWS) {
@@ -108,7 +136,7 @@ impl RowIds {
             let first = out.len();
             out.extend(window.clone().map(|_| Vec::with_capacity(cols.len())));
             for &(table, col) in cols {
-                col.gather(&self.ids[table][window.clone()], &mut cells);
+                col.gather(&ids[table][window.clone()], &mut cells);
                 for (row, cell) in out[first..].iter_mut().zip(cells.drain(..)) {
                     row.push(cell);
                 }
@@ -118,31 +146,111 @@ impl RowIds {
     }
 }
 
+/// What a join keeps of its matching `(left row, right row)` pairs: how
+/// many there are, or, when its consumer reads ids, the pairs in output
+/// order, for [`RowIds::joined`] to gather through.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Matches {
+    Counted(u64),
+    Pairs(Vec<(u32, u32)>),
+}
+
+impl Matches {
+    pub(crate) fn new(emit: bool) -> Self {
+        if emit { Matches::Pairs(Vec::new()) } else { Matches::Counted(0) }
+    }
+
+    pub(crate) fn len(&self) -> u64 {
+        match self {
+            Matches::Counted(n) => *n,
+            Matches::Pairs(pairs) => pairs.len() as u64,
+        }
+    }
+
+    /// Left row `l` matches each of the right rows `rs`.
+    pub(crate) fn extend(&mut self, l: usize, rs: &[u32]) {
+        match self {
+            Matches::Counted(n) => *n += rs.len() as u64,
+            Matches::Pairs(pairs) => pairs.extend(rs.iter().map(|&r| (l as u32, r))),
+        }
+    }
+}
+
+/// [`KeyCol::rows`] as a type: a loop over an input's cells is compiled
+/// once per representation, which [`by_rows!`] picks once per call,
+/// never per row — and a dense input's cells are read in place.
+trait RowMap: Copy {
+    /// The cells input rows `window` read, in order.
+    fn cells<T>(self, cells: &[T], window: Range<usize>) -> impl Cells<'_, T>;
+}
+
+/// An iterator over the cells of a window of input rows.
+trait Cells<'c, T: 'c>: DoubleEndedIterator<Item = &'c T> + ExactSizeIterator {}
+impl<'c, T: 'c, I: DoubleEndedIterator<Item = &'c T> + ExactSizeIterator> Cells<'c, T> for I {}
+
+/// A dense input's rows: input row `i` reads heap row `i`.
+#[derive(Debug, Clone, Copy)]
+struct Dense;
+
+impl RowMap for Dense {
+    fn cells<T>(self, cells: &[T], window: Range<usize>) -> impl Cells<'_, T> {
+        cells[window].iter()
+    }
+}
+
+impl RowMap for &[u32] {
+    fn cells<T>(self, cells: &[T], window: Range<usize>) -> impl Cells<'_, T> {
+        self[window].iter().map(move |&row| &cells[row as usize])
+    }
+}
+
+/// `$body` with `$map` bound to the [`RowMap`] of `$rows`.
+macro_rules! by_rows {
+    ($rows:expr, |$map:ident| $body:expr) => {
+        match $rows {
+            None => { let $map = Dense; $body }
+            Some(ids) => { let $map = ids; $body }
+        }
+    };
+}
+
 /// One key column of an operator input: the heap cells of the column
-/// and, per input row, the heap row to read.
+/// and which of them each input row reads — row `i` heap row `rows[i]`,
+/// or heap row `i` itself when the input is dense (`None`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct KeyCol<'a> {
     cells: ColumnSlice<'a>,
-    rows: &'a [u32],
+    rows: Option<&'a [u32]>,
 }
 
 impl KeyCol<'_> {
+    /// Number of input rows.
+    fn len(&self) -> usize {
+        self.rows.map_or(self.cells.len(), <[u32]>::len)
+    }
+
+    /// The heap row input row `i` reads: for a check made per match or
+    /// per index probe, not in a loop over the input's rows.
+    fn row(&self, i: usize) -> usize {
+        self.rows.map_or(i, |ids| ids[i] as usize)
+    }
+
     /// Input row `i`'s cell as a key code of `column`: an index probe.
     pub(crate) fn code_in(&self, i: usize, column: &ColumnSlice<'_>) -> Result<u64, Ordering> {
-        self.cells.code_in(self.rows[i] as usize, column)
+        self.cells.code_in(self.row(i), column)
     }
 
     /// Does input row `i` hold the cell `cells` has at heap row `row`?
     /// `Value`'s equality: same type, floats bit for bit.
     pub(crate) fn eq_cell(&self, i: usize, cells: &ColumnSlice<'_>, row: usize) -> bool {
-        self.cells.cells_eq(self.rows[i] as usize, cells, row)
+        self.cells.cells_eq(self.row(i), cells, row)
     }
 }
 
 /// Are the keys of `left`'s row `i` and `right`'s row `j` equal, column
 /// for column?
 pub(crate) fn keys_eq(left: &[KeyCol<'_>], i: usize, right: &[KeyCol<'_>], j: usize) -> bool {
-    left.iter().zip(right).all(|(l, r)| l.eq_cell(i, &r.cells, r.rows[j] as usize))
+    left.iter().zip(right).all(|(l, r)| l.eq_cell(i, &r.cells, r.row(j)))
 }
 
 /// 2^64 / golden ratio: an odd multiplier that spreads consecutive keys
@@ -168,24 +276,24 @@ fn mix(hash: u64, word: u64) -> u64 {
 }
 
 /// Fold one key column into the running hashes: `hashes[i]` absorbs the
-/// cell of heap row `rows[i]`. Equal cells fold equally; the type is
-/// not hashed (a cross-type key pair may collide, and then fails
+/// cell input row `window.start + i` reads. Equal cells fold equally; the
+/// type is not hashed (a cross-type key pair may collide, and then fails
 /// [`ColumnSlice::cells_eq`]). A string is hashed by its bytes, read
 /// through its column's dictionary: two tables' ranks of one string
 /// differ.
-fn hash_cells(cells: ColumnSlice<'_>, rows: &[u32], hashes: &mut [u64]) {
-    fn fold<T>(cells: &[T], rows: &[u32], hashes: &mut [u64], word: impl Fn(&T) -> u64) {
-        for (hash, &row) in hashes.iter_mut().zip(rows) {
-            *hash = mix(*hash, word(&cells[row as usize]));
+fn hash_cells(cells: ColumnSlice<'_>, map: impl RowMap, window: Range<usize>, hashes: &mut [u64]) {
+    fn fold<'c, T: 'c>(cells: impl Cells<'c, T>, hashes: &mut [u64], word: impl Fn(&T) -> u64) {
+        for (hash, x) in hashes.iter_mut().zip(cells) {
+            *hash = mix(*hash, word(x));
         }
     }
     match cells {
-        ColumnSlice::Int(c) => fold(c, rows, hashes, |&x| x as u64),
-        ColumnSlice::Float(c) => fold(c, rows, hashes, |x| x.to_bits()),
-        ColumnSlice::Date(c) => fold(c, rows, hashes, |&x| x as u32 as u64),
+        ColumnSlice::Int(c) => fold(map.cells(c, window), hashes, |&x| x as u64),
+        ColumnSlice::Float(c) => fold(map.cells(c, window), hashes, |x| x.to_bits()),
+        ColumnSlice::Date(c) => fold(map.cells(c, window), hashes, |&x| x as u32 as u64),
         ColumnSlice::Str { dict, ranks } => {
-            for (hash, &row) in hashes.iter_mut().zip(rows) {
-                let bytes = dict[ranks[row as usize] as usize].as_bytes();
+            for (hash, &rank) in hashes.iter_mut().zip(map.cells(ranks, window)) {
+                let bytes = dict[rank as usize].as_bytes();
                 // Whole words as one load each (a variable-length copy per
                 // word is a `memcpy` call), then the zero-padded tail.
                 let mut words = bytes.chunks_exact(8);
@@ -209,7 +317,7 @@ fn hash_keys(keys: &[KeyCol<'_>], window: Range<usize>, hashes: &mut Vec<u64>) {
     hashes.clear();
     hashes.resize(window.len(), 0);
     for key in keys {
-        hash_cells(key.cells, &key.rows[window.clone()], hashes);
+        by_rows!(key.rows, |map| hash_cells(key.cells, map, window.clone(), hashes));
     }
 }
 
@@ -224,64 +332,78 @@ pub(crate) enum SlotRule {
     Hashed,
 }
 
-/// The equi-join of two inputs' key columns: `hit(b, p)` for every build
-/// row `b` and probe row `p` whose keys are equal ([`keys_eq`]), probe
-/// rows in order and each one's matches in build order, as the reference
-/// emits them. The probe goes a [`BATCH_ROWS`] window at a time.
-pub(crate) fn equi_join(
-    build: &[KeyCol<'_>],
-    probe: &[KeyCol<'_>],
-    mut hit: impl FnMut(usize, usize),
-) -> SlotRule {
+/// The equi-join of two inputs' key columns into `out`: every build row
+/// `b` and probe row `p` whose keys are equal ([`keys_eq`]), as `(b, p)`
+/// pairs in probe order and each probe row's in build order, as the
+/// reference emits them — or only their number. The probe goes a
+/// [`BATCH_ROWS`] window at a time.
+pub(crate) fn equi_join(build: &[KeyCol<'_>], probe: &[KeyCol<'_>], out: &mut Matches) -> SlotRule {
     use ColumnSlice::{Date, Int};
     if let ([b], [p]) = (build, probe) {
-        let offset = match (b.cells, p.cells) {
-            (Int(bc), Int(pc)) => offset_join((bc, b.rows), (pc, p.rows), &mut hit),
-            (Date(bc), Date(pc)) => offset_join((bc, b.rows), (pc, p.rows), &mut hit),
+        let offset = by_rows!(b.rows, |bm| by_rows!(p.rows, |pm| match (b.cells, p.cells) {
+            (Int(bc), Int(pc)) => offset_join((bc, bm, b.len()), (pc, pm, p.len()), out),
+            (Date(bc), Date(pc)) => offset_join((bc, bm, b.len()), (pc, pm, p.len()), out),
             _ => false,
-        };
+        }));
         if offset {
             return SlotRule::Offset;
         }
     }
-    hashed_join(build, probe, hit);
+    match out {
+        Matches::Counted(n) => hashed_join(build, probe, |_, _| *n += 1),
+        Matches::Pairs(pairs) => hashed_join(build, probe, |b, p| pairs.push((b as u32, p as u32))),
+    }
     SlotRule::Hashed
 }
 
 /// The offset rule, taken when the build's key codes span no more slots
 /// than [`SLOTS_PER_ROW`] per build row or one per probe row — so the
 /// table costs no more to fill than the hashed rule's or than the probe
-/// that reads it. A row chains under `code − min`, `min` the build's
-/// least code: each build code has a slot of its own, so a chain holds
-/// one code, and within one type equal codes are equal cells
-/// ([`KeyCode`] round-trips) — every chained row is a match, with no
-/// hash and no [`keys_eq`]. `false`, with nothing called, when the span
-/// is wider.
+/// that reads it. A row's slot key is `code − min`, `min` the build's
+/// least code: each build code has a slot of its own, and within one
+/// type equal codes are equal cells ([`KeyCode`] round-trips) — every
+/// build row under a probe row's slot is a match, with no hash and no
+/// [`keys_eq`]. Counted, the table holds how many build rows each code
+/// has, summed over the probe; emitting, it chains them ([`Chains`]).
+/// `false`, with nothing matched, when the span is wider.
 fn offset_join<T: KeyCode>(
-    (build, build_rows): (&[T], &[u32]),
-    (probe, probe_rows): (&[T], &[u32]),
-    hit: &mut impl FnMut(usize, usize),
+    (build, bm, builds): (&[T], impl RowMap, usize),
+    (probe, pm, probes): (&[T], impl RowMap, usize),
+    matches: &mut Matches,
 ) -> bool {
-    let code = |cells: &[T], row: u32| -> u64 { cells[row as usize].code().into() };
-    let codes = build_rows.iter().map(|&row| code(build, row));
-    let (min, max) = codes.fold((u64::MAX, 0), |(min, max), c| (min.min(c), max.max(c)));
+    let code = |x: &T| -> u64 { x.code().into() };
+    let codes = || bm.cells(build, 0..builds).map(code);
+    let (min, max) = codes().fold((u64::MAX, 0), |(min, max), c| (min.min(c), max.max(c)));
     let span = max.saturating_sub(min);
-    if span >= (SLOTS_PER_ROW * build_rows.len()).max(probe_rows.len()) as u64 {
+    if span >= (SLOTS_PER_ROW * builds).max(probes) as u64 {
         return false;
     }
-    let keys = build_rows.iter().map(|&row| code(build, row) - min);
-    let chains = Chains::build(keys, (span as usize + 1).next_power_of_two());
-    let mut heads = Vec::new();
-    for start in (0..probe_rows.len()).step_by(BATCH_ROWS) {
-        let window = &probe_rows[start..(start + BATCH_ROWS).min(probe_rows.len())];
-        // A key past the span, or a code below `min` wrapped past
-        // `u64::MAX`, may share a slot but never a code.
-        let found = slot_pass(&chains.heads, window, &mut heads, move |row| {
-            let key = code(probe, row).wrapping_sub(min);
-            (key, key <= span)
-        });
-        for &(i, at) in &heads[..found] {
-            chains.walk(at, |b| hit(b, start + i as usize));
+    let slots = (span as usize + 1).next_power_of_two();
+    // A key past the span, or a code below `min` wrapped past
+    // `u64::MAX`, may share a slot but never a code.
+    let key = move |x: &T| {
+        let key = code(x).wrapping_sub(min);
+        (key, key <= span)
+    };
+    match matches {
+        Matches::Counted(n) => {
+            let mut counts = vec![0u32; slots];
+            codes().for_each(|c| counts[(c - min) as usize] += 1);
+            let count = |(key, can_match): (u64, bool)| {
+                u64::from(counts[key as usize & (slots - 1)]) * u64::from(can_match)
+            };
+            *n += pm.cells(probe, 0..probes).map(key).map(count).sum::<u64>();
+        }
+        Matches::Pairs(pairs) => {
+            let chains = Chains::build(codes().map(|c| c - min), slots);
+            let mut heads = Vec::new();
+            for start in (0..probes).step_by(BATCH_ROWS) {
+                let window = pm.cells(probe, start..(start + BATCH_ROWS).min(probes));
+                let found = slot_pass(&chains.heads, window.map(key), &mut heads);
+                for &(i, at) in &heads[..found] {
+                    chains.walk(at, |b| pairs.push((b as u32, start as u32 + i)));
+                }
+            }
         }
     }
     true
@@ -291,7 +413,7 @@ fn offset_join<T: KeyCode>(
 /// ([`hash_keys`]), and a chained row matches a probe row only if the
 /// hashes and then the cells ([`keys_eq`]) are equal.
 fn hashed_join(build: &[KeyCol<'_>], probe: &[KeyCol<'_>], mut hit: impl FnMut(usize, usize)) {
-    let rows = |keys: &[KeyCol<'_>]| keys.first().map_or(0, |k| k.rows.len());
+    let rows = |keys: &[KeyCol<'_>]| keys.first().map_or(0, KeyCol::len);
     let mut build_hashes = Vec::new();
     hash_keys(build, 0..rows(build), &mut build_hashes);
     let slots = (build_hashes.len() * SLOTS_PER_ROW).next_power_of_two();
@@ -300,7 +422,7 @@ fn hashed_join(build: &[KeyCol<'_>], probe: &[KeyCol<'_>], mut hit: impl FnMut(u
     let (mut hashes, mut heads) = (Vec::new(), Vec::new());
     for start in (0..probe_rows).step_by(BATCH_ROWS) {
         hash_keys(probe, start..(start + BATCH_ROWS).min(probe_rows), &mut hashes);
-        let found = slot_pass(&chains.heads, &hashes, &mut heads, |hash| (hash, true));
+        let found = slot_pass(&chains.heads, hashes.iter().map(|&hash| (hash, true)), &mut heads);
         for &(i, at) in &heads[..found] {
             let (p, hash) = (start + i as usize, hashes[i as usize]);
             chains.walk(at, |b| {
@@ -312,27 +434,25 @@ fn hashed_join(build: &[KeyCol<'_>], probe: &[KeyCol<'_>], mut hit: impl FnMut(u
     }
 }
 
-/// One probe window's slot pass: `key(k)` is the slot key of probe row
-/// `i`'s `k = keys[i]` and whether it can match at all. Every row's slot
-/// head goes to `out`, and the cursor passes the candidates only — an
-/// occupied slot and a key that can match — like `Kernel::select`, so
-/// nothing branches on the data before a chain is known to be there;
-/// returns how many there are. Out of line on purpose: inlined into
+/// One probe window's slot pass over `keys`: per probe row `i`, its
+/// slot key and whether it can match at all. Every row's slot head goes
+/// to `out`, and the cursor passes the candidates only — an occupied
+/// slot and a key that can match — like `Kernel::select`, so nothing
+/// branches on the data before a chain is known to be there; returns how
+/// many there are. Out of line on purpose: inlined into
 /// `Executor::run_node`, the cursor lived on the stack, a load and a
 /// store per row, and the pass ran at 3–4.5 ns/row instead of ≈ 1
 /// (DESIGN.md §5, "Hash tables").
 #[inline(never)]
-fn slot_pass<K: Copy>(
+fn slot_pass(
     heads: &[u32],
-    keys: &[K],
+    keys: impl ExactSizeIterator<Item = (u64, bool)>,
     out: &mut Vec<(u32, u32)>,
-    key: impl Fn(K) -> (u64, bool),
 ) -> usize {
     out.clear();
     out.resize(keys.len(), (0, NO_ROW));
     let mut found = 0;
-    for (i, &k) in keys.iter().enumerate() {
-        let (key, can_match) = key(k);
+    for (i, (key, can_match)) in keys.enumerate() {
         let head = heads[key as usize & (heads.len() - 1)];
         out[found] = (i as u32, head);
         found += usize::from((head != NO_ROW) & can_match);
@@ -395,12 +515,15 @@ mod tests {
         heap
     }
 
-    /// The finished key hashes of one column's rows `0..len`.
+    /// The finished key hashes of one column's rows `0..len`, read in
+    /// place and through their ids alike.
     fn hashes_of(cells: ColumnSlice<'_>) -> Vec<u64> {
-        let rows: Vec<u32> = (0..cells.len() as u32).collect();
-        let mut hashes = Vec::new();
-        hash_keys(&[KeyCol { cells, rows: &rows }], 0..rows.len(), &mut hashes);
-        hashes
+        let ids: Vec<u32> = (0..cells.len() as u32).collect();
+        let [mut dense, mut listed] = [Vec::new(), Vec::new()];
+        hash_keys(&[KeyCol { cells, rows: None }], 0..ids.len(), &mut dense);
+        hash_keys(&[KeyCol { cells, rows: Some(&ids) }], 0..ids.len(), &mut listed);
+        assert_eq!(dense, listed);
+        dense
     }
 
     #[test]
@@ -445,8 +568,8 @@ mod tests {
         let days: Vec<i32> = (0..1024).map(|i| 8_000 + i * 1024).collect();
         for ints in [vec![7i64; 1024], (0..1024).map(|i| i << 20).collect()] {
             let keys = [
-                KeyCol { cells: ColumnSlice::Int(&ints), rows: &rows },
-                KeyCol { cells: ColumnSlice::Date(&days), rows: &rows },
+                KeyCol { cells: ColumnSlice::Int(&ints), rows: Some(&rows) },
+                KeyCol { cells: ColumnSlice::Date(&days), rows: None },
             ];
             let mut hashes = Vec::new();
             hash_keys(&keys, 0..1024, &mut hashes);
@@ -478,8 +601,8 @@ mod tests {
         let rows = [0u32, 1, 2];
         let (a, b) = ([1i64, 1, 2], [5i32, 6, 5]);
         let keys = [
-            KeyCol { cells: ColumnSlice::Int(&a), rows: &rows },
-            KeyCol { cells: ColumnSlice::Date(&b), rows: &rows },
+            KeyCol { cells: ColumnSlice::Int(&a), rows: Some(&rows) },
+            KeyCol { cells: ColumnSlice::Date(&b), rows: Some(&rows) },
         ];
         let mut two = Vec::new();
         hash_keys(&keys, 0..3, &mut two);
@@ -496,7 +619,7 @@ mod tests {
         let chains = Chains::build(hashes.iter().copied(), 64);
         let candidates = |chains: &Chains, hash: u64| {
             let (mut heads, mut rows) = (Vec::new(), Vec::new());
-            let found = slot_pass(&chains.heads, &[hash], &mut heads, |hash| (hash, true));
+            let found = slot_pass(&chains.heads, [(hash, true)].into_iter(), &mut heads);
             for &(_, at) in &heads[..found] {
                 chains.walk(at, |row| rows.push(row));
             }
@@ -515,13 +638,39 @@ mod tests {
     /// The equi-join as a nested loop over [`keys_eq`] (`cells_eq` per
     /// column): `(build row, probe row)` pairs, probe-major and
     /// build-ascending.
-    fn nested_loop(build: &[KeyCol<'_>], probe: &[KeyCol<'_>]) -> Vec<(usize, usize)> {
-        let (builds, probes) = (build[0].rows.len(), probe[0].rows.len());
+    fn nested_loop(build: &[KeyCol<'_>], probe: &[KeyCol<'_>]) -> Vec<(u32, u32)> {
+        let (builds, probes) = (build[0].len() as u32, probe[0].len() as u32);
         (0..probes)
             .flat_map(|p| {
-                (0..builds).filter(move |&b| keys_eq(build, b, probe, p)).map(move |b| (b, p))
+                let eq = move |&b: &u32| keys_eq(build, b as usize, probe, p as usize);
+                (0..builds).filter(eq).map(move |b| (b, p))
             })
             .collect()
+    }
+
+    /// [`equi_join`] emitting and counting: the pairs must be `want`, the
+    /// count their number, and both take one rule, which is returned.
+    fn joined(
+        build: &[KeyCol<'_>],
+        probe: &[KeyCol<'_>],
+        want: &[(u32, u32)],
+        at: &str,
+    ) -> SlotRule {
+        let (mut pairs, mut counted) = (Matches::new(true), Matches::new(false));
+        let rule = equi_join(build, probe, &mut pairs);
+        assert_eq!(pairs, Matches::Pairs(want.to_vec()), "{at}: emitted");
+        assert_eq!(equi_join(build, probe, &mut counted), rule, "{at}: counted");
+        assert_eq!(counted, Matches::Counted(want.len() as u64), "{at}: counted");
+        rule
+    }
+
+    /// A one-column heap holding the cells `ids` pick from `cells`, in
+    /// order: the input those ids list, as a dense one.
+    fn dense_copy(cells: &ColumnSlice<'_>, ids: &[u32]) -> HeapTable {
+        let mut heap = HeapTable::new(&[cells.value_type()]);
+        let rows = ids.iter().map(|&i| row_from(vec![cells.get(i as usize).unwrap()]));
+        heap.insert_rows(rows).unwrap();
+        heap
     }
 
     #[test]
@@ -553,7 +702,8 @@ mod tests {
         let mut pair_hashes = Vec::new();
         let all: Vec<u32> = (0..21).collect();
         let pairs = [(ColumnSlice::Int(&firsts), &all), (ColumnSlice::Int(&seconds), &all)];
-        hash_keys(&pairs.map(|(cells, rows)| KeyCol { cells, rows }), 0..21, &mut pair_hashes);
+        let pairs = pairs.map(|(cells, rows)| KeyCol { cells, rows: Some(rows) });
+        hash_keys(&pairs, 0..21, &mut pair_hashes);
         pair_hashes.dedup();
         assert_eq!(pair_hashes.len(), 3, "seven keys per full hash");
         assert!(pair_hashes.iter().all(|h| h & 0x3fff == pair_hashes[0] & 0x3fff));
@@ -597,19 +747,38 @@ mod tests {
                         (ids(&build_draws, build_cols), ids(&probe_draws, probe_cols));
                     fn keys<'a>(cols: &[ColumnSlice<'a>], ids: &'a [Vec<u32>]) -> Vec<KeyCol<'a>> {
                         (cols.iter().zip(ids))
-                            .map(|(&cells, rows)| KeyCol { cells, rows })
+                            .map(|(&cells, rows)| KeyCol { cells, rows: Some(rows) })
                             .collect()
                     }
                     let (build, probe) =
                         (keys(build_cols, &build_ids), keys(probe_cols, &probe_ids));
-                    let mut got = Vec::new();
-                    let rule = equi_join(&build, &probe, |b, p| got.push((b, p)));
-                    assert_eq!(got, nested_loop(&build, &probe), "{name}: {builds} x {probes}");
+                    let want = nested_loop(&build, &probe);
+                    // Each input also as a predicate-free scan's: its
+                    // cells copied into columns of their own, read in place.
+                    let dense = |cols: &[ColumnSlice<'_>], ids: &[Vec<u32>]| -> Vec<HeapTable> {
+                        cols.iter().zip(ids).map(|(cells, ids)| dense_copy(cells, ids)).collect()
+                    };
+                    let build_heaps = dense(build_cols, &build_ids);
+                    let probe_heaps = dense(probe_cols, &probe_ids);
+                    fn in_place(heaps: &[HeapTable]) -> Vec<KeyCol<'_>> {
+                        let cells = heaps.iter().map(|h| h.column(0).unwrap());
+                        cells.map(|cells| KeyCol { cells, rows: None }).collect()
+                    }
+                    let dense_build = in_place(&build_heaps);
+                    let dense_probe = in_place(&probe_heaps);
                     // These cells span far too wide for offsets; only a
                     // build of at most one row spans none.
                     let offset = matches!(*name, "int" | "date") && builds <= 1;
-                    assert_eq!(rule == SlotRule::Offset, offset, "{name}: {builds} x {probes}");
-                    matched += got.len();
+                    for (b, p, how) in [
+                        (&build, &probe, "listed x listed"),
+                        (&dense_build, &probe, "dense x listed"),
+                        (&build, &dense_probe, "listed x dense"),
+                        (&dense_build, &dense_probe, "dense x dense"),
+                    ] {
+                        let ctx = format!("{name}: {builds} x {probes}, {how}");
+                        assert_eq!(joined(b, p, &want, &ctx) == SlotRule::Offset, offset, "{ctx}");
+                    }
+                    matched += want.len();
                 }
             }
             assert_eq!(matched > 0, *name != "int = date", "{name}: {matched} pairs");
@@ -658,15 +827,21 @@ mod tests {
                     let (build_days, probe_days) = (days(&build), days(&probe));
                     let (build_rows, probe_rows): (Vec<u32>, Vec<u32>) =
                         ((0..builds as u32).collect(), (0..probes as u32).collect());
-                    let key = |ints, days, rows| {
-                        [KeyCol { cells: if date { Date(days) } else { Int(ints) }, rows }]
+                    // Each input listed (ids `0..n`) and dense.
+                    let key = |ints, days, ids| {
+                        let cells = if date { Date(days) } else { Int(ints) };
+                        [Some(ids), None].map(|rows| [KeyCol { cells, rows }])
                     };
-                    let build = key(&build, &build_days, &build_rows);
-                    let probe = key(&probe, &probe_days, &probe_rows);
-                    let mut got = Vec::new();
+                    let builds_as = key(&build, &build_days, &build_rows);
+                    let probes_as = key(&probe, &probe_days, &probe_rows);
+                    let want = nested_loop(&builds_as[0], &probes_as[0]);
                     let ctx = format!("date {date}, {builds} x {probes} from {lo}, span {span}");
-                    assert_eq!(equi_join(&build, &probe, |b, p| got.push((b, p))), rule, "{ctx}");
-                    assert_eq!(got, nested_loop(&build, &probe), "{ctx}");
+                    for (b, build) in builds_as.iter().enumerate() {
+                        for (p, probe) in probes_as.iter().enumerate() {
+                            let ctx = format!("{ctx}, dense build {}, probe {}", b == 1, p == 1);
+                            assert_eq!(joined(build, probe, &want, &ctx), rule, "{ctx}");
+                        }
+                    }
                 }
             }
         }
@@ -676,27 +851,34 @@ mod tests {
     fn empty_batch_is_fine() {
         for emit in [false, true] {
             let ids = RowIds::new(2, emit);
-            assert_eq!((ids.count(), ids.emits()), (0, emit));
+            assert_eq!((ids.count(), ids.emits(), ids.written()), (0, emit, 0));
             let mut rows = Vec::new();
             ids.extend_rows(&[], &mut rows);
             assert!(rows.is_empty());
         }
-        // Counting without ids: pushes move the count and write nothing.
+        // Counting without ids: scans and joins move the count and write
+        // nothing; a dense scan writes nothing either way.
         let mut counted = RowIds::new(2, false);
         counted.push_sel(&[4, 9]);
-        counted.push([1, 2].into_iter());
         counted.count_only(5);
-        assert_eq!((counted.count(), counted.emits()), (8, false));
+        assert_eq!((counted.count(), counted.emits(), counted.written()), (7, false, 0));
+        let dense = RowIds::dense(3, true);
+        let joined = RowIds::joined(&dense, &dense, Matches::Counted(4));
+        assert_eq!((joined.count(), joined.emits(), joined.written()), (4, false, 0));
+        assert_eq!((dense.count(), dense.emits(), dense.written()), (3, true, 0));
+        assert!(!RowIds::dense(3, false).emits());
     }
 
     #[test]
     fn extend_rows_honors_selection() {
-        // Two tables; the output takes rows (1, 0) then (3, 0) of them.
+        // Two tables; the output takes rows (1, 0) then (3, 0) of them:
+        // a listed input's rows 0 and 2 paired with a dense one's row 0.
         let (a, b) = ([10i64, 11, 12, 13], str_heap(&["x"]));
-        let mut ids = RowIds::new(2, true);
-        ids.push([1, 0].into_iter());
-        ids.push([3, 0].into_iter());
-        assert_eq!(ids.row(1).collect::<Vec<_>>(), [3, 0]);
+        let mut left = RowIds::new(1, true);
+        left.push_sel(&[1, 2, 3]);
+        let pairs = Matches::Pairs(vec![(0, 0), (2, 0)]);
+        let ids = RowIds::joined(&left, &RowIds::dense(1, true), pairs);
+        assert_eq!((ids.count(), ids.written()), (2, 4));
         let cols = [(0, ColumnSlice::Int(&a)), (1, b.column(0).unwrap()), (0, ColumnSlice::Int(&a))];
         let mut rows = vec![vec![Value::Int(-1)]];
         ids.extend_rows(&cols, &mut rows);
@@ -708,5 +890,9 @@ mod tests {
                 vec![Value::Int(13), Value::from("x"), Value::Int(13)],
             ]
         );
+        // A dense output materializes its table's rows in order.
+        let mut rows = Vec::new();
+        RowIds::dense(4, true).extend_rows(&[(0, ColumnSlice::Int(&a))], &mut rows);
+        assert_eq!(rows, [10, 11, 12, 13].map(|i| vec![Value::Int(i)]));
     }
 }

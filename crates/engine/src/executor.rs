@@ -10,10 +10,10 @@
 //! compiled once per scan into a [`Kernel`] over its column's native
 //! slice and evaluated over a whole window into a selection vector, the
 //! scan's output *is* those selection vectors, and a join reads its
-//! keys from the heap columns through its inputs' ids. One switch,
-//! `emit`, says whether an operator's consumer reads the ids at all: it
-//! is off only at a [`Collect::CountOnly`] plan root, which then counts
-//! and writes nothing (see `Executor::run`).
+//! keys from the heap columns through its inputs' ids (a predicate-free
+//! scan's, none: it is its whole table). One switch, `emit`, says whether
+//! an operator's consumer reads the ids at all: it is off only at a
+//! [`Collect::CountOnly`] plan root, which counts and writes nothing.
 //!
 //! None of this changes what is *charged*: every operator charges
 //! [`IoStats`] per page and per tuple processed, which is invariant to
@@ -21,7 +21,7 @@
 //! wall-clock time every experiment reports — is byte-identical to the
 //! row-at-a-time reference implementation in [`crate::rowwise`].
 
-use crate::batch::{equi_join, KeyCol, RowIds, BATCH_ROWS};
+use crate::batch::{equi_join, KeyCol, Matches, RowIds, BATCH_ROWS};
 use crate::error::ExecError;
 use crate::kernel::Kernel;
 use crate::plan::{AccessPath, Plan, PlanNode};
@@ -95,6 +95,17 @@ impl ExecOutput {
 type RunChild<'f> =
     &'f mut dyn FnMut(&PlanNode, &[TableId], &mut IoStats) -> Result<RowIds, ExecError>;
 
+/// What an operator is given beside its node: the query, its slice of
+/// the plan's table order ([`layout_of`]), the charges, whether its
+/// consumer reads its ids, and how it runs a join input.
+struct OpCtx<'c> {
+    query: &'c Query,
+    layout: &'c [TableId],
+    io: &'c mut IoStats,
+    emit: bool,
+    child: RunChild<'c>,
+}
+
 /// The executor.
 #[derive(Debug, Clone, Copy)]
 pub struct Executor<'a> {
@@ -152,10 +163,9 @@ impl<'a> Executor<'a> {
         plan: &Plan,
     ) -> Result<(QueryResult, String), ExecError> {
         let mut io = IoStats::new();
-        let mut out = String::new();
         let mut layout = Vec::new();
         layout_of(&plan.root, &mut layout);
-        let root = self.analyze_node(query, &plan.root, &layout, &mut io, false, 0, &mut out)?;
+        let (root, mut out) = self.analyze_node(query, &plan.root, &layout, &mut io, false, 0)?;
         let result =
             QueryResult { row_count: root.count(), millis: self.db.cost.millis_of(&io), io };
         out.push_str(&format!(
@@ -169,9 +179,8 @@ impl<'a> Executor<'a> {
         Ok((result, out))
     }
 
-    /// Execute one node, appending its annotated line (before its
-    /// children's, pre-order rendering) to `out`.
-    #[expect(clippy::too_many_arguments, reason = "run_node's arguments plus depth and sink")]
+    /// Execute one node, and render its annotated line followed by its
+    /// children's (pre-order).
     fn analyze_node(
         &self,
         query: &Query,
@@ -180,19 +189,19 @@ impl<'a> Executor<'a> {
         io: &mut IoStats,
         emit: bool,
         depth: usize,
-        out: &mut String,
-    ) -> Result<RowIds, ExecError> {
+    ) -> Result<(RowIds, String), ExecError> {
         let pad = "  ".repeat(depth);
         let mut child_text = String::new();
         let mut child_io = IoStats::new();
         let before = *io;
-        let result = self.run_node(query, node, layout, io, emit, &mut |child, layout, io| {
+        let child: RunChild<'_> = &mut |child, layout, io| {
             let before = *io;
-            let output =
-                self.analyze_node(query, child, layout, io, true, depth + 1, &mut child_text);
+            let (output, text) = self.analyze_node(query, child, layout, io, true, depth + 1)?;
+            child_text.push_str(&text);
             child_io += *io - before;
-            output
-        })?;
+            Ok(output)
+        };
+        let result = self.run_node(node, OpCtx { query, layout, io, emit, child })?;
         let own_io = *io - before - child_io;
         let label = match node {
             PlanNode::Scan { table, path, .. } => match path {
@@ -209,15 +218,15 @@ impl<'a> Executor<'a> {
                 format!("IndexNLJoin inner=t{} via [{index}]", inner.0)
             }
         };
-        out.push_str(&format!(
+        let mut out = format!(
             "{pad}{label} (est rows={:.1}, actual rows={}; pages seq={} rnd={})\n",
             node.est_rows(),
             result.count(),
             own_io.seq_pages,
             own_io.random_pages,
-        ));
+        );
         out.push_str(&child_text);
-        Ok(result)
+        Ok((result, out))
     }
 
     /// Execute a subtree into the heap row ids of its output rows, per
@@ -235,45 +244,35 @@ impl<'a> Executor<'a> {
         io: &mut IoStats,
         emit: bool,
     ) -> Result<RowIds, ExecError> {
-        self.run_node(query, node, layout, io, emit, &mut |child, layout, io| {
-            self.run(query, child, layout, io, true)
-        })
+        let child: RunChild<'_> = &mut |child, layout, io| self.run(query, child, layout, io, true);
+        self.run_node(node, OpCtx { query, layout, io, emit, child })
     }
 
-    /// Execute one node, obtaining join inputs through `child`.
-    fn run_node(
-        &self,
-        query: &Query,
-        node: &PlanNode,
-        layout: &[TableId],
-        io: &mut IoStats,
-        emit: bool,
-        child: RunChild<'_>,
-    ) -> Result<RowIds, ExecError> {
-        match node {
-            PlanNode::Scan { table, path, .. } => self.run_scan(query, *table, path, io, emit),
+    /// Execute one node, obtaining join inputs through `cx.child`.
+    fn run_node(&self, node: &PlanNode, cx: OpCtx<'_>) -> Result<RowIds, ExecError> {
+        let out = match node {
+            PlanNode::Scan { table, path, .. } => self.run_scan(*table, path, cx),
             PlanNode::HashJoin { build, probe, on, .. } => {
                 colt_obs::counter("engine.op.hash_join", 1);
-                self.hash_join(build, probe, on, layout, io, emit, child)
+                self.hash_join(build, probe, on, cx)
             }
             PlanNode::IndexNlJoin { outer, inner, index, probe_on, residual_on, .. } => {
                 colt_obs::counter("engine.op.index_nl_join", 1);
-                self.index_nl_join(
-                    query, outer, *inner, *index, *probe_on, residual_on, layout, io, emit, child,
-                )
+                self.index_nl_join(outer, *inner, *index, (*probe_on, residual_on), cx)
             }
-        }
+        }?;
+        colt_obs::counter("engine.exec.row_ids_written", out.written());
+        Ok(out)
     }
 
     /// Run one scan node: the ids of the rows that pass, in fetch order.
     fn run_scan(
         &self,
-        query: &Query,
         table: TableId,
         path: &AccessPath,
-        io: &mut IoStats,
-        emit: bool,
+        cx: OpCtx<'_>,
     ) -> Result<RowIds, ExecError> {
+        let OpCtx { query, io, emit, .. } = cx;
         colt_obs::counter(
             match path {
                 AccessPath::SeqScan => "engine.op.seq_scan",
@@ -299,22 +298,18 @@ impl<'a> Executor<'a> {
                     match kernels.split_first() {
                         // Nobody reads the ids and nothing narrows
                         // them further: sum the test, store nothing.
-                        Some((only, [])) if !emit => {
-                            out.count_only(only.count(window) as u64);
-                            continue;
-                        }
+                        Some((only, [])) if !emit => out.count_only(only.count(window) as u64),
                         Some((first, rest)) => {
                             first.select(window, &mut sel);
                             rest.iter().for_each(|k| k.retain(&mut sel));
+                            out.push_sel(&sel);
                         }
-                        None => {
-                            out.push_window(window);
-                            continue;
-                        }
+                        // The whole table, dense: nothing to select.
+                        None => {}
                     }
-                    out.push_sel(&sel);
                 }
-                return Ok(out);
+                let rows = t.heap.row_count() as u64;
+                return Ok(if kernels.is_empty() { RowIds::dense(rows, emit) } else { out });
             }
             AccessPath::IndexScan { col } => {
                 let (rowids, driving) = index_scan_rowids(self.db, self.config, &preds, *col, io)?;
@@ -357,18 +352,14 @@ impl<'a> Executor<'a> {
     /// code offset or by hash, which the inputs decide ([`equi_join`]);
     /// either way a cross-type key pair matches nothing and every rule
     /// is charged the same.
-    #[expect(clippy::too_many_arguments, reason = "join inputs plus every operator's arguments")]
     fn hash_join(
         &self,
         build: &PlanNode,
         probe: &PlanNode,
         on: &[JoinPred],
-        layout: &[TableId],
-        io: &mut IoStats,
-        emit: bool,
-        child: RunChild<'_>,
+        cx: OpCtx<'_>,
     ) -> Result<RowIds, ExecError> {
-        let (build_layout, probe_layout) = layout.split_at(width(build));
+        let (build_layout, probe_layout) = cx.layout.split_at(width(build));
         let keys_in = |layout: &[TableId]| -> Result<Vec<(usize, ColumnSlice<'a>)>, ExecError> {
             on.iter()
                 .map(|j| {
@@ -379,38 +370,28 @@ impl<'a> Executor<'a> {
         };
         let build_keys = keys_in(build_layout)?;
         let probe_keys = keys_in(probe_layout)?;
-        let build = child(build, build_layout, io)?;
-        let probe = child(probe, probe_layout, io)?;
+        let build = (cx.child)(build, build_layout, cx.io)?;
+        let probe = (cx.child)(probe, probe_layout, cx.io)?;
 
         let _batch_span = colt_obs::span("engine.exec.batch");
         let (build_rows, probe_rows) = (build.count() as usize, probe.count() as usize);
-        let mut out = RowIds::new(layout.len(), emit);
+        let mut matches = Matches::new(cx.emit);
         // Both phases charge like the reference: hash + insert per build
         // row, one probe per probe row (per pair when nothing connects).
-        io.cpu_ops += 2 * build_rows as u64;
-
+        cx.io.cpu_ops += 2 * build_rows as u64;
         if on.is_empty() {
             // Cartesian product, build-major like the reference.
-            io.cpu_ops += build_rows as u64 * probe_rows as u64;
-            if out.emits() {
-                for b in 0..build_rows {
-                    for p in 0..probe_rows {
-                        out.push(build.row(b).chain(probe.row(p)));
-                    }
-                }
-            } else {
-                out.count_only(build_rows as u64 * probe_rows as u64);
-            }
-            io.tuples += out.count();
-            return Ok(out);
+            cx.io.cpu_ops += build_rows as u64 * probe_rows as u64;
+            let all: Vec<u32> = (0..probe_rows as u32).collect();
+            (0..build_rows).for_each(|b| matches.extend(b, &all));
+        } else {
+            let build_keys: Vec<_> = build_keys.into_iter().map(|k| build.key_col(k)).collect();
+            let probe_keys: Vec<_> = probe_keys.into_iter().map(|k| probe.key_col(k)).collect();
+            cx.io.cpu_ops += probe_rows as u64;
+            equi_join(&build_keys, &probe_keys, &mut matches);
         }
-
-        let build_keys: Vec<KeyCol<'_>> = build_keys.into_iter().map(|k| build.key_col(k)).collect();
-        let probe_keys: Vec<KeyCol<'_>> = probe_keys.into_iter().map(|k| probe.key_col(k)).collect();
-        io.cpu_ops += probe_rows as u64;
-        equi_join(&build_keys, &probe_keys, |b, p| out.push(build.row(b).chain(probe.row(p))));
-        io.tuples += out.count();
-        Ok(out)
+        cx.io.tuples += matches.len();
+        Ok(RowIds::joined(&build, &probe, matches))
     }
 
     /// Index nested-loop join: probe the inner table's B+ tree once per
@@ -418,28 +399,22 @@ impl<'a> Executor<'a> {
     /// predicates plus any residual join predicates, all on the inner
     /// heap's columns. Each outer key probes as its code in the indexed
     /// column: a string's is a search of that column's dictionary.
-    #[expect(clippy::too_many_arguments, reason = "join inputs plus every operator's arguments")]
     fn index_nl_join(
         &self,
-        query: &Query,
         outer: &PlanNode,
         inner: TableId,
         index_col: ColRef,
-        probe_on: JoinPred,
-        residual_on: &[JoinPred],
-        layout: &[TableId],
-        io: &mut IoStats,
-        emit: bool,
-        child: RunChild<'_>,
+        (probe_on, residual_on): (JoinPred, &[JoinPred]),
+        cx: OpCtx<'_>,
     ) -> Result<RowIds, ExecError> {
         let inner_table = self.db.table(inner);
         let (index, indexed) = materialized_index("index_nl_join", self.db, self.config, index_col)?;
-        let inner_preds: Vec<&SelPred> = query.selections_on(inner).collect();
+        let inner_preds: Vec<&SelPred> = cx.query.selections_on(inner).collect();
         let inner_kernels = compile_preds("index_nl_join", inner_table, &inner_preds)?;
 
         // Locate (and validate) the outer side of each join predicate
         // in the outer layout: all of this node's but the inner table.
-        let outer_layout = &layout[..layout.len() - 1];
+        let outer_layout = &cx.layout[..cx.layout.len() - 1];
         let outer_side = if probe_on.left.table == inner { probe_on.right } else { probe_on.left };
         let probe_key = self.key_column("index_nl_join", outer_layout, outer_side)?;
         // Residual join predicates: (outer key, inner column).
@@ -455,12 +430,12 @@ impl<'a> Executor<'a> {
                 Ok((self.key_column("index_nl_join", outer_layout, o)?, cells))
             })
             .collect::<Result<_, ExecError>>()?;
-        let outer = child(outer, outer_layout, io)?;
+        let outer = (cx.child)(outer, outer_layout, cx.io)?;
 
         let _batch_span = colt_obs::span("engine.exec.batch");
         let residuals: Vec<(KeyCol<'_>, ColumnSlice<'_>)> =
             residuals.into_iter().map(|(o, cells)| (outer.key_col(o), cells)).collect();
-        let mut out = RowIds::new(layout.len(), emit);
+        let mut matches = Matches::new(cx.emit);
         // One probe per outer row, reusing the rowid buffer. Page
         // charges deduplicate within one fetch only (per probe), never
         // across probes — merging rowids across outer rows would change
@@ -468,6 +443,7 @@ impl<'a> Executor<'a> {
         let mut rowids: Vec<RowId> = Vec::new();
         let mut sel: Vec<u32> = Vec::new();
         let probe_key = outer.key_col(probe_key);
+        let io = cx.io;
         for o in 0..outer.count() as usize {
             rowids.clear();
             index.lookup_code_into(probe_key.code_in(o, &indexed), &mut rowids, io);
@@ -477,12 +453,12 @@ impl<'a> Executor<'a> {
             for (outer_key, cells) in &residuals {
                 sel.retain(|&row| outer_key.eq_cell(o, cells, row as usize));
             }
-            for &row in &sel {
-                out.push(outer.row(o).chain([row]));
-            }
+            matches.extend(o, &sel);
         }
-        io.tuples += out.count();
-        Ok(out)
+        io.tuples += matches.len();
+        // The inner side's rows are its heap rows.
+        let inner_rows = RowIds::dense(inner_table.heap.row_count() as u64, true);
+        Ok(RowIds::joined(&outer, &inner_rows, matches))
     }
 }
 
@@ -813,6 +789,41 @@ mod tests {
         );
         assert_eq!(materialized(&join, Collect::CountOnly), (0, 5000));
         assert_eq!(materialized(&join, Collect::Rows), (5000 * 5, 5000));
+    }
+
+    #[test]
+    fn row_ids_written_is_exact() {
+        // Ids are written only where a consumer reads them: a filtered
+        // scan's rows when they feed a join or the collected result, a
+        // join's rows times its tables when collected — never a
+        // predicate-free scan's, nor anything at a counting root.
+        let (db, fact, dim) = db();
+        let cfg = PhysicalConfig::new();
+        let opt = Optimizer::new(&db);
+        let written = |q: &Query, collect: Collect| {
+            let plan = opt.optimize(q, IndexSetView::real(&cfg));
+            let prev = colt_obs::install(colt_obs::Recorder::new(colt_obs::Level::Summary));
+            let out = Executor::new(&db, &cfg).execute(q, &plan, collect).unwrap();
+            let snap = colt_obs::take().unwrap().into_snapshot();
+            if let Some(p) = prev {
+                colt_obs::install(p);
+            }
+            (snap.counter("engine.exec.row_ids_written"), out.row_count())
+        };
+        let scan = Query::single(fact, vec![SelPred::eq(ColRef::new(fact, 2), 3i64)]);
+        assert_eq!(written(&scan, Collect::CountOnly), (0, 2857));
+        assert_eq!(written(&scan, Collect::Rows), (2857, 2857));
+        let whole = Query::single(fact, vec![]);
+        assert_eq!(written(&whole, Collect::Rows), (0, 20_000));
+        // The 50 live `dim` rows feed the join; all of `fact` does too,
+        // in place.
+        let join = Query::join(
+            vec![fact, dim],
+            vec![JoinPred::new(ColRef::new(fact, 1), ColRef::new(dim, 0))],
+            vec![SelPred::eq(ColRef::new(dim, 1), 2i64)],
+        );
+        assert_eq!(written(&join, Collect::CountOnly), (50, 5000));
+        assert_eq!(written(&join, Collect::Rows), (50 + 5000 * 2, 5000));
     }
 
     #[test]

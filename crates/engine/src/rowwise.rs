@@ -76,7 +76,7 @@ impl<'a> RowwiseExecutor<'a> {
             }
             PlanNode::IndexNlJoin { outer, inner, index, probe_on, residual_on, .. } => {
                 let o = self.run(query, outer, io)?;
-                self.index_nl_join(query, o, *inner, *index, *probe_on, residual_on, io)
+                self.index_nl_join(query, o, *inner, *index, (*probe_on, residual_on), io)
             }
         }
     }
@@ -199,15 +199,13 @@ impl<'a> RowwiseExecutor<'a> {
         Ok(Batch { tables, rows: out })
     }
 
-    #[expect(clippy::too_many_arguments, reason = "mirrors the vectorized index_nl_join")]
     fn index_nl_join(
         &self,
         query: &Query,
         outer: Batch,
         inner: TableId,
         index_col: ColRef,
-        probe_on: crate::query::JoinPred,
-        residual_on: &[crate::query::JoinPred],
+        (probe_on, residual_on): (crate::query::JoinPred, &[crate::query::JoinPred]),
         io: &mut IoStats,
     ) -> Result<Batch, ExecError> {
         let inner_table = self.db.table(inner);

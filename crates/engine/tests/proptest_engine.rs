@@ -969,14 +969,25 @@ fn compiled_kernels_match_selpred_matches() {
                 assert_eq!(sel, expect(&mut window.clone()), "{vtype:?} {pred:?} {window:?}");
                 accepted += sel.len();
             }
-            // Counted over those two windows and over 0, 1, 1 023 (the
-            // vector loop leaves a tail) and 1 024 rows (a full batch).
+            // Counted over those two windows; selected and counted over
+            // 0, 1, 31, 32 and 33 rows (a date range's select tests 32
+            // at a time), 1 023 (a vector loop's tail) and 1 024 rows (a
+            // full batch), starting past row 0.
             const BATCH: usize = colt_engine::BATCH_ROWS;
             let at = rng.below(cells.len() - BATCH + 1);
-            let (one, tail, full) = (start..start + 1, at..at + BATCH - 1, at..at + BATCH);
-            for window in [0..cells.len(), start..end, start..start, one, tail, full] {
+            for window in [0..cells.len(), start..end] {
                 let want = expect(&mut window.clone()).len();
                 assert_eq!(kernel.count(window.clone()), want, "{vtype:?} {pred:?} {window:?} count");
+            }
+            for len in [0, 1, 31, 32, 33, BATCH - 1, BATCH] {
+                let from = 1 + (at + len) % (cells.len() - len);
+                let window = from..from + len;
+                let want = expect(&mut window.clone());
+                let mut sel = vec![7];
+                kernel.select(window.clone(), &mut sel);
+                let at = format!("{vtype:?} {pred:?} {window:?}");
+                assert_eq!(kernel.count(window.clone()), want.len(), "{at} count");
+                assert_eq!(sel, want, "{at}");
             }
             // …and a fetched row-id list, in its own order.
             let mut ids: Vec<u32> = (0..20).map(|_| rng.below(cells.len()) as u32).collect();
