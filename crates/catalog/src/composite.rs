@@ -11,10 +11,10 @@
 //! the executor resolves against the key columns.
 //!
 //! Composite indices live next to the single-column set inside
-//! [`crate::PhysicalConfig`] but are *not* managed by COLT's on-line
-//! loop (the paper's tuner is single-column by design); they are built
-//! by the off-line advisor (`colt_offline::suggest_composites`) or by
-//! hand, as part of the pre-tuned base configuration.
+//! [`crate::PhysicalConfig`] but are *not* managed by COLT's knapsack
+//! (the paper's tuner is single-column by design); they are built by
+//! the opt-in on-line extension (`colt_core::CompositeTuner`, when
+//! `ColtConfig::composite_budget_pages` is non-zero) or by hand.
 //!
 //! This module holds only the key identity and the built index;
 //! everything that needs the [`crate::database::Database`] (key widths,

@@ -4,20 +4,20 @@
 //! The single-column machinery stays untouched (candidates, profiler,
 //! knapsack). On top of it, when [`crate::ColtConfig::composite_budget_pages`]
 //! is non-zero, the tuner keeps the recent query window `S_h` and at
-//! every epoch boundary runs the composite advisor
-//! (`colt_offline::suggest_composites`-style analysis, re-implemented
-//! here over the live window to avoid a dependency cycle) to maintain a
+//! every epoch boundary scores two-column candidates over it — an
+//! equality on the leading column, any predicate on the second, each
+//! priced against the best single-column alternative — to maintain a
 //! small set of multi-column indices within their own page budget:
 //!
-//! * a suggestion is materialized when its forecast benefit over the
-//!   next `h` epochs exceeds its build cost (the same `NetBenefit`
-//!   discipline as the paper's knapsack), and
-//! * a materialized composite is dropped when the window no longer
-//!   contains the co-occurring predicates that justified it.
+//! * a candidate is materialized when its benefit over the window (the
+//!   flat forecast over the next `h` epochs) exceeds its build cost (the
+//!   same `NetBenefit` discipline as the paper's knapsack), and
+//! * a materialized composite is dropped when no query in the window
+//!   scores it any more.
 
 use crate::config::ColtConfig;
 use colt_catalog::{ColRef, CompositeKey, Database, PhysicalConfig};
-use colt_engine::cost::{index_scan_cost, seq_scan_cost};
+use colt_engine::cost::{build_cost, index_scan_cost, seq_scan_cost};
 use colt_engine::selectivity::on_table;
 use colt_engine::{Plan, PredicateKind, Query};
 use colt_storage::IoStats;
@@ -36,7 +36,6 @@ pub struct CompositeStep {
 #[derive(Debug)]
 pub struct CompositeTuner {
     budget_pages: u64,
-    horizon: usize,
     window_queries: usize,
     /// Each query with the predicate estimates its plan was priced
     /// with ([`Plan::selectivities`]).
@@ -51,7 +50,6 @@ impl CompositeTuner {
     pub fn new(config: &ColtConfig) -> Self {
         CompositeTuner {
             budget_pages: config.composite_budget_pages,
-            horizon: config.history_epochs,
             window_queries: config.history_epochs * config.epoch_length,
             window: VecDeque::new(),
             used_pages: BTreeMap::new(),
@@ -76,8 +74,8 @@ impl CompositeTuner {
     }
 
     /// Estimated extra benefit of a two-column composite for one query,
-    /// beyond the best single-column alternative (mirrors the off-line
-    /// advisor's scoring). `sels` are the query's estimates.
+    /// beyond the best single-column alternative. `sels` are the query's
+    /// estimates.
     fn extra_benefit(db: &Database, q: &Query, sels: &[f64], key: &CompositeKey) -> f64 {
         let table = key.table;
         if !q.tables.contains(&table) {
@@ -123,18 +121,6 @@ impl CompositeTuner {
         (alternative - comp_cost).max(0.0)
     }
 
-    /// Estimated build cost of a composite, in cost units.
-    fn build_cost(db: &Database, key: &CompositeKey) -> f64 {
-        let t = db.table(key.table);
-        let n = t.heap.row_count() as f64;
-        let c = &db.cost;
-        let sort_ops = if n > 1.0 { n * n.log2() } else { 0.0 };
-        c.seq_page_cost * t.heap.page_count() as f64
-            + c.cpu_tuple_cost * n
-            + c.cpu_operator_cost * sort_ops
-            + c.page_write_cost * key.estimate(db).pages as f64
-    }
-
     /// Epoch boundary: re-evaluate composite candidates over the window
     /// and reconcile the materialized composite set.
     pub fn reorganize(&mut self, db: &Database, physical: &mut PhysicalConfig) -> CompositeStep {
@@ -169,21 +155,16 @@ impl CompositeTuner {
                 }
             }
         }
-        // Window totals → per-epoch level → horizon forecast, minus the
-        // build cost for new composites (the NetBenefit discipline).
-        let per_epoch = |total: f64| total / self.horizon as f64;
-
-        // Drop composites whose window benefit no longer covers even a
-        // fraction of what justified them.
-        let current: Vec<CompositeKey> = self.used_pages.keys().cloned().collect();
-        for key in current {
-            let total = scores.get(&key).copied().unwrap_or(0.0);
-            if per_epoch(total) * self.horizon as f64 <= 0.0 {
-                physical.drop_composite(&key);
-                self.used_pages.remove(&key);
-                step.dropped.push(key);
+        // Drop composites no query in the window scored (only positive
+        // extras are stored).
+        self.used_pages.retain(|key, _| {
+            let scored = scores.contains_key(key);
+            if !scored {
+                physical.drop_composite(key);
+                step.dropped.push(key.clone());
             }
-        }
+            scored
+        });
 
         // Materialize the best new candidates that fit the budget.
         let mut ranked: Vec<(CompositeKey, f64)> = scores
@@ -204,8 +185,12 @@ impl CompositeTuner {
             })
             .collect();
         for (key, total) in ranked {
-            let forecast = per_epoch(total) * self.horizon as f64;
-            let net = forecast - Self::build_cost(db, &key);
+            // The window spans `h` epochs, so its total is the flat
+            // forecast over the next `h`; minus the build cost, that is
+            // the candidate's NetBenefit.
+            let estimate = key.estimate(db);
+            let heap = &db.table(key.table).heap;
+            let net = total - build_cost(&db.cost, &estimate, heap.row_count() as f64, heap.page_count() as f64);
             if net <= 0.0 {
                 break; // ranked by benefit: nothing later can pass
             }
@@ -214,7 +199,7 @@ impl CompositeTuner {
             if column_sets.contains(&(key.table, set.clone())) {
                 continue;
             }
-            let pages = key.estimate(db).pages;
+            let pages = estimate.pages;
             if used + pages > self.budget_pages {
                 continue;
             }
@@ -339,6 +324,7 @@ mod tests {
             observe(&mut tuner, &db, &Query::single(t, vec![SelPred::eq(ColRef::new(t, 2), i)]));
         }
         let step = tuner.reorganize(&db, &mut physical);
+        assert!(step.built.is_empty(), "no co-occurring predicates are left in the window");
         assert!(step.dropped.contains(&key));
         assert!(physical.get_composite(&key).is_none());
         assert_eq!(tuner.used_pages(), 0);
@@ -363,5 +349,26 @@ mod tests {
         let step = tuner.reorganize(&db, &mut physical);
         assert!(step.built.is_empty());
         assert_eq!(tuner.used_pages(), 0);
+
+        // Budget for one composite, a window of (a,b) 50 times and (a,c)
+        // 5 times (c a 10 % range, so (a,c) scores too): the
+        // better-scored (a,b) family takes it.
+        let one = CompositeKey::new(t, vec![0, 1]).estimate(&db).pages;
+        let mut tuner = CompositeTuner::new(&cfg(one));
+        let mut physical = PhysicalConfig::new();
+        for i in 0..55i64 {
+            let second = if i < 50 {
+                SelPred::eq(ColRef::new(t, 1), i % 50)
+            } else {
+                SelPred::between(ColRef::new(t, 2), Value::Int(0), Value::Int(3_000))
+            };
+            observe(&mut tuner, &db, &Query::single(t, vec![SelPred::eq(ColRef::new(t, 0), i % 40), second]));
+        }
+        let step = tuner.reorganize(&db, &mut physical);
+        assert_eq!(step.built.len(), 1);
+        let mut columns = step.built[0].0.columns.clone();
+        columns.sort_unstable();
+        assert_eq!(columns, [0, 1], "the (a,b) family must rank first");
+        assert_eq!(tuner.used_pages(), one);
     }
 }

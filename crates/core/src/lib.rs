@@ -30,7 +30,6 @@ pub mod hotset;
 pub mod knapsack;
 pub mod organizer;
 pub mod profiler;
-pub mod prng;
 pub mod rebudget;
 pub mod scheduler;
 pub mod trace;

@@ -24,6 +24,7 @@ use crate::hotset::select_hot;
 use crate::profiler::{GainMode, Profiler};
 use crate::rebudget::{CandidateInterval, DecisionContext};
 use colt_catalog::{ColRef, Database, PhysicalConfig};
+use colt_engine::cost::build_cost;
 use std::collections::BTreeSet;
 
 /// The decision produced at an epoch boundary.
@@ -65,22 +66,6 @@ impl SelfOrganizer {
         SelfOrganizer { config: config.clone() }
     }
 
-    /// Estimated cost (in cost units) of materializing an index on
-    /// `col`: a sequential heap scan, an external sort, and the index
-    /// page writes — mirroring `colt_catalog::build_index`'s charges.
-    pub fn estimated_mat_cost(db: &Database, col: ColRef) -> f64 {
-        let t = db.table(col.table);
-        let n = t.heap.row_count() as f64;
-        let pages = t.heap.page_count() as f64;
-        let est = db.index_estimate(col);
-        let c = &db.cost;
-        let sort_ops = if n > 1.0 { n * n.log2() } else { 0.0 };
-        c.seq_page_cost * pages
-            + c.cpu_tuple_cost * n
-            + c.cpu_operator_cost * sort_ops
-            + c.page_write_cost * est.pages as f64
-    }
-
     /// Price an index for the boundary: its size, its materialization
     /// cost (0 once materialized) and its `NetBenefit`, under normal
     /// estimates (`lo`) and in the best case (`hi`). `counts` is the
@@ -107,14 +92,16 @@ impl SelfOrganizer {
             let lo = level(GainMode::Materialized) * h;
             return CandidateInterval { size: m.tree.page_count() as u64, lo, hi: lo, mat_cost: 0.0 };
         }
-        let mat_cost = Self::estimated_mat_cost(db, col);
+        let est = db.index_estimate(col);
+        let heap = &db.table(col.table).heap;
+        let mat_cost = build_cost(&db.cost, &est, heap.row_count() as f64, heap.page_count() as f64);
         // The best case of a hot index is at least its crude estimate
         // projected over the horizon: before its first what-if profile
         // that is all the signal there is, and it is what drives the
         // budget up when a workload shift surfaces new candidates.
         let crude = profiler.candidates().projected_benefit(col);
         CandidateInterval {
-            size: db.index_estimate(col).pages,
+            size: est.pages,
             lo: level(GainMode::HotConservative) * h - mat_cost,
             hi: (level(GainMode::HotOptimistic) * h - mat_cost).max(crude * h - mat_cost),
             mat_cost,
@@ -488,15 +475,26 @@ mod tests {
 
     #[test]
     fn mat_cost_positive_and_scales() {
+        // The `MatCost` the boundary prices a hot, unmaterialized index at.
+        let mat_cost = |db: &Database, col: ColRef| {
+            let colt_cfg = ColtConfig::default();
+            let d = SelfOrganizer::new(&colt_cfg).reorganize(
+                db,
+                &PhysicalConfig::new(),
+                &Profiler::new(&colt_cfg),
+                &BTreeSet::from([col]),
+            );
+            d.context.interval(col).expect("hot index priced").mat_cost
+        };
         let (db, t) = setup();
-        let c = SelfOrganizer::estimated_mat_cost(&db, ColRef::new(t, 0));
+        let c = mat_cost(&db, ColRef::new(t, 0));
         assert!(c > 0.0);
         // An index on a table twice the size must cost more.
         let mut db2 = Database::new();
         let t2 = db2.add_table(TableSchema::new("u", vec![Column::new("a", ValueType::Int)]));
         db2.insert_rows(t2, (0..60_000i64).map(|i| row_from(vec![Value::Int(i)]))).unwrap();
         db2.analyze_all();
-        assert!(SelfOrganizer::estimated_mat_cost(&db2, ColRef::new(t2, 0)) > c);
+        assert!(mat_cost(&db2, ColRef::new(t2, 0)) > c);
     }
 
     #[test]

@@ -18,11 +18,11 @@ use crate::cluster::{ClusterId, ClusterSet};
 use crate::config::ColtConfig;
 use crate::crude::CandidateSet;
 use crate::gain::IndexClusterStats;
-use crate::prng::Prng;
 use crate::rebudget::DecisionContext;
 use colt_catalog::{ColRef, Database, PhysicalConfig};
 use colt_engine::cost::delta_cost;
 use colt_engine::{Eqo, Plan, Query};
+use colt_storage::Prng;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Which estimate of a per-query cluster gain to read.

@@ -220,8 +220,8 @@ impl DecisionContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prng::Prng;
     use colt_catalog::TableId;
+    use colt_storage::Prng;
 
     fn col(i: u32) -> ColRef {
         ColRef::new(TableId(0), i)

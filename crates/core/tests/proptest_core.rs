@@ -1,13 +1,13 @@
 //! Randomized property tests for COLT's decision machinery: the
 //! knapsack solver against brute force, hot-set selection axioms,
 //! gain-statistics algebra, and full-tuner safety invariants. Cases
-//! come from the in-repo seeded PRNG (`colt_core::prng::Prng`), so
+//! come from the in-repo seeded PRNG (`colt_storage::Prng`), so
 //! every run checks the same inputs.
 #![allow(clippy::unwrap_used, reason = "test helpers may unwrap and panic")]
 
 use colt_core::knapsack::{self, Item};
-use colt_core::prng::Prng;
 use colt_core::{hotset, GainStats};
+use colt_storage::Prng;
 
 const CASES: u64 = 64;
 
@@ -138,11 +138,10 @@ fn gain_stats_algebra() {
 
 mod tuner_safety {
     use colt_catalog::{ColRef, Column, Database, PhysicalConfig, TableId, TableSchema};
-    use colt_core::prng::Prng;
     use colt_core::{ColtConfig, ColtTuner};
     use colt_engine::{Eqo, Query, SelPred};
     use colt_obs::DecisionKind;
-    use colt_storage::{row_from, Value, ValueType};
+    use colt_storage::{row_from, Prng, Value, ValueType};
 
     fn build_db() -> (Database, TableId, TableId) {
         let mut db = Database::new();

@@ -39,13 +39,18 @@
 //!
 //! **Determinism.** A cached value is the value the derivation would
 //! produce: gains are pure functions of (query, materialized sets,
-//! statistics), the snapshots pin the first and the borrow the rest. The
-//! cache therefore changes wall-clock time only — simulated costs,
-//! gains, counters of what-if calls, and every figure's stdout are
-//! byte-identical with the memo hot, cold, or disabled. Entry ids are
-//! insertion-ordered, eviction is FIFO (smallest id first), and all
-//! maps are ordered, so even the hit/miss counters are reproducible at
-//! any thread count.
+//! statistics), the snapshots pin the first and the borrow the rest, so
+//! a probe reports the same gain with the memo hot, cold, or disabled.
+//! The memo is also an input to decisions, though: the tuner's
+//! skip-proofs read it through `Eqo::gain_upper_bound`, which answers
+//! only for entries still cached, so the memo's capacity and its
+//! evictions can change which probes issue — and with them the tuner's
+//! decisions and the simulated total (measured on `benches/perf`'s
+//! `churn` at `--seed 42`: a one-entry memo moves `sim_total_ms` from
+//! 28 498.374 to 28 611.718). Entry ids are insertion-ordered, eviction
+//! is FIFO (smallest id first), and all maps are ordered, so at a fixed
+//! capacity the memo, its hit/miss counters and the decisions it feeds
+//! are reproducible at any thread count.
 
 use crate::optimizer::ScanChoice;
 use crate::query::Query;

@@ -1,7 +1,8 @@
 //! # colt-obs
 //!
 //! Zero-dependency observability for the COLT reproduction: a
-//! global-free metrics [`Recorder`] (counters and span timings), RAII
+//! global-free metrics [`Recorder`] (counters, and per span name its
+//! count, wall-clock nanoseconds and simulated milliseconds), RAII
 //! [`Span`] guards over the wall clock with explicit simulated-clock
 //! attribution, the flight recorder's typed [`DecisionRecord`]s, a
 //! [`progress`] sink that replaces ad-hoc `eprintln!` diagnostics with
@@ -40,12 +41,10 @@
 
 pub mod json;
 pub mod event;
-pub mod hist;
 pub mod ledger;
 pub mod recorder;
 
 pub use event::{Event, FieldValue};
-pub use hist::{Histogram, DURATION_US_BUCKETS};
 pub use ledger::{DecisionKind, DecisionLedger, DecisionRecord, EpochPoint, TimeSeries};
 pub use recorder::{Recorder, Snapshot, SpanStats};
 
@@ -69,9 +68,9 @@ impl Level {
     /// Parse `"off"` / `"summary"` / `"full"` (case-insensitive).
     pub fn parse(s: &str) -> Option<Level> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "0" | "none" => Some(Level::Off),
-            "summary" | "1" => Some(Level::Summary),
-            "full" | "2" => Some(Level::Full),
+            "off" => Some(Level::Off),
+            "summary" => Some(Level::Summary),
+            "full" => Some(Level::Full),
             _ => None,
         }
     }
@@ -313,6 +312,8 @@ mod tests {
         assert_eq!(Level::parse("SUMMARY"), Some(Level::Summary));
         assert_eq!(Level::parse(" full "), Some(Level::Full));
         assert_eq!(Level::parse("banana"), None);
+        assert_eq!(Level::parse("0"), None);
+        assert_eq!(Level::parse("2"), None);
         assert_eq!(Level::default(), Level::Summary);
     }
 }

@@ -8,7 +8,6 @@
 //! bump, and aggregation across threads happens outside the measured
 //! region entirely.
 
-use crate::hist::{Histogram, DURATION_US_BUCKETS};
 use crate::json::{format_float, write_str};
 use crate::ledger::{DecisionLedger, DecisionRecord, EpochPoint, TimeSeries};
 use crate::Level;
@@ -16,7 +15,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Accumulated timing of one named span.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanStats {
     /// Number of completed spans.
     pub count: u64,
@@ -26,15 +25,9 @@ pub struct SpanStats {
     /// explicitly by instrumented sites; the deterministic clock has no
     /// ambient "now").
     pub sim_ms: f64,
-    /// Wall-clock duration distribution, in microseconds.
-    pub wall_us: Histogram,
 }
 
 impl SpanStats {
-    fn new() -> Self {
-        SpanStats { count: 0, wall_ns: 0, sim_ms: 0.0, wall_us: Histogram::new(DURATION_US_BUCKETS) }
-    }
-
     /// Total wall-clock milliseconds.
     pub fn wall_ms(&self) -> f64 {
         self.wall_ns as f64 / 1e6
@@ -44,7 +37,6 @@ impl SpanStats {
         self.count += other.count;
         self.wall_ns += other.wall_ns;
         self.sim_ms += other.sim_ms;
-        self.wall_us.merge(&other.wall_us);
     }
 }
 
@@ -123,15 +115,14 @@ impl Recorder {
 
     /// Record one completed span of `wall_ns` nanoseconds.
     pub fn record_span(&mut self, name: &'static str, wall_ns: u64) {
-        let s = self.spans.entry(name).or_insert_with(SpanStats::new);
+        let s = self.spans.entry(name).or_default();
         s.count += 1;
         s.wall_ns += wall_ns;
-        s.wall_us.observe(wall_ns as f64 / 1e3);
     }
 
     /// Attribute simulated milliseconds to a named span.
     pub fn record_span_sim(&mut self, name: &'static str, sim_ms: f64) {
-        self.spans.entry(name).or_insert_with(SpanStats::new).sim_ms += sim_ms;
+        self.spans.entry(name).or_default().sim_ms += sim_ms;
     }
 
     /// A span guard opened: attribute elapsed self time to the current
@@ -304,9 +295,7 @@ impl Snapshot {
     ///   `{"series_epoch":N,"counters":{…},"sim_ms":{…}}` —
     ///   [`Snapshot::flight_jsonl`], the deterministic prefix;
     /// * `{"counter":name,"value":N}` — by name;
-    /// * `{"span":name,"count":N,"wall_ns":N,"sim_ms":F,"wall_us_buckets":[…]}`
-    ///   — by name; the buckets are per-bucket (not cumulative) counts
-    ///   over [`DURATION_US_BUCKETS`] plus a final `+Inf` bucket;
+    /// * `{"span":name,"count":N,"wall_ns":N,"sim_ms":F}` — by name;
     /// * `{"flame":"outer;inner;leaf","ns":N}` — folded-stack self time.
     ///
     /// Everything after the prefix may carry wall-clock values.
@@ -320,13 +309,11 @@ impl Snapshot {
         for (name, s) in &self.spans {
             out.push_str("{\"span\":");
             write_str(&mut out, name);
-            let buckets: Vec<String> = s.wall_us.bucket_counts().iter().map(u64::to_string).collect();
             out.push_str(&format!(
-                ",\"count\":{},\"wall_ns\":{},\"sim_ms\":{},\"wall_us_buckets\":[{}]}}\n",
+                ",\"count\":{},\"wall_ns\":{},\"sim_ms\":{}}}\n",
                 s.count,
                 s.wall_ns,
-                format_float(s.sim_ms),
-                buckets.join(",")
+                format_float(s.sim_ms)
             ));
         }
         for (stack, ns) in &self.flame {
@@ -510,7 +497,7 @@ mod tests {
         let mut r = Recorder::new(Level::Full);
         r.record_decision(DecisionRecord::new(DecisionKind::Knapsack).field("spent_pages", 4u64));
         r.add_counter("engine.whatif_calls", 12);
-        r.record_span("organizer.knapsack", 2_000_000); // 2 ms → the le=10 ms bucket
+        r.record_span("organizer.knapsack", 2_000_000); // 2 ms
         r.record_span_sim("organizer.knapsack", 7.0);
         r.mark_epoch(0);
         let mut s = r.into_snapshot();
@@ -521,7 +508,7 @@ mod tests {
             "{\"decision\":\"knapsack\",\"epoch\":0,\"spent_pages\":4}\n\
              {\"series_epoch\":0,\"counters\":{\"engine.whatif_calls\":12},\"sim_ms\":{\"organizer.knapsack\":7.0}}\n\
              {\"counter\":\"engine.whatif_calls\",\"value\":12}\n\
-             {\"span\":\"organizer.knapsack\",\"count\":1,\"wall_ns\":2000000,\"sim_ms\":7.0,\"wall_us_buckets\":[0,0,0,1,0,0,0]}\n\
+             {\"span\":\"organizer.knapsack\",\"count\":1,\"wall_ns\":2000000,\"sim_ms\":7.0}\n\
              {\"flame\":\"tuner.epoch;organizer.knapsack\",\"ns\":1900}\n"
         );
         assert!(text.starts_with(&s.flight_jsonl()) && s.flight_jsonl().lines().count() == 2);

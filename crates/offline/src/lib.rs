@@ -27,9 +27,6 @@ use colt_catalog::{ColRef, Database, IndexOrigin, PhysicalConfig, TableId};
 use colt_engine::{Eqo, Query};
 use std::collections::BTreeMap;
 
-pub mod composites;
-pub use composites::{suggest_composites, CompositeSuggestion};
-
 /// The result of off-line index selection.
 #[derive(Debug, Clone)]
 pub struct OfflineSelection {

@@ -1,13 +1,14 @@
 //! Multi-column indices — the paper's stated future work, implemented:
-//! the advisor mines co-occurring predicates from a workload, suggests
-//! composite indices, and the engine plans and executes prefix scans
-//! over them.
+//! COLT's on-line composite extension mines co-occurring predicates from
+//! the query window and builds a composite index when its benefit over
+//! the window pays for the build, and the engine plans and executes
+//! prefix scans over it.
 //!
 //! Run with: `cargo run --release --example composite_indexes`
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an example prints and aborts")]
 
+use colt_repro::colt::CompositeTuner;
 use colt_repro::engine::{Executor, IndexSetView, Optimizer, Query, SelPred};
-use colt_repro::offline::suggest_composites;
 use colt_repro::prelude::*;
 
 fn main() {
@@ -32,25 +33,25 @@ fn main() {
         })
         .collect();
 
-    // 1. Ask the advisor.
-    let suggestions = suggest_composites(db, &workload, 3);
-    println!("advisor suggestions:");
-    for s in &suggestions {
-        println!(
-            "  {}  serves {} queries, extra benefit {:.0} cost units, ~{} pages",
-            s.key, s.occurrences, s.extra_benefit, s.pages
-        );
+    // 1. Let the composite tuner watch the workload — each query with
+    //    the plan it ran under — and close the epoch.
+    let opt = Optimizer::new(db);
+    let bare = PhysicalConfig::new();
+    let mut tuner = CompositeTuner::new(&ColtConfig { composite_budget_pages: 10_000, ..Default::default() });
+    for q in &workload {
+        tuner.observe(q, &opt.optimize(q, IndexSetView::real(&bare)));
     }
-    let top = suggestions.first().expect("co-occurring predicates must yield a suggestion");
+    let mut composite = PhysicalConfig::new();
+    let step = tuner.reorganize(db, &mut composite);
+    println!("composite tuner built:");
+    for (key, io) in &step.built {
+        println!("  {key}  ~{} pages, build {:.1} simulated ms", key.estimate(db).pages, db.cost.millis_of(io));
+    }
+    let (key, _) = step.built.first().expect("co-occurring predicates must earn a composite");
 
     // 2. Compare three configurations: bare, best single-column, composite.
-    let bare = PhysicalConfig::new();
     let mut single = PhysicalConfig::new();
     single.create_index(db, suppkey, IndexOrigin::Online);
-    let mut composite = PhysicalConfig::new();
-    composite.create_composite(db, top.key.clone());
-
-    let opt = Optimizer::new(db);
     let mut totals = [0.0f64; 3];
     for q in &workload {
         for (i, cfg) in [&bare, &single, &composite].iter().enumerate() {
@@ -65,7 +66,7 @@ fn main() {
     println!("workload time (60 queries, simulated ms):");
     println!("  no index:              {:>8.1}", totals[0]);
     println!("  single-column (l_suppkey): {:>4.1}", totals[1]);
-    println!("  composite {}: {:>8.1}", top.key, totals[2]);
+    println!("  composite {key}: {:>8.1}", totals[2]);
     if (totals[1] - totals[0]).abs() < 1e-6 {
         println!();
         println!("  (note: the single-column index is never chosen here — 2.5%");

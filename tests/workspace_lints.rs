@@ -1,7 +1,7 @@
 //! The workspace's static contracts (DESIGN §9). Clippy holds the
 //! determinism, output and panic lints (the root `Cargo.toml`'s
-//! `[workspace.lints.clippy]` and `clippy.toml`); these tests run it as CI
-//! does, count library code's `#[expect]`s against [`WAIVER_CAPS`], and
+//! `[workspace.lints.clippy]` and `clippy.toml`); these tests run it with
+//! `-D warnings`, count library code's `#[expect]`s against [`WAIVER_CAPS`], and
 //! hold what clippy cannot: the crate DAG, module orders, metric names.
 #![allow(clippy::expect_used, clippy::panic, reason = "test helpers may unwrap and panic")]
 
@@ -45,15 +45,14 @@ const LAYERS: &[&str] =
 /// Module orders, lowest first: a top-level module (not the `lib.rs`
 /// facade) may name `crate::n` only for an `n` before it in its list.
 const MODULE_ORDERS: &[(&str, &str)] = &[
-    ("obs", "json event hist ledger recorder"),
+    ("obs", "json event ledger recorder"),
     ("storage", "value row page prng column heap btree"),
     ("catalog", "schema stats index composite database"),
     ("engine", "error query plan selectivity cost batch kernel optimizer memo executor rowwise \
                 whatif"),
-    ("core", "prng config trace cluster crude gain hotset knapsack rebudget scheduler \
+    ("core", "config trace cluster crude gain hotset knapsack rebudget scheduler \
               composite_ext profiler organizer tuner"),
     ("workload", "gen distribution tpch workload presets"),
-    ("offline", "composites"),
     ("harness", "runner flight metrics multiclient parallel report"),
 ];
 
@@ -193,8 +192,8 @@ fn crate_edges(code: &str) -> Vec<(usize, &str)> {
 
 #[test]
 fn clippy_is_clean() {
-    // CI's clippy step, in a target directory of its own so that it does
-    // not wait for the lock of the `cargo test` running it.
+    // The workspace's one clippy gate, in a target directory of its own
+    // so that it does not wait for the lock of the `cargo test` running it.
     let out = Command::new(env!("CARGO"))
         .args(["clippy", "--workspace", "--all-targets", "--", "-D", "warnings"])
         .current_dir(root())
