@@ -10,8 +10,10 @@
 //! rows and must beat, in this process and at every size, the same
 //! build through the byte-wise radix sort `sorted_entries` replaced
 //! ([`lsd_sort`], kept here as that reference only) and through a
-//! comparison sort, and at 100 000 rows the same build with
-//! `(Value, RowId)` entries, which the code-keyed tree replaced. A
+//! comparison sort — both over the same 32-bit cell codes, so the radix
+//! reference makes at most four passes — and at 100 000 rows the same
+//! build with `(Value, RowId)` entries, which the code-keyed tree
+//! replaced. A
 //! selectivity estimate over a fixed-width column's key codes must beat
 //! the same estimate comparing `Value`s, and a scan kernel that counts a
 //! window must beat the one that selects it, again in this process.
@@ -21,11 +23,13 @@
 //!
 //! Every scan row here replays one 6 000-row column thousands of times,
 //! so the branch predictor learns its pattern: that flatters a select
-//! that branches on the data, as the date range's 32-row mask select
-//! does (≈ 0.25 ns/row at 2–6 % here, ≈ 0.65 on the `joins` stream's own
+//! that branches on the data, as every select's 32-row mask does
+//! (≈ 0.25 ns/row at 2–6 % here, ≈ 0.65 on the `joins` stream's own
 //! date predicates; EXPERIMENTS.md, "Hash joins write only what a
 //! consumer reads"). Size such a select on stream data, not on these
-//! rows.
+//! rows. The columns are built through a heap, so they have the layout
+//! the heap gives their values: the `Int` keys are offsets, the `Float`
+//! ones ranks.
 #![allow(
     clippy::disallowed_methods,
     clippy::expect_used,
@@ -43,8 +47,8 @@ use colt_engine::{
     Query, SelPred, BATCH_ROWS,
 };
 use colt_storage::{
-    row_from, sorted_entries, BPlusTree, BPlusTreeOf, ColumnSlice, HeapTable, IoStats, KeyCode,
-    RowId, Value, ValueType,
+    row_from, sorted_entries, BPlusTree, BPlusTreeOf, Cells, ColumnSlice, HeapTable, IoStats,
+    KeyCode, RowId, Value, ValueType,
 };
 use std::hint::black_box;
 use std::ops::Bound;
@@ -140,31 +144,26 @@ enum Reference {
 
 /// `build_index` over the heap's one fixed-width column with one step
 /// swapped, as the same-process reference; the built tree's page count.
+/// The references sort the same 32-bit cell codes `sorted_entries` does.
 fn reference_build(heap: &HeapTable, reference: Reference) -> usize {
-    fn build<T: KeyCode>(cells: &[T], wrap: fn(T) -> Value, reference: Reference) -> usize
-    where
-        T::Code: TryFrom<u64>,
-    {
-        let sort: fn(&mut Vec<(T::Code, u32)>) = match reference {
-            Reference::ValueEntries => {
-                let cell = |code| T::from_code(T::Code::try_from(code).ok().expect("a cell's code"));
-                let entries = sorted_entries(cells).into_iter().map(|(code, rid)| (wrap(cell(code)), rid));
-                return BPlusTree::bulk_load(8, entries.collect()).page_count();
-            }
-            Reference::LsdSort => lsd_sort,
-            Reference::ComparisonSort => |pairs| pairs.sort_unstable(),
-        };
-        let mut keyed: Vec<(T::Code, u32)> = cells.iter().map(|x| x.code()).zip(0..).collect();
-        sort(&mut keyed);
-        let entries = keyed.into_iter().map(|(code, rid)| (code.into(), RowId(rid)));
-        BPlusTreeOf::<u64>::bulk_load(8, entries.collect()).page_count()
-    }
-    match heap.column(0) {
-        Some(ColumnSlice::Int(cells)) => build(cells, Value::Int, reference),
-        Some(ColumnSlice::Date(cells)) => build(cells, Value::Date, reference),
-        Some(ColumnSlice::Float(cells)) => build(cells, Value::Float, reference),
-        _ => unreachable!("the heap has one fixed-width column"),
-    }
+    let column = heap.column(0).expect("the heap has one column");
+    let sort: fn(&mut Vec<(u32, u32)>) = match reference {
+        Reference::ValueEntries => {
+            let entries = sorted_entries(column);
+            let value = |(_, rid): (u64, RowId)| (column.get(rid.0 as usize).expect("a row"), rid);
+            return BPlusTree::bulk_load(8, entries.into_iter().map(value).collect()).page_count();
+        }
+        Reference::LsdSort => lsd_sort,
+        Reference::ComparisonSort => |pairs| pairs.sort_unstable(),
+    };
+    // Each row's cell code `c`, keyed `2c + 1` once sorted.
+    let mut keyed: Vec<(u32, u32)> = match column.cells() {
+        Cells::Codes(codes) => codes.iter().copied().zip(0..).collect(),
+        Cells::Days(days) => days.iter().map(|x| x.code()).zip(0..).collect(),
+    };
+    sort(&mut keyed);
+    let entries = keyed.into_iter().map(|(code, rid)| (code.code(), RowId(rid)));
+    BPlusTreeOf::<u64>::bulk_load(8, entries.collect()).page_count()
 }
 
 /// Benchmarks `build_index` on one column at 6 000, 100 000 and
@@ -313,8 +312,18 @@ fn bench_kernel_scan() -> bool {
     let keys: Vec<i64> = (0..ROWS as i64).map(|i| i * 3_539 % ROWS as i64).collect();
     let date = |k: i64| k as i32 + 8_000;
     let float = |k: i64| 900.0 + k as f64 / 100.0;
-    let dates: Vec<i32> = keys.iter().map(|&k| date(k)).collect();
-    let floats: Vec<f64> = keys.iter().map(|&k| float(k)).collect();
+    let heap_of = |vtype, value: &dyn Fn(i64) -> Value| {
+        let mut heap = HeapTable::new(&[vtype]);
+        heap.insert_rows(keys.iter().map(|&k| row_from(vec![value(k)])))
+            .expect("the rows have the column's type");
+        heap
+    };
+    let ints = heap_of(ValueType::Int, &Value::Int);
+    let dates = heap_of(ValueType::Date, &|k| Value::Date(date(k)));
+    let floats = heap_of(ValueType::Float, &|k| Value::Float(float(k)));
+    fn column(heap: &HeapTable) -> ColumnSlice<'_> {
+        heap.column(0).expect("the heap has its column")
+    }
     let windows = || (0..ROWS).step_by(BATCH_ROWS).map(|start| start..(start + BATCH_ROWS).min(ROWS));
     // A range keeping `kept` rows, and a call selecting them a window at
     // a time.
@@ -352,22 +361,22 @@ fn bench_kernel_scan() -> bool {
         }
         count_ns < select_ns
     };
-    let int = scan("int", ColumnSlice::Int(&keys), &Value::Int);
+    let int = scan("int", column(&ints), &Value::Int);
     // An equality compiles to the same one-compare range test, `span` 0.
     let eq = SelPred::eq(ColRef::new(TableId(0), 0), 1_000i64);
-    let kernel = Kernel::compile(&eq, ColumnSlice::Int(&keys));
+    let kernel = Kernel::compile(&eq, column(&ints));
     let count = || assert_eq!(windows().map(|window| black_box(kernel.count(window))).sum::<usize>(), 1);
     let ns = fastest(2_000, &[&count])[0];
     println!("  {:<44} {:>8.2} ns/row", "kernel/count/int_eq", ns / ROWS as f64);
     let date_literal = |k| Value::Date(date(k));
-    let date = scan("date", ColumnSlice::Date(&dates), &date_literal);
+    let date = scan("date", column(&dates), &date_literal);
     for (label, kept) in [("2%", 120), ("6%", 360)] {
-        let kernel = kernel_of(ColumnSlice::Date(&dates), &date_literal, kept);
+        let kernel = kernel_of(column(&dates), &date_literal, kept);
         let ns = fastest(2_000, &[&|| select(&kernel, kept)])[0];
         let line = format!("kernel/select/date/{label}");
         println!("  {line:<44} {:>8.2} ns/row", ns / ROWS as f64);
     }
-    let float = scan("float", ColumnSlice::Float(&floats), &|k| Value::Float(float(k)));
+    let float = scan("float", column(&floats), &|k| Value::Float(float(k)));
     int && date && float
 }
 

@@ -82,7 +82,7 @@ mod tests {
     use super::*;
     use crate::database::{build_composite, Database};
     use crate::schema::{Column, TableSchema};
-    use colt_storage::{row_from, KeyCode, RowId, Value, ValueType};
+    use colt_storage::{literal_code, row_from, RowId, Value, ValueType};
     use std::ops::Bound;
 
     fn setup() -> (Database, TableId, CompositeKey) {
@@ -115,10 +115,13 @@ mod tests {
     }
 
     /// The rows whose key codes lie in `[lo, hi]`, `Int` cells given
-    /// as themselves: the scan the executor makes of a prefix (`lo`) and
-    /// its range on the next column (`hi`, padded with the greatest code).
-    fn scan(m: &MaterializedComposite, lo: &[i64], hi: &[i64]) -> Vec<RowId> {
-        let codes = |cells: &[i64]| cells.iter().map(|x| x.code()).collect::<Vec<u64>>();
+    /// as themselves and resolved against their key columns: the scan
+    /// the executor makes of a prefix (`lo`) and its range on the next
+    /// column (`hi`, padded with the greatest code).
+    fn scan(db: &Database, m: &MaterializedComposite, lo: &[i64], hi: &[i64]) -> Vec<RowId> {
+        let heap = &db.table(m.key.table).heap;
+        let code = |(&x, &c): (&i64, &u32)| literal_code(&Value::Int(x), heap.column(c as usize).unwrap());
+        let codes = |cells: &[i64]| cells.iter().zip(&m.key.columns).map(code).collect::<Result<Vec<u64>, _>>().unwrap();
         let mut hi = codes(hi);
         hi.resize(2, u64::MAX);
         m.tree.range(Bound::Included(&codes(lo)), Bound::Included(&hi), &mut IoStats::new())
@@ -130,7 +133,7 @@ mod tests {
         let m = build_composite(&db, &key);
         // Rows with a=3, b=13: i ≡ 3 (mod 20) and i ≡ 13 (mod 50) →
         // i ≡ 63 (mod 100) → 20 of 2000 rows.
-        let hits = scan(&m, &[3, 13], &[3, 13]);
+        let hits = scan(&db, &m, &[3, 13], &[3, 13]);
         assert_eq!(hits.len(), 20);
         for rid in hits {
             let row = db.table(t).heap.peek(rid).unwrap();
@@ -143,7 +146,7 @@ mod tests {
     fn prefix_only_scan() {
         let (db, t, key) = setup();
         let m = build_composite(&db, &key);
-        let hits = scan(&m, &[3], &[3]);
+        let hits = scan(&db, &m, &[3], &[3]);
         assert_eq!(hits.len(), 100, "a=3 matches 100 of 2000 rows");
         for rid in hits {
             assert_eq!(db.table(t).heap.peek(rid).unwrap()[0], Value::Int(3));
@@ -157,7 +160,7 @@ mod tests {
         // a=3 → b = i%50 where i ≡ 3 (mod 20): b ∈ {3,23,43,13,33} each
         // 20 times; within [10,20), the codes of 10 to 19: only b=13 →
         // 20 rows.
-        let hits = scan(&m, &[3, 10], &[3, 19]);
+        let hits = scan(&db, &m, &[3, 10], &[3, 19]);
         assert_eq!(hits.len(), 20);
         for rid in hits {
             let row = db.table(t).heap.peek(rid).unwrap();

@@ -52,7 +52,7 @@ impl CompositeKey {
 /// Build a composite index over a table's heap: full scan, sort by the
 /// composite key, bulk load, page writes — the same charge structure as
 /// single-column builds. A key is its cells' key codes in column order
-/// (a string's rank code), so the tree is probed through its columns.
+/// (of offsets, ranks or days), so the tree is probed through its columns.
 pub fn build_composite(db: &Database, key: &CompositeKey) -> MaterializedComposite {
     let t = db.table(key.table);
     let mut io = IoStats::new();

@@ -7,7 +7,7 @@
 
 use crate::schema::ColRef;
 use colt_storage::btree::bulk_shape;
-use colt_storage::{sorted_entries, BPlusTreeOf, ColumnSlice, HeapTable, IoStats};
+use colt_storage::{sorted_entries, BPlusTreeOf, HeapTable, IoStats};
 
 /// Estimated physical shape of a (possibly hypothetical) index.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,17 +68,11 @@ pub enum IndexOrigin {
 /// Build an index over `column` of `heap`, charging the physical work to
 /// the returned [`IoStats`]: a full sequential heap scan, an external
 /// sort (`n log2 n` comparisons), and the writes of every index page.
-/// The keys are the cells' key codes — a string column's ranks — so the
-/// tree is probed through the column it was built from.
+/// The keys are the key codes of the cells' days, offsets or ranks, so
+/// the tree is probed through the column it was built from.
 pub fn build_index(heap: &HeapTable, col: ColRef, key_width: usize) -> (BPlusTreeOf<u64>, IoStats) {
     let mut io = IoStats::new();
-    let entries = match heap.scan_column(col.column as usize, &mut io) {
-        Some(ColumnSlice::Int(cells)) => sorted_entries(cells),
-        Some(ColumnSlice::Float(cells)) => sorted_entries(cells),
-        Some(ColumnSlice::Str { ranks, .. }) => sorted_entries(ranks),
-        Some(ColumnSlice::Date(cells)) => sorted_entries(cells),
-        None => Vec::new(),
-    };
+    let entries = heap.scan_column(col.column as usize, &mut io).map_or_else(Vec::new, sorted_entries);
     let tree = BPlusTreeOf::bulk_load(key_width, entries);
     let n = tree.len() as u64;
     if n > 1 {

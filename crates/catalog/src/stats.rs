@@ -8,17 +8,18 @@
 //!
 //! The values the statistics keep are stored twice. The public
 //! [`Value`] fields are what a workload generator draws literals from
-//! and what a string column is estimated by (a string's key code is a
-//! rank in the heap column's dictionary, which the statistics do not
-//! hold). For a fixed-width column the estimator instead compares the
-//! same values' key codes ([`colt_storage::KeyCode`]): a literal becomes
-//! a code once, through [`literal_code`], and finding its bucket and its
-//! MCV is integer compares. Only the comparisons differ — the arithmetic
+//! and what a string column is estimated by (a string has no code of
+//! its own, only a rank in the heap column's dictionary). For an `Int`,
+//! `Float` or `Date` column the estimator instead compares the same
+//! values' own key codes ([`colt_storage::KeyCode`], not the heap
+//! column's offsets or ranks): a literal becomes a code once, through
+//! [`value_code`], and finding its bucket and its MCV is integer
+//! compares. Only the comparisons differ — the arithmetic
 //! is one body reading one set of numbers — and codes order as
 //! `Value::cmp` orders, so either way gives the same estimate **bit for
 //! bit** (`crates/catalog/tests/proptest_stats.rs` holds them to it).
 
-use colt_storage::{literal_code, ColumnSlice, HeapTable, KeyCode, Value};
+use colt_storage::{value_code, Cells, HeapTable, KeyCode, Value, ValueType};
 use std::cmp::Ordering;
 use std::ops::Bound;
 
@@ -77,11 +78,13 @@ pub struct ColumnStats {
     codes: Option<Codes>,
 }
 
-/// The key codes of the values a fixed-width column's statistics keep.
+/// The key codes of the values a fixed-width column's statistics keep:
+/// the values' own ([`value_code`]), not the heap column's offsets or
+/// ranks, so they hold whatever rows the column gains.
 #[derive(Debug, Clone)]
 struct Codes {
-    /// An empty column of the column's type: literals resolve against it.
-    column: ColumnSlice<'static>,
+    /// The column's type: a literal of another one is not compared.
+    vtype: ValueType,
     /// Code of `bounds[i]`.
     bounds: Vec<u64>,
     /// Code of `mcvs[i].0`.
@@ -90,18 +93,11 @@ struct Codes {
 
 impl Codes {
     /// `None` for a string column.
-    fn of(column: ColumnSlice<'_>, bounds: &[Value], mcvs: &[(Value, f64)]) -> Option<Self> {
-        let column = match column {
-            ColumnSlice::Int(_) => ColumnSlice::Int(&[]),
-            ColumnSlice::Float(_) => ColumnSlice::Float(&[]),
-            ColumnSlice::Date(_) => ColumnSlice::Date(&[]),
-            ColumnSlice::Str { .. } => return None,
-        };
-        let code = |v: &Value| literal_code(v, column).ok();
+    fn of(vtype: ValueType, bounds: &[Value], mcvs: &[(Value, f64)]) -> Option<Self> {
         Some(Codes {
-            column,
-            bounds: bounds.iter().map(code).collect::<Option<_>>()?,
-            mcvs: mcvs.iter().map(|(v, _)| code(v)).collect::<Option<_>>()?,
+            vtype,
+            bounds: bounds.iter().map(value_code).collect::<Option<_>>()?,
+            mcvs: mcvs.iter().map(|(v, _)| value_code(v)).collect::<Option<_>>()?,
         })
     }
 }
@@ -158,40 +154,27 @@ fn bucket_of<K: Ord>(bounds: &[K], v: &K) -> Result<usize, f64> {
 impl ColumnStats {
     /// Gather statistics for column `column` of `heap` by a full pass
     /// over the data (the reproduction's ANALYZE). What is sorted is the
-    /// column's key codes — a string column's ranks — and only the few
-    /// values the statistics keep become [`Value`]s.
+    /// column's 32-bit cell codes — days, offsets or ranks — and only the
+    /// few values the statistics keep become [`Value`]s.
     pub fn analyze(heap: &HeapTable, column: usize) -> Self {
-        fn sorted_codes<T: KeyCode>(cells: &[T]) -> Vec<T::Code> {
-            let mut codes: Vec<T::Code> = cells.iter().map(|x| x.code()).collect();
-            // Not the index build's `sorted_entries`, which makes the
-            // `(code, row id)` entries nothing here wants; bare codes of
-            // sorted key columns and of few-valued ones are a comparison
-            // sort's best cases (measured against the byte-wise radix
-            // sort of PR 15).
-            codes.sort_unstable();
-            codes
-        }
-        let cells = heap.column(column);
-        let mut stats = match cells {
-            Some(ColumnSlice::Int(cells)) => {
-                Self::of_sorted(&sorted_codes(cells), |&c| Value::Int(i64::from_code(c)))
-            }
-            Some(ColumnSlice::Float(cells)) => {
-                Self::of_sorted(&sorted_codes(cells), |&c| Value::Float(f64::from_code(c)))
-            }
-            Some(ColumnSlice::Date(cells)) => {
-                Self::of_sorted(&sorted_codes(cells), |&c| Value::Date(i32::from_code(c)))
-            }
-            Some(ColumnSlice::Str { dict, ranks }) => {
-                let string = |&c: &u64| Value::Str(dict[u32::from_code(c) as usize].clone());
-                Self::of_sorted(&sorted_codes(ranks), string)
-            }
-            None => Self::of_sorted::<u64>(&[], |_| Value::Int(0)),
+        let Some(cells) = heap.column(column) else {
+            return Self::of_sorted::<u32>(&[], |_| Value::Int(0));
         };
+        let mut codes: Vec<u32> = match cells.cells() {
+            Cells::Codes(codes) => codes.to_vec(),
+            Cells::Days(days) => days.iter().map(|x| x.code()).collect(),
+        };
+        // Not the index build's `sorted_entries`, which makes the
+        // `(code, row id)` entries nothing here wants; bare codes of
+        // sorted key columns and of few-valued ones are a comparison
+        // sort's best cases (measured against the byte-wise radix sort
+        // of PR 15).
+        codes.sort_unstable();
+        let mut stats = Self::of_sorted(&codes, |&c| cells.value_of(c));
         // The kept values back into the codes they were made from.
-        stats.codes = cells
-            .filter(|cells| !cells.is_empty())
-            .and_then(|cells| Codes::of(cells, &stats.bounds, &stats.mcvs));
+        stats.codes = (!cells.is_empty())
+            .then(|| Codes::of(cells.value_type(), &stats.bounds, &stats.mcvs))
+            .flatten();
         stats
     }
 
@@ -235,10 +218,10 @@ impl ColumnStats {
     /// Resolve a literal for comparison, once per estimate.
     fn key<'a>(&'a self, v: &'a Value) -> Key<'a> {
         let Some(codes) = &self.codes else { return Key::Value(v) };
-        match literal_code(v, codes.column) {
-            Ok(code) => Key::Code(code, codes),
-            Err(Ordering::Less) => Key::Below,
-            Err(_) => Key::Above,
+        match (v.value_type().cmp(&codes.vtype), value_code(v)) {
+            (Ordering::Equal, Some(code)) => Key::Code(code, codes),
+            (Ordering::Less, _) => Key::Below,
+            _ => Key::Above,
         }
     }
 
@@ -477,7 +460,7 @@ mod tests {
 
     #[test]
     fn fixed_width_columns_with_rows_keep_codes() {
-        use colt_storage::{literal_code, ValueType};
+        use colt_storage::ValueType;
         let mut heap = HeapTable::new(&[ValueType::Date, ValueType::Float, ValueType::Str, ValueType::Int]);
         let empty = ColumnStats::analyze(&heap, 0);
         assert!(empty.codes.is_none(), "nothing to compare");
@@ -490,8 +473,8 @@ mod tests {
         for (column, vtype) in [(0, ValueType::Date), (1, ValueType::Float), (3, ValueType::Int)] {
             let stats = ColumnStats::analyze(&heap, column);
             let codes = stats.codes.as_ref().expect("a fixed-width column with rows");
-            assert_eq!(codes.column.value_type(), vtype);
-            let code = |v: &Value| literal_code(v, codes.column).unwrap();
+            assert_eq!(codes.vtype, vtype);
+            let code = |v: &Value| colt_storage::value_code(v).unwrap();
             assert_eq!(codes.bounds, stats.bounds.iter().map(code).collect::<Vec<_>>());
             assert!(!stats.mcvs.is_empty());
             assert_eq!(codes.mcvs, stats.mcvs.iter().map(|(v, _)| code(v)).collect::<Vec<_>>());

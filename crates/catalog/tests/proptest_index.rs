@@ -1,12 +1,12 @@
 //! Randomized property tests for the build paths that read typed heap
-//! columns: an index build and ANALYZE sort key codes (a string
-//! column's dictionary ranks), and must come out exactly as if they had
+//! columns: an index build and ANALYZE sort 32-bit cell codes (days,
+//! offsets or dictionary ranks), and must come out exactly as if they had
 //! sorted `Value`s by `Value::cmp`. Cases come from the in-repo seeded PRNG.
 #![allow(clippy::unwrap_used, reason = "test helpers may unwrap and panic")]
 
 use colt_catalog::{build_index, ColRef, ColumnStats, TableId, HISTOGRAM_BUCKETS};
 use colt_storage::{
-    code_bound, literal_code, row_from, BPlusTreeOf, ColumnSlice, HeapTable, IoStats, KeyCode, Prng,
+    code_bound, literal_code, row_from, BPlusTreeOf, ColumnSlice, HeapTable, IoStats, Prng,
     RowId, Value, ValueType,
 };
 use std::ops::Bound;
@@ -57,12 +57,8 @@ fn heap_of(rng: &mut Prng, vtype: ValueType, rows: usize) -> (HeapTable, Vec<Val
 /// turned back into the cells they were made from.
 fn entries_of(tree: &BPlusTreeOf<u64>, column: ColumnSlice<'_>) -> Vec<(Value, RowId)> {
     tree.check_invariants();
-    let cell = |code: u64| match column {
-        ColumnSlice::Int(_) => Value::Int(i64::from_code(code)),
-        ColumnSlice::Float(_) => Value::Float(f64::from_code(code)),
-        ColumnSlice::Str { dict, .. } => Value::Str(dict[u32::from_code(code) as usize].clone()),
-        ColumnSlice::Date(_) => Value::Date(i32::from_code(code as u32)),
-    };
+    // Cell code `c` has key code `2c + 1`.
+    let cell = |code: u64| column.value_of((code >> 1) as u32);
     tree.iter().map(|(&code, rid)| (cell(code), rid)).collect()
 }
 
@@ -70,18 +66,10 @@ fn entries_of(tree: &BPlusTreeOf<u64>, column: ColumnSlice<'_>) -> Vec<(Value, R
 /// `(code, row id)` pairs a comparison sort orders: what `build_index`
 /// must build, whatever its sort does.
 fn reference_tree(heap: &HeapTable, vtype: ValueType) -> Option<BPlusTreeOf<u64>> {
-    fn pairs<T: KeyCode>(cells: &[T]) -> Vec<(u64, RowId)> {
-        let mut pairs: Vec<(u64, RowId)> =
-            cells.iter().zip(0..).map(|(x, rid)| (x.code().into(), RowId(rid))).collect();
-        pairs.sort_unstable();
-        pairs
-    }
-    let entries = match heap.column(0)? {
-        ColumnSlice::Int(cells) => pairs(cells),
-        ColumnSlice::Float(cells) => pairs(cells),
-        ColumnSlice::Date(cells) => pairs(cells),
-        ColumnSlice::Str { ranks, .. } => pairs(ranks),
-    };
+    let column = heap.column(0)?;
+    let mut entries: Vec<(u64, RowId)> =
+        (0..column.len()).map(|row| (column.code(row), RowId(row as u32))).collect();
+    entries.sort_unstable();
     Some(BPlusTreeOf::bulk_load(vtype.byte_width(), entries))
 }
 

@@ -278,8 +278,9 @@ fn mix(hash: u64, word: u64) -> u64 {
 /// Fold one key column into the running hashes: `hashes[i]` absorbs the
 /// cell input row `window.start + i` reads. Equal cells fold equally; the
 /// type is not hashed (a cross-type key pair may collide, and then fails
-/// [`ColumnSlice::cells_eq`]). A string is hashed by its bytes, read
-/// through its column's dictionary: two tables' ranks of one string
+/// [`ColumnSlice::cells_eq`]). A cell is hashed by its value — an offset
+/// with its column's base, a rank through its column's dictionary, a
+/// string by its bytes — as two tables' offsets or ranks of one value
 /// differ.
 fn hash_cells(cells: ColumnSlice<'_>, map: impl RowMap, window: Range<usize>, hashes: &mut [u64]) {
     fn fold<'c, T: 'c>(cells: impl Cells<'c, T>, hashes: &mut [u64], word: impl Fn(&T) -> u64) {
@@ -288,8 +289,15 @@ fn hash_cells(cells: ColumnSlice<'_>, map: impl RowMap, window: Range<usize>, ha
         }
     }
     match cells {
-        ColumnSlice::Int(c) => fold(map.cells(c, window), hashes, |&x| x as u64),
-        ColumnSlice::Float(c) => fold(map.cells(c, window), hashes, |x| x.to_bits()),
+        ColumnSlice::Int { base, offsets } => {
+            fold(map.cells(offsets, window), hashes, |&o| base.wrapping_add(o.into()) as u64)
+        }
+        ColumnSlice::RankedInt { dict, ranks } => {
+            fold(map.cells(ranks, window), hashes, |&r| dict[r as usize] as u64)
+        }
+        ColumnSlice::Float { dict, ranks } => {
+            fold(map.cells(ranks, window), hashes, |&r| dict[r as usize].to_bits())
+        }
         ColumnSlice::Date(c) => fold(map.cells(c, window), hashes, |&x| x as u32 as u64),
         ColumnSlice::Str { dict, ranks } => {
             for (hash, &rank) in hashes.iter_mut().zip(map.cells(ranks, window)) {
@@ -325,8 +333,8 @@ fn hash_keys(keys: &[KeyCol<'_>], window: Range<usize>, hashes: &mut Vec<u64>) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SlotRule {
     /// One `Int` key column on each side, or one `Date` on each, whose
-    /// build codes span few enough slots: a row's slot key is its code
-    /// less the build's least ([`offset_join`]).
+    /// build values' codes span few enough slots: a row's slot key is its
+    /// value's code less the build's least ([`offset_join`]).
     Offset,
     /// Any other key: the folded-multiply hash of it ([`hash_keys`]).
     Hashed,
@@ -338,12 +346,28 @@ pub(crate) enum SlotRule {
 /// reference emits them — or only their number. The probe goes a
 /// [`BATCH_ROWS`] window at a time.
 pub(crate) fn equi_join(build: &[KeyCol<'_>], probe: &[KeyCol<'_>], out: &mut Matches) -> SlotRule {
-    use ColumnSlice::{Date, Int};
     if let ([b], [p]) = (build, probe) {
+        let day = |x: &i32| u64::from(x.code());
         let offset = by_rows!(b.rows, |bm| by_rows!(p.rows, |pm| match (b.cells, p.cells) {
-            (Int(bc), Int(pc)) => offset_join((bc, bm, b.len()), (pc, pm, p.len()), out),
-            (Date(bc), Date(pc)) => offset_join((bc, bm, b.len()), (pc, pm, p.len()), out),
-            _ => false,
+            (ColumnSlice::Date(bc), ColumnSlice::Date(pc)) => {
+                offset_join((bc, day, bm, b.len()), (pc, day, pm, p.len()), out)
+            }
+            // Offsets on both sides, the layout nearly every `Int` key
+            // has: the value code is the base's plus the offset.
+            (
+                ColumnSlice::Int { base: bb, offsets: bc },
+                ColumnSlice::Int { base: pb, offsets: pc },
+            ) => {
+                let key = |base: u64| move |&o: &u32| base + u64::from(o);
+                let (bk, pk) = (key(bb.code()), key(pb.code()));
+                offset_join((bc, bk, bm, b.len()), (pc, pk, pm, p.len()), out)
+            }
+            (bc, pc) => match (int_keys(bc), int_keys(pc)) {
+                (Some((bc, bk)), Some((pc, pk))) => {
+                    offset_join((bc, bk, bm, b.len()), (pc, pk, pm, p.len()), out)
+                }
+                _ => false,
+            },
         }));
         if offset {
             return SlotRule::Offset;
@@ -356,23 +380,35 @@ pub(crate) fn equi_join(build: &[KeyCol<'_>], probe: &[KeyCol<'_>], out: &mut Ma
     SlotRule::Hashed
 }
 
+/// An `Int` key column's cells and the [`KeyCode`] of each one's value,
+/// the same in every column: the base's code plus an offset, or a rank's
+/// value's code.
+fn int_keys(cells: ColumnSlice<'_>) -> Option<(&[u32], impl Fn(&u32) -> u64 + Copy + '_)> {
+    let (codes, base, dict) = match cells {
+        ColumnSlice::Int { base, offsets } => (offsets, base.code(), &[][..]),
+        ColumnSlice::RankedInt { dict, ranks } => (ranks, 0, dict),
+        _ => return None,
+    };
+    Some((codes, move |&c: &u32| dict.get(c as usize).map_or(base + u64::from(c), |x| x.code())))
+}
+
 /// The offset rule, taken when the build's key codes span no more slots
 /// than [`SLOTS_PER_ROW`] per build row or one per probe row — so the
 /// table costs no more to fill than the hashed rule's or than the probe
-/// that reads it. A row's slot key is `code − min`, `min` the build's
-/// least code: each build code has a slot of its own, and within one
-/// type equal codes are equal cells ([`KeyCode`] round-trips) — every
-/// build row under a probe row's slot is a match, with no hash and no
-/// [`keys_eq`]. Counted, the table holds how many build rows each code
+/// that reads it. Codes are the values' own [`KeyCode`]s (`bcode` and
+/// `pcode` of either side's cells), so two columns' offsets or ranks
+/// meet. A row's slot key is `code − min`, `min` the build's least: each
+/// build code has a slot of its own and equal codes are equal values —
+/// every build row under a probe row's slot is a match, with no hash and
+/// no [`keys_eq`]. Counted, the table holds how many build rows each code
 /// has, summed over the probe; emitting, it chains them ([`Chains`]).
 /// `false`, with nothing matched, when the span is wider.
-fn offset_join<T: KeyCode>(
-    (build, bm, builds): (&[T], impl RowMap, usize),
-    (probe, pm, probes): (&[T], impl RowMap, usize),
+fn offset_join<T, U>(
+    (build, bcode, bm, builds): (&[T], impl Fn(&T) -> u64, impl RowMap, usize),
+    (probe, pcode, pm, probes): (&[U], impl Fn(&U) -> u64, impl RowMap, usize),
     matches: &mut Matches,
 ) -> bool {
-    let code = |x: &T| -> u64 { x.code().into() };
-    let codes = || bm.cells(build, 0..builds).map(code);
+    let codes = || bm.cells(build, 0..builds).map(&bcode);
     let (min, max) = codes().fold((u64::MAX, 0), |(min, max), c| (min.min(c), max.max(c)));
     let span = max.saturating_sub(min);
     if span >= (SLOTS_PER_ROW * builds).max(probes) as u64 {
@@ -381,8 +417,8 @@ fn offset_join<T: KeyCode>(
     let slots = (span as usize + 1).next_power_of_two();
     // A key past the span, or a code below `min` wrapped past
     // `u64::MAX`, may share a slot but never a code.
-    let key = move |x: &T| {
-        let key = code(x).wrapping_sub(min);
+    let key = |x: &U| {
+        let key = pcode(x).wrapping_sub(min);
         (key, key <= span)
     };
     match matches {
@@ -399,7 +435,7 @@ fn offset_join<T: KeyCode>(
             let mut heads = Vec::new();
             for start in (0..probes).step_by(BATCH_ROWS) {
                 let window = pm.cells(probe, start..(start + BATCH_ROWS).min(probes));
-                let found = slot_pass(&chains.heads, window.map(key), &mut heads);
+                let found = slot_pass(&chains.heads, window.map(&key), &mut heads);
                 for &(i, at) in &heads[..found] {
                     chains.walk(at, |b| pairs.push((b as u32, start as u32 + i)));
                 }
@@ -510,9 +546,20 @@ mod tests {
 
     /// A one-column heap of strings, row `i` holding `strs[i]`.
     fn str_heap<S: AsRef<str>>(strs: &[S]) -> HeapTable {
-        let mut heap = HeapTable::new(&[ValueType::Str]);
-        heap.insert_rows(strs.iter().map(|s| row_from(vec![s.as_ref().into()]))).unwrap();
+        heap_of(ValueType::Str, strs.iter().map(|s| s.as_ref().into()))
+    }
+
+    /// A one-column heap of `vtype`, row `i` holding the `i`-th value.
+    fn heap_of(vtype: ValueType, values: impl IntoIterator<Item = Value>) -> HeapTable {
+        let mut heap = HeapTable::new(&[vtype]);
+        heap.insert_rows(values.into_iter().map(|v| row_from(vec![v]))).unwrap();
         heap
+    }
+
+    /// A one-column heap of `Int`s: offsets when they span less than
+    /// 2^32, ranks otherwise.
+    fn int_heap(ints: &[i64]) -> HeapTable {
+        heap_of(ValueType::Int, ints.iter().map(|&x| Value::Int(x)))
     }
 
     /// The finished key hashes of one column's rows `0..len`, read in
@@ -536,7 +583,7 @@ mod tests {
         for stride in [1i64, 1 << 10, 1 << 20, 1 << 40, 1 << 50] {
             let keys: Vec<i64> = (0..1024).map(|i| i * stride).collect();
             let mut slots = [false; 1024];
-            for hash in hashes_of(ColumnSlice::Int(&keys)) {
+            for hash in hashes_of(int_heap(&keys).column(0).unwrap()) {
                 slots[(hash & 1023) as usize] = true;
             }
             let filled = slots.iter().filter(|&&b| b).count();
@@ -561,14 +608,15 @@ mod tests {
         // strided, and strings that share their first 8-byte word.
         for stride in [1i64 << 32, 1 << 54, 3 << 52] {
             let keys: Vec<i64> = (0..1024).map(|i: i64| i.wrapping_mul(stride)).collect();
-            let filled = slots_filled(&hashes_of(ColumnSlice::Int(&keys)));
+            let filled = slots_filled(&hashes_of(int_heap(&keys).column(0).unwrap()));
             assert!(filled >= 512, "stride {stride}: {filled} of 1024 slots");
         }
         let rows: Vec<u32> = (0..1024).collect();
         let days: Vec<i32> = (0..1024).map(|i| 8_000 + i * 1024).collect();
         for ints in [vec![7i64; 1024], (0..1024).map(|i| i << 20).collect()] {
+            let heap = int_heap(&ints);
             let keys = [
-                KeyCol { cells: ColumnSlice::Int(&ints), rows: Some(&rows) },
+                KeyCol { cells: heap.column(0).unwrap(), rows: Some(&rows) },
                 KeyCol { cells: ColumnSlice::Date(&days), rows: None },
             ];
             let mut hashes = Vec::new();
@@ -583,7 +631,13 @@ mod tests {
 
     #[test]
     fn equal_cells_hash_equally_and_the_two_zeros_do_not() {
-        let ints = hashes_of(ColumnSlice::Int(&[7, -3, 7, i64::MIN, -3]));
+        let ints = hashes_of(int_heap(&[7, -3, 7, i64::MIN, -3]).column(0).unwrap());
+        // One value hashes alike from offsets, from ranks and from
+        // another base.
+        let ranked = hashes_of(int_heap(&[7, -3, i64::MAX]).column(0).unwrap());
+        let based = hashes_of(int_heap(&[-3, 7, 1_000]).column(0).unwrap());
+        assert_eq!((ranked[0], ranked[1]), (ints[0], ints[1]));
+        assert_eq!((based[1], based[0]), (ints[0], ints[1]));
         assert_eq!((ints[0], ints[1]), (ints[2], ints[4]));
         assert_ne!(ints[0], ints[1]);
         let strs = ["ab", "", "ab", "ab\0", "abcdefghi", "abcdefgh"].map(String::from);
@@ -593,15 +647,16 @@ mod tests {
         assert_ne!(hashed[0], hashed[3]);
         assert_ne!(hashed[4], hashed[5]);
         let nan = f64::NAN;
-        let floats = hashes_of(ColumnSlice::Float(&[0.0, -0.0, nan, -nan, nan, 0.0]));
+        let floats = [0.0, -0.0, nan, -nan, nan, 0.0].map(Value::Float);
+        let floats = hashes_of(heap_of(ValueType::Float, floats).column(0).unwrap());
         assert_ne!(floats[0], floats[1], "0.0 and -0.0 are different keys");
         assert_ne!(floats[2], floats[3], "so are the two NaN signs");
         assert_eq!((floats[0], floats[2]), (floats[5], floats[4]));
         // A second key column folds into the first one's hashes.
         let rows = [0u32, 1, 2];
-        let (a, b) = ([1i64, 1, 2], [5i32, 6, 5]);
+        let (a, b) = (int_heap(&[1, 1, 2]), [5i32, 6, 5]);
         let keys = [
-            KeyCol { cells: ColumnSlice::Int(&a), rows: Some(&rows) },
+            KeyCol { cells: a.column(0).unwrap(), rows: Some(&rows) },
             KeyCol { cells: ColumnSlice::Date(&b), rows: Some(&rows) },
         ];
         let mut two = Vec::new();
@@ -675,9 +730,12 @@ mod tests {
 
     #[test]
     fn equi_join_matches_a_nested_loop() {
-        let ints = [i64::MIN, i64::MAX, -1, 0, 1, 1 << 40, 3 << 52];
+        let ints = int_heap(&[i64::MIN, i64::MAX, -1, 0, 1, 1 << 40, 3 << 52]);
+        let ints = ints.column(0).unwrap();
         let nan = f64::NAN;
         let floats = [0.0, -0.0, nan, -nan, 1.5, f64::INFINITY, f64::NEG_INFINITY];
+        let floats = heap_of(ValueType::Float, floats.map(Value::Float));
+        let floats = floats.column(0).unwrap();
         // Across 8-byte word boundaries, and equal but for the length.
         let strs = ["", "a", "abcdefg", "abcdefgh", "abcdefghi", "abcdefgh\0", "abcdefghabcdefgh"]
             .map(String::from);
@@ -688,7 +746,7 @@ mod tests {
         // is: under each of three `c`s the seven `a`s share one full
         // hash, and the three hashes agree in their low 14 bits, so all
         // 21 keys share a slot in a table of up to 2 048 rows.
-        let hash = |x: i64| hashes_of(ColumnSlice::Int(&[x]))[0];
+        let hash = |x: i64| hashes_of(int_heap(&[x]).column(0).unwrap())[0];
         let mut by_slot = std::collections::BTreeMap::<u64, Vec<u64>>::new();
         let cs = (0..)
             .find_map(|c| {
@@ -697,30 +755,29 @@ mod tests {
                 (same.len() == 3).then(|| same.clone())
             })
             .unwrap();
-        let firsts: Vec<i64> = (0..21).map(|k| ints[k % 7]).collect();
+        let first = |k: usize| [i64::MIN, i64::MAX, -1, 0, 1, 1 << 40, 3 << 52][k % 7];
+        let firsts: Vec<i64> = (0..21).map(first).collect();
         let seconds: Vec<i64> = (0..21).map(|k| (hash(firsts[k]) ^ cs[k / 7]) as i64).collect();
+        let (firsts, seconds) = (int_heap(&firsts), int_heap(&seconds));
+        let (firsts, seconds) = (firsts.column(0).unwrap(), seconds.column(0).unwrap());
         let mut pair_hashes = Vec::new();
         let all: Vec<u32> = (0..21).collect();
-        let pairs = [(ColumnSlice::Int(&firsts), &all), (ColumnSlice::Int(&seconds), &all)];
+        let pairs = [(firsts, &all), (seconds, &all)];
         let pairs = pairs.map(|(cells, rows)| KeyCol { cells, rows: Some(rows) });
         hash_keys(&pairs, 0..21, &mut pair_hashes);
         pair_hashes.dedup();
         assert_eq!(pair_hashes.len(), 3, "seven keys per full hash");
         assert!(pair_hashes.iter().all(|h| h & 0x3fff == pair_hashes[0] & 0x3fff));
 
-        use ColumnSlice::{Date, Float, Int};
+        use ColumnSlice::Date;
         let shapes: [(&str, Vec<ColumnSlice<'_>>, Vec<ColumnSlice<'_>>); 7] = [
-            ("int", vec![Int(&ints)], vec![Int(&ints)]),
-            ("float", vec![Float(&floats)], vec![Float(&floats)]),
+            ("int", vec![ints], vec![ints]),
+            ("float", vec![floats], vec![floats]),
             ("str", vec![strs], vec![strs]),
             ("date", vec![Date(&dates)], vec![Date(&dates)]),
-            ("(int, str)", vec![Int(&ints), strs], vec![Int(&ints), strs]),
-            (
-                "(int, int) in one slot",
-                vec![Int(&firsts), Int(&seconds)],
-                vec![Int(&firsts), Int(&seconds)],
-            ),
-            ("int = date", vec![Int(&ints)], vec![Date(&dates)]),
+            ("(int, str)", vec![ints, strs], vec![ints, strs]),
+            ("(int, int) in one slot", vec![firsts, seconds], vec![firsts, seconds]),
+            ("int = date", vec![ints], vec![Date(&dates)]),
         ];
         let mut rng = colt_storage::Prng::new(0xc0de_0025);
         for (name, build_cols, probe_cols) in &shapes {
@@ -828,12 +885,19 @@ mod tests {
                     let (build_rows, probe_rows): (Vec<u32>, Vec<u32>) =
                         ((0..builds as u32).collect(), (0..probes as u32).collect());
                     // Each input listed (ids `0..n`) and dense.
-                    let key = |ints, days, ids| {
-                        let cells = if date { Date(days) } else { Int(ints) };
-                        [Some(ids), None].map(|rows| [KeyCol { cells, rows }])
+                    // An `Int` build is offsets, an `Int` probe (it holds
+                    // both ends of the type) ranks.
+                    let (build_ints, probe_ints) = (int_heap(&build), int_heap(&probe));
+                    let (build_cells, probe_cells) = if date {
+                        (Date(&build_days[..]), Date(&probe_days[..]))
+                    } else {
+                        (build_ints.column(0).unwrap(), probe_ints.column(0).unwrap())
                     };
-                    let builds_as = key(&build, &build_days, &build_rows);
-                    let probes_as = key(&probe, &probe_days, &probe_rows);
+                    fn key<'a>(cells: ColumnSlice<'a>, ids: &'a [u32]) -> [[KeyCol<'a>; 1]; 2] {
+                        [Some(ids), None].map(|rows| [KeyCol { cells, rows }])
+                    }
+                    let builds_as = key(build_cells, &build_rows);
+                    let probes_as = key(probe_cells, &probe_rows);
                     let want = nested_loop(&builds_as[0], &probes_as[0]);
                     let ctx = format!("date {date}, {builds} x {probes} from {lo}, span {span}");
                     for (b, build) in builds_as.iter().enumerate() {
@@ -873,13 +937,14 @@ mod tests {
     fn extend_rows_honors_selection() {
         // Two tables; the output takes rows (1, 0) then (3, 0) of them:
         // a listed input's rows 0 and 2 paired with a dense one's row 0.
-        let (a, b) = ([10i64, 11, 12, 13], str_heap(&["x"]));
+        let (a, b) = (int_heap(&[10, 11, 12, 13]), str_heap(&["x"]));
+        let a = a.column(0).unwrap();
         let mut left = RowIds::new(1, true);
         left.push_sel(&[1, 2, 3]);
         let pairs = Matches::Pairs(vec![(0, 0), (2, 0)]);
         let ids = RowIds::joined(&left, &RowIds::dense(1, true), pairs);
         assert_eq!((ids.count(), ids.written()), (2, 4));
-        let cols = [(0, ColumnSlice::Int(&a)), (1, b.column(0).unwrap()), (0, ColumnSlice::Int(&a))];
+        let cols = [(0, a), (1, b.column(0).unwrap()), (0, a)];
         let mut rows = vec![vec![Value::Int(-1)]];
         ids.extend_rows(&cols, &mut rows);
         assert_eq!(
@@ -892,7 +957,7 @@ mod tests {
         );
         // A dense output materializes its table's rows in order.
         let mut rows = Vec::new();
-        RowIds::dense(4, true).extend_rows(&[(0, ColumnSlice::Int(&a))], &mut rows);
+        RowIds::dense(4, true).extend_rows(&[(0, a)], &mut rows);
         assert_eq!(rows, [10, 11, 12, 13].map(|i| vec![Value::Int(i)]));
     }
 }

@@ -553,8 +553,8 @@ pub(crate) fn materialized_index<'c>(
 
 /// An index — single-column, or composite named by its leading column
 /// `col` — holds one entry per row of its table, or it was built before
-/// the table gained rows: it misses them, and may key string ranks the
-/// heap has since re-assigned.
+/// the table gained rows: it misses them, and may key offsets or ranks
+/// the heap has since re-assigned.
 fn fresh(entries: usize, rows: usize, col: ColRef) -> Result<(), ExecError> {
     (entries == rows).then_some(()).ok_or(ExecError::StaleIndex { col })
 }

@@ -3,54 +3,53 @@
 //! A [`SelPred`] compares [`Value`] enums: every row pays a
 //! discriminant match, and a range pays it four times. A [`Kernel`] is
 //! the same predicate *compiled once per scan* against the column it
-//! restricts: the literals are resolved to the column's key codes up
-//! front, and the per-row work is one unsigned compare over a slice of
-//! `i64` / `f64` / `i32` cells or of a string column's `u32` ranks.
+//! restricts: the literals are resolved to the column's cell codes up
+//! front, and the per-row work is one unsigned 32-bit compare over the
+//! column's cells — a date's day, an `Int`'s offset from its column's
+//! least value, or a rank in the column's dictionary
+//! ([`colt_storage::column`]). One loop serves all four types.
 //!
 //! The kernel accepts exactly the rows [`SelPred::matches`] accepts.
-//! Cells are compared through their order-preserving [`KeyCode`]s, so
-//! floats follow `total_cmp` like `Value::cmp` does (`-0.0` below
-//! `+0.0`, NaNs at the extremes, equality bit for bit) and strings
-//! follow `str::cmp` through their ranks. Literals become codes through
-//! `colt_storage`'s one resolver ([`literal_code`] / [`code_interval`]),
-//! the same one an index scan's bounds go through: a string the column
-//! lacks equals no cell and bounds a range between its neighbours, a
-//! literal of another type never equals a cell, and bounds a range as
-//! `Value`'s cross-type order says — below every cell of the column or
-//! above every one. An exclusive bound at the type's extreme leaves
-//! nothing to match.
+//! Cell codes order as their values do within a column, so floats
+//! follow `total_cmp` like `Value::cmp` does (`-0.0` below `+0.0`, NaNs
+//! at the extremes, equality bit for bit) and strings follow `str::cmp`.
+//! Literals become codes through `colt_storage`'s one resolver
+//! ([`literal_code`] / [`code_interval`]), the same one an index scan's
+//! bounds go through: a value the column lacks equals no cell and
+//! bounds a range between its neighbours, a literal of another type
+//! never equals a cell, and bounds a range as `Value`'s cross-type order
+//! says — below every cell of the column or above every one. An
+//! exclusive bound at the type's extreme leaves nothing to match.
 
 use crate::query::{PredicateKind, RangeBound, SelPred};
-use colt_storage::{code_interval, literal_code, ColumnSlice, KeyCode, Value};
+use colt_storage::{code_interval, literal_code, Cells, ColumnSlice, KeyCode, Value};
 use std::ops::Range;
 
 /// One [`SelPred`] compiled against the column it restricts.
 #[derive(Debug, Clone)]
 pub struct Kernel<'a> {
-    cells: ColumnSlice<'a>,
+    cells: Cells<'a>,
     test: CodeTest,
 }
 
-/// A test on a cell's key code, widened to 64 bits except for a date
-/// range, which runs on the 32-bit codes themselves: baseline x86-64
-/// has no 64-bit vector compare, so counting dates widened paid for an
-/// emulated one (selecting is paced by its store at either width).
+/// A test on a cell's 32-bit cell code. Baseline x86-64 has no 64-bit
+/// vector compare: a count over 64-bit codes paid for an emulated one
+/// (EXPERIMENTS.md, "PR 31" and "PR 35").
 #[derive(Debug, Clone)]
 enum CodeTest {
     /// `lo <= code <= lo + span`, tested as the one compare
     /// `code - lo <= span`: a code below `lo` wraps above any span.
-    /// Over a date column both fit in 32 bits.
-    Range { lo: u64, span: u64 },
+    Range { lo: u32, span: u32 },
     /// Membership in a sorted, duplicate-free list. The empty list is
     /// what a predicate nothing satisfies compiles to.
-    In(Vec<u64>),
+    In(Vec<u32>),
 }
 
 impl<'a> Kernel<'a> {
     /// Compile `pred` for evaluation over `column`, the heap column it
     /// restricts.
     pub fn compile(pred: &SelPred, column: ColumnSlice<'a>) -> Self {
-        Kernel { cells: column, test: code_test(&pred.kind, column) }
+        Kernel { cells: column.cells(), test: code_test(&pred.kind, column) }
     }
 
     /// Replace `sel` with the rows of the window `rows` the predicate
@@ -76,31 +75,17 @@ impl<'a> Kernel<'a> {
         self.run(Op::Retain(sel));
     }
 
-    /// Pick the loop for this column type once, outside it. The code
-    /// comes in as a closure (resolved in the generic loop, the `f64`
-    /// count loop vectorized to an SSE2 form measured 1.35× slower).
+    /// Pick the loop for this column's cells once, outside it.
     fn run(&self, op: Op<'_>) {
         match self.cells {
-            ColumnSlice::Int(cells) => self.test.run(cells, |x| x.code(), op),
-            ColumnSlice::Float(cells) => self.test.run(cells, |x| x.code(), op),
-            ColumnSlice::Str { ranks, .. } => self.test.run(ranks, |x| x.code(), op),
-            ColumnSlice::Date(cells) => match self.test {
-                CodeTest::Range { lo, span } => {
-                    let (lo, span) = (lo as u32, span as u32);
-                    let keep = move |x: &i32| x.code().wrapping_sub(lo) <= span;
-                    match op {
-                        Op::Select(rows, sel) => mask_select(cells, rows, keep, sel),
-                        op => apply(cells, keep, op),
-                    }
-                }
-                CodeTest::In(_) => self.test.run(cells, |x| x.code().into(), op),
-            },
+            Cells::Codes(cells) => self.test.run(cells, |&x| x, op),
+            Cells::Days(cells) => self.test.run(cells, |x| x.code(), op),
         }
     }
 }
 
 impl CodeTest {
-    fn run<T>(&self, cells: &[T], code: impl Fn(&T) -> u64, op: Op<'_>) {
+    fn run<T>(&self, cells: &[T], code: impl Fn(&T) -> u32, op: Op<'_>) {
         match *self {
             // `lo` and `span` by value: read through `self`, the loop
             // would reload both after every store to the selection.
@@ -121,24 +106,7 @@ enum Op<'s> {
 
 fn apply<T>(cells: &[T], keep: impl Fn(&T) -> bool, op: Op<'_>) {
     match op {
-        Op::Select(rows, sel) => {
-            // Branch-free: write every row id, advance past the kept
-            // ones only — the cost does not depend on how predictable
-            // the predicate's outcome is.
-            let first = rows.start;
-            let window = &cells[rows];
-            sel.clear();
-            sel.resize(window.len(), 0);
-            // Through a slice: the vector's own pointer and length
-            // would be reloaded after every store.
-            let out = sel.as_mut_slice();
-            let mut kept = 0;
-            for (i, x) in window.iter().enumerate() {
-                out[kept] = (first + i) as u32;
-                kept += usize::from(keep(x));
-            }
-            sel.truncate(kept);
-        }
+        Op::Select(rows, sel) => mask_select(cells, rows, keep, sel),
         // A plain loop: `filter().count()` compiles to another one,
         // which on `i64` cells measured no faster than selecting them.
         // Tallied in `u32`, a vector lane per cell rather than per two,
@@ -159,10 +127,10 @@ fn apply<T>(cells: &[T], keep: impl Fn(&T) -> bool, op: Op<'_>) {
     }
 }
 
-/// [`Op::Select`] for a date range: 32 rows' tests into one mask, then a
-/// store per set bit, not one per row as the branch-free select does —
-/// 0.65 against 0.76 ns/row on `joins`' date ranges (EXPERIMENTS.md,
-/// "Hash joins write only what a consumer reads").
+/// [`Op::Select`]: 32 rows' tests into one mask, then a store per set
+/// bit, not one per row as a branch-free select does — 0.65 against
+/// 0.76 ns/row on `joins`' date ranges (EXPERIMENTS.md, "Hash joins
+/// write only what a consumer reads").
 fn mask_select<T>(cells: &[T], rows: Range<usize>, keep: impl Fn(&T) -> bool, sel: &mut Vec<u32>) {
     sel.clear();
     sel.resize(rows.len(), 0);
@@ -180,33 +148,30 @@ fn mask_select<T>(cells: &[T], rows: Range<usize>, keep: impl Fn(&T) -> bool, se
     sel.truncate(kept);
 }
 
-/// Resolve a predicate against `column`'s key space.
+/// Resolve a predicate against `column`'s cell codes: its literals'
+/// key codes ([`literal_code`], [`code_interval`]), narrowed to the
+/// cells they take in ([`ColumnSlice::cell_interval`]).
 fn code_test(kind: &PredicateKind, column: ColumnSlice<'_>) -> CodeTest {
-    let code_of = |v: &Value| literal_code(v, column).ok();
-    match kind {
-        PredicateKind::Eq(v) => match code_of(v) {
-            Some(lo) => CodeTest::Range { lo, span: 0 },
-            None => CodeTest::In(Vec::new()),
-        },
+    let cell = |v: &Value| {
+        let code = literal_code(v, column).ok()?;
+        column.cell_interval((code, code)).map(|(cell, _)| cell)
+    };
+    let interval = match kind {
+        PredicateKind::Eq(v) => cell(v).map(|c| (c, c)),
         PredicateKind::In(values) => {
-            let mut codes: Vec<u64> = values.iter().filter_map(code_of).collect();
+            let mut codes: Vec<u32> = values.iter().filter_map(cell).collect();
             codes.sort_unstable();
             codes.dedup();
-            CodeTest::In(codes)
+            return CodeTest::In(codes);
         }
         PredicateKind::Range { lo, hi } => {
-            // Clamped to the column's code space: a date's code fits in
-            // 32 bits, and so, then, do a date range's `lo` and `span`.
-            let top = match column {
-                ColumnSlice::Date(_) => u32::MAX.into(),
-                _ => u64::MAX,
-            };
-            let interval = code_interval(RangeBound::as_bound(lo), RangeBound::as_bound(hi), column);
-            match interval.map(|(lo, hi)| (lo, hi.min(top))) {
-                Some((lo, hi)) if lo <= hi => CodeTest::Range { lo, span: hi - lo },
-                _ => CodeTest::In(Vec::new()),
-            }
+            code_interval(RangeBound::as_bound(lo), RangeBound::as_bound(hi), column)
+                .and_then(|codes| column.cell_interval(codes))
         }
+    };
+    match interval {
+        Some((lo, hi)) => CodeTest::Range { lo, span: hi - lo },
+        None => CodeTest::In(Vec::new()),
     }
 }
 
@@ -214,9 +179,27 @@ fn code_test(kind: &PredicateKind, column: ColumnSlice<'_>) -> CodeTest {
 mod tests {
     use super::*;
     use colt_catalog::{ColRef, TableId};
+    use colt_storage::{row_from, HeapTable, ValueType};
 
     fn col() -> ColRef {
         ColRef::new(TableId(0), 0)
+    }
+
+    /// A one-column heap of `values`, inserted as one batch.
+    fn heap_of(values: &[Value]) -> HeapTable {
+        let mut heap = HeapTable::new(&[values[0].value_type()]);
+        heap.insert_rows(values.iter().map(|v| row_from(vec![v.clone()]))).unwrap();
+        heap
+    }
+
+    fn layout(column: ColumnSlice<'_>) -> &'static str {
+        match column {
+            ColumnSlice::Int { .. } => "int offsets",
+            ColumnSlice::RankedInt { .. } => "ranked int",
+            ColumnSlice::Float { .. } => "ranked float",
+            ColumnSlice::Str { .. } => "ranked str",
+            ColumnSlice::Date(_) => "date",
+        }
     }
 
     fn selected(pred: &SelPred, column: ColumnSlice<'_>) -> Vec<u32> {
@@ -227,8 +210,8 @@ mod tests {
 
     #[test]
     fn int_ranges_resolve_exclusive_bounds_at_the_extremes() {
-        let cells = [i64::MIN, -1, 0, 5, i64::MAX];
-        let column = ColumnSlice::Int(&cells);
+        let heap = heap_of(&[i64::MIN, -1, 0, 5, i64::MAX].map(Value::Int));
+        let column = heap.column(0).unwrap();
         assert_eq!(selected(&SelPred::between(col(), -1i64, 5i64), column), vec![1, 2, 3]);
         assert_eq!(selected(&SelPred::eq(col(), i64::MAX), column), vec![4]);
         let open = |lo: Option<(i64, bool)>, hi: Option<(i64, bool)>| SelPred {
@@ -247,8 +230,8 @@ mod tests {
 
     #[test]
     fn other_types_literals_follow_the_cross_type_order() {
-        let cells = [1.5, -0.0, 0.0, f64::NAN];
-        let column = ColumnSlice::Float(&cells);
+        let heap = heap_of(&[1.5, -0.0, 0.0, f64::NAN].map(Value::Float));
+        let column = heap.column(0).unwrap();
         // Int sorts below every float, Str above.
         assert_eq!(selected(&SelPred::ge(col(), 7i64), column), vec![0, 1, 2, 3]);
         assert_eq!(selected(&SelPred::le(col(), 7i64), column), Vec::<u32>::new());
@@ -264,7 +247,6 @@ mod tests {
 
     #[test]
     fn strings_and_dates() {
-        use colt_storage::{row_from, HeapTable, ValueType};
         let mut heap = HeapTable::new(&[ValueType::Str]);
         heap.insert_rows(["pear", "apple", "fig", ""].map(|s| row_from(vec![s.into()]))).unwrap();
         let column = heap.column(0).unwrap();
@@ -331,22 +313,28 @@ mod tests {
         let dates = [i32::MIN, i32::MIN + 1, -3, 0, 3, i32::MAX - 1, i32::MAX, 0, i32::MIN, i32::MAX];
         let (lowest, highest) = (f64::from_code(u64::MIN), f64::from_code(u64::MAX));
         let floats = [lowest, -f64::NAN, -0.0, 0.0, 2.5, f64::NAN, highest, 0.0, lowest, highest];
-        let columns: [(ColumnSlice<'_>, [Value; 4]); 3] = [
-            (ColumnSlice::Int(&ints), [i64::MIN, -3, 3, i64::MAX].map(Value::Int)),
-            (ColumnSlice::Date(&dates), [i32::MIN, -3, 3, i32::MAX].map(Value::Date)),
-            (ColumnSlice::Float(&floats), [lowest, -0.0, 2.5, highest].map(Value::Float)),
+        // Ints twice: ranked (their span is the whole type), and as
+        // offsets (the dates' days, a span one short of 2^32).
+        let int = |x: i32| Value::Int(x.into());
+        let values: [([Value; 10], [Value; 4]); 4] = [
+            (ints.map(Value::Int), [i64::MIN, -3, 3, i64::MAX].map(Value::Int)),
+            (dates.map(int), [i32::MIN, -3, 3, i32::MAX].map(int)),
+            (dates.map(Value::Date), [i32::MIN, -3, 3, i32::MAX].map(Value::Date)),
+            (floats.map(Value::Float), [lowest, -0.0, 2.5, highest].map(Value::Float)),
         ];
         let mut rng = colt_storage::Prng::new(0xc0de_0005);
         // The same cells over and over, 1 100 of them, for long windows.
-        let long = |n: usize| (0..1_100).map(move |i| i % n);
-        let long_ints: Vec<i64> = long(ints.len()).map(|i| ints[i]).collect();
-        let long_dates: Vec<i32> = long(dates.len()).map(|i| dates[i]).collect();
-        let long_floats: Vec<f64> = long(floats.len()).map(|i| floats[i]).collect();
-        let longs = [
-            ColumnSlice::Int(&long_ints),
-            ColumnSlice::Date(&long_dates),
-            ColumnSlice::Float(&long_floats),
-        ];
+        let heaps: Vec<(HeapTable, HeapTable)> = (values.iter())
+            .map(|(cells, _)| {
+                let long: Vec<Value> = (0..1_100).map(|i| cells[i % cells.len()].clone()).collect();
+                (heap_of(cells), heap_of(&long))
+            })
+            .collect();
+        let columns = (heaps.iter().zip(&values))
+            .map(|((heap, _), (_, edges))| (heap.column(0).unwrap(), edges.clone()));
+        let longs = heaps.iter().map(|(_, long)| long.column(0).unwrap());
+        let layouts: Vec<&str> = columns.clone().map(|(c, _)| layout(c)).collect();
+        assert_eq!(layouts, ["ranked int", "int offsets", "date", "ranked float"]);
         for ((column, [min, low, high, max]), long) in columns.into_iter().zip(longs) {
             let range = |lo: Option<(&Value, bool)>, hi: Option<(&Value, bool)>| {
                 let side = |s: Option<(&Value, bool)>| {
@@ -385,9 +373,9 @@ mod tests {
 
     #[test]
     fn select_windows_and_retain() {
-        let cells: Vec<i64> = (0..10).collect();
+        let heap = heap_of(&(0..10).map(Value::Int).collect::<Vec<_>>());
         let pred = SelPred::ge(col(), 4i64);
-        let kernel = Kernel::compile(&pred, ColumnSlice::Int(&cells));
+        let kernel = Kernel::compile(&pred, heap.column(0).unwrap());
         let mut sel = Vec::new();
         kernel.select(2..7, &mut sel);
         assert_eq!(sel, vec![4, 5, 6]);

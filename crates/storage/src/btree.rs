@@ -506,8 +506,8 @@ impl<K: TreeKey> BPlusTreeOf<K> {
     }
 }
 
-/// The tree of an index: its cells' key codes ([`crate::KeyCode`]; a
-/// string's from its column's dictionary) — one per entry, or one per
+/// The tree of an index: its cells' key codes (`2c + 1` of a cell code
+/// `c`, see [`crate::column`]) — one per entry, or one per
 /// key column of a composite — probed through the scan kernels' resolver
 /// ([`crate::literal_code`] / [`crate::code_bound`] /
 /// [`crate::code_interval`]), so row ids *and* [`IoStats`] are those of

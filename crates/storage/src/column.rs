@@ -1,6 +1,14 @@
 //! Typed column vectors — the heap's physical layout — and the
 //! order-preserving key codes index builds and predicate kernels
 //! compare instead of [`Value`] enums.
+//!
+//! Every cell is 32 bits wide, and its *cell code* orders as its value
+//! does in the column: a `Date`'s `i32` day (its [`KeyCode`]), an `Int`'s
+//! `u32` offset from the column's least value when the column spans less
+//! than 2³², else — and for every `Float` and `Str` — a `u32` rank in a
+//! sorted dictionary of the column's values. The data picks the layout,
+//! per batch of rows ([`Column::append`]). An index keys, and a predicate
+//! resolves to, the *key code* `2c + 1` of cell code `c` ([`literal_code`]).
 
 use crate::row::RowId;
 use crate::value::{Value, ValueType};
@@ -12,9 +20,10 @@ use std::ops::Bound;
 /// `b` (so `f64` follows `total_cmp`: NaNs at the extremes, `-0.0`
 /// below `+0.0`), and `from_code(code(x))` is `x` bit for bit. Sorting
 /// codes therefore sorts keys, at the price of an integer compare.
-/// A `u32` cell is a string's rank in its column's dictionary
-/// ([`ColumnSlice::Str`]): rank `r` has code `2r + 1`, which leaves the
-/// even codes to the strings the dictionary lacks ([`literal_code`]).
+/// A `u32` is a cell code ([`ColumnSlice`]): `c` has key code `2c + 1`,
+/// which leaves the even codes to the values the column lacks
+/// ([`literal_code`]). The `i64` and `f64` codes are a value's own,
+/// whatever column holds it ([`value_code`]).
 pub trait KeyCode: Copy {
     /// The unsigned code type, as wide as the cell.
     type Code: Copy + Ord + Into<u64>;
@@ -71,30 +80,46 @@ impl KeyCode for u32 {
     }
 }
 
-/// The key code of the string `s` in a column of dictionary `dict`: its
-/// rank's code when present, else `2p` for the rank `p` it would take —
-/// between the codes of its neighbours, so it equals no cell and bounds
-/// a range exactly.
-fn str_code(s: &str, dict: &[String]) -> u64 {
-    match dict.binary_search_by(|d| d.as_str().cmp(s)) {
-        Ok(rank) => (rank as u32).code(),
-        Err(place) => 2 * place as u64,
+/// A fixed-width value's own [`KeyCode`], the same in every column (what
+/// statistics compare in place of their values); `None` for a string.
+pub fn value_code(value: &Value) -> Option<u64> {
+    match *value {
+        Value::Int(x) => Some(x.code()),
+        Value::Float(x) => Some(x.code()),
+        Value::Date(x) => Some(x.code().into()),
+        Value::Str(_) => None,
     }
 }
 
-/// The key code of `literal` in `column` (a date's 32-bit code widened,
-/// a string's from the column's dictionary), or — for a literal of
-/// another type — the side of the column `Value`'s cross-type order puts
-/// it on: `Err(Less)` sorts below every cell, `Err(Greater)` above every
-/// one. This is the one place a predicate literal meets a column: the
-/// scan kernels and the index both resolve through it, so a predicate is
-/// the same code interval to either.
+/// The key code of a dictionary search's outcome: a rank's code, or `2p`
+/// for the place `p` a missing value would take — between the codes of
+/// its neighbours, so it equals no cell and bounds a range exactly.
+fn rank_code(search: Result<usize, usize>) -> u64 {
+    search.map_or_else(|place| 2 * place as u64, |rank| (rank as u32).code())
+}
+
+/// The key code of `literal` in `column` (its cell code `c` as `2c + 1`;
+/// a value the column lacks, the even code between its neighbours — an
+/// `Int` outside an offset column's reach, 0 or 2³³), or — for a literal
+/// of another type — the side of the column `Value`'s cross-type order
+/// puts it on: `Err(Less)` sorts below every cell, `Err(Greater)` above
+/// every one. This is the one place a predicate literal meets a column:
+/// the scan kernels and the index both resolve through it, so a
+/// predicate is the same code interval to either.
 pub fn literal_code(literal: &Value, column: ColumnSlice<'_>) -> Result<u64, Ordering> {
     match (literal, column) {
-        (Value::Int(x), ColumnSlice::Int(_)) => Ok(x.code()),
-        (Value::Float(x), ColumnSlice::Float(_)) => Ok(x.code()),
-        (Value::Date(x), ColumnSlice::Date(_)) => Ok(x.code().into()),
-        (Value::Str(s), ColumnSlice::Str { dict, .. }) => Ok(str_code(s, dict)),
+        (&Value::Int(x), ColumnSlice::Int { base, .. }) => {
+            Ok(match u32::try_from(i128::from(x) - i128::from(base)) {
+                Ok(offset) => offset.code(),
+                Err(_) => if x < base { 0 } else { 2 << 32 },
+            })
+        }
+        (Value::Int(x), ColumnSlice::RankedInt { dict, .. }) => Ok(rank_code(dict.binary_search(x))),
+        (Value::Float(x), ColumnSlice::Float { dict, .. }) => {
+            Ok(rank_code(dict.binary_search_by(|d| d.total_cmp(x))))
+        }
+        (Value::Str(s), ColumnSlice::Str { dict, .. }) => Ok(rank_code(dict.binary_search(s))),
+        (Value::Date(x), ColumnSlice::Date(_)) => Ok(x.code().code()),
         _ => Err(literal.value_type().cmp(&column.value_type())),
     }
 }
@@ -142,48 +167,52 @@ const MAX_DIGIT_BITS: u32 = 12;
 /// Buckets up to this long are finished by a comparison sort.
 const SMALL_BUCKET: usize = 32;
 
-/// The `(code, row id)` entries of a column's cells — a string column's
-/// ranks — in code, then row-id order: what
-/// [`crate::BPlusTreeOf::bulk_load`] takes; the cells' codes
-/// ([`KeyCode`]) sort as `Value::cmp` sorts the cells.
-///
-/// Codes that already ascend (a key column in load order) are the
-/// entries as they stand. Otherwise: a most-significant-digit radix
-/// sort over `code − least code`, so bits above the column's span cost
-/// nothing. One read of the column finds the span, one counts the
-/// buckets, a third writes every entry to its bucket, in row order
-/// within it. The digit is the whole span where that asks no more
-/// buckets than entries (then nothing is left to do), else the top bits
-/// that leave a bucket four to eight entries — halved when that exceeds
-/// [`MAX_DIGIT_BITS`], the buckets' own pass taking the rest. A bucket
-/// of up to [`SMALL_BUCKET`] entries is comparison-sorted; a longer one
-/// still out of order is sorted the same way over its own narrower span
-/// (few values far apart, a sentinel far from the rest).
-pub fn sorted_entries<T: KeyCode>(cells: &[T]) -> Vec<(u64, RowId)> {
-    let rows = cells.iter().zip(0..).map(|(cell, rid)| (cell.code().into(), RowId(rid)));
-    let Some(span) = unsorted_span(rows.clone()) else { return rows.collect() };
-    let mut entries = vec![(0, RowId(0)); cells.len()];
-    distribute(rows, span, &mut entries);
-    entries
+/// The `(key code, row id)` entries of a column's cells in code, then
+/// row-id order, for [`crate::BPlusTreeOf::bulk_load`]. Codes that
+/// already ascend are the entries as they stand; others go through a
+/// most-significant-digit radix sort of the 32-bit cell codes over
+/// `code − least code` (a ranked column's span is its distinct values,
+/// an offset column's its values' range): one read finds the span, one
+/// counts the buckets, a third writes each `(code, row)` pair to its
+/// bucket in row order. The digit is the whole span where that asks no
+/// more buckets than entries, else the top bits that leave a bucket four
+/// to eight entries — halved above [`MAX_DIGIT_BITS`], the buckets' own
+/// pass taking the rest. A bucket of up to [`SMALL_BUCKET`] entries is
+/// comparison-sorted, a longer one still out of order distributed again.
+pub fn sorted_entries(column: ColumnSlice<'_>) -> Vec<(u64, RowId)> {
+    let rows = 0..column.len() as u32;
+    let sorted = match column.cells() {
+        Cells::Codes(codes) => radix_sorted(codes.iter().map(|&c| c.into()).zip(rows)),
+        Cells::Days(days) => radix_sorted(days.iter().map(|x| x.code().into()).zip(rows)),
+    };
+    sorted.into_iter().map(|(code, rid)| ((code as u32).code(), RowId(rid))).collect()
 }
 
-/// The least and greatest code among `entries`, or `None` when the
-/// codes already ascend (so do none, one, and all-equal).
-fn unsorted_span(entries: impl Iterator<Item = (u64, RowId)> + Clone) -> Option<(u64, u64)> {
+/// `pairs` in code, then place order, by [`sorted_entries`]' radix sort.
+fn radix_sorted(pairs: impl ExactSizeIterator<Item = (u64, u32)> + Clone) -> Vec<(u64, u32)> {
+    let Some(span) = unsorted_span(pairs.clone()) else { return pairs.collect() };
+    let mut sorted = vec![(0, 0); pairs.len()];
+    distribute(pairs, span, &mut sorted);
+    sorted
+}
+
+/// The least and greatest code among `pairs`, or `None` when the codes
+/// already ascend (so do none, one, and all-equal).
+fn unsorted_span(pairs: impl Iterator<Item = (u64, u32)> + Clone) -> Option<(u64, u64)> {
     let mut previous = 0;
-    if entries.clone().all(|(code, _)| std::mem::replace(&mut previous, code) <= code) {
+    if pairs.clone().all(|(code, _)| std::mem::replace(&mut previous, code) <= code) {
         return None;
     }
-    Some(entries.fold((u64::MAX, 0), |(min, max), (code, _)| (min.min(code), max.max(code))))
+    Some(pairs.fold((u64::MAX, 0), |(min, max), (code, _)| (min.min(code), max.max(code))))
 }
 
-/// Write the entries of `src` — codes within `min..=max`, not all equal,
-/// equal codes in ascending row-id order — into `dst` (as long as `src`)
-/// in code, then row-id order.
+/// Write the `(code, place)` pairs of `src` — codes within `min..=max`,
+/// not all equal, equal codes in ascending place order — into `dst` (as
+/// long as `src`) in code, then place order.
 fn distribute(
-    src: impl Iterator<Item = (u64, RowId)> + Clone,
+    src: impl Iterator<Item = (u64, u32)> + Clone,
     (min, max): (u64, u64),
-    dst: &mut [(u64, RowId)],
+    dst: &mut [(u64, u32)],
 ) {
     let bits = 64 - (max - min).leading_zeros();
     let spread = dst.len().ilog2();
@@ -203,9 +232,9 @@ fn distribute(
     for head in &mut heads {
         next += std::mem::replace(head, next);
     }
-    for entry in src {
-        let head = &mut heads[bucket(entry.0)];
-        dst[*head] = entry;
+    for pair in src {
+        let head = &mut heads[bucket(pair.0)];
+        dst[*head] = pair;
         *head += 1;
     }
     if shift == 0 {
@@ -228,112 +257,234 @@ fn distribute(
 /// One column of a heap, owned, laid out as its [`ColumnSlice`].
 #[derive(Debug, Clone)]
 pub(crate) enum Column {
+    Int { base: i64, offsets: Vec<u32> },
+    RankedInt(Ranked<i64>),
+    Float(Ranked<f64>),
+    Str(Ranked<String>),
+    Date(Vec<i32>),
+}
+
+/// A sorted dictionary of distinct values and each row's rank in it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Ranked<T> {
+    dict: Vec<T>,
+    ranks: Vec<u32>,
+}
+
+impl<T> Ranked<T> {
+    /// Append a batch's values as ranks. Values the dictionary holds take
+    /// their ranks; when the batch brings new ones, the dictionary's and
+    /// the batch's values are sorted together (`sort`: each with its
+    /// place, in `order`) into the new dictionary, and every stored row's
+    /// rank is rewritten — one sort and one pass over the rows per batch,
+    /// however many new values it brings.
+    fn append<I: Iterator<Item = (T, u32)>>(
+        &mut self,
+        batch: Vec<T>,
+        order: impl Fn(&T, &T) -> Ordering,
+        sort: impl FnOnce(Vec<T>) -> I,
+    ) {
+        let Ranked { dict, ranks } = self;
+        let rank = |x: &T| dict.binary_search_by(|d| order(d, x)).ok().map(|r| r as u32);
+        if let Some(known) = batch.iter().map(rank).collect::<Option<Vec<u32>>>() {
+            return ranks.extend(known);
+        }
+        // A value's place: its old rank, or past the dictionary, the batch's.
+        let stored = dict.len();
+        let values: Vec<T> = std::mem::take(dict).into_iter().chain(batch).collect();
+        let mut rank = vec![0; values.len()];
+        for (x, at) in sort(values) {
+            // A value twice, in the batch or there and stored, is one entry.
+            if dict.last().is_none_or(|d| order(d, &x).is_ne()) {
+                dict.push(x);
+            }
+            rank[at as usize] = dict.len() as u32 - 1;
+        }
+        ranks.iter_mut().for_each(|r| *r = rank[*r as usize]);
+        ranks.extend(&rank[stored..]);
+    }
+}
+
+/// `xs`, each with its place, in key-code order ([`radix_sorted`]).
+fn by_code<T: KeyCode<Code = u64>>(xs: Vec<T>) -> impl Iterator<Item = (T, u32)> {
+    let sorted = radix_sorted(xs.iter().map(|x| x.code()).zip(0..xs.len() as u32));
+    sorted.into_iter().map(|(code, at)| (T::from_code(code), at))
+}
+
+/// One batch's cells in their values' own types, for [`Column::append`].
+#[derive(Debug)]
+pub(crate) enum Batch {
     Int(Vec<i64>),
     Float(Vec<f64>),
-    Str { dict: Vec<String>, ranks: Vec<u32> },
+    Str(Vec<String>),
     Date(Vec<i32>),
+}
+
+impl Batch {
+    /// Append a value of the batch's type; any other is handed back.
+    pub(crate) fn push(&mut self, value: Value) -> Result<(), Value> {
+        match (self, value) {
+            (Batch::Int(c), Value::Int(x)) => c.push(x),
+            (Batch::Float(c), Value::Float(x)) => c.push(x),
+            (Batch::Str(c), Value::Str(x)) => c.push(x),
+            (Batch::Date(c), Value::Date(x)) => c.push(x),
+            (_, other) => return Err(other),
+        }
+        Ok(())
+    }
 }
 
 impl Column {
     pub(crate) fn new(vtype: ValueType) -> Self {
         match vtype {
-            ValueType::Int => Column::Int(Vec::new()),
-            ValueType::Float => Column::Float(Vec::new()),
-            ValueType::Str => Column::Str { dict: Vec::new(), ranks: Vec::new() },
+            ValueType::Int => Column::Int { base: 0, offsets: Vec::new() },
+            ValueType::Float => Column::Float(Ranked::default()),
+            ValueType::Str => Column::Str(Ranked::default()),
             ValueType::Date => Column::Date(Vec::new()),
         }
     }
 
-    /// Append a value of the column's own type; any other variant is
-    /// handed back untouched. A string the dictionary lacks goes to the
-    /// batch's `fresh` strings, its row holding the placeholder
-    /// `dict.len() + i` for `fresh[i]` until [`Column::rerank`].
-    pub(crate) fn push(&mut self, value: Value, fresh: &mut Vec<String>) -> Result<(), Value> {
-        match (self, value) {
-            (Column::Int(c), Value::Int(x)) => c.push(x),
-            (Column::Float(c), Value::Float(x)) => c.push(x),
-            (Column::Str { dict, ranks }, Value::Str(x)) => {
-                let rank = dict.binary_search(&x).unwrap_or(dict.len() + fresh.len());
-                if rank >= dict.len() {
-                    fresh.push(x);
-                }
-                ranks.push(rank as u32);
-            }
-            (Column::Date(c), Value::Date(x)) => c.push(x),
-            (_, other) => return Err(other),
+    /// An empty batch of the column's type, with room for `rows` cells.
+    pub(crate) fn batch(&self, rows: usize) -> Batch {
+        match self.as_slice().value_type() {
+            ValueType::Int => Batch::Int(Vec::with_capacity(rows)),
+            ValueType::Float => Batch::Float(Vec::with_capacity(rows)),
+            ValueType::Str => Batch::Str(Vec::with_capacity(rows)),
+            ValueType::Date => Batch::Date(Vec::with_capacity(rows)),
         }
-        Ok(())
     }
 
-    /// End a batch of [`Column::push`]es: sort its `fresh` strings into
-    /// the dictionary and rewrite every row's old rank or placeholder as
-    /// its new rank — one sort, one pass over the rows, per batch.
-    pub(crate) fn rerank(&mut self, fresh: Vec<String>) {
-        let (Column::Str { dict, ranks }, false) = (self, fresh.is_empty()) else { return };
-        // Every string with its code, its old rank or placeholder; sorted
-        // unstably, as the codes are distinct and stable scratch is big.
-        let mut coded: Vec<(String, u32)> =
-            std::mem::take(dict).into_iter().chain(fresh).zip(0..).collect();
-        coded.sort_unstable();
-        dict.reserve_exact(coded.len());
-        let mut rank = vec![0u32; coded.len()];
-        for (s, code) in coded {
-            // A fresh string twice in the batch is one dictionary entry.
-            if dict.last() != Some(&s) {
-                dict.push(s);
-            }
-            rank[code as usize] = dict.len() as u32 - 1;
+    /// End a batch: encode its cells after the stored ones. An offset
+    /// column whose values come to span 2³² or more is ranked from here
+    /// on; a batch of another type than the column's changes nothing.
+    pub(crate) fn append(&mut self, batch: Batch) {
+        let by_str = |strs: Vec<String>| {
+            let mut placed: Vec<(String, u32)> = strs.into_iter().zip(0..).collect();
+            placed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            placed.into_iter()
+        };
+        let wide = match (&mut *self, batch) {
+            (Column::Int { base, offsets }, Batch::Int(xs)) => append_offsets(base, offsets, xs),
+            (Column::RankedInt(r), Batch::Int(xs)) => return r.append(xs, i64::cmp, by_code),
+            (Column::Float(r), Batch::Float(xs)) => return r.append(xs, f64::total_cmp, by_code),
+            (Column::Str(r), Batch::Str(xs)) => return r.append(xs, String::cmp, by_str),
+            (Column::Date(days), Batch::Date(xs)) => return days.extend(xs),
+            _ => return,
+        };
+        if let Some(values) = wide {
+            let mut ranked = Ranked::default();
+            ranked.append(values, i64::cmp, by_code);
+            *self = Column::RankedInt(ranked);
         }
-        ranks.iter_mut().for_each(|r| *r = rank[*r as usize]);
     }
 
     pub(crate) fn as_slice(&self) -> ColumnSlice<'_> {
         match self {
-            Column::Int(c) => ColumnSlice::Int(c),
-            Column::Float(c) => ColumnSlice::Float(c),
-            Column::Str { dict, ranks } => ColumnSlice::Str { dict, ranks },
-            Column::Date(c) => ColumnSlice::Date(c),
+            Column::Int { base, offsets } => ColumnSlice::Int { base: *base, offsets },
+            Column::RankedInt(r) => ColumnSlice::RankedInt { dict: &r.dict, ranks: &r.ranks },
+            Column::Float(r) => ColumnSlice::Float { dict: &r.dict, ranks: &r.ranks },
+            Column::Str(r) => ColumnSlice::Str { dict: &r.dict, ranks: &r.ranks },
+            Column::Date(days) => ColumnSlice::Date(days),
         }
     }
 }
 
-/// One column of a heap, borrowed as a slice of its native type; row
-/// `i` of the table is element `i`.
+/// Append `xs` to the offset column `(base, offsets)`, `base` its least
+/// value. The base moves down (and every stored offset up) when a value
+/// falls below it; when the values would then span 2³² or more, nothing
+/// changes and every value, stored ones first, is returned for ranking.
+fn append_offsets(base: &mut i64, offsets: &mut Vec<u32>, xs: Vec<i64>) -> Option<Vec<i64>> {
+    let (Some(&lo), Some(&hi)) = (xs.iter().min(), xs.iter().max()) else { return None };
+    if offsets.is_empty() {
+        *base = lo;
+    }
+    let least = lo.min(*base);
+    let offset = |x: i64| u32::try_from(i128::from(x) - i128::from(least)).ok();
+    let shift = offset(*base).filter(|&s| s == 0 || offsets.iter().all(|o| o.checked_add(s).is_some()));
+    let (Some(shift), Some(_)) = (shift, offset(hi)) else {
+        let stored = offsets.iter().map(|&o| base.wrapping_add(o.into()));
+        return Some(stored.chain(xs).collect());
+    };
+    (shift > 0).then(|| offsets.iter_mut().for_each(|o| *o += shift));
+    *base = least;
+    offsets.extend(xs.into_iter().filter_map(offset));
+    None
+}
+
+/// One column of a heap, borrowed; row `i` of the table is element `i`
+/// of its 32-bit cells ([`ColumnSlice::cells`]).
 #[derive(Debug, Clone, Copy)]
 pub enum ColumnSlice<'a> {
-    /// A [`ValueType::Int`] column.
-    Int(&'a [i64]),
-    /// A [`ValueType::Float`] column.
-    Float(&'a [f64]),
+    /// A [`ValueType::Int`] column whose values span less than 2³²: row
+    /// `i` holds `base + offsets[i]`.
+    Int {
+        /// The column's least value (0 while it is empty).
+        base: i64,
+        /// Each row's distance from `base`.
+        offsets: &'a [u32],
+    },
+    /// A [`ValueType::Int`] column spanning 2³² or more: row `i` holds
+    /// `dict[ranks[i]]`.
+    RankedInt {
+        /// The column's values, ascending, each once.
+        dict: &'a [i64],
+        /// Each row's rank in `dict`.
+        ranks: &'a [u32],
+    },
+    /// A [`ValueType::Float`] column: row `i` holds `dict[ranks[i]]`.
+    Float {
+        /// The column's values in `total_cmp` order, each bit pattern once.
+        dict: &'a [f64],
+        /// Each row's rank in `dict`.
+        ranks: &'a [u32],
+    },
     /// A [`ValueType::Str`] column: row `i` holds `dict[ranks[i]]`.
     Str {
         /// The column's strings, sorted by `str::cmp`, each once.
         dict: &'a [String],
-        /// Each row's rank in `dict`, so ranks order as their strings.
+        /// Each row's rank in `dict`.
         ranks: &'a [u32],
     },
     /// A [`ValueType::Date`] column.
     Date(&'a [i32]),
 }
 
-impl ColumnSlice<'_> {
+/// A column's 32-bit cells, as scans and sorts read them.
+#[derive(Debug, Clone, Copy)]
+pub enum Cells<'a> {
+    /// Offsets or ranks: each cell is its own cell code.
+    Codes(&'a [u32]),
+    /// A date column's days: a cell's code is its [`KeyCode`].
+    Days(&'a [i32]),
+}
+
+impl<'a> ColumnSlice<'a> {
     /// The column's type.
     pub fn value_type(&self) -> ValueType {
         match self {
-            ColumnSlice::Int(_) => ValueType::Int,
-            ColumnSlice::Float(_) => ValueType::Float,
+            ColumnSlice::Int { .. } | ColumnSlice::RankedInt { .. } => ValueType::Int,
+            ColumnSlice::Float { .. } => ValueType::Float,
             ColumnSlice::Str { .. } => ValueType::Str,
             ColumnSlice::Date(_) => ValueType::Date,
         }
     }
 
+    /// The column's cells.
+    pub fn cells(&self) -> Cells<'a> {
+        match *self {
+            ColumnSlice::Int { offsets: codes, .. }
+            | ColumnSlice::RankedInt { ranks: codes, .. }
+            | ColumnSlice::Float { ranks: codes, .. }
+            | ColumnSlice::Str { ranks: codes, .. } => Cells::Codes(codes),
+            ColumnSlice::Date(days) => Cells::Days(days),
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match self {
-            ColumnSlice::Int(c) => c.len(),
-            ColumnSlice::Float(c) => c.len(),
-            ColumnSlice::Str { ranks, .. } => ranks.len(),
-            ColumnSlice::Date(c) => c.len(),
+        match self.cells() {
+            Cells::Codes(c) => c.len(),
+            Cells::Days(d) => d.len(),
         }
     }
 
@@ -342,14 +493,29 @@ impl ColumnSlice<'_> {
         self.len() == 0
     }
 
+    /// The cell code of `row`. Panics on a row past the end.
+    fn cell_code(&self, row: usize) -> u32 {
+        match self.cells() {
+            Cells::Codes(c) => c[row],
+            Cells::Days(d) => d[row].code(),
+        }
+    }
+
     /// The cell of one row as a [`Value`]; `None` past the end.
     pub fn get(&self, row: usize) -> Option<Value> {
-        Some(match self {
-            ColumnSlice::Int(c) => Value::Int(*c.get(row)?),
-            ColumnSlice::Float(c) => Value::Float(*c.get(row)?),
-            ColumnSlice::Str { dict, ranks } => Value::Str(dict[*ranks.get(row)? as usize].clone()),
-            ColumnSlice::Date(c) => Value::Date(*c.get(row)?),
-        })
+        (row < self.len()).then(|| self.value_of(self.cell_code(row)))
+    }
+
+    /// The value cell code `code` stands for (how statistics turn sorted
+    /// codes into values). Panics on a rank past the dictionary.
+    pub fn value_of(&self, code: u32) -> Value {
+        match *self {
+            ColumnSlice::Int { base, .. } => Value::Int(base.wrapping_add(code.into())),
+            ColumnSlice::RankedInt { dict, .. } => Value::Int(dict[code as usize]),
+            ColumnSlice::Float { dict, .. } => Value::Float(dict[code as usize]),
+            ColumnSlice::Str { dict, .. } => Value::Str(dict[code as usize].clone()),
+            ColumnSlice::Date(_) => Value::Date(i32::from_code(code)),
+        }
     }
 
     /// Append the cells of `rows` (in that order) to `out` as
@@ -359,52 +525,53 @@ impl ColumnSlice<'_> {
         out.extend(rows.iter().filter_map(|&r| self.get(r as usize)));
     }
 
-    /// The key code of the cell of `row` (a string's rank code). Panics
-    /// on a row past the end.
+    /// The key code of the cell of `row`. Panics on a row past the end.
     pub fn code(&self, row: usize) -> u64 {
-        match self {
-            ColumnSlice::Int(c) => c[row].code(),
-            ColumnSlice::Float(c) => c[row].code(),
-            ColumnSlice::Str { ranks, .. } => ranks[row].code(),
-            ColumnSlice::Date(c) => c[row].code().into(),
-        }
+        self.cell_code(row).code()
     }
 
-    /// [`literal_code`] of the cell of `row` in `column`, without a
-    /// [`Value`] (a string's searches `column`'s dictionary). Panics on a
-    /// row past the end.
+    /// [`literal_code`] of the cell of `row`'s value in `column` (a
+    /// string's without a copy). Panics on a row past the end.
     pub fn code_in(&self, row: usize, column: &ColumnSlice<'_>) -> Result<u64, Ordering> {
         match (self, column) {
-            (ColumnSlice::Int(c), ColumnSlice::Int(_)) => Ok(c[row].code()),
-            (ColumnSlice::Float(c), ColumnSlice::Float(_)) => Ok(c[row].code()),
-            (ColumnSlice::Date(c), ColumnSlice::Date(_)) => Ok(c[row].code().into()),
             (ColumnSlice::Str { dict, ranks }, ColumnSlice::Str { dict: other, .. }) => {
-                Ok(str_code(&dict[ranks[row] as usize], other))
+                Ok(rank_code(other.binary_search(&dict[ranks[row] as usize])))
             }
-            _ => Err(self.value_type().cmp(&column.value_type())),
+            _ => literal_code(&self.value_of(self.cell_code(row)), *column),
         }
     }
 
     /// Does the cell of `row` equal `other`'s cell of `other_row` under
     /// `Value`'s equality (same type, floats bit for bit)? False for
-    /// columns of different types and past either end. Two string
-    /// columns' ranks are not comparable: their strings are compared.
+    /// columns of different types and past either end. Two columns'
+    /// offsets or ranks are not comparable: their values are compared.
     #[inline]
     pub fn cells_eq(&self, row: usize, other: &ColumnSlice<'_>, other_row: usize) -> bool {
         fn same<T>(a: &[T], i: usize, b: &[T], j: usize, eq: impl Fn(&T, &T) -> bool) -> bool {
             matches!((a.get(i), b.get(j)), (Some(x), Some(y)) if eq(x, y))
         }
-        match (self, other) {
-            (ColumnSlice::Int(a), ColumnSlice::Int(b)) => same(a, row, b, other_row, i64::eq),
-            (ColumnSlice::Float(a), ColumnSlice::Float(b)) => {
-                same(a, row, b, other_row, |x, y| x.to_bits() == y.to_bits())
+        use ColumnSlice::{Date, Int, Str};
+        // Join keys' layouts compared in place, the rest as values.
+        match (*self, *other) {
+            (Int { base: a, offsets: x }, Int { base: b, offsets: y }) => {
+                let value = |base: i64, o: u32| base.wrapping_add(o.into());
+                same(x, row, y, other_row, |&p, &q| value(a, p) == value(b, q))
             }
-            (ColumnSlice::Str { dict: a, ranks: ra }, ColumnSlice::Str { dict: b, ranks: rb }) => {
-                same(ra, row, rb, other_row, |&x, &y| a[x as usize] == b[y as usize])
+            (Str { dict: a, ranks: x }, Str { dict: b, ranks: y }) => {
+                same(x, row, y, other_row, |&p, &q| a[p as usize] == b[q as usize])
             }
-            (ColumnSlice::Date(a), ColumnSlice::Date(b)) => same(a, row, b, other_row, i32::eq),
-            _ => false,
+            (Date(x), Date(y)) => same(x, row, y, other_row, i32::eq),
+            _ => matches!((self.get(row), other.get(other_row)), (Some(a), Some(b)) if a == b),
         }
+    }
+
+    /// The closed interval of key codes `lo..=hi` as the closed interval
+    /// of the cell codes `c` whose key codes `2c + 1` lie in it, or `None`
+    /// when no cell code's does.
+    pub fn cell_interval(&self, (lo, hi): (u64, u64)) -> Option<(u32, u32)> {
+        let hi = u32::try_from(hi.checked_sub(1)? / 2).unwrap_or(u32::MAX);
+        let lo = u32::try_from(lo / 2).ok().filter(|&lo| lo <= hi)?;
+        Some((lo, hi))
     }
 }
 
@@ -437,20 +604,21 @@ mod tests {
     }
 
     /// `sorted_entries` must give what `sort_unstable` gives on the
-    /// `(code, row id)` pairs, and every code must turn back into its
-    /// cell bit for bit.
-    fn assert_sorts_like_pairs<T: KeyCode>(cells: &[T], bits: fn(T) -> u64, shape: &str)
-    where
-        T::Code: TryFrom<u64>,
-    {
+    /// `(key code, row id)` pairs, and every code must turn back into
+    /// its cell bit for bit.
+    fn assert_sorts_like_pairs(values: &[Value], shape: &str) {
+        let Some(first) = values.first() else { return };
+        let column = column_of(first.value_type(), values);
+        let column = column.as_slice();
         let mut expected: Vec<(u64, RowId)> =
-            cells.iter().zip(0..).map(|(x, rid)| (x.code().into(), RowId(rid))).collect();
+            (0..values.len()).map(|row| (column.code(row), RowId(row as u32))).collect();
         expected.sort_unstable();
-        let entries = sorted_entries(cells);
-        assert!(entries == expected, "{shape}, {} cells", cells.len());
-        let narrow = |code: u64| T::Code::try_from(code).ok().expect("the code fits its cell's width");
+        let entries = sorted_entries(column);
+        assert!(entries == expected, "{shape}, {} cells, {:?}", values.len(), column.value_type());
         for (code, rid) in entries {
-            assert_eq!(bits(T::from_code(narrow(code))), bits(cells[rid.0 as usize]));
+            let (got, want) = (column.value_of((code >> 1) as u32), &values[rid.0 as usize]);
+            let bits = |v: &Value| if let Value::Float(x) = v { Some(x.to_bits()) } else { None };
+            assert!(&got == want && bits(&got) == bits(want), "{shape}: {got:?} for {want:?}");
         }
     }
 
@@ -476,7 +644,8 @@ mod tests {
         use crate::prng::Prng;
         // Ascending domains of 100 003 values (more distinct codes than
         // a pass has buckets, at every length): the extremes, then a
-        // spread of ordinary values, specials in their places.
+        // spread of ordinary values, specials in their places. An `Int`
+        // column holding an extreme is ranked; one without, offsets.
         const DOMAIN: u64 = 100_003;
         let int = |k: u64| match k {
             0 => i64::MIN,
@@ -501,31 +670,65 @@ mod tests {
         for len in [0, 1, 2, 25, 6_000, 70_000] {
             for (shape, picks) in shapes(len, &mut rng) {
                 let cells = |pick: &u64| pick % DOMAIN;
-                let ints: Vec<i64> = picks.iter().map(|p| int(cells(p))).collect();
-                assert_sorts_like_pairs(&ints, |x| x as u64, shape);
-                let dates: Vec<i32> = picks.iter().map(|p| date(cells(p))).collect();
-                assert_sorts_like_pairs(&dates, |x| x as u32 as u64, shape);
-                let floats: Vec<f64> = picks.iter().map(|p| float(cells(p))).collect();
-                assert_sorts_like_pairs(&floats, f64::to_bits, shape);
+                let ints: Vec<Value> = picks.iter().map(|p| Value::Int(int(cells(p)))).collect();
+                assert_sorts_like_pairs(&ints, shape);
+                let dates: Vec<Value> = picks.iter().map(|p| Value::Date(date(cells(p)))).collect();
+                assert_sorts_like_pairs(&dates, shape);
+                let floats: Vec<Value> = picks.iter().map(|p| Value::Float(float(cells(p)))).collect();
+                assert_sorts_like_pairs(&floats, shape);
             }
         }
+    }
+
+    /// A column of `values` (one type), appended as one batch.
+    fn column_of(vtype: ValueType, values: &[Value]) -> Column {
+        let mut column = Column::new(vtype);
+        let mut batch = column.batch(values.len());
+        values.iter().for_each(|v| batch.push(v.clone()).unwrap());
+        column.append(batch);
+        column
     }
 
     #[test]
     fn push_rejects_other_variants() {
         let mut c = Column::new(ValueType::Date);
-        assert!(c.push(Value::Date(3), &mut Vec::new()).is_ok());
-        assert_eq!(c.push(Value::Int(3), &mut Vec::new()), Err(Value::Int(3)));
+        let mut batch = c.batch(1);
+        assert!(batch.push(Value::Date(3)).is_ok());
+        assert_eq!(batch.push(Value::Int(3)), Err(Value::Int(3)));
+        c.append(batch);
+        assert_eq!(c.as_slice().len(), 1);
+        // A batch of another type changes nothing.
+        c.append(Batch::Int(vec![1]));
         assert_eq!(c.as_slice().len(), 1);
     }
 
     #[test]
+    fn the_data_picks_the_layout() {
+        let ints = |xs: &[i64]| xs.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>();
+        let mut c = column_of(ValueType::Int, &ints(&[7, 5, 9]));
+        assert!(matches!(c.as_slice(), ColumnSlice::Int { base: 5, offsets: [2, 0, 4] }));
+        // A value below the base moves it, and every stored offset.
+        let mut batch = c.batch(1);
+        batch.push(Value::Int(-1)).unwrap();
+        c.append(batch);
+        assert!(matches!(c.as_slice(), ColumnSlice::Int { base: -1, offsets: [8, 6, 10, 0] }));
+        // A span of 2^32 ranks the column, stored rows and all.
+        let mut batch = c.batch(1);
+        batch.push(Value::Int((1 << 32) - 1)).unwrap();
+        c.append(batch);
+        let ColumnSlice::RankedInt { dict, ranks } = c.as_slice() else { panic!("ranked") };
+        assert_eq!((dict, ranks), (&[-1, 5, 7, 9, (1 << 32) - 1][..], &[2, 1, 3, 0, 4][..]));
+        // One short of it stays in offsets.
+        let c = column_of(ValueType::Int, &ints(&[i64::MAX, i64::MAX - u32::MAX as i64]));
+        assert!(matches!(c.as_slice(), ColumnSlice::Int { offsets: [u32::MAX, 0], .. }));
+        let c = column_of(ValueType::Int, &ints(&[i64::MIN, i64::MAX]));
+        assert!(matches!(c.as_slice(), ColumnSlice::RankedInt { ranks: [0, 1], .. }));
+    }
+
+    #[test]
     fn slice_reads_cells() {
-        let (mut c, mut fresh) = (Column::new(ValueType::Str), Vec::new());
-        for s in ["b", "a", "c"] {
-            c.push(Value::Str(s.into()), &mut fresh).unwrap();
-        }
-        c.rerank(fresh);
+        let strs = ["b", "a", "c"].map(|s| Value::Str(s.into()));
+        let c = column_of(ValueType::Str, &strs);
         let s = c.as_slice();
         assert_eq!(s.value_type(), ValueType::Str);
         assert_eq!(s.get(1), Some(Value::Str("a".into())));
@@ -534,12 +737,17 @@ mod tests {
         s.gather(&[2, 0], &mut out);
         assert_eq!(out, vec![Value::Str("c".into()), Value::Str("b".into())]);
         assert!(s.cells_eq(0, &s, 0) && !s.cells_eq(0, &s, 1));
-        assert!(!s.cells_eq(0, &ColumnSlice::Int(&[0]), 0), "another type equals nothing");
+        let int = column_of(ValueType::Int, &[Value::Int(0)]);
+        assert!(!s.cells_eq(0, &int.as_slice(), 0), "another type equals nothing");
         assert!(!s.cells_eq(9, &s, 0) && !s.cells_eq(0, &s, 9), "nor does a row past the end");
 
         let nan = f64::NAN;
-        let f = ColumnSlice::Float(&[0.0, -0.0, nan, -nan, nan]);
+        let floats = [0.0, -0.0, nan, -nan, nan].map(Value::Float);
+        let c = column_of(ValueType::Float, &floats);
+        let f = c.as_slice();
         assert!(f.cells_eq(0, &f, 0) && !f.cells_eq(0, &f, 1), "floats compare bit for bit");
         assert!(f.cells_eq(2, &f, 4) && !f.cells_eq(2, &f, 3));
+        let ColumnSlice::Float { dict, ranks } = f else { panic!("a ranked float column") };
+        assert_eq!((dict.len(), ranks), (4, &[2, 1, 3, 0, 3][..]));
     }
 }

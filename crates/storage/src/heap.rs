@@ -2,12 +2,13 @@
 //!
 //! The *accounting* is a row store's — fixed-width tuples on 8 KiB
 //! pages, charged per page and per tuple — but the data is held column
-//! by column, one vector of the column's native type each — for strings,
-//! a sorted dictionary and each row's `u32` rank in it (see
-//! [`crate::column`]): a scan that evaluates one predicate reads 8 or 4
-//! contiguous bytes per row instead of pulling a separately boxed row
-//! into the cache. Readers that want rows ([`HeapTable::scan`],
-//! [`HeapTable::peek`]) get them materialized from the columns.
+//! by column, one vector of 32-bit cells each: a date's day, an `Int`'s
+//! offset from its column's least value, or a rank in a sorted
+//! dictionary of the column's values (see [`crate::column`]). A scan
+//! that evaluates one predicate reads 4 contiguous bytes per row instead
+//! of pulling a separately boxed row into the cache. Readers that want
+//! rows ([`HeapTable::scan`], [`HeapTable::peek`]) get them materialized
+//! from the columns.
 
 use crate::column::{Column, ColumnSlice};
 use crate::page::{pages_for, tuples_per_page, IoStats};
@@ -86,12 +87,13 @@ impl HeapTable {
 
     /// Append rows in order, stopping at the first whose arity or value
     /// types disagree with the columns: the rows before it stay, nothing
-    /// of it does. A string column re-ranks once, when the batch ends
-    /// (see `Column::rerank`), so a batch costs one pass over the rows
-    /// however many new strings it brings.
+    /// of it does. Each column encodes the batch's cells when it ends
+    /// (`Column::append`): one pass over the rows per batch, however many
+    /// new values it brings.
     pub fn insert_rows(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<(), RowError> {
-        let mut fresh = vec![Vec::new(); self.columns.len()];
-        let stored = rows.into_iter().try_for_each(|row| {
+        let mut rows = rows.into_iter();
+        let mut batches: Vec<_> = self.columns.iter().map(|c| c.batch(rows.size_hint().0)).collect();
+        let stored = rows.try_for_each(|row| {
             if row.len() != self.columns.len() {
                 return Err(RowError::Arity { expected: self.columns.len(), got: row.len() });
             }
@@ -102,15 +104,15 @@ impl HeapTable {
                 }
             }
             u32::try_from(self.len).map_err(|_| RowError::Full)?;
-            for ((c, v), fresh) in self.columns.iter_mut().zip(row.into_vec()).zip(&mut fresh) {
+            for (batch, v) in batches.iter_mut().zip(row.into_vec()) {
                 // Cannot fail: every type was checked above.
-                drop(c.push(v, fresh));
+                drop(batch.push(v));
             }
             self.len += 1;
             Ok(())
         });
-        for (c, fresh) in self.columns.iter_mut().zip(fresh) {
-            c.rerank(fresh);
+        for (c, batch) in self.columns.iter_mut().zip(batches) {
+            c.append(batch);
         }
         stored
     }

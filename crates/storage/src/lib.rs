@@ -2,7 +2,8 @@
 //!
 //! Storage substrate for the COLT reproduction: typed values, an 8 KiB
 //! page model with deterministic I/O accounting, append-only heap tables
-//! stored as typed column vectors (strings as ranks in a sorted
+//! stored as column vectors of 32-bit cells (dates as days, narrow
+//! integers as offsets, everything else as ranks in a sorted
 //! dictionary), and an arena-based B+ tree used for every materialized
 //! index, keyed by the cells' order-preserving key codes.
 //!
@@ -24,7 +25,9 @@ pub mod row;
 pub mod value;
 
 pub use btree::{BPlusTree, BPlusTreeOf, TreeKey};
-pub use column::{code_bound, code_interval, literal_code, sorted_entries, ColumnSlice, KeyCode};
+pub use column::{
+    code_bound, code_interval, literal_code, sorted_entries, value_code, Cells, ColumnSlice, KeyCode,
+};
 pub use heap::{HeapTable, RowError};
 pub use page::{pages_for, tuples_per_page, CostParams, IoStats, PAGE_SIZE};
 pub use prng::Prng;
