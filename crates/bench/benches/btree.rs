@@ -10,10 +10,10 @@
 //! rows and must beat, in this process and at every size, the same
 //! build through the byte-wise radix sort `sorted_entries` replaced
 //! ([`lsd_sort`], kept here as that reference only) and through a
-//! comparison sort — both over the same 32-bit cell codes, so the radix
-//! reference makes at most four passes — and at 100 000 rows the same
-//! build with `(Value, RowId)` entries, which the code-keyed tree
-//! replaced. A
+//! comparison sort — both over each value's own key code, 64 bits for an
+//! `Int` or a `Float`, as the heap held them when those sorts were
+//! `build_index`'s — and at 100 000 rows the same build with
+//! `(Value, RowId)` entries, which the code-keyed tree replaced. A
 //! selectivity estimate over a fixed-width column's key codes must beat
 //! the same estimate comparing `Value`s, and a scan kernel that counts a
 //! window must beat the one that selects it, again in this process.
@@ -47,7 +47,7 @@ use colt_engine::{
     Query, SelPred, BATCH_ROWS,
 };
 use colt_storage::{
-    row_from, sorted_entries, BPlusTree, BPlusTreeOf, Cells, ColumnSlice, HeapTable, IoStats,
+    row_from, sorted_entries, BPlusTree, BPlusTreeOf, ColumnSlice, HeapTable, IoStats,
     KeyCode, RowId, Value, ValueType,
 };
 use std::hint::black_box;
@@ -142,28 +142,50 @@ enum Reference {
     ValueEntries,
 }
 
-/// `build_index` over the heap's one fixed-width column with one step
-/// swapped, as the same-process reference; the built tree's page count.
-/// The references sort the same 32-bit cell codes `sorted_entries` does.
-fn reference_build(heap: &HeapTable, reference: Reference) -> usize {
-    let column = heap.column(0).expect("the heap has one column");
-    let sort: fn(&mut Vec<(u32, u32)>) = match reference {
-        Reference::ValueEntries => {
+/// One fixed-width column's values in their own types, as the heap held
+/// them when [`lsd_sort`] and the comparison sort were what a build ran:
+/// what those references sort.
+enum ValueCells {
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Date(Vec<i32>),
+}
+
+/// A column to build indexes on: the heap, and its values as
+/// [`ValueCells`].
+struct Sample {
+    heap: HeapTable,
+    values: ValueCells,
+}
+
+/// `build_index` over the sample's column with one step swapped, as the
+/// same-process reference; the built tree's page count. The sorting
+/// references key each row by its value's own [`KeyCode`] — 64 bits for
+/// an `Int` or a `Float`, 32 for a `Date` — read from [`ValueCells`]:
+/// the reference the gate had before every heap cell was 32 bits.
+fn reference_build(sample: &Sample, reference: Reference) -> usize {
+    fn build<T: KeyCode>(cells: &[T], reference: Reference) -> usize {
+        let sort: fn(&mut Vec<(T::Code, u32)>) = match reference {
+            Reference::LsdSort => lsd_sort,
+            Reference::ComparisonSort => |pairs| pairs.sort_unstable(),
+            Reference::ValueEntries => unreachable!("value entries are made from the heap"),
+        };
+        let mut keyed: Vec<(T::Code, u32)> = cells.iter().map(|x| x.code()).zip(0..).collect();
+        sort(&mut keyed);
+        let entries = keyed.into_iter().map(|(code, rid)| (code.into(), RowId(rid)));
+        BPlusTreeOf::<u64>::bulk_load(8, entries.collect()).page_count()
+    }
+    match (&sample.values, reference) {
+        (_, Reference::ValueEntries) => {
+            let column = sample.heap.column(0).expect("the heap has one column");
             let entries = sorted_entries(column);
             let value = |(_, rid): (u64, RowId)| (column.get(rid.0 as usize).expect("a row"), rid);
-            return BPlusTree::bulk_load(8, entries.into_iter().map(value).collect()).page_count();
+            BPlusTree::bulk_load(8, entries.into_iter().map(value).collect()).page_count()
         }
-        Reference::LsdSort => lsd_sort,
-        Reference::ComparisonSort => |pairs| pairs.sort_unstable(),
-    };
-    // Each row's cell code `c`, keyed `2c + 1` once sorted.
-    let mut keyed: Vec<(u32, u32)> = match column.cells() {
-        Cells::Codes(codes) => codes.iter().copied().zip(0..).collect(),
-        Cells::Days(days) => days.iter().map(|x| x.code()).zip(0..).collect(),
-    };
-    sort(&mut keyed);
-    let entries = keyed.into_iter().map(|(code, rid)| (code.code(), RowId(rid)));
-    BPlusTreeOf::<u64>::bulk_load(8, entries.collect()).page_count()
+        (ValueCells::Int(cells), _) => build(cells, reference),
+        (ValueCells::Float(cells), _) => build(cells, reference),
+        (ValueCells::Date(cells), _) => build(cells, reference),
+    }
 }
 
 /// Benchmarks `build_index` on one column at 6 000, 100 000 and
@@ -173,18 +195,31 @@ fn reference_build(heap: &HeapTable, reference: Reference) -> usize {
 /// reference it is timed against.
 fn bench_build_index(name: &str, vtype: ValueType, value: fn(u64, u64) -> Value) -> bool {
     let col = ColRef::new(TableId(0), 0);
-    let heap_of = |n: u64| {
+    let sample_of = |n: u64| {
         let mut heap = HeapTable::new(&[vtype]);
         heap.insert_rows((0..n).map(|i| row_from(vec![value(i, n)])))
             .expect("the rows have the column's type");
-        heap
+        let mut values = match vtype {
+            ValueType::Int => ValueCells::Int(Vec::new()),
+            ValueType::Float => ValueCells::Float(Vec::new()),
+            _ => ValueCells::Date(Vec::new()),
+        };
+        for i in 0..n {
+            match (&mut values, value(i, n)) {
+                (ValueCells::Int(cells), Value::Int(x)) => cells.push(x),
+                (ValueCells::Float(cells), Value::Float(x)) => cells.push(x),
+                (ValueCells::Date(cells), Value::Date(x)) => cells.push(x),
+                _ => unreachable!("a fixed-width value of the column's type"),
+            }
+        }
+        Sample { heap, values }
     };
-    type Build<'a> = (&'a str, &'a dyn Fn(&HeapTable) -> usize);
+    type Build<'a> = (&'a str, &'a dyn Fn(&Sample) -> usize);
     let per_entry = |n: u64, builds: &[Build<'_>]| {
-        let heap = &heap_of(n);
+        let sample = &sample_of(n);
         let calls: Vec<_> = (builds.iter())
             .map(|&(_, build)| move || {
-                black_box(build(black_box(heap)));
+                black_box(build(black_box(sample)));
             })
             .collect();
         let calls: Vec<&dyn Fn()> = calls.iter().map(|call| call as &dyn Fn()).collect();
@@ -196,12 +231,12 @@ fn bench_build_index(name: &str, vtype: ValueType, value: fn(u64, u64) -> Value)
         }
         best
     };
-    let coded: Build<'_> = ("", &|heap| build_index(heap, col, 8).0.page_count());
-    let lsd: Build<'_> = ("/lsd_sort", &|heap| reference_build(heap, Reference::LsdSort));
+    let coded: Build<'_> = ("", &|sample| build_index(&sample.heap, col, 8).0.page_count());
+    let lsd: Build<'_> = ("/lsd_sort", &|sample| reference_build(sample, Reference::LsdSort));
     let comparison: Build<'_> =
-        ("/sort_unstable", &|heap| reference_build(heap, Reference::ComparisonSort));
+        ("/sort_unstable", &|sample| reference_build(sample, Reference::ComparisonSort));
     let values: Build<'_> =
-        ("/value_entries", &|heap| reference_build(heap, Reference::ValueEntries));
+        ("/value_entries", &|sample| reference_build(sample, Reference::ValueEntries));
     let mut ok = true;
     let mut coded_ns = Vec::new();
     for n in [6_000, 100_000, 1_000_000] {

@@ -19,7 +19,7 @@
 //! `Value::cmp` orders, so either way gives the same estimate **bit for
 //! bit** (`crates/catalog/tests/proptest_stats.rs` holds them to it).
 
-use colt_storage::{value_code, Cells, HeapTable, KeyCode, Value, ValueType};
+use colt_storage::{value_code, HeapTable, Value, ValueType};
 use std::cmp::Ordering;
 use std::ops::Bound;
 
@@ -160,10 +160,7 @@ impl ColumnStats {
         let Some(cells) = heap.column(column) else {
             return Self::of_sorted::<u32>(&[], |_| Value::Int(0));
         };
-        let mut codes: Vec<u32> = match cells.cells() {
-            Cells::Codes(codes) => codes.to_vec(),
-            Cells::Days(days) => days.iter().map(|x| x.code()).collect(),
-        };
+        let mut codes = cells.cells().to_vec();
         // Not the index build's `sorted_entries`, which makes the
         // `(code, row id)` entries nothing here wants; bare codes of
         // sorted key columns and of few-valued ones are a comparison

@@ -214,6 +214,25 @@ macro_rules! by_rows {
     };
 }
 
+/// `$body` with `$cells` and `$key` bound to a `Date` or `Int` key column's
+/// cells and their values' [`KeyCode`] — a day's own, an offset plus the
+/// base's ([`offset_cells`]), a rank's value's — once per call; else `false`.
+macro_rules! by_value_code {
+    ($column:expr, |$cells:ident, $key:ident| $body:expr) => {
+        match ($column, offset_cells($column)) {
+            (_, Some(($cells, base))) => {
+                let $key = move |&c: &u32| base + u64::from(c);
+                $body
+            }
+            (ColumnSlice::RankedInt { dict, ranks: $cells }, None) => {
+                let $key = |&r: &u32| dict[r as usize].code();
+                $body
+            }
+            _ => false,
+        }
+    };
+}
+
 /// One key column of an operator input: the heap cells of the column
 /// and which of them each input row reads — row `i` heap row `rows[i]`,
 /// or heap row `i` itself when the input is dense (`None`).
@@ -280,8 +299,8 @@ fn mix(hash: u64, word: u64) -> u64 {
 /// type is not hashed (a cross-type key pair may collide, and then fails
 /// [`ColumnSlice::cells_eq`]). A cell is hashed by its value — an offset
 /// with its column's base, a rank through its column's dictionary, a
-/// string by its bytes — as two tables' offsets or ranks of one value
-/// differ.
+/// string by its bytes, a date by its code — as two tables' offsets or
+/// ranks of one value differ.
 fn hash_cells(cells: ColumnSlice<'_>, map: impl RowMap, window: Range<usize>, hashes: &mut [u64]) {
     fn fold<'c, T: 'c>(cells: impl Cells<'c, T>, hashes: &mut [u64], word: impl Fn(&T) -> u64) {
         for (hash, x) in hashes.iter_mut().zip(cells) {
@@ -298,7 +317,7 @@ fn hash_cells(cells: ColumnSlice<'_>, map: impl RowMap, window: Range<usize>, ha
         ColumnSlice::Float { dict, ranks } => {
             fold(map.cells(ranks, window), hashes, |&r| dict[r as usize].to_bits())
         }
-        ColumnSlice::Date(c) => fold(map.cells(c, window), hashes, |&x| x as u32 as u64),
+        ColumnSlice::Date(c) => fold(map.cells(c, window), hashes, |&x| u64::from(x)),
         ColumnSlice::Str { dict, ranks } => {
             for (hash, &rank) in hashes.iter_mut().zip(map.cells(ranks, window)) {
                 let bytes = dict[rank as usize].as_bytes();
@@ -347,28 +366,24 @@ pub(crate) enum SlotRule {
 /// [`BATCH_ROWS`] window at a time.
 pub(crate) fn equi_join(build: &[KeyCol<'_>], probe: &[KeyCol<'_>], out: &mut Matches) -> SlotRule {
     if let ([b], [p]) = (build, probe) {
-        let day = |x: &i32| u64::from(x.code());
-        let offset = by_rows!(b.rows, |bm| by_rows!(p.rows, |pm| match (b.cells, p.cells) {
-            (ColumnSlice::Date(bc), ColumnSlice::Date(pc)) => {
-                offset_join((bc, day, bm, b.len()), (pc, day, pm, p.len()), out)
-            }
-            // Offsets on both sides, the layout nearly every `Int` key
-            // has: the value code is the base's plus the offset.
-            (
-                ColumnSlice::Int { base: bb, offsets: bc },
-                ColumnSlice::Int { base: pb, offsets: pc },
-            ) => {
-                let key = |base: u64| move |&o: &u32| base + u64::from(o);
-                let (bk, pk) = (key(bb.code()), key(pb.code()));
-                offset_join((bc, bk, bm, b.len()), (pc, pk, pm, p.len()), out)
-            }
-            (bc, pc) => match (int_keys(bc), int_keys(pc)) {
-                (Some((bc, bk)), Some((pc, pk))) => {
+        let offset = b.cells.value_type() == p.cells.value_type()
+            && by_rows!(b.rows, |bm| by_rows!(p.rows, |pm| match (b.cells, p.cells) {
+                // Offsets on both sides, every generated key's layout: its own
+                // loop read `joins` 1.036× the general one (EXPERIMENTS.md).
+                (
+                    ColumnSlice::Int { base: bb, offsets: bc },
+                    ColumnSlice::Int { base: pb, offsets: pc },
+                ) => {
+                    let key = |base: u64| move |&o: &u32| base + u64::from(o);
+                    let (bk, pk) = (key(bb.code()), key(pb.code()));
                     offset_join((bc, bk, bm, b.len()), (pc, pk, pm, p.len()), out)
                 }
-                _ => false,
-            },
-        }));
+                _ => by_value_code!(b.cells, |bc, bk| {
+                    by_value_code!(p.cells, |pc, pk| {
+                        offset_join((bc, bk, bm, b.len()), (pc, pk, pm, p.len()), out)
+                    })
+                }),
+            }));
         if offset {
             return SlotRule::Offset;
         }
@@ -380,16 +395,14 @@ pub(crate) fn equi_join(build: &[KeyCol<'_>], probe: &[KeyCol<'_>], out: &mut Ma
     SlotRule::Hashed
 }
 
-/// An `Int` key column's cells and the [`KeyCode`] of each one's value,
-/// the same in every column: the base's code plus an offset, or a rank's
-/// value's code.
-fn int_keys(cells: ColumnSlice<'_>) -> Option<(&[u32], impl Fn(&u32) -> u64 + Copy + '_)> {
-    let (codes, base, dict) = match cells {
-        ColumnSlice::Int { base, offsets } => (offsets, base.code(), &[][..]),
-        ColumnSlice::RankedInt { dict, ranks } => (ranks, 0, dict),
-        _ => return None,
-    };
-    Some((codes, move |&c: &u32| dict.get(c as usize).map_or(base + u64::from(c), |x| x.code())))
+/// A `Date` or offset `Int` key column's cells and the code its values'
+/// [`KeyCode`]s count from (a day is its own code).
+fn offset_cells(cells: ColumnSlice<'_>) -> Option<(&[u32], u64)> {
+    match cells {
+        ColumnSlice::Int { base, offsets } => Some((offsets, base.code())),
+        ColumnSlice::Date(days) => Some((days, 0)),
+        _ => None,
+    }
 }
 
 /// The offset rule, taken when the build's key codes span no more slots
@@ -612,7 +625,7 @@ mod tests {
             assert!(filled >= 512, "stride {stride}: {filled} of 1024 slots");
         }
         let rows: Vec<u32> = (0..1024).collect();
-        let days: Vec<i32> = (0..1024).map(|i| 8_000 + i * 1024).collect();
+        let days: Vec<u32> = (0..1024).map(|i: i32| (8_000 + i * 1024).code()).collect();
         for ints in [vec![7i64; 1024], (0..1024).map(|i| i << 20).collect()] {
             let heap = int_heap(&ints);
             let keys = [
@@ -654,7 +667,7 @@ mod tests {
         assert_eq!((floats[0], floats[2]), (floats[5], floats[4]));
         // A second key column folds into the first one's hashes.
         let rows = [0u32, 1, 2];
-        let (a, b) = (int_heap(&[1, 1, 2]), [5i32, 6, 5]);
+        let (a, b) = (int_heap(&[1, 1, 2]), [5i32, 6, 5].map(KeyCode::code));
         let keys = [
             KeyCol { cells: a.column(0).unwrap(), rows: Some(&rows) },
             KeyCol { cells: ColumnSlice::Date(&b), rows: Some(&rows) },
@@ -741,7 +754,7 @@ mod tests {
             .map(String::from);
         let strs = str_heap(&strs);
         let strs = strs.column(0).unwrap();
-        let dates = [i32::MIN, i32::MAX, -1, 0, 1, 8_000];
+        let dates = [i32::MIN, i32::MAX, -1, 0, 1, 8_000].map(KeyCode::code);
         // A two-column key (a, hash(a) ^ c) hashes to hash(c) whatever `a`
         // is: under each of three `c`s the seven `a`s share one full
         // hash, and the three hashes agree in their low 14 bits, so all
@@ -880,7 +893,7 @@ mod tests {
                         lo.wrapping_add(at as i64)
                     }));
                     // A `Date` key wraps in `i32`, where `least − 1` is `most`.
-                    let days = |keys: &[i64]| keys.iter().map(|&k| k as i32).collect::<Vec<_>>();
+                    let days = |keys: &[i64]| keys.iter().map(|&k| (k as i32).code()).collect::<Vec<_>>();
                     let (build_days, probe_days) = (days(&build), days(&probe));
                     let (build_rows, probe_rows): (Vec<u32>, Vec<u32>) =
                         ((0..builds as u32).collect(), (0..probes as u32).collect());

@@ -283,15 +283,20 @@ impl<'a> Executor<'a> {
         );
         let t = self.db.table(table);
         let preds: Vec<&SelPred> = query.selections_on(table).collect();
-        let kernels = compile_preds("scan", t, &preds)?;
+        // A single-column index scan's driving predicate resolves against
+        // the tree and is not compiled (a second one on its column is);
+        // a composite scan checks them all.
+        let driving = match path {
+            AccessPath::IndexScan { col } => preds.iter().position(|p| p.col == *col),
+            _ => None,
+        };
+        let checked = preds.iter().enumerate().filter(|&(i, _)| Some(i) != driving);
+        let kernels = compile_preds("scan", t, checked.map(|(_, &p)| p))?;
 
         let _batch_span = colt_obs::span("engine.exec.batch");
         let mut out = RowIds::new(1, emit);
         let mut sel: Vec<u32> = Vec::with_capacity(BATCH_ROWS);
-        // The rows an index selects, and the predicate that drove a
-        // single-column scan: it is not checked again (a second one on
-        // the same column still is). A composite scan checks them all.
-        let (mut rowids, driving) = match path {
+        let mut rowids = match path {
             AccessPath::SeqScan => {
                 for window in t.heap.scan_batches(BATCH_ROWS, io) {
                     io.cpu_ops += (kernels.len() * window.len()) as u64;
@@ -312,19 +317,17 @@ impl<'a> Executor<'a> {
                 return Ok(if kernels.is_empty() { RowIds::dense(rows, emit) } else { out });
             }
             AccessPath::IndexScan { col } => {
-                let (rowids, driving) = index_scan_rowids(self.db, self.config, &preds, *col, io)?;
-                (rowids, Some(driving))
+                index_scan_rowids(self.db, self.config, &preds, *col, io)?.0
             }
             AccessPath::CompositeScan { key, eq_prefix, range_next } => {
                 let (db, config) = (self.db, self.config);
-                (composite_scan_rowids(db, config, &preds, key, *eq_prefix, *range_next, io)?, None)
+                composite_scan_rowids(db, config, &preds, key, *eq_prefix, *range_next, io)?
             }
         };
         t.heap.fetch_sorted(&mut rowids, io);
-        let residual = kernels.len() - usize::from(driving.is_some());
         for chunk in rowids.chunks(BATCH_ROWS) {
-            io.cpu_ops += (residual * chunk.len()) as u64;
-            retain_rows(chunk, &kernels, driving, &mut sel);
+            io.cpu_ops += (kernels.len() * chunk.len()) as u64;
+            retain_rows(chunk, &kernels, &mut sel);
             out.push_sel(&sel);
         }
         Ok(out)
@@ -409,8 +412,7 @@ impl<'a> Executor<'a> {
     ) -> Result<RowIds, ExecError> {
         let inner_table = self.db.table(inner);
         let (index, indexed) = materialized_index("index_nl_join", self.db, self.config, index_col)?;
-        let inner_preds: Vec<&SelPred> = cx.query.selections_on(inner).collect();
-        let inner_kernels = compile_preds("index_nl_join", inner_table, &inner_preds)?;
+        let inner_kernels = compile_preds("index_nl_join", inner_table, cx.query.selections_on(inner))?;
 
         // Locate (and validate) the outer side of each join predicate
         // in the outer layout: all of this node's but the inner table.
@@ -449,7 +451,7 @@ impl<'a> Executor<'a> {
             index.lookup_code_into(probe_key.code_in(o, &indexed), &mut rowids, io);
             inner_table.heap.fetch_sorted(&mut rowids, io);
             io.cpu_ops += ((inner_kernels.len() + residuals.len()) * rowids.len()) as u64;
-            retain_rows(&rowids, &inner_kernels, None, &mut sel);
+            retain_rows(&rowids, &inner_kernels, &mut sel);
             for (outer_key, cells) in &residuals {
                 sel.retain(|&row| outer_key.eq_cell(o, cells, row as usize));
             }
@@ -494,11 +496,10 @@ fn width(node: &PlanNode) -> usize {
 fn compile_preds<'a>(
     operator: &'static str,
     table: &'a Table,
-    preds: &[&'a SelPred],
+    preds: impl Iterator<Item = &'a SelPred>,
 ) -> Result<Vec<Kernel<'a>>, ExecError> {
     preds
-        .iter()
-        .map(|&p| {
+        .map(|p| {
             let cells = table
                 .heap
                 .column(p.col.column as usize)
@@ -523,16 +524,12 @@ pub(crate) fn check_pred_cols(
     Ok(())
 }
 
-/// Leave in `sel` the fetched rows that pass every kernel (skipping the
-/// one at `skip`, if any), in fetch order.
-fn retain_rows(fetched: &[RowId], kernels: &[Kernel<'_>], skip: Option<usize>, sel: &mut Vec<u32>) {
+/// Leave in `sel` the fetched rows that pass every kernel, in fetch
+/// order.
+fn retain_rows(fetched: &[RowId], kernels: &[Kernel<'_>], sel: &mut Vec<u32>) {
     sel.clear();
     sel.extend(fetched.iter().map(|id| id.0));
-    for (ki, kernel) in kernels.iter().enumerate() {
-        if Some(ki) != skip {
-            kernel.retain(sel);
-        }
-    }
+    kernels.iter().for_each(|kernel| kernel.retain(sel));
 }
 
 /// The tree of the single-column index a plan node refers to and the

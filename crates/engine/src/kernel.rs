@@ -22,13 +22,13 @@
 //! exclusive bound at the type's extreme leaves nothing to match.
 
 use crate::query::{PredicateKind, RangeBound, SelPred};
-use colt_storage::{code_interval, literal_code, Cells, ColumnSlice, KeyCode, Value};
+use colt_storage::{code_interval, literal_code, ColumnSlice, Value};
 use std::ops::Range;
 
 /// One [`SelPred`] compiled against the column it restricts.
 #[derive(Debug, Clone)]
 pub struct Kernel<'a> {
-    cells: Cells<'a>,
+    cells: &'a [u32],
     test: CodeTest,
 }
 
@@ -75,24 +75,13 @@ impl<'a> Kernel<'a> {
         self.run(Op::Retain(sel));
     }
 
-    /// Pick the loop for this column's cells once, outside it.
+    /// Pick the loop for this predicate's test once, outside it.
     fn run(&self, op: Op<'_>) {
-        match self.cells {
-            Cells::Codes(cells) => self.test.run(cells, |&x| x, op),
-            Cells::Days(cells) => self.test.run(cells, |x| x.code(), op),
-        }
-    }
-}
-
-impl CodeTest {
-    fn run<T>(&self, cells: &[T], code: impl Fn(&T) -> u32, op: Op<'_>) {
-        match *self {
+        match self.test {
             // `lo` and `span` by value: read through `self`, the loop
             // would reload both after every store to the selection.
-            CodeTest::Range { lo, span } => {
-                apply(cells, move |x| code(x).wrapping_sub(lo) <= span, op)
-            }
-            CodeTest::In(ref list) => apply(cells, |x| list.binary_search(&code(x)).is_ok(), op),
+            CodeTest::Range { lo, span } => apply(self.cells, move |&x| x.wrapping_sub(lo) <= span, op),
+            CodeTest::In(ref list) => apply(self.cells, |x| list.binary_search(x).is_ok(), op),
         }
     }
 }
@@ -104,7 +93,7 @@ enum Op<'s> {
     Retain(&'s mut Vec<u32>),
 }
 
-fn apply<T>(cells: &[T], keep: impl Fn(&T) -> bool, op: Op<'_>) {
+fn apply(cells: &[u32], keep: impl Fn(&u32) -> bool, op: Op<'_>) {
     match op {
         Op::Select(rows, sel) => mask_select(cells, rows, keep, sel),
         // A plain loop: `filter().count()` compiles to another one,
@@ -131,7 +120,7 @@ fn apply<T>(cells: &[T], keep: impl Fn(&T) -> bool, op: Op<'_>) {
 /// bit, not one per row as a branch-free select does — 0.65 against
 /// 0.76 ns/row on `joins`' date ranges (EXPERIMENTS.md, "Hash joins
 /// write only what a consumer reads").
-fn mask_select<T>(cells: &[T], rows: Range<usize>, keep: impl Fn(&T) -> bool, sel: &mut Vec<u32>) {
+fn mask_select(cells: &[u32], rows: Range<usize>, keep: impl Fn(&u32) -> bool, sel: &mut Vec<u32>) {
     sel.clear();
     sel.resize(rows.len(), 0);
     let out = sel.as_mut_slice();
@@ -179,7 +168,7 @@ fn code_test(kind: &PredicateKind, column: ColumnSlice<'_>) -> CodeTest {
 mod tests {
     use super::*;
     use colt_catalog::{ColRef, TableId};
-    use colt_storage::{row_from, HeapTable, ValueType};
+    use colt_storage::{row_from, HeapTable, KeyCode, ValueType};
 
     fn col() -> ColRef {
         ColRef::new(TableId(0), 0)
@@ -257,7 +246,7 @@ mod tests {
         let list = SelPred::is_in(col(), vec!["".into(), "pear".into(), Value::Int(3)]);
         assert_eq!(selected(&list, column), vec![0, 3]);
 
-        let days = [i32::MIN, 10, 20, i32::MAX];
+        let days = [i32::MIN, 10, 20, i32::MAX].map(KeyCode::code);
         let column = ColumnSlice::Date(&days);
         let pred = SelPred::between(col(), Value::Date(10), Value::Date(i32::MAX));
         assert_eq!(selected(&pred, column), vec![1, 2, 3]);

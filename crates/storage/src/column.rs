@@ -3,7 +3,7 @@
 //! compare instead of [`Value`] enums.
 //!
 //! Every cell is 32 bits wide, and its *cell code* orders as its value
-//! does in the column: a `Date`'s `i32` day (its [`KeyCode`]), an `Int`'s
+//! does in the column: a `Date`'s day as its `i32` [`KeyCode`], an `Int`'s
 //! `u32` offset from the column's least value when the column spans less
 //! than 2³², else — and for every `Float` and `Str` — a `u32` rank in a
 //! sorted dictionary of the column's values. The data picks the layout,
@@ -164,6 +164,10 @@ pub fn code_interval(
 /// counters and 256 KB of half-filled cache lines.
 const MAX_DIGIT_BITS: u32 = 12;
 
+/// A bucket up to this long (128 KB of pairs) takes a span of up to twice
+/// its length in one pass, past [`MAX_DIGIT_BITS`] (DESIGN.md §5).
+const CACHED_BUCKET: usize = 1 << 14;
+
 /// Buckets up to this long are finished by a comparison sort.
 const SMALL_BUCKET: usize = 32;
 
@@ -173,57 +177,70 @@ const SMALL_BUCKET: usize = 32;
 /// most-significant-digit radix sort of the 32-bit cell codes over
 /// `code − least code` (a ranked column's span is its distinct values,
 /// an offset column's its values' range): one read finds the span, one
-/// counts the buckets, a third writes each `(code, row)` pair to its
-/// bucket in row order. The digit is the whole span where that asks no
-/// more buckets than entries, else the top bits that leave a bucket four
-/// to eight entries — halved above [`MAX_DIGIT_BITS`], the buckets' own
-/// pass taking the rest. A bucket of up to [`SMALL_BUCKET`] entries is
-/// comparison-sorted, a longer one still out of order distributed again.
+/// counts the buckets, a third writes each 8-byte `(cell code, row)`
+/// pair to its bucket in row order. The digit is the whole span where
+/// that asks at most twice the entries in buckets (within
+/// [`MAX_DIGIT_BITS`] or [`CACHED_BUCKET`]), else the top bits that
+/// leave a bucket four to eight entries — halved above
+/// [`MAX_DIGIT_BITS`], the buckets' own pass taking the rest. A bucket of
+/// up to [`SMALL_BUCKET`] entries is comparison-sorted, a longer one
+/// still out of order distributed again; each finished one is widened to
+/// entries while it is in cache.
 pub fn sorted_entries(column: ColumnSlice<'_>) -> Vec<(u64, RowId)> {
-    let rows = 0..column.len() as u32;
-    let sorted = match column.cells() {
-        Cells::Codes(codes) => radix_sorted(codes.iter().map(|&c| c.into()).zip(rows)),
-        Cells::Days(days) => radix_sorted(days.iter().map(|x| x.code().into()).zip(rows)),
-    };
-    sorted.into_iter().map(|(code, rid)| ((code as u32).code(), RowId(rid))).collect()
+    let pairs = column.cells().iter().copied().zip(0..column.len() as u32);
+    radix_sorted(pairs, |(cell, rid)| (cell.code(), RowId(rid)))
 }
 
-/// `pairs` in code, then place order, by [`sorted_entries`]' radix sort.
-fn radix_sorted(pairs: impl ExactSizeIterator<Item = (u64, u32)> + Clone) -> Vec<(u64, u32)> {
-    let Some(span) = unsorted_span(pairs.clone()) else { return pairs.collect() };
-    let mut sorted = vec![(0, 0); pairs.len()];
-    distribute(pairs, span, &mut sorted);
-    sorted
+/// A radix-sortable code: a 32-bit cell code, or a 64-bit [`KeyCode`].
+trait SortCode: Copy + Ord + Default + Into<u64> {}
+impl SortCode for u32 {}
+impl SortCode for u64 {}
+
+/// `pairs` in code, then place order, each as `emit` makes it, by
+/// [`sorted_entries`]' radix sort.
+fn radix_sorted<C: SortCode, O>(
+    pairs: impl ExactSizeIterator<Item = (C, u32)> + Clone,
+    emit: impl Fn((C, u32)) -> O,
+) -> Vec<O> {
+    let Some(span) = unsorted_span(pairs.clone()) else { return pairs.map(emit).collect() };
+    let mut out = Vec::with_capacity(pairs.len());
+    distribute(pairs.clone(), span, &mut vec![(C::default(), 0); pairs.len()], &mut out, &emit);
+    out
 }
 
 /// The least and greatest code among `pairs`, or `None` when the codes
 /// already ascend (so do none, one, and all-equal).
-fn unsorted_span(pairs: impl Iterator<Item = (u64, u32)> + Clone) -> Option<(u64, u64)> {
-    let mut previous = 0;
+fn unsorted_span<C: SortCode>(pairs: impl Iterator<Item = (C, u32)> + Clone) -> Option<(u64, u64)> {
+    let mut previous = C::default();
     if pairs.clone().all(|(code, _)| std::mem::replace(&mut previous, code) <= code) {
         return None;
     }
-    Some(pairs.fold((u64::MAX, 0), |(min, max), (code, _)| (min.min(code), max.max(code))))
+    let span = |(lo, hi): (u64, u64), (c, _): (C, u32)| (lo.min(c.into()), hi.max(c.into()));
+    Some(pairs.fold((u64::MAX, 0), span))
 }
 
-/// Write the `(code, place)` pairs of `src` — codes within `min..=max`,
-/// not all equal, equal codes in ascending place order — into `dst` (as
-/// long as `src`) in code, then place order.
-fn distribute(
-    src: impl Iterator<Item = (u64, u32)> + Clone,
+/// Append the `(code, place)` pairs of `src` — codes within `min..=max`,
+/// not all equal, equal codes in ascending place order — to `out` in
+/// code, then place order, each as `emit` makes it; `dst`, as long as
+/// `src`, is the scratch they are distributed into.
+fn distribute<C: SortCode, O>(
+    src: impl Iterator<Item = (C, u32)> + Clone,
     (min, max): (u64, u64),
-    dst: &mut [(u64, u32)],
+    dst: &mut [(C, u32)],
+    out: &mut Vec<O>,
+    emit: &impl Fn((C, u32)) -> O,
 ) {
     let bits = 64 - (max - min).leading_zeros();
     let spread = dst.len().ilog2();
+    let most = if dst.len() <= CACHED_BUCKET { spread + 1 } else { MAX_DIGIT_BITS };
     let width = match spread.saturating_sub(2).max(1) {
-        _ if bits <= spread.min(MAX_DIGIT_BITS) => bits,
+        _ if bits <= (spread + 1).min(most) => bits,
         top if top <= MAX_DIGIT_BITS => top,
         top => top.div_ceil(2).min(bits),
     };
     let shift = bits - width;
-    let bucket = |code: u64| ((code - min) >> shift) as usize;
-    let mut heads = vec![0usize; 1 << width];
+    let bucket = |code: C| ((code.into() - min) >> shift) as usize;
+    let mut heads = vec![0u32; 1 << width];
     for (code, _) in src.clone() {
         heads[bucket(code)] += 1;
     }
@@ -234,23 +251,25 @@ fn distribute(
     }
     for pair in src {
         let head = &mut heads[bucket(pair.0)];
-        dst[*head] = pair;
+        dst[*head as usize] = pair;
         *head += 1;
     }
     if shift == 0 {
-        return;
+        return out.extend(dst.iter().copied().map(emit));
     }
     // Every head has moved to its bucket's end.
-    let mut start = 0;
-    for end in heads {
+    let (mut start, mut scratch) = (0, Vec::new());
+    for end in heads.into_iter().map(|end| end as usize) {
         let bucket = &mut dst[start..end];
         start = end;
         if bucket.len() <= SMALL_BUCKET {
             bucket.sort_unstable();
         } else if let Some(span) = unsorted_span(bucket.iter().copied()) {
-            let unsorted = bucket.to_vec();
-            distribute(unsorted.iter().copied(), span, bucket);
+            scratch.resize(scratch.len().max(bucket.len()), (C::default(), 0));
+            distribute(bucket.iter().copied(), span, &mut scratch[..bucket.len()], out, emit);
+            continue;
         }
+        out.extend(bucket.iter().copied().map(emit));
     }
 }
 
@@ -261,7 +280,7 @@ pub(crate) enum Column {
     RankedInt(Ranked<i64>),
     Float(Ranked<f64>),
     Str(Ranked<String>),
-    Date(Vec<i32>),
+    Date(Vec<u32>),
 }
 
 /// A sorted dictionary of distinct values and each row's rank in it.
@@ -278,11 +297,11 @@ impl<T> Ranked<T> {
     /// place, in `order`) into the new dictionary, and every stored row's
     /// rank is rewritten — one sort and one pass over the rows per batch,
     /// however many new values it brings.
-    fn append<I: Iterator<Item = (T, u32)>>(
+    fn append(
         &mut self,
         batch: Vec<T>,
         order: impl Fn(&T, &T) -> Ordering,
-        sort: impl FnOnce(Vec<T>) -> I,
+        sort: impl FnOnce(Vec<T>) -> Vec<(T, u32)>,
     ) {
         let Ranked { dict, ranks } = self;
         let rank = |x: &T| dict.binary_search_by(|d| order(d, x)).ok().map(|r| r as u32);
@@ -293,6 +312,9 @@ impl<T> Ranked<T> {
         let stored = dict.len();
         let values: Vec<T> = std::mem::take(dict).into_iter().chain(batch).collect();
         let mut rank = vec![0; values.len()];
+        // Sized once, then trimmed to the distinct values: doubling read
+        // 3–4 % more peak RSS (DESIGN.md, "Offsets and ranks").
+        dict.reserve_exact(values.len());
         for (x, at) in sort(values) {
             // A value twice, in the batch or there and stored, is one entry.
             if dict.last().is_none_or(|d| order(d, &x).is_ne()) {
@@ -300,15 +322,16 @@ impl<T> Ranked<T> {
             }
             rank[at as usize] = dict.len() as u32 - 1;
         }
+        dict.shrink_to_fit();
         ranks.iter_mut().for_each(|r| *r = rank[*r as usize]);
         ranks.extend(&rank[stored..]);
     }
 }
 
 /// `xs`, each with its place, in key-code order ([`radix_sorted`]).
-fn by_code<T: KeyCode<Code = u64>>(xs: Vec<T>) -> impl Iterator<Item = (T, u32)> {
-    let sorted = radix_sorted(xs.iter().map(|x| x.code()).zip(0..xs.len() as u32));
-    sorted.into_iter().map(|(code, at)| (T::from_code(code), at))
+fn by_code<T: KeyCode<Code = u64>>(xs: Vec<T>) -> Vec<(T, u32)> {
+    let codes = xs.iter().map(|x| x.code()).zip(0..xs.len() as u32);
+    radix_sorted(codes, |(code, at)| (T::from_code(code), at))
 }
 
 /// One batch's cells in their values' own types, for [`Column::append`].
@@ -361,14 +384,14 @@ impl Column {
         let by_str = |strs: Vec<String>| {
             let mut placed: Vec<(String, u32)> = strs.into_iter().zip(0..).collect();
             placed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            placed.into_iter()
+            placed
         };
         let wide = match (&mut *self, batch) {
             (Column::Int { base, offsets }, Batch::Int(xs)) => append_offsets(base, offsets, xs),
             (Column::RankedInt(r), Batch::Int(xs)) => return r.append(xs, i64::cmp, by_code),
             (Column::Float(r), Batch::Float(xs)) => return r.append(xs, f64::total_cmp, by_code),
             (Column::Str(r), Batch::Str(xs)) => return r.append(xs, String::cmp, by_str),
-            (Column::Date(days), Batch::Date(xs)) => return days.extend(xs),
+            (Column::Date(days), Batch::Date(xs)) => return days.extend(xs.into_iter().map(i32::code)),
             _ => return,
         };
         if let Some(values) = wide {
@@ -445,17 +468,8 @@ pub enum ColumnSlice<'a> {
         /// Each row's rank in `dict`.
         ranks: &'a [u32],
     },
-    /// A [`ValueType::Date`] column.
-    Date(&'a [i32]),
-}
-
-/// A column's 32-bit cells, as scans and sorts read them.
-#[derive(Debug, Clone, Copy)]
-pub enum Cells<'a> {
-    /// Offsets or ranks: each cell is its own cell code.
-    Codes(&'a [u32]),
-    /// A date column's days: a cell's code is its [`KeyCode`].
-    Days(&'a [i32]),
+    /// A [`ValueType::Date`] column: each row's day as its [`KeyCode`].
+    Date(&'a [u32]),
 }
 
 impl<'a> ColumnSlice<'a> {
@@ -469,23 +483,20 @@ impl<'a> ColumnSlice<'a> {
         }
     }
 
-    /// The column's cells.
-    pub fn cells(&self) -> Cells<'a> {
+    /// The column's cells, each its own cell code: days, offsets or ranks.
+    pub fn cells(&self) -> &'a [u32] {
         match *self {
             ColumnSlice::Int { offsets: codes, .. }
             | ColumnSlice::RankedInt { ranks: codes, .. }
             | ColumnSlice::Float { ranks: codes, .. }
-            | ColumnSlice::Str { ranks: codes, .. } => Cells::Codes(codes),
-            ColumnSlice::Date(days) => Cells::Days(days),
+            | ColumnSlice::Str { ranks: codes, .. }
+            | ColumnSlice::Date(codes) => codes,
         }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match self.cells() {
-            Cells::Codes(c) => c.len(),
-            Cells::Days(d) => d.len(),
-        }
+        self.cells().len()
     }
 
     /// True when the column has no rows.
@@ -493,17 +504,9 @@ impl<'a> ColumnSlice<'a> {
         self.len() == 0
     }
 
-    /// The cell code of `row`. Panics on a row past the end.
-    fn cell_code(&self, row: usize) -> u32 {
-        match self.cells() {
-            Cells::Codes(c) => c[row],
-            Cells::Days(d) => d[row].code(),
-        }
-    }
-
     /// The cell of one row as a [`Value`]; `None` past the end.
     pub fn get(&self, row: usize) -> Option<Value> {
-        (row < self.len()).then(|| self.value_of(self.cell_code(row)))
+        self.cells().get(row).map(|&code| self.value_of(code))
     }
 
     /// The value cell code `code` stands for (how statistics turn sorted
@@ -527,7 +530,7 @@ impl<'a> ColumnSlice<'a> {
 
     /// The key code of the cell of `row`. Panics on a row past the end.
     pub fn code(&self, row: usize) -> u64 {
-        self.cell_code(row).code()
+        self.cells()[row].code()
     }
 
     /// [`literal_code`] of the cell of `row`'s value in `column` (a
@@ -537,7 +540,7 @@ impl<'a> ColumnSlice<'a> {
             (ColumnSlice::Str { dict, ranks }, ColumnSlice::Str { dict: other, .. }) => {
                 Ok(rank_code(other.binary_search(&dict[ranks[row] as usize])))
             }
-            _ => literal_code(&self.value_of(self.cell_code(row)), *column),
+            _ => literal_code(&self.value_of(self.cells()[row]), *column),
         }
     }
 
@@ -560,7 +563,7 @@ impl<'a> ColumnSlice<'a> {
             (Str { dict: a, ranks: x }, Str { dict: b, ranks: y }) => {
                 same(x, row, y, other_row, |&p, &q| a[p as usize] == b[q as usize])
             }
-            (Date(x), Date(y)) => same(x, row, y, other_row, i32::eq),
+            (Date(x), Date(y)) => same(x, row, y, other_row, u32::eq),
             _ => matches!((self.get(row), other.get(other_row)), (Some(a), Some(b)) if a == b),
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! The *accounting* is a row store's — fixed-width tuples on 8 KiB
 //! pages, charged per page and per tuple — but the data is held column
-//! by column, one vector of 32-bit cells each: a date's day, an `Int`'s
+//! by column, one vector of 32-bit cells each: a date's day code, an `Int`'s
 //! offset from its column's least value, or a rank in a sorted
 //! dictionary of the column's values (see [`crate::column`]). A scan
 //! that evaluates one predicate reads 4 contiguous bytes per row instead
@@ -233,6 +233,7 @@ mod tests {
     use super::*;
     use crate::row::row_from;
     use crate::value::Value;
+    use crate::KeyCode;
 
     /// 11 Int columns + 3 Dates: width 100 → 64 tuples per page.
     fn wide() -> Vec<ValueType> {
@@ -322,7 +323,7 @@ mod tests {
         let Some(ColumnSlice::Date(d)) = h.scan_column(13, &mut io_col) else {
             panic!("column 13 is a date column")
         };
-        assert_eq!((d.len(), d[199]), (200, 199));
+        assert_eq!((d.len(), d[199]), (200, 199i32.code()));
         assert_eq!(io_scan, io_col);
         // A missing column is still a charged scan.
         let mut io_none = IoStats::new();

@@ -26,7 +26,7 @@ pub mod value;
 
 pub use btree::{BPlusTree, BPlusTreeOf, TreeKey};
 pub use column::{
-    code_bound, code_interval, literal_code, sorted_entries, value_code, Cells, ColumnSlice, KeyCode,
+    code_bound, code_interval, literal_code, sorted_entries, value_code, ColumnSlice, KeyCode,
 };
 pub use heap::{HeapTable, RowError};
 pub use page::{pages_for, tuples_per_page, CostParams, IoStats, PAGE_SIZE};
