@@ -28,8 +28,8 @@ fn variants(base: &ColtConfig) -> Vec<(&'static str, ColtConfig)> {
         ("full", base.clone()),
         ("no self-regulation", ColtConfig { self_regulation: false, ..base.clone() }),
         ("no swap hysteresis", ColtConfig { swap_margin: 0.0, ..base.clone() }),
-        ("window h=4", ColtConfig { history_epochs: 4, candidate_ttl_epochs: 4, ..base.clone() }),
-        ("window h=24", ColtConfig { history_epochs: 24, candidate_ttl_epochs: 24, ..base.clone() }),
+        ("window h=4", ColtConfig { history_epochs: 4, ..base.clone() }),
+        ("window h=24", ColtConfig { history_epochs: 24, ..base.clone() }),
     ]
 }
 

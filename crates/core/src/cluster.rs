@@ -15,6 +15,9 @@ use colt_catalog::{ColRef, TableId};
 use colt_engine::{JoinPred, Query};
 use std::collections::{BTreeMap, VecDeque};
 
+/// The cut between the two selectivity buckets: the paper's 2% (§4.1).
+const SELECTIVE_BOUNDARY: f64 = 0.02;
+
 /// Identifier of a cluster within a [`ClusterSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub u32);
@@ -22,9 +25,9 @@ pub struct ClusterId(pub u32);
 /// Selectivity bucket of one restricted attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SelBucket {
-    /// Selectivity in `[0, boundary)` — the paper's 0–2% range.
+    /// Selectivity below `SELECTIVE_BOUNDARY` — the paper's 0–2% range.
     Selective,
-    /// Selectivity in `[boundary, 1]`.
+    /// Selectivity in `[SELECTIVE_BOUNDARY, 1]`.
     NonSelective,
 }
 
@@ -42,8 +45,8 @@ pub struct ClusterKey {
 impl ClusterKey {
     /// Make this the key of `query`, reusing the key's own vectors.
     /// `sels[i]` is the estimated selectivity of `query.selections[i]`,
-    /// bucketed here at `boundary`.
-    fn fill(&mut self, query: &Query, sels: &[f64], boundary: f64) {
+    /// bucketed here at `SELECTIVE_BOUNDARY`.
+    fn fill(&mut self, query: &Query, sels: &[f64]) {
         self.tables.clear();
         self.tables.extend_from_slice(&query.tables);
         self.tables.sort_unstable();
@@ -52,7 +55,8 @@ impl ClusterKey {
         self.joins.sort_unstable();
         self.attrs.clear();
         self.attrs.extend(query.selections.iter().zip(sels).map(|(p, &sel)| {
-            let bucket = if sel < boundary { SelBucket::Selective } else { SelBucket::NonSelective };
+            let selective = sel < SELECTIVE_BOUNDARY;
+            let bucket = if selective { SelBucket::Selective } else { SelBucket::NonSelective };
             (p.col, bucket)
         }));
         self.attrs.sort_unstable_by_key(|(c, b)| (*c, matches!(b, SelBucket::NonSelective)));
@@ -100,20 +104,18 @@ pub struct ClusterSet {
     by_key: BTreeMap<ClusterKey, ClusterId>,
     clusters: Vec<Cluster>,
     history_epochs: usize,
-    selective_boundary: f64,
     /// The key of the query being assigned: looking a cluster up
     /// allocates nothing, only a first sight clones the key.
     lookup: ClusterKey,
 }
 
 impl ClusterSet {
-    /// Empty set with the given memory depth and selectivity boundary.
-    pub fn new(history_epochs: usize, selective_boundary: f64) -> Self {
+    /// Empty set with the given memory depth.
+    pub fn new(history_epochs: usize) -> Self {
         ClusterSet {
             by_key: BTreeMap::new(),
             clusters: Vec::new(),
             history_epochs: history_epochs.max(1),
-            selective_boundary,
             lookup: ClusterKey::default(),
         }
     }
@@ -123,7 +125,7 @@ impl ClusterSet {
     /// estimated selectivity of `query.selections[i]`.
     #[expect(clippy::expect_used, reason = "counts gets a slot on creation and in roll_epoch")]
     pub fn assign(&mut self, query: &Query, sels: &[f64]) -> ClusterId {
-        self.lookup.fill(query, sels, self.selective_boundary);
+        self.lookup.fill(query, sels);
         let id = match self.by_key.get(&self.lookup) {
             Some(&id) => id,
             None => {
@@ -219,7 +221,7 @@ mod tests {
     #[test]
     fn same_shape_same_cluster() {
         let (db, a, _) = db();
-        let mut cs = ClusterSet::new(12, 0.02);
+        let mut cs = ClusterSet::new(12);
         let q1 = Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 5i64)]);
         let q2 = Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 999i64)]);
         let c1 = assign(&mut cs, &db, &q1);
@@ -232,7 +234,7 @@ mod tests {
     #[test]
     fn different_selectivity_bucket_splits_cluster() {
         let (db, a, _) = db();
-        let mut cs = ClusterSet::new(12, 0.02);
+        let mut cs = ClusterSet::new(12);
         // id is unique → eq is selective (1e-4 < 2%).
         let sel = Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 5i64)]);
         // g has 4 distinct values → eq is 25% (non-selective).
@@ -245,7 +247,7 @@ mod tests {
     #[test]
     fn same_attr_different_bucket_splits() {
         let (db, a, _) = db();
-        let mut cs = ClusterSet::new(12, 0.02);
+        let mut cs = ClusterSet::new(12);
         let narrow = Query::single(a, vec![SelPred::between(ColRef::new(a, 0), 0i64, 9i64)]);
         let wide = Query::single(a, vec![SelPred::between(ColRef::new(a, 0), 0i64, 9000i64)]);
         assert_ne!(assign(&mut cs, &db, &narrow), assign(&mut cs, &db, &wide));
@@ -254,7 +256,7 @@ mod tests {
     #[test]
     fn joins_distinguish_clusters() {
         let (db, a, b) = db();
-        let mut cs = ClusterSet::new(12, 0.02);
+        let mut cs = ClusterSet::new(12);
         let solo = Query::single(a, vec![]);
         let joined = Query::join(
             vec![a, b],
@@ -267,7 +269,7 @@ mod tests {
     #[test]
     fn window_counts_roll_and_expire() {
         let (db, a, _) = db();
-        let mut cs = ClusterSet::new(3, 0.02);
+        let mut cs = ClusterSet::new(3);
         let q = Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 1i64)]);
         let id = assign(&mut cs, &db, &q);
         assign(&mut cs, &db, &q);
@@ -291,7 +293,7 @@ mod tests {
             a,
             vec![SelPred::eq(ColRef::new(a, 0), 1i64), SelPred::eq(ColRef::new(a, 1), 1i64)],
         );
-        let mut cs = ClusterSet::new(12, 0.02);
+        let mut cs = ClusterSet::new(12);
         let id = assign(&mut cs, &db, &q);
         let cols: Vec<_> = cs.get(id).key.restricted_columns().collect();
         assert_eq!(cols, vec![ColRef::new(a, 0), ColRef::new(a, 1)]);

@@ -5,11 +5,16 @@
 //! window `S_h` is a candidate. Each candidate accumulates the crude,
 //! cost-formula-based gain estimate `QueryGain_C` per epoch; the
 //! Self-Organizer reads an exponentially smoothed per-epoch benefit to
-//! pick the next hot set. Candidates unseen for a TTL are evicted.
+//! pick the next hot set. Candidates unseen for `h` epochs are evicted.
 
 use colt_catalog::ColRef;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+
+/// Weight of the most recent epoch in the smoothed `BenefitC` series.
+/// The paper smooths crude benefits for hot-set selection (§5) but gives
+/// no factor; this is the reconstruction's.
+const SMOOTHING_ALPHA: f64 = 0.4;
 
 /// Crude statistics for one candidate index.
 #[derive(Debug, Clone)]
@@ -42,8 +47,8 @@ impl CrudeCandidate {
     /// Smoothed benefit including the epoch in progress — what the
     /// Self-Organizer reads, since reorganization runs before the epoch
     /// rolls.
-    pub fn projected(&self, alpha: f64) -> f64 {
-        alpha * self.current + (1.0 - alpha) * self.smoothed
+    pub fn projected(&self) -> f64 {
+        SMOOTHING_ALPHA * self.current + (1.0 - SMOOTHING_ALPHA) * self.smoothed
     }
 }
 
@@ -51,22 +56,17 @@ impl CrudeCandidate {
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
     candidates: BTreeMap<ColRef, CrudeCandidate>,
+    /// `h`: the depth of each candidate's history, and the epochs an
+    /// unseen candidate stays in `C`.
     history_epochs: usize,
-    smoothing_alpha: f64,
-    ttl_epochs: u64,
     epoch: u64,
 }
 
 impl CandidateSet {
-    /// Empty candidate set.
-    pub fn new(history_epochs: usize, smoothing_alpha: f64, ttl_epochs: usize) -> Self {
-        CandidateSet {
-            candidates: BTreeMap::new(),
-            history_epochs: history_epochs.max(1),
-            smoothing_alpha,
-            ttl_epochs: ttl_epochs.max(1) as u64,
-            epoch: 0,
-        }
+    /// Empty candidate set with memory depth `h`.
+    pub fn new(history_epochs: usize) -> Self {
+        let history_epochs = history_epochs.max(1);
+        CandidateSet { candidates: BTreeMap::new(), history_epochs, epoch: 0 }
     }
 
     /// Record a crude gain estimate for a candidate observed in the
@@ -109,33 +109,30 @@ impl CandidateSet {
     /// Smoothed per-epoch benefit of every live candidate (including
     /// the epoch in progress), in deterministic column order.
     pub fn smoothed_benefits(&self) -> Vec<(ColRef, f64)> {
-        let a = self.smoothing_alpha;
-        self.candidates.iter().map(|(c, s)| (*c, s.projected(a))).collect()
+        self.candidates.iter().map(|(c, s)| (*c, s.projected())).collect()
     }
 
     /// Projected smoothed benefit of one candidate.
     pub fn projected_benefit(&self, col: ColRef) -> f64 {
-        self.candidates.get(&col).map(|c| c.projected(self.smoothing_alpha)).unwrap_or(0.0)
+        self.candidates.get(&col).map(CrudeCandidate::projected).unwrap_or(0.0)
     }
 
     /// Close the epoch: fold the in-progress accumulator into the
     /// history, update the smoothed level, and evict candidates unseen
-    /// for the TTL.
+    /// for `h` epochs.
     pub fn roll_epoch(&mut self) {
-        let alpha = self.smoothing_alpha;
         let h = self.history_epochs;
-        let ttl = self.ttl_epochs;
         for c in self.candidates.values_mut() {
             let total = std::mem::take(&mut c.current);
             c.epoch_totals.push_front(total);
             while c.epoch_totals.len() > h {
                 c.epoch_totals.pop_back();
             }
-            c.smoothed = alpha * total + (1.0 - alpha) * c.smoothed;
+            c.smoothed = SMOOTHING_ALPHA * total + (1.0 - SMOOTHING_ALPHA) * c.smoothed;
         }
         self.epoch += 1;
         let epoch = self.epoch;
-        self.candidates.retain(|_, c| epoch.saturating_sub(c.last_seen_epoch) < ttl);
+        self.candidates.retain(|_, c| epoch.saturating_sub(c.last_seen_epoch) < h as u64);
     }
 
     /// Index of the epoch in progress.
@@ -155,18 +152,18 @@ mod tests {
 
     #[test]
     fn gains_accumulate_within_epoch() {
-        let mut c = CandidateSet::new(12, 0.5, 12);
+        let mut c = CandidateSet::new(12);
         c.add_gain(col(0), 10.0);
         c.add_gain(col(0), 5.0);
         c.roll_epoch();
         let cand = c.get(col(0)).unwrap();
         assert_eq!(cand.history().next(), Some(15.0));
-        assert!((cand.smoothed() - 7.5).abs() < 1e-12);
+        assert!((cand.smoothed() - SMOOTHING_ALPHA * 15.0).abs() < 1e-12);
     }
 
     #[test]
     fn negative_gains_clamped() {
-        let mut c = CandidateSet::new(12, 0.5, 12);
+        let mut c = CandidateSet::new(12);
         c.add_gain(col(0), -10.0);
         c.roll_epoch();
         assert_eq!(c.get(col(0)).unwrap().history().next(), Some(0.0));
@@ -174,7 +171,7 @@ mod tests {
 
     #[test]
     fn smoothing_decays_old_signal() {
-        let mut c = CandidateSet::new(12, 0.5, 100);
+        let mut c = CandidateSet::new(12);
         c.add_gain(col(0), 100.0);
         c.roll_epoch();
         let peak = c.get(col(0)).unwrap().smoothed();
@@ -190,20 +187,20 @@ mod tests {
 
     #[test]
     fn ttl_evicts_stale_candidates() {
-        let mut c = CandidateSet::new(12, 0.5, 3);
+        let mut c = CandidateSet::new(3);
         c.add_gain(col(0), 1.0);
         for _ in 0..2 {
             c.roll_epoch();
         }
         assert!(c.contains(col(0)));
         c.roll_epoch();
-        assert!(!c.contains(col(0)), "unseen for ttl epochs");
+        assert!(!c.contains(col(0)), "unseen for h epochs");
         assert!(c.is_empty());
     }
 
     #[test]
     fn touch_keeps_alive() {
-        let mut c = CandidateSet::new(12, 0.5, 2);
+        let mut c = CandidateSet::new(2);
         c.add_gain(col(0), 1.0);
         for _ in 0..6 {
             c.roll_epoch();
@@ -215,7 +212,7 @@ mod tests {
 
     #[test]
     fn history_bounded_by_h() {
-        let mut c = CandidateSet::new(3, 0.5, 100);
+        let mut c = CandidateSet::new(3);
         for i in 0..10 {
             c.add_gain(col(0), i as f64);
             c.roll_epoch();

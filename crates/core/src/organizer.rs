@@ -27,6 +27,16 @@ use colt_catalog::{ColRef, Database, PhysicalConfig};
 use colt_engine::cost::build_cost;
 use std::collections::BTreeSet;
 
+/// The `r` at (or above) which the next epoch profiles at the full
+/// budget `#WI_max`: the paper's 1.3 (§5, §6.1).
+const FULL_BUDGET_RATIO: f64 = 1.3;
+// The budget ramp divides by `FULL_BUDGET_RATIO - 1`.
+const _: () = assert!(FULL_BUDGET_RATIO > 1.0);
+
+/// Cap on the hot set: keeps the accurate profiling level affordable
+/// even if the crude clustering puts many candidates in the top group.
+const MAX_HOT_SET: usize = 10;
+
 /// The decision produced at an epoch boundary.
 #[derive(Debug, Clone)]
 pub struct ReorgDecision {
@@ -206,7 +216,7 @@ impl SelfOrganizer {
             .filter(|(c, _)| !new_materialized.contains(c) && !config.contains(*c))
             .collect();
         let new_hot: BTreeSet<ColRef> =
-            select_hot(&benefits, self.config.max_hot_set).into_iter().collect();
+            select_hot(&benefits, MAX_HOT_SET).into_iter().collect();
 
         // --- Re-budgeting: best-case knapsack. ---
         let _rebudget = colt_obs::span("organizer.rebudget");
@@ -229,18 +239,11 @@ impl SelfOrganizer {
         let ratio = if net_benefit_m > eps {
             (net_benefit_m_prime / net_benefit_m).max(1.0)
         } else if net_benefit_m_prime > eps {
-            self.config.full_budget_ratio
+            FULL_BUDGET_RATIO
         } else {
             1.0
         };
-        let span = self.config.full_budget_ratio - 1.0;
-        // A degenerate configuration (`full_budget_ratio <= 1.0`) leaves
-        // no ramp to interpolate over: `(ratio - 1)/0` is NaN, NaN
-        // survives `clamp`, and `NaN as u64` is 0 — which would silently
-        // zero the next epoch's what-if budget. Degenerate means "always
-        // run at full intensity".
-        let frac =
-            if span <= 0.0 { 1.0 } else { ((ratio - 1.0) / span).clamp(0.0, 1.0) };
+        let frac = ((ratio - 1.0) / (FULL_BUDGET_RATIO - 1.0)).clamp(0.0, 1.0);
         let next_budget = if self.config.self_regulation {
             (self.config.max_whatif_per_epoch as f64 * frac).round() as u64
         } else {
@@ -372,32 +375,6 @@ mod tests {
         // Well-tuned, no hot candidates that could beat M → hibernate.
         assert!(d.ratio < 1.05, "ratio {}", d.ratio);
         assert_eq!(d.next_budget, 0, "profiling suspended");
-    }
-
-    #[test]
-    fn degenerate_full_budget_ratio_keeps_full_budget() {
-        // Regression: full_budget_ratio == 1.0 made the re-budget ramp
-        // span zero, so frac = (ratio-1)/0 = NaN, and `NaN as u64` = 0
-        // silently zeroed the next epoch's what-if budget.
-        // ColtConfig::validate rejects the value, but SelfOrganizer can
-        // be constructed from an unvalidated config; the degenerate case
-        // must mean "always full budget", never 0.
-        let (db, t) = setup();
-        let cfg = PhysicalConfig::new();
-        let colt_cfg = ColtConfig { full_budget_ratio: 1.0, ..Default::default() };
-        let profiler = Profiler::new(&colt_cfg);
-        let org = SelfOrganizer::new(&colt_cfg);
-        // A promising candidate (ratio path: net_benefit_m' > 0 = m)
-        // exercises the interpolation with the zero-width span.
-        let col = ColRef::new(t, 0);
-        let q = Query::single(t, vec![SelPred::eq(col, 7i64)]);
-        let mut profiler = profiler;
-        profile_n(&mut profiler, &db, &cfg, &q, &BTreeSet::new(), 10);
-        let d = org.reorganize(&db, &cfg, &profiler, &BTreeSet::new());
-        assert_eq!(
-            d.next_budget, colt_cfg.max_whatif_per_epoch,
-            "degenerate ramp must pin the budget at full intensity"
-        );
     }
 
     #[test]

@@ -25,6 +25,13 @@ use colt_engine::{Eqo, Plan, Query};
 use colt_storage::Prng;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// z-score of the gain confidence intervals: the paper's 90% interval
+/// (§6.1), so `LowGain` / `HighGain` are the 5% and 95% bounds.
+const CONFIDENCE_Z: f64 = 1.645;
+
+/// Seed of the PRNG that orders and samples the probation set.
+const SEED: u64 = 0x0C01_7001;
+
 /// Which estimate of a per-query cluster gain to read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GainMode {
@@ -58,7 +65,6 @@ pub struct Profiler {
     // never depend on hash order.
     stats: BTreeMap<(ColRef, ClusterId), IndexClusterStats>,
     prng: Prng,
-    z: f64,
     /// What-if calls performed in the epoch in progress (`#WI_cur`).
     wi_cur: u64,
     /// Budget for the epoch in progress (`#WI_lim`).
@@ -92,15 +98,10 @@ impl Profiler {
     /// yet.
     pub fn new(config: &ColtConfig) -> Self {
         Profiler {
-            clusters: ClusterSet::new(config.history_epochs, config.selective_boundary),
-            candidates: CandidateSet::new(
-                config.history_epochs,
-                config.smoothing_alpha,
-                config.candidate_ttl_epochs,
-            ),
+            clusters: ClusterSet::new(config.history_epochs),
+            candidates: CandidateSet::new(config.history_epochs),
             stats: BTreeMap::new(),
-            prng: Prng::new(config.seed),
-            z: config.confidence_z,
+            prng: Prng::new(SEED),
             wi_cur: 0,
             wi_lim: config.max_whatif_per_epoch,
             wi_max: config.max_whatif_per_epoch,
@@ -341,7 +342,7 @@ impl Profiler {
         if n < 2 {
             return 1.0;
         }
-        let hw = s.gains.ci_half_width(self.z);
+        let hw = s.gains.ci_half_width(CONFIDENCE_Z);
         let relative_error = hw / s.gains.mean().abs().max(1e-6);
         let popularity = (self.clusters.get(cluster).window_count() as f64).sqrt();
         let e = relative_error * popularity / (n as f64).sqrt();
@@ -356,8 +357,8 @@ impl Profiler {
 
     fn gain_under(&self, s: &IndexClusterStats, mode: GainMode) -> f64 {
         match mode {
-            GainMode::HotConservative => s.gains.low(self.z),
-            GainMode::HotOptimistic => s.gains.high(self.z),
+            GainMode::HotConservative => s.gains.low(CONFIDENCE_Z),
+            GainMode::HotOptimistic => s.gains.high(CONFIDENCE_Z),
             GainMode::Materialized => s.gains.mean().max(0.0) * s.used_fraction(),
         }
     }

@@ -68,11 +68,11 @@ fn cluster_counts_independent_of_insertion_order() {
     let sels = |q: &Query| -> Vec<f64> {
         q.selections.iter().map(|p| predicate_selectivity(&db, p)).collect()
     };
-    let mut forward = ClusterSet::new(12, 0.02);
+    let mut forward = ClusterSet::new(12);
     for q in &queries {
         forward.assign(q, &sels(q));
     }
-    let mut reversed = ClusterSet::new(12, 0.02);
+    let mut reversed = ClusterSet::new(12);
     for q in queries.iter().rev() {
         reversed.assign(q, &sels(q));
     }

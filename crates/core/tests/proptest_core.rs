@@ -268,7 +268,7 @@ mod tuner_safety {
                 assert_eq!(issued + skipped, considered, "case {case}");
                 issued
             };
-            let per_epoch: u64 = obs.series.points().map(|p| whatif(&|k| p.counter(k))).sum();
+            let per_epoch: u64 = obs.series.records().map(|p| whatif(&|k| p.counter(k))).sum();
             assert_eq!(per_epoch, whatif(&|k| obs.counter(k)), "case {case}");
             assert_eq!(per_epoch, eqo.counters().whatif_calls, "case {case}");
         }

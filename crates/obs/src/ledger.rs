@@ -5,19 +5,13 @@
 //! simulated/derived values (epochs, page counts, gains, simulated
 //! milliseconds) — never the wall clock — so their JSONL dumps are
 //! byte-identical across `COLT_OBS` levels and `COLT_THREADS` counts.
-//! Both are fixed-capacity rings: when full, the **oldest** entry is
-//! evicted and counted, so a long run degrades to a recent-history
+//! Both are one fixed-capacity [`Ring`]: when full, the **oldest** entry
+//! is evicted and counted, so a long run degrades to a recent-history
 //! window instead of growing without bound.
 
 use crate::event::{write_fields, FieldValue};
 use crate::json::{format_float, write_str};
 use std::collections::VecDeque;
-
-/// Default [`DecisionLedger`] capacity (records).
-pub const DEFAULT_LEDGER_CAPACITY: usize = 65_536;
-
-/// Default [`TimeSeries`] capacity (epoch points).
-pub const DEFAULT_SERIES_CAPACITY: usize = 4_096;
 
 /// The kind of a [`DecisionRecord`]: the seven decisions the tuner loop
 /// takes. A new kind is a new variant, and every `match` over the kinds
@@ -124,9 +118,26 @@ impl DecisionRecord {
             _ => None,
         }
     }
+}
 
-    /// One-line JSON: `{"decision":"kind","epoch":3,"k":v,...}`.
-    pub fn jsonl(&self) -> String {
+/// An entry of a [`Ring`]: stamped with an epoch, dumped as one JSONL
+/// line.
+pub trait RingEntry: Clone {
+    /// The capacity of a [`Ring::default`] of this entry.
+    const DEFAULT_CAPACITY: usize;
+    /// The epoch the entry belongs to.
+    fn epoch(&self) -> u64;
+    /// The entry as one line of JSON, without a newline.
+    fn jsonl(&self) -> String;
+}
+
+impl RingEntry for DecisionRecord {
+    const DEFAULT_CAPACITY: usize = 65_536;
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+    /// `{"decision":"kind","epoch":3,"k":v,...}`.
+    fn jsonl(&self) -> String {
         let mut out = String::from("{\"decision\":");
         write_str(&mut out, self.kind.name());
         out.push_str(&format!(",\"epoch\":{}", self.epoch));
@@ -135,56 +146,57 @@ impl DecisionRecord {
     }
 }
 
-/// A bounded, append-only ring of [`DecisionRecord`]s.
+/// A bounded, append-only ring of entries.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DecisionLedger {
+pub struct Ring<T> {
     capacity: usize,
-    records: VecDeque<DecisionRecord>,
+    entries: VecDeque<T>,
     evicted: u64,
 }
 
-impl Default for DecisionLedger {
+/// The ring of every tuner decision.
+pub type DecisionLedger = Ring<DecisionRecord>;
+
+/// The ring of per-epoch metric deltas.
+pub type TimeSeries = Ring<EpochPoint>;
+
+impl<T: RingEntry> Default for Ring<T> {
     fn default() -> Self {
-        Self::new(DEFAULT_LEDGER_CAPACITY)
+        Self::new(T::DEFAULT_CAPACITY)
     }
 }
 
-impl DecisionLedger {
-    /// An empty ledger holding at most `capacity` records (min 1).
+impl<T: RingEntry> Ring<T> {
+    /// An empty ring holding at most `capacity` entries (min 1).
     pub fn new(capacity: usize) -> Self {
-        DecisionLedger { capacity: capacity.max(1), records: VecDeque::new(), evicted: 0 }
+        Ring { capacity: capacity.max(1), entries: VecDeque::new(), evicted: 0 }
     }
 
-    /// Append a record, evicting the oldest when full.
-    pub fn push(&mut self, record: DecisionRecord) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
+    /// Append an entry, evicting the oldest when full.
+    pub fn push(&mut self, entry: T) {
+        if self.entries.len() == self.capacity {
+            self.entries.pop_front();
             self.evicted += 1;
         }
-        self.records.push_back(record);
+        self.entries.push_back(entry);
     }
 
-    /// Retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &DecisionRecord> {
-        self.records.iter()
+    /// Retained entries, oldest first.
+    pub fn records(&self) -> impl Iterator<Item = &T> {
+        self.entries.iter()
     }
 
-    /// Retained records of one kind, oldest first.
-    pub fn of_kind(&self, kind: DecisionKind) -> impl Iterator<Item = &DecisionRecord> {
-        self.records.iter().filter(move |r| r.kind == kind)
-    }
-
-    /// Number of retained records.
+    /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.entries.len()
     }
 
-    /// True when no records are retained.
+    /// True when no entries are retained.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Number of records evicted because the ring was full.
+    /// Number of entries evicted because the ring was full.
     pub fn evicted(&self) -> u64 {
         self.evicted
     }
@@ -194,31 +206,38 @@ impl DecisionLedger {
         self.capacity
     }
 
-    /// The largest epoch of any retained record, when non-empty.
+    /// The largest epoch of any retained entry, when non-empty.
     pub fn max_epoch(&self) -> Option<u64> {
-        self.records.iter().map(|r| r.epoch).max()
+        self.entries.iter().map(T::epoch).max()
     }
 
-    /// Fold another ledger into this one: records append in call order
+    /// Fold another ring into this one: entries append in call order
     /// (the parallel harness merges cells in submission order, which
-    /// makes the merged ledger identical at every thread count); the
+    /// makes the merged ring identical at every thread count); the
     /// bound still applies and evictions accumulate.
-    pub fn merge(&mut self, other: &DecisionLedger) {
+    pub fn merge(&mut self, other: &Ring<T>) {
         self.evicted += other.evicted;
-        for r in &other.records {
-            self.push(r.clone());
+        for e in &other.entries {
+            self.push(e.clone());
         }
     }
 
-    /// The ledger as JSONL, one record per line (trailing newline when
+    /// The ring as JSONL, one entry per line (trailing newline when
     /// non-empty).
     pub fn jsonl(&self) -> String {
         let mut out = String::new();
-        for r in &self.records {
-            out.push_str(&r.jsonl());
+        for e in &self.entries {
+            out.push_str(&e.jsonl());
             out.push('\n');
         }
         out
+    }
+}
+
+impl DecisionLedger {
+    /// Retained records of one kind, oldest first.
+    pub fn of_kind(&self, kind: DecisionKind) -> impl Iterator<Item = &DecisionRecord> {
+        self.entries.iter().filter(move |r| r.kind == kind)
     }
 }
 
@@ -251,10 +270,15 @@ impl EpochPoint {
     pub fn is_zero(&self) -> bool {
         self.counters.is_empty() && self.sim_ms.is_empty()
     }
+}
 
-    /// One-line JSON:
+impl RingEntry for EpochPoint {
+    const DEFAULT_CAPACITY: usize = 4_096;
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
     /// `{"series_epoch":3,"counters":{...},"sim_ms":{...}}`.
-    pub fn jsonl(&self) -> String {
+    fn jsonl(&self) -> String {
         let mut out = format!("{{\"series_epoch\":{}", self.epoch);
         out.push_str(",\"counters\":{");
         for (i, (k, v)) in self.counters.iter().enumerate() {
@@ -278,89 +302,11 @@ impl EpochPoint {
     }
 }
 
-/// A bounded ring of per-epoch metric deltas.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeSeries {
-    capacity: usize,
-    points: VecDeque<EpochPoint>,
-    evicted: u64,
-}
-
-impl Default for TimeSeries {
-    fn default() -> Self {
-        Self::new(DEFAULT_SERIES_CAPACITY)
-    }
-}
-
 impl TimeSeries {
-    /// An empty series holding at most `capacity` points (min 1).
-    pub fn new(capacity: usize) -> Self {
-        TimeSeries { capacity: capacity.max(1), points: VecDeque::new(), evicted: 0 }
-    }
-
-    /// Append a point, evicting the oldest when full.
-    pub fn push(&mut self, point: EpochPoint) {
-        if self.points.len() == self.capacity {
-            self.points.pop_front();
-            self.evicted += 1;
-        }
-        self.points.push_back(point);
-    }
-
-    /// Retained points, oldest first.
-    pub fn points(&self) -> impl Iterator<Item = &EpochPoint> {
-        self.points.iter()
-    }
-
-    /// Number of retained points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no points are retained.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Number of points evicted because the ring was full.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// The ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The largest epoch of any retained point, when non-empty.
-    pub fn max_epoch(&self) -> Option<u64> {
-        self.points.iter().map(|p| p.epoch).max()
-    }
-
     /// Sum of one counter's deltas across all points with the given
     /// epoch (a merged snapshot may hold one point per run cell).
     pub fn counter_at(&self, epoch: u64, name: &str) -> u64 {
-        self.points.iter().filter(|p| p.epoch == epoch).map(|p| p.counter(name)).sum()
-    }
-
-    /// Fold another series into this one (points append in call order;
-    /// see [`DecisionLedger::merge`] for the determinism argument).
-    pub fn merge(&mut self, other: &TimeSeries) {
-        self.evicted += other.evicted;
-        for p in &other.points {
-            self.push(p.clone());
-        }
-    }
-
-    /// The series as JSONL, one point per line (trailing newline when
-    /// non-empty).
-    pub fn jsonl(&self) -> String {
-        let mut out = String::new();
-        for p in &self.points {
-            out.push_str(&p.jsonl());
-            out.push('\n');
-        }
-        out
+        self.entries.iter().filter(|p| p.epoch == epoch).map(|p| p.counter(name)).sum()
     }
 }
 
@@ -385,38 +331,48 @@ mod tests {
         assert_eq!(r.get("nope"), None);
     }
 
-    #[test]
-    fn ledger_bounds_and_counts_evictions() {
-        let mut l = DecisionLedger::new(3);
-        for i in 0..5u64 {
-            let mut r = DecisionRecord::new(DecisionKind::WhatifProbe);
-            r.epoch = i;
-            l.push(r);
+    /// The ring's own entry: an epoch and nothing else.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Tick(u64);
+
+    impl RingEntry for Tick {
+        const DEFAULT_CAPACITY: usize = 2;
+        fn epoch(&self) -> u64 {
+            self.0
         }
-        assert_eq!(l.len(), 3);
-        assert_eq!(l.evicted(), 2);
-        // Oldest evicted: epochs 2, 3, 4 remain, in order.
-        let epochs: Vec<u64> = l.records().map(|r| r.epoch).collect();
-        assert_eq!(epochs, [2, 3, 4]);
-        assert_eq!(l.max_epoch(), Some(4));
+        fn jsonl(&self) -> String {
+            format!("{{\"tick\":{}}}", self.0)
+        }
+    }
+
+    fn ticks(capacity: usize, epochs: std::ops::Range<u64>) -> Ring<Tick> {
+        let mut ring = Ring::new(capacity);
+        epochs.for_each(|e| ring.push(Tick(e)));
+        ring
     }
 
     #[test]
-    fn ledger_merge_appends_in_call_order_and_keeps_bound() {
-        let mut a = DecisionLedger::new(4);
-        let mut b = DecisionLedger::new(4);
-        for i in 0..3u64 {
-            let mut r = DecisionRecord::new(DecisionKind::Knapsack);
-            r.epoch = i;
-            a.push(r.clone());
-            r.kind = DecisionKind::IndexCreate;
-            b.push(r);
-        }
+    fn ring_bounds_and_counts_evictions() {
+        let ring = ticks(3, 0..5);
+        assert_eq!((ring.len(), ring.capacity(), ring.evicted()), (3, 3, 2));
+        // Oldest evicted: epochs 2, 3, 4 remain, in order.
+        assert_eq!(ring.records().cloned().collect::<Vec<_>>(), [Tick(2), Tick(3), Tick(4)]);
+        assert_eq!(ring.max_epoch(), Some(4));
+        assert_eq!(ring.jsonl(), "{\"tick\":2}\n{\"tick\":3}\n{\"tick\":4}\n");
+        assert_eq!(Ring::<Tick>::default().capacity(), Tick::DEFAULT_CAPACITY);
+        assert!(Ring::<Tick>::new(0).is_empty());
+        assert_eq!(Ring::<Tick>::new(0).capacity(), 1);
+        assert_eq!(Ring::<Tick>::new(0).max_epoch(), None);
+    }
+
+    #[test]
+    fn ring_merge_appends_in_call_order_and_keeps_bound() {
+        let mut a = ticks(4, 0..3);
+        let b = ticks(2, 10..13);
         a.merge(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.evicted(), 2);
-        let kinds: Vec<&str> = a.records().map(|r| r.kind.name()).collect();
-        assert_eq!(kinds, ["knapsack", "index_create", "index_create", "index_create"]);
+        let merged: Vec<Tick> = a.records().cloned().collect();
+        assert_eq!(merged, [Tick(1), Tick(2), Tick(11), Tick(12)]);
+        assert_eq!(a.evicted(), 2, "b's eviction, then a's own");
     }
 
     #[test]
@@ -429,12 +385,9 @@ mod tests {
                 sim_ms: vec![("harness.execute".into(), 0.5)],
             });
         }
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.evicted(), 1);
-        assert_eq!(s.max_epoch(), Some(2));
         assert_eq!(s.counter_at(2, "engine.op.hash_join"), 3);
         assert_eq!(s.counter_at(0, "engine.op.hash_join"), 0); // evicted
-        let p = s.points().next().unwrap();
+        let p = s.records().next().unwrap();
         assert_eq!(p.counter("engine.op.hash_join"), 2);
         assert_eq!(p.sim("harness.execute"), 0.5);
         assert!(!p.is_zero());

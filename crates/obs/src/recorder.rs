@@ -83,15 +83,15 @@ impl Recorder {
     }
 
     /// Replace the decision ledger's capacity (testing hook for
-    /// eviction behavior; the default bound is
-    /// [`crate::ledger::DEFAULT_LEDGER_CAPACITY`]).
+    /// eviction behavior; the default bound is 65 536 records,
+    /// [`crate::ledger::RingEntry::DEFAULT_CAPACITY`]).
     pub fn with_ledger_capacity(mut self, capacity: usize) -> Self {
         self.ledger = DecisionLedger::new(capacity);
         self
     }
 
     /// Replace the time series' capacity (testing hook; the default
-    /// bound is [`crate::ledger::DEFAULT_SERIES_CAPACITY`]).
+    /// bound is 4 096 points, [`crate::ledger::RingEntry::DEFAULT_CAPACITY`]).
     pub fn with_series_capacity(mut self, capacity: usize) -> Self {
         self.series = TimeSeries::new(capacity);
         self
@@ -442,7 +442,7 @@ mod tests {
         r.mark_epoch(2); // all-zero delta: no point is pushed
         let s = r.into_snapshot();
         assert_eq!(s.series.len(), 2);
-        let points: Vec<&crate::EpochPoint> = s.series.points().collect();
+        let points: Vec<&crate::EpochPoint> = s.series.records().collect();
         assert_eq!(points[0].epoch, 0);
         assert_eq!(points[0].counter("a.b"), 3);
         assert_eq!(points[0].sim("s.t"), 2.5);
@@ -487,7 +487,7 @@ mod tests {
         assert_eq!(s.ledger.evicted(), 2);
         assert_eq!(s.series.len(), 1);
         assert_eq!(s.series.evicted(), 3);
-        assert_eq!(s.series.points().next().unwrap().epoch, 3);
+        assert_eq!(s.series.records().next().unwrap().epoch, 3);
     }
 
     /// Every line shape of the one dump, on a hand-built recorder, and

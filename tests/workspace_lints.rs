@@ -2,7 +2,8 @@
 //! determinism, output and panic lints (the root `Cargo.toml`'s
 //! `[workspace.lints.clippy]` and `clippy.toml`); these tests run it with
 //! `-D warnings`, count library code's `#[expect]`s against [`WAIVER_CAPS`], and
-//! hold what clippy cannot: the crate DAG, module orders, metric names.
+//! hold what clippy cannot: the crate DAG, module orders, metric names, and
+//! the tuning guide's table of `ColtConfig` fields.
 #![allow(clippy::expect_used, clippy::panic, reason = "test helpers may unwrap and panic")]
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -297,4 +298,22 @@ fn metric_names_are_well_formed_and_owned() {
         }
     }
     assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+#[test]
+fn tuning_guide_lists_the_config_fields_in_order() {
+    // docs/TUNING.md explains every knob a caller can set: its table's
+    // first column is `ColtConfig`'s `pub` fields, in declaration order.
+    let read = |rel: &str| fs::read_to_string(root().join(rel)).expect("read a tracked file");
+    let code = blank(&read("crates/core/src/config.rs"));
+    let head = "pub struct ColtConfig ";
+    let open = code.find(head).expect("ColtConfig in config.rs") + head.len();
+    let body = &code[open + 1..close(code.as_bytes(), open) - 1];
+    let fields: Vec<&str> =
+        body.lines().filter_map(|l| l.trim().strip_prefix("pub ")).map(ident).collect();
+    let guide = read("docs/TUNING.md");
+    let table = guide.lines().skip_while(|l| !l.starts_with("| parameter |")).skip(2);
+    let rows = table.take_while(|l| l.starts_with('|')).map(|l| l.split('`').nth(1).unwrap_or(l));
+    let rows: Vec<&str> = rows.collect();
+    assert_eq!(rows, fields, "docs/TUNING.md's table (left) must list ColtConfig's fields (right)");
 }
