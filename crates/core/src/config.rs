@@ -40,15 +40,6 @@ pub struct ColtConfig {
     /// `#WI_max`, modelling the fixed-intensity on-line tuners the paper
     /// contrasts against; used by the `ablation` bench.
     pub self_regulation: bool,
-    /// Whether the Profiler runs skip-proofs before what-if probes
-    /// (dynamic budget reallocation): a probe whose gain interval
-    /// provably cannot alter the current knapsack solution is skipped,
-    /// charging nothing against `#WI_lim`, and the freed budget flows to
-    /// the widest-interval candidates. The outer `r`-ratio control loop
-    /// is untouched either way. `skip_proofs_cut_issued_probes`
-    /// (`tests/end_to_end.rs`) runs with this off to measure the probe
-    /// reduction.
-    pub dynamic_rebudget: bool,
 }
 
 impl Default for ColtConfig {
@@ -61,7 +52,6 @@ impl Default for ColtConfig {
             swap_margin: 0.5,
             composite_budget_pages: 0,
             self_regulation: true,
-            dynamic_rebudget: true,
         }
     }
 }
@@ -139,7 +129,6 @@ mod tests {
         assert_eq!(c.epoch_length, 10);
         assert_eq!(c.history_epochs, 12);
         assert_eq!(c.max_whatif_per_epoch, 20);
-        assert!(c.dynamic_rebudget, "skip-proofs are on by default");
         assert!(c.validate().is_ok());
     }
 

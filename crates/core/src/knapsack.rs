@@ -36,36 +36,10 @@ const MAX_CAPACITY_STEPS: u64 = 8192;
 /// assert_eq!(solve(items, 50), vec![1, 2]);
 /// ```
 pub fn solve(items: impl IntoIterator<Item = Item>, capacity: u64) -> Vec<usize> {
-    solve_in(&mut Scratch::default(), items, capacity)
-}
-
-/// [`solve_in`]'s working vectors, kept between solves.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Scratch {
-    /// The items that compete for capacity, with their input positions.
-    rest: Vec<(usize, Item)>,
-    /// Their sizes in capacity steps.
-    sizes: Vec<usize>,
-    /// `best[c]`: the most value that fits `c` steps…
-    best: Vec<f64>,
-    /// …and the items that make it, one bit each (a word per cell while
-    /// there are at most 64 items).
-    take: Vec<u64>,
-}
-
-/// [`solve`] in the caller's [`Scratch`]: an epoch's decision frame
-/// solves the same few items a dozen times (three boundary solves, one
-/// per skip-proof attempt), and only the answer needs a vector of its own.
-pub(crate) fn solve_in(
-    scratch: &mut Scratch,
-    items: impl IntoIterator<Item = Item>,
-    capacity: u64,
-) -> Vec<usize> {
-    let Scratch { rest, sizes, best, take } = scratch;
     // Zero-size items with positive value are always worth taking; filter
-    // them in directly and solve for the rest.
+    // them in directly and solve for the rest, with their input positions.
     let mut always = Vec::new();
-    rest.clear();
+    let mut rest: Vec<(usize, Item)> = Vec::new();
     for (i, it) in items.into_iter().enumerate() {
         if it.value <= 0.0 {
             continue;
@@ -124,19 +98,17 @@ pub(crate) fn solve_in(
         return out;
     }
     let cap = (capacity / scale) as usize;
-    sizes.clear();
-    sizes.extend(rest.iter().map(|(_, it)| (it.size.div_ceil(scale)) as usize));
+    let sizes: Vec<usize> = rest.iter().map(|(_, it)| (it.size.div_ceil(scale)) as usize).collect();
 
-    // DP over capacities. Chosen sets are tracked as bitmasks (one u64
-    // word per 64 items) so propagating a solution along the capacity
-    // axis is a word copy, not a per-item boolean clone — the DP runs on
-    // the tuner's critical path (once per skip-proof attempt), where the
-    // clone-per-cell variant dominated the epoch-boundary wall time.
+    // DP over capacities: `best[c]` is the most value that fits `c`
+    // steps, `take` the items that make it. Chosen sets are tracked as
+    // bitmasks (one u64 word per 64 items) so propagating a solution
+    // along the capacity axis is a word copy, not a per-item boolean
+    // clone — the DP runs at every epoch boundary (three solves), where
+    // the clone-per-cell variant dominated the boundary's wall time.
     let words = rest.len().div_ceil(64);
-    best.clear();
-    best.resize(cap + 1, 0.0);
-    take.clear();
-    take.resize((cap + 1) * words, 0);
+    let mut best = vec![0.0f64; cap + 1];
+    let mut take = vec![0u64; (cap + 1) * words];
     for (j, &(_, it)) in rest.iter().enumerate() {
         let sz = sizes[j];
         if sz > cap {

@@ -30,7 +30,6 @@ pub mod hotset;
 pub mod knapsack;
 pub mod organizer;
 pub mod profiler;
-pub mod rebudget;
 pub mod scheduler;
 pub mod trace;
 pub mod tuner;
@@ -47,7 +46,6 @@ pub use config::{ColtConfig, ConfigError};
 pub use gain::{GainStats, IndexClusterStats};
 pub use organizer::{ReorgDecision, SelfOrganizer};
 pub use profiler::{GainMode, ProfileOutcome, Profiler};
-pub use rebudget::{CandidateInterval, DecisionContext};
 pub use scheduler::{AppliedChanges, MaterializationStrategy, Scheduler};
 pub use trace::{EpochRecord, Trace};
 pub use tuner::{ColtTuner, TunerStep};

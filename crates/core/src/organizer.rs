@@ -21,8 +21,8 @@
 use crate::cluster::ClusterId;
 use crate::config::ColtConfig;
 use crate::hotset::select_hot;
+use crate::knapsack::{self, Item};
 use crate::profiler::{GainMode, Profiler};
-use crate::rebudget::{CandidateInterval, DecisionContext};
 use colt_catalog::{ColRef, Database, PhysicalConfig};
 use colt_engine::cost::build_cost;
 use std::collections::BTreeSet;
@@ -56,10 +56,39 @@ pub struct ReorgDecision {
     pub net_benefit_m: f64,
     /// Aggregate `NetBenefit(M′)` under the best-case scenario.
     pub net_benefit_m_prime: f64,
-    /// The frame the boundary's solves ran against, plus the freshly
-    /// selected hot columns: next epoch's what-if skip-proofs read it
-    /// (see [`crate::rebudget`]).
-    pub context: DecisionContext,
+}
+
+/// One index as the boundary's knapsack prices it: its size, and its
+/// `NetBenefit` under normal estimates (`lo`) and in the best case
+/// (`hi ≥ lo`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Priced {
+    /// Pages the index (would) occupy.
+    size: u64,
+    /// Conservative net benefit: what reorganization solves with.
+    lo: f64,
+    /// Optimistic net benefit: what re-budgeting solves with.
+    hi: f64,
+}
+
+/// The knapsack over `pool` (in `ColRef` order), each index worth
+/// `value(col, priced)`, into `capacity` pages. Returns the chosen
+/// columns (in `ColRef` order) and their total value.
+fn solve(
+    pool: &[(ColRef, Priced)],
+    capacity: u64,
+    value: impl Fn(ColRef, &Priced) -> f64,
+) -> (Vec<ColRef>, f64) {
+    let item = |(col, p): &(ColRef, Priced)| Item { size: p.size, value: value(*col, p) };
+    let chosen = knapsack::solve(pool.iter().map(item), capacity);
+    let total = chosen.iter().map(|&i| item(&pool[i]).value).sum();
+    (chosen.into_iter().map(|i| pool[i].0).collect(), total)
+}
+
+/// `MatCost(I)`: the simulated cost of building an index on `col`.
+fn mat_cost(db: &Database, col: ColRef) -> f64 {
+    let heap = &db.table(col.table).heap;
+    build_cost(&db.cost, &db.index_estimate(col), heap.row_count() as f64, heap.page_count() as f64)
 }
 
 /// The Self-Organizer: the boundary's decision is a function of the
@@ -76,10 +105,10 @@ impl SelfOrganizer {
         SelfOrganizer { config: config.clone() }
     }
 
-    /// Price an index for the boundary: its size, its materialization
-    /// cost (0 once materialized) and its `NetBenefit`, under normal
-    /// estimates (`lo`) and in the best case (`hi`). `counts` is the
-    /// boundary's [`ClusterSet::window_counts`](crate::cluster::ClusterSet::window_counts);
+    /// Price an index for the boundary: its size and its `NetBenefit`
+    /// (`MatCost` is 0 once materialized), under normal estimates (`lo`)
+    /// and in the best case (`hi`). `counts` is the boundary's
+    /// [`ClusterSet::window_counts`](crate::cluster::ClusterSet::window_counts);
     /// a fresh hot index, which nobody profiled this epoch, passes `None`.
     ///
     /// The forecast (the paper's is in an unavailable tech report) is
@@ -94,28 +123,23 @@ impl SelfOrganizer {
         profiler: &Profiler,
         col: ColRef,
         counts: Option<&[(ClusterId, u64)]>,
-    ) -> CandidateInterval {
+    ) -> Priced {
         let h = self.config.history_epochs as f64;
         let level = |mode| counts.map_or(0.0, |counts| profiler.epoch_benefit(col, mode, counts));
         if let Some(m) = config.get(col) {
             // A materialized index has no best case beyond its estimate.
             let lo = level(GainMode::Materialized) * h;
-            return CandidateInterval { size: m.tree.page_count() as u64, lo, hi: lo, mat_cost: 0.0 };
+            return Priced { size: m.tree.page_count() as u64, lo, hi: lo };
         }
-        let est = db.index_estimate(col);
-        let heap = &db.table(col.table).heap;
-        let mat_cost = build_cost(&db.cost, &est, heap.row_count() as f64, heap.page_count() as f64);
+        let mat_cost = mat_cost(db, col);
         // The best case of a hot index is at least its crude estimate
         // projected over the horizon: before its first what-if profile
         // that is all the signal there is, and it is what drives the
         // budget up when a workload shift surfaces new candidates.
         let crude = profiler.candidates().projected_benefit(col);
-        CandidateInterval {
-            size: est.pages,
-            lo: level(GainMode::HotConservative) * h - mat_cost,
-            hi: (level(GainMode::HotOptimistic) * h - mat_cost).max(crude * h - mat_cost),
-            mat_cost,
-        }
+        let lo = level(GainMode::HotConservative) * h - mat_cost;
+        let hi = (level(GainMode::HotOptimistic) * h - mat_cost).max(crude * h - mat_cost);
+        Priced { size: db.index_estimate(col).pages, lo, hi: hi.max(lo) }
     }
 
     /// Run reorganization + re-budgeting at an epoch boundary.
@@ -130,37 +154,33 @@ impl SelfOrganizer {
         let budget = self.config.storage_budget_pages;
         let counts = profiler.clusters().window_counts();
         let online: BTreeSet<ColRef> = config.online_columns().collect();
-        // The per-query→net-benefit scale of next epoch's skip-proofs is
-        // the memory window's query count (epoch benefit is at most
-        // `total/h · g`, projected over the `h`-epoch horizon).
-        let total_window: u64 = counts.iter().map(|&(_, count)| count).sum();
-        let pool: Vec<(ColRef, CandidateInterval)> = online
+        // `H ∪ M`, priced once, in `ColRef` order: the items of every
+        // solve below.
+        let pool: Vec<(ColRef, Priced)> = online
             .union(hot)
             .map(|&col| (col, self.price(db, config, profiler, col, Some(&counts))))
             .collect();
 
         // --- Reorganization: knapsack under normal estimates. ---
-        // Free solution: the unconstrained knapsack optimum, which the
-        // frame solves for as it is built.
-        let mut frame = {
+        // Free solution: the unconstrained knapsack optimum.
+        let (free, free_value) = {
             let _s = colt_obs::span("organizer.knapsack");
-            DecisionContext::new(budget, total_window as f64, pool)
+            solve(&pool, budget, |_, it| it.lo)
         };
-        let free_value = frame.conservative().1;
 
         // Keep solution: incumbents with positive net benefit stay (the
         // paper's converge-to-zero drop path remains open), and the
         // remaining capacity is filled with the best additions — an
         // incumbent is never re-added.
-        let kept: Vec<(ColRef, CandidateInterval)> = frame
+        let kept: Vec<(ColRef, Priced)> = pool
             .iter()
             .filter(|(col, it)| online.contains(col) && it.lo > 0.0)
-            .map(|(col, it)| (col, *it))
+            .copied()
             .collect();
         let spare = budget.saturating_sub(kept.iter().map(|(_, it)| it.size).sum());
         let (additions, added_value) = {
             let _s = colt_obs::span("organizer.knapsack");
-            frame.solve(spare, |col, it| if online.contains(&col) { 0.0 } else { it.lo })
+            solve(&pool, spare, |col, it| if online.contains(&col) { 0.0 } else { it.lo })
         };
         let keep_value = kept.iter().map(|(_, it)| it.lo).sum::<f64>() + added_value;
 
@@ -172,7 +192,7 @@ impl SelfOrganizer {
         // paying a build each time.
         let adopted_free = free_value > keep_value * (1.0 + self.config.swap_margin) + 1e-9;
         let (new_materialized, net_benefit_m): (BTreeSet<ColRef>, f64) = if adopted_free {
-            (frame.conservative().0.iter().copied().collect(), free_value)
+            (free.into_iter().collect(), free_value)
         } else {
             (kept.iter().map(|&(col, _)| col).chain(additions).collect(), keep_value)
         };
@@ -182,14 +202,14 @@ impl SelfOrganizer {
         let to_drop: Vec<ColRef> =
             online.iter().copied().filter(|c| !new_materialized.contains(c)).collect();
 
-        let spent_pages: u64 = frame
+        let spent_pages: u64 = pool
             .iter()
             .filter(|(col, _)| new_materialized.contains(col))
             .map(|(_, it)| it.size)
             .sum();
         colt_obs::counter("tuner.budget.spent", spent_pages);
         if colt_obs::is_enabled() {
-            let candidates = frame
+            let candidates = pool
                 .iter()
                 .map(|(col, it)| format!("{col}:{}:{:.3}", it.size, it.lo))
                 .collect::<Vec<_>>()
@@ -222,17 +242,15 @@ impl SelfOrganizer {
         let _rebudget = colt_obs::span("organizer.rebudget");
         let (_, mut net_benefit_m_prime) = {
             let _s = colt_obs::span("organizer.knapsack");
-            frame.solve(budget, |_, it| it.hi)
+            solve(&pool, budget, |_, it| it.hi)
         };
         // Fresh hot indices (selected just now, never profiled) also
-        // belong to the best-case scenario of the *next* epoch, and to
-        // the frame its skip-proofs will read.
+        // belong to the best-case scenario of the *next* epoch.
         for &col in new_hot.iter().filter(|c| !online.contains(c) && !hot.contains(c)) {
             let p = self.price(db, config, profiler, col, None);
             if p.hi > 0.0 {
                 net_benefit_m_prime += p.hi;
             }
-            frame.admit(col, p);
         }
 
         let eps = 1e-9;
@@ -264,7 +282,6 @@ impl SelfOrganizer {
             ratio,
             net_benefit_m,
             net_benefit_m_prime,
-            context: frame,
         }
     }
 }
@@ -406,28 +423,27 @@ mod tests {
         profile_n(&mut profiler, &db, &cfg, &q, &BTreeSet::new(), 10);
         let d = org.reorganize(&db, &cfg, &profiler, &BTreeSet::new());
         assert!(d.new_hot.contains(&col));
-        // The freshly selected hot candidate is priced into the frame
-        // with a normalized, crude-projected interval: wide enough that
-        // its first probe is never skipped.
-        let it = *d.context.interval(col).expect("fresh hot candidate priced");
+        // The freshly selected hot candidate is priced with a
+        // normalized, crude-projected interval.
+        let it = org.price(&db, &cfg, &profiler, col, None);
         assert!(it.hi >= it.lo);
         assert!(it.hi > 0.0, "crude projection must drive the upper bound");
-        assert!(it.mat_cost > 0.0);
-        assert_eq!(d.context.iter().count(), d.new_hot.len(), "pool is empty in this run");
+        assert!(mat_cost(&db, col) > 0.0);
+        // `H ∪ M` was empty: the fresh hot set is all there is to price.
+        assert_eq!(cfg.online_columns().count(), 0, "pool is empty in this run");
 
         // Once the candidate is hot and profiled, the next boundary
         // prices it from the pool with the measured interval.
         profiler.end_epoch(d.next_budget);
         profile_n(&mut profiler, &db, &cfg, &q, &d.new_hot, 10);
-        let d2 = org.reorganize(&db, &cfg, &profiler, &d.new_hot);
-        let it2 = *d2.context.interval(col).expect("pool candidate priced");
+        let counts = profiler.clusters().window_counts();
+        let it2 = org.price(&db, &cfg, &profiler, col, Some(&counts));
         assert!(it2.hi >= it2.lo);
         // NetBenefit = the finished epoch's level over the h-epoch
         // horizon, minus the build.
-        let counts = profiler.clusters().window_counts();
         let level = profiler.epoch_benefit(col, GainMode::HotConservative, &counts);
         assert!(level > 0.0);
-        assert_eq!(it2.lo, level * colt_cfg.history_epochs as f64 - it2.mat_cost);
+        assert_eq!(it2.lo, level * colt_cfg.history_epochs as f64 - mat_cost(&db, col));
     }
 
     #[test]
@@ -442,27 +458,19 @@ mod tests {
             let colt_cfg = ColtConfig { history_epochs, ..Default::default() };
             let profiler = Profiler::new(&colt_cfg);
             let hot = BTreeSet::from([col]);
-            let d = SelfOrganizer::new(&colt_cfg).reorganize(&db, &cfg, &profiler, &hot);
-            let it = d.context.interval(col).expect("hot index priced");
-            assert!(it.mat_cost > 0.0);
-            assert_eq!((it.lo, it.hi), (-it.mat_cost, -it.mat_cost), "h = {history_epochs}");
+            let org = SelfOrganizer::new(&colt_cfg);
+            let d = org.reorganize(&db, &cfg, &profiler, &hot);
+            let counts = profiler.clusters().window_counts();
+            let it = org.price(&db, &cfg, &profiler, col, Some(&counts));
+            let mat_cost = mat_cost(&db, col);
+            assert!(mat_cost > 0.0);
+            assert_eq!((it.lo, it.hi), (-mat_cost, -mat_cost), "h = {history_epochs}");
             assert!(d.new_materialized.is_empty());
         }
     }
 
     #[test]
     fn mat_cost_positive_and_scales() {
-        // The `MatCost` the boundary prices a hot, unmaterialized index at.
-        let mat_cost = |db: &Database, col: ColRef| {
-            let colt_cfg = ColtConfig::default();
-            let d = SelfOrganizer::new(&colt_cfg).reorganize(
-                db,
-                &PhysicalConfig::new(),
-                &Profiler::new(&colt_cfg),
-                &BTreeSet::from([col]),
-            );
-            d.context.interval(col).expect("hot index priced").mat_cost
-        };
         let (db, t) = setup();
         let c = mat_cost(&db, ColRef::new(t, 0));
         assert!(c > 0.0);

@@ -18,7 +18,6 @@ use crate::cluster::{ClusterId, ClusterSet};
 use crate::config::ColtConfig;
 use crate::crude::CandidateSet;
 use crate::gain::IndexClusterStats;
-use crate::rebudget::DecisionContext;
 use colt_catalog::{ColRef, Database, PhysicalConfig};
 use colt_engine::cost::delta_cost;
 use colt_engine::{Eqo, Plan, Query};
@@ -71,12 +70,6 @@ pub struct Profiler {
     wi_lim: u64,
     /// Hard cap (`#WI_max`).
     wi_max: u64,
-    /// Probes skipped by skip-proofs in the epoch in progress.
-    wi_skipped: u64,
-    /// The epoch's knapsack decision frame, installed by the tuner from
-    /// the previous boundary's [`ReorgDecision`](crate::organizer::ReorgDecision);
-    /// skip-proofs run while there is one.
-    context: Option<DecisionContext>,
     /// [`Profiler::profile_query`]'s working vectors, kept between
     /// calls: a query that issues no probe allocates nothing.
     work: Work,
@@ -105,8 +98,6 @@ impl Profiler {
             wi_cur: 0,
             wi_lim: config.max_whatif_per_epoch,
             wi_max: config.max_whatif_per_epoch,
-            wi_skipped: 0,
-            context: None,
             work: Work::default(),
         }
     }
@@ -114,17 +105,6 @@ impl Profiler {
     /// What-if calls used in the epoch in progress.
     pub fn whatif_used(&self) -> u64 {
         self.wi_cur
-    }
-
-    /// Probes proven redundant (and skipped) in the epoch in progress.
-    pub fn whatif_skipped(&self) -> u64 {
-        self.wi_skipped
-    }
-
-    /// Install the knapsack decision frame for the epoch that is
-    /// starting.
-    pub fn install_context(&mut self, context: DecisionContext) {
-        self.context = Some(context);
     }
 
     /// Budget of the epoch in progress.
@@ -204,17 +184,6 @@ impl Profiler {
         ih.extend(restricted.iter().copied().filter(|c| hot.contains(c) && !config.contains(*c)));
         self.prng.shuffle(&mut im);
         self.prng.shuffle(&mut ih);
-        if let Some(ctx) = &self.context {
-            // Budget freed by skip-proofs flows to the least certain
-            // candidates: widest decision interval first, ColRef order
-            // as the deterministic tie-break.
-            ih.sort_by(|a, b| {
-                ctx.width(*b)
-                    .partial_cmp(&ctx.width(*a))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(b))
-            });
-        }
 
         let mut probation: Vec<ColRef> = Vec::new();
         for col in im.iter().chain(&ih).copied() {
@@ -225,37 +194,6 @@ impl Profiler {
             if !self.prng.chance(rate) {
                 continue;
             }
-            // Skip-proof: a candidate whose value interval cannot alter
-            // the epoch's knapsack solution is recorded but not probed,
-            // charging nothing against `#WI_lim`. This covers reverse
-            // probes on materialized indices too — their usage
-            // accounting is plan-derived (`observe`, above) and does not
-            // depend on the probe, and a probe is still issued whenever
-            // the proof fails (a drop boundary genuinely in play). The
-            // paper's materialized-before-hot precedence is preserved
-            // for the probes that do issue.
-            let proof = self
-                .context
-                .as_mut()
-                .and_then(|ctx| ctx.skip_proof(col, || eqo.gain_upper_bound(query, col, config)));
-            if let Some((lo, hi)) = proof {
-                self.wi_skipped += 1;
-                colt_obs::counter("tuner.whatif.considered", 1);
-                colt_obs::counter("tuner.whatif.skipped", 1);
-                if colt_obs::is_enabled() {
-                    colt_obs::decision(
-                        colt_obs::DecisionRecord::new(colt_obs::DecisionKind::WhatifSkip)
-                            .field("index", col.to_string())
-                            .field("cluster", cluster.0)
-                            .field("lo", lo)
-                            .field("hi", hi)
-                            .field("budget_used", self.wi_cur + probation.len() as u64)
-                            .field("budget_limit", self.wi_lim),
-                    );
-                }
-                continue;
-            }
-            colt_obs::counter("tuner.whatif.considered", 1);
             colt_obs::counter("tuner.whatif.issued", 1);
             probation.push(col);
         }
@@ -405,16 +343,13 @@ impl Profiler {
     }
 
     /// Close the epoch: roll cluster counts and crude candidate
-    /// statistics, reset the what-if and skip counters, drop the stale
-    /// decision frame, and install the next epoch's budget (clamped to
-    /// `#WI_max`).
+    /// statistics, reset the what-if counter, and install the next
+    /// epoch's budget (clamped to `#WI_max`).
     pub fn end_epoch(&mut self, next_budget: u64) {
         self.clusters.roll_epoch();
         self.candidates.roll_epoch();
         self.wi_cur = 0;
-        self.wi_skipped = 0;
         self.wi_lim = next_budget.min(self.wi_max);
-        self.context = None;
     }
 }
 
@@ -574,78 +509,6 @@ mod tests {
         p.end_epoch(10_000);
         assert_eq!(p.whatif_used(), 0);
         assert_eq!(p.whatif_limit(), ColtConfig::default().max_whatif_per_epoch);
-    }
-
-    #[test]
-    fn skip_proof_spares_redundant_probes_and_counters_balance() {
-        use crate::rebudget::{CandidateInterval, DecisionContext};
-        let (db, t) = setup();
-        let cfg = PhysicalConfig::new();
-        let mut p = Profiler::new(&ColtConfig::default());
-        let skippable = ColRef::new(t, 0);
-        let fresh = ColRef::new(t, 1);
-        let hot = BTreeSet::from([skippable, fresh]);
-        // Price `skippable` so it cannot fit the storage budget: the
-        // knapsack is identical at both interval ends, the probe is
-        // provably redundant. `fresh` stays unpriced (uninformative
-        // bounds) and must be probed.
-        let unfit = CandidateInterval { size: 100, lo: 0.0, hi: 1e12, mat_cost: 0.0 };
-        p.install_context(DecisionContext::new(1, 0.0, [(skippable, unfit)]));
-        let q = Query::single(
-            t,
-            vec![SelPred::eq(skippable, 7i64), SelPred::eq(fresh, 3i64)],
-        );
-        colt_obs::install(colt_obs::Recorder::new(colt_obs::Level::Summary));
-        let out = run_query(&mut p, &db, &cfg, &q, &hot);
-        let snap = colt_obs::take().unwrap().into_snapshot();
-
-        assert_eq!(out.probed, vec![fresh], "only the uninformative candidate is probed");
-        assert_eq!(p.whatif_used(), 1, "the skipped probe charged nothing");
-        assert_eq!(p.whatif_skipped(), 1);
-        // Pinned counter invariant: every considered candidate is either
-        // issued or skipped.
-        let issued = snap.counters.get("tuner.whatif.issued").copied().unwrap_or(0);
-        let skipped = snap.counters.get("tuner.whatif.skipped").copied().unwrap_or(0);
-        let considered = snap.counters.get("tuner.whatif.considered").copied().unwrap_or(0);
-        assert_eq!(issued, 1);
-        assert_eq!(skipped, 1);
-        assert_eq!(issued + skipped, considered);
-        // The skip leaves an auditable ledger record.
-        assert_eq!(snap.ledger.of_kind(colt_obs::DecisionKind::WhatifSkip).count(), 1);
-        // Epoch close resets the per-epoch skip counter and drops the
-        // stale frame.
-        p.end_epoch(10);
-        assert_eq!(p.whatif_skipped(), 0);
-    }
-
-    #[test]
-    fn freed_budget_flows_to_widest_interval_candidates() {
-        use crate::rebudget::{CandidateInterval, DecisionContext};
-        let (db, t) = setup();
-        let cfg = PhysicalConfig::new();
-        // Budget of one probe, two hot candidates: the narrower-interval
-        // candidate must yield to the wider one under the context sort.
-        let config = ColtConfig { max_whatif_per_epoch: 1, ..Default::default() };
-        let mut p = Profiler::new(&config);
-        let narrow = ColRef::new(t, 0);
-        let wide = ColRef::new(t, 1);
-        let hot = BTreeSet::from([narrow, wide]);
-        // One slot in the frame's knapsack, held by an incumbent both
-        // candidates straddle: neither proof fires, so admission order
-        // is purely the uncertainty sort.
-        let iv = |lo, hi| CandidateInterval { size: 10, lo, hi, mat_cost: 0.0 };
-        p.install_context(DecisionContext::new(
-            10,
-            0.0,
-            [
-                (ColRef::new(t, 2), iv(100.0, 100.0)),
-                (narrow, iv(50.0, 150.0)),
-                (wide, iv(10.0, 400.0)),
-            ],
-        ));
-        let q = Query::single(t, vec![SelPred::eq(narrow, 7i64), SelPred::eq(wide, 3i64)]);
-        let out = run_query(&mut p, &db, &cfg, &q, &hot);
-        assert_eq!(out.probed, vec![wide], "widest interval is probed first");
     }
 
     #[test]

@@ -15,8 +15,9 @@ pub struct EpochRecord {
     pub whatif_used: u64,
     /// The budget `#WI_lim` that was in force.
     pub whatif_limit: u64,
-    /// Probes proven redundant by skip-proofs and skipped (charging
-    /// nothing against the budget).
+    /// Always 0: the profiler issues every probe it admits. Kept only
+    /// because the `benches/perf` package reads it; it goes with that
+    /// reader's `core.whatif_skipped` and `core.skip_ratio` metrics.
     pub whatif_skipped: u64,
     /// Budget granted to the next epoch by re-budgeting.
     pub next_budget: u64,

@@ -182,7 +182,6 @@ impl ColtTuner {
         let _span = colt_obs::span("tuner.epoch");
         let whatif_used = self.profiler.whatif_used();
         let whatif_limit = self.profiler.whatif_limit();
-        let whatif_skipped = self.profiler.whatif_skipped();
 
         let decision = self.organizer.reorganize(db, physical, &self.profiler, &self.hot);
         let changes =
@@ -205,7 +204,7 @@ impl ColtTuner {
             epoch: self.epoch,
             whatif_used,
             whatif_limit,
-            whatif_skipped,
+            whatif_skipped: 0,
             next_budget: decision.next_budget,
             ratio: decision.ratio,
             created: changes.built.iter().map(|(c, _)| *c).collect(),
@@ -215,12 +214,6 @@ impl ColtTuner {
 
         self.hot = decision.new_hot;
         self.profiler.end_epoch(decision.next_budget);
-        // The boundary's frame becomes next epoch's skip-proof context
-        // (after end_epoch, which drops the stale one); without one,
-        // every considered probe is issued.
-        if self.config.dynamic_rebudget {
-            self.profiler.install_context(decision.context);
-        }
         // Sweep the what-if memo against the post-reorganization
         // configuration: entries on tables this epoch touched drop,
         // everything else carries into the next epoch.

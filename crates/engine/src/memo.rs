@@ -41,16 +41,14 @@
 //! produce: gains are pure functions of (query, materialized sets,
 //! statistics), the snapshots pin the first and the borrow the rest, so
 //! a probe reports the same gain with the memo hot, cold, or disabled.
-//! The memo is also an input to decisions, though: the tuner's
-//! skip-proofs read it through `Eqo::gain_upper_bound`, which answers
-//! only for entries still cached, so the memo's capacity and its
-//! evictions can change which probes issue — and with them the tuner's
-//! decisions and the simulated total (measured on `benches/perf`'s
-//! `churn` at `--seed 42`: a one-entry memo moves `sim_total_ms` from
-//! 28 498.374 to 28 611.718). Entry ids are insertion-ordered, eviction
-//! is FIFO (smallest id first), and all maps are ordered, so at a fixed
-//! capacity the memo, its hit/miss counters and the decisions it feeds
-//! are reproducible at any thread count.
+//! Nothing but a probe reads the memo, so it feeds no decision: its
+//! capacity and its evictions change how fast probes are answered,
+//! never which probes issue, what they report, or what the tuner does
+//! with it (`memo_counters_over_the_shifting_preset_are_exact` re-runs
+//! the tuner over a one-entry memo and compares the traces). Entry ids
+//! are insertion-ordered, eviction is FIFO (smallest id first), and all
+//! maps are ordered, so at a fixed capacity the memo and its hit/miss
+//! counters are reproducible at any thread count.
 
 use crate::optimizer::ScanChoice;
 use crate::query::Query;
@@ -217,15 +215,6 @@ impl WhatIfMemo {
         );
         self.index.entry(fp).or_default().push((query.clone(), id));
         (MemoHandle(id), invalidated)
-    }
-
-    /// The live, still-valid entry for `query`, without creating,
-    /// rebuilding, or evicting anything — the side-effect-free read
-    /// path behind [`crate::Eqo::gain_upper_bound`]. A stale entry is
-    /// left in place for `resolve` to count and rebuild.
-    pub fn peek(&self, config: &PhysicalConfig, query: &Query) -> Option<MemoHandle> {
-        let id = self.find(query).1?;
-        self.entries.get(&id)?.holds(config).then_some(MemoHandle(id))
     }
 
     /// `query`'s fingerprint and the id its entry has, if it has one.

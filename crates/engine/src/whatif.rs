@@ -158,34 +158,6 @@ impl<'a> Eqo<'a> {
         }
     }
 
-    /// An upper bound on `QueryGain(query, col)` read from the memoized
-    /// base access-path derivation, charging no what-if call.
-    ///
-    /// A hypothetical index can only *remove* cost from the base plan
-    /// (`gain = base_cost − probe_cost` with `probe_cost ≥ 0`), so the
-    /// memoized base cost bounds every forward probe from above; when
-    /// the exact gain is already memoized it is returned instead (a
-    /// zero-width interval). `None` when the template's base derivation
-    /// is not cached under the current configuration (the probe itself
-    /// will warm it) or when the candidate is materialized — a reverse
-    /// probe prices the cost of *losing* the index, which the base
-    /// vector cannot bound.
-    pub fn gain_upper_bound(
-        &self,
-        query: &Query,
-        col: ColRef,
-        config: &PhysicalConfig,
-    ) -> Option<f64> {
-        if config.contains(col) {
-            return None;
-        }
-        let handle = self.memo.peek(config, query)?;
-        if let Some(gain) = self.memo.gain(handle, col) {
-            return Some(gain);
-        }
-        self.memo.base(handle).map(|(_, base_cost)| base_cost.max(0.0))
-    }
-
     /// Normal query optimization under the real configuration; the memo
     /// is not consulted (the paper's EQO reuses a query's own solutions
     /// for its probes, §3, and a lookup costs what optimizing does).
@@ -468,36 +440,6 @@ mod tests {
             "every probe is a hit or a miss even when entries are evicted: {c:?}"
         );
         assert_eq!(eqo.memo_len(), 2, "the memo stays bounded");
-    }
-
-    #[test]
-    fn gain_upper_bound_is_sound_and_charges_nothing() {
-        let (db, t) = db();
-        let cfg = PhysicalConfig::new();
-        let mut eqo = Eqo::new(&db);
-        let col = ColRef::new(t, 0);
-        let other = ColRef::new(t, 1);
-        let q = Query::single(t, vec![SelPred::eq(col, 7i64), SelPred::eq(other, 3i64)]);
-        // Unseen template: nothing memoized, no bound — and optimizing
-        // it makes no entry; its first probe does.
-        assert_eq!(eqo.gain_upper_bound(&q, col, &cfg), None);
-        eqo.optimize(&q, &cfg);
-        assert_eq!(eqo.memo_len(), 0);
-        assert_eq!(eqo.gain_upper_bound(&q, col, &cfg), None);
-        let gains = eqo.what_if_optimize(&q, &[col], &cfg);
-        let calls = eqo.counters().whatif_calls;
-        // Already-probed candidate: the exact memoized gain comes back.
-        assert_eq!(eqo.gain_upper_bound(&q, col, &cfg), Some(gains[0].gain));
-        // Unprobed candidate: the memoized base cost bounds its gain.
-        let bound = eqo.gain_upper_bound(&q, other, &cfg).expect("base is memoized");
-        let true_gain = eqo.what_if_optimize(&q, &[other], &cfg)[0].gain;
-        assert!(true_gain <= bound + 1e-9, "bound {bound} must dominate gain {true_gain}");
-        // Bound reads spend no what-if budget.
-        assert_eq!(eqo.counters().whatif_calls, calls + 1);
-        // Materialized candidates (reverse probes) have no bound.
-        let mut cfg2 = PhysicalConfig::new();
-        cfg2.create_index(&db, col, IndexOrigin::Online);
-        assert_eq!(eqo.gain_upper_bound(&q, col, &cfg2), None);
     }
 
     #[test]

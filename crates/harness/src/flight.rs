@@ -142,7 +142,6 @@ pub fn render_index_explanations(run: &RunResult) -> String {
 fn label(kind: DecisionKind) -> &'static str {
     match kind {
         DecisionKind::WhatifProbe => "what-if probe",
-        DecisionKind::WhatifSkip => "what-if skip",
         DecisionKind::ClusterAssign => "cluster assignment",
         DecisionKind::Knapsack => "knapsack solve",
         DecisionKind::IndexCreate => "index created",

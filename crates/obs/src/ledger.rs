@@ -13,7 +13,7 @@ use crate::event::{write_fields, FieldValue};
 use crate::json::{format_float, write_str};
 use std::collections::VecDeque;
 
-/// The kind of a [`DecisionRecord`]: the seven decisions the tuner loop
+/// The kind of a [`DecisionRecord`]: the six decisions the tuner loop
 /// takes. A new kind is a new variant, and every `match` over the kinds
 /// (the `report` renderer's labels) then fails to compile until it
 /// handles it.
@@ -21,9 +21,6 @@ use std::collections::VecDeque;
 pub enum DecisionKind {
     /// The profiler issued a what-if call for a candidate.
     WhatifProbe,
-    /// A skip-proof showed a considered probe could not change the
-    /// epoch's knapsack solution, so it was not issued.
-    WhatifSkip,
     /// A query was assigned to its cluster.
     ClusterAssign,
     /// The Self-Organizer solved the boundary's knapsack.
@@ -38,16 +35,15 @@ pub enum DecisionKind {
 
 impl DecisionKind {
     /// Every kind, in render order.
-    pub const ALL: [DecisionKind; 7] = {
+    pub const ALL: [DecisionKind; 6] = {
         use DecisionKind::*;
-        [WhatifProbe, WhatifSkip, ClusterAssign, Knapsack, IndexCreate, IndexDrop, BudgetChange]
+        [WhatifProbe, ClusterAssign, Knapsack, IndexCreate, IndexDrop, BudgetChange]
     };
 
     /// The wire name: the value of a dump line's `"decision"` key.
     pub fn name(self) -> &'static str {
         match self {
             DecisionKind::WhatifProbe => "whatif_probe",
-            DecisionKind::WhatifSkip => "whatif_skip",
             DecisionKind::ClusterAssign => "cluster_assign",
             DecisionKind::Knapsack => "knapsack",
             DecisionKind::IndexCreate => "index_create",
@@ -416,7 +412,6 @@ mod tests {
             names,
             [
                 "whatif_probe",
-                "whatif_skip",
                 "cluster_assign",
                 "knapsack",
                 "index_create",

@@ -97,15 +97,7 @@ fn shifting_workload_beats_offline() {
 fn whatif_overhead_self_regulates() {
     let data = generate(SCALE, SEED);
     let preset = presets::shifting(&data, SEED);
-    // Skip-proofs (PR 10) are pinned off: this test charts the paper's
-    // Figure 5 shape, which is the *un-skipped* profiler's budget usage.
-    // The skip-proof overhead profile is covered by
-    // `skip_proofs_cut_issued_probes` below.
-    let cfg = ColtConfig {
-        storage_budget_pages: preset.budget_pages,
-        dynamic_rebudget: false,
-        ..Default::default()
-    };
+    let cfg = ColtConfig { storage_budget_pages: preset.budget_pages, ..Default::default() };
     let epoch_len = cfg.epoch_length;
     let max_budget = cfg.max_whatif_per_epoch;
     let colt = Experiment::new(&data.db, &preset.queries).policy(Policy::colt(cfg)).run().expect("run failed");
@@ -150,58 +142,6 @@ fn whatif_overhead_self_regulates() {
     assert!(frac < 0.25, "profiled fraction {frac:.2}");
 }
 
-/// Dynamic re-budgeting (PR 10, after Wii): skip-proofs intercept
-/// what-if probes whose gain interval provably cannot change the
-/// knapsack outcome, cutting issued probes on the shifting workload
-/// without changing the final index configuration or hurting
-/// performance. Two arms: the product default, where the r-ratio
-/// already hibernates the profiler and skip-proofs compose with it
-/// (issued < 0.7x), and fixed-intensity profiling (`self_regulation`
-/// off in both runs), which isolates what the skip-proofs themselves
-/// save on the probes the r-ratio would otherwise issue (>= 1.3x fewer).
-#[test]
-fn skip_proofs_cut_issued_probes() {
-    let data = generate(SCALE, SEED);
-    let preset = presets::shifting(&data, SEED);
-    let issued = |r: &colt_repro::harness::RunResult| -> u64 {
-        r.trace.epochs.iter().map(|e| e.whatif_used).sum()
-    };
-    let skipped = |r: &colt_repro::harness::RunResult| -> u64 {
-        r.trace.epochs.iter().map(|e| e.whatif_skipped).sum()
-    };
-    for (self_regulation, max_frac) in [(true, 0.7), (false, 1.0 / 1.3)] {
-        let base = ColtConfig {
-            storage_budget_pages: preset.budget_pages,
-            self_regulation,
-            ..Default::default()
-        };
-        let on = Experiment::new(&data.db, &preset.queries)
-            .policy(Policy::colt(base.clone()))
-            .run().expect("run failed");
-        let off = Experiment::new(&data.db, &preset.queries)
-            .policy(Policy::colt(ColtConfig { dynamic_rebudget: false, ..base }))
-            .run().expect("run failed");
-        assert_eq!(skipped(&off), 0, "the off arm must not skip");
-        assert!(skipped(&on) > 0, "skip-proofs must fire on the shifting workload");
-        assert!(
-            (issued(&on) as f64) < max_frac * issued(&off) as f64,
-            "self_regulation {self_regulation}: issued probes {} (skip-proofs on) vs {} (off)",
-            issued(&on),
-            issued(&off)
-        );
-        // Decision-quality safety: skipping is only legal when it cannot
-        // change the knapsack outcome, so the tuner must land on the same
-        // final configuration and essentially the same charged time.
-        assert_eq!(on.final_indices, off.final_indices);
-        assert!(
-            on.total_millis() < off.total_millis() * 1.02,
-            "self_regulation {self_regulation}: skip-proofs on {:.0} ms vs off {:.0} ms",
-            on.total_millis(),
-            off.total_millis()
-        );
-    }
-}
-
 /// Noise (paper Figure 6): short bursts are ignored — COLT stays within
 /// a few percent of an OFFLINE technique that knows the noise is noise.
 #[test]
@@ -241,15 +181,7 @@ fn self_regulation_saves_whatif_calls() {
     // and wake-ups (transitions), where the savings are most visible.
     let preset = presets::shifting(&data, SEED);
     let queries = &preset.queries[..700];
-    // Skip-proofs are pinned off in BOTH arms: they intercept exactly
-    // the redundant probes the r-ratio would otherwise spend, so with
-    // them on the issued counts converge and no longer isolate the
-    // self-regulation mechanism this test is about.
-    let base = ColtConfig {
-        storage_budget_pages: preset.budget_pages,
-        dynamic_rebudget: false,
-        ..Default::default()
-    };
+    let base = ColtConfig { storage_budget_pages: preset.budget_pages, ..Default::default() };
 
     let regulated = Experiment::new(&data.db, queries).policy(Policy::colt(base.clone())).run().expect("run failed");
     let fixed = Experiment::new(&data.db, queries)

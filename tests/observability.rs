@@ -176,24 +176,22 @@ fn work_counters_are_exact() {
     const EXPECTED: &str = "\
 engine.exec.row_ids_written 228
 engine.op.hash_join 45
-engine.op.index_scan 714
-engine.op.seq_scan 681
-engine.whatif.memo_invalidate 45
-engine.whatif.memo_miss 48
-engine.whatif_calls 48
+engine.op.index_scan 713
+engine.op.seq_scan 682
+engine.whatif.memo_invalidate 69
+engine.whatif.memo_miss 98
+engine.whatif_calls 98
 harness.queries 1350
-storage.btree.lookups 249
-storage.btree.ranges 714
-storage.heap.fetches 8594
-storage.heap.scans 692
-tuner.budget.spent 4021
-tuner.whatif.considered 179
-tuner.whatif.issued 48
-tuner.whatif.skipped 131
+storage.btree.lookups 248
+storage.btree.ranges 713
+storage.heap.fetches 8588
+storage.heap.scans 693
+tuner.budget.spent 3997
+tuner.whatif.issued 98
 engine.exec.batch.calls 1440
 engine.execute.calls 1350
 engine.optimize.calls 1350
-engine.whatif.calls 48
+engine.whatif.calls 98
 harness.execute.calls 1350
 harness.optimize.calls 1350
 harness.run.calls 1
@@ -204,7 +202,7 @@ organizer.reorganize.calls 135
 profiler.cluster.calls 1350
 profiler.crude.calls 1350
 profiler.profile.calls 1350
-profiler.whatif.calls 48
+profiler.whatif.calls 98
 storage.btree.bulk_load.calls 11
 tuner.epoch.calls 135
 ";
@@ -214,12 +212,16 @@ tuner.epoch.calls 135
         .chain(s.spans.iter().map(|(k, v)| format!("{k}.calls {}\n", v.count)))
         .collect();
     assert!(actual == EXPECTED, "work counters moved; actual listing:\n{actual}");
+    // Every probe the profiler issued is a what-if call the optimizer
+    // answered, in every epoch and in total.
+    for p in s.series.records() {
+        let issued = p.counter("tuner.whatif.issued");
+        assert_eq!(issued, p.counter("engine.whatif_calls"), "epoch {}", p.epoch);
+    }
+    assert_eq!(s.counter("tuner.whatif.issued"), s.counter("engine.whatif_calls"));
+    assert_eq!(s.counter("engine.whatif_calls"), run.trace.total_whatif());
     // The listing must never be pinned on a run that exercised nothing.
-    assert_eq!(
-        s.counter("tuner.whatif.issued") + s.counter("tuner.whatif.skipped"),
-        s.counter("tuner.whatif.considered")
-    );
-    for live in ["tuner.whatif.skipped", "engine.whatif.memo_miss", "storage.btree.lookups"] {
+    for live in ["tuner.whatif.issued", "engine.whatif.memo_miss", "storage.btree.lookups"] {
         assert!(s.counter(live) > 0, "{live} must be exercised");
     }
     // A page that stops being charged anywhere on the run's path moves
@@ -228,7 +230,7 @@ tuner.epoch.calls 135
     let tuning: f64 = run.samples.iter().map(|q| q.tuning_millis).sum();
     assert_eq!(
         [exec, tuning].map(f64::to_bits),
-        [8009.85950000001f64, 276.625].map(f64::to_bits),
+        [7991.652000000004f64, 301.625].map(f64::to_bits),
         "simulated totals moved: exec {exec:?} ms, tuning {tuning:?} ms"
     );
 }

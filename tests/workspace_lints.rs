@@ -51,7 +51,7 @@ const MODULE_ORDERS: &[(&str, &str)] = &[
     ("catalog", "schema stats index composite database"),
     ("engine", "error query plan selectivity cost batch kernel optimizer memo executor rowwise \
                 whatif"),
-    ("core", "config trace cluster crude gain hotset knapsack rebudget scheduler \
+    ("core", "config trace cluster crude gain hotset knapsack scheduler \
               composite_ext profiler organizer tuner"),
     ("workload", "gen distribution tpch workload presets"),
     ("harness", "runner flight metrics multiclient parallel report"),
