@@ -257,9 +257,9 @@ fn bench_build_index(name: &str, vtype: ValueType, value: fn(u64, u64) -> Value)
 
 /// Prints what `Eqo::optimize` costs per statement of the shifting
 /// preset beside the bare `Optimizer::optimize` it wraps (a counter and
-/// a span apart since PR 21) and what the memoised path it replaced
-/// measured — that code is gone, so its numbers are quoted from
-/// EXPERIMENTS.md, "PR 21".
+/// a span apart), and quotes what the plan-caching path it replaced
+/// measured. That cache is gone, and so is the what-if memo it lived
+/// in, so the quoted numbers come from EXPERIMENTS.md.
 fn bench_eqo_optimize() {
     let data = colt_workload::generate(0.005, 42);
     let preset = colt_workload::shifting(&data, 42);

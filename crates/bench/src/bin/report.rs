@@ -64,13 +64,11 @@ fn main() {
     print!("{}", render_access_path_mix("OFFLINE", &offline.obs));
     println!();
     println!(
-        "Ledger: {} decisions ({} evicted), {} time-series points ({} evicted), \
-         what-if memo {} entries evicted.",
+        "Ledger: {} decisions ({} evicted), {} time-series points ({} evicted).",
         colt.obs.ledger.len(),
         colt.obs.ledger.evicted(),
         colt.obs.series.len(),
         colt.obs.series.evicted(),
-        colt.obs.counter("engine.whatif.memo_evictions"),
     );
     dump_obs(&report);
 }

@@ -169,7 +169,6 @@ pub struct PhysicalConfig {
     composites: BTreeMap<CompositeKey, MaterializedComposite>,
     versions: BTreeMap<TableId, u64>,
     col_changes: BTreeMap<ColRef, u64>,
-    generations: BTreeMap<TableId, u64>,
 }
 
 impl PhysicalConfig {
@@ -236,25 +235,9 @@ impl PhysicalConfig {
         self.table_version(col.table) - self.col_changes.get(&col).copied().unwrap_or(0)
     }
 
-    /// Materialization generation of a table: moves whenever an index
-    /// on it — single-column or composite — is created, replaced or
-    /// dropped, and never returns to an earlier value, so two reads that
-    /// agree saw the same materialized sets. It lets a cache of
-    /// optimizer results (the what-if memo) pin them with one integer.
-    pub fn generation(&self, table: TableId) -> u64 {
-        self.generations.get(&table).copied().unwrap_or(0)
-    }
-
-    /// The sum of every table's [`PhysicalConfig::generation`]: stands
-    /// still exactly while all of them do.
-    pub fn generation_total(&self) -> u64 {
-        self.generations.values().sum()
-    }
-
     fn bump(&mut self, col: ColRef) {
         *self.versions.entry(col.table).or_insert(0) += 1;
         *self.col_changes.entry(col).or_insert(0) += 1;
-        *self.generations.entry(col.table).or_insert(0) += 1;
     }
 
     /// Build and install an index on `col`, returning the build cost.
@@ -271,12 +254,10 @@ impl PhysicalConfig {
     /// Build and install a composite (multi-column) index — the paper's
     /// future-work extension; see [`crate::composite`]. Composites are
     /// part of the pre-tuned base configuration (built before a run),
-    /// so they do not bump the on-line consistency versions, only the
-    /// table's [`PhysicalConfig::generation`].
+    /// so they do not bump the on-line consistency versions.
     pub fn create_composite(&mut self, db: &Database, key: CompositeKey) -> IoStats {
         let m = build_composite(db, &key);
         let io = m.build_io;
-        *self.generations.entry(key.table).or_insert(0) += 1;
         self.composites.insert(key, m);
         io
     }
@@ -296,11 +277,7 @@ impl PhysicalConfig {
 
     /// Drop a composite index; returns whether one existed.
     pub fn drop_composite(&mut self, key: &CompositeKey) -> bool {
-        let existed = self.composites.remove(key).is_some();
-        if existed {
-            *self.generations.entry(key.table).or_insert(0) += 1;
-        }
-        existed
+        self.composites.remove(key).is_some()
     }
 
     /// Drop the index on `col` if present; returns whether one existed.

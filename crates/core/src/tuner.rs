@@ -147,7 +147,7 @@ impl ColtTuner {
             TunerStep::default()
         } else {
             self.queries_in_epoch = 0;
-            self.close_epoch(db, physical, eqo)
+            self.close_epoch(db, physical)
         };
         if !piggy.built.is_empty() {
             if colt_obs::is_enabled() {
@@ -173,12 +173,7 @@ impl ColtTuner {
         self.scheduler.on_idle(db, physical).total_build_io()
     }
 
-    fn close_epoch(
-        &mut self,
-        db: &Database,
-        physical: &mut PhysicalConfig,
-        eqo: &mut Eqo<'_>,
-    ) -> TunerStep {
+    fn close_epoch(&mut self, db: &Database, physical: &mut PhysicalConfig) -> TunerStep {
         let _span = colt_obs::span("tuner.epoch");
         let whatif_used = self.profiler.whatif_used();
         let whatif_limit = self.profiler.whatif_limit();
@@ -214,10 +209,6 @@ impl ColtTuner {
 
         self.hot = decision.new_hot;
         self.profiler.end_epoch(decision.next_budget);
-        // Sweep the what-if memo against the post-reorganization
-        // configuration: entries on tables this epoch touched drop,
-        // everything else carries into the next epoch.
-        eqo.end_epoch(physical);
         // Close the epoch in the flight recorder too: the time series
         // takes this epoch's metric deltas, and later decision records
         // (piggyback builds, next epoch's probes) stamp epoch + 1 —

@@ -20,7 +20,6 @@ pub mod cost;
 pub mod error;
 pub mod executor;
 pub mod kernel;
-mod memo;
 pub mod optimizer;
 pub mod plan;
 pub mod query;

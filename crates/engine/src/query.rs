@@ -179,9 +179,7 @@ impl JoinPred {
 /// A select-project-join query.
 ///
 /// `Ord` compares the full structure — tables, joins, selections *and*
-/// literal values — so a query can key deterministic ordered maps (the
-/// what-if memo cache relies on this: two queries compare equal exactly
-/// when the optimizer would derive identical state for them).
+/// literal values — so a query can key deterministic ordered maps.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Query {
     /// Referenced tables (no duplicates; self-joins are out of scope, as

@@ -13,13 +13,12 @@
 //! it pretends it does not (the reverse probe the paper describes for
 //! `QueryGain_M`).
 //!
-//! As in the paper's PostgreSQL prototype, the EQO reuses intermediate
-//! solutions from the initial optimization of the query: the chosen
-//! access path of every table the probed index does not touch is reused
-//! verbatim, and only the affected table is re-priced before re-running
-//! the (cheap) join-ordering DP.
+//! As in the paper's PostgreSQL prototype, the EQO reuses a query's own
+//! intermediate solutions for its probes: one call derives the access
+//! path of every table once, reuses it verbatim for each probe that does
+//! not touch that table, and re-prices only the affected table before
+//! re-running the (cheap) join-ordering DP. Nothing is kept across calls.
 
-use crate::memo::{WhatIfMemo, DEFAULT_CAPACITY};
 use crate::optimizer::{IndexSetView, Optimizer, ScanChoice};
 use crate::plan::Plan;
 use crate::query::Query;
@@ -45,31 +44,17 @@ pub struct EqoCounters {
     pub optimizations: u64,
     /// Individual index probes answered through the what-if interface.
     pub whatif_calls: u64,
-    /// What-if derivations served from the memo cache instead of being
-    /// re-derived. Every served probe still counts in `whatif_calls`:
-    /// the memo changes how fast a probe is answered, never whether it
-    /// happened.
+    /// Always 0: the EQO keeps no what-if cache across statements. Kept
+    /// only for readers that still print it.
     pub memo_hits: u64,
-    /// What-if derivations the memo had to compute (and then cached).
+    /// Always 0, like [`EqoCounters::memo_hits`].
     pub memo_misses: u64,
-    /// Memo entries discarded because their snapshot went stale (the
-    /// materialized set of a referenced table changed), found by a
-    /// probe or by an epoch sweep.
-    pub memo_invalidations: u64,
-    /// Memo entries dropped by FIFO capacity pressure — a silent loss
-    /// of a still-valid template. `memo_hits + memo_misses ==
-    /// whatif_calls` regardless (an evicted template is re-derived as a
-    /// miss; `optimize` never touches the memo), but sustained evictions
-    /// mean the memo is undersized for the workload's template count.
-    pub memo_evictions: u64,
 }
 
-/// The extended query optimizer. Drive one `Eqo` with one
-/// [`PhysicalConfig`]: its memo tells configurations apart by their
-/// generation counters, not by their contents.
+/// The extended query optimizer.
 ///
-/// The database cannot change under a live `Eqo` — the borrow forbids
-/// it — which is why the memo pins materialized sets and nothing else:
+/// It keeps nothing between calls but its counters, and the database
+/// cannot change under a live `Eqo` — the borrow forbids it:
 ///
 /// ```compile_fail,E0502
 /// # use colt_catalog::{Column, Database, TableSchema};
@@ -113,26 +98,13 @@ pub struct EqoCounters {
 pub struct Eqo<'a> {
     opt: Optimizer<'a>,
     db: &'a Database,
-    memo: WhatIfMemo,
     counters: EqoCounters,
 }
 
 impl<'a> Eqo<'a> {
     /// Create an EQO over a database.
     pub fn new(db: &'a Database) -> Self {
-        Self::with_memo_capacity(db, DEFAULT_CAPACITY)
-    }
-
-    /// An EQO whose what-if memo is bounded at `capacity` entries.
-    /// Tests lower the bound to put the memo under eviction pressure
-    /// without thousands of distinct templates.
-    pub fn with_memo_capacity(db: &'a Database, capacity: usize) -> Self {
-        Eqo {
-            opt: Optimizer::new(db),
-            db,
-            memo: WhatIfMemo::with_capacity(capacity),
-            counters: EqoCounters::default(),
-        }
+        Eqo { opt: Optimizer::new(db), db, counters: EqoCounters::default() }
     }
 
     /// Work counters so far.
@@ -140,27 +112,7 @@ impl<'a> Eqo<'a> {
         self.counters
     }
 
-    /// Number of live what-if memo entries (introspection for tests and
-    /// experiments).
-    pub fn memo_len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// Epoch boundary: sweep the memo, dropping only entries whose
-    /// snapshots went stale (the scheduler's creates and drops have
-    /// been applied by now). Valid entries survive into the next epoch —
-    /// invalidation is incremental, never a blanket clear.
-    pub fn end_epoch(&mut self, config: &PhysicalConfig) {
-        let dropped = self.memo.sweep(config);
-        if dropped > 0 {
-            self.counters.memo_invalidations += dropped;
-            colt_obs::counter("engine.whatif.memo_invalidate", dropped);
-        }
-    }
-
-    /// Normal query optimization under the real configuration; the memo
-    /// is not consulted (the paper's EQO reuses a query's own solutions
-    /// for its probes, §3, and a lookup costs what optimizing does).
+    /// Normal query optimization under the real configuration.
     pub fn optimize(&mut self, query: &Query, config: &PhysicalConfig) -> Plan {
         let _span = colt_obs::span("engine.optimize");
         self.counters.optimizations += 1;
@@ -169,12 +121,6 @@ impl<'a> Eqo<'a> {
 
     /// `WhatIfOptimize(q, P)`: per-index query gains, one what-if call
     /// charged per probed index.
-    ///
-    /// Derivations are served through the what-if memo when the
-    /// materialized sets of the query's tables are unchanged since they
-    /// were cached; cached and freshly computed gains are identical by
-    /// construction (see `memo.rs`). Every probe counts in
-    /// [`EqoCounters::whatif_calls`] either way.
     pub fn what_if_optimize(
         &mut self,
         query: &Query,
@@ -187,64 +133,21 @@ impl<'a> Eqo<'a> {
         let _span = colt_obs::span("engine.whatif");
         colt_obs::counter("engine.whatif_calls", probes.len() as u64);
         self.counters.whatif_calls += probes.len() as u64;
-        // Count a stale entry found now and an eviction the new one forced.
-        let (handle, invalidated) = self.memo.resolve(config, query);
-        if invalidated {
-            self.counters.memo_invalidations += 1;
-            colt_obs::counter("engine.whatif.memo_invalidate", 1);
-        }
-        let evicted = self.memo.evictions() - self.counters.memo_evictions;
-        if evicted > 0 {
-            colt_obs::counter("engine.whatif.memo_evictions", evicted);
-            self.counters.memo_evictions += evicted;
-        }
 
-        let cached: Vec<Option<f64>> =
-            probes.iter().map(|&col| self.memo.gain(handle, col)).collect();
-        let hits = cached.iter().filter(|g| g.is_some()).count() as u64;
-        let misses = probes.len() as u64 - hits;
-        if hits > 0 {
-            self.counters.memo_hits += hits;
-            colt_obs::counter("engine.whatif.memo_hit", hits);
-        }
-        if misses == 0 {
-            return probes
-                .iter()
-                .zip(cached)
-                .map(|(&col, g)| IndexGain { col, gain: g.unwrap_or(0.0) })
-                .collect();
-        }
-        self.counters.memo_misses += misses;
-        colt_obs::counter("engine.whatif.memo_miss", misses);
-
-        // One estimate of the statement's predicates prices every
-        // derivation of this call.
+        // One estimate of the statement's predicates and one set of
+        // access paths under the unmodified view price every probe.
         let sels = selectivities(self.db, query);
-        // Memoized per-table access paths under the unmodified view,
-        // reused across probes of this call and — through the memo —
-        // across calls within the epoch.
         let base_view = IndexSetView::real(config);
-        let (base_scans, base_cost) = match self.memo.base(handle) {
-            Some(b) => b,
-            None => {
-                let scans: Vec<ScanChoice> = query
-                    .tables
-                    .iter()
-                    .map(|&t| self.opt.best_scan(query, &sels, t, base_view))
-                    .collect();
-                let cost = self.opt.join_order(query, &sels, scans.clone(), base_view).est_cost();
-                self.memo.store_base(handle, &scans, cost);
-                (scans, cost)
-            }
-        };
+        let base_scans: Vec<ScanChoice> = query
+            .tables
+            .iter()
+            .map(|&t| self.opt.best_scan(query, &sels, t, base_view))
+            .collect();
+        let base_cost = self.opt.join_order(query, &sels, base_scans.clone(), base_view).est_cost();
 
         probes
             .iter()
-            .zip(cached)
-            .map(|(&col, known)| {
-                if let Some(gain) = known {
-                    return IndexGain { col, gain };
-                }
+            .map(|&col| {
                 let materialized = config.contains(col);
                 let (mut plus, mut minus) = (BTreeSet::from([col]), BTreeSet::new());
                 if materialized {
@@ -257,11 +160,11 @@ impl<'a> Eqo<'a> {
                     .tables
                     .iter()
                     .zip(&base_scans)
-                    .map(|(&t, cached)| {
+                    .map(|(&t, base)| {
                         if t == col.table {
                             self.opt.best_scan(query, &sels, t, view)
                         } else {
-                            cached.clone()
+                            base.clone()
                         }
                     })
                     .collect();
@@ -274,9 +177,7 @@ impl<'a> Eqo<'a> {
                     // base = cost without I; probe has I.
                     base_cost - probe_cost
                 };
-                let gain = gain.max(0.0);
-                self.memo.store_gain(handle, col, gain);
-                IndexGain { col, gain }
+                IndexGain { col, gain: gain.max(0.0) }
             })
             .collect()
     }
@@ -381,9 +282,6 @@ mod tests {
         let before = estimates();
         eqo.what_if_optimize(&q, &cols, &cfg);
         assert_eq!(estimates() - before, 2);
-        // Served from the memo: nothing is priced.
-        eqo.what_if_optimize(&q, &cols, &cfg);
-        assert_eq!(estimates() - before, 2);
     }
 
     #[test]
@@ -396,6 +294,9 @@ mod tests {
         assert_eq!(eqo.counters().whatif_calls, 0);
     }
 
+    /// The EQO keeps no what-if cache: every probe is charged one
+    /// what-if call, `optimize` one optimization, and the two memo
+    /// counters kept for their readers never move.
     #[test]
     fn memo_counters_account_for_every_derivation() {
         let (db, t) = db();
@@ -407,41 +308,36 @@ mod tests {
             eqo.optimize(&q, &cfg);
             eqo.what_if_optimize(&q, &probes, &cfg);
         }
-        let c = eqo.counters();
-        // Every probe is either a hit or a miss, never both or neither;
-        // `optimize` is counted and leaves the memo alone.
-        assert_eq!(c.memo_hits + c.memo_misses, c.whatif_calls);
-        assert_eq!(c.optimizations, 5);
-        // Two distinct templates cycled five times: rounds 2+ are pure
-        // hits, so hits strictly dominate.
-        assert!(c.memo_hits > c.memo_misses, "counters: {c:?}");
-        assert_eq!(c.memo_invalidations, 0, "nothing changed, nothing invalidates");
+        assert_eq!(
+            eqo.counters(),
+            EqoCounters { optimizations: 5, whatif_calls: 10, ..EqoCounters::default() }
+        );
     }
 
+    /// Many distinct templates through one long-lived EQO: each call
+    /// derives its own base afresh (one estimate per predicate), so
+    /// every answer equals a fresh EQO's and nothing accumulates.
     #[test]
     fn memo_accounting_holds_under_eviction_pressure() {
         let (db, t) = db();
         let cfg = PhysicalConfig::new();
-        let mut eqo = Eqo::with_memo_capacity(&db, 2);
+        let mut eqo = Eqo::new(&db);
         let probes = [ColRef::new(t, 0)];
-        // Five distinct templates cycled through a two-entry memo: FIFO
-        // keeps evicting, so later rounds re-derive instead of hitting.
+        let estimates = || crate::selectivity::ESTIMATES.with(|n| n.get());
         for _ in 0..2 {
             for i in 0..5i64 {
                 let q = Query::single(t, vec![SelPred::eq(ColRef::new(t, 0), i)]);
-                eqo.what_if_optimize(&q, &probes, &cfg);
+                let before = estimates();
+                let gains = eqo.what_if_optimize(&q, &probes, &cfg);
+                assert_eq!(estimates() - before, 1, "template {i} re-derived");
+                assert_eq!(gains, Eqo::new(&db).what_if_optimize(&q, &probes, &cfg));
             }
         }
-        let c = eqo.counters();
-        assert!(c.memo_evictions > 0, "a 2-entry memo must evict: {c:?}");
-        assert_eq!(
-            c.memo_hits + c.memo_misses,
-            c.whatif_calls,
-            "every probe is a hit or a miss even when entries are evicted: {c:?}"
-        );
-        assert_eq!(eqo.memo_len(), 2, "the memo stays bounded");
+        assert_eq!(eqo.counters(), EqoCounters { whatif_calls: 10, ..EqoCounters::default() });
     }
 
+    /// A repeated probe is re-derived, bit-identically, and charged
+    /// again; `optimize` beside it is the bare optimizer's plan.
     #[test]
     fn repeated_probes_are_served_from_the_memo_identically() {
         let (db, t) = db();
@@ -450,24 +346,19 @@ mod tests {
         let q = Query::single(t, vec![SelPred::eq(ColRef::new(t, 0), 7i64)]);
         let probes = [ColRef::new(t, 0), ColRef::new(t, 1), ColRef::new(t, 2)];
         let cold = eqo.what_if_optimize(&q, &probes, &cfg);
-        let before = eqo.counters();
-        assert_eq!(before.memo_misses, probes.len() as u64);
         let warm = eqo.what_if_optimize(&q, &probes, &cfg);
-        let after = eqo.counters();
-        assert_eq!(warm, cold, "cached gains must be bit-identical");
-        assert_eq!(after.memo_hits - before.memo_hits, probes.len() as u64);
-        assert_eq!(after.memo_misses, before.memo_misses, "no re-derivation on the warm call");
-        // A warmed memo must also agree with a completely fresh EQO.
+        assert_eq!(warm, cold, "repeated gains must be bit-identical");
         let fresh = Eqo::new(&db).what_if_optimize(&q, &probes, &cfg);
         assert_eq!(fresh, warm);
-        // `optimize` beside a warm entry is the bare optimizer's plan
-        // and moves no memo counter.
+        let after = eqo.counters();
+        assert_eq!(after, EqoCounters { whatif_calls: 2 * probes.len() as u64, ..EqoCounters::default() });
         let plan = eqo.optimize(&q, &cfg);
         assert_eq!(plan, Optimizer::new(&db).optimize(&q, IndexSetView::real(&cfg)));
         assert_eq!(eqo.counters(), EqoCounters { optimizations: 1, ..after });
-        assert_eq!(eqo.memo_len(), 1);
     }
 
+    /// A configuration change is seen by the very next probe — nothing
+    /// stale is kept — and only the touched table's answers move.
     #[test]
     fn configuration_change_invalidates_only_lazily_and_scoped() {
         let mut db = Database::new();
@@ -487,25 +378,22 @@ mod tests {
         let qa = Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 7i64)]);
         let qb = Query::single(b, vec![SelPred::eq(ColRef::new(b, 0), 7i64)]);
         let gains_a = eqo.what_if_optimize(&qa, &[ColRef::new(a, 0)], &cfg);
-        eqo.what_if_optimize(&qb, &[ColRef::new(b, 0)], &cfg);
-        assert_eq!(eqo.memo_len(), 2);
+        let gains_b = eqo.what_if_optimize(&qb, &[ColRef::new(b, 0)], &cfg);
+        assert!(gains_a[0].gain > 0.0);
 
-        // Materialize the probed index on `a` mid-epoch: the next probe
-        // of `qa` detects the stale snapshot lazily and re-derives; the
-        // reverse probe must agree with the forward one.
+        // Materialize the probed index on `a`: the real plan of `qa`
+        // changes at once, and the reverse probe agrees with the forward
+        // one.
+        let cost_a = eqo.optimize(&qa, &cfg).est_cost();
         cfg.create_index(&db, ColRef::new(a, 0), IndexOrigin::Online);
+        assert!(eqo.optimize(&qa, &cfg).est_cost() < cost_a);
         let gains_a2 = eqo.what_if_optimize(&qa, &[ColRef::new(a, 0)], &cfg);
-        assert_eq!(eqo.counters().memo_invalidations, 1);
         assert!((gains_a2[0].gain - gains_a[0].gain).abs() < 1e-9);
-        // Table `b`'s entry was untouched: its probe is a pure hit.
-        let hits_before = eqo.counters().memo_hits;
-        eqo.what_if_optimize(&qb, &[ColRef::new(b, 0)], &cfg);
-        assert_eq!(eqo.counters().memo_hits, hits_before + 1);
-        assert_eq!(eqo.counters().memo_invalidations, 1, "b was never invalidated");
-
-        // The epoch sweep keeps both (now-consistent) entries.
-        eqo.end_epoch(&cfg);
-        assert_eq!(eqo.memo_len(), 2);
-        assert_eq!(eqo.counters().memo_invalidations, 1);
+        // Table `b`'s answer is untouched.
+        assert_eq!(eqo.what_if_optimize(&qb, &[ColRef::new(b, 0)], &cfg), gains_b);
+        assert_eq!(
+            eqo.counters(),
+            EqoCounters { optimizations: 2, whatif_calls: 4, ..EqoCounters::default() }
+        );
     }
 }

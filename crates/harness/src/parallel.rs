@@ -4,7 +4,7 @@
 //! A [`Cell`] is one self-contained experiment — it borrows the
 //! [`Database`] and query stream read-only and owns every piece of
 //! mutable state ([`Experiment::run`] creates the physical
-//! configuration, tuner, optimizer memo, and PRNG internally). Because
+//! configuration, tuner, optimizer, and PRNG internally). Because
 //! the engine has no interior mutability anywhere (`unsafe` is denied
 //! workspace-wide), cells are embarrassingly parallel and their results
 //! are **bit-identical to serial runs**: the per-query

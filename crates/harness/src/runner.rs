@@ -9,7 +9,7 @@
 //!   and none of that work is charged; per-query time is pure execution.
 //! * **COLT** — the run starts with an empty on-line index set and every
 //!   cost of tuning is charged to the stream: what-if optimizer calls
-//!   (a constant optimizer charge per probe, cheap thanks to memo reuse)
+//!   (a constant optimizer charge per probe)
 //!   and index materialization (full build I/O, charged at the epoch
 //!   boundary where the build happens — the paper's "index creation
 //!   contributes significantly to the execution time during this
@@ -155,7 +155,7 @@ impl RunResult {
 /// The builder borrows the database and workload read-only, so many
 /// experiments over the same data can run concurrently (see
 /// [`crate::parallel`]); all mutable state (physical configuration,
-/// tuner, optimizer memo) is created inside [`Experiment::run`] and
+/// tuner, optimizer) is created inside [`Experiment::run`] and
 /// owned by the run.
 ///
 /// ```no_run

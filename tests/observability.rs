@@ -178,8 +178,6 @@ engine.exec.row_ids_written 228
 engine.op.hash_join 45
 engine.op.index_scan 713
 engine.op.seq_scan 682
-engine.whatif.memo_invalidate 69
-engine.whatif.memo_miss 98
 engine.whatif_calls 98
 harness.queries 1350
 storage.btree.lookups 248
@@ -221,7 +219,7 @@ tuner.epoch.calls 135
     assert_eq!(s.counter("tuner.whatif.issued"), s.counter("engine.whatif_calls"));
     assert_eq!(s.counter("engine.whatif_calls"), run.trace.total_whatif());
     // The listing must never be pinned on a run that exercised nothing.
-    for live in ["tuner.whatif.issued", "engine.whatif.memo_miss", "storage.btree.lookups"] {
+    for live in ["tuner.whatif.issued", "engine.whatif_calls", "storage.btree.lookups"] {
         assert!(s.counter(live) > 0, "{live} must be exercised");
     }
     // A page that stops being charged anywhere on the run's path moves

@@ -49,8 +49,7 @@ const MODULE_ORDERS: &[(&str, &str)] = &[
     ("obs", "json event ledger recorder"),
     ("storage", "value row page prng column heap btree"),
     ("catalog", "schema stats index composite database"),
-    ("engine", "error query plan selectivity cost batch kernel optimizer memo executor rowwise \
-                whatif"),
+    ("engine", "error query plan selectivity cost batch kernel optimizer executor rowwise whatif"),
     ("core", "config trace cluster crude gain hotset knapsack scheduler \
               composite_ext profiler organizer tuner"),
     ("workload", "gen distribution tpch workload presets"),
