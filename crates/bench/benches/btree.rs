@@ -286,8 +286,8 @@ fn bench_eqo_optimize() {
 }
 
 /// Benchmarks a selectivity estimate per column type — the mix a
-/// stream prices: closed ranges, half-open ones, equalities, IN lists —
-/// over the column's key codes and, beside it, with the same statistics
+/// stream prices: narrow and wide closed ranges, and equalities — over
+/// the column's key codes and, beside it, with the same statistics
 /// comparing `Value`s ([`ColumnStats::comparing_values`]); a string
 /// column has only the latter. False when comparing codes is not faster.
 fn bench_stats_selectivity() -> bool {
@@ -311,11 +311,12 @@ fn bench_stats_selectivity() -> bool {
         let by_value = coded.comparing_values();
         let literals: Vec<(Value, Value)> =
             (0..64).map(|j| (literal(j * 89 % ROWS), literal(j * 89 % ROWS + 40 + j))).collect();
+        let top = literal(ROWS);
         let estimate = |stats: &ColumnStats| {
             let mut sum = 0.0;
             for (lo, hi) in black_box(&literals) {
-                sum += stats.selectivity_between(Bound::Included(lo), Bound::Included(hi));
-                sum += stats.selectivity_between(Bound::Excluded(lo), Bound::Unbounded);
+                sum += stats.selectivity_between(lo, hi);
+                sum += stats.selectivity_between(lo, &top);
                 sum += stats.selectivity_eq(lo);
                 sum += [lo, hi, lo].iter().map(|v| stats.selectivity_eq(v)).sum::<f64>();
             }

@@ -218,7 +218,7 @@ impl PhysicalConfig {
     }
 
     /// Materialization version of a table: bumped whenever an index on
-    /// that table is created or dropped.
+    /// that table, single-column or composite, is created or dropped.
     pub fn table_version(&self, table: TableId) -> u64 {
         self.versions.get(&table).copied().unwrap_or(0)
     }
@@ -236,8 +236,13 @@ impl PhysicalConfig {
     }
 
     fn bump(&mut self, col: ColRef) {
-        *self.versions.entry(col.table).or_insert(0) += 1;
+        self.bump_table(col.table);
         *self.col_changes.entry(col).or_insert(0) += 1;
+    }
+
+    /// A change to no single column's index: a composite's.
+    fn bump_table(&mut self, table: TableId) {
+        *self.versions.entry(table).or_insert(0) += 1;
     }
 
     /// Build and install an index on `col`, returning the build cost.
@@ -252,12 +257,14 @@ impl PhysicalConfig {
     }
 
     /// Build and install a composite (multi-column) index — the paper's
-    /// future-work extension; see [`crate::composite`]. Composites are
-    /// part of the pre-tuned base configuration (built before a run),
-    /// so they do not bump the on-line consistency versions.
+    /// future-work extension; see [`crate::composite`]. A composite may
+    /// be built before a run or by the on-line composite tuner mid-run;
+    /// either way it changes its table's index set, so it bumps the
+    /// table's version for every column's gain measurements.
     pub fn create_composite(&mut self, db: &Database, key: CompositeKey) -> IoStats {
         let m = build_composite(db, &key);
         let io = m.build_io;
+        self.bump_table(key.table);
         self.composites.insert(key, m);
         io
     }
@@ -275,9 +282,14 @@ impl PhysicalConfig {
         self.composites.values().filter(move |m| m.key.table == table)
     }
 
-    /// Drop a composite index; returns whether one existed.
+    /// Drop a composite index; returns whether one existed. Like
+    /// [`PhysicalConfig::create_composite`], it bumps the table's version.
     pub fn drop_composite(&mut self, key: &CompositeKey) -> bool {
-        self.composites.remove(key).is_some()
+        let existed = self.composites.remove(key).is_some();
+        if existed {
+            self.bump_table(key.table);
+        }
+        existed
     }
 
     /// Drop the index on `col` if present; returns whether one existed.
@@ -337,6 +349,26 @@ mod tests {
         assert!(!cfg.drop_index(col));
         assert_eq!(cfg.table_version(tid), 2);
         assert!(cfg.is_empty());
+    }
+
+    /// A composite changes its table's index set: every column's gain
+    /// measurements on that table go stale, on its creation and its drop.
+    #[test]
+    fn composites_move_every_columns_version() {
+        let (db, tid) = db_with_table(500);
+        let mut cfg = PhysicalConfig::new();
+        let (a, b) = (ColRef::new(tid, 0), ColRef::new(tid, 1));
+        cfg.create_index(&db, a, IndexOrigin::Online);
+        let before = [a, b].map(|c| cfg.version_excluding(c));
+        let key = CompositeKey::new(tid, vec![0, 1]);
+        cfg.create_composite(&db, key.clone());
+        let built = [a, b].map(|c| cfg.version_excluding(c));
+        assert!(built[0] > before[0] && built[1] > before[1], "{before:?} -> {built:?}");
+        assert!(cfg.drop_composite(&key));
+        let dropped = [a, b].map(|c| cfg.version_excluding(c));
+        assert!(dropped[0] > built[0] && dropped[1] > built[1], "{built:?} -> {dropped:?}");
+        assert!(!cfg.drop_composite(&key));
+        assert_eq!([a, b].map(|c| cfg.version_excluding(c)), dropped, "nothing to drop");
     }
 
     #[test]

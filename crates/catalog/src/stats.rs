@@ -21,7 +21,6 @@
 
 use colt_storage::{value_code, HeapTable, Value, ValueType};
 use std::cmp::Ordering;
-use std::ops::Bound;
 
 /// Number of buckets in an equi-depth histogram.
 pub const HISTOGRAM_BUCKETS: usize = 32;
@@ -270,39 +269,20 @@ impl ColumnStats {
         self.le_at(&self.key(v), v)
     }
 
-    /// Estimated fraction of rows in the closed-open interval
-    /// `[lo, hi)`; either side may be unbounded.
-    pub fn selectivity_range(&self, lo: Option<&Value>, hi: Option<&Value>) -> f64 {
-        fn open(side: Option<&Value>) -> Bound<&Value> {
-            side.map_or(Bound::Unbounded, Bound::Excluded)
-        }
-        self.selectivity_between(open(lo), open(hi))
-    }
-
-    /// Estimated fraction of rows a range predicate keeps, as the
-    /// optimizer prices it: the closed-open fraction of
-    /// [`ColumnStats::selectivity_range`], plus the equality estimate of
-    /// each [`Bound::Included`] literal. Each literal is resolved and
-    /// looked up once.
-    pub fn selectivity_between(&self, lo: Bound<&Value>, hi: Bound<&Value>) -> f64 {
-        // Rows below the bound, and rows at it when it is inclusive.
-        let side = |bound: Bound<&Value>, unbounded: f64| {
-            let (v, inclusive) = match bound {
-                Bound::Included(v) => (v, true),
-                Bound::Excluded(v) => (v, false),
-                Bound::Unbounded => return (unbounded, None),
-            };
+    /// Estimated fraction of rows in the closed range `lo..=hi`, as the
+    /// optimizer prices it: the histogram's fraction of rows below `hi`
+    /// less that below `lo`, clamped, plus the equality estimate of each
+    /// bound. Each literal is resolved and looked up once.
+    pub fn selectivity_between(&self, lo: &Value, hi: &Value) -> f64 {
+        // Rows below the bound, and rows at it.
+        let side = |v: &Value| {
             let key = self.key(v);
             let eq = self.eq_at(&key);
-            (self.le_at(&key, v) - eq, inclusive.then_some(eq))
+            (self.le_at(&key, v) - eq, eq)
         };
-        let (below_lo, at_lo) = side(lo, 0.0);
-        let (below_hi, at_hi) = side(hi, 1.0);
-        let mut sel = (below_hi - below_lo).clamp(0.0, 1.0);
-        for at in [at_lo, at_hi].into_iter().flatten() {
-            sel += at;
-        }
-        sel
+        let (below_lo, at_lo) = side(lo);
+        let (below_hi, at_hi) = side(hi);
+        (below_hi - below_lo).clamp(0.0, 1.0) + at_lo + at_hi
     }
 }
 
@@ -407,12 +387,13 @@ mod tests {
     fn selectivity_range_combines_bounds() {
         let vals: Vec<i64> = (0..=1000).collect();
         let s = ColumnStats::analyze(&heap_of_ints(&vals), 0);
-        let sel = s.selectivity_range(Some(&Value::Int(200)), Some(&Value::Int(400)));
+        let sel = s.selectivity_between(&Value::Int(200), &Value::Int(400));
         assert!((sel - 0.2).abs() < 0.05, "got {sel}");
-        let all = s.selectivity_range(None, None);
+        let all = s.selectivity_between(&Value::Int(i64::MIN), &Value::Int(i64::MAX));
         assert!((all - 1.0).abs() < 1e-9);
-        let none = s.selectivity_range(Some(&Value::Int(900)), Some(&Value::Int(100)));
-        assert_eq!(none, 0.0);
+        // Inverted: only the two bounds' own rows remain.
+        let none = s.selectivity_between(&Value::Int(900), &Value::Int(100));
+        assert_eq!(none, 2.0 * s.selectivity_eq(&Value::Int(100)));
     }
 
     #[test]

@@ -13,15 +13,15 @@ use colt_catalog::{
     build_composite, Column, CompositeKey, Database, MaterializedComposite, TableSchema,
 };
 use colt_storage::{
-    code_interval, literal_code, row_from, BPlusTreeOf, ColumnSlice, IoStats, KeyCode, Prng,
+    code_interval, literal_code, row_from, BPlusTreeOf, ColumnSlice, IoStats, Prng,
     RowId, Value, ValueType,
 };
-use std::ops::{Bound, RangeBounds};
+use std::ops::Bound;
 
 const CASES: u64 = 48;
 
-/// A range on the key column after the prefix.
-type Next<'v> = Option<(Bound<&'v Value>, Bound<&'v Value>)>;
+/// A closed range `lo..=hi` on the key column after the prefix.
+type Next<'v> = Option<(&'v Value, &'v Value)>;
 
 /// Rows, a composite index over all their columns in order, and the
 /// `Value`-keyed tree over the same cells.
@@ -66,7 +66,7 @@ impl Fixture {
 
         let mut want: Vec<RowId> = (self.rows.iter().zip((0..).map(RowId)))
             .filter(|(row, _)| row[..prefix.len()] == *prefix)
-            .filter(|(row, _)| next.is_none_or(|range| range.contains(&row[prefix.len()])))
+            .filter(|(row, _)| next.is_none_or(|(lo, hi)| (lo..=hi).contains(&&row[prefix.len()])))
             .map(|(_, rid)| rid)
             .collect();
         let mut rows = got.0.clone();
@@ -116,21 +116,13 @@ fn code_scan(
     }
     upper.resize(columns.len(), u64::MAX);
     let (mut out, mut io) = (Vec::new(), IoStats::new());
-    let bounds = matchable.then_some((Bound::Included(lower), Bound::Included(upper)));
-    index.tree.range_codes_into(bounds, &mut out, &mut io);
+    index.tree.range_codes_into(matchable.then_some((lower, upper)), &mut out, &mut io);
     ((out, io), matchable)
 }
 
 /// The same scan of the `Value`-keyed tree: the prefix, extended by the
-/// range's low end, below; the prefix and its high end — padded with
-/// the greatest value of any type for an inclusive one — above.
-///
-/// The charge rule for an exclusive lower bound: the code scan starts
-/// from the adjacent code, so it charges as the scan from the next value
-/// up (`successor`) — its descent passes the keys equal to the bound,
-/// which a scan from the bound itself would read through, leaf by leaf.
-/// An exclusive upper bound charges as itself: both stop at the first
-/// key that reaches it.
+/// range's low end, below; the prefix and its high end, padded with the
+/// greatest value of any type, above.
 fn value_scan(
     tree: &BPlusTreeOf<Vec<Value>>,
     width: usize,
@@ -138,54 +130,19 @@ fn value_scan(
     next: Next<'_>,
 ) -> (Vec<RowId>, IoStats) {
     let (mut lower, mut upper) = (prefix.to_vec(), prefix.to_vec());
-    let mut inclusive = true;
     if let Some((lo, hi)) = next {
-        match lo {
-            Bound::Included(v) => lower.push(v.clone()),
-            Bound::Excluded(v) => lower.push(successor(v)),
-            Bound::Unbounded => {}
-        }
-        match hi {
-            Bound::Included(v) => upper.push(v.clone()),
-            Bound::Excluded(v) => {
-                upper.push(v.clone());
-                inclusive = false;
-            }
-            Bound::Unbounded => {}
-        }
+        lower.push(lo.clone());
+        upper.push(hi.clone());
     }
-    let hi = if inclusive {
-        upper.resize(width, Value::Date(i32::MAX));
-        Bound::Included(&upper)
-    } else {
-        Bound::Excluded(&upper)
-    };
+    upper.resize(width, Value::Date(i32::MAX));
     let mut io = IoStats::new();
-    (tree.range(Bound::Included(&lower), hi, &mut io), io)
-}
-
-/// The least value above `v` (`v` is no type's greatest).
-fn successor(v: &Value) -> Value {
-    match v {
-        Value::Int(x) => Value::Int(x + 1),
-        Value::Float(x) => Value::Float(f64::from_code(x.code() + 1)),
-        Value::Date(x) => Value::Date(x + 1),
-        Value::Str(s) => Value::Str(format!("{s}\0")),
-    }
+    (tree.range(Bound::Included(&lower), Bound::Included(&upper), &mut io), io)
 }
 
 fn int_rows(rng: &mut Prng, max_len: usize, domains: &[i64]) -> Vec<Vec<Value>> {
     let len = rng.below(max_len + 1);
     let row = |rng: &mut Prng| domains.iter().map(|&hi| Value::Int(rng.int_range(0, hi - 1))).collect();
     (0..len).map(|_| row(rng)).collect()
-}
-
-fn opt_bound(rng: &mut Prng, hi: i64) -> Bound<Value> {
-    match rng.below(4) {
-        0 | 1 => Bound::Unbounded,
-        2 => Bound::Included(Value::Int(rng.int_range(0, hi - 1))),
-        _ => Bound::Excluded(Value::Int(rng.int_range(0, hi - 1))),
-    }
 }
 
 /// Full-prefix and partial-prefix scans agree with direct filtering.
@@ -200,16 +157,16 @@ fn prefix_scan_matches_filter() {
     }
 }
 
-/// Prefix + range on the next column agrees with direct filtering for
-/// every bound shape.
+/// Prefix + range on the next column agrees with direct filtering, the
+/// range inverted as often as not.
 #[test]
 fn prefix_plus_range_matches_filter() {
     let mut rng = Prng::new(0xC04B_0002);
     for case in 0..CASES {
         let f = Fixture::new(&[ValueType::Int; 2], int_rows(&mut rng, 600, &[10, 30]));
         let pa = Value::Int(rng.int_range(0, 11));
-        let (lo, hi) = (opt_bound(&mut rng, 32), opt_bound(&mut rng, 32));
-        f.check(&[pa], Some((lo.as_ref(), hi.as_ref())), &format!("case {case}"));
+        let (lo, hi) = (Value::Int(rng.int_range(0, 31)), Value::Int(rng.int_range(0, 31)));
+        f.check(&[pa], Some((&lo, &hi)), &format!("case {case}"));
     }
 }
 
@@ -250,9 +207,9 @@ fn domain(vtype: ValueType) -> (Vec<Value>, Vec<Value>) {
 
 /// Random mixes of `Int`, `Float`, `Str` and `Date` key columns, two or
 /// three wide; prefixes of every length from none to the whole key, with
-/// and without a range on the next column (either bound inclusive,
-/// exclusive or open, inverted as often as not). Literals are cells,
-/// values no cell holds, and now and then one of another type.
+/// and without a range on the next column (inverted as often as not).
+/// Literals are cells, values no cell holds, and now and then one of
+/// another type.
 #[test]
 fn mixed_type_keys_match_the_filter_and_a_value_keyed_tree() {
     const TYPES: [ValueType; 4] =
@@ -280,25 +237,20 @@ fn mixed_type_keys_match_the_filter_and_a_value_keyed_tree() {
         for probe in 0..24 {
             let k = rng.below(types.len() + 1);
             let prefix: Vec<Value> = (0..k).map(|c| literal(&mut rng, c)).collect();
-            let bound = |rng: &mut Prng| match rng.below(5) {
-                0 => Bound::Unbounded,
-                1 | 2 => Bound::Included(literal(rng, k)),
-                _ => Bound::Excluded(literal(rng, k)),
-            };
             let ranged = k < types.len() && rng.chance(0.6);
-            let range = ranged.then(|| (bound(&mut rng), bound(&mut rng)));
-            let next = range.as_ref().map(|(lo, hi)| (lo.as_ref(), hi.as_ref()));
+            let range = ranged.then(|| (literal(&mut rng, k), literal(&mut rng, k)));
+            let next = range.as_ref().map(|(lo, hi)| (lo, hi));
             let what = format!("case {case} probe {probe}: {types:?} {prefix:?} {next:?}");
             let (rows, resolved) = f.check(&prefix, next, &what);
             hits += rows;
             unresolved += usize::from(!resolved);
-            if let Some((lo, _)) = next {
-                ranges[usize::from(matches!(lo, Bound::Excluded(_)))] += 1;
+            if let Some((lo, hi)) = next {
+                ranges[usize::from(lo > hi)] += 1;
             }
         }
     }
     // Every kind of case occurred: matches, one-descent scans, and
-    // ranges from inclusive and exclusive lower bounds.
+    // ranges both ordered and inverted.
     let counts = format!("{hits} rows, {unresolved} unresolved, {ranges:?} ranges");
     assert!(hits > 0 && unresolved > 0 && ranges.iter().all(|&n| n > 0), "{counts}");
 }

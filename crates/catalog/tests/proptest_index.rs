@@ -6,10 +6,9 @@
 
 use colt_catalog::{build_index, ColRef, ColumnStats, TableId, HISTOGRAM_BUCKETS};
 use colt_storage::{
-    code_bound, literal_code, row_from, BPlusTreeOf, ColumnSlice, HeapTable, IoStats, Prng,
+    code_interval, literal_code, row_from, BPlusTreeOf, ColumnSlice, HeapTable, IoStats, Prng,
     RowId, Value, ValueType,
 };
-use std::ops::Bound;
 
 const TYPES: [ValueType; 4] = [ValueType::Int, ValueType::Float, ValueType::Str, ValueType::Date];
 
@@ -113,9 +112,7 @@ fn build_index_equals_the_value_sort() {
             let probe = |index: &BPlusTreeOf<u64>| {
                 let (mut ids, mut io) = (Vec::new(), IoStats::new());
                 index.lookup_code_into(literal_code(&lo, column), &mut ids, &mut io);
-                let (lo, hi) = (Bound::Included(&lo), Bound::Excluded(&hi));
-                let codes = code_bound(lo, column, true).zip(code_bound(hi, column, false));
-                index.range_codes_into(codes, &mut ids, &mut io);
+                index.range_codes_into(code_interval(&lo, &hi, column), &mut ids, &mut io);
                 (ids, io)
             };
             assert_eq!(probe(&tree), probe(&reference), "{vtype:?}, {rows} rows, {lo}..{hi}");

@@ -192,7 +192,7 @@ impl CompositeTuner {
             let heap = &db.table(key.table).heap;
             let net = total - build_cost(&db.cost, &estimate, heap.row_count() as f64, heap.page_count() as f64);
             if net <= 0.0 {
-                break; // ranked by benefit: nothing later can pass
+                continue;
             }
             let mut set = key.columns.clone();
             set.sort_unstable();
@@ -370,5 +370,47 @@ mod tests {
         columns.sort_unstable();
         assert_eq!(columns, [0, 1], "the (a,b) family must rank first");
         assert_eq!(tuner.used_pages(), one);
+    }
+
+    /// The ranking is by window benefit, but the build cost differs per
+    /// table: a candidate on a large table can top the ranking and not
+    /// pay for its build, while one ranked below it, on a small table,
+    /// does.
+    #[test]
+    fn a_lower_ranked_candidate_on_a_cheaper_table_is_built() {
+        let (mut db, big) = setup();
+        let small = db.add_table(TableSchema::new(
+            "small",
+            vec![Column::new("a", ValueType::Int), Column::new("b", ValueType::Int)],
+        ));
+        db.insert_rows(small, (0..10_000i64).map(|i| row_from(vec![Value::Int(i % 40), Value::Int(i % 50)])))
+            .unwrap();
+        db.analyze_all();
+        let query = |t| {
+            Query::single(t, vec![SelPred::eq(ColRef::new(t, 0), 3i64), SelPred::eq(ColRef::new(t, 1), 13i64)])
+        };
+        let mut tuner = CompositeTuner::new(&cfg(10_000));
+        for _ in 0..3 {
+            observe(&mut tuner, &db, &query(big));
+        }
+        for _ in 0..4 {
+            observe(&mut tuner, &db, &query(small));
+        }
+        let (q_big, q_small) = (query(big), query(small));
+        let sels = |q: &Query| Optimizer::new(&db).optimize(q, IndexSetView::real(&PhysicalConfig::new())).selectivities;
+        let total = |q: &Query, n: f64, t| n * CompositeTuner::extra_benefit(&db, q, &sels(q), &CompositeKey::new(t, vec![0, 1]));
+        let build = |t| {
+            let heap = &db.table(t).heap;
+            let estimate = CompositeKey::new(t, vec![0, 1]).estimate(&db);
+            build_cost(&db.cost, &estimate, heap.row_count() as f64, heap.page_count() as f64)
+        };
+        let (big_total, small_total) = (total(&q_big, 3.0, big), total(&q_small, 4.0, small));
+        assert!(big_total > small_total, "the large table's candidate ranks first");
+        assert!(big_total <= build(big) && small_total > build(small), "only the small one pays");
+
+        let mut physical = PhysicalConfig::new();
+        let step = tuner.reorganize(&db, &mut physical);
+        let built: Vec<TableId> = step.built.iter().map(|(key, _)| key.table).collect();
+        assert_eq!(built, [small]);
     }
 }

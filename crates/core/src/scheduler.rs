@@ -10,9 +10,10 @@
 //!   foreground stream (the paper's measured behaviour: "the overhead of
 //!   index creation contributes significantly to the execution time for
 //!   COLT during this period").
-//! * [`MaterializationStrategy::IdleTime`] queues requests and builds
-//!   them only when the driver signals idleness, modelling deferred
-//!   background materialization.
+//! * [`MaterializationStrategy::IdleTime`] builds requested indices at
+//!   the epoch boundary too, but in an idle window assumed to follow it:
+//!   the build is charged nothing, modelling background materialization
+//!   between epochs.
 //! * [`MaterializationStrategy::Piggyback`] queues requests and builds
 //!   an index when a later query sequentially scans its table anyway:
 //!   the build rides on that scan, so only the sort and the index page
@@ -31,7 +32,8 @@ pub enum MaterializationStrategy {
     /// Build as soon as requested (paper's choice).
     #[default]
     Immediate,
-    /// Build only when the driver reports idle time.
+    /// Build at once, in the idle window after the epoch boundary,
+    /// uncharged.
     IdleTime,
     /// Build when a query's plan scans the table anyway, discounting the
     /// heap-scan component of the build cost.
@@ -71,7 +73,7 @@ impl Scheduler {
         Scheduler { strategy, pending: VecDeque::new() }
     }
 
-    /// Pending build requests (non-empty only for [`MaterializationStrategy::IdleTime`]).
+    /// Pending build requests (non-empty only for [`MaterializationStrategy::Piggyback`]).
     pub fn pending(&self) -> impl Iterator<Item = ColRef> + '_ {
         self.pending.iter().copied()
     }
@@ -95,15 +97,16 @@ impl Scheduler {
             }
         }
         match self.strategy {
-            MaterializationStrategy::Immediate => {
+            MaterializationStrategy::Immediate | MaterializationStrategy::IdleTime => {
+                let idle = self.strategy == MaterializationStrategy::IdleTime;
                 for &col in to_create {
                     if !config.contains(col) {
                         let io = config.create_index(db, col, IndexOrigin::Online);
-                        changes.built.push((col, io));
+                        changes.built.push((col, if idle { IoStats::new() } else { io }));
                     }
                 }
             }
-            MaterializationStrategy::IdleTime | MaterializationStrategy::Piggyback => {
+            MaterializationStrategy::Piggyback => {
                 for &col in to_create {
                     if !config.contains(col) && !self.pending.contains(&col) {
                         self.pending.push_back(col);
@@ -114,10 +117,10 @@ impl Scheduler {
         changes
     }
 
-    /// Signal that a query just sequentially scanned `tables` (only
-    /// meaningful under [`MaterializationStrategy::Piggyback`]): build
-    /// every pending index on those tables, charging the build minus the
-    /// heap scan the query already paid for.
+    /// Signal that a query just sequentially scanned `tables`: build
+    /// every pending index on those tables (there are some only under
+    /// [`MaterializationStrategy::Piggyback`]), charging the build minus
+    /// the heap scan the query already paid for.
     pub fn on_seq_scan(
         &mut self,
         db: &Database,
@@ -125,9 +128,6 @@ impl Scheduler {
         tables: &[colt_catalog::TableId],
     ) -> AppliedChanges {
         let mut changes = AppliedChanges::default();
-        if self.strategy != MaterializationStrategy::Piggyback {
-            return changes;
-        }
         let ready: Vec<ColRef> =
             self.pending.iter().copied().filter(|c| tables.contains(&c.table)).collect();
         self.pending.retain(|c| !tables.contains(&c.table));
@@ -143,18 +143,6 @@ impl Scheduler {
             io.seq_pages = io.seq_pages.saturating_sub(heap_pages);
             io.tuples = io.tuples.saturating_sub(heap_rows);
             changes.built.push((col, io));
-        }
-        changes
-    }
-
-    /// Signal idle time: build every pending request.
-    pub fn on_idle(&mut self, db: &Database, config: &mut PhysicalConfig) -> AppliedChanges {
-        let mut changes = AppliedChanges::default();
-        while let Some(col) = self.pending.pop_front() {
-            if !config.contains(col) {
-                let io = config.create_index(db, col, IndexOrigin::Online);
-                changes.built.push((col, io));
-            }
         }
         changes
     }
@@ -206,6 +194,8 @@ mod tests {
         assert_eq!(cfg.table_version(t), v, "no version churn from no-ops");
     }
 
+    /// Idle-time builds are deferred off the stream: made at the
+    /// boundary, in the idle window after it, and charged nothing.
     #[test]
     fn idle_time_defers_builds() {
         let (db, t) = setup();
@@ -213,12 +203,7 @@ mod tests {
         let mut sched = Scheduler::new(MaterializationStrategy::IdleTime);
         let a = ColRef::new(t, 0);
         let changes = sched.submit(&db, &mut cfg, &[a], &[]);
-        assert!(changes.built.is_empty());
-        assert!(!cfg.contains(a));
-        assert_eq!(sched.pending().collect::<Vec<_>>(), vec![a]);
-
-        let changes = sched.on_idle(&db, &mut cfg);
-        assert_eq!(changes.built.len(), 1);
+        assert_eq!(changes.built, vec![(a, IoStats::new())]);
         assert!(cfg.contains(a));
         assert_eq!(sched.pending().count(), 0);
     }
@@ -250,27 +235,29 @@ mod tests {
         assert_eq!(sched.pending().count(), 0);
     }
 
+    /// The other strategies queue nothing for a scan to build.
     #[test]
     fn non_piggyback_ignores_scan_signal() {
         let (db, t) = setup();
-        let mut cfg = PhysicalConfig::new();
-        let mut sched = Scheduler::new(MaterializationStrategy::IdleTime);
         let a = ColRef::new(t, 0);
-        sched.submit(&db, &mut cfg, &[a], &[]);
-        assert!(sched.on_seq_scan(&db, &mut cfg, &[t]).built.is_empty());
-        assert!(!cfg.contains(a));
-        assert_eq!(sched.pending().count(), 1);
+        for strategy in [MaterializationStrategy::Immediate, MaterializationStrategy::IdleTime] {
+            let mut cfg = PhysicalConfig::new();
+            let mut sched = Scheduler::new(strategy);
+            sched.submit(&db, &mut cfg, &[a], &[]);
+            assert_eq!(sched.pending().count(), 0, "{strategy:?}");
+            assert!(sched.on_seq_scan(&db, &mut cfg, &[t]).built.is_empty(), "{strategy:?}");
+        }
     }
 
     #[test]
     fn drop_cancels_pending_build() {
         let (db, t) = setup();
         let mut cfg = PhysicalConfig::new();
-        let mut sched = Scheduler::new(MaterializationStrategy::IdleTime);
+        let mut sched = Scheduler::new(MaterializationStrategy::Piggyback);
         let a = ColRef::new(t, 0);
         sched.submit(&db, &mut cfg, &[a], &[]);
         sched.submit(&db, &mut cfg, &[], &[a]);
-        let changes = sched.on_idle(&db, &mut cfg);
+        let changes = sched.on_seq_scan(&db, &mut cfg, &[t]);
         assert!(changes.built.is_empty());
         assert!(!cfg.contains(a));
     }

@@ -166,13 +166,6 @@ impl ColtTuner {
         step
     }
 
-    /// Signal idle time to the scheduler (only meaningful under
-    /// [`MaterializationStrategy::IdleTime`]). Returns the build cost of
-    /// any deferred materializations executed now.
-    pub fn on_idle(&mut self, db: &Database, physical: &mut PhysicalConfig) -> IoStats {
-        self.scheduler.on_idle(db, physical).total_build_io()
-    }
-
     fn close_epoch(&mut self, db: &Database, physical: &mut PhysicalConfig) -> TunerStep {
         let _span = colt_obs::span("tuner.epoch");
         let whatif_used = self.profiler.whatif_used();

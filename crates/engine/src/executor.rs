@@ -25,12 +25,11 @@ use crate::batch::{equi_join, KeyCol, Matches, RowIds, BATCH_ROWS};
 use crate::error::ExecError;
 use crate::kernel::Kernel;
 use crate::plan::{AccessPath, Plan, PlanNode};
-use crate::query::{JoinPred, PredicateKind, Query, RangeBound, SelPred};
+use crate::query::{JoinPred, PredicateKind, Query, SelPred};
 use colt_catalog::{ColRef, Database, PhysicalConfig, Table, TableId};
 use colt_storage::{
-    code_bound, code_interval, literal_code, BPlusTreeOf, ColumnSlice, IoStats, RowId, Value,
+    code_interval, literal_code, BPlusTreeOf, ColumnSlice, IoStats, RowId, Value,
 };
-use std::ops::Bound;
 
 /// Result of executing one query.
 #[derive(Debug, Clone)]
@@ -574,15 +573,8 @@ pub(crate) fn index_scan_rowids(
     let mut rowids: Vec<RowId> = Vec::new();
     match &preds[driver_idx].kind {
         PredicateKind::Eq(v) => index.lookup_code_into(literal_code(v, column), &mut rowids, io),
-        // One descent per list element; the sorted fetch afterwards
-        // deduplicates heap pages.
-        PredicateKind::In(vs) => {
-            vs.iter().for_each(|v| index.lookup_code_into(literal_code(v, column), &mut rowids, io))
-        }
         PredicateKind::Range { lo, hi } => {
-            let lo = code_bound(RangeBound::as_bound(lo), column, true);
-            let hi = code_bound(RangeBound::as_bound(hi), column, false);
-            index.range_codes_into(lo.zip(hi), &mut rowids, io);
+            index.range_codes_into(code_interval(lo, hi, column), &mut rowids, io)
         }
     }
     Ok((rowids, driver_idx))
@@ -641,7 +633,7 @@ pub(crate) fn composite_scan_rowids(
                 _ => None,
             })
             .ok_or(missing(c))?;
-        match code_interval(RangeBound::as_bound(lo), RangeBound::as_bound(hi), cells(c)?) {
+        match code_interval(lo, hi, cells(c)?) {
             Some((lo, hi)) => {
                 lower.push(lo);
                 upper.push(hi);
@@ -650,9 +642,8 @@ pub(crate) fn composite_scan_rowids(
         }
     }
     upper.resize(key.columns.len(), u64::MAX);
-    let bounds = matchable.then_some((Bound::Included(lower), Bound::Included(upper)));
     let mut rowids = Vec::new();
-    index.tree.range_codes_into(bounds, &mut rowids, io);
+    index.tree.range_codes_into(matchable.then_some((lower, upper)), &mut rowids, io);
     Ok(rowids)
 }
 
@@ -873,34 +864,6 @@ mod tests {
     }
 
     #[test]
-    fn in_list_via_index_matches_seq_scan() {
-        let (db, fact, _) = db();
-        let col = ColRef::new(fact, 0);
-        let q = Query::single(
-            fact,
-            vec![SelPred::is_in(col, vec![Value::Int(3), Value::Int(500), Value::Int(19_999)])],
-        );
-        let bare = PhysicalConfig::new();
-        let opt = Optimizer::new(&db);
-        let out = Executor::new(&db, &bare)
-            .execute(&q, &opt.optimize(&q, IndexSetView::real(&bare)), Collect::Rows)
-            .unwrap();
-        let (seq_res, mut seq_rows) = (out.result, out.rows);
-        assert_eq!(seq_res.row_count, 3);
-
-        let mut cfg = PhysicalConfig::new();
-        cfg.create_index(&db, col, IndexOrigin::Online);
-        let plan = opt.optimize(&q, IndexSetView::real(&cfg));
-        assert_eq!(plan.used_indices(), vec![col], "IN must be index-sargable: {}", plan.explain());
-        let out = Executor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
-        let (idx_res, mut idx_rows) = (out.result, out.rows);
-        seq_rows.sort();
-        idx_rows.sort();
-        assert_eq!(seq_rows, idx_rows);
-        assert!(idx_res.millis < seq_res.millis);
-    }
-
-    #[test]
     fn contradictory_predicates_on_driving_column() {
         // Regression: two predicates on the indexed column — only the
         // driver may be skipped as residual; the other must still apply.
@@ -1042,8 +1005,8 @@ mod tests {
     fn composite_scans_of_every_shape_match_seq_scan() {
         // Hand-built scans of a (fk, v, id) composite: no prefix, a
         // prefix of one or two columns, each with and without a range
-        // on the next column — exclusive bounds, a string of another
-        // type — in both executors, against the sequential scan.
+        // on the next column — one bounded by a string of another type —
+        // in both executors, against the sequential scan.
         use crate::plan::PlanNode;
         use colt_catalog::CompositeKey;
         let (db, fact, _) = db();
@@ -1051,21 +1014,15 @@ mod tests {
         let mut cfg = PhysicalConfig::new();
         cfg.create_composite(&db, key.clone());
         let (fk, v, id) = (ColRef::new(fact, 1), ColRef::new(fact, 2), ColRef::new(fact, 0));
-        let range = |col, lo: Option<(Value, bool)>, hi: Option<(Value, bool)>| {
-            let side =
-                |s: Option<(Value, bool)>| s.map(|(value, inclusive)| RangeBound { value, inclusive });
-            SelPred { col, kind: PredicateKind::Range { lo: side(lo), hi: side(hi) } }
-        };
         // fk = 7 holds for rows 7 + 200·m; v of those is 4m mod 7.
         let (fk7, v3) = (SelPred::eq(fk, 7i64), SelPred::eq(v, 3i64));
-        let v_2_to_4 = range(v, Some((2i64.into(), true)), Some((4i64.into(), false)));
         let cases = [
-            (vec![range(fk, Some((5i64.into(), false)), Some((9i64.into(), true)))], 0, true, 400),
-            (vec![range(fk, None, Some(("x".into(), true)))], 0, true, 20_000),
+            (vec![SelPred::between(fk, 6i64, 9i64)], 0, true, 400),
+            (vec![SelPred::between(fk, -1i64, "x")], 0, true, 20_000),
             (vec![fk7.clone()], 1, false, 100),
-            (vec![fk7.clone(), v_2_to_4], 1, true, 28),
+            (vec![fk7.clone(), SelPred::between(v, 2i64, 3i64)], 1, true, 28),
             (vec![fk7.clone(), v3.clone()], 2, false, 14),
-            (vec![fk7, v3.clone(), SelPred::ge(id, 10_000i64)], 2, true, 7),
+            (vec![fk7, v3.clone(), SelPred::between(id, 10_000i64, i64::MAX)], 2, true, 7),
             (vec![SelPred::eq(fk, "x"), v3], 2, false, 0),
         ];
         let opt = Optimizer::new(&db);

@@ -18,31 +18,30 @@
 //! bounds go through: a value the column lacks equals no cell and
 //! bounds a range between its neighbours, a literal of another type
 //! never equals a cell, and bounds a range as `Value`'s cross-type order
-//! says — below every cell of the column or above every one. An
-//! exclusive bound at the type's extreme leaves nothing to match.
+//! says — below every cell of the column or above every one.
 
-use crate::query::{PredicateKind, RangeBound, SelPred};
-use colt_storage::{code_interval, literal_code, ColumnSlice, Value};
+use crate::query::{PredicateKind, SelPred};
+use colt_storage::{code_interval, literal_code, ColumnSlice};
 use std::ops::Range;
 
 /// One [`SelPred`] compiled against the column it restricts.
 #[derive(Debug, Clone)]
 pub struct Kernel<'a> {
     cells: &'a [u32],
-    test: CodeTest,
+    /// `None` for a predicate no cell satisfies: an inverted range, or
+    /// a literal no cell can equal.
+    test: Option<CodeRange>,
 }
 
-/// A test on a cell's 32-bit cell code. Baseline x86-64 has no 64-bit
-/// vector compare: a count over 64-bit codes paid for an emulated one
-/// (EXPERIMENTS.md, "PR 31" and "PR 35").
-#[derive(Debug, Clone)]
-enum CodeTest {
-    /// `lo <= code <= lo + span`, tested as the one compare
-    /// `code - lo <= span`: a code below `lo` wraps above any span.
-    Range { lo: u32, span: u32 },
-    /// Membership in a sorted, duplicate-free list. The empty list is
-    /// what a predicate nothing satisfies compiles to.
-    In(Vec<u32>),
+/// The test on a cell's 32-bit cell code, `lo <= code <= lo + span`,
+/// made the one compare `code - lo <= span`: a code below `lo` wraps
+/// above any span. Baseline x86-64 has no 64-bit vector compare: a count
+/// over 64-bit codes paid for an emulated one (EXPERIMENTS.md, "PR 31"
+/// and "PR 35").
+#[derive(Debug, Clone, Copy)]
+struct CodeRange {
+    lo: u32,
+    span: u32,
 }
 
 impl<'a> Kernel<'a> {
@@ -80,8 +79,8 @@ impl<'a> Kernel<'a> {
         match self.test {
             // `lo` and `span` by value: read through `self`, the loop
             // would reload both after every store to the selection.
-            CodeTest::Range { lo, span } => apply(self.cells, move |&x| x.wrapping_sub(lo) <= span, op),
-            CodeTest::In(ref list) => apply(self.cells, |x| list.binary_search(x).is_ok(), op),
+            Some(CodeRange { lo, span }) => apply(self.cells, move |&x| x.wrapping_sub(lo) <= span, op),
+            None => apply(self.cells, |_| false, op),
         }
     }
 }
@@ -140,35 +139,20 @@ fn mask_select(cells: &[u32], rows: Range<usize>, keep: impl Fn(&u32) -> bool, s
 /// Resolve a predicate against `column`'s cell codes: its literals'
 /// key codes ([`literal_code`], [`code_interval`]), narrowed to the
 /// cells they take in ([`ColumnSlice::cell_interval`]).
-fn code_test(kind: &PredicateKind, column: ColumnSlice<'_>) -> CodeTest {
-    let cell = |v: &Value| {
-        let code = literal_code(v, column).ok()?;
-        column.cell_interval((code, code)).map(|(cell, _)| cell)
+fn code_test(kind: &PredicateKind, column: ColumnSlice<'_>) -> Option<CodeRange> {
+    let codes = match kind {
+        PredicateKind::Eq(v) => literal_code(v, column).ok().map(|code| (code, code)),
+        PredicateKind::Range { lo, hi } => code_interval(lo, hi, column),
     };
-    let interval = match kind {
-        PredicateKind::Eq(v) => cell(v).map(|c| (c, c)),
-        PredicateKind::In(values) => {
-            let mut codes: Vec<u32> = values.iter().filter_map(cell).collect();
-            codes.sort_unstable();
-            codes.dedup();
-            return CodeTest::In(codes);
-        }
-        PredicateKind::Range { lo, hi } => {
-            code_interval(RangeBound::as_bound(lo), RangeBound::as_bound(hi), column)
-                .and_then(|codes| column.cell_interval(codes))
-        }
-    };
-    match interval {
-        Some((lo, hi)) => CodeTest::Range { lo, span: hi - lo },
-        None => CodeTest::In(Vec::new()),
-    }
+    let (lo, hi) = column.cell_interval(codes?)?;
+    Some(CodeRange { lo, span: hi - lo })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use colt_catalog::{ColRef, TableId};
-    use colt_storage::{row_from, HeapTable, KeyCode, ValueType};
+    use colt_storage::{row_from, HeapTable, KeyCode, Value, ValueType};
 
     fn col() -> ColRef {
         ColRef::new(TableId(0), 0)
@@ -198,40 +182,38 @@ mod tests {
     }
 
     #[test]
-    fn int_ranges_resolve_exclusive_bounds_at_the_extremes() {
+    fn int_ranges_resolve_at_the_extremes() {
         let heap = heap_of(&[i64::MIN, -1, 0, 5, i64::MAX].map(Value::Int));
         let column = heap.column(0).unwrap();
-        assert_eq!(selected(&SelPred::between(col(), -1i64, 5i64), column), vec![1, 2, 3]);
+        let between = |lo: i64, hi: i64| selected(&SelPred::between(col(), lo, hi), column);
+        assert_eq!(between(-1, 5), vec![1, 2, 3]);
         assert_eq!(selected(&SelPred::eq(col(), i64::MAX), column), vec![4]);
-        let open = |lo: Option<(i64, bool)>, hi: Option<(i64, bool)>| SelPred {
-            col: col(),
-            kind: PredicateKind::Range {
-                lo: lo.map(|(v, inclusive)| RangeBound { value: Value::Int(v), inclusive }),
-                hi: hi.map(|(v, inclusive)| RangeBound { value: Value::Int(v), inclusive }),
-            },
-        };
-        assert_eq!(selected(&open(Some((i64::MAX, false)), None), column), Vec::<u32>::new());
-        assert_eq!(selected(&open(None, Some((i64::MIN, false))), column), Vec::<u32>::new());
-        assert_eq!(selected(&open(Some((i64::MIN, false)), None), column), vec![1, 2, 3, 4]);
-        assert_eq!(selected(&open(Some((5, true)), Some((0, true))), column), Vec::<u32>::new());
-        assert_eq!(selected(&open(None, None), column), vec![0, 1, 2, 3, 4]);
+        assert_eq!(between(i64::MIN, i64::MAX), vec![0, 1, 2, 3, 4]);
+        assert_eq!(between(i64::MIN, i64::MIN), vec![0]);
+        assert_eq!(between(i64::MAX, i64::MAX), vec![4]);
+        // Inverted, and between two cells.
+        assert_eq!(between(5, 0), Vec::<u32>::new());
+        assert_eq!(between(i64::MAX, i64::MIN), Vec::<u32>::new());
+        assert_eq!(between(6, i64::MAX - 1), Vec::<u32>::new());
+        assert_eq!(selected(&SelPred::eq(col(), 6i64), column), Vec::<u32>::new());
     }
 
     #[test]
     fn other_types_literals_follow_the_cross_type_order() {
         let heap = heap_of(&[1.5, -0.0, 0.0, f64::NAN].map(Value::Float));
         let column = heap.column(0).unwrap();
+        let between = |lo: Value, hi: Value| selected(&SelPred::between(col(), lo, hi), column);
         // Int sorts below every float, Str above.
-        assert_eq!(selected(&SelPred::ge(col(), 7i64), column), vec![0, 1, 2, 3]);
-        assert_eq!(selected(&SelPred::le(col(), 7i64), column), Vec::<u32>::new());
-        assert_eq!(selected(&SelPred::le(col(), "a"), column), vec![0, 1, 2, 3]);
+        assert_eq!(between(7i64.into(), "a".into()), vec![0, 1, 2, 3]);
+        assert_eq!(between(7i64.into(), 7i64.into()), Vec::<u32>::new());
+        assert_eq!(between("a".into(), "b".into()), Vec::<u32>::new());
+        assert_eq!(between(7i64.into(), 0.0.into()), vec![1, 2]);
         assert_eq!(selected(&SelPred::eq(col(), 0i64), column), Vec::<u32>::new());
         // Same type: total_cmp, zeros apart, NaN on top.
         assert_eq!(selected(&SelPred::eq(col(), 0.0), column), vec![2]);
-        assert_eq!(selected(&SelPred::ge(col(), 0.0), column), vec![0, 2, 3]);
-        let mixed =
-            SelPred::is_in(col(), vec![Value::Float(-0.0), Value::Int(1), Value::Float(f64::NAN)]);
-        assert_eq!(selected(&mixed, column), vec![1, 3]);
+        assert_eq!(selected(&SelPred::eq(col(), -0.0), column), vec![1]);
+        assert_eq!(selected(&SelPred::eq(col(), f64::NAN), column), vec![3]);
+        assert_eq!(between(0.0.into(), f64::NAN.into()), vec![0, 2, 3]);
     }
 
     #[test]
@@ -240,18 +222,20 @@ mod tests {
         heap.insert_rows(["pear", "apple", "fig", ""].map(|s| row_from(vec![s.into()]))).unwrap();
         let column = heap.column(0).unwrap();
         assert_eq!(selected(&SelPred::eq(col(), "fig"), column), vec![2]);
+        assert_eq!(selected(&SelPred::eq(col(), ""), column), vec![3]);
         assert_eq!(selected(&SelPred::between(col(), "b", "g"), column), vec![2]);
-        assert_eq!(selected(&SelPred::ge(col(), Value::Date(0)), column), Vec::<u32>::new());
-        assert_eq!(selected(&SelPred::ge(col(), 0i64), column), vec![0, 1, 2, 3]);
-        let list = SelPred::is_in(col(), vec!["".into(), "pear".into(), Value::Int(3)]);
-        assert_eq!(selected(&list, column), vec![0, 3]);
+        let dates = SelPred::between(col(), Value::Date(0), Value::Date(9));
+        assert_eq!(selected(&dates, column), Vec::<u32>::new());
+        let around = SelPred::between(col(), 0i64, Value::Date(0));
+        assert_eq!(selected(&around, column), vec![0, 1, 2, 3]);
 
         let days = [i32::MIN, 10, 20, i32::MAX].map(KeyCode::code);
         let column = ColumnSlice::Date(&days);
         let pred = SelPred::between(col(), Value::Date(10), Value::Date(i32::MAX));
         assert_eq!(selected(&pred, column), vec![1, 2, 3]);
         // Every other type sorts below dates.
-        assert_eq!(selected(&SelPred::ge(col(), "zzz"), column), vec![0, 1, 2, 3]);
+        let pred = SelPred::between(col(), "zzz", Value::Date(i32::MAX));
+        assert_eq!(selected(&pred, column), vec![0, 1, 2, 3]);
     }
 
     /// `select` on random windows and `retain` on random row ids keep
@@ -325,29 +309,21 @@ mod tests {
         let layouts: Vec<&str> = columns.clone().map(|(c, _)| layout(c)).collect();
         assert_eq!(layouts, ["ranked int", "int offsets", "date", "ranked float"]);
         for ((column, [min, low, high, max]), long) in columns.into_iter().zip(longs) {
-            let range = |lo: Option<(&Value, bool)>, hi: Option<(&Value, bool)>| {
-                let side = |s: Option<(&Value, bool)>| {
-                    s.map(|(v, inclusive)| RangeBound { value: v.clone(), inclusive })
-                };
-                SelPred { col: col(), kind: PredicateKind::Range { lo: side(lo), hi: side(hi) } }
-            };
+            let range = |lo: &Value, hi: &Value| SelPred::between(col(), lo.clone(), hi.clone());
             let preds = [
                 // The full span, `hi - lo` the code type's maximum.
-                range(Some((&min, true)), Some((&max, true))),
-                range(None, None),
-                // Empty: inverted, and exclusive at either extreme.
-                range(Some((&high, true)), Some((&low, true))),
-                range(Some((&max, false)), None),
-                range(None, Some((&min, false))),
-                range(Some((&low, false)), Some((&low, true))),
+                range(&min, &max),
+                // Empty: inverted.
+                range(&high, &low),
+                range(&max, &min),
                 // A single code at each end, as a range and as an equality.
-                range(Some((&min, true)), Some((&min, true))),
-                range(Some((&max, true)), Some((&max, true))),
+                range(&min, &min),
+                range(&max, &max),
                 SelPred::eq(col(), min.clone()),
                 SelPred::eq(col(), max.clone()),
-                // Everything but one end.
-                range(Some((&min, false)), None),
-                range(None, Some((&max, false))),
+                // Everything from one end to a code inside.
+                range(&low, &max),
+                range(&min, &high),
             ];
             let mut kept = 0;
             for pred in &preds {
@@ -355,15 +331,15 @@ mod tests {
                 assert_mask_windows(pred, long, &mut rng);
                 kept += selected(pred, column).len();
             }
-            // 10 + 10, four empties, 2 + 2 + 2 + 2, 8 + 8.
-            assert_eq!(kept, 44, "{:?}", column.value_type());
+            // 10, two empties, 2 + 2 + 2 + 2, 7 + 7.
+            assert_eq!(kept, 32, "{:?}", column.value_type());
         }
     }
 
     #[test]
     fn select_windows_and_retain() {
         let heap = heap_of(&(0..10).map(Value::Int).collect::<Vec<_>>());
-        let pred = SelPred::ge(col(), 4i64);
+        let pred = SelPred::between(col(), 4i64, i64::MAX);
         let kernel = Kernel::compile(&pred, heap.column(0).unwrap());
         let mut sel = Vec::new();
         kernel.select(2..7, &mut sel);

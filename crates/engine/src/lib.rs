@@ -34,5 +34,5 @@ pub use kernel::Kernel;
 pub use rowwise::RowwiseExecutor;
 pub use optimizer::{IndexSetView, Optimizer, OptimizerOptions};
 pub use plan::{AccessPath, Plan, PlanNode};
-pub use query::{JoinPred, PredicateKind, Query, RangeBound, SelPred};
+pub use query::{JoinPred, PredicateKind, Query, SelPred};
 pub use whatif::{Eqo, EqoCounters, IndexGain};

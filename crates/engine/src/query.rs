@@ -9,41 +9,19 @@
 use colt_catalog::{ColRef, TableId};
 use colt_storage::Value;
 use std::fmt;
-use std::ops::Bound;
 
-/// One bound of a range predicate.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RangeBound {
-    /// The bounding value.
-    pub value: Value,
-    /// Whether the bound itself is included.
-    pub inclusive: bool,
-}
-
-impl RangeBound {
-    /// One side of a range predicate as a [`Bound`] on the literal.
-    pub fn as_bound(side: &Option<RangeBound>) -> Bound<&Value> {
-        match side {
-            Some(b) if b.inclusive => Bound::Included(&b.value),
-            Some(b) => Bound::Excluded(&b.value),
-            None => Bound::Unbounded,
-        }
-    }
-}
-
-/// The comparison applied by a selection predicate.
+/// The comparison applied by a selection predicate: the two shapes the
+/// paper's workloads write.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PredicateKind {
     /// `col = value`
     Eq(Value),
-    /// `col IN (v1, v2, …)` — a disjunction of equalities.
-    In(Vec<Value>),
-    /// `lo (<|<=) col (<|<=) hi`; either side may be absent.
+    /// The closed range `lo <= col <= hi`.
     Range {
-        /// Lower bound, if any.
-        lo: Option<RangeBound>,
-        /// Upper bound, if any.
-        hi: Option<RangeBound>,
+        /// Lower bound, included.
+        lo: Value,
+        /// Upper bound, included.
+        hi: Value,
     },
 }
 
@@ -67,79 +45,14 @@ impl SelPred {
 
     /// Closed range predicate `lo <= col <= hi`.
     pub fn between(col: ColRef, lo: impl Into<Value>, hi: impl Into<Value>) -> Self {
-        SelPred {
-            col,
-            kind: PredicateKind::Range {
-                lo: Some(RangeBound {
-                    value: lo.into(),
-                    inclusive: true,
-                }),
-                hi: Some(RangeBound {
-                    value: hi.into(),
-                    inclusive: true,
-                }),
-            },
-        }
-    }
-
-    /// One-sided range `col >= lo` (inclusive).
-    pub fn ge(col: ColRef, lo: impl Into<Value>) -> Self {
-        SelPred {
-            col,
-            kind: PredicateKind::Range {
-                lo: Some(RangeBound {
-                    value: lo.into(),
-                    inclusive: true,
-                }),
-                hi: None,
-            },
-        }
-    }
-
-    /// One-sided range `col <= hi` (inclusive).
-    pub fn le(col: ColRef, hi: impl Into<Value>) -> Self {
-        SelPred {
-            col,
-            kind: PredicateKind::Range {
-                lo: None,
-                hi: Some(RangeBound {
-                    value: hi.into(),
-                    inclusive: true,
-                }),
-            },
-        }
-    }
-
-    /// `col IN (…)` predicate; duplicates in the list are removed.
-    pub fn is_in(col: ColRef, values: Vec<Value>) -> Self {
-        let mut values = values;
-        values.sort();
-        values.dedup();
-        SelPred { col, kind: PredicateKind::In(values) }
+        SelPred { col, kind: PredicateKind::Range { lo: lo.into(), hi: hi.into() } }
     }
 
     /// Does a row value satisfy the predicate?
     pub fn matches(&self, v: &Value) -> bool {
         match &self.kind {
             PredicateKind::Eq(target) => v == target,
-            PredicateKind::In(values) => values.binary_search(v).is_ok(),
-            PredicateKind::Range { lo, hi } => {
-                let lo_ok = lo.as_ref().is_none_or(|b| {
-                    if b.inclusive {
-                        v >= &b.value
-                    } else {
-                        v > &b.value
-                    }
-                });
-                let hi_ok = hi.as_ref().is_none_or(|b| {
-                    if b.inclusive {
-                        v <= &b.value
-                    } else {
-                        v < &b.value
-                    }
-                });
-                lo_ok && hi_ok
-            }
+            PredicateKind::Range { lo, hi } => lo <= v && v <= hi,
         }
     }
 }
@@ -285,45 +198,7 @@ impl fmt::Display for Query {
             first = false;
             match &p.kind {
                 PredicateKind::Eq(v) => write!(f, "{} = {}", p.col, v)?,
-                PredicateKind::In(vs) => {
-                    write!(f, "{} IN (", p.col)?;
-                    for (i, v) in vs.iter().enumerate() {
-                        if i > 0 {
-                            write!(f, ", ")?;
-                        }
-                        write!(f, "{v}")?;
-                    }
-                    write!(f, ")")?;
-                }
-                PredicateKind::Range { lo, hi } => {
-                    match (lo, hi) {
-                        (Some(l), Some(h)) => write!(
-                            f,
-                            "{} {} {} AND {} {} {}",
-                            l.value,
-                            if l.inclusive { "<=" } else { "<" },
-                            p.col,
-                            p.col,
-                            if h.inclusive { "<=" } else { "<" },
-                            h.value
-                        )?,
-                        (Some(l), None) => write!(
-                            f,
-                            "{} {} {}",
-                            p.col,
-                            if l.inclusive { ">=" } else { ">" },
-                            l.value
-                        )?,
-                        (None, Some(h)) => write!(
-                            f,
-                            "{} {} {}",
-                            p.col,
-                            if h.inclusive { "<=" } else { "<" },
-                            h.value
-                        )?,
-                        (None, None) => write!(f, "TRUE")?,
-                    };
-                }
+                PredicateKind::Range { lo, hi } => write!(f, "{lo} <= {} AND {} <= {hi}", p.col, p.col)?,
             }
         }
         Ok(())
@@ -352,24 +227,8 @@ mod tests {
         assert!(p.matches(&Value::Int(20)));
         assert!(!p.matches(&Value::Int(9)));
         assert!(!p.matches(&Value::Int(21)));
-
-        let ge = SelPred::ge(c(0, 0), 100i64);
-        assert!(ge.matches(&Value::Int(100)));
-        assert!(!ge.matches(&Value::Int(99)));
-
-        let le = SelPred::le(c(0, 0), 0i64);
-        assert!(le.matches(&Value::Int(0)));
-        assert!(!le.matches(&Value::Int(1)));
-    }
-
-    #[test]
-    fn in_predicate_matches_and_dedups() {
-        let p = SelPred::is_in(c(0, 0), vec![Value::Int(3), Value::Int(1), Value::Int(3)]);
-        let PredicateKind::In(vs) = &p.kind else { panic!() };
-        assert_eq!(vs.len(), 2, "deduplicated and sorted");
-        assert!(p.matches(&Value::Int(1)));
-        assert!(p.matches(&Value::Int(3)));
-        assert!(!p.matches(&Value::Int(2)));
+        // Inverted: nothing.
+        assert!(!SelPred::between(c(0, 0), 20i64, 10i64).matches(&Value::Int(15)));
     }
 
     #[test]
@@ -389,7 +248,7 @@ mod tests {
             vec![
                 SelPred::eq(c(0, 2), 1i64),
                 SelPred::eq(c(0, 1), 2i64),
-                SelPred::ge(c(0, 2), 0i64),
+                SelPred::between(c(0, 2), 0i64, 9i64),
             ],
         );
         assert_eq!(q.candidate_columns(), vec![c(0, 1), c(0, 2)]);
@@ -433,5 +292,6 @@ mod tests {
         assert!(s.contains("FROM t0, t1"), "{s}");
         assert!(s.contains("t0.c0 = t1.c1"), "{s}");
         assert!(s.contains("t0.c2 = 7"), "{s}");
+        assert!(s.contains("1 <= t1.c0 AND t1.c0 <= 5"), "{s}");
     }
 }

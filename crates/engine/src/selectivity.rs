@@ -5,7 +5,7 @@
 //! equi-depth histogram buckets, conjunctions assume independence, and
 //! equi-joins use `1 / max(ndv_left, ndv_right)`.
 
-use crate::query::{PredicateKind, Query, RangeBound, SelPred};
+use crate::query::{PredicateKind, Query, SelPred};
 use colt_catalog::{Database, TableId};
 
 /// Floor applied to every estimate so plans never see a zero cardinality.
@@ -27,19 +27,13 @@ pub fn predicate_selectivity(db: &Database, pred: &SelPred) -> f64 {
         // No statistics: fall back to textbook defaults.
         return match &pred.kind {
             PredicateKind::Eq(_) => 0.005,
-            PredicateKind::In(vs) => (0.005 * vs.len() as f64).min(1.0),
             PredicateKind::Range { .. } => 0.25,
         };
     }
     let stats = table.column_stats(pred.col.column);
     let sel = match &pred.kind {
         PredicateKind::Eq(v) => stats.selectivity_eq(v),
-        PredicateKind::In(vs) => vs.iter().map(|v| stats.selectivity_eq(v)).sum(),
-        // The histogram gives closed-open `[lo, hi)` fractions; the
-        // boundary point is added back for inclusive bounds.
-        PredicateKind::Range { lo, hi } => {
-            stats.selectivity_between(RangeBound::as_bound(lo), RangeBound::as_bound(hi))
-        }
+        PredicateKind::Range { lo, hi } => stats.selectivity_between(lo, hi),
     };
     sel.clamp(MIN_SELECTIVITY, 1.0)
 }
@@ -131,22 +125,12 @@ mod tests {
     }
 
     #[test]
-    fn in_selectivity_sums_equalities() {
-        let (db, t) = db();
-        let sel = predicate_selectivity(
-            &db,
-            &SelPred::is_in(ColRef::new(t, 1), vec![Value::Int(1), Value::Int(2), Value::Int(3)]),
-        );
-        assert!((sel - 0.03).abs() < 1e-6, "3 of 100 groups: got {sel}");
-    }
-
-    #[test]
     fn no_stats_fallback() {
         let mut raw = Database::new();
         let t = raw.add_table(TableSchema::new("u", vec![Column::new("a", ValueType::Int)]));
         let sel = predicate_selectivity(&raw, &SelPred::eq(ColRef::new(t, 0), 1i64));
         assert_eq!(sel, 0.005);
-        let sel = predicate_selectivity(&raw, &SelPred::ge(ColRef::new(t, 0), 1i64));
+        let sel = predicate_selectivity(&raw, &SelPred::between(ColRef::new(t, 0), 1i64, 2i64));
         assert_eq!(sel, 0.25);
     }
 

@@ -276,7 +276,7 @@ mod tests {
         let mut cfg = PhysicalConfig::new();
         cfg.create_index(&db, cols[1], IndexOrigin::Online);
         let mut eqo = Eqo::new(&db);
-        let q = Query::single(t, vec![SelPred::eq(cols[0], 7i64), SelPred::le(cols[1], 3i64)]);
+        let q = Query::single(t, vec![SelPred::eq(cols[0], 7i64), SelPred::between(cols[1], i64::MIN, 3i64)]);
         let estimates = || crate::selectivity::ESTIMATES.with(|n| n.get());
         // The base derivation and three probes, one of them reverse.
         let before = estimates();

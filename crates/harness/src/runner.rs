@@ -280,9 +280,9 @@ impl<'a> Experiment<'a> {
     ///
     /// * `Immediate` — builds are charged to the query that triggered
     ///   the epoch boundary (the paper's accounting).
-    /// * `IdleTime` — an idle window is assumed between epochs: deferred
-    ///   builds happen there and are *not* charged to the stream, but
-    ///   queries meanwhile run without the pending indices.
+    /// * `IdleTime` — an idle window is assumed after each epoch
+    ///   boundary: its builds happen there and are *not* charged to the
+    ///   stream.
     /// * `Piggyback` — builds ride on later sequential scans; only the
     ///   sort and index writes are charged.
     fn run_colt(
@@ -312,11 +312,6 @@ impl<'a> Experiment<'a> {
 
             let tune = colt_obs::span("harness.tune");
             let step = tuner.on_query(db, &mut physical, &mut eqo, q, &plan);
-            if strategy == MaterializationStrategy::IdleTime && step.epoch_closed {
-                // Epoch boundary = assumed idle window; deferred builds
-                // run in the background, uncharged.
-                tuner.on_idle(db, &mut physical);
-            }
 
             let whatif_now = eqo.counters().whatif_calls;
             let whatif_cost =

@@ -509,22 +509,16 @@ impl<K: TreeKey> BPlusTreeOf<K> {
 /// The tree of an index: its cells' key codes (`2c + 1` of a cell code
 /// `c`, see [`crate::column`]) — one per entry, or one per
 /// key column of a composite — probed through the scan kernels' resolver
-/// ([`crate::literal_code`] / [`crate::code_bound`] /
-/// [`crate::code_interval`]), so row ids *and* [`IoStats`] are those of
-/// a `Value`-keyed tree over the same cells. `K::default()` is the least
-/// key (`0`, the empty vector).
+/// ([`crate::literal_code`] / [`crate::code_interval`]), so row ids
+/// *and* [`IoStats`] are those of a `Value`-keyed tree over the same
+/// cells. `K::default()` is the least key (`0`, the empty vector).
 impl<K: TreeKey + Default> BPlusTreeOf<K> {
-    /// Range scan over resolved codes, appending to `out`. `None`, a
-    /// range no cell can match, still pays one descent: the scan for the
-    /// codes below the lowest.
-    pub fn range_codes_into(
-        &self,
-        codes: Option<(Bound<K>, Bound<K>)>,
-        out: &mut Vec<RowId>,
-        io: &mut IoStats,
-    ) {
+    /// Scan of the closed interval of resolved codes `lo..=hi`, appending
+    /// to `out`. `None`, a range no cell can match, still pays one
+    /// descent: the scan for the codes below the lowest.
+    pub fn range_codes_into(&self, codes: Option<(K, K)>, out: &mut Vec<RowId>, io: &mut IoStats) {
         match codes {
-            Some((lo, hi)) => self.range_into(lo.as_ref(), hi.as_ref(), out, io),
+            Some((lo, hi)) => self.range_into(Bound::Included(&lo), Bound::Included(&hi), out, io),
             None => self.range_into(Bound::Unbounded, Bound::Excluded(&K::default()), out, io),
         }
     }
@@ -533,8 +527,7 @@ impl<K: TreeKey + Default> BPlusTreeOf<K> {
     /// `Err`, one of another type than the column's, matches nothing.
     pub fn lookup_code_into(&self, code: Result<K, Ordering>, out: &mut Vec<RowId>, io: &mut IoStats) {
         colt_obs::counter("storage.btree.lookups", 1);
-        let point = code.ok().map(|c| (Bound::Included(c.clone()), Bound::Included(c)));
-        self.range_codes_into(point, out, io);
+        self.range_codes_into(code.ok().map(|c| (c.clone(), c)), out, io);
     }
 }
 

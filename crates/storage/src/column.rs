@@ -13,7 +13,6 @@
 use crate::row::RowId;
 use crate::value::{Value, ValueType};
 use std::cmp::Ordering;
-use std::ops::Bound;
 
 /// A fixed-width cell type with an order-preserving unsigned code:
 /// `a.code() < b.code()` exactly when `Value::cmp` orders `a` before
@@ -124,40 +123,22 @@ pub fn literal_code(literal: &Value, column: ColumnSlice<'_>) -> Result<u64, Ord
     }
 }
 
-/// One side of a range over `column` (`lower`: its lower side) as a
-/// bound on the column's codes, or `None` when no cell can satisfy it.
-/// A literal of another type bounds nothing from its own side of the
-/// column and everything from the other.
-pub fn code_bound(bound: Bound<&Value>, column: ColumnSlice<'_>, lower: bool) -> Option<Bound<u64>> {
-    let (literal, inclusive) = match bound {
-        Bound::Included(v) => (v, true),
-        Bound::Excluded(v) => (v, false),
-        Bound::Unbounded => return Some(Bound::Unbounded),
+/// The closed range `lo..=hi` over `column` as the closed interval of
+/// key codes its cells must lie in ([`literal_code`] of each literal), or
+/// `None` when a side admits no cell: a literal of another type bounds
+/// nothing from its own side of the column (the side's end of the code
+/// space) and everything from the other. The interval may still be
+/// empty, `lo > hi`.
+pub fn code_interval(lo: &Value, hi: &Value, column: ColumnSlice<'_>) -> Option<(u64, u64)> {
+    let lo = match literal_code(lo, column) {
+        Ok(code) => code,
+        Err(side) => (side == Ordering::Less).then_some(u64::MIN)?,
     };
-    match literal_code(literal, column) {
-        Ok(code) if inclusive => Some(Bound::Included(code)),
-        Ok(code) => Some(Bound::Excluded(code)),
-        Err(side) => ((side == Ordering::Less) == lower).then_some(Bound::Unbounded),
-    }
-}
-
-/// A range over `column` as the closed interval of codes its cells must
-/// lie in: each side the tightest inclusive code ([`code_bound`]; an
-/// exclusive bound moves to the adjacent code, an open side to the end
-/// of the code space), or `None` when a side admits no cell. The
-/// interval may still be empty, `lo > hi`.
-pub fn code_interval(
-    lo: Bound<&Value>,
-    hi: Bound<&Value>,
-    column: ColumnSlice<'_>,
-) -> Option<(u64, u64)> {
-    let closed = |bound, lower: bool| match code_bound(bound, column, lower)? {
-        Bound::Included(c) => Some(c),
-        Bound::Excluded(c) if lower => c.checked_add(1),
-        Bound::Excluded(c) => c.checked_sub(1),
-        Bound::Unbounded => Some(if lower { u64::MIN } else { u64::MAX }),
+    let hi = match literal_code(hi, column) {
+        Ok(code) => code,
+        Err(side) => (side == Ordering::Greater).then_some(u64::MAX)?,
     };
-    Some((closed(lo, true)?, closed(hi, false)?))
+    Some((lo, hi))
 }
 
 /// Most radix bits one pass spends: 4 096 write heads are 32 KB of
