@@ -19,8 +19,8 @@
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
 use colt_bench::{build_data, dump_obs, fmt_ms, seed, threads};
-use colt_core::{ColtConfig, MaterializationStrategy};
-use colt_harness::{emit_parallel_summary, run_cells, Cell, Policy};
+use colt_core::ColtConfig;
+use colt_harness::{emit_parallel_summary, run_cells, Cell, ParallelReport, Policy};
 use colt_workload::presets;
 
 fn variants(base: &ColtConfig) -> Vec<(&'static str, ColtConfig)> {
@@ -37,7 +37,7 @@ fn run_table(
     data: &colt_workload::TpchData,
     title: &str,
     preset: &colt_workload::Preset,
-) {
+) -> ParallelReport {
     let base = ColtConfig { storage_budget_pages: preset.budget_pages, ..Default::default() };
     println!("# Ablation — {title} ({} queries)", preset.queries.len());
     let mut cells = vec![Cell::new(
@@ -75,49 +75,13 @@ fn run_table(
         );
     }
     println!();
-}
-
-fn scheduler_table(data: &colt_workload::TpchData, preset: &colt_workload::Preset) {
-    use MaterializationStrategy as S;
-    let base = ColtConfig { storage_budget_pages: preset.budget_pages, ..Default::default() };
-    println!("# Scheduler strategies — stable workload ({} queries)", preset.queries.len());
-    println!(
-        "  {:<12} {:>12} {:>16} {:>10}",
-        "strategy", "total", "charged builds", "final idx"
-    );
-    let cells: Vec<Cell<'_>> =
-        [("immediate", S::Immediate), ("idle-time", S::IdleTime), ("piggyback", S::Piggyback)]
-            .into_iter()
-            .map(|(name, strat)| {
-                Cell::new(name, &data.db, &preset.queries, Policy::Colt(base.clone(), strat))
-            })
-            .collect();
-    let report = run_cells(&cells, threads()).expect("run failed");
-    emit_parallel_summary("Scheduler cells", &report);
-    dump_obs(&report);
-    for cell in &report.cells {
-        let run = &cell.result;
-        let build_ms: f64 = run.samples.iter().map(|s| s.tuning_millis).sum();
-        println!(
-            "  {:<12} {:>12} {:>13.0} ms {:>10}",
-            cell.label,
-            fmt_ms(run.total_millis()),
-            build_ms,
-            run.final_indices.len(),
-        );
-    }
-    println!();
-    println!("  (idle-time defers builds to between-epoch gaps and charges");
-    println!("   nothing to the stream; piggyback rides on sequential scans");
-    println!("   and charges only the sort and index writes)");
-    println!();
+    report
 }
 
 fn main() {
     let data = build_data();
     run_table(&data, "shifting workload", &presets::shifting(&data, seed()));
-    run_table(&data, "stable workload", &presets::stable(&data, seed()));
-    scheduler_table(&data, &presets::stable(&data, seed()));
+    dump_obs(&run_table(&data, "stable workload", &presets::stable(&data, seed())));
     println!("  (lower total is better; 'no self-regulation' shows the extra");
     println!("   what-if calls the paper's mechanism avoids; 'no swap");
     println!("   hysteresis' shows materialization churn, which hurts most");

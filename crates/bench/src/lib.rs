@@ -3,7 +3,7 @@
 //! Benchmark harness for the COLT reproduction: one binary per paper
 //! exhibit (`table1`, `fig3`, `fig4`, `fig5`, `fig6`, `ablation`) plus
 //! plain-`main` micro-benchmarks of the substrates (`cargo bench`; see
-//! [`bench`]). Wall-clock regressions are judged by `benches/perf`
+//! [`bench()`]). Wall-clock regressions are judged by `benches/perf`
 //! alone; nothing here compares a timing to a checked-in number.
 //!
 //! Every binary reads five environment variables, all parsed together

@@ -30,7 +30,6 @@ pub mod hotset;
 pub mod knapsack;
 pub mod organizer;
 pub mod profiler;
-pub mod scheduler;
 pub mod trace;
 pub mod tuner;
 
@@ -46,6 +45,5 @@ pub use config::{ColtConfig, ConfigError};
 pub use gain::{GainStats, IndexClusterStats};
 pub use organizer::{ReorgDecision, SelfOrganizer};
 pub use profiler::{GainMode, ProfileOutcome, Profiler};
-pub use scheduler::{AppliedChanges, MaterializationStrategy, Scheduler};
 pub use trace::{EpochRecord, Trace};
 pub use tuner::{ColtTuner, TunerStep};

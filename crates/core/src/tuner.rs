@@ -1,21 +1,21 @@
 //! The COLT tuner: orchestration of profiling epochs, reorganization,
-//! and scheduling (the outer loop of the architecture in Figure 1).
+//! and materialization (the outer loop of the architecture in Figure 1).
 //!
 //! Drive it by calling [`ColtTuner::on_query`] once per executed query,
 //! passing the query's optimized plan. The tuner profiles the query; at
 //! every `w`-th query it closes the epoch: the Self-Organizer picks the
 //! new materialized and hot sets and the next what-if budget, and the
-//! Scheduler applies the physical changes. The returned [`TunerStep`]
+//! tuner applies the physical changes at once — the immediate
+//! materialization the paper adopts (§3). The returned [`TunerStep`]
 //! carries the build cost so the driver can charge it to the simulated
 //! clock, as the paper's measurements do.
 
-use crate::composite_ext::CompositeTuner;
+use crate::composite_ext::{CompositeStep, CompositeTuner};
 use crate::config::ColtConfig;
 use crate::organizer::{ReorgDecision, SelfOrganizer};
 use crate::profiler::Profiler;
-use crate::scheduler::{AppliedChanges, MaterializationStrategy, Scheduler};
 use crate::trace::{EpochRecord, Trace};
-use colt_catalog::{ColRef, Database, PhysicalConfig};
+use colt_catalog::{ColRef, Database, IndexOrigin, PhysicalConfig};
 use colt_engine::{Eqo, Plan, Query};
 use colt_storage::IoStats;
 use std::collections::BTreeSet;
@@ -70,7 +70,6 @@ pub struct ColtTuner {
     config: ColtConfig,
     profiler: Profiler,
     organizer: SelfOrganizer,
-    scheduler: Scheduler,
     composites: CompositeTuner,
     hot: BTreeSet<ColRef>,
     queries_in_epoch: usize,
@@ -79,20 +78,13 @@ pub struct ColtTuner {
 }
 
 impl ColtTuner {
-    /// Create a tuner with the given configuration (validated) and the
-    /// paper's immediate materialization strategy.
+    /// Create a tuner with the given configuration (validated).
     pub fn new(config: ColtConfig) -> Self {
-        Self::with_strategy(config, MaterializationStrategy::Immediate)
-    }
-
-    /// Create a tuner with an explicit materialization strategy.
-    pub fn with_strategy(config: ColtConfig, strategy: MaterializationStrategy) -> Self {
         #[expect(clippy::expect_used, reason = "an invalid config is a startup programming error")]
         config.validate().expect("invalid COLT configuration");
         ColtTuner {
             profiler: Profiler::new(&config),
             organizer: SelfOrganizer::new(&config),
-            scheduler: Scheduler::new(strategy),
             composites: CompositeTuner::new(&config),
             hot: BTreeSet::new(),
             queries_in_epoch: 0,
@@ -135,35 +127,12 @@ impl ColtTuner {
         self.profiler.profile_query(db, physical, eqo, query, plan, &self.hot);
         self.composites.observe(query, plan);
 
-        // Piggybacking: a pending build, if any, rides on this query's scans.
-        let piggy = if self.scheduler.pending().next().is_some() {
-            self.scheduler.on_seq_scan(db, physical, &plan.seq_scanned_tables())
-        } else {
-            AppliedChanges::default()
-        };
-
         self.queries_in_epoch += 1;
-        let mut step = if self.queries_in_epoch < self.config.epoch_length {
-            TunerStep::default()
-        } else {
-            self.queries_in_epoch = 0;
-            self.close_epoch(db, physical)
-        };
-        if !piggy.built.is_empty() {
-            if colt_obs::is_enabled() {
-                for (col, io) in &piggy.built {
-                    colt_obs::decision(
-                        colt_obs::DecisionRecord::new(colt_obs::DecisionKind::IndexCreate)
-                            .field("index", col.to_string())
-                            .field("via", "piggyback")
-                            .field("build_millis", db.cost.millis_of(io)),
-                    );
-                }
-            }
-            step.build_io.accumulate(&piggy.total_build_io());
-            step.created.extend(piggy.built.iter().map(|(c, _)| *c));
+        if self.queries_in_epoch < self.config.epoch_length {
+            return TunerStep::default();
         }
-        step
+        self.queries_in_epoch = 0;
+        self.close_epoch(db, physical)
     }
 
     fn close_epoch(&mut self, db: &Database, physical: &mut PhysicalConfig) -> TunerStep {
@@ -172,21 +141,21 @@ impl ColtTuner {
         let whatif_limit = self.profiler.whatif_limit();
 
         let decision = self.organizer.reorganize(db, physical, &self.profiler, &self.hot);
-        let changes =
-            self.scheduler.submit(db, physical, &decision.to_create, &decision.to_drop);
-        let mut build_io = changes.total_build_io();
+        let (built, dropped) = apply(db, physical, &decision.to_create, &decision.to_drop);
 
         // The opt-in multi-column extension maintains its own set within
         // its own budget; its builds are charged like any others.
         let comp = self.composites.reorganize(db, physical);
-        for (_, io) in &comp.built {
+        let mut build_io = IoStats::new();
+        for io in built.iter().map(|(_, io)| io).chain(comp.built.iter().map(|(_, io)| io)) {
             build_io.accumulate(io);
         }
 
         let build_millis = db.cost.millis_of(&build_io);
         if colt_obs::is_enabled() {
-            self.report_epoch(db, &changes, &decision);
+            self.report_epoch(db, &built, &dropped, &comp, &decision);
         }
+        let created: Vec<ColRef> = built.iter().map(|(c, _)| *c).collect();
 
         self.trace.push(EpochRecord {
             epoch: self.epoch,
@@ -195,8 +164,8 @@ impl ColtTuner {
             whatif_skipped: 0,
             next_budget: decision.next_budget,
             ratio: decision.ratio,
-            created: changes.built.iter().map(|(c, _)| *c).collect(),
-            dropped: changes.dropped.clone(),
+            created: created.clone(),
+            dropped: dropped.clone(),
             build_millis,
         });
 
@@ -204,36 +173,52 @@ impl ColtTuner {
         self.profiler.end_epoch(decision.next_budget);
         // Close the epoch in the flight recorder too: the time series
         // takes this epoch's metric deltas, and later decision records
-        // (piggyback builds, next epoch's probes) stamp epoch + 1 —
-        // matching the `self.epoch` increment below.
+        // (next epoch's probes) stamp epoch + 1 — matching the
+        // `self.epoch` increment below.
         colt_obs::epoch_mark(self.epoch);
         self.epoch += 1;
 
-        TunerStep {
-            build_io,
-            epoch_closed: true,
-            created: changes.built.iter().map(|(c, _)| *c).collect(),
-            dropped: changes.dropped,
-        }
+        TunerStep { build_io, epoch_closed: true, created, dropped }
     }
 
-    /// The closed epoch as ledger records: a formatted column name per
+    /// The closed epoch as ledger records: a formatted index name per
     /// field, built only when a recorder is installed to keep them.
-    fn report_epoch(&self, db: &Database, changes: &AppliedChanges, decision: &ReorgDecision) {
-        for (col, io) in &changes.built {
+    /// Single-column changes come `via` the reorganization, composite
+    /// ones `via` the multi-column extension.
+    fn report_epoch(
+        &self,
+        db: &Database,
+        built: &[(ColRef, IoStats)],
+        dropped: &[ColRef],
+        comp: &CompositeStep,
+        decision: &ReorgDecision,
+    ) {
+        let create = |index: String, via: &'static str, io: &IoStats| {
             colt_obs::decision(
                 colt_obs::DecisionRecord::new(colt_obs::DecisionKind::IndexCreate)
-                    .field("index", col.to_string())
-                    .field("via", "reorganize")
+                    .field("index", index)
+                    .field("via", via)
                     .field("build_millis", db.cost.millis_of(io)),
             );
-        }
-        for col in &changes.dropped {
+        };
+        let remove = |index: String, via: &'static str| {
             colt_obs::decision(
                 colt_obs::DecisionRecord::new(colt_obs::DecisionKind::IndexDrop)
-                    .field("index", col.to_string())
-                    .field("via", "reorganize"),
+                    .field("index", index)
+                    .field("via", via),
             );
+        };
+        for (col, io) in built {
+            create(col.to_string(), "reorganize", io);
+        }
+        for col in dropped {
+            remove(col.to_string(), "reorganize");
+        }
+        for (key, io) in &comp.built {
+            create(key.to_string(), "composite", io);
+        }
+        for key in &comp.dropped {
+            remove(key.to_string(), "composite");
         }
         colt_obs::decision(
             colt_obs::DecisionRecord::new(colt_obs::DecisionKind::BudgetChange)
@@ -245,6 +230,26 @@ impl ColtTuner {
                 .field("net_benefit_m_prime", decision.net_benefit_m_prime),
         );
     }
+}
+
+/// Apply the Self-Organizer's decision at once: drop the requested
+/// indices (metadata only), then build each requested one not already
+/// materialized, returning the builds with their full cost and the
+/// drops that took effect.
+fn apply(
+    db: &Database,
+    config: &mut PhysicalConfig,
+    to_create: &[ColRef],
+    to_drop: &[ColRef],
+) -> (Vec<(ColRef, IoStats)>, Vec<ColRef>) {
+    let dropped = to_drop.iter().copied().filter(|&col| config.drop_index(col)).collect();
+    let mut built = Vec::new();
+    for &col in to_create {
+        if !config.contains(col) {
+            built.push((col, config.create_index(db, col, IndexOrigin::Online)));
+        }
+    }
+    (built, dropped)
 }
 
 #[cfg(test)]
@@ -336,31 +341,32 @@ mod tests {
     }
 
     #[test]
-    fn piggyback_strategy_builds_on_scans() {
+    fn immediate_builds_and_drops() {
         let (db, t) = setup();
-        let col = ColRef::new(t, 0);
-        let q = colt_engine::Query::single(t, vec![SelPred::eq(col, 7i64)]);
-        let mut physical = PhysicalConfig::new();
-        let mut tuner = ColtTuner::with_strategy(
-            ColtConfig { storage_budget_pages: 10_000, ..Default::default() },
-            MaterializationStrategy::Piggyback,
-        );
-        let mut eqo = Eqo::new(&db);
-        let mut piggybacked = Vec::new();
-        for _ in 0..80 {
-            let plan = eqo.optimize(&q, &physical);
-            let step = tuner.on_query(&db, &mut physical, &mut eqo, &q, &plan);
-            for (i, c) in step.created.iter().enumerate() {
-                // Piggybacked builds charge no sequential heap pages.
-                if *c == col {
-                    piggybacked.push(step.build_io.seq_pages == 0 || i > 0);
-                }
-            }
-        }
-        assert!(physical.contains(col), "index must eventually materialize via piggyback");
-        // The queries seq-scan `t` while the index is pending, so the
-        // build must have ridden on one of them.
-        assert!(!piggybacked.is_empty());
+        let mut cfg = PhysicalConfig::new();
+        let a = ColRef::new(t, 0);
+        let (built, dropped) = apply(&db, &mut cfg, &[a], &[]);
+        assert_eq!(built.len(), 1);
+        assert!(dropped.is_empty());
+        assert!(cfg.contains(a));
+        assert!(built[0].1.pages_written > 0);
+
+        let (built, dropped) = apply(&db, &mut cfg, &[], &[a]);
+        assert!(built.is_empty());
+        assert_eq!(dropped, vec![a]);
+        assert!(!cfg.contains(a));
+    }
+
+    #[test]
+    fn duplicate_create_is_noop() {
+        let (db, t) = setup();
+        let mut cfg = PhysicalConfig::new();
+        let a = ColRef::new(t, 0);
+        apply(&db, &mut cfg, &[a], &[]);
+        let v = cfg.table_version(t);
+        let (built, _) = apply(&db, &mut cfg, &[a], &[]);
+        assert!(built.is_empty());
+        assert_eq!(cfg.table_version(t), v, "no version churn from no-ops");
     }
 
     #[test]

@@ -190,6 +190,7 @@ mod tuner_safety {
             let mut tuner = ColtTuner::new(cfg);
             let mut eqo = Eqo::new(&db);
             colt_obs::install(colt_obs::Recorder::new(colt_obs::Level::Summary));
+            let mut boundaries = Vec::new();
 
             for (kind, x) in choices {
                 let q = match kind {
@@ -216,8 +217,19 @@ mod tuner_safety {
                         tuner.epoch(),
                         physical.online_pages()
                     );
+                    boundaries.push(step);
                 }
             }
+            // The step is what a driver charges, the trace what the
+            // exhibits count: at every boundary they name the same
+            // changes, and their build charges sum alike.
+            assert_eq!(boundaries.len(), tuner.trace().epochs.len(), "case {case}");
+            for (step, e) in boundaries.iter().zip(&tuner.trace().epochs) {
+                assert_eq!((&step.created, &step.dropped), (&e.created, &e.dropped), "case {case} epoch {}", e.epoch);
+            }
+            let charged: f64 = boundaries.iter().map(|s| db.cost.millis_of(&s.build_io)).sum();
+            let traced: f64 = tuner.trace().epochs.iter().map(|e| e.build_millis).sum();
+            assert_eq!(charged, traced, "case {case}");
             for e in &tuner.trace().epochs {
                 assert!(e.whatif_used <= e.whatif_limit, "case {case}");
                 assert!(e.whatif_limit <= max_wi, "case {case}");

@@ -1,20 +1,20 @@
 //! What flows between vectorized operators: heap row ids.
 //!
 //! The executor processes rows a batch at a time (MonetDB/X100 style)
-//! and materializes late: an operator's output is a [`RowIds`] — per
+//! and materializes late: an operator's output is a `RowIds` — per
 //! table of its slice of the plan's table order, the heap row each
 //! output row takes that table's columns from — and no operator copies
 //! a cell. Ids are written only where a consumer reads them: a
 //! predicate-free scan's output is its whole table, *dense*, with no ids;
 //! other scans append their kernels' selection vectors; a join gathers
-//! its inputs' ids through its matching row pairs ([`Matches`]), or only
+//! its inputs' ids through its matching row pairs (`Matches`), or only
 //! counts them at a [`crate::Collect::CountOnly`] root. Joins read their
-//! keys straight from the heap's typed columns ([`KeyCol`]) and chain
-//! them ([`Chains`]) under a slot key: a single `Int` or `Date` key's
+//! keys straight from the heap's typed columns (`KeyCol`) and chain
+//! them (`Chains`) under a slot key: a single `Int` or `Date` key's
 //! code less the build's least, when the build's codes span few enough
-//! slots, else the key's hash, a column at a time ([`hash_keys`];
-//! [`SlotRule`]). `Value`s are built where a consumer asks for them, at
-//! the plan root ([`RowIds::extend_rows`]).
+//! slots, else the key's hash, a column at a time (`hash_keys`;
+//! `SlotRule`). `Value`s are built where a consumer asks for them, at
+//! the plan root (`RowIds::extend_rows`).
 //!
 //! None of this affects the cost model: [`colt_storage::IoStats`] is
 //! charged per page and per tuple *processed*, which is invariant to
@@ -279,12 +279,12 @@ const KEY_HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// One folded multiply per 8-byte word: the 128-bit product of
 /// `hash ^ word` and [`KEY_HASH_MUL`], its two halves xored. A plain
 /// multiply carries entropy only upward, so keys at a stride of 2^k
-/// would hash to multiples of 2^k and share [`Chains`]' low-bit slots;
+/// would hash to multiples of 2^k and share `Chains`' low-bit slots;
 /// the high half brings the rest down, so no finishing pass is needed
 /// (`key_hasher_spreads_*`: ≥ 512 of 1 024 slots at every stride tried;
 /// a finishing pass on top measured `joins` 1.16× against 1.30× without,
 /// EXPERIMENTS.md, "PR 25"). A fixed seed, in place of `RandomState`'s
-/// per-process SipHash, is safe because [`Chains`] is point-lookup only
+/// per-process SipHash, is safe because `Chains` is point-lookup only
 /// — a chain is walked in row order, never in hash order, so no hash
 /// can reach a result — and the keys are column cells of the program's
 /// own generated data, not outside input an adversary could craft to
@@ -337,7 +337,7 @@ fn hash_cells(cells: ColumnSlice<'_>, map: impl RowMap, window: Range<usize>, ha
 }
 
 /// The key hash of each input row in `window`, a key column at a time,
-/// ready for [`Chains`]' low-bit slots as each [`mix`] leaves it. Out of
+/// ready for `Chains`' low-bit slots as each [`mix`] leaves it. Out of
 /// line for the reason [`slot_pass`] is.
 #[inline(never)]
 fn hash_keys(keys: &[KeyCol<'_>], window: Range<usize>, hashes: &mut Vec<u64>) {
@@ -355,7 +355,7 @@ pub(crate) enum SlotRule {
     /// build values' codes span few enough slots: a row's slot key is its
     /// value's code less the build's least ([`offset_join`]).
     Offset,
-    /// Any other key: the folded-multiply hash of it ([`hash_keys`]).
+    /// Any other key: the folded-multiply hash of it (`hash_keys`).
     Hashed,
 }
 
@@ -414,7 +414,7 @@ fn offset_cells(cells: ColumnSlice<'_>) -> Option<(&[u32], u64)> {
 /// build code has a slot of its own and equal codes are equal values —
 /// every build row under a probe row's slot is a match, with no hash and
 /// no [`keys_eq`]. Counted, the table holds how many build rows each code
-/// has, summed over the probe; emitting, it chains them ([`Chains`]).
+/// has, summed over the probe; emitting, it chains them (`Chains`).
 /// `false`, with nothing matched, when the span is wider.
 fn offset_join<T, U>(
     (build, bcode, bm, builds): (&[T], impl Fn(&T) -> u64, impl RowMap, usize),
@@ -459,7 +459,7 @@ fn offset_join<T, U>(
 }
 
 /// The hashed rule: a row chains under the hash of its whole key
-/// ([`hash_keys`]), and a chained row matches a probe row only if the
+/// (`hash_keys`), and a chained row matches a probe row only if the
 /// hashes and then the cells ([`keys_eq`]) are equal.
 fn hashed_join(build: &[KeyCol<'_>], probe: &[KeyCol<'_>], mut hit: impl FnMut(usize, usize)) {
     let rows = |keys: &[KeyCol<'_>]| keys.first().map_or(0, KeyCol::len);
@@ -509,7 +509,7 @@ fn slot_pass(
     found
 }
 
-/// "No row" in a [`Chains`] link.
+/// "No row" in a `Chains` link.
 const NO_ROW: u32 = u32::MAX;
 
 /// Slots per chained row under the hashed rule, and the most per build

@@ -5,7 +5,7 @@
 //! [`BATCH_ROWS`]-row windows, index scans probe the actual B+ trees
 //! and fetch rows in sorted rowid order (bitmap-style, deduplicating
 //! page reads), and hash joins build once and probe a window at a
-//! time. Operators exchange heap row ids ([`RowIds`]; see
+//! time. Operators exchange heap row ids (`RowIds`; see
 //! [`crate::batch`]), never values: each selection predicate is
 //! compiled once per scan into a [`Kernel`] over its column's native
 //! slice and evaluated over a whole window into a selection vector, the

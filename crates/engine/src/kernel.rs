@@ -1,12 +1,12 @@
 //! Compiled selection predicates over typed heap columns.
 //!
-//! A [`SelPred`] compares [`Value`] enums: every row pays a
-//! discriminant match, and a range pays it four times. A [`Kernel`] is
-//! the same predicate *compiled once per scan* against the column it
-//! restricts: the literals are resolved to the column's cell codes up
-//! front, and the per-row work is one unsigned 32-bit compare over the
-//! column's cells — a date's day, an `Int`'s offset from its column's
-//! least value, or a rank in the column's dictionary
+//! A [`SelPred`] compares [`Value`](colt_storage::Value) enums: every
+//! row pays a discriminant match, and a range pays it four times. A
+//! [`Kernel`] is the same predicate *compiled once per scan* against the
+//! column it restricts: the literals are resolved to the column's cell
+//! codes up front, and the per-row work is one unsigned 32-bit compare
+//! over the column's cells — a date's day, an `Int`'s offset from its
+//! column's least value, or a rank in the column's dictionary
 //! ([`colt_storage::column`]). One loop serves all four types.
 //!
 //! The kernel accepts exactly the rows [`SelPred::matches`] accepts.

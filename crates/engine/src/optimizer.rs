@@ -2,9 +2,10 @@
 //! dynamic-programming join ordering over table subsets.
 //!
 //! The optimizer only reads catalog *estimates* (statistics and
-//! [`IndexEstimate`]s), never the physical trees, which is what makes
-//! hypothetical what-if optimization (§ [`crate::whatif`]) possible: a
-//! hypothetical index is simply an entry in the [`IndexSetView`] overlay.
+//! [`IndexEstimate`](colt_catalog::IndexEstimate)s), never the physical
+//! trees, which is what makes hypothetical what-if optimization
+//! (§ [`crate::whatif`]) possible: a hypothetical index is simply an
+//! entry in the [`IndexSetView`] overlay.
 
 use crate::cost::{hash_join_cost, index_nl_join_cost, index_scan_cost, seq_scan_cost};
 use crate::plan::{AccessPath, Plan, PlanNode};

@@ -132,18 +132,6 @@ impl PlanNode {
         out.dedup();
     }
 
-    fn collect_seq_scans(&self, out: &mut Vec<TableId>) {
-        match self {
-            PlanNode::Scan { table, path: AccessPath::SeqScan, .. } => out.push(*table),
-            PlanNode::Scan { .. } => {}
-            PlanNode::HashJoin { build, probe, .. } => {
-                build.collect_seq_scans(out);
-                probe.collect_seq_scans(out);
-            }
-            PlanNode::IndexNlJoin { outer, .. } => outer.collect_seq_scans(out),
-        }
-    }
-
     fn collect_indices(&self, out: &mut Vec<ColRef>) {
         match self {
             PlanNode::Scan { path: AccessPath::IndexScan { col }, .. } => out.push(*col),
@@ -227,16 +215,6 @@ impl Plan {
     /// Indices the plan relies on.
     pub fn used_indices(&self) -> Vec<ColRef> {
         self.root.used_indices()
-    }
-
-    /// Tables the plan reads with a full sequential scan — the
-    /// opportunities a piggybacking index build can ride on.
-    pub fn seq_scanned_tables(&self) -> Vec<TableId> {
-        let mut out = Vec::new();
-        self.root.collect_seq_scans(&mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// EXPLAIN output.

@@ -39,8 +39,7 @@ pub fn parse_candidates(record: &DecisionRecord) -> Vec<KnapsackCandidate> {
 }
 
 /// The knapsack record that explains a create/drop at `epoch`: the last
-/// knapsack solved at or before that epoch (piggybacked builds execute
-/// epochs after the solve that chose them).
+/// knapsack solved at or before that epoch.
 pub fn explaining_knapsack(obs: &Snapshot, epoch: u64) -> Option<&DecisionRecord> {
     obs.ledger.of_kind(DecisionKind::Knapsack).filter(|r| r.epoch <= epoch).last()
 }

@@ -18,7 +18,7 @@
 
 use colt_catalog::{ColRef, Database, PhysicalConfig};
 use colt_obs::json::Json;
-use colt_core::{ColtConfig, ColtTuner, MaterializationStrategy, Trace};
+use colt_core::{ColtConfig, ColtTuner, Trace};
 use colt_engine::{Collect, Eqo, ExecError, Executor, Query};
 use colt_offline::OfflineSelection;
 
@@ -40,14 +40,15 @@ pub enum Policy {
         /// Storage budget `B` in pages for the offline selection.
         budget_pages: u64,
     },
-    /// COLT with an explicit materialization strategy.
-    Colt(ColtConfig, MaterializationStrategy),
+    /// COLT, building the indices it selects at once (the paper's
+    /// immediate materialization).
+    Colt(ColtConfig),
 }
 
 impl Policy {
-    /// COLT under the paper's immediate materialization strategy.
+    /// COLT with the given configuration.
     pub fn colt(config: ColtConfig) -> Policy {
-        Policy::Colt(config, MaterializationStrategy::Immediate)
+        Policy::Colt(config)
     }
 
     /// The policy's display label ("NONE", "OFFLINE", "COLT").
@@ -55,7 +56,7 @@ impl Policy {
         match self {
             Policy::None => "NONE",
             Policy::Offline { .. } => "OFFLINE",
-            Policy::Colt(..) => "COLT",
+            Policy::Colt(_) => "COLT",
         }
     }
 }
@@ -221,7 +222,7 @@ impl<'a> Experiment<'a> {
                     let config = colt_offline::materialize(self.db, &selection);
                     self.run_untuned(config, self.policy.clone(), Some(selection))
                 }
-                Policy::Colt(config, strategy) => self.run_colt(config.clone(), *strategy),
+                Policy::Colt(config) => self.run_colt(config.clone()),
             }
         };
         // Restore the previous recorder even on the error path, so a
@@ -276,23 +277,14 @@ impl<'a> Experiment<'a> {
         })
     }
 
-    /// COLT: charge every cost of tuning to the stream.
-    ///
-    /// * `Immediate` — builds are charged to the query that triggered
-    ///   the epoch boundary (the paper's accounting).
-    /// * `IdleTime` — an idle window is assumed after each epoch
-    ///   boundary: its builds happen there and are *not* charged to the
-    ///   stream.
-    /// * `Piggyback` — builds ride on later sequential scans; only the
-    ///   sort and index writes are charged.
-    fn run_colt(
-        &self,
-        colt_config: ColtConfig,
-        strategy: MaterializationStrategy,
-    ) -> Result<RunResult, ExecError> {
+    /// COLT: charge every cost of tuning to the stream. Each probe costs
+    /// [`WHATIF_COST_UNITS`], and each build is charged in full to the
+    /// query that closed the epoch that made it (the paper's
+    /// accounting).
+    fn run_colt(&self, colt_config: ColtConfig) -> Result<RunResult, ExecError> {
         let db = self.db;
         let mut physical = PhysicalConfig::new();
-        let mut tuner = ColtTuner::with_strategy(colt_config.clone(), strategy);
+        let mut tuner = ColtTuner::new(colt_config.clone());
         let mut eqo = Eqo::new(db);
         let mut samples = Vec::with_capacity(self.workload.len());
         let mut whatif_before = 0u64;
@@ -334,7 +326,7 @@ impl<'a> Experiment<'a> {
         colt_obs::epoch_mark(tuner.epoch());
 
         Ok(RunResult {
-            policy: Policy::Colt(colt_config, strategy),
+            policy: Policy::Colt(colt_config),
             profiled_indices: tuner.profiler().profiled_index_count(),
             trace: tuner.trace().clone(),
             final_indices: physical.online_columns().collect(),

@@ -25,9 +25,9 @@ pub enum DecisionKind {
     ClusterAssign,
     /// The Self-Organizer solved the boundary's knapsack.
     Knapsack,
-    /// The scheduler built an index.
+    /// The tuner built an index.
     IndexCreate,
-    /// The scheduler dropped an index.
+    /// The tuner dropped an index.
     IndexDrop,
     /// The boundary set the next epoch's what-if budget.
     BudgetChange,

@@ -7,7 +7,7 @@
 //! `u32` offset from the column's least value when the column spans less
 //! than 2³², else — and for every `Float` and `Str` — a `u32` rank in a
 //! sorted dictionary of the column's values. The data picks the layout,
-//! per batch of rows ([`Column::append`]). An index keys, and a predicate
+//! per batch of rows (`Column::append`). An index keys, and a predicate
 //! resolves to, the *key code* `2c + 1` of cell code `c` ([`literal_code`]).
 
 use crate::row::RowId;
@@ -146,7 +146,7 @@ pub fn code_interval(lo: &Value, hi: &Value, column: ColumnSlice<'_>) -> Option<
 const MAX_DIGIT_BITS: u32 = 12;
 
 /// A bucket up to this long (128 KB of pairs) takes a span of up to twice
-/// its length in one pass, past [`MAX_DIGIT_BITS`] (DESIGN.md §5).
+/// its length in one pass, past `MAX_DIGIT_BITS` (DESIGN.md §5).
 const CACHED_BUCKET: usize = 1 << 14;
 
 /// Buckets up to this long are finished by a comparison sort.
@@ -161,10 +161,10 @@ const SMALL_BUCKET: usize = 32;
 /// counts the buckets, a third writes each 8-byte `(cell code, row)`
 /// pair to its bucket in row order. The digit is the whole span where
 /// that asks at most twice the entries in buckets (within
-/// [`MAX_DIGIT_BITS`] or [`CACHED_BUCKET`]), else the top bits that
+/// `MAX_DIGIT_BITS` or `CACHED_BUCKET`), else the top bits that
 /// leave a bucket four to eight entries — halved above
-/// [`MAX_DIGIT_BITS`], the buckets' own pass taking the rest. A bucket of
-/// up to [`SMALL_BUCKET`] entries is comparison-sorted, a longer one
+/// `MAX_DIGIT_BITS`, the buckets' own pass taking the rest. A bucket of
+/// up to `SMALL_BUCKET` entries is comparison-sorted, a longer one
 /// still out of order distributed again; each finished one is widened to
 /// entries while it is in cache.
 pub fn sorted_entries(column: ColumnSlice<'_>) -> Vec<(u64, RowId)> {

@@ -11,7 +11,8 @@
 //!   configuration;
 //! * [`engine`] — SPJ queries, the Selinger-style optimizer, the what-if
 //!   interface, and the executor with its deterministic simulated clock;
-//! * [`colt`] — the tuner itself: profiler, self-organizer, scheduler;
+//! * [`colt`] — the tuner itself: profiler, self-organizer, immediate
+//!   materialization;
 //! * [`offline`] — the idealized OFFLINE baseline;
 //! * [`workload`] — the TPC-H×4 data generator and the paper's workload
 //!   presets;
@@ -63,7 +64,7 @@ pub mod prelude {
     pub use colt_catalog::{
         ColRef, Column, Database, IndexOrigin, PhysicalConfig, TableId, TableSchema,
     };
-    pub use colt_core::{ColtConfig, ColtTuner, MaterializationStrategy, Trace};
+    pub use colt_core::{ColtConfig, ColtTuner, Trace};
     pub use colt_engine::{
         Collect, Eqo, ExecError, ExecOutput, Executor, IndexSetView, Optimizer, Plan, Query,
         SelPred,

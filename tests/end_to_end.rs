@@ -242,9 +242,11 @@ fn multiuser_shifting_still_wins() {
 
 /// Future-work extension: with a composite budget, COLT mines
 /// co-occurring predicates on-line and materializes a multi-column
-/// index that the single-column tuner cannot express.
+/// index that the single-column tuner cannot express. Its builds reach
+/// the decision ledger, whose build charges add up to the trace's.
 #[test]
 fn composite_extension_beats_single_column_colt() {
+    use colt_repro::obs::{install, take, DecisionKind, Level, Recorder};
     use colt_repro::workload::{fixed, QueryDistribution, QueryTemplate, SelSpec, TemplateSelection};
     let data = generate(SCALE, SEED);
     let db = &data.db;
@@ -266,6 +268,7 @@ fn composite_extension_beats_single_column_colt() {
     let plain = Experiment::new(db, &workload)
         .policy(Policy::colt(ColtConfig { storage_budget_pages: 4_096, ..Default::default() }))
         .run().expect("run failed");
+    assert!(install(Recorder::new(Level::Summary)).is_none(), "test thread must start without a recorder");
     let extended = Experiment::new(db, &workload)
         .policy(Policy::colt(ColtConfig {
             storage_budget_pages: 4_096,
@@ -273,10 +276,19 @@ fn composite_extension_beats_single_column_colt() {
             ..Default::default()
         }))
         .run().expect("run failed");
+    take();
     assert!(
         extended.total_millis() < plain.total_millis() / 2.0,
         "extension {:.0} vs plain {:.0}",
         extended.total_millis(),
         plain.total_millis()
     );
+    let creates: Vec<_> = extended.obs.ledger.of_kind(DecisionKind::IndexCreate).collect();
+    assert!(
+        creates.iter().any(|r| r.get_str("via") == Some("composite")),
+        "no composite build in the ledger: {creates:?}"
+    );
+    let ledger: f64 = creates.iter().map(|r| r.get_f64("build_millis").expect("a create's charge")).sum();
+    let traced: f64 = extended.trace.epochs.iter().map(|e| e.build_millis).sum();
+    assert!((ledger - traced).abs() <= 1e-9 * traced, "ledger {ledger} vs trace {traced}");
 }

@@ -5,7 +5,7 @@
 #![allow(clippy::expect_used, reason = "test helpers may unwrap and panic")]
 
 use colt_repro::catalog::PhysicalConfig;
-use colt_repro::colt::{ColtConfig, ColtTuner, MaterializationStrategy};
+use colt_repro::colt::{ColtConfig, ColtTuner};
 use colt_repro::engine::Eqo;
 use colt_repro::harness::{explaining_knapsack, parse_candidates, Experiment, Policy};
 use colt_repro::obs::{install, take, DecisionKind, Level, Recorder};
@@ -68,32 +68,29 @@ fn every_index_change_is_explained_by_the_ledger() {
     assert_eq!(ledger_creates, run.trace.total_builds(), "one create record per build");
 }
 
-/// A build the scheduler makes at an epoch boundary reaches every record,
-/// charged (`Immediate`) or not (`IdleTime`, in the idle window after
-/// the boundary): the indices the tuner's steps report created, the
-/// trace's builds and the ledger's reorganize creates are one count.
+/// A build the tuner makes at an epoch boundary reaches every record:
+/// the indices the tuner's steps report created, the trace's builds and
+/// the ledger's reorganize creates are one count.
 #[test]
 fn boundary_builds_reach_the_step_the_trace_and_the_ledger() {
     let data = generate(SCALE, SEED);
     let preset = presets::stable(&data, SEED);
     let db = &data.db;
-    for strategy in [MaterializationStrategy::Immediate, MaterializationStrategy::IdleTime] {
-        let config = ColtConfig { storage_budget_pages: preset.budget_pages, ..Default::default() };
-        let mut tuner = ColtTuner::with_strategy(config, strategy);
-        let (mut physical, mut eqo) = (PhysicalConfig::new(), Eqo::new(db));
-        assert!(install(Recorder::new(Level::Summary)).is_none(), "test thread must start without a recorder");
-        let mut created = 0;
-        for q in &preset.queries {
-            let plan = eqo.optimize(q, &physical);
-            created += tuner.on_query(db, &mut physical, &mut eqo, q, &plan).created.len();
-        }
-        let ledger = take().expect("the recorder installed above").into_snapshot().ledger;
-        let creates = (ledger.of_kind(DecisionKind::IndexCreate))
-            .filter(|r| r.get_str("via") == Some("reorganize"))
-            .count();
-        assert!(created > 0, "{strategy:?}: the run must build");
-        assert_eq!((created, tuner.trace().total_builds()), (creates, creates), "{strategy:?}");
+    let config = ColtConfig { storage_budget_pages: preset.budget_pages, ..Default::default() };
+    let mut tuner = ColtTuner::new(config);
+    let (mut physical, mut eqo) = (PhysicalConfig::new(), Eqo::new(db));
+    assert!(install(Recorder::new(Level::Summary)).is_none(), "test thread must start without a recorder");
+    let mut created = 0;
+    for q in &preset.queries {
+        let plan = eqo.optimize(q, &physical);
+        created += tuner.on_query(db, &mut physical, &mut eqo, q, &plan).created.len();
     }
+    let ledger = take().expect("the recorder installed above").into_snapshot().ledger;
+    let creates = (ledger.of_kind(DecisionKind::IndexCreate))
+        .filter(|r| r.get_str("via") == Some("reorganize"))
+        .count();
+    assert!(created > 0, "the run must build");
+    assert_eq!((created, tuner.trace().total_builds()), (creates, creates));
 }
 
 #[test]

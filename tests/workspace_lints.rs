@@ -50,7 +50,7 @@ const MODULE_ORDERS: &[(&str, &str)] = &[
     ("storage", "value row page prng column heap btree"),
     ("catalog", "schema stats index composite database"),
     ("engine", "error query plan selectivity cost batch kernel optimizer executor rowwise whatif"),
-    ("core", "config trace cluster crude gain hotset knapsack scheduler \
+    ("core", "config trace cluster crude gain hotset knapsack \
               composite_ext profiler organizer tuner"),
     ("workload", "gen distribution tpch workload presets"),
     ("harness", "runner flight metrics multiclient parallel report"),
