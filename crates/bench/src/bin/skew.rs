@@ -9,7 +9,7 @@
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
 use colt_bench::{dump_obs, fmt_ms, seed, threads};
-use colt_catalog::{ColRef, Column, Database, IndexOrigin, PhysicalConfig, TableSchema};
+use colt_catalog::{ColRef, Column, Database, PhysicalConfig, TableSchema};
 use colt_core::ColtConfig;
 use colt_engine::{Collect, Executor, IndexSetView, Optimizer, Query, SelPred};
 use colt_harness::{emit_parallel_summary, run_cells, Cell, Policy};
@@ -43,7 +43,7 @@ fn main() {
 
     // Per-constant plan choice with the index materialized.
     let mut cfg = PhysicalConfig::new();
-    cfg.create_index(&db, kind, IndexOrigin::Online);
+    cfg.create_index(&db, kind);
     let opt = Optimizer::new(&db);
     println!();
     println!("  per-constant access-path choice (index on kind materialized):");

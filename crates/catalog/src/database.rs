@@ -2,7 +2,7 @@
 //! physical configuration of materialized indices.
 
 use crate::composite::{CompositeKey, MaterializedComposite};
-use crate::index::{build_index, IndexEstimate, IndexOrigin, MaterializedIndex};
+use crate::index::{build_index, IndexEstimate, MaterializedIndex};
 use crate::schema::{ColRef, TableId, TableSchema};
 use crate::stats::ColumnStats;
 use colt_storage::{BPlusTreeOf, ColumnSlice, CostParams, HeapTable, IoStats, Row, RowError, RowId};
@@ -192,9 +192,10 @@ impl PhysicalConfig {
         self.indices.keys().copied()
     }
 
-    /// Columns of indices materialized on-line (subject to the budget).
+    /// Columns of indices materialized on-line (subject to the budget):
+    /// every single-column index, so the same as [`Self::columns`].
     pub fn online_columns(&self) -> impl Iterator<Item = ColRef> + '_ {
-        self.indices.values().filter(|m| m.origin == IndexOrigin::Online).map(|m| m.col)
+        self.columns()
     }
 
     /// Number of materialized indices.
@@ -208,13 +209,9 @@ impl PhysicalConfig {
     }
 
     /// Total pages used by on-line indices (the quantity constrained by
-    /// the budget `B`).
+    /// the budget `B`): the pages of every single-column index.
     pub fn online_pages(&self) -> u64 {
-        self.indices
-            .values()
-            .filter(|m| m.origin == IndexOrigin::Online)
-            .map(|m| m.tree.page_count() as u64)
-            .sum()
+        self.indices.values().map(|m| m.tree.page_count() as u64).sum()
     }
 
     /// Materialization version of a table: bumped whenever an index on
@@ -247,11 +244,11 @@ impl PhysicalConfig {
 
     /// Build and install an index on `col`, returning the build cost.
     /// Replaces any existing index on the same column.
-    pub fn create_index(&mut self, db: &Database, col: ColRef, origin: IndexOrigin) -> IoStats {
+    pub fn create_index(&mut self, db: &Database, col: ColRef) -> IoStats {
         let t = db.table(col.table);
         let width = t.schema.columns[col.column as usize].vtype.byte_width();
         let (tree, io) = build_index(&t.heap, col, width);
-        self.indices.insert(col, MaterializedIndex { col, tree, build_io: io, origin });
+        self.indices.insert(col, MaterializedIndex { col, tree, build_io: io });
         self.bump(col);
         io
     }
@@ -338,7 +335,7 @@ mod tests {
         assert_eq!(cfg.table_version(tid), 0);
         assert!(!cfg.contains(col));
 
-        let io = cfg.create_index(&db, col, IndexOrigin::Online);
+        let io = cfg.create_index(&db, col);
         assert!(cfg.contains(col));
         assert!(io.pages_written > 0);
         assert_eq!(cfg.table_version(tid), 1);
@@ -358,7 +355,7 @@ mod tests {
         let (db, tid) = db_with_table(500);
         let mut cfg = PhysicalConfig::new();
         let (a, b) = (ColRef::new(tid, 0), ColRef::new(tid, 1));
-        cfg.create_index(&db, a, IndexOrigin::Online);
+        cfg.create_index(&db, a);
         let before = [a, b].map(|c| cfg.version_excluding(c));
         let key = CompositeKey::new(tid, vec![0, 1]);
         cfg.create_composite(&db, key.clone());
@@ -369,18 +366,6 @@ mod tests {
         assert!(dropped[0] > built[0] && dropped[1] > built[1], "{built:?} -> {dropped:?}");
         assert!(!cfg.drop_composite(&key));
         assert_eq!([a, b].map(|c| cfg.version_excluding(c)), dropped, "nothing to drop");
-    }
-
-    #[test]
-    fn base_indices_exempt_from_online_accounting() {
-        let (db, tid) = db_with_table(500);
-        let mut cfg = PhysicalConfig::new();
-        cfg.create_index(&db, ColRef::new(tid, 0), IndexOrigin::Base);
-        assert_eq!(cfg.online_pages(), 0);
-        assert_eq!(cfg.online_columns().count(), 0);
-        cfg.create_index(&db, ColRef::new(tid, 1), IndexOrigin::Online);
-        assert_eq!(cfg.online_columns().count(), 1);
-        assert!(cfg.online_pages() > 0);
     }
 
     #[test]

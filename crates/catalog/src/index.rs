@@ -50,19 +50,6 @@ pub struct MaterializedIndex {
     pub tree: BPlusTreeOf<u64>,
     /// Physical work that was charged to build it.
     pub build_io: IoStats,
-    /// Whether the index belongs to the pre-tuned base configuration
-    /// (exempt from the on-line storage budget) or was materialized by a
-    /// tuner at run time.
-    pub origin: IndexOrigin,
-}
-
-/// Who installed an index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexOrigin {
-    /// Part of the pre-tuned physical design the system started with.
-    Base,
-    /// Materialized on-line by a tuner; counts against the budget `B`.
-    Online,
 }
 
 /// Build an index over `column` of `heap`, charging the physical work to

@@ -19,7 +19,7 @@ pub mod stats;
 
 pub use composite::{CompositeKey, MaterializedComposite};
 pub use database::{build_composite, Database, PhysicalConfig, Table};
-pub use index::{build_index, IndexEstimate, IndexOrigin, MaterializedIndex};
+pub use index::{build_index, IndexEstimate, MaterializedIndex};
 pub use schema::{ColRef, Column, TableId, TableSchema};
 pub use stats::{ColumnStats, HISTOGRAM_BUCKETS};
 

@@ -21,6 +21,7 @@
 use crate::cluster::ClusterId;
 use crate::config::ColtConfig;
 use crate::hotset::select_hot;
+use crate::json::Json;
 use crate::knapsack::{self, Item};
 use crate::profiler::{GainMode, Profiler};
 use colt_catalog::{ColRef, Database, PhysicalConfig};
@@ -209,17 +210,15 @@ impl SelfOrganizer {
             .sum();
         colt_obs::counter("tuner.budget.spent", spent_pages);
         if colt_obs::is_enabled() {
-            let candidates = pool
-                .iter()
-                .map(|(col, it)| format!("{col}:{}:{:.3}", it.size, it.lo))
-                .collect::<Vec<_>>()
-                .join("|");
-            let chosen =
-                new_materialized.iter().map(ColRef::to_string).collect::<Vec<_>>().join("|");
+            let candidate = |(col, it): &(ColRef, Priced)| {
+                let index = ("index", col.to_string().into());
+                Json::obj(vec![index, ("size_pages", it.size.into()), ("value", it.lo.into())])
+            };
+            let chosen = new_materialized.iter().map(|col| col.to_string().into());
             colt_obs::decision(
                 colt_obs::DecisionRecord::new(colt_obs::DecisionKind::Knapsack)
-                    .field("candidates", candidates)
-                    .field("chosen", chosen)
+                    .field("candidates", Json::Arr(pool.iter().map(candidate).collect()))
+                    .field("chosen", Json::Arr(chosen.collect()))
                     .field("budget_pages", budget)
                     .field("spent_pages", spent_pages)
                     .field("free_value", free_value)
@@ -289,7 +288,7 @@ impl SelfOrganizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colt_catalog::{Column, IndexOrigin, TableId, TableSchema};
+    use colt_catalog::{Column, TableId, TableSchema};
     use colt_engine::{Eqo, Query, SelPred};
     use colt_storage::{row_from, Value, ValueType};
 
@@ -353,7 +352,7 @@ mod tests {
         let (db, t) = setup();
         let mut cfg = PhysicalConfig::new();
         let col = ColRef::new(t, 0);
-        cfg.create_index(&db, col, IndexOrigin::Online);
+        cfg.create_index(&db, col);
         let colt_cfg = ColtConfig::default();
         let mut profiler = Profiler::new(&colt_cfg);
         let org = SelfOrganizer::new(&colt_cfg);
@@ -376,7 +375,7 @@ mod tests {
         let (db, t) = setup();
         let mut cfg = PhysicalConfig::new();
         let col = ColRef::new(t, 0);
-        cfg.create_index(&db, col, IndexOrigin::Online);
+        cfg.create_index(&db, col);
         let colt_cfg = ColtConfig::default();
         let mut profiler = Profiler::new(&colt_cfg);
         let org = SelfOrganizer::new(&colt_cfg);

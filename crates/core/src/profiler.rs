@@ -356,7 +356,7 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use colt_catalog::{Column, IndexOrigin, TableId, TableSchema};
+    use colt_catalog::{Column, TableId, TableSchema};
     use colt_engine::SelPred;
     use colt_storage::{row_from, Value, ValueType};
 
@@ -464,7 +464,7 @@ mod tests {
         let (db, t) = setup();
         let mut cfg = PhysicalConfig::new();
         let col = ColRef::new(t, 0);
-        cfg.create_index(&db, col, IndexOrigin::Online);
+        cfg.create_index(&db, col);
         let mut p = Profiler::new(&ColtConfig::default());
         let q = Query::single(t, vec![SelPred::eq(col, 7i64)]);
         let out = run_query(&mut p, &db, &cfg, &q, &BTreeSet::new());

@@ -15,7 +15,7 @@ use crate::config::ColtConfig;
 use crate::organizer::{ReorgDecision, SelfOrganizer};
 use crate::profiler::Profiler;
 use crate::trace::{EpochRecord, Trace};
-use colt_catalog::{ColRef, Database, IndexOrigin, PhysicalConfig};
+use colt_catalog::{ColRef, Database, PhysicalConfig};
 use colt_engine::{Eqo, Plan, Query};
 use colt_storage::IoStats;
 use std::collections::BTreeSet;
@@ -246,7 +246,7 @@ fn apply(
     let mut built = Vec::new();
     for &col in to_create {
         if !config.contains(col) {
-            built.push((col, config.create_index(db, col, IndexOrigin::Online)));
+            built.push((col, config.create_index(db, col)));
         }
     }
     (built, dropped)

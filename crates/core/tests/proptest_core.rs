@@ -140,6 +140,7 @@ mod tuner_safety {
     use colt_catalog::{ColRef, Column, Database, PhysicalConfig, TableId, TableSchema};
     use colt_core::{ColtConfig, ColtTuner};
     use colt_engine::{Eqo, Query, SelPred};
+    use colt_obs::json::Json;
     use colt_obs::DecisionKind;
     use colt_storage::{row_from, Prng, Value, ValueType};
 
@@ -245,8 +246,8 @@ mod tuner_safety {
             // `index_estimate` for the ones to build) fit the budget.
             assert_eq!(obs.ledger.of_kind(DecisionKind::Knapsack).count(), tuner.trace().epochs.len());
             for k in obs.ledger.of_kind(DecisionKind::Knapsack) {
-                assert_eq!(k.get_u64("budget_pages"), Some(budget), "case {case}");
-                let spent = k.get_u64("spent_pages");
+                assert_eq!(k.get("budget_pages").and_then(Json::as_u64), Some(budget), "case {case}");
+                let spent = k.get("spent_pages").and_then(Json::as_u64);
                 assert!(spent.is_some_and(|spent| spent <= budget), "case {case}: {k:?}");
             }
             // A boundary is recorded twice — the trace's `EpochRecord`
@@ -256,15 +257,15 @@ mod tuner_safety {
             assert_eq!(budget_changes.len(), tuner.trace().epochs.len(), "case {case}");
             for (e, b) in tuner.trace().epochs.iter().zip(budget_changes) {
                 assert_eq!(b.epoch, e.epoch, "case {case}");
-                assert_eq!(b.get_u64("whatif_used"), Some(e.whatif_used), "case {case}: {b:?}");
-                assert_eq!(b.get_u64("whatif_limit"), Some(e.whatif_limit), "case {case}: {b:?}");
-                assert_eq!(b.get_u64("next_budget"), Some(e.next_budget), "case {case}: {b:?}");
-                assert_eq!(b.get_f64("ratio"), Some(e.ratio), "case {case}: {b:?}");
+                assert_eq!(b.get("whatif_used").and_then(Json::as_u64), Some(e.whatif_used), "case {case}: {b:?}");
+                assert_eq!(b.get("whatif_limit").and_then(Json::as_u64), Some(e.whatif_limit), "case {case}: {b:?}");
+                assert_eq!(b.get("next_budget").and_then(Json::as_u64), Some(e.next_budget), "case {case}: {b:?}");
+                assert_eq!(b.get("ratio").and_then(Json::as_f64), Some(e.ratio), "case {case}: {b:?}");
                 let reorganized = |kind| -> Vec<String> {
                     obs.ledger
                         .of_kind(kind)
-                        .filter(|r| r.epoch == e.epoch && r.get_str("via") == Some("reorganize"))
-                        .map(|r| r.get_str("index").unwrap_or("?").to_string())
+                        .filter(|r| r.epoch == e.epoch && r.get("via").and_then(Json::as_str) == Some("reorganize"))
+                        .map(|r| r.get("index").and_then(Json::as_str).unwrap_or("?").to_string())
                         .collect()
                 };
                 let names = |cols: &[ColRef]| cols.iter().map(ToString::to_string).collect::<Vec<_>>();

@@ -652,7 +652,7 @@ mod tests {
     use super::*;
     use crate::optimizer::{IndexSetView, Optimizer};
     use crate::query::{JoinPred, SelPred};
-    use colt_catalog::{ColRef, Column, IndexOrigin, TableSchema};
+    use colt_catalog::{ColRef, Column, TableSchema};
     use colt_storage::{row_from, ValueType};
 
     fn db() -> (Database, TableId, TableId) {
@@ -843,7 +843,7 @@ mod tests {
         let (seq_res, mut seq_rows) = plan_and_run(&db, &no_index, &q);
 
         let mut cfg = PhysicalConfig::new();
-        cfg.create_index(&db, col, IndexOrigin::Online);
+        cfg.create_index(&db, col);
         let opt = Optimizer::new(&db);
         let plan = opt.optimize(&q, IndexSetView::real(&cfg));
         assert_eq!(plan.used_indices(), vec![col], "index must be chosen: {}", plan.explain());
@@ -870,7 +870,7 @@ mod tests {
         let (db, fact, _) = db();
         let col = ColRef::new(fact, 0);
         let mut cfg = PhysicalConfig::new();
-        cfg.create_index(&db, col, IndexOrigin::Online);
+        cfg.create_index(&db, col);
         let q = Query::single(fact, vec![SelPred::eq(col, 5i64), SelPred::eq(col, 7i64)]);
         let opt = Optimizer::new(&db);
         let plan = opt.optimize(&q, IndexSetView::real(&cfg));
@@ -891,7 +891,7 @@ mod tests {
         let (db, fact, _) = db();
         let col = ColRef::new(fact, 0);
         let mut cfg = PhysicalConfig::new();
-        cfg.create_index(&db, col, IndexOrigin::Online);
+        cfg.create_index(&db, col);
         let q = Query::single(
             fact,
             vec![SelPred::between(col, 0i64, 999i64), SelPred::eq(ColRef::new(fact, 2), 0i64)],
@@ -1052,7 +1052,7 @@ mod tests {
         let (db, fact, dim) = db();
         let mut cfg = PhysicalConfig::new();
         let fk = ColRef::new(fact, 1);
-        cfg.create_index(&db, fk, IndexOrigin::Online);
+        cfg.create_index(&db, fk);
         let q = Query::join(
             vec![fact, dim],
             vec![JoinPred::new(fk, ColRef::new(dim, 0))],
@@ -1161,7 +1161,7 @@ mod tests {
         // The same contradiction through the INLJ path.
         let mut icfg = PhysicalConfig::new();
         let fk = ColRef::new(fact, 1);
-        icfg.create_index(&db, fk, colt_catalog::IndexOrigin::Online);
+        icfg.create_index(&db, fk);
         let plan = Plan {
             root: PlanNode::IndexNlJoin {
                 outer: Box::new(scan(dim)),
@@ -1228,8 +1228,8 @@ mod tests {
         let (mut db, fact, dim) = db();
         let (id, fk) = (ColRef::new(fact, 0), ColRef::new(fact, 1));
         let mut cfg = PhysicalConfig::new();
-        cfg.create_index(&db, id, IndexOrigin::Online);
-        cfg.create_index(&db, fk, IndexOrigin::Online);
+        cfg.create_index(&db, id);
+        cfg.create_index(&db, fk);
         db.insert_rows(fact, [row_from(vec![Value::Int(-1), Value::Int(0), Value::Int(0)])]).unwrap();
 
         let scan = |table, path| PlanNode::Scan { table, path, est_rows: 1.0, est_cost: 1.0 };
@@ -1256,7 +1256,7 @@ mod tests {
             assert_eq!(rowwise.unwrap_err(), ExecError::StaleIndex { col });
         }
         // Rebuilt, the index covers the new row.
-        cfg.create_index(&db, id, IndexOrigin::Online);
+        cfg.create_index(&db, id);
         let q = Query::single(fact, vec![SelPred::eq(id, -1i64)]);
         let out = Executor::new(&db, &cfg).execute(&q, &by_index, Collect::CountOnly).unwrap();
         assert_eq!(out.row_count(), 1);

@@ -450,7 +450,7 @@ impl<'a> Optimizer<'a> {
 mod tests {
     use super::*;
     use crate::query::SelPred;
-    use colt_catalog::{Column, IndexOrigin, TableSchema};
+    use colt_catalog::{Column, TableSchema};
     use colt_storage::{row_from, Value, ValueType};
 
     /// Two-table database: `big` (50k rows, fk into dim) and `dim` (500).
@@ -493,7 +493,7 @@ mod tests {
         let (db, big, _) = db();
         let mut cfg = PhysicalConfig::new();
         let col = ColRef::new(big, 0);
-        cfg.create_index(&db, col, IndexOrigin::Online);
+        cfg.create_index(&db, col);
         let opt = Optimizer::new(&db);
         let q = Query::single(big, vec![SelPred::eq(col, 42i64)]);
         let plan = opt.optimize(&q, IndexSetView::real(&cfg));
@@ -508,7 +508,7 @@ mod tests {
         let (db, big, _) = db();
         let mut cfg = PhysicalConfig::new();
         let col = ColRef::new(big, 2); // 1000 distinct over 50k rows
-        cfg.create_index(&db, col, IndexOrigin::Online);
+        cfg.create_index(&db, col);
         let opt = Optimizer::new(&db);
         // 80% of the value range.
         let q = Query::single(big, vec![SelPred::between(col, 0i64, 799i64)]);
@@ -521,7 +521,7 @@ mod tests {
         let (db, big, _) = db();
         let mut cfg = PhysicalConfig::new();
         let real_col = ColRef::new(big, 0);
-        cfg.create_index(&db, real_col, IndexOrigin::Online);
+        cfg.create_index(&db, real_col);
         let hypo_col = ColRef::new(big, 1);
         let plus = BTreeSet::from([hypo_col]);
         let minus = BTreeSet::from([real_col]);
@@ -583,7 +583,7 @@ mod tests {
         // Index the big table's fk column: with a selective filter on
         // dim, probing big through the index beats hashing all of big.
         let fk = ColRef::new(big, 1);
-        cfg.create_index(&db, fk, IndexOrigin::Online);
+        cfg.create_index(&db, fk);
         let q = Query::join(
             vec![big, dim],
             vec![JoinPred::new(fk, ColRef::new(dim, 0))],
@@ -624,7 +624,7 @@ mod tests {
         let (db, big, dim) = db();
         let mut cfg = PhysicalConfig::new();
         for col in [ColRef::new(big, 0), ColRef::new(big, 2), ColRef::new(dim, 1)] {
-            cfg.create_index(&db, col, IndexOrigin::Online);
+            cfg.create_index(&db, col);
         }
         cfg.create_composite(&db, colt_catalog::CompositeKey::new(big, vec![2, 0]));
         let opt = Optimizer::new(&db);

@@ -187,7 +187,7 @@ impl<'a> Eqo<'a> {
 mod tests {
     use super::*;
     use crate::query::SelPred;
-    use colt_catalog::{Column, IndexOrigin, TableId, TableSchema};
+    use colt_catalog::{Column, TableId, TableSchema};
     use colt_storage::{row_from, Value, ValueType};
 
     fn db() -> (Database, TableId) {
@@ -243,7 +243,7 @@ mod tests {
         // Non-materialized probe must equal cost(M) − cost(M ∪ I).
         let gains = eqo.what_if_optimize(&q, &[col], &cfg);
         let without = eqo.optimize(&q, &cfg).est_cost();
-        cfg.create_index(&db, col, IndexOrigin::Online);
+        cfg.create_index(&db, col);
         let with = eqo.optimize(&q, &cfg).est_cost();
         assert!((gains[0].gain - (without - with)).abs() < 1e-9);
 
@@ -274,7 +274,7 @@ mod tests {
         let (db, t) = db();
         let cols = [ColRef::new(t, 0), ColRef::new(t, 1), ColRef::new(t, 2)];
         let mut cfg = PhysicalConfig::new();
-        cfg.create_index(&db, cols[1], IndexOrigin::Online);
+        cfg.create_index(&db, cols[1]);
         let mut eqo = Eqo::new(&db);
         let q = Query::single(t, vec![SelPred::eq(cols[0], 7i64), SelPred::between(cols[1], i64::MIN, 3i64)]);
         let estimates = || crate::selectivity::ESTIMATES.with(|n| n.get());
@@ -385,7 +385,7 @@ mod tests {
         // changes at once, and the reverse probe agrees with the forward
         // one.
         let cost_a = eqo.optimize(&qa, &cfg).est_cost();
-        cfg.create_index(&db, ColRef::new(a, 0), IndexOrigin::Online);
+        cfg.create_index(&db, ColRef::new(a, 0));
         assert!(eqo.optimize(&qa, &cfg).est_cost() < cost_a);
         let gains_a2 = eqo.what_if_optimize(&qa, &[ColRef::new(a, 0)], &cfg);
         assert!((gains_a2[0].gain - gains_a[0].gain).abs() < 1e-9);

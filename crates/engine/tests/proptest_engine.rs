@@ -5,7 +5,7 @@
 //! PRNG, so every run checks the same inputs.
 #![allow(clippy::unreachable, clippy::unwrap_used, reason = "test helpers may unwrap and panic")]
 
-use colt_catalog::{ColRef, Column, Database, IndexOrigin, PhysicalConfig, TableId, TableSchema};
+use colt_catalog::{ColRef, Column, Database, PhysicalConfig, TableId, TableSchema};
 use colt_engine::{
     AccessPath, Collect, Eqo, EqoCounters, Executor, IndexSetView, Kernel, Optimizer, Plan,
     PlanNode, PredicateKind, Query, RowwiseExecutor, SelPred,
@@ -160,7 +160,7 @@ fn single_table_matches_reference() {
         let mut cfg = PhysicalConfig::new();
         for col in 0..3u32 {
             if index_mask & (1 << col) != 0 {
-                cfg.create_index(&db, ColRef::new(a, col), IndexOrigin::Online);
+                cfg.create_index(&db, ColRef::new(a, col));
             }
         }
         let plan = Optimizer::new(&db).optimize(&q, IndexSetView::real(&cfg));
@@ -190,7 +190,7 @@ fn join_matches_reference() {
         );
         let mut cfg = PhysicalConfig::new();
         if with_index {
-            cfg.create_index(&db, ColRef::new(a, 1), IndexOrigin::Online);
+            cfg.create_index(&db, ColRef::new(a, 1));
         }
         let opt = Optimizer::with_options(&db, OptimizerOptions { enable_index_nl_join: inlj });
         let plan = opt.optimize(&q, IndexSetView::real(&cfg));
@@ -225,14 +225,14 @@ fn whatif_equals_reoptimization_delta() {
         let col = ColRef::new(a, probe_col);
         let mut cfg = PhysicalConfig::new();
         if materialized {
-            cfg.create_index(&db, col, IndexOrigin::Online);
+            cfg.create_index(&db, col);
         }
         let mut eqo = Eqo::new(&db);
         let gain = eqo.what_if_optimize(&q, &[col], &cfg)[0].gain;
 
         // Recompute the delta by brute force on two configs.
         let mut with = PhysicalConfig::new();
-        with.create_index(&db, col, IndexOrigin::Online);
+        with.create_index(&db, col);
         let without = PhysicalConfig::new();
         let opt = Optimizer::new(&db);
         let c_with = opt.optimize(&q, IndexSetView::real(&with)).est_cost();
@@ -282,7 +282,7 @@ fn eqo_optimize_is_the_bare_optimizer_and_leaves_the_memo_to_the_probes() {
             if rng.chance(0.3) {
                 let col = cols[rng.below(cols.len())];
                 if !cfg.drop_index(col) {
-                    cfg.create_index(&db, col, IndexOrigin::Online);
+                    cfg.create_index(&db, col);
                 }
             }
             let q = &queries[rng.below(queries.len())];
@@ -297,7 +297,7 @@ fn eqo_optimize_is_the_bare_optimizer_and_leaves_the_memo_to_the_probes() {
             for (&col, g) in probes.iter().zip(&gains) {
                 let (mut with, mut without) = (cfg.clone(), cfg.clone());
                 if !with.contains(col) {
-                    with.create_index(&db, col, IndexOrigin::Online);
+                    with.create_index(&db, col);
                 }
                 without.drop_index(col);
                 let delta = (cost(&without, q) - cost(&with, q)).max(0.0);
@@ -368,7 +368,7 @@ fn optimizer_never_pessimizes() {
         let mut cfg = PhysicalConfig::new();
         for col in 0..3u32 {
             if index_mask & (1 << col) != 0 {
-                cfg.create_index(&db, ColRef::new(a, col), IndexOrigin::Online);
+                cfg.create_index(&db, ColRef::new(a, col));
             }
         }
         let opt = Optimizer::new(&db);
@@ -407,10 +407,10 @@ fn three_table_chain_matches_reference() {
         );
         let mut cfg = PhysicalConfig::new();
         if index_mask & 1 != 0 {
-            cfg.create_index(&db, ColRef::new(a, 1), IndexOrigin::Online);
+            cfg.create_index(&db, ColRef::new(a, 1));
         }
         if index_mask & 2 != 0 {
-            cfg.create_index(&db, ColRef::new(b, 0), IndexOrigin::Online);
+            cfg.create_index(&db, ColRef::new(b, 0));
         }
         let opt = Optimizer::with_options(&db, OptimizerOptions { enable_index_nl_join: inlj });
         let plan = opt.optimize(&q, IndexSetView::real(&cfg));
@@ -513,7 +513,7 @@ fn random_case(rng: &mut Prng) -> Case {
     let mut cfg = PhysicalConfig::new();
     for (bit, col) in candidates.enumerate() {
         if index_mask & (1 << bit) != 0 {
-            cfg.create_index(&db, col, IndexOrigin::Online);
+            cfg.create_index(&db, col);
         }
     }
     let opt = Optimizer::with_options(&db, OptimizerOptions { enable_index_nl_join: inlj });
@@ -926,7 +926,7 @@ fn compiled_kernels_match_selpred_matches() {
         assert_eq!((column.value_type(), column.len()), (vtype, cells.len()));
         // An index on them, and the tree it must be indistinguishable from.
         let mut cfg = PhysicalConfig::new();
-        cfg.create_index(&db, col, IndexOrigin::Online);
+        cfg.create_index(&db, col);
         let index = &cfg.get(col).unwrap().tree;
         let mut entries: Vec<(Value, RowId)> = cells.iter().cloned().zip((0..).map(RowId)).collect();
         entries.sort();

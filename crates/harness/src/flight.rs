@@ -8,35 +8,8 @@
 //! in CI at any thread count and `COLT_OBS` level.
 
 use crate::runner::RunResult;
+use colt_obs::json::Json;
 use colt_obs::{DecisionKind, DecisionRecord, Snapshot};
-
-/// One parsed entry of a knapsack record's `candidates` field
-/// (`index:size_pages:net_benefit|...`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct KnapsackCandidate {
-    /// The candidate index, rendered `t<table>.c<column>`.
-    pub index: String,
-    /// Size in budget pages.
-    pub size_pages: u64,
-    /// Net-benefit value the knapsack saw.
-    pub value: f64,
-}
-
-/// Parse a knapsack record's `candidates` field.
-pub fn parse_candidates(record: &DecisionRecord) -> Vec<KnapsackCandidate> {
-    let Some(s) = record.get_str("candidates") else { return Vec::new() };
-    s.split('|')
-        .filter(|part| !part.is_empty())
-        .filter_map(|part| {
-            let mut it = part.splitn(3, ':');
-            Some(KnapsackCandidate {
-                index: it.next()?.to_string(),
-                size_pages: it.next()?.parse().ok()?,
-                value: it.next()?.parse().ok()?,
-            })
-        })
-        .collect()
-}
 
 /// The knapsack record that explains a create/drop at `epoch`: the last
 /// knapsack solved at or before that epoch.
@@ -74,14 +47,7 @@ pub fn render_decision_timeline(run: &RunResult) -> String {
             .of_kind(DecisionKind::Knapsack)
             .filter(|r| r.epoch == e)
             .last()
-            .map(|r| {
-                format!(
-                    "{}/{}",
-                    r.get_u64("spent_pages").unwrap_or(0),
-                    r.get_u64("budget_pages").unwrap_or(0)
-                )
-            })
-            .unwrap_or_else(|| "—".to_string());
+            .map_or_else(|| "—".to_string(), spent_of);
         out.push_str(&format!(
             "| {e} | {used}/{limit} | {next_budget} | {ratio:.3} | {knapsack} | {} | {} | {build:.1} |\n",
             dash_if_empty(&created),
@@ -109,22 +75,23 @@ pub fn render_index_explanations(run: &RunResult) -> String {
             _ => continue,
         };
         rows += 1;
-        let index = rec.get_str("index").unwrap_or("?");
-        let via = rec.get_str("via").unwrap_or("?");
-        let build = rec.get_f64("build_millis").unwrap_or(0.0);
+        let index = rec.get("index").and_then(Json::as_str).unwrap_or("?");
+        let via = rec.get("via").and_then(Json::as_str).unwrap_or("?");
+        let build = rec.get("build_millis").and_then(Json::as_f64).unwrap_or(0.0);
         let knapsack = explaining_knapsack(&run.obs, rec.epoch);
-        let cand = knapsack.and_then(|k| parse_candidates(k).into_iter().find(|c| c.index == index));
-        // A solve the bounded ledger evicted is not a solve that never ran.
-        let gap = if knapsack.is_none() && run.obs.ledger.evicted() > 0 { "evicted" } else { "—" };
-        let value = cand.as_ref().map_or(gap.to_string(), |c| format!("{:.3}", c.value));
-        let size = cand.as_ref().map_or(gap.to_string(), |c| c.size_pages.to_string());
-        let spent = knapsack.map_or(gap.to_string(), |k| {
-            format!(
-                "{}/{}",
-                k.get_u64("spent_pages").unwrap_or(0),
-                k.get_u64("budget_pages").unwrap_or(0)
-            )
+        // The candidate as the knapsack priced it: `{"index","size_pages","value"}`.
+        let cand = knapsack.and_then(|k| k.get("candidates")?.as_array()).and_then(|cs| {
+            cs.iter().find(|c| c.get("index").and_then(Json::as_str) == Some(index))
         });
+        let member = |key| cand.and_then(|c| c.get(key));
+        // A solve the bounded ledger evicted is not a solve that never ran.
+        let gap =
+            if knapsack.is_none() && run.obs.ledger.evicted() > 0 { "evicted" } else { "—" };
+        let value =
+            member("value").and_then(Json::as_f64).map_or(gap.to_string(), |v| format!("{v:.3}"));
+        let size =
+            member("size_pages").and_then(Json::as_u64).map_or(gap.to_string(), |n| n.to_string());
+        let spent = knapsack.map_or(gap.to_string(), spent_of);
         out.push_str(&format!(
             "| {} | {action} | {index} | {via} | {build:.1} | {value} | {size} | {spent} |\n",
             rec.epoch
@@ -134,6 +101,12 @@ pub fn render_index_explanations(run: &RunResult) -> String {
         out.push_str("| — | — | — | — | — | — | — | — |\n");
     }
     out
+}
+
+/// A knapsack record's `spent/budget` pages.
+fn spent_of(knapsack: &DecisionRecord) -> String {
+    let pages = |key| knapsack.get(key).and_then(Json::as_u64).unwrap_or(0);
+    format!("{}/{}", pages("spent_pages"), pages("budget_pages"))
 }
 
 /// Human label of a ledger record kind. The match is exhaustive, so a
@@ -252,6 +225,14 @@ mod tests {
         }
     }
 
+    fn candidate(index: &str, size_pages: u64, value: f64) -> Json {
+        Json::obj(vec![
+            ("index", index.into()),
+            ("size_pages", size_pages.into()),
+            ("value", value.into()),
+        ])
+    }
+
     fn recorder_with_decisions() -> Snapshot {
         decisions_into(Recorder::new(Level::Summary))
     }
@@ -259,8 +240,11 @@ mod tests {
     fn decisions_into(mut r: Recorder) -> Snapshot {
         r.record_decision(
             DecisionRecord::new(DecisionKind::Knapsack)
-                .field("candidates", "t0.c0:40:123.456|t0.c1:60:-2.000")
-                .field("chosen", "t0.c0")
+                .field(
+                    "candidates",
+                    Json::Arr(vec![candidate("t0.c0", 40, 123.456), candidate("t0.c1", 60, -2.0)]),
+                )
+                .field("chosen", Json::Arr(vec!["t0.c0".into()]))
                 .field("budget_pages", 100u64)
                 .field("spent_pages", 40u64),
         );
@@ -285,19 +269,6 @@ mod tests {
         }
         assert!(s.contains("| knapsack solve | 1 | 0 | 0 |"), "digest:\n{s}");
         assert!(s.contains("| what-if probe | 0 | — | — |"), "digest:\n{s}");
-    }
-
-    #[test]
-    fn candidates_round_trip() {
-        let rec = DecisionRecord::new(DecisionKind::Knapsack)
-            .field("candidates", "t0.c0:40:123.456|t0.c1:60:-2.000");
-        let c = parse_candidates(&rec);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c[0].index, "t0.c0");
-        assert_eq!(c[0].size_pages, 40);
-        assert!((c[0].value - 123.456).abs() < 1e-9);
-        assert!((c[1].value + 2.0).abs() < 1e-9);
-        assert!(parse_candidates(&DecisionRecord::new(DecisionKind::Knapsack)).is_empty());
     }
 
     #[test]
@@ -365,7 +336,8 @@ mod tests {
         r.mark_epoch(0);
         r.record_decision(DecisionRecord::new(DecisionKind::Knapsack).field("spent_pages", 2u64));
         let obs = r.into_snapshot();
-        assert_eq!(explaining_knapsack(&obs, 0).unwrap().get_u64("spent_pages"), Some(1));
-        assert_eq!(explaining_knapsack(&obs, 5).unwrap().get_u64("spent_pages"), Some(2));
+        let spent = |epoch| explaining_knapsack(&obs, epoch)?.get("spent_pages")?.as_u64();
+        assert_eq!(spent(0), Some(1));
+        assert_eq!(spent(5), Some(2));
     }
 }

@@ -20,8 +20,8 @@ pub mod report;
 pub mod runner;
 
 pub use flight::{
-    explaining_knapsack, parse_candidates, render_access_path_mix, render_decision_timeline,
-    render_index_explanations, render_ledger_digest, KnapsackCandidate, ACCESS_PATH_COUNTERS,
+    explaining_knapsack, render_access_path_mix, render_decision_timeline,
+    render_index_explanations, render_ledger_digest, ACCESS_PATH_COUNTERS,
 };
 pub use metrics::{adaptation_latency, budget_utilization, convergence_point};
 pub use multiclient::{interleave, split_round_robin};

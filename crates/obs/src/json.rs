@@ -1,10 +1,13 @@
 //! A minimal, dependency-free JSON value: writer and strict parser.
 //!
-//! The one JSON implementation of the workspace. It sits here, at the
-//! bottom of the crate DAG, so the event sink, the flight recorder and
-//! the run summaries of the crates above all write through one string
-//! escaper ([`write_str`]) and one float formatter ([`format_float`]),
-//! and every test and tool reads them back through one parser
+//! The one JSON implementation of the workspace, and the one value type
+//! of `colt-obs`: an event's or a decision record's fields are [`Json`]
+//! values, and every line of the recorder's dump is written by the same
+//! writer as [`Json::pretty`], on one line with no whitespace. It sits
+//! here, at the bottom of the crate DAG, so the event sink, the flight
+//! recorder and the run summaries of the crates above all write through
+//! one string escaper and one float formatter (both private to this
+//! module), and every test and tool reads them back through one parser
 //! ([`parse`]). A hand-rolled module keeps the whole workspace building
 //! with no registry access (no `serde`). The writer is deterministic:
 //! identical values render to identical bytes, which is what the
@@ -40,11 +43,19 @@ impl Json {
     /// Pretty-print with two-space indentation (the artifact format).
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out
     }
 
-    fn write(&self, out: &mut String, depth: usize) {
+    /// Append the value on one line with no whitespace — the format of
+    /// every line the recorder dumps.
+    pub(crate) fn write_line(&self, out: &mut String) {
+        self.write(out, None);
+    }
+
+    /// The one writer: `depth` is the indentation level when pretty,
+    /// `None` for one line.
+    fn write(&self, out: &mut String, depth: Option<usize>) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -52,43 +63,9 @@ impl Json {
             Json::UInt(u) => out.push_str(&u.to_string()),
             Json::Float(f) => out.push_str(&format_float(*f)),
             Json::Str(s) => write_str(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    item.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push(']');
-            }
+            Json::Arr(items) => write_seq(out, depth, ['[', ']'], items.iter().map(|v| (None, v))),
             Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    indent(out, depth + 1);
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write(out, depth + 1);
-                }
-                out.push('\n');
-                indent(out, depth);
-                out.push('}');
+                write_seq(out, depth, ['{', '}'], pairs.iter().map(|(k, v)| (Some(k.as_str()), v)))
             }
         }
     }
@@ -151,16 +128,50 @@ impl Json {
     }
 }
 
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+/// One object on one line, `{"k":v,…}`, from borrowed pairs: a dump
+/// line is written from its record's fields without copying them.
+pub(crate) fn object_line<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a Json)>) -> String {
+    let mut out = String::new();
+    write_seq(&mut out, None, ['{', '}'], pairs.into_iter().map(|(k, v)| (Some(k), v)));
+    out
+}
+
+/// An array (keys `None`) or an object's members between `brackets`,
+/// pretty at `Some(depth)`, on one line at `None`.
+fn write_seq<'a>(
+    out: &mut String,
+    depth: Option<usize>,
+    brackets: [char; 2],
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    out.push(brackets[0]);
+    let mut empty = true;
+    for (key, value) in items {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        if let Some(d) = depth {
+            out.push('\n');
+            out.push_str(&"  ".repeat(d + 1));
+        }
+        if let Some(k) = key {
+            write_str(out, k);
+            out.push_str(if depth.is_some() { ": " } else { ":" });
+        }
+        value.write(out, depth.map(|d| d + 1));
     }
+    if let (Some(d), false) = (depth, empty) {
+        out.push('\n');
+        out.push_str(&"  ".repeat(d));
+    }
+    out.push(brackets[1]);
 }
 
 /// Render a float so it parses back as a float: always a decimal point
 /// or exponent, `null` for non-finite values (JSON has no infinities;
 /// artifacts never produce them, but the output stays parseable).
-pub fn format_float(f: f64) -> String {
+fn format_float(f: f64) -> String {
     if !f.is_finite() {
         return "null".to_string();
     }
@@ -172,7 +183,7 @@ pub fn format_float(f: f64) -> String {
 }
 
 /// Append `s` to `out` as a quoted, escaped JSON string.
-pub fn write_str(out: &mut String, s: &str) {
+fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -186,6 +197,47 @@ pub fn write_str(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Self {
+        Json::UInt(v)
+    }
+}
+impl From<usize> for Json {
+    fn from(v: usize) -> Self {
+        Json::UInt(v as u64)
+    }
+}
+impl From<u32> for Json {
+    fn from(v: u32) -> Self {
+        Json::UInt(v as u64)
+    }
+}
+impl From<i64> for Json {
+    fn from(v: i64) -> Self {
+        Json::Int(v)
+    }
+}
+impl From<f64> for Json {
+    fn from(v: f64) -> Self {
+        Json::Float(v)
+    }
+}
+impl From<&str> for Json {
+    fn from(v: &str) -> Self {
+        Json::Str(v.to_string())
+    }
+}
+impl From<String> for Json {
+    fn from(v: String) -> Self {
+        Json::Str(v)
+    }
+}
+impl From<bool> for Json {
+    fn from(v: bool) -> Self {
+        Json::Bool(v)
+    }
 }
 
 /// Parse a JSON document (strict enough for the artifacts we emit).
@@ -422,6 +474,20 @@ mod tests {
         assert_eq!(Json::Float(3.0).pretty(), "3.0");
         assert_eq!(Json::Float(3.5).pretty(), "3.5");
         assert_eq!(Json::UInt(3).pretty(), "3");
+    }
+
+    /// One writer, two layouts: two-space indented, and the dump's one
+    /// line with no whitespace.
+    #[test]
+    fn pretty_and_one_line_layouts() {
+        let doc = Json::obj(vec![
+            ("a", Json::Arr(vec![Json::UInt(1), Json::obj(vec![("b", Json::Arr(vec![]))])])),
+            ("c", Json::obj(vec![])),
+        ]);
+        assert_eq!(doc.pretty(), "{\n  \"a\": [\n    1,\n    {\n      \"b\": []\n    }\n  ],\n  \"c\": {}\n}");
+        let mut line = String::new();
+        doc.write_line(&mut line);
+        assert_eq!(line, r#"{"a":[1,{"b":[]}],"c":{}}"#);
     }
 
     #[test]

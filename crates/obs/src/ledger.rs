@@ -9,8 +9,7 @@
 //! is evicted and counted, so a long run degrades to a recent-history
 //! window instead of growing without bound.
 
-use crate::event::{write_fields, FieldValue};
-use crate::json::{format_float, write_str};
+use crate::json::{self, Json};
 use std::collections::VecDeque;
 
 /// The kind of a [`DecisionRecord`]: the six decisions the tuner loop
@@ -66,7 +65,7 @@ pub struct DecisionRecord {
     /// The decision kind.
     pub kind: DecisionKind,
     /// Ordered fields (decision inputs and outputs).
-    pub fields: Vec<(&'static str, FieldValue)>,
+    pub fields: Vec<(&'static str, Json)>,
 }
 
 impl DecisionRecord {
@@ -77,42 +76,15 @@ impl DecisionRecord {
     }
 
     /// Append a field (builder style).
-    pub fn field(mut self, key: &'static str, value: impl Into<FieldValue>) -> Self {
+    pub fn field(mut self, key: &'static str, value: impl Into<Json>) -> Self {
         self.fields.push((key, value.into()));
         self
     }
 
-    /// Field lookup by key.
-    pub fn get(&self, key: &str) -> Option<&FieldValue> {
+    /// Field lookup by key; read it with [`Json::as_u64`],
+    /// [`Json::as_f64`] or [`Json::as_str`].
+    pub fn get(&self, key: &str) -> Option<&Json> {
         self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
-    /// A field as `u64` (through `I64`/`F64` when lossless).
-    pub fn get_u64(&self, key: &str) -> Option<u64> {
-        match self.get(key)? {
-            FieldValue::U64(n) => Some(*n),
-            FieldValue::I64(n) => u64::try_from(*n).ok(),
-            FieldValue::F64(f) if *f >= 0.0 && *f == f.trunc() => Some(*f as u64),
-            _ => None,
-        }
-    }
-
-    /// A field as `f64`.
-    pub fn get_f64(&self, key: &str) -> Option<f64> {
-        match self.get(key)? {
-            FieldValue::F64(f) => Some(*f),
-            FieldValue::U64(n) => Some(*n as f64),
-            FieldValue::I64(n) => Some(*n as f64),
-            _ => None,
-        }
-    }
-
-    /// A field as `&str`.
-    pub fn get_str(&self, key: &str) -> Option<&str> {
-        match self.get(key)? {
-            FieldValue::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
     }
 }
 
@@ -134,11 +106,8 @@ impl RingEntry for DecisionRecord {
     }
     /// `{"decision":"kind","epoch":3,"k":v,...}`.
     fn jsonl(&self) -> String {
-        let mut out = String::from("{\"decision\":");
-        write_str(&mut out, self.kind.name());
-        out.push_str(&format!(",\"epoch\":{}", self.epoch));
-        write_fields(&mut out, &self.fields);
-        out
+        let head = [("decision", Json::from(self.kind.name())), ("epoch", Json::UInt(self.epoch))];
+        json::object_line(head.iter().chain(&self.fields).map(|(k, v)| (*k, v)))
     }
 }
 
@@ -275,26 +244,13 @@ impl RingEntry for EpochPoint {
     }
     /// `{"series_epoch":3,"counters":{...},"sim_ms":{...}}`.
     fn jsonl(&self) -> String {
-        let mut out = format!("{{\"series_epoch\":{}", self.epoch);
-        out.push_str(",\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_str(&mut out, k);
-            out.push_str(&format!(":{v}"));
-        }
-        out.push_str("},\"sim_ms\":{");
-        for (i, (k, v)) in self.sim_ms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_str(&mut out, k);
-            out.push(':');
-            out.push_str(&format_float(*v));
-        }
-        out.push_str("}}");
-        out
+        let counters = self.counters.iter().map(|(k, v)| (k.clone(), Json::UInt(*v)));
+        let sim_ms = self.sim_ms.iter().map(|(k, v)| (k.clone(), Json::Float(*v)));
+        json::object_line([
+            ("series_epoch", &Json::UInt(self.epoch)),
+            ("counters", &Json::Obj(counters.collect())),
+            ("sim_ms", &Json::Obj(sim_ms.collect())),
+        ])
     }
 }
 
@@ -321,9 +277,9 @@ mod tests {
             r.jsonl(),
             r#"{"decision":"knapsack","epoch":3,"budget_pages":100,"free_value":2.5,"adopted":"free"}"#
         );
-        assert_eq!(r.get_u64("budget_pages"), Some(100));
-        assert_eq!(r.get_f64("free_value"), Some(2.5));
-        assert_eq!(r.get_str("adopted"), Some("free"));
+        assert_eq!(r.get("budget_pages").and_then(Json::as_u64), Some(100));
+        assert_eq!(r.get("free_value").and_then(Json::as_f64), Some(2.5));
+        assert_eq!(r.get("adopted").and_then(Json::as_str), Some("free"));
         assert_eq!(r.get("nope"), None);
     }
 

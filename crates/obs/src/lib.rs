@@ -7,8 +7,11 @@
 //! attribution, the flight recorder's typed [`DecisionRecord`]s, a
 //! [`progress`] sink that replaces ad-hoc `eprintln!` diagnostics with
 //! one stderr format across every binary, and the workspace's one
-//! [`json`] writer and parser. A [`Snapshot`] has one serialisation,
-//! [`Snapshot::jsonl`].
+//! [`json`] writer and parser. [`json::Json`] is the crate's one value
+//! type: an [`Event`]'s and a [`DecisionRecord`]'s fields are `Json`, and
+//! every line of a [`Snapshot`]'s one serialisation, [`Snapshot::jsonl`],
+//! goes through the writer behind [`json::Json::pretty`], so
+//! [`json::parse`] reads each line back to the values that wrote it.
 //!
 //! ## Deployment model
 //!
@@ -39,12 +42,12 @@
 
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod event;
+pub mod json;
 pub mod ledger;
 pub mod recorder;
 
-pub use event::{Event, FieldValue};
+pub use event::Event;
 pub use ledger::{DecisionKind, DecisionLedger, DecisionRecord, EpochPoint, TimeSeries};
 pub use recorder::{Recorder, Snapshot, SpanStats};
 

@@ -8,7 +8,7 @@
 //! bump, and aggregation across threads happens outside the measured
 //! region entirely.
 
-use crate::json::{format_float, write_str};
+use crate::json::{self, Json};
 use crate::ledger::{DecisionLedger, DecisionRecord, EpochPoint, TimeSeries};
 use crate::Level;
 use std::collections::BTreeMap;
@@ -293,33 +293,37 @@ impl Snapshot {
     ///
     /// * `{"decision":kind,"epoch":N,…}` and
     ///   `{"series_epoch":N,"counters":{…},"sim_ms":{…}}` —
-    ///   [`Snapshot::flight_jsonl`], the deterministic prefix;
+    ///   [`Snapshot::flight_jsonl`], the deterministic prefix. A field
+    ///   may be an array or an object: a `knapsack` line's
+    ///   `"candidates"` is `[{"index":"t0.c3","size_pages":40,"value":F},…]`
+    ///   (`value` the unrounded net benefit the solve saw) and its
+    ///   `"chosen"` is `["t0.c3",…]`;
     /// * `{"counter":name,"value":N}` — by name;
     /// * `{"span":name,"count":N,"wall_ns":N,"sim_ms":F}` — by name;
     /// * `{"flame":"outer;inner;leaf","ns":N}` — folded-stack self time.
     ///
-    /// Everything after the prefix may carry wall-clock values.
+    /// Everything after the prefix may carry wall-clock values. Every
+    /// line is written by [`crate::json`]'s one writer, so
+    /// [`crate::json::parse`] reads it back to the values that wrote it.
     pub fn jsonl(&self) -> String {
         let mut out = self.flight_jsonl();
-        for (name, v) in &self.counters {
-            out.push_str("{\"counter\":");
-            write_str(&mut out, name);
-            out.push_str(&format!(",\"value\":{v}}}\n"));
+        let mut line = |pairs: &[(&str, Json)]| {
+            out.push_str(&json::object_line(pairs.iter().map(|(k, v)| (*k, v))));
+            out.push('\n');
+        };
+        for (name, &v) in &self.counters {
+            line(&[("counter", name.as_str().into()), ("value", v.into())]);
         }
         for (name, s) in &self.spans {
-            out.push_str("{\"span\":");
-            write_str(&mut out, name);
-            out.push_str(&format!(
-                ",\"count\":{},\"wall_ns\":{},\"sim_ms\":{}}}\n",
-                s.count,
-                s.wall_ns,
-                format_float(s.sim_ms)
-            ));
+            line(&[
+                ("span", name.as_str().into()),
+                ("count", s.count.into()),
+                ("wall_ns", s.wall_ns.into()),
+                ("sim_ms", s.sim_ms.into()),
+            ]);
         }
-        for (stack, ns) in &self.flame {
-            out.push_str("{\"flame\":");
-            write_str(&mut out, stack);
-            out.push_str(&format!(",\"ns\":{ns}}}\n"));
+        for (stack, &ns) in &self.flame {
+            line(&[("flame", stack.as_str().into()), ("ns", ns.into())]);
         }
         out
     }

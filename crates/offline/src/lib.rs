@@ -23,7 +23,7 @@
 
 #![warn(missing_docs)]
 
-use colt_catalog::{ColRef, Database, IndexOrigin, PhysicalConfig, TableId};
+use colt_catalog::{ColRef, Database, PhysicalConfig, TableId};
 use colt_engine::{Eqo, Query};
 use std::collections::BTreeMap;
 
@@ -200,7 +200,7 @@ pub fn select(db: &Database, workload: &[Query], budget_pages: u64) -> OfflineSe
 pub fn materialize(db: &Database, selection: &OfflineSelection) -> PhysicalConfig {
     let mut config = PhysicalConfig::new();
     for &col in &selection.indices {
-        config.create_index(db, col, IndexOrigin::Online);
+        config.create_index(db, col);
     }
     config
 }

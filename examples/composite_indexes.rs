@@ -51,7 +51,7 @@ fn main() {
 
     // 2. Compare three configurations: bare, best single-column, composite.
     let mut single = PhysicalConfig::new();
-    single.create_index(db, suppkey, IndexOrigin::Online);
+    single.create_index(db, suppkey);
     let mut totals = [0.0f64; 3];
     for q in &workload {
         for (i, cfg) in [&bare, &single, &composite].iter().enumerate() {

@@ -60,7 +60,7 @@ fn main() {
         .max_by(|a, b| a.gain.total_cmp(&b.gain))
         .expect("non-empty candidates");
     let mut config = PhysicalConfig::new();
-    let build_io = config.create_index(db, best.col, IndexOrigin::Online);
+    let build_io = config.create_index(db, best.col);
     println!(
         "materialized the best candidate ({} pages written); new plan:",
         build_io.pages_written

@@ -61,9 +61,7 @@ pub use colt_workload as workload;
 
 /// The most common imports for using the library.
 pub mod prelude {
-    pub use colt_catalog::{
-        ColRef, Column, Database, IndexOrigin, PhysicalConfig, TableId, TableSchema,
-    };
+    pub use colt_catalog::{ColRef, Column, Database, PhysicalConfig, TableId, TableSchema};
     pub use colt_core::{ColtConfig, ColtTuner, Trace};
     pub use colt_engine::{
         Collect, Eqo, ExecError, ExecOutput, Executor, IndexSetView, Optimizer, Plan, Query,

@@ -6,6 +6,7 @@
 
 use colt_repro::colt::ColtConfig;
 use colt_repro::harness::{time_ratio, Experiment, Policy};
+use colt_repro::obs::json::Json;
 use colt_repro::workload::{generate, presets};
 
 const SCALE: f64 = 0.01;
@@ -285,10 +286,10 @@ fn composite_extension_beats_single_column_colt() {
     );
     let creates: Vec<_> = extended.obs.ledger.of_kind(DecisionKind::IndexCreate).collect();
     assert!(
-        creates.iter().any(|r| r.get_str("via") == Some("composite")),
+        creates.iter().any(|r| r.get("via").and_then(Json::as_str) == Some("composite")),
         "no composite build in the ledger: {creates:?}"
     );
-    let ledger: f64 = creates.iter().map(|r| r.get_f64("build_millis").expect("a create's charge")).sum();
+    let ledger: f64 = creates.iter().map(|r| r.get("build_millis").and_then(Json::as_f64).expect("a create's charge")).sum();
     let traced: f64 = extended.trace.epochs.iter().map(|e| e.build_millis).sum();
     assert!((ledger - traced).abs() <= 1e-9 * traced, "ledger {ledger} vs trace {traced}");
 }

@@ -3,7 +3,7 @@
 //! estimates must be calibrated against executed costs, and OFFLINE's
 //! structural optimum must match the literal exhaustive search.
 
-use colt_repro::catalog::{IndexOrigin, PhysicalConfig};
+use colt_repro::catalog::PhysicalConfig;
 use colt_repro::engine::{Collect, Eqo, Executor, IndexSetView, Optimizer, Query, SelPred};
 use colt_repro::storage::Value;
 use colt_repro::storage::Prng;
@@ -20,7 +20,7 @@ fn all_access_paths_agree_on_tpch() {
     // Index every column the distribution restricts.
     let mut indexed = PhysicalConfig::new();
     for col in dist.relevant_columns() {
-        indexed.create_index(db, col, IndexOrigin::Online);
+        indexed.create_index(db, col);
     }
     let bare = PhysicalConfig::new();
     let opt = Optimizer::new(db);
@@ -113,7 +113,7 @@ fn forward_and_reverse_whatif_agree() {
     let mut eqo = Eqo::new(db);
     let mut cfg = PhysicalConfig::new();
     let forward = eqo.what_if_optimize(&q, &[col], &cfg)[0].gain;
-    cfg.create_index(db, col, IndexOrigin::Online);
+    cfg.create_index(db, col);
     let reverse = eqo.what_if_optimize(&q, &[col], &cfg)[0].gain;
     assert!((forward - reverse).abs() < 1e-9, "forward {forward} vs reverse {reverse}");
     assert!(forward > 0.0);

@@ -7,7 +7,8 @@
 use colt_repro::catalog::PhysicalConfig;
 use colt_repro::colt::{ColtConfig, ColtTuner};
 use colt_repro::engine::Eqo;
-use colt_repro::harness::{explaining_knapsack, parse_candidates, Experiment, Policy};
+use colt_repro::harness::{explaining_knapsack, Experiment, Policy};
+use colt_repro::obs::json::Json;
 use colt_repro::obs::{install, take, DecisionKind, Level, Recorder};
 use colt_repro::workload::{generate, presets};
 
@@ -50,14 +51,15 @@ fn every_index_change_is_explained_by_the_ledger() {
                 .obs
                 .ledger
                 .of_kind(action)
-                .find(|r| r.epoch == e.epoch && r.get_str("index") == Some(name.as_str()))
+                .find(|r| r.epoch == e.epoch && r.get("index").and_then(Json::as_str) == Some(name.as_str()))
                 .unwrap_or_else(|| {
                     panic!("epoch {}: no {} ledger record for {name}", e.epoch, action.name())
                 });
             let solve = explaining_knapsack(&run.obs, rec.epoch)
                 .unwrap_or_else(|| panic!("no knapsack solve at or before epoch {}", rec.epoch));
+            let candidates = solve.get("candidates").and_then(Json::as_array).unwrap_or_default();
             assert!(
-                parse_candidates(solve).iter().any(|c| c.index == name),
+                candidates.iter().any(|c| c.get("index").and_then(Json::as_str) == Some(name.as_str())),
                 "epoch {}: knapsack candidates do not price {name}",
                 e.epoch
             );
@@ -87,7 +89,7 @@ fn boundary_builds_reach_the_step_the_trace_and_the_ledger() {
     }
     let ledger = take().expect("the recorder installed above").into_snapshot().ledger;
     let creates = (ledger.of_kind(DecisionKind::IndexCreate))
-        .filter(|r| r.get_str("via") == Some("reorganize"))
+        .filter(|r| r.get("via").and_then(Json::as_str) == Some("reorganize"))
         .count();
     assert!(created > 0, "the run must build");
     assert_eq!((created, tuner.trace().total_builds()), (creates, creates));
@@ -103,7 +105,7 @@ fn ledger_knapsack_spend_cross_checks_the_counter() {
         .obs
         .ledger
         .of_kind(DecisionKind::Knapsack)
-        .map(|r| r.get_u64("spent_pages").unwrap_or(0))
+        .map(|r| r.get("spent_pages").and_then(Json::as_u64).unwrap_or(0))
         .sum();
     assert!(from_ledger > 0, "the stable preset materializes indices");
     assert_eq!(from_ledger, run.obs.counter("tuner.budget.spent"));

@@ -6,7 +6,9 @@
 //!   whose engine and harness execute spans carry exactly the samples'
 //!   execution time, tuned and untuned;
 //! * every line of the snapshot's one dump parses with the strict
-//!   in-repo JSON parser and carries one of its five tags;
+//!   in-repo JSON parser and carries one of its five tags, and each
+//!   flight-recorder line parses back to the record or point that
+//!   wrote it;
 //! * an `Off` recorder records nothing and costs the default path
 //!   nothing — the samples are identical with and without recording;
 //! * the work a run does, in counted units and simulated totals, is
@@ -129,7 +131,7 @@ fn every_dump_line_parses_and_carries_one_of_five_tags() {
     let run = run_colt_at(Level::Full, presets::stable);
     let dump = run.obs.jsonl();
     assert!(dump.starts_with(&run.obs.flight_jsonl()), "the flight recorder is the dump's prefix");
-    let mut decisions = run.obs.ledger.records();
+    let (mut decisions, mut points) = (run.obs.ledger.records(), run.obs.series.records());
     for (i, line) in dump.lines().enumerate() {
         let v = parse(line).unwrap_or_else(|e| panic!("line {}: {e}: {line}", i + 1));
         let Json::Obj(pairs) = &v else { panic!("line {} is not an object: {line}", i + 1) };
@@ -139,18 +141,33 @@ fn every_dump_line_parses_and_carries_one_of_five_tags() {
             "line {}: unknown tag {tag:?}: {line}",
             i + 1
         );
-        if tag == "decision" {
-            // Each decision line is the ledger's record, in record
-            // order: its kind's wire name, its epoch, and every field
-            // under its own key.
-            let d = decisions.next().expect("no more decision lines than ledger records");
-            assert_eq!(v.get("decision").and_then(Json::as_str), Some(d.kind.name()), "line {}", i + 1);
-            assert_eq!(v.get("epoch").and_then(Json::as_u64), Some(d.epoch), "line {}", i + 1);
-            assert_eq!(pairs.len(), 2 + d.fields.len(), "line {}: {line}", i + 1);
-            assert!(d.fields.iter().all(|(k, _)| v.get(k).is_some()), "line {}: {line}", i + 1);
-        }
+        // The flight recorder's lines read back to the values that wrote
+        // them, in order and at full precision: a decision line to its
+        // ledger record's kind name, epoch and every field, a series
+        // line to its epoch point.
+        let written = match tag {
+            "decision" => {
+                let d = decisions.next().expect("no more decision lines than ledger records");
+                let head = [("decision", Json::from(d.kind.name())), ("epoch", Json::UInt(d.epoch))];
+                Json::obj(head.into_iter().chain(d.fields.iter().cloned()).collect())
+            }
+            "series_epoch" => {
+                let p = points.next().expect("no more series lines than epoch points");
+                let counters = p.counters.iter().map(|(k, n)| (k.clone(), Json::UInt(*n)));
+                let sim_ms = p.sim_ms.iter().map(|(k, ms)| (k.clone(), Json::Float(*ms)));
+                Json::obj(vec![
+                    ("series_epoch", Json::UInt(p.epoch)),
+                    ("counters", Json::Obj(counters.collect())),
+                    ("sim_ms", Json::Obj(sim_ms.collect())),
+                ])
+            }
+            _ => continue,
+        };
+        assert_eq!(v, written, "line {}: {line}", i + 1);
     }
     assert!(decisions.next().is_none(), "every ledger record has its line");
+    assert!(points.next().is_none(), "every epoch point has its line");
+    assert!(!run.obs.series.is_empty());
     assert!(!run.obs.ledger.is_empty());
 }
 
