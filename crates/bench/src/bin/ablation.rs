@@ -18,9 +18,10 @@
 //! the parallel harness.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{build_data, dump_obs, fmt_ms, seed, threads};
+use colt_bench::{build_data, fmt_ms, run_exhibit, seed};
 use colt_core::ColtConfig;
-use colt_harness::{emit_parallel_summary, run_cells, Cell, ParallelReport, Policy};
+use colt_harness::metrics::deviation_pct;
+use colt_harness::{Cell, Policy};
 use colt_workload::presets;
 
 fn variants(base: &ColtConfig) -> Vec<(&'static str, ColtConfig)> {
@@ -33,11 +34,9 @@ fn variants(base: &ColtConfig) -> Vec<(&'static str, ColtConfig)> {
     ]
 }
 
-fn run_table(
-    data: &colt_workload::TpchData,
-    title: &str,
-    preset: &colt_workload::Preset,
-) -> ParallelReport {
+/// Run and print one table. Each table writes the `COLT_OBS_PATH`
+/// dump, so the file holds the last one's, the stable workload's.
+fn run_table(data: &colt_workload::TpchData, title: &str, preset: &colt_workload::Preset) {
     let base = ColtConfig { storage_budget_pages: preset.budget_pages, ..Default::default() };
     println!("# Ablation — {title} ({} queries)", preset.queries.len());
     let mut cells = vec![Cell::new(
@@ -51,8 +50,7 @@ fn run_table(
             .into_iter()
             .map(|(name, cfg)| Cell::new(name, &data.db, &preset.queries, Policy::colt(cfg))),
     );
-    let report = run_cells(&cells, threads()).expect("run failed");
-    emit_parallel_summary(&format!("Ablation cells — {title}"), &report);
+    let report = run_exhibit(&format!("Ablation cells — {title}"), &cells);
 
     let offline = &report.cells[0].result;
     println!("  OFFLINE reference: {}", fmt_ms(offline.total_millis()));
@@ -63,25 +61,23 @@ fn run_table(
     );
     for cell in &report.cells[1..] {
         let run = &cell.result;
-        let drops: usize = run.trace.epochs.iter().map(|e| e.dropped.len()).sum();
         println!(
             "  {:<20} {:>12} {:>9.1}% {:>9} {:>7} {:>7}",
             cell.label,
             fmt_ms(run.total_millis()),
-            (run.total_millis() / offline.total_millis() - 1.0) * 100.0,
+            deviation_pct(run, offline, ..),
             run.trace.total_whatif(),
             run.trace.total_builds(),
-            drops,
+            run.trace.total_drops(),
         );
     }
     println!();
-    report
 }
 
 fn main() {
     let data = build_data();
     run_table(&data, "shifting workload", &presets::shifting(&data, seed()));
-    dump_obs(&run_table(&data, "stable workload", &presets::stable(&data, seed())));
+    run_table(&data, "stable workload", &presets::stable(&data, seed()));
     println!("  (lower total is better; 'no self-regulation' shows the extra");
     println!("   what-if calls the paper's mechanism avoids; 'no swap");
     println!("   hysteresis' shows materialization churn, which hurts most");

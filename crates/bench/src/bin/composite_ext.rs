@@ -9,9 +9,9 @@
 //! two-column index.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{build_data, dump_obs, fmt_ms, seed, threads};
+use colt_bench::{build_data, fmt_ms, run_exhibit, seed};
 use colt_core::ColtConfig;
-use colt_harness::{emit_parallel_summary, run_cells, Cell, Policy};
+use colt_harness::{Cell, Policy};
 use colt_storage::Prng;
 use colt_workload::{fixed, QueryDistribution, QueryTemplate, SelSpec, TemplateSelection};
 
@@ -56,9 +56,7 @@ fn main() {
             }),
         ),
     ];
-    let report = run_cells(&cells, threads()).expect("run failed");
-    emit_parallel_summary("Composite cells", &report);
-    dump_obs(&report);
+    let report = run_exhibit("Composite cells", &cells);
     let none = report.get("no tuning").expect("baseline cell");
     let plain = report.get("COLT single-column").expect("plain cell");
     let extended = report.get("COLT composite").expect("extended cell");

@@ -9,11 +9,9 @@
 //!   OFFLINE technique (the paper reports a ~1% deviation).
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{build_data, dump_obs, fmt_ms, seed, threads};
-use colt_core::ColtConfig;
-use colt_harness::{
-    bucket_rows, emit_breakdown, emit_parallel_summary, render_buckets, run_cells, Cell, Policy,
-};
+use colt_bench::{build_data, colt_vs_offline, fmt_ms, run_exhibit, seed};
+use colt_harness::metrics::{budget_utilization, convergence, tail_deviation, STARTUP_QUERIES};
+use colt_harness::{bucket_rows, emit_breakdown, render_buckets, Policy};
 use colt_workload::presets;
 
 fn main() {
@@ -26,47 +24,30 @@ fn main() {
         preset.budget_pages
     );
 
-    let cells = [
-        Cell::new(
-            "OFFLINE",
-            &data.db,
-            &preset.queries,
-            Policy::Offline { budget_pages: preset.budget_pages },
-        ),
-        Cell::new(
-            "COLT",
-            &data.db,
-            &preset.queries,
-            Policy::colt(ColtConfig { storage_budget_pages: preset.budget_pages, ..Default::default() }),
-        ),
-    ];
-    let report = run_cells(&cells, threads()).expect("run failed");
-    emit_parallel_summary("Figure 3 cells", &report);
+    let cells = colt_vs_offline("", &data.db, &preset.queries, preset.budget_pages);
+    let report = run_exhibit("Figure 3 cells", &cells);
     let offline = report.get("OFFLINE").expect("offline cell");
     let colt = report.get("COLT").expect("colt cell");
     emit_breakdown("OFFLINE", offline);
     emit_breakdown("COLT", colt);
-    dump_obs(&report);
 
     let rows = bucket_rows(colt, offline, 50);
     println!("{}", render_buckets("Execution time per 50-query bucket", &rows));
 
     // Convergence metrics (paper: ≤ ~1% deviation after query 100).
-    let tail = 100..preset.queries.len();
-    let colt_tail = colt.range_millis(tail.clone());
-    let off_tail = offline.range_millis(tail);
-    let deviation = (colt_tail / off_tail - 1.0) * 100.0;
+    let (startup, tail) = (0..STARTUP_QUERIES, STARTUP_QUERIES..);
     println!("## Convergence");
     println!(
-        "  first 100 queries: COLT {} vs OFFLINE {} (start-up: monitoring + builds)",
-        fmt_ms(colt.range_millis(0..100)),
-        fmt_ms(offline.range_millis(0..100)),
+        "  first {STARTUP_QUERIES} queries: COLT {} vs OFFLINE {} (start-up: monitoring + builds)",
+        fmt_ms(colt.range_millis(startup.clone())),
+        fmt_ms(offline.range_millis(startup)),
     );
     println!(
-        "  queries 100..{}: COLT {} vs OFFLINE {} → deviation {deviation:+.1}% (paper: ~1%)",
+        "  queries {STARTUP_QUERIES}..{}: COLT {} vs OFFLINE {} → deviation {:+.1}% (paper: ~1%)",
         preset.queries.len(),
-        fmt_ms(colt_tail),
-        fmt_ms(off_tail),
+        fmt_ms(colt.range_millis(tail.clone())),
+        fmt_ms(offline.range_millis(tail)),
+        tail_deviation(colt, offline),
     );
     println!(
         "  OFFLINE selected {:?} ({} indices); COLT ended with {:?}",
@@ -75,16 +56,18 @@ fn main() {
         colt.final_indices.len(),
     );
     println!("  index builds by COLT: {}", colt.trace.total_builds());
-    match colt_harness::convergence_point(colt, offline, 20, 0.10) {
+    match convergence(colt, offline) {
         Some(p) => println!(
             "  convergence: within 10% of OFFLINE from query ~{p} onward (paper: ~100)"
         ),
         None => println!("  convergence: not reached within the run"),
     }
-    println!(
-        "  mean what-if budget utilization: {:.1}%",
-        100.0 * colt_harness::budget_utilization(colt, 20)
-    );
+    if let Policy::Colt(cfg) = &colt.policy {
+        println!(
+            "  mean what-if budget utilization: {:.1}%",
+            100.0 * budget_utilization(colt, cfg.max_whatif_per_epoch)
+        );
+    }
     println!("## Summary (COLT)");
     println!("{}", colt.summary_json());
 }

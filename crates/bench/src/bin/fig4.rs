@@ -9,40 +9,24 @@
 //! * over the whole workload COLT is ~33% faster.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{build_data, dump_obs, fmt_ms, seed, threads};
-use colt_core::ColtConfig;
-use colt_harness::{
-    bucket_rows, emit_parallel_summary, render_buckets, run_cells, Cell, Policy,
-};
-use colt_workload::presets;
+use colt_bench::{build_data, colt_vs_offline, fmt_ms, run_exhibit, seed};
+use colt_harness::metrics::reduction_pct;
+use colt_harness::{adaptation_latency, bucket_rows, render_buckets};
+use colt_workload::presets::{self, SHIFTING_PHASES};
 
 fn main() {
     let data = build_data();
     let preset = presets::shifting(&data, seed());
     println!(
-        "# Figure 4 — Shifting workload ({} queries, 4 phases, {} relevant indices, budget {} pages)",
+        "# Figure 4 — Shifting workload ({} queries, {} phases, {} relevant indices, budget {} pages)",
         preset.queries.len(),
+        SHIFTING_PHASES.count,
         preset.relevant.len(),
         preset.budget_pages
     );
 
-    let cells = [
-        Cell::new(
-            "OFFLINE",
-            &data.db,
-            &preset.queries,
-            Policy::Offline { budget_pages: preset.budget_pages },
-        ),
-        Cell::new(
-            "COLT",
-            &data.db,
-            &preset.queries,
-            Policy::colt(ColtConfig { storage_budget_pages: preset.budget_pages, ..Default::default() }),
-        ),
-    ];
-    let report = run_cells(&cells, threads()).expect("run failed");
-    emit_parallel_summary("Figure 4 cells", &report);
-    dump_obs(&report);
+    let cells = colt_vs_offline("", &data.db, &preset.queries, preset.budget_pages);
+    let report = run_exhibit("Figure 4 cells", &cells);
     let offline = report.get("OFFLINE").expect("offline cell");
     let colt = report.get("COLT").expect("colt cell");
 
@@ -50,33 +34,27 @@ fn main() {
     println!("{}", render_buckets("Execution time per 50-query bucket", &rows));
 
     println!("## Phase breakdown (paper: phase 2 ≈ 49% shorter, overall ≈ 33% shorter)");
-    let spans = [
-        ("phase 1 (0..300)", 0..300),
-        ("phase 2 (350..650)", 350..650),
-        ("phase 3 (700..1000)", 700..1000),
-        ("phase 4 (1050..1350)", 1050..1350),
-        ("overall (0..1350)", 0..preset.queries.len()),
-    ];
-    for (label, span) in spans {
-        let c = colt.range_millis(span.clone());
-        let o = offline.range_millis(span);
-        let red = (1.0 - c / o) * 100.0;
+    let phases = SHIFTING_PHASES.pure_spans().into_iter().enumerate();
+    let spans = phases.map(|(i, span)| (format!("phase {}", i + 1), span));
+    for (name, span) in spans.chain([("overall".to_string(), 0..preset.queries.len())]) {
+        let label = format!("{name} ({}..{})", span.start, span.end);
         println!(
-            "  {label:<22} COLT {:>12} OFFLINE {:>12}  reduction {red:+.1}%",
-            fmt_ms(c),
-            fmt_ms(o)
+            "  {label:<22} COLT {:>12} OFFLINE {:>12}  reduction {:+.1}%",
+            fmt_ms(colt.range_millis(span.clone())),
+            fmt_ms(offline.range_millis(span.clone())),
+            reduction_pct(colt, offline, span),
         );
     }
     println!(
         "  COLT built {} indices and dropped {} over the run",
         colt.trace.total_builds(),
-        colt.trace.epochs.iter().map(|e| e.dropped.len()).sum::<usize>(),
+        colt.trace.total_drops(),
     );
     println!("## Adaptation (paper: \"adapts rapidly to shifts\")");
-    let bounds = colt_workload::phase_boundaries(4, 300, 50);
-    for (i, &shift) in bounds.iter().enumerate() {
-        let until = bounds.get(i + 1).copied().unwrap_or(preset.queries.len());
-        match colt_harness::adaptation_latency(colt, shift, until, 20, 0.15) {
+    let starts = SHIFTING_PHASES.transition_starts();
+    for (i, &shift) in starts.iter().enumerate() {
+        let until = starts.get(i + 1).copied().unwrap_or(preset.queries.len());
+        match adaptation_latency(colt, shift, until, 20, 0.15) {
             Some(lat) => println!(
                 "  after transition {} (query {shift}): settled within ~{lat} queries",
                 i + 1

@@ -16,10 +16,15 @@
 //! count; wall-clock and speedup go to stderr.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{build_data, dump_obs, seed, threads};
+use colt_bench::{build_data, run_exhibit, seed};
 use colt_core::ColtConfig;
-use colt_harness::{emit_parallel_summary, render_whatif_series, run_cells, Cell, Policy};
-use colt_workload::{phase_boundaries, presets};
+use colt_harness::metrics::stable_epoch_mean;
+use colt_harness::{render_whatif_series, Cell, Policy};
+use colt_workload::presets::{self, SHIFTING_PHASES};
+
+/// An epoch is stable when it lies more than this many epochs from
+/// every transition's.
+const MARGIN: usize = 8;
 
 /// Replicated workload seeds: the primary plus three more.
 const REPLICAS: u64 = 4;
@@ -49,17 +54,13 @@ fn main() {
             )
         })
         .collect();
-    let report = run_cells(&cells, threads()).expect("run failed");
-    emit_parallel_summary("Figure 5 cells", &report);
-    dump_obs(&report);
+    let report = run_exhibit("Figure 5 cells", &cells);
 
     let colt = &report.cells[0].result;
     let series = colt.trace.whatif_per_epoch();
     println!("{}", render_whatif_series("#What-if calls per epoch", &series, max_budget));
 
-    // Transition epochs (phase boundaries in epochs).
-    let boundaries = phase_boundaries(4, 300, 50);
-    let transition_epochs: Vec<usize> = boundaries.iter().map(|q| q / epoch_len).collect();
+    let transition_epochs = SHIFTING_PHASES.transition_epochs(epoch_len);
     println!("## Analysis");
     println!("  phase transitions begin at epochs {transition_epochs:?}");
 
@@ -80,15 +81,7 @@ fn main() {
         );
     }
     let total_epochs = series.len();
-    let stable_mean = {
-        let stable_epochs: Vec<u64> = series
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| transition_epochs.iter().all(|&te| (*i as i64 - te as i64).abs() > 8))
-            .map(|(_, &v)| v)
-            .collect();
-        stable_epochs.iter().sum::<u64>() as f64 / stable_epochs.len().max(1) as f64
-    };
+    let stable_mean = stable_epoch_mean(&series, &transition_epochs, MARGIN);
     println!(
         "  mean what-if per stable epoch: {stable_mean:.2} of budget {max_budget} (paper: < half budget)"
     );
@@ -108,14 +101,7 @@ fn main() {
     // Seed replicas: the self-regulation shape must hold for each.
     println!("## Seed replicas (stable-epoch budget use, paper: < half budget)");
     for cell in &report.cells {
-        let s = cell.result.trace.whatif_per_epoch();
-        let stable: Vec<u64> = s
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| transition_epochs.iter().all(|&te| (*i as i64 - te as i64).abs() > 8))
-            .map(|(_, &v)| v)
-            .collect();
-        let m = stable.iter().sum::<u64>() as f64 / stable.len().max(1) as f64;
+        let m = stable_epoch_mean(&cell.result.trace.whatif_per_epoch(), &transition_epochs, MARGIN);
         println!(
             "  {:<16} total what-if {:>5}, mean stable epoch {m:.2}/{max_budget}",
             cell.label,

@@ -22,9 +22,8 @@
     reason = "an exhibit bin prints and aborts"
 )]
 
-use colt_bench::{build_data, dump_obs, seed, threads};
-use colt_core::ColtConfig;
-use colt_harness::{emit_parallel_summary, run_cells, time_ratio, Cell, Policy};
+use colt_bench::{build_data, colt_vs_offline, run_exhibit, seed};
+use colt_harness::metrics::{time_ratio, worst_burst};
 use colt_workload::presets;
 
 const BURSTS: [usize; 12] = [20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 140];
@@ -50,32 +49,15 @@ fn main() {
             (burst, preset, plan, q1_only)
         })
         .collect();
-    let cells: Vec<Cell<'_>> = setups
+    let cells: Vec<_> = setups
         .iter()
         .flat_map(|(burst, preset, _, q1_only)| {
-            [
-                Cell::new(
-                    format!("OFFLINE burst={burst}"),
-                    &data.db,
-                    &preset.queries,
-                    Policy::Offline { budget_pages: preset.budget_pages },
-                )
-                .analyzed(q1_only),
-                Cell::new(
-                    format!("COLT burst={burst}"),
-                    &data.db,
-                    &preset.queries,
-                    Policy::colt(ColtConfig {
-                        storage_budget_pages: preset.budget_pages,
-                        ..Default::default()
-                    }),
-                ),
-            ]
+            let suffix = format!(" burst={burst}");
+            let [offline, colt] = colt_vs_offline(&suffix, &data.db, &preset.queries, preset.budget_pages);
+            [offline.analyzed(q1_only), colt]
         })
         .collect();
-    let report = run_cells(&cells, threads()).expect("run failed");
-    emit_parallel_summary("Figure 6 cells", &report);
-    dump_obs(&report);
+    let report = run_exhibit("Figure 6 cells", &cells);
 
     let mut ratios = Vec::new();
     for (i, (burst, _, plan, _)) in setups.iter().enumerate() {
@@ -97,8 +79,7 @@ fn main() {
     let at = |b: usize| ratios.iter().find(|(x, _)| *x == b).unwrap().1;
     let short = (at(20) + at(30) + at(40)) / 3.0;
     let long = (at(120) + at(140)) / 2.0;
-    let dip = ratios.iter().map(|(_, r)| *r).fold(0.0f64, f64::max);
-    let dip_at = ratios.iter().max_by(|a, b| a.1.total_cmp(&b.1)).unwrap().0;
+    let (dip_at, dip) = worst_burst(&ratios).unwrap();
     println!("  mean ratio at short bursts (20–40):  {short:.3}");
     println!("  worst ratio:                         {dip:.3} at burst {dip_at}");
     println!("  mean ratio at long bursts (120–140): {long:.3}");

@@ -9,11 +9,9 @@
 //! queries no longer arriving adjacently.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{build_data, dump_obs, fmt_ms, seed, threads};
-use colt_core::ColtConfig;
-use colt_harness::{
-    emit_parallel_summary, interleave, run_cells, split_round_robin, Cell, Policy,
-};
+use colt_bench::{build_data, colt_vs_offline, fmt_ms, run_exhibit, seed};
+use colt_harness::metrics::reduction_pct;
+use colt_harness::{interleave, split_round_robin};
 use colt_workload::presets;
 
 fn main() {
@@ -32,29 +30,21 @@ fn main() {
     let merged = interleave(&streams, seed());
     println!("  merged stream: {} queries from {clients} clients; budget {budget} pages", merged.len());
 
-    let cells = [
-        Cell::new("OFFLINE", &data.db, &merged, Policy::Offline { budget_pages: budget }),
-        Cell::new(
-            "COLT",
-            &data.db,
-            &merged,
-            Policy::colt(ColtConfig { storage_budget_pages: budget, ..Default::default() }),
-        ),
-    ];
-    let report = run_cells(&cells, threads()).expect("run failed");
-    emit_parallel_summary("Multi-user cells", &report);
-    dump_obs(&report);
+    let cells = colt_vs_offline("", &data.db, &merged, budget);
+    let report = run_exhibit("Multi-user cells", &cells);
     let offline = report.get("OFFLINE").expect("offline cell");
     let colt = report.get("COLT").expect("colt cell");
 
-    let reduction = (1.0 - colt.total_millis() / offline.total_millis()) * 100.0;
     println!("  COLT    {:>12}", fmt_ms(colt.total_millis()));
     println!("  OFFLINE {:>12}", fmt_ms(offline.total_millis()));
-    println!("  reduction for COLT: {reduction:+.1}% (paper: 'similar benefits' to the 33% single-user win)");
+    println!(
+        "  reduction for COLT: {:+.1}% (paper: 'similar benefits' to the 33% single-user win)",
+        reduction_pct(colt, offline, ..)
+    );
     println!(
         "  builds {} · drops {} · what-if {}",
         colt.trace.total_builds(),
-        colt.trace.epochs.iter().map(|e| e.dropped.len()).sum::<usize>(),
+        colt.trace.total_drops(),
         colt.trace.total_whatif()
     );
 }

@@ -16,11 +16,10 @@
 //! EXPERIMENTS.md and diffs cleanly in CI at any thread count.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{build_data, dump_obs, seed, threads};
-use colt_core::ColtConfig;
+use colt_bench::{build_data, colt_vs_offline, run_exhibit, seed};
 use colt_harness::{
     render_access_path_mix, render_decision_timeline, render_index_explanations,
-    render_ledger_digest, run_cells, Cell, Policy,
+    render_ledger_digest,
 };
 use colt_workload::presets;
 
@@ -34,21 +33,8 @@ fn main() {
         preset.budget_pages
     );
 
-    let cells = [
-        Cell::new(
-            "OFFLINE",
-            &data.db,
-            &preset.queries,
-            Policy::Offline { budget_pages: preset.budget_pages },
-        ),
-        Cell::new(
-            "COLT",
-            &data.db,
-            &preset.queries,
-            Policy::colt(ColtConfig { storage_budget_pages: preset.budget_pages, ..Default::default() }),
-        ),
-    ];
-    let report = run_cells(&cells, threads()).expect("run failed");
+    let cells = colt_vs_offline("", &data.db, &preset.queries, preset.budget_pages);
+    let report = run_exhibit("Report cells", &cells);
     let offline = report.get("OFFLINE").expect("offline cell");
     let colt = report.get("COLT").expect("colt cell");
 
@@ -70,5 +56,4 @@ fn main() {
         colt.obs.series.len(),
         colt.obs.series.evicted(),
     );
-    dump_obs(&report);
 }

@@ -9,9 +9,8 @@
 //! fans across the parallel harness.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{dump_obs, fmt_ms, seed, threads};
-use colt_core::ColtConfig;
-use colt_harness::{convergence_point, emit_parallel_summary, run_cells, Cell, Policy};
+use colt_bench::{colt_vs_offline, fmt_ms, run_exhibit, seed};
+use colt_harness::metrics::{best_phase_reduction, convergence, reduction_pct, tail_deviation};
 use colt_workload::{generate, presets};
 
 const SCALES: [f64; 3] = [0.01, 0.025, 0.05];
@@ -34,62 +33,31 @@ fn main() {
             (scale, data, stable, shifting)
         })
         .collect();
-    let cells: Vec<Cell<'_>> = setups
+    let cells: Vec<_> = setups
         .iter()
         .flat_map(|(scale, data, stable, shifting)| {
             [(stable, "f3"), (shifting, "f4")].into_iter().flat_map(move |(preset, fig)| {
-                [
-                    Cell::new(
-                        format!("OFFLINE {fig} scale={scale}"),
-                        &data.db,
-                        &preset.queries,
-                        Policy::Offline { budget_pages: preset.budget_pages },
-                    ),
-                    Cell::new(
-                        format!("COLT {fig} scale={scale}"),
-                        &data.db,
-                        &preset.queries,
-                        Policy::colt(ColtConfig {
-                            storage_budget_pages: preset.budget_pages,
-                            ..Default::default()
-                        }),
-                    ),
-                ]
+                let suffix = format!(" {fig} scale={scale}");
+                colt_vs_offline(&suffix, &data.db, &preset.queries, preset.budget_pages)
             })
         })
         .collect();
-    let report = run_cells(&cells, threads()).expect("run failed");
-    emit_parallel_summary("Scaling cells", &report);
-    dump_obs(&report);
+    let report = run_exhibit("Scaling cells", &cells);
 
-    for (i, (scale, data, stable, _)) in setups.iter().enumerate() {
+    for (i, (scale, data, _, _)) in setups.iter().enumerate() {
         let off3 = &report.cells[4 * i].result;
         let colt3 = &report.cells[4 * i + 1].result;
         let off4 = &report.cells[4 * i + 2].result;
         let colt4 = &report.cells[4 * i + 3].result;
-
-        // Figure 3 metrics.
-        let tail = 100..stable.queries.len();
-        let dev = (colt3.range_millis(tail.clone()) / off3.range_millis(tail) - 1.0) * 100.0;
-        let conv = convergence_point(colt3, off3, 20, 0.10)
-            .map(|p| format!("q{p}"))
-            .unwrap_or_else(|| "—".into());
-
-        // Figure 4 metrics.
-        let overall = (1.0 - colt4.total_millis() / off4.total_millis()) * 100.0;
-        let best = [350..650, 700..1000, 1050..1350]
-            .into_iter()
-            .map(|s| (1.0 - colt4.range_millis(s.clone()) / off4.range_millis(s)) * 100.0)
-            .fold(f64::NEG_INFINITY, f64::max);
-
+        let conv = convergence(colt3, off3).map(|p| format!("q{p}")).unwrap_or_else(|| "—".into());
         println!(
             "  {:<7} {:>10} | {:>11.1}% {:>12} | {:>11.1}% {:>11.1}%",
             scale,
             data.db.total_tuples(),
-            dev,
+            tail_deviation(colt3, off3),
             conv,
-            overall,
-            best,
+            reduction_pct(colt4, off4, ..),
+            best_phase_reduction(colt4, off4),
         );
         colt_obs::progress(
             colt_obs::Event::new("scale_point")

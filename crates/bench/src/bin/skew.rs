@@ -8,11 +8,10 @@
 //! calibrated — the tuner still converges to the off-line optimum.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{dump_obs, fmt_ms, seed, threads};
+use colt_bench::{colt_vs_offline, fmt_ms, run_exhibit, seed};
 use colt_catalog::{ColRef, Column, Database, PhysicalConfig, TableSchema};
-use colt_core::ColtConfig;
 use colt_engine::{Collect, Executor, IndexSetView, Optimizer, Query, SelPred};
-use colt_harness::{emit_parallel_summary, run_cells, Cell, Policy};
+use colt_harness::metrics::{deviation_pct, tail_deviation};
 use colt_storage::{row_from, Prng, Value, ValueType};
 use colt_workload::gen::ColumnGen;
 
@@ -67,28 +66,13 @@ fn main() {
         })
         .collect();
     let budget = db.index_estimate(kind).pages + 16;
-    let cells = [
-        Cell::new("OFFLINE", &db, &workload, Policy::Offline { budget_pages: budget }),
-        Cell::new(
-            "COLT",
-            &db,
-            &workload,
-            Policy::colt(ColtConfig { storage_budget_pages: budget, ..Default::default() }),
-        ),
-    ];
-    let report = run_cells(&cells, threads()).expect("run failed");
-    emit_parallel_summary("Skew cells", &report);
-    dump_obs(&report);
+    let cells = colt_vs_offline("", &db, &workload, budget);
+    let report = run_exhibit("Skew cells", &cells);
     let offline = report.get("OFFLINE").expect("offline cell");
     let colt = report.get("COLT").expect("colt cell");
     println!();
     println!("  COLT vs OFFLINE on 400 Zipf-sampled equality queries:");
     println!("    OFFLINE {:>10}", fmt_ms(offline.total_millis()));
-    println!("    COLT    {:>10}  ({:+.1}%)", fmt_ms(colt.total_millis()),
-        (colt.total_millis() / offline.total_millis() - 1.0) * 100.0);
-    let tail = 100..workload.len();
-    println!(
-        "    post-convergence deviation: {:+.1}%",
-        (colt.range_millis(tail.clone()) / offline.range_millis(tail) - 1.0) * 100.0
-    );
+    println!("    COLT    {:>10}  ({:+.1}%)", fmt_ms(colt.total_millis()), deviation_pct(colt, offline, ..));
+    println!("    post-convergence deviation: {:+.1}%", tail_deviation(colt, offline));
 }

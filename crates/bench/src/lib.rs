@@ -1,10 +1,16 @@
 //! # colt-bench
 //!
 //! Benchmark harness for the COLT reproduction: one binary per paper
-//! exhibit (`table1`, `fig3`, `fig4`, `fig5`, `fig6`, `ablation`) plus
-//! plain-`main` micro-benchmarks of the substrates (`cargo bench`; see
-//! [`bench()`]). Wall-clock regressions are judged by `benches/perf`
-//! alone; nothing here compares a timing to a checked-in number.
+//! exhibit (`table1`, `fig3`, `fig4`, `fig5`, `fig6`), the `ablation`
+//! study, the extensions (`scaling`, `multiuser`, `skew`,
+//! `composite_ext`) and the flight-recorder `report`, plus plain-`main`
+//! micro-benchmarks of the substrates (`cargo bench`; see [`bench()`]).
+//! Wall-clock regressions are judged by `benches/perf` alone; nothing
+//! here compares a timing to a checked-in number.
+//!
+//! A bin pairs its policies with [`colt_vs_offline`], runs its cells
+//! with [`run_exhibit`], and computes each paper headline with
+//! `colt_harness::metrics`.
 //!
 //! Every binary reads five environment variables, all parsed together
 //! at first use; one that is set but unusable stops the binary (exit 2)
@@ -19,12 +25,16 @@
 //! * `COLT_OBS` — `off`, `summary` (default) or `full`: what the
 //!   `colt_obs` sink prints to stderr,
 //! * `COLT_OBS_PATH` — a file to write the merged snapshot to
-//!   ([`dump_obs`]); needs a recording level, so it is an error
+//!   ([`run_exhibit`]); needs a recording level, so it is an error
 //!   together with `COLT_OBS=off`.
 //!
 //! Results are printed to stdout in a form that pastes directly into
 //! `EXPERIMENTS.md`.
 
+use colt_catalog::Database;
+use colt_core::ColtConfig;
+use colt_engine::Query;
+use colt_harness::{emit_parallel_summary, run_cells, Cell, ParallelReport, Policy};
 use colt_obs::Level;
 use colt_workload::{generate, TpchData, DEFAULT_SCALE};
 use std::sync::OnceLock;
@@ -33,6 +43,8 @@ use std::sync::OnceLock;
 struct Env {
     scale: f64,
     seed: u64,
+    /// Worker threads for the parallel harness. Cell results are
+    /// bit-identical at every count; only wall-clock time changes.
     threads: usize,
     obs_path: Option<String>,
 }
@@ -60,14 +72,6 @@ pub fn scale() -> f64 {
 /// Master seed from `COLT_SEED` (default 42).
 pub fn seed() -> u64 {
     env().seed
-}
-
-/// Worker-thread count for the parallel harness: `COLT_THREADS` if set,
-/// else the machine's available parallelism. Cell results are
-/// bit-identical at every thread count, so this only changes wall-clock
-/// time.
-pub fn threads() -> usize {
-    env().threads
 }
 
 /// `COLT_SCALE` as set (`None` = unset, keeps the default). Unusable
@@ -155,21 +159,42 @@ pub fn build_data() -> TpchData {
     data
 }
 
-/// When `COLT_OBS_PATH=<file>` is set, write a parallel batch's merged
-/// snapshot to exactly that file as JSONL ([`colt_obs::Snapshot::jsonl`]:
-/// the deterministic `decision` / `series_epoch` lines first, then the
-/// `counter`, `span` and `flame` lines). Does nothing
-/// otherwise; never touches stdout. A dump that cannot be written stops
-/// the binary (exit 1) with one `error:` line.
-pub fn dump_obs(report: &colt_harness::ParallelReport) {
-    let Some(path) = &env().obs_path else { return };
-    let dump = report.obs().jsonl();
-    if let Err(e) = std::fs::write(path, &dump) {
-        exit_with(1, &format!("COLT_OBS_PATH={path:?}: {e}"));
+/// The two arms of a paper exhibit at one storage budget `B`: OFFLINE
+/// selecting once for `B` pages, labelled `OFFLINE{suffix}`, and COLT at
+/// [`ColtConfig::default()`] with budget `B`, labelled `COLT{suffix}`.
+pub fn colt_vs_offline<'a>(
+    suffix: &str,
+    db: &'a Database,
+    queries: &'a [Query],
+    budget_pages: u64,
+) -> [Cell<'a>; 2] {
+    let colt = ColtConfig { storage_budget_pages: budget_pages, ..Default::default() };
+    [
+        Cell::new(format!("OFFLINE{suffix}"), db, queries, Policy::Offline { budget_pages }),
+        Cell::new(format!("COLT{suffix}"), db, queries, Policy::colt(colt)),
+    ]
+}
+
+/// Run an exhibit's cells on `COLT_THREADS` workers and report the
+/// batch on stderr as `title`. When `COLT_OBS_PATH=<file>` is set, write
+/// the batch's merged snapshot to exactly that file as JSONL
+/// ([`colt_obs::Snapshot::jsonl`]: the deterministic `decision` /
+/// `series_epoch` lines first, then the `counter`, `span` and `flame`
+/// lines); never touches stdout. A run that fails, or a dump that cannot
+/// be written, stops the binary (exit 1) with one `error:` line.
+pub fn run_exhibit(title: &str, cells: &[Cell<'_>]) -> ParallelReport {
+    let report = run_cells(cells, env().threads).unwrap_or_else(|e| exit_with(1, &format!("run failed: {e}")));
+    emit_parallel_summary(title, &report);
+    if let Some(path) = &env().obs_path {
+        let dump = report.obs().jsonl();
+        if let Err(e) = std::fs::write(path, &dump) {
+            exit_with(1, &format!("COLT_OBS_PATH={path:?}: {e}"));
+        }
+        colt_obs::progress(
+            colt_obs::Event::new("obs_dump").field("lines", dump.lines().count()).field("path", path.as_str()),
+        );
     }
-    colt_obs::progress(
-        colt_obs::Event::new("obs_dump").field("lines", dump.lines().count()).field("path", path.as_str()),
-    );
+    report
 }
 
 /// Format a simulated-ms quantity compactly.

@@ -74,7 +74,9 @@ struct Priced {
 
 /// The knapsack over `pool` (in `ColRef` order), each index worth
 /// `value(col, priced)`, into `capacity` pages. Returns the chosen
-/// columns (in `ColRef` order) and their total value.
+/// columns (in `ColRef` order) and their total value, `0.0` when none
+/// is chosen (a value sum starts at `0.0`, not at `f64`'s `Sum`, whose
+/// empty sum is `-0.0`).
 fn solve(
     pool: &[(ColRef, Priced)],
     capacity: u64,
@@ -82,7 +84,7 @@ fn solve(
 ) -> (Vec<ColRef>, f64) {
     let item = |(col, p): &(ColRef, Priced)| Item { size: p.size, value: value(*col, p) };
     let chosen = knapsack::solve(pool.iter().map(item), capacity);
-    let total = chosen.iter().map(|&i| item(&pool[i]).value).sum();
+    let total = chosen.iter().fold(0.0, |sum, &i| sum + item(&pool[i]).value);
     (chosen.into_iter().map(|i| pool[i].0).collect(), total)
 }
 
@@ -183,7 +185,7 @@ impl SelfOrganizer {
             let _s = colt_obs::span("organizer.knapsack");
             solve(&pool, spare, |col, it| if online.contains(&col) { 0.0 } else { it.lo })
         };
-        let keep_value = kept.iter().map(|(_, it)| it.lo).sum::<f64>() + added_value;
+        let keep_value = kept.iter().fold(0.0, |sum, (_, it)| sum + it.lo) + added_value;
 
         // Hysteresis: adopt the free solution (which may swap incumbents
         // out for new builds) only when it clearly beats keeping the
@@ -465,6 +467,21 @@ mod tests {
             assert!(mat_cost > 0.0);
             assert_eq!((it.lo, it.hi), (-mat_cost, -mat_cost), "h = {history_epochs}");
             assert!(d.new_materialized.is_empty());
+        }
+    }
+
+    #[test]
+    fn empty_pool_values_are_positive_zero() {
+        let (db, _) = setup();
+        let colt_cfg = ColtConfig::default();
+        let org = SelfOrganizer::new(&colt_cfg);
+        assert!(colt_obs::install(colt_obs::Recorder::new(colt_obs::Level::Summary)).is_none());
+        let d = org.reorganize(&db, &PhysicalConfig::new(), &Profiler::new(&colt_cfg), &BTreeSet::new());
+        let obs = colt_obs::take().expect("the recorder installed above").into_snapshot();
+        let knapsack = obs.ledger.of_kind(colt_obs::DecisionKind::Knapsack).next().expect("a knapsack record");
+        let value = |key| knapsack.get(key).and_then(Json::as_f64).expect(key);
+        for v in [value("free_value"), value("keep_value"), d.net_benefit_m, d.net_benefit_m_prime] {
+            assert!(v == 0.0 && v.is_sign_positive(), "{v:?}");
         }
     }
 

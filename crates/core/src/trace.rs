@@ -64,6 +64,11 @@ impl Trace {
         self.epochs.iter().map(|e| e.created.len()).sum()
     }
 
+    /// Total index drops over the run.
+    pub fn total_drops(&self) -> usize {
+        self.epochs.iter().map(|e| e.dropped.len()).sum()
+    }
+
     /// The epoch axis a per-epoch table must span: the trace's closed
     /// epochs, extended to cover every epoch the flight recorder saw
     /// (the ledger and time series also record the trailing partial
@@ -104,6 +109,9 @@ mod tests {
         assert_eq!(t.whatif_per_epoch(), vec![20, 5, 0]);
         assert_eq!(t.total_whatif(), 25);
         assert_eq!(t.total_builds(), 3);
+        assert_eq!(t.total_drops(), 0);
+        t.epochs[1].dropped = vec![ColRef::new(TableId(0), 0), ColRef::new(TableId(0), 1)];
+        assert_eq!(t.total_drops(), 2);
     }
 
     #[test]

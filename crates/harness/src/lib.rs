@@ -23,11 +23,11 @@ pub use flight::{
     explaining_knapsack, render_access_path_mix, render_decision_timeline,
     render_index_explanations, render_ledger_digest, ACCESS_PATH_COUNTERS,
 };
-pub use metrics::{adaptation_latency, budget_utilization, convergence_point};
+pub use metrics::{adaptation_latency, budget_utilization, convergence_point, time_ratio};
 pub use multiclient::{interleave, split_round_robin};
 pub use parallel::{run_cells, Cell, CellResult, ParallelReport};
 pub use report::{
     bucket_rows, component_breakdown, emit_breakdown, emit_parallel_summary, render_buckets,
-    render_whatif_series, time_ratio, Breakdown, BucketRow,
+    render_whatif_series, Breakdown, BucketRow,
 };
 pub use runner::{Experiment, Policy, QuerySample, RunResult, WHATIF_COST_UNITS};

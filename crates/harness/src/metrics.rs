@@ -1,10 +1,87 @@
-//! Convergence and adaptation metrics over run results.
+//! Convergence and adaptation metrics over run results, and the one
+//! definition of each of the paper's headline numbers.
 //!
 //! The paper makes qualitative speed claims — COLT "adapts rapidly to
 //! shifts of the query load" and converges to OFFLINE "after 100
-//! queries". These helpers quantify both from per-query samples.
+//! queries". These helpers quantify both from per-query samples. The
+//! headlines — Figure 3's tail deviation and convergence, Figure 4's
+//! phase reductions, Figure 5's stable-epoch budget use and Figure 6's
+//! worst burst — are each computed here once, for the exhibit bins to
+//! print and the end-to-end tests to assert.
 
 use crate::runner::RunResult;
+use colt_workload::presets::SHIFTING_PHASES;
+use std::ops::RangeBounds;
+
+/// Figure 3's start-up: from this query on COLT is held to OFFLINE
+/// (the paper: "after 100 queries").
+pub const STARTUP_QUERIES: usize = 100;
+
+/// `(c/o − 1)·100`: how much longer `colt` ran than `offline` over
+/// `range` of the stream, in percent.
+pub fn deviation_pct(colt: &RunResult, offline: &RunResult, range: impl RangeBounds<usize> + Clone) -> f64 {
+    (colt.range_millis(range.clone()) / offline.range_millis(range) - 1.0) * 100.0
+}
+
+/// `(1 − c/o)·100`: how much shorter `colt` ran than `offline` over
+/// `range` of the stream, in percent.
+pub fn reduction_pct(colt: &RunResult, offline: &RunResult, range: impl RangeBounds<usize> + Clone) -> f64 {
+    (1.0 - colt.range_millis(range.clone()) / offline.range_millis(range)) * 100.0
+}
+
+/// The COLT/OFFLINE execution-time ratio after the first `skip` queries
+/// (the metric of Figure 6).
+pub fn time_ratio(colt: &RunResult, offline: &RunResult, skip: usize) -> f64 {
+    colt.range_millis(skip..) / offline.range_millis(skip..)
+}
+
+/// Figure 3's tail deviation: [`deviation_pct`] after
+/// [`STARTUP_QUERIES`] (the paper: ≈ 1 %).
+pub fn tail_deviation(colt: &RunResult, offline: &RunResult) -> f64 {
+    deviation_pct(colt, offline, STARTUP_QUERIES..)
+}
+
+/// Figure 3's convergence: the [`convergence_point`] of 20-query
+/// windows within 10 % of OFFLINE (the paper: ~100).
+pub fn convergence(colt: &RunResult, offline: &RunResult) -> Option<usize> {
+    convergence_point(colt, offline, 20, 0.10)
+}
+
+/// Figure 4's phase-best: COLT's largest [`reduction_pct`] over the pure
+/// spans of phases 2–4 of [`SHIFTING_PHASES`] (phase 1 starts both
+/// policies cold).
+pub fn best_phase_reduction(colt: &RunResult, offline: &RunResult) -> f64 {
+    SHIFTING_PHASES
+        .pure_spans()
+        .into_iter()
+        .skip(1)
+        .map(|span| reduction_pct(colt, offline, span))
+        .fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// Figure 5's stable-epoch use: the mean of `series` (what-if calls per
+/// epoch) over the epochs more than `margin` epochs from every epoch in
+/// `transitions` (the paper: under half the budget); 0 over none.
+pub fn stable_epoch_mean(series: &[u64], transitions: &[usize], margin: usize) -> f64 {
+    mean_where(series, |i| transitions.iter().all(|&t| i.abs_diff(t) > margin))
+}
+
+/// The mean of `series` over the epochs within `margin` epochs of some
+/// epoch in `transitions`; 0 over none.
+pub fn around_transition_mean(series: &[u64], transitions: &[usize], margin: usize) -> f64 {
+    mean_where(series, |i| transitions.iter().any(|&t| i.abs_diff(t) <= margin))
+}
+
+fn mean_where(series: &[u64], keep: impl Fn(usize) -> bool) -> f64 {
+    let kept: Vec<u64> = series.iter().enumerate().filter(|&(i, _)| keep(i)).map(|(_, &v)| v).collect();
+    kept.iter().sum::<u64>() as f64 / kept.len().max(1) as f64
+}
+
+/// Figure 6's worst band: the highest `(burst, ratio)` of a sweep, the
+/// last one on a tie; `None` for an empty sweep.
+pub fn worst_burst(ratios: &[(usize, f64)]) -> Option<(usize, f64)> {
+    ratios.iter().copied().max_by(|a, b| a.1.total_cmp(&b.1))
+}
 
 /// Moving average of total per-query time over a window.
 fn moving_avg(run: &RunResult, window: usize) -> Vec<f64> {
@@ -66,7 +143,7 @@ pub fn adaptation_latency(
     tolerance: f64,
 ) -> Option<usize> {
     let n = run.samples.len().min(until);
-    if shift_at + window >= n {
+    if window == 0 || shift_at + window >= n {
         return None;
     }
     let avgs = moving_avg(run, window);
@@ -179,6 +256,28 @@ mod tests {
         let colt = fake(vec![10.0; 20]);
         let base = fake(vec![10.0; 20]);
         assert_eq!(convergence_point(&colt, &base, 0, 0.05), None);
+    }
+
+    #[test]
+    fn zero_window_never_settles() {
+        let run = fake(vec![10.0; 50]);
+        assert_eq!(adaptation_latency(&run, 10, 50, 0, 0.15), None);
+    }
+
+    #[test]
+    fn headline_formulas() {
+        let mut t = vec![30.0; 100];
+        t.extend(vec![11.0; 100]);
+        let (colt, offline) = (fake(t), fake(vec![10.0; 200]));
+        assert!((deviation_pct(&colt, &offline, ..) - 105.0).abs() < 1e-9);
+        assert!((reduction_pct(&offline, &colt, ..) - 100.0 * 21.0 / 41.0).abs() < 1e-9);
+        assert!((tail_deviation(&colt, &offline) - 10.0).abs() < 1e-9);
+        let series = [1, 1, 1, 1, 9, 9, 1, 1];
+        assert_eq!(stable_epoch_mean(&series, &[4], 1), 1.0);
+        assert_eq!(around_transition_mean(&series, &[4], 1), 19.0 / 3.0);
+        assert_eq!(stable_epoch_mean(&series, &[4], 10), 0.0);
+        assert_eq!(worst_burst(&[(20, 1.0), (50, 1.3), (80, 1.3), (140, 1.1)]), Some((80, 1.3)));
+        assert_eq!(worst_burst(&[]), None);
     }
 
     #[test]

@@ -91,14 +91,6 @@ pub fn render_whatif_series(title: &str, series: &[u64], max_budget: u64) -> Str
     out
 }
 
-/// Compute the COLT/OFFLINE execution-time ratio over a range (the
-/// metric of Figure 6).
-pub fn time_ratio(colt: &RunResult, offline: &RunResult, skip: usize) -> f64 {
-    let c = colt.range_millis(skip..colt.samples.len());
-    let o = offline.range_millis(skip..offline.samples.len());
-    c / o
-}
-
 /// Per-component wall-clock breakdown of one run, from its metrics
 /// snapshot's top-level `harness.*` spans.
 #[derive(Debug, Clone, PartialEq)]
@@ -213,6 +205,7 @@ mod tests {
 
     #[test]
     fn ratio_skips_warmup() {
+        use crate::metrics::time_ratio;
         let colt = fake_run(&[100.0, 10.0, 10.0]);
         let off = fake_run(&[1.0, 10.0, 10.0]);
         assert!((time_ratio(&colt, &off, 1) - 1.0).abs() < 1e-9);

@@ -109,8 +109,9 @@ impl RunResult {
     }
 
     /// Total time over a sub-range of the stream.
-    pub fn range_millis(&self, range: std::ops::Range<usize>) -> f64 {
-        self.samples[range].iter().map(|s| s.total_millis()).sum()
+    pub fn range_millis(&self, range: impl std::ops::RangeBounds<usize>) -> f64 {
+        let bounds = (range.start_bound().cloned(), range.end_bound().cloned());
+        self.samples[bounds].iter().map(|s| s.total_millis()).sum()
     }
 
     /// Sum charged time per consecutive bucket of `size` queries — the

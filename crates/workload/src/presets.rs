@@ -20,6 +20,7 @@ use crate::workload::{self, NoisePlan};
 use colt_catalog::{ColRef, Database};
 use colt_engine::{JoinPred, Query};
 use colt_storage::Prng;
+use std::ops::Range;
 
 /// A generated experiment workload.
 #[derive(Debug, Clone)]
@@ -181,13 +182,51 @@ fn phase_distribution(data: &TpchData, inst: usize, flavor: usize) -> QueryDistr
     }
 }
 
-/// Shifting workload (Figures 4 and 5): four 300-query phases over
-/// different instances, with 50-query gradual transitions (1350 queries
-/// total). Consecutive phases share one template so the optimal index
-/// sets overlap, as in the paper.
+/// The geometry of a [`workload::phased`] stream: `count` phases of
+/// `len` queries, consecutive ones bridged by `transition` queries whose
+/// mix shifts from one to the next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Phases {
+    /// Number of phases.
+    pub count: usize,
+    /// Queries drawn purely from each phase's distribution.
+    pub len: usize,
+    /// Queries in each transition.
+    pub transition: usize,
+}
+
+/// The shifting workload's geometry (Figures 4 and 5): four 300-query
+/// phases with 50-query transitions, 1350 queries.
+pub const SHIFTING_PHASES: Phases = Phases { count: 4, len: 300, transition: 50 };
+
+impl Phases {
+    /// The spans drawn purely from one phase, in phase order.
+    pub fn pure_spans(self) -> Vec<Range<usize>> {
+        let stride = self.len + self.transition;
+        (0..self.count).map(|i| i * stride..i * stride + self.len).collect()
+    }
+
+    /// The query at which each transition starts
+    /// ([`workload::phase_boundaries`]).
+    pub fn transition_starts(self) -> Vec<usize> {
+        workload::phase_boundaries(self.count, self.len, self.transition)
+    }
+
+    /// The epoch in which each transition starts, at `epoch_len` queries
+    /// per epoch.
+    pub fn transition_epochs(self, epoch_len: usize) -> Vec<usize> {
+        self.transition_starts().iter().map(|q| q / epoch_len).collect()
+    }
+}
+
+/// Shifting workload (Figures 4 and 5): the phases of
+/// [`SHIFTING_PHASES`] over different instances. Consecutive phases
+/// share one template so the optimal index sets overlap, as in the
+/// paper.
 pub fn shifting(data: &TpchData, seed: u64) -> Preset {
+    let Phases { count, len, transition } = SHIFTING_PHASES;
     let mut dists = Vec::new();
-    for phase in 0..4 {
+    for phase in 0..count {
         // Each phase focuses on its own instance & flavor...
         let mut d = phase_distribution(data, phase % data.instances.len(), phase);
         // ...but overlaps with the previous phase through one template.
@@ -204,7 +243,7 @@ pub fn shifting(data: &TpchData, seed: u64) -> Preset {
         dists.push(d);
     }
     let mut rng = Prng::new(seed);
-    let queries = workload::phased(&dists, 300, 50, &data.db, &mut rng);
+    let queries = workload::phased(&dists, len, transition, &data.db, &mut rng);
     let mut relevant: Vec<ColRef> = dists.iter().flat_map(|d| d.relevant_columns()).collect();
     relevant.sort_unstable();
     relevant.dedup();
@@ -276,6 +315,18 @@ mod tests {
         let p1 = cols(100..200);
         let p2 = cols(450..550);
         assert!(p1.intersection(&p2).count() < p1.len(), "phases must differ");
+    }
+
+    #[test]
+    fn shifting_geometry_spans_its_stream() {
+        let phases = SHIFTING_PHASES;
+        assert_eq!(phases.pure_spans(), vec![0..300, 350..650, 700..1000, 1050..1350]);
+        assert_eq!(phases.transition_starts(), workload::phase_boundaries(4, 300, 50));
+        assert_eq!(phases.transition_starts(), vec![300, 650, 1000]);
+        assert_eq!(phases.transition_epochs(10), vec![30, 65, 100]);
+        let stream = shifting(&data(), 1).queries.len();
+        assert_eq!(phases.pure_spans().last().map(|s| s.end), Some(stream));
+        assert_eq!(stream, 1350);
     }
 
     #[test]

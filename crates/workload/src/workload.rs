@@ -17,8 +17,8 @@ pub fn fixed(dist: &QueryDistribution, n: usize, db: &Database, rng: &mut Prng) 
 /// `transition_len` extra queries during which the mix shifts linearly
 /// from the old to the new distribution.
 ///
-/// With the paper's parameters (4 phases × 300, transitions of 50) this
-/// yields `4·300 + 3·50 = 1350` queries.
+/// `n` phases yield `n·phase_len + (n − 1)·transition_len` queries; the
+/// paper's geometry is `presets::SHIFTING_PHASES`.
 pub fn phased(
     dists: &[QueryDistribution],
     phase_len: usize,

@@ -5,9 +5,13 @@
 //! scale and drives complete optimizer→executor→tuner runs.
 
 use colt_repro::colt::ColtConfig;
+use colt_repro::harness::metrics::{
+    around_transition_mean, best_phase_reduction, reduction_pct, stable_epoch_mean, tail_deviation,
+};
 use colt_repro::harness::{time_ratio, Experiment, Policy};
 use colt_repro::obs::json::Json;
-use colt_repro::workload::{generate, presets};
+use colt_repro::workload::presets::{self, SHIFTING_PHASES};
+use colt_repro::workload::generate;
 
 const SCALE: f64 = 0.01;
 const SEED: u64 = 42;
@@ -29,15 +33,8 @@ fn stable_workload_converges_to_offline() {
         .run().expect("run failed");
 
     // After the first 100 queries, COLT tracks OFFLINE closely.
-    let tail = 100..preset.queries.len();
-    let colt_tail = colt.range_millis(tail.clone());
-    let off_tail = offline.range_millis(tail);
-    let deviation = colt_tail / off_tail - 1.0;
-    assert!(
-        deviation < 0.10,
-        "post-convergence deviation {:.1}% (paper ~1%)",
-        deviation * 100.0
-    );
+    let deviation = tail_deviation(&colt, &offline);
+    assert!(deviation < 10.0, "post-convergence deviation {deviation:.1}% (paper ~1%)");
 
     // COLT must also clearly beat doing nothing. (At this reduced test
     // scale many queries hit tiny floor-sized tables where no index can
@@ -71,24 +68,17 @@ fn shifting_workload_beats_offline() {
         }))
         .run().expect("run failed");
 
-    let reduction = 1.0 - colt.total_millis() / offline.total_millis();
-    assert!(
-        reduction > 0.10,
-        "COLT must win by >10% on the shifting workload, got {:.1}%",
-        reduction * 100.0
-    );
+    let reduction = reduction_pct(&colt, &offline, ..);
+    assert!(reduction > 10.0, "COLT must win by >10% on the shifting workload, got {reduction:.1}%");
 
     // At least one mid-phase must show a large (>25%) reduction — the
     // fine-tuning OFFLINE cannot do.
-    let best_phase = [350..650, 700..1000, 1050..1350]
-        .into_iter()
-        .map(|span| 1.0 - colt.range_millis(span.clone()) / offline.range_millis(span))
-        .fold(f64::NEG_INFINITY, f64::max);
-    assert!(best_phase > 0.25, "best phase reduction {:.1}%", best_phase * 100.0);
+    let best_phase = best_phase_reduction(&colt, &offline);
+    assert!(best_phase > 25.0, "best phase reduction {best_phase:.1}%");
 
     // Adaptation means real reorganization: several builds and drops.
     assert!(colt.trace.total_builds() >= 3);
-    assert!(colt.trace.epochs.iter().map(|e| e.dropped.len()).sum::<usize>() >= 1);
+    assert!(colt.trace.total_drops() >= 1);
 }
 
 /// Overhead (paper Figure 5): what-if usage peaks at phase transitions
@@ -110,25 +100,12 @@ fn whatif_overhead_self_regulates() {
 
     // Mean usage across stable (non-transition) epochs below half the
     // budget.
-    let transitions: Vec<usize> =
-        colt_repro::workload::phase_boundaries(4, 300, 50).iter().map(|q| q / epoch_len).collect();
-    let stable: Vec<u64> = series
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| transitions.iter().all(|&t| (*i as i64 - t as i64).abs() > 6))
-        .map(|(_, &v)| v)
-        .collect();
-    let stable_mean = stable.iter().sum::<u64>() as f64 / stable.len() as f64;
+    let transitions = SHIFTING_PHASES.transition_epochs(epoch_len);
+    let stable_mean = stable_epoch_mean(&series, &transitions, 6);
     assert!(stable_mean < max_budget as f64 / 2.0, "stable mean {stable_mean}");
 
     // Activity around transitions exceeds the stable mean.
-    let around: Vec<u64> = series
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| transitions.iter().any(|&t| (*i as i64 - t as i64).abs() <= 6))
-        .map(|(_, &v)| v)
-        .collect();
-    let around_mean = around.iter().sum::<u64>() as f64 / around.len() as f64;
+    let around_mean = around_transition_mean(&series, &transitions, 6);
     assert!(
         around_mean > stable_mean,
         "transition mean {around_mean} vs stable {stable_mean}"
@@ -237,8 +214,8 @@ fn multiuser_shifting_still_wins() {
             ..Default::default()
         }))
         .run().expect("run failed");
-    let reduction = 1.0 - colt.total_millis() / offline.total_millis();
-    assert!(reduction > 0.05, "multi-user reduction {:.1}%", reduction * 100.0);
+    let reduction = reduction_pct(&colt, &offline, ..);
+    assert!(reduction > 5.0, "multi-user reduction {reduction:.1}%");
 }
 
 /// Future-work extension: with a composite budget, COLT mines
