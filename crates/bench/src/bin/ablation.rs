@@ -21,8 +21,8 @@
 use colt_bench::{build_data, fmt_ms, run_exhibit, seed};
 use colt_core::ColtConfig;
 use colt_harness::metrics::deviation_pct;
-use colt_harness::{Cell, Policy};
-use colt_workload::presets;
+use colt_harness::{Cell, CellResult, Policy};
+use colt_workload::{presets, Preset, TpchData};
 
 fn variants(base: &ColtConfig) -> Vec<(&'static str, ColtConfig)> {
     vec![
@@ -34,32 +34,26 @@ fn variants(base: &ColtConfig) -> Vec<(&'static str, ColtConfig)> {
     ]
 }
 
-/// Run and print one table. Each table writes the `COLT_OBS_PATH`
-/// dump, so the file holds the last one's, the stable workload's.
-fn run_table(data: &colt_workload::TpchData, title: &str, preset: &colt_workload::Preset) {
+/// One table's cells: OFFLINE, then every variant at the preset's budget.
+fn table_cells<'a>(data: &'a TpchData, preset: &'a Preset) -> Vec<Cell<'a>> {
     let base = ColtConfig { storage_budget_pages: preset.budget_pages, ..Default::default() };
-    println!("# Ablation — {title} ({} queries)", preset.queries.len());
-    let mut cells = vec![Cell::new(
-        "OFFLINE",
-        &data.db,
-        &preset.queries,
-        Policy::Offline { budget_pages: preset.budget_pages },
-    )];
-    cells.extend(
-        variants(&base)
-            .into_iter()
-            .map(|(name, cfg)| Cell::new(name, &data.db, &preset.queries, Policy::colt(cfg))),
-    );
-    let report = run_exhibit(&format!("Ablation cells — {title}"), &cells);
+    let offline = ("OFFLINE", Policy::Offline { budget_pages: preset.budget_pages });
+    let colt = variants(&base).into_iter().map(|(name, cfg)| (name, Policy::colt(cfg)));
+    let policies = std::iter::once(offline).chain(colt);
+    policies.map(|(name, policy)| Cell::new(name, &data.db, &preset.queries, policy)).collect()
+}
 
-    let offline = &report.cells[0].result;
+/// Print one table from its cells' results, OFFLINE first.
+fn print_table(title: &str, preset: &Preset, cells: &[CellResult]) {
+    println!("# Ablation — {title} ({} queries)", preset.queries.len());
+    let offline = &cells[0].result;
     println!("  OFFLINE reference: {}", fmt_ms(offline.total_millis()));
     println!();
     println!(
         "  {:<20} {:>12} {:>10} {:>9} {:>7} {:>7}",
         "variant", "total", "vs OFFLINE", "#what-if", "builds", "drops"
     );
-    for cell in &report.cells[1..] {
+    for cell in &cells[1..] {
         let run = &cell.result;
         println!(
             "  {:<20} {:>12} {:>9.1}% {:>9} {:>7} {:>7}",
@@ -74,10 +68,19 @@ fn run_table(data: &colt_workload::TpchData, title: &str, preset: &colt_workload
     println!();
 }
 
+/// Both tables' cells run as one batch, so the `COLT_OBS_PATH` dump
+/// holds both: the shifting table's records, then the stable table's.
 fn main() {
     let data = build_data();
-    run_table(&data, "shifting workload", &presets::shifting(&data, seed()));
-    run_table(&data, "stable workload", &presets::stable(&data, seed()));
+    let tables = [
+        ("shifting workload", presets::shifting(&data, seed())),
+        ("stable workload", presets::stable(&data, seed())),
+    ];
+    let cells: Vec<Cell<'_>> = tables.iter().flat_map(|(_, preset)| table_cells(&data, preset)).collect();
+    let report = run_exhibit("Ablation cells", &cells);
+    for ((title, preset), results) in tables.iter().zip(report.cells.chunks(cells.len() / tables.len())) {
+        print_table(title, preset, results);
+    }
     println!("  (lower total is better; 'no self-regulation' shows the extra");
     println!("   what-if calls the paper's mechanism avoids; 'no swap");
     println!("   hysteresis' shows materialization churn, which hurts most");

@@ -17,6 +17,7 @@
 //! ```
 #![allow(clippy::panic, reason = "test helpers may unwrap and panic")]
 
+use colt_obs::json::parse;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
@@ -106,4 +107,11 @@ fn exhibit_stdout_matches_its_golden_at_1_and_4_threads() {
     }
     assert!(moved.is_empty(), "exhibit output moved (re-bless only on purpose):\n{}", moved.join("\n"));
     assert!(threaded.is_empty(), "flight recorder differs at 1 vs 4 threads:\n{}", threaded.join("\n"));
+    // `ablation` runs its two tables as one batch, so its dump holds the
+    // shifting table's boundaries (to epoch 134 at this scale, as
+    // `fig4`'s do), not the stable table's alone (to epoch 49).
+    let ablation = flight_recorder("ablation", "1").unwrap_or_default();
+    let decisions = ablation.lines().filter(|l| l.starts_with("{\"decision\""));
+    let last = decisions.filter_map(|l| parse(l).ok()?.get("epoch")?.as_u64()).max();
+    assert!(last >= Some(134), "ablation's decision lines end at epoch {last:?}, not the shifting table's 134");
 }

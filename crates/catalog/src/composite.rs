@@ -23,7 +23,7 @@
 //! reverse).
 
 use crate::schema::{ColRef, TableId};
-use colt_storage::{BPlusTreeOf, IoStats};
+use colt_storage::BPlusTreeOf;
 use std::fmt;
 
 /// Identity of a composite index: the table and the ordered columns.
@@ -73,8 +73,6 @@ pub struct MaterializedComposite {
     pub key: CompositeKey,
     /// The physical tree over the key columns' codes, in column order.
     pub tree: BPlusTreeOf<Vec<u64>>,
-    /// The physical work charged to build it.
-    pub build_io: IoStats,
 }
 
 #[cfg(test)]
@@ -82,7 +80,7 @@ mod tests {
     use super::*;
     use crate::database::{build_composite, Database};
     use crate::schema::{Column, TableSchema};
-    use colt_storage::{literal_code, row_from, RowId, Value, ValueType};
+    use colt_storage::{literal_code, row_from, IoStats, RowId, Value, ValueType};
     use std::ops::Bound;
 
     fn setup() -> (Database, TableId, CompositeKey) {
@@ -108,9 +106,9 @@ mod tests {
     #[test]
     fn build_covers_all_rows() {
         let (db, _, key) = setup();
-        let m = build_composite(&db, &key);
+        let (m, io) = build_composite(&db, &key);
         assert_eq!(m.tree.len(), 2_000);
-        assert!(m.build_io.pages_written > 0);
+        assert!(io.pages_written > 0);
         m.tree.check_invariants();
     }
 
@@ -130,7 +128,7 @@ mod tests {
     #[test]
     fn full_composite_point_lookup() {
         let (db, t, key) = setup();
-        let m = build_composite(&db, &key);
+        let (m, _) = build_composite(&db, &key);
         // Rows with a=3, b=13: i ≡ 3 (mod 20) and i ≡ 13 (mod 50) →
         // i ≡ 63 (mod 100) → 20 of 2000 rows.
         let hits = scan(&db, &m, &[3, 13], &[3, 13]);
@@ -145,7 +143,7 @@ mod tests {
     #[test]
     fn prefix_only_scan() {
         let (db, t, key) = setup();
-        let m = build_composite(&db, &key);
+        let (m, _) = build_composite(&db, &key);
         let hits = scan(&db, &m, &[3], &[3]);
         assert_eq!(hits.len(), 100, "a=3 matches 100 of 2000 rows");
         for rid in hits {
@@ -156,7 +154,7 @@ mod tests {
     #[test]
     fn prefix_plus_range_scan() {
         let (db, t, key) = setup();
-        let m = build_composite(&db, &key);
+        let (m, _) = build_composite(&db, &key);
         // a=3 → b = i%50 where i ≡ 3 (mod 20): b ∈ {3,23,43,13,33} each
         // 20 times; within [10,20), the codes of 10 to 19: only b=13 →
         // 20 rows.
@@ -173,7 +171,7 @@ mod tests {
     fn estimate_consistent_with_build() {
         let (db, _, key) = setup();
         let est = key.estimate(&db);
-        let m = build_composite(&db, &key);
+        let (m, _) = build_composite(&db, &key);
         let ratio = est.pages as f64 / m.tree.page_count() as f64;
         assert!((0.5..2.0).contains(&ratio), "est {} real {}", est.pages, m.tree.page_count());
     }

@@ -53,7 +53,8 @@ impl CompositeKey {
 /// composite key, bulk load, page writes — the same charge structure as
 /// single-column builds. A key is its cells' key codes in column order
 /// (of offsets, ranks or days), so the tree is probed through its columns.
-pub fn build_composite(db: &Database, key: &CompositeKey) -> MaterializedComposite {
+/// Returns the index with the physical work charged to build it.
+pub fn build_composite(db: &Database, key: &CompositeKey) -> (MaterializedComposite, IoStats) {
     let t = db.table(key.table);
     let mut io = IoStats::new();
     // One scan is charged (with the leading column); the other key
@@ -73,7 +74,7 @@ pub fn build_composite(db: &Database, key: &CompositeKey) -> MaterializedComposi
     }
     let tree = BPlusTreeOf::bulk_load(key.key_width(db), entries);
     io.pages_written += tree.page_count() as u64;
-    MaterializedComposite { key: key.clone(), tree, build_io: io }
+    (MaterializedComposite { key: key.clone(), tree }, io)
 }
 
 /// An in-memory database instance.
@@ -248,7 +249,7 @@ impl PhysicalConfig {
         let t = db.table(col.table);
         let width = t.schema.columns[col.column as usize].vtype.byte_width();
         let (tree, io) = build_index(&t.heap, col, width);
-        self.indices.insert(col, MaterializedIndex { col, tree, build_io: io });
+        self.indices.insert(col, MaterializedIndex { col, tree });
         self.bump(col);
         io
     }
@@ -259,8 +260,7 @@ impl PhysicalConfig {
     /// either way it changes its table's index set, so it bumps the
     /// table's version for every column's gain measurements.
     pub fn create_composite(&mut self, db: &Database, key: CompositeKey) -> IoStats {
-        let m = build_composite(db, &key);
-        let io = m.build_io;
+        let (m, io) = build_composite(db, &key);
         self.bump_table(key.table);
         self.composites.insert(key, m);
         io

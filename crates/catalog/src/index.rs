@@ -48,8 +48,6 @@ pub struct MaterializedIndex {
     pub col: ColRef,
     /// The physical tree, over the column's key codes.
     pub tree: BPlusTreeOf<u64>,
-    /// Physical work that was charged to build it.
-    pub build_io: IoStats,
 }
 
 /// Build an index over `column` of `heap`, charging the physical work to

@@ -40,7 +40,7 @@ impl Fixture {
         db.insert_rows(t, rows.iter().map(|row| row_from(row.clone()))).unwrap();
         db.analyze_all();
         let key = CompositeKey::new(t, (0..types.len() as u32).collect());
-        let index = build_composite(&db, &key);
+        let (index, _) = build_composite(&db, &key);
         let mut entries: Vec<(Vec<Value>, RowId)> =
             rows.iter().cloned().zip((0..).map(RowId)).collect();
         entries.sort();

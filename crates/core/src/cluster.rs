@@ -164,7 +164,9 @@ impl ClusterSet {
         (0..).map(ClusterId).zip(counts).filter(|&(_, count)| count > 0).collect()
     }
 
-    /// Number of clusters ever created (the paper bounds this by `w·h`).
+    /// Number of clusters ever created. A cluster is never evicted, so
+    /// this counts every distinct query shape of the run so far, not
+    /// only those of the memory window.
     pub fn len(&self) -> usize {
         self.clusters.len()
     }

@@ -9,7 +9,6 @@
 
 use colt_catalog::ColRef;
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 
 /// Weight of the most recent epoch in the smoothed `BenefitC` series.
 /// The paper smooths crude benefits for hot-set selection (§5) but gives
@@ -19,8 +18,6 @@ const SMOOTHING_ALPHA: f64 = 0.4;
 /// Crude statistics for one candidate index.
 #[derive(Debug, Clone)]
 pub struct CrudeCandidate {
-    /// `BenefitC` totals of past epochs, most recent first.
-    epoch_totals: VecDeque<f64>,
     /// Accumulator for the epoch in progress.
     current: f64,
     /// Exponentially smoothed per-epoch benefit.
@@ -31,17 +28,12 @@ pub struct CrudeCandidate {
 
 impl CrudeCandidate {
     fn new(epoch: u64) -> Self {
-        CrudeCandidate { epoch_totals: VecDeque::new(), current: 0.0, smoothed: 0.0, last_seen_epoch: epoch }
+        CrudeCandidate { current: 0.0, smoothed: 0.0, last_seen_epoch: epoch }
     }
 
     /// Smoothed per-epoch crude benefit.
     pub fn smoothed(&self) -> f64 {
         self.smoothed
-    }
-
-    /// Crude totals of finished epochs, most recent first.
-    pub fn history(&self) -> impl Iterator<Item = f64> + '_ {
-        self.epoch_totals.iter().copied()
     }
 
     /// Smoothed benefit including the epoch in progress — what the
@@ -56,8 +48,7 @@ impl CrudeCandidate {
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
     candidates: BTreeMap<ColRef, CrudeCandidate>,
-    /// `h`: the depth of each candidate's history, and the epochs an
-    /// unseen candidate stays in `C`.
+    /// `h`: the epochs an unseen candidate stays in `C`.
     history_epochs: usize,
     epoch: u64,
 }
@@ -118,16 +109,11 @@ impl CandidateSet {
     }
 
     /// Close the epoch: fold the in-progress accumulator into the
-    /// history, update the smoothed level, and evict candidates unseen
-    /// for `h` epochs.
+    /// smoothed level, and evict candidates unseen for `h` epochs.
     pub fn roll_epoch(&mut self) {
         let h = self.history_epochs;
         for c in self.candidates.values_mut() {
             let total = std::mem::take(&mut c.current);
-            c.epoch_totals.push_front(total);
-            while c.epoch_totals.len() > h {
-                c.epoch_totals.pop_back();
-            }
             c.smoothed = SMOOTHING_ALPHA * total + (1.0 - SMOOTHING_ALPHA) * c.smoothed;
         }
         self.epoch += 1;
@@ -156,9 +142,7 @@ mod tests {
         c.add_gain(col(0), 10.0);
         c.add_gain(col(0), 5.0);
         c.roll_epoch();
-        let cand = c.get(col(0)).unwrap();
-        assert_eq!(cand.history().next(), Some(15.0));
-        assert!((cand.smoothed() - SMOOTHING_ALPHA * 15.0).abs() < 1e-12);
+        assert_eq!(c.get(col(0)).unwrap().smoothed(), SMOOTHING_ALPHA * 15.0);
     }
 
     #[test]
@@ -166,7 +150,7 @@ mod tests {
         let mut c = CandidateSet::new(12);
         c.add_gain(col(0), -10.0);
         c.roll_epoch();
-        assert_eq!(c.get(col(0)).unwrap().history().next(), Some(0.0));
+        assert_eq!(c.get(col(0)).unwrap().smoothed(), 0.0);
     }
 
     #[test]
@@ -208,16 +192,5 @@ mod tests {
         }
         assert!(c.contains(col(0)));
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn history_bounded_by_h() {
-        let mut c = CandidateSet::new(3);
-        for i in 0..10 {
-            c.add_gain(col(0), i as f64);
-            c.roll_epoch();
-            c.touch(col(0));
-        }
-        assert_eq!(c.get(col(0)).unwrap().history().count(), 3);
     }
 }

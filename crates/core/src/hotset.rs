@@ -1,85 +1,24 @@
-//! Hot-set selection: exact 1-D 2-means clustering of crude benefits
-//! (paper §5, reorganization stage two).
+//! Hot-set selection (paper §5, reorganization stage two).
 //!
-//! The Self-Organizer groups the smoothed `BenefitC` estimates of the
-//! remaining candidates into two clusters with minimum within-cluster
-//! variance; the indices in the top cluster become the new hot set. In
-//! one dimension the optimal 2-clustering is a threshold on the sorted
-//! values, so it can be found exactly by scanning all split points.
+//! The next hot set `H` is the `max_hot` candidates with the highest
+//! positive smoothed crude benefit. The paper takes the top cluster of
+//! a 2-means split of those benefits; the reconstruction caps that
+//! cluster at `max_hot` and fills it up to `max_hot` from below the
+//! split (DESIGN §8 #5), so the split never decides membership and is
+//! not computed.
 
 use colt_catalog::ColRef;
 
-/// Split scored values into (top cluster, bottom cluster) by exact
-/// 2-means. Returns the members of the top cluster, capped at `max_hot`
-/// (highest benefits kept). Candidates with non-positive benefit are
-/// never hot.
+/// The `max_hot` highest positive benefits, in column order. Ties are
+/// ranked by column, the higher column first. Candidates with
+/// non-positive benefit are never hot.
 pub fn select_hot(benefits: &[(ColRef, f64)], max_hot: usize) -> Vec<ColRef> {
     let mut positive: Vec<(ColRef, f64)> =
         benefits.iter().copied().filter(|(_, b)| *b > 0.0).collect();
-    if positive.is_empty() || max_hot == 0 {
-        return Vec::new();
-    }
-    // Sort ascending by benefit (ties broken by column for determinism).
     positive.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-
-    if positive.len() == 1 {
-        return vec![positive[0].0];
-    }
-
-    let values: Vec<f64> = positive.iter().map(|(_, b)| *b).collect();
-    let split = best_split(&values);
-
-    let mut hot: Vec<ColRef> = positive[split..].iter().map(|(c, _)| *c).collect();
-    if hot.len() > max_hot {
-        // Cap: keep the highest-benefit members.
-        hot = hot[hot.len() - max_hot..].to_vec();
-    } else {
-        // Fill spare capacity with the best candidates below the split.
-        // Without this, a top cluster of candidates that can never be
-        // materialized (e.g. two near-tied large indices competing for
-        // one budget slot) would starve every mid-benefit candidate of
-        // accurate profiling indefinitely. The adaptive sampler still
-        // prioritizes within the hot set, and the what-if budget caps
-        // the added overhead.
-        let spare = max_hot - hot.len();
-        hot.extend(positive[..split].iter().rev().take(spare).map(|(c, _)| *c));
-    }
+    let mut hot: Vec<ColRef> = positive.iter().rev().take(max_hot).map(|(c, _)| *c).collect();
     hot.sort_unstable();
     hot
-}
-
-/// Index `k` minimizing the total within-cluster variance of
-/// `values[..k]` and `values[k..]` over sorted input; `1 <= k < n`.
-fn best_split(values: &[f64]) -> usize {
-    let n = values.len();
-    debug_assert!(n >= 2);
-    // Prefix sums for O(1) segment cost.
-    let mut sum = vec![0.0; n + 1];
-    let mut sumsq = vec![0.0; n + 1];
-    for (i, &v) in values.iter().enumerate() {
-        sum[i + 1] = sum[i] + v;
-        sumsq[i + 1] = sumsq[i] + v * v;
-    }
-    let seg_cost = |a: usize, b: usize| -> f64 {
-        // Sum of squared deviations of values[a..b].
-        let len = (b - a) as f64;
-        if len <= 0.0 {
-            return 0.0;
-        }
-        let s = sum[b] - sum[a];
-        let ss = sumsq[b] - sumsq[a];
-        (ss - s * s / len).max(0.0)
-    };
-    let mut best_k = 1;
-    let mut best_cost = f64::INFINITY;
-    for k in 1..n {
-        let cost = seg_cost(0, k) + seg_cost(k, n);
-        if cost < best_cost {
-            best_cost = cost;
-            best_k = k;
-        }
-    }
-    best_k
 }
 
 #[cfg(test)]
@@ -100,10 +39,10 @@ mod tests {
             (col(3), 100.0),
             (col(4), 95.0),
         ];
-        // With room for exactly the top cluster, 2-means isolates it.
+        // A cap of two keeps the two best.
         let hot = select_hot(&benefits, 2);
         assert_eq!(hot, vec![col(3), col(4)]);
-        // Spare capacity is filled with the next-best candidates.
+        // A larger cap takes the next-best candidates too.
         let hot = select_hot(&benefits, 4);
         assert_eq!(hot, vec![col(0), col(1), col(3), col(4)]);
         // All positive candidates fit.
@@ -144,12 +83,5 @@ mod tests {
     fn empty_input() {
         assert!(select_hot(&[], 10).is_empty());
         assert!(select_hot(&[(col(0), 5.0)], 0).is_empty());
-    }
-
-    #[test]
-    fn split_matches_brute_force_variance() {
-        let values = vec![1.0, 1.5, 2.0, 8.0, 9.0, 9.5];
-        let k = best_split(&values);
-        assert_eq!(k, 3, "split between 2.0 and 8.0");
     }
 }

@@ -44,6 +44,6 @@ pub use composite_ext::{CompositeStep, CompositeTuner};
 pub use config::{ColtConfig, ConfigError};
 pub use gain::{GainStats, IndexClusterStats};
 pub use organizer::{ReorgDecision, SelfOrganizer};
-pub use profiler::{GainMode, ProfileOutcome, Profiler};
+pub use profiler::{GainMode, Profiler};
 pub use trace::{EpochRecord, Trace};
 pub use tuner::{ColtTuner, TunerStep};

@@ -6,8 +6,10 @@
 //! each index occupies `IndexSize(I)` pages and provides
 //! `NetBenefit(I) = Σ_j PredBenefit_j(I) − MatCost(I)` units of value
 //! (`MatCost = 0` for an already-materialized index). The hot set for
-//! the next epoch is then chosen from the remaining candidates by exact
-//! 2-means clustering of their smoothed crude benefits.
+//! the next epoch is then the `MAX_HOT_SET` remaining candidates with
+//! the highest positive smoothed crude benefits. The paper takes the top
+//! cluster of a 2-means split of those benefits; filled up to the cap,
+//! the split decides nothing, so it is not computed (DESIGN §8 #5).
 //!
 //! **Re-budgeting.** The potential of the current hot indices is
 //! assessed under a best-case scenario: their benefits are replaced by
@@ -34,8 +36,7 @@ const FULL_BUDGET_RATIO: f64 = 1.3;
 // The budget ramp divides by `FULL_BUDGET_RATIO - 1`.
 const _: () = assert!(FULL_BUDGET_RATIO > 1.0);
 
-/// Cap on the hot set: keeps the accurate profiling level affordable
-/// even if the crude clustering puts many candidates in the top group.
+/// Size of the hot set: keeps the accurate profiling level affordable.
 const MAX_HOT_SET: usize = 10;
 
 /// The decision produced at an epoch boundary.

@@ -46,15 +46,6 @@ pub enum GainMode {
     Materialized,
 }
 
-/// Outcome of profiling one query, for tracing.
-#[derive(Debug, Clone, Default)]
-pub struct ProfileOutcome {
-    /// The cluster the query was assigned to.
-    pub cluster: Option<ClusterId>,
-    /// Indices probed through the what-if interface for this query.
-    pub probed: Vec<ColRef>,
-}
-
 /// The Profiler.
 #[derive(Debug)]
 pub struct Profiler {
@@ -83,6 +74,8 @@ struct Work {
     /// Probe candidates: materialized indices in the plan, hot indices.
     im: Vec<ColRef>,
     ih: Vec<ColRef>,
+    /// The probation set `P`: the candidates probed for this query.
+    probation: Vec<ColRef>,
 }
 
 impl Profiler {
@@ -134,10 +127,11 @@ impl Profiler {
         query: &Query,
         plan: &Plan,
         hot: &BTreeSet<ColRef>,
-    ) -> ProfileOutcome {
+    ) {
         let _span = colt_obs::span("profiler.profile");
         // Moved out for the call, so that they borrow apart from `self`.
-        let Work { mut restricted, mut used, mut im, mut ih } = std::mem::take(&mut self.work);
+        let Work { mut restricted, mut used, mut im, mut ih, mut probation } =
+            std::mem::take(&mut self.work);
         let sels = plan.selectivities.as_slice();
         debug_assert_eq!(sels.len(), query.selections.len(), "the plan of another query");
         let cluster = {
@@ -185,7 +179,7 @@ impl Profiler {
         self.prng.shuffle(&mut im);
         self.prng.shuffle(&mut ih);
 
-        let mut probation: Vec<ColRef> = Vec::new();
+        probation.clear();
         for col in im.iter().chain(&ih).copied() {
             if self.wi_cur + probation.len() as u64 >= self.wi_lim {
                 break;
@@ -236,8 +230,7 @@ impl Profiler {
             }
         }
 
-        self.work = Work { restricted, used, im, ih };
-        ProfileOutcome { cluster: Some(cluster), probed: probation }
+        self.work = Work { restricted, used, im, ih, probation };
     }
 
     /// The indicator `u_{q,I}`: 1 when the optimizer (would) use `I` for
@@ -384,7 +377,7 @@ mod tests {
         cfg: &PhysicalConfig,
         q: &Query,
         hot: &BTreeSet<ColRef>,
-    ) -> ProfileOutcome {
+    ) {
         let mut eqo = Eqo::new(db);
         let plan = eqo.optimize(q, cfg);
         profiler.profile_query(db, cfg, &mut eqo, q, &plan, hot)
@@ -410,10 +403,10 @@ mod tests {
         let col = ColRef::new(t, 0);
         let hot = BTreeSet::from([col]);
         let q = Query::single(t, vec![SelPred::eq(col, 7i64)]);
-        let out = run_query(&mut p, &db, &cfg, &q, &hot);
-        assert_eq!(out.probed, vec![col], "fresh hot index must be sampled at rate 1");
-        assert_eq!(p.whatif_used(), 1);
-        let cluster = out.cluster.unwrap();
+        run_query(&mut p, &db, &cfg, &q, &hot);
+        // `col` is the one index the query could probe.
+        assert_eq!(p.whatif_used(), 1, "fresh hot index must be sampled at rate 1");
+        let cluster = p.clusters().live().next().unwrap().0;
         assert!(p.cluster_gain(col, cluster, GainMode::HotConservative) > 0.0);
         assert!(
             p.cluster_gain(col, cluster, GainMode::HotOptimistic)
@@ -452,8 +445,7 @@ mod tests {
         let col = ColRef::new(t, 0);
         let hot = BTreeSet::from([col]);
         let q = Query::single(t, vec![SelPred::eq(col, 7i64)]);
-        let out = run_query(&mut p, &db, &cfg, &q, &hot);
-        assert!(out.probed.is_empty());
+        run_query(&mut p, &db, &cfg, &q, &hot);
         assert_eq!(p.whatif_used(), 0);
         // Crude profiling continues regardless.
         assert!(p.candidates().contains(col));
@@ -467,8 +459,8 @@ mod tests {
         cfg.create_index(&db, col);
         let mut p = Profiler::new(&ColtConfig::default());
         let q = Query::single(t, vec![SelPred::eq(col, 7i64)]);
-        let out = run_query(&mut p, &db, &cfg, &q, &BTreeSet::new());
-        let cluster = out.cluster.unwrap();
+        run_query(&mut p, &db, &cfg, &q, &BTreeSet::new());
+        let cluster = p.clusters().live().next().unwrap().0;
         // The materialized index is used and (being in the plan) is a
         // probation candidate; its gain estimate must be positive.
         let gain = p.cluster_gain(col, cluster, GainMode::Materialized);

@@ -77,15 +77,21 @@ fn knapsack_large_capacity_exact_for_small_pools() {
 }
 
 /// Hot-set selection: returns a subset of the positive candidates,
-/// respects the cap, and is exactly the top-k by benefit (the fill rule
-/// makes the top cluster a prefix of the ranking).
+/// respects the cap, and is exactly the top-k by benefit. A reference
+/// that ranks by counting checks membership: a positive candidate is
+/// hot when fewer than `max_hot` positive candidates outrank it (a
+/// higher benefit, or an equal one on a higher column). A third of the
+/// cases draw benefits from a handful of values, so ties fall at the cut.
 #[test]
 fn hotset_is_topk() {
     use colt_catalog::{ColRef, TableId};
+    const FEW: [f64; 7] = [-1.0, 0.0, 0.5, 3.0, 20.0, 75.0, 100.0];
     let mut rng = Prng::new(0xC02E_0003);
     for case in 0..CASES {
-        let benefits: Vec<f64> =
-            (0..rng.below(40)).map(|_| rng.f64_range(-10.0, 100.0)).collect();
+        let tied = case % 3 == 0;
+        let benefits: Vec<f64> = (0..rng.below(40))
+            .map(|_| if tied { FEW[rng.below(FEW.len())] } else { rng.f64_range(-10.0, 100.0) })
+            .collect();
         let max_hot = rng.below(15);
         let cands: Vec<(ColRef, f64)> = benefits
             .iter()
@@ -94,6 +100,12 @@ fn hotset_is_topk() {
             .collect();
         let hot = hotset::select_hot(&cands, max_hot);
         let positive: Vec<_> = cands.iter().filter(|(_, b)| *b > 0.0).collect();
+        let outranked_by = |c: ColRef, b: f64| {
+            positive.iter().filter(|(c2, b2)| *b2 > b || (*b2 == b && *c2 > c)).count()
+        };
+        let want: Vec<ColRef> =
+            positive.iter().filter(|(c, b)| outranked_by(*c, *b) < max_hot).map(|(c, _)| *c).collect();
+        assert_eq!(hot, want, "case {case}");
         assert!(hot.len() <= max_hot.min(positive.len()), "case {case}");
         // Every hot member has benefit >= every positive non-member.
         let min_hot = hot

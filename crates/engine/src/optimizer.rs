@@ -85,16 +85,6 @@ pub struct Optimizer<'a> {
     options: OptimizerOptions,
 }
 
-/// Best access path for one table, cached and reused across what-if
-/// probes that do not touch the table.
-#[derive(Debug, Clone)]
-pub struct ScanChoice {
-    /// The resulting scan node.
-    pub node: PlanNode,
-    /// Number of selection predicates on the table in this query.
-    pub pred_count: usize,
-}
-
 impl<'a> Optimizer<'a> {
     /// Create an optimizer over a database with default options.
     pub fn new(db: &'a Database) -> Self {
@@ -112,7 +102,7 @@ impl<'a> Optimizer<'a> {
     /// [`Plan::selectivities`].
     pub fn optimize(&self, query: &Query, view: IndexSetView<'_>) -> Plan {
         let selectivities = selectivities(self.db, query);
-        let scans: Vec<ScanChoice> =
+        let scans: Vec<PlanNode> =
             query.tables.iter().map(|&t| self.best_scan(query, &selectivities, t, view)).collect();
         Plan { root: self.join_order(query, &selectivities, scans, view), selectivities }
     }
@@ -127,7 +117,7 @@ impl<'a> Optimizer<'a> {
         sels: &[f64],
         table: TableId,
         view: IndexSetView<'_>,
-    ) -> ScanChoice {
+    ) -> PlanNode {
         let t = self.db.table(table);
         let rows = t.heap.row_count() as f64;
         let pages = t.heap.page_count() as f64;
@@ -203,10 +193,7 @@ impl<'a> Optimizer<'a> {
             }
         }
 
-        ScanChoice {
-            node: PlanNode::Scan { table, path: best_path, est_rows, est_cost: best_cost },
-            pred_count,
-        }
+        PlanNode::Scan { table, path: best_path, est_rows, est_cost: best_cost }
     }
 
     /// Join-order the per-table scans with a dynamic program over table
@@ -217,7 +204,7 @@ impl<'a> Optimizer<'a> {
         &self,
         query: &Query,
         sels: &[f64],
-        scans: Vec<ScanChoice>,
+        scans: Vec<PlanNode>,
         view: IndexSetView<'_>,
     ) -> PlanNode {
         let n = query.tables.len();
@@ -225,14 +212,14 @@ impl<'a> Optimizer<'a> {
         assert!(n <= MAX_JOIN_TABLES, "too many tables for the join DP");
         if n == 1 {
             #[expect(clippy::expect_used, reason = "n == 1 guarantees exactly one scan")]
-            return scans.into_iter().next().expect("one scan").node;
+            return scans.into_iter().next().expect("one scan");
         }
 
         // best[mask] = best plan covering the tables in `mask`.
         let full = (1usize << n) - 1;
         let mut best: Vec<Option<PlanNode>> = vec![None; full + 1];
         for (i, s) in scans.into_iter().enumerate() {
-            best[1 << i] = Some(s.node);
+            best[1 << i] = Some(s);
         }
 
         // Each join predicate with the table bits of its two sides,

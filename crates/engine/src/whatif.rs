@@ -19,8 +19,8 @@
 //! not touch that table, and re-prices only the affected table before
 //! re-running the (cheap) join-ordering DP. Nothing is kept across calls.
 
-use crate::optimizer::{IndexSetView, Optimizer, ScanChoice};
-use crate::plan::Plan;
+use crate::optimizer::{IndexSetView, Optimizer};
+use crate::plan::{Plan, PlanNode};
 use crate::query::Query;
 use crate::selectivity::selectivities;
 use colt_catalog::{ColRef, Database, PhysicalConfig};
@@ -138,7 +138,7 @@ impl<'a> Eqo<'a> {
         // access paths under the unmodified view price every probe.
         let sels = selectivities(self.db, query);
         let base_view = IndexSetView::real(config);
-        let base_scans: Vec<ScanChoice> = query
+        let base_scans: Vec<PlanNode> = query
             .tables
             .iter()
             .map(|&t| self.opt.best_scan(query, &sels, t, base_view))
@@ -156,7 +156,7 @@ impl<'a> Eqo<'a> {
                 let view = IndexSetView::hypothetical(config, &plus, &minus);
 
                 // Reuse every scan except those on the probed table.
-                let scans: Vec<ScanChoice> = query
+                let scans: Vec<PlanNode> = query
                     .tables
                     .iter()
                     .zip(&base_scans)

@@ -810,7 +810,7 @@ fn join_order_dp_matches_brute_force_enumeration() {
         let sels = colt_engine::selectivity::selectivities(&db, &q);
         for inlj in [false, true] {
             let opt = Optimizer::with_options(&db, OptimizerOptions { enable_index_nl_join: inlj });
-            let leaves = q.tables.iter().map(|&t| opt.best_scan(&q, &sels, t, view).node).collect();
+            let leaves = q.tables.iter().map(|&t| opt.best_scan(&q, &sels, t, view)).collect();
             let space = JoinSpace { db: &db, cfg: &cfg, q: &q, sels: &sels, leaves, inlj };
             let costs = space.tree_costs((1 << q.tables.len()) - 1);
             let cheapest = costs.iter().copied().fold(f64::INFINITY, f64::min);

@@ -109,11 +109,6 @@ impl ParallelReport {
         }
     }
 
-    /// The run results, in submission order.
-    pub fn results(&self) -> impl Iterator<Item = &RunResult> {
-        self.cells.iter().map(|c| &c.result)
-    }
-
     /// Look a finished cell up by label.
     pub fn get(&self, label: &str) -> Option<&RunResult> {
         self.cells.iter().find(|c| c.label == label).map(|c| &c.result)

@@ -97,12 +97,6 @@ impl Recorder {
         self
     }
 
-    /// A recorder at the level selected by the `COLT_OBS` environment
-    /// variable (see [`Level::from_env`]).
-    pub fn from_env() -> Self {
-        Self::new(Level::from_env())
-    }
-
     /// The recorder's level.
     pub fn level(&self) -> Level {
         self.level
