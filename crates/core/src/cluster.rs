@@ -9,11 +9,14 @@
 //!
 //! Each cluster tracks how many queries it represented in each of the
 //! last `h` epochs, so `Count(Q_i)` (its popularity within the memory
-//! window) and the current-epoch count are both cheap to read.
+//! window) and the current-epoch count are both cheap to read. A
+//! boundary visits only the clusters with a count inside the window; a
+//! shape that left the window keeps its id and, when it returns,
+//! counts again from 0.
 
 use colt_catalog::{ColRef, TableId};
 use colt_engine::{JoinPred, Query};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The cut between the two selectivity buckets: the paper's 2% (§4.1).
 const SELECTIVE_BOUNDARY: f64 = 0.02;
@@ -103,6 +106,9 @@ pub struct ClusterSet {
     // reintroducing nondeterministic iteration (clippy.toml bans HashMap).
     by_key: BTreeMap<ClusterKey, ClusterId>,
     clusters: Vec<Cluster>,
+    /// The clusters with a nonzero window count, in id order: what a
+    /// boundary visits. Every other cluster's counts are all 0.
+    live: BTreeSet<ClusterId>,
     history_epochs: usize,
     /// The key of the query being assigned: looking a cluster up
     /// allocates nothing, only a first sight clones the key.
@@ -115,6 +121,7 @@ impl ClusterSet {
         ClusterSet {
             by_key: BTreeMap::new(),
             clusters: Vec::new(),
+            live: BTreeSet::new(),
             history_epochs: history_epochs.max(1),
             lookup: ClusterKey::default(),
         }
@@ -123,7 +130,7 @@ impl ClusterSet {
     /// Assign a query to its (unique) cluster, creating the cluster on
     /// first sight, and bump the current epoch count. `sels[i]` is the
     /// estimated selectivity of `query.selections[i]`.
-    #[expect(clippy::expect_used, reason = "counts gets a slot on creation and in roll_epoch")]
+    #[expect(clippy::expect_used, reason = "counts gets a slot on creation and keeps one")]
     pub fn assign(&mut self, query: &Query, sels: &[f64]) -> ClusterId {
         self.lookup.fill(query, sels);
         let id = match self.by_key.get(&self.lookup) {
@@ -138,6 +145,9 @@ impl ClusterSet {
             }
         };
         let cluster = &mut self.clusters[id.0 as usize];
+        if cluster.window == 0 {
+            self.live.insert(id);
+        }
         *cluster.counts.front_mut().expect("current epoch slot") += 1;
         cluster.window += 1;
         id
@@ -148,25 +158,20 @@ impl ClusterSet {
         &self.clusters[id.0 as usize]
     }
 
-    /// All clusters with a nonzero window count.
+    /// All clusters with a nonzero window count, in id order.
     pub fn live(&self) -> impl Iterator<Item = (ClusterId, &Cluster)> + '_ {
-        self.clusters
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.window_count() > 0)
-            .map(|(i, c)| (ClusterId(i as u32), c))
+        self.live.iter().map(|&id| (id, self.get(id)))
     }
 
     /// `Count(Q_i)` of every cluster that has one, in id order — what
     /// an epoch boundary weighs benefits by, summed once for it.
     pub fn window_counts(&self) -> Vec<(ClusterId, u64)> {
-        let counts = self.clusters.iter().map(Cluster::window_count);
-        (0..).map(ClusterId).zip(counts).filter(|&(_, count)| count > 0).collect()
+        self.live().map(|(id, c)| (id, c.window_count())).collect()
     }
 
-    /// Number of clusters ever created. A cluster is never evicted, so
-    /// this counts every distinct query shape of the run so far, not
-    /// only those of the memory window.
+    /// Number of clusters ever created. A cluster keeps its id for the
+    /// run, so this counts every distinct query shape of the run so far,
+    /// not only those of the memory window.
     pub fn len(&self) -> usize {
         self.clusters.len()
     }
@@ -181,15 +186,19 @@ impl ClusterSet {
         self.history_epochs
     }
 
-    /// Close the epoch: open a fresh per-epoch slot on every cluster and
-    /// drop counts older than `h` epochs.
+    /// Close the epoch: open a fresh per-epoch slot on every live
+    /// cluster and drop counts older than `h` epochs. A cluster whose
+    /// window empties leaves the live set with all its counts at 0.
     pub fn roll_epoch(&mut self) {
-        for c in &mut self.clusters {
+        let (clusters, h) = (&mut self.clusters, self.history_epochs);
+        self.live.retain(|id| {
+            let c = &mut clusters[id.0 as usize];
             c.counts.push_front(0);
-            while c.counts.len() > self.history_epochs {
+            while c.counts.len() > h {
                 c.window -= c.counts.pop_back().unwrap_or(0);
             }
-        }
+            c.window > 0
+        });
     }
 }
 
@@ -286,6 +295,67 @@ mod tests {
         cs.roll_epoch();
         assert_eq!(cs.get(id).window_count(), 0);
         assert_eq!(cs.live().count(), 0);
+    }
+
+    /// `window_counts`, `live` and every cluster's counts equal a
+    /// recount of the assignment history over the last `h` epochs, on a
+    /// stream whose shapes leave the window and come back. A returning
+    /// shape keeps its id.
+    #[test]
+    fn window_counts_match_a_recount_of_the_history() {
+        let (db, a, b) = db();
+        let h = 3;
+        let shapes = [
+            Query::single(a, vec![SelPred::eq(ColRef::new(a, 0), 5i64)]),
+            Query::single(a, vec![SelPred::eq(ColRef::new(a, 1), 2i64)]),
+            Query::single(b, vec![SelPred::eq(ColRef::new(b, 0), 7i64)]),
+            Query::join(
+                vec![a, b],
+                vec![JoinPred::new(ColRef::new(a, 0), ColRef::new(b, 0))],
+                vec![],
+            ),
+        ];
+        let mut cs = ClusterSet::new(h);
+        // Per epoch, oldest first: the clusters assigned.
+        let mut history: Vec<Vec<ClusterId>> = Vec::new();
+        let mut ids: BTreeMap<usize, ClusterId> = BTreeMap::new();
+        let mut returns = 0;
+        for epoch in 0..30 {
+            let gone: BTreeSet<ClusterId> =
+                ids.values().copied().filter(|&id| cs.get(id).window_count() == 0).collect();
+            let mut assigned = Vec::new();
+            for (k, q) in shapes.iter().enumerate() {
+                // Shape `k` runs `k + 2` epochs, then pauses as long:
+                // from `k = 1` on, longer than the window.
+                if (epoch / (k + 2)) % 2 == 1 {
+                    continue;
+                }
+                for _ in 0..=k {
+                    let id = assign(&mut cs, &db, q);
+                    assert_eq!(*ids.entry(k).or_insert(id), id, "shape {k} keeps its id");
+                    assigned.push(id);
+                }
+            }
+            history.push(assigned);
+            returns += gone.iter().filter(|&&id| cs.get(id).window_count() > 0).count();
+
+            let mut recount: BTreeMap<ClusterId, u64> = BTreeMap::new();
+            for &id in history.iter().rev().take(h).flatten() {
+                *recount.entry(id).or_default() += 1;
+            }
+            let want: Vec<(ClusterId, u64)> = recount.into_iter().collect();
+            assert_eq!(cs.window_counts(), want, "epoch {epoch}");
+            let live: Vec<(ClusterId, u64)> =
+                cs.live().map(|(id, c)| (id, c.window_count())).collect();
+            assert_eq!(live, want, "epoch {epoch}");
+            for &id in ids.values() {
+                let current = history[epoch].iter().filter(|&&i| i == id).count() as u64;
+                assert_eq!(cs.get(id).current_epoch_count(), current, "epoch {epoch}");
+            }
+            cs.roll_epoch();
+        }
+        assert_eq!(cs.len(), shapes.len());
+        assert!(returns >= 6, "shapes must leave the window and return ({returns} returns)");
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub mod config;
 pub mod crude;
 pub mod gain;
 pub mod hotset;
-pub mod knapsack;
 pub mod organizer;
 pub mod profiler;
 pub mod trace;

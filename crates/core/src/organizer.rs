@@ -5,11 +5,14 @@
 //! KNAPSACK over `H ∪ M`: the knapsack size is the storage budget `B`,
 //! each index occupies `IndexSize(I)` pages and provides
 //! `NetBenefit(I) = Σ_j PredBenefit_j(I) − MatCost(I)` units of value
-//! (`MatCost = 0` for an already-materialized index). The hot set for
-//! the next epoch is then the `MAX_HOT_SET` remaining candidates with
-//! the highest positive smoothed crude benefits. The paper takes the top
-//! cluster of a 2-means split of those benefits; filled up to the cap,
-//! the split decides nothing, so it is not computed (DESIGN §8 #5).
+//! (`MatCost = 0` for an already-materialized index). The solver is
+//! [`colt_engine::knapsack::solve`], OFFLINE's too, given one
+//! single-option group per index worth more than nothing. The hot set
+//! for the next epoch is then the `MAX_HOT_SET` remaining candidates
+//! with the highest positive smoothed crude benefits. The paper takes
+//! the top cluster of a 2-means split of those benefits; filled up to
+//! the cap, the split decides nothing, so it is not computed (DESIGN §8
+//! #5).
 //!
 //! **Re-budgeting.** The potential of the current hot indices is
 //! assessed under a best-case scenario: their benefits are replaced by
@@ -24,10 +27,10 @@ use crate::cluster::ClusterId;
 use crate::config::ColtConfig;
 use crate::hotset::select_hot;
 use crate::json::Json;
-use crate::knapsack::{self, Item};
 use crate::profiler::{GainMode, Profiler};
 use colt_catalog::{ColRef, Database, PhysicalConfig};
 use colt_engine::cost::build_cost;
+use colt_engine::knapsack::{self, Item};
 use std::collections::BTreeSet;
 
 /// The `r` at (or above) which the next epoch profiles at the full
@@ -74,19 +77,22 @@ struct Priced {
 }
 
 /// The knapsack over `pool` (in `ColRef` order), each index worth
-/// `value(col, priced)`, into `capacity` pages. Returns the chosen
-/// columns (in `ColRef` order) and their total value, `0.0` when none
-/// is chosen (a value sum starts at `0.0`, not at `f64`'s `Sum`, whose
-/// empty sum is `-0.0`).
+/// `value(col, priced)`, into `capacity` pages: one single-option group
+/// per index worth more than nothing. Returns the chosen columns (in
+/// `ColRef` order) and their values added in that order to `0.0`.
 fn solve(
     pool: &[(ColRef, Priced)],
     capacity: u64,
     value: impl Fn(ColRef, &Priced) -> f64,
 ) -> (Vec<ColRef>, f64) {
-    let item = |(col, p): &(ColRef, Priced)| Item { size: p.size, value: value(*col, p) };
-    let chosen = knapsack::solve(pool.iter().map(item), capacity);
-    let total = chosen.iter().fold(0.0, |sum, &i| sum + item(&pool[i]).value);
-    (chosen.into_iter().map(|i| pool[i].0).collect(), total)
+    let (cols, groups): (Vec<ColRef>, Vec<[Item; 1]>) = pool
+        .iter()
+        .map(|(col, p)| (*col, [Item { size: p.size, value: value(*col, p) }]))
+        .filter(|(_, [it])| it.value > 0.0)
+        .unzip();
+    let best = knapsack::solve(&groups, capacity);
+    let chosen = cols.into_iter().zip(best.picks).filter_map(|(col, pick)| pick.map(|_| col));
+    (chosen.collect(), best.value)
 }
 
 /// `MatCost(I)`: the simulated cost of building an index on `col`.

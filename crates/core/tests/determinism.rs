@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use colt_catalog::{ColRef, Column, Database, TableId, TableSchema};
 use colt_core::cluster::{ClusterKey, ClusterSet};
-use colt_core::knapsack::{self, Item};
+use colt_engine::knapsack::{self, Item};
 use colt_engine::selectivity::predicate_selectivity;
 use colt_engine::{Query, SelPred};
 use colt_storage::{row_from, Value, ValueType};
@@ -81,6 +81,14 @@ fn cluster_counts_independent_of_insertion_order() {
     assert_eq!(counts_by_key(&forward), counts_by_key(&reversed));
 }
 
+/// The 0/1 knapsack over `items`, one single-option group per item as
+/// the organizer poses it: the chosen positions.
+fn solve(items: &[Item], capacity: u64) -> Vec<usize> {
+    let groups: Vec<[Item; 1]> = items.iter().map(|&it| [it]).collect();
+    let picks = knapsack::solve(&groups, capacity).picks;
+    (0..items.len()).filter(|&i| picks[i].is_some()).collect()
+}
+
 #[test]
 fn knapsack_selection_stable_under_input_permutation() {
     // Distinct values so the optimum is unique and permutation cannot
@@ -91,7 +99,7 @@ fn knapsack_selection_stable_under_input_permutation() {
     let capacity = 120u64;
 
     let baseline: Vec<(u64, u64)> = {
-        let chosen = knapsack::solve(items.iter().copied(), capacity);
+        let chosen = solve(&items, capacity);
         let mut picked: Vec<(u64, u64)> =
             chosen.iter().map(|&i| (items[i].size, items[i].value as u64)).collect();
         picked.sort_unstable();
@@ -109,7 +117,7 @@ fn knapsack_selection_stable_under_input_permutation() {
     variants.push(items.iter().rev().copied().collect());
 
     for v in variants {
-        let chosen = knapsack::solve(v.iter().copied(), capacity);
+        let chosen = solve(&v, capacity);
         let mut picked: Vec<(u64, u64)> =
             chosen.iter().map(|&i| (v[i].size, v[i].value as u64)).collect();
         picked.sort_unstable();

@@ -1,15 +1,34 @@
 //! Randomized property tests for COLT's decision machinery: the
-//! knapsack solver against brute force, hot-set selection axioms,
+//! knapsack solver (`colt_engine::knapsack`, posed as the organizer
+//! poses it) against brute force, hot-set selection axioms,
 //! gain-statistics algebra, and full-tuner safety invariants. Cases
 //! come from the in-repo seeded PRNG (`colt_storage::Prng`), so
 //! every run checks the same inputs.
 #![allow(clippy::unwrap_used, reason = "test helpers may unwrap and panic")]
 
-use colt_core::knapsack::{self, Item};
 use colt_core::{hotset, GainStats};
+use colt_engine::knapsack::{self, Item};
 use colt_storage::Prng;
 
 const CASES: u64 = 64;
+
+/// The 0/1 knapsack over `items`, one single-option group per item as
+/// the organizer poses it: the chosen positions, ascending.
+fn solve(items: &[Item], capacity: u64) -> Vec<usize> {
+    let groups: Vec<[Item; 1]> = items.iter().map(|&it| [it]).collect();
+    let picks = knapsack::solve(&groups, capacity).picks;
+    (0..items.len()).filter(|&i| picks[i].is_some()).collect()
+}
+
+/// Total value of a selection.
+fn total_value(items: &[Item], chosen: &[usize]) -> f64 {
+    chosen.iter().map(|&i| items[i].value).sum()
+}
+
+/// Total size of a selection.
+fn total_size(items: &[Item], chosen: &[usize]) -> u64 {
+    chosen.iter().map(|&i| items[i].size).sum()
+}
 
 fn brute_force_value(items: &[Item], capacity: u64) -> f64 {
     let n = items.len();
@@ -39,9 +58,9 @@ fn knapsack_exact() {
             .map(|_| Item { size: 1 + rng.below_u64(59), value: rng.f64_range(0.0, 100.0) })
             .collect();
         let capacity = rng.below_u64(150);
-        let chosen = knapsack::solve(items.iter().copied(), capacity);
-        assert!(knapsack::total_size(&items, &chosen) <= capacity, "case {case}");
-        let got = knapsack::total_value(&items, &chosen);
+        let chosen = solve(&items, capacity);
+        assert!(total_size(&items, &chosen) <= capacity, "case {case}");
+        let got = total_value(&items, &chosen);
         let want = brute_force_value(&items, capacity);
         assert!((got - want).abs() < 1e-9, "case {case}: got {got}, want {want}");
         // No duplicates, indices in range.
@@ -52,9 +71,8 @@ fn knapsack_exact() {
     }
 }
 
-/// Large-capacity instances with few items are solved *exactly* (the
-/// solver falls back to subset enumeration instead of the
-/// precision-losing rescaled DP).
+/// Large-capacity instances with few items are solved *exactly*: the
+/// DP runs over the reachable sizes, with nothing rounded.
 #[test]
 fn knapsack_large_capacity_exact_for_small_pools() {
     let mut rng = Prng::new(0xC02E_0002);
@@ -68,9 +86,9 @@ fn knapsack_large_capacity_exact_for_small_pools() {
         let cap_frac = rng.f64_range(0.2, 0.9);
         let total: u64 = items.iter().map(|i| i.size).sum();
         let capacity = (total as f64 * cap_frac) as u64;
-        let chosen = knapsack::solve(items.iter().copied(), capacity);
-        assert!(knapsack::total_size(&items, &chosen) <= capacity, "case {case}");
-        let got = knapsack::total_value(&items, &chosen);
+        let chosen = solve(&items, capacity);
+        assert!(total_size(&items, &chosen) <= capacity, "case {case}");
+        let got = total_value(&items, &chosen);
         let want = brute_force_value(&items, capacity);
         assert!((got - want).abs() < 1e-9, "case {case}: got {got}, want {want}");
     }

@@ -20,6 +20,7 @@ pub mod cost;
 pub mod error;
 pub mod executor;
 pub mod kernel;
+pub mod knapsack;
 pub mod optimizer;
 pub mod plan;
 pub mod query;

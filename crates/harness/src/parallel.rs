@@ -28,20 +28,13 @@ use colt_engine::{ExecError, Query};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// One independent run cell: a labelled (database, workload, policy)
-/// triple.
+/// One independent run cell: a labelled [`Experiment`].
 #[derive(Debug, Clone)]
 pub struct Cell<'a> {
     /// Display label, e.g. `"COLT seed=42"`.
     pub label: String,
-    /// Shared, read-only database.
-    pub db: &'a Database,
-    /// The query stream this cell executes.
-    pub workload: &'a [Query],
-    /// For OFFLINE cells: the queries handed to the advisor.
-    pub analyzed: Option<&'a [Query]>,
-    /// The tuning policy of the cell.
-    pub policy: Policy,
+    /// The experiment the cell runs.
+    experiment: Experiment<'a>,
 }
 
 impl<'a> Cell<'a> {
@@ -52,22 +45,18 @@ impl<'a> Cell<'a> {
         workload: &'a [Query],
         policy: Policy,
     ) -> Self {
-        Cell { label: label.into(), db, workload, analyzed: None, policy }
+        Cell { label: label.into(), experiment: Experiment::new(db, workload).policy(policy) }
     }
 
     /// Set the advisor's analyzed workload (OFFLINE cells).
     pub fn analyzed(mut self, analyzed: &'a [Query]) -> Self {
-        self.analyzed = Some(analyzed);
+        self.experiment = self.experiment.analyzed(analyzed);
         self
     }
 
     /// Run the cell serially in the current thread.
     pub fn run(&self) -> Result<RunResult, ExecError> {
-        let mut exp = Experiment::new(self.db, self.workload).policy(self.policy.clone());
-        if let Some(a) = self.analyzed {
-            exp = exp.analyzed(a);
-        }
-        exp.run()
+        self.experiment.run()
     }
 }
 
@@ -181,7 +170,7 @@ fn time_cell(cell: &Cell<'_>, index: usize, total: usize) -> Result<CellResult, 
             .field("cell", index + 1)
             .field("total", total)
             .field("label", cell.label.as_str())
-            .field("policy", cell.policy.label()),
+            .field("policy", cell.experiment.policy.label()),
     );
     #[expect(clippy::disallowed_methods, reason = "cell wall time goes to stderr only")]
     let t0 = Instant::now();
@@ -192,7 +181,7 @@ fn time_cell(cell: &Cell<'_>, index: usize, total: usize) -> Result<CellResult, 
             .field("cell", index + 1)
             .field("total", total)
             .field("label", cell.label.as_str())
-            .field("policy", cell.policy.label())
+            .field("policy", cell.experiment.policy.label())
             .field("wall_ms", cell_millis),
     );
     Ok(CellResult { label: cell.label.clone(), result, cell_millis })

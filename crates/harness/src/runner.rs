@@ -174,7 +174,7 @@ impl RunResult {
 pub struct Experiment<'a> {
     db: &'a Database,
     workload: &'a [Query],
-    policy: Policy,
+    pub(crate) policy: Policy,
     analyzed: Option<&'a [Query]>,
 }
 
@@ -216,14 +216,16 @@ impl<'a> Experiment<'a> {
         let result = {
             let _span = colt_obs::span("harness.run");
             match &self.policy {
-                Policy::None => self.run_untuned(PhysicalConfig::new(), Policy::None, None),
+                Policy::None => self.run_stream(PhysicalConfig::new(), None, None),
                 Policy::Offline { budget_pages } => {
                     let analyzed = self.analyzed.unwrap_or(self.workload);
                     let selection = colt_offline::select(self.db, analyzed, *budget_pages);
                     let config = colt_offline::materialize(self.db, &selection);
-                    self.run_untuned(config, self.policy.clone(), Some(selection))
+                    self.run_stream(config, None, Some(selection))
                 }
-                Policy::Colt(config) => self.run_colt(config.clone()),
+                Policy::Colt(config) => {
+                    self.run_stream(PhysicalConfig::new(), Some(ColtTuner::new(config.clone())), None)
+                }
             }
         };
         // Restore the previous recorder even on the error path, so a
@@ -237,55 +239,19 @@ impl<'a> Experiment<'a> {
         Ok(result)
     }
 
-    /// Shared path for the two untuned policies: run the stream under a
-    /// fixed physical configuration, charging nothing but execution.
-    fn run_untuned(
-        &self,
-        config: PhysicalConfig,
-        policy: Policy,
-        offline: Option<OfflineSelection>,
-    ) -> Result<RunResult, ExecError> {
-        let mut eqo = Eqo::new(self.db);
-        let samples = self
-            .workload
-            .iter()
-            .map(|q| {
-                colt_obs::counter("harness.queries", 1);
-                let plan = {
-                    let _s = colt_obs::span("harness.optimize");
-                    eqo.optimize(q, &config)
-                };
-                let res = {
-                    let s = colt_obs::span("harness.execute");
-                    let r = Executor::new(self.db, &config).execute(q, &plan, Collect::CountOnly)?.result;
-                    s.sim_ms(r.millis);
-                    r
-                };
-                Ok(QuerySample { exec_millis: res.millis, tuning_millis: 0.0, rows: res.row_count })
-            })
-            .collect::<Result<Vec<_>, ExecError>>()?;
-        // Untuned runs close no epochs; flush the whole run into one
-        // flight-recorder point so op-mix exhibits can still read it.
-        colt_obs::epoch_mark(0);
-        Ok(RunResult {
-            policy,
-            samples,
-            trace: Trace::new(),
-            final_indices: config.columns().collect(),
-            offline,
-            profiled_indices: 0,
-            obs: colt_obs::Snapshot::default(),
-        })
-    }
-
-    /// COLT: charge every cost of tuning to the stream. Each probe costs
+    /// Run the stream from `physical`: optimize and execute every query
+    /// and, with a `tuner`, let it tune after each one, charging every
+    /// cost of tuning to the stream. Each probe costs
     /// [`WHATIF_COST_UNITS`], and each build is charged in full to the
     /// query that closed the epoch that made it (the paper's
-    /// accounting).
-    fn run_colt(&self, colt_config: ColtConfig) -> Result<RunResult, ExecError> {
+    /// accounting). Without a tuner nothing but execution is charged.
+    fn run_stream(
+        &self,
+        mut physical: PhysicalConfig,
+        mut tuner: Option<ColtTuner>,
+        offline: Option<OfflineSelection>,
+    ) -> Result<RunResult, ExecError> {
         let db = self.db;
-        let mut physical = PhysicalConfig::new();
-        let mut tuner = ColtTuner::new(colt_config.clone());
         let mut eqo = Eqo::new(db);
         let mut samples = Vec::with_capacity(self.workload.len());
         let mut whatif_before = 0u64;
@@ -303,36 +269,33 @@ impl<'a> Experiment<'a> {
                 r
             };
 
-            let tune = colt_obs::span("harness.tune");
-            let step = tuner.on_query(db, &mut physical, &mut eqo, q, &plan);
-
-            let whatif_now = eqo.counters().whatif_calls;
-            let whatif_cost =
-                (whatif_now - whatif_before) as f64 * WHATIF_COST_UNITS * db.cost.ms_per_cost_unit;
-            whatif_before = whatif_now;
-            let build_cost = db.cost.millis_of(&step.build_io);
-            tune.sim_ms(whatif_cost + build_cost);
-            drop(tune);
-
-            samples.push(QuerySample {
-                exec_millis: res.millis,
-                tuning_millis: whatif_cost + build_cost,
-                rows: res.row_count,
-            });
+            let mut tuning_millis = 0.0;
+            if let Some(tuner) = &mut tuner {
+                let tune = colt_obs::span("harness.tune");
+                let step = tuner.on_query(db, &mut physical, &mut eqo, q, &plan);
+                let whatif_now = eqo.counters().whatif_calls;
+                let whatif_cost =
+                    (whatif_now - whatif_before) as f64 * WHATIF_COST_UNITS * db.cost.ms_per_cost_unit;
+                whatif_before = whatif_now;
+                tuning_millis = whatif_cost + db.cost.millis_of(&step.build_io);
+                tune.sim_ms(tuning_millis);
+            }
+            samples.push(QuerySample { exec_millis: res.millis, tuning_millis, rows: res.row_count });
         }
 
-        // Flush the trailing partial epoch (queries after the last
-        // boundary, plus the boundary query's tune charge, which lands
-        // after the tuner's own mark) into the flight recorder.
-        colt_obs::epoch_mark(tuner.epoch());
+        // Flush the trailing partial epoch (an untuned run closes none;
+        // a tuned one has the queries after the last boundary, plus the
+        // boundary query's tune charge, which lands after the tuner's own
+        // mark) into the flight recorder.
+        colt_obs::epoch_mark(tuner.as_ref().map_or(0, ColtTuner::epoch));
 
         Ok(RunResult {
-            policy: Policy::Colt(colt_config),
-            profiled_indices: tuner.profiler().profiled_index_count(),
-            trace: tuner.trace().clone(),
-            final_indices: physical.online_columns().collect(),
-            offline: None,
+            policy: self.policy.clone(),
             samples,
+            trace: tuner.as_ref().map_or_else(Trace::new, |t| t.trace().clone()),
+            final_indices: physical.columns().collect(),
+            offline,
+            profiled_indices: tuner.as_ref().map_or(0, |t| t.profiler().profiled_index_count()),
             obs: colt_obs::Snapshot::default(),
         })
     }

@@ -19,11 +19,14 @@
 //! configuration therefore factorizes per table, and an exact *grouped*
 //! knapsack over per-table index subsets yields the global optimum —
 //! identical to full enumeration, verified against brute force in the
-//! tests.
+//! tests. The knapsack is [`colt_engine::knapsack::solve`], the solver
+//! COLT's Self-Organizer uses: one group per table, whose options are
+//! the non-empty subsets of its candidates.
 
 #![warn(missing_docs)]
 
 use colt_catalog::{ColRef, Database, PhysicalConfig, TableId};
+use colt_engine::knapsack::{self, Item};
 use colt_engine::{Eqo, Query};
 use std::collections::BTreeMap;
 
@@ -111,86 +114,44 @@ fn subset_benefit(tg: &TableGains, mask: u32) -> f64 {
         .sum()
 }
 
+/// The positions `j < n` that `mask` holds.
+fn members(mask: u32, n: usize) -> impl Iterator<Item = usize> {
+    (0..n).filter(move |j| mask & (1 << j) != 0)
+}
+
 /// Select the optimal index set for a known workload within `budget_pages`.
 pub fn select(db: &Database, workload: &[Query], budget_pages: u64) -> OfflineSelection {
     let gt = measure_gains(db, workload);
 
-    // Build per-table groups: every subset of the table's candidates is
-    // one option with a size and a benefit.
-    struct Choice {
-        cols: Vec<ColRef>,
-        size: u64,
-        benefit: f64,
-    }
-    let mut groups: Vec<Vec<Choice>> = Vec::new();
-    for tg in gt.by_table.values() {
-        let n = tg.cols.len();
-        assert!(n <= 20, "too many candidate indices on one table for exhaustive subsets");
-        let sizes: Vec<u64> = tg.cols.iter().map(|&c| db.index_estimate(c).pages).collect();
-        let mut options = Vec::with_capacity(1 << n);
-        for mask in 0u32..(1u32 << n) {
-            let size: u64 = (0..n).filter(|j| mask & (1 << j) != 0).map(|j| sizes[j]).sum();
-            if mask != 0 && size > budget_pages {
-                continue; // cannot fit regardless of other tables
-            }
-            options.push(Choice {
-                cols: (0..n).filter(|j| mask & (1 << j) != 0).map(|j| tg.cols[j]).collect(),
-                size,
-                benefit: subset_benefit(tg, mask),
-            });
-        }
-        groups.push(options);
-    }
+    // One group per table: option `k` is the subset encoded by mask
+    // `k + 1` of the table's candidates, with its size and benefit.
+    let groups: Vec<Vec<Item>> = gt
+        .by_table
+        .values()
+        .map(|tg| {
+            let n = tg.cols.len();
+            assert!(n <= 20, "too many candidate indices on one table for exhaustive subsets");
+            let sizes: Vec<u64> = tg.cols.iter().map(|&c| db.index_estimate(c).pages).collect();
+            let item = |mask| Item {
+                size: members(mask, n).map(|j| sizes[j]).sum(),
+                value: subset_benefit(tg, mask),
+            };
+            (1u32..1 << n).map(item).collect()
+        })
+        .collect();
+    let best = knapsack::solve(&groups, budget_pages);
 
-    // Grouped knapsack DP over (rescaled) capacity.
-    const MAX_STEPS: u64 = 8192;
-    let scale = budget_pages.div_ceil(MAX_STEPS).max(1);
-    let cap = (budget_pages / scale) as usize;
-    // dp[c] = (benefit, chosen option per processed group)
-    let mut dp: Vec<Option<(f64, Vec<usize>)>> = vec![None; cap + 1];
-    dp[0] = Some((0.0, Vec::new()));
-    for options in &groups {
-        let mut next: Vec<Option<(f64, Vec<usize>)>> = vec![None; cap + 1];
-        for c in 0..=cap {
-            let Some((base, chosen)) = &dp[c] else { continue };
-            for (oi, o) in options.iter().enumerate() {
-                let sz = (o.size.div_ceil(scale)) as usize;
-                if c + sz > cap {
-                    continue;
-                }
-                let cand = base + o.benefit;
-                if next[c + sz].as_ref().is_none_or(|(b, _)| cand > *b) {
-                    let mut chosen = chosen.clone();
-                    chosen.push(oi);
-                    next[c + sz] = Some((cand, chosen));
-                }
-            }
+    let mut indices: Vec<ColRef> = Vec::new();
+    for (tg, pick) in gt.by_table.values().zip(best.picks) {
+        if let Some(k) = pick {
+            indices.extend(members(k as u32 + 1, tg.cols.len()).map(|j| tg.cols[j]));
         }
-        dp = next;
-    }
-    // On benefit ties prefer the smallest capacity slot (fewest pages),
-    // so useless indices are never materialized just because they fit.
-    let mut best: Option<(f64, Vec<usize>)> = None;
-    for entry in dp.into_iter().flatten() {
-        if best.as_ref().is_none_or(|(b, _)| entry.0 > *b + 1e-9) {
-            best = Some(entry);
-        }
-    }
-    #[expect(clippy::expect_used, reason = "the DP always holds the empty selection")]
-    let (best_benefit, best_choice) = best.expect("empty-set option always feasible");
-
-    let mut indices = Vec::new();
-    let mut total_pages = 0;
-    for (gi, &oi) in best_choice.iter().enumerate() {
-        let o = &groups[gi][oi];
-        indices.extend(o.cols.iter().copied());
-        total_pages += o.size;
     }
     indices.sort_unstable();
     OfflineSelection {
         indices,
-        total_benefit: best_benefit,
-        total_pages,
+        total_benefit: best.value,
+        total_pages: best.size,
         whatif_calls: gt.whatif_calls,
     }
 }
@@ -218,7 +179,7 @@ pub fn select_brute_force(db: &Database, workload: &[Query], budget_pages: u64) 
     let mut best_mask = 0u32;
     let mut best_benefit = 0.0f64;
     for mask in 0u32..(1u32 << n) {
-        let size: u64 = (0..n).filter(|j| mask & (1 << j) != 0).map(|j| sizes[j]).sum();
+        let size: u64 = members(mask, n).map(|j| sizes[j]).sum();
         if size > budget_pages {
             continue;
         }
@@ -235,9 +196,8 @@ pub fn select_brute_force(db: &Database, workload: &[Query], budget_pages: u64) 
             best_mask = mask;
         }
     }
-    let indices: Vec<ColRef> =
-        (0..n).filter(|j| best_mask & (1 << j) != 0).map(|j| all[j]).collect();
-    let total_pages = (0..n).filter(|j| best_mask & (1 << j) != 0).map(|j| sizes[j]).sum();
+    let indices: Vec<ColRef> = members(best_mask, n).map(|j| all[j]).collect();
+    let total_pages = members(best_mask, n).map(|j| sizes[j]).sum();
     OfflineSelection {
         indices,
         total_benefit: best_benefit,
