@@ -2,7 +2,8 @@
 //!
 //! The trace is what the benchmark harness reads to regenerate the
 //! paper's Figure 5 (what-if calls per epoch) and to audit
-//! materialization churn, budget regulation, and profiling coverage.
+//! materialization churn and budget regulation. Profiling coverage is
+//! not traced: the harness reports it as `RunResult::profiled_indices`.
 
 use colt_catalog::ColRef;
 

@@ -294,11 +294,11 @@ mod tests {
         assert_eq!(eqo.counters().whatif_calls, 0);
     }
 
-    /// The EQO keeps no what-if cache: every probe is charged one
-    /// what-if call, `optimize` one optimization, and the two memo
-    /// counters kept for their readers never move.
+    /// Every probe is charged one what-if call and every `optimize`
+    /// one optimization, repeats included; the two memo counters, kept
+    /// for their readers, never move.
     #[test]
-    fn memo_counters_account_for_every_derivation() {
+    fn each_probe_and_each_optimization_is_counted_once() {
         let (db, t) = db();
         let cfg = PhysicalConfig::new();
         let mut eqo = Eqo::new(&db);
@@ -314,11 +314,11 @@ mod tests {
         );
     }
 
-    /// Many distinct templates through one long-lived EQO: each call
-    /// derives its own base afresh (one estimate per predicate), so
-    /// every answer equals a fresh EQO's and nothing accumulates.
+    /// Distinct statements, each twice, through one long-lived EQO:
+    /// every call estimates its predicate afresh (one estimate), every
+    /// answer equals a fresh EQO's, and only what-if calls are counted.
     #[test]
-    fn memo_accounting_holds_under_eviction_pressure() {
+    fn a_long_lived_eqo_answers_every_call_like_a_fresh_one() {
         let (db, t) = db();
         let cfg = PhysicalConfig::new();
         let mut eqo = Eqo::new(&db);
@@ -339,7 +339,7 @@ mod tests {
     /// A repeated probe is re-derived, bit-identically, and charged
     /// again; `optimize` beside it is the bare optimizer's plan.
     #[test]
-    fn repeated_probes_are_served_from_the_memo_identically() {
+    fn a_repeated_probe_is_rederived_identically_and_charged_again() {
         let (db, t) = db();
         let cfg = PhysicalConfig::new();
         let mut eqo = Eqo::new(&db);
@@ -357,10 +357,10 @@ mod tests {
         assert_eq!(eqo.counters(), EqoCounters { optimizations: 1, ..after });
     }
 
-    /// A configuration change is seen by the very next probe — nothing
-    /// stale is kept — and only the touched table's answers move.
+    /// A configuration change is seen by the very next plan and probe of
+    /// its table, and another table's answers stay as they were.
     #[test]
-    fn configuration_change_invalidates_only_lazily_and_scoped() {
+    fn a_configuration_change_moves_only_its_own_tables_answers() {
         let mut db = Database::new();
         let a = db.add_table(TableSchema::new(
             "a",

@@ -116,12 +116,7 @@ pub fn convergence_point(
         return None;
     }
     // Walk backwards: find the last window that violates the tolerance.
-    let mut last_violation = None;
-    for i in 0..n {
-        if a[i] > b[i] * (1.0 + tolerance) + 1e-12 {
-            last_violation = Some(i);
-        }
-    }
+    let last_violation = a.iter().zip(&b).rposition(|(&x, &y)| x > y * (1.0 + tolerance) + 1e-12);
     match last_violation {
         None => Some(0),
         Some(i) if i + 1 < n => Some(i + 1),

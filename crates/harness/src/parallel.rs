@@ -60,16 +60,14 @@ impl<'a> Cell<'a> {
     }
 }
 
-/// One finished cell: its label, run result, and own wall-clock time.
+/// One finished cell: its label and run result. Its wall time is the
+/// `harness.run` frame of the result's snapshot.
 #[derive(Debug, Clone)]
 pub struct CellResult {
     /// The cell's label.
     pub label: String,
     /// The run's outcome (identical to a serial run of the same cell).
     pub result: RunResult,
-    /// Wall-clock milliseconds this cell took (real time, not the
-    /// simulated time inside `result`).
-    pub cell_millis: f64,
 }
 
 /// The outcome of a [`run_cells`] batch.
@@ -84,20 +82,6 @@ pub struct ParallelReport {
 }
 
 impl ParallelReport {
-    /// Sum of per-cell wall-clock times — what a serial run would cost.
-    pub fn serial_millis(&self) -> f64 {
-        self.cells.iter().map(|c| c.cell_millis).sum()
-    }
-
-    /// Speedup over a serial run (`serial_millis / wall_millis`).
-    pub fn speedup(&self) -> f64 {
-        if self.wall_millis > 0.0 {
-            self.serial_millis() / self.wall_millis
-        } else {
-            1.0
-        }
-    }
-
     /// Look a finished cell up by label.
     pub fn get(&self, label: &str) -> Option<&RunResult> {
         self.cells.iter().find(|c| c.label == label).map(|c| &c.result)
@@ -130,7 +114,7 @@ pub fn run_cells(cells: &[Cell<'_>], threads: usize) -> Result<ParallelReport, E
     let workers = threads.max(1).min(n.max(1));
 
     let mut indexed: Vec<(usize, Result<CellResult, ExecError>)> = if workers <= 1 {
-        cells.iter().enumerate().map(|(i, cell)| (i, time_cell(cell, i, n))).collect()
+        cells.iter().enumerate().map(|(i, cell)| (i, run_cell(cell, i, n))).collect()
     } else {
         let next = AtomicUsize::new(0);
         std::thread::scope(|s| {
@@ -143,7 +127,7 @@ pub fn run_cells(cells: &[Cell<'_>], threads: usize) -> Result<ParallelReport, E
                             if i >= n {
                                 break;
                             }
-                            local.push((i, time_cell(&cells[i], i, n)));
+                            local.push((i, run_cell(&cells[i], i, n)));
                         }
                         local
                     })
@@ -162,7 +146,7 @@ pub fn run_cells(cells: &[Cell<'_>], threads: usize) -> Result<ParallelReport, E
     })
 }
 
-fn time_cell(cell: &Cell<'_>, index: usize, total: usize) -> Result<CellResult, ExecError> {
+fn run_cell(cell: &Cell<'_>, index: usize, total: usize) -> Result<CellResult, ExecError> {
     // Progress goes through the event sink (stderr only), so stdout
     // stays byte-identical across thread counts and COLT_OBS levels.
     colt_obs::progress(
@@ -172,19 +156,16 @@ fn time_cell(cell: &Cell<'_>, index: usize, total: usize) -> Result<CellResult, 
             .field("label", cell.label.as_str())
             .field("policy", cell.experiment.policy.label()),
     );
-    #[expect(clippy::disallowed_methods, reason = "cell wall time goes to stderr only")]
-    let t0 = Instant::now();
     let result = cell.run()?;
-    let cell_millis = t0.elapsed().as_secs_f64() * 1e3;
     colt_obs::progress(
         colt_obs::Event::new("cell_finish")
             .field("cell", index + 1)
             .field("total", total)
             .field("label", cell.label.as_str())
             .field("policy", cell.experiment.policy.label())
-            .field("wall_ms", cell_millis),
+            .field("wall_ms", result.obs.frame_ns("harness.run") as f64 / 1e6),
     );
-    Ok(CellResult { label: cell.label.clone(), result, cell_millis })
+    Ok(CellResult { label: cell.label.clone(), result })
 }
 
 // Compile-time audit of the thread-safety contract: the shared state
@@ -260,8 +241,6 @@ mod tests {
         assert_eq!(labels, ["NONE", "OFFLINE", "COLT"]);
         assert!(report.get("COLT").is_some());
         assert!(report.get("nope").is_none());
-        assert!(report.speedup() > 0.0);
-        assert!(report.serial_millis() >= 0.0);
     }
 
     #[test]
@@ -278,6 +257,5 @@ mod tests {
     fn empty_batch() {
         let report = run_cells(&[], 4).unwrap();
         assert!(report.cells.is_empty());
-        assert_eq!(report.speedup(), if report.wall_millis > 0.0 { 0.0 } else { 1.0 });
     }
 }

@@ -92,7 +92,7 @@ pub fn render_whatif_series(title: &str, series: &[u64], max_budget: u64) -> Str
 }
 
 /// Per-component wall-clock breakdown of one run, from its metrics
-/// snapshot's top-level `harness.*` spans.
+/// snapshot's `harness.*` flame frames.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Breakdown {
     /// Optimizer (plan search) wall ms.
@@ -103,44 +103,54 @@ pub struct Breakdown {
     pub tune_ms: f64,
     /// Unattributed remainder of the run (loop overhead, setup), ≥ 0.
     pub other_ms: f64,
-    /// Total measured run wall ms (the `harness.run` span).
+    /// Total measured run wall ms (the `harness.run` frame).
     pub total_ms: f64,
 }
 
 impl Breakdown {
     /// Sum of the attributed components plus the remainder. Equals
-    /// `total_ms` by construction unless clock skew made the component
-    /// spans overshoot the enclosing run span.
+    /// `total_ms` unless a component frame lies outside the run frame.
     pub fn sum_ms(&self) -> f64 {
         self.optimize_ms + self.execute_ms + self.tune_ms + self.other_ms
     }
 }
 
-/// Fold a run's span timings into a per-component breakdown. Empty
+/// Fold a run's flame frames into a per-component breakdown. Empty
 /// snapshots (runs under `COLT_OBS=off`) yield an all-zero breakdown.
 pub fn component_breakdown(run: &RunResult) -> Breakdown {
-    let optimize_ms = run.obs.span_wall_ms("harness.optimize");
-    let execute_ms = run.obs.span_wall_ms("harness.execute");
-    let tune_ms = run.obs.span_wall_ms("harness.tune");
-    let total_ms = run.obs.span_wall_ms("harness.run");
-    let other_ms = (total_ms - optimize_ms - execute_ms - tune_ms).max(0.0);
-    Breakdown { optimize_ms, execute_ms, tune_ms, other_ms, total_ms }
+    let ns = |frame: &str| run.obs.frame_ns(frame);
+    let (optimize, execute, tune) = (ns("harness.optimize"), ns("harness.execute"), ns("harness.tune"));
+    let total = ns("harness.run");
+    let other = total.saturating_sub(optimize + execute + tune);
+    let ms = |ns: u64| ns as f64 / 1e6;
+    Breakdown {
+        optimize_ms: ms(optimize),
+        execute_ms: ms(execute),
+        tune_ms: ms(tune),
+        other_ms: ms(other),
+        total_ms: ms(total),
+    }
 }
 
 /// Emit a parallel batch's progress through the event sink: one
 /// `parallel_batch` event with its wall-clock/speedup numbers (real
 /// wall-clock times, so stderr only: stdout artifacts stay
-/// byte-identical across thread counts). All bench binaries report batch
-/// completion through this one path, so the stderr format is uniform.
+/// byte-identical across thread counts). A serial run would cost the
+/// sum of the cells' `harness.run` frames. All bench binaries report
+/// batch completion through this one path, so the stderr format is
+/// uniform.
 pub fn emit_parallel_summary(title: &str, report: &ParallelReport) {
+    let serial_ns: u64 = report.cells.iter().map(|c| c.result.obs.frame_ns("harness.run")).sum();
+    let serial_ms = serial_ns as f64 / 1e6;
+    let speedup = if report.wall_millis > 0.0 { serial_ms / report.wall_millis } else { 1.0 };
     colt_obs::progress(
         colt_obs::Event::new("parallel_batch")
             .field("title", title)
             .field("threads", report.threads)
             .field("cells", report.cells.len())
             .field("wall_ms", report.wall_millis)
-            .field("serial_ms", report.serial_millis())
-            .field("speedup", report.speedup()),
+            .field("serial_ms", serial_ms)
+            .field("speedup", speedup),
     );
 }
 
@@ -219,20 +229,28 @@ mod tests {
         assert!(s.contains("********************"));
     }
 
+    /// A run whose snapshot's flame holds `stacks` (folded stack, self ns).
+    fn flamed_run(stacks: &[(&str, u64)]) -> RunResult {
+        let mut run = fake_run(&[1.0]);
+        run.obs.flame = stacks.iter().map(|&(stack, ns)| (stack.to_string(), ns)).collect();
+        run
+    }
+
     #[test]
     fn breakdown_components_sum_to_total() {
-        let mut run = fake_run(&[1.0]);
-        let mut r = colt_obs::Recorder::new(colt_obs::Level::Summary);
-        r.record_span("harness.optimize", 2_000_000);
-        r.record_span("harness.execute", 5_000_000);
-        r.record_span("harness.tune", 1_000_000);
-        r.record_span("harness.run", 10_000_000);
-        run.obs = r.into_snapshot();
+        let run = flamed_run(&[
+            ("harness.run", 2_000_000),
+            ("harness.run;harness.optimize", 1_500_000),
+            ("harness.run;harness.optimize;engine.optimize", 500_000),
+            ("harness.run;harness.execute", 5_000_000),
+            ("harness.run;harness.tune", 1_000_000),
+        ]);
         let b = component_breakdown(&run);
         assert!((b.optimize_ms - 2.0).abs() < 1e-9);
         assert!((b.execute_ms - 5.0).abs() < 1e-9);
         assert!((b.tune_ms - 1.0).abs() < 1e-9);
         assert!((b.other_ms - 2.0).abs() < 1e-9);
+        assert!((b.total_ms - 10.0).abs() < 1e-9);
         assert!((b.sum_ms() - b.total_ms).abs() < 1e-9);
     }
 
@@ -246,14 +264,10 @@ mod tests {
 
     #[test]
     fn breakdown_clamps_overshoot() {
-        // Component spans can overshoot the enclosing run span by a few
-        // clock ticks; `other` must clamp at zero rather than go
-        // negative.
-        let mut run = fake_run(&[1.0]);
-        let mut r = colt_obs::Recorder::new(colt_obs::Level::Summary);
-        r.record_span("harness.execute", 11_000_000);
-        r.record_span("harness.run", 10_000_000);
-        run.obs = r.into_snapshot();
+        // A component frame outside the run frame can make the
+        // components overshoot the run; `other` must clamp at zero
+        // rather than go negative.
+        let run = flamed_run(&[("harness.execute", 11_000_000), ("harness.run", 10_000_000)]);
         assert_eq!(component_breakdown(&run).other_ms, 0.0);
     }
 }

@@ -1,10 +1,12 @@
 //! # colt-obs
 //!
 //! Zero-dependency observability for the COLT reproduction: a
-//! global-free metrics [`Recorder`] (counters, and per span name its
-//! count, wall-clock nanoseconds and simulated milliseconds), RAII
-//! [`Span`] guards over the wall clock with explicit simulated-clock
-//! attribution, the flight recorder's typed [`DecisionRecord`]s, a
+//! global-free metrics [`Recorder`] (counters, per span name its count
+//! and simulated milliseconds, and the folded-stack flame — the one
+//! wall-time account, read per frame with [`Snapshot::frame_ns`]), RAII
+//! [`Span`] guards that push and pop flame frames, with explicit
+//! simulated-clock attribution, the flight recorder's typed
+//! [`DecisionRecord`]s, a
 //! [`progress`] sink that replaces ad-hoc `eprintln!` diagnostics with
 //! one stderr format across every binary, and the workspace's one
 //! [`json`] writer and parser. [`json::Json`] is the crate's one value
@@ -53,7 +55,6 @@ pub use recorder::{Recorder, Snapshot, SpanStats};
 
 use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 /// Observability level, selected by the `COLT_OBS` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -147,17 +148,14 @@ pub fn counter(name: &'static str, n: u64) {
     with_recorder(|r| r.add_counter(name, n));
 }
 
-/// Open an RAII span guard; its wall-clock duration is recorded when
-/// the guard drops, and the span is pushed onto the recorder's flame
-/// stack for folded-stack self-time attribution. Inert (no
-/// `Instant::now`) when recording is off.
+/// Open an RAII span guard: the span's frame is pushed onto the
+/// recorder's flame stack now and popped, counting one completion, when
+/// the guard drops. Its wall time is what the flame attributes to the
+/// frame ([`Snapshot::frame_ns`]). Inert when recording is off, and
+/// stays so if a recorder is installed before it drops.
 pub fn span(name: &'static str) -> Span {
-    if !is_enabled() {
-        return Span { name, start: None };
-    }
-    with_recorder(|r| r.flame_enter(name));
-    #[expect(clippy::disallowed_methods, reason = "span timing is wall time by design")]
-    Span { name, start: Some(Instant::now()) }
+    let live = with_recorder(|r| r.flame_enter(name)).is_some();
+    Span { name, live }
 }
 
 /// An open span; see [`span`].
@@ -165,14 +163,14 @@ pub fn span(name: &'static str) -> Span {
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
-    start: Option<Instant>,
+    live: bool,
 }
 
 impl Span {
     /// Attribute simulated milliseconds to this span (the deterministic
     /// clock has no ambient "now", so sites report it explicitly).
     pub fn sim_ms(&self, ms: f64) {
-        if self.start.is_some() {
+        if self.live {
             with_recorder(|r| r.record_span_sim(self.name, ms));
         }
     }
@@ -180,12 +178,8 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(t0) = self.start {
-            let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            with_recorder(|r| {
-                r.record_span(self.name, ns);
-                r.flame_exit(self.name);
-            });
+        if self.live {
+            with_recorder(|r| r.flame_exit(self.name));
         }
     }
 }
@@ -240,7 +234,25 @@ mod tests {
         assert_eq!(snap.counter("c"), 2);
         assert_eq!(snap.span("s").unwrap().count, 1);
         assert_eq!(snap.span("s").unwrap().sim_ms, 4.5);
-        assert!(snap.span("s").unwrap().wall_ns > 0);
+        assert!(snap.frame_ns("s") > 0);
+    }
+
+    /// A guard opened with recording off neither counts, nor charges
+    /// simulated time, nor pops a frame once a recorder is installed.
+    #[test]
+    fn a_guard_opened_while_off_stays_inert_after_install() {
+        let inert = span("s");
+        install(Recorder::new(Level::Full));
+        let live = span("s");
+        inert.sim_ms(1.0);
+        drop(inert);
+        drop(span("inner"));
+        drop(live);
+        let snap = take().unwrap().into_snapshot();
+        assert_eq!(snap.span("s").unwrap().count, 1);
+        assert_eq!(snap.span("s").unwrap().sim_ms, 0.0);
+        assert!(snap.flame.contains_key("s;inner"), "flame: {:?}", snap.flame);
+        assert!(!snap.flame.contains_key("inner"), "flame: {:?}", snap.flame);
     }
 
     #[test]

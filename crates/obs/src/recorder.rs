@@ -14,13 +14,12 @@ use crate::Level;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Accumulated timing of one named span.
+/// What one named span accumulated; its wall time is the flame's
+/// ([`Snapshot::frame_ns`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanStats {
     /// Number of completed spans.
     pub count: u64,
-    /// Total wall-clock nanoseconds across completions.
-    pub wall_ns: u64,
     /// Total *simulated* milliseconds attributed to the span (reported
     /// explicitly by instrumented sites; the deterministic clock has no
     /// ambient "now").
@@ -28,20 +27,14 @@ pub struct SpanStats {
 }
 
 impl SpanStats {
-    /// Total wall-clock milliseconds.
-    pub fn wall_ms(&self) -> f64 {
-        self.wall_ns as f64 / 1e6
-    }
-
     fn merge(&mut self, other: &SpanStats) {
         self.count += other.count;
-        self.wall_ns += other.wall_ns;
         self.sim_ms += other.sim_ms;
     }
 }
 
-/// A mutable metrics recorder: counters, span timings, and the flight
-/// recorder.
+/// A mutable metrics recorder: counters, span stats, the flame, and the
+/// flight recorder.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     level: Level,
@@ -107,13 +100,6 @@ impl Recorder {
         *self.counters.entry(name).or_insert(0) += n;
     }
 
-    /// Record one completed span of `wall_ns` nanoseconds.
-    pub fn record_span(&mut self, name: &'static str, wall_ns: u64) {
-        let s = self.spans.entry(name).or_default();
-        s.count += 1;
-        s.wall_ns += wall_ns;
-    }
-
     /// Attribute simulated milliseconds to a named span.
     pub fn record_span_sim(&mut self, name: &'static str, sim_ms: f64) {
         self.spans.entry(name).or_default().sim_ms += sim_ms;
@@ -127,11 +113,13 @@ impl Recorder {
     }
 
     /// A span guard dropped: attribute elapsed self time to the current
-    /// stack, then pop the frame. Guards normally drop in LIFO order;
-    /// if one outlives a later sibling, the deepest frame with this
-    /// name is removed so the stack stays consistent.
+    /// stack, pop the frame, and count one completed `name` span.
+    /// Guards normally drop in LIFO order; if one outlives a later
+    /// sibling, the deepest frame with this name is removed so the
+    /// stack stays consistent.
     pub fn flame_exit(&mut self, name: &'static str) {
         self.flame_tick();
+        self.spans.entry(name).or_default().count += 1;
         if self.flame_stack.last() == Some(&name) {
             self.flame_stack.pop();
         } else if let Some(pos) = self.flame_stack.iter().rposition(|&f| f == name) {
@@ -211,7 +199,7 @@ impl Recorder {
 pub struct Snapshot {
     /// Monotonic counters by name.
     pub counters: BTreeMap<String, u64>,
-    /// Span timings by name.
+    /// Span counts and simulated time by name.
     pub spans: BTreeMap<String, SpanStats>,
     /// Folded-stack self time in nanoseconds, keyed by
     /// `outer;inner;leaf` span paths.
@@ -243,9 +231,12 @@ impl Snapshot {
         self.spans.get(name)
     }
 
-    /// A span's total wall-clock milliseconds (0 when absent).
-    pub fn span_wall_ms(&self, name: &str) -> f64 {
-        self.spans.get(name).map_or(0.0, SpanStats::wall_ms)
+    /// A frame's inclusive wall time in nanoseconds: the summed self
+    /// time of every folded stack with `frame` on it (each stack once,
+    /// however often the frame recurs in it; 0 when absent).
+    pub fn frame_ns(&self, frame: &str) -> u64 {
+        let on_stack = |stack: &str| stack.split(';').any(|f| f == frame);
+        self.flame.iter().filter(|(stack, _)| on_stack(stack)).map(|(_, &ns)| ns).sum()
     }
 
     /// Fold another snapshot into this one: counters, spans and flame
@@ -293,7 +284,7 @@ impl Snapshot {
     ///   (`value` the unrounded net benefit the solve saw) and its
     ///   `"chosen"` is `["t0.c3",…]`;
     /// * `{"counter":name,"value":N}` — by name;
-    /// * `{"span":name,"count":N,"wall_ns":N,"sim_ms":F}` — by name;
+    /// * `{"span":name,"count":N,"sim_ms":F}` — by name;
     /// * `{"flame":"outer;inner;leaf","ns":N}` — folded-stack self time.
     ///
     /// Everything after the prefix may carry wall-clock values. Every
@@ -312,7 +303,6 @@ impl Snapshot {
             line(&[
                 ("span", name.as_str().into()),
                 ("count", s.count.into()),
-                ("wall_ns", s.wall_ns.into()),
                 ("sim_ms", s.sim_ms.into()),
             ]);
         }
@@ -333,14 +323,15 @@ mod tests {
         let mut r = Recorder::new(Level::Full);
         r.add_counter("a.b", 2);
         r.add_counter("a.b", 3);
-        r.record_span("s", 1_500_000); // 1.5 ms
+        r.flame_enter("s");
         r.record_span_sim("s", 9.0);
+        r.flame_exit("s");
         let s = r.into_snapshot();
         assert_eq!(s.counter("a.b"), 5);
         let span = s.span("s").unwrap();
         assert_eq!(span.count, 1);
-        assert!((span.wall_ms() - 1.5).abs() < 1e-9);
         assert_eq!(span.sim_ms, 9.0);
+        assert_eq!(s.frame_ns("s"), s.flame["s"]);
         assert!(!s.is_empty());
     }
 
@@ -349,26 +340,27 @@ mod tests {
         assert!(Recorder::new(Level::Off).into_snapshot().is_empty());
         assert!(Snapshot::default().is_empty());
         assert_eq!(Snapshot::default().counter("nope"), 0);
-        assert_eq!(Snapshot::default().span_wall_ms("nope"), 0.0);
+        assert_eq!(Snapshot::default().frame_ns("nope"), 0);
     }
 
     #[test]
     fn merge_accumulates_and_appends() {
         let mut a = Recorder::new(Level::Full);
         a.add_counter("c", 1);
-        a.record_span("s", 1_000);
+        a.flame_enter("s");
+        a.flame_exit("s");
         a.record_decision(DecisionRecord::new(DecisionKind::Knapsack));
         let mut b = Recorder::new(Level::Full);
         b.add_counter("c", 2);
         b.add_counter("d", 7);
-        b.record_span("s", 2_000);
+        b.flame_enter("s");
+        b.flame_exit("s");
         b.record_decision(DecisionRecord::new(DecisionKind::IndexCreate));
         let mut sa = a.into_snapshot();
         sa.merge(&b.into_snapshot());
         assert_eq!(sa.counter("c"), 3);
         assert_eq!(sa.counter("d"), 7);
         assert_eq!(sa.span("s").unwrap().count, 2);
-        assert_eq!(sa.span("s").unwrap().wall_ns, 3_000);
         let kinds: Vec<&str> = sa.ledger.records().map(|d| d.kind.name()).collect();
         assert_eq!(kinds, ["knapsack", "index_create"]);
     }
@@ -386,6 +378,28 @@ mod tests {
         assert!(s.flame.contains_key("outer;inner"), "flame: {:?}", s.flame);
         assert!(s.flame.contains_key("outer"), "flame: {:?}", s.flame);
         assert!(s.flame.keys().all(|stack| !stack.is_empty()));
+    }
+
+    /// A frame's inclusive time sums every stack it is on: nested under
+    /// it, under two parents, recurring in one stack (counted once), and
+    /// across a merge; an absent frame reads 0.
+    #[test]
+    fn frame_ns_sums_the_self_time_of_every_stack_with_the_frame() {
+        let mut a = Snapshot::default();
+        for (stack, ns) in [("run", 1), ("run;opt", 10), ("run;opt;knap", 100), ("run;tune;knap", 1_000)] {
+            a.flame.insert(stack.into(), ns);
+        }
+        let mut b = Snapshot::default();
+        b.flame.insert("run;tune;knap;knap".into(), 10_000);
+        b.flame.insert("runner".into(), 100_000);
+        a.merge(&b);
+        assert_eq!(a.frame_ns("run"), 11_111);
+        assert_eq!(a.frame_ns("opt"), 110);
+        assert_eq!(a.frame_ns("knap"), 11_100);
+        assert_eq!(a.frame_ns("tune"), 11_000);
+        assert_eq!(a.frame_ns("runner"), 100_000);
+        assert_eq!(a.frame_ns("ru"), 0);
+        assert_eq!(a.frame_ns("absent"), 0);
     }
 
     #[test]
@@ -495,18 +509,19 @@ mod tests {
         let mut r = Recorder::new(Level::Full);
         r.record_decision(DecisionRecord::new(DecisionKind::Knapsack).field("spent_pages", 4u64));
         r.add_counter("engine.whatif_calls", 12);
-        r.record_span("organizer.knapsack", 2_000_000); // 2 ms
+        r.flame_enter("organizer.knapsack");
         r.record_span_sim("organizer.knapsack", 7.0);
+        r.flame_exit("organizer.knapsack");
         r.mark_epoch(0);
         let mut s = r.into_snapshot();
-        s.flame.insert("tuner.epoch;organizer.knapsack".into(), 1_900);
+        s.flame = BTreeMap::from([("tuner.epoch;organizer.knapsack".into(), 1_900)]);
         let text = s.jsonl();
         assert_eq!(
             text,
             "{\"decision\":\"knapsack\",\"epoch\":0,\"spent_pages\":4}\n\
              {\"series_epoch\":0,\"counters\":{\"engine.whatif_calls\":12},\"sim_ms\":{\"organizer.knapsack\":7.0}}\n\
              {\"counter\":\"engine.whatif_calls\",\"value\":12}\n\
-             {\"span\":\"organizer.knapsack\",\"count\":1,\"wall_ns\":2000000,\"sim_ms\":7.0}\n\
+             {\"span\":\"organizer.knapsack\",\"count\":1,\"sim_ms\":7.0}\n\
              {\"flame\":\"tuner.epoch;organizer.knapsack\",\"ns\":1900}\n"
         );
         assert!(text.starts_with(&s.flight_jsonl()) && s.flight_jsonl().lines().count() == 2);

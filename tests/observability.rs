@@ -80,8 +80,12 @@ fn breakdown_accounts_for_run_time_within_5_percent() {
         "the components' simulated {attributed} ms must account for the run's {total} ms"
     );
 
-    // The wall-clock breakdown reads the same spans.
-    assert!(component_breakdown(&run).total_ms > 0.0, "harness.run span must be measured");
+    // The wall-clock breakdown reads the same spans' flame frames, and
+    // the components nest inside the run.
+    let b = component_breakdown(&run);
+    assert_eq!(b.total_ms, run.obs.frame_ns("harness.run") as f64 / 1e6);
+    assert!(b.total_ms > 0.0, "harness.run frame must be measured");
+    assert!(b.optimize_ms + b.execute_ms + b.tune_ms <= b.total_ms, "{b:?}");
 }
 
 #[test]
