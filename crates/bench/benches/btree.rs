@@ -1,5 +1,5 @@
-//! Micro-benchmarks of the B+ tree substrate: bulk loads, incremental
-//! inserts, point lookups, and range scans across tree sizes.
+//! Micro-benchmarks of the B+ tree substrate: bulk loads, point lookups,
+//! and range scans across tree sizes.
 //!
 //! Also CI's "Bench smoke" step, and a gate there: a bulk load is one
 //! pass over sorted input, so the run fails when an entry of a
@@ -179,7 +179,7 @@ fn reference_build(sample: &Sample, reference: Reference) -> usize {
         (_, Reference::ValueEntries) => {
             let column = sample.heap.column(0).expect("the heap has one column");
             let entries = sorted_entries(column);
-            let value = |(_, rid): (u64, RowId)| (column.get(rid.0 as usize).expect("a row"), rid);
+            let value = |(_, rid): (u32, RowId)| (column.get(rid.0 as usize).expect("a row"), rid);
             BPlusTree::bulk_load(8, entries.into_iter().map(value).collect()).page_count()
         }
         (ValueCells::Int(cells), _) => build(cells, reference),
@@ -544,20 +544,6 @@ fn bench_hash_join() {
     }
 }
 
-fn bench_insert() {
-    for n in [1_000usize, 10_000] {
-        bench(&format!("btree/insert/{n}"), || {
-            let mut t = BPlusTree::new(8);
-            // Scrambled order stresses splits.
-            for i in 0..n {
-                let k = (i.wrapping_mul(2654435761)) % n;
-                t.insert(Value::Int(k as i64), RowId(i as u32));
-            }
-            black_box(t);
-        });
-    }
-}
-
 fn bench_lookup() {
     let tree = BPlusTree::bulk_load(8, entries(100_000));
     let mut i = 0i64;
@@ -642,7 +628,6 @@ fn main() -> std::process::ExitCode {
     let counts_fast = bench_kernel_scan();
     bench_strings();
     bench_hash_join();
-    bench_insert();
     bench_lookup();
     bench_range();
     bench_composite();

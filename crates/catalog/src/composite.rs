@@ -109,7 +109,6 @@ mod tests {
         let (m, io) = build_composite(&db, &key);
         assert_eq!(m.tree.len(), 2_000);
         assert!(io.pages_written > 0);
-        m.tree.check_invariants();
     }
 
     /// The rows whose key codes lie in `[lo, hi]`, `Int` cells given

@@ -46,16 +46,17 @@ impl IndexEstimate {
 pub struct MaterializedIndex {
     /// The indexed column.
     pub col: ColRef,
-    /// The physical tree, over the column's key codes.
-    pub tree: BPlusTreeOf<u64>,
+    /// The physical tree, over the column's cell codes.
+    pub tree: BPlusTreeOf<u32>,
 }
 
 /// Build an index over `column` of `heap`, charging the physical work to
 /// the returned [`IoStats`]: a full sequential heap scan, an external
 /// sort (`n log2 n` comparisons), and the writes of every index page.
-/// The keys are the key codes of the cells' days, offsets or ranks, so
-/// the tree is probed through the column it was built from.
-pub fn build_index(heap: &HeapTable, col: ColRef, key_width: usize) -> (BPlusTreeOf<u64>, IoStats) {
+/// The keys are the cells' codes — their days, offsets or ranks — as
+/// [`sorted_entries`] sorts them, so the tree is probed through the
+/// column it was built from.
+pub fn build_index(heap: &HeapTable, col: ColRef, key_width: usize) -> (BPlusTreeOf<u32>, IoStats) {
     let mut io = IoStats::new();
     let entries = heap.scan_column(col.column as usize, &mut io).map_or_else(Vec::new, sorted_entries);
     let tree = BPlusTreeOf::bulk_load(key_width, entries);
@@ -117,7 +118,6 @@ mod tests {
         assert_eq!(io.tuples, 10_000);
         assert_eq!(io.pages_written as usize, tree.page_count());
         assert!(io.cpu_ops > 10_000, "sort work charged");
-        tree.check_invariants();
     }
 
     #[test]

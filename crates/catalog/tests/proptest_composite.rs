@@ -45,7 +45,6 @@ impl Fixture {
             rows.iter().cloned().zip((0..).map(RowId)).collect();
         entries.sort();
         let reference = BPlusTreeOf::bulk_load(key.key_width(&db), entries);
-        index.tree.check_invariants();
         let (codes, values) = (&index.tree, &reference);
         assert_eq!(
             (codes.len(), codes.page_count(), codes.height()),

@@ -6,9 +6,10 @@
 
 use colt_catalog::{build_index, ColRef, ColumnStats, TableId, HISTOGRAM_BUCKETS};
 use colt_storage::{
-    code_interval, literal_code, row_from, BPlusTreeOf, ColumnSlice, HeapTable, IoStats, Prng,
-    RowId, Value, ValueType,
+    code_interval, literal_code, row_from, BPlusTree, BPlusTreeOf, ColumnSlice, HeapTable, IoStats,
+    Prng, RowId, Value, ValueType,
 };
+use std::ops::Bound;
 
 const TYPES: [ValueType; 4] = [ValueType::Int, ValueType::Float, ValueType::Str, ValueType::Date];
 
@@ -54,20 +55,16 @@ fn heap_of(rng: &mut Prng, vtype: ValueType, rows: usize) -> (HeapTable, Vec<Val
 
 /// The entries of an index over `column` in tree order, its codes
 /// turned back into the cells they were made from.
-fn entries_of(tree: &BPlusTreeOf<u64>, column: ColumnSlice<'_>) -> Vec<(Value, RowId)> {
-    tree.check_invariants();
-    // Cell code `c` has key code `2c + 1`.
-    let cell = |code: u64| column.value_of((code >> 1) as u32);
-    tree.iter().map(|(&code, rid)| (cell(code), rid)).collect()
+fn entries_of(tree: &BPlusTreeOf<u32>, column: ColumnSlice<'_>) -> Vec<(Value, RowId)> {
+    tree.entries().iter().map(|&(cell, rid)| (column.value_of(cell), rid)).collect()
 }
 
 /// The code-keyed tree over the heap's one column, bulk-loaded from the
-/// `(code, row id)` pairs a comparison sort orders: what `build_index`
-/// must build, whatever its sort does.
-fn reference_tree(heap: &HeapTable, vtype: ValueType) -> Option<BPlusTreeOf<u64>> {
+/// `(cell code, row id)` pairs a comparison sort orders: what
+/// `build_index` must build, whatever its sort does.
+fn reference_tree(heap: &HeapTable, vtype: ValueType) -> Option<BPlusTreeOf<u32>> {
     let column = heap.column(0)?;
-    let mut entries: Vec<(u64, RowId)> =
-        (0..column.len()).map(|row| (column.code(row), RowId(row as u32))).collect();
+    let mut entries: Vec<(u32, RowId)> = column.cells().iter().copied().zip((0..).map(RowId)).collect();
     entries.sort_unstable();
     Some(BPlusTreeOf::bulk_load(vtype.byte_width(), entries))
 }
@@ -93,10 +90,13 @@ fn build_index_equals_the_value_sort() {
         assert_eq!(io.seq_pages as usize, heap.page_count());
 
         // The same tree as one loaded from comparison-sorted pairs: its
-        // shape, what the build was charged, and every probe's row ids
-        // and charges.
+        // entries and shape, what the build was charged, and every
+        // probe's row ids and charges — which are also those of the
+        // `Value`-keyed tree over the same cells.
         let Some(reference) = reference_tree(&heap, vtype) else { continue };
+        assert_eq!(tree.entries(), reference.entries());
         assert_eq!((tree.page_count(), tree.height()), (reference.page_count(), reference.height()));
+        let values = BPlusTree::bulk_load(vtype.byte_width(), want);
         let n = rows as u64;
         let sort_ops = if n > 1 { n * (64 - n.leading_zeros() as u64) } else { 0 };
         let charged = IoStats {
@@ -109,13 +109,17 @@ fn build_index_equals_the_value_sort() {
         assert_eq!(io, charged, "{vtype:?}, {rows} rows");
         for _ in 0..6 {
             let (lo, hi) = (value(&mut rng, vtype), value(&mut rng, vtype));
-            let probe = |index: &BPlusTreeOf<u64>| {
+            let probe = |index: &BPlusTreeOf<u32>| {
                 let (mut ids, mut io) = (Vec::new(), IoStats::new());
                 index.lookup_code_into(literal_code(&lo, column), &mut ids, &mut io);
                 index.range_codes_into(code_interval(&lo, &hi, column), &mut ids, &mut io);
                 (ids, io)
             };
+            let (mut ids, mut io) = (Vec::new(), IoStats::new());
+            values.lookup_into(&lo, &mut ids, &mut io);
+            values.range_into(Bound::Included(&lo), Bound::Included(&hi), &mut ids, &mut io);
             assert_eq!(probe(&tree), probe(&reference), "{vtype:?}, {rows} rows, {lo}..{hi}");
+            assert_eq!(probe(&tree), (ids, io), "{vtype:?}, {rows} rows, {lo}..{hi}");
         }
     }
     // A column the heap does not have: an empty index, the scan charged.

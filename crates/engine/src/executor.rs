@@ -539,7 +539,7 @@ pub(crate) fn materialized_index<'c>(
     db: &'c Database,
     config: &'c PhysicalConfig,
     col: ColRef,
-) -> Result<(&'c BPlusTreeOf<u64>, ColumnSlice<'c>), ExecError> {
+) -> Result<(&'c BPlusTreeOf<u32>, ColumnSlice<'c>), ExecError> {
     let index = config.get(col).ok_or(ExecError::UnmaterializedIndex { operator, col })?;
     let column = db.table(col.table).heap.column(col.column as usize);
     let column = column.ok_or(ExecError::UnknownColRef { operator, col })?;

@@ -40,10 +40,11 @@ pub struct Recorder {
     level: Level,
     counters: BTreeMap<&'static str, u64>,
     spans: BTreeMap<&'static str, SpanStats>,
-    /// Self-time flame accumulator: the live span stack, the instant of
-    /// the last enter/exit transition, and folded-stack self time in
-    /// nanoseconds keyed by `outer;inner;leaf`.
+    /// Self-time flame accumulator: the live span stack, the same stack
+    /// folded (`outer;inner;leaf`), the instant of the last enter/exit
+    /// transition, and folded-stack self time in nanoseconds.
     flame_stack: Vec<&'static str>,
+    flame_path: String,
     flame_last: Option<Instant>,
     flame: BTreeMap<String, u64>,
     /// Flight recorder: the decision ledger, the per-epoch time series,
@@ -65,6 +66,7 @@ impl Recorder {
             counters: BTreeMap::new(),
             spans: BTreeMap::new(),
             flame_stack: Vec::new(),
+            flame_path: String::new(),
             flame_last: None,
             flame: BTreeMap::new(),
             ledger: DecisionLedger::default(),
@@ -109,6 +111,10 @@ impl Recorder {
     /// stack, then push the new frame.
     pub fn flame_enter(&mut self, name: &'static str) {
         self.flame_tick();
+        if !self.flame_stack.is_empty() {
+            self.flame_path.push(';');
+        }
+        self.flame_path.push_str(name);
         self.flame_stack.push(name);
     }
 
@@ -122,8 +128,11 @@ impl Recorder {
         self.spans.entry(name).or_default().count += 1;
         if self.flame_stack.last() == Some(&name) {
             self.flame_stack.pop();
+            let kept = self.flame_path.len() - name.len();
+            self.flame_path.truncate(kept.saturating_sub(1));
         } else if let Some(pos) = self.flame_stack.iter().rposition(|&f| f == name) {
             self.flame_stack.remove(pos);
+            self.flame_path = self.flame_stack.join(";");
         }
     }
 
@@ -135,7 +144,12 @@ impl Recorder {
         if let Some(last) = self.flame_last {
             if !self.flame_stack.is_empty() {
                 let ns = now.duration_since(last).as_nanos().min(u64::MAX as u128) as u64;
-                *self.flame.entry(self.flame_stack.join(";")).or_insert(0) += ns;
+                match self.flame.get_mut(self.flame_path.as_str()) {
+                    Some(total) => *total += ns,
+                    None => {
+                        self.flame.insert(self.flame_path.clone(), ns);
+                    }
+                }
             }
         }
         self.flame_last = Some(now);

@@ -152,24 +152,24 @@ const CACHED_BUCKET: usize = 1 << 14;
 /// Buckets up to this long are finished by a comparison sort.
 const SMALL_BUCKET: usize = 32;
 
-/// The `(key code, row id)` entries of a column's cells in code, then
-/// row-id order, for [`crate::BPlusTreeOf::bulk_load`]. Codes that
-/// already ascend are the entries as they stand; others go through a
+/// The `(cell code, row id)` entries of a column's cells in code, then
+/// row-id order: a single-column index as
+/// [`crate::BPlusTreeOf::bulk_load`] keeps it. Codes that already ascend
+/// are the entries as they stand; others go through a
 /// most-significant-digit radix sort of the 32-bit cell codes over
 /// `code − least code` (a ranked column's span is its distinct values,
 /// an offset column's its values' range): one read finds the span, one
-/// counts the buckets, a third writes each 8-byte `(cell code, row)`
-/// pair to its bucket in row order. The digit is the whole span where
-/// that asks at most twice the entries in buckets (within
-/// `MAX_DIGIT_BITS` or `CACHED_BUCKET`), else the top bits that
-/// leave a bucket four to eight entries — halved above
+/// counts the buckets, a third writes each 8-byte entry to its bucket in
+/// row order. The digit is the whole span where that asks at most twice
+/// the entries in buckets (within `MAX_DIGIT_BITS` or `CACHED_BUCKET`),
+/// and then that one pass's output is the result; else the top bits
+/// that leave a bucket four to eight entries — halved above
 /// `MAX_DIGIT_BITS`, the buckets' own pass taking the rest. A bucket of
-/// up to `SMALL_BUCKET` entries is comparison-sorted, a longer one
-/// still out of order distributed again; each finished one is widened to
-/// entries while it is in cache.
-pub fn sorted_entries(column: ColumnSlice<'_>) -> Vec<(u64, RowId)> {
-    let pairs = column.cells().iter().copied().zip(0..column.len() as u32);
-    radix_sorted(pairs, |(cell, rid)| (cell.code(), RowId(rid)))
+/// up to `SMALL_BUCKET` entries is comparison-sorted in place, a longer
+/// one still out of order distributed again and copied back while it is
+/// in cache.
+pub fn sorted_entries(column: ColumnSlice<'_>) -> Vec<(u32, RowId)> {
+    radix_sorted(column.cells().iter().copied().zip((0..column.len() as u32).map(RowId)))
 }
 
 /// A radix-sortable code: a 32-bit cell code, or a 64-bit [`KeyCode`].
@@ -177,39 +177,35 @@ trait SortCode: Copy + Ord + Default + Into<u64> {}
 impl SortCode for u32 {}
 impl SortCode for u64 {}
 
-/// `pairs` in code, then place order, each as `emit` makes it, by
-/// [`sorted_entries`]' radix sort.
-fn radix_sorted<C: SortCode, O>(
-    pairs: impl ExactSizeIterator<Item = (C, u32)> + Clone,
-    emit: impl Fn((C, u32)) -> O,
-) -> Vec<O> {
-    let Some(span) = unsorted_span(pairs.clone()) else { return pairs.map(emit).collect() };
-    let mut out = Vec::with_capacity(pairs.len());
-    distribute(pairs.clone(), span, &mut vec![(C::default(), 0); pairs.len()], &mut out, &emit);
-    out
+/// `pairs` in code, then place order, by [`sorted_entries`]' radix sort.
+fn radix_sorted<C: SortCode, P: Copy + Ord>(pairs: impl ExactSizeIterator<Item = (C, P)> + Clone) -> Vec<(C, P)> {
+    // Any pair fills the output: the distribution writes every slot.
+    let Some((span, filler)) = unsorted_span(pairs.clone()).zip(pairs.clone().next()) else {
+        return pairs.collect();
+    };
+    let mut sorted = vec![filler; pairs.len()];
+    distribute(pairs, span, &mut sorted);
+    sorted
 }
 
 /// The least and greatest code among `pairs`, or `None` when the codes
 /// already ascend (so do none, one, and all-equal).
-fn unsorted_span<C: SortCode>(pairs: impl Iterator<Item = (C, u32)> + Clone) -> Option<(u64, u64)> {
+fn unsorted_span<C: SortCode, P>(pairs: impl Iterator<Item = (C, P)> + Clone) -> Option<(u64, u64)> {
     let mut previous = C::default();
     if pairs.clone().all(|(code, _)| std::mem::replace(&mut previous, code) <= code) {
         return None;
     }
-    let span = |(lo, hi): (u64, u64), (c, _): (C, u32)| (lo.min(c.into()), hi.max(c.into()));
+    let span = |(lo, hi): (u64, u64), (c, _): (C, P)| (lo.min(c.into()), hi.max(c.into()));
     Some(pairs.fold((u64::MAX, 0), span))
 }
 
-/// Append the `(code, place)` pairs of `src` — codes within `min..=max`,
-/// not all equal, equal codes in ascending place order — to `out` in
-/// code, then place order, each as `emit` makes it; `dst`, as long as
-/// `src`, is the scratch they are distributed into.
-fn distribute<C: SortCode, O>(
-    src: impl Iterator<Item = (C, u32)> + Clone,
+/// Write the `(code, place)` pairs of `src` — codes within `min..=max`,
+/// not all equal, equal codes in ascending place order — into `dst`, as
+/// long as `src`, in code, then place order.
+fn distribute<C: SortCode, P: Copy + Ord>(
+    src: impl Iterator<Item = (C, P)> + Clone,
     (min, max): (u64, u64),
-    dst: &mut [(C, u32)],
-    out: &mut Vec<O>,
-    emit: &impl Fn((C, u32)) -> O,
+    dst: &mut [(C, P)],
 ) {
     let bits = 64 - (max - min).leading_zeros();
     let spread = dst.len().ilog2();
@@ -236,7 +232,7 @@ fn distribute<C: SortCode, O>(
         *head += 1;
     }
     if shift == 0 {
-        return out.extend(dst.iter().copied().map(emit));
+        return;
     }
     // Every head has moved to its bucket's end.
     let (mut start, mut scratch) = (0, Vec::new());
@@ -246,11 +242,11 @@ fn distribute<C: SortCode, O>(
         if bucket.len() <= SMALL_BUCKET {
             bucket.sort_unstable();
         } else if let Some(span) = unsorted_span(bucket.iter().copied()) {
-            scratch.resize(scratch.len().max(bucket.len()), (C::default(), 0));
-            distribute(bucket.iter().copied(), span, &mut scratch[..bucket.len()], out, emit);
-            continue;
+            scratch.resize(scratch.len().max(bucket.len()), bucket[0]);
+            let sorted = &mut scratch[..bucket.len()];
+            distribute(bucket.iter().copied(), span, sorted);
+            bucket.copy_from_slice(sorted);
         }
-        out.extend(bucket.iter().copied().map(emit));
     }
 }
 
@@ -311,8 +307,8 @@ impl<T> Ranked<T> {
 
 /// `xs`, each with its place, in key-code order ([`radix_sorted`]).
 fn by_code<T: KeyCode<Code = u64>>(xs: Vec<T>) -> Vec<(T, u32)> {
-    let codes = xs.iter().map(|x| x.code()).zip(0..xs.len() as u32);
-    radix_sorted(codes, |(code, at)| (T::from_code(code), at))
+    let codes = radix_sorted(xs.iter().map(|x| x.code()).zip(0..xs.len() as u32));
+    codes.into_iter().map(|(code, at)| (T::from_code(code), at)).collect()
 }
 
 /// One batch's cells in their values' own types, for [`Column::append`].
@@ -588,19 +584,18 @@ mod tests {
     }
 
     /// `sorted_entries` must give what `sort_unstable` gives on the
-    /// `(key code, row id)` pairs, and every code must turn back into
+    /// `(cell code, row id)` pairs, and every code must turn back into
     /// its cell bit for bit.
     fn assert_sorts_like_pairs(values: &[Value], shape: &str) {
         let Some(first) = values.first() else { return };
         let column = column_of(first.value_type(), values);
         let column = column.as_slice();
-        let mut expected: Vec<(u64, RowId)> =
-            (0..values.len()).map(|row| (column.code(row), RowId(row as u32))).collect();
+        let mut expected: Vec<(u32, RowId)> = column.cells().iter().copied().zip((0..).map(RowId)).collect();
         expected.sort_unstable();
         let entries = sorted_entries(column);
         assert!(entries == expected, "{shape}, {} cells, {:?}", values.len(), column.value_type());
-        for (code, rid) in entries {
-            let (got, want) = (column.value_of((code >> 1) as u32), &values[rid.0 as usize]);
+        for (cell, rid) in entries {
+            let (got, want) = (column.value_of(cell), &values[rid.0 as usize]);
             let bits = |v: &Value| if let Value::Float(x) = v { Some(x.to_bits()) } else { None };
             assert!(&got == want && bits(&got) == bits(want), "{shape}: {got:?} for {want:?}");
         }

@@ -4,8 +4,9 @@
 //! page model with deterministic I/O accounting, append-only heap tables
 //! stored as column vectors of 32-bit cells (dates as days, narrow
 //! integers as offsets, everything else as ranks in a sorted
-//! dictionary), and an arena-based B+ tree used for every materialized
-//! index, keyed by the cells' order-preserving key codes.
+//! dictionary), and a static B+ tree used for every materialized index:
+//! the index's sorted `(cell code, row id)` entries, probed by the cells'
+//! order-preserving key codes.
 //!
 //! Nothing here touches the filesystem. All tables live in memory and
 //! every operator charges [`page::IoStats`] for the pages a disk-resident

@@ -1,16 +1,18 @@
 //! Randomized property tests: the B+ tree must agree with a
 //! sorted-vector reference model for every lookup and range scan, and
-//! must keep its structural invariants under arbitrary insert
-//! sequences; a tree keyed by `u64` key codes must answer — row ids and
-//! charges — as the `Value`-keyed tree over the same cells does. Cases
-//! are generated from the in-repo seeded PRNG, so every run checks the
-//! same inputs.
+//! with a walk over [`bulk_shape`]'s leaf partition, entry by entry, on
+//! every charge; a tree keyed by `u64` key codes must answer — row ids
+//! and charges — as the `Value`-keyed tree over the same cells does.
+//! Cases are generated from the in-repo seeded PRNG, so every run checks
+//! the same inputs.
 
+use colt_storage::btree::{bulk_shape, BulkShape};
 use colt_storage::page::IoStats;
 use colt_storage::row::RowId;
 use colt_storage::value::{Value, ValueType};
-use colt_storage::{BPlusTree, BPlusTreeOf, KeyCode, Prng};
-use std::ops::Bound;
+use colt_storage::{BPlusTree, BPlusTreeOf, KeyCode, Prng, TreeKey, PAGE_SIZE};
+use std::cmp::Ordering;
+use std::ops::{Bound, RangeBounds};
 
 const CASES: u64 = 64;
 
@@ -75,8 +77,8 @@ fn entries(rng: &mut Prng, max_len: usize, key_hi: i64, row_hi: u32) -> Vec<(i64
     out
 }
 
-/// Insert arbitrary (key, rowid) pairs; every point lookup agrees with
-/// the reference model and invariants hold.
+/// Load arbitrary (key, rowid) pairs into a deep tree; every point
+/// lookup agrees with the reference model.
 #[test]
 fn lookups_match_reference() {
     let mut rng = Prng::new(0xB7EE_0001);
@@ -85,18 +87,11 @@ fn lookups_match_reference() {
         let probes: Vec<i64> =
             (0..rng.below(40)).map(|_| rng.int_range(0, 219)).collect();
 
-        let mut tree = BPlusTree::with_order(8);
-        // Insert in a scrambled order to stress splits.
-        let mut by_slot: Vec<_> = entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i.wrapping_mul(2654435761) % entries.len().max(1), e))
-            .collect();
-        by_slot.sort_by_key(|(slot, _)| *slot);
-        for (_, &(k, r)) in by_slot {
-            tree.insert(Value::Int(k), RowId(r));
-        }
-        tree.check_invariants();
+        // The smallest order a key width gives, 8: 7 entries a leaf.
+        let tree = BPlusTree::bulk_load(
+            PAGE_SIZE,
+            entries.iter().map(|&(k, r)| (Value::Int(k), RowId(r))).collect(),
+        );
         assert_eq!(tree.len(), entries.len(), "case {case}");
 
         for p in probes {
@@ -130,8 +125,6 @@ fn ranges_match_reference() {
             width,
             entries.iter().map(|&(k, r)| (cell(vtype, k).1, RowId(r))).collect(),
         );
-        tree.check_invariants();
-        codes.check_invariants();
         assert_eq!((codes.page_count(), codes.height()), (tree.page_count(), tree.height()));
 
         for _ in 0..8 {
@@ -165,26 +158,6 @@ fn ranges_match_reference() {
     }
 }
 
-/// Bulk load and incremental insert build equivalent trees.
-#[test]
-fn bulk_equals_incremental() {
-    let mut rng = Prng::new(0xB7EE_0003);
-    for case in 0..CASES {
-        let entries = entries(&mut rng, 500, 300, 1_000);
-        let pairs: Vec<_> = entries.iter().map(|&(k, r)| (Value::Int(k), RowId(r))).collect();
-        let bulk = BPlusTree::bulk_load(8, pairs.clone());
-        let mut incr = BPlusTree::new(8);
-        for (k, r) in pairs {
-            incr.insert(k, r);
-        }
-        bulk.check_invariants();
-        incr.check_invariants();
-        let a: Vec<_> = bulk.iter().map(|(k, r)| (k.clone(), r)).collect();
-        let b: Vec<_> = incr.iter().map(|(k, r)| (k.clone(), r)).collect();
-        assert_eq!(a, b, "case {case}");
-    }
-}
-
 /// I/O charging is sane: descent cost equals tree height and long scans
 /// charge at least one page per full leaf traversed.
 #[test]
@@ -205,5 +178,132 @@ fn io_charging_bounds() {
             io.seq_pages as usize + 1 >= tree.page_count().saturating_sub(tree.height() * 2),
             "case {case}"
         );
+    }
+}
+
+/// The leaves [`bulk_shape`] promises over `entries`: `fill` entries
+/// each and the rest in the last — unless that is under half a leaf,
+/// when the last two share so the last holds `fill / 2`.
+fn leaf_partition<T>(entries: &[T], width: usize) -> Vec<&[T]> {
+    let BulkShape { fill, leaves, .. } = bulk_shape(entries.len(), width);
+    let mut sizes = vec![fill; leaves];
+    sizes[leaves - 1] = entries.len() - (leaves - 1) * fill;
+    if let [.., second_last, last] = &mut sizes[..] {
+        if *last < fill / 2 {
+            *second_last -= fill / 2 - *last;
+            *last = fill / 2;
+        }
+    }
+    let mut rest = entries;
+    let split = |size| {
+        let (leaf, tail) = rest.split_at(size);
+        rest = tail;
+        leaf
+    };
+    sizes.into_iter().map(split).collect()
+}
+
+/// A scan the slow way, over that partition: descend to the last leaf
+/// whose first entry is not above `(lo, RowId(0))`, a random page per
+/// level, then read on entry by entry, a sequential page per further
+/// leaf, up to the first key beyond `hi`, keeping the keys not below
+/// `lo`.
+fn walk<K: TreeKey>(entries: &[(K, RowId)], width: usize, lo: Bound<&K>, hi: Bound<&K>) -> (Vec<RowId>, IoStats) {
+    let leaves = leaf_partition(entries, width);
+    let not_above = |leaf: &&[(K, RowId)], k: &K| leaf.first().is_some_and(|(f, r)| (f, *r) <= (k, RowId(0)));
+    let landed = match lo {
+        Bound::Included(k) | Bound::Excluded(k) => leaves.iter().rposition(|leaf| not_above(leaf, k)),
+        Bound::Unbounded => None,
+    };
+    let height = bulk_shape(entries.len(), width).height as u64;
+    let (mut out, mut io) = (Vec::new(), IoStats { random_pages: height, ..IoStats::new() });
+    'scan: for (i, leaf) in leaves[landed.unwrap_or(0)..].iter().enumerate() {
+        io.seq_pages += u64::from(i > 0);
+        for (k, rid) in leaf.iter() {
+            if !(Bound::Unbounded, hi).contains(k) {
+                break 'scan;
+            }
+            if (lo, Bound::Unbounded).contains(k) {
+                out.push(*rid);
+            }
+        }
+    }
+    io.cpu_ops = out.len() as u64;
+    (out, io)
+}
+
+/// The row ids a probe appends and what it charges, from empty buffers.
+fn probed(probe: impl FnOnce(&mut Vec<RowId>, &mut IoStats)) -> (Vec<RowId>, IoStats) {
+    let (mut ids, mut io) = (Vec::new(), IoStats::new());
+    probe(&mut ids, &mut io);
+    (ids, io)
+}
+
+/// Every scan of a bulk-loaded tree — a `Value` tree's lookups and
+/// ranges, a cell-code tree's probes by resolved key codes — returns and
+/// charges what the walk over the leaf partition does: on the empty
+/// tree, one leaf, the last two leaves sharing, duplicate runs over more
+/// than two leaves, and every bound shape, `lo > hi` included.
+#[test]
+fn scans_match_the_leaf_partition_walk() {
+    let mut rng = Prng::new(0xB7EE_0006);
+    for case in 0..4 * CASES as usize {
+        // Leaves of 7, 17, 63 and 334 entries.
+        let width = [PAGE_SIZE, 400, 100, 8][case % 4];
+        let fill = bulk_shape(0, width).fill;
+        let len = match rng.below(6) {
+            0 => rng.below(2),
+            1 => rng.below(fill + 1),
+            // The last two leaves share (unless the remainder is 0).
+            2 => fill * (1 + rng.below(4)) + rng.below(fill / 2),
+            _ => rng.below(8 * fill),
+        };
+        // Half the cases draw from three cells at most: runs of
+        // duplicates over more than two leaves.
+        let distinct = if case % 8 < 4 { 1 + rng.below_u64(3) } else { 1 + len as u64 };
+        let mut cells: Vec<u32> = (0..len).map(|_| rng.below_u64(distinct + 1) as u32).collect();
+        cells.sort_unstable();
+        // Row 0 starts its cell's run, in every other case at a leaf
+        // start: the descent to `(c, RowId(0))` then lands a leaf past
+        // the one holding the cells below `c`.
+        let zero = if case % 2 == 0 { fill * rng.below(len.div_ceil(fill).max(1)) } else { 0 };
+        cells.iter_mut().skip(zero).for_each(|c| *c += 1);
+        let row = |i: usize| RowId(if i < zero { i + 1 } else if i == zero { 0 } else { i } as u32);
+        let cells: Vec<(u32, RowId)> = cells.into_iter().enumerate().map(|(i, c)| (c, row(i))).collect();
+        let zero_code = cells.get(zero).map_or(1, |&(c, _)| c.code());
+        // Cell `c` is the value `c`; key code `q` the value
+        // `(q - 1) / 2`: a cell when `q` is odd, else between two.
+        let values: Vec<(Value, RowId)> = cells.iter().map(|&(c, rid)| (Value::Float(c.into()), rid)).collect();
+        let value = |q: u64| Value::Float((q as f64 - 1.0) / 2.0);
+        let codes = BPlusTreeOf::bulk_load(width, cells);
+        let tree = BPlusTree::bulk_load(width, values.clone());
+        let shape = bulk_shape(len, width);
+        assert_eq!((tree.page_count(), tree.height()), (shape.pages, shape.height), "case {case}");
+        assert_eq!((codes.page_count(), codes.height()), (shape.pages, shape.height), "case {case}");
+        let walked = |lo: Bound<&Value>, hi: Bound<&Value>| walk(&values, width, lo, hi);
+        // No cell can match: the scan for the codes below the lowest.
+        let nothing = walked(Bound::Unbounded, Bound::Excluded(&Value::Float(-1.0)));
+        assert_eq!(probed(|ids, io| codes.range_codes_into(None, ids, io)), nothing, "case {case}");
+        assert_eq!(probed(|ids, io| codes.lookup_code_into(Err(Ordering::Less), ids, io)), nothing, "case {case}");
+
+        for _ in 0..12 {
+            let mut code = || if rng.below(3) == 0 { zero_code } else { rng.below_u64(2 * distinct + 7) };
+            let (lo_q, hi_q) = (code(), code());
+            let (lo, hi) = (value(lo_q), value(hi_q));
+            let what = format!("case {case}: {len} entries, {fill} a leaf, codes {lo_q}..={hi_q}");
+
+            let point = walked(Bound::Included(&lo), Bound::Included(&lo));
+            assert_eq!(probed(|ids, io| ids.extend(tree.lookup(&lo, io))), point, "{what}");
+            assert_eq!(probed(|ids, io| codes.lookup_code_into(Ok(lo_q), ids, io)), point, "{what}");
+            let closed = walked(Bound::Included(&lo), Bound::Included(&hi));
+            assert_eq!(probed(|ids, io| codes.range_codes_into(Some((lo_q, hi_q)), ids, io)), closed, "{what}");
+            let shapes = [Bound::Included(&lo), Bound::Excluded(&lo), Bound::Unbounded];
+            for lo in shapes {
+                for hi in [Bound::Included(&hi), Bound::Excluded(&hi), Bound::Unbounded] {
+                    let got = probed(|ids, io| ids.extend(tree.range(lo, hi, io)));
+                    assert_eq!(got, walked(lo, hi), "{what}: {lo:?}..{hi:?}");
+                }
+            }
+        }
     }
 }

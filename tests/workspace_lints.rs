@@ -29,7 +29,9 @@ use std::process::Command;
 /// index NL joins took their probe and residual predicates as one pair.
 /// OFFLINE's "the DP always holds the empty selection" `expect` went
 /// with its private DP. The span guard's and the cell timer's clocks
-/// burned when the flame became the one wall-time account.
+/// burned when the flame became the one wall-time account, and the B+
+/// tree's last leaf `unreachable!` when the tree became its sorted
+/// entries, with no internal node to reach.
 const WAIVER_CAPS: &[(&str, usize)] = &[
     ("clippy::disallowed_methods", 6),
     ("clippy::disallowed_types", 1),
@@ -37,7 +39,6 @@ const WAIVER_CAPS: &[(&str, usize)] = &[
     ("clippy::panic", 2),
     ("clippy::print_stderr", 1),
     ("clippy::print_stdout", 1),
-    ("clippy::unreachable", 1),
     ("clippy::unwrap_used", 1),
 ];
 
