@@ -14,34 +14,15 @@
 //!   sensitivity of adaptation speed and noise resilience to the
 //!   memory depth.
 //!
-//! Every variant is an independent run cell; the whole grid fans across
-//! the parallel harness.
+//! Every variant is an independent run cell (`ablation_cells`, which
+//! `report`'s seed spread runs at every sweep seed too); the whole grid
+//! fans across the parallel harness.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{build_data, fmt_ms, run_exhibit, seed};
-use colt_core::ColtConfig;
+use colt_bench::{ablation_cells, build_data, fmt_ms, run_exhibit, SEED};
 use colt_harness::metrics::deviation_pct;
-use colt_harness::{Cell, CellResult, Policy};
-use colt_workload::{presets, Preset, TpchData};
-
-fn variants(base: &ColtConfig) -> Vec<(&'static str, ColtConfig)> {
-    vec![
-        ("full", base.clone()),
-        ("no self-regulation", ColtConfig { self_regulation: false, ..base.clone() }),
-        ("no swap hysteresis", ColtConfig { swap_margin: 0.0, ..base.clone() }),
-        ("window h=4", ColtConfig { history_epochs: 4, ..base.clone() }),
-        ("window h=24", ColtConfig { history_epochs: 24, ..base.clone() }),
-    ]
-}
-
-/// One table's cells: OFFLINE, then every variant at the preset's budget.
-fn table_cells<'a>(data: &'a TpchData, preset: &'a Preset) -> Vec<Cell<'a>> {
-    let base = ColtConfig { storage_budget_pages: preset.budget_pages, ..Default::default() };
-    let offline = ("OFFLINE", Policy::Offline { budget_pages: preset.budget_pages });
-    let colt = variants(&base).into_iter().map(|(name, cfg)| (name, Policy::colt(cfg)));
-    let policies = std::iter::once(offline).chain(colt);
-    policies.map(|(name, policy)| Cell::new(name, &data.db, &preset.queries, policy)).collect()
-}
+use colt_harness::{Cell, CellResult};
+use colt_workload::{presets, Preset};
 
 /// Print one table from its cells' results, OFFLINE first.
 fn print_table(title: &str, preset: &Preset, cells: &[CellResult]) {
@@ -71,12 +52,12 @@ fn print_table(title: &str, preset: &Preset, cells: &[CellResult]) {
 /// Both tables' cells run as one batch, so the `COLT_OBS_PATH` dump
 /// holds both: the shifting table's records, then the stable table's.
 fn main() {
-    let data = build_data();
+    let data = build_data(SEED);
     let tables = [
-        ("shifting workload", presets::shifting(&data, seed())),
-        ("stable workload", presets::stable(&data, seed())),
+        ("shifting workload", presets::shifting(&data, SEED)),
+        ("stable workload", presets::stable(&data, SEED)),
     ];
-    let cells: Vec<Cell<'_>> = tables.iter().flat_map(|(_, preset)| table_cells(&data, preset)).collect();
+    let cells: Vec<Cell<'_>> = tables.iter().flat_map(|(_, preset)| ablation_cells(&data.db, preset)).collect();
     let report = run_exhibit("Ablation cells", &cells);
     for ((title, preset), results) in tables.iter().zip(report.cells.chunks(cells.len() / tables.len())) {
         print_table(title, preset, results);

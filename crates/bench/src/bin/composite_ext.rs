@@ -9,14 +9,14 @@
 //! two-column index.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{build_data, fmt_ms, run_exhibit, seed};
+use colt_bench::{build_data, fmt_ms, run_exhibit, SEED};
 use colt_core::ColtConfig;
 use colt_harness::{Cell, Policy};
 use colt_storage::Prng;
 use colt_workload::{fixed, QueryDistribution, QueryTemplate, SelSpec, TemplateSelection};
 
 fn main() {
-    let data = build_data();
+    let data = build_data(SEED);
     let db = &data.db;
     let inst = &data.instances[0];
     let li = inst.table("lineitem");
@@ -30,7 +30,7 @@ fn main() {
             ],
         ),
     );
-    let mut rng = Prng::new(seed());
+    let mut rng = Prng::new(SEED);
     let workload = fixed(&dist, 400, db, &mut rng);
 
     println!("# Extension — on-line multi-column tuning");

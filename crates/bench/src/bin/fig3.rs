@@ -9,14 +9,14 @@
 //!   OFFLINE technique (the paper reports a ~1% deviation).
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{build_data, colt_vs_offline, fmt_ms, run_exhibit, seed};
+use colt_bench::{build_data, colt_vs_offline, fmt_ms, run_exhibit, SEED};
 use colt_harness::metrics::{budget_utilization, convergence, tail_deviation, STARTUP_QUERIES};
 use colt_harness::{bucket_rows, emit_breakdown, render_buckets, Policy};
 use colt_workload::presets;
 
 fn main() {
-    let data = build_data();
-    let preset = presets::stable(&data, seed());
+    let data = build_data(SEED);
+    let preset = presets::stable(&data, SEED);
     println!(
         "# Figure 3 — Stable workload ({} queries, {} relevant indices, budget {} pages)",
         preset.queries.len(),

@@ -9,14 +9,14 @@
 //! * over the whole workload COLT is ~33% faster.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{build_data, colt_vs_offline, fmt_ms, run_exhibit, seed};
+use colt_bench::{build_data, colt_vs_offline, fmt_ms, run_exhibit, SEED};
 use colt_harness::metrics::reduction_pct;
 use colt_harness::{adaptation_latency, bucket_rows, render_buckets};
 use colt_workload::presets::{self, SHIFTING_PHASES};
 
 fn main() {
-    let data = build_data();
-    let preset = presets::shifting(&data, seed());
+    let data = build_data(SEED);
+    let preset = presets::shifting(&data, SEED);
     println!(
         "# Figure 4 — Shifting workload ({} queries, {} phases, {} relevant indices, budget {} pages)",
         preset.queries.len(),

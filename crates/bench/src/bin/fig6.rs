@@ -13,8 +13,10 @@
 //!   COLT materializes indices that stop being useful → average ~18%
 //!   loss.
 //!
-//! Each burst duration contributes two independent run cells (OFFLINE
-//! and COLT), all fanned across the parallel harness.
+//! Each burst duration of `BURSTS` contributes two independent run
+//! cells (OFFLINE and COLT, `burst_cells`), all fanned across the
+//! parallel harness; `report`'s seed spread runs the same grid at every
+//! sweep seed.
 #![allow(
     clippy::expect_used,
     clippy::print_stdout,
@@ -22,58 +24,27 @@
     reason = "an exhibit bin prints and aborts"
 )]
 
-use colt_bench::{build_data, colt_vs_offline, run_exhibit, seed};
-use colt_harness::metrics::{time_ratio, worst_burst};
-use colt_workload::presets;
-
-const BURSTS: [usize; 12] = [20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 140];
+use colt_bench::{build_data, burst_cells, burst_ratios, bursts, run_exhibit, SEED};
+use colt_harness::metrics::worst_burst;
 
 fn main() {
-    let data = build_data();
+    let data = build_data(SEED);
     println!("# Figure 6 — Performance ratio COLT/OFFLINE vs noise-burst duration");
     println!();
     println!("  burst  total  bursts  ratio   bar (1.0 = parity)");
 
-    let setups: Vec<_> = BURSTS
-        .iter()
-        .map(|&burst| {
-            let (preset, plan) = presets::noisy(&data, burst, seed());
-            // OFFLINE tunes on Q1 alone, then runs the full noisy stream.
-            let q1_only: Vec<_> = preset
-                .queries
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !plan.is_noise(*i))
-                .map(|(_, q)| q.clone())
-                .collect();
-            (burst, preset, plan, q1_only)
-        })
-        .collect();
-    let cells: Vec<_> = setups
-        .iter()
-        .flat_map(|(burst, preset, _, q1_only)| {
-            let suffix = format!(" burst={burst}");
-            let [offline, colt] = colt_vs_offline(&suffix, &data.db, &preset.queries, preset.budget_pages);
-            [offline.analyzed(q1_only), colt]
-        })
-        .collect();
-    let report = run_exhibit("Figure 6 cells", &cells);
-
-    let mut ratios = Vec::new();
-    for (i, (burst, _, plan, _)) in setups.iter().enumerate() {
-        let offline = &report.cells[2 * i].result;
-        let colt = &report.cells[2 * i + 1].result;
-        let ratio = time_ratio(colt, offline, plan.warmup);
-        ratios.push((*burst, ratio));
+    let bursts = bursts(&data, SEED);
+    let report = run_exhibit("Figure 6 cells", &burst_cells("", &data.db, &bursts));
+    let ratios = burst_ratios(&bursts, &report.cells);
+    for (b, &(burst, ratio)) in bursts.iter().zip(&ratios) {
         let bar_len = (ratio * 40.0).round() as usize;
         println!(
             "  {burst:>5}  {:>5}  {:>6}  {ratio:>5.3}  {}|",
-            plan.total,
-            plan.burst_starts.len(),
+            b.plan.total,
+            b.plan.burst_starts.len(),
             "=".repeat(bar_len),
         );
     }
-
     println!();
     println!("## Analysis (paper: ≈1 at short and long bursts, dip of ~18% at 30–60)");
     let at = |b: usize| ratios.iter().find(|(x, _)| *x == b).unwrap().1;

@@ -9,13 +9,13 @@
 //! queries no longer arriving adjacently.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{build_data, colt_vs_offline, fmt_ms, run_exhibit, seed};
+use colt_bench::{build_data, colt_vs_offline, fmt_ms, run_exhibit, SEED};
 use colt_harness::metrics::reduction_pct;
 use colt_harness::{interleave, split_round_robin};
 use colt_workload::presets;
 
 fn main() {
-    let data = build_data();
+    let data = build_data(SEED);
     println!("# Multi-user shifting workload (4 concurrent clients)");
 
     let clients = 4;
@@ -24,10 +24,10 @@ fn main() {
     // every phase, then serialize through a fair random interleaving.
     // Locally, related queries no longer arrive adjacently; globally,
     // the phases still progress as in Figure 4.
-    let preset = presets::shifting(&data, seed());
+    let preset = presets::shifting(&data, SEED);
     let budget = preset.budget_pages;
     let streams = split_round_robin(&preset.queries, clients);
-    let merged = interleave(&streams, seed());
+    let merged = interleave(&streams, SEED);
     println!("  merged stream: {} queries from {clients} clients; budget {budget} pages", merged.len());
 
     let cells = colt_vs_offline("", &data.db, &merged, budget);

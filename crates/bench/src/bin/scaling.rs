@@ -9,7 +9,7 @@
 //! fans across the parallel harness.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{colt_vs_offline, fmt_ms, run_exhibit, seed};
+use colt_bench::{colt_vs_offline, fmt_ms, run_exhibit, SEED};
 use colt_harness::metrics::{best_phase_reduction, convergence, reduction_pct, tail_deviation};
 use colt_workload::{generate, presets};
 
@@ -27,9 +27,9 @@ fn main() {
     let setups: Vec<_> = SCALES
         .iter()
         .map(|&scale| {
-            let data = generate(scale, seed());
-            let stable = presets::stable(&data, seed());
-            let shifting = presets::shifting(&data, seed());
+            let data = generate(scale, SEED);
+            let stable = presets::stable(&data, SEED);
+            let shifting = presets::shifting(&data, SEED);
             (scale, data, stable, shifting)
         })
         .collect();

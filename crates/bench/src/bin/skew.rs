@@ -8,7 +8,7 @@
 //! calibrated — the tuner still converges to the off-line optimum.
 #![allow(clippy::expect_used, clippy::print_stdout, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{colt_vs_offline, fmt_ms, run_exhibit, seed};
+use colt_bench::{colt_vs_offline, fmt_ms, run_exhibit, SEED};
 use colt_catalog::{ColRef, Column, Database, PhysicalConfig, TableSchema};
 use colt_engine::{Collect, Executor, IndexSetView, Optimizer, Query, SelPred};
 use colt_harness::metrics::{deviation_pct, tail_deviation};
@@ -23,7 +23,7 @@ fn main() {
         vec![Column::new("id", ValueType::Int), Column::new("kind", ValueType::Int)],
     ));
     let zipf = ColumnGen::Zipf { n: 500, s: 1.0 };
-    let mut rng = Prng::new(seed());
+    let mut rng = Prng::new(SEED);
     db.insert_rows(
         t,
         (0..60_000u64).map(|i| row_from(vec![Value::Int(i as i64), zipf.generate(i, 60_000, &mut rng)])),

@@ -6,7 +6,7 @@
 //! experiment scale.
 #![allow(clippy::print_stdout, clippy::unwrap_used, reason = "an exhibit bin prints and aborts")]
 
-use colt_bench::{build_data, scale};
+use colt_bench::{build_data, scale, SEED};
 use colt_workload::summary;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     println!("   1,200,000, smallest 5, 244 indexable attributes)");
 
     // Cross-check the generator against the declared summary.
-    let data = build_data();
+    let data = build_data(SEED);
     assert_eq!(data.db.table_count(), ours.tables);
     assert_eq!(data.db.total_tuples(), ours.total_tuples);
     assert_eq!(data.db.indexable_attributes(), ours.attributes);

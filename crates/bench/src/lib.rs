@@ -10,15 +10,16 @@
 //!
 //! A bin pairs its policies with [`colt_vs_offline`], runs its cells
 //! with [`run_exhibit`], and computes each paper headline with
-//! `colt_harness::metrics`.
+//! `colt_harness::metrics`. Every exhibit runs at [`SEED`]; `report`'s
+//! [`SeedSweep`] re-runs the headline exhibits at each of
+//! [`SWEEP_SEEDS`]. Seeds are constants, not settings.
 //!
-//! Every binary reads five environment variables, all parsed together
+//! Every binary reads four environment variables, all parsed together
 //! at first use; one that is set but unusable stops the binary (exit 2)
 //! with one `error:` line naming the variable and the value:
 //!
 //! * `COLT_SCALE` — data scale relative to the paper's Table 1
 //!   (default: 0.025 = 1/40),
-//! * `COLT_SEED` — master seed (default: 42),
 //! * `COLT_THREADS` — worker threads for the parallel harness
 //!   (default: available parallelism). Results are bit-identical at
 //!   every thread count; only wall-clock time changes,
@@ -31,18 +32,30 @@
 //! Results are printed to stdout in a form that pastes directly into
 //! `EXPERIMENTS.md`.
 
+mod sweep;
+
+pub use sweep::SeedSweep;
+
 use colt_catalog::Database;
 use colt_core::ColtConfig;
 use colt_engine::Query;
-use colt_harness::{emit_parallel_summary, run_cells, Cell, ParallelReport, Policy};
+use colt_harness::metrics::time_ratio;
+use colt_harness::{emit_parallel_summary, run_cells, Cell, CellResult, ParallelReport, Policy};
 use colt_obs::Level;
-use colt_workload::{generate, TpchData, DEFAULT_SCALE};
+use colt_workload::{generate, presets, NoisePlan, Preset, TpchData, DEFAULT_SCALE};
 use std::sync::OnceLock;
+
+/// The master seed of every exhibit and golden.
+pub const SEED: u64 = 42;
+
+/// The seeds of `report`'s seed spread, fixed before the first sweep
+/// ran; [`SEED`] is not among them.
+pub const SWEEP_SEEDS: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
 /// The environment, as checked.
 struct Env {
     scale: f64,
-    seed: u64,
+    level: Level,
     /// Worker threads for the parallel harness. Cell results are
     /// bit-identical at every count; only wall-clock time changes.
     threads: usize,
@@ -57,9 +70,9 @@ fn env() -> &'static Env {
         let level = env_or_exit("COLT_OBS", parse_obs);
         Env {
             scale: env_or_exit("COLT_SCALE", parse_scale),
-            seed: env_or_exit("COLT_SEED", parse_seed),
             threads: env_or_exit("COLT_THREADS", parse_threads),
             obs_path: env_or_exit("COLT_OBS_PATH", |raw| parse_obs_path(raw, level)),
+            level,
         }
     })
 }
@@ -69,9 +82,13 @@ pub fn scale() -> f64 {
     env().scale
 }
 
-/// Master seed from `COLT_SEED` (default 42).
-pub fn seed() -> u64 {
-    env().seed
+/// Stop the binary (exit 2) before any work unless `COLT_OBS` records:
+/// a bin whose stdout renders the flight recorder would print an empty
+/// report under `off`.
+pub fn require_recording() {
+    if env().level == Level::Off {
+        exit_with(2, "COLT_OBS=\"off\": this report renders the flight recorder, which nothing records at off");
+    }
 }
 
 /// `COLT_SCALE` as set (`None` = unset, keeps the default). Unusable
@@ -82,12 +99,6 @@ fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
         .ok()
         .filter(|s: &f64| s.is_finite() && *s > 0.0)
         .ok_or_else(|| format!("COLT_SCALE={raw:?}: expected a finite number > 0"))
-}
-
-/// `COLT_SEED` as set (`None` = unset, keeps the default).
-fn parse_seed(raw: Option<&str>) -> Result<u64, String> {
-    let Some(raw) = raw else { return Ok(42) };
-    raw.parse().map_err(|_| format!("COLT_SEED={raw:?}: expected an unsigned integer"))
 }
 
 /// `COLT_THREADS` as set (`None` = unset: every available core).
@@ -139,11 +150,11 @@ fn env_or_exit<T>(name: &str, parse: impl FnOnce(Option<&str>) -> Result<T, Stri
     parse(raw.as_deref()).unwrap_or_else(|msg| exit_with(2, &msg))
 }
 
-/// Generate the experiment data set, reporting shape and timing through
-/// the event sink (stderr only; silent under `COLT_OBS=off`).
-pub fn build_data() -> TpchData {
+/// Generate the experiment data set at `COLT_SCALE` and `seed`,
+/// reporting shape and timing through the event sink (stderr only;
+/// silent under `COLT_OBS=off`).
+pub fn build_data(seed: u64) -> TpchData {
     let scale = scale();
-    let seed = seed();
     #[expect(clippy::disallowed_methods, reason = "setup wall time goes to stderr only")]
     let t0 = std::time::Instant::now();
     let data = generate(scale, seed);
@@ -173,6 +184,76 @@ pub fn colt_vs_offline<'a>(
         Cell::new(format!("OFFLINE{suffix}"), db, queries, Policy::Offline { budget_pages }),
         Cell::new(format!("COLT{suffix}"), db, queries, Policy::colt(colt)),
     ]
+}
+
+/// Figure 5's split of a run's epochs: an epoch is stable when it lies
+/// more than this many epochs from every transition's, and around a
+/// transition otherwise (`colt_harness::metrics::stable_epoch_mean`,
+/// `around_transition_mean`).
+pub const MARGIN: usize = 8;
+
+/// Figure 6's noise-burst lengths, in queries.
+const BURSTS: [usize; 12] = [20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 140];
+
+/// One Figure 6 workload: a fixed distribution `Q1` with bursts of
+/// `len` queries from a disjoint `Q2`, and the `Q1` queries alone, which
+/// OFFLINE is tuned on.
+pub struct Burst {
+    len: usize,
+    preset: Preset,
+    /// Where the bursts sit.
+    pub plan: NoisePlan,
+    q1_only: Vec<Query>,
+}
+
+/// Figure 6's workloads at `seed`, one per burst length of its grid
+/// (20–140 queries).
+pub fn bursts(data: &TpchData, seed: u64) -> Vec<Burst> {
+    let burst = |len| {
+        let (preset, plan) = presets::noisy(data, len, seed);
+        let q1 = preset.queries.iter().enumerate().filter(|(i, _)| !plan.is_noise(*i));
+        let q1_only = q1.map(|(_, q)| q.clone()).collect();
+        Burst { len, preset, plan, q1_only }
+    };
+    BURSTS.into_iter().map(burst).collect()
+}
+
+/// Each burst's [`colt_vs_offline`] pair, labelled `…{suffix} burst=N`,
+/// with OFFLINE tuned on `Q1` alone (it ignores noise) and both running
+/// the whole noisy stream.
+pub fn burst_cells<'a>(suffix: &str, db: &'a Database, bursts: &'a [Burst]) -> Vec<Cell<'a>> {
+    let pair = |b: &'a Burst| {
+        let [offline, colt] =
+            colt_vs_offline(&format!("{suffix} burst={}", b.len), db, &b.preset.queries, b.preset.budget_pages);
+        [offline.analyzed(&b.q1_only), colt]
+    };
+    bursts.iter().flat_map(pair).collect()
+}
+
+/// Figure 6's `(burst, ratio)` sweep from [`burst_cells`]' results: COLT's
+/// execution time over OFFLINE's after the plan's warm-up.
+pub fn burst_ratios(bursts: &[Burst], results: &[CellResult]) -> Vec<(usize, f64)> {
+    let pairs = bursts.iter().zip(results.chunks(2));
+    pairs.map(|(b, r)| (b.len, time_ratio(&r[1].result, &r[0].result, b.plan.warmup))).collect()
+}
+
+/// One ablation table's cells at `preset`'s budget: OFFLINE, then the
+/// tuner's variants (DESIGN §7), labelled `full`, `no self-regulation`
+/// (`#WI_lim` always `#WI_max`), `no swap hysteresis` (`swap_margin` 0),
+/// `window h=4` and `window h=24`.
+pub fn ablation_cells<'a>(db: &'a Database, preset: &'a Preset) -> Vec<Cell<'a>> {
+    let budget_pages = preset.budget_pages;
+    let base = ColtConfig { storage_budget_pages: budget_pages, ..Default::default() };
+    let variants = [
+        ("full", base.clone()),
+        ("no self-regulation", ColtConfig { self_regulation: false, ..base.clone() }),
+        ("no swap hysteresis", ColtConfig { swap_margin: 0.0, ..base.clone() }),
+        ("window h=4", ColtConfig { history_epochs: 4, ..base.clone() }),
+        ("window h=24", ColtConfig { history_epochs: 24, ..base }),
+    ];
+    let colt = variants.into_iter().map(|(name, cfg)| (name, Policy::colt(cfg)));
+    let policies = std::iter::once(("OFFLINE", Policy::Offline { budget_pages })).chain(colt);
+    policies.map(|(name, policy)| Cell::new(name, db, &preset.queries, policy)).collect()
 }
 
 /// Run an exhibit's cells on `COLT_THREADS` workers and report the
@@ -238,18 +319,16 @@ pub fn bench(name: &str, mut f: impl FnMut()) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_obs, parse_obs_path, parse_scale, parse_seed, parse_threads, Level};
+    use super::{parse_obs, parse_obs_path, parse_scale, parse_threads, Level};
 
     #[test]
     fn unset_overrides_keep_the_defaults() {
         assert_eq!(parse_scale(None), Ok(super::DEFAULT_SCALE));
-        assert_eq!(parse_seed(None), Ok(42));
         assert!(parse_threads(None).is_ok_and(|n| n > 0));
         assert_eq!(parse_obs(None), Ok(Level::Summary));
         assert_eq!(parse_obs_path(None, Level::Off), Ok(None));
         assert_eq!(parse_obs_path(Some(""), Level::Off), Ok(None));
         assert_eq!(parse_scale(Some("0.01")), Ok(0.01));
-        assert_eq!(parse_seed(Some("7")), Ok(7));
         assert_eq!(parse_threads(Some("4")), Ok(4));
         assert_eq!(parse_obs(Some("off")), Ok(Level::Off));
         assert_eq!(parse_obs(Some("FULL")), Ok(Level::Full));
@@ -261,10 +340,6 @@ mod tests {
         for bad in ["0,01", "", "abc", "0", "-1", "inf", "NaN"] {
             let err = parse_scale(Some(bad)).expect_err(bad);
             assert_eq!(err, format!("COLT_SCALE={bad:?}: expected a finite number > 0"));
-        }
-        for bad in ["4 2", "-1", "1.5", ""] {
-            let err = parse_seed(Some(bad)).expect_err(bad);
-            assert_eq!(err, format!("COLT_SEED={bad:?}: expected an unsigned integer"));
         }
         for bad in ["abc", "0", "-1", "2.0", ""] {
             let err = parse_threads(Some(bad)).expect_err(bad);

@@ -13,6 +13,10 @@
 //! * the `flame` lines carry positive self time over non-empty frames,
 //!   with the executor's `engine.exec.batch` spans only ever nested;
 //! * the spans instrumented across the stack surface by name.
+//!
+//! The usage errors around the dump stop `fig3` before it writes
+//! anything, and `report`, whose stdout is the flight recorder, refuses
+//! to run under `COLT_OBS=off`.
 #![allow(clippy::expect_used, clippy::panic, reason = "test helpers may unwrap and panic")]
 
 use colt_obs::json::{parse, Json};
@@ -28,7 +32,6 @@ const TAGS: [&str; 5] = ["decision", "series_epoch", "counter", "span", "flame"]
 fn run_fig3(obs_level: &str, threads: &str, obs_path: Option<&PathBuf>) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig3"));
     cmd.env("COLT_SCALE", SCALE)
-        .env("COLT_SEED", "42")
         .env("COLT_THREADS", threads)
         .env("COLT_OBS", obs_level)
         .env_remove("COLT_OBS_PATH");
@@ -171,4 +174,21 @@ fn unusable_dump_requests_stop_the_binary() {
     assert_eq!(code, Some(1), "{stderr}");
     let last = stderr.lines().last().unwrap_or_default();
     assert!(last.starts_with("error: COLT_OBS_PATH=\"/nonexistent-dir/colt/dump.jsonl\": "), "{stderr}");
+}
+
+/// `report` renders the flight recorder, which nothing records under
+/// `COLT_OBS=off`: it stops before any work (exit 2) with one line
+/// naming the setting, instead of printing a report of empty cells.
+#[test]
+fn report_refuses_to_run_unrecorded() {
+    let out = Command::new(env!("CARGO_BIN_EXE_report"))
+        .env("COLT_SCALE", SCALE)
+        .env("COLT_OBS", "off")
+        .env_remove("COLT_OBS_PATH")
+        .output()
+        .expect("spawn report");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8");
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty(), "report printed under COLT_OBS=off");
+    assert!(stderr.starts_with("error: COLT_OBS=\"off\": ") && stderr.lines().count() == 1, "{stderr}");
 }
