@@ -568,34 +568,6 @@ fn bench_range() {
     }
 }
 
-/// A two-`Int`-column composite index as the catalog builds one: keys
-/// are the cells' codes. A lookup pins both columns; a prefix scan pins
-/// the first, its upper key padded with the greatest code — both are
-/// `range_into`, as the executor's composite scan is. Ungated.
-fn bench_composite() {
-    let mut entries: Vec<(Vec<u64>, RowId)> = (0..100_000i64)
-        .map(|i| (vec![(i % 100).code(), (i / 100).code()], RowId(i as u32)))
-        .collect();
-    entries.sort_unstable();
-    let tree = BPlusTreeOf::bulk_load(16, entries);
-
-    let mut i = 0i64;
-    bench("btree/composite_lookup/100k", || {
-        i = (i * 75 + 74) % 65_537;
-        let key = vec![(i % 100).code(), (i % 1000).code()];
-        let mut io = IoStats::new();
-        black_box(tree.range(Bound::Included(&key), Bound::Included(&key), &mut io));
-    });
-
-    let mut j = 0i64;
-    bench("btree/composite_prefix_scan/100k", || {
-        j = (j * 75 + 74) % 97;
-        let (lower, upper) = (vec![j.code()], vec![j.code(), u64::MAX]);
-        let mut io = IoStats::new();
-        black_box(tree.range(Bound::Included(&lower), Bound::Included(&upper), &mut io));
-    });
-}
-
 fn main() -> std::process::ExitCode {
     println!("# btree micro-benchmarks");
     let bulk_load_linear = bench_bulk_load();
@@ -630,7 +602,6 @@ fn main() -> std::process::ExitCode {
     bench_hash_join();
     bench_lookup();
     bench_range();
-    bench_composite();
     if !bulk_load_linear {
         println!("FAIL: bulk load's per-entry cost grows with the input size");
     }

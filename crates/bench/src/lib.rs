@@ -2,8 +2,8 @@
 //!
 //! Benchmark harness for the COLT reproduction: one binary per paper
 //! exhibit (`table1`, `fig3`, `fig4`, `fig5`, `fig6`), the `ablation`
-//! study, the extensions (`scaling`, `multiuser`, `skew`,
-//! `composite_ext`) and the flight-recorder `report`, plus plain-`main`
+//! study, the extensions (`scaling`, `multiuser`, `skew`) and the
+//! flight-recorder `report`, plus plain-`main`
 //! micro-benchmarks of the substrates (`cargo bench`; see [`bench()`]).
 //! Wall-clock regressions are judged by `benches/perf` alone; nothing
 //! here compares a timing to a checked-in number.

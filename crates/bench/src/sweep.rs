@@ -17,7 +17,7 @@ use colt_harness::metrics::{
     around_transition_mean, best_phase_reduction, convergence, deviation_pct, reduction_pct,
     stable_epoch_mean, tail_deviation, worst_burst,
 };
-use colt_harness::{Cell, CellResult, Policy, RunResult};
+use colt_harness::{parallel_map, Cell, CellResult, Policy, RunResult};
 use colt_workload::presets::{self, SHIFTING_PHASES};
 use colt_workload::{Preset, TpchData};
 
@@ -186,7 +186,9 @@ const CRITERIA: [Criterion; 9] = [
 ];
 
 impl SeedSweep {
-    /// Generate every seed's data set at `COLT_SCALE` and its streams.
+    /// Generate every seed's data set at `COLT_SCALE` and its streams,
+    /// the seeds spread over `COLT_THREADS` workers (each world depends
+    /// on its seed alone, so on no thread count).
     pub fn build() -> Self {
         let world = |seed| {
             let data = build_data(seed);
@@ -195,7 +197,7 @@ impl SeedSweep {
             let bursts = bursts(&data, seed);
             World { seed, data, stable, shifting, bursts }
         };
-        SeedSweep { worlds: SWEEP_SEEDS.into_iter().map(world).collect() }
+        SeedSweep { worlds: parallel_map(&SWEEP_SEEDS, crate::env().threads, |_, &seed| world(seed)) }
     }
 
     /// Every world's cells, world after world, labelled by seed.

@@ -1,7 +1,7 @@
-//! The exhibits' record: the stdout of the ten exhibit bins and
+//! The exhibits' record: the stdout of the nine exhibit bins and
 //! `report` at EXPERIMENTS' scale (`COLT_SCALE=0.025`; the seeds are
 //! constants in `colt_bench`), checked in under `tests/golden/`, must be
-//! what the bins print, byte for byte. The ten run at 1 and at 4
+//! what the bins print, byte for byte. The nine run at 1 and at 4
 //! threads; their `COLT_OBS_PATH` dumps' flight recorder (the `decision`
 //! and `series_epoch` lines) must not depend on the thread count either,
 //! and `table1` writes none. `report` runs once, at 4 threads: its seed
@@ -17,7 +17,7 @@
 //! citation. From the repo root:
 //!
 //! ```text
-//! for bin in table1 fig3 fig4 fig5 fig6 ablation multiuser scaling composite_ext skew report; do
+//! for bin in table1 fig3 fig4 fig5 fig6 ablation multiuser scaling skew report; do
 //!   COLT_SCALE=0.025 COLT_THREADS=1 cargo run -q --offline -p colt-bench --bin $bin \
 //!     > crates/bench/tests/golden/$bin.txt 2>/dev/null
 //! done
@@ -28,7 +28,7 @@ use colt_obs::json::parse;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
-const BINS: [(&str, &str); 10] = [
+const BINS: [(&str, &str); 9] = [
     ("table1", env!("CARGO_BIN_EXE_table1")),
     ("fig3", env!("CARGO_BIN_EXE_fig3")),
     ("fig4", env!("CARGO_BIN_EXE_fig4")),
@@ -37,7 +37,6 @@ const BINS: [(&str, &str); 10] = [
     ("ablation", env!("CARGO_BIN_EXE_ablation")),
     ("multiuser", env!("CARGO_BIN_EXE_multiuser")),
     ("scaling", env!("CARGO_BIN_EXE_scaling")),
-    ("composite_ext", env!("CARGO_BIN_EXE_composite_ext")),
     ("skew", env!("CARGO_BIN_EXE_skew")),
 ];
 

@@ -1,11 +1,10 @@
 //! The database: tables with their heaps and statistics, plus the
 //! physical configuration of materialized indices.
 
-use crate::composite::{CompositeKey, MaterializedComposite};
 use crate::index::{build_index, IndexEstimate, MaterializedIndex};
 use crate::schema::{ColRef, TableId, TableSchema};
 use crate::stats::ColumnStats;
-use colt_storage::{BPlusTreeOf, ColumnSlice, CostParams, HeapTable, IoStats, Row, RowError, RowId};
+use colt_storage::{CostParams, HeapTable, IoStats, Row, RowError};
 use std::collections::BTreeMap;
 
 /// One table: schema, heap storage, and per-column statistics.
@@ -31,50 +30,6 @@ impl Table {
     pub fn column_stats(&self, column: u32) -> &ColumnStats {
         &self.stats[column as usize]
     }
-}
-
-// Database-dependent composite operations live here (not in
-// `composite.rs`) so the module graph stays acyclic: `database` depends
-// on `composite` for the key identity, never the reverse.
-impl CompositeKey {
-    /// Total key width in bytes under the table's schema.
-    pub fn key_width(&self, db: &Database) -> usize {
-        let schema = &db.table(self.table).schema;
-        self.columns.iter().map(|&c| schema.columns[c as usize].vtype.byte_width()).sum()
-    }
-
-    /// Estimated physical shape.
-    pub fn estimate(&self, db: &Database) -> IndexEstimate {
-        IndexEstimate::for_table(db.table(self.table).heap.row_count() as u64, self.key_width(db))
-    }
-}
-
-/// Build a composite index over a table's heap: full scan, sort by the
-/// composite key, bulk load, page writes — the same charge structure as
-/// single-column builds. A key is its cells' key codes in column order
-/// (of offsets, ranks or days), so the tree is probed through its columns.
-/// Returns the index with the physical work charged to build it.
-pub fn build_composite(db: &Database, key: &CompositeKey) -> (MaterializedComposite, IoStats) {
-    let t = db.table(key.table);
-    let mut io = IoStats::new();
-    // One scan is charged (with the leading column); the other key
-    // columns are read out of that same pass.
-    let leading = t.heap.scan_column(key.columns[0] as usize, &mut io);
-    let columns: Vec<ColumnSlice<'_>> = leading
-        .into_iter()
-        .chain(key.columns[1..].iter().filter_map(|&c| t.heap.column(c as usize)))
-        .collect();
-    let mut entries: Vec<(Vec<u64>, RowId)> = (0..t.heap.row_count())
-        .map(|row| (columns.iter().map(|c| c.code(row)).collect(), RowId(row as u32)))
-        .collect();
-    entries.sort_unstable();
-    let n = entries.len() as u64;
-    if n > 1 {
-        io.cpu_ops += n * (64 - n.leading_zeros() as u64);
-    }
-    let tree = BPlusTreeOf::bulk_load(key.key_width(db), entries);
-    io.pages_written += tree.page_count() as u64;
-    (MaterializedComposite { key: key.clone(), tree }, io)
 }
 
 /// An in-memory database instance.
@@ -167,7 +122,6 @@ impl Database {
 #[derive(Debug, Clone, Default)]
 pub struct PhysicalConfig {
     indices: BTreeMap<ColRef, MaterializedIndex>,
-    composites: BTreeMap<CompositeKey, MaterializedComposite>,
     versions: BTreeMap<TableId, u64>,
     col_changes: BTreeMap<ColRef, u64>,
 }
@@ -194,7 +148,7 @@ impl PhysicalConfig {
     }
 
     /// Columns of indices materialized on-line (subject to the budget):
-    /// every single-column index, so the same as [`Self::columns`].
+    /// every index, so the same as [`Self::columns`].
     pub fn online_columns(&self) -> impl Iterator<Item = ColRef> + '_ {
         self.columns()
     }
@@ -210,13 +164,13 @@ impl PhysicalConfig {
     }
 
     /// Total pages used by on-line indices (the quantity constrained by
-    /// the budget `B`): the pages of every single-column index.
+    /// the budget `B`): the pages of every index.
     pub fn online_pages(&self) -> u64 {
         self.indices.values().map(|m| m.tree.page_count() as u64).sum()
     }
 
     /// Materialization version of a table: bumped whenever an index on
-    /// that table, single-column or composite, is created or dropped.
+    /// that table is created or dropped.
     pub fn table_version(&self, table: TableId) -> u64 {
         self.versions.get(&table).copied().unwrap_or(0)
     }
@@ -234,13 +188,8 @@ impl PhysicalConfig {
     }
 
     fn bump(&mut self, col: ColRef) {
-        self.bump_table(col.table);
+        *self.versions.entry(col.table).or_insert(0) += 1;
         *self.col_changes.entry(col).or_insert(0) += 1;
-    }
-
-    /// A change to no single column's index: a composite's.
-    fn bump_table(&mut self, table: TableId) {
-        *self.versions.entry(table).or_insert(0) += 1;
     }
 
     /// Build and install an index on `col`, returning the build cost.
@@ -252,41 +201,6 @@ impl PhysicalConfig {
         self.indices.insert(col, MaterializedIndex { col, tree });
         self.bump(col);
         io
-    }
-
-    /// Build and install a composite (multi-column) index — the paper's
-    /// future-work extension; see [`crate::composite`]. A composite may
-    /// be built before a run or by the on-line composite tuner mid-run;
-    /// either way it changes its table's index set, so it bumps the
-    /// table's version for every column's gain measurements.
-    pub fn create_composite(&mut self, db: &Database, key: CompositeKey) -> IoStats {
-        let (m, io) = build_composite(db, &key);
-        self.bump_table(key.table);
-        self.composites.insert(key, m);
-        io
-    }
-
-    /// Borrow a composite index, if materialized.
-    pub fn get_composite(&self, key: &CompositeKey) -> Option<&MaterializedComposite> {
-        self.composites.get(key)
-    }
-
-    /// Composite indices on one table.
-    pub fn composites_on(
-        &self,
-        table: TableId,
-    ) -> impl Iterator<Item = &MaterializedComposite> + '_ {
-        self.composites.values().filter(move |m| m.key.table == table)
-    }
-
-    /// Drop a composite index; returns whether one existed. Like
-    /// [`PhysicalConfig::create_composite`], it bumps the table's version.
-    pub fn drop_composite(&mut self, key: &CompositeKey) -> bool {
-        let existed = self.composites.remove(key).is_some();
-        if existed {
-            self.bump_table(key.table);
-        }
-        existed
     }
 
     /// Drop the index on `col` if present; returns whether one existed.
@@ -346,26 +260,6 @@ mod tests {
         assert!(!cfg.drop_index(col));
         assert_eq!(cfg.table_version(tid), 2);
         assert!(cfg.is_empty());
-    }
-
-    /// A composite changes its table's index set: every column's gain
-    /// measurements on that table go stale, on its creation and its drop.
-    #[test]
-    fn composites_move_every_columns_version() {
-        let (db, tid) = db_with_table(500);
-        let mut cfg = PhysicalConfig::new();
-        let (a, b) = (ColRef::new(tid, 0), ColRef::new(tid, 1));
-        cfg.create_index(&db, a);
-        let before = [a, b].map(|c| cfg.version_excluding(c));
-        let key = CompositeKey::new(tid, vec![0, 1]);
-        cfg.create_composite(&db, key.clone());
-        let built = [a, b].map(|c| cfg.version_excluding(c));
-        assert!(built[0] > before[0] && built[1] > before[1], "{before:?} -> {built:?}");
-        assert!(cfg.drop_composite(&key));
-        let dropped = [a, b].map(|c| cfg.version_excluding(c));
-        assert!(dropped[0] > built[0] && dropped[1] > built[1], "{built:?} -> {dropped:?}");
-        assert!(!cfg.drop_composite(&key));
-        assert_eq!([a, b].map(|c| cfg.version_excluding(c)), dropped, "nothing to drop");
     }
 
     #[test]

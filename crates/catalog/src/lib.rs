@@ -11,14 +11,12 @@
 
 #![warn(missing_docs)]
 
-pub mod composite;
 pub mod database;
 pub mod index;
 pub mod schema;
 pub mod stats;
 
-pub use composite::{CompositeKey, MaterializedComposite};
-pub use database::{build_composite, Database, PhysicalConfig, Table};
+pub use database::{Database, PhysicalConfig, Table};
 pub use index::{build_index, IndexEstimate, MaterializedIndex};
 pub use schema::{ColRef, Column, TableId, TableSchema};
 pub use stats::{ColumnStats, HISTOGRAM_BUCKETS};

@@ -31,10 +31,6 @@ pub struct ColtConfig {
     /// (a stabilization on top of the paper's `MatCost` term; set to 0
     /// to ablate it — see the `ablation` bench).
     pub swap_margin: f64,
-    /// Page budget for the on-line multi-column extension
-    /// (`colt_core::composite_ext`); 0 (the default) disables it and
-    /// keeps the tuner exactly as the paper describes.
-    pub composite_budget_pages: u64,
     /// Whether re-budgeting self-regulates the what-if budget (the
     /// paper's headline mechanism). When false the tuner always runs at
     /// `#WI_max`, modelling the fixed-intensity on-line tuners the paper
@@ -50,7 +46,6 @@ impl Default for ColtConfig {
             max_whatif_per_epoch: 20,
             storage_budget_pages: 4096,
             swap_margin: 0.5,
-            composite_budget_pages: 0,
             self_regulation: true,
         }
     }

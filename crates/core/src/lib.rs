@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod composite_ext;
 pub mod config;
 pub mod crude;
 pub mod gain;
@@ -39,7 +38,6 @@ pub mod tuner;
 pub use colt_obs::json;
 
 pub use cluster::{ClusterId, ClusterKey, ClusterSet, SelBucket};
-pub use composite_ext::{CompositeStep, CompositeTuner};
 pub use config::{ColtConfig, ConfigError};
 pub use gain::{GainStats, IndexClusterStats};
 pub use organizer::{ReorgDecision, SelfOrganizer};

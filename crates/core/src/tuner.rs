@@ -10,7 +10,6 @@
 //! carries the build cost so the driver can charge it to the simulated
 //! clock, as the paper's measurements do.
 
-use crate::composite_ext::{CompositeStep, CompositeTuner};
 use crate::config::ColtConfig;
 use crate::organizer::{ReorgDecision, SelfOrganizer};
 use crate::profiler::Profiler;
@@ -70,7 +69,6 @@ pub struct ColtTuner {
     config: ColtConfig,
     profiler: Profiler,
     organizer: SelfOrganizer,
-    composites: CompositeTuner,
     hot: BTreeSet<ColRef>,
     queries_in_epoch: usize,
     epoch: u64,
@@ -85,7 +83,6 @@ impl ColtTuner {
         ColtTuner {
             profiler: Profiler::new(&config),
             organizer: SelfOrganizer::new(&config),
-            composites: CompositeTuner::new(&config),
             hot: BTreeSet::new(),
             queries_in_epoch: 0,
             epoch: 0,
@@ -125,7 +122,6 @@ impl ColtTuner {
         plan: &Plan,
     ) -> TunerStep {
         self.profiler.profile_query(db, physical, eqo, query, plan, &self.hot);
-        self.composites.observe(query, plan);
 
         self.queries_in_epoch += 1;
         if self.queries_in_epoch < self.config.epoch_length {
@@ -142,18 +138,14 @@ impl ColtTuner {
 
         let decision = self.organizer.reorganize(db, physical, &self.profiler, &self.hot);
         let (built, dropped) = apply(db, physical, &decision.to_create, &decision.to_drop);
-
-        // The opt-in multi-column extension maintains its own set within
-        // its own budget; its builds are charged like any others.
-        let comp = self.composites.reorganize(db, physical);
         let mut build_io = IoStats::new();
-        for io in built.iter().map(|(_, io)| io).chain(comp.built.iter().map(|(_, io)| io)) {
+        for (_, io) in &built {
             build_io.accumulate(io);
         }
 
         let build_millis = db.cost.millis_of(&build_io);
         if colt_obs::is_enabled() {
-            self.report_epoch(db, &built, &dropped, &comp, &decision);
+            self.report_epoch(db, &built, &dropped, &decision);
         }
         let created: Vec<ColRef> = built.iter().map(|(c, _)| *c).collect();
 
@@ -183,42 +175,28 @@ impl ColtTuner {
 
     /// The closed epoch as ledger records: a formatted index name per
     /// field, built only when a recorder is installed to keep them.
-    /// Single-column changes come `via` the reorganization, composite
-    /// ones `via` the multi-column extension.
+    /// Every change comes `via` the reorganization.
     fn report_epoch(
         &self,
         db: &Database,
         built: &[(ColRef, IoStats)],
         dropped: &[ColRef],
-        comp: &CompositeStep,
         decision: &ReorgDecision,
     ) {
-        let create = |index: String, via: &'static str, io: &IoStats| {
+        for (col, io) in built {
             colt_obs::decision(
                 colt_obs::DecisionRecord::new(colt_obs::DecisionKind::IndexCreate)
-                    .field("index", index)
-                    .field("via", via)
+                    .field("index", col.to_string())
+                    .field("via", "reorganize")
                     .field("build_millis", db.cost.millis_of(io)),
             );
-        };
-        let remove = |index: String, via: &'static str| {
-            colt_obs::decision(
-                colt_obs::DecisionRecord::new(colt_obs::DecisionKind::IndexDrop)
-                    .field("index", index)
-                    .field("via", via),
-            );
-        };
-        for (col, io) in built {
-            create(col.to_string(), "reorganize", io);
         }
         for col in dropped {
-            remove(col.to_string(), "reorganize");
-        }
-        for (key, io) in &comp.built {
-            create(key.to_string(), "composite", io);
-        }
-        for key in &comp.dropped {
-            remove(key.to_string(), "composite");
+            colt_obs::decision(
+                colt_obs::DecisionRecord::new(colt_obs::DecisionKind::IndexDrop)
+                    .field("index", col.to_string())
+                    .field("via", "reorganize"),
+            );
         }
         colt_obs::decision(
             colt_obs::DecisionRecord::new(colt_obs::DecisionKind::BudgetChange)

@@ -105,8 +105,7 @@ pub fn delta_cost(
 /// Estimated cost of materializing an index of the given shape over a
 /// heap of `table_rows` rows in `table_pages` pages: a sequential heap
 /// scan, per-tuple key extraction, an `n log2 n` sort and the index page
-/// writes — mirroring `colt_catalog`'s build charges. Single-column and
-/// composite indices both price their builds here.
+/// writes — mirroring `colt_catalog`'s build charges.
 pub fn build_cost(params: &CostParams, index: &IndexEstimate, table_rows: f64, table_pages: f64) -> f64 {
     let sort_ops = if table_rows > 1.0 { table_rows * table_rows.log2() } else { 0.0 };
     params.seq_page_cost * table_pages

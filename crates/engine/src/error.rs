@@ -5,10 +5,10 @@
 //! so every structural contradiction a caller can construct by hand
 //! surfaces as a typed error instead of a panic: join keys referencing
 //! absent tables, column references beyond a table's arity, plan nodes
-//! that name indexes or composites the physical configuration has not
-//! materialized, and indexes built before their table gained rows. A
-//! panic inside the tuner would kill a whole parallel batch; an
-//! `ExecError` propagates to the harness cell that issued the query.
+//! that name indexes the physical configuration has not materialized,
+//! and indexes built before their table gained rows. A panic inside the
+//! tuner would kill a whole parallel batch; an `ExecError` propagates to
+//! the harness cell that issued the query.
 
 use colt_catalog::{ColRef, TableId};
 
@@ -31,23 +31,15 @@ pub enum ExecError {
         /// The out-of-range column reference.
         col: ColRef,
     },
-    /// The plan scans or probes a single-column index the physical
-    /// configuration has not materialized.
+    /// The plan scans or probes an index the physical configuration has
+    /// not materialized.
     UnmaterializedIndex {
         /// Operator that detected the mismatch.
         operator: &'static str,
         /// The index column the plan names.
         col: ColRef,
     },
-    /// The plan scans a composite index the physical configuration has
-    /// not materialized.
-    UnmaterializedComposite {
-        /// Operator that detected the mismatch.
-        operator: &'static str,
-        /// The composite's owning table.
-        table: TableId,
-    },
-    /// An index or composite scan node carries no predicate of the kind
+    /// An index scan node carries no predicate of the kind
     /// that justified choosing that access path (equality/range driver).
     MissingDriverPredicate {
         /// Operator that detected the mismatch.
@@ -55,11 +47,10 @@ pub enum ExecError {
         /// The column the scan was supposed to be driven by.
         col: ColRef,
     },
-    /// The plan reads an index — single-column or composite — built
-    /// before its table gained rows: it misses them, and may key ranks
-    /// since re-assigned.
+    /// The plan reads an index built before its table gained rows: it
+    /// misses them, and may key ranks since re-assigned.
     StaleIndex {
-        /// The index column (a composite's leading column).
+        /// The index column.
         col: ColRef,
     },
 }
@@ -77,9 +68,6 @@ impl std::fmt::Display for ExecError {
             }
             ExecError::UnmaterializedIndex { operator, col } => {
                 write!(f, "{operator}: plan uses unmaterialized index {col}")
-            }
-            ExecError::UnmaterializedComposite { operator, table } => {
-                write!(f, "{operator}: plan uses an unmaterialized composite on t{}", table.0)
             }
             ExecError::MissingDriverPredicate { operator, col } => {
                 write!(f, "{operator}: scan on {col} has no driving predicate of the planned kind")

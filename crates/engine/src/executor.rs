@@ -208,9 +208,6 @@ impl<'a> Executor<'a> {
                 AccessPath::IndexScan { col } => {
                     format!("IndexScan[{col}] t{}", table.0)
                 }
-                AccessPath::CompositeScan { key, .. } => {
-                    format!("CompositeScan[{key}] t{}", table.0)
-                }
             },
             PlanNode::HashJoin { on, .. } => format!("HashJoin on {} preds", on.len()),
             PlanNode::IndexNlJoin { inner, index, .. } => {
@@ -276,15 +273,13 @@ impl<'a> Executor<'a> {
             match path {
                 AccessPath::SeqScan => "engine.op.seq_scan",
                 AccessPath::IndexScan { .. } => "engine.op.index_scan",
-                AccessPath::CompositeScan { .. } => "engine.op.composite_scan",
             },
             1,
         );
         let t = self.db.table(table);
         let preds: Vec<&SelPred> = query.selections_on(table).collect();
-        // A single-column index scan's driving predicate resolves against
-        // the tree and is not compiled (a second one on its column is);
-        // a composite scan checks them all.
+        // An index scan's driving predicate resolves against the tree and
+        // is not compiled (a second one on its column is).
         let driving = match path {
             AccessPath::IndexScan { col } => preds.iter().position(|p| p.col == *col),
             _ => None,
@@ -317,10 +312,6 @@ impl<'a> Executor<'a> {
             }
             AccessPath::IndexScan { col } => {
                 index_scan_rowids(self.db, self.config, &preds, *col, io)?.0
-            }
-            AccessPath::CompositeScan { key, eq_prefix, range_next } => {
-                let (db, config) = (self.db, self.config);
-                composite_scan_rowids(db, config, &preds, key, *eq_prefix, *range_next, io)?
             }
         };
         t.heap.fetch_sorted(&mut rowids, io);
@@ -531,9 +522,11 @@ fn retain_rows(fetched: &[RowId], kernels: &[Kernel<'_>], sel: &mut Vec<u32>) {
     kernels.iter().for_each(|kernel| kernel.retain(sel));
 }
 
-/// The tree of the single-column index a plan node refers to and the
-/// heap column its probes resolve against, or a typed error: the index
-/// was never built, or its table gained rows after the build.
+/// The tree of the index a plan node refers to and the heap column its
+/// probes resolve against, or a typed error: the index was never built,
+/// or it was built before its table gained rows (it holds fewer entries
+/// than the table has rows): it misses the new rows, and may key offsets
+/// or ranks the heap has since re-assigned.
 pub(crate) fn materialized_index<'c>(
     operator: &'static str,
     db: &'c Database,
@@ -543,16 +536,10 @@ pub(crate) fn materialized_index<'c>(
     let index = config.get(col).ok_or(ExecError::UnmaterializedIndex { operator, col })?;
     let column = db.table(col.table).heap.column(col.column as usize);
     let column = column.ok_or(ExecError::UnknownColRef { operator, col })?;
-    fresh(index.tree.len(), column.len(), col)?;
+    if index.tree.len() != column.len() {
+        return Err(ExecError::StaleIndex { col });
+    }
     Ok((&index.tree, column))
-}
-
-/// An index — single-column, or composite named by its leading column
-/// `col` — holds one entry per row of its table, or it was built before
-/// the table gained rows: it misses them, and may key offsets or ranks
-/// the heap has since re-assigned.
-fn fresh(entries: usize, rows: usize, col: ColRef) -> Result<(), ExecError> {
-    (entries == rows).then_some(()).ok_or(ExecError::StaleIndex { col })
 }
 
 /// Collect the rowids an index scan's driving predicate selects, and
@@ -578,73 +565,6 @@ pub(crate) fn index_scan_rowids(
         }
     }
     Ok((rowids, driver_idx))
-}
-
-/// Collect the rowids a composite scan's prefix (plus optional range on
-/// the next key column) selects, with one range scan over the key codes.
-/// Each predicate resolves against its key column like a single-column
-/// one: the lower key is the prefix's codes, then the low end of the
-/// range's closed code interval ([`code_interval`]); the upper key ends
-/// in its high end instead and is padded with `u64::MAX` to the key's
-/// width, so it takes in every key sharing those codes. A literal no
-/// cell can match pays one descent, as in `lookup_code_into`.
-pub(crate) fn composite_scan_rowids(
-    db: &Database,
-    config: &PhysicalConfig,
-    preds: &[&SelPred],
-    key: &colt_catalog::CompositeKey,
-    eq_prefix: u32,
-    range_next: bool,
-    io: &mut IoStats,
-) -> Result<Vec<RowId>, ExecError> {
-    let operator = "composite_scan";
-    let index = config
-        .get_composite(key)
-        .ok_or(ExecError::UnmaterializedComposite { operator, table: key.table })?;
-    let heap = &db.table(key.table).heap;
-    fresh(index.tree.len(), heap.row_count(), key.leading())?;
-    // Matching on the predicate kind directly (rather than
-    // find-then-unwrap) keeps the "chosen from these very predicates"
-    // invariant as a typed error.
-    let col = |column| ColRef { table: key.table, column };
-    let missing = |c| ExecError::MissingDriverPredicate { operator, col: col(c) };
-    let cells =
-        |c| heap.column(c as usize).ok_or(ExecError::UnknownColRef { operator, col: col(c) });
-    let mut lower = Vec::with_capacity(key.columns.len());
-    let mut matchable = true;
-    for &c in &key.columns[..eq_prefix as usize] {
-        let v = (preds.iter())
-            .find_map(|p| match &p.kind {
-                PredicateKind::Eq(v) if p.col.column == c => Some(v),
-                _ => None,
-            })
-            .ok_or(missing(c))?;
-        match literal_code(v, cells(c)?) {
-            Ok(code) => lower.push(code),
-            Err(_) => matchable = false,
-        }
-    }
-    let mut upper = lower.clone();
-    if range_next {
-        let c = key.columns[eq_prefix as usize];
-        let (lo, hi) = (preds.iter())
-            .find_map(|p| match &p.kind {
-                PredicateKind::Range { lo, hi } if p.col.column == c => Some((lo, hi)),
-                _ => None,
-            })
-            .ok_or(missing(c))?;
-        match code_interval(lo, hi, cells(c)?) {
-            Some((lo, hi)) => {
-                lower.push(lo);
-                upper.push(hi);
-            }
-            None => matchable = false,
-        }
-    }
-    upper.resize(key.columns.len(), u64::MAX);
-    let mut rowids = Vec::new();
-    index.tree.range_codes_into(matchable.then_some((lower, upper)), &mut rowids, io);
-    Ok(rowids)
 }
 
 #[cfg(test)]
@@ -921,132 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn composite_scan_matches_seq_scan() {
-        use colt_catalog::CompositeKey;
-        let (db, fact, _) = db();
-        // Composite over (fk, v): eq on both columns matches a prefix.
-        let key = CompositeKey::new(fact, vec![1, 2]);
-        let mut cfg = PhysicalConfig::new();
-        cfg.create_composite(&db, key.clone());
-
-        let q = Query::single(
-            fact,
-            vec![SelPred::eq(ColRef::new(fact, 1), 7i64), SelPred::eq(ColRef::new(fact, 2), 3i64)],
-        );
-        let opt = Optimizer::new(&db);
-        let plan = opt.optimize(&q, IndexSetView::real(&cfg));
-        assert!(
-            matches!(
-                &plan.root,
-                crate::plan::PlanNode::Scan {
-                    path: AccessPath::CompositeScan { eq_prefix: 2, range_next: false, .. },
-                    ..
-                }
-            ),
-            "{}",
-            plan.explain()
-        );
-        let out = Executor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
-        let (comp_res, mut comp_rows) = (out.result, out.rows);
-
-        let bare = PhysicalConfig::new();
-        let seq_plan = opt.optimize(&q, IndexSetView::real(&bare));
-        let out = Executor::new(&db, &bare).execute(&q, &seq_plan, Collect::Rows).unwrap();
-        let (seq_res, mut seq_rows) = (out.result, out.rows);
-        comp_rows.sort();
-        seq_rows.sort();
-        assert_eq!(comp_rows, seq_rows);
-        assert_eq!(comp_res.row_count, seq_res.row_count);
-        // The two-column equality is far more selective than either
-        // single column: the composite must be much faster.
-        assert!(comp_res.millis < seq_res.millis / 3.0);
-    }
-
-    #[test]
-    fn composite_prefix_plus_range_matches_seq_scan() {
-        use colt_catalog::CompositeKey;
-        let (db, fact, _) = db();
-        let key = CompositeKey::new(fact, vec![1, 0]);
-        let mut cfg = PhysicalConfig::new();
-        cfg.create_composite(&db, key);
-        let q = Query::single(
-            fact,
-            vec![
-                SelPred::eq(ColRef::new(fact, 1), 7i64),
-                SelPred::between(ColRef::new(fact, 0), 1_000i64, 3_000i64),
-            ],
-        );
-        let opt = Optimizer::new(&db);
-        let plan = opt.optimize(&q, IndexSetView::real(&cfg));
-        assert!(
-            matches!(
-                &plan.root,
-                crate::plan::PlanNode::Scan {
-                    path: AccessPath::CompositeScan { eq_prefix: 1, range_next: true, .. },
-                    ..
-                }
-            ),
-            "{}",
-            plan.explain()
-        );
-        let out = Executor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
-        let (res, mut rows) = (out.result, out.rows);
-        let bare = PhysicalConfig::new();
-        let seq_plan = opt.optimize(&q, IndexSetView::real(&bare));
-        let out = Executor::new(&db, &bare).execute(&q, &seq_plan, Collect::Rows).unwrap();
-        let mut seq_rows = out.rows;
-        rows.sort();
-        seq_rows.sort();
-        assert_eq!(rows, seq_rows);
-        assert!(res.row_count > 0, "range must match something");
-    }
-
-    #[test]
-    fn composite_scans_of_every_shape_match_seq_scan() {
-        // Hand-built scans of a (fk, v, id) composite: no prefix, a
-        // prefix of one or two columns, each with and without a range
-        // on the next column — one bounded by a string of another type —
-        // in both executors, against the sequential scan.
-        use crate::plan::PlanNode;
-        use colt_catalog::CompositeKey;
-        let (db, fact, _) = db();
-        let key = CompositeKey::new(fact, vec![1, 2, 0]);
-        let mut cfg = PhysicalConfig::new();
-        cfg.create_composite(&db, key.clone());
-        let (fk, v, id) = (ColRef::new(fact, 1), ColRef::new(fact, 2), ColRef::new(fact, 0));
-        // fk = 7 holds for rows 7 + 200·m; v of those is 4m mod 7.
-        let (fk7, v3) = (SelPred::eq(fk, 7i64), SelPred::eq(v, 3i64));
-        let cases = [
-            (vec![SelPred::between(fk, 6i64, 9i64)], 0, true, 400),
-            (vec![SelPred::between(fk, -1i64, "x")], 0, true, 20_000),
-            (vec![fk7.clone()], 1, false, 100),
-            (vec![fk7.clone(), SelPred::between(v, 2i64, 3i64)], 1, true, 28),
-            (vec![fk7.clone(), v3.clone()], 2, false, 14),
-            (vec![fk7, v3.clone(), SelPred::between(id, 10_000i64, i64::MAX)], 2, true, 7),
-            (vec![SelPred::eq(fk, "x"), v3], 2, false, 0),
-        ];
-        let opt = Optimizer::new(&db);
-        for (preds, eq_prefix, range_next, rows) in cases {
-            let q = Query::single(fact, preds);
-            let path = AccessPath::CompositeScan { key: key.clone(), eq_prefix, range_next };
-            let root = PlanNode::Scan { table: fact, path, est_rows: 1.0, est_cost: 1.0 };
-            let plan = Plan { root, selectivities: vec![1.0; q.selections.len()] };
-            let out = Executor::new(&db, &cfg).execute(&q, &plan, Collect::Rows).unwrap();
-            let reference = crate::rowwise::RowwiseExecutor::new(&db, &cfg);
-            let rowwise = reference.execute(&q, &plan, Collect::Rows).unwrap();
-            let bare = PhysicalConfig::new();
-            let seq_plan = opt.optimize(&q, IndexSetView::real(&bare));
-            let seq = Executor::new(&db, &bare).execute(&q, &seq_plan, Collect::Rows).unwrap();
-            assert_eq!((out.rows.len(), &out.result.io), (rows, &rowwise.result.io), "{q:?}");
-            let sorted = |mut rows: Vec<Vec<Value>>| {
-                rows.sort();
-                rows
-            };
-            assert_eq!(sorted(out.rows), sorted(seq.rows), "{q:?}");
-        }
-    }
-
-    #[test]
     fn inl_join_matches_hash_join_results() {
         use crate::optimizer::OptimizerOptions;
         let (db, fact, dim) = db();
@@ -1261,40 +1055,6 @@ mod tests {
         let out = Executor::new(&db, &cfg).execute(&q, &by_index, Collect::CountOnly).unwrap();
         assert_eq!(out.row_count(), 1);
         assert!(ExecError::StaleIndex { col: id }.to_string().contains("predates rows"));
-    }
-
-    #[test]
-    fn a_composite_built_before_an_insert_is_a_typed_error() {
-        // The same rule for a composite index: one built before its
-        // table gained rows would miss them, so both executors refuse it
-        // under its leading column's name.
-        use crate::plan::{AccessPath, PlanNode};
-        use crate::rowwise::RowwiseExecutor;
-        use colt_catalog::CompositeKey;
-        let (mut db, fact, _) = db();
-        let key = CompositeKey::new(fact, vec![1, 2]);
-        let mut cfg = PhysicalConfig::new();
-        cfg.create_composite(&db, key.clone());
-        db.insert_rows(fact, [row_from(vec![Value::Int(-1), Value::Int(7), Value::Int(3)])]).unwrap();
-
-        let path = AccessPath::CompositeScan { key: key.clone(), eq_prefix: 2, range_next: false };
-        let root = PlanNode::Scan { table: fact, path, est_rows: 1.0, est_cost: 1.0 };
-        let plan = Plan { root, selectivities: vec![1.0, 1.0] };
-        let q = Query::single(
-            fact,
-            vec![SelPred::eq(ColRef::new(fact, 1), 7i64), SelPred::eq(ColRef::new(fact, 2), 3i64)],
-        );
-        let stale = ExecError::StaleIndex { col: key.leading() };
-        let vectorized = Executor::new(&db, &cfg).execute(&q, &plan, Collect::CountOnly);
-        let rowwise = RowwiseExecutor::new(&db, &cfg).execute(&q, &plan, Collect::CountOnly);
-        assert_eq!(vectorized.unwrap_err(), stale);
-        assert_eq!(rowwise.unwrap_err(), stale);
-        // Rebuilt, the composite covers the new row: fk = 7 and v = 3
-        // hold for rows 7 + 200·m with m ≡ 6 (mod 7) — 14 of the first
-        // 20 000 — and the new one.
-        cfg.create_composite(&db, key);
-        let out = Executor::new(&db, &cfg).execute(&q, &plan, Collect::CountOnly).unwrap();
-        assert_eq!(out.row_count(), 15);
     }
 
     #[test]

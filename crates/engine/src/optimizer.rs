@@ -43,16 +43,6 @@ impl<'a> IndexSetView<'a> {
         IndexSetView { config, plus: Some(plus), minus: Some(minus) }
     }
 
-    /// Composite (multi-column) indices materialized on a table. These
-    /// are part of the base configuration (see `colt_catalog::composite`)
-    /// and have no hypothetical overlay.
-    pub fn composites_on(
-        &self,
-        table: TableId,
-    ) -> impl Iterator<Item = &'a colt_catalog::MaterializedComposite> + '_ {
-        self.config.composites_on(table)
-    }
-
     /// Does the view contain an index on `col`?
     pub fn has(&self, col: ColRef) -> bool {
         if self.minus.is_some_and(|m| m.contains(&col)) {
@@ -128,7 +118,7 @@ impl<'a> Optimizer<'a> {
         let mut best_cost = seq_scan_cost(&self.db.cost, pages, rows, pred_count);
         let mut best_path = AccessPath::SeqScan;
 
-        for (p, sel) in preds.clone() {
+        for (p, sel) in preds {
             if !view.has(p.col) {
                 continue;
             }
@@ -138,58 +128,6 @@ impl<'a> Optimizer<'a> {
             if cost < best_cost {
                 best_cost = cost;
                 best_path = AccessPath::IndexScan { col: p.col };
-            }
-        }
-
-        // Composite (multi-column) paths: usable when the predicates
-        // match a prefix of the column list — a run of equalities,
-        // optionally followed by one range on the next column.
-        for comp in view.composites_on(table) {
-            use crate::query::PredicateKind;
-            let mut eq_prefix = 0u32;
-            let mut sel = 1.0;
-            let mut used = 0usize;
-            let mut range_next = false;
-            for &c in &comp.key.columns {
-                let col = ColRef::new(table, c);
-                if let Some((_, eq_sel)) = preds
-                    .clone()
-                    .find(|(p, _)| p.col == col && matches!(p.kind, PredicateKind::Eq(_)))
-                {
-                    sel *= eq_sel;
-                    eq_prefix += 1;
-                    used += 1;
-                    continue;
-                }
-                if let Some((_, range_sel)) = preds
-                    .clone()
-                    .find(|(p, _)| p.col == col && matches!(p.kind, PredicateKind::Range { .. }))
-                {
-                    sel *= range_sel;
-                    used += 1;
-                    range_next = true;
-                }
-                break;
-            }
-            if used == 0 {
-                continue;
-            }
-            let est = comp.key.estimate(self.db);
-            let cost = index_scan_cost(
-                &self.db.cost,
-                &est,
-                sel,
-                rows,
-                pages,
-                pred_count.saturating_sub(used),
-            );
-            if cost < best_cost {
-                best_cost = cost;
-                best_path = AccessPath::CompositeScan {
-                    key: comp.key.clone(),
-                    eq_prefix,
-                    range_next,
-                };
             }
         }
 
@@ -613,11 +551,10 @@ mod tests {
         for col in [ColRef::new(big, 0), ColRef::new(big, 2), ColRef::new(dim, 1)] {
             cfg.create_index(&db, col);
         }
-        cfg.create_composite(&db, colt_catalog::CompositeKey::new(big, vec![2, 0]));
         let opt = Optimizer::new(&db);
         let estimates = || crate::selectivity::ESTIMATES.with(|n| n.get());
-        // Every predicate has an index path and a composite prefix to
-        // price besides the table's combined selectivity…
+        // Every predicate has an index path to price besides the table's
+        // combined selectivity…
         let on_big = vec![
             SelPred::between(ColRef::new(big, 0), 10i64, 500i64),
             SelPred::eq(ColRef::new(big, 2), 7i64),

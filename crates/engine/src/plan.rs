@@ -14,19 +14,6 @@ pub enum AccessPath {
         /// The indexed column driving the scan.
         col: ColRef,
     },
-    /// Multi-column index scan (future-work extension): a run of
-    /// equality predicates pins the first `eq_prefix` columns of the
-    /// composite, optionally followed by one range predicate on the
-    /// next column.
-    CompositeScan {
-        /// The composite index identity.
-        key: colt_catalog::CompositeKey,
-        /// Number of leading columns pinned by equality.
-        eq_prefix: u32,
-        /// Whether a range predicate on column `eq_prefix` also drives
-        /// the scan.
-        range_next: bool,
-    },
 }
 
 /// A physical plan node.
@@ -161,9 +148,6 @@ impl PlanNode {
                 let p = match path {
                     AccessPath::SeqScan => "SeqScan".to_string(),
                     AccessPath::IndexScan { col } => format!("IndexScan[{col}]"),
-                    AccessPath::CompositeScan { key, eq_prefix, range_next } => {
-                        format!("CompositeScan[{key} eq={eq_prefix} range={range_next}]")
-                    }
                 };
                 out.push_str(&format!(
                     "{pad}{p} t{} (rows={est_rows:.1} cost={est_cost:.1})\n",

@@ -18,8 +18,7 @@
 
 use crate::error::ExecError;
 use crate::executor::{
-    check_pred_cols, composite_scan_rowids, index_scan_rowids, materialized_index, Collect,
-    ExecOutput, QueryResult,
+    check_pred_cols, index_scan_rowids, materialized_index, Collect, ExecOutput, QueryResult,
 };
 use crate::plan::{AccessPath, Plan, PlanNode};
 use crate::query::{Query, SelPred};
@@ -91,8 +90,7 @@ impl<'a> RowwiseExecutor<'a> {
         let t = self.db.table(table);
         let preds: Vec<&SelPred> = query.selections_on(table).collect();
         check_pred_cols("scan", &preds, t.schema.arity())?;
-        // An index scan's driving predicate is not checked again; a
-        // composite scan checks every predicate on the fetched rows.
+        // An index scan's driving predicate is not checked again.
         let (mut rowids, driving) = match path {
             AccessPath::SeqScan => {
                 let rows = (t.heap.scan(io))
@@ -105,17 +103,12 @@ impl<'a> RowwiseExecutor<'a> {
                 return Ok(Batch { tables: vec![table], rows });
             }
             AccessPath::IndexScan { col } => {
-                let (rowids, driving) = index_scan_rowids(self.db, self.config, &preds, *col, io)?;
-                (rowids, Some(driving))
-            }
-            AccessPath::CompositeScan { key, eq_prefix, range_next } => {
-                let (db, config) = (self.db, self.config);
-                (composite_scan_rowids(db, config, &preds, key, *eq_prefix, *range_next, io)?, None)
+                index_scan_rowids(self.db, self.config, &preds, *col, io)?
             }
         };
         t.heap.fetch_sorted(&mut rowids, io);
         let residual: Vec<&SelPred> = (preds.iter().enumerate())
-            .filter(|&(i, _)| Some(i) != driving)
+            .filter(|&(i, _)| i != driving)
             .map(|(_, p)| *p)
             .collect();
         let rows = (rowids.iter())

@@ -154,7 +154,6 @@ pub fn render_ledger_digest(obs: &Snapshot) -> String {
 pub const ACCESS_PATH_COUNTERS: &[(&str, &str)] = &[
     ("engine.op.seq_scan", "seq scan"),
     ("engine.op.index_scan", "index scan"),
-    ("engine.op.composite_scan", "composite scan"),
     ("engine.op.index_nl_join", "index NL join"),
     ("engine.op.hash_join", "hash join"),
     ("storage.btree.lookups", "btree lookups"),

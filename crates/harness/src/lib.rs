@@ -25,7 +25,7 @@ pub use flight::{
 };
 pub use metrics::{adaptation_latency, budget_utilization, convergence_point, time_ratio};
 pub use multiclient::{interleave, split_round_robin};
-pub use parallel::{run_cells, Cell, CellResult, ParallelReport};
+pub use parallel::{parallel_map, run_cells, Cell, CellResult, ParallelReport};
 pub use report::{
     bucket_rows, component_breakdown, emit_breakdown, emit_parallel_summary, render_buckets,
     render_whatif_series, Breakdown, BucketRow,

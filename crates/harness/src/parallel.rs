@@ -11,11 +11,10 @@
 //! [`crate::QuerySample`] streams and the [`RunResult::summary_json`]
 //! bytes do not depend on thread count or scheduling.
 //!
-//! Scheduling is a work-stealing claim counter: each worker thread
-//! atomically claims the next unstarted cell index until the queue is
-//! drained, so long cells (COLT arms) do not serialize behind short ones
-//! (NONE baselines). Results are keyed by cell index, so output order is
-//! deterministic too.
+//! Scheduling is [`parallel_map`], the harness's one thread pool: a
+//! work-stealing claim counter, so long cells (COLT arms) do not
+//! serialize behind short ones (NONE baselines). Results are keyed by
+//! cell index, so output order is deterministic too.
 //!
 //! Thread-safety contract: the `Database` is shared read-only across
 //! cells; anything mutable is created inside the cell that uses it.
@@ -104,46 +103,56 @@ impl ParallelReport {
 /// Run every cell and collect results in submission order.
 ///
 /// `threads <= 1` runs inline in the calling thread (no pool); more
-/// threads fan the cells over a scoped pool with a work-stealing claim
-/// counter. Either way the results — including every per-query sample
-/// and the `summary_json` bytes — are identical.
+/// threads fan the cells over [`parallel_map`]'s pool. Either way the
+/// results — including every per-query sample and the `summary_json`
+/// bytes — are identical.
 pub fn run_cells(cells: &[Cell<'_>], threads: usize) -> Result<ParallelReport, ExecError> {
     #[expect(clippy::disallowed_methods, reason = "batch wall time is reported, never a result")]
     let start = Instant::now();
     let n = cells.len();
-    let workers = threads.max(1).min(n.max(1));
-
-    let mut indexed: Vec<(usize, Result<CellResult, ExecError>)> = if workers <= 1 {
-        cells.iter().enumerate().map(|(i, cell)| (i, run_cell(cell, i, n))).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push((i, run_cell(&cells[i], i, n)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            #[expect(clippy::expect_used, reason = "propagates a worker's panic to the caller")]
-            handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
-        })
-    };
-    indexed.sort_by_key(|(i, _)| *i);
-
+    let workers = threads.clamp(1, n.max(1));
+    let results = parallel_map(cells, workers, |i, cell| run_cell(cell, i, n));
     Ok(ParallelReport {
-        cells: indexed.into_iter().map(|(_, c)| c).collect::<Result<_, _>>()?,
+        cells: results.into_iter().collect::<Result<_, _>>()?,
         wall_millis: start.elapsed().as_secs_f64() * 1e3,
         threads: workers,
     })
+}
+
+/// `f` of each item and its index, in item order: the harness's one
+/// thread pool. `threads <= 1` maps inline in the calling thread; more
+/// threads (at most one per item) share a work-stealing claim counter —
+/// each worker claims the next unstarted index until none is left — so
+/// long items do not serialize behind short ones.
+pub fn parallel_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.clamp(1, items.len().max(1));
+    if workers == 1 {
+        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut indexed: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        local.push((i, f(i, item)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        #[expect(clippy::expect_used, reason = "propagates a worker's panic to the caller")]
+        handles.into_iter().flat_map(|h| h.join().expect("worker thread panicked")).collect()
+    });
+    indexed.sort_by_key(|(i, _)| *i);
+    indexed.into_iter().map(|(_, r)| r).collect()
 }
 
 fn run_cell(cell: &Cell<'_>, index: usize, total: usize) -> Result<CellResult, ExecError> {

@@ -7,7 +7,8 @@
 //! byte-identical across `COLT_OBS` levels and `COLT_THREADS` counts.
 //! Both are one fixed-capacity [`Ring`]: when full, the **oldest** entry
 //! is evicted and counted, so a long run degrades to a recent-history
-//! window instead of growing without bound.
+//! window instead of growing without bound; the dump writes the count
+//! ([`crate::Snapshot::jsonl`]).
 
 use crate::json::{self, Json};
 use std::collections::VecDeque;

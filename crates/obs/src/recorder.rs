@@ -297,7 +297,9 @@ impl Snapshot {
     ///   `"candidates"` is `[{"index":"t0.c3","size_pages":40,"value":F},…]`
     ///   (`value` the unrounded net benefit the solve saw) and its
     ///   `"chosen"` is `["t0.c3",…]`;
-    /// * `{"counter":name,"value":N}` — by name;
+    /// * `{"counter":name,"value":N}` — by name, with each ring's
+    ///   non-zero eviction count among them as `obs.ledger.evicted` and
+    ///   `obs.series.evicted`, so a dump says what its bound dropped;
     /// * `{"span":name,"count":N,"sim_ms":F}` — by name;
     /// * `{"flame":"outer;inner;leaf","ns":N}` — folded-stack self time.
     ///
@@ -310,8 +312,13 @@ impl Snapshot {
             out.push_str(&json::object_line(pairs.iter().map(|(k, v)| (*k, v))));
             out.push('\n');
         };
-        for (name, &v) in &self.counters {
-            line(&[("counter", name.as_str().into()), ("value", v.into())]);
+        let mut counters: BTreeMap<&str, u64> =
+            self.counters.iter().map(|(name, &v)| (name.as_str(), v)).collect();
+        let evicted =
+            [("obs.ledger.evicted", self.ledger.evicted()), ("obs.series.evicted", self.series.evicted())];
+        counters.extend(evicted.into_iter().filter(|&(_, n)| n > 0));
+        for (name, v) in counters {
+            line(&[("counter", name.into()), ("value", v.into())]);
         }
         for (name, s) in &self.spans {
             line(&[
@@ -514,6 +521,34 @@ mod tests {
         assert_eq!(s.series.len(), 1);
         assert_eq!(s.series.evicted(), 3);
         assert_eq!(s.series.records().next().unwrap().epoch, 3);
+    }
+
+    /// A merged snapshot past its rings' bounds writes what they evicted
+    /// as counter lines, which read back to the rings' counts; one that
+    /// evicted nothing writes no such line.
+    #[test]
+    fn the_dump_states_its_evictions() {
+        let cell = |i: u64| {
+            let mut r = Recorder::new(Level::Summary).with_ledger_capacity(3).with_series_capacity(2);
+            for e in 0..2 {
+                r.record_decision(DecisionRecord::new(DecisionKind::WhatifProbe).field("i", i));
+                r.add_counter("c.n", 1);
+                r.mark_epoch(e);
+            }
+            r.into_snapshot()
+        };
+        let mut merged = cell(0);
+        for i in 1..4 {
+            merged.merge(&cell(i));
+        }
+        assert_eq!((merged.ledger.evicted(), merged.series.evicted()), (5, 6));
+        let counters: BTreeMap<String, u64> = (merged.jsonl().lines())
+            .map(|line| crate::json::parse(line).expect("every dump line parses"))
+            .filter_map(|v| Some((v.get("counter")?.as_str()?.to_string(), v.get("value")?.as_u64()?)))
+            .collect();
+        let want = [("c.n", 8), ("obs.ledger.evicted", 5), ("obs.series.evicted", 6)];
+        assert_eq!(counters, want.map(|(k, v)| (k.to_string(), v)).into());
+        assert!(!cell(0).jsonl().contains("evicted"), "nothing evicted, nothing written");
     }
 
     /// Every line shape of the one dump, on a hand-built recorder, and

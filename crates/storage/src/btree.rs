@@ -1,10 +1,9 @@
 //! The B+ tree mapping column keys to row ids: an index's sorted entries.
 //!
 //! This is the physical structure behind every index the tuner can
-//! materialize. A single-column one keys its cells' 32-bit cell codes
-//! (`BPlusTreeOf<u32>`), a multi-column one its columns' key codes in
-//! order (`BPlusTreeOf<Vec<u64>>`); both are probed by the resolver's key
-//! codes through [`BPlusTreeOf::range_codes_into`].
+//! materialize. An index keys its cells' 32-bit cell codes
+//! (`BPlusTreeOf<u32>`) and is probed by the resolver's key codes through
+//! [`BPlusTreeOf::range_codes_into`].
 //! An index is bulk-loaded once and dropped whole, so the tree is static:
 //! the one sorted vector of `(key, rowid)` entries its build hands over,
 //! with [`bulk_shape`]'s partition of that vector as its leaves. It
@@ -22,9 +21,8 @@ use std::cmp::Ordering;
 use std::ops::Bound;
 
 /// The bound every tree key type must satisfy. Blanket-implemented;
-/// `u32` cell codes cover single-column indices, `Vec<u64>` key codes the
-/// multi-column extension (lexicographic composite keys), and
-/// [`Value`] / `Vec<Value>` are the tests' references for both.
+/// `u32` cell codes key every index; the tests also key [`Value`]s and
+/// `u64`s as references.
 pub trait TreeKey: Ord + Clone + std::fmt::Debug {}
 impl<K: Ord + Clone + std::fmt::Debug> TreeKey for K {}
 
@@ -270,54 +268,31 @@ fn gallop<T>(entries: &[T], pred: impl Fn(&T) -> bool) -> usize {
     known + entries[known..(step - 1).min(entries.len())].partition_point(pred)
 }
 
-/// An index key the scan kernels' resolver ([`crate::literal_code`] /
-/// [`crate::code_interval`]) probes: a cell code `c` answers as its key
-/// code `2c + 1`, a composite's key codes as themselves — so row ids
-/// *and* [`IoStats`] are those of a `Value`-keyed tree over the same
-/// cells.
-pub trait CodeKey {
-    /// What the resolver hands the tree for this key type.
-    type Code: Clone;
-    /// How this key orders against a resolved code.
-    fn cmp_code(&self, code: &Self::Code) -> Ordering;
-}
-
-impl CodeKey for u32 {
-    type Code = u64;
-    fn cmp_code(&self, code: &u64) -> Ordering {
-        self.code().cmp(code)
-    }
-}
-
-impl CodeKey for Vec<u64> {
-    type Code = Vec<u64>;
-    fn cmp_code(&self, code: &Vec<u64>) -> Ordering {
-        self.cmp(code)
-    }
-}
-
-/// The tree of an index, probed by resolved key codes.
-impl<K: TreeKey + CodeKey> BPlusTreeOf<K> {
+/// The tree of an index, probed by the scan kernels' resolved key codes
+/// ([`crate::literal_code`] / [`crate::code_interval`]): a cell code `c`
+/// answers as its key code `2c + 1`, so row ids *and* [`IoStats`] are
+/// those of a `Value`-keyed tree over the same cells.
+impl BPlusTreeOf<u32> {
     /// Scan of the closed interval of resolved codes `lo..=hi`, appending
     /// to `out`. `None`, a range no cell can match, still pays one
     /// descent: the scan for the codes below the lowest.
-    pub fn range_codes_into(&self, codes: Option<(K::Code, K::Code)>, out: &mut Vec<RowId>, io: &mut IoStats) {
+    pub fn range_codes_into(&self, codes: Option<(u64, u64)>, out: &mut Vec<RowId>, io: &mut IoStats) {
         match codes {
             Some((lo, hi)) => self.scan(
-                Bound::Included(|k: &K| k.cmp_code(&lo)),
-                Bound::Included(|k: &K| k.cmp_code(&hi)),
+                Bound::Included(|k: &u32| k.code().cmp(&lo)),
+                Bound::Included(|k: &u32| k.code().cmp(&hi)),
                 out,
                 io,
             ),
-            None => self.scan(Bound::<fn(&K) -> Ordering>::Unbounded, Bound::Excluded(|_: &K| Ordering::Greater), out, io),
+            None => self.scan(Bound::<fn(&u32) -> Ordering>::Unbounded, Bound::Excluded(|_: &u32| Ordering::Greater), out, io),
         }
     }
 
     /// Point lookup of a resolved literal or cell, appending to `out`;
     /// `Err`, one of another type than the column's, matches nothing.
-    pub fn lookup_code_into(&self, code: Result<K::Code, Ordering>, out: &mut Vec<RowId>, io: &mut IoStats) {
+    pub fn lookup_code_into(&self, code: Result<u64, Ordering>, out: &mut Vec<RowId>, io: &mut IoStats) {
         colt_obs::counter("storage.btree.lookups", 1);
-        self.range_codes_into(code.ok().map(|c| (c.clone(), c)), out, io);
+        self.range_codes_into(code.ok().map(|c| (c, c)), out, io);
     }
 }
 
@@ -559,33 +534,5 @@ mod tests {
         let large = BPlusTree::bulk_load(8, (0..100_000).map(|i| (v(i), RowId(i as u32))).collect());
         assert!(large.page_count() > small.page_count() * 100);
         assert_eq!(large.byte_size(), large.page_count() * PAGE_SIZE);
-    }
-
-    #[test]
-    fn composite_keys_order_lexicographically() {
-        let entries = (0..20).flat_map(|a| (0..10).map(move |b| (vec![a, b], RowId((a * 10 + b) as u32))));
-        let t = BPlusTreeOf::<Vec<u64>>::bulk_load(PAGE_SIZE, entries.collect());
-        let mut io = IoStats::new();
-        // Point lookup on the full composite.
-        assert_eq!(t.lookup(&vec![7, 3], &mut io), vec![RowId(73)]);
-        // Prefix range: every (7, *) entry, the prefix alone below and
-        // padded with the greatest code above — and the scan stops at
-        // the first key past it, a leaf or two from the descent.
-        let mut io = IoStats::new();
-        let hits = t.range(Bound::Included(&vec![7]), Bound::Included(&vec![7, u64::MAX]), &mut io);
-        assert_eq!(hits, (70..80).map(RowId).collect::<Vec<_>>());
-        assert!(io.seq_pages < 5, "{io:?}");
-        // Prefix + second-column range.
-        let hits = t.range(Bound::Included(&vec![7, 2]), Bound::Included(&vec![7, 5]), &mut io);
-        assert_eq!(hits.len(), 4);
-    }
-
-    #[test]
-    fn composite_bulk_load_is_valid() {
-        let entries: Vec<_> = (0..500).map(|i| (vec![i / 10, i % 10], RowId(i as u32))).collect();
-        let t2 = BPlusTreeOf::<Vec<u64>>::bulk_load(12, entries);
-        assert_eq!(t2.len(), 500);
-        let mut io = IoStats::new();
-        assert_eq!(t2.lookup(&vec![3, 4], &mut io), vec![RowId(34)]);
     }
 }

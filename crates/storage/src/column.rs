@@ -505,11 +505,6 @@ impl<'a> ColumnSlice<'a> {
         out.extend(rows.iter().filter_map(|&r| self.get(r as usize)));
     }
 
-    /// The key code of the cell of `row`. Panics on a row past the end.
-    pub fn code(&self, row: usize) -> u64 {
-        self.cells()[row].code()
-    }
-
     /// [`literal_code`] of the cell of `row`'s value in `column` (a
     /// string's without a copy). Panics on a row past the end.
     pub fn code_in(&self, row: usize, column: &ColumnSlice<'_>) -> Result<u64, Ordering> {

@@ -9,7 +9,6 @@ use colt_repro::harness::metrics::{
     around_transition_mean, best_phase_reduction, reduction_pct, stable_epoch_mean, tail_deviation,
 };
 use colt_repro::harness::{time_ratio, Experiment, Policy};
-use colt_repro::obs::json::Json;
 use colt_repro::workload::presets::{self, SHIFTING_PHASES};
 use colt_repro::workload::generate;
 
@@ -216,57 +215,4 @@ fn multiuser_shifting_still_wins() {
         .run().expect("run failed");
     let reduction = reduction_pct(&colt, &offline, ..);
     assert!(reduction > 5.0, "multi-user reduction {reduction:.1}%");
-}
-
-/// Future-work extension: with a composite budget, COLT mines
-/// co-occurring predicates on-line and materializes a multi-column
-/// index that the single-column tuner cannot express. Its builds reach
-/// the decision ledger, whose build charges add up to the trace's.
-#[test]
-fn composite_extension_beats_single_column_colt() {
-    use colt_repro::obs::{install, take, DecisionKind, Level, Recorder};
-    use colt_repro::workload::{fixed, QueryDistribution, QueryTemplate, SelSpec, TemplateSelection};
-    let data = generate(SCALE, SEED);
-    let db = &data.db;
-    let inst = &data.instances[0];
-    let li = inst.table("lineitem");
-    let dist = QueryDistribution::new().with(
-        1.0,
-        QueryTemplate::single(
-            li,
-            vec![
-                TemplateSelection { col: inst.col(db, "lineitem", "l_suppkey"), spec: SelSpec::Eq },
-                TemplateSelection { col: inst.col(db, "lineitem", "l_quantity"), spec: SelSpec::Eq },
-            ],
-        ),
-    );
-    let mut rng = colt_repro::storage::Prng::new(SEED);
-    let workload = fixed(&dist, 200, db, &mut rng);
-
-    let plain = Experiment::new(db, &workload)
-        .policy(Policy::colt(ColtConfig { storage_budget_pages: 4_096, ..Default::default() }))
-        .run().expect("run failed");
-    assert!(install(Recorder::new(Level::Summary)).is_none(), "test thread must start without a recorder");
-    let extended = Experiment::new(db, &workload)
-        .policy(Policy::colt(ColtConfig {
-            storage_budget_pages: 4_096,
-            composite_budget_pages: 4_096,
-            ..Default::default()
-        }))
-        .run().expect("run failed");
-    take();
-    assert!(
-        extended.total_millis() < plain.total_millis() / 2.0,
-        "extension {:.0} vs plain {:.0}",
-        extended.total_millis(),
-        plain.total_millis()
-    );
-    let creates: Vec<_> = extended.obs.ledger.of_kind(DecisionKind::IndexCreate).collect();
-    assert!(
-        creates.iter().any(|r| r.get("via").and_then(Json::as_str) == Some("composite")),
-        "no composite build in the ledger: {creates:?}"
-    );
-    let ledger: f64 = creates.iter().map(|r| r.get("build_millis").and_then(Json::as_f64).expect("a create's charge")).sum();
-    let traced: f64 = extended.trace.epochs.iter().map(|e| e.build_millis).sum();
-    assert!((ledger - traced).abs() <= 1e-9 * traced, "ledger {ledger} vs trace {traced}");
 }

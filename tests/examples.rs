@@ -1,7 +1,6 @@
 //! The examples' record: the stdout of every `examples/*.rs`, checked in
 //! under `tests/golden/`, must be what the example prints, byte for
-//! byte. `composite_indexes` (composite keys, EXPLAIN ANALYZE) and
-//! `whatif_explorer` (what-if gains, index builds) run the heap's
+//! byte. `whatif_explorer` (what-if gains, index builds) runs the heap's
 //! encodings end to end.
 //!
 //! `cargo test` builds the examples before it runs any test; the test
@@ -11,7 +10,7 @@
 //! so every moved line is in it. From the repo root:
 //!
 //! ```text
-//! for ex in composite_indexes interactive_analysis quickstart self_regulation whatif_explorer; do
+//! for ex in interactive_analysis quickstart self_regulation whatif_explorer; do
 //!   cargo run -q --offline --example $ex > tests/golden/$ex.txt 2>/dev/null
 //! done
 //! ```
@@ -20,8 +19,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-const EXAMPLES: [&str; 5] =
-    ["composite_indexes", "interactive_analysis", "quickstart", "self_regulation", "whatif_explorer"];
+const EXAMPLES: [&str; 4] = ["interactive_analysis", "quickstart", "self_regulation", "whatif_explorer"];
 
 /// Where cargo put the example binaries of this test's profile: beside
 /// the test binary's `deps` directory.

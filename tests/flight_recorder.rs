@@ -72,7 +72,8 @@ fn every_index_change_is_explained_by_the_ledger() {
 
 /// A build the tuner makes at an epoch boundary reaches every record:
 /// the indices the tuner's steps report created, the trace's builds and
-/// the ledger's reorganize creates are one count.
+/// the ledger's reorganize creates are one count, and their build
+/// charges one sum.
 #[test]
 fn boundary_builds_reach_the_step_the_trace_and_the_ledger() {
     let data = generate(SCALE, SEED);
@@ -88,11 +89,17 @@ fn boundary_builds_reach_the_step_the_trace_and_the_ledger() {
         created += tuner.on_query(db, &mut physical, &mut eqo, q, &plan).created.len();
     }
     let ledger = take().expect("the recorder installed above").into_snapshot().ledger;
-    let creates = (ledger.of_kind(DecisionKind::IndexCreate))
+    let creates: Vec<_> = (ledger.of_kind(DecisionKind::IndexCreate))
         .filter(|r| r.get("via").and_then(Json::as_str) == Some("reorganize"))
-        .count();
+        .collect();
     assert!(created > 0, "the run must build");
-    assert_eq!((created, tuner.trace().total_builds()), (creates, creates));
+    assert_eq!((created, tuner.trace().total_builds()), (creates.len(), creates.len()));
+    // The builds' charges add up alike in both accounts.
+    let charged: f64 = (creates.iter())
+        .map(|r| r.get("build_millis").and_then(Json::as_f64).expect("a create's charge"))
+        .sum();
+    let traced: f64 = tuner.trace().epochs.iter().map(|e| e.build_millis).sum();
+    assert!((charged - traced).abs() <= 1e-9 * traced, "ledger {charged} vs trace {traced}");
 }
 
 #[test]
@@ -125,7 +132,6 @@ fn time_series_spans_the_epoch_axis_without_gaps_at_the_start() {
         assert!(
             run.obs.series.counter_at(e, "engine.op.seq_scan")
                 + run.obs.series.counter_at(e, "engine.op.index_scan")
-                + run.obs.series.counter_at(e, "engine.op.composite_scan")
                 > 0,
             "epoch {e} shows no scan activity"
         );

@@ -52,11 +52,10 @@ const LAYERS: &[&str] =
 const MODULE_ORDERS: &[(&str, &str)] = &[
     ("obs", "json event ledger recorder"),
     ("storage", "value row page prng column heap btree"),
-    ("catalog", "schema stats index composite database"),
+    ("catalog", "schema stats index database"),
     ("engine", "error query plan selectivity cost knapsack batch kernel optimizer executor rowwise \
                 whatif"),
-    ("core", "config trace cluster crude gain hotset \
-              composite_ext profiler organizer tuner"),
+    ("core", "config trace cluster crude gain hotset profiler organizer tuner"),
     ("workload", "gen distribution tpch workload presets"),
     ("harness", "runner flight metrics multiclient parallel report"),
 ];
