@@ -137,7 +137,7 @@ fn fig3_dump_is_one_parseable_file_and_stdout_never_moves() {
         .iter()
         .filter_map(|l| l.value.get("span").or_else(|| l.value.get("counter")).and_then(Json::as_str))
         .collect();
-    for needle in ["engine.execute", "tuner.epoch", "harness.queries"] {
+    for needle in ["engine.execute", "tuner.epoch", "engine.whatif_calls"] {
         assert!(names.contains(&needle), "dump lacks metric {needle}: {names:?}");
     }
 }

@@ -280,40 +280,33 @@ impl<'a> Executor<'a> {
         let preds: Vec<&SelPred> = query.selections_on(table).collect();
         // An index scan's driving predicate resolves against the tree and
         // is not compiled (a second one on its column is).
-        let driving = match path {
-            AccessPath::IndexScan { col } => preds.iter().position(|p| p.col == *col),
-            _ => None,
-        };
+        let driving = driving_predicate(path, &preds)?;
         let checked = preds.iter().enumerate().filter(|&(i, _)| Some(i) != driving);
         let kernels = compile_preds("scan", t, checked.map(|(_, &p)| p))?;
 
         let _batch_span = colt_obs::span("engine.exec.batch");
         let mut out = RowIds::new(1, emit);
         let mut sel: Vec<u32> = Vec::with_capacity(BATCH_ROWS);
-        let mut rowids = match path {
-            AccessPath::SeqScan => {
-                for window in t.heap.scan_batches(BATCH_ROWS, io) {
-                    io.cpu_ops += (kernels.len() * window.len()) as u64;
-                    match kernels.split_first() {
-                        // Nobody reads the ids and nothing narrows
-                        // them further: sum the test, store nothing.
-                        Some((only, [])) if !emit => out.count_only(only.count(window) as u64),
-                        Some((first, rest)) => {
-                            first.select(window, &mut sel);
-                            rest.iter().for_each(|k| k.retain(&mut sel));
-                            out.push_sel(&sel);
-                        }
-                        // The whole table, dense: nothing to select.
-                        None => {}
+        let Some(driving) = driving else {
+            for window in t.heap.scan_batches(BATCH_ROWS, io) {
+                io.cpu_ops += (kernels.len() * window.len()) as u64;
+                match kernels.split_first() {
+                    // Nobody reads the ids and nothing narrows them
+                    // further: sum the test, store nothing.
+                    Some((only, [])) if !emit => out.count_only(only.count(window) as u64),
+                    Some((first, rest)) => {
+                        first.select(window, &mut sel);
+                        rest.iter().for_each(|k| k.retain(&mut sel));
+                        out.push_sel(&sel);
                     }
+                    // The whole table, dense: nothing to select.
+                    None => {}
                 }
-                let rows = t.heap.row_count() as u64;
-                return Ok(if kernels.is_empty() { RowIds::dense(rows, emit) } else { out });
             }
-            AccessPath::IndexScan { col } => {
-                index_scan_rowids(self.db, self.config, &preds, *col, io)?.0
-            }
+            let rows = t.heap.row_count() as u64;
+            return Ok(if kernels.is_empty() { RowIds::dense(rows, emit) } else { out });
         };
+        let mut rowids = index_scan_rowids(self.db, self.config, preds[driving], io)?;
         t.heap.fetch_sorted(&mut rowids, io);
         for chunk in rowids.chunks(BATCH_ROWS) {
             io.cpu_ops += (kernels.len() * chunk.len()) as u64;
@@ -542,29 +535,37 @@ pub(crate) fn materialized_index<'c>(
     Ok((&index.tree, column))
 }
 
-/// Collect the rowids an index scan's driving predicate selects, and
-/// the driver's position within `preds`. Charges descend/leaf I/O via
-/// the tree; the caller fetches the heap rows.
+/// The position within `preds` of the predicate that drives an index
+/// scan — the first on the index's column — or `None` for a sequential
+/// scan. An index scan without one is
+/// [`ExecError::MissingDriverPredicate`].
+pub(crate) fn driving_predicate(
+    path: &AccessPath,
+    preds: &[&SelPred],
+) -> Result<Option<usize>, ExecError> {
+    let AccessPath::IndexScan { col } = *path else { return Ok(None) };
+    let driving = preds.iter().position(|p| p.col == col);
+    driving.map(Some).ok_or(ExecError::MissingDriverPredicate { operator: "index_scan", col })
+}
+
+/// Collect the rowids an index scan's driving predicate selects from
+/// the index on its column. Charges descend/leaf I/O via the tree; the
+/// caller fetches the heap rows.
 pub(crate) fn index_scan_rowids(
     db: &Database,
     config: &PhysicalConfig,
-    preds: &[&SelPred],
-    col: ColRef,
+    driver: &SelPred,
     io: &mut IoStats,
-) -> Result<(Vec<RowId>, usize), ExecError> {
-    let (index, column) = materialized_index("index_scan", db, config, col)?;
-    let driver_idx = preds
-        .iter()
-        .position(|p| p.col == col)
-        .ok_or(ExecError::MissingDriverPredicate { operator: "index_scan", col })?;
+) -> Result<Vec<RowId>, ExecError> {
+    let (index, column) = materialized_index("index_scan", db, config, driver.col)?;
     let mut rowids: Vec<RowId> = Vec::new();
-    match &preds[driver_idx].kind {
+    match &driver.kind {
         PredicateKind::Eq(v) => index.lookup_code_into(literal_code(v, column), &mut rowids, io),
         PredicateKind::Range { lo, hi } => {
             index.range_codes_into(code_interval(lo, hi, column), &mut rowids, io)
         }
     }
-    Ok((rowids, driver_idx))
+    Ok(rowids)
 }
 
 #[cfg(test)]
@@ -1055,6 +1056,33 @@ mod tests {
         let out = Executor::new(&db, &cfg).execute(&q, &by_index, Collect::CountOnly).unwrap();
         assert_eq!(out.row_count(), 1);
         assert!(ExecError::StaleIndex { col: id }.to_string().contains("predates rows"));
+    }
+
+    #[test]
+    fn an_index_scan_without_its_driving_predicate_is_a_typed_error() {
+        // The index exists and the query restricts the table, but not on
+        // the index's column: neither executor may fall back to another
+        // predicate, or panic.
+        use crate::plan::{AccessPath, PlanNode};
+        use crate::rowwise::RowwiseExecutor;
+        let (db, fact, _) = db();
+        let (id, v) = (ColRef::new(fact, 0), ColRef::new(fact, 2));
+        let mut cfg = PhysicalConfig::new();
+        cfg.create_index(&db, id);
+        let q = Query::single(fact, vec![SelPred::eq(v, 3i64)]);
+        let root = PlanNode::Scan {
+            table: fact,
+            path: AccessPath::IndexScan { col: id },
+            est_rows: 1.0,
+            est_cost: 1.0,
+        };
+        let plan = Plan { root, selectivities: vec![1.0] };
+        let missing = ExecError::MissingDriverPredicate { operator: "index_scan", col: id };
+        let vectorized = Executor::new(&db, &cfg).execute(&q, &plan, Collect::CountOnly);
+        let rowwise = RowwiseExecutor::new(&db, &cfg).execute(&q, &plan, Collect::CountOnly);
+        assert_eq!(vectorized.unwrap_err(), missing);
+        assert_eq!(rowwise.unwrap_err(), missing);
+        assert!(missing.to_string().contains("no driving predicate"), "{missing}");
     }
 
     #[test]

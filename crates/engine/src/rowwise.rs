@@ -18,7 +18,8 @@
 
 use crate::error::ExecError;
 use crate::executor::{
-    check_pred_cols, index_scan_rowids, materialized_index, Collect, ExecOutput, QueryResult,
+    check_pred_cols, driving_predicate, index_scan_rowids, materialized_index, Collect, ExecOutput,
+    QueryResult,
 };
 use crate::plan::{AccessPath, Plan, PlanNode};
 use crate::query::{Query, SelPred};
@@ -89,23 +90,20 @@ impl<'a> RowwiseExecutor<'a> {
     ) -> Result<Batch, ExecError> {
         let t = self.db.table(table);
         let preds: Vec<&SelPred> = query.selections_on(table).collect();
-        check_pred_cols("scan", &preds, t.schema.arity())?;
         // An index scan's driving predicate is not checked again.
-        let (mut rowids, driving) = match path {
-            AccessPath::SeqScan => {
-                let rows = (t.heap.scan(io))
-                    .filter(|(_, row)| {
-                        io.cpu_ops += preds.len() as u64;
-                        preds.iter().all(|p| p.matches(&row[p.col.column as usize]))
-                    })
-                    .map(|(_, row)| row.into_vec())
-                    .collect();
-                return Ok(Batch { tables: vec![table], rows });
-            }
-            AccessPath::IndexScan { col } => {
-                index_scan_rowids(self.db, self.config, &preds, *col, io)?
-            }
+        let driving = driving_predicate(path, &preds)?;
+        check_pred_cols("scan", &preds, t.schema.arity())?;
+        let Some(driving) = driving else {
+            let rows = (t.heap.scan(io))
+                .filter(|(_, row)| {
+                    io.cpu_ops += preds.len() as u64;
+                    preds.iter().all(|p| p.matches(&row[p.col.column as usize]))
+                })
+                .map(|(_, row)| row.into_vec())
+                .collect();
+            return Ok(Batch { tables: vec![table], rows });
         };
+        let mut rowids = index_scan_rowids(self.db, self.config, preds[driving], io)?;
         t.heap.fetch_sorted(&mut rowids, io);
         let residual: Vec<&SelPred> = (preds.iter().enumerate())
             .filter(|&(i, _)| i != driving)

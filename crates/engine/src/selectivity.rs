@@ -64,14 +64,6 @@ pub fn on_table<'q>(
     query.selections.iter().zip(sels.iter().copied()).filter(move |(p, _)| p.col.table == table)
 }
 
-/// Estimated output cardinality of an equi-join between two inputs of
-/// `left_rows` and `right_rows` rows, joining on columns with the given
-/// distinct counts.
-pub fn join_cardinality(left_rows: f64, right_rows: f64, ndv_left: f64, ndv_right: f64) -> f64 {
-    let d = ndv_left.max(ndv_right).max(1.0);
-    (left_rows * right_rows / d).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,12 +124,6 @@ mod tests {
         assert_eq!(sel, 0.005);
         let sel = predicate_selectivity(&raw, &SelPred::between(ColRef::new(t, 0), 1i64, 2i64));
         assert_eq!(sel, 0.25);
-    }
-
-    #[test]
-    fn join_cardinality_formula() {
-        assert_eq!(join_cardinality(1000.0, 100.0, 100.0, 10.0), 1000.0);
-        assert_eq!(join_cardinality(10.0, 10.0, 0.0, 0.0), 100.0);
     }
 
     #[test]

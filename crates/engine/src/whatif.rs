@@ -40,8 +40,6 @@ pub struct IndexGain {
 /// overhead (Figure 5 of the paper counts what-if calls per epoch).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EqoCounters {
-    /// Normal (non-what-if) optimizations.
-    pub optimizations: u64,
     /// Individual index probes answered through the what-if interface.
     pub whatif_calls: u64,
     /// Always 0: the EQO keeps no what-if cache across statements. Kept
@@ -115,7 +113,6 @@ impl<'a> Eqo<'a> {
     /// Normal query optimization under the real configuration.
     pub fn optimize(&mut self, query: &Query, config: &PhysicalConfig) -> Plan {
         let _span = colt_obs::span("engine.optimize");
-        self.counters.optimizations += 1;
         self.opt.optimize(query, IndexSetView::real(config))
     }
 
@@ -294,11 +291,11 @@ mod tests {
         assert_eq!(eqo.counters().whatif_calls, 0);
     }
 
-    /// Every probe is charged one what-if call and every `optimize`
-    /// one optimization, repeats included; the two memo counters, kept
-    /// for their readers, never move.
+    /// Every probe is charged one what-if call, repeats included, and
+    /// `optimize` none; the two memo counters, kept for their readers,
+    /// never move.
     #[test]
-    fn each_probe_and_each_optimization_is_counted_once() {
+    fn each_probe_is_counted_once_and_optimize_never() {
         let (db, t) = db();
         let cfg = PhysicalConfig::new();
         let mut eqo = Eqo::new(&db);
@@ -310,7 +307,7 @@ mod tests {
         }
         assert_eq!(
             eqo.counters(),
-            EqoCounters { optimizations: 5, whatif_calls: 10, ..EqoCounters::default() }
+            EqoCounters { whatif_calls: 10, ..EqoCounters::default() }
         );
     }
 
@@ -354,7 +351,7 @@ mod tests {
         assert_eq!(after, EqoCounters { whatif_calls: 2 * probes.len() as u64, ..EqoCounters::default() });
         let plan = eqo.optimize(&q, &cfg);
         assert_eq!(plan, Optimizer::new(&db).optimize(&q, IndexSetView::real(&cfg)));
-        assert_eq!(eqo.counters(), EqoCounters { optimizations: 1, ..after });
+        assert_eq!(eqo.counters(), after);
     }
 
     /// A configuration change is seen by the very next plan and probe of
@@ -393,7 +390,7 @@ mod tests {
         assert_eq!(eqo.what_if_optimize(&qb, &[ColRef::new(b, 0)], &cfg), gains_b);
         assert_eq!(
             eqo.counters(),
-            EqoCounters { optimizations: 2, whatif_calls: 4, ..EqoCounters::default() }
+            EqoCounters { whatif_calls: 4, ..EqoCounters::default() }
         );
     }
 }

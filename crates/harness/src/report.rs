@@ -92,7 +92,8 @@ pub fn render_whatif_series(title: &str, series: &[u64], max_budget: u64) -> Str
 }
 
 /// Per-component wall-clock breakdown of one run, from its metrics
-/// snapshot's `harness.*` flame frames.
+/// snapshot's `engine.optimize`, `engine.execute` and `harness.tune`
+/// flame frames under `harness.run`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Breakdown {
     /// Optimizer (plan search) wall ms.
@@ -107,19 +108,11 @@ pub struct Breakdown {
     pub total_ms: f64,
 }
 
-impl Breakdown {
-    /// Sum of the attributed components plus the remainder. Equals
-    /// `total_ms` unless a component frame lies outside the run frame.
-    pub fn sum_ms(&self) -> f64 {
-        self.optimize_ms + self.execute_ms + self.tune_ms + self.other_ms
-    }
-}
-
 /// Fold a run's flame frames into a per-component breakdown. Empty
 /// snapshots (runs under `COLT_OBS=off`) yield an all-zero breakdown.
 pub fn component_breakdown(run: &RunResult) -> Breakdown {
     let ns = |frame: &str| run.obs.frame_ns(frame);
-    let (optimize, execute, tune) = (ns("harness.optimize"), ns("harness.execute"), ns("harness.tune"));
+    let (optimize, execute, tune) = (ns("engine.optimize"), ns("engine.execute"), ns("harness.tune"));
     let total = ns("harness.run");
     let other = total.saturating_sub(optimize + execute + tune);
     let ms = |ns: u64| ns as f64 / 1e6;
@@ -240,26 +233,29 @@ mod tests {
     fn breakdown_components_sum_to_total() {
         let run = flamed_run(&[
             ("harness.run", 2_000_000),
-            ("harness.run;harness.optimize", 1_500_000),
-            ("harness.run;harness.optimize;engine.optimize", 500_000),
-            ("harness.run;harness.execute", 5_000_000),
-            ("harness.run;harness.tune", 1_000_000),
+            ("harness.run;engine.optimize", 1_500_000),
+            ("harness.run;engine.execute", 4_500_000),
+            ("harness.run;engine.execute;engine.exec.batch", 500_000),
+            ("harness.run;harness.tune", 800_000),
+            ("harness.run;harness.tune;engine.whatif", 200_000),
         ]);
         let b = component_breakdown(&run);
-        assert!((b.optimize_ms - 2.0).abs() < 1e-9);
-        assert!((b.execute_ms - 5.0).abs() < 1e-9);
-        assert!((b.tune_ms - 1.0).abs() < 1e-9);
-        assert!((b.other_ms - 2.0).abs() < 1e-9);
-        assert!((b.total_ms - 10.0).abs() < 1e-9);
-        assert!((b.sum_ms() - b.total_ms).abs() < 1e-9);
+        assert_eq!(b, Breakdown {
+            optimize_ms: 1.5,
+            execute_ms: 5.0,
+            tune_ms: 1.0,
+            other_ms: 2.0,
+            total_ms: 9.5,
+        });
+        assert_eq!(b.optimize_ms + b.execute_ms + b.tune_ms + b.other_ms, b.total_ms);
     }
 
     #[test]
     fn breakdown_of_empty_snapshot_is_zero() {
         let run = fake_run(&[1.0]);
         let b = component_breakdown(&run);
-        assert_eq!(b.sum_ms(), 0.0);
-        assert_eq!(b.total_ms, 0.0);
+        let zero = Breakdown { optimize_ms: 0.0, execute_ms: 0.0, tune_ms: 0.0, other_ms: 0.0, total_ms: 0.0 };
+        assert_eq!(b, zero);
     }
 
     #[test]
@@ -267,7 +263,7 @@ mod tests {
         // A component frame outside the run frame can make the
         // components overshoot the run; `other` must clamp at zero
         // rather than go negative.
-        let run = flamed_run(&[("harness.execute", 11_000_000), ("harness.run", 10_000_000)]);
+        let run = flamed_run(&[("engine.execute", 11_000_000), ("harness.run", 10_000_000)]);
         assert_eq!(component_breakdown(&run).other_ms, 0.0);
     }
 }

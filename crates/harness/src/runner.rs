@@ -15,6 +15,11 @@
 //!   contributes significantly to the execution time during this
 //!   period").
 //! * **NONE** — no tuning at all; the pre-tuned baseline.
+//!
+//! A run opens one `harness.run` span and, per tuned query, one
+//! `harness.tune` span. Optimizing and executing a query are timed by
+//! the engine's own `engine.optimize` and `engine.execute` spans, so the
+//! loop wraps no engine call in a second span of its own.
 
 use colt_catalog::{ColRef, Database, PhysicalConfig};
 use colt_obs::json::Json;
@@ -257,17 +262,8 @@ impl<'a> Experiment<'a> {
         let mut whatif_before = 0u64;
 
         for q in self.workload {
-            colt_obs::counter("harness.queries", 1);
-            let plan = {
-                let _s = colt_obs::span("harness.optimize");
-                eqo.optimize(q, &physical)
-            };
-            let res = {
-                let s = colt_obs::span("harness.execute");
-                let r = Executor::new(db, &physical).execute(q, &plan, Collect::CountOnly)?.result;
-                s.sim_ms(r.millis);
-                r
-            };
+            let plan = eqo.optimize(q, &physical);
+            let res = Executor::new(db, &physical).execute(q, &plan, Collect::CountOnly)?.result;
 
             let mut tuning_millis = 0.0;
             if let Some(tuner) = &mut tuner {

@@ -335,14 +335,14 @@ mod tests {
             s.push(EpochPoint {
                 epoch,
                 counters: vec![("engine.op.hash_join".into(), epoch + 1)],
-                sim_ms: vec![("harness.execute".into(), 0.5)],
+                sim_ms: vec![("engine.execute".into(), 0.5)],
             });
         }
         assert_eq!(s.counter_at(2, "engine.op.hash_join"), 3);
         assert_eq!(s.counter_at(0, "engine.op.hash_join"), 0); // evicted
         let p = s.records().next().unwrap();
         assert_eq!(p.counter("engine.op.hash_join"), 2);
-        assert_eq!(p.sim("harness.execute"), 0.5);
+        assert_eq!(p.sim("engine.execute"), 0.5);
         assert!(!p.is_zero());
     }
 

@@ -15,6 +15,12 @@
 //! goes through the writer behind [`json::Json::pretty`], so
 //! [`json::parse`] reads each line back to the values that wrote it.
 //!
+//! A span names one interval of work, once, on the code that does the
+//! work: a caller opens no span of its own around a call that opens one
+//! (the harness's run loop leaves optimizing and executing to
+//! `engine.optimize` and `engine.execute`), and a count that a span's
+//! calls already state gets no counter beside it.
+//!
 //! ## Deployment model
 //!
 //! There is **no global mutable state**: a [`Recorder`] is plain owned

@@ -103,7 +103,6 @@ impl<K: TreeKey> BPlusTreeOf<K> {
     /// `(key, rowid)`, none twice, as an index's rows are. The vector is
     /// kept as it is: it is the tree.
     pub fn bulk_load(key_width: usize, entries: Vec<(K, RowId)>) -> Self {
-        let _span = colt_obs::span("storage.btree.bulk_load");
         debug_assert!(
             entries.windows(2).all(|w| (&w[0].0, w[0].1) < (&w[1].0, w[1].1)),
             "bulk_load requires input sorted by (key, rowid), without repeats"

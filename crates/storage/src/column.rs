@@ -167,8 +167,9 @@ const SMALL_BUCKET: usize = 32;
 /// `MAX_DIGIT_BITS`, the buckets' own pass taking the rest. A bucket of
 /// up to `SMALL_BUCKET` entries is comparison-sorted in place, a longer
 /// one still out of order distributed again and copied back while it is
-/// in cache.
+/// in cache. Its span, `storage.column.sort`, is an index build's frame.
 pub fn sorted_entries(column: ColumnSlice<'_>) -> Vec<(u32, RowId)> {
+    let _span = colt_obs::span("storage.column.sort");
     radix_sorted(column.cells().iter().copied().zip((0..column.len() as u32).map(RowId)))
 }
 

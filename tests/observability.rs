@@ -3,8 +3,8 @@
 //! * a run under a `Full` recorder yields a snapshot whose three
 //!   component spans bracket every query and account for the run's
 //!   simulated time (counts and simulated ms, never wall clocks), and
-//!   whose engine and harness execute spans carry exactly the samples'
-//!   execution time, tuned and untuned;
+//!   whose engine execute span carries exactly the samples' execution
+//!   time, tuned and untuned;
 //! * every line of the snapshot's one dump parses with the strict
 //!   in-repo JSON parser and carries one of its five tags, and each
 //!   flight-recorder line parses back to the record or point that
@@ -56,19 +56,19 @@ fn run_at(
 /// The breakdown's three component spans account for the run: one of
 /// each brackets every query (and one `harness.run` all of them), so
 /// nothing a query does falls outside them, and the simulated time they
-/// were handed is the run's charged time to within 5 % (to the last
-/// bit, in fact). Counts and simulated time only: the *wall-clock*
+/// were handed is the run's charged time to the last bit but for
+/// summation order. Counts and simulated time only: the *wall-clock*
 /// remainder depends on what else the machine is doing — the same
 /// assertion on `other_ms` failed one isolated run in twenty — and is
 /// reported, not gated, as `harness.loop_self_share` by `benches/perf`.
 #[test]
-fn breakdown_accounts_for_run_time_within_5_percent() {
+fn breakdown_accounts_for_run_time() {
     let run = run_colt_at(Level::Full, presets::stable);
     assert!(!run.obs.is_empty(), "Full-level run must record metrics");
     let span = |name: &str| run.obs.span(name).unwrap_or_else(|| panic!("no {name} span"));
 
     assert_eq!(span("harness.run").count, 1);
-    let components = ["harness.optimize", "harness.execute", "harness.tune"];
+    let components = ["engine.optimize", "engine.execute", "harness.tune"];
     for name in components {
         assert_eq!(span(name).count, run.samples.len() as u64, "one {name} span per query");
     }
@@ -76,7 +76,7 @@ fn breakdown_accounts_for_run_time_within_5_percent() {
     let total = run.total_millis();
     assert!(total > 0.0);
     assert!(
-        (total - attributed).abs() <= total * 0.05,
+        (total - attributed).abs() <= total * 1e-9,
         "the components' simulated {attributed} ms must account for the run's {total} ms"
     );
 
@@ -93,7 +93,6 @@ fn snapshot_covers_every_layer() {
     let run = run_colt_at(Level::Full, presets::stable);
     let s = &run.obs;
     // Harness layer.
-    assert!(s.counter("harness.queries") > 0);
     assert!(s.span("harness.run").is_some());
     // Engine layer.
     assert!(s.span("engine.optimize").is_some());
@@ -105,20 +104,21 @@ fn snapshot_covers_every_layer() {
     assert!(s.span("organizer.knapsack").is_some());
     // Storage layer.
     assert!(s.counter("storage.heap.scans") > 0);
-    // Simulated time attribution mirrors the sample accounting, in the
-    // engine and in the harness, tuned and untuned: every `.sim_ms(..)`
-    // that charges a query is held here.
+    // Simulated time attribution mirrors the sample accounting, tuned
+    // and untuned: one `engine.execute` span per sample, holding its
+    // execution time. Every `.sim_ms(..)` that charges a query is held
+    // here.
     let untuned = run_at(Level::Full, presets::stable, |_| Policy::None);
     for r in [&run, &untuned] {
+        let exec = r.obs.span("engine.execute").expect("execute span");
+        assert_eq!(exec.count, r.samples.len() as u64, "{}", r.policy.label());
         let exec_sim: f64 = r.samples.iter().map(|q| q.exec_millis).sum();
-        for name in ["engine.execute", "harness.execute"] {
-            let span_sim = r.obs.span(name).unwrap_or_else(|| panic!("no {name} span")).sim_ms;
-            assert!(
-                (exec_sim - span_sim).abs() < 1e-6,
-                "{}: simulated {name} time diverged: samples {exec_sim} vs span {span_sim}",
-                r.policy.label()
-            );
-        }
+        assert!(
+            (exec_sim - exec.sim_ms).abs() < 1e-6,
+            "{}: simulated execute time diverged: samples {exec_sim} vs span {}",
+            r.policy.label(),
+            exec.sim_ms
+        );
     }
     let tune_sim: f64 = run.samples.iter().map(|q| q.tuning_millis).sum();
     let tune_span = s.span("harness.tune").expect("tune span").sim_ms;
@@ -200,7 +200,6 @@ engine.op.hash_join 45
 engine.op.index_scan 713
 engine.op.seq_scan 682
 engine.whatif_calls 98
-harness.queries 1350
 storage.btree.lookups 248
 storage.btree.ranges 713
 storage.heap.fetches 8588
@@ -211,8 +210,6 @@ engine.exec.batch.calls 1440
 engine.execute.calls 1350
 engine.optimize.calls 1350
 engine.whatif.calls 98
-harness.execute.calls 1350
-harness.optimize.calls 1350
 harness.run.calls 1
 harness.tune.calls 1350
 organizer.knapsack.calls 405
@@ -222,7 +219,7 @@ profiler.cluster.calls 1350
 profiler.crude.calls 1350
 profiler.profile.calls 1350
 profiler.whatif.calls 98
-storage.btree.bulk_load.calls 11
+storage.column.sort.calls 11
 tuner.epoch.calls 135
 ";
     let run = run_colt_at(Level::Summary, presets::shifting);
