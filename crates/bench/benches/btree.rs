@@ -18,8 +18,9 @@
 //! the same estimate comparing `Value`s, and a scan kernel that counts a
 //! window must beat the one that selects it, again in this process.
 //! `Eqo::optimize` beside the bare optimizer, a string column's index
-//! build and range scan, a date range's select at `joins`' selectivities
-//! and a hash join's cost per probe row, are printed, not gated.
+//! build and range scan, a date range's select at `joins`' selectivities,
+//! the data set's generation and ANALYZE, and a hash join's cost per
+//! probe row, are printed, not gated.
 //!
 //! Every scan row here replays one 6 000-row column thousands of times,
 //! so the branch predictor learns its pattern: that flatters a select
@@ -335,6 +336,21 @@ fn bench_stats_selectivity() -> bool {
     ok
 }
 
+/// Prints what building the benchmark's data set costs, ungated: the
+/// four TPC-H instances generated and analyzed at scales 0.005 and 0.025
+/// (`colt_workload::generate`), and `Database::analyze_all` alone over
+/// the 0.005 set — the fastest of four calls in each of three
+/// interleaved rounds, in ms.
+fn bench_generate() {
+    let data = std::cell::RefCell::new(colt_workload::generate(0.005, 42));
+    let generate = |scale: f64| move || drop(black_box(colt_workload::generate(black_box(scale), 42)));
+    let analyze = || data.borrow_mut().db.analyze_all();
+    let ns = fastest(4, &[&generate(0.005), &generate(0.025), &analyze]);
+    for (name, ns) in ["workload/generate/0.005", "workload/generate/0.025", "stats/analyze_all"].iter().zip(ns) {
+        println!("  {name:<44} {:>8.2} ms", ns / 1e6);
+    }
+}
+
 /// Benchmarks `Kernel::select` and, beside it, `Kernel::count` per row
 /// over a 6 000-row column, a scan window at a time, for ranges keeping
 /// 0.3 %, 10 % and 50 % of the rows, and, ungated, `Kernel::count` of an
@@ -599,6 +615,7 @@ fn main() -> std::process::ExitCode {
     let codes_fast = bench_stats_selectivity();
     let counts_fast = bench_kernel_scan();
     bench_strings();
+    bench_generate();
     bench_hash_join();
     bench_lookup();
     bench_range();

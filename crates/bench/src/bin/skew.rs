@@ -12,8 +12,8 @@ use colt_bench::{colt_vs_offline, fmt_ms, run_exhibit, SEED};
 use colt_catalog::{ColRef, Column, Database, PhysicalConfig, TableSchema};
 use colt_engine::{Collect, Executor, IndexSetView, Optimizer, Query, SelPred};
 use colt_harness::metrics::{deviation_pct, tail_deviation};
-use colt_storage::{row_from, Prng, Value, ValueType};
-use colt_workload::gen::ColumnGen;
+use colt_storage::{Prng, Value, ValueType};
+use colt_workload::gen::{draw_columns, ColumnGen};
 
 fn main() {
     // 60k-row table; `kind` is Zipf(1.0) over 500 distinct values.
@@ -24,11 +24,8 @@ fn main() {
     ));
     let zipf = ColumnGen::Zipf { n: 500, s: 1.0 };
     let mut rng = Prng::new(SEED);
-    db.insert_rows(
-        t,
-        (0..60_000u64).map(|i| row_from(vec![Value::Int(i as i64), zipf.generate(i, 60_000, &mut rng)])),
-    )
-    .expect("generated rows fit the schema");
+    db.insert_columns(t, draw_columns(&[ColumnGen::Key, zipf.clone()], 60_000, &mut rng))
+        .expect("generated columns fit the schema");
     db.analyze_all();
     let kind = ColRef::new(t, 1);
     let stats = db.table(t).column_stats(1);
@@ -61,7 +58,7 @@ fn main() {
     // COLT on a Zipf-sampled eq workload.
     let workload: Vec<Query> = (0..400)
         .map(|i| {
-            let v = zipf.generate(i, 400, &mut rng);
+            let v = zipf.generate(i, &mut rng);
             Query::single(t, vec![SelPred::eq(kind, match v { Value::Int(x) => x, _ => 0 })])
         })
         .collect();

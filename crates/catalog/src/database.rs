@@ -4,7 +4,7 @@
 use crate::index::{build_index, IndexEstimate, MaterializedIndex};
 use crate::schema::{ColRef, TableId, TableSchema};
 use crate::stats::ColumnStats;
-use colt_storage::{CostParams, HeapTable, IoStats, Row, RowError};
+use colt_storage::{Batch, CostParams, HeapTable, IoStats, Row, RowError};
 use std::collections::BTreeMap;
 
 /// One table: schema, heap storage, and per-column statistics.
@@ -66,6 +66,14 @@ impl Database {
         rows: impl IntoIterator<Item = Row>,
     ) -> Result<(), RowError> {
         self.tables[table.0 as usize].heap.insert_rows(rows)
+    }
+
+    /// Append one [`Batch`] per column to a table
+    /// ([`HeapTable::insert_columns`]): all of them, or — on a batch set
+    /// of the wrong count, type or length — nothing. Statistics and
+    /// indices are left as [`Database::insert_rows`] leaves them.
+    pub fn insert_columns(&mut self, table: TableId, batches: Vec<Batch>) -> Result<(), RowError> {
+        self.tables[table.0 as usize].heap.insert_columns(batches)
     }
 
     /// Gather statistics for every column of every table.

@@ -152,21 +152,33 @@ fn bucket_of<K: Ord>(bounds: &[K], v: &K) -> Result<usize, f64> {
 
 impl ColumnStats {
     /// Gather statistics for column `column` of `heap` by a full pass
-    /// over the data (the reproduction's ANALYZE). What is sorted is the
-    /// column's 32-bit cell codes — days, offsets or ranks — and only the
-    /// few values the statistics keep become [`Value`]s.
+    /// over the data (the reproduction's ANALYZE). What is read is the
+    /// column's 32-bit cell codes — days, offsets or ranks — as
+    /// `(code, rows)` runs, and only the few values the statistics keep
+    /// become [`Value`]s. Codes within `COUNTED_SPAN_PER_ROW` slots per
+    /// row — keys, foreign keys, dates, ranks: every dictionary column's
+    /// codes are dense — are counted in one pass into a table over their
+    /// span, whose non-zero slots are the runs; any other column's are
+    /// sorted (`sort_unstable`) and its equal codes are the runs. Either
+    /// table is one `u32` per slot or per row, and the runs are walked
+    /// from it, not collected: a vector of runs would cost more heap
+    /// than the table it is read from.
     pub fn analyze(heap: &HeapTable, column: usize) -> Self {
         let Some(cells) = heap.column(column) else {
-            return Self::of_sorted::<u32>(&[], |_| Value::Int(0));
+            return Self::of_runs(std::iter::empty, |_| Value::Int(0));
         };
-        let mut codes = cells.cells().to_vec();
-        // Not the index build's `sorted_entries`, which makes the
-        // `(code, row id)` entries nothing here wants; bare codes of
-        // sorted key columns and of few-valued ones are a comparison
-        // sort's best cases (measured against the byte-wise radix sort
-        // of PR 15).
-        codes.sort_unstable();
-        let mut stats = Self::of_sorted(&codes, |&c| cells.value_of(c));
+        let value = |c| cells.value_of(c);
+        let mut stats = match counted(cells.cells()) {
+            Some((lo, hi, counts)) => Self::of_runs(
+                || (lo..=hi).zip(&counts).filter(|&(_, &rows)| rows > 0).map(|(c, &rows)| (c, rows.into())),
+                value,
+            ),
+            None => {
+                let mut sorted = cells.cells().to_vec();
+                sorted.sort_unstable();
+                Self::of_runs(|| sorted.chunk_by(u32::eq).map(|run| (run[0], run.len() as u64)), value)
+            }
+        };
         // The kept values back into the codes they were made from.
         stats.codes = (!cells.is_empty())
             .then(|| Codes::of(cells.value_type(), &stats.bounds, &stats.mcvs))
@@ -182,28 +194,36 @@ impl ColumnStats {
         ColumnStats { codes: None, ..self.clone() }
     }
 
-    /// The statistics of a column given its cells in `Value::cmp` order;
-    /// `value` turns a cell into the [`Value`] it stands for.
-    fn of_sorted<T: PartialEq>(sorted: &[T], value: impl Fn(&T) -> Value) -> Self {
-        let row_count = sorted.len() as u64;
-        let n_distinct = match sorted {
-            [] => 0,
-            _ => 1 + sorted.windows(2).filter(|w| w[0] != w[1]).count() as u64,
-        };
+    /// The statistics of a column given its distinct cells in
+    /// `Value::cmp` order, each with the number of rows holding it (every
+    /// call of `runs` walks them anew); `value` turns a cell into the
+    /// [`Value`] it stands for. Every number is the one the column's
+    /// sorted cells give: the bound at sorted position `p` is the run that
+    /// covers `p`, a run's frequency its rows over all rows.
+    fn of_runs<R: Iterator<Item = (u32, u64)>>(runs: impl Fn() -> R, value: impl Fn(u32) -> Value) -> Self {
+        let (n_distinct, row_count, last) =
+            runs().fold((0, 0, None), |(n, rows, _), (code, r)| (n + 1, rows + r, Some(code)));
         let mut bounds = Vec::with_capacity(HISTOGRAM_BUCKETS + 1);
-        if !sorted.is_empty() {
-            for b in 0..=HISTOGRAM_BUCKETS {
-                bounds.push(value(&sorted[(b * (sorted.len() - 1)) / HISTOGRAM_BUCKETS]));
+        if row_count > 0 {
+            // Positions ascend with the bucket: one walk over the runs.
+            let (mut runs, mut covered, mut cell) = (runs(), 0, 0);
+            for b in 0..=HISTOGRAM_BUCKETS as u64 {
+                let at = b * (row_count - 1) / HISTOGRAM_BUCKETS as u64;
+                while covered <= at {
+                    let Some((code, rows)) = runs.next() else { break };
+                    (cell, covered) = (code, covered + rows);
+                }
+                bounds.push(value(cell));
             }
         }
-        let mcvs = most_common(sorted, n_distinct, &value);
+        let mcvs = most_common(runs(), n_distinct, row_count, &value);
         let mcv_mass: f64 = mcvs.iter().map(|(_, f)| f).sum();
         let rest = (n_distinct as usize).saturating_sub(mcvs.len()).max(1);
         ColumnStats {
             row_count,
             n_distinct,
-            min: sorted.first().map(&value),
-            max: sorted.last().map(&value),
+            min: runs().next().map(|(code, _)| value(code)),
+            max: last.map(&value),
             bounds,
             mcvs,
             rest_eq: ((1.0 - mcv_mass) / rest as f64).max(0.0),
@@ -286,33 +306,52 @@ impl ColumnStats {
     }
 }
 
-/// Exact frequencies of the most common values in sorted data; keeps up
-/// to [`MAX_MCVS`] values that are at least 1.5× more frequent than the
-/// uniform expectation.
-fn most_common<T: PartialEq>(
-    sorted: &[T],
+/// A column whose cell codes span at most this many slots per row is
+/// counted in a table over the span; a wider one is sorted.
+const COUNTED_SPAN_PER_ROW: usize = 2;
+
+/// The least and greatest of `cells` and each code's count between them
+/// (slot `i` counts code `lo + i`), when they span at most
+/// `COUNTED_SPAN_PER_ROW` slots per cell; `None` for a wider or an empty
+/// column. A count is a `u32`: a heap holds at most 2³² rows, and a
+/// column of that many is sorted instead.
+fn counted(cells: &[u32]) -> Option<(u32, u32, Vec<u32>)> {
+    let (&first, rest) = cells.split_first()?;
+    let (lo, hi) = rest.iter().fold((first, first), |(lo, hi), &c| (c.min(lo), c.max(hi)));
+    let span = (hi - lo) as usize + 1;
+    if span > COUNTED_SPAN_PER_ROW.saturating_mul(cells.len()) || u32::try_from(cells.len()).is_err() {
+        return None;
+    }
+    let mut counts = vec![0u32; span];
+    for &c in cells {
+        counts[(c - lo) as usize] += 1;
+    }
+    Some((lo, hi, counts))
+}
+
+/// Exact frequencies of the most common values among a column's `runs`
+/// ([`ColumnStats::of_runs`]): `n_distinct` runs of `row_count` rows in
+/// all. Keeps up to [`MAX_MCVS`] values that are at least 1.5× more
+/// frequent than the uniform expectation.
+fn most_common(
+    runs: impl Iterator<Item = (u32, u64)>,
     n_distinct: u64,
-    value: impl Fn(&T) -> Value,
+    row_count: u64,
+    value: impl Fn(u32) -> Value,
 ) -> Vec<(Value, f64)> {
-    if sorted.is_empty() || n_distinct <= 1 {
+    if n_distinct <= 1 {
         return Vec::new();
     }
-    let n = sorted.len() as f64;
+    let n = row_count as f64;
     let threshold = 1.5 / n_distinct as f64;
-    let mut runs: Vec<(Value, f64)> = Vec::new();
-    let mut start = 0;
-    for i in 1..=sorted.len() {
-        if i == sorted.len() || sorted[i] != sorted[start] {
-            let freq = (i - start) as f64 / n;
-            if freq >= threshold {
-                runs.push((value(&sorted[start]), freq));
-            }
-            start = i;
-        }
-    }
-    runs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    runs.truncate(MAX_MCVS);
-    runs
+    let mut mcvs: Vec<(Value, f64)> = runs
+        .map(|(code, rows)| (code, rows as f64 / n))
+        .filter(|&(_, freq)| freq >= threshold)
+        .map(|(code, freq)| (value(code), freq))
+        .collect();
+    mcvs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    mcvs.truncate(MAX_MCVS);
+    mcvs
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! Randomized property tests for catalog statistics: histogram-based
 //! selectivity estimates must be calibrated against exact fractions
 //! computed from the data, and must obey basic axioms (bounds,
-//! monotonicity). Cases come from the in-repo seeded PRNG.
+//! monotonicity). `analyze` reads `(code, rows)` runs; a sort-based
+//! reference kept here must give the same statistics bit for bit. Cases
+//! come from the in-repo seeded PRNG.
 #![allow(clippy::unwrap_used, reason = "test helpers may unwrap and panic")]
 
 use colt_catalog::ColumnStats;
@@ -252,6 +254,115 @@ fn code_space_estimates_equal_value_space_bit_for_bit() {
                     assert_eq!(bits(s.selectivity_between(a, b)), bits(want), "{}", what(&format!("{a}..={b}")));
                 }
             }
+        }
+    }
+}
+
+/// The statistics as `ColumnStats::analyze` computed them from a sorted
+/// copy of the cells until it read runs, over the cells' `Value`s.
+struct Reference {
+    row_count: u64,
+    n_distinct: u64,
+    min: Option<Value>,
+    max: Option<Value>,
+    bounds: Vec<Value>,
+    mcvs: Vec<(Value, f64)>,
+    /// The equality estimate of a value in range that is no MCV.
+    rest_eq: f64,
+}
+
+impl Reference {
+    fn of(cells: &[Value]) -> Self {
+        let mut sorted = cells.to_vec();
+        sorted.sort();
+        let n_distinct = match sorted.as_slice() {
+            [] => 0,
+            _ => 1 + sorted.windows(2).filter(|w| w[0] != w[1]).count() as u64,
+        };
+        let bounds: Vec<Value> = match sorted.is_empty() {
+            true => Vec::new(),
+            false => (0..=32).map(|b| sorted[(b * (sorted.len() - 1)) / 32].clone()).collect(),
+        };
+        let mut mcvs: Vec<(Value, f64)> = Vec::new();
+        if n_distinct > 1 {
+            let n = sorted.len() as f64;
+            let mut start = 0;
+            for i in 1..=sorted.len() {
+                if i == sorted.len() || sorted[i] != sorted[start] {
+                    let freq = (i - start) as f64 / n;
+                    if freq >= 1.5 / n_distinct as f64 {
+                        mcvs.push((sorted[start].clone(), freq));
+                    }
+                    start = i;
+                }
+            }
+            mcvs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            mcvs.truncate(8);
+        }
+        let mass: f64 = mcvs.iter().map(|(_, f)| f).sum();
+        let rest = (n_distinct as usize).saturating_sub(mcvs.len()).max(1);
+        Reference {
+            row_count: sorted.len() as u64,
+            n_distinct,
+            min: sorted.first().cloned(),
+            max: sorted.last().cloned(),
+            bounds,
+            mcvs,
+            rest_eq: ((1.0 - mass) / rest as f64).max(0.0),
+        }
+    }
+}
+
+/// `analyze` counts a column whose cell codes span at most twice its
+/// rows and sorts any other; both must give what sorting the cells gives,
+/// bit for bit (`Value`'s float equality is `total_cmp`'s, bit for bit).
+/// Columns of every type, with `Int` and `Date` spans below, at and one
+/// above the counting bound, plus empty, single-valued and one-outlier
+/// columns (a single cell far below narrow others).
+#[test]
+fn run_based_analyze_equals_the_sorted_reference() {
+    let mut rng = Prng::new(0x57A7_0006);
+    let mut columns: Vec<(String, ValueType, Vec<Value>)> = Vec::new();
+    for len in [1usize, 2, 3, 17, 500] {
+        for span in [len.div_ceil(2), 2 * len - 1, 2 * len, 2 * len + 1, 40 * len] {
+            // Both ends of the span present, the rest drawn inside it.
+            let mut offsets: Vec<i64> = (0..len).map(|_| rng.int_range(0, span as i64 - 1)).collect();
+            offsets[0] = 0;
+            offsets[len - 1] = span as i64 - 1;
+            rng.shuffle(&mut offsets);
+            let ints = offsets.iter().map(|&o| Value::Int(o - 7)).collect();
+            columns.push((format!("Int, {len} rows, span {span}"), ValueType::Int, ints));
+            let dates = offsets.iter().map(|&o| Value::Date(o as i32 + 9_000)).collect();
+            columns.push((format!("Date, {len} rows, span {span}"), ValueType::Date, dates));
+        }
+        let outlier = (0..len).map(|i| Value::Int(if i == len / 2 { i64::MIN } else { 60 + i as i64 % 9 }));
+        columns.push((format!("Int, {len} rows, one outlier"), ValueType::Int, outlier.collect()));
+        let floats = (0..len).map(|_| Value::Float([-0.0, 0.0, 2.5, f64::NAN, -7.25][rng.below(5)]));
+        columns.push((format!("Float, {len} rows"), ValueType::Float, floats.collect()));
+        let strs = (0..len).map(|_| Value::Str(format!("k{}", rng.below(len))));
+        columns.push((format!("Str, {len} rows"), ValueType::Str, strs.collect()));
+        columns.push((format!("Int, {len} equal rows"), ValueType::Int, vec![Value::Int(-3); len]));
+        let wide = (0..len).map(|i| Value::Int([i64::MIN, i64::MAX, 0][i % 3]));
+        columns.push((format!("wide Int, {len} rows"), ValueType::Int, wide.collect()));
+    }
+    columns.push(("empty Int".into(), ValueType::Int, Vec::new()));
+    columns.push(("empty Str".into(), ValueType::Str, Vec::new()));
+
+    let bits = |x: f64| x.to_bits();
+    for (what, vtype, cells) in &columns {
+        let mut heap = HeapTable::new(&[*vtype]);
+        heap.insert_rows(cells.iter().map(|c| row_from(vec![c.clone()]))).unwrap();
+        let stats = ColumnStats::analyze(&heap, 0);
+        let want = Reference::of(cells);
+        assert_eq!((stats.row_count, stats.n_distinct), (want.row_count, want.n_distinct), "{what}");
+        assert_eq!((&stats.min, &stats.max), (&want.min, &want.max), "{what}");
+        assert_eq!(stats.bounds, want.bounds, "{what}");
+        let mcv_bits = |mcvs: &[(Value, f64)]| mcvs.iter().map(|(v, f)| (v.clone(), bits(*f))).collect::<Vec<_>>();
+        assert_eq!(mcv_bits(&stats.mcvs), mcv_bits(&want.mcvs), "{what}");
+        // Every cell's equality estimate: its MCV frequency, or the rest.
+        for cell in cells {
+            let eq = want.mcvs.iter().find(|(m, _)| m == cell).map_or(want.rest_eq, |(_, f)| *f);
+            assert_eq!(bits(stats.selectivity_eq(cell)), bits(eq), "{what}: = {cell}");
         }
     }
 }

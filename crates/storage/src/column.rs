@@ -7,7 +7,9 @@
 //! `u32` offset from the column's least value when the column spans less
 //! than 2³², else — and for every `Float` and `Str` — a `u32` rank in a
 //! sorted dictionary of the column's values. The data picks the layout,
-//! per batch of rows (`Column::append`). An index keys, and a predicate
+//! per [`Batch`] — one column's cells in their own types, a string
+//! column's as a dictionary plus one id per row — through the one
+//! encoding path, `Column::append`. An index keys, and a predicate
 //! resolves to, the *key code* `2c + 1` of cell code `c` ([`literal_code`]).
 
 use crate::row::RowId;
@@ -269,26 +271,34 @@ pub(crate) struct Ranked<T> {
 }
 
 impl<T> Ranked<T> {
-    /// Append a batch's values as ranks. Values the dictionary holds take
-    /// their ranks; when the batch brings new ones, the dictionary's and
-    /// the batch's values are sorted together (`sort`: each with its
-    /// place, in `order`) into the new dictionary, and every stored row's
-    /// rank is rewritten — one sort and one pass over the rows per batch,
-    /// however many new values it brings.
+    /// Append a batch as ranks: row `i` holds `values[ids[i]]`, or
+    /// `values[i]` without `ids`. Values the dictionary holds take their
+    /// ranks; when the batch brings new ones, the dictionary's and the
+    /// batch's values are sorted together (`sort`: each with its place,
+    /// in `order`) into the new dictionary, every stored row's rank is
+    /// rewritten, and row `i` takes `rank[stored + ids[i]]` — one sort
+    /// and one pass over the rows per batch, however many new values it
+    /// brings.
     fn append(
         &mut self,
-        batch: Vec<T>,
+        values: Vec<T>,
+        ids: Option<&[u32]>,
         order: impl Fn(&T, &T) -> Ordering,
         sort: impl FnOnce(Vec<T>) -> Vec<(T, u32)>,
     ) {
         let Ranked { dict, ranks } = self;
+        // Each row's rank, given each batch value's.
+        let extend = |ranks: &mut Vec<u32>, rank: &[u32]| match ids {
+            Some(ids) => ranks.extend(ids.iter().map(|&id| rank[id as usize])),
+            None => ranks.extend_from_slice(rank),
+        };
         let rank = |x: &T| dict.binary_search_by(|d| order(d, x)).ok().map(|r| r as u32);
-        if let Some(known) = batch.iter().map(rank).collect::<Option<Vec<u32>>>() {
-            return ranks.extend(known);
+        if let Some(known) = values.iter().map(rank).collect::<Option<Vec<u32>>>() {
+            return extend(ranks, &known);
         }
         // A value's place: its old rank, or past the dictionary, the batch's.
         let stored = dict.len();
-        let values: Vec<T> = std::mem::take(dict).into_iter().chain(batch).collect();
+        let values: Vec<T> = std::mem::take(dict).into_iter().chain(values).collect();
         let mut rank = vec![0; values.len()];
         // Sized once, then trimmed to the distinct values: doubling read
         // 3–4 % more peak RSS (DESIGN.md, "Offsets and ranks").
@@ -302,7 +312,7 @@ impl<T> Ranked<T> {
         }
         dict.shrink_to_fit();
         ranks.iter_mut().for_each(|r| *r = rank[*r as usize]);
-        ranks.extend(&rank[stored..]);
+        extend(ranks, &rank[stored..]);
     }
 }
 
@@ -312,22 +322,76 @@ fn by_code<T: KeyCode<Code = u64>>(xs: Vec<T>) -> Vec<(T, u32)> {
     codes.into_iter().map(|(code, at)| (T::from_code(code), at)).collect()
 }
 
-/// One batch's cells in their values' own types, for [`Column::append`].
-#[derive(Debug)]
-pub(crate) enum Batch {
+/// One column's cells in their values' own types: what
+/// [`crate::HeapTable::insert_columns`] appends, one batch per column,
+/// and what [`crate::HeapTable::insert_rows`] transposes its rows into.
+/// A string batch is a dictionary batch: its strings, in any order and
+/// repeats allowed, each named by some row, and for each row the index
+/// of its string among them (rows pushed one by one each bring their
+/// own string, `ids` `0..n`).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Batch {
+    /// [`ValueType::Int`] cells.
     Int(Vec<i64>),
+    /// [`ValueType::Float`] cells.
     Float(Vec<f64>),
-    Str(Vec<String>),
+    /// [`ValueType::Str`] cells: row `i` holds `strings[ids[i]]`.
+    Str {
+        /// The batch's strings.
+        strings: Vec<String>,
+        /// Each row's index into `strings`.
+        ids: Vec<u32>,
+    },
+    /// [`ValueType::Date`] cells.
     Date(Vec<i32>),
 }
 
 impl Batch {
-    /// Append a value of the batch's type; any other is handed back.
+    /// An empty batch of `vtype`, with room for `rows` cells.
+    pub fn new(vtype: ValueType, rows: usize) -> Self {
+        match vtype {
+            ValueType::Int => Batch::Int(Vec::with_capacity(rows)),
+            ValueType::Float => Batch::Float(Vec::with_capacity(rows)),
+            ValueType::Str => Batch::Str { strings: Vec::with_capacity(rows), ids: Vec::with_capacity(rows) },
+            ValueType::Date => Batch::Date(Vec::with_capacity(rows)),
+        }
+    }
+
+    /// The type of the batch's cells.
+    pub fn value_type(&self) -> ValueType {
+        match self {
+            Batch::Int(_) => ValueType::Int,
+            Batch::Float(_) => ValueType::Float,
+            Batch::Str { .. } => ValueType::Str,
+            Batch::Date(_) => ValueType::Date,
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            Batch::Int(xs) => xs.len(),
+            Batch::Float(xs) => xs.len(),
+            Batch::Str { ids, .. } => ids.len(),
+            Batch::Date(xs) => xs.len(),
+        }
+    }
+
+    /// True when the batch has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Append a row's value of the batch's type (a string as a string of
+    /// its own); any other is handed back.
     pub(crate) fn push(&mut self, value: Value) -> Result<(), Value> {
         match (self, value) {
             (Batch::Int(c), Value::Int(x)) => c.push(x),
             (Batch::Float(c), Value::Float(x)) => c.push(x),
-            (Batch::Str(c), Value::Str(x)) => c.push(x),
+            (Batch::Str { strings, ids }, Value::Str(x)) => {
+                ids.push(strings.len() as u32);
+                strings.push(x);
+            }
             (Batch::Date(c), Value::Date(x)) => c.push(x),
             (_, other) => return Err(other),
         }
@@ -345,19 +409,9 @@ impl Column {
         }
     }
 
-    /// An empty batch of the column's type, with room for `rows` cells.
-    pub(crate) fn batch(&self, rows: usize) -> Batch {
-        match self.as_slice().value_type() {
-            ValueType::Int => Batch::Int(Vec::with_capacity(rows)),
-            ValueType::Float => Batch::Float(Vec::with_capacity(rows)),
-            ValueType::Str => Batch::Str(Vec::with_capacity(rows)),
-            ValueType::Date => Batch::Date(Vec::with_capacity(rows)),
-        }
-    }
-
-    /// End a batch: encode its cells after the stored ones. An offset
-    /// column whose values come to span 2³² or more is ranked from here
-    /// on; a batch of another type than the column's changes nothing.
+    /// Encode a batch's cells after the stored ones. An offset column
+    /// whose values come to span 2³² or more is ranked from here on; a
+    /// batch of another type than the column's changes nothing.
     pub(crate) fn append(&mut self, batch: Batch) {
         let by_str = |strs: Vec<String>| {
             let mut placed: Vec<(String, u32)> = strs.into_iter().zip(0..).collect();
@@ -366,15 +420,17 @@ impl Column {
         };
         let wide = match (&mut *self, batch) {
             (Column::Int { base, offsets }, Batch::Int(xs)) => append_offsets(base, offsets, xs),
-            (Column::RankedInt(r), Batch::Int(xs)) => return r.append(xs, i64::cmp, by_code),
-            (Column::Float(r), Batch::Float(xs)) => return r.append(xs, f64::total_cmp, by_code),
-            (Column::Str(r), Batch::Str(xs)) => return r.append(xs, String::cmp, by_str),
+            (Column::RankedInt(r), Batch::Int(xs)) => return r.append(xs, None, i64::cmp, by_code),
+            (Column::Float(r), Batch::Float(xs)) => return r.append(xs, None, f64::total_cmp, by_code),
+            (Column::Str(r), Batch::Str { strings, ids }) => {
+                return r.append(strings, Some(&ids), String::cmp, by_str)
+            }
             (Column::Date(days), Batch::Date(xs)) => return days.extend(xs.into_iter().map(i32::code)),
             _ => return,
         };
         if let Some(values) = wide {
             let mut ranked = Ranked::default();
-            ranked.append(values, i64::cmp, by_code);
+            ranked.append(values, None, i64::cmp, by_code);
             *self = Column::RankedInt(ranked);
         }
     }
@@ -658,7 +714,7 @@ mod tests {
     /// A column of `values` (one type), appended as one batch.
     fn column_of(vtype: ValueType, values: &[Value]) -> Column {
         let mut column = Column::new(vtype);
-        let mut batch = column.batch(values.len());
+        let mut batch = Batch::new(vtype, values.len());
         values.iter().for_each(|v| batch.push(v.clone()).unwrap());
         column.append(batch);
         column
@@ -667,7 +723,7 @@ mod tests {
     #[test]
     fn push_rejects_other_variants() {
         let mut c = Column::new(ValueType::Date);
-        let mut batch = c.batch(1);
+        let mut batch = Batch::new(ValueType::Date, 1);
         assert!(batch.push(Value::Date(3)).is_ok());
         assert_eq!(batch.push(Value::Int(3)), Err(Value::Int(3)));
         c.append(batch);
@@ -683,12 +739,12 @@ mod tests {
         let mut c = column_of(ValueType::Int, &ints(&[7, 5, 9]));
         assert!(matches!(c.as_slice(), ColumnSlice::Int { base: 5, offsets: [2, 0, 4] }));
         // A value below the base moves it, and every stored offset.
-        let mut batch = c.batch(1);
+        let mut batch = Batch::new(ValueType::Int, 1);
         batch.push(Value::Int(-1)).unwrap();
         c.append(batch);
         assert!(matches!(c.as_slice(), ColumnSlice::Int { base: -1, offsets: [8, 6, 10, 0] }));
         // A span of 2^32 ranks the column, stored rows and all.
-        let mut batch = c.batch(1);
+        let mut batch = Batch::new(ValueType::Int, 1);
         batch.push(Value::Int((1 << 32) - 1)).unwrap();
         c.append(batch);
         let ColumnSlice::RankedInt { dict, ranks } = c.as_slice() else { panic!("ranked") };

@@ -10,24 +10,25 @@
 //! rows ([`HeapTable::scan`], [`HeapTable::peek`]) get them materialized
 //! from the columns.
 
-use crate::column::{Column, ColumnSlice};
+use crate::column::{Batch, Column, ColumnSlice};
 use crate::page::{pages_for, tuples_per_page, IoStats};
 use crate::row::{Row, RowId};
 use crate::value::ValueType;
 use std::fmt;
 use std::ops::Range;
 
-/// Why a row cannot be stored in a heap.
+/// Why a row, or a batch of column batches, cannot be stored in a heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowError {
-    /// The row has more or fewer values than the table has columns.
+    /// The row has more or fewer values — or the batches more or fewer
+    /// batches — than the table has columns.
     Arity {
         /// Columns in the table.
         expected: usize,
-        /// Values in the row.
+        /// Values in the row, or batches.
         got: usize,
     },
-    /// A value's type is not its column's.
+    /// A value's type, or a batch's, is not its column's.
     Type {
         /// Zero-based column position.
         column: usize,
@@ -35,6 +36,23 @@ pub enum RowError {
         expected: ValueType,
         /// The value's type.
         got: ValueType,
+    },
+    /// A column's batch holds another number of rows than the first
+    /// column's.
+    Length {
+        /// Zero-based column position.
+        column: usize,
+        /// Rows in the first column's batch.
+        expected: usize,
+        /// Rows in this one.
+        got: usize,
+    },
+    /// A string batch's rows and strings disagree: a row names a string
+    /// past the batch's strings, or no row names one of them (it would
+    /// enter the column's dictionary as a value no cell holds).
+    Dictionary {
+        /// Zero-based column position.
+        column: usize,
     },
     /// Row ids are 32-bit; the heap already holds `u32::MAX` rows.
     Full,
@@ -48,6 +66,12 @@ impl fmt::Display for RowError {
             }
             RowError::Type { column, expected, got } => {
                 write!(f, "column {column} stores {expected}, the row holds {got}")
+            }
+            RowError::Length { column, expected, got } => {
+                write!(f, "column {column}'s batch has {got} rows, the first column's {expected}")
+            }
+            RowError::Dictionary { column } => {
+                write!(f, "column {column}'s batch names a string it lacks, or lacks a row for one")
             }
             RowError::Full => write!(f, "heap table exceeds u32 rows"),
         }
@@ -87,12 +111,15 @@ impl HeapTable {
 
     /// Append rows in order, stopping at the first whose arity or value
     /// types disagree with the columns: the rows before it stay, nothing
-    /// of it does. Each column encodes the batch's cells when it ends
-    /// (`Column::append`): one pass over the rows per batch, however many
-    /// new values it brings.
+    /// of it does. The rows are transposed into one [`Batch`] per column
+    /// and appended as [`HeapTable::insert_columns`] appends: one pass
+    /// over the rows per batch, however many new values it brings.
     pub fn insert_rows(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<(), RowError> {
         let mut rows = rows.into_iter();
-        let mut batches: Vec<_> = self.columns.iter().map(|c| c.batch(rows.size_hint().0)).collect();
+        let room = rows.size_hint().0;
+        let mut batches: Vec<_> =
+            self.columns.iter().map(|c| Batch::new(c.as_slice().value_type(), room)).collect();
+        let mut taken = 0;
         let stored = rows.try_for_each(|row| {
             if row.len() != self.columns.len() {
                 return Err(RowError::Arity { expected: self.columns.len(), got: row.len() });
@@ -103,18 +130,62 @@ impl HeapTable {
                     return Err(RowError::Type { column, expected, got });
                 }
             }
-            u32::try_from(self.len).map_err(|_| RowError::Full)?;
+            u32::try_from(self.len + taken).map_err(|_| RowError::Full)?;
             for (batch, v) in batches.iter_mut().zip(row.into_vec()) {
                 // Cannot fail: every type was checked above.
                 drop(batch.push(v));
             }
-            self.len += 1;
+            taken += 1;
             Ok(())
         });
+        self.append(batches, taken);
+        stored
+    }
+
+    /// Append one batch per column, every batch as long as the first:
+    /// the columnar way in, with no [`Row`] or [`crate::Value`] per cell.
+    /// A batch set of the wrong count, type or length, a string batch
+    /// whose rows and strings disagree ([`RowError::Dictionary`]), or one
+    /// that would take the heap past 2³² rows is refused whole: nothing
+    /// is appended.
+    pub fn insert_columns(&mut self, batches: Vec<Batch>) -> Result<(), RowError> {
+        if batches.len() != self.columns.len() {
+            return Err(RowError::Arity { expected: self.columns.len(), got: batches.len() });
+        }
+        let rows = batches.first().map_or(0, Batch::len);
+        for (column, (c, batch)) in self.columns.iter().zip(&batches).enumerate() {
+            let (expected, got) = (c.as_slice().value_type(), batch.value_type());
+            if expected != got {
+                return Err(RowError::Type { column, expected, got });
+            }
+            if batch.len() != rows {
+                return Err(RowError::Length { column, expected: rows, got: batch.len() });
+            }
+            if let Batch::Str { strings, ids } = batch {
+                let mut named = vec![false; strings.len()];
+                for &id in ids {
+                    *named.get_mut(id as usize).ok_or(RowError::Dictionary { column })? = true;
+                }
+                if named.contains(&false) {
+                    return Err(RowError::Dictionary { column });
+                }
+            }
+        }
+        // The last row's id must be a `u32`.
+        if rows > 0 {
+            u32::try_from(self.len + rows - 1).map_err(|_| RowError::Full)?;
+        }
+        self.append(batches, rows);
+        Ok(())
+    }
+
+    /// Encode `rows` rows' batches, one per column, after the stored rows
+    /// (`Column::append`): the one encoding path of both ways in.
+    fn append(&mut self, batches: Vec<Batch>, rows: usize) {
         for (c, batch) in self.columns.iter_mut().zip(batches) {
             c.append(batch);
         }
-        stored
+        self.len += rows;
     }
 
     /// Number of rows.
@@ -284,6 +355,59 @@ mod tests {
         assert_eq!(h.row_count(), 0);
         assert!(h.column(0).unwrap().is_empty());
         assert_eq!(h.insert(row_from(vec![Value::Int(1), Value::Str("x".into())])), Ok(RowId(0)));
+    }
+
+    #[test]
+    fn bad_column_batches_are_refused_whole() {
+        let types = [ValueType::Int, ValueType::Str, ValueType::Date];
+        let mut h = HeapTable::new(&types);
+        h.insert(row_from(vec![Value::Int(9), Value::Str("m".into()), Value::Date(9)])).unwrap();
+        let strs = |strings: &[&str], ids: &[u32]| Batch::Str {
+            strings: strings.iter().map(|s| s.to_string()).collect(),
+            ids: ids.to_vec(),
+        };
+        let good = || vec![Batch::Int(vec![1, 2]), strs(&["b", "a"], &[1, 0]), Batch::Date(vec![3, 4])];
+        let refused = [
+            (good()[..2].to_vec(), RowError::Arity { expected: 3, got: 2 }),
+            (
+                vec![Batch::Int(vec![1, 2]), strs(&["b", "a"], &[1, 0]), Batch::Date(vec![3])],
+                RowError::Length { column: 2, expected: 2, got: 1 },
+            ),
+            (
+                vec![Batch::Int(vec![1, 2]), strs(&["b", "a"], &[1, 0, 0]), Batch::Date(vec![3, 4])],
+                RowError::Length { column: 1, expected: 2, got: 3 },
+            ),
+            (
+                vec![Batch::Int(vec![1, 2]), Batch::Int(vec![5, 6]), Batch::Date(vec![3, 4])],
+                RowError::Type { column: 1, expected: ValueType::Str, got: ValueType::Int },
+            ),
+            (
+                vec![Batch::Int(vec![1, 2]), strs(&["b", "a"], &[1, 2]), Batch::Date(vec![3, 4])],
+                RowError::Dictionary { column: 1 },
+            ),
+            (
+                vec![Batch::Int(vec![1, 2]), strs(&["b", "a", "z"], &[1, 0]), Batch::Date(vec![3, 4])],
+                RowError::Dictionary { column: 1 },
+            ),
+        ];
+        for (batches, error) in refused {
+            assert_eq!(h.insert_columns(batches), Err(error));
+            assert!(!error.to_string().is_empty());
+            // Nothing of a refused batch set stays, in any column.
+            assert_eq!(h.row_count(), 1);
+            assert!((0..3).all(|c| h.column(c).unwrap().len() == 1), "{error:?}");
+        }
+        // The good set lands as the same rows inserted one by one.
+        h.insert_columns(good()).unwrap();
+        let mut by_rows = HeapTable::new(&types);
+        by_rows.insert(row_from(vec![Value::Int(9), Value::Str("m".into()), Value::Date(9)])).unwrap();
+        by_rows.insert(row_from(vec![Value::Int(1), Value::Str("a".into()), Value::Date(3)])).unwrap();
+        by_rows.insert(row_from(vec![Value::Int(2), Value::Str("b".into()), Value::Date(4)])).unwrap();
+        assert_eq!(format!("{h:?}"), format!("{by_rows:?}"));
+        // An empty set of empty batches appends nothing and is no error.
+        let empty = types.iter().map(|&t| Batch::new(t, 0)).collect();
+        assert_eq!(h.insert_columns(empty), Ok(()));
+        assert_eq!(h.row_count(), 3);
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! and batches refused part-way — the column must, after every step,
 //! hold ranks that order as `str::cmp` orders their strings, read back
 //! the strings inserted, resolve every literal to the key code
-//! `Value::cmp` puts it at, and keep the rows before a refused one.
+//! `Value::cmp` puts it at, and keep the rows before a refused one. A
+//! dictionary batch (`insert_columns`: strings plus one id per row) must
+//! leave the column exactly as its rows' strings inserted one by one.
 //! Cases come from the in-repo seeded PRNG.
 #![allow(clippy::panic, reason = "test helpers may unwrap and panic")]
 
 use colt_storage::{
-    literal_code, row_from, ColumnSlice, HeapTable, KeyCode, Prng, Row, RowError, RowId, Value,
-    ValueType,
+    literal_code, row_from, Batch, ColumnSlice, HeapTable, KeyCode, Prng, Row, RowError, RowId,
+    Value, ValueType,
 };
 use std::cmp::Ordering;
 
@@ -180,4 +182,55 @@ fn a_cell_resolves_against_another_column_as_its_value_does() {
         Err(Ordering::Less),
         "an Int sorts below every string"
     );
+}
+
+#[test]
+fn a_dictionary_batch_equals_its_strings_appended_row_by_row() {
+    let mut rng = Prng::new(0xD1C7);
+    let (mut all_known, mut some_known, mut empty) = (0, 0, 0);
+    for case in 0..24 {
+        let mut by_batch = HeapTable::new(&[ValueType::Str]);
+        let mut by_rows = HeapTable::new(&[ValueType::Str]);
+        let mut stored: Vec<String> = Vec::new();
+        // Step 0 meets an empty column, the rest a column with rows.
+        for step in 0..8 {
+            // The batch's strings, repeats allowed: new ones, and ones the
+            // column holds (only those, a third of the time).
+            let only_stored = !stored.is_empty() && rng.chance(0.33);
+            let len = if rng.chance(0.1) { 0 } else { 1 + rng.below(12) };
+            let strings: Vec<String> = (0..len)
+                .map(|_| match only_stored || (!stored.is_empty() && rng.chance(0.4)) {
+                    true => stored[rng.below(stored.len())].clone(),
+                    false => string(&mut rng),
+                })
+                .collect();
+            // Every string named once, then more rows naming any of them.
+            let mut ids: Vec<u32> = (0..len as u32).collect();
+            if len > 0 {
+                ids.extend((0..rng.below(30)).map(|_| rng.below(len) as u32));
+            }
+            rng.shuffle(&mut ids);
+            let known = strings.iter().filter(|s| stored.contains(s)).count();
+            all_known += usize::from(len > 0 && known == len);
+            some_known += usize::from(known > 0 && known < len);
+            empty += usize::from(len == 0);
+
+            let rows: Vec<Row> =
+                ids.iter().map(|&id| row_from(vec![Value::Str(strings[id as usize].clone())])).collect();
+            stored.extend(ids.iter().map(|&id| strings[id as usize].clone()));
+            by_rows.insert_rows(rows).unwrap();
+            by_batch.insert_columns(vec![Batch::Str { strings, ids }]).unwrap();
+
+            let what = format!("case {case}, step {step}");
+            let (Some(ColumnSlice::Str { dict, ranks }), Some(ColumnSlice::Str { dict: want, ranks: want_ranks })) =
+                (by_batch.column(0), by_rows.column(0))
+            else {
+                panic!("{what}: string columns")
+            };
+            assert_eq!(dict, want, "{what}: dictionary");
+            assert_eq!(ranks, want_ranks, "{what}: ranks");
+            check_column(by_batch.column(0).unwrap(), &stored, &[Value::Int(1)], &what);
+        }
+    }
+    assert!(all_known > 20 && some_known > 40 && empty > 5, "{all_known} / {some_known} / {empty}");
 }

@@ -15,9 +15,8 @@
 //! that drive index-selection behaviour while letting experiments run in
 //! seconds. The default experiment scale is 1/40.
 
-use crate::gen::ColumnGen;
+use crate::gen::{draw_columns, ColumnGen};
 use colt_catalog::{ColRef, Column, Database, TableId, TableSchema};
-use colt_storage::{row_from, ValueType};
 use colt_storage::Prng;
 
 /// The paper's experiment scale relative to Table 1 (1/40).
@@ -31,7 +30,8 @@ const DATE_HI: i32 = 2555; // ~7 years
 struct TableDef {
     name: &'static str,
     base_rows: u64,
-    columns: Vec<(&'static str, ValueType, ColumnGen)>,
+    /// Each column's name and generator, which also gives its type.
+    columns: Vec<(&'static str, ColumnGen)>,
 }
 
 /// Row counts of one instance at scale 1.0, chosen to reproduce the
@@ -48,115 +48,114 @@ fn table_defs(scale: f64) -> Vec<TableDef> {
     let lineitem = n(1_200_000, 6_000);
 
     use ColumnGen as G;
-    use ValueType as V;
     vec![
         TableDef {
             name: "region",
             base_rows: region,
             columns: vec![
-                ("r_regionkey", V::Int, G::Key),
-                ("r_name", V::Str, G::StrPool { pool: 5 }),
-                ("r_comment", V::Str, G::StrPool { pool: 5 }),
+                ("r_regionkey", G::Key),
+                ("r_name", G::StrPool { pool: 5 }),
+                ("r_comment", G::StrPool { pool: 5 }),
             ],
         },
         TableDef {
             name: "nation",
             base_rows: nation,
             columns: vec![
-                ("n_nationkey", V::Int, G::Key),
-                ("n_name", V::Str, G::StrPool { pool: 25 }),
-                ("n_regionkey", V::Int, G::ForeignKey { target_rows: region }),
-                ("n_comment", V::Str, G::StrPool { pool: 25 }),
+                ("n_nationkey", G::Key),
+                ("n_name", G::StrPool { pool: 25 }),
+                ("n_regionkey", G::ForeignKey { target_rows: region }),
+                ("n_comment", G::StrPool { pool: 25 }),
             ],
         },
         TableDef {
             name: "supplier",
             base_rows: supplier,
             columns: vec![
-                ("s_suppkey", V::Int, G::Key),
-                ("s_name", V::Str, G::StrPool { pool: 1000 }),
-                ("s_address", V::Str, G::StrPool { pool: 1000 }),
-                ("s_nationkey", V::Int, G::ForeignKey { target_rows: nation }),
-                ("s_phone", V::Str, G::StrPool { pool: 1000 }),
-                ("s_acctbal", V::Float, G::FloatUniform { lo: -999.99, hi: 9999.99 }),
-                ("s_comment", V::Str, G::StrPool { pool: 1000 }),
+                ("s_suppkey", G::Key),
+                ("s_name", G::StrPool { pool: 1000 }),
+                ("s_address", G::StrPool { pool: 1000 }),
+                ("s_nationkey", G::ForeignKey { target_rows: nation }),
+                ("s_phone", G::StrPool { pool: 1000 }),
+                ("s_acctbal", G::FloatUniform { lo: -999.99, hi: 9999.99 }),
+                ("s_comment", G::StrPool { pool: 1000 }),
             ],
         },
         TableDef {
             name: "customer",
             base_rows: customer,
             columns: vec![
-                ("c_custkey", V::Int, G::Key),
-                ("c_name", V::Str, G::StrPool { pool: 10_000 }),
-                ("c_address", V::Str, G::StrPool { pool: 10_000 }),
-                ("c_nationkey", V::Int, G::ForeignKey { target_rows: nation }),
-                ("c_phone", V::Str, G::StrPool { pool: 10_000 }),
-                ("c_acctbal", V::Float, G::FloatUniform { lo: -999.99, hi: 9999.99 }),
-                ("c_mktsegment", V::Int, G::Choice { choices: 5 }),
-                ("c_comment", V::Str, G::StrPool { pool: 10_000 }),
+                ("c_custkey", G::Key),
+                ("c_name", G::StrPool { pool: 10_000 }),
+                ("c_address", G::StrPool { pool: 10_000 }),
+                ("c_nationkey", G::ForeignKey { target_rows: nation }),
+                ("c_phone", G::StrPool { pool: 10_000 }),
+                ("c_acctbal", G::FloatUniform { lo: -999.99, hi: 9999.99 }),
+                ("c_mktsegment", G::Choice { choices: 5 }),
+                ("c_comment", G::StrPool { pool: 10_000 }),
             ],
         },
         TableDef {
             name: "part",
             base_rows: part,
             columns: vec![
-                ("p_partkey", V::Int, G::Key),
-                ("p_name", V::Str, G::StrPool { pool: 20_000 }),
-                ("p_mfgr", V::Int, G::Choice { choices: 5 }),
-                ("p_brand", V::Int, G::Choice { choices: 25 }),
-                ("p_type", V::Int, G::Choice { choices: 150 }),
-                ("p_size", V::Int, G::IntUniform { lo: 1, hi: 50 }),
-                ("p_container", V::Int, G::Choice { choices: 40 }),
-                ("p_retailprice", V::Float, G::FloatUniform { lo: 900.0, hi: 2100.0 }),
-                ("p_comment", V::Str, G::StrPool { pool: 20_000 }),
+                ("p_partkey", G::Key),
+                ("p_name", G::StrPool { pool: 20_000 }),
+                ("p_mfgr", G::Choice { choices: 5 }),
+                ("p_brand", G::Choice { choices: 25 }),
+                ("p_type", G::Choice { choices: 150 }),
+                ("p_size", G::IntUniform { lo: 1, hi: 50 }),
+                ("p_container", G::Choice { choices: 40 }),
+                ("p_retailprice", G::FloatUniform { lo: 900.0, hi: 2100.0 }),
+                ("p_comment", G::StrPool { pool: 20_000 }),
             ],
         },
         TableDef {
             name: "partsupp",
             base_rows: partsupp,
             columns: vec![
-                ("ps_partkey", V::Int, G::ForeignKey { target_rows: part }),
-                ("ps_suppkey", V::Int, G::ForeignKey { target_rows: supplier }),
-                ("ps_availqty", V::Int, G::IntUniform { lo: 1, hi: 9999 }),
-                ("ps_supplycost", V::Float, G::FloatUniform { lo: 1.0, hi: 1000.0 }),
-                ("ps_comment", V::Str, G::StrPool { pool: 20_000 }),
+                ("ps_partkey", G::ForeignKey { target_rows: part }),
+                ("ps_suppkey", G::ForeignKey { target_rows: supplier }),
+                ("ps_availqty", G::IntUniform { lo: 1, hi: 9999 }),
+                ("ps_supplycost", G::FloatUniform { lo: 1.0, hi: 1000.0 }),
+                ("ps_comment", G::StrPool { pool: 20_000 }),
             ],
         },
         TableDef {
             name: "orders",
             base_rows: orders,
             columns: vec![
-                ("o_orderkey", V::Int, G::Key),
-                ("o_custkey", V::Int, G::ForeignKey { target_rows: customer }),
-                ("o_orderstatus", V::Int, G::Choice { choices: 3 }),
-                ("o_totalprice", V::Float, G::FloatUniform { lo: 800.0, hi: 500_000.0 }),
-                ("o_orderdate", V::Date, G::DateUniform { lo: DATE_LO, hi: DATE_HI }),
-                ("o_orderpriority", V::Int, G::Choice { choices: 5 }),
-                ("o_clerk", V::Int, G::Choice { choices: 1000 }),
-                ("o_shippriority", V::Int, G::Choice { choices: 2 }),
-                ("o_comment", V::Str, G::StrPool { pool: 50_000 }),
+                ("o_orderkey", G::Key),
+                ("o_custkey", G::ForeignKey { target_rows: customer }),
+                ("o_orderstatus", G::Choice { choices: 3 }),
+                ("o_totalprice", G::FloatUniform { lo: 800.0, hi: 500_000.0 }),
+                ("o_orderdate", G::DateUniform { lo: DATE_LO, hi: DATE_HI }),
+                ("o_orderpriority", G::Choice { choices: 5 }),
+                ("o_clerk", G::Choice { choices: 1000 }),
+                ("o_shippriority", G::Choice { choices: 2 }),
+                ("o_comment", G::StrPool { pool: 50_000 }),
             ],
         },
         TableDef {
             name: "lineitem",
             base_rows: lineitem,
             columns: vec![
-                ("l_orderkey", V::Int, G::ForeignKey { target_rows: orders }),
-                ("l_partkey", V::Int, G::ForeignKey { target_rows: part }),
-                ("l_suppkey", V::Int, G::ForeignKey { target_rows: supplier }),
-                ("l_linenumber", V::Int, G::IntUniform { lo: 1, hi: 7 }),
-                ("l_quantity", V::Int, G::IntUniform { lo: 1, hi: 50 }),
-                ("l_extendedprice", V::Float, G::FloatUniform { lo: 900.0, hi: 105_000.0 }),
-                ("l_discount", V::Float, G::FloatUniform { lo: 0.0, hi: 0.11 }),
-                ("l_tax", V::Float, G::FloatUniform { lo: 0.0, hi: 0.09 }),
-                ("l_returnflag", V::Int, G::Choice { choices: 3 }),
-                ("l_linestatus", V::Int, G::Choice { choices: 2 }),
-                ("l_shipdate", V::Date, G::DateUniform { lo: DATE_LO, hi: DATE_HI }),
-                ("l_commitdate", V::Date, G::DateUniform { lo: DATE_LO, hi: DATE_HI }),
-                ("l_receiptdate", V::Date, G::DateUniform { lo: DATE_LO, hi: DATE_HI }),
-                ("l_shipinstruct", V::Int, G::Choice { choices: 4 }),
-                ("l_shipmode", V::Int, G::Choice { choices: 7 }),
-                ("l_comment", V::Str, G::StrPool { pool: 50_000 }),
+                ("l_orderkey", G::ForeignKey { target_rows: orders }),
+                ("l_partkey", G::ForeignKey { target_rows: part }),
+                ("l_suppkey", G::ForeignKey { target_rows: supplier }),
+                ("l_linenumber", G::IntUniform { lo: 1, hi: 7 }),
+                ("l_quantity", G::IntUniform { lo: 1, hi: 50 }),
+                ("l_extendedprice", G::FloatUniform { lo: 900.0, hi: 105_000.0 }),
+                ("l_discount", G::FloatUniform { lo: 0.0, hi: 0.11 }),
+                ("l_tax", G::FloatUniform { lo: 0.0, hi: 0.09 }),
+                ("l_returnflag", G::Choice { choices: 3 }),
+                ("l_linestatus", G::Choice { choices: 2 }),
+                ("l_shipdate", G::DateUniform { lo: DATE_LO, hi: DATE_HI }),
+                ("l_commitdate", G::DateUniform { lo: DATE_LO, hi: DATE_HI }),
+                ("l_receiptdate", G::DateUniform { lo: DATE_LO, hi: DATE_HI }),
+                ("l_shipinstruct", G::Choice { choices: 4 }),
+                ("l_shipmode", G::Choice { choices: 7 }),
+                ("l_comment", G::StrPool { pool: 50_000 }),
             ],
         },
     ]
@@ -216,23 +215,18 @@ pub fn generate(scale: f64, seed: u64) -> TpchData {
     for inst in 0..INSTANCES {
         let mut tables = Vec::new();
         for def in table_defs(scale) {
-            let name = format!("{}{}", def.name, inst);
             let schema = TableSchema::new(
-                name.clone(),
-                def.columns.iter().map(|(n, t, _)| Column::new(*n, *t)).collect(),
+                format!("{}{}", def.name, inst),
+                def.columns.iter().map(|(n, g)| Column::new(*n, g.value_type())).collect(),
             );
             let tid = db.add_table(schema);
-            let rows = def.base_rows;
-            #[expect(clippy::expect_used, reason = "table_defs() pairs generators with types")]
-            db.insert_rows(
-                tid,
-                (0..rows).map(|r| {
-                    row_from(
-                        def.columns.iter().map(|(_, _, g)| g.generate(r, rows, &mut rng)).collect(),
-                    )
-                }),
-            )
-            .expect("generated rows fit their schema");
+            let gens: Vec<ColumnGen> = def.columns.into_iter().map(|(_, g)| g).collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "each batch is base_rows cells of its column's type; a table past 2^32 rows is refused"
+            )]
+            db.insert_columns(tid, draw_columns(&gens, def.base_rows, &mut rng))
+                .expect("generated columns fit their schema");
             tables.push((def.name.to_string(), tid));
         }
         instances.push(Instance { index: inst, tables });
@@ -268,7 +262,7 @@ pub fn summary(scale: f64) -> DataSetSummary {
     let bytes: u64 = defs
         .iter()
         .map(|d| {
-            let width: usize = d.columns.iter().map(|(_, t, _)| t.byte_width()).sum();
+            let width: usize = d.columns.iter().map(|(_, g)| g.value_type().byte_width()).sum();
             colt_storage::pages_for(d.base_rows as usize, width) as u64
                 * colt_storage::PAGE_SIZE as u64
         })
@@ -339,6 +333,53 @@ mod tests {
         let data = generate(0.002, 7);
         for t in data.db.tables() {
             assert_eq!(t.stats.len(), t.schema.arity(), "stats for {}", t.schema.name);
+        }
+    }
+
+    /// `generate` as it stood before column batches: every row drawn as
+    /// `ColumnGen::generate`'s `Value`s and inserted through `insert_rows`.
+    fn generate_by_rows(scale: f64, seed: u64) -> Database {
+        let mut db = Database::new();
+        let mut rng = Prng::new(seed);
+        for inst in 0..INSTANCES {
+            for def in table_defs(scale) {
+                let columns = def.columns.iter().map(|(n, g)| Column::new(*n, g.value_type())).collect();
+                let tid = db.add_table(TableSchema::new(format!("{}{inst}", def.name), columns));
+                let rows = (0..def.base_rows).map(|r| {
+                    colt_storage::row_from(def.columns.iter().map(|(_, g)| g.generate(r, &mut rng)).collect())
+                });
+                db.insert_rows(tid, rows).unwrap();
+            }
+        }
+        db.analyze_all();
+        db
+    }
+
+    #[test]
+    fn column_batches_equal_the_rows_generate_draws() {
+        for seed in [7, 42] {
+            let data = generate(0.002, seed);
+            let by_rows = generate_by_rows(0.002, seed);
+            assert_eq!(data.db.table_count(), by_rows.table_count());
+            for (t, want) in data.db.tables().iter().zip(by_rows.tables()) {
+                let name = &t.schema.name;
+                // Cells and dictionaries (the heap's columns), then the statistics.
+                assert_eq!(format!("{:?}", t.heap), format!("{:?}", want.heap), "{name}, seed {seed}");
+                assert_eq!(format!("{:?}", t.stats), format!("{:?}", want.stats), "{name}, seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn string_pools_sort_as_their_indices() {
+        // `draw_columns` hands a pool's strings over in index order, which
+        // is string order below 10^8.
+        for def in table_defs(1.0) {
+            for (name, g) in def.columns {
+                if let ColumnGen::StrPool { pool } = g {
+                    assert!(pool <= 100_000_000, "{name}: a pool of {pool}");
+                }
+            }
         }
     }
 
